@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race check conformance budget-smoke fleet-smoke serve-smoke scale-smoke zoo-smoke goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline figures traces report fuzz fuzz-smoke clean
+.PHONY: all build vet test test-race check conformance budget-smoke fleet-smoke serve-smoke scale-smoke zoo-smoke pool-smoke goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e figures traces report fuzz fuzz-smoke clean
 
 all: build vet test
 
 # Pre-PR gate: static analysis plus the full suite under the race
 # detector (the simulator is single-threaded by design; -race proves it),
 # plus the protocol-conformance, run-supervision, fleet, service,
-# cell-scale, and protocol-zoo gates.
-check: vet test-race conformance budget-smoke fleet-smoke serve-smoke scale-smoke zoo-smoke
+# cell-scale, protocol-zoo, and packet-lifetime gates, and the
+# measurement spine's output checks.
+check: vet test-race conformance budget-smoke fleet-smoke serve-smoke scale-smoke zoo-smoke pool-smoke bench-e2e-smoke
 
 # Supervision gate: a tiny sweep with one pathological (livelocking)
 # point under aggressive run budgets, with the worker pool and heartbeat
@@ -52,6 +53,16 @@ zoo-smoke:
 	$(GO) test -race -run 'TestSnoopPropertiesUnderChaos|TestSnoopChaosDeterminism|TestVariantsIdenticalWithoutLoss|TestTahoeRenoDivergeAtFastRetransmit|TestOracleOnSplitConnection' ./internal/core/
 	$(GO) test -race -run 'TestZooStudyGrid' ./internal/experiment/
 	$(GO) test -race -run 'TestLegacyGoldensSurviveZooRefactor' ./cmd/wtcp-conformance/
+
+# Packet-lifetime gate, under -race: the pool property grid (chaos x
+# seeds x schemes x presets: no lifetime fault, zero live packets after
+# teardown, two identical runs equal), the multi-flow determinism
+# regression, the bounded-bookkeeping plateau and the heap high-water
+# pin; then the warm-run allocation pins without it (the race detector
+# instruments allocation, making AllocsPerRun meaningless).
+pool-smoke:
+	$(GO) test -race -run 'TestPacketPoolUnderChaos|TestPoolFaultIsAProtocolBug|TestMultiFlowIsReproducible|TestPerRunSetsPlateau|TestHeapHighWaterStaysSmall' ./internal/core/
+	$(GO) test -run 'TestWarmRunAllocs' ./internal/core/
 
 # Conformance gate: the oracle/trace/ARQ suites under -race, then the
 # golden-trace drift check against the committed canonical scenarios.
@@ -112,6 +123,27 @@ bench-scale:
 bench-scale-baseline:
 	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee bench-scale.txt
 	$(GO) run ./cmd/wtcp-bench -record -file BENCH_scale.json -filter '^BenchmarkCell' -note 'cell-scale engine baseline; regenerate with `make bench-scale-baseline`' -in bench-scale.txt
+
+# Measurement-spine smoke (BENCHMARK.json, bench/): all four workloads
+# at tiny sizes. Timing is meaningless at this size; what it gates is
+# every output check — four-rung bit-identity of the WAN ladder,
+# oracle-on == oracle-off over the protocol zoo, per-pass digests,
+# byte-identical cache hits — from outside the packages.
+bench-e2e-smoke:
+	$(GO) run ./bench -workload all -smoke
+
+# End-to-end comparison on this machine: record E2E_REPEAT complete sets
+# of runs of the working tree into E2E_OUT, and, when E2E_BASE names the
+# set.json of an earlier recording (typically the parent commit's, made
+# with this same target in a checkout of it), print the per-metric
+# verdicts and fail on any `worse`. About 3 minutes per set.
+E2E_REPEAT ?= 3
+E2E_OUT ?= bench/out/e2e
+bench-e2e:
+	$(GO) run ./bench -workload all -repeat $(E2E_REPEAT) -out $(E2E_OUT)
+ifdef E2E_BASE
+	$(GO) run ./bench -compare $(E2E_BASE) $(E2E_OUT)/set.json
+endif
 
 # Regenerate every paper figure at publication fidelity.
 figures:

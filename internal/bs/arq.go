@@ -1,9 +1,11 @@
 package bs
 
 import (
+	"sort"
 	"time"
 
 	"wtcp/internal/packet"
+	"wtcp/internal/queue"
 	"wtcp/internal/sim"
 )
 
@@ -23,17 +25,18 @@ type arqEngine struct {
 	cfg ARQConfig
 
 	// pendingUnits holds link units not yet transmitted, FIFO across
-	// packets.
-	pendingUnits []*packet.Packet
+	// packets (an unbounded ring: admission is bounded by QueueLimit).
+	pendingUnits *queue.DropTail
 	// outstanding maps unit ID -> in-flight attempt state.
 	outstanding map[uint64]*arqEntry
-	// packetUnits maps network-packet ID -> number of its units still
-	// unacknowledged (pending, outstanding, or backing off); when it
-	// reaches zero the packet has fully crossed the wireless hop.
-	packetUnits map[uint64]int
-	// discarded marks packets withdrawn after RTmax; their stray timers
-	// and acks are ignored.
-	discarded map[uint64]bool
+	// held maps network-packet ID -> the packet's connection and the
+	// number of its units still unacknowledged (pending, outstanding, or
+	// backing off); when that reaches zero the packet has fully crossed
+	// the wireless hop. A packet discarded after RTmax leaves every
+	// structure at once, its queued units included (see discardPacket):
+	// no per-packet record outlives the packet's stay at the station,
+	// and late link acks for its units simply find nothing outstanding.
+	held map[uint64]heldPacket
 	// nextLinkSeq numbers units so the mobile host can restore
 	// in-sequence delivery (retransmission backoffs reorder the air).
 	nextLinkSeq int64
@@ -41,12 +44,17 @@ type arqEngine struct {
 	// attempt can notify every source whose data is held up (identical
 	// to the single-connection behaviour when only one source exists).
 	connUnits map[int]int
-	// packetConn remembers each admitted packet's connection for the
-	// decrement on completion/discard.
-	packetConn map[uint64]int
 	// freeEntries recycles attempt-state records (and their pre-bound
 	// timers) so the per-unit transmit path allocates nothing once warm.
 	freeEntries []*arqEntry
+	// heldUp is heldUpConns' reusable result buffer.
+	heldUp []int
+}
+
+// heldPacket is the station's record of one admitted network packet.
+type heldPacket struct {
+	conn  int
+	units int
 }
 
 // arqEntry tracks one outstanding (or backing-off) unit. Entries are
@@ -55,7 +63,9 @@ type arqEngine struct {
 // deadline and the retransmission backoff (backingOff says which phase
 // the entry is in when the timer fires).
 type arqEntry struct {
-	id       uint64 // unit ID currently tracked (guards stale timer fires)
+	id uint64 // unit ID currently tracked (guards stale timer fires)
+	// unit is the entry's own reference to the link unit, kept beside the
+	// one in flight so the unit can be re-sent by pointer.
 	unit     *packet.Packet
 	attempts int // transmissions so far
 	timer    *sim.Timer
@@ -66,13 +76,12 @@ type arqEntry struct {
 
 func newARQEngine(b *BaseStation, cfg ARQConfig) *arqEngine {
 	e := &arqEngine{
-		bs:          b,
-		cfg:         cfg,
-		outstanding: make(map[uint64]*arqEntry),
-		packetUnits: make(map[uint64]int),
-		discarded:   make(map[uint64]bool),
-		connUnits:   make(map[int]int),
-		packetConn:  make(map[uint64]int),
+		bs:           b,
+		cfg:          cfg,
+		pendingUnits: queue.New(0),
+		outstanding:  make(map[uint64]*arqEntry),
+		held:         make(map[uint64]heldPacket),
+		connUnits:    make(map[int]int),
 	}
 	// Arm acknowledgment timers from the instant a unit leaves the
 	// transmitter, not when it was queued.
@@ -82,7 +91,7 @@ func newARQEngine(b *BaseStation, cfg ARQConfig) *arqEngine {
 
 // backlogPackets reports how many network packets are still crossing the
 // wireless hop.
-func (e *arqEngine) backlogPackets() int { return len(e.packetUnits) }
+func (e *arqEngine) backlogPackets() int { return len(e.held) }
 
 // getEntry takes an attempt-state record from the pool, or builds one
 // with its timer pre-bound to the entry (the closure is allocated once
@@ -98,10 +107,11 @@ func (e *arqEngine) getEntry() *arqEntry {
 	return en
 }
 
-// putEntry stops the entry's timer and returns it to the pool. Callers
-// must have removed it from outstanding first.
+// putEntry stops the entry's timer, releases its unit, and returns it to
+// the pool. Callers must have removed it from outstanding first.
 func (e *arqEngine) putEntry(en *arqEntry) {
 	en.timer.Stop()
+	en.unit.Release()
 	en.unit = nil
 	e.freeEntries = append(e.freeEntries, en)
 }
@@ -125,36 +135,37 @@ func (e *arqEngine) timerFired(en *arqEntry) {
 // or in-flight unit and its timers are dropped; the link sequence counter
 // keeps running so post-restart units never reuse a sequence number the
 // mobile host has already seen. It returns the number of network packets
-// whose delivery state was lost.
+// whose delivery state was lost. It is also the end-of-run teardown: every
+// unit reference the engine holds is released.
 func (e *arqEngine) reset() int {
-	lost := len(e.packetUnits)
+	lost := len(e.held)
 	for _, en := range e.outstanding {
 		e.putEntry(en)
 	}
-	e.outstanding = make(map[uint64]*arqEntry)
-	e.pendingUnits = nil
-	e.packetUnits = make(map[uint64]int)
-	e.packetConn = make(map[uint64]int)
-	e.connUnits = make(map[int]int)
-	e.discarded = make(map[uint64]bool)
+	for u := e.pendingUnits.Pop(); u != nil; u = e.pendingUnits.Pop() {
+		u.Release()
+	}
+	clear(e.outstanding)
+	clear(e.held)
+	clear(e.connUnits)
 	return lost
 }
 
-// admit accepts a data packet from the wired side, or refuses it when the
-// hold queue is full.
+// admit accepts a data packet from the wired side — the engine then owns
+// it — or refuses it when the hold queue is full.
 func (e *arqEngine) admit(p *packet.Packet) bool {
-	if len(e.packetUnits) >= e.bs.cfg.QueueLimit {
+	if len(e.held) >= e.bs.cfg.QueueLimit {
 		return false
 	}
-	units := e.bs.units(p)
-	e.packetUnits[p.ID] = len(units)
-	e.packetConn[p.ID] = p.Conn
-	e.connUnits[p.Conn] += len(units)
+	id, conn := p.ID, p.Conn
+	units := e.bs.units(p) // p may be gone after this
+	e.held[id] = heldPacket{conn: conn, units: len(units)}
+	e.connUnits[conn] += len(units)
 	for _, u := range units {
 		e.nextLinkSeq++
 		u.LinkSeq = e.nextLinkSeq
+		e.pendingUnits.Push(u)
 	}
-	e.pendingUnits = append(e.pendingUnits, units...)
 	e.fill()
 	return true
 }
@@ -168,14 +179,8 @@ func (e *arqEngine) inFlight() int { return len(e.outstanding) }
 
 // fill transmits pending units while window slots are free.
 func (e *arqEngine) fill() {
-	for e.inFlight() < e.cfg.Window && len(e.pendingUnits) > 0 {
-		u := e.pendingUnits[0]
-		e.pendingUnits[0] = nil
-		e.pendingUnits = e.pendingUnits[1:]
-		if e.discarded[e.unitPacketID(u)] {
-			continue
-		}
-		e.transmit(u, 1)
+	for e.inFlight() < e.cfg.Window && e.pendingUnits.Len() > 0 {
+		e.transmit(e.pendingUnits.Pop(), 1)
 	}
 }
 
@@ -187,13 +192,21 @@ func (e *arqEngine) unitPacketID(u *packet.Packet) uint64 {
 	return u.ID
 }
 
-// transmit puts a unit on the air and registers its attempt state.
+// transmit puts a unit on the air and registers its attempt state; the
+// entry takes over the caller's reference to u.
 func (e *arqEngine) transmit(u *packet.Packet, attempt int) {
 	en := e.getEntry()
 	en.id = u.ID
 	en.unit = u
 	en.attempts = attempt
 	en.backingOff = false
+	if old, ok := e.outstanding[u.ID]; ok {
+		// A duplicated wired packet (fault injection) carries a unit ID
+		// already being tracked. The newer attempt supersedes the older
+		// entry, whose timer will find itself stale; it keeps no unit.
+		old.unit.Release()
+		old.unit = nil
+	}
 	e.outstanding[u.ID] = en
 	e.bs.stats.ARQAttempts++
 	if e.bs.hooks.OnARQAttempt != nil {
@@ -202,7 +215,14 @@ func (e *arqEngine) transmit(u *packet.Packet, attempt int) {
 	// The ack timer is armed by onTxDone when serialization finishes. If
 	// the link refuses the unit outright (full queue), treat that as an
 	// immediate unsuccessful attempt.
-	if !e.bs.down.Send(u) {
+	e.send(en)
+}
+
+// send puts the entry's unit on the downlink with a reference of its own
+// (the link, and whoever it delivers to, releases that one).
+func (e *arqEngine) send(en *arqEntry) {
+	en.unit.Retain()
+	if !e.bs.down.Send(en.unit) {
 		en.timer.Set(0)
 	}
 }
@@ -227,40 +247,36 @@ func (e *arqEngine) onLinkAck(id uint64) {
 		e.bs.hooks.OnARQAck(id, pid)
 	}
 	e.putEntry(en)
-	if n, ok := e.packetUnits[pid]; ok {
-		if n <= 1 {
-			delete(e.packetUnits, pid)
+	if hp, ok := e.held[pid]; ok {
+		if hp.units <= 1 {
+			delete(e.held, pid)
 		} else {
-			e.packetUnits[pid] = n - 1
+			hp.units--
+			e.held[pid] = hp
 		}
-		e.decrConn(pid, 1)
+		e.releaseConn(hp.conn, 1)
 	}
 	e.fill()
 }
 
-// decrConn reduces a connection's held-up unit count by n units of the
-// given packet.
-func (e *arqEngine) decrConn(pid uint64, n int) {
-	conn, ok := e.packetConn[pid]
-	if !ok {
-		return
-	}
+// releaseConn reduces a connection's held-up unit count by n.
+func (e *arqEngine) releaseConn(conn, n int) {
 	e.connUnits[conn] -= n
 	if e.connUnits[conn] <= 0 {
 		delete(e.connUnits, conn)
 	}
-	if _, still := e.packetUnits[pid]; !still {
-		delete(e.packetConn, pid)
-	}
 }
 
-// heldUpConns lists the connections with units still crossing the hop.
+// heldUpConns lists the connections with units still crossing the hop,
+// in ascending order (the order notifications are emitted in must not
+// depend on map iteration). The result is valid until the next call.
 func (e *arqEngine) heldUpConns() []int {
-	out := make([]int, 0, len(e.connUnits))
+	e.heldUp = e.heldUp[:0]
 	for conn := range e.connUnits {
-		out = append(out, conn)
+		e.heldUp = append(e.heldUp, conn)
 	}
-	return out
+	sort.Ints(e.heldUp)
+	return e.heldUp
 }
 
 // onAckTimeout declares an attempt unsuccessful: notify the source, then
@@ -299,20 +315,13 @@ func (e *arqEngine) retransmit(id uint64) {
 	if !ok {
 		return
 	}
-	if e.discarded[e.unitPacketID(en.unit)] {
-		delete(e.outstanding, id)
-		e.putEntry(en)
-		return
-	}
 	en.backingOff = false
 	en.attempts++
 	e.bs.stats.ARQAttempts++
 	if e.bs.hooks.OnARQAttempt != nil {
 		e.bs.hooks.OnARQAttempt(id, e.unitPacketID(en.unit), en.attempts)
 	}
-	if !e.bs.down.Send(en.unit) {
-		en.timer.Set(0)
-	}
+	e.send(en)
 }
 
 // discardPacket withdraws every unit of the given network packet.
@@ -321,15 +330,9 @@ func (e *arqEngine) discardPacket(pid uint64) {
 	if e.bs.hooks.OnARQDiscard != nil {
 		e.bs.hooks.OnARQDiscard(pid)
 	}
-	e.discarded[pid] = true
-	if n, ok := e.packetUnits[pid]; ok {
-		conn := e.packetConn[pid]
-		delete(e.packetUnits, pid)
-		delete(e.packetConn, pid)
-		e.connUnits[conn] -= n
-		if e.connUnits[conn] <= 0 {
-			delete(e.connUnits, conn)
-		}
+	if hp, ok := e.held[pid]; ok {
+		delete(e.held, pid)
+		e.releaseConn(hp.conn, hp.units)
 	}
 	for id, en := range e.outstanding {
 		if e.unitPacketID(en.unit) == pid {
@@ -337,6 +340,14 @@ func (e *arqEngine) discardPacket(pid uint64) {
 			e.putEntry(en)
 		}
 	}
-	// Pending units of the packet are skipped lazily in fill().
+	// Withdraw the packet's queued units too: one turn of the ring,
+	// keeping everyone else's in order.
+	for n := e.pendingUnits.Len(); n > 0; n-- {
+		if u := e.pendingUnits.Pop(); e.unitPacketID(u) == pid {
+			u.Release()
+		} else {
+			e.pendingUnits.Push(u)
+		}
+	}
 	e.fill()
 }

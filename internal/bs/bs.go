@@ -286,6 +286,9 @@ type BaseStation struct {
 	toWired func(p *packet.Packet) // BS -> FH (reverse wired hop)
 
 	frag *ip.Fragmenter // nil when cfg.MTU == 0
+	// unitBuf is the scratch buffer units() fills; its contents are
+	// consumed (queued or sent) before the next packet is admitted.
+	unitBuf []*packet.Packet
 
 	arq   *arqEngine  // non-nil for recovery schemes
 	snoop *snoopAgent // non-nil for Snoop
@@ -417,20 +420,24 @@ func (b *BaseStation) Restart() { b.downed = false }
 func (b *BaseStation) Down() bool { return b.downed }
 
 // FromWired accepts a packet arriving over the wired link from the fixed
-// host (data segments, in this study).
+// host (data segments, in this study), taking over the caller's
+// reference.
 func (b *BaseStation) FromWired(p *packet.Packet) {
 	if b.downed {
 		b.stats.CrashDiscards++
+		p.Release()
 		return
 	}
 	if p.Kind != packet.Data {
 		// Nothing else flows FH->MH in this study; drop silently.
+		p.Release()
 		return
 	}
 	switch {
 	case b.arq != nil:
 		if !b.arq.admit(p) {
 			b.stats.DataDropped++
+			p.Release()
 			return
 		}
 		b.stats.DataIn++
@@ -452,43 +459,63 @@ func (b *BaseStation) forwardBasic(p *packet.Packet) {
 }
 
 // units converts a data packet into the link units transmitted over the
-// wireless hop: MTU fragments when fragmentation is on, the packet itself
-// otherwise.
+// wireless hop, consuming the caller's reference to p: MTU fragments when
+// fragmentation is on (p itself is then finished with), the packet itself
+// otherwise. The result lives in unitBuf and is valid until the next
+// call.
 func (b *BaseStation) units(p *packet.Packet) []*packet.Packet {
 	if b.frag == nil {
-		return []*packet.Packet{p}
+		b.unitBuf = append(b.unitBuf[:0], p)
+		return b.unitBuf
 	}
-	return b.frag.Fragment(p)
+	b.unitBuf = b.frag.AppendFragments(b.unitBuf[:0], p)
+	p.Release()
+	return b.unitBuf
 }
 
 // FromWireless accepts a packet arriving over the wireless uplink from the
-// mobile host: TCP acks and link-level acks.
+// mobile host — TCP acks and link-level acks — taking over the caller's
+// reference.
 func (b *BaseStation) FromWireless(p *packet.Packet) {
 	if b.downed {
 		b.stats.CrashDiscards++
+		p.Release()
 		return
 	}
 	switch p.Kind {
 	case packet.Ack:
-		if b.snoop != nil && b.snoop.filterAck(p) {
-			return // suppressed dupack
+		if b.snoop == nil || !b.snoop.filterAck(p) {
+			b.stats.AcksForwarded++
+			b.toWired(p)
+			return
 		}
-		b.stats.AcksForwarded++
-		b.toWired(p)
+		// A suppressed dupack ends here.
 	case packet.LinkAck:
 		b.stats.LinkAcks++
 		if b.arq != nil {
 			b.arq.onLinkAck(uint64(p.AckNo))
 		}
 	}
+	p.Release()
+}
+
+// ReleaseAll gives up every packet reference the station holds (units
+// pending or in local recovery). It is the end-of-run teardown; the
+// station must not carry traffic afterwards.
+func (b *BaseStation) ReleaseAll() {
+	if b.arq != nil {
+		b.arq.reset()
+	}
 }
 
 // notifyFailureAll emits the per-failed-attempt control message to every
-// held-up source. failing is always included; heldUp lists the
-// connections with data still crossing the hop. With a single connection
-// this reduces exactly to the paper's "notify the source". The addresses
-// come from the packets themselves — still no per-connection transport
-// state at the base station.
+// held-up source: the failing unit's connection first, then the other
+// connections in heldUp, which must be in ascending order — emission
+// order fixes packet IDs and reverse-queue order, so it may not depend on
+// map iteration. With a single connection this reduces exactly to the
+// paper's "notify the source". The addresses come from the packets
+// themselves — still no per-connection transport state at the base
+// station.
 func (b *BaseStation) notifyFailureAll(failing int, heldUp []int) {
 	// The NotifyEvery thinning applies per failure *event*; the fan-out
 	// to held-up sources happens for each event that passes the filter.
@@ -498,41 +525,32 @@ func (b *BaseStation) notifyFailureAll(failing int, heldUp []int) {
 	}
 	b.failuresSinceNotify = 0
 
-	notified := map[int]bool{failing: true}
 	b.emitNotification(failing)
 	for _, conn := range heldUp {
-		if notified[conn] {
-			continue
+		if conn != failing {
+			b.emitNotification(conn)
 		}
-		notified[conn] = true
-		b.emitNotification(conn)
 	}
 }
 
 // emitNotification sends one control message toward a source.
 func (b *BaseStation) emitNotification(conn int) {
+	var kind packet.Kind
 	switch b.cfg.Scheme {
 	case EBSN:
+		kind = packet.EBSN
 		b.stats.EBSNsSent++
-		if b.hooks.OnNotify != nil {
-			b.hooks.OnNotify(packet.EBSN, conn)
-		}
-		b.toWired(&packet.Packet{
-			ID:     b.ids.Next(),
-			Kind:   packet.EBSN,
-			Conn:   conn,
-			SentAt: b.sim.Now(),
-		})
 	case SourceQuench:
+		kind = packet.SourceQuench
 		b.stats.QuenchesSent++
-		if b.hooks.OnNotify != nil {
-			b.hooks.OnNotify(packet.SourceQuench, conn)
-		}
-		b.toWired(&packet.Packet{
-			ID:     b.ids.Next(),
-			Kind:   packet.SourceQuench,
-			Conn:   conn,
-			SentAt: b.sim.Now(),
-		})
+	default:
+		return
 	}
+	if b.hooks.OnNotify != nil {
+		b.hooks.OnNotify(kind, conn)
+	}
+	p := b.ids.New(kind)
+	p.Conn = conn
+	p.SentAt = b.sim.Now()
+	b.toWired(p)
 }

@@ -1,8 +1,6 @@
 package bs
 
 import (
-	"sort"
-
 	"wtcp/internal/packet"
 	"wtcp/internal/sim"
 	"wtcp/internal/units"
@@ -23,8 +21,10 @@ type snoopAgent struct {
 	bs  *BaseStation
 	cfg SnoopConfig
 
-	// cache maps segment start seq -> the cached segment.
+	// cache maps segment start seq -> the cached segment; free recycles
+	// the records of acknowledged and evicted ones.
 	cache map[int64]*cachedSeg
+	free  []*cachedSeg
 	// lastAck is the highest cumulative ack seen from the mobile host.
 	lastAck int64
 	// dupacks counts consecutive duplicates of lastAck.
@@ -33,10 +33,12 @@ type snoopAgent struct {
 	timer *sim.Timer
 }
 
+// cachedSeg is what the agent needs to re-create a segment: local
+// retransmissions are fresh packets, so the cache keeps no reference to
+// the one that passed through.
 type cachedSeg struct {
 	seq     int64
 	payload units.ByteSize
-	pkt     *packet.Packet
 	// locallyRetransmitted marks segments the agent has already re-sent
 	// since the last ack advance, limiting dupack-triggered re-sends.
 	locallyRetransmitted bool
@@ -63,19 +65,37 @@ func newSnoopAgent(b *BaseStation, cfg SnoopConfig) *snoopAgent {
 // cumulative ack as a new one and simply re-seeds.
 func (a *snoopAgent) reset() int {
 	lost := len(a.cache)
-	a.cache = make(map[int64]*cachedSeg)
+	for seq := range a.cache {
+		a.uncache(seq)
+	}
 	a.lastAck = 0
 	a.dupacks = 0
 	a.timer.Stop()
 	return lost
 }
 
+// uncache drops the cached segment at seq and recycles its record.
+func (a *snoopAgent) uncache(seq int64) {
+	a.free = append(a.free, a.cache[seq])
+	delete(a.cache, seq)
+}
+
 // admit caches a data segment and forwards it onto the wireless link.
 func (a *snoopAgent) admit(p *packet.Packet) {
-	if _, replacing := a.cache[p.Seq]; replacing || len(a.cache) < a.cfg.MaxCached {
+	seg, replacing := a.cache[p.Seq]
+	if replacing || len(a.cache) < a.cfg.MaxCached {
 		// A retransmission from the source replaces the cached copy,
 		// clearing the local-retransmit mark and the attempt count.
-		a.cache[p.Seq] = &cachedSeg{seq: p.Seq, payload: p.Payload, pkt: p}
+		if !replacing {
+			if n := len(a.free); n > 0 {
+				seg = a.free[n-1]
+				a.free = a.free[:n-1]
+			} else {
+				seg = &cachedSeg{}
+			}
+			a.cache[p.Seq] = seg
+		}
+		*seg = cachedSeg{seq: p.Seq, payload: p.Payload}
 		if a.bs.hooks.OnSnoopAdmit != nil {
 			a.bs.hooks.OnSnoopAdmit(p.Seq)
 		}
@@ -97,7 +117,7 @@ func (a *snoopAgent) filterAck(p *packet.Packet) bool {
 		a.dupacks = 0
 		for seq := range a.cache {
 			if seq < p.AckNo {
-				delete(a.cache, seq)
+				a.uncache(seq)
 			}
 		}
 		if len(a.cache) == 0 {
@@ -140,12 +160,13 @@ func (a *snoopAgent) onLocalTimeout() {
 	if len(a.cache) == 0 {
 		return
 	}
-	seqs := make([]int64, 0, len(a.cache))
+	oldest := int64(-1)
 	for seq := range a.cache {
-		seqs = append(seqs, seq)
+		if oldest < 0 || seq < oldest {
+			oldest = seq
+		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	a.localRetransmit(a.cache[seqs[0]])
+	a.localRetransmit(a.cache[oldest])
 	if len(a.cache) > 0 {
 		a.timer.Set(a.cfg.LocalTimeout)
 	} else {
@@ -166,14 +187,11 @@ func (a *snoopAgent) localRetransmit(seg *cachedSeg) bool {
 	if a.bs.hooks.OnSnoopRetx != nil {
 		a.bs.hooks.OnSnoopRetx(seg.seq, seg.retx)
 	}
-	copy := &packet.Packet{
-		ID:         a.bs.ids.Next(),
-		Kind:       packet.Data,
-		Seq:        seg.seq,
-		Payload:    seg.payload,
-		Retransmit: true,
-		SentAt:     a.bs.sim.Now(),
-	}
+	copy := a.bs.ids.New(packet.Data)
+	copy.Seq = seg.seq
+	copy.Payload = seg.payload
+	copy.Retransmit = true
+	copy.SentAt = a.bs.sim.Now()
 	a.bs.forwardBasic(copy)
 	return true
 }
@@ -181,10 +199,11 @@ func (a *snoopAgent) localRetransmit(seg *cachedSeg) bool {
 // evict drops a cached copy that has used up its retransmission cap; the
 // fixed host's own recovery (fast retransmit or RTO) repairs the loss.
 func (a *snoopAgent) evict(seg *cachedSeg) {
-	delete(a.cache, seg.seq)
+	seq := seg.seq
+	a.uncache(seq)
 	a.bs.stats.SnoopEvictions++
 	if a.bs.hooks.OnSnoopEvict != nil {
-		a.bs.hooks.OnSnoopEvict(seg.seq)
+		a.bs.hooks.OnSnoopEvict(seq)
 	}
 	if len(a.cache) == 0 {
 		a.timer.Stop()

@@ -49,6 +49,10 @@ type Injector struct {
 	rng *sim.RNG
 	cfg *Config
 
+	// held are the packets a delay or reorder fault is keeping back, each
+	// with a reference of the injector's own until it is re-injected.
+	held []*packet.Packet
+
 	stats Stats
 }
 
@@ -129,9 +133,36 @@ func (in *Injector) Attach(l *link.Link) {
 	})
 }
 
+// hold keeps p back for delay and then hands it to l's receiver. The link
+// releases its own reference to a consumed packet, so the injector takes
+// one for the wait; Inject passes it on.
+func (in *Injector) hold(l *link.Link, p *packet.Packet, delay time.Duration) {
+	p.Retain()
+	in.held = append(in.held, p)
+	in.sim.Schedule(delay, func() {
+		for i, h := range in.held {
+			if h == p {
+				in.held = append(in.held[:i], in.held[i+1:]...)
+				break
+			}
+		}
+		l.Inject(p)
+	})
+}
+
+// ReleaseAll gives up the packets still held back when the run ends. It
+// is the end-of-run teardown; the injector must not run afterwards.
+func (in *Injector) ReleaseAll() {
+	for _, p := range in.held {
+		p.Release()
+	}
+	in.held = nil
+}
+
 // deliverNotification applies loss/duplication/delay to one EBSN or
 // quench message. Returning false consumes the original; duplicated or
-// delayed copies re-enter the receiver via Inject.
+// delayed copies re-enter the receiver via Inject. A duplicate is a
+// by-value copy, which no pool owns.
 func (in *Injector) deliverNotification(l *link.Link, p *packet.Packet) bool {
 	if in.rng.Bernoulli(in.cfg.Notify.LossProb) {
 		in.stats.NotifyDropped++
@@ -144,8 +175,7 @@ func (in *Injector) deliverNotification(l *link.Link, p *packet.Packet) bool {
 	}
 	if in.cfg.Notify.DelayProb > 0 && in.rng.Bernoulli(in.cfg.Notify.DelayProb) {
 		in.stats.NotifyDelayed++
-		held := p
-		in.sim.Schedule(in.cfg.Notify.Delay, func() { l.Inject(held) })
+		in.hold(l, p, in.cfg.Notify.Delay)
 		return false
 	}
 	return true
@@ -167,8 +197,7 @@ func (in *Injector) deliverWithPacketFaults(l *link.Link, pf PacketFaults, p *pa
 	}
 	if pf.ReorderProb > 0 && in.rng.Bernoulli(pf.ReorderProb) {
 		in.stats.Reorders++
-		held := p
-		in.sim.Schedule(pf.ReorderDelay, func() { l.Inject(held) })
+		in.hold(l, p, pf.ReorderDelay)
 		return false
 	}
 	return true

@@ -340,6 +340,13 @@ type Result struct {
 	SplitWireless  *tcp.Stats
 	SplitWiredDone time.Duration
 
+	// Kernel holds the event kernel's own counters for the run
+	// (cancellations, heap high-water); Packets is the packet pool's
+	// audit after teardown — LiveAtEnd is zero unless a component leaked
+	// a reference.
+	Kernel  sim.Stats
+	Packets packet.PoolStats
+
 	// SnoopCacheLen is the snoop cache's occupancy when the run ended
 	// (always zero for non-snoop schemes). A completed transfer must
 	// drain it to zero — every cached copy is eventually acked or
@@ -371,19 +378,14 @@ func Run(cfg Config) (*Result, error) {
 // the run is recovered into a *PanicError instead of taking down the
 // caller.
 func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
-	// pooled is the simulator to return to the kernel pool when the run
-	// exits normally. A panicked run never releases: the simulator may be
-	// mid-callback with who-knows-what half-applied, and the pool must
-	// only ever hold simulators whose Reset is known safe.
-	var pooled *sim.Simulator
+	// A run that exits normally returns its simulator and packet pool to
+	// their process-wide pools (see teardown). A panicked run never does:
+	// the simulator may be mid-callback with who-knows-what half-applied,
+	// and the pools must only ever hold storage known to be consistent.
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
 			err = &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
-			return
-		}
-		if pooled != nil {
-			sim.Release(pooled)
 		}
 	}()
 	if ctx == nil {
@@ -396,17 +398,13 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		cfg.Horizon = DefaultHorizon
 	}
 	if cfg.Scheme == bs.SplitConnection {
-		s := sim.Acquire()
-		pooled = s
-		s.SetBudget(cfg.Budget)
-		return runSplit(ctx, cfg, s)
+		return runSplit(ctx, cfg)
 	}
 
 	tp, err := newTopology(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	pooled = tp.sim
 	tp.sim.Bind(ctx)
 
 	var tr *trace.Trace
@@ -445,24 +443,58 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 			// An invariant violation is a protocol bug and a cancellation
 			// is the caller's deadline, not a network condition: surface
 			// either as a run error (a *CancelError unwraps to ctx.Err()).
+			tp.release()
 			return nil, f
 		}
-		res := tp.result(cfg)
+		res = tp.result(cfg)
 		res.Aborted = true
 		res.AbortReason = stall.Error()
-		if cfg.CollectTrace {
-			res.Trace = tr
-			res.Cwnd = cw
-		}
-		return res, nil
+	} else {
+		res = tp.result(cfg)
 	}
-
-	res = tp.result(cfg)
 	if cfg.CollectTrace {
 		res.Trace = tr
 		res.Cwnd = cw
 	}
+	if res.Packets, err = tp.release(); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// holder is a component that can be holding packets when a run stops:
+// links, the base station, the mobile host, the fault injector.
+type holder interface{ ReleaseAll() }
+
+// teardown ends a run's use of its kernel and packet pool. Every holder
+// gives up the packets it still has, so the pool's live count audits
+// reference hygiene — what remains is a leaked reference — and the
+// recycled packets stay with the pool; then both go back to their
+// process-wide pools, warm for the next run. A lifetime fault the pool
+// latched during the run (see packet.Pool) is returned as an invariant
+// violation, which Classify files under protocol bugs.
+func teardown(s *sim.Simulator, pl *packet.Pool, holders ...holder) (packet.PoolStats, error) {
+	for _, h := range holders {
+		h.ReleaseAll()
+	}
+	st := pl.Stats()
+	var err error
+	if fault := pl.Fault(); fault != nil {
+		err = &sim.CheckError{Name: "packet-lifetime", At: s.Now(), Err: fault}
+	}
+	sim.Release(s)
+	packet.ReleasePool(pl)
+	return st, err
+}
+
+// release tears the topology down (see teardown). The topology must not
+// be used afterwards.
+func (tp *topology) release() (packet.PoolStats, error) {
+	holders := []holder{tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp, tp.bs, tp.mobile}
+	if tp.chaos != nil {
+		holders = append(holders, tp.chaos)
+	}
+	return teardown(tp.sim, tp.pool, holders...)
 }
 
 // stallWindow resolves the watchdog window: explicit wins, negative
@@ -485,6 +517,7 @@ func (c Config) stallWindow() time.Duration {
 // (Run) and the application-workload runners (RunWeb, RunTelnet).
 type topology struct {
 	sim    *sim.Simulator
+	pool   *packet.Pool
 	ids    *packet.IDGen
 	sender *tcp.Sender
 	sink   *tcp.Sink
@@ -547,6 +580,7 @@ func (tp *topology) result(cfg Config) *Result {
 		Config:       cfg,
 		Completed:    tp.sender.Done(),
 		Events:       tp.sim.Fired(),
+		Kernel:       tp.sim.Stats(),
 		Sender:       tp.sender.Stats(),
 		Sink:         tp.sink.Stats(),
 		BS:           tp.bs.Stats(),
@@ -571,13 +605,14 @@ func (tp *topology) result(cfg Config) *Result {
 // no data available (application workloads grant bytes as they produce
 // them).
 func newTopology(cfg Config, streaming bool) (*topology, error) {
-	// Acquire from the kernel pool so replication sweeps reuse the event
-	// heap slab and free list instead of regrowing them per run. Runners
-	// release the simulator when they finish (see RunContext, RunWeb,
-	// RunTelnet).
+	// Acquire from the kernel and packet pools so replication sweeps
+	// reuse the event heap slab, its free list, and the recycled packets
+	// instead of regrowing them per run. Runners release both when they
+	// finish (see topology.release).
 	s := sim.Acquire()
 	s.SetBudget(cfg.Budget)
-	ids := &packet.IDGen{}
+	pool := packet.AcquirePool()
+	ids := packet.NewIDGen(pool)
 	rng := sim.NewRNG(cfg.Seed)
 
 	// The chaos RNG splits off first — and only when a fault plan is
@@ -648,7 +683,8 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		RED: red, Channel: wiredFwdCh,
 	}, wiredRNG, func(p *packet.Packet) {
 		if p.Conn == crossConn {
-			return // background traffic exits at the base station
+			p.Release() // background traffic exits at the base station
+			return
 		}
 		station.FromWired(p)
 	})
@@ -743,6 +779,7 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 
 	tp := &topology{
 		sim:          s,
+		pool:         pool,
 		ids:          ids,
 		sender:       sender,
 		sink:         sink,
@@ -790,13 +827,11 @@ func startCrossTraffic(s *sim.Simulator, ct CrossTraffic, ids *packet.IDGen, rng
 		if s.Now() >= horizon {
 			return
 		}
-		l.Send(&packet.Packet{
-			ID:      ids.Next(),
-			Kind:    packet.Data,
-			Conn:    crossConn,
-			Payload: ct.PacketSize - packet.HeaderSize,
-			SentAt:  s.Now(),
-		})
+		p := ids.New(packet.Data)
+		p.Conn = crossConn
+		p.Payload = ct.PacketSize - packet.HeaderSize
+		p.SentAt = s.Now()
+		l.Send(p)
 		s.Schedule(time.Duration(rng.Exp(meanGap)), next)
 	}
 	s.Schedule(time.Duration(rng.Exp(meanGap)), next)

@@ -67,8 +67,9 @@ func RunMultiFlow(cfg MultiFlowConfig) (*MultiFlowResult, error) {
 		base.Horizon = DefaultHorizon
 	}
 
-	s := sim.New()
-	ids := &packet.IDGen{}
+	s := sim.Acquire()
+	pool := packet.AcquirePool()
+	ids := packet.NewIDGen(pool)
 	rng := sim.NewRNG(base.Seed)
 	channel, err := errmodel.NewMarkov(base.Channel, rng.Split())
 	if err != nil {
@@ -93,6 +94,8 @@ func RunMultiFlow(cfg MultiFlowConfig) (*MultiFlowResult, error) {
 	}, nil, func(p *packet.Packet) {
 		if p.Conn >= 0 && p.Conn < len(senders) {
 			senders[p.Conn].Receive(p)
+		} else {
+			p.Release()
 		}
 	})
 	if err != nil {
@@ -139,6 +142,8 @@ func RunMultiFlow(cfg MultiFlowConfig) (*MultiFlowResult, error) {
 	}, ids, func(p *packet.Packet) {
 		if p.Conn >= 0 && p.Conn < len(sinks) {
 			sinks[p.Conn].Receive(p)
+		} else {
+			p.Release()
 		}
 	}, func(p *packet.Packet) { wirelessUp.Send(p) })
 	if err != nil {
@@ -213,6 +218,9 @@ func RunMultiFlow(cfg MultiFlowConfig) (*MultiFlowResult, error) {
 	}
 	if n := float64(cfg.Flows); sumSq > 0 {
 		res.Fairness = sum * sum / (n * sumSq)
+	}
+	if _, err := teardown(s, pool, wiredFwd, wiredRev, wirelessDown, wirelessUp, station, mobile); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

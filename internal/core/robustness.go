@@ -27,6 +27,9 @@ import (
 //   - end-to-end conservation: the sink's in-order byte count never
 //     exceeds the highest byte the source has sent. This form — unlike a
 //     segment-count comparison — also survives duplication and replay.
+//   - packet-lifetime: no component has released a packet twice or
+//     retained a free one (the pool's latched fault; also checked at
+//     teardown whether or not checks are on).
 //
 // The kernel adds its own event-heap structure check alongside these.
 func (tp *topology) registerInvariants() {
@@ -45,6 +48,7 @@ func (tp *topology) registerInvariants() {
 			func() int64 { st := l.Stats(); return int64(st.Delivered + st.Corrupted) },
 		))
 	}
+	tp.sim.AddCheck("packet-lifetime", tp.pool.Fault)
 }
 
 // snapshot renders the diagnostic state dump the watchdog attaches to a

@@ -33,11 +33,12 @@ import (
 // The wireless-side connection uses segments that fit the wireless MTU,
 // so no fragmentation occurs on the radio — the I-TCP argument for
 // separating the two flow controls.
-// The simulator is supplied by the caller (RunContext acquires it from
-// the kernel pool and releases it when the run returns).
-func runSplit(ctx context.Context, cfg Config, s *sim.Simulator) (*Result, error) {
+func runSplit(ctx context.Context, cfg Config) (*Result, error) {
+	s := sim.Acquire()
+	s.SetBudget(cfg.Budget)
 	s.Bind(ctx)
-	ids := &packet.IDGen{}
+	pool := packet.AcquirePool()
+	ids := packet.NewIDGen(pool)
 	rng := sim.NewRNG(cfg.Seed)
 
 	channel, err := errmodel.NewMarkov(cfg.Channel, rng.Split())
@@ -184,8 +185,12 @@ func runSplit(ctx context.Context, cfg Config, s *sim.Simulator) (*Result, error
 		}
 	}
 
+	release := func() (packet.PoolStats, error) {
+		return teardown(s, pool, wiredFwd, wiredRev, wirelessDown, wirelessUp, mobile)
+	}
 	var stalled *sim.StallError
 	if f := s.Failure(); f != nil && !errors.As(f, &stalled) {
+		release()
 		return nil, f
 	}
 
@@ -193,6 +198,7 @@ func runSplit(ctx context.Context, cfg Config, s *sim.Simulator) (*Result, error
 		Config:        cfg,
 		Completed:     wsSender.Done(),
 		Events:        s.Fired(),
+		Kernel:        s.Stats(),
 		Sender:        fhSender.Stats(),
 		SplitWireless: statsPtr(wsSender.Stats()),
 		Sink:          mhSink.Stats(),
@@ -229,6 +235,9 @@ func runSplit(ctx context.Context, cfg Config, s *sim.Simulator) (*Result, error
 		if res.Summary.Goodput > 1 {
 			res.Summary.Goodput = 1
 		}
+	}
+	if res.Packets, err = release(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -125,14 +125,16 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	}
 
 	if f := tp.sim.Failure(); f != nil {
-		sim.Release(tp.sim)
+		tp.release()
 		return nil, f
 	}
 	res.Completed = len(res.PageLoadSec) == web.Pages
 	res.Timeouts = tp.sender.Stats().Timeouts
 	res.EBSNResets = tp.sender.Stats().EBSNResets
 	res.MeanLoadSec, res.P95LoadSec = meanP95(res.PageLoadSec)
-	sim.Release(tp.sim)
+	if _, err := tp.release(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -213,13 +215,15 @@ func RunTelnet(cfg Config, tl TelnetWorkload) (*TelnetResult, error) {
 	}
 
 	if f := tp.sim.Failure(); f != nil {
-		sim.Release(tp.sim)
+		tp.release()
 		return nil, f
 	}
 	res.Completed = delivered == tl.Keystrokes
 	res.Timeouts = tp.sender.Stats().Timeouts
 	res.MeanLatency, res.P95Latency = meanP95(res.LatencySec)
-	sim.Release(tp.sim)
+	if _, err := tp.release(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

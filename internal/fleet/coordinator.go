@@ -144,6 +144,12 @@ type Coordinator struct {
 	statusPath string
 	logf       func(format string, args ...any)
 
+	// statusMu serializes status-file writes; statusClosed, set by Close
+	// after the final snapshot, stops a handler still in flight from
+	// writing into a directory the caller may already be removing.
+	statusMu     sync.Mutex
+	statusClosed bool
+
 	mu        sync.Mutex
 	units     map[string]*unit // by key
 	order     []string         // canonical point order, for logs and snapshots
@@ -280,6 +286,9 @@ func (c *Coordinator) Err() error {
 func (c *Coordinator) Close() {
 	c.sweepOnce.Do(func() { close(c.stopSweep) })
 	c.writeStatus()
+	c.statusMu.Lock()
+	c.statusClosed = true
+	c.statusMu.Unlock()
 	c.ledger.Close()
 }
 
@@ -639,6 +648,11 @@ func (c *Coordinator) Snapshot() Snapshot {
 // without a status path.
 func (c *Coordinator) writeStatus() {
 	if c.statusPath == "" {
+		return
+	}
+	c.statusMu.Lock()
+	defer c.statusMu.Unlock()
+	if c.statusClosed {
 		return
 	}
 	data, err := json.MarshalIndent(c.Snapshot(), "", "  ")

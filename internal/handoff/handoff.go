@@ -241,7 +241,7 @@ type state struct {
 // the handoff gap (and for packets chasing the old cell) it is lost.
 func (st *state) route(p *packet.Packet) {
 	if st.disconnected {
-		st.dropped++
+		st.drop(p)
 		return
 	}
 	st.down[st.cell].Send(p)
@@ -251,7 +251,7 @@ func (st *state) route(p *packet.Packet) {
 // the mobile host.
 func (st *state) mhReceive(cell int, p *packet.Packet) {
 	if st.disconnected || cell != st.cell {
-		st.dropped++
+		st.drop(p)
 		return
 	}
 	st.sink.Receive(p)
@@ -260,7 +260,7 @@ func (st *state) mhReceive(cell int, p *packet.Packet) {
 // mhSend carries mobile-host output over the current cell's uplink.
 func (st *state) mhSend(p *packet.Packet) {
 	if st.disconnected {
-		st.dropped++
+		st.drop(p)
 		return
 	}
 	st.up[st.cell].Send(p)
@@ -270,10 +270,16 @@ func (st *state) mhSend(p *packet.Packet) {
 // detached cell die.
 func (st *state) bsUplink(cell int, p *packet.Packet) {
 	if cell != st.cell {
-		st.dropped++
+		st.drop(p)
 		return
 	}
 	st.wiredRev.Send(p)
+}
+
+// drop counts a packet lost to a cell switch and gives up its reference.
+func (st *state) drop(p *packet.Packet) {
+	st.dropped++
+	p.Release()
 }
 
 // scheduleNextHandoff arms the next cell switch.
@@ -302,12 +308,10 @@ func (st *state) completeHandoff() {
 	st.disconnected = false
 	if st.cfg.Scheme == FastRetransmit {
 		for i := 0; i < tcp.DupAckThreshold; i++ {
-			st.up[st.cell].Send(&packet.Packet{
-				ID:     st.ids.Next(),
-				Kind:   packet.Ack,
-				AckNo:  st.sink.RcvNxt(),
-				SentAt: st.sim.Now(),
-			})
+			ack := st.ids.New(packet.Ack)
+			ack.AckNo = st.sink.RcvNxt()
+			ack.SentAt = st.sim.Now()
+			st.up[st.cell].Send(ack)
 		}
 	}
 	st.scheduleNextHandoff()

@@ -42,37 +42,38 @@ func (f *Fragmenter) MTU() units.ByteSize { return f.mtu }
 
 // Fragment slices p (a Data segment) into fragments of at most MTU bytes.
 // A packet that already fits in the MTU still yields a single fragment so
-// the ARQ path is uniform. Fragments carry a pointer back to the original
-// segment via Orig for reassembly.
+// the ARQ path is uniform. Fragments carry the original segment's ID in
+// FragOf for reassembly. The returned slice is the caller's own: callers
+// hold several at once. p still belongs to the caller.
 func (f *Fragmenter) Fragment(p *packet.Packet) []*packet.Packet {
-	total := p.Size()
-	count := int((total + f.mtu - 1) / f.mtu)
-	if count < 1 {
-		count = 1
-	}
-	frags := make([]*packet.Packet, 0, count)
-	remaining := total
+	return f.AppendFragments(make([]*packet.Packet, 0, f.FragmentCount(p.Size())), p)
+}
+
+// AppendFragments is Fragment into a caller-supplied buffer: the
+// fragments of p are appended to dst, so a caller that consumes them at
+// once can reuse one buffer for every packet.
+func (f *Fragmenter) AppendFragments(dst []*packet.Packet, p *packet.Packet) []*packet.Packet {
+	remaining := p.Size()
+	count := f.FragmentCount(remaining)
 	for i := 0; i < count; i++ {
 		chunk := f.mtu
 		if remaining < chunk {
 			chunk = remaining
 		}
 		remaining -= chunk
-		frags = append(frags, &packet.Packet{
-			ID:               f.ids.Next(),
-			Kind:             packet.Fragment,
-			Conn:             p.Conn,
-			Seq:              p.Seq,
-			Payload:          chunk,
-			Retransmit:       p.Retransmit,
-			CongestionMarked: p.CongestionMarked,
-			FragOf:           p.ID,
-			FragIndex:        i,
-			FragCount:        count,
-			SentAt:           p.SentAt,
-		})
+		fr := f.ids.New(packet.Fragment)
+		fr.Conn = p.Conn
+		fr.Seq = p.Seq
+		fr.Payload = chunk
+		fr.Retransmit = p.Retransmit
+		fr.CongestionMarked = p.CongestionMarked
+		fr.FragOf = p.ID
+		fr.FragIndex = i
+		fr.FragCount = count
+		fr.SentAt = p.SentAt
+		dst = append(dst, fr)
 	}
-	return frags
+	return dst
 }
 
 // FragmentCount reports how many fragments a packet of the given on-wire
@@ -99,11 +100,14 @@ type Stats struct {
 	Stale uint64
 }
 
-// group tracks one in-progress reassembly.
+// group tracks one in-progress reassembly. Groups are recycled through
+// the reassembler's free list; each owns its expiry timer, bound to the
+// group once, so opening a group allocates nothing once the list is warm.
 type group struct {
-	have  map[int]bool
-	count int
-	timer sim.Event
+	// have marks the fragment indexes held so far; got counts them.
+	have  []bool
+	got   int
+	timer *sim.Timer
 	orig  originKey
 }
 
@@ -123,13 +127,33 @@ type originKey struct {
 // group completes. Partial groups are purged after Timeout (a lost
 // fragment must not hold buffer state forever — the TCP source will send a
 // fresh segment with a fresh packet ID).
+//
+// A finished group — completed or purged — is remembered for one more
+// Timeout, so that a late fragment of it (an ARQ retransmission after a
+// lost link ack, which can trail the original by at most the ARQ's RTmax
+// retry cycles, far inside the timeout) is dropped as stale instead of
+// opening a group nothing will complete. After that horizon the ID is
+// forgotten, as an IP stack forgets a datagram ID, which bounds the
+// memory by the groups finished in one timeout rather than in the run.
 type Reassembler struct {
 	sim     *sim.Simulator
 	timeout time.Duration
 	deliver func(*packet.Packet)
 	groups  map[uint64]*group
-	done    map[uint64]bool
-	stats   Stats
+	free    []*group
+	// done holds the remembered finished groups; doneLog lists them in
+	// finishing order (doneHead is the oldest still remembered) so the
+	// horizon is enforced without a kernel event.
+	done     map[uint64]struct{}
+	doneLog  []finished
+	doneHead int
+	stats    Stats
+}
+
+// finished records when a group's ID entered done.
+type finished struct {
+	id uint64
+	at time.Duration
 }
 
 // DefaultReassemblyTimeout matches common IP stack defaults (60 s is the
@@ -150,7 +174,7 @@ func NewReassembler(s *sim.Simulator, timeout time.Duration, deliver func(*packe
 		timeout: timeout,
 		deliver: deliver,
 		groups:  make(map[uint64]*group),
-		done:    make(map[uint64]bool),
+		done:    make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -160,73 +184,125 @@ func (r *Reassembler) Stats() Stats { return r.stats }
 // Pending reports how many groups are partially assembled.
 func (r *Reassembler) Pending() int { return len(r.groups) }
 
-// Receive accepts one fragment. When the fragment completes its group, the
-// original Data segment is rebuilt and delivered; duplicates and stale
-// fragments are counted and dropped.
+// Remembered reports how many finished groups are still remembered for
+// stale-fragment detection (see Reassembler).
+func (r *Reassembler) Remembered() int { return len(r.done) }
+
+// Receive accepts one fragment, taking over the caller's reference. When
+// the fragment completes its group, the original Data segment is rebuilt
+// and delivered; duplicates and stale fragments are counted and dropped.
 func (r *Reassembler) Receive(frag *packet.Packet) {
 	if frag.Kind != packet.Fragment {
 		// Whole packets (LAN mode acks, control) pass straight through.
 		r.deliver(frag)
 		return
 	}
-	if r.done[frag.FragOf] {
-		r.stats.Stale++
-		return
-	}
 	g, ok := r.groups[frag.FragOf]
 	if !ok {
-		g = &group{
-			have:  make(map[int]bool),
-			count: frag.FragCount,
-			orig: originKey{
-				id:         frag.FragOf,
-				conn:       frag.Conn,
-				seq:        frag.Seq,
-				retransmit: frag.Retransmit,
-				sentAt:     frag.SentAt,
-			},
+		if _, done := r.done[frag.FragOf]; done {
+			r.stats.Stale++
+			frag.Release()
+			return
 		}
-		id := frag.FragOf
-		g.timer = r.sim.Schedule(r.timeout, func() { r.expire(id) })
-		r.groups[frag.FragOf] = g
+		g = r.open(frag)
+	}
+	if frag.FragIndex < 0 || frag.FragIndex >= len(g.have) {
+		// Not an index of this group's train: nothing a Fragmenter emits.
+		r.stats.Stale++
+		frag.Release()
+		return
 	}
 	if g.have[frag.FragIndex] {
 		r.stats.Duplicates++
+		frag.Release()
 		return
 	}
 	g.have[frag.FragIndex] = true
+	g.got++
 	g.orig.payload += frag.Payload
 	if frag.CongestionMarked {
 		g.orig.marked = true
 	}
-	if len(g.have) < g.count {
+	if g.got < len(g.have) {
+		frag.Release()
 		return
 	}
 	// Complete: rebuild the original segment. The summed fragment bytes
 	// include the 40-byte header, so subtract it to recover the TCP
 	// payload length.
-	r.sim.Cancel(g.timer)
-	delete(r.groups, frag.FragOf)
-	r.done[frag.FragOf] = true
+	p := frag.NewSibling()
+	frag.Release()
+	p.ID = g.orig.id
+	p.Kind = packet.Data
+	p.Conn = g.orig.conn
+	p.Seq = g.orig.seq
+	p.Payload = g.orig.payload - packet.HeaderSize
+	p.Retransmit = g.orig.retransmit
+	p.CongestionMarked = g.orig.marked
+	p.SentAt = g.orig.sentAt
+	r.finish(g)
 	r.stats.Completed++
-	r.deliver(&packet.Packet{
-		ID:               g.orig.id,
-		Kind:             packet.Data,
-		Conn:             g.orig.conn,
-		Seq:              g.orig.seq,
-		Payload:          g.orig.payload - packet.HeaderSize,
-		Retransmit:       g.orig.retransmit,
-		CongestionMarked: g.orig.marked,
-		SentAt:           g.orig.sentAt,
-	})
+	r.deliver(p)
+}
+
+// open starts a group for first's packet, reusing a recycled one when
+// there is one.
+func (r *Reassembler) open(first *packet.Packet) *group {
+	var g *group
+	if n := len(r.free); n > 0 {
+		g = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		g = &group{}
+		g.timer = sim.NewTimer(r.sim, func() { r.expire(g) })
+	}
+	count := first.FragCount
+	if count < 1 {
+		count = 1
+	}
+	if cap(g.have) < count {
+		g.have = make([]bool, count)
+	} else {
+		g.have = g.have[:count]
+		clear(g.have)
+	}
+	g.got = 0
+	g.orig = originKey{
+		id:         first.FragOf,
+		conn:       first.Conn,
+		seq:        first.Seq,
+		retransmit: first.Retransmit,
+		sentAt:     first.SentAt,
+	}
+	g.timer.Set(r.timeout)
+	r.groups[g.orig.id] = g
+	return g
+}
+
+// finish closes g — completed or expired — remembers its ID for one
+// timeout, forgets the IDs older than that, and recycles the group.
+func (r *Reassembler) finish(g *group) {
+	now := r.sim.Now()
+	for r.doneHead < len(r.doneLog) && r.doneLog[r.doneHead].at+r.timeout < now {
+		delete(r.done, r.doneLog[r.doneHead].id)
+		r.doneHead++
+	}
+	if r.doneHead > 0 && r.doneHead*2 >= len(r.doneLog) {
+		// Slide the remembered tail to the front so the log's storage is
+		// bounded by the horizon too.
+		n := copy(r.doneLog, r.doneLog[r.doneHead:])
+		r.doneLog = r.doneLog[:n]
+		r.doneHead = 0
+	}
+	g.timer.Stop()
+	delete(r.groups, g.orig.id)
+	r.done[g.orig.id] = struct{}{}
+	r.doneLog = append(r.doneLog, finished{id: g.orig.id, at: now})
+	r.free = append(r.free, g)
 }
 
 // expire purges a partial group whose timeout elapsed.
-func (r *Reassembler) expire(id uint64) {
-	if _, ok := r.groups[id]; !ok {
-		return
-	}
-	delete(r.groups, id)
-	r.done[id] = true
+func (r *Reassembler) expire(g *group) {
+	r.finish(g)
 	r.stats.Expired++
 }

@@ -299,3 +299,129 @@ func TestPropertyFragmentReassembleIdentity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestAppendFragmentsReusesTheBuffer(t *testing.T) {
+	f := newFragmenter(t, 128)
+	buf := make([]*packet.Packet, 0, 8)
+	a := f.AppendFragments(buf, &packet.Packet{ID: 1, Kind: packet.Data, Payload: 536})
+	if len(a) != 5 || &a[0] != &buf[:1][0] {
+		t.Fatalf("AppendFragments returned %d fragments outside the supplied buffer", len(a))
+	}
+	first := a[0]
+	b := f.AppendFragments(a[:0], &packet.Packet{ID: 2, Kind: packet.Data, Payload: 88})
+	if len(b) != 1 || b[0].FragOf != 2 || b[0] == first {
+		t.Errorf("second train = %v", b)
+	}
+	// Fragment itself never shares storage between calls.
+	x := f.Fragment(&packet.Packet{ID: 3, Kind: packet.Data, Payload: 536})
+	y := f.Fragment(&packet.Packet{ID: 4, Kind: packet.Data, Payload: 536})
+	if &x[0] == &y[0] || x[0].FragOf != 3 || y[0].FragOf != 4 {
+		t.Error("Fragment reused a slice a caller may still hold")
+	}
+}
+
+// TestFinishedGroupsAreForgottenAfterOneTimeout pins the horizon of the
+// stale-fragment memory: a finished group's ID is remembered for one
+// reassembly timeout — long enough for any ARQ retransmission of its
+// fragments — and then forgotten, so the memory is bounded by the groups
+// finished in one timeout, not by the length of the run.
+func TestFinishedGroupsAreForgottenAfterOneTimeout(t *testing.T) {
+	s := sim.New()
+	f := newFragmenter(t, 128)
+	const timeout = 10 * time.Second
+	r, got := reassemble(t, s, timeout)
+	complete := func(id uint64) []*packet.Packet {
+		frags := f.Fragment(&packet.Packet{ID: id, Kind: packet.Data, Payload: 536})
+		for _, fr := range frags {
+			r.Receive(fr)
+		}
+		return frags
+	}
+	early := complete(1)
+	if r.Remembered() != 1 {
+		t.Fatalf("Remembered = %d after one group", r.Remembered())
+	}
+	// One group a second for a minute: the memory holds a timeout's worth.
+	for i := 0; i < 60; i++ {
+		if err := s.Run(s.Now() + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		complete(uint64(100 + i))
+		if n := r.Remembered(); n > 12 {
+			t.Fatalf("remembering %d groups %d s in, with one finishing per second and a 10 s horizon", n, i+1)
+		}
+	}
+	if len(*got) != 61 {
+		t.Fatalf("delivered %d, want 61", len(*got))
+	}
+	// Inside the horizon a straggler is stale...
+	recent := f.Fragment(&packet.Packet{ID: 159, Kind: packet.Data, Payload: 536})
+	r.Receive(recent[0])
+	if r.Stats().Stale != 1 || r.Pending() != 0 {
+		t.Errorf("straggler inside the horizon: stats %+v pending %d", r.Stats(), r.Pending())
+	}
+	// ...and a minute after its group finished the ID is forgotten: the
+	// fragment opens a group, which the timeout will purge.
+	r.Receive(early[0])
+	if r.Pending() != 1 {
+		t.Errorf("fragment of a forgotten group did not open a new one (pending %d)", r.Pending())
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats().Expired != 1 || len(*got) != 61 {
+		t.Errorf("after the purge: stats %+v, delivered %d", r.Stats(), len(*got))
+	}
+}
+
+// TestReassemblyIsAllocationFreeWhenWarm: with a pool behind the IDGen
+// and a consumer that releases what it is handed, a fragment-reassemble
+// cycle draws its fragments, its group, its timer and its rebuilt segment
+// from recycled storage.
+func TestReassemblyIsAllocationFreeWhenWarm(t *testing.T) {
+	s := sim.New()
+	pool := &packet.Pool{}
+	ids := packet.NewIDGen(pool)
+	f, err := NewFragmenter(128, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	r, err := NewReassembler(s, 0, func(p *packet.Packet) {
+		delivered++
+		p.Release()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []*packet.Packet
+	cycle := func() {
+		// Two groups open at once, completed out of order.
+		a := ids.New(packet.Data)
+		a.Payload = 536
+		buf = f.AppendFragments(buf[:0], a)
+		a.Release()
+		b := ids.New(packet.Data)
+		b.Payload = 1496
+		buf = f.AppendFragments(buf, b)
+		b.Release()
+		for i := len(buf) - 1; i >= 0; i-- {
+			r.Receive(buf[i])
+		}
+		if err := s.Run(s.Now() + 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm, past the stale-memory horizon
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("a warm fragment+reassemble cycle allocated %.1f objects", avg)
+	}
+	if delivered != 2*301 {
+		t.Errorf("delivered %d segments, want %d", delivered, 2*301)
+	}
+	if st := pool.Stats(); st.LiveAtEnd != 0 || pool.Fault() != nil {
+		t.Errorf("pool after the run: %+v, fault %v", st, pool.Fault())
+	}
+}

@@ -167,15 +167,17 @@ func (l *Link) SetTxDoneHook(fn func(*packet.Packet)) { l.onTxDone = fn }
 // SetInterceptor installs a delivery-time intercept: fn runs after the
 // propagation delay, immediately before the packet would be handed to the
 // receiver, and returning false consumes the packet (the receiver never
-// sees it; delivery counters are not incremented). Fault-injection layers
-// use it for loss, duplication, and delay beyond what the error channel
-// models. May be nil to remove.
+// sees it; delivery counters are not incremented; the link releases its
+// reference, so an interceptor that keeps the packet for later must
+// Retain it first). Fault-injection layers use it for loss, duplication,
+// and delay beyond what the error channel models. May be nil to remove.
 func (l *Link) SetInterceptor(fn func(*packet.Packet) bool) { l.intercept = fn }
 
-// Inject hands p directly to the receiver, bypassing the queue, the
-// transmitter, and the error channel, and counting it as delivered. Fault
-// injectors use it to re-deliver duplicated packets or release delayed
-// ones; it is also the natural seam for replaying captured traffic.
+// Inject hands p — and the caller's reference to it — directly to the
+// receiver, bypassing the queue, the transmitter, and the error channel,
+// and counting it as delivered. Fault injectors use it to re-deliver
+// duplicated packets or release delayed ones; it is also the natural seam
+// for replaying captured traffic.
 func (l *Link) Inject(p *packet.Packet) {
 	l.stats.Injected++
 	l.deliver(p)
@@ -212,13 +214,38 @@ func (l *Link) Queue() *queue.DropTail { return l.q }
 // the receiver detaches, e.g. a handoff) and reports how many packets
 // died. A transmission already on the wire is unaffected.
 func (l *Link) DropQueued() int {
-	dropped := l.q.Drain()
-	for _, p := range dropped {
-		if l.onDrop != nil {
-			l.onDrop(p)
-		}
+	n := l.q.Len()
+	for p := l.q.Pop(); p != nil; p = l.q.Pop() {
+		l.drop(p)
 	}
-	return len(dropped)
+	return n
+}
+
+// drop reports p to the drop hook and gives up the link's reference.
+func (l *Link) drop(p *packet.Packet) {
+	if l.onDrop != nil {
+		l.onDrop(p)
+	}
+	p.Release()
+}
+
+// ReleaseAll gives up every packet reference the link holds — queued, on
+// the wire, or crossing the propagation delay — without running any hook
+// or counter. It is the end-of-run teardown; the link must not carry
+// traffic afterwards.
+func (l *Link) ReleaseAll() {
+	for p := l.q.Pop(); p != nil; p = l.q.Pop() {
+		p.Release()
+	}
+	if l.curP != nil {
+		l.curP.Release()
+		l.curP = nil
+	}
+	for i, p := range l.inflight {
+		p.Release()
+		l.inflight[i] = nil
+	}
+	l.inflight = l.inflight[:0]
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -228,8 +255,8 @@ func (l *Link) Stats() Stats {
 	return s
 }
 
-// Send queues p for transmission. It reports false if the queue refused
-// the packet.
+// Send queues p for transmission, taking over the caller's reference. It
+// reports false if the queue refused the packet (which is then released).
 func (l *Link) Send(p *packet.Packet) bool {
 	if p.Kind == packet.Data {
 		switch {
@@ -244,9 +271,7 @@ func (l *Link) Send(p *packet.Packet) bool {
 		}
 	}
 	if !l.q.Push(p) {
-		if l.onDrop != nil {
-			l.onDrop(p)
-		}
+		l.drop(p)
 		return false
 	}
 	l.kick()
@@ -289,9 +314,7 @@ func (l *Link) txDone() {
 	}
 	if corrupted {
 		l.stats.Corrupted++
-		if l.onDrop != nil {
-			l.onDrop(p)
-		}
+		l.drop(p)
 	} else {
 		l.inflight = append(l.inflight, p)
 		l.sim.Schedule(l.cfg.Delay, l.deliverFn)
@@ -306,7 +329,8 @@ func (l *Link) deliverNext() {
 	copy(l.inflight, l.inflight[1:])
 	l.inflight = l.inflight[:len(l.inflight)-1]
 	if l.intercept != nil && !l.intercept(p) {
-		return // consumed by the fault injector
+		p.Release() // consumed by the fault injector
+		return
 	}
 	l.stats.Delivered++
 	l.stats.BytesDelivered += p.Size()

@@ -133,19 +133,18 @@ func (m *Mobile) SetSequencedHook(fn func(*packet.Packet)) { m.onSequenced = fn 
 // Reassembler exposes reassembly statistics.
 func (m *Mobile) Reassembler() *ip.Reassembler { return m.reasm }
 
-// Receive accepts a packet delivered by the wireless downlink.
+// Receive accepts a packet delivered by the wireless downlink, taking
+// over the caller's reference.
 func (m *Mobile) Receive(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Fragment, packet.Data:
 		m.stats.UnitsReceived++
 		if m.linkAcks {
 			m.stats.LinkAcksSent++
-			m.uplink(&packet.Packet{
-				ID:     m.ids.Next(),
-				Kind:   packet.LinkAck,
-				AckNo:  int64(p.ID),
-				SentAt: m.sim.Now(),
-			})
+			ack := m.ids.New(packet.LinkAck)
+			ack.AckNo = int64(p.ID)
+			ack.SentAt = m.sim.Now()
+			m.uplink(ack)
 		}
 		if p.LinkSeq > 0 {
 			m.receiveSequenced(p)
@@ -154,6 +153,7 @@ func (m *Mobile) Receive(p *packet.Packet) {
 		}
 	default:
 		// Control packets are not addressed to the mobile host.
+		p.Release()
 	}
 }
 
@@ -163,33 +163,44 @@ func (m *Mobile) receiveSequenced(p *packet.Packet) {
 	if p.LinkSeq < m.nextSeq {
 		// Already delivered: the retransmission raced a lost link ack.
 		m.stats.DuplicateUnits++
+		p.Release()
 		return
 	}
-	if _, held := m.reorderBuf[p.LinkSeq]; held {
-		m.stats.DuplicateUnits++
-		return
-	}
-	m.reorderBuf[p.LinkSeq] = p
-	if p.LinkSeq > m.nextSeq {
+	if p.LinkSeq == m.nextSeq {
+		// The common case, in order: no need to visit the buffer, which
+		// never holds nextSeq between calls.
+		m.handUp(p)
+	} else {
+		if _, held := m.reorderBuf[p.LinkSeq]; held {
+			m.stats.DuplicateUnits++
+			p.Release()
+			return
+		}
+		m.reorderBuf[p.LinkSeq] = p
 		m.stats.ReorderedUnits++
 	}
 	m.drainReorder()
 }
 
+// handUp passes the unit at nextSeq on to reassembly.
+func (m *Mobile) handUp(p *packet.Packet) {
+	m.nextSeq++
+	if m.onSequenced != nil {
+		m.onSequenced(p)
+	}
+	m.reasm.Receive(p)
+}
+
 // drainReorder delivers the contiguous run at nextSeq and manages the gap
 // timer for whatever remains.
 func (m *Mobile) drainReorder() {
-	for {
+	for len(m.reorderBuf) > 0 {
 		p, ok := m.reorderBuf[m.nextSeq]
 		if !ok {
 			break
 		}
 		delete(m.reorderBuf, m.nextSeq)
-		m.nextSeq++
-		if m.onSequenced != nil {
-			m.onSequenced(p)
-		}
-		m.reasm.Receive(p)
+		m.handUp(p)
 	}
 	if len(m.reorderBuf) == 0 {
 		m.gapTimer.Stop()
@@ -213,4 +224,13 @@ func (m *Mobile) flushGap() {
 	}
 	m.nextSeq = lowest
 	m.drainReorder()
+}
+
+// ReleaseAll gives up the units still waiting in the reorder buffer. It
+// is the end-of-run teardown; the host must not receive afterwards.
+func (m *Mobile) ReleaseAll() {
+	for seq, p := range m.reorderBuf {
+		p.Release()
+		delete(m.reorderBuf, seq)
+	}
 }

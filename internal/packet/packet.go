@@ -71,9 +71,30 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Packet is one network-layer packet. Packets are created once and passed
-// by pointer; links and agents must not mutate a packet after sending it
-// (retransmissions create fresh packets so traces can tell copies apart).
+// Packet is one network-layer packet, passed by pointer along the data
+// path.
+//
+// Lifetime. Non-test code takes packets from IDGen.New, which draws them
+// from the run's Pool when the generator has one. Such a packet is
+// reference-counted: it starts with one reference, a component that
+// stores the pointer beside another holder (the ARQ entry that keeps a
+// unit while the same unit is in flight) takes one more with Retain, and
+// whoever is last to finish with it calls Release. Handing a packet to
+// the next stage (Link.Send, a deliver callback, a Receive method) hands
+// over the caller's reference with it. The last Release zeroes the
+// packet — a stale reader sees ID 0 and Kind 0 — and returns it to the
+// pool for the next New; DESIGN.md §"Packet lifetime" lists every holder
+// and every release point.
+//
+// A packet that did not come from a pool (a struct literal in a test, a
+// by-value copy such as the fault injector's duplicates, anything from a
+// pool-less IDGen) is legal everywhere: Retain and Release do nothing on
+// it and the garbage collector reclaims it, so a caller that never
+// releases loses only the recycling.
+//
+// A packet must not be mutated after it is sent, except by the hop that
+// currently owns it (a queue setting the CE mark); retransmissions by
+// the TCP source are fresh packets so traces can tell copies apart.
 type Packet struct {
 	// ID uniquely identifies this packet instance within a simulation run.
 	ID uint64
@@ -121,6 +142,13 @@ type Packet struct {
 	// SentAt is stamped by the sending agent when the packet enters its
 	// outbound link, for tracing and RTT measurement.
 	SentAt time.Duration
+
+	// Pool bookkeeping (see pool.go), zero on packets no pool handed out.
+	// self is the packet's own address: a by-value copy keeps the
+	// original's, which is how the copy is known not to be pooled.
+	home *Pool
+	self *Packet
+	refs int32
 }
 
 // Size reports the packet's on-wire size at the network layer: header plus
@@ -174,14 +202,30 @@ func (p *Packet) String() string {
 	}
 }
 
-// IDGen allocates packet IDs unique within one simulation run. The zero
-// value is ready to use.
+// IDGen allocates packet IDs unique within one simulation run, and is
+// the handle through which every packet creator reaches the run's Pool.
+// The zero value is ready to use and has no pool: its packets are plain
+// heap allocations.
 type IDGen struct {
 	next uint64
+	pool *Pool
 }
+
+// NewIDGen returns a generator whose packets are drawn from pool (nil
+// means no pool, like the zero value).
+func NewIDGen(pool *Pool) *IDGen { return &IDGen{pool: pool} }
 
 // Next returns a fresh ID (starting at 1, so the zero ID means "unset").
 func (g *IDGen) Next() uint64 {
 	g.next++
 	return g.next
+}
+
+// New returns a packet of the given kind with a fresh ID, every other
+// field zero, and one reference owned by the caller.
+func (g *IDGen) New(kind Kind) *Packet {
+	p := g.pool.get()
+	p.ID = g.Next()
+	p.Kind = kind
+	return p
 }

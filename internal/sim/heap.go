@@ -16,8 +16,11 @@ import "time"
 //
 // Cancellation is lazy: Cancel tombstones the event in place (see
 // Simulator.Cancel) and the tombstone is dropped when it surfaces at the
-// root, or en masse by compact() when tombstones dominate the heap. The
-// pop order of live events is the same as with eager removal because the
+// root, or en masse by compact() when tombstones dominate the heap. A
+// Timer never adds to them: re-arming it re-keys its one heap entry in
+// place, live or tombstoned (see Simulator.rearm), so the heap holds at
+// most one slot per timer however often it is reset or stopped. The pop
+// order of live events is the same as with eager removal because the
 // (at, seq) key is unique per event: a heap's pop sequence over a fixed
 // key set is determined by the keys alone, never by insertion history.
 
@@ -55,20 +58,37 @@ func (q *eventQueue) len() int { return len(q.a) }
 
 // push appends e and restores the heap property upward.
 func (q *eventQueue) push(e *event) {
-	i := len(q.a)
 	q.a = append(q.a, e)
+	q.siftUp(len(q.a) - 1)
+}
+
+// siftUp restores the heap property from slot i toward the root and
+// reports whether the event moved.
+func (q *eventQueue) siftUp(i int) bool {
+	a := q.a
+	e := a[i]
+	start := i
 	// Sift up with a hole: move parents down until e's slot is found.
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(e, q.a[p]) {
+		if !eventLess(e, a[p]) {
 			break
 		}
-		q.a[i] = q.a[p]
-		q.a[i].pos = int32(i)
+		a[i] = a[p]
+		a[i].pos = int32(i)
 		i = p
 	}
-	q.a[i] = e
+	a[i] = e
 	e.pos = int32(i)
+	return i != start
+}
+
+// fix restores the heap property after the event in slot i was given a
+// new key (see Simulator.rearm).
+func (q *eventQueue) fix(i int) {
+	if !q.siftUp(i) {
+		q.siftDown(i)
+	}
 }
 
 // popMin removes and returns the root (the earliest event).
@@ -158,6 +178,7 @@ func (s *Simulator) compact() {
 	}
 	s.queue.a = keep
 	s.dead = 0
+	s.stats.Compactions++
 	s.queue.heapify()
 }
 

@@ -44,6 +44,7 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
+	s.stats = Stats{}
 	s.stopped = false
 	s.checks = nil
 	s.checksOn = false

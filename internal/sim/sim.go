@@ -70,6 +70,8 @@ type Simulator struct {
 	// fired counts events executed; useful for tests and for detecting
 	// runaway simulations.
 	fired uint64
+	// stats holds the remaining kernel counters (see Stats).
+	stats Stats
 
 	// checks are the registered invariants (see check.go); checksOn marks
 	// the periodic runner as started, and failure records the first
@@ -98,6 +100,30 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // Fired reports how many events have executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
+// Stats are the kernel's own counters for one run: how much cancellation
+// the workload does and what it costs the heap. They read no simulation
+// state and never influence event order.
+type Stats struct {
+	// Fired counts events executed.
+	Fired uint64
+	// Cancelled counts pending events withdrawn by Cancel or Timer.Stop;
+	// each leaves a tombstone in the heap until it surfaces, is swept, or
+	// its timer is armed again.
+	Cancelled uint64
+	// Compactions counts tombstone sweeps of the whole heap.
+	Compactions uint64
+	// HeapHighWater is the largest number of heap slots in use at once,
+	// tombstones included.
+	HeapHighWater int
+}
+
+// Stats returns the kernel counters accumulated since New or Reset.
+func (s *Simulator) Stats() Stats {
+	st := s.stats
+	st.Fired = s.fired
+	return st
+}
+
 // Pending reports how many events are queued (cancelled events do not
 // count, even while their tombstones still occupy heap slots).
 func (s *Simulator) Pending() int { return s.queue.len() - s.dead }
@@ -115,6 +141,35 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) Event {
 	e.fn = fn
 	s.seq++
 	s.queue.push(e)
+	if n := s.queue.len(); n > s.stats.HeapHighWater {
+		s.stats.HeapHighWater = n
+	}
+	return Event{e: e, gen: e.gen, at: e.at}
+}
+
+// rearm is Timer.Set's scheduling step: queue fn after delay, replacing
+// the deadline ev stands for. While ev's struct still occupies a heap
+// slot — pending, or tombstoned by an earlier Stop — it is given the
+// (at, seq) key a fresh Schedule would take and sifted to its new place,
+// so a reset leaves nothing behind. Pop order depends on the keys alone,
+// so this is indistinguishable from Cancel followed by Schedule.
+func (s *Simulator) rearm(ev Event, delay time.Duration, fn func()) Event {
+	e := ev.e
+	if e == nil || e.gen != ev.gen || e.pos < 0 {
+		return s.Schedule(delay, fn)
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	if e.dead {
+		e.dead = false
+		s.dead--
+	}
+	e.at = s.now + delay
+	e.seq = s.seq
+	e.fn = fn
+	s.seq++
+	s.queue.fix(int(e.pos))
 	return Event{e: e, gen: e.gen, at: e.at}
 }
 
@@ -139,6 +194,7 @@ func (s *Simulator) Cancel(ev Event) {
 	}
 	e.dead = true
 	s.dead++
+	s.stats.Cancelled++
 	if s.dead > compactMin && s.dead*2 > s.queue.len() {
 		s.compact()
 	}

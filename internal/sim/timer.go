@@ -32,19 +32,19 @@ func NewTimer(s *Simulator, fn func()) *Timer {
 }
 
 // Set arms the timer to fire after d, replacing any pending deadline.
-// Re-arming is allocation-free: the previous deadline is tombstoned in
-// O(1) and the new one reuses a recycled event struct and the pre-bound
-// expiry callback.
+// Re-arming allocates nothing and leaves no tombstone: the timer's heap
+// entry is re-keyed in place (see Simulator.rearm) and keeps the
+// pre-bound expiry callback.
 func (t *Timer) Set(d time.Duration) {
-	t.sim.Cancel(t.ev)
 	t.sets++
-	t.ev = t.sim.Schedule(d, t.fire)
+	t.ev = t.sim.rearm(t.ev, d, t.fire)
 }
 
 // Stop cancels any pending deadline. Stopping an idle timer is a no-op.
+// The handle is kept so that the next Set can take over the tombstone's
+// heap slot if it is still there.
 func (t *Timer) Stop() {
 	t.sim.Cancel(t.ev)
-	t.ev = Event{}
 }
 
 // Pending reports whether the timer is armed.

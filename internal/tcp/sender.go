@@ -233,14 +233,11 @@ func (s *Sender) trySend() {
 // emit sends one segment starting at seq.
 func (s *Sender) emit(seq int64, payload units.ByteSize) {
 	retx := seq < s.sndMax
-	p := &packet.Packet{
-		ID:         s.ids.Next(),
-		Kind:       packet.Data,
-		Seq:        seq,
-		Payload:    payload,
-		Retransmit: retx,
-		SentAt:     s.sim.Now(),
-	}
+	p := s.ids.New(packet.Data)
+	p.Seq = seq
+	p.Payload = payload
+	p.Retransmit = retx
+	p.SentAt = s.sim.Now()
 	s.stats.SegmentsSent++
 	s.stats.BytesSent += p.Size()
 	if retx {
@@ -288,8 +285,9 @@ func (s *Sender) emitAckState(ackNo int64, class AckClass) {
 	s.emitState(StateSnapshot{Kind: StateAck, AckNo: ackNo, AckClass: class})
 }
 
-// Receive accepts an inbound packet from the network: TCP ACKs and the two
-// control messages. Other kinds are ignored.
+// Receive accepts an inbound packet from the network — TCP ACKs and the
+// two control messages; other kinds are ignored — and releases it: the
+// source is where reverse-path packets end.
 func (s *Sender) Receive(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Ack:
@@ -305,6 +303,7 @@ func (s *Sender) Receive(p *packet.Packet) {
 	case packet.SourceQuench:
 		s.onQuench()
 	}
+	p.Release()
 }
 
 // onECNEcho is the [Floyd 94] ECN response: halve the window as a

@@ -146,8 +146,10 @@ func (k *Sink) LastArrival() time.Duration { return k.lastArrival }
 func (k *Sink) Stats() SinkStats { return k.stats }
 
 // Receive accepts a Data segment, updates the reassembly state, and emits
-// an immediate cumulative ACK. Non-data packets are ignored.
+// an immediate cumulative ACK. Non-data packets are ignored. Either way
+// the packet is released: the sink is where forward-path packets end.
 func (k *Sink) Receive(p *packet.Packet) {
+	defer p.Release()
 	if p.Kind != packet.Data {
 		return
 	}
@@ -252,12 +254,10 @@ func (k *Sink) emitAck(advanced bool) {
 	}
 	ce := k.echoCE
 	k.echoCE = false
-	k.out(&packet.Packet{
-		ID:               k.ids.Next(),
-		Kind:             packet.Ack,
-		AckNo:            k.rcvNxt,
-		CongestionMarked: ce,
-		SACK:             k.sackBlocks(),
-		SentAt:           k.sim.Now(),
-	})
+	ack := k.ids.New(packet.Ack)
+	ack.AckNo = k.rcvNxt
+	ack.CongestionMarked = ce
+	ack.SACK = k.sackBlocks()
+	ack.SentAt = k.sim.Now()
+	k.out(ack)
 }
