@@ -46,11 +46,12 @@ scale-smoke:
 
 # Protocol-zoo gate, under -race: the Tahoe-profile refactor regression
 # and cross-protocol metamorphic orderings, the snoop cache property
-# grid and Tahoe/Reno differential pin, the full variant x scheme study
-# grid, and the split-connection oracle run.
+# grid and Tahoe/Reno differential pin, the streaming-oracle == replay
+# differential over the zoo, the full variant x scheme study grid, and
+# the split-connection oracle run.
 zoo-smoke:
 	$(GO) test -race -run 'TestTahoeProfileRegression|TestProfilePrefixes|TestGoodputOrderingUnderRandomLoss|TestSnoopAtLeastUnassistedBaseline' ./internal/oracle/
-	$(GO) test -race -run 'TestSnoopPropertiesUnderChaos|TestSnoopChaosDeterminism|TestVariantsIdenticalWithoutLoss|TestTahoeRenoDivergeAtFastRetransmit|TestOracleOnSplitConnection' ./internal/core/
+	$(GO) test -race -run 'TestSnoopPropertiesUnderChaos|TestSnoopChaosDeterminism|TestVariantsIdenticalWithoutLoss|TestTahoeRenoDivergeAtFastRetransmit|TestOracleOnSplitConnection|TestStreamingEqualsReplay' ./internal/core/
 	$(GO) test -race -run 'TestZooStudyGrid' ./internal/experiment/
 	$(GO) test -race -run 'TestLegacyGoldensSurviveZooRefactor' ./cmd/wtcp-conformance/
 
@@ -58,11 +59,11 @@ zoo-smoke:
 # seeds x schemes x presets: no lifetime fault, zero live packets after
 # teardown, two identical runs equal), the multi-flow determinism
 # regression, the bounded-bookkeeping plateau and the heap high-water
-# pin; then the warm-run allocation pins without it (the race detector
-# instruments allocation, making AllocsPerRun meaningless).
+# pin; then the warm-run and oracle allocation pins without it (the race
+# detector instruments allocation, making AllocsPerRun meaningless).
 pool-smoke:
 	$(GO) test -race -run 'TestPacketPoolUnderChaos|TestPoolFaultIsAProtocolBug|TestMultiFlowIsReproducible|TestPerRunSetsPlateau|TestHeapHighWaterStaysSmall' ./internal/core/
-	$(GO) test -run 'TestWarmRunAllocs' ./internal/core/
+	$(GO) test -run 'TestWarmRunAllocs|TestOracleAllocs|TestOracleRetainsNothing' ./internal/core/
 
 # Conformance gate: the oracle/trace/ARQ suites under -race, then the
 # golden-trace drift check against the committed canonical scenarios.
@@ -136,11 +137,22 @@ bench-e2e-smoke:
 # of runs of the working tree into E2E_OUT, and, when E2E_BASE names the
 # set.json of an earlier recording (typically the parent commit's, made
 # with this same target in a checkout of it), print the per-metric
-# verdicts and fail on any `worse`. About 3 minutes per set.
+# verdicts and fail on any `worse`. About 3 minutes per set of all four
+# workloads. E2E_WORKLOAD narrows the recording to one workload's
+# untraced runs (lan_zoo: ~40 s each, so ten alternating pairs against a
+# parent take minutes, not half an hour); the harness makes one run per
+# call for a named workload and writes no set, so the recipe repeats the
+# call and assembles set.json from the run records.
 E2E_REPEAT ?= 3
 E2E_OUT ?= bench/out/e2e
+E2E_WORKLOAD ?= all
 bench-e2e:
+ifeq ($(E2E_WORKLOAD),all)
 	$(GO) run ./bench -workload all -repeat $(E2E_REPEAT) -out $(E2E_OUT)
+else
+	for i in $$(seq $(E2E_REPEAT)); do $(GO) run ./bench -workload $(E2E_WORKLOAD) -out $(E2E_OUT)/$$i || exit 1; done
+	{ printf '{"runs":['; for i in $$(seq $(E2E_REPEAT)); do [ $$i -eq 1 ] || printf ','; cat $(E2E_OUT)/$$i/run-$(E2E_WORKLOAD)-*.json; done; printf ']}\n'; } > $(E2E_OUT)/set.json
+endif
 ifdef E2E_BASE
 	$(GO) run ./bench -compare $(E2E_BASE) $(E2E_OUT)/set.json
 endif

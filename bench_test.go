@@ -24,6 +24,7 @@ import (
 	"wtcp/internal/experiment"
 	"wtcp/internal/handoff"
 	"wtcp/internal/multiconn"
+	"wtcp/internal/oracle"
 	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
@@ -589,4 +590,46 @@ func BenchmarkLANRun(b *testing.B) {
 			b.Fatal("run did not complete")
 		}
 	}
+}
+
+// BenchmarkLANRunOracle is BenchmarkLANRun with the conformance oracle
+// armed: the difference between the two rows is what checking every event
+// of a 4 MB transfer costs.
+func BenchmarkLANRunOracle(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := core.LAN(bs.EBSN, 800*time.Millisecond)
+		cfg.Seed = int64(i + 1)
+		cfg.Oracle = true
+		r, err := core.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !r.Completed {
+			b.Fatal("run did not complete")
+		}
+	}
+}
+
+// BenchmarkOracleCheck replays the recorded event stream of one LAN EBSN
+// run through oracle.Check; the ns/event metric is the checker's cost per
+// event with no simulation around it.
+func BenchmarkOracleCheck(b *testing.B) {
+	cfg := core.LAN(bs.EBSN, 800*time.Millisecond)
+	cfg.CollectTrace, cfg.Oracle = true, true
+	r, err := core.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := r.Trace.Events()
+	ocfg := oracle.Config{
+		Variant: cfg.Variant, MSS: cfg.MSS(), Window: cfg.Window,
+		RTmax: cfg.ARQ.RTmax, TrackNotifications: true,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := oracle.Check(ocfg, events); v != nil {
+			b.Fatal(v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }

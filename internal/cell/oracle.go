@@ -22,6 +22,9 @@ type sampler struct {
 	checkers []*oracle.Checker
 	counts   []int // per-checker event index
 	mss      int64
+	// ev is the event handed to a checker (checkers read through a
+	// pointer; one scratch slot keeps sampled events off the heap).
+	ev trace.Event
 }
 
 // newSampler attaches checkers to k flows (clamped to the population).
@@ -63,9 +66,10 @@ func (sp *sampler) observe(f int32, ev trace.Event) {
 	}
 	ev.At = sp.e.s.Now()
 	ev.PacketNo = ev.Seq / sp.mss
+	sp.ev = ev
 	idx := sp.counts[slot]
 	sp.counts[slot] = idx + 1
-	if v := sp.checkers[slot].Observe(idx, ev); v != nil {
+	if v := sp.checkers[slot].Observe(idx, &sp.ev); v != nil {
 		sp.e.s.Fail("cell-oracle", v)
 	}
 }

@@ -141,15 +141,23 @@ type Config struct {
 	// Horizon caps virtual time as a runaway guard; zero uses a generous
 	// default.
 	Horizon time.Duration
-	// CollectTrace records the Figure 3-5 packet trace.
+	// CollectTrace and Oracle each subscribe one sink to the run's event
+	// stream (see tapSender); they are independent, and neither changes a
+	// result bit.
+	//
+	// CollectTrace stores the stream: Result.Trace (the Figure 3-5 packet
+	// trace) and Result.Cwnd are non-nil exactly when it is set.
 	CollectTrace bool
-	// Oracle enables the streaming conformance checker: every trace event
-	// is validated against the Tahoe sender state machine, the link-layer
-	// ARQ contract, and the EBSN/quench notification rules as the run
-	// executes (see internal/oracle). A violation halts the run and is
-	// returned as the run error, naming the broken rule and the event
-	// index. Orthogonal to CollectTrace: the oracle taps the event stream
-	// without retaining it.
+	// Oracle checks the stream: every event is validated against the
+	// variant's sender state machine, the link-layer ARQ contract, the
+	// snoop agent's cache discipline and the EBSN/quench notification
+	// rules as the run executes (see internal/oracle). A violation halts
+	// the run and is returned as the run error, naming the broken rule
+	// and the event's index — its position in the stream, the same number
+	// whether or not the stream is also stored. The oracle retains no
+	// events. It also turns on the base station's and mobile host's
+	// instrumentation, so with CollectTrace the stored trace carries
+	// their events too.
 	Oracle bool
 }
 
@@ -407,20 +415,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	}
 	tp.sim.Bind(ctx)
 
-	var tr *trace.Trace
-	var cw *trace.CwndSeries
-	if cfg.CollectTrace || cfg.Oracle {
-		tr = trace.New(cfg.MSS())
-		hooks := tr.Hooks(tp.sim.Now)
-		if cfg.CollectTrace {
-			cw = trace.NewCwndSeries()
-			hooks.OnCwnd = cw.Hook(tp.sim.Now)
-		}
-		tp.sender.SetHooks(hooks)
-		if cfg.Oracle {
-			tp.attachOracle(cfg, tr)
-		}
-	}
+	tr, cw := tp.tap(cfg, cfg.CollectTrace)
 
 	if cfg.Checks {
 		tp.registerInvariants()
@@ -452,10 +447,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	} else {
 		res = tp.result(cfg)
 	}
-	if cfg.CollectTrace {
-		res.Trace = tr
-		res.Cwnd = cw
-	}
+	res.Trace, res.Cwnd = tr, cw
 	if res.Packets, err = tp.release(); err != nil {
 		return nil, err
 	}
@@ -536,12 +528,53 @@ type topology struct {
 	chaos *chaos.Injector
 }
 
-// attachOracle subscribes a conformance checker to the trace's event
-// stream and wires the base-station and mobile-host instrumentation that
-// feeds it. The first violation halts the run through the simulator's
-// failure channel, exactly like a periodic invariant check.
-func (tp *topology) attachOracle(cfg Config, tr *trace.Trace) {
-	checker := oracle.New(oracle.Config{
+// tapSender wires one sender's event stream to its sinks. There are two,
+// and the two arguments — Config.CollectTrace and Config.Oracle wherever
+// a run has only one connection — fully decide which are subscribed:
+//
+//   - store: a Trace that retains every event, returned with the
+//     congestion-window series recorded beside it (both nil otherwise);
+//   - check: a conformance checker under ocfg, which retains nothing. Its
+//     first violation halts the run through the simulator's failure
+//     channel, exactly like a periodic invariant check.
+//
+// Each event is built once by the source's hook adapters and numbered by
+// the source, so a violation's index is the event's position in the
+// stream whether or not the stream is stored. The source is returned for
+// the caller to feed further instrumentation into the same stream; with
+// no sink nothing is installed and it is nil.
+func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle.Config) (*trace.Source, *trace.Trace, *trace.CwndSeries) {
+	if !store && !check {
+		return nil, nil, nil
+	}
+	src := trace.NewSource(ocfg.MSS, s.Now)
+	hooks := src.Hooks()
+	var tr *trace.Trace
+	var cw *trace.CwndSeries
+	if store {
+		tr = src.Store()
+		cw = trace.NewCwndSeries()
+		hooks.OnCwnd = cw.Hook(s.Now)
+	}
+	if check {
+		checker := oracle.New(ocfg)
+		src.Subscribe(func(idx int, e *trace.Event) {
+			if v := checker.Observe(idx, e); v != nil {
+				s.Fail("oracle", v)
+			}
+		})
+	}
+	snd.SetHooks(hooks)
+	return src, tr, cw
+}
+
+// tap wires the topology's event stream (see tapSender): the stream is
+// stored when store is set and checked when cfg.Oracle is. The checker
+// also needs the base station's ARQ, notification and snoop events and
+// the mobile host's sequenced deliveries, so arming it feeds those into
+// the same stream.
+func (tp *topology) tap(cfg Config, store bool) (*trace.Trace, *trace.CwndSeries) {
+	src, tr, cw := tapSender(tp.sim, tp.sender, store, cfg.Oracle, oracle.Config{
 		Variant:      cfg.Variant,
 		MSS:          cfg.MSS(),
 		Window:       cfg.Window,
@@ -552,26 +585,11 @@ func (tp *topology) attachOracle(cfg Config, tr *trace.Trace) {
 		// emitted notification, and every notification by a link failure.
 		TrackNotifications: true,
 	})
-	tp.bs.SetHooks(tr.BSHooks(tp.sim.Now))
-	tp.mobile.SetSequencedHook(tr.MobileHook(tp.sim.Now))
-	tr.SetObserver(func(idx int, e trace.Event) {
-		if v := checker.Observe(idx, e); v != nil {
-			tp.sim.Fail("oracle", v)
-		}
-	})
-}
-
-// armOracle attaches the conformance checker for runners that do not
-// otherwise build a trace (the application-workload paths): a throwaway
-// trace is created purely as the oracle's event tap. No-op when
-// cfg.Oracle is unset.
-func (tp *topology) armOracle(cfg Config) {
-	if !cfg.Oracle {
-		return
+	if cfg.Oracle {
+		tp.bs.SetHooks(src.BSHooks())
+		tp.mobile.SetSequencedHook(src.MobileHook())
 	}
-	tr := trace.New(cfg.MSS())
-	tp.sender.SetHooks(tr.Hooks(tp.sim.Now))
-	tp.attachOracle(cfg, tr)
+	return tr, cw
 }
 
 // result assembles the standard measurement record.

@@ -12,8 +12,6 @@ import (
 	"wtcp/internal/packet"
 	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
-	"wtcp/internal/trace"
-	"wtcp/internal/units"
 )
 
 // runSplit executes the split-connection (I-TCP) baseline: the end-to-end
@@ -138,29 +136,17 @@ func runSplit(ctx context.Context, cfg Config) (*Result, error) {
 		mhSink.EnableSACK()
 	}
 
-	// The collected trace follows the wireless half — the connection the
+	// Each half is an independent TCP connection with its own event
+	// stream, so with the oracle armed each gets its own conformance
+	// checker under the run's variant profile, at its own MSS. Neither
+	// half uses link-level recovery or notifications, so those rule
+	// families stay quiet (RTmax 0, no notification bookkeeping). The
+	// collected trace follows the wireless half — the connection the
 	// paper's figures observe.
-	var tr *trace.Trace
-	var cw *trace.CwndSeries
-	if cfg.CollectTrace || cfg.Oracle {
-		tr = trace.New(wirelessPacket - PaperHeader)
-		hooks := tr.Hooks(s.Now)
-		if cfg.CollectTrace {
-			cw = trace.NewCwndSeries()
-			hooks.OnCwnd = cw.Hook(s.Now)
-		}
-		wsSender.SetHooks(hooks)
-	}
-	if cfg.Oracle {
-		// Each half is an independent TCP connection, so each gets its own
-		// conformance checker under the run's variant profile. Neither half
-		// uses link-level recovery or notifications, so those rule families
-		// stay quiet (RTmax 0, no notification bookkeeping).
-		splitOracle(s, tr, cfg.Variant, wirelessPacket-PaperHeader, cfg.Window)
-		fhTr := trace.New(cfg.MSS())
-		fhSender.SetHooks(fhTr.Hooks(s.Now))
-		splitOracle(s, fhTr, cfg.Variant, cfg.MSS(), cfg.Window)
-	}
+	ocfg := oracle.Config{Variant: cfg.Variant, MSS: wirelessPacket - PaperHeader, Window: cfg.Window}
+	_, tr, cw := tapSender(s, wsSender, cfg.CollectTrace, cfg.Oracle, ocfg)
+	ocfg.MSS = cfg.MSS()
+	tapSender(s, fhSender, false, cfg.Oracle, ocfg)
 
 	if cfg.Checks {
 		s.AddCheck("fh-sender-state", fhSender.CheckInvariants)
@@ -243,18 +229,3 @@ func runSplit(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 func statsPtr(s tcp.Stats) *tcp.Stats { return &s }
-
-// splitOracle subscribes a conformance checker to one half of a split
-// connection. The first violation on either half halts the run.
-func splitOracle(s *sim.Simulator, tr *trace.Trace, v tcp.Variant, mss, window units.ByteSize) {
-	checker := oracle.New(oracle.Config{
-		Variant: v,
-		MSS:     mss,
-		Window:  window,
-	})
-	tr.SetObserver(func(idx int, e trace.Event) {
-		if viol := checker.Observe(idx, e); viol != nil {
-			s.Fail("oracle", viol)
-		}
-	})
-}

@@ -93,7 +93,7 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp.armOracle(cfg)
+	tp.tap(cfg, false)
 
 	res := &WebResult{}
 	var pageStart time.Duration
@@ -183,7 +183,7 @@ func RunTelnet(cfg Config, tl TelnetWorkload) (*TelnetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp.armOracle(cfg)
+	tp.tap(cfg, false)
 
 	res := &TelnetResult{}
 	produced := make([]time.Duration, 0, tl.Keystrokes)

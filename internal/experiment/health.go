@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,7 +35,7 @@ type Health struct {
 	retried     uint64
 	quarantined uint64
 	events      uint64
-	durations   []float64 // seconds, successful runs only
+	durations   []float64 // seconds, successful runs only, kept sorted
 	stragglers  []Straggler
 }
 
@@ -47,11 +48,14 @@ type activeRun struct {
 
 // Straggler thresholds: a run is logged when it exceeds
 // stragglerFactor times the median of at least stragglerMinSamples
-// already-completed runs. The list is capped so a pathological sweep
+// already-completed runs and also ran longer than stragglerFloor — among
+// millisecond runs four times the median is scheduler noise, not a run
+// anyone needs to look at. The list is capped so a pathological sweep
 // cannot grow the status file without bound.
 const (
 	stragglerFactor     = 4.0
 	stragglerMinSamples = 3
+	stragglerFloor      = time.Second
 	maxStragglers       = 32
 
 	// statusWriteInterval throttles implicit status-file rewrites; an
@@ -154,14 +158,16 @@ func (h *Health) RunFinished(id uint64, events uint64, ok bool) {
 		h.completed++
 		if tracked {
 			sec := time.Since(ar.started).Seconds()
-			if med, n := medianOf(h.durations), len(h.durations); n >= stragglerMinSamples && sec > stragglerFactor*med {
+			if med, n := medianOf(h.durations), len(h.durations); n >= stragglerMinSamples &&
+				sec > stragglerFactor*med && sec > stragglerFloor.Seconds() {
 				if len(h.stragglers) < maxStragglers {
 					h.stragglers = append(h.stragglers, Straggler{Key: ar.key, Seed: ar.seed, Sec: sec, MedianSec: med})
 				}
 				line = fmt.Sprintf("experiment: straggler: %s seed %d took %.2fs (median %.2fs over %d runs)\n",
 					ar.key, ar.seed, sec, med, n)
 			}
-			h.durations = append(h.durations, sec)
+			i, _ := slices.BinarySearch(h.durations, sec)
+			h.durations = slices.Insert(h.durations, i, sec)
 		}
 	} else {
 		h.failed++
@@ -195,16 +201,14 @@ func (h *Health) noteQuarantine() {
 	h.maybeWriteStatus()
 }
 
-// medianOf returns the median of xs (0 when empty). xs is not modified.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
+// medianOf returns the median of the sorted slice s (0 when empty).
+func medianOf(s []float64) float64 {
+	switch n := len(s); {
+	case n == 0:
 		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
+	case n%2 == 1:
 		return s[n/2]
-	} else {
+	default:
 		return (s[n/2-1] + s[n/2]) / 2
 	}
 }

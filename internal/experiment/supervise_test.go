@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -484,7 +485,7 @@ func TestStragglerLogged(t *testing.T) {
 	id := h.RunStarted("lan/ebsn/bad=400ms", 7)
 	h.mu.Lock()
 	ar := h.active[id]
-	ar.started = ar.started.Add(-time.Second) // pretend it ran ~1s, 100x median
+	ar.started = ar.started.Add(-2 * time.Second) // pretend it ran ~2s, 200x median
 	h.active[id] = ar
 	h.mu.Unlock()
 	h.RunFinished(id, 10, true)
@@ -506,5 +507,32 @@ func TestStragglerLogged(t *testing.T) {
 	h.RunFinished(id, 10, true)
 	if n := len(h.Snapshot().Stragglers); n != 1 {
 		t.Errorf("normal run flagged as straggler (%d records)", n)
+	}
+
+	// Neither must one that is many times the median yet under the
+	// absolute floor: among millisecond runs that is scheduler noise.
+	buf.Reset()
+	id = h.RunStarted("lan/ebsn/bad=400ms", 9)
+	h.mu.Lock()
+	ar = h.active[id]
+	ar.started = ar.started.Add(-stragglerFloor / 2) // 50x median, half the floor
+	h.active[id] = ar
+	h.mu.Unlock()
+	h.RunFinished(id, 10, true)
+	if n := len(h.Snapshot().Stragglers); n != 1 || buf.Len() != 0 {
+		t.Errorf("sub-floor run flagged as straggler (%d records, log %q)", n, buf.String())
+	}
+
+	// Completed durations stay sorted as they arrive, so the median is
+	// read off the middle instead of re-sorting on every completion.
+	h.mu.Lock()
+	sorted := slices.IsSorted(h.durations)
+	n := len(h.durations)
+	h.mu.Unlock()
+	if !sorted || n != 6 {
+		t.Errorf("durations sorted=%v n=%d, want sorted with all 6 completed runs", sorted, n)
+	}
+	if med := h.MedianRunSeconds(); med != 0.01 {
+		t.Errorf("median = %v, want 0.01 (three 10 ms samples below three slower runs)", med)
 	}
 }

@@ -1,5 +1,7 @@
 package oracle
 
+import "slices"
+
 // intervalSet is a small ordered set of half-open byte ranges [start, end),
 // merged on insert. It tracks which bytes the source has retransmitted so
 // Karn's backoff-reset rule can ask: does this ACK cover any fresh byte?
@@ -13,37 +15,33 @@ type span struct {
 	start, end int64
 }
 
-// add inserts [start, end), merging overlapping or adjacent spans.
+// add inserts [start, end), merging overlapping or adjacent spans. It
+// edits the set in place, so a retransmission costs no allocation once
+// the backing array has grown to the handful of spans a window can hold.
 func (s *intervalSet) add(start, end int64) {
 	if end <= start {
 		return
 	}
-	out := make([]span, 0, len(s.spans)+1)
-	inserted := false
-	for _, sp := range s.spans {
-		switch {
-		case sp.end < start:
-			out = append(out, sp)
-		case end < sp.start:
-			if !inserted {
-				out = append(out, span{start, end})
-				inserted = true
-			}
-			out = append(out, sp)
-		default:
-			// Overlapping or touching: absorb into the pending span.
-			if sp.start < start {
-				start = sp.start
-			}
-			if sp.end > end {
-				end = sp.end
-			}
+	// spans[i:j] are the ones the new range overlaps or touches.
+	i := 0
+	for i < len(s.spans) && s.spans[i].end < start {
+		i++
+	}
+	j := i
+	for ; j < len(s.spans) && s.spans[j].start <= end; j++ {
+		if s.spans[j].start < start {
+			start = s.spans[j].start
+		}
+		if s.spans[j].end > end {
+			end = s.spans[j].end
 		}
 	}
-	if !inserted {
-		out = append(out, span{start, end})
+	if i == j {
+		s.spans = slices.Insert(s.spans, i, span{start, end})
+		return
 	}
-	s.spans = out
+	s.spans[i] = span{start, end}
+	s.spans = slices.Delete(s.spans, i+1, j)
 }
 
 // covers reports whether every byte of [start, end) is in the set. An

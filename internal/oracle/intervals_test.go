@@ -1,6 +1,9 @@
 package oracle
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestIntervalSetAddAndCover(t *testing.T) {
 	var s intervalSet
@@ -64,5 +67,46 @@ func TestIntervalSetEmptyAndDegenerate(t *testing.T) {
 	s.add(7, 7) // empty insert is a no-op
 	if len(s.spans) != 0 {
 		t.Errorf("degenerate add stored %v", s.spans)
+	}
+}
+
+// TestIntervalSetMatchesBitmap drives add/prune with random ranges and
+// compares the set with a byte-per-offset model: the spans must cover
+// exactly the modelled bytes, stay sorted, and never touch each other.
+func TestIntervalSetMatchesBitmap(t *testing.T) {
+	const size = 96
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var s intervalSet
+		var model [size]bool
+		for op := 0; op < 40; op++ {
+			a, b := rng.Intn(size), rng.Intn(size)
+			if a > b {
+				a, b = b, a
+			}
+			if rng.Intn(5) == 0 {
+				s.prune(int64(a))
+				for i := 0; i < a; i++ {
+					model[i] = false
+				}
+			} else {
+				s.add(int64(a), int64(b))
+				for i := a; i < b; i++ {
+					model[i] = true
+				}
+			}
+			var got [size]bool
+			for i, sp := range s.spans {
+				if sp.start >= sp.end || (i > 0 && s.spans[i-1].end >= sp.start) {
+					t.Fatalf("round %d op %d: spans not normalized: %v", round, op, s.spans)
+				}
+				for x := sp.start; x < sp.end; x++ {
+					got[x] = true
+				}
+			}
+			if got != model {
+				t.Fatalf("round %d op %d: spans %v do not match the model", round, op, s.spans)
+			}
+		}
 	}
 }

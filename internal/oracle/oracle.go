@@ -1,7 +1,7 @@
 // Package oracle is a streaming protocol-conformance checker for the
-// simulator's trace stream. It subscribes to trace events (trace.Trace's
-// observer) and validates, while a run executes, that the recorded
-// behaviour obeys the paper's protocol rules:
+// simulator's event stream. It subscribes to a trace.Source as one of its
+// sinks and validates, while a run executes, that the observed behaviour
+// obeys the paper's protocol rules:
 //
 //   - the TCP-Tahoe sender state machine: slow-start and congestion-
 //     avoidance window growth, the loss responses (collapse to one
@@ -16,10 +16,13 @@
 //
 // The checker is a shadow-state machine: it re-synchronizes from every
 // event (the events carry post-transition state), so rules compare one
-// event against the previous one rather than accumulating drift. A rule
-// breach produces a *Violation naming the rule and the event index; the
-// first violation is latched and, when wired into a run via internal/core,
-// halts the simulation through sim.Fail.
+// event against the previous one rather than accumulating drift. It
+// retains no event beyond that shadow and allocates nothing while the
+// stream conforms; the shadow sets it does keep (outstanding ARQ units,
+// the snoop cache, discarded packets) are bounded by the window, not the
+// transfer. A rule breach produces a *Violation naming the rule and the
+// event index; the first violation is latched and, when wired into a run
+// via internal/core, halts the simulation through sim.Fail.
 package oracle
 
 import (
@@ -132,35 +135,62 @@ type Checker struct {
 	quenchSent, quenchIn int
 	arqFailures          int
 
-	// ARQ shadow: per-unit attempt counters, unit->packet ownership, and
-	// packets withdrawn after RTmax.
-	unitAttempt map[uint64]int
-	unitPkt     map[uint64]uint64
-	discarded   map[uint64]bool
+	// ARQ shadow: the units in flight, and the packets withdrawn after
+	// RTmax. A discarded packet maps to the sender's snd_max at the
+	// discard: once snd_una reaches it the packet's bytes have been
+	// delivered by an end-to-end retransmission and the entry is dropped.
+	units     map[uint64]arqUnit
+	discarded map[uint64]int64
 
 	// lastLinkSeq enforces strictly-increasing sequenced delivery at the
 	// mobile host.
 	lastLinkSeq uint64
 
-	// snoopCache shadows the snoop agent's segment cache: seq -> local
-	// retransmission count for the current cached copy. Entries the
-	// agent frees on a new ACK linger here (the clearing is not traced),
-	// which is safe: a lingering entry is never retransmitted again.
-	snoopCache map[int64]int
+	// snoopCache shadows the snoop agent's segment cache, keyed by seq.
+	// The agent frees entries when a new ACK passes it, which is not
+	// traced; pruneShadows drops them once the source's own ACKs prove
+	// it happened. snoopSweepAt is the shadow size that triggers the
+	// next sweep.
+	snoopCache   map[int64]snoopSeg
+	snoopSweepAt int
+
+	// idx and cur are the event under observation, for fail.
+	idx int
+	cur *trace.Event
 
 	first *Violation
 }
+
+// arqUnit shadows one link unit in flight: its attempt count and the
+// network packet that owns it.
+type arqUnit struct {
+	attempt int
+	pkt     uint64
+}
+
+// snoopSeg shadows one cached copy: its local retransmission count, and
+// the sender's snd_max when the copy was admitted. Every byte from sentTo
+// up is first sent after the admission, so once it is acknowledged at the
+// source the ACK that covered it has passed the agent since — as a new
+// ACK above this segment, which frees the copy.
+type snoopSeg struct {
+	retx   int
+	sentTo int64
+}
+
+// snoopSweepFloor is the smallest snoop shadow worth sweeping.
+const snoopSweepFloor = 32
 
 // New returns a checker for one run.
 func New(cfg Config) *Checker {
 	cfg = cfg.withDefaults()
 	return &Checker{
-		cfg:         cfg,
-		profile:     profileFor(cfg.Variant),
-		unitAttempt: make(map[uint64]int),
-		unitPkt:     make(map[uint64]uint64),
-		discarded:   make(map[uint64]bool),
-		snoopCache:  make(map[int64]int),
+		cfg:          cfg,
+		profile:      profileFor(cfg.Variant),
+		units:        make(map[uint64]arqUnit),
+		discarded:    make(map[uint64]int64),
+		snoopCache:   make(map[int64]snoopSeg),
+		snoopSweepAt: snoopSweepFloor,
 	}
 }
 
@@ -171,116 +201,125 @@ func (c *Checker) First() *Violation { return c.first }
 // violation, or nil if the whole stream conforms.
 func Check(cfg Config, events []trace.Event) *Violation {
 	c := New(cfg)
-	for i, e := range events {
-		if v := c.Observe(i, e); v != nil {
+	for i := range events {
+		if v := c.Observe(i, &events[i]); v != nil {
 			return v
 		}
 	}
 	return nil
 }
 
-// Observe feeds one event (trace.Trace observer signature plus a result):
-// it returns the violation this event caused, or nil. The first violation
-// is also latched for First. State keeps re-synchronizing afterwards, so
-// observing past a violation reports further independent breaches rather
-// than cascading noise.
-func (c *Checker) Observe(idx int, e trace.Event) *Violation {
-	v := c.observe(idx, e)
+// Observe feeds one event with its position in the stream (trace.Sink's
+// signature plus a result): it returns the violation this event caused,
+// or nil. The event is read during the call only and never modified. The
+// first violation is also latched for First. State keeps re-synchronizing
+// afterwards, so observing past a violation reports further independent
+// breaches rather than cascading noise.
+func (c *Checker) Observe(idx int, e *trace.Event) *Violation {
+	c.idx, c.cur = idx, e
+	v := c.observe(e)
 	if v != nil && c.first == nil {
 		c.first = v
 	}
 	return v
 }
 
-func (c *Checker) observe(idx int, e trace.Event) *Violation {
-	fail := func(rule, format string, args ...any) *Violation {
-		return &Violation{Rule: rule, Index: idx, Event: e, Detail: fmt.Sprintf(format, args...)}
-	}
+// fail builds the violation for the event under observation. Only a
+// broken rule calls it, so a conforming stream never formats a string or
+// copies an event to the heap.
+func (c *Checker) fail(rule, format string, args ...any) *Violation {
+	return &Violation{Rule: rule, Index: c.idx, Event: *c.cur, Detail: fmt.Sprintf(format, args...)}
+}
+
+func (c *Checker) observe(e *trace.Event) *Violation {
 	switch e.Kind {
 	case trace.Send, trace.Retransmit, trace.Timeout, trace.FastRetx,
 		trace.EBSNReset, trace.AckIn, trace.QuenchIn, trace.ECNEcho:
-		return c.observeSender(idx, e, fail)
+		v := c.checkSender(e)
+		c.resync(e)
+		return v
 	case trace.ARQAttempt:
-		return c.observeARQAttempt(e, fail)
+		return c.observeARQAttempt(e)
 	case trace.ARQFailure:
 		c.arqFailures++
-		if prev, ok := c.unitAttempt[e.Unit]; ok && e.Attempt != prev {
-			return fail("arq/failure-mismatch",
-				"failure reports attempt %d, unit %d is on attempt %d", e.Attempt, e.Unit, prev)
+		if u, ok := c.units[e.Unit]; ok && e.Attempt != u.attempt {
+			return c.fail("arq/failure-mismatch",
+				"failure reports attempt %d, unit %d is on attempt %d", e.Attempt, e.Unit, u.attempt)
 		}
 		return nil
 	case trace.ARQAck:
-		delete(c.unitAttempt, e.Unit)
-		delete(c.unitPkt, e.Unit)
+		delete(c.units, e.Unit)
 		return nil
 	case trace.ARQDiscard:
-		c.discarded[e.Pkt] = true
-		for unit, pkt := range c.unitPkt {
-			if pkt == e.Pkt {
-				delete(c.unitAttempt, unit)
-				delete(c.unitPkt, unit)
+		c.discarded[e.Pkt] = c.last.SndMax
+		for unit, u := range c.units {
+			if u.pkt == e.Pkt {
+				delete(c.units, unit)
 			}
 		}
 		return nil
 	case trace.EBSNSent:
 		c.ebsnSent++
 		if c.cfg.TrackNotifications && c.ebsnSent > c.arqFailures {
-			return fail("ebsn/sent-without-failure",
+			return c.fail("ebsn/sent-without-failure",
 				"%d EBSNs sent but only %d link-level failures observed", c.ebsnSent, c.arqFailures)
 		}
 		return nil
 	case trace.QuenchSent:
 		c.quenchSent++
 		if c.cfg.TrackNotifications && c.quenchSent > c.arqFailures {
-			return fail("quench/sent-without-failure",
+			return c.fail("quench/sent-without-failure",
 				"%d quenches sent but only %d link-level failures observed", c.quenchSent, c.arqFailures)
 		}
 		return nil
 	case trace.MHDeliver:
 		if e.Unit <= c.lastLinkSeq {
-			return fail("arq/reorder",
+			return c.fail("arq/reorder",
 				"sequenced unit %d delivered after unit %d", e.Unit, c.lastLinkSeq)
 		}
 		c.lastLinkSeq = e.Unit
 		return nil
 	case trace.SnoopAdmit:
-		c.snoopCache[e.Seq] = 0
+		c.snoopCache[e.Seq] = snoopSeg{sentTo: c.last.SndMax}
 		return nil
 	case trace.SnoopRetx:
-		prev, cached := c.snoopCache[e.Seq]
+		seg, cached := c.snoopCache[e.Seq]
 		if !cached {
-			return fail("snoop/retx-uncached",
+			return c.fail("snoop/retx-uncached",
 				"local retransmission of seq %d with no cached copy", e.Seq)
 		}
 		if c.cfg.SnoopMaxRetx > 0 && e.Attempt > c.cfg.SnoopMaxRetx {
-			return fail("snoop/retx-cap",
+			return c.fail("snoop/retx-cap",
 				"local retransmission attempt %d of seq %d exceeds the cap of %d",
 				e.Attempt, e.Seq, c.cfg.SnoopMaxRetx)
 		}
-		if e.Attempt != prev+1 {
-			return fail("snoop/retx-order",
-				"seq %d jumped from local attempt %d to %d", e.Seq, prev, e.Attempt)
+		if e.Attempt != seg.retx+1 {
+			return c.fail("snoop/retx-order",
+				"seq %d jumped from local attempt %d to %d", e.Seq, seg.retx, e.Attempt)
 		}
-		c.snoopCache[e.Seq] = e.Attempt
+		seg.retx = e.Attempt
+		c.snoopCache[e.Seq] = seg
 		return nil
 	case trace.SnoopSuppress:
 		// Suppression may only absorb a duplicate the agent can repair
-		// locally: the segment at the ACK must be cached, and the ACK
-		// must not be one the sender has already moved past — otherwise
-		// the base station is hiding acknowledgment state the source
-		// genuinely needs (the no-hidden-timeout rule).
-		if _, cached := c.snoopCache[e.Ack]; !cached {
-			return fail("snoop/suppress-needs-cache",
-				"suppressed duplicate ACK %d but the segment at it is not cached", e.Ack)
-		}
+		// locally: the ACK must not be one the sender has already moved
+		// past, and the segment at it must be cached — otherwise the base
+		// station is hiding acknowledgment state the source genuinely
+		// needs (the no-hidden-timeout rule). The stale-ACK rule goes
+		// first: the shadow may already have pruned a segment below
+		// snd_una.
 		if c.haveLast && e.Ack < c.last.SndUna {
-			return fail("snoop/suppress-only-dupacks",
+			return c.fail("snoop/suppress-only-dupacks",
 				"suppressed ACK %d below the sender's snd_una %d", e.Ack, c.last.SndUna)
+		}
+		if _, cached := c.snoopCache[e.Ack]; !cached {
+			return c.fail("snoop/suppress-needs-cache",
+				"suppressed duplicate ACK %d but the segment at it is not cached", e.Ack)
 		}
 		return nil
 	case trace.SnoopEvict:
 		if _, cached := c.snoopCache[e.Seq]; !cached {
-			return fail("snoop/evict-uncached",
+			return c.fail("snoop/evict-uncached",
 				"evicted seq %d with no cached copy", e.Seq)
 		}
 		delete(c.snoopCache, e.Seq)
@@ -292,13 +331,13 @@ func (c *Checker) observe(idx int, e trace.Event) *Violation {
 
 // observeARQAttempt checks the attempt-counting discipline of one link
 // transmission.
-func (c *Checker) observeARQAttempt(e trace.Event, fail failf) *Violation {
+func (c *Checker) observeARQAttempt(e *trace.Event) *Violation {
 	if c.cfg.RTmax > 0 && e.Attempt > c.cfg.RTmax+1 {
-		return fail("arq/attempt-cap",
+		return c.fail("arq/attempt-cap",
 			"attempt %d exceeds RTmax=%d (max %d transmissions)", e.Attempt, c.cfg.RTmax, c.cfg.RTmax+1)
 	}
-	if e.Attempt > 1 && c.discarded[e.Pkt] {
-		return fail("arq/attempt-after-discard",
+	if _, gone := c.discarded[e.Pkt]; gone && e.Attempt > 1 {
+		return c.fail("arq/attempt-after-discard",
 			"unit %d retransmitted (attempt %d) for packet %d after its discard", e.Unit, e.Attempt, e.Pkt)
 	}
 	if e.Attempt == 1 {
@@ -306,60 +345,81 @@ func (c *Checker) observeARQAttempt(e trace.Event, fail failf) *Violation {
 		// packet (the source retransmitted it end to end).
 		delete(c.discarded, e.Pkt)
 	}
-	prev, tracked := c.unitAttempt[e.Unit]
+	u, tracked := c.units[e.Unit]
 	switch {
 	case !tracked && e.Attempt != 1:
-		return fail("arq/attempt-order",
+		return c.fail("arq/attempt-order",
 			"unit %d appears mid-sequence at attempt %d (stale recycled timer?)", e.Unit, e.Attempt)
-	case tracked && e.Attempt != prev+1 && e.Attempt != 1:
-		return fail("arq/attempt-order",
-			"unit %d jumped from attempt %d to %d", e.Unit, prev, e.Attempt)
+	case tracked && e.Attempt != u.attempt+1 && e.Attempt != 1:
+		return c.fail("arq/attempt-order",
+			"unit %d jumped from attempt %d to %d", e.Unit, u.attempt, e.Attempt)
 	}
-	c.unitAttempt[e.Unit] = e.Attempt
-	c.unitPkt[e.Unit] = e.Pkt
+	c.units[e.Unit] = arqUnit{attempt: e.Attempt, pkt: e.Pkt}
 	return nil
 }
 
-type failf func(rule, format string, args ...any) *Violation
+// resync makes sender event e the shadow state the next event is compared
+// against.
+func (c *Checker) resync(e *trace.Event) {
+	c.last2, c.haveLast2 = c.last, c.haveLast
+	c.last, c.haveLast = *e, true
+	// Transmission snapshots are taken before the sequence pointers
+	// advance; shadow the post-advance values so the next event's
+	// unchanged-state checks compare against reality. A retransmission
+	// with Seq below SndNxt (Reno's retransmit-first) moves nothing.
+	if l := &c.last; l.Kind == trace.Send || l.Kind == trace.Retransmit {
+		if l.Seq == l.SndNxt {
+			l.SndNxt = l.Seq + l.Payload
+		}
+		if l.SndNxt > l.SndMax {
+			l.SndMax = l.SndNxt
+		}
+	}
+}
 
-// observeSender dispatches the TCP-side rules and re-syncs the shadow.
-func (c *Checker) observeSender(idx int, e trace.Event, fail failf) *Violation {
-	defer func() {
-		// Transmission snapshots are taken before the sequence pointers
-		// advance; shadow the post-advance values so the next event's
-		// unchanged-state checks compare against reality. A retransmission
-		// with Seq below SndNxt (Reno's retransmit-first) moves nothing.
-		if e.Kind == trace.Send || e.Kind == trace.Retransmit {
-			if e.Seq == e.SndNxt {
-				e.SndNxt = e.Seq + e.Payload
-			}
-			if e.SndNxt > e.SndMax {
-				e.SndMax = e.SndNxt
+// pruneShadows forgets what the source's new snd_una proves the base
+// station has let go of, so the shadow sets follow the window and not the
+// transfer. The snoop shadow is swept only once it has doubled since the
+// last sweep, which keeps the cost per ACK constant.
+func (c *Checker) pruneShadows(una int64) {
+	if len(c.discarded) > 0 {
+		for pkt, sentTo := range c.discarded {
+			if sentTo <= una {
+				delete(c.discarded, pkt)
 			}
 		}
-		c.last2, c.haveLast2 = c.last, c.haveLast
-		c.last = e
-		c.haveLast = true
-	}()
+	}
+	if len(c.snoopCache) >= c.snoopSweepAt {
+		for seq, seg := range c.snoopCache {
+			if seg.sentTo < una {
+				delete(c.snoopCache, seq)
+			}
+		}
+		c.snoopSweepAt = 2*len(c.snoopCache) + snoopSweepFloor
+	}
+}
+
+// checkSender dispatches the TCP-side rules.
+func (c *Checker) checkSender(e *trace.Event) *Violation {
 	if e.SndUna < 0 || e.SndUna > e.SndNxt || e.SndNxt > e.SndMax {
-		return fail("tcp/sequence-order",
+		return c.fail("tcp/sequence-order",
 			"snd_una=%d snd_nxt=%d snd_max=%d out of order", e.SndUna, e.SndNxt, e.SndMax)
 	}
 	switch e.Kind {
 	case trace.Send, trace.Retransmit:
-		return c.checkSend(e, fail)
+		return c.checkSend(e)
 	case trace.AckIn:
-		return c.checkAck(e, fail)
+		return c.checkAck(e)
 	case trace.Timeout:
-		return c.checkTimeout(e, fail)
+		return c.checkTimeout(e)
 	case trace.FastRetx:
-		return c.checkFastRetx(e, fail)
+		return c.checkFastRetx(e)
 	case trace.EBSNReset:
-		return c.checkEBSNReset(e, fail)
+		return c.checkEBSNReset(e)
 	case trace.QuenchIn:
-		return c.checkQuench(e, fail)
+		return c.checkQuench(e)
 	case trace.ECNEcho:
-		return c.checkECN(e, fail)
+		return c.checkECN(e)
 	}
 	return nil
 }
@@ -367,27 +427,27 @@ func (c *Checker) observeSender(idx int, e trace.Event, fail failf) *Violation {
 // checkSend validates one segment transmission. Send snapshots are taken
 // before the sequence pointers advance, so a fresh send shows
 // Seq == SndNxt == SndMax.
-func (c *Checker) checkSend(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkSend(e *trace.Event) *Violation {
 	if e.Kind == trace.Send {
 		if e.Seq != e.SndMax || e.Seq != e.SndNxt {
-			return fail("tcp/send-pointer",
+			return c.fail("tcp/send-pointer",
 				"fresh send at seq %d, want snd_nxt=%d and snd_max=%d", e.Seq, e.SndNxt, e.SndMax)
 		}
 	} else {
 		if e.Seq >= e.SndMax {
-			return fail("tcp/retransmit-pointer",
+			return c.fail("tcp/retransmit-pointer",
 				"retransmission at seq %d is not below snd_max %d", e.Seq, e.SndMax)
 		}
 		c.retx.add(e.Seq, e.Seq+e.Payload)
 	}
 	limit := e.SndUna + c.usableWindow(e.Cwnd)
 	if e.Seq+e.Payload > limit+c.cfg.ByteTol {
-		return fail("tcp/window-overrun",
+		return c.fail("tcp/window-overrun",
 			"segment [%d,%d) exceeds window limit %d (snd_una=%d cwnd=%d adv=%d)",
 			e.Seq, e.Seq+e.Payload, limit, e.SndUna, e.Cwnd, int64(c.cfg.Window))
 	}
 	if e.Deadline < 0 {
-		return fail("tcp/timer-armed-on-send",
+		return c.fail("tcp/timer-armed-on-send",
 			"retransmission timer idle immediately after a transmission")
 	}
 	return nil
@@ -407,57 +467,57 @@ func (c *Checker) usableWindow(cwnd int64) int64 {
 }
 
 // checkAck validates the processing of one inbound cumulative ACK.
-func (c *Checker) checkAck(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkAck(e *trace.Event) *Violation {
 	switch tcp.AckClass(e.AckClass) {
 	case tcp.AckNew:
-		return c.checkNewAck(e, fail)
+		return c.checkNewAck(e)
 	case tcp.AckDup:
-		return c.checkDupAck(e, fail)
+		return c.checkDupAck(e)
 	case tcp.AckOld:
 		if e.Ack >= e.SndUna {
-			return fail("tcp/ack-class",
+			return c.fail("tcp/ack-class",
 				"ACK %d classified old but is at or above snd_una %d", e.Ack, e.SndUna)
 		}
-		return c.checkUnchanged("tcp/old-ack-mutation", e, fail)
+		return c.checkUnchanged("tcp/old-ack-mutation", e)
 	case tcp.AckInvalid:
 		if e.Ack <= e.SndMax {
-			return fail("tcp/ack-class",
+			return c.fail("tcp/ack-class",
 				"ACK %d classified invalid but is within snd_max %d", e.Ack, e.SndMax)
 		}
-		return c.checkUnchanged("tcp/ack-of-unsent", e, fail)
+		return c.checkUnchanged("tcp/ack-of-unsent", e)
 	default:
-		return fail("tcp/ack-class", "unknown ACK class %d", e.AckClass)
+		return c.fail("tcp/ack-class", "unknown ACK class %d", e.AckClass)
 	}
 }
 
 // checkNewAck validates window growth, timer restart, and Karn's
 // backoff-reset rule for a window-advancing ACK.
-func (c *Checker) checkNewAck(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkNewAck(e *trace.Event) *Violation {
 	if e.Ack > e.SndMax {
-		return fail("tcp/ack-of-unsent",
+		return c.fail("tcp/ack-of-unsent",
 			"sender accepted ACK %d beyond snd_max %d", e.Ack, e.SndMax)
 	}
 	if e.SndUna != e.Ack {
-		return fail("tcp/ack-advance",
+		return c.fail("tcp/ack-advance",
 			"new ACK %d left snd_una at %d", e.Ack, e.SndUna)
 	}
 	if e.DupAcks != 0 {
-		return fail("tcp/ack-advance",
+		return c.fail("tcp/ack-advance",
 			"new ACK %d did not clear the duplicate-ACK run (%d)", e.Ack, e.DupAcks)
 	}
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	// A Reno-family partial ACK spans two events (the hole's retransmit
 	// snapshot already shows the advanced snd_una); the advance check
 	// must compare against the event before the pair.
 	base := p
 	if c.inRecovery && p.Kind == trace.Retransmit && c.haveLast2 {
-		base = c.last2
+		base = &c.last2
 	}
 	if e.SndUna <= base.SndUna {
-		return fail("tcp/ack-advance",
+		return c.fail("tcp/ack-advance",
 			"new ACK %d did not advance snd_una (%d -> %d)", e.Ack, base.SndUna, e.SndUna)
 	}
 	// Karn's rule: the backoff shift may only reset to zero when the ACK
@@ -467,27 +527,28 @@ func (c *Checker) checkNewAck(e trace.Event, fail failf) *Violation {
 		// unchanged: fine
 	case e.Shift == 0:
 		if c.retx.covers(p.SndUna, e.Ack) {
-			return fail("tcp/karn-backoff-reset",
+			return c.fail("tcp/karn-backoff-reset",
 				"backoff reset from shift %d but ACK %d covers only retransmitted bytes [%d,%d)",
 				p.Shift, e.Ack, p.SndUna, e.Ack)
 		}
 	default:
-		return fail("tcp/karn-backoff-reset",
+		return c.fail("tcp/karn-backoff-reset",
 			"backoff shift moved %d -> %d on an ACK (only reset-to-0 is legal)", p.Shift, e.Shift)
 	}
 	c.retx.prune(e.Ack)
-	if v := c.profile.newAck(c, e, p, fail); v != nil {
+	c.pruneShadows(e.SndUna)
+	if v := c.profile.newAck(c, e, p); v != nil {
 		return v
 	}
 	// Timer discipline: restart for remaining outstanding data, stop when
 	// everything is acknowledged.
 	if e.SndNxt > e.SndUna {
 		if !c.deadlineIs(e, e.At+e.RTO) {
-			return fail("tcp/timer-restart-on-ack",
+			return c.fail("tcp/timer-restart-on-ack",
 				"timer deadline %v after ACK, want restart at %v (now+RTO)", e.Deadline, e.At+e.RTO)
 		}
 	} else if e.Deadline >= 0 {
-		return fail("tcp/timer-not-stopped-idle",
+		return c.fail("tcp/timer-not-stopped-idle",
 			"nothing outstanding after ACK %d but timer still armed for %v", e.Ack, e.Deadline)
 	}
 	return nil
@@ -496,34 +557,34 @@ func (c *Checker) checkNewAck(e trace.Event, fail failf) *Violation {
 // checkDupAck validates a duplicate ACK: no state may move, and for Tahoe
 // the run length must stay below the fast-retransmit threshold (the third
 // duplicate must surface as a FastRetx event instead).
-func (c *Checker) checkDupAck(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkDupAck(e *trace.Event) *Violation {
 	if e.Ack != e.SndUna {
-		return fail("tcp/ack-class",
+		return c.fail("tcp/ack-class",
 			"ACK %d classified duplicate but snd_una is %d", e.Ack, e.SndUna)
 	}
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
-	if v := c.profile.dupAck(c, e, p, fail); v != nil {
+	p := &c.last
+	if v := c.profile.dupAck(c, e, p); v != nil {
 		return v
 	}
 	if e.SndUna != p.SndUna || e.SndMax != p.SndMax {
-		return fail("tcp/ack-class",
+		return c.fail("tcp/ack-class",
 			"duplicate ACK moved sequence pointers (snd_una %d -> %d)", p.SndUna, e.SndUna)
 	}
 	return nil
 }
 
 // checkUnchanged asserts an ignored ACK (old or invalid) mutated nothing.
-func (c *Checker) checkUnchanged(rule string, e trace.Event, fail failf) *Violation {
+func (c *Checker) checkUnchanged(rule string, e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh || e.Shift != p.Shift ||
 		e.SndUna != p.SndUna || e.SndNxt != p.SndNxt || e.SndMax != p.SndMax {
-		return fail(rule,
+		return c.fail(rule,
 			"ignored ACK %d mutated sender state (cwnd %d->%d ssthresh %d->%d snd_una %d->%d)",
 			e.Ack, p.Cwnd, e.Cwnd, p.Ssthresh, e.Ssthresh, p.SndUna, e.SndUna)
 	}
@@ -534,30 +595,30 @@ func (c *Checker) checkUnchanged(rule string, e trace.Event, fail failf) *Violat
 // segment, ssthresh halving, go-back-N rewind, Karn backoff, timer
 // restart. These hold for every variant in this codebase (timeouts always
 // abandon fast recovery).
-func (c *Checker) checkTimeout(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 	// A timeout abandons any fast-recovery episode in every variant.
 	c.inRecovery = false
 	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
-		return fail("tcp/timeout-collapse",
+		return c.fail("tcp/timeout-collapse",
 			"cwnd %d after timeout, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
 	}
 	if e.SndNxt != e.SndUna {
-		return fail("tcp/timeout-rewind",
+		return c.fail("tcp/timeout-rewind",
 			"snd_nxt %d not rewound to snd_una %d (go-back-N)", e.SndNxt, e.SndUna)
 	}
 	if e.DupAcks != 0 {
-		return fail("tcp/timeout-collapse",
+		return c.fail("tcp/timeout-collapse",
 			"timeout did not clear the duplicate-ACK run (%d)", e.DupAcks)
 	}
 	if !c.deadlineIs(e, e.At+e.RTO) {
-		return fail("tcp/timer-restart-on-timeout",
+		return c.fail("tcp/timer-restart-on-timeout",
 			"timer deadline %v after timeout, want %v (now+RTO)", e.Deadline, e.At+e.RTO)
 	}
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
-	if v := c.checkHalved("tcp/timeout-ssthresh", e, p, fail); v != nil {
+	p := &c.last
+	if v := c.checkHalved("tcp/timeout-ssthresh", e, p); v != nil {
 		return v
 	}
 	// Karn backoff: the shift increments (capped at 6) and the timeout
@@ -575,11 +636,11 @@ func (c *Checker) checkTimeout(e trace.Event, fail failf) *Violation {
 		wantRTO = c.cfg.MaxRTO
 	}
 	if e.Shift != wantShift {
-		return fail("tcp/rto-backoff",
+		return c.fail("tcp/rto-backoff",
 			"backoff shift %d after timeout, want %d", e.Shift, wantShift)
 	}
 	if !durWithin(e.RTO, wantRTO, 2*c.cfg.TimeTol) {
-		return fail("tcp/rto-backoff",
+		return c.fail("tcp/rto-backoff",
 			"RTO %v after timeout, want %v (doubled from %v, capped at %v)",
 			e.RTO, wantRTO, p.RTO, c.cfg.MaxRTO)
 	}
@@ -589,12 +650,12 @@ func (c *Checker) checkTimeout(e trace.Event, fail failf) *Violation {
 // checkFastRetx delegates the third-duplicate-ACK response to the
 // variant's profile: Tahoe collapses and rewinds, the Reno family
 // retransmits the hole and enters fast recovery.
-func (c *Checker) checkFastRetx(e trace.Event, fail failf) *Violation {
-	return c.profile.fastRetx(c, e, c.last, fail)
+func (c *Checker) checkFastRetx(e *trace.Event) *Violation {
+	return c.profile.fastRetx(c, e, &c.last)
 }
 
 // checkHalved asserts e.Ssthresh == max(min(prev cwnd, window)/2, 2*MSS).
-func (c *Checker) checkHalved(rule string, e, p trace.Event, fail failf) *Violation {
+func (c *Checker) checkHalved(rule string, e, p *trace.Event) *Violation {
 	flight := float64(p.Cwnd)
 	if adv := float64(c.cfg.Window); adv < flight {
 		flight = adv
@@ -604,7 +665,7 @@ func (c *Checker) checkHalved(rule string, e, p trace.Event, fail failf) *Violat
 		exp = min
 	}
 	if !within(float64(e.Ssthresh), exp, c.cfg.ByteTol) {
-		return fail(rule,
+		return c.fail(rule,
 			"ssthresh %d, want %.0f (half of min(cwnd=%d, window=%d), floored at 2 segments)",
 			e.Ssthresh, exp, p.Cwnd, int64(c.cfg.Window))
 	}
@@ -614,31 +675,31 @@ func (c *Checker) checkHalved(rule string, e, p trace.Event, fail failf) *Violat
 // checkEBSNReset validates the paper's EBSN response: the source restarts
 // its retransmission timer with the *current* RTO — it does not extend an
 // existing deadline, does not back off, and touches no congestion state.
-func (c *Checker) checkEBSNReset(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkEBSNReset(e *trace.Event) *Violation {
 	if c.cfg.TrackNotifications {
 		c.ebsnResets++
 		if c.ebsnResets > c.ebsnSent {
-			return fail("ebsn/reset-without-notification",
+			return c.fail("ebsn/reset-without-notification",
 				"%d timer resets but only %d EBSNs were sent by the base station",
 				c.ebsnResets, c.ebsnSent)
 		}
 	}
 	if e.SndNxt > e.SndUna && !c.deadlineIs(e, e.At+e.RTO) {
-		return fail("ebsn/timer-restart-not-extend",
+		return c.fail("ebsn/timer-restart-not-extend",
 			"timer deadline %v after EBSN, want restart at %v (now + current RTO)",
 			e.Deadline, e.At+e.RTO)
 	}
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh {
-		return fail("ebsn/no-congestion-response",
+		return c.fail("ebsn/no-congestion-response",
 			"EBSN moved cwnd/ssthresh %d/%d -> %d/%d (must be congestion-neutral)",
 			p.Cwnd, p.Ssthresh, e.Cwnd, e.Ssthresh)
 	}
 	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
-		return fail("ebsn/timer-restart-not-extend",
+		return c.fail("ebsn/timer-restart-not-extend",
 			"EBSN changed the timeout value (shift %d->%d, RTO %v->%v); it may only re-arm",
 			p.Shift, e.Shift, p.RTO, e.RTO)
 	}
@@ -649,24 +710,24 @@ func (c *Checker) checkEBSNReset(e trace.Event, fail failf) *Violation {
 // collapses to one segment, and nothing else moves (in particular the
 // retransmission timer — which is exactly why quench cannot prevent the
 // timeouts EBSN prevents).
-func (c *Checker) checkQuench(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkQuench(e *trace.Event) *Violation {
 	if c.cfg.TrackNotifications {
 		c.quenchIn++
 		if c.quenchIn > c.quenchSent {
-			return fail("quench/in-without-notification",
+			return c.fail("quench/in-without-notification",
 				"%d quench responses but only %d quenches were sent", c.quenchIn, c.quenchSent)
 		}
 	}
 	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
-		return fail("quench/collapse",
+		return c.fail("quench/collapse",
 			"cwnd %d after source quench, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
 	}
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if e.Ssthresh != p.Ssthresh || e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
-		return fail("quench/collapse",
+		return c.fail("quench/collapse",
 			"source quench moved ssthresh/shift/RTO (%d/%d/%v -> %d/%d/%v)",
 			p.Ssthresh, p.Shift, p.RTO, e.Ssthresh, e.Shift, e.RTO)
 	}
@@ -675,20 +736,20 @@ func (c *Checker) checkQuench(e trace.Event, fail failf) *Violation {
 
 // checkECN validates the [Floyd 94] ECN response: one halving per flight,
 // with cwnd dropped to the new ssthresh.
-func (c *Checker) checkECN(e trace.Event, fail failf) *Violation {
+func (c *Checker) checkECN(e *trace.Event) *Violation {
 	if !within(float64(e.Cwnd), float64(e.Ssthresh), c.cfg.ByteTol) {
-		return fail("ecn/halve",
+		return c.fail("ecn/halve",
 			"cwnd %d after ECN echo, want the new ssthresh %d", e.Cwnd, e.Ssthresh)
 	}
 	if !c.haveLast {
 		return nil
 	}
-	return c.checkHalved("ecn/halve", e, c.last, fail)
+	return c.checkHalved("ecn/halve", e, &c.last)
 }
 
 // deadlineIs compares an armed deadline within the time tolerance; an
 // idle timer (negative deadline) never matches.
-func (c *Checker) deadlineIs(e trace.Event, want time.Duration) bool {
+func (c *Checker) deadlineIs(e *trace.Event, want time.Duration) bool {
 	if e.Deadline < 0 {
 		return false
 	}

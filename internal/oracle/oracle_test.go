@@ -405,20 +405,107 @@ func TestMobileReorderRule(t *testing.T) {
 
 func TestCheckerLatchesFirstViolation(t *testing.T) {
 	c := New(baseCfg())
-	v0 := c.Observe(0, trace.Event{Kind: trace.MHDeliver, Unit: 2})
+	v0 := c.Observe(0, &trace.Event{Kind: trace.MHDeliver, Unit: 2})
 	if v0 != nil {
 		t.Fatalf("first delivery flagged: %v", v0)
 	}
-	v1 := c.Observe(1, trace.Event{Kind: trace.MHDeliver, Unit: 2})
+	v1 := c.Observe(1, &trace.Event{Kind: trace.MHDeliver, Unit: 2})
 	if v1 == nil || c.First() != v1 {
 		t.Fatalf("violation not latched: %v, first=%v", v1, c.First())
 	}
 	// A later, independent violation is still reported but First stays.
-	v2 := c.Observe(2, trace.Event{Kind: trace.MHDeliver, Unit: 1})
+	v2 := c.Observe(2, &trace.Event{Kind: trace.MHDeliver, Unit: 1})
 	if v2 == nil || c.First() != v1 {
 		t.Errorf("latch moved: %v", c.First())
 	}
 	if v1.Error() == "" || v1.Index != 1 {
 		t.Errorf("violation error text/index: %v", v1)
+	}
+}
+
+// TestSnoopShadowRules pins every snoop rule by name, including which one
+// a suppressed stale ACK is filed under: the stale-ACK rule comes first,
+// because the shadow may already have pruned the segment below snd_una.
+func TestSnoopShadowRules(t *testing.T) {
+	cfg := baseCfg()
+	cfg.SnoopMaxRetx = 2
+	// After the prefix snd_una is one segment, snd_max three; the agent
+	// has cached the two segments in flight and retransmitted the first.
+	prefix := append(slowStartPrefix(),
+		trace.Event{At: sec, Kind: trace.SnoopAdmit, Seq: mss},
+		trace.Event{At: sec, Kind: trace.SnoopAdmit, Seq: 2 * mss},
+		trace.Event{At: 2 * sec, Kind: trace.SnoopRetx, Seq: mss, Attempt: 1},
+		trace.Event{At: 2 * sec, Kind: trace.SnoopSuppress, Ack: mss},
+	)
+	if v := Check(cfg, prefix); v != nil {
+		t.Fatalf("conforming snoop stream rejected: %v", v)
+	}
+	at := len(prefix)
+	for _, tc := range []struct {
+		name string
+		next []trace.Event
+		rule string
+	}{
+		{"retransmit uncached", []trace.Event{{Kind: trace.SnoopRetx, Seq: 5 * mss, Attempt: 1}}, "snoop/retx-uncached"},
+		{"attempt skipped", []trace.Event{{Kind: trace.SnoopRetx, Seq: 2 * mss, Attempt: 2}}, "snoop/retx-order"},
+		{"past the cap", []trace.Event{
+			{Kind: trace.SnoopRetx, Seq: mss, Attempt: 2},
+			{Kind: trace.SnoopRetx, Seq: mss, Attempt: 3}}, "snoop/retx-cap"},
+		{"suppress uncached", []trace.Event{{Kind: trace.SnoopSuppress, Ack: 3 * mss}}, "snoop/suppress-needs-cache"},
+		{"suppress stale ack", []trace.Event{{Kind: trace.SnoopSuppress, Ack: 0}}, "snoop/suppress-only-dupacks"},
+		{"evict twice", []trace.Event{
+			{Kind: trace.SnoopEvict, Seq: 2 * mss},
+			{Kind: trace.SnoopEvict, Seq: 2 * mss}}, "snoop/evict-uncached"},
+		{"retransmit after evict", []trace.Event{
+			{Kind: trace.SnoopEvict, Seq: mss},
+			{Kind: trace.SnoopRetx, Seq: mss, Attempt: 2}}, "snoop/retx-uncached"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := append(append([]trace.Event{}, prefix...), tc.next...)
+			wantViolation(t, Check(cfg, events), tc.rule, at+len(tc.next)-1)
+		})
+	}
+}
+
+// TestShadowPruning checks the two prunes a new ACK performs against
+// their proof obligations. A cached copy goes only when snd_una has
+// passed the snd_max of its admission — so a copy re-admitted below
+// snd_una (a source retransmission that crossed its own ACK on the wire;
+// the agent may still retransmit it on its local timer) survives. A
+// discarded packet goes once everything sent before its discard is
+// acknowledged.
+func TestShadowPruning(t *testing.T) {
+	c := New(baseCfg())
+	for i := int64(1); i <= snoopSweepFloor; i++ {
+		c.snoopCache[i*mss] = snoopSeg{sentTo: (i + 1) * mss}
+	}
+	c.snoopCache[0] = snoopSeg{retx: 1, sentTo: 40 * mss} // re-admitted when snd_max was 40 segments
+	c.discarded[7] = 10 * mss
+	c.discarded[9] = 30 * mss
+
+	c.pruneShadows(20 * mss)
+
+	for i := int64(1); i <= snoopSweepFloor; i++ {
+		_, cached := c.snoopCache[i*mss]
+		if want := (i+1)*mss >= 20*mss; cached != want {
+			t.Errorf("segment %d (admitted at snd_max %d): cached=%v after snd_una reached 20 segments, want %v", i, i+1, cached, want)
+		}
+	}
+	if seg, cached := c.snoopCache[0]; !cached || seg.retx != 1 {
+		t.Errorf("copy re-admitted below snd_una was pruned (cached=%v %+v); its local retransmission would read as snoop/retx-uncached", cached, seg)
+	}
+	if _, gone := c.discarded[7]; gone {
+		t.Error("packet discarded before snd_max 10 segments still remembered at snd_una 20")
+	}
+	if _, gone := c.discarded[9]; !gone {
+		t.Error("packet discarded at snd_max 30 segments forgotten at snd_una 20")
+	}
+
+	// Below the sweep threshold the snoop shadow is left alone: the sweep
+	// is paced by doubling, not run per ACK.
+	before := len(c.snoopCache)
+	c.pruneShadows(1000 * mss)
+	if len(c.snoopCache) != before {
+		t.Errorf("snoop shadow swept at %d entries, threshold is %d", before, c.snoopSweepAt)
 	}
 }

@@ -14,18 +14,19 @@ import (
 // "newreno/...", "sack/...").
 //
 // Every method receives the checker (for shared helpers and the shadow
-// recovery state), the offending event e, and the previous sender event
-// p (only valid when c.haveLast).
+// recovery state), the event under observation e, and the previous
+// sender event p (only valid when c.haveLast) — both by pointer into
+// storage the caller owns, read-only.
 type profile interface {
 	// prefix is the rule namespace, equal to the variant's wire name.
 	prefix() string
 	// newAck checks the congestion response to a window-advancing ACK.
-	newAck(c *Checker, e, p trace.Event, fail failf) *Violation
+	newAck(c *Checker, e, p *trace.Event) *Violation
 	// dupAck checks a duplicate ACK that did not trigger fast
 	// retransmit (below threshold, or inside fast recovery).
-	dupAck(c *Checker, e, p trace.Event, fail failf) *Violation
+	dupAck(c *Checker, e, p *trace.Event) *Violation
 	// fastRetx checks the third-duplicate-ACK response.
-	fastRetx(c *Checker, e, p trace.Event, fail failf) *Violation
+	fastRetx(c *Checker, e, p *trace.Event) *Violation
 }
 
 // profileFor resolves the conformance profile for a sender variant:
@@ -34,15 +35,15 @@ type profile interface {
 // handling.
 func profileFor(v tcp.Variant) profile {
 	if v.FastRecovery() {
-		return &renoProfile{variant: v}
+		return newRenoProfile(v)
 	}
-	return &tahoeProfile{}
+	return tahoeProfile{}
 }
 
 // checkGrowth validates one window-growth step outside any recovery
 // episode: slow start below ssthresh, else congestion avoidance, capped
 // at the advertised window plus one segment. Shared by every profile.
-func (c *Checker) checkGrowth(rule string, e, p trace.Event, fail failf) *Violation {
+func (c *Checker) checkGrowth(rule string, e, p *trace.Event) *Violation {
 	mss := float64(c.cfg.MSS)
 	capTo := func(x float64) float64 {
 		if cap := float64(c.cfg.Window) + mss; x > cap {
@@ -55,7 +56,7 @@ func (c *Checker) checkGrowth(rule string, e, p trace.Event, fail failf) *Violat
 	switch {
 	case p.Cwnd < p.Ssthresh:
 		if !within(float64(e.Cwnd), ss, c.cfg.ByteTol) {
-			return fail(rule,
+			return c.fail(rule,
 				"slow start growth from cwnd=%d gives %d, want %.0f", p.Cwnd, e.Cwnd, ss)
 		}
 	case p.Cwnd == p.Ssthresh:
@@ -63,13 +64,13 @@ func (c *Checker) checkGrowth(rule string, e, p trace.Event, fail failf) *Violat
 		// ssthresh, so cwnd==ssthresh here is consistent with either
 		// phase. Accept both growth laws.
 		if !within(float64(e.Cwnd), ss, c.cfg.ByteTol) && !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
-			return fail(rule,
+			return c.fail(rule,
 				"growth at the slow-start boundary from cwnd=%d gives %d, want %.0f or %.0f",
 				p.Cwnd, e.Cwnd, ca, ss)
 		}
 	default:
 		if !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
-			return fail(rule,
+			return c.fail(rule,
 				"congestion avoidance growth from cwnd=%d gives %d, want %.0f", p.Cwnd, e.Cwnd, ca)
 		}
 	}
@@ -82,24 +83,24 @@ type tahoeProfile struct{}
 
 func (tahoeProfile) prefix() string { return "tahoe" }
 
-func (tahoeProfile) newAck(c *Checker, e, p trace.Event, fail failf) *Violation {
-	if v := c.checkGrowth("tahoe/cwnd-growth", e, p, fail); v != nil {
+func (tahoeProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
+	if v := c.checkGrowth("tahoe/cwnd-growth", e, p); v != nil {
 		return v
 	}
 	if e.Ssthresh != p.Ssthresh {
-		return fail("tahoe/cwnd-growth",
+		return c.fail("tahoe/cwnd-growth",
 			"ssthresh moved %d -> %d on a new ACK", p.Ssthresh, e.Ssthresh)
 	}
 	return nil
 }
 
-func (tahoeProfile) dupAck(c *Checker, e, p trace.Event, fail failf) *Violation {
+func (tahoeProfile) dupAck(c *Checker, e, p *trace.Event) *Violation {
 	if e.DupAcks >= tcp.DupAckThreshold {
-		return fail("tahoe/missed-fast-retransmit",
+		return c.fail("tahoe/missed-fast-retransmit",
 			"duplicate-ACK run reached %d without a fast retransmit", e.DupAcks)
 	}
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh {
-		return fail("tahoe/dupack-no-growth",
+		return c.fail("tahoe/dupack-no-growth",
 			"below-threshold duplicate ACK moved cwnd/ssthresh %d/%d -> %d/%d",
 			p.Cwnd, p.Ssthresh, e.Cwnd, e.Ssthresh)
 	}
@@ -110,31 +111,31 @@ func (tahoeProfile) dupAck(c *Checker, e, p trace.Event, fail failf) *Violation 
 // duplicate ACK: ssthresh halves, the window collapses and slow start
 // resumes from snd_una — with no timer backoff (the ACK clock is still
 // running; backing off here is the mistake Karn's rule is about).
-func (tahoeProfile) fastRetx(c *Checker, e, p trace.Event, fail failf) *Violation {
+func (tahoeProfile) fastRetx(c *Checker, e, p *trace.Event) *Violation {
 	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
-		return fail("tahoe/fastretx-collapse",
+		return c.fail("tahoe/fastretx-collapse",
 			"cwnd %d after fast retransmit, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
 	}
 	if e.SndNxt != e.SndUna {
-		return fail("tahoe/fastretx-collapse",
+		return c.fail("tahoe/fastretx-collapse",
 			"snd_nxt %d not rewound to snd_una %d", e.SndNxt, e.SndUna)
 	}
 	if e.DupAcks != 0 {
-		return fail("tahoe/fastretx-collapse",
+		return c.fail("tahoe/fastretx-collapse",
 			"fast retransmit did not clear the duplicate-ACK run (%d)", e.DupAcks)
 	}
 	if !c.deadlineIs(e, e.At+e.RTO) {
-		return fail("tahoe/fastretx-timer",
+		return c.fail("tahoe/fastretx-timer",
 			"timer deadline %v after fast retransmit, want %v (now+RTO)", e.Deadline, e.At+e.RTO)
 	}
 	if !c.haveLast {
 		return nil
 	}
-	if v := c.checkHalved("tahoe/fastretx-ssthresh", e, p, fail); v != nil {
+	if v := c.checkHalved("tahoe/fastretx-ssthresh", e, p); v != nil {
 		return v
 	}
 	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
-		return fail("tahoe/fastretx-no-backoff",
+		return c.fail("tahoe/fastretx-no-backoff",
 			"fast retransmit changed the timeout (shift %d->%d, RTO %v->%v)",
 			p.Shift, e.Shift, p.RTO, e.RTO)
 	}
@@ -149,18 +150,45 @@ func (tahoeProfile) fastRetx(c *Checker, e, p trace.Event, fail failf) *Violatio
 // new ACK, NewReno and SACK retransmit the next hole and stay in.
 type renoProfile struct {
 	variant tcp.Variant
+	// Every rule name the profile can emit, built once from the prefix
+	// so that checking a conforming ACK concatenates nothing.
+	cwndGrowth, recoveryExit, partialAckRetransmit, partialAckDeflate,
+	recoveryInflation, missedFastRetransmit, dupackNoGrowth,
+	fastretxInRecovery, fastretxEnter, fastretxTimer, fastretxRetransmit,
+	fastretxInflate, fastretxNoRewind, fastretxSsthresh, fastretxNoBackoff string
+}
+
+func newRenoProfile(v tcp.Variant) *renoProfile {
+	pre := v.String()
+	return &renoProfile{
+		variant:              v,
+		cwndGrowth:           pre + "/cwnd-growth",
+		recoveryExit:         pre + "/recovery-exit",
+		partialAckRetransmit: pre + "/partial-ack-retransmit",
+		partialAckDeflate:    pre + "/partial-ack-deflate",
+		recoveryInflation:    pre + "/recovery-inflation",
+		missedFastRetransmit: pre + "/missed-fast-retransmit",
+		dupackNoGrowth:       pre + "/dupack-no-growth",
+		fastretxInRecovery:   pre + "/fastretx-in-recovery",
+		fastretxEnter:        pre + "/fastretx-enter",
+		fastretxTimer:        pre + "/fastretx-timer",
+		fastretxRetransmit:   pre + "/fastretx-retransmit",
+		fastretxInflate:      pre + "/fastretx-inflate",
+		fastretxNoRewind:     pre + "/fastretx-no-rewind",
+		fastretxSsthresh:     pre + "/fastretx-ssthresh",
+		fastretxNoBackoff:    pre + "/fastretx-no-backoff",
+	}
 }
 
 func (r *renoProfile) prefix() string { return r.variant.String() }
 
-func (r *renoProfile) newAck(c *Checker, e, p trace.Event, fail failf) *Violation {
-	pre := r.prefix()
+func (r *renoProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
 	if !c.inRecovery {
-		if v := c.checkGrowth(pre+"/cwnd-growth", e, p, fail); v != nil {
+		if v := c.checkGrowth(r.cwndGrowth, e, p); v != nil {
 			return v
 		}
 		if e.Ssthresh != p.Ssthresh {
-			return fail(pre+"/cwnd-growth",
+			return c.fail(r.cwndGrowth,
 				"ssthresh moved %d -> %d on a new ACK", p.Ssthresh, e.Ssthresh)
 		}
 		return nil
@@ -171,22 +199,22 @@ func (r *renoProfile) newAck(c *Checker, e, p trace.Event, fail failf) *Violatio
 		// detection; the window deflates to ssthresh and recovery ends.
 		c.inRecovery = false
 		if !within(float64(e.Cwnd), float64(e.Ssthresh), c.cfg.ByteTol) {
-			return fail(pre+"/recovery-exit",
+			return c.fail(r.recoveryExit,
 				"cwnd %d leaving recovery, want deflation to ssthresh %d", e.Cwnd, e.Ssthresh)
 		}
 		if e.Ssthresh != p.Ssthresh {
-			return fail(pre+"/recovery-exit",
+			return c.fail(r.recoveryExit,
 				"ssthresh moved %d -> %d leaving recovery", p.Ssthresh, e.Ssthresh)
 		}
 	case !r.variant.PartialAckRetransmit():
 		// Plain Reno leaves recovery on any new ACK, full or not.
 		c.inRecovery = false
 		if !within(float64(e.Cwnd), float64(e.Ssthresh), c.cfg.ByteTol) {
-			return fail(pre+"/recovery-exit",
+			return c.fail(r.recoveryExit,
 				"cwnd %d leaving recovery on a partial ACK, want ssthresh %d", e.Cwnd, e.Ssthresh)
 		}
 		if e.Ssthresh != p.Ssthresh {
-			return fail(pre+"/recovery-exit",
+			return c.fail(r.recoveryExit,
 				"ssthresh moved %d -> %d leaving recovery", p.Ssthresh, e.Ssthresh)
 		}
 	default:
@@ -198,9 +226,9 @@ func (r *renoProfile) newAck(c *Checker, e, p trace.Event, fail failf) *Violatio
 		if !c.haveLast2 {
 			return nil
 		}
-		base := c.last2
+		base := &c.last2
 		if p.Kind != trace.Retransmit || p.Seq != e.Ack {
-			return fail(pre+"/partial-ack-retransmit",
+			return c.fail(r.partialAckRetransmit,
 				"partial ACK %d in recovery without a retransmission of the hole at %d", e.Ack, e.Ack)
 		}
 		exp := float64(base.Cwnd) - float64(e.Ack-base.SndUna)
@@ -208,39 +236,38 @@ func (r *renoProfile) newAck(c *Checker, e, p trace.Event, fail failf) *Violatio
 			exp = mss
 		}
 		if !within(float64(e.Cwnd), exp, c.cfg.ByteTol) {
-			return fail(pre+"/partial-ack-deflate",
+			return c.fail(r.partialAckDeflate,
 				"cwnd %d after partial ACK %d, want %.0f (deflated by the %d acked bytes)",
 				e.Cwnd, e.Ack, exp, e.Ack-base.SndUna)
 		}
 		if e.Ssthresh != base.Ssthresh {
-			return fail(pre+"/partial-ack-deflate",
+			return c.fail(r.partialAckDeflate,
 				"ssthresh moved %d -> %d on a partial ACK", base.Ssthresh, e.Ssthresh)
 		}
 	}
 	return nil
 }
 
-func (r *renoProfile) dupAck(c *Checker, e, p trace.Event, fail failf) *Violation {
-	pre := r.prefix()
+func (r *renoProfile) dupAck(c *Checker, e, p *trace.Event) *Violation {
 	if c.inRecovery {
 		// Window inflation: every duplicate during recovery signals one
 		// more segment has left the network.
 		if !within(float64(e.Cwnd), float64(p.Cwnd)+float64(c.cfg.MSS), c.cfg.ByteTol) {
-			return fail(pre+"/recovery-inflation",
+			return c.fail(r.recoveryInflation,
 				"duplicate ACK in recovery moved cwnd %d -> %d, want inflation by one segment", p.Cwnd, e.Cwnd)
 		}
 		if e.Ssthresh != p.Ssthresh {
-			return fail(pre+"/recovery-inflation",
+			return c.fail(r.recoveryInflation,
 				"ssthresh moved %d -> %d during recovery", p.Ssthresh, e.Ssthresh)
 		}
 		return nil
 	}
 	if e.DupAcks >= tcp.DupAckThreshold {
-		return fail(pre+"/missed-fast-retransmit",
+		return c.fail(r.missedFastRetransmit,
 			"duplicate-ACK run reached %d without a fast retransmit", e.DupAcks)
 	}
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh {
-		return fail(pre+"/dupack-no-growth",
+		return c.fail(r.dupackNoGrowth,
 			"below-threshold duplicate ACK moved cwnd/ssthresh %d/%d -> %d/%d",
 			p.Cwnd, p.Ssthresh, e.Cwnd, e.Ssthresh)
 	}
@@ -250,45 +277,44 @@ func (r *renoProfile) dupAck(c *Checker, e, p trace.Event, fail failf) *Violatio
 // fastRetx validates recovery entry: the lost segment retransmitted in
 // the same transition, ssthresh halved, cwnd inflated to ssthresh plus
 // three segments, no go-back-N rewind, and no timer backoff.
-func (r *renoProfile) fastRetx(c *Checker, e, p trace.Event, fail failf) *Violation {
-	pre := r.prefix()
+func (r *renoProfile) fastRetx(c *Checker, e, p *trace.Event) *Violation {
 	if c.inRecovery {
-		return fail(pre+"/fastretx-in-recovery",
+		return c.fail(r.fastretxInRecovery,
 			"fast retransmit fired while already in fast recovery")
 	}
 	c.inRecovery = true
 	c.recoverSeq = e.SndMax
 	if e.DupAcks != tcp.DupAckThreshold {
-		return fail(pre+"/fastretx-enter",
+		return c.fail(r.fastretxEnter,
 			"fast retransmit with a duplicate-ACK run of %d, want %d", e.DupAcks, tcp.DupAckThreshold)
 	}
 	if !c.deadlineIs(e, e.At+e.RTO) {
-		return fail(pre+"/fastretx-timer",
+		return c.fail(r.fastretxTimer,
 			"timer deadline %v after fast retransmit, want %v (now+RTO)", e.Deadline, e.At+e.RTO)
 	}
 	if !c.haveLast {
 		return nil
 	}
 	if p.Kind != trace.Retransmit || p.Seq != e.SndUna {
-		return fail(pre+"/fastretx-retransmit",
+		return c.fail(r.fastretxRetransmit,
 			"recovery entered without a retransmission of the hole at snd_una %d", e.SndUna)
 	}
 	inflated := float64(e.Ssthresh) + float64(tcp.DupAckThreshold)*float64(c.cfg.MSS)
 	if !within(float64(e.Cwnd), inflated, c.cfg.ByteTol) {
-		return fail(pre+"/fastretx-inflate",
+		return c.fail(r.fastretxInflate,
 			"cwnd %d entering recovery, want ssthresh %d + %d segments (%.0f)",
 			e.Cwnd, e.Ssthresh, tcp.DupAckThreshold, inflated)
 	}
 	if e.SndNxt != p.SndNxt || e.SndUna != p.SndUna {
-		return fail(pre+"/fastretx-no-rewind",
+		return c.fail(r.fastretxNoRewind,
 			"fast recovery moved sequence pointers (snd_nxt %d -> %d, snd_una %d -> %d)",
 			p.SndNxt, e.SndNxt, p.SndUna, e.SndUna)
 	}
-	if v := c.checkHalved(pre+"/fastretx-ssthresh", e, p, fail); v != nil {
+	if v := c.checkHalved(r.fastretxSsthresh, e, p); v != nil {
 		return v
 	}
 	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
-		return fail(pre+"/fastretx-no-backoff",
+		return c.fail(r.fastretxNoBackoff,
 			"fast retransmit changed the timeout (shift %d->%d, RTO %v->%v)",
 			p.Shift, e.Shift, p.RTO, e.RTO)
 	}

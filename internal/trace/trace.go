@@ -12,9 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"wtcp/internal/bs"
-	"wtcp/internal/packet"
-	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
 
@@ -150,12 +147,12 @@ type Event struct {
 	Pkt  uint64
 }
 
-// Trace accumulates events for one connection.
+// Trace is the store: it retains the events of one connection for the
+// Figure 3-5 renderings, the CSV and the golden encoding. A run feeds it
+// from a Source (see Source.Store); Record appends by hand.
 type Trace struct {
 	mss    units.ByteSize
 	events []Event
-	// observer, when set, sees every recorded event with its index.
-	observer func(idx int, e Event)
 }
 
 // New returns an empty trace for a connection with the given MSS (used to
@@ -167,127 +164,9 @@ func New(mss units.ByteSize) *Trace {
 	return &Trace{mss: mss}
 }
 
-// packetNo converts a byte offset to the paper's packet number.
-func (tr *Trace) packetNo(seq int64) int64 { return seq / int64(tr.mss) }
-
 // Record appends a bare event (the original Figure 3-5 fields only).
 func (tr *Trace) Record(at time.Duration, kind EventKind, seq int64) {
-	tr.record(Event{At: at, Kind: kind, Seq: seq})
-}
-
-// record derives the packet number, appends the event, and notifies the
-// observer.
-func (tr *Trace) record(e Event) {
-	e.PacketNo = tr.packetNo(e.Seq)
-	tr.events = append(tr.events, e)
-	if tr.observer != nil {
-		tr.observer(len(tr.events)-1, e)
-	}
-}
-
-// SetObserver installs a streaming subscriber invoked synchronously for
-// every recorded event with its index — the conformance oracle's
-// attachment point. One observer at a time; nil clears it.
-func (tr *Trace) SetObserver(fn func(idx int, e Event)) { tr.observer = fn }
-
-// Hooks returns sender hooks that feed this trace. now must report the
-// simulation clock. The state-snapshot hook drives everything: legacy
-// kinds (Send/Timeout/...) are synthesized from snapshots so each sender
-// transition records exactly one event, enriched with the conformance
-// fields.
-func (tr *Trace) Hooks(now func() time.Duration) tcp.Hooks {
-	return tcp.Hooks{
-		OnState: func(st tcp.StateSnapshot) { tr.recordState(now(), st) },
-	}
-}
-
-// recordState converts one sender state snapshot into a trace event.
-func (tr *Trace) recordState(at time.Duration, st tcp.StateSnapshot) {
-	e := Event{
-		At:       at,
-		Seq:      st.Seq,
-		Payload:  int64(st.Payload),
-		Ack:      st.AckNo,
-		AckClass: int(st.AckClass),
-		Cwnd:     int64(st.Cwnd),
-		Ssthresh: int64(st.Ssthresh),
-		SndUna:   st.SndUna,
-		SndNxt:   st.SndNxt,
-		SndMax:   st.SndMax,
-		RTO:      st.RTO,
-		Deadline: st.TimerDeadline,
-		Shift:    st.BackoffShift,
-		DupAcks:  st.DupAcks,
-	}
-	switch st.Kind {
-	case tcp.StateSend:
-		e.Kind = Send
-		if st.Retransmit {
-			e.Kind = Retransmit
-		}
-	case tcp.StateAck:
-		e.Kind = AckIn
-	case tcp.StateTimeout:
-		e.Kind = Timeout
-	case tcp.StateFastRetx:
-		e.Kind = FastRetx
-	case tcp.StateEBSN:
-		e.Kind = EBSNReset
-	case tcp.StateQuench:
-		e.Kind = QuenchIn
-	case tcp.StateECN:
-		e.Kind = ECNEcho
-	default:
-		return
-	}
-	tr.record(e)
-}
-
-// BSHooks returns base-station hooks that feed this trace, interleaving
-// ARQ and notification events with the sender's in one stream.
-func (tr *Trace) BSHooks(now func() time.Duration) bs.Hooks {
-	return bs.Hooks{
-		OnARQAttempt: func(unit, pkt uint64, attempt int) {
-			tr.record(Event{At: now(), Kind: ARQAttempt, Unit: unit, Pkt: pkt, Attempt: attempt})
-		},
-		OnARQFailure: func(unit, pkt uint64, attempt int) {
-			tr.record(Event{At: now(), Kind: ARQFailure, Unit: unit, Pkt: pkt, Attempt: attempt})
-		},
-		OnARQAck: func(unit, pkt uint64) {
-			tr.record(Event{At: now(), Kind: ARQAck, Unit: unit, Pkt: pkt})
-		},
-		OnARQDiscard: func(pkt uint64) {
-			tr.record(Event{At: now(), Kind: ARQDiscard, Pkt: pkt})
-		},
-		OnNotify: func(kind packet.Kind, conn int) {
-			k := EBSNSent
-			if kind == packet.SourceQuench {
-				k = QuenchSent
-			}
-			tr.record(Event{At: now(), Kind: k})
-		},
-		OnSnoopAdmit: func(seq int64) {
-			tr.record(Event{At: now(), Kind: SnoopAdmit, Seq: seq})
-		},
-		OnSnoopRetx: func(seq int64, attempt int) {
-			tr.record(Event{At: now(), Kind: SnoopRetx, Seq: seq, Attempt: attempt})
-		},
-		OnSnoopSuppress: func(ackNo int64) {
-			tr.record(Event{At: now(), Kind: SnoopSuppress, Ack: ackNo})
-		},
-		OnSnoopEvict: func(seq int64) {
-			tr.record(Event{At: now(), Kind: SnoopEvict, Seq: seq})
-		},
-	}
-}
-
-// MobileHook returns a sequenced-delivery observer (node.Mobile's
-// SetSequencedHook) that records MHDeliver events carrying the link
-// sequence number.
-func (tr *Trace) MobileHook(now func() time.Duration) func(*packet.Packet) {
-	return func(p *packet.Packet) {
-		tr.record(Event{At: now(), Kind: MHDeliver, Seq: p.Seq, Unit: uint64(p.LinkSeq)})
-	}
+	tr.events = append(tr.events, Event{At: at, Kind: kind, Seq: seq, PacketNo: seq / int64(tr.mss)})
 }
 
 // Events returns the recorded events in order.

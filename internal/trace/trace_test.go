@@ -35,9 +35,9 @@ func TestRecordAndPacketNumbers(t *testing.T) {
 }
 
 func TestHooksFeedTrace(t *testing.T) {
-	tr := New(536)
 	now := time.Duration(0)
-	h := tr.Hooks(func() time.Duration { return now })
+	src := NewSource(536, func() time.Duration { return now })
+	tr, h := src.Store(), src.Hooks()
 	now = time.Second
 	h.OnState(tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536})
 	now = 2 * time.Second
@@ -57,8 +57,8 @@ func TestHooksFeedTrace(t *testing.T) {
 }
 
 func TestStateSnapshotFieldsReachEvent(t *testing.T) {
-	tr := New(536)
-	h := tr.Hooks(func() time.Duration { return 5 * time.Second })
+	src := NewSource(536, func() time.Duration { return 5 * time.Second })
+	tr, h := src.Store(), src.Hooks()
 	h.OnState(tcp.StateSnapshot{
 		Kind: tcp.StateAck, AckNo: 1072, AckClass: tcp.AckNew,
 		Cwnd: 1608, Ssthresh: 4288,
@@ -80,9 +80,9 @@ func TestStateSnapshotFieldsReachEvent(t *testing.T) {
 }
 
 func TestBSHooksFeedTrace(t *testing.T) {
-	tr := New(536)
 	now := time.Duration(0)
-	h := tr.BSHooks(func() time.Duration { return now })
+	src := NewSource(536, func() time.Duration { return now })
+	tr, h := src.Store(), src.BSHooks()
 	now = time.Second
 	h.OnARQAttempt(7, 3, 1)
 	h.OnARQFailure(7, 3, 1)
@@ -100,7 +100,7 @@ func TestBSHooksFeedTrace(t *testing.T) {
 	if first.Unit != 7 || first.Pkt != 3 || first.Attempt != 1 {
 		t.Errorf("arq fields lost: %+v", first)
 	}
-	mh := tr.MobileHook(func() time.Duration { return now })
+	mh := src.MobileHook()
 	mh(&packet.Packet{Seq: 536, LinkSeq: 9})
 	last := tr.Events()[len(tr.Events())-1]
 	if last.Kind != MHDeliver || last.Seq != 536 || last.Unit != 9 {
@@ -108,26 +108,39 @@ func TestBSHooksFeedTrace(t *testing.T) {
 	}
 }
 
-func TestSetObserverStreamsEvents(t *testing.T) {
-	tr := New(536)
+// TestSourceStreamsWithoutStoring pins the source/sink contract: a sink
+// sees every event with its position in the stream, the index counts
+// events whether or not anything stores them, and a store subscribed
+// later retains only what follows.
+func TestSourceStreamsWithoutStoring(t *testing.T) {
+	now := time.Second
+	src := NewSource(536, func() time.Duration { return now })
 	var idxs []int
-	var kinds []EventKind
-	tr.SetObserver(func(idx int, e Event) {
+	var got []Event
+	src.Subscribe(func(idx int, e *Event) {
 		idxs = append(idxs, idx)
-		kinds = append(kinds, e.Kind)
+		got = append(got, *e)
 	})
-	tr.Record(time.Second, Send, 0)
-	tr.Record(2*time.Second, Timeout, 0)
-	tr.SetObserver(nil)
-	tr.Record(3*time.Second, Send, 536)
-	if len(idxs) != 2 || idxs[0] != 0 || idxs[1] != 1 {
-		t.Errorf("observer indices = %v, want [0 1]", idxs)
+	h := src.Hooks()
+	h.OnState(tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 536, Payload: 536})
+	now = 2 * time.Second
+	h.OnState(tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 536})
+	tr := src.Store()
+	src.BSHooks().OnARQDiscard(4)
+	h.OnState(tcp.StateSnapshot{Kind: 0}) // not a traced transition: no event, no index
+	src.MobileHook()(&packet.Packet{Seq: 1072, LinkSeq: 1})
+
+	if len(idxs) != 4 || idxs[0] != 0 || idxs[1] != 1 || idxs[2] != 2 || idxs[3] != 3 {
+		t.Errorf("sink indices = %v, want [0 1 2 3]", idxs)
 	}
-	if kinds[0] != Send || kinds[1] != Timeout {
-		t.Errorf("observer kinds = %v", kinds)
+	if got[0].Kind != Send || got[0].At != time.Second || got[0].PacketNo != 1 ||
+		got[1].Kind != Timeout || got[1].At != 2*time.Second ||
+		got[2].Kind != ARQDiscard || got[2].Pkt != 4 || got[3].Kind != MHDeliver {
+		t.Errorf("sink events = %+v", got)
 	}
-	if len(tr.Events()) != 3 {
-		t.Error("clearing the observer must not stop recording")
+	evs := tr.Events()
+	if len(evs) != 2 || evs[0] != got[2] || evs[1] != got[3] {
+		t.Errorf("store subscribed after two events holds %+v, want the last two the sink saw", evs)
 	}
 }
 
