@@ -176,6 +176,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenario -fuzztime=30s ./internal/scenario
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=30s ./internal/chaos
+	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=30s ./internal/experiment
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline.
@@ -185,6 +186,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScenario -fuzztime=10s ./internal/scenario
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=10s ./internal/serve
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=10s ./internal/chaos
+	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=10s ./internal/experiment
 
 clean:
 	$(GO) clean ./...

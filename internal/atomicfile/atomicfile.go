@@ -1,0 +1,34 @@
+// Package atomicfile is the repo's one write-then-rename: every
+// persisted file (checkpoint ledger, status snapshots, cache entries,
+// journal entries, repro bundles) goes through Write so a reader — or a
+// process killed at any instant — sees either the previous complete
+// file or the new one, never a torn one.
+package atomicfile
+
+import (
+	"os"
+	"path/filepath"
+)
+
+// Write replaces path with data: the bytes are fully written to a temp
+// file in path's own directory (rename is only atomic within one file
+// system) and renamed over the old file. The directory must exist. On
+// any failure the temp file is removed and the returned *os.PathError
+// or *os.LinkError names the step that failed.
+func Write(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}

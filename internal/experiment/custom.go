@@ -10,8 +10,7 @@ import (
 // (internal/serve) uses to execute arbitrary scenario requests with the
 // full engine policy stack — worker pool, retry/backoff schedule,
 // failure classification, repro-bundle capture, health telemetry — and
-// to record the outcomes in ordinary checkpoint files that double as
-// the server's content-addressed result store.
+// to name its shared point ledgers.
 
 // RunCustom executes one caller-defined point: Replications runs of the
 // configurations built by build, samples extracted by extract, under
@@ -26,19 +25,6 @@ func RunCustom(ctx context.Context, opt Options, key string,
 	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, *Quarantine, error) {
 	opt = opt.withDefaults()
 	return executePoint(ctx, opt, key, build, extract)
-}
-
-// OpenLedgerAt opens (or creates) a ledger at path under an explicit
-// fingerprint instead of one derived from sweep Options. wtcpd's run
-// store uses this: its keys are content hashes of whole requests, so
-// the result-affecting configuration is inside every key and the file
-// fingerprint only has to version the store's own schema.
-func OpenLedgerAt(path, fingerprint string) (*Ledger, error) {
-	ck, err := openCheckpoint(path, fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	return &Ledger{ck: ck}, nil
 }
 
 // Fingerprint exposes the result-affecting options digest that keys

@@ -27,8 +27,9 @@ import (
 //     runner;
 //   - records every replication's raw measurements as float64 bit
 //     patterns, checkpointing each completed point to disk with an
-//     atomic write-rename (see checkpoint.go), so a killed sweep
-//     resumes from the last finished point with byte-identical output;
+//     atomic write-rename (Ledger.Settle, checkpoint.go), so a killed
+//     sweep resumes from the last finished point with byte-identical
+//     output;
 //   - retries a failed replication with a perturbed seed (retrying a
 //     deterministic failure with the same seed can never succeed) and
 //     records the substituted seed in the point's metadata;
@@ -86,68 +87,18 @@ func seedsOf(reps []RepRecord) []int64 {
 	return out
 }
 
-// runPoint executes one sweep point: reload it from the checkpoint if
-// already finished, otherwise run its replications on the worker pool,
-// checkpoint the completed point, and report it via OnPoint. extract
-// maps a successful run to the point's metric vector. A replication
-// that still fails after its retries is skipped; runPoint errors only
-// when every replication failed (a point built from zero samples would
-// silently fabricate results), a replication hit a fail-fast failure
-// class (protocol-bug, panic), or ctx ended.
-//
-// With a Supervisor configured, a point whose breaker trips (any
-// replication resource-exhausted, or every replication permanently
-// failed transient) is quarantined instead of failing the sweep: the
-// record goes to the supervisor and the checkpoint, and runPoint
-// returns errPointQuarantined so the sweep skips the point. A resumed
-// sweep replays recorded quarantines here, at the same place in sweep
-// order, which keeps its output byte-identical.
-func runPoint(ctx context.Context, opt Options, ck *checkpoint, key string,
-	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ck != nil {
-		if reps, ok := ck.get(key); ok {
-			return reps, nil
-		}
-		if q, ok := ck.getQuarantine(key); ok && opt.Supervise != nil {
-			opt.noteQuarantined(q)
-			return nil, errPointQuarantined
-		}
-	}
-
-	reps, quar, err := executePoint(ctx, opt, key, build, extract)
-	if err != nil {
-		return nil, err
-	}
-	if quar != nil {
-		if ck != nil {
-			if err := ck.putQuarantine(*quar); err != nil {
-				return nil, err
-			}
-		}
-		opt.noteQuarantined(*quar)
-		return nil, errPointQuarantined
-	}
-	if ck != nil {
-		if err := ck.put(key, reps); err != nil {
-			return nil, err
-		}
-	}
-	if opt.OnPoint != nil {
-		opt.OnPoint(key)
-	}
-	return reps, nil
-}
-
 // executePoint runs one point's replications on the worker pool and
-// classifies the outcome without touching any checkpoint or supervisor
-// state — the piece a fleet worker (internal/fleet) executes remotely.
-// It returns exactly one of: the seed-ordered records on success; a
-// quarantine record when supervision is armed and the point's circuit
-// breaker trips; or an error (fail-fast class, every replication failed
-// unsupervised, or ctx ended mid-point).
+// classifies the outcome without touching any ledger or supervisor
+// state — Ledger.Settle records what it returns, and a fleet worker
+// (internal/fleet) runs it remotely. extract maps a successful run to
+// the point's metric vector. It returns exactly one of: the
+// seed-ordered records on success (a replication that still fails after
+// its retries is skipped); a quarantine record when supervision is
+// armed and the point's circuit breaker trips (any replication
+// resource-exhausted, or every replication permanently failed
+// transient); or an error — a fail-fast class (protocol-bug, panic),
+// every replication failed unsupervised (a point built from zero
+// samples would silently fabricate results), or ctx ended mid-point.
 func executePoint(ctx context.Context, opt Options, key string,
 	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, *Quarantine, error) {
 	n := opt.Replications
@@ -217,7 +168,7 @@ func executePoint(ctx context.Context, opt Options, key string,
 		if firstErr == nil {
 			firstErr = errors.New("no replications configured")
 		}
-		return nil, nil, fmt.Errorf("experiment: every replication failed: %w", firstErr)
+		return nil, nil, fmt.Errorf("experiment: point %q: every replication failed: %w", key, firstErr)
 	}
 	return reps, nil, nil
 }
@@ -235,7 +186,7 @@ func executePoint(ctx context.Context, opt Options, key string,
 // under a perturbed seed would only bury the bug. A replication that
 // fails permanently is captured as a repro bundle (when ReproDir is
 // set) and returned as a *repFailure carrying its class and attempt
-// count, which runPoint's circuit breaker inspects.
+// count, which executePoint's circuit breaker inspects.
 func runRep(ctx context.Context, opt Options, key string, build func(seed int64) core.Config,
 	seed int64, extract func(*core.Result) []float64) (RepRecord, error) {
 	var lastErr, lastRunErr error
@@ -250,7 +201,7 @@ func runRep(ctx context.Context, opt Options, key string, build func(seed int64)
 		}
 		if attempt > 0 {
 			pause := retryBackoff(key, seed, attempt)
-			if err := sleepCtx(ctx, pause); err != nil {
+			if err := SleepCtx(ctx, pause); err != nil {
 				return RepRecord{}, err
 			}
 			backoffs = append(backoffs, pause.Milliseconds())
@@ -311,21 +262,21 @@ func retryBackoff(key string, seed int64, attempt int) time.Duration {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	x := splitmix64(h.Sum64() ^ uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(attempt)<<48)
+	x := Splitmix64(h.Sum64() ^ uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(attempt)<<48)
 	return d + time.Duration(x%uint64(d/2+1))
 }
 
-// splitmix64 is the standard 64-bit finalizer used to turn an identity
-// into well-mixed jitter bits.
-func splitmix64(x uint64) uint64 {
+// Splitmix64 is the standard 64-bit finalizer used to turn an identity
+// into well-mixed jitter bits (the fleet workers' RPC backoff shares it).
+func Splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
-// sleepCtx waits d or until ctx ends, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// SleepCtx waits d or until ctx ends, whichever comes first.
+func SleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}

@@ -23,7 +23,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -173,15 +172,6 @@ func (o Options) fingerprint() string {
 	return b.String()
 }
 
-// openCheckpoint opens the configured checkpoint store, or nil when
-// checkpointing is off.
-func (o Options) openCheckpoint() (*checkpoint, error) {
-	if o.Checkpoint == "" {
-		return nil, nil
-	}
-	return openCheckpoint(o.Checkpoint, o.fingerprint())
-}
-
 // ThroughputPoint is one (bad period, packet size) cell of Figures 7/8.
 type ThroughputPoint struct {
 	Scheme         bs.Scheme
@@ -210,9 +200,8 @@ type RetransPoint struct {
 	Seeds []int64
 }
 
-// Sweep-point key builders. These strings are load-bearing: they key
-// the checkpoint ledger, so the sequential engine and the fleet layer
-// (internal/fleet) must derive them identically.
+// Sweep-point key builders, called only from PointSpec.Key. These
+// strings are load-bearing: they key the checkpoint ledger.
 func wanKey(scheme bs.Scheme, bad time.Duration, size units.ByteSize) string {
 	return fmt.Sprintf("wan/%v/bad=%v/size=%d", scheme, bad, size)
 }
@@ -225,46 +214,65 @@ func lanKey(scheme bs.Scheme, bad time.Duration) string {
 	return fmt.Sprintf("lan/%v/bad=%v", scheme, bad)
 }
 
-// wanSweep runs the WAN packet-size sweep for one scheme.
-func wanSweep(ctx context.Context, scheme bs.Scheme, opt Options) ([]ThroughputPoint, error) {
+// settleSweep is the engine's dispatch loop: it settles every point of
+// one named sweep in canonical order (SweepSpecs) against the
+// configured checkpoint ledger and hands each finished point, with its
+// parsed scheme, to each. Quarantined points are skipped — they are on
+// opt.Supervise — and the first error ends the sweep. What a point is
+// and how it is settled live in PointSpec and Ledger.Settle; the figure
+// functions below keep only their own aggregation.
+func settleSweep(ctx context.Context, opt Options, sweep string,
+	each func(spec PointSpec, scheme bs.Scheme, reps []RepRecord)) error {
 	opt = opt.withDefaults()
-	ck, err := opt.openCheckpoint()
+	specs, err := SweepSpecs(opt, []string{sweep})
+	if err != nil {
+		return err
+	}
+	var led *Ledger
+	if opt.Checkpoint != "" {
+		if led, err = OpenLedger(opt.Checkpoint, opt); err != nil {
+			return err
+		}
+		defer led.Close()
+	}
+	for _, spec := range specs {
+		scheme, err := bs.ParseScheme(spec.Scheme)
+		if err != nil {
+			return err
+		}
+		out, err := led.Settle(ctx, opt, spec)
+		if err != nil {
+			return fmt.Errorf("%s sweep: %w", sweep, err)
+		}
+		if out.Quarantine == nil {
+			each(spec, scheme, out.Reps)
+		}
+	}
+	return nil
+}
+
+// wanSweep aggregates the WAN packet-size sweep of Figure 7 or 8.
+func wanSweep(ctx context.Context, sweep string, opt Options) ([]ThroughputPoint, error) {
+	var tps []ThroughputPoint
+	err := settleSweep(ctx, opt, sweep, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord) {
+		var tput, goodput stats.Sample
+		for _, rep := range reps {
+			vs := rep.floats()
+			tput.Add(vs[0])
+			goodput.Add(vs[1])
+		}
+		tps = append(tps, ThroughputPoint{
+			Scheme:             scheme,
+			BadPeriod:          spec.Bad,
+			PacketSize:         spec.Size,
+			ThroughputKbps:     &tput,
+			Goodput:            &goodput,
+			TheoreticalMaxKbps: core.WAN(scheme, spec.Size, spec.Bad).TheoreticalMaxKbps(),
+			Seeds:              seedsOf(reps),
+		})
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer ck.close()
-	var tps []ThroughputPoint
-	for _, bad := range opt.wanBadPeriods() {
-		for _, size := range opt.packetSizes() {
-			key := wanKey(scheme, bad, size)
-			reps, err := runPoint(ctx, opt, ck, key, func(seed int64) core.Config {
-				return wanConfig(scheme, size, bad, opt, seed)
-			}, func(r *core.Result) []float64 {
-				return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput}
-			})
-			if errors.Is(err, errPointQuarantined) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%v sweep, bad period %v, packet size %d: %w", scheme, bad, size, err)
-			}
-			var tput, goodput stats.Sample
-			for _, rep := range reps {
-				vs := rep.floats()
-				tput.Add(vs[0])
-				goodput.Add(vs[1])
-			}
-			cfg := core.WAN(scheme, size, bad)
-			tps = append(tps, ThroughputPoint{
-				Scheme:             scheme,
-				BadPeriod:          bad,
-				PacketSize:         size,
-				ThroughputKbps:     &tput,
-				Goodput:            &goodput,
-				TheoreticalMaxKbps: cfg.TheoreticalMaxKbps(),
-				Seeds:              seedsOf(reps),
-			})
-		}
 	}
 	return tps, nil
 }
@@ -321,56 +329,37 @@ func firstLine(s string) string {
 
 // Fig7 reproduces Figure 7: basic-TCP throughput vs packet size.
 func Fig7(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
-	return wanSweep(ctx, bs.Basic, opt)
+	return wanSweep(ctx, SweepFig7, opt)
 }
 
 // Fig8 reproduces Figure 8: EBSN throughput vs packet size.
 func Fig8(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
-	return wanSweep(ctx, bs.EBSN, opt)
+	return wanSweep(ctx, SweepFig8, opt)
 }
 
 // Fig9 reproduces Figure 9: retransmitted data vs packet size for basic
 // TCP and EBSN.
 func Fig9(ctx context.Context, opt Options) ([]RetransPoint, error) {
-	opt = opt.withDefaults()
-	ck, err := opt.openCheckpoint()
+	var out []RetransPoint
+	err := settleSweep(ctx, opt, SweepFig9, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord) {
+		var retrans stats.Sample
+		var timeouts float64
+		for _, rep := range reps {
+			vs := rep.floats()
+			retrans.Add(vs[0])
+			timeouts += vs[1]
+		}
+		out = append(out, RetransPoint{
+			Scheme:      scheme,
+			BadPeriod:   spec.Bad,
+			PacketSize:  spec.Size,
+			RetransKB:   &retrans,
+			TimeoutsAvg: timeouts / float64(len(reps)),
+			Seeds:       seedsOf(reps),
+		})
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer ck.close()
-	var out []RetransPoint
-	for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
-		for _, bad := range opt.wanBadPeriods() {
-			for _, size := range opt.packetSizes() {
-				key := fig9Key(scheme, bad, size)
-				reps, err := runPoint(ctx, opt, ck, key, func(seed int64) core.Config {
-					return wanConfig(scheme, size, bad, opt, seed)
-				}, func(r *core.Result) []float64 {
-					return []float64{r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}
-				})
-				if errors.Is(err, errPointQuarantined) {
-					continue
-				}
-				if err != nil {
-					return nil, fmt.Errorf("fig9 %v, bad period %v, packet size %d: %w", scheme, bad, size, err)
-				}
-				var retrans stats.Sample
-				var timeouts float64
-				for _, rep := range reps {
-					vs := rep.floats()
-					retrans.Add(vs[0])
-					timeouts += vs[1]
-				}
-				out = append(out, RetransPoint{
-					Scheme:      scheme,
-					BadPeriod:   bad,
-					PacketSize:  size,
-					RetransKB:   &retrans,
-					TimeoutsAvg: timeouts / float64(len(reps)),
-					Seeds:       seedsOf(reps),
-				})
-			}
-		}
 	}
 	return out, nil
 }
@@ -390,46 +379,28 @@ type LANPoint struct {
 // LANStudy reproduces Figures 10 (throughput vs bad period) and 11
 // (retransmitted data vs bad period) in one pass over basic TCP and EBSN.
 func LANStudy(ctx context.Context, opt Options) ([]LANPoint, error) {
-	opt = opt.withDefaults()
-	ck, err := opt.openCheckpoint()
+	var out []LANPoint
+	err := settleSweep(ctx, opt, SweepLAN, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord) {
+		var tput, retrans stats.Sample
+		var timeouts float64
+		for _, rep := range reps {
+			vs := rep.floats()
+			tput.Add(vs[0])
+			retrans.Add(vs[1])
+			timeouts += vs[2]
+		}
+		out = append(out, LANPoint{
+			Scheme:             scheme,
+			BadPeriod:          spec.Bad,
+			ThroughputMbps:     &tput,
+			RetransKB:          &retrans,
+			TimeoutsAvg:        timeouts / float64(len(reps)),
+			TheoreticalMaxMbps: core.LAN(scheme, spec.Bad).TheoreticalMaxKbps() / 1000,
+			Seeds:              seedsOf(reps),
+		})
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer ck.close()
-	var out []LANPoint
-	for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
-		for _, bad := range opt.lanBadPeriods() {
-			key := lanKey(scheme, bad)
-			reps, err := runPoint(ctx, opt, ck, key, func(seed int64) core.Config {
-				return lanConfig(scheme, bad, opt, seed)
-			}, func(r *core.Result) []float64 {
-				return []float64{r.Summary.ThroughputMbps, r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}
-			})
-			if errors.Is(err, errPointQuarantined) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("lan study %v, bad period %v: %w", scheme, bad, err)
-			}
-			var tput, retrans stats.Sample
-			var timeouts float64
-			for _, rep := range reps {
-				vs := rep.floats()
-				tput.Add(vs[0])
-				retrans.Add(vs[1])
-				timeouts += vs[2]
-			}
-			cfg := core.LAN(scheme, bad)
-			out = append(out, LANPoint{
-				Scheme:             scheme,
-				BadPeriod:          bad,
-				ThroughputMbps:     &tput,
-				RetransKB:          &retrans,
-				TimeoutsAvg:        timeouts / float64(len(reps)),
-				TheoreticalMaxMbps: cfg.TheoreticalMaxKbps() / 1000,
-				Seeds:              seedsOf(reps),
-			})
-		}
 	}
 	return out, nil
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"wtcp/internal/atomicfile"
 )
 
 // Health is the engine's real-time heartbeat: which replications are in
@@ -158,7 +160,7 @@ func (h *Health) RunFinished(id uint64, events uint64, ok bool) {
 		h.completed++
 		if tracked {
 			sec := time.Since(ar.started).Seconds()
-			if med, n := medianOf(h.durations), len(h.durations); n >= stragglerMinSamples &&
+			if med, n := MedianOf(h.durations), len(h.durations); n >= stragglerMinSamples &&
 				sec > stragglerFactor*med && sec > stragglerFloor.Seconds() {
 				if len(h.stragglers) < maxStragglers {
 					h.stragglers = append(h.stragglers, Straggler{Key: ar.key, Seed: ar.seed, Sec: sec, MedianSec: med})
@@ -201,8 +203,9 @@ func (h *Health) noteQuarantine() {
 	h.maybeWriteStatus()
 }
 
-// medianOf returns the median of the sorted slice s (0 when empty).
-func medianOf(s []float64) float64 {
+// MedianOf returns the median of the sorted slice s (0 when empty). The
+// fleet coordinator's steal threshold uses it too.
+func MedianOf(s []float64) float64 {
 	switch n := len(s); {
 	case n == 0:
 		return 0
@@ -231,7 +234,7 @@ func (h *Health) Snapshot() HealthSnapshot {
 		Retried:         h.retried,
 		Quarantined:     h.quarantined,
 		EventsProcessed: h.events,
-		MedianRunSec:    medianOf(h.durations),
+		MedianRunSec:    MedianOf(h.durations),
 		HeapBytes:       ms.HeapAlloc,
 		Stragglers:      append([]Straggler(nil), h.stragglers...),
 	}
@@ -292,8 +295,8 @@ func (h *Health) maybeWriteStatus() {
 }
 
 // WriteStatus writes the current snapshot to the configured status path
-// with the same temp-write-then-rename discipline as checkpoints, so a
-// poller never reads a torn file. No-op without a status path.
+// by atomic write-rename, so a poller never reads a torn file. No-op
+// without a status path.
 func (h *Health) WriteStatus() error {
 	if h == nil {
 		return nil
@@ -308,26 +311,11 @@ func (h *Health) WriteStatus() error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("experiment: status dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("experiment: status temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, data); err != nil {
 		return fmt.Errorf("experiment: write status: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("experiment: close status: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("experiment: commit status: %w", err)
 	}
 	return nil
 }
@@ -376,7 +364,7 @@ func (h *Health) MedianRunSeconds() float64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return medianOf(h.durations)
+	return MedianOf(h.durations)
 }
 
 // StartPolling rewrites the status file every interval until the

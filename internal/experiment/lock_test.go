@@ -3,6 +3,7 @@
 package experiment
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,11 +17,11 @@ import (
 // silently corrupt the sweep.
 func TestCheckpointLockRejectsSecondEngine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	ck, err := openCheckpoint(path, "fp")
+	ck, err := OpenLedger(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = openCheckpoint(path, "fp")
+	_, err = OpenLedger(path, Options{})
 	if err == nil {
 		t.Fatal("second open of a locked checkpoint succeeded, want locked-by error")
 	}
@@ -34,21 +35,21 @@ func TestCheckpointLockRejectsSecondEngine(t *testing.T) {
 	// Release the lock: the next engine must get in, and the lock file
 	// is deliberately left behind (unlinking would race a concurrent
 	// opener into locking an orphaned inode).
-	ck.close()
-	ck2, err := openCheckpoint(path, "fp")
+	ck.Close()
+	ck2, err := OpenLedger(path, Options{})
 	if err != nil {
 		t.Fatalf("open after release: %v", err)
 	}
-	ck2.close()
-	ck2.close() // close is idempotent
+	ck2.Close()
+	ck2.Close() // close is idempotent
 	if _, err := os.Stat(path + ".lock"); err != nil {
 		t.Errorf("lock file should remain in place after release: %v", err)
 	}
 }
 
-// TestLedgerLockGuardsSharedPath: the exported ledger (the fleet
-// coordinator's exactly-once store) inherits the same single-writer
-// guard as the engine checkpoint.
+// TestLedgerLockGuardsSharedPath: an engine sweep pointed at a
+// checkpoint that a live ledger (a fleet coordinator, a wtcpd) holds is
+// refused by the same single-writer guard.
 func TestLedgerLockGuardsSharedPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.json")
 	led, err := OpenLedger(path, Options{})
@@ -56,7 +57,7 @@ func TestLedgerLockGuardsSharedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer led.Close()
-	if _, err := openCheckpoint(path, "fp"); err == nil || !strings.Contains(err.Error(), "locked") {
+	if _, err := Fig7(context.Background(), Options{Checkpoint: path}); err == nil || !strings.Contains(err.Error(), "locked") {
 		t.Errorf("engine opened a checkpoint a live ledger holds: err = %v", err)
 	}
 }

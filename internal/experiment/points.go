@@ -10,13 +10,15 @@ import (
 	"wtcp/internal/units"
 )
 
-// This file is the engine's distributable face: a sweep point as a
-// value (PointSpec) instead of a pair of closures, the enumeration of a
-// campaign's whole point grid in canonical sweep order, and a runner
-// that executes one spec in isolation. internal/fleet ships PointSpecs
-// to workers over HTTP and merges the returned records into the same
-// checkpoint ledger the sequential engine writes — which is what makes
-// a sharded campaign's output bit-identical to a single-process run.
+// This file is the one description of a figure-sweep point: the point
+// as a value (PointSpec), the enumeration of a sweep's grid in canonical
+// order (SweepSpecs), the point's ledger key (Key), and how its runs
+// are configured and measured (buildExtract). The figure sweeps in
+// experiment.go, wtcpd's sweep and advise executors and the fleet
+// coordinator all iterate SweepSpecs and settle each spec through the
+// Ledger; fleet workers execute one in isolation with RunPointSpec and
+// post the outcome back. One description is what makes every executor's
+// output bit-identical to every other's.
 
 // Sweep names accepted by SweepSpecs (the campaign manifest's "sweeps"
 // list).
@@ -30,7 +32,7 @@ const (
 // PointSpec identifies one sweep point of a named figure sweep. It is
 // pure data — JSON-serializable, comparable — and, together with the
 // campaign Options, determines the point's build/extract behaviour and
-// its checkpoint key exactly as the sequential sweep loops do.
+// its checkpoint key.
 type PointSpec struct {
 	// Sweep is one of the Sweep* constants.
 	Sweep string `json:"sweep"`
@@ -43,8 +45,7 @@ type PointSpec struct {
 	Size units.ByteSize `json:"size_bytes,omitempty"`
 }
 
-// Key returns the point's checkpoint-ledger key, identical to the one
-// the sequential sweep loop would use.
+// Key returns the point's checkpoint-ledger key.
 func (s PointSpec) Key() (string, error) {
 	scheme, err := bs.ParseScheme(s.Scheme)
 	if err != nil {
@@ -64,10 +65,9 @@ func (s PointSpec) Key() (string, error) {
 }
 
 // SweepSpecs enumerates the full point grid of the named sweeps under
-// opt, in the exact order the sequential engine visits them. The order
-// matters to no one's correctness — results merge by key — but keeping
-// it canonical makes coordinator logs and snapshots line up with the
-// sequential engine's progress output.
+// opt in canonical order: the order the figure functions aggregate in
+// (so it fixes their output order and where a quarantine lands on the
+// Supervisor) and the order coordinator logs and snapshots follow.
 func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
 	opt = opt.withDefaults()
 	var out []PointSpec
@@ -105,26 +105,25 @@ func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
 	return out, nil
 }
 
-// buildExtract resolves the spec into the same build/extract pair the
-// sequential sweep loop would construct for the point.
+// buildExtract resolves the spec into how one replication is configured
+// (build, from the 1-based replication seed) and which measurements of
+// its result the point records, in column order (extract). The figure
+// functions in experiment.go read those columns back by index.
 func (s PointSpec) buildExtract(opt Options) (func(int64) core.Config, func(*core.Result) []float64, error) {
 	scheme, err := bs.ParseScheme(s.Scheme)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiment: point spec: %w", err)
 	}
+	wan := func(seed int64) core.Config { return wanConfig(scheme, s.Size, s.Bad, opt, seed) }
 	switch s.Sweep {
 	case SweepFig7, SweepFig8:
-		return func(seed int64) core.Config {
-				return wanConfig(scheme, s.Size, s.Bad, opt, seed)
-			}, func(r *core.Result) []float64 {
-				return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput}
-			}, nil
+		return wan, func(r *core.Result) []float64 {
+			return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput}
+		}, nil
 	case SweepFig9:
-		return func(seed int64) core.Config {
-				return wanConfig(scheme, s.Size, s.Bad, opt, seed)
-			}, func(r *core.Result) []float64 {
-				return []float64{r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}
-			}, nil
+		return wan, func(r *core.Result) []float64 {
+			return []float64{r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}
+		}, nil
 	case SweepLAN:
 		return func(seed int64) core.Config {
 				return lanConfig(scheme, s.Bad, opt, seed)
@@ -145,10 +144,10 @@ type PointOutcome struct {
 	Quarantine *Quarantine `json:"quarantine,omitempty"`
 }
 
-// RunPointSpec executes one sweep point exactly as the sequential
-// engine would — same seeds, same retry/backoff schedule, same
-// classification policy — but with no checkpoint involved: the caller
-// (a fleet worker) owns delivering the outcome to the ledger. Fail-fast
+// RunPointSpec executes one sweep point exactly as Ledger.Settle
+// would — same seeds, same retry/backoff schedule, same classification
+// policy — but with no ledger involved: the caller (a fleet worker)
+// owns delivering the outcome to the coordinator's Ledger.Record. Fail-fast
 // failures (protocol-bug, panic) and cancellation return an error;
 // with opt.Supervise armed, breaker trips return a Quarantine record
 // instead.

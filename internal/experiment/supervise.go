@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -47,11 +46,6 @@ const (
 	// replication attempt (the livelock guard).
 	DefaultRunMaxEvents = int64(1) << 31
 )
-
-// errPointQuarantined is runPoint's sentinel: the point was quarantined
-// by the circuit breaker (and recorded), so the sweep should skip it
-// and continue.
-var errPointQuarantined = errors.New("experiment: point quarantined")
 
 // Quarantine records one sweep point the circuit breaker removed from a
 // governed sweep, and why.

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"wtcp/internal/atomicfile"
 	"wtcp/internal/experiment"
 )
 
@@ -157,8 +159,11 @@ type Coordinator struct {
 	leases    map[uint64]*lease
 	nextLease uint64
 	workers   map[string]*workerState
+	// settled counts units in unitSettled, so the lease and result
+	// handlers need not walk every unit per RPC.
+	settled int
 	// durations holds wall-clock settle times of settled units (seconds),
-	// the base of the steal threshold's median.
+	// kept sorted on insert: the base of the steal threshold's median.
 	durations   []float64
 	expired     int
 	stolen      int
@@ -243,13 +248,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		u := &unit{spec: spec, key: key, holders: map[uint64]*lease{}}
 		if ledger.Has(key) {
 			u.status = unitSettled
+			c.settled++
 		} else {
 			c.pending = append(c.pending, key)
 		}
 		c.units[key] = u
 		c.order = append(c.order, key)
 	}
-	if c.settledLocked() == len(c.order) {
+	if c.settled == len(c.order) {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
 	go c.sweepExpiry()
@@ -292,17 +298,6 @@ func (c *Coordinator) Close() {
 	c.ledger.Close()
 }
 
-// settledLocked counts settled units; mu must be held.
-func (c *Coordinator) settledLocked() int {
-	n := 0
-	for _, u := range c.units {
-		if u.status == unitSettled {
-			n++
-		}
-	}
-	return n
-}
-
 // handleCampaign serves the manifest so every worker runs under the
 // exact options the ledger is fingerprinted with.
 func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
@@ -319,7 +314,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.noteWorkerLocked(req.Worker, req.Health)
-	if c.failure != "" || c.settledLocked() == len(c.order) {
+	if c.failure != "" || c.settled == len(c.order) {
 		writeJSON(w, leaseReply{Done: true})
 		return
 	}
@@ -330,7 +325,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if u := c.stealableLocked(); u != nil {
 		c.stolen++
 		c.logf("fleet: stealing %s from %s for %s (held %.1fs, median %.1fs)",
-			u.key, u.lastWorker, req.Worker, c.oldestHoldSecLocked(u), medianOf(c.durations))
+			u.key, u.lastWorker, req.Worker, c.oldestHoldSecLocked(u), experiment.MedianOf(c.durations))
 		writeJSON(w, leaseReply{Unit: c.grantLocked(u, req.Worker, true)})
 		return
 	}
@@ -360,7 +355,7 @@ func (c *Coordinator) stealableLocked() *unit {
 	if len(c.durations) < stealMinSamples {
 		return nil
 	}
-	threshold := stealFactor * medianOf(c.durations)
+	threshold := stealFactor * experiment.MedianOf(c.durations)
 	var best *unit
 	var bestAge float64
 	for _, key := range c.order {
@@ -477,22 +472,21 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 	// Record first, then flip state: if the ledger write fails the unit
 	// stays dispatchable and the worker sees an error and retries.
-	var err error
 	if q := req.Outcome.Quarantine; q != nil {
 		q.Worker = req.Worker
-		err = c.ledger.PutQuarantine(*q)
-	} else {
-		err = c.ledger.Put(key, req.Outcome.Reps)
 	}
-	if err != nil {
+	if _, err := c.ledger.Record(req.Outcome); err != nil {
 		c.mu.Unlock()
 		httpError(w, http.StatusInternalServerError, "fleet: record %s: %v", key, err)
 		return
 	}
 	u.status = unitSettled
+	c.settled++
 	u.lastWorker = req.Worker
 	if liveLease && l.unit == u {
-		c.durations = append(c.durations, time.Since(l.granted).Seconds())
+		sec := time.Since(l.granted).Seconds()
+		i, _ := slices.BinarySearch(c.durations, sec)
+		c.durations = slices.Insert(c.durations, i, sec)
 	}
 	for id := range u.holders {
 		c.releaseLocked(c.leases[id])
@@ -500,9 +494,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if ws := c.workers[req.Worker]; ws != nil {
 		ws.completed++
 	}
-	settled, total := c.settledLocked(), len(c.order)
-	c.logf("fleet: settled %s by %s (%d/%d)", key, req.Worker, settled, total)
-	if settled == total {
+	c.logf("fleet: settled %s by %s (%d/%d)", key, req.Worker, c.settled, len(c.order))
+	if c.settled == len(c.order) {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
 	c.mu.Unlock()
@@ -600,7 +593,7 @@ func (c *Coordinator) Snapshot() Snapshot {
 	snap := Snapshot{
 		Timestamp:   now,
 		TotalUnits:  len(c.order),
-		Settled:     c.settledLocked(),
+		Settled:     c.settled,
 		Quarantined: len(c.ledger.Quarantined()),
 		Expired:     c.expired,
 		Stolen:      c.stolen,
@@ -643,9 +636,8 @@ func (c *Coordinator) Snapshot() Snapshot {
 	return snap
 }
 
-// writeStatus persists the fleet snapshot to the status path with the
-// same temp-write-then-rename discipline as engine checkpoints. No-op
-// without a status path.
+// writeStatus persists the fleet snapshot to the status path by atomic
+// write-rename. No-op without a status path.
 func (c *Coordinator) writeStatus() {
 	if c.statusPath == "" {
 		return
@@ -660,42 +652,12 @@ func (c *Coordinator) writeStatus() {
 		c.logf("fleet: encode status: %v", err)
 		return
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(c.statusPath)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(c.statusPath), 0o755); err != nil {
 		c.logf("fleet: status dir: %v", err)
 		return
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(c.statusPath)+".tmp*")
-	if err != nil {
-		c.logf("fleet: status temp file: %v", err)
-		return
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), c.statusPath)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(c.statusPath, append(data, '\n')); err != nil {
 		c.logf("fleet: write status: %v", err)
-	}
-}
-
-// medianOf returns the median of xs (0 when empty).
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
 	}
 }
 

@@ -87,7 +87,6 @@ func RunLocal(ctx context.Context, lo LocalOptions) (Snapshot, error) {
 	// Launch the fleet.
 	var wg sync.WaitGroup
 	procs := make([]*exec.Cmd, lo.Workers)
-	workerErrs := make([]error, lo.Workers)
 	for i := 0; i < lo.Workers; i++ {
 		name := fmt.Sprintf("worker-%d", i)
 		if lo.WorkerCommand != nil {
@@ -98,16 +97,15 @@ func RunLocal(ctx context.Context, lo LocalOptions) (Snapshot, error) {
 			}
 			procs[i] = cmd
 			wg.Add(1)
-			go func(i int, cmd *exec.Cmd, name string) {
+			go func(cmd *exec.Cmd, name string) {
 				defer wg.Done()
 				if err := cmd.Wait(); err != nil && ctx.Err() == nil {
-					// A dead worker is survivable by design; record it for
-					// the log, fail the campaign only via the coordinator's
-					// own fail-fast path.
+					// A dead worker is survivable by design — it is logged,
+					// and the campaign fails only via the coordinator's own
+					// fail-fast path.
 					lo.Log("fleet: %s exited: %v", name, err)
-					workerErrs[i] = err
 				}
-			}(i, cmd, name)
+			}(cmd, name)
 		} else {
 			wg.Add(1)
 			go func(i int, name string) {
@@ -120,8 +118,11 @@ func RunLocal(ctx context.Context, lo LocalOptions) (Snapshot, error) {
 					Log:         lo.Log,
 				}
 				if err := RunWorker(ctx, cfg); err != nil && ctx.Err() == nil {
+					// Log-only, like a dead subprocess: a worker that failed
+					// for fleet-local reasons (could not reach the coordinator,
+					// say) is fatal only if the campaign cannot finish
+					// without it.
 					lo.Log("fleet: %s: %v", name, err)
-					workerErrs[i] = err
 				}
 			}(i, name)
 		}
@@ -163,12 +164,6 @@ func RunLocal(ctx context.Context, lo LocalOptions) (Snapshot, error) {
 			}
 		}
 		wg.Wait()
-	}
-	if err == nil {
-		// Campaign completed: a worker that failed for fleet-local reasons
-		// (e.g. couldn't reach the coordinator at all) is only fatal if the
-		// campaign didn't finish without it — which it did. Log-only.
-		_ = workerErrs
 	}
 	return snap, err
 }

@@ -216,7 +216,7 @@ func fetchCampaign(ctx context.Context, cfg WorkerConfig) (Campaign, error) {
 	var lastErr error
 	for attempt := 0; attempt < rpcMaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, rpcBackoff(cfg.Name, attempt)); err != nil {
+			if err := experiment.SleepCtx(ctx, rpcBackoff(cfg.Name, attempt)); err != nil {
 				return Campaign{}, err
 			}
 		}
@@ -260,7 +260,7 @@ func callJSON(ctx context.Context, cfg WorkerConfig, path string, reqBody, reply
 	var lastErr error
 	for attempt := 0; attempt < rpcMaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, rpcBackoff(cfg.Name+path, attempt)); err != nil {
+			if err := experiment.SleepCtx(ctx, rpcBackoff(cfg.Name+path, attempt)); err != nil {
 				return err
 			}
 		}
@@ -305,27 +305,6 @@ func rpcBackoff(salt string, attempt int) time.Duration {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(salt))
-	x := splitmix64(h.Sum64() ^ uint64(attempt)<<40)
+	x := experiment.Splitmix64(h.Sum64() ^ uint64(attempt)<<40)
 	return d + time.Duration(x%uint64(d/2+1))
-}
-
-// splitmix64 is the standard 64-bit mix finalizer (same generator the
-// engine's retry backoff uses).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// sleepCtx sleeps for d or until ctx is canceled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -20,10 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
+	"wtcp/internal/atomicfile"
 	"wtcp/internal/chaos"
 	"wtcp/internal/core"
 	"wtcp/internal/sim"
@@ -139,22 +139,7 @@ func (b *Bundle) Save(path string) error {
 		return fmt.Errorf("repro: encode bundle: %w", err)
 	}
 	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("repro: save bundle: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("repro: save bundle: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("repro: save bundle: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, data); err != nil {
 		return fmt.Errorf("repro: save bundle: %w", err)
 	}
 	return nil

@@ -122,19 +122,16 @@ func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) o
 	resp := AdviseResponse{Fingerprint: fp, MeanBad: bad.String()}
 	best := -1
 	for _, size := range opt.PacketSizes {
-		if err := ctx.Err(); err != nil {
-			return s.failureOutcome(ctx, fp, err)
-		}
-		spec := experiment.PointSpec{
+		out, err := led.Settle(ctx, opt, experiment.PointSpec{
 			Sweep:  experiment.SweepFig7,
 			Scheme: "basic",
 			Bad:    bad,
 			Size:   size,
-		}
-		pr, err := s.settlePoint(ctx, opt, led, spec)
+		})
 		if err != nil {
 			return s.failureOutcome(ctx, fp, err)
 		}
+		pr := pointResult(out)
 		if pr.Quarantine != nil {
 			resp.Quarantined = append(resp.Quarantined,
 				fmt.Sprintf("%d bytes: %s (%s)", int(size), pr.Quarantine.Class, pr.Quarantine.Reason))

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"wtcp/internal/atomicfile"
 )
 
 // diskCache is the content-addressed result store: one file per
@@ -16,14 +19,22 @@ import (
 // verbatim — byte-identical to the fresh run — and eviction is purely
 // a capacity decision, never a correctness one.
 type diskCache struct {
-	mu    sync.Mutex
-	dir   string
-	cap   int64
-	size  int64
-	sizes map[string]int64
-	// order is LRU: front oldest, back most recently used.
-	order     []string
+	mu   sync.Mutex
+	dir  string
+	cap  int64
+	size int64
+	// lru holds one cacheEntry per resident file: front oldest, back
+	// most recently used. index finds an entry's element, so a hit, a
+	// drop and an eviction are all O(1) at any resident-set size.
+	lru       *list.List
+	index     map[string]*list.Element
 	evictions uint64
+}
+
+// cacheEntry is one resident file.
+type cacheEntry struct {
+	fp   string
+	size int64
 }
 
 // openDiskCache loads (or creates) the cache directory. Surviving
@@ -33,14 +44,13 @@ func openDiskCache(dir string, capBytes int64) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
 	}
-	c := &diskCache{dir: dir, cap: capBytes, sizes: map[string]int64{}}
+	c := &diskCache{dir: dir, cap: capBytes, lru: list.New(), index: map[string]*list.Element{}}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
 	}
 	type onDisk struct {
-		fp    string
-		size  int64
+		cacheEntry
 		mtime int64
 	}
 	var found []onDisk
@@ -52,13 +62,11 @@ func openDiskCache(dir string, capBytes int64) (*diskCache, error) {
 		if err != nil {
 			continue
 		}
-		found = append(found, onDisk{e.Name(), info.Size(), info.ModTime().UnixNano()})
+		found = append(found, onDisk{cacheEntry{e.Name(), info.Size()}, info.ModTime().UnixNano()})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
 	for _, f := range found {
-		c.sizes[f.fp] = f.size
-		c.size += f.size
-		c.order = append(c.order, f.fp)
+		c.addLocked(f.cacheEntry)
 	}
 	c.evictLocked()
 	return c, nil
@@ -68,9 +76,9 @@ func openDiskCache(dir string, capBytes int64) (*diskCache, error) {
 // used.
 func (c *diskCache) get(fp string) ([]byte, bool) {
 	c.mu.Lock()
-	_, ok := c.sizes[fp]
+	el, ok := c.index[fp]
 	if ok {
-		c.touchLocked(fp)
+		c.lru.MoveToBack(el)
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -98,56 +106,29 @@ func (c *diskCache) put(fp string, data []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.sizes[fp]; ok {
+	if _, ok := c.index[fp]; ok {
 		return nil
 	}
-	path := filepath.Join(c.dir, fp)
-	tmp, err := os.CreateTemp(c.dir, fp+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: cache temp: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(filepath.Join(c.dir, fp), data); err != nil {
 		return fmt.Errorf("serve: cache write: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: cache close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: cache commit: %w", err)
-	}
-	c.sizes[fp] = int64(len(data))
-	c.size += int64(len(data))
-	c.order = append(c.order, fp)
+	c.addLocked(cacheEntry{fp, int64(len(data))})
 	c.evictLocked()
 	return nil
 }
 
-// touchLocked moves fp to the most-recently-used end.
-func (c *diskCache) touchLocked(fp string) {
-	for i, k := range c.order {
-		if k == fp {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), fp)
-			return
-		}
-	}
+// addLocked indexes a resident file as the most recently used.
+func (c *diskCache) addLocked(e cacheEntry) {
+	c.index[e.fp] = c.lru.PushBack(e)
+	c.size += e.size
 }
 
 // dropLocked removes fp from the index (file already gone or being
 // evicted).
 func (c *diskCache) dropLocked(fp string) {
-	if sz, ok := c.sizes[fp]; ok {
-		c.size -= sz
-		delete(c.sizes, fp)
-	}
-	for i, k := range c.order {
-		if k == fp {
-			c.order = append(c.order[:i:i], c.order[i+1:]...)
-			return
-		}
+	if el, ok := c.index[fp]; ok {
+		c.size -= c.lru.Remove(el).(cacheEntry).size
+		delete(c.index, fp)
 	}
 }
 
@@ -156,8 +137,8 @@ func (c *diskCache) evictLocked() {
 	if c.cap <= 0 {
 		return
 	}
-	for c.size > c.cap && len(c.order) > 0 {
-		victim := c.order[0]
+	for c.size > c.cap && c.lru.Len() > 0 {
+		victim := c.lru.Front().Value.(cacheEntry).fp
 		os.Remove(filepath.Join(c.dir, victim))
 		c.dropLocked(victim)
 		c.evictions++
@@ -168,5 +149,5 @@ func (c *diskCache) evictLocked() {
 func (c *diskCache) stats() (entries int, bytes int64, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sizes), c.size, c.evictions
+	return len(c.index), c.size, c.evictions
 }

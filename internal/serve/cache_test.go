@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -162,6 +166,88 @@ func TestDiskCacheSurvivesReopen(t *testing.T) {
 	entries, size, _ := re.stats()
 	if entries != 3 || size == 0 {
 		t.Errorf("reopen re-indexed (%d, %d)", entries, size)
+	}
+}
+
+// TestDiskCacheInterleavedOrder drives a seeded interleaving of gets,
+// puts and vanished files against the obvious model — a slice kept in
+// recency order, scanned linearly — and requires the same resident set
+// and the same eviction count after every step: the O(1) list must
+// evict in exactly the order the scan did.
+func TestDiskCacheInterleavedOrder(t *testing.T) {
+	fp := func(i int) string { return fmt.Sprintf("%064d", i) }
+	const capBytes, keys = 1000, 40
+	dir := t.TempDir()
+	c, err := openDiskCache(dir, capBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int // model: front oldest
+	sizes := map[int]int{}
+	total, evictions := 0, 0
+	unlist := func(k int) {
+		order = slices.DeleteFunc(order, func(o int) bool { return o == k })
+	}
+	drop := func(k int) {
+		total -= sizes[k]
+		delete(sizes, k)
+		unlist(k)
+	}
+	rng := rand.New(rand.NewSource(14))
+	for step := 0; step < 3000; step++ {
+		k := rng.Intn(keys)
+		_, resident := sizes[k]
+		switch op := rng.Intn(10); {
+		case op < 5: // get: a hit refreshes recency
+			if _, ok := c.get(fp(k)); ok != resident {
+				t.Fatalf("step %d: get(%d) = %v, model says %v", step, k, ok, resident)
+			}
+			if resident {
+				unlist(k)
+				order = append(order, k)
+			}
+		case op < 9: // put: first write wins, then evict to the cap
+			n := 50 + rng.Intn(200)
+			if err := c.put(fp(k), bytes.Repeat([]byte("x"), n)); err != nil {
+				t.Fatal(err)
+			}
+			if !resident {
+				order, sizes[k], total = append(order, k), n, total+n
+				for total > capBytes {
+					drop(order[0])
+					evictions++
+				}
+			}
+		default: // the file vanishes underneath; the next get drops the index
+			if resident {
+				if err := os.Remove(filepath.Join(dir, fp(k))); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := c.get(fp(k)); ok {
+					t.Fatalf("step %d: vanished entry %d still served", step, k)
+				}
+				drop(k)
+			}
+		}
+		entries, size, ev := c.stats()
+		if entries != len(order) || size != int64(total) || ev != uint64(evictions) {
+			t.Fatalf("step %d: stats (%d, %d, %d), model (%d, %d, %d)", step, entries, size, ev, len(order), total, evictions)
+		}
+	}
+	// The recency order itself, front to back.
+	var got []string
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		got = append(got, el.Value.(cacheEntry).fp)
+	}
+	var want []string
+	for _, k := range order {
+		want = append(want, fp(k))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("recency order diverged from the model:\n got %v\nwant %v", got, want)
+	}
+	if evictions == 0 {
+		t.Error("the interleaving never evicted; the case proves nothing")
 	}
 }
 

@@ -200,11 +200,12 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File) 
 	return outcome{status: http.StatusOK, body: body, cacheable: true}
 }
 
-// execSweep runs a campaign point by point against the shared point
-// ledger: already-settled points load instead of re-running (warm
-// start across overlapping sweeps, /v1/advise, and drain/resume), and
-// each fresh point is recorded the moment it settles, so a drain can
-// never lose more than the point in flight.
+// execSweep settles a campaign point by point through the shared point
+// ledger (experiment.Ledger.Settle): already-settled points load
+// instead of re-running (warm start across overlapping sweeps,
+// /v1/advise, and drain/resume), and each fresh point is recorded the
+// moment it settles, so a drain can never lose more than the point in
+// flight.
 func (s *Server) execSweep(ctx context.Context, c fleet.Campaign) outcome {
 	fp := SweepFingerprint(c)
 	opt, err := c.Options()
@@ -230,16 +231,14 @@ func (s *Server) execSweep(ctx context.Context, c fleet.Campaign) outcome {
 	}
 	points := make([]PointResult, 0, len(specs))
 	for _, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			// Deadline or drain mid-campaign. Every settled point above is
-			// already in the ledger; only the remainder re-runs next life.
-			return s.failureOutcome(ctx, fp, err)
-		}
-		pr, err := s.settlePoint(ctx, opt, led, spec)
+		// An error here may be a deadline or drain mid-campaign. Every
+		// settled point above is already in the ledger; only the
+		// remainder re-runs next life.
+		out, err := led.Settle(ctx, opt, spec)
 		if err != nil {
 			return s.failureOutcome(ctx, fp, err)
 		}
-		points = append(points, pr)
+		points = append(points, pointResult(out))
 	}
 	body, bad, ok := marshalResponse(SweepResponse{Fingerprint: fp, Points: points})
 	if !ok {
@@ -248,69 +247,14 @@ func (s *Server) execSweep(ctx context.Context, c fleet.Campaign) outcome {
 	return outcome{status: http.StatusOK, body: body, cacheable: true}
 }
 
-// settlePoint returns one point's settled result, loading it from the
-// shared ledger when anyone — an earlier sweep, an advise request, a
-// previous server life — already computed it, and recording it
-// otherwise. pointMu closes the ledger's check-then-record window so
-// concurrent requests over the same option class cannot double-record
-// a key.
-func (s *Server) settlePoint(ctx context.Context, opt experiment.Options, led *experiment.Ledger, spec experiment.PointSpec) (PointResult, error) {
-	key, err := spec.Key()
-	if err != nil {
-		return PointResult{}, err
+// pointResult renders a settled point in response form.
+func pointResult(out experiment.PointOutcome) PointResult {
+	if q := out.Quarantine; q != nil {
+		return PointResult{Key: out.Key, Quarantine: &QuarantineInfo{
+			Class: q.Class, Attempts: q.Attempts, Reason: q.Reason,
+		}}
 	}
-	s.pointMu.Lock()
-	if pr, ok := settledPoint(led, key); ok {
-		s.pointMu.Unlock()
-		return pr, nil
-	}
-	s.pointMu.Unlock()
-
-	out, err := experiment.RunPointSpec(ctx, opt, spec)
-	if err != nil {
-		return PointResult{}, err
-	}
-	if out.Quarantine != nil && out.Quarantine.Class == string(core.ClassResourceExhausted) && ctx.Err() != nil {
-		// The wall-budget exhaustion was induced by the request deadline
-		// (or a drain), not by the point itself: recording it would
-		// poison the shared ledger with a quarantine every future
-		// warm-start inherits. Surface the interruption instead.
-		return PointResult{}, ctx.Err()
-	}
-
-	s.pointMu.Lock()
-	defer s.pointMu.Unlock()
-	if pr, ok := settledPoint(led, key); ok {
-		// A concurrent request settled the key first; replications are
-		// deterministic, so our result carried identical bits — drop it.
-		return pr, nil
-	}
-	if out.Quarantine != nil {
-		if err := led.PutQuarantine(*out.Quarantine); err != nil {
-			return PointResult{}, err
-		}
-	} else if err := led.Put(key, out.Reps); err != nil {
-		return PointResult{}, err
-	}
-	pr, _ := settledPoint(led, key)
-	pr.Key = key
-	return pr, nil
-}
-
-// settledPoint loads a key's recorded result, if any. Callers hold
-// pointMu.
-func settledPoint(led *experiment.Ledger, key string) (PointResult, bool) {
-	if reps, ok := led.Reps(key); ok {
-		return PointResult{Key: key, Replications: repResults(reps)}, true
-	}
-	for _, q := range led.Quarantined() {
-		if q.Key == key {
-			return PointResult{Key: key, Quarantine: &QuarantineInfo{
-				Class: q.Class, Attempts: q.Attempts, Reason: q.Reason,
-			}}, true
-		}
-	}
-	return PointResult{}, false
+	return PointResult{Key: out.Key, Replications: repResults(out.Reps)}
 }
 
 // repResults decodes engine records into response form.

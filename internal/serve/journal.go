@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"wtcp/internal/atomicfile"
 )
 
 // The pending journal is the server's accepted-work ledger: a request
@@ -54,22 +56,8 @@ func (j *journal) put(p pendingRequest) error {
 	if err != nil {
 		return fmt.Errorf("serve: journal encode: %w", err)
 	}
-	tmp, err := os.CreateTemp(j.dir, p.Fingerprint+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: journal temp: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(j.path(p.Fingerprint), data); err != nil {
 		return fmt.Errorf("serve: journal write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: journal close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path(p.Fingerprint)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: journal commit: %w", err)
 	}
 	return nil
 }

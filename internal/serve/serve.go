@@ -133,10 +133,6 @@ type Server struct {
 	flights  map[string]*flight
 	ledgers  map[string]*experiment.Ledger
 	wg       sync.WaitGroup
-
-	// pointMu serializes the has-check-then-put window on shared point
-	// ledgers so two overlapping sweeps cannot double-record one key.
-	pointMu sync.Mutex
 }
 
 // New opens (or creates) the server state under cfg.DataDir.
