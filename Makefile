@@ -37,12 +37,18 @@ serve-smoke:
 	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests' ./internal/serve/
 
 # Cell-scale gate: the 1k-flow SLO, the arena refcount property under
-# chaos loss/dup/reorder, and the old-vs-new differential pin, all under
-# -race; then the steady-state zero-alloc pins without it (the race
-# detector instruments allocation, making AllocsPerRun meaningless).
+# chaos loss/dup/reorder, the old-vs-new differential pin, and the pins
+# behind the cell engine's bit-identity claims — sim's lazily seeded
+# source against math/rand, the windowed fading timeline against the
+# unbounded one, the cached wheel minimum and the non-empty bitmap against
+# the scans they replace, the two engine faults — all under -race; then,
+# without it, the steady-state zero-alloc pins (the race detector
+# instruments allocation, making AllocsPerRun meaningless) and the
+# per-flow-channel 10k SLO (the cell_10k configuration under a 256 MB heap
+# ceiling; the shared-channel SLOs cannot see per-channel set-up cost).
 scale-smoke:
-	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine' ./internal/cell/ ./internal/multiconn/
-	$(GO) test -run 'TestSteadyStateZeroAllocs' ./internal/cell/
+	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestWindowedMarkovEqualsUnbounded|TestWheelMinMatchesScan|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
+	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestSmallRunSetUpIsSmall' ./internal/cell/ ./internal/multiconn/
 
 # Protocol-zoo gate, under -race: the Tahoe-profile refactor regression
 # and cross-protocol metamorphic orderings, the snoop cache property
@@ -142,7 +148,13 @@ bench-e2e-smoke:
 # untraced runs (lan_zoo: ~40 s each, so ten alternating pairs against a
 # parent take minutes, not half an hour); the harness makes one run per
 # call for a named workload and writes no set, so the recipe repeats the
-# call and assembles set.json from the run records.
+# call and assembles set.json from the run records. For the cell engine
+# (README "Performance", CHANGES.md PR 15) the recipe is
+# `make bench-e2e E2E_WORKLOAD=cell_10k E2E_REPEAT=10` in a checkout of
+# each commit (~30 s a run), the second with E2E_BASE naming the first's
+# set.json; the reported pairs are the same runs (`sh bench/run.sh
+# --workload cell_10k --seed 1 --seconds 20 --trace 0`) made alternately
+# in the two checkouts.
 E2E_REPEAT ?= 3
 E2E_OUT ?= bench/out/e2e
 E2E_WORKLOAD ?= all

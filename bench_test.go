@@ -15,6 +15,7 @@ package wtcp_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -559,6 +560,68 @@ func BenchmarkMarkovChannel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		at := time.Duration(i%100000) * time.Millisecond
 		ch.ExpectedBitErrors(at, at+80*time.Millisecond, 1536)
+	}
+}
+
+// mathRNG is sim.RNG as it was before it had a source of its own: the
+// same one-pointer wrapper, over math/rand's generator. The RNG
+// benchmarks' *MathRand rows run on it, so each pair differs in the
+// source alone.
+type mathRNG struct{ r *rand.Rand }
+
+func newMathRNG(seed int64) *mathRNG { return &mathRNG{r: rand.New(rand.NewSource(seed))} }
+
+func (g *mathRNG) Int63() int64 { return g.r.Int63() }
+
+// rngSink keeps the RNG benchmarks' draws alive.
+var rngSink int64
+
+// BenchmarkRNGSeed measures what a short-lived random stream costs: build
+// a generator and take the six draws a cell flow's fading channel takes in
+// a typical run. sim.RNG seeds only the register words those draws read;
+// math/rand's source fills all 607 first (BenchmarkRNGSeedMathRand; the
+// gate is a factor of five between the two).
+func BenchmarkRNGSeed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := sim.NewRNG(int64(i))
+		for k := 0; k < 6; k++ {
+			rngSink += g.Int63()
+		}
+	}
+}
+
+func BenchmarkRNGSeedMathRand(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := newMathRNG(int64(i))
+		for k := 0; k < 6; k++ {
+			rngSink += g.Int63()
+		}
+	}
+}
+
+// BenchmarkRNGDraw measures the steady-state draw, every register word
+// long since seeded (the gate: within 10 % of BenchmarkRNGDrawMathRand).
+func BenchmarkRNGDraw(b *testing.B) {
+	g := sim.NewRNG(1)
+	for k := 0; k < 1000; k++ {
+		g.Int63()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rngSink += g.Int63()
+	}
+}
+
+func BenchmarkRNGDrawMathRand(b *testing.B) {
+	g := newMathRNG(1)
+	for k := 0; k < 1000; k++ {
+		g.Int63()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rngSink += g.Int63()
 	}
 }
 

@@ -32,7 +32,8 @@ type arena struct {
 
 	// misuse records the first refcount violation (double free or
 	// release of a free slot). It is a protocol bug in the engine, never
-	// a network condition, so it is latched and surfaced at run end.
+	// a network condition, so it is latched here and surfaced by
+	// engine.failed as the run's "cell: arena-misuse" fault.
 	misuse error
 }
 
@@ -111,7 +112,7 @@ func (a *arena) size(s int32) units.ByteSize {
 // fault latches the first refcount violation.
 func (a *arena) fault(s int32, what string) {
 	if a.misuse == nil {
-		a.misuse = fmt.Errorf("cell: arena %s: slot %d (flow %d seq %d)", what, s, a.flow[s], a.seq[s])
+		a.misuse = fmt.Errorf("%s: slot %d (flow %d seq %d)", what, s, a.flow[s], a.seq[s])
 	}
 }
 

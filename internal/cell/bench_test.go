@@ -162,6 +162,40 @@ func benchmarkCellRun(b *testing.B, n int) {
 	}
 }
 
+// perFlow10k is the end-to-end benchmark's cell_10k configuration
+// (bench/cellw.go): Preset(10000) with one fading channel per flow and a
+// 30 min horizon. Every other benchmark and SLO here rides the preset's
+// shared channel, which has one channel and one RNG stream per base
+// station and so never showed what 10 000 of each cost to set up.
+func perFlow10k(pol Policy) Config {
+	cfg := Preset(10000)
+	cfg.Policy = pol
+	cfg.SharedChannel = false
+	cfg.Horizon = 30 * time.Minute
+	cfg.Seed = 100001
+	return cfg
+}
+
+// BenchmarkCellRun10kPerFlow is one cell_10k batch: the per-flow-channel
+// cell under each of the three policies.
+func BenchmarkCellRun10kPerFlow(b *testing.B) {
+	if raceEnabled {
+		b.Skip("large scale benchmarks run in non-race mode only")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, pol := range []Policy{RoundRobin, FIFO, CSDP} {
+			res, err := Run(perFlow10k(pol))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Completed {
+				b.Fatalf("%v: only %d/10000 flows completed", pol, res.CompletedFlows)
+			}
+		}
+	}
+}
+
 func BenchmarkCellRun1k(b *testing.B)  { benchmarkCellRun(b, 1000) }
 func BenchmarkCellRun10k(b *testing.B) { benchmarkCellRun(b, 10000) }
 func BenchmarkCellRun50k(b *testing.B) { benchmarkCellRun(b, 50000) }

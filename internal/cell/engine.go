@@ -1,6 +1,8 @@
 package cell
 
 import (
+	"fmt"
+	"math/bits"
 	"time"
 
 	"wtcp/internal/errmodel"
@@ -25,12 +27,6 @@ const csdpPollInterval = 10 * time.Millisecond
 // and context checks stay live through same-instant storms (a 50k-flow
 // admission wave is one instant).
 const pumpChunk = 8192
-
-// channelSlack is how far past the horizon the fading timelines are
-// pre-extended at setup, so the hot path never appends intervals. It
-// must exceed the longest span any single draw can be queried over
-// (bounded by the 64 s RTO ceiling).
-const channelSlack = 2 * time.Minute
 
 // engine is the flat cell state: every per-flow and per-base-station
 // quantity lives in a slice indexed by flow or base-station ID.
@@ -119,6 +115,13 @@ type engine struct {
 	// fifo preserves global packet-arrival order per base station (FIFO
 	// policy only).
 	fifo []fifoRing
+	// nonEmpty has one bit per local flow, neWords words per base station,
+	// set exactly while that flow's queue holds a packet; queued counts
+	// the set bits per station. Round-robin and CSDP scan the bits instead
+	// of every flow's qCount.
+	nonEmpty []uint64
+	neWords  int
+	queued   []int32
 
 	doneCount int
 	admitted  int
@@ -130,6 +133,9 @@ type engine struct {
 	chaosDups   uint64
 	chaosDelays uint64
 	oooOverflow uint64
+
+	// fault is the run's first engine fault (see failed).
+	fault error
 
 	oracle *sampler
 }
@@ -201,15 +207,13 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	e.chans = make([]*errmodel.Markov, nchan)
 	for i := range e.chans {
+		// Timelines extend on demand and transmit keeps each one a short
+		// sliding window (errmodel.Markov.Forget), so set-up draws one
+		// holding time per channel however long the horizon is.
 		ch, err := errmodel.NewMarkov(cfg.Channel, root.Split())
 		if err != nil {
 			return nil, err
 		}
-		// Pre-extend the fading timeline past every query the run can
-		// make, so steady-state queries never append (and never
-		// allocate). Timelines are a fixed draw sequence, so extending
-		// early is behaviour-neutral.
-		ch.StateAt(cfg.Horizon + channelSlack)
 		e.chans[i] = ch
 	}
 	e.chaos = root.Split()
@@ -273,6 +277,9 @@ func newEngine(cfg Config) (*engine, error) {
 	for f := 0; f < F; f++ {
 		e.nLocal[f%B]++
 	}
+	e.neWords = (int(e.nLocal[0]) + 63) / 64 // station 0 hosts the most
+	e.nonEmpty = make([]uint64, B*e.neWords)
+	e.queued = make([]int32, B)
 
 	e.arena = newArena(2 * F)
 	e.wheel = newWheel(int64(wheelTick), wheelBuckets, F+B)
@@ -303,6 +310,11 @@ func (e *engine) qPush(f, slot int32) bool {
 	pos := int(f)*e.qCap + int((e.qHead[f]+e.qCount[f])%int32(e.qCap))
 	e.qSlot[pos] = slot
 	e.qCount[f]++
+	if e.qCount[f] == 1 {
+		b, l := int(f)%e.B, int(f)/e.B
+		e.nonEmpty[b*e.neWords+l>>6] |= 1 << uint(l&63)
+		e.queued[b]++
+	}
 	return true
 }
 
@@ -314,6 +326,11 @@ func (e *engine) qPop(f int32) int32 {
 	s := e.qHeadSlot(f)
 	e.qHead[f] = (e.qHead[f] + 1) % int32(e.qCap)
 	e.qCount[f]--
+	if e.qCount[f] == 0 {
+		b, l := int(f)%e.B, int(f)/e.B
+		e.nonEmpty[b*e.neWords+l>>6] &^= 1 << uint(l&63)
+		e.queued[b]--
+	}
 	return s
 }
 
@@ -339,7 +356,8 @@ func (e *engine) begin() {
 }
 
 // loop steps the kernel until every flow completes, the horizon passes,
-// or the kernel fails (budget, conformance violation).
+// the kernel fails (budget, conformance violation), or the engine
+// faults.
 func (e *engine) loop() error {
 	s := e.s
 	horizon := e.cfg.Horizon
@@ -348,11 +366,51 @@ func (e *engine) loop() error {
 		if err != nil {
 			return err
 		}
+		if err := e.failed(); err != nil {
+			return err
+		}
 		if !ok {
 			break
 		}
 	}
 	return nil
+}
+
+// failed reports the run's first engine fault, or nil. A fault is a state
+// only an engine bug can produce — never a network condition — so the
+// rule is to fail closed: the source latches it, the run carries on to
+// the next kernel step on answers nobody will read, and loop (or finish,
+// for a fault raised by the teardown drain) returns the fault in place of
+// a Result. There are two sources, and the first to fault names the error:
+// a packet reference released twice or used after release
+// ("cell: arena-misuse", latched by the arena), and a channel query that
+// reached before the window transmit left that channel
+// ("cell: channel-window", latched by the Markov and reported through
+// channelFault).
+func (e *engine) failed() error {
+	if e.fault == nil && e.arena.misuse != nil {
+		e.fault = fmt.Errorf("cell: arena-misuse: %w", e.arena.misuse)
+	}
+	return e.fault
+}
+
+// channelFault records ch's latched window fault unless an earlier fault
+// already owns the run.
+func (e *engine) channelFault(ch *errmodel.Markov) {
+	if e.failed() == nil {
+		e.fault = fmt.Errorf("cell: channel-window: %w", ch.Err())
+	}
+}
+
+// lossDraw draws whether a transmission over [start, end) of ch is
+// corrupted, failing closed when the channel has no answer (NaN: the
+// query reached before its window).
+func (e *engine) lossDraw(ch *errmodel.Markov, start, end time.Duration, bits int64) bool {
+	mean := ch.ExpectedBitErrors(start, end, bits)
+	if mean != mean {
+		e.channelFault(ch)
+	}
+	return e.rng.PoissonAtLeastOne(mean)
 }
 
 // rearm sets the pump for the earliest pending micro-event, if any.
@@ -533,39 +591,62 @@ func (e *engine) pickNext(b int32) (int32, bool) {
 	}
 }
 
-// nextNonEmpty scans round-robin from b's pointer for a non-empty queue,
-// skipping predicted-bad channels when csdp is set.
+// nextNonEmpty serves round-robin from b's pointer: the first non-empty
+// queue after it, ring-wise, skipping predicted-bad channels when csdp is
+// set. It visits exactly the non-empty queues, in ring order — the
+// predictor draws once per visit, so the order is part of the result.
 func (e *engine) nextNonEmpty(b int32, csdp bool) (int32, bool) {
+	if e.queued[b] == 0 {
+		return 0, false
+	}
+	words := e.nonEmpty[int(b)*e.neWords : int(b+1)*e.neWords]
 	n := e.nLocal[b]
-	for i := int32(1); i <= n; i++ {
-		l := (e.rr[b] + i) % n
-		f := l*int32(e.B) + b
-		if e.qCount[f] == 0 {
-			continue
+	first := e.rr[b] + 1
+	if first >= n {
+		first = 0
+	}
+	// The ring from first is [first, n) then [0, first).
+	lo, hi := first, n
+	for lap := 0; lap < 2; lap++ {
+		for l := nextSet(words, lo, hi); l >= 0; l = nextSet(words, l+1, hi) {
+			f := l*int32(e.B) + b
+			if csdp && !e.predictGood(f) {
+				e.skippedBad[b]++
+				continue
+			}
+			e.rr[b] = l
+			return f, true
 		}
-		if csdp && !e.predictGood(f) {
-			e.skippedBad[b]++
-			continue
-		}
-		e.rr[b] = l
-		return f, true
+		lo, hi = 0, first
 	}
 	return 0, false
 }
 
-// anyQueued reports whether any of b's flows has pending packets.
-func (e *engine) anyQueued(b int32) bool {
-	for l := int32(0); l < e.nLocal[b]; l++ {
-		if e.qCount[l*int32(e.B)+b] > 0 {
-			return true
+// nextSet returns the lowest set bit in [from, to) of words, or -1.
+func nextSet(words []uint64, from, to int32) int32 {
+	for from < to {
+		if w := words[from>>6] >> uint(from&63); w != 0 {
+			if l := from + int32(bits.TrailingZeros64(w)); l < to {
+				return l
+			}
+			return -1
 		}
+		from = (from | 63) + 1 // the next word's first bit
 	}
-	return false
+	return -1
 }
+
+// anyQueued reports whether any of b's flows has pending packets.
+func (e *engine) anyQueued(b int32) bool { return e.queued[b] > 0 }
 
 // predictGood consults the channel predictor for a flow.
 func (e *engine) predictGood(f int32) bool {
-	truth := e.channelOf(f).StateAt(e.s.Now()) == errmodel.Good
+	ch := e.channelOf(f)
+	state := ch.StateAt(e.s.Now())
+	if state == 0 {
+		e.channelFault(ch)
+	}
+	truth := state == errmodel.Good
 	if e.pred.Bernoulli(e.cfg.PredictorAccuracy) {
 		return truth
 	}
@@ -590,6 +671,13 @@ func (e *engine) transmit(b, f int32) {
 	e.curSlot[b] = slot
 	e.curStart[b] = start
 	e.cal.push(calEvent{at: int64(start + cycle), kind: evRadioDone, bs: b})
+	// This cycle's start bounds every later query of the channel from
+	// below: radioDone looks back to curStart, every other query
+	// (predictGood, sinkEmitAck) is at the then-current time, and the
+	// radio is stop-and-wait, so no earlier cycle of this channel — the
+	// flow's own, or with SharedChannel the base station's — is still
+	// pending.
+	e.channelOf(f).Forget(start)
 
 	if e.oracle != nil {
 		e.oracle.arqAttempt(f, int(e.tries[f]))
@@ -609,13 +697,12 @@ func (e *engine) radioDone(b int32) {
 	ch := e.channelOf(f)
 	size := e.arena.size(slot)
 	tx := units.TransmissionTime(size, e.cfg.WirelessRate)
-	corrupted := e.rng.PoissonAtLeastOne(ch.ExpectedBitErrors(start, start+tx, size.Bits()))
+	corrupted := e.lossDraw(ch, start, start+tx, size.Bits())
 	ackLost := false
 	if !corrupted {
 		// The link ack rides the same fading channel.
 		ackStart := start + tx + e.cfg.WirelessDelay
-		ackLost = e.rng.PoissonAtLeastOne(
-			ch.ExpectedBitErrors(ackStart, ackStart+e.ackTxRadio, packet.ControlSize.Bits()))
+		ackLost = e.lossDraw(ch, ackStart, ackStart+e.ackTxRadio, packet.ControlSize.Bits())
 		e.deliverToSink(f, slot)
 	}
 	if corrupted || ackLost {
@@ -734,8 +821,8 @@ func (e *engine) drain() {
 // finish drains references and assembles the Result.
 func (e *engine) finish() (*Result, error) {
 	e.drain()
-	if e.arena.misuse != nil {
-		return nil, e.arena.misuse
+	if err := e.failed(); err != nil {
+		return nil, err
 	}
 
 	res := &Result{

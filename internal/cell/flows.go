@@ -401,9 +401,7 @@ func (e *engine) sinkEmitAck(f int32, advanced bool) {
 	_ = advanced // the ack packet is the same either way (no delayed acks)
 	now := e.s.Now()
 	ch := e.channelOf(f)
-	lost := e.rng.PoissonAtLeastOne(
-		ch.ExpectedBitErrors(now, now+e.ackTxRadio, int64(packet.ControlSize.Bits())))
-	if lost {
+	if e.lossDraw(ch, now, now+e.ackTxRadio, int64(packet.ControlSize.Bits())) {
 		return
 	}
 	// Uplink transit, then the wired reverse pipe (serial, per flow,

@@ -22,7 +22,12 @@ import (
 // run promptly) and by the test's own measurement.
 func sloRun(t *testing.T, n int, wall time.Duration, heap int64) *Result {
 	t.Helper()
-	cfg := Preset(n)
+	return sloRunConfig(t, Preset(n), wall, heap)
+}
+
+func sloRunConfig(t *testing.T, cfg Config, wall time.Duration, heap int64) *Result {
+	t.Helper()
+	n := cfg.Flows
 	start := time.Now()
 	res, err := RunContext(context.Background(), cfg, sim.Budget{
 		WallClock:    wall,
@@ -66,6 +71,25 @@ func TestCellSLO10k(t *testing.T) {
 		t.Skip("mid-scale SLO runs in full non-race mode only")
 	}
 	sloRun(t, 10000, 30*time.Second, 1<<30)
+}
+
+// TestCellSLO10kPerFlow bounds the configuration the shared-channel
+// presets hide: 10 000 flows with a fading channel and an RNG stream
+// each, under the policy that queries them hardest. The heap ceiling is
+// the point — set-up that draws every channel's timeline out to a 30 min
+// horizon, or seeds every stream's whole register, holds 450 MB before
+// the first event and trips it at once; the engine holds about 60 MB.
+// The collection beforehand is because the probe reads the process's
+// heap, earlier tests' garbage included.
+func TestCellSLO10kPerFlow(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("mid-scale SLO runs in full non-race mode only")
+	}
+	runtime.GC()
+	res := sloRunConfig(t, perFlow10k(CSDP), 20*time.Second, 256<<20)
+	if !res.Completed {
+		t.Errorf("%d/10000 flows completed inside the 30 min horizon", res.CompletedFlows)
+	}
 }
 
 // TestCellSLO50k is the headline bound from the issue: 50k flows x 60

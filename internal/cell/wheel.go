@@ -29,6 +29,18 @@ type wheel struct {
 
 	occupied []uint64 // bucket occupancy bitmap
 	count    int
+
+	// min caches the earliest pending deadline and minCount how many
+	// entries carry exactly it, because the engine asks nextAt once per
+	// micro-event while hundreds of timers can share the first occupied
+	// bucket. Invariant: minCount > 0 implies min is the minimum over
+	// every armed entry and minCount the number of entries at it;
+	// minCount == 0 with count > 0 means "unknown" and the next nextAt
+	// rescans. arm can only lower or join the minimum, so it maintains
+	// the cache exactly; unlink invalidates it only by removing the last
+	// entry at the minimum.
+	min      int64
+	minCount int
 }
 
 // newWheel sizes a wheel for nidx timer owners with the given tick and
@@ -95,6 +107,12 @@ func (w *wheel) arm(idx int32, at, now int64) {
 	}
 	w.tail[b] = idx
 	w.count++
+	switch {
+	case w.count == 1 || (w.minCount > 0 && at < w.min):
+		w.min, w.minCount = at, 1
+	case w.minCount > 0 && at == w.min:
+		w.minCount++
+	}
 }
 
 // cancel clears idx's pending deadline, if any.
@@ -122,58 +140,69 @@ func (w *wheel) unlink(idx int32) {
 		w.occupied[b>>6] &^= 1 << uint(b&63)
 	}
 	w.count--
+	if w.minCount > 0 && w.deadline[idx] == w.min {
+		w.minCount--
+	}
 }
 
 // nextAt reports the earliest pending deadline, or -1 when no timer is
 // armed. now must be at or before every pending deadline (the engine
-// fires timers promptly, so deadlines are never in the past); the scan
-// walks the occupancy bitmap ring-wise from now's bucket, and because
-// every deadline is within one span of now, ring order is deadline-tick
-// order and the first occupied bucket holds the minimum.
+// fires timers promptly, so deadlines are never in the past). The answer
+// is the cached minimum unless the last entry carrying it has been
+// unlinked since; only then is the wheel rescanned.
 func (w *wheel) nextAt(now int64) int64 {
 	if w.count == 0 {
 		return -1
 	}
+	if w.minCount == 0 {
+		w.min, w.minCount = w.scanMin(now)
+	}
+	return w.min
+}
+
+// scanMin finds the earliest pending deadline and how many entries carry
+// it. It walks the occupancy bitmap ring-wise from now's bucket, and
+// because every deadline is within one span of now, ring order is
+// deadline-tick order and the first occupied bucket holds the minimum.
+// The walk is a whole lap — the start word is met again at the end, for
+// its bits below the start bit — so it finds a bucket whenever the wheel
+// is not empty, which the caller guarantees.
+func (w *wheel) scanMin(now int64) (min int64, n int) {
 	start := w.bucket(now)
-	n := w.mask + 1
-	for off := int64(0); off < n; {
+	for off := int64(0); off <= w.mask; {
 		b := (start + off) & w.mask
-		word := w.occupied[b>>6]
 		// Mask off bits below b within its word, then jump by whole
 		// words when empty.
-		word &= ^uint64(0) << uint(b&63)
+		word := w.occupied[b>>6] & (^uint64(0) << uint(b&63))
 		if word == 0 {
 			off += 64 - (b & 63)
 			continue
 		}
-		b = (b &^ 63) + int64(bits.TrailingZeros64(word))
-		if ((b - start) & w.mask) >= n {
-			break
-		}
-		min := int64(-1)
-		for e := w.head[b]; e >= 0; e = w.next[e] {
-			if min < 0 || w.deadline[e] < min {
-				min = w.deadline[e]
-			}
-		}
-		return min
-		// Unreachable: the first occupied bucket always yields min.
+		return w.bucketMin((b&^63)+int64(bits.TrailingZeros64(word)), -1, 0)
 	}
-	// All occupancy is behind the start bit inside its own word; fall
-	// back to a full scan (cold path, only near bucket-boundary wrap).
-	min := int64(-1)
-	for wi, word := range w.occupied {
-		for word != 0 {
-			b := int64(wi*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-			for e := w.head[b]; e >= 0; e = w.next[e] {
-				if min < 0 || w.deadline[e] < min {
-					min = w.deadline[e]
-				}
-			}
+	// A lap that met no occupied bucket means count and the bitmap
+	// disagree. Fall back to a full scan of the lists themselves (cold
+	// path; no ring order assumed) rather than report an armed wheel as
+	// empty.
+	min = -1
+	for b := range w.head {
+		min, n = w.bucketMin(int64(b), min, n)
+	}
+	return min, n
+}
+
+// bucketMin folds bucket b's entries into a running (minimum, count at
+// the minimum); min < 0 means none seen yet.
+func (w *wheel) bucketMin(b, min int64, n int) (int64, int) {
+	for e := w.head[b]; e >= 0; e = w.next[e] {
+		switch d := w.deadline[e]; {
+		case min < 0 || d < min:
+			min, n = d, 1
+		case d == min:
+			n++
 		}
 	}
-	return min
+	return min, n
 }
 
 // popDue unlinks and returns the first entry (in arm order) whose

@@ -20,6 +20,7 @@ package errmodel
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"wtcp/internal/sim"
@@ -137,18 +138,37 @@ type interval struct {
 	state State
 }
 
+// ErrForgotten is the fault a Markov latches (see Err) when a query
+// reaches before the window Forget left it: the state there has been
+// discarded, and no answer is better than a wrong one.
+var ErrForgotten = errors.New("errmodel: query before the retained window")
+
 // Markov is the stochastic (or deterministic-period) two-state channel. It
 // generates its state timeline lazily and caches it, so repeated queries
 // over the same horizon are cheap and consistent.
+//
+// By default the whole timeline is kept and any past time can be queried.
+// A caller whose queries only move forward can bound the memory with
+// Forget: the timeline then becomes a sliding window whose capacity
+// plateaus at the few intervals between the oldest time still needed and
+// the newest one asked about. Holding times are drawn in the same order
+// from the same stream either way, so forgetting never changes an answer —
+// it can only refuse one.
 type Markov struct {
 	cfg Config
 	rng *sim.RNG
 
-	// timeline holds intervals in increasing start order; timeline[0]
-	// always starts at 0. horizon is the time up to which the timeline is
-	// complete (the next interval's start).
+	// timeline holds the retained intervals in increasing start order;
+	// timeline[0] starts at 0 until Forget lets extendTo reuse it. horizon
+	// is the time up to which the timeline is complete (the next
+	// interval's start).
 	timeline []interval
 	horizon  time.Duration
+	// floor is Forget's promise: no later query reaches before it.
+	floor time.Duration
+	// err latches the first query that broke the promise far enough to
+	// land on a discarded interval.
+	err error
 }
 
 var _ Channel = (*Markov)(nil)
@@ -163,7 +183,9 @@ func NewMarkov(cfg Config, rng *sim.RNG) (*Markov, error) {
 		cfg.Start = Good
 	}
 	m := &Markov{cfg: cfg, rng: rng}
-	m.timeline = append(m.timeline, interval{start: 0, state: cfg.Start})
+	// Room for the few intervals a sliding window spans (see Forget), so
+	// a windowed channel's timeline is one allocation for its whole life.
+	m.timeline = append(make([]interval, 0, 8), interval{start: 0, state: cfg.Start})
 	m.horizon = m.draw(cfg.Start)
 	return m, nil
 }
@@ -186,6 +208,23 @@ func (m *Markov) draw(s State) time.Duration {
 	return d
 }
 
+// Forget promises that no later query reaches before t, which lets the
+// timeline reuse the slots of intervals that ended at or before t instead
+// of growing. The promise only ever moves forward; an earlier t is
+// ignored. A later query that breaks it and lands before the retained
+// window fails closed: it latches ErrForgotten (see Err) and returns no
+// state (StateAt 0, ExpectedBitErrors NaN). A Markov on which Forget is
+// never called keeps its whole timeline.
+func (m *Markov) Forget(t time.Duration) {
+	if t > m.floor {
+		m.floor = t
+	}
+}
+
+// Err reports the first query that reached before the retained window
+// (wrapping ErrForgotten), or nil.
+func (m *Markov) Err() error { return m.err }
+
 // extendTo generates intervals until the timeline covers t.
 func (m *Markov) extendTo(t time.Duration) {
 	for m.horizon <= t {
@@ -200,17 +239,41 @@ func (m *Markov) extendTo(t time.Duration) {
 			m.horizon += m.draw(Good)
 			continue
 		}
+		if len(m.timeline) == cap(m.timeline) {
+			m.dropForgotten()
+		}
 		m.timeline = append(m.timeline, interval{start: m.horizon, state: next})
 		m.horizon += m.draw(next)
 	}
 }
 
-// locate returns the index of the interval containing t.
+// dropForgotten slides the retained intervals down over those that ended
+// at or before the floor, so a full slice is reused rather than regrown
+// whenever the window allows. With no Forget the floor is 0 and nothing
+// ends there, so the timeline grows as it always has.
+func (m *Markov) dropForgotten() {
+	k := 0
+	for k+1 < len(m.timeline) && m.timeline[k+1].start <= m.floor {
+		k++
+	}
+	if k > 0 {
+		m.timeline = m.timeline[:copy(m.timeline, m.timeline[k:])]
+	}
+}
+
+// locate returns the index of the interval containing t, or -1 (latching
+// ErrForgotten) when that interval has been discarded.
 func (m *Markov) locate(t time.Duration) int {
 	if t < 0 {
 		t = 0
 	}
 	m.extendTo(t)
+	if first := m.timeline[0].start; t < first {
+		if m.err == nil {
+			m.err = fmt.Errorf("%w: t=%v, window starts at %v (floor %v)", ErrForgotten, t, first, m.floor)
+		}
+		return -1
+	}
 	// Binary search for the last interval starting at or before t.
 	lo, hi := 0, len(m.timeline)-1
 	for lo < hi {
@@ -226,7 +289,11 @@ func (m *Markov) locate(t time.Duration) int {
 
 // StateAt implements Channel.
 func (m *Markov) StateAt(t time.Duration) State {
-	return m.timeline[m.locate(t)].state
+	i := m.locate(t)
+	if i < 0 {
+		return 0
+	}
+	return m.timeline[i].state
 }
 
 // ber returns the bit error rate in state s.
@@ -241,21 +308,25 @@ func (m *Markov) ber(s State) float64 {
 // uniformly over [start, end); the mean error count integrates the BER
 // across every state interval the transmission overlaps.
 func (m *Markov) ExpectedBitErrors(start, end time.Duration, bits int64) float64 {
-	if bits <= 0 || end <= start {
-		// Instantaneous transmissions (degenerate configs) are attributed
-		// entirely to the state at start.
-		if bits <= 0 {
-			return 0
-		}
-		return m.ber(m.StateAt(start)) * float64(bits)
+	if bits <= 0 {
+		return 0
 	}
 	if start < 0 {
 		start = 0
 	}
 	m.extendTo(end)
+	first := m.locate(start)
+	if first < 0 {
+		return math.NaN()
+	}
+	if end <= start {
+		// Instantaneous transmissions (degenerate configs) are attributed
+		// entirely to the state at start.
+		return m.ber(m.timeline[first].state) * float64(bits)
+	}
 	total := float64(end - start)
 	mean := 0.0
-	for i := m.locate(start); i < len(m.timeline); i++ {
+	for i := first; i < len(m.timeline); i++ {
 		iv := m.timeline[i]
 		ivEnd := m.horizon
 		if i+1 < len(m.timeline) {
@@ -275,7 +346,8 @@ func (m *Markov) ExpectedBitErrors(start, end time.Duration, bits int64) float64
 }
 
 // Intervals returns a copy of the generated timeline up to horizon t, as
-// (start, state) pairs. Intended for tests and trace annotation.
+// (start, state) pairs — the whole of it unless Forget has let some go.
+// Intended for tests and trace annotation.
 func (m *Markov) Intervals(t time.Duration) []struct {
 	Start time.Duration
 	State State

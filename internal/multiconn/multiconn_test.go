@@ -1,6 +1,7 @@
 package multiconn
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,5 +235,29 @@ func TestErrorFreeChannelSharesRadioFully(t *testing.T) {
 	}
 	if r.RadioDiscards != 0 {
 		t.Errorf("discards on a clean channel: %d", r.RadioDiscards)
+	}
+}
+
+// TestSmallRunSetUpIsSmall bounds what a four-connection run allocates.
+// Run delegates to the cell engine with a channel per connection and the
+// default 4 h horizon; an engine that draws every channel's fading
+// timeline out to the horizon before the first packet allocates 1.5 MB
+// here (~6 400 intervals per connection), one that extends timelines on
+// demand about 120 KB, most of it the timer wheel's fixed bucket slab.
+func TestSmallRunSetUpIsSmall(t *testing.T) {
+	const ceiling = 256 << 10
+	cfg := LANDefaults(4, CSDP, time.Second)
+	if _, err := Run(cfg); err != nil { // warm the kernel pool
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil || !res.Completed {
+		t.Fatalf("run: completed %v, err %v", res != nil && res.Completed, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("a 4-connection run allocated %d bytes, ceiling %d", got, ceiling)
 	}
 }

@@ -14,11 +14,17 @@ import (
 // errors) live next to the kernel and are tested once.
 type RNG struct {
 	r *rand.Rand
+	// src is r's source, held by value so a generator is two allocations,
+	// not three (a 10 000-flow cell builds 10 000 of them).
+	src source
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent child generator. Components should each own
