@@ -32,9 +32,12 @@ fleet-smoke:
 # client disconnects against a 2-slot server, SIGTERM drain mid-storm,
 # restart, and resume; asserts nothing lost, nothing double-run, finite
 # Retry-After on rejects, byte-identical cache hits — plus the
-# single-flight dedup test.
+# single-flight dedup test and the pins of the two on-disk stores: LRU
+# order and the space rule against the slice model across many small
+# segments, order and cap after a reopen, legacy-layout adoption, gets
+# racing evictions and compaction, and the data-directory lock.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsAdoptedOnce|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName' ./internal/serve/
 
 # Cell-scale gate: the 1k-flow SLO, the arena refcount property under
 # chaos loss/dup/reorder, the old-vs-new differential pin, and the pins
@@ -189,9 +192,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=30s ./internal/chaos
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=30s ./internal/experiment
+	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
-# seeded corpora without stalling the pipeline.
+# seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
+# both wtcpd stores on every input, so its coverage is noisy and the
+# fuzzer's default 60 s of minimising per "interesting" input would eat
+# the whole budget; 1 s keeps it generating.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReassembler -fuzztime=10s ./internal/ip
 	$(GO) test -fuzz=FuzzSenderAckStream -fuzztime=10s ./internal/tcp
@@ -199,6 +206,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=10s ./internal/serve
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=10s ./internal/experiment
+	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 
 clean:
 	$(GO) clean ./...

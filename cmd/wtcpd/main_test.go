@@ -5,11 +5,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -17,10 +17,11 @@ import (
 )
 
 // startServer launches run() in a goroutine and returns the base URL it
-// listens on plus a channel carrying its exit error. The caller drives
+// listens on, the line that announced it (which says how many journaled
+// requests were resumed), plus a channel carrying its exit error. The caller drives
 // shutdown by sending SIGTERM to the test process — the same signal a
 // supervisor would send — and waits on the channel.
-func startServer(t *testing.T, args []string) (string, <-chan error) {
+func startServer(t *testing.T, args []string) (base, banner string, exit <-chan error) {
 	t.Helper()
 	pr, pw := io.Pipe()
 	errCh := make(chan error, 1)
@@ -39,7 +40,7 @@ func startServer(t *testing.T, args []string) (string, <-chan error) {
 				for lines.Scan() {
 				}
 			}()
-			return "http://" + addr, errCh
+			return "http://" + addr, line, errCh
 		}
 	}
 	select {
@@ -48,7 +49,7 @@ func startServer(t *testing.T, args []string) (string, <-chan error) {
 	default:
 		t.Fatal("server output ended before listening line")
 	}
-	return "", nil
+	return "", "", nil
 }
 
 func sigterm(t *testing.T) {
@@ -72,7 +73,7 @@ func waitExit(t *testing.T, errCh <-chan error) {
 
 func TestServeRunAndGracefulExit(t *testing.T) {
 	dir := t.TempDir()
-	base, errCh := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0"})
+	base, _, errCh := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0"})
 
 	body := []byte(`{"scenario":{"mean_bad":"4s","transfer_kb":50,"seed":3}}`)
 	resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
@@ -106,35 +107,46 @@ func TestServeRunAndGracefulExit(t *testing.T) {
 
 func TestDrainJournalsInFlightWorkAndRestartResumes(t *testing.T) {
 	dir := t.TempDir()
-	base, errCh := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0", "-drain-grace", "50ms"})
+	base, _, errCh := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0", "-drain-grace", "50ms"})
 
 	// Enough replications that the run is still going when the drain hits.
 	body := []byte(`{"scenario":{"mean_bad":"4s","transfer_kb":100000,"seed":5},"replications":32}`)
-	got := make(chan int, 1)
+	type reply struct {
+		status int
+		body   []byte
+	}
+	got := make(chan reply, 1)
 	go func() {
 		resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
 		if err != nil {
-			got <- 0
+			got <- reply{}
 			return
 		}
+		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		got <- resp.StatusCode
+		got <- reply{resp.StatusCode, data}
 	}()
 	time.Sleep(150 * time.Millisecond) // admitted and executing
 	sigterm(t)
 	waitExit(t, errCh)
-	if status := <-got; status != http.StatusServiceUnavailable {
-		t.Fatalf("drained in-flight request: HTTP %d, want 503", status)
+	drained := <-got
+	if drained.status != http.StatusServiceUnavailable {
+		t.Fatalf("drained in-flight request: HTTP %d, want 503", drained.status)
 	}
-
-	pending, err := os.ReadDir(filepath.Join(dir, "pending"))
-	if err != nil || len(pending) != 1 {
-		t.Fatalf("journal after drain: %d entries (err %v), want 1", len(pending), err)
+	var e struct {
+		Fingerprint string `json:"fingerprint"`
 	}
-	fp := strings.TrimSuffix(pending[0].Name(), ".json")
+	if err := json.Unmarshal(drained.body, &e); err != nil || len(e.Fingerprint) != 64 {
+		t.Fatalf("503 body carries no fingerprint (err %v): %s", err, drained.body)
+	}
+	fp := e.Fingerprint
 
-	// Second life on the same data directory resumes and finishes it.
-	base2, errCh2 := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0"})
+	// Second life on the same data directory finds exactly that one
+	// journal entry, resumes and finishes it.
+	base2, banner, errCh2 := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0"})
+	if !strings.Contains(banner, "resumed 1 journaled request(s)") {
+		t.Fatalf("journal after drain: second life said %q, want 1 entry resumed", banner)
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(fmt.Sprintf("%s/v1/result/%s", base2, fp))

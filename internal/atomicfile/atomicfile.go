@@ -1,14 +1,21 @@
-// Package atomicfile is the repo's one write-then-rename: every
-// persisted file (checkpoint ledger, status snapshots, cache entries,
-// journal entries, repro bundles) goes through Write so a reader — or a
+// Package atomicfile is the repo's one write-then-rename: every file
+// that is replaced whole (checkpoint ledger, status snapshots, wtcpd's
+// journal rewrites, repro bundles) goes through Write so a reader — or a
 // process killed at any instant — sees either the previous complete
-// file or the new one, never a torn one.
+// file or the new one, never a torn one. Beside it sits the one
+// single-writer guard (Lock) for state that is rewritten or appended to
+// in place: a checkpoint ledger, wtcpd's data directory.
 package atomicfile
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 )
+
+// ErrLocked is wrapped by Lock's error when another process (or another
+// open in this one) holds the path.
+var ErrLocked = errors.New("locked by another process")
 
 // Write replaces path with data: the bytes are fully written to a temp
 // file in path's own directory (rename is only atomic within one file

@@ -74,9 +74,9 @@ type Ledger struct {
 // another version or fingerprint, or repeats a key is refused with the
 // path named, and the lock is released.
 func OpenLedger(path string, opt Options) (*Ledger, error) {
-	unlock, err := acquireFileLock(path + ".lock")
+	unlock, err := atomicfile.Lock(path + ".lock")
 	if err != nil {
-		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("experiment: checkpoint %s: %w; two engines must not share one checkpoint file", path, err)
 	}
 	l := &Ledger{path: path, fingerprint: opt.withDefaults().fingerprint(), unlock: unlock,
 		points: map[string][]RepRecord{}, quars: map[string]Quarantine{}}

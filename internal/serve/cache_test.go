@@ -2,12 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -93,7 +93,7 @@ func TestDiskCacheEvictsUnderByteCap(t *testing.T) {
 	fp := func(i int) string { return fmt.Sprintf("%064d", i) }
 	blob := bytes.Repeat([]byte("x"), 100)
 
-	c, err := openDiskCache(t.TempDir(), 250)
+	c, err := openDiskCache(t.TempDir(), 250, cacheSegmentBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDiskCacheEvictsUnderByteCap(t *testing.T) {
 func TestDiskCacheSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	fp := func(i int) string { return fmt.Sprintf("%064d", i) }
-	c, err := openDiskCache(dir, 1<<20)
+	c, err := openDiskCache(dir, 1<<20, cacheSegmentBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,12 @@ func TestDiskCacheSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	re, err := openDiskCache(dir, 1<<20)
+	c.close()
+	re, err := openDiskCache(dir, 1<<20, cacheSegmentBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer re.close()
 	for i := 0; i < 3; i++ {
 		data, ok := re.get(fp(i))
 		if !ok || string(data) != fmt.Sprintf("blob-%d", i) {
@@ -169,22 +171,70 @@ func TestDiskCacheSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestDiskCacheInterleavedOrder drives a seeded interleaving of gets,
-// puts and vanished files against the obvious model — a slice kept in
-// recency order, scanned linearly — and requires the same resident set
-// and the same eviction count after every step: the O(1) list must
-// evict in exactly the order the scan did.
-func TestDiskCacheInterleavedOrder(t *testing.T) {
-	fp := func(i int) string { return fmt.Sprintf("%064d", i) }
-	const capBytes, keys = 1000, 40
-	dir := t.TempDir()
-	c, err := openDiskCache(dir, capBytes)
+// order lists the resident fingerprints, least recently used first.
+func (c *diskCache) order() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for i := c.slots[0].next; i != 0; i = c.slots[i].next {
+		out = append(out, hex.EncodeToString(c.slots[i].key[:]))
+	}
+	return out
+}
+
+// recordAt reports where fp's record is: segment file, offset, and
+// length including the frame.
+func (c *diskCache) recordAt(t *testing.T, fp string) (path string, off, n int64) {
+	t.Helper()
+	key, _ := parseFP(fp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.lookup(key)
+	if !ok {
+		t.Fatalf("entry %s is not resident", fp[:12])
+	}
+	e := c.slots[i]
+	return c.segByID(e.seg).path, int64(e.off), recordBytes(e.n)
+}
+
+// flipByte inverts the byte at off in path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskCacheInterleavedOrder drives a seeded interleaving of gets,
+// puts and records going bad on disk against the obvious model — a
+// slice kept in recency order, scanned linearly — and requires the same
+// resident set and the same eviction count after every step: the slab
+// list must evict in exactly the order the scan did. The segments are
+// small enough that the run seals, unlinks and compacts dozens of them,
+// so the same steps pin the space rule: the files never hold more than
+// twice the live bytes plus one segment.
+func TestDiskCacheInterleavedOrder(t *testing.T) {
+	fp := func(i int) string { return fmt.Sprintf("%064d", i) }
+	const capBytes, segBytes, keys = 1000, 400, 40
+	dir := t.TempDir()
+	c, err := openDiskCache(dir, capBytes, segBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
 	var order []int // model: front oldest
 	sizes := map[int]int{}
-	total, evictions := 0, 0
+	total, evictions, corrupted, maxSegs := 0, 0, 0, 0
 	unlist := func(k int) {
 		order = slices.DeleteFunc(order, func(o int) bool { return o == k })
 	}
@@ -218,36 +268,65 @@ func TestDiskCacheInterleavedOrder(t *testing.T) {
 					evictions++
 				}
 			}
-		default: // the file vanishes underneath; the next get drops the index
+		default: // the record no longer passes its CRC; the next get drops the index
 			if resident {
-				if err := os.Remove(filepath.Join(dir, fp(k))); err != nil {
-					t.Fatal(err)
-				}
+				path, off, n := c.recordAt(t, fp(k))
+				flipByte(t, path, off+rng.Int63n(n))
 				if _, ok := c.get(fp(k)); ok {
-					t.Fatalf("step %d: vanished entry %d still served", step, k)
+					t.Fatalf("step %d: corrupted entry %d still served", step, k)
 				}
 				drop(k)
+				corrupted++
 			}
 		}
 		entries, size, ev := c.stats()
 		if entries != len(order) || size != int64(total) || ev != uint64(evictions) {
 			t.Fatalf("step %d: stats (%d, %d, %d), model (%d, %d, %d)", step, entries, size, ev, len(order), total, evictions)
 		}
+		live := int64(0)
+		for _, n := range sizes {
+			live += recordBytes(uint32(n))
+		}
+		segs, disk, _, _ := c.diskStats()
+		if disk > 2*live+segBytes {
+			t.Fatalf("step %d: %d bytes on disk for %d live; the rule is 2 x live + one segment", step, disk, live)
+		}
+		maxSegs = max(maxSegs, segs)
 	}
 	// The recency order itself, front to back.
-	var got []string
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		got = append(got, el.Value.(cacheEntry).fp)
-	}
 	var want []string
 	for _, k := range order {
 		want = append(want, fp(k))
 	}
-	if !slices.Equal(got, want) {
+	if got := c.order(); !slices.Equal(got, want) {
 		t.Errorf("recency order diverged from the model:\n got %v\nwant %v", got, want)
 	}
 	if evictions == 0 {
 		t.Error("the interleaving never evicted; the case proves nothing")
+	}
+	_, _, compactions, corrupt := c.diskStats()
+	if corrupt != uint64(corrupted) {
+		t.Errorf("corrupt counter = %d, want %d", corrupt, corrupted)
+	}
+	if maxSegs < 3 || compactions == 0 {
+		t.Errorf("at most %d segments and %d compactions; the space rule was never exercised", maxSegs, compactions)
+	}
+	// What is on disk is what diskStats says, and nothing else.
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, disk, _, _ := c.diskStats()
+	onDisk := int64(0)
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += info.Size()
+	}
+	if len(files) != segs || onDisk != disk {
+		t.Errorf("directory holds %d files / %d bytes, diskStats says %d / %d", len(files), onDisk, segs, disk)
 	}
 }
 

@@ -95,14 +95,15 @@ func marshalResponse(v any) ([]byte, outcome, bool) {
 
 // runQuery binds a validated run request into the serveQuery pipeline.
 func (s *Server) runQuery(req RunRequest, sf scenario.File, body []byte) query {
+	fp := RunFingerprint(sf, req.Replications)
 	return query{
 		kind:        "run",
-		fp:          RunFingerprint(sf, req.Replications),
+		fp:          fp,
 		class:       runClass(sf),
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
 		exec: func(ctx context.Context) outcome {
-			return s.execRun(ctx, req, sf)
+			return s.execRun(ctx, req, sf, fp)
 		},
 	}
 }
@@ -124,14 +125,15 @@ func runClass(sf scenario.File) string {
 
 // sweepQuery binds a validated sweep request into the pipeline.
 func (s *Server) sweepQuery(req SweepRequest, c fleet.Campaign, body []byte) query {
+	fp := SweepFingerprint(c)
 	return query{
 		kind:        "sweep",
-		fp:          SweepFingerprint(c),
+		fp:          fp,
 		class:       "sweep/" + strings.Join(c.Sweeps, "+"),
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
 		exec: func(ctx context.Context) outcome {
-			return s.execSweep(ctx, c)
+			return s.execSweep(ctx, c, fp)
 		},
 	}
 }
@@ -155,8 +157,7 @@ func (s *Server) engineOptions(ctx context.Context, opt experiment.Options) expe
 }
 
 // execRun runs one scenario for Replications consecutive seeds.
-func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File) outcome {
-	fp := RunFingerprint(sf, req.Replications)
+func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, fp string) outcome {
 	opt := s.engineOptions(ctx, experiment.Options{
 		Replications: req.Replications,
 		Supervise:    experiment.NewSupervisor(),
@@ -206,8 +207,7 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File) 
 // /v1/advise, and drain/resume), and each fresh point is recorded the
 // moment it settles, so a drain can never lose more than the point in
 // flight.
-func (s *Server) execSweep(ctx context.Context, c fleet.Campaign) outcome {
-	fp := SweepFingerprint(c)
+func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) outcome {
 	opt, err := c.Options()
 	if err != nil {
 		// ParseSweepRequest validated the campaign; unreachable.

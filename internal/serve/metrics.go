@@ -55,6 +55,12 @@ func (m *metrics) render(s *Server) string {
 	gauge("cache_entries", "Result-cache entries resident.", int64(entries))
 	gauge("cache_bytes", "Result-cache bytes resident.", bytes)
 	counter("cache_evictions_total", "Result-cache entries evicted under the byte cap.", evictions)
+	segments, diskBytes, compactions, corrupt := s.cache.diskStats()
+	gauge("cache_segments", "Result-cache segment files on disk.", int64(segments))
+	gauge("cache_disk_bytes", "Result-cache bytes on disk, live and dead.", diskBytes)
+	counter("cache_compactions_total", "Result-cache segments rewritten to reclaim dead bytes.", compactions)
+	counter("cache_corrupt_total", "Result-cache entries dropped because their record failed verification.", corrupt)
+	gauge("journal_entries", "Accepted requests pending in the journal.", int64(s.jour.entries()))
 	perm, cooling := s.brk.counts()
 	gauge("breaker_permanent", "Fingerprints permanently failed (protocol-bug/panic).", int64(perm))
 	gauge("breaker_cooling", "Scenario classes currently cooling down.", int64(cooling))

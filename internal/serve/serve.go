@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"wtcp/internal/atomicfile"
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
@@ -120,6 +121,7 @@ type Server struct {
 	health *experiment.Health
 	cache  *diskCache
 	jour   *journal
+	unlock func() // releases the data-directory lock
 	adm    *admission
 	brk    *breaker
 	met    metrics
@@ -130,6 +132,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
+	closed   bool
 	flights  map[string]*flight
 	ledgers  map[string]*experiment.Ledger
 	wg       sync.WaitGroup
@@ -141,16 +144,25 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("serve: Config.DataDir is required")
 	}
-	cache, err := openDiskCache(filepath.Join(cfg.DataDir, "results"), cfg.CacheBytes)
+	if err := os.MkdirAll(filepath.Join(cfg.DataDir, "repro"), 0o755); err != nil {
+		return nil, fmt.Errorf("serve: repro dir: %w", err)
+	}
+	// The journal and the cache are appended to in place, so two servers
+	// on one directory would interleave records: the second fails here.
+	unlock, err := atomicfile.Lock(filepath.Join(cfg.DataDir, "wtcpd.lock"))
 	if err != nil {
+		return nil, fmt.Errorf("serve: data directory %s: %w; two servers must not share one data directory", cfg.DataDir, err)
+	}
+	cache, err := openDiskCache(filepath.Join(cfg.DataDir, "results"), cfg.CacheBytes, cacheSegmentBytes)
+	if err != nil {
+		unlock()
 		return nil, err
 	}
 	jour, err := openJournal(filepath.Join(cfg.DataDir, "pending"))
 	if err != nil {
+		cache.close()
+		unlock()
 		return nil, err
-	}
-	if err := os.MkdirAll(filepath.Join(cfg.DataDir, "repro"), 0o755); err != nil {
-		return nil, fmt.Errorf("serve: repro dir: %w", err)
 	}
 	health := cfg.Health
 	if health == nil {
@@ -162,6 +174,7 @@ func New(cfg Config) (*Server, error) {
 		health:     health,
 		cache:      cache,
 		jour:       jour,
+		unlock:     unlock,
 		adm:        newAdmission(cfg.Slots, cfg.QueueDepth),
 		brk:        newBreaker(cfg.BreakerCooldown),
 		runCtx:     ctx,
@@ -383,16 +396,19 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 	out := q.exec(ctx)
 	cancel()
 
-	if out.keepJournal {
-		s.met.drained.Add(1)
-	} else {
-		s.jour.remove(q.fp)
-	}
+	// Cache before retiring the journal entry: a process killed between
+	// the two re-executes the request next life (same bytes, the put is a
+	// no-op) instead of having neither the promise nor the answer.
 	if out.cacheable {
 		if err := s.cache.put(q.fp, out.body); err != nil {
 			fmt.Fprintf(os.Stderr, "wtcpd: %v\n", err)
 		}
 		s.met.completed.Add(1)
+	}
+	if out.keepJournal {
+		s.met.drained.Add(1)
+	} else {
+		s.jour.remove(q.fp)
 	}
 	if out.failed {
 		s.met.failed.Add(1)
@@ -475,13 +491,8 @@ func (s *Server) pointLedger(opt experiment.Options) (*experiment.Ledger, error)
 // so only unfinished points actually run. Returns how many requests
 // were picked up.
 func (s *Server) Resume() int {
-	pend, err := s.jour.list()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wtcpd: resume: %v\n", err)
-		return 0
-	}
 	n := 0
-	for _, p := range pend {
+	for _, p := range s.jour.list() {
 		q, err := s.queryFromPending(p)
 		if err != nil {
 			// Journal predates a schema change; nothing can re-execute it.
@@ -570,7 +581,8 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Close releases ledger locks. Call after Drain.
+// Close releases the ledger locks, the journal and cache files and the
+// data-directory lock. Call after Drain; calling it again is a no-op.
 func (s *Server) Close() {
 	s.cancelRuns()
 	s.mu.Lock()
@@ -579,6 +591,13 @@ func (s *Server) Close() {
 		l.Close()
 	}
 	s.ledgers = map[string]*experiment.Ledger{}
+	if s.closed {
+		return
+	}
+	s.closed = true
+	s.jour.close()
+	s.cache.close()
+	s.unlock()
 }
 
 // ---- HTTP plumbing ----

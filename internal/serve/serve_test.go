@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -251,6 +249,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"wtcpd_requests_total", "wtcpd_accepted_total", "wtcpd_cache_entries",
 		"wtcpd_slots 2", "wtcpd_completed_total 1",
+		"wtcpd_journal_entries 0", "wtcpd_cache_segments 1", "wtcpd_cache_disk_bytes ",
+		"wtcpd_cache_compactions_total 0", "wtcpd_cache_corrupt_total 0",
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -358,12 +358,8 @@ func TestServeStormDrainResume(t *testing.T) {
 	wg.Wait()
 
 	journaled := map[string]bool{}
-	entries, err := os.ReadDir(filepath.Join(dir, "pending"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		journaled[strings.TrimSuffix(e.Name(), ".json")] = true
+	for _, p := range srv.jour.list() {
+		journaled[p.Fingerprint] = true
 	}
 
 	completedFP := map[string][]byte{}
@@ -415,15 +411,12 @@ func TestServeStormDrainResume(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		entries, err := os.ReadDir(filepath.Join(dir, "pending"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) == 0 {
+		entries := srv2.jour.entries()
+		if entries == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("journal never drained: %d entries left", len(entries))
+			t.Fatalf("journal never drained: %d entries left", entries)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
