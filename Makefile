@@ -44,13 +44,14 @@ serve-smoke:
 # behind the cell engine's bit-identity claims — sim's lazily seeded
 # source against math/rand, the windowed fading timeline against the
 # unbounded one, the cached wheel minimum and the non-empty bitmap against
-# the scans they replace, the two engine faults — all under -race; then,
-# without it, the steady-state zero-alloc pins (the race detector
+# the scans they replace, the engine faults, the sampled conformance
+# oracle (the only coverage of the path from a flow's shared-sender
+# transitions to its checker) — all under -race; then, without it, the steady-state zero-alloc pins (the race detector
 # instruments allocation, making AllocsPerRun meaningless) and the
 # per-flow-channel 10k SLO (the cell_10k configuration under a 256 MB heap
 # ceiling; the shared-channel SLOs cannot see per-channel set-up cost).
 scale-smoke:
-	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestWindowedMarkovEqualsUnbounded|TestWheelMinMatchesScan|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
+	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestWindowedMarkovEqualsUnbounded|TestWheelMinMatchesScan|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestSmallRunSetUpIsSmall' ./internal/cell/ ./internal/multiconn/
 
 # Protocol-zoo gate, under -race: the Tahoe-profile refactor regression

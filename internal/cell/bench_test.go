@@ -60,22 +60,26 @@ func BenchmarkCellAdmission(b *testing.B) {
 	}
 }
 
-// BenchmarkCellSend measures emit: arena claim, retransmit accounting,
-// Karn timing, wheel arm check, wired-pipe fold, calendar push. The
-// iteration is unwound (calendar pop + slot release) so state never
-// drifts.
+// BenchmarkCellSend measures one segment through the shared send path and
+// the engine's Transmit: window check, Karn timing, wheel arm check, arena
+// claim, retransmit accounting, wired-pipe fold, calendar push. The
+// one-segment initial window lets exactly one segment out; the iteration
+// is unwound (calendar pop, slot release, sequence rewind) so state never
+// drifts, and from the second on an earlier segment is being timed and
+// the timer is armed — the steady state.
 func BenchmarkCellSend(b *testing.B) {
 	e := benchEngine(b, benchConfig(256))
 	const f = int32(7)
 	e.started[f] = true
-	e.timing[f] = true // steady state: an earlier segment is being timed
+	st := e.flow(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.emit(f, 0, e.mss)
+		st.Send(&e.tcp, e)
 		ev := e.cal.pop()
 		e.arena.decref(ev.slot)
 		e.fwdBusy[f] = 0
+		st.SndNxt, st.SndMax = 0, 0
 	}
 }
 
@@ -127,16 +131,18 @@ func BenchmarkCellAck(b *testing.B) {
 	e := benchEngine(b, benchConfig(256))
 	const f = int32(9)
 	e.started[f] = true
-	e.total = 1 << 50                           // never completes within b.N acks
-	e.cwnd[f] = float64(e.adv) + float64(e.mss) // at cap: window() == adv
-	e.ssthresh[f] = float64(e.mss)              // stay in congestion avoidance
-	e.sndNxt[f] = e.adv
-	e.sndMax[f] = e.adv
+	e.tcp.Total = 1 << 50 // never completes within b.N acks
+	e.rows[f] = e.tcp.NewState()
+	st := &e.rows[f]
+	st.Cwnd = float64(e.adv) + float64(e.mss) // at cap: window() == adv
+	st.Ssthresh = float64(e.mss)              // stay in congestion avoidance
+	st.SndNxt = e.adv
+	st.SndMax = e.adv
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.senderOnAck(f, e.sndUna[f]+e.mss)
-		ev := e.cal.pop() // the one segment trySend released
+		e.ackArrive(f, st.SndUna+e.mss)
+		ev := e.cal.pop() // the one segment Send released
 		e.arena.decref(ev.slot)
 		e.fwdBusy[f] = 0
 	}

@@ -1,17 +1,18 @@
 // Package cell is the flat, index-addressed multi-flow engine: a whole
 // cell of 10k-100k concurrent TCP transfers sharing base-station radios,
-// with per-flow sender/sink state held in struct-of-arrays slices indexed
-// by flow ID, data segments in a shared refcounted arena, one flat ARQ
-// table per base station, and a single hashed timer wheel for every RTO
-// timer in the run — so the zero-alloc event kernel stays zero-alloc at
-// 1000x the flow count of the object-graph engines.
+// with per-flow sender/sink state held in slabs indexed by flow ID, data
+// segments in a shared refcounted arena, one flat ARQ table per base
+// station, and a single hashed timer wheel for every RTO timer in the run
+// — so the zero-alloc event kernel stays zero-alloc at 1000x the flow
+// count of the object-graph engines.
 //
-// The protocol semantics are an exact port of the repository's Tahoe
-// sender, coarse-clock RTO estimator, immediate-ack sink, and the
-// multiconn shared-radio scheduler (FIFO / round-robin / CSDP with EBSN):
-// given the same configuration and seed, a cell run is bit-identical to
-// the object-per-flow engine it replaces (internal/multiconn delegates
-// here and pins that equivalence with a differential test).
+// The senders are internal/tcp's state machine itself, run in place on a
+// slab of tcp.State rows with the engine as their tcp.Host; the
+// immediate-ack sink and the multiconn shared-radio scheduler (FIFO /
+// round-robin / CSDP with EBSN) are the cell's own flat forms. Given the
+// same configuration and seed, a cell run is bit-identical to the
+// object-per-flow engine it replaces (internal/multiconn delegates here
+// and pins that equivalence with a differential test).
 package cell
 
 import (

@@ -8,6 +8,7 @@ import (
 	"wtcp/internal/errmodel"
 	"wtcp/internal/packet"
 	"wtcp/internal/sim"
+	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
 
@@ -29,7 +30,8 @@ const csdpPollInterval = 10 * time.Millisecond
 const pumpChunk = 8192
 
 // engine is the flat cell state: every per-flow and per-base-station
-// quantity lives in a slice indexed by flow or base-station ID.
+// quantity lives in a slice indexed by flow or base-station ID. It is also
+// the tcp.Host of every flow's sender (flows.go).
 type engine struct {
 	s   *sim.Simulator
 	cfg Config
@@ -49,34 +51,25 @@ type engine struct {
 	cal   calendar
 	pump  *sim.Timer
 
-	// Scalar protocol parameters.
-	mss   int64
-	total int64
-	adv   int64
-
-	granularity time.Duration
-	initialRTO  time.Duration
-	maxRTO      time.Duration
+	// tcp is every flow's sender configuration (Tahoe, the tcp package's
+	// defaults); mss and adv are its segment and window sizes in bytes.
+	tcp tcp.Config
+	mss int64
+	adv int64
 
 	// Precomputed transmission times: the radio link-ack / TCP-ack
 	// (control size at wireless rate) and the wired reverse-pipe ack.
 	ackTxRadio time.Duration
 	revAckTx   time.Duration
 
-	// ---- per-flow sender state (struct of arrays) ----
-	sndUna, sndNxt, sndMax []int64
-	cwnd, ssthresh         []float64
-	dupacks                []int32
-	timing                 []bool
-	timedSeq               []int64
-	timedAtTick            []int32
-	srtt, rttvar           []float64
-	hasSample              []bool
-	shift                  []int8
-	started, done          []bool
-	finishAt               []time.Duration
-	fTimeouts              []uint64
-	fRetrans               []units.ByteSize
+	// ---- per-flow sender state: one tcp.State row each, plus what the
+	// engine keeps about the flow as its host ----
+	rows          []tcp.State
+	cur           int32 // the flow the tcp.Host methods act on (see flow)
+	started, done []bool
+	finishAt      []time.Duration
+	fTimeouts     []uint64
+	fRetrans      []units.ByteSize
 
 	// ---- per-flow sink state ----
 	rcvNxt   []int64
@@ -184,13 +177,13 @@ func newEngine(cfg Config) (*engine, error) {
 		F:   F,
 		B:   B,
 
-		mss:   int64(cfg.PacketSize - packet.HeaderSize),
-		total: int64(cfg.TransferSize),
-		adv:   int64(cfg.Window),
-
-		granularity: 100 * time.Millisecond, // tcp.DefaultGranularity
-		initialRTO:  3 * time.Second,        // tcp.DefaultInitialRTO
-		maxRTO:      64 * time.Second,       // tcp.DefaultMaxRTO
+		tcp: tcp.Config{
+			MSS:    cfg.PacketSize - packet.HeaderSize,
+			Window: cfg.Window,
+			Total:  cfg.TransferSize,
+		}.WithDefaults(),
+		mss: int64(cfg.PacketSize - packet.HeaderSize),
+		adv: int64(cfg.Window),
 
 		ackTxRadio: units.TransmissionTime(packet.ControlSize, cfg.WirelessRate),
 		revAckTx:   units.TransmissionTime(packet.ControlSize, cfg.WiredRate),
@@ -219,28 +212,15 @@ func newEngine(cfg Config) (*engine, error) {
 	e.chaos = root.Split()
 
 	// Sender slabs.
-	e.sndUna = make([]int64, F)
-	e.sndNxt = make([]int64, F)
-	e.sndMax = make([]int64, F)
-	e.cwnd = make([]float64, F)
-	e.ssthresh = make([]float64, F)
-	e.dupacks = make([]int32, F)
-	e.timing = make([]bool, F)
-	e.timedSeq = make([]int64, F)
-	e.timedAtTick = make([]int32, F)
-	e.srtt = make([]float64, F)
-	e.rttvar = make([]float64, F)
-	e.hasSample = make([]bool, F)
-	e.shift = make([]int8, F)
+	e.rows = make([]tcp.State, F)
+	for f := range e.rows {
+		e.rows[f] = e.tcp.NewState()
+	}
 	e.started = make([]bool, F)
 	e.done = make([]bool, F)
 	e.finishAt = make([]time.Duration, F)
 	e.fTimeouts = make([]uint64, F)
 	e.fRetrans = make([]units.ByteSize, F)
-	for f := 0; f < F; f++ {
-		e.cwnd[f] = float64(e.mss) // InitialCwnd = 1 segment
-		e.ssthresh[f] = float64(cfg.Window)
-	}
 
 	// Sink slabs. Senders emit on the MSS grid inside the advertised
 	// window, so at most window/mss+2 distinct out-of-order starts exist.
@@ -380,13 +360,15 @@ func (e *engine) loop() error {
 // only an engine bug can produce — never a network condition — so the
 // rule is to fail closed: the source latches it, the run carries on to
 // the next kernel step on answers nobody will read, and loop (or finish,
-// for a fault raised by the teardown drain) returns the fault in place of
-// a Result. There are two sources, and the first to fault names the error:
-// a packet reference released twice or used after release
-// ("cell: arena-misuse", latched by the arena), and a channel query that
+// for a fault raised at teardown) returns the fault in place of a Result.
+// There are three sources, and the first to fault names the error: a
+// packet reference released twice or used after release
+// ("cell: arena-misuse", latched by the arena), a channel query that
 // reached before the window transmit left that channel
 // ("cell: channel-window", latched by the Markov and reported through
-// channelFault).
+// channelFault), and a flow whose sender state breaks
+// tcp.State.CheckInvariants when finish audits the population
+// ("cell: flow-invariant").
 func (e *engine) failed() error {
 	if e.fault == nil && e.arena.misuse != nil {
 		e.fault = fmt.Errorf("cell: arena-misuse: %w", e.arena.misuse)
@@ -492,9 +474,9 @@ func (e *engine) dispatch(ev calEvent) {
 	case evSinkDeliver:
 		e.sinkDeliver(ev.flow, ev.slot)
 	case evAckArrive:
-		e.senderOnAck(ev.flow, ev.a)
+		e.ackArrive(ev.flow, ev.a)
 	case evEBSNArrive:
-		e.senderOnEBSN(ev.flow)
+		e.flow(ev.flow).OnEBSN(&e.tcp, e)
 	case evAdmit:
 		e.admitBatch()
 	}
@@ -504,7 +486,7 @@ func (e *engine) dispatch(ev calEvent) {
 // indices past them are per-base-station CSDP poll timers.
 func (e *engine) fireTimer(idx int32) {
 	if int(idx) < e.F {
-		e.onTimeout(idx)
+		e.flow(idx).OnTimeout(&e.tcp, e)
 		return
 	}
 	e.kick(idx - int32(e.F))
@@ -818,9 +800,15 @@ func (e *engine) drain() {
 	}
 }
 
-// finish drains references and assembles the Result.
+// finish drains references, audits every flow's sender state and
+// assembles the Result.
 func (e *engine) finish() (*Result, error) {
 	e.drain()
+	for f := range e.rows {
+		if err := e.rows[f].CheckInvariants(&e.tcp); err != nil && e.failed() == nil {
+			e.fault = fmt.Errorf("cell: flow-invariant: flow %d: %w", f, err)
+		}
+	}
 	if err := e.failed(); err != nil {
 		return nil, err
 	}

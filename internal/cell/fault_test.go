@@ -50,6 +50,10 @@ func TestEngineFaultsFailClosed(t *testing.T) {
 		}
 	}
 
+	// overshoot leaves one sender's snd_max past its transfer, where no
+	// transition ever moves it back: the audit in finish meets it.
+	overshoot := func(e *engine) { e.rows[3].SndMax = int64(e.tcp.Total) + 1 }
+
 	if res, err := runInjected(t, cfg, func(*engine) {}); err != nil || !res.Completed {
 		t.Fatalf("uninjected run: %+v, %v", res, err)
 	}
@@ -64,7 +68,13 @@ func TestEngineFaultsFailClosed(t *testing.T) {
 		t.Fatalf("query below the window: result %v, error %v", res, err)
 	}
 
-	// Both, in either order: the first to be latched names the error.
+	res, err = runInjected(t, cfg, overshoot)
+	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: flow-invariant: flow 3: snd_max ") {
+		t.Fatalf("sender state past its transfer: result %v, error %v", res, err)
+	}
+
+	// Two at once, in either order: the first to be latched names the
+	// error (the flow audit runs at teardown, so it never latches first).
 	res, err = runInjected(t, cfg, func(e *engine) {
 		doubleFree(e)
 		slideWindows(e)
@@ -76,6 +86,7 @@ func TestEngineFaultsFailClosed(t *testing.T) {
 		slideWindows(e)
 		e.predictGood(0) // the engine meets the moved window now
 		doubleFree(e)
+		overshoot(e)
 	})
 	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: channel-window: ") {
 		t.Fatalf("window fault, then arena fault: result %v, error %v", res, err)

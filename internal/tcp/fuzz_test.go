@@ -8,24 +8,32 @@ import (
 	"wtcp/internal/units"
 )
 
-// FuzzSenderAckStream throws arbitrary ack/control sequences at the
-// sender and checks the state machine never desynchronizes: snd_una stays
-// within [0, total], cwnd stays at least one MSS, and the transfer still
-// completes once the network behaves. Runs as a seed-corpus test under
-// plain `go test`; use `go test -fuzz=FuzzSenderAckStream` to explore.
+// FuzzSenderAckStream throws arbitrary ack/control sequences at a sender
+// of a fuzzed variant (for the SACK variant each ACK also carries a block
+// derived from the input) and checks the state machine never
+// desynchronizes: CheckInvariants holds after every injected packet, and
+// the transfer still completes once the network behaves. Runs the seeds
+// and testdata/fuzz/FuzzSenderAckStream as a corpus test under plain
+// `go test`; use `go test -fuzz=FuzzSenderAckStream` to explore.
 func FuzzSenderAckStream(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 253, 254, 255}, []byte{1, 2, 3})
-	f.Add([]byte{255, 255, 255, 0, 0, 0}, []byte{0})
-	f.Add([]byte{7, 7, 7, 7, 7}, []byte{2, 2, 2})
+	for variant := byte(0); variant < 4; variant++ {
+		f.Add(variant, []byte{0, 1, 2, 253, 254, 255}, []byte{1, 2, 3})
+		f.Add(variant, []byte{255, 255, 255, 0, 0, 0}, []byte{0})
+		f.Add(variant, []byte{7, 7, 7, 7, 7}, []byte{2, 2, 2})
+	}
 
-	f.Fuzz(func(t *testing.T, ackBytes, kinds []byte) {
+	f.Fuzz(func(t *testing.T, variant byte, ackBytes, kinds []byte) {
 		cfg := Config{
 			MSS:        536,
 			Window:     4 * units.KB,
 			Total:      10 * units.KB,
 			InitialRTO: 500 * time.Millisecond,
+			Variant:    Tahoe + Variant(variant%4),
 		}
 		l := newLoop(t, cfg, 10*time.Millisecond)
+		if cfg.Variant.Scoreboard() {
+			l.sink.EnableSACK()
+		}
 		l.snd.Start()
 		if err := l.s.Run(50 * time.Millisecond); err != nil {
 			t.Fatal(err)
@@ -43,20 +51,18 @@ func FuzzSenderAckStream(f *testing.F) {
 					kind = packet.Data // ignored by the sender
 				}
 			}
-			ackNo := int64(b) * 97 // scatter across and beyond the transfer
-			l.snd.Receive(&packet.Packet{
+			p := &packet.Packet{
 				Kind:             kind,
-				AckNo:            ackNo,
+				AckNo:            int64(b) * 97, // scatter across and beyond the transfer
 				CongestionMarked: b%5 == 0,
-			})
-			if una := l.snd.SndUna(); una < 0 || una > int64(cfg.Total) {
-				t.Fatalf("snd_una desynchronized: %d", una)
 			}
-			if l.snd.Cwnd() < 536 {
-				t.Fatalf("cwnd below one MSS: %d", l.snd.Cwnd())
+			if cfg.Variant.Scoreboard() {
+				start := int64(ackBytes[(i+1)%len(ackBytes)]) * 97
+				p.SACK = []packet.SACKBlock{{Start: start, End: start + int64(b%4)*536}}
 			}
-			if l.snd.SndNxt() < l.snd.SndUna() {
-				t.Fatalf("snd_nxt %d behind snd_una %d", l.snd.SndNxt(), l.snd.SndUna())
+			l.snd.Receive(p)
+			if err := l.snd.CheckInvariants(); err != nil {
+				t.Fatalf("after packet %d (%v %d): %v", i, kind, p.AckNo, err)
 			}
 		}
 		// Whatever the injection did, an honest network finishes the job.

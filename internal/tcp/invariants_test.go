@@ -43,19 +43,19 @@ func TestCheckInvariantsTripsOnCorruption(t *testing.T) {
 		corupt func(*Sender)
 		want   string // substring of the violation
 	}{
-		{"NaN cwnd", func(s *Sender) { s.cwnd = math.NaN() }, "not finite"},
-		{"infinite cwnd", func(s *Sender) { s.cwnd = math.Inf(1) }, "not finite"},
-		{"cwnd below one segment", func(s *Sender) { s.cwnd = 10 }, "below one segment"},
-		{"runaway cwnd", func(s *Sender) { s.cwnd = 1e9 }, "beyond any legal inflation"},
-		{"negative ssthresh", func(s *Sender) { s.ssthresh = -1 }, "negative ssthresh"},
-		{"snd_una past snd_nxt", func(s *Sender) { s.sndUna = s.sndNxt + 1 }, "snd_una"},
-		{"negative snd_una", func(s *Sender) { s.sndUna = -1; s.sndNxt = -1 }, "sequence order"},
-		{"snd_nxt past snd_max", func(s *Sender) { s.sndNxt = s.sndMax + 536 }, "snd_nxt"},
+		{"NaN cwnd", func(s *Sender) { s.st.Cwnd = math.NaN() }, "not finite"},
+		{"infinite cwnd", func(s *Sender) { s.st.Cwnd = math.Inf(1) }, "not finite"},
+		{"cwnd below one segment", func(s *Sender) { s.st.Cwnd = 10 }, "below one segment"},
+		{"runaway cwnd", func(s *Sender) { s.st.Cwnd = 1e9 }, "beyond any legal inflation"},
+		{"negative ssthresh", func(s *Sender) { s.st.Ssthresh = -1 }, "negative ssthresh"},
+		{"snd_una past snd_nxt", func(s *Sender) { s.st.SndUna = s.st.SndNxt + 1 }, "snd_una"},
+		{"negative snd_una", func(s *Sender) { s.st.SndUna = -1; s.st.SndNxt = -1 }, "sequence order"},
+		{"snd_nxt past snd_max", func(s *Sender) { s.st.SndNxt = s.st.SndMax + 536 }, "snd_nxt"},
 		{"snd_max past transfer", func(s *Sender) {
-			s.sndMax = int64(s.cfg.Total) + 1
-			s.sndNxt = s.sndMax
+			s.st.SndMax = int64(s.cfg.Total) + 1
+			s.st.SndNxt = s.st.SndMax
 		}, "beyond"},
-		{"avail past transfer", func(s *Sender) { s.avail = int64(s.cfg.Total) + 1 }, "available"},
+		{"avail past transfer", func(s *Sender) { s.st.avail = int64(s.cfg.Total) + 1 }, "available"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

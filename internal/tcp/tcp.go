@@ -1,7 +1,15 @@
-// Package tcp implements the transport endpoints of the study: a TCP-Tahoe
-// bulk-data sender (slow start, congestion avoidance, fast retransmit,
-// coarse-clock Jacobson/Karels RTT estimation, Karn backoff) and a
-// cumulative-ACK sink, plus a Reno variant used as an ablation.
+// Package tcp implements the transport endpoints of the study: a bulk-data
+// sender (slow start, congestion avoidance, fast retransmit, coarse-clock
+// Jacobson/Karels RTT estimation, Karn backoff) in four variants — Tahoe,
+// the paper's TCP, and Reno, NewReno and SACK as ablations — and a
+// cumulative-ACK sink.
+//
+// The sender is one state machine with two hosts. Its transitions
+// (machine.go) run on a State value against a read-only Config and reach
+// their surroundings only through a Host: Sender is the host of the
+// object-per-connection engines (a sim.Timer, the packet pool, Stats and
+// Hooks), and internal/cell runs the same transitions in place on a slab
+// of States behind its timer wheel, calendar and arena.
 //
 // The sender also implements the paper's two control-message responses:
 //
@@ -13,9 +21,9 @@
 //     comparator the paper shows does not prevent timeouts.
 //
 // The implementation is segment-based with byte windows, mirroring the ns
-// Tahoe module the paper used: on a timeout or third duplicate ACK the
-// sender sets snd_nxt back to snd_una and slow-starts (go-back-N driven by
-// cumulative ACKs).
+// Tahoe module the paper used: on a timeout — and, under Tahoe, on a third
+// duplicate ACK — the sender sets snd_nxt back to snd_una and slow-starts
+// (go-back-N driven by cumulative ACKs).
 package tcp
 
 import (
@@ -113,7 +121,7 @@ type Config struct {
 	InitialRTO time.Duration
 	// MaxRTO caps the backed-off timeout.
 	MaxRTO time.Duration
-	// Variant selects Tahoe (default) or Reno.
+	// Variant selects Tahoe (default), Reno, NewReno or SACKVariant.
 	Variant Variant
 	// InitialCwnd is the starting congestion window in segments
 	// (default 1).
@@ -144,8 +152,8 @@ func (c Config) Validate() error {
 	}
 }
 
-// withDefaults fills unset optional fields.
-func (c Config) withDefaults() Config {
+// WithDefaults fills unset optional fields: the form the transitions read.
+func (c Config) WithDefaults() Config {
 	if c.Granularity <= 0 {
 		c.Granularity = DefaultGranularity
 	}
@@ -217,6 +225,11 @@ const (
 	StateQuench
 	// StateECN is an ECN congestion echo that halved the window.
 	StateECN
+	// StateSACKSkip is a rewound pass stepping over a segment the
+	// scoreboard shows delivered: a retransmission avoided, told to the
+	// Host for its counters and to nobody else (Hooks.OnState never sees
+	// it).
+	StateSACKSkip
 )
 
 // AckClass classifies an inbound cumulative ACK.
