@@ -2,16 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race check conformance budget-smoke fleet-smoke serve-smoke scale-smoke zoo-smoke pool-smoke goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e figures traces report fuzz fuzz-smoke clean
+.PHONY: all build vet test test-race check conformance golden-drift budget-smoke fleet-smoke serve-smoke scale-smoke scale-pins zoo-smoke pool-smoke pool-pins goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e figures traces report fuzz fuzz-smoke clean
 
 all: build vet test
 
-# Pre-PR gate: static analysis plus the full suite under the race
-# detector (the simulator is single-threaded by design; -race proves it),
-# plus the protocol-conformance, run-supervision, fleet, service,
-# cell-scale, protocol-zoo, and packet-lifetime gates, and the
-# measurement spine's output checks.
-check: vet test-race conformance budget-smoke fleet-smoke serve-smoke scale-smoke zoo-smoke pool-smoke bench-e2e-smoke
+# Pre-PR gate: static analysis, the full suite under the race detector
+# (the simulator is single-threaded by design; -race proves it), and what
+# that run cannot cover: the golden-trace drift check, the allocation and
+# heap pins that skip themselves under -race, and the measurement spine's
+# output checks. Every test runs once: the named smoke targets below
+# re-select tests `go test -race ./...` has just run, so `check` depends
+# only on their parts that add something. CI runs each smoke target whole,
+# in its own job.
+check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 
 # Supervision gate: a tiny sweep with one pathological (livelocking)
 # point under aggressive run budgets, with the worker pool and heartbeat
@@ -46,12 +49,15 @@ serve-smoke:
 # unbounded one, the cached wheel minimum and the non-empty bitmap against
 # the scans they replace, the engine faults, the sampled conformance
 # oracle (the only coverage of the path from a flow's shared-sender
-# transitions to its checker) — all under -race; then, without it, the steady-state zero-alloc pins (the race detector
-# instruments allocation, making AllocsPerRun meaningless) and the
-# per-flow-channel 10k SLO (the cell_10k configuration under a 256 MB heap
-# ceiling; the shared-channel SLOs cannot see per-channel set-up cost).
-scale-smoke:
+# transitions to its checker) — all under -race; and scale-pins: without
+# it, the steady-state zero-alloc pins (the race detector instruments
+# allocation, making AllocsPerRun meaningless) and the per-flow-channel 10k
+# SLO (the cell_10k configuration under a 256 MB heap ceiling; the
+# shared-channel SLOs cannot see per-channel set-up cost).
+scale-smoke: scale-pins
 	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestWindowedMarkovEqualsUnbounded|TestWheelMinMatchesScan|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
+
+scale-pins:
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestSmallRunSetUpIsSmall' ./internal/cell/ ./internal/multiconn/
 
 # Protocol-zoo gate, under -race: the Tahoe-profile refactor regression
@@ -68,17 +74,25 @@ zoo-smoke:
 # Packet-lifetime gate, under -race: the pool property grid (chaos x
 # seeds x schemes x presets: no lifetime fault, zero live packets after
 # teardown, two identical runs equal), the multi-flow determinism
-# regression, the bounded-bookkeeping plateau and the heap high-water
-# pin; then the warm-run and oracle allocation pins without it (the race
-# detector instruments allocation, making AllocsPerRun meaningless).
-pool-smoke:
-	$(GO) test -race -run 'TestPacketPoolUnderChaos|TestPoolFaultIsAProtocolBug|TestMultiFlowIsReproducible|TestPerRunSetsPlateau|TestHeapHighWaterStaysSmall' ./internal/core/
+# regression and the two pins of the shared topology builder (one flow ==
+# Run on a 24-cell grid; multi-flow output as recorded before
+# RunMultiFlow moved onto it), the bounded-bookkeeping plateau and the
+# heap high-water pin; and pool-pins: the warm-run and oracle allocation
+# pins without it (the race detector instruments allocation, making
+# AllocsPerRun meaningless).
+pool-smoke: pool-pins
+	$(GO) test -race -run 'TestPacketPoolUnderChaos|TestPoolFaultIsAProtocolBug|TestMultiFlowIsReproducible|TestMultiFlowOneFlowEqualsRun|TestMultiFlowPinnedResults|TestPerRunSetsPlateau|TestHeapHighWaterStaysSmall' ./internal/core/
+
+pool-pins:
 	$(GO) test -run 'TestWarmRunAllocs|TestOracleAllocs|TestOracleRetainsNothing' ./internal/core/
 
-# Conformance gate: the oracle/trace/ARQ suites under -race, then the
-# golden-trace drift check against the committed canonical scenarios.
-conformance:
+# Conformance gate: the oracle/trace/ARQ suites under -race, and
+# golden-drift: the golden-trace drift check against the committed
+# canonical scenarios.
+conformance: golden-drift
 	$(GO) test -race ./internal/oracle/... ./internal/trace/... ./internal/bs/...
+
+golden-drift:
 	$(GO) run ./cmd/wtcp-conformance -dir cmd/wtcp-conformance/testdata/goldens
 
 # Regenerate the committed golden traces after an intended protocol

@@ -396,9 +396,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 			err = &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
 		}
 	}()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -409,49 +406,89 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		return runSplit(ctx, cfg)
 	}
 
-	tp, err := newTopology(cfg, false)
+	tp, err := newTopology(cfg, 1, false)
 	if err != nil {
 		return nil, err
 	}
-	tp.sim.Bind(ctx)
-
 	tr, cw := tp.tap(cfg, cfg.CollectTrace)
-
-	if cfg.Checks {
-		tp.registerInvariants()
-		tp.sim.EnableChecks(cfg.CheckInterval)
+	stall, err := tp.run(ctx, cfg, tp.allDone)
+	if err != nil {
+		tp.release()
+		return nil, err
 	}
-	if stall := cfg.stallWindow(); stall > 0 {
-		tp.sim.StartWatchdog(stall, tp.sender.SndUna, tp.snapshot)
-	}
-
-	tp.sender.Start()
-	for !tp.sender.Done() && tp.sim.Now() < cfg.Horizon && tp.sim.Failure() == nil {
-		if ok, err := tp.sim.Step(); !ok || err != nil {
-			break
-		}
-	}
-
-	if f := tp.sim.Failure(); f != nil {
-		var stall *sim.StallError
-		if !errors.As(f, &stall) {
-			// An invariant violation is a protocol bug and a cancellation
-			// is the caller's deadline, not a network condition: surface
-			// either as a run error (a *CancelError unwraps to ctx.Err()).
-			tp.release()
-			return nil, f
-		}
-		res = tp.result(cfg)
+	res = tp.result(cfg)
+	if stall != nil {
 		res.Aborted = true
 		res.AbortReason = stall.Error()
-	} else {
-		res = tp.result(cfg)
 	}
 	res.Trace, res.Cwnd = tr, cw
 	if res.Packets, err = tp.release(); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// run arms the supervision cfg asks for — the caller's context, the
+// periodic invariant checks, the no-progress watchdog — starts every
+// sender and steps the simulator until done reports true (see stepUntil).
+func (tp *topology) run(ctx context.Context, cfg Config, done func() bool) (*sim.StallError, error) {
+	tp.sim.Bind(ctx)
+	if cfg.Checks {
+		tp.registerInvariants()
+		tp.sim.EnableChecks(cfg.CheckInterval)
+	}
+	if stall := cfg.stallWindow(); stall > 0 {
+		tp.sim.StartWatchdog(stall, tp.acked, tp.snapshot)
+	}
+	for _, snd := range tp.senders {
+		snd.Start()
+	}
+	return stepUntil(tp.sim, cfg.Horizon, done)
+}
+
+// stepUntil fires events until done reports true, virtual time reaches the
+// horizon, the queue drains or a failure latches. The watchdog's abort is
+// returned as stall: a network outcome, like a horizon-capped run. Any other
+// failure is the run error: a violation is a protocol bug, a spent budget
+// or a cancellation (a *CancelError unwraps to ctx.Err()) the caller's limit.
+func stepUntil(s *sim.Simulator, horizon time.Duration, done func() bool) (stall *sim.StallError, err error) {
+	for !done() && s.Now() < horizon && s.Failure() == nil {
+		if ok, err := s.Step(); !ok || err != nil {
+			break
+		}
+	}
+	if f := s.Failure(); f != nil && !errors.As(f, &stall) {
+		return nil, f
+	}
+	return stall, nil
+}
+
+// orStall makes the watchdog's abort the run error, for the runners whose
+// result type has no place to report one.
+func orStall(stall *sim.StallError, err error) error {
+	if err == nil && stall != nil {
+		return stall
+	}
+	return err
+}
+
+// allDone reports whether every flow's transfer has been acknowledged.
+func (tp *topology) allDone() bool {
+	for _, snd := range tp.senders {
+		if !snd.Done() {
+			return false
+		}
+	}
+	return true
+}
+
+// acked is the watchdog's progress counter: bytes acknowledged, all flows.
+func (tp *topology) acked() int64 {
+	var n int64
+	for _, snd := range tp.senders {
+		n += snd.SndUna()
+	}
+	return n
 }
 
 // holder is a component that can be holding packets when a run stops:
@@ -506,15 +543,21 @@ func (c Config) stallWindow() time.Duration {
 }
 
 // topology is the assembled Figure 2 network, reused by the bulk runner
-// (Run) and the application-workload runners (RunWeb, RunTelnet).
+// (Run), the application-workload runners (RunWeb, RunTelnet) and the
+// multi-flow runner (RunMultiFlow).
 type topology struct {
-	sim    *sim.Simulator
-	pool   *packet.Pool
-	ids    *packet.IDGen
-	sender *tcp.Sender
-	sink   *tcp.Sink
-	bs     *bs.BaseStation
-	mobile *node.Mobile
+	sim  *sim.Simulator
+	pool *packet.Pool
+	ids  *packet.IDGen
+	// One TCP connection per flow; flow i's packets carry Conn == i both
+	// ways. sender and sink are flow 0, the connection the
+	// single-connection runners, the tap and the invariants look at.
+	senders []*tcp.Sender
+	sinks   []*tcp.Sink
+	sender  *tcp.Sender
+	sink    *tcp.Sink
+	bs      *bs.BaseStation
+	mobile  *node.Mobile
 
 	wiredFwd, wiredRev       *link.Link
 	wirelessDown, wirelessUp *link.Link
@@ -619,18 +662,20 @@ func (tp *topology) result(cfg Config) *Result {
 	return res
 }
 
-// newTopology wires the FH-BS-MH network. streaming opens the sender with
-// no data available (application workloads grant bytes as they produce
-// them).
-func newTopology(cfg Config, streaming bool) (*topology, error) {
+// newTopology wires the FH-BS-MH network once and runs flows (at least
+// one) TCP connections through it, all sharing every hop. Construction
+// order, and so the order the run's RNG is split in, is the same for any
+// flow count, and connections draw no randomness of their own. streaming
+// opens the senders with no data (workloads grant bytes as produced).
+func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	// Acquire from the kernel and packet pools so replication sweeps
 	// reuse the event heap slab, its free list, and the recycled packets
 	// instead of regrowing them per run. Runners release both when they
-	// finish (see topology.release).
-	s := sim.Acquire()
+	// finish (see topology.release). The delivery closures reach agents
+	// wired after them through tp.
+	s, pool := sim.Acquire(), packet.AcquirePool()
 	s.SetBudget(cfg.Budget)
-	pool := packet.AcquirePool()
-	ids := packet.NewIDGen(pool)
+	tp := &topology{sim: s, pool: pool, ids: packet.NewIDGen(pool)}
 	rng := sim.NewRNG(cfg.Seed)
 
 	// The chaos RNG splits off first — and only when a fault plan is
@@ -664,14 +709,6 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		return nil, err
 	}
 
-	// Forward declarations so the delivery closures can reference agents
-	// wired later.
-	var (
-		station *bs.BaseStation
-		mobile  *node.Mobile
-		sender  *tcp.Sender
-	)
-
 	// Links. Queue limits: the wired hop models a router queue; the
 	// wireless queues are managed by the base station itself (ARQ window
 	// or plain FIFO), so they stay unbounded here.
@@ -696,7 +733,7 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 			wiredRNG = rng.Split()
 		}
 	}
-	wiredFwd, err := link.New(s, link.Config{
+	tp.wiredFwd, err = link.New(s, link.Config{
 		Name: "wired-fwd", Rate: cfg.WiredRate, Delay: cfg.WiredDelay, QueueLimit: 50,
 		RED: red, Channel: wiredFwdCh,
 	}, wiredRNG, func(p *packet.Packet) {
@@ -704,13 +741,13 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 			p.Release() // background traffic exits at the base station
 			return
 		}
-		station.FromWired(p)
+		tp.bs.FromWired(p)
 	})
 	if err != nil {
 		return nil, err
 	}
 	if cfg.CrossTraffic.enabled() {
-		startCrossTraffic(s, cfg.CrossTraffic.withDefaults(), ids, rng.Split(), wiredFwd, cfg.Horizon)
+		startCrossTraffic(s, cfg.CrossTraffic.withDefaults(), tp.ids, rng.Split(), tp.wiredFwd, cfg.Horizon)
 	}
 	var wiredRevCh errmodel.Channel
 	var wiredRevRNG *sim.RNG
@@ -720,110 +757,119 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		}
 		wiredRevRNG = rng.Split()
 	}
-	wiredRev, err := link.New(s, link.Config{
+	tp.wiredRev, err = link.New(s, link.Config{
 		Name: "wired-rev", Rate: cfg.WiredRate, Delay: cfg.WiredDelay, QueueLimit: 50,
 		Channel: wiredRevCh,
-	}, wiredRevRNG, func(p *packet.Packet) { sender.Receive(p) })
+	}, wiredRevRNG, func(p *packet.Packet) { tp.senders[p.Conn].Receive(p) })
 	if err != nil {
 		return nil, err
 	}
-	wirelessDown, err := link.New(s, link.Config{
+	tp.wirelessDown, err = link.New(s, link.Config{
 		Name: "wireless-down", Rate: cfg.WirelessRate, Delay: cfg.WirelessDelay,
 		Overhead: cfg.WirelessOverhead, Channel: channel,
-	}, rng.Split(), func(p *packet.Packet) { mobile.Receive(p) })
+	}, rng.Split(), func(p *packet.Packet) { tp.mobile.Receive(p) })
 	if err != nil {
 		return nil, err
 	}
-	wirelessUp, err := link.New(s, link.Config{
+	tp.wirelessUp, err = link.New(s, link.Config{
 		Name: "wireless-up", Rate: cfg.WirelessRate, Delay: cfg.WirelessDelay,
 		Overhead: cfg.WirelessOverhead, Channel: upChannel,
-	}, rng.Split(), func(p *packet.Packet) { station.FromWireless(p) })
+	}, rng.Split(), func(p *packet.Packet) { tp.bs.FromWireless(p) })
 	if err != nil {
 		return nil, err
 	}
 
 	// Base station. ARQ defaults are resolved here so the mobile host's
 	// reorder timer can be sized from the same values.
-	arqCfg := cfg.ARQ
-	if arqCfg.AckTimeout <= 0 {
-		arqCfg.AckTimeout = deriveAckTimeout(wirelessDown, wirelessUp)
+	tp.arq = cfg.ARQ
+	if tp.arq.AckTimeout <= 0 {
+		tp.arq.AckTimeout = deriveAckTimeout(tp.wirelessDown, tp.wirelessUp)
 	}
-	arqCfg = arqCfg.WithDefaults()
-	snoopCfg := cfg.Snoop.WithDefaults()
-	station, err = bs.New(s, bs.Config{
+	tp.arq = tp.arq.WithDefaults()
+	tp.snoop = cfg.Snoop.WithDefaults()
+	tp.bs, err = bs.New(s, bs.Config{
 		Scheme:      cfg.Scheme,
 		MTU:         cfg.MTU,
-		ARQ:         arqCfg,
-		Snoop:       snoopCfg,
+		ARQ:         tp.arq,
+		Snoop:       tp.snoop,
 		NotifyEvery: cfg.NotifyEvery,
-	}, ids, rng.Split(), wirelessDown, func(p *packet.Packet) { wiredRev.Send(p) })
+		// The hold queue is shared: it scales with the flow count so the
+		// admission pressure per flow is the single-flow set-up's.
+		QueueLimit: 50 * flows,
+	}, tp.ids, rng.Split(), tp.wirelessDown, func(p *packet.Packet) { tp.wiredRev.Send(p) })
 	if err != nil {
 		return nil, err
 	}
 
-	// Mobile host: sink + reassembly + link acks.
-	sink, err := tcp.NewSink(s, cfg.Window, ids, func(p *packet.Packet) { wirelessUp.Send(p) })
-	if err != nil {
-		return nil, err
-	}
-	if cfg.DelayedAcks {
-		sink.EnableDelayedAcks(0)
-	}
-	if cfg.SACK || cfg.Variant.Scoreboard() {
-		sink.EnableSACK()
-	}
-	mobile, err = node.NewMobile(s, node.MobileConfig{
+	// Mobile host: reassembly + link acks; each flow's sink sits behind it.
+	tp.mobile, err = node.NewMobileDeliver(s, node.MobileConfig{
 		LinkAcks:       cfg.Scheme.UsesLinkAcks(),
-		ReorderTimeout: deriveReorderTimeout(arqCfg),
-	}, ids, sink, func(p *packet.Packet) { wirelessUp.Send(p) })
+		ReorderTimeout: deriveReorderTimeout(tp.arq),
+	}, tp.ids, func(p *packet.Packet) { tp.sinks[p.Conn].Receive(p) },
+		func(p *packet.Packet) { tp.wirelessUp.Send(p) })
 	if err != nil {
 		return nil, err
 	}
 
-	// Fixed host: the TCP source.
-	sender, err = tcp.NewSender(s, tcp.Config{
-		MSS:         cfg.MSS(),
-		Window:      cfg.Window,
-		Total:       cfg.TransferSize,
-		Granularity: cfg.Granularity,
-		InitialRTO:  cfg.InitialRTO,
-		Variant:     cfg.Variant,
-		SACK:        cfg.SACK,
-		Streaming:   streaming,
-	}, ids, func(p *packet.Packet) { wiredFwd.Send(p) })
-	if err != nil {
-		return nil, err
-	}
-
-	tp := &topology{
-		sim:          s,
-		pool:         pool,
-		ids:          ids,
-		sender:       sender,
-		sink:         sink,
-		bs:           station,
-		mobile:       mobile,
-		wiredFwd:     wiredFwd,
-		wiredRev:     wiredRev,
-		wirelessDown: wirelessDown,
-		wirelessUp:   wirelessUp,
-		arq:          arqCfg,
-		snoop:        snoopCfg,
-	}
-	if chaosRNG != nil {
-		inj, err := chaos.New(s, cfg.Chaos, chaosRNG)
+	// Per flow: a sink in the mobile host, a TCP source in the fixed host.
+	for i := 0; i < flows; i++ {
+		sink, err := tcp.NewSink(s, cfg.Window, tp.ids, func(p *packet.Packet) {
+			p.Conn = i
+			tp.wirelessUp.Send(p)
+		})
 		if err != nil {
 			return nil, err
 		}
-		inj.Attach(wiredFwd)
-		inj.Attach(wiredRev)
-		inj.Attach(wirelessDown)
-		inj.Attach(wirelessUp)
-		inj.ScheduleCrashes(station)
-		inj.ScheduleEventStorms()
-		tp.chaos = inj
+		if cfg.DelayedAcks {
+			sink.EnableDelayedAcks(0)
+		}
+		if cfg.SACK || cfg.Variant.Scoreboard() {
+			sink.EnableSACK()
+		}
+		sender, err := tcp.NewSender(s, cfg.senderConfig(cfg.MSS(), streaming), tp.ids, func(p *packet.Packet) {
+			p.Conn = i
+			tp.wiredFwd.Send(p)
+		})
+		if err != nil {
+			return nil, err
+		}
+		tp.sinks = append(tp.sinks, sink)
+		tp.senders = append(tp.senders, sender)
+	}
+	tp.sender, tp.sink = tp.senders[0], tp.sinks[0]
+
+	if chaosRNG != nil {
+		tp.chaos, err = chaos.New(s, cfg.Chaos, chaosRNG)
+		if err != nil {
+			return nil, err
+		}
+		for _, l := range tp.links() {
+			tp.chaos.Attach(l)
+		}
+		tp.chaos.ScheduleCrashes(tp.bs)
+		tp.chaos.ScheduleEventStorms()
 	}
 	return tp, nil
+}
+
+// senderConfig is the TCP source configuration of every connection in a
+// run; the segment size and who produces the bytes are all that differ.
+func (c Config) senderConfig(mss units.ByteSize, streaming bool) tcp.Config {
+	return tcp.Config{
+		MSS:         mss,
+		Window:      c.Window,
+		Total:       c.TransferSize,
+		Granularity: c.Granularity,
+		InitialRTO:  c.InitialRTO,
+		Variant:     c.Variant,
+		SACK:        c.SACK,
+		Streaming:   streaming,
+	}
+}
+
+// links lists the four hops in the order checks and snapshots name them.
+func (tp *topology) links() [4]*link.Link {
+	return [4]*link.Link{tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp}
 }
 
 // deriveAckTimeout computes a link-ack deadline from the radio timing: the

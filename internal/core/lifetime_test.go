@@ -147,7 +147,7 @@ func TestPacketPoolUnderChaos(t *testing.T) {
 func TestPoolFaultIsAProtocolBug(t *testing.T) {
 	cfg := WAN(bs.EBSN, 576, 2*time.Second)
 	cfg.TransferSize = 10 * units.KB
-	tp, err := newTopology(cfg, false)
+	tp, err := newTopology(cfg, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPerRunSetsPlateau(t *testing.T) {
 	cfg := WAN(bs.EBSN, 576, 2*time.Second)
 	cfg.TransferSize = 4 * units.MB
 	cfg.ARQ = bs.ARQConfig{RTmax: 3} // force whole-packet discards too
-	tp, err := newTopology(cfg, false)
+	tp, err := newTopology(cfg, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

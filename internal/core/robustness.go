@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"wtcp/internal/link"
 	"wtcp/internal/sim"
 )
 
@@ -40,8 +39,7 @@ func (tp *topology) registerInvariants() {
 		func() int64 { return int64(tp.sink.Delivered()) }))
 	tp.sim.AddCheck("sink-within-sent", sim.Conservation("in-order sink bytes vs highest byte sent",
 		tp.sender.SndMax, tp.sink.RcvNxt))
-	for _, l := range []*link.Link{tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp} {
-		l := l
+	for _, l := range tp.links() {
 		tp.sim.AddCheck("conservation-"+l.Name(), sim.Conservation(
 			l.Name()+" deliveries vs transmissions",
 			func() int64 { return int64(l.Stats().Sent) },
@@ -53,16 +51,19 @@ func (tp *topology) registerInvariants() {
 
 // snapshot renders the diagnostic state dump the watchdog attaches to a
 // StallError: enough of each layer's state to tell where the transfer
-// wedged without re-running under a tracer.
+// wedged without re-running under a tracer. Connections are listed in
+// flow order.
 func (tp *topology) snapshot() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  sender: snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d done=%v\n",
-		tp.sender.SndUna(), tp.sender.SndNxt(), tp.sender.SndMax(), tp.sender.Cwnd(), tp.sender.Done())
-	fmt.Fprintf(&b, "  sink:   rcv_nxt=%d delivered=%d\n", tp.sink.RcvNxt(), tp.sink.Delivered())
+	for i, snd := range tp.senders {
+		fmt.Fprintf(&b, "  sender: snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d done=%v\n",
+			snd.SndUna(), snd.SndNxt(), snd.SndMax(), snd.Cwnd(), snd.Done())
+		fmt.Fprintf(&b, "  sink:   rcv_nxt=%d delivered=%d\n", tp.sinks[i].RcvNxt(), tp.sinks[i].Delivered())
+	}
 	st := tp.bs.Stats()
 	fmt.Fprintf(&b, "  bs:     scheme=%v down=%v backlog=%d crashes=%d crash_lost=%d crash_discards=%d\n",
 		tp.bs.Scheme(), tp.bs.Down(), tp.bs.Backlog(), st.Crashes, st.CrashLostPackets, st.CrashDiscards)
-	for _, l := range []*link.Link{tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp} {
+	for _, l := range tp.links() {
 		ls := l.Stats()
 		fmt.Fprintf(&b, "  link %-13s queue=%d busy=%v sent=%d delivered=%d corrupted=%d injected=%d drops=%d\n",
 			l.Name(), l.QueueLen(), l.Busy(), ls.Sent, ls.Delivered, ls.Corrupted, ls.Injected, ls.QueueDrops)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"wtcp/internal/bs"
 	"wtcp/internal/chaos"
+	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
 
@@ -248,5 +250,43 @@ func TestPacketFaultsOnWiredHop(t *testing.T) {
 	}
 	if r.Chaos.Duplicates == 0 && r.Chaos.Reorders == 0 && r.Chaos.CorruptDrops == 0 {
 		t.Error("no packet faults were injected over a 30 KB transfer")
+	}
+}
+
+// TestWorkloadRunnersArmSupervision: the workload runners go through the
+// same arming as a bulk run, so cfg.Checks and the stall watchdog are
+// honoured (both used to be ignored there) and, as everywhere, checking
+// does not perturb the result.
+func TestWorkloadRunnersArmSupervision(t *testing.T) {
+	cfg := WAN(bs.EBSN, 576, 2*time.Second)
+	ref, err := RunWeb(cfg, webWL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checks = true
+	checked, err := RunWeb(cfg, webWL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, checked) {
+		t.Errorf("checks changed a web run:\n%+v\n%+v", ref, checked)
+	}
+
+	// Checks auto-arm the watchdog at DefaultStall: a reader who pauses
+	// longer than that between pages looks like a wedged transfer.
+	web := webWL()
+	web.ThinkTime = DefaultStall + time.Minute
+	var stall *sim.StallError
+	if r, err := RunWeb(cfg, web); !errors.As(err, &stall) {
+		t.Errorf("web, think time past the stall window: result %+v, error %v", r, err)
+	}
+
+	// An explicit window shorter than the typing interval trips between
+	// keystrokes.
+	cfg = WAN(bs.EBSN, 576, 2*time.Second)
+	cfg.Stall = 100 * time.Millisecond
+	stall = nil
+	if r, err := RunTelnet(cfg, telnetWL()); !errors.As(err, &stall) {
+		t.Errorf("telnet, 100 ms stall window: result %+v, error %v", r, err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"wtcp/internal/errmodel"
 	"wtcp/internal/link"
@@ -96,15 +95,7 @@ func runSplit(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fhSender, err = tcp.NewSender(s, tcp.Config{
-		MSS:         cfg.MSS(),
-		Window:      cfg.Window,
-		Total:       cfg.TransferSize,
-		Granularity: cfg.Granularity,
-		InitialRTO:  cfg.InitialRTO,
-		Variant:     cfg.Variant,
-		SACK:        cfg.SACK,
-	}, ids, func(p *packet.Packet) { wiredFwd.Send(p) })
+	fhSender, err = tcp.NewSender(s, cfg.senderConfig(cfg.MSS(), false), ids, func(p *packet.Packet) { wiredFwd.Send(p) })
 	if err != nil {
 		return nil, err
 	}
@@ -118,16 +109,7 @@ func runSplit(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wsSender, err = tcp.NewSender(s, tcp.Config{
-		MSS:         wirelessPacket - PaperHeader,
-		Window:      cfg.Window,
-		Total:       cfg.TransferSize,
-		Granularity: cfg.Granularity,
-		InitialRTO:  cfg.InitialRTO,
-		Variant:     cfg.Variant,
-		SACK:        cfg.SACK,
-		Streaming:   true,
-	}, ids, func(p *packet.Packet) { wirelessDown.Send(p) })
+	wsSender, err = tcp.NewSender(s, cfg.senderConfig(wirelessPacket-PaperHeader, true), ids, func(p *packet.Packet) { wirelessDown.Send(p) })
 	if err != nil {
 		return nil, err
 	}
@@ -165,19 +147,14 @@ func runSplit(ctx context.Context, cfg Config) (*Result, error) {
 
 	fhSender.Start()
 	wsSender.Start()
-	for !wsSender.Done() && s.Now() < cfg.Horizon && s.Failure() == nil {
-		if ok, err := s.Step(); !ok || err != nil {
-			break
-		}
-	}
+	stalled, err := stepUntil(s, cfg.Horizon, wsSender.Done)
 
 	release := func() (packet.PoolStats, error) {
 		return teardown(s, pool, wiredFwd, wiredRev, wirelessDown, wirelessUp, mobile)
 	}
-	var stalled *sim.StallError
-	if f := s.Failure(); f != nil && !errors.As(f, &stalled) {
+	if err != nil {
 		release()
-		return nil, f
+		return nil, err
 	}
 
 	res := &Result{

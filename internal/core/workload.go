@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"time"
@@ -24,7 +25,8 @@ import (
 //     delivery at the mobile host. The metric is keystroke latency.
 //
 // Both use the streaming sender: bytes become sendable when the
-// application produces them.
+// application produces them. Supervision is armed as for a bulk run, so an
+// application pause as long as an armed stall window is a *sim.StallError.
 
 // WebWorkload describes a page-fetch sequence.
 type WebWorkload struct {
@@ -89,7 +91,7 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = DefaultHorizon
 	}
-	tp, err := newTopology(cfg, true)
+	tp, err := newTopology(cfg, 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -116,17 +118,12 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 		}
 	})
 
-	tp.sender.Start()
+	tp.sender.Start() // ahead of run's own: the first write goes to a started sender
 	startPage()
-	for len(res.PageLoadSec) < web.Pages && tp.sim.Now() < cfg.Horizon {
-		if ok, err := tp.sim.Step(); !ok || err != nil {
-			break
-		}
-	}
-
-	if f := tp.sim.Failure(); f != nil {
+	done := func() bool { return len(res.PageLoadSec) >= web.Pages }
+	if err := orStall(tp.run(context.TODO(), cfg, done)); err != nil {
 		tp.release()
-		return nil, f
+		return nil, err
 	}
 	res.Completed = len(res.PageLoadSec) == web.Pages
 	res.Timeouts = tp.sender.Stats().Timeouts
@@ -179,7 +176,7 @@ func RunTelnet(cfg Config, tl TelnetWorkload) (*TelnetResult, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = DefaultHorizon
 	}
-	tp, err := newTopology(cfg, true)
+	tp, err := newTopology(cfg, 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -206,17 +203,12 @@ func RunTelnet(cfg Config, tl TelnetWorkload) (*TelnetResult, error) {
 			tp.sim.Schedule(tl.Interval, produce)
 		}
 	}
-	tp.sender.Start()
+	tp.sender.Start() // ahead of run's own: the first write's segments are scheduled before the next write
 	produce()
-	for delivered < tl.Keystrokes && tp.sim.Now() < cfg.Horizon {
-		if ok, err := tp.sim.Step(); !ok || err != nil {
-			break
-		}
-	}
-
-	if f := tp.sim.Failure(); f != nil {
+	done := func() bool { return delivered >= tl.Keystrokes }
+	if err := orStall(tp.run(context.TODO(), cfg, done)); err != nil {
 		tp.release()
-		return nil, f
+		return nil, err
 	}
 	res.Completed = delivered == tl.Keystrokes
 	res.Timeouts = tp.sender.Stats().Timeouts

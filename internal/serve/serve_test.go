@@ -462,7 +462,7 @@ func TestServeStormDrainResume(t *testing.T) {
 // remainder, and the final response is byte-identical to an
 // uninterrupted run.
 func TestSweepDrainResumeWarmStart(t *testing.T) {
-	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"replications":1,"transfer_kb":2000,"packet_sizes":[256,512,1024,1536],"bad_periods":["4s"]}}`)
+	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"replications":12,"transfer_kb":2000,"packet_sizes":[256,512,1024,1536],"bad_periods":["4s"]}}`)
 
 	// Reference: the same campaign, uninterrupted.
 	ref := newTestServer(t, t.TempDir(), nil)
