@@ -113,27 +113,33 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Full benchmark run; the raw output lands in bench.txt for wtcp-bench.
+# Raw `go test -bench` output of the targets below lands under one ignored
+# scratch directory, for wtcp-bench to read.
+SCRATCH ?= .scratch
+
+# Full benchmark run.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem . | tee bench.txt
+	@mkdir -p $(SCRATCH)
+	$(GO) test -run '^$$' -bench=. -benchmem . | tee $(SCRATCH)/bench.txt
 
 # Re-record the committed kernel baseline from a full benchmark run.
 # Run on a quiet machine; CI compares against this file.
 bench-baseline: bench
-	$(GO) run ./cmd/wtcp-bench -record -out BENCH_kernel.json -in bench.txt
+	$(GO) run ./cmd/wtcp-bench -record -out BENCH_kernel.json -in $(SCRATCH)/bench.txt
 
 # Compare a fresh full run against the committed baseline (>20% ns/op
 # slowdown or any allocs/op increase on the kernel micro-benchmarks fails).
 bench-compare: bench
-	$(GO) run ./cmd/wtcp-bench -compare BENCH_kernel.json -in bench.txt
+	$(GO) run ./cmd/wtcp-bench -compare BENCH_kernel.json -in $(SCRATCH)/bench.txt
 
 # CI-sized benchmark gate: short benchtime on the substrate
 # micro-benchmarks only (BenchmarkSim*). End-to-end run benchmarks are
 # excluded — shared-runner noise swamps them at short benchtime; the
 # kernel micro-benchmarks are stable enough to gate on.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSim' -benchmem -benchtime=0.2s -count=3 . | tee bench-smoke.txt
-	$(GO) run ./cmd/wtcp-bench -compare BENCH_kernel.json -threshold 0.20 -in bench-smoke.txt
+	@mkdir -p $(SCRATCH)
+	$(GO) test -run '^$$' -bench 'BenchmarkSim' -benchmem -benchtime=0.2s -count=3 . | tee $(SCRATCH)/bench-smoke.txt
+	$(GO) run ./cmd/wtcp-bench -compare BENCH_kernel.json -threshold 0.20 -in $(SCRATCH)/bench-smoke.txt
 
 # Cell-scale benchmarks: per-stage hot-path micro-benchmarks plus
 # end-to-end 1k/10k/50k cell runs, compared against the committed
@@ -141,13 +147,15 @@ bench-smoke:
 # ns/op slowdown or any allocs/op increase fails — the e2e runs are
 # noisier than the kernel micro-benchmarks, hence the looser threshold).
 bench-scale:
-	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee bench-scale.txt
-	$(GO) run ./cmd/wtcp-bench -file BENCH_scale.json -threshold 0.35 -in bench-scale.txt
+	@mkdir -p $(SCRATCH)
+	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee $(SCRATCH)/bench-scale.txt
+	$(GO) run ./cmd/wtcp-bench -file BENCH_scale.json -threshold 0.35 -in $(SCRATCH)/bench-scale.txt
 
 # Re-record the committed cell-scale baseline. Run on a quiet machine.
 bench-scale-baseline:
-	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee bench-scale.txt
-	$(GO) run ./cmd/wtcp-bench -record -file BENCH_scale.json -filter '^BenchmarkCell' -note 'cell-scale engine baseline; regenerate with `make bench-scale-baseline`' -in bench-scale.txt
+	@mkdir -p $(SCRATCH)
+	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee $(SCRATCH)/bench-scale.txt
+	$(GO) run ./cmd/wtcp-bench -record -file BENCH_scale.json -filter '^BenchmarkCell' -note 'cell-scale engine baseline; regenerate with `make bench-scale-baseline`' -in $(SCRATCH)/bench-scale.txt
 
 # Measurement-spine smoke (BENCHMARK.json, bench/): all four workloads
 # at tiny sizes. Timing is meaningless at this size; what it gates is

@@ -282,12 +282,9 @@ func BenchmarkAblationSnoopVsLocalRecovery(b *testing.B) {
 func BenchmarkRelatedWorkCSDP(b *testing.B) {
 	var rrAdv, csdpAdv float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiment.CSDPStudy(experiment.CSDPOptions{
-			Connections:  4,
-			Replications: 2,
-			Transfer:     256 * units.KB,
-			BadPeriods:   []time.Duration{time.Second},
-		})
+		points, err := experiment.CSDPStudy(context.Background(),
+			experiment.Options{Replications: 2, Transfer: 256 * units.KB},
+			experiment.CSDPOptions{Connections: 4, BadPeriods: []time.Duration{time.Second}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,11 +305,9 @@ func BenchmarkRelatedWorkCSDP(b *testing.B) {
 func BenchmarkFutureWorkCongestion(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiment.CongestionStudy(experiment.CongestionOptions{
-			Replications: 2,
-			Transfer:     40 * units.KB,
-			Loads:        []float64{0.6},
-		})
+		points, err := experiment.CongestionStudy(context.Background(),
+			experiment.Options{Replications: 2, Transfer: 40 * units.KB},
+			experiment.CongestionOptions{Loads: []float64{0.6}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,9 @@
 //	wtcp-figures -fig 8 -csv      # EBSN sweep, CSV to stdout
 //	wtcp-figures -fig all -reps 5 # everything the paper reports
 //
-// Long campaigns can checkpoint: with -checkpoint, every finished sweep
+// Every replicated figure and study (all but the single-run traces 3-5)
+// runs on the experiment engine, so the execution flags apply to each of
+// them. Long campaigns can checkpoint: with -checkpoint, every finished
 // point is saved (atomic write-rename), SIGINT/SIGTERM stop the run
 // cleanly at the next simulation boundary, and rerunning the same
 // command resumes from the saved points with byte-identical output.
@@ -21,6 +23,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -44,21 +47,112 @@ func main() {
 	}
 }
 
+// figure is one row of the -fig table: the names that select it, the
+// CSV file it writes under -out (none for the trace figures) and how to
+// produce its two renderings.
+type figure struct {
+	names []string
+	file  string
+	run   func(ctx context.Context, opt experiment.Options) (csv, table string, err error)
+}
+
+// sweep is the row of a replicated study: run it, render both forms.
+func sweep[P any](names []string, file, title string,
+	run func(context.Context, experiment.Options) ([]P, error),
+	csv func([]P) string, table func(string, []P) string) figure {
+	return figure{names: names, file: file, run: func(ctx context.Context, opt experiment.Options) (string, string, error) {
+		points, err := run(ctx, opt)
+		if err != nil {
+			return "", "", err
+		}
+		return csv(points), table(title, points), nil
+	}}
+}
+
+// defaultAxes runs a side study on its default grid.
+func defaultAxes[A, P any](study func(context.Context, experiment.Options, A) ([]P, error)) func(context.Context, experiment.Options) ([]P, error) {
+	return func(ctx context.Context, opt experiment.Options) ([]P, error) {
+		var axes A
+		return study(ctx, opt, axes)
+	}
+}
+
+// traceFigure is the row of one deterministic-channel packet trace
+// (Figures 3-5): a single run, so no replication options apply.
+func traceFigure(name string, scheme bs.Scheme) figure {
+	return figure{names: []string{name}, run: func(context.Context, experiment.Options) (string, string, error) {
+		r, err := experiment.TraceFigure(scheme, 60*time.Second)
+		if err != nil {
+			return "", "", err
+		}
+		head := fmt.Sprintf("=== Figure %s: packet trace, %s, deterministic channel (good 10s / bad 4s) ===\n", name, scheme)
+		return head + r.Trace.CSV(),
+			head + r.Trace.RenderASCII(100, 30, 60*time.Second) + fmt.Sprintf(
+				"source timeouts: %d, source retransmissions: %d, EBSN resets: %d\n",
+				r.Summary.Timeouts, r.Sender.RetransSegments, r.Summary.EBSNResets), nil
+	}}
+}
+
+// figures is everything -fig can regenerate, in the order -fig all
+// prints it.
+var figures = []figure{
+	traceFigure("3", bs.Basic),
+	traceFigure("4", bs.LocalRecovery),
+	traceFigure("5", bs.EBSN),
+	sweep([]string{"7"}, "fig7.csv",
+		"=== Figure 7: Basic TCP (wide-area) — throughput (Kbps) vs packet size, mean good period 10s ===",
+		experiment.Fig7, experiment.ThroughputCSV, experiment.RenderThroughputTable),
+	sweep([]string{"8"}, "fig8.csv",
+		"=== Figure 8: EBSN (wide-area) — throughput (Kbps) vs packet size, mean good period 10s ===",
+		experiment.Fig8, experiment.ThroughputCSV, experiment.RenderThroughputTable),
+	sweep([]string{"9"}, "fig9.csv",
+		"=== Figure 9: Basic TCP vs EBSN (wide-area) — data retransmitted, 100KB file ===",
+		experiment.Fig9, experiment.RetransCSV, experiment.RenderRetransTable),
+	sweep([]string{"10", "11"}, "fig10_11.csv",
+		"=== Figures 10 & 11: Basic TCP vs EBSN (local-area) — throughput and data retransmitted vs mean bad period, 4MB file, mean good period 4s ===",
+		experiment.LANStudy, experiment.LANCSV, experiment.RenderLANTable),
+	sweep([]string{"csdp"}, "csdp.csv",
+		"=== Related work [Bhagwat 95]: FIFO vs round-robin vs CSDP, 4 connections sharing the radio ===",
+		defaultAxes(experiment.CSDPStudy), experiment.CSDPCSV, experiment.RenderCSDPTable),
+	sweep([]string{"handoff"}, "handoff.csv",
+		"=== Related work [Caceres & Iftode 94]: plain TCP vs fast-retransmit-on-handoff ===",
+		defaultAxes(experiment.HandoffStudy), experiment.HandoffCSV, experiment.RenderHandoffTable),
+	sweep([]string{"severity"}, "severity.csv",
+		"=== Paper conjecture (§1/§6): EBSN improvement grows as the link gets lossier ===",
+		defaultAxes(experiment.SeverityStudy), experiment.SeverityCSV, experiment.RenderSeverityTable),
+	sweep([]string{"congestion"}, "congestion.csv",
+		"=== Future work (paper §6): EBSN vs basic TCP under wired cross-traffic, bad=2s ===",
+		defaultAxes(experiment.CongestionStudy), experiment.CongestionCSV, experiment.RenderCongestionTable),
+	sweep([]string{"zoo"}, "zoo.csv",
+		"=== Protocol zoo: sender variant x base-station scheme on one seeded WAN channel, bad=2s, oracle armed ===",
+		defaultAxes(experiment.ZooStudy), experiment.ZooCSV, experiment.RenderZooTable),
+}
+
+// figureNames lists what -fig accepts, for the usage text and the
+// unknown-figure error.
+func figureNames() string {
+	var names []string
+	for _, f := range figures {
+		names = append(names, f.names...)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("wtcp-figures", flag.ContinueOnError)
 	var (
-		fig        = fs.String("fig", "all", "figure to regenerate: 3|4|5|7|8|9|10|11|csdp|congestion|handoff|severity|all")
+		fig        = fs.String("fig", "all", "figure to regenerate: "+figureNames())
 		reps       = fs.Int("reps", 5, "replications per data point")
 		csv        = fs.Bool("csv", false, "emit CSV instead of tables")
 		out        = fs.String("out", "", "directory to write per-figure CSV files into (implies CSV data)")
 		seed       = fs.Int64("seed", 0, "base seed offset")
-		checkpoint = fs.String("checkpoint", "", "checkpoint file: finished sweep points are saved here and an interrupted run resumes from them")
-		workers    = fs.Int("workers", 1, "replications run concurrently per sweep point (results are identical for any value)")
+		checkpoint = fs.String("checkpoint", "", "checkpoint file: finished points of every replicated figure and study are saved here and an interrupted run resumes from them")
+		workers    = fs.Int("workers", 1, "replications run concurrently per point (results are identical for any value)")
 		reproDir   = fs.String("repro", "", "directory to capture failed replications as wtcp-repro bundles")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 
-		supervise   = fs.Bool("supervise", true, "quarantine pathological sweep points (reported on stderr) instead of failing the whole figure")
+		supervise   = fs.Bool("supervise", true, "quarantine pathological points (reported on stderr) instead of failing the whole figure")
 		maxEvents   = fs.Int64("max-events", 0, "per-run fired-event budget (0 = engine default, negative = unlimited)")
 		maxVTime    = fs.Duration("max-vtime", 0, "per-run virtual-time budget (0 = none)")
 		runDeadline = fs.Duration("run-deadline", 0, "per-run wall-clock deadline (0 = engine default, negative = unlimited)")
@@ -82,17 +176,6 @@ func run(ctx context.Context, args []string) error {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-	}
-	writeFile := func(name, body string) error {
-		if *out == "" {
-			return nil
-		}
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		return nil
 	}
 	var sup *experiment.Supervisor
 	if *supervise {
@@ -118,173 +201,32 @@ func run(ctx context.Context, args []string) error {
 		NoRunBudget: *noRunBudget,
 		Health:      health,
 	}
-	want := func(names ...string) bool {
-		if *fig == "all" {
-			return true
-		}
-		for _, n := range names {
-			if *fig == n {
-				return true
-			}
-		}
-		return false
-	}
 	did := false
-
-	if want("3", "4", "5") {
+	for _, f := range figures {
+		if *fig != "all" && !slices.Contains(f.names, *fig) {
+			continue
+		}
 		did = true
-		for _, tf := range []struct {
-			name   string
-			scheme bs.Scheme
-		}{
-			{"3", bs.Basic}, {"4", bs.LocalRecovery}, {"5", bs.EBSN},
-		} {
-			if !want(tf.name) {
-				continue
-			}
-			r, err := experiment.TraceFigure(tf.scheme, 60*time.Second)
-			if err != nil {
+		csvBody, table, err := f.run(ctx, opt)
+		if err != nil {
+			return err
+		}
+		if *out != "" && f.file != "" {
+			path := filepath.Join(*out, f.file)
+			if err := os.WriteFile(path, []byte(csvBody), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("=== Figure %s: packet trace, %s, deterministic channel (good 10s / bad 4s) ===\n",
-				tf.name, tf.scheme)
-			if *csv {
-				fmt.Print(r.Trace.CSV())
-			} else {
-				fmt.Print(r.Trace.RenderASCII(100, 30, 60*time.Second))
-				fmt.Printf("source timeouts: %d, source retransmissions: %d, EBSN resets: %d\n\n",
-					r.Summary.Timeouts, r.Sender.RetransSegments, r.Summary.EBSNResets)
-			}
+			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		}
+		if *csv {
+			fmt.Print(csvBody)
+		} else {
+			fmt.Println(strings.TrimRight(table, "\n"))
+			fmt.Println()
 		}
 	}
-
-	if want("7") {
-		did = true
-		points, err := experiment.Fig7(ctx, opt)
-		if err != nil {
-			return err
-		}
-		if err := writeFile("fig7.csv", experiment.ThroughputCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.ThroughputCSV(points),
-			experiment.RenderThroughputTable(
-				"=== Figure 7: Basic TCP (wide-area) — throughput (Kbps) vs packet size, mean good period 10s ===", points))
-	}
-	if want("8") {
-		did = true
-		points, err := experiment.Fig8(ctx, opt)
-		if err != nil {
-			return err
-		}
-		if err := writeFile("fig8.csv", experiment.ThroughputCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.ThroughputCSV(points),
-			experiment.RenderThroughputTable(
-				"=== Figure 8: EBSN (wide-area) — throughput (Kbps) vs packet size, mean good period 10s ===", points))
-	}
-	if want("9") {
-		did = true
-		points, err := experiment.Fig9(ctx, opt)
-		if err != nil {
-			return err
-		}
-		if err := writeFile("fig9.csv", experiment.RetransCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.RetransCSV(points),
-			experiment.RenderRetransTable(
-				"=== Figure 9: Basic TCP vs EBSN (wide-area) — data retransmitted, 100KB file ===", points))
-	}
-	if want("10", "11") {
-		did = true
-		points, err := experiment.LANStudy(ctx, opt)
-		if err != nil {
-			return err
-		}
-		if err := writeFile("fig10_11.csv", experiment.LANCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.LANCSV(points),
-			experiment.RenderLANTable(
-				"=== Figures 10 & 11: Basic TCP vs EBSN (local-area) — throughput and data retransmitted vs mean bad period, 4MB file, mean good period 4s ===", points))
-	}
-
-	if want("csdp") {
-		did = true
-		points, err := experiment.CSDPStudy(experiment.CSDPOptions{Replications: *reps, BaseSeed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeFile("csdp.csv", experiment.CSDPCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.CSDPCSV(points),
-			experiment.RenderCSDPTable(
-				"=== Related work [Bhagwat 95]: FIFO vs round-robin vs CSDP, 4 connections sharing the radio ===", points))
-	}
-	if want("handoff") {
-		did = true
-		points, err := experiment.HandoffStudy(experiment.HandoffOptions{})
-		if err != nil {
-			return err
-		}
-		if err := writeFile("handoff.csv", experiment.HandoffCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.HandoffCSV(points),
-			experiment.RenderHandoffTable(
-				"=== Related work [Caceres & Iftode 94]: plain TCP vs fast-retransmit-on-handoff ===", points))
-	}
-	if want("severity") {
-		did = true
-		points, err := experiment.SeverityStudy(experiment.SeverityOptions{Replications: *reps, BaseSeed: *seed})
-		if err != nil {
-			return err
-		}
-		table := experiment.RenderSeverityTable(
-			"=== Paper conjecture (§1/§6): EBSN improvement grows as the link gets lossier ===", points)
-		if err := writeFile("severity.csv", severityCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, severityCSV(points), table)
-	}
-	if want("congestion") {
-		did = true
-		points, err := experiment.CongestionStudy(experiment.CongestionOptions{Replications: *reps, BaseSeed: *seed})
-		if err != nil {
-			return err
-		}
-		if err := writeFile("congestion.csv", experiment.CongestionCSV(points)); err != nil {
-			return err
-		}
-		emit(*csv, experiment.CongestionCSV(points), experiment.RenderCongestionTable(
-			"=== Future work (paper §6): EBSN vs basic TCP under wired cross-traffic, bad=2s ===", points))
-	}
-
 	if !did {
-		return fmt.Errorf("unknown figure %q (expect 3|4|5|7|8|9|10|11|csdp|congestion|handoff|severity|all)", *fig)
+		return fmt.Errorf("unknown figure %q (expect %s)", *fig, figureNames())
 	}
 	return nil
-}
-
-func emit(csv bool, csvBody, table string) {
-	if csv {
-		fmt.Print(csvBody)
-	} else {
-		fmt.Println(strings.TrimRight(table, "\n"))
-		fmt.Println()
-	}
-}
-
-// severityCSV emits the severity ladder as CSV.
-func severityCSV(points []experiment.SeverityPoint) string {
-	var b strings.Builder
-	b.WriteString("bad_period_sec,bad_ber,basic_kbps,ebsn_kbps,improvement_pct\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%.1f,%g,%.3f,%.3f,%.1f\n",
-			p.MeanBad.Seconds(), p.BadBER, p.BasicKbps.Mean(), p.EBSNKbps.Mean(), p.ImprovementPct)
-	}
-	return b.String()
 }

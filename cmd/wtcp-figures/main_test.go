@@ -2,21 +2,31 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wtcp/internal/sim"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	return captureStream(t, &os.Stdout, fn)
+}
+
+// captureStream runs fn with *stream (os.Stdout or os.Stderr) redirected
+// and returns what fn wrote there.
+func captureStream(t *testing.T, stream **os.File, fn func() error) (string, error) {
+	t.Helper()
+	old := *stream
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
+	*stream = w
+	defer func() { *stream = old }()
 	done := make(chan string, 1)
 	go func() {
 		buf := new(strings.Builder)
@@ -78,8 +88,54 @@ func TestFigureHandoff(t *testing.T) {
 }
 
 func TestFigureUnknown(t *testing.T) {
-	if _, err := capture(t, func() error { return run(context.Background(), []string{"-fig", "99"}) }); err == nil {
-		t.Error("unknown figure accepted")
+	_, err := capture(t, func() error { return run(context.Background(), []string{"-fig", "99"}) })
+	if err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+	for _, f := range figures {
+		for _, name := range f.names {
+			if !strings.Contains(err.Error(), name+"|") {
+				t.Errorf("unknown-figure message %q does not offer -fig %s", err, name)
+			}
+		}
+	}
+}
+
+// TestFigureStudyHonoursRunBudget: the execution flags reach the side
+// studies. A 1000-event budget cannot fit a congestion run, so the study
+// is a named resource-exhausted quarantine per point under supervision
+// and a budget error without it — at the parent commit it ran in full.
+func TestFigureStudyHonoursRunBudget(t *testing.T) {
+	args := []string{"-fig", "congestion", "-reps", "1", "-max-events", "1000", "-csv"}
+	var table string
+	stderr, err := captureStream(t, &os.Stderr, func() (err error) {
+		table, err = capture(t, func() error { return run(context.Background(), args) })
+		return err
+	})
+	if err != nil {
+		t.Fatalf("supervised run: %v", err)
+	}
+	if strings.Count(table, "\n") != 1 {
+		t.Errorf("every point should be quarantined, leaving the CSV header alone:\n%s", table)
+	}
+	if got := strings.Count(stderr, "quarantined: congestion/"); got != 6 || !strings.Contains(stderr, "resource-exhausted") {
+		t.Errorf("stderr names %d quarantined congestion points, want 6 resource-exhausted:\n%s", got, stderr)
+	}
+
+	_, err = capture(t, func() error { return run(context.Background(), append(args, "-supervise=false")) })
+	var be *sim.BudgetError
+	if !errors.As(err, &be) || be.Kind != sim.BudgetEvents {
+		t.Errorf("unsupervised run returned %v, want an events *sim.BudgetError", err)
+	}
+}
+
+func TestFigureZoo(t *testing.T) {
+	out, err := capture(t, func() error { return run(context.Background(), []string{"-fig", "zoo", "-reps", "1", "-csv"}) })
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := strings.Count(out, "\n"); got != 17 || !strings.Contains(out, "sack,snoop,") {
+		t.Errorf("zoo CSV has %d lines, want a header and 16 cells:\n%s", got, out)
 	}
 }
 

@@ -14,7 +14,10 @@ func TestReportQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := run(context.Background(), []string{"-quick", "-reps", "2"}, f)
+	// One -checkpoint path serves every study of the report, whatever
+	// options each runs under.
+	ck := filepath.Join(t.TempDir(), "report.json")
+	code, err := run(context.Background(), []string{"-quick", "-reps", "2", "-checkpoint", ck}, f)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

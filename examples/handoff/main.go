@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,9 @@ import (
 )
 
 func main() {
-	points, err := experiment.HandoffStudy(experiment.HandoffOptions{})
+	// Handoff runs are deterministic, so one replication per point suffices.
+	points, err := experiment.HandoffStudy(context.Background(),
+		experiment.Options{Replications: 1}, experiment.HandoffOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -18,10 +19,8 @@ import (
 )
 
 func main() {
-	points, err := experiment.CSDPStudy(experiment.CSDPOptions{
-		Connections:  4,
-		Replications: 3,
-	})
+	points, err := experiment.CSDPStudy(context.Background(),
+		experiment.Options{Replications: 3}, experiment.CSDPOptions{Connections: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"wtcp/internal/atomicfile"
@@ -96,6 +98,25 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 	return l, nil
 }
 
+// CheckpointFor names the ledger file a study run under opt uses when
+// its caller runs several differently-fingerprinted studies under one
+// checkpoint path (a ledger file holds one fingerprint): path itself
+// when opt has the fingerprint of primary, the options of the caller's
+// paper sweeps, so a file they wrote keeps resuming under the path as
+// given; otherwise path with "-" and the 8 hex digits of the FNV-1a hash
+// of opt's fingerprint before the extension ("ck.json" ->
+// "ck-1f3a9c04.json"). An empty path stays empty.
+func CheckpointFor(path string, primary, opt Options) string {
+	fp := Fingerprint(opt)
+	if path == "" || fp == Fingerprint(primary) {
+		return path
+	}
+	h := fnv.New32a()
+	h.Write([]byte(fp))
+	ext := filepath.Ext(path)
+	return fmt.Sprintf("%s-%08x%s", strings.TrimSuffix(path, ext), h.Sum32(), ext)
+}
+
 // decode loads a checkpoint file's bytes into the empty ledger.
 func (l *Ledger) decode(data []byte) error {
 	var f checkpointFile
@@ -142,9 +163,20 @@ func (l *Ledger) Close() {
 	}
 }
 
-// Settle returns spec's settled outcome — exactly one of Reps or
+// Settle returns spec's settled outcome: it resolves the spec's key and
+// replication function and settles that (see settle).
+func (l *Ledger) Settle(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
+	opt = opt.withDefaults()
+	p, err := spec.point(opt)
+	if err != nil {
+		return PointOutcome{}, err
+	}
+	return l.settle(ctx, opt, p)
+}
+
+// settle returns p's settled outcome — exactly one of Reps or
 // Quarantine — computing and recording it if nobody has yet. It is the
-// whole life of a point after dispatch:
+// whole life of any point after dispatch (opt has its defaults applied):
 //
 //   - Already settled: load it. A recorded quarantine is replayed to
 //     opt.Supervise here, at the point's place in sweep order, which
@@ -159,30 +191,21 @@ func (l *Ledger) Close() {
 //     wall-clock budget and the context expire together), not by the
 //     point: recording it would poison every later warm start, so it is
 //     the interruption's outcome, ctx.Err(), and nothing is recorded.
-//   - Otherwise record it. First record wins: when a concurrent Settle
+//   - Otherwise record it. First record wins: when a concurrent settle
 //     of the same key got there first, its outcome is returned
 //     (replications are deterministic, so the bits are the same) and
 //     OnPoint stays silent.
 //
 // Errors are executePoint's: a fail-fast class, every replication
 // failed unsupervised, or ctx ended.
-func (l *Ledger) Settle(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
+func (l *Ledger) settle(ctx context.Context, opt Options, p point) (PointOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return PointOutcome{}, err
 	}
-	opt = opt.withDefaults()
-	key, err := spec.Key()
-	if err != nil {
-		return PointOutcome{}, err
-	}
-	supervised := opt.Supervise != nil
+	key, supervised := p.key, opt.Supervise != nil
 	out, settled := l.lookup(key, supervised)
 	if !settled {
-		build, extract, err := spec.buildExtract(opt)
-		if err != nil {
-			return PointOutcome{}, err
-		}
-		reps, quar, err := executePoint(ctx, opt, key, build, extract)
+		reps, quar, err := executePoint(ctx, opt, key, p.run)
 		if err != nil {
 			return PointOutcome{}, err
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -22,20 +23,18 @@ type CongestionPoint struct {
 	TimeoutsAvg    float64
 }
 
-// CongestionOptions tunes the study.
+// CongestionOptions holds the study's own axes; replications, seeds and
+// transfer size come from Options.
 type CongestionOptions struct {
-	Replications int
-	Transfer     units.ByteSize
-	BadPeriod    time.Duration
+	BadPeriod time.Duration
 	// Loads are cross-traffic rates as fractions of the wired capacity.
-	Loads    []float64
-	BaseSeed int64
+	Loads []float64
 }
 
+// congestionPacketSize is the wired packet size every cell runs at.
+const congestionPacketSize units.ByteSize = 576
+
 func (o CongestionOptions) withDefaults() CongestionOptions {
-	if o.Replications <= 0 {
-		o.Replications = 3
-	}
 	if o.BadPeriod <= 0 {
 		o.BadPeriod = 2 * time.Second
 	}
@@ -45,39 +44,34 @@ func (o CongestionOptions) withDefaults() CongestionOptions {
 	return o
 }
 
-// CongestionStudy sweeps wired cross-traffic load for basic TCP and EBSN.
-func CongestionStudy(opt CongestionOptions) ([]CongestionPoint, error) {
-	opt = opt.withDefaults()
-	var out []CongestionPoint
+// CongestionStudy sweeps wired cross-traffic load for basic TCP and
+// EBSN, one engine point per (scheme, load) cell.
+func CongestionStudy(ctx context.Context, opt Options, axes CongestionOptions) ([]CongestionPoint, error) {
+	axes = axes.withDefaults()
+	var points []point
+	var grid []CongestionPoint
 	for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
-		for _, load := range opt.Loads {
-			var tput stats.Sample
-			var timeouts uint64
-			for seed := int64(1); seed <= int64(opt.Replications); seed++ {
-				cfg := core.WAN(scheme, 576, opt.BadPeriod)
-				if opt.Transfer > 0 {
-					cfg.TransferSize = opt.Transfer
-				}
-				cfg.CrossTraffic = core.CrossTraffic{
-					Rate: units.BitRate(load * float64(cfg.WiredRate)),
-				}
-				cfg.Seed = opt.BaseSeed + seed
-				r, err := core.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				tput.Add(r.Summary.ThroughputKbps)
-				timeouts += r.Summary.Timeouts
-			}
-			out = append(out, CongestionPoint{
-				Scheme:         scheme,
-				LoadFraction:   load,
-				ThroughputKbps: &tput,
-				TimeoutsAvg:    float64(timeouts) / float64(opt.Replications),
+		for _, load := range axes.Loads {
+			grid = append(grid, CongestionPoint{Scheme: scheme, LoadFraction: load})
+			points = append(points, point{
+				key: fmt.Sprintf("congestion/%v/load=%g/bad=%v/size=%d", scheme, load, axes.BadPeriod, congestionPacketSize),
+				run: coreReplication(func(seed int64) core.Config {
+					cfg := opt.configure(core.WAN(scheme, congestionPacketSize, axes.BadPeriod), seed)
+					cfg.CrossTraffic = core.CrossTraffic{
+						Rate: units.BitRate(load * float64(cfg.WiredRate)),
+					}
+					return cfg
+				}, func(r *core.Result) ([]float64, error) {
+					return []float64{r.Summary.ThroughputKbps, float64(r.Summary.Timeouts)}, nil
+				}),
 			})
 		}
 	}
-	return out, nil
+	return settleGrid(ctx, opt, "congestion study", points, func(i int, _ []RepRecord, cols []stats.Sample) CongestionPoint {
+		p := grid[i]
+		p.ThroughputKbps, p.TimeoutsAvg = &cols[0], cols[1].Mean()
+		return p
+	})
 }
 
 // CongestionCSV emits the study as CSV.

@@ -1,13 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"wtcp/internal/multiconn"
+	"wtcp/internal/sim"
 	"wtcp/internal/stats"
-	"wtcp/internal/units"
 )
 
 // CSDPPoint is one (policy, bad period) cell of the related-work
@@ -20,23 +21,19 @@ type CSDPPoint struct {
 	DiscardsAvg   float64
 }
 
-// CSDPOptions tunes the scheduling study.
+// CSDPOptions holds the scheduling study's own axes; replications,
+// seeds and transfer size come from Options (its Checks and Oracle have
+// no counterpart in these runs and are ignored).
 type CSDPOptions struct {
-	Connections  int
-	Replications int
-	Transfer     units.ByteSize
-	BadPeriods   []time.Duration
+	Connections int
+	BadPeriods  []time.Duration
 	// Accuracy is the CSDP predictor accuracy (1.0 = oracle).
 	Accuracy float64
-	BaseSeed int64
 }
 
 func (o CSDPOptions) withDefaults() CSDPOptions {
 	if o.Connections <= 0 {
 		o.Connections = 4
-	}
-	if o.Replications <= 0 {
-		o.Replications = 3
 	}
 	if len(o.BadPeriods) == 0 {
 		o.BadPeriods = []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
@@ -48,39 +45,45 @@ func (o CSDPOptions) withDefaults() CSDPOptions {
 }
 
 // CSDPStudy runs the FIFO / round-robin / CSDP comparison across bad
-// periods.
-func CSDPStudy(opt CSDPOptions) ([]CSDPPoint, error) {
-	opt = opt.withDefaults()
-	var out []CSDPPoint
+// periods, one engine point per (policy, bad period) cell.
+func CSDPStudy(ctx context.Context, opt Options, axes CSDPOptions) ([]CSDPPoint, error) {
+	axes = axes.withDefaults()
+	var points []point
+	var grid []CSDPPoint
 	for _, policy := range []multiconn.Policy{multiconn.FIFO, multiconn.RoundRobin, multiconn.CSDP} {
-		for _, bad := range opt.BadPeriods {
-			var agg, fair stats.Sample
-			var discards uint64
-			for seed := int64(1); seed <= int64(opt.Replications); seed++ {
-				cfg := multiconn.LANDefaults(opt.Connections, policy, bad)
-				cfg.PredictorAccuracy = opt.Accuracy
-				cfg.Seed = opt.BaseSeed + seed
-				if opt.Transfer > 0 {
-					cfg.TransferSize = opt.Transfer
-				}
-				r, err := multiconn.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				agg.Add(r.AggregateKbps)
-				fair.Add(r.Fairness)
-				discards += r.RadioDiscards
-			}
-			out = append(out, CSDPPoint{
-				Policy:        policy,
-				BadPeriod:     bad,
-				AggregateKbps: &agg,
-				Fairness:      &fair,
-				DiscardsAvg:   float64(discards) / float64(opt.Replications),
+		for _, bad := range axes.BadPeriods {
+			grid = append(grid, CSDPPoint{Policy: policy, BadPeriod: bad})
+			points = append(points, point{
+				key: fmt.Sprintf("csdp/%v/bad=%v/conns=%d/acc=%g", policy, bad, axes.Connections, axes.Accuracy),
+				run: csdpReplication(opt, axes, policy, bad),
 			})
 		}
 	}
-	return out, nil
+	return settleGrid(ctx, opt, "csdp study", points, func(i int, _ []RepRecord, cols []stats.Sample) CSDPPoint {
+		p := grid[i]
+		p.AggregateKbps, p.Fairness, p.DiscardsAvg = &cols[0], &cols[1], cols[2].Mean()
+		return p
+	})
+}
+
+// csdpReplication runs one cell of the study on the cell engine (through
+// multiconn), which polls ctx and enforces the budget itself. It has no
+// watchdog and no repro-bundle format.
+func csdpReplication(opt Options, axes CSDPOptions, policy multiconn.Policy, bad time.Duration) replication {
+	return func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
+		cfg := multiconn.LANDefaults(axes.Connections, policy, bad)
+		cfg.PredictorAccuracy = axes.Accuracy
+		cfg.Seed = opt.BaseSeed + seed
+		if opt.Transfer > 0 {
+			cfg.TransferSize = opt.Transfer
+		}
+		r, err := multiconn.RunContext(ctx, cfg, budget(sim.Budget{}))
+		if err != nil {
+			return repRun{seed: cfg.Seed}, err
+		}
+		return repRun{seed: cfg.Seed, events: r.Events,
+			values: []float64{r.AggregateKbps, r.Fairness, float64(r.RadioDiscards)}}, nil
+	}
 }
 
 // RenderCSDPTable formats the scheduling study.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,11 +11,9 @@ import (
 )
 
 func TestCSDPStudyOrdering(t *testing.T) {
-	points, err := CSDPStudy(CSDPOptions{
-		Connections:  4,
-		Replications: 2,
-		Transfer:     256 * units.KB,
-		BadPeriods:   []time.Duration{time.Second},
+	points, err := CSDPStudy(context.Background(), Options{Replications: 2, Transfer: 256 * units.KB}, CSDPOptions{
+		Connections: 4,
+		BadPeriods:  []time.Duration{time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +34,9 @@ func TestCSDPStudyOrdering(t *testing.T) {
 }
 
 func TestCSDPRenderers(t *testing.T) {
-	points, err := CSDPStudy(CSDPOptions{
-		Connections:  2,
-		Replications: 1,
-		Transfer:     128 * units.KB,
-		BadPeriods:   []time.Duration{time.Second},
+	points, err := CSDPStudy(context.Background(), Options{Replications: 1, Transfer: 128 * units.KB}, CSDPOptions{
+		Connections: 2,
+		BadPeriods:  []time.Duration{time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +52,8 @@ func TestCSDPRenderers(t *testing.T) {
 }
 
 func TestCongestionStudyShape(t *testing.T) {
-	points, err := CongestionStudy(CongestionOptions{
-		Replications: 2,
-		Transfer:     40 * units.KB,
-		Loads:        []float64{0, 0.6},
-	})
+	points, err := CongestionStudy(context.Background(), Options{Replications: 2, Transfer: 40 * units.KB},
+		CongestionOptions{Loads: []float64{0, 0.6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +95,8 @@ func TestCrossTrafficHeavyLoadStillCompletes(t *testing.T) {
 	// Saturating cross traffic (95% of the wire) plus the TCP transfer:
 	// the run must still complete (TCP backs off) and the wired queue
 	// must actually drop something.
-	points, err := CongestionStudy(CongestionOptions{
-		Replications: 1,
-		Transfer:     20 * units.KB,
-		Loads:        []float64{0.95},
-	})
+	points, err := CongestionStudy(context.Background(), Options{Replications: 1, Transfer: 20 * units.KB},
+		CongestionOptions{Loads: []float64{0.95}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@ import (
 func RunCustom(ctx context.Context, opt Options, key string,
 	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, *Quarantine, error) {
 	opt = opt.withDefaults()
-	return executePoint(ctx, opt, key, build, extract)
+	return executePoint(ctx, opt, key, coreReplication(build,
+		func(r *core.Result) ([]float64, error) { return extract(r), nil }))
 }
 
 // Fingerprint exposes the result-affecting options digest that keys

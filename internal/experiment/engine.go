@@ -15,6 +15,7 @@ import (
 
 	"wtcp/internal/core"
 	"wtcp/internal/repro"
+	"wtcp/internal/sim"
 )
 
 // This file is the crash-safe experiment engine. A sweep is a sequence
@@ -39,9 +40,25 @@ import (
 //     that exhausts its retries, so the failure can be replayed and
 //     shrunk offline with cmd/wtcp-repro.
 
-// runSim executes one simulation. It is a variable so engine tests can
-// inject failures without constructing a failing scenario.
-var runSim = core.RunContext
+// A replication runs one seeded simulation for executePoint, the only
+// loop over seeds in this package, which never learns which simulator
+// it drives (DESIGN.md "One replication loop"). seed is the 1-based
+// replication index, plus a multiple of retrySeedOffset on a retry; the
+// function adds the campaign's BaseSeed itself. budget layers the
+// engine's ceilings under whatever budget the run carries
+// (Options.runBudget); the function runs under what it returns. A panic
+// under it is recovered into a *core.PanicError with a zero repRun.
+type replication func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error)
+
+// repRun is what one attempt reports. seed, events and bundle are
+// meaningful whether or not the attempt failed.
+type repRun struct {
+	seed   int64                // the seed the simulator actually ran with
+	values []float64            // the point's metric vector, in column order; success only
+	events uint64               // kernel events fired, for Health
+	abort  string               // why a no-progress watchdog killed a run that returned normally
+	bundle func() *repro.Bundle // captures the attempt for wtcp-repro; nil: no bundle format
+}
 
 // RepRecord is one successful replication's raw measurements. Values
 // holds float64 bit patterns (math.Float64bits) in the sweep-defined
@@ -58,15 +75,6 @@ type RepRecord struct {
 	Seed     int64    `json:"seed"`
 	Values   []uint64 `json:"values"`
 	Backoffs []int64  `json:"backoff_ms,omitempty"`
-}
-
-// floats decodes the record's measurements.
-func (r RepRecord) floats() []float64 {
-	out := make([]float64, len(r.Values))
-	for i, bits := range r.Values {
-		out[i] = math.Float64frombits(bits)
-	}
-	return out
 }
 
 // bitsOf encodes measurements for storage.
@@ -90,8 +98,7 @@ func seedsOf(reps []RepRecord) []int64 {
 // executePoint runs one point's replications on the worker pool and
 // classifies the outcome without touching any ledger or supervisor
 // state — Ledger.Settle records what it returns, and a fleet worker
-// (internal/fleet) runs it remotely. extract maps a successful run to
-// the point's metric vector. It returns exactly one of: the
+// (internal/fleet) runs it remotely. It returns exactly one of: the
 // seed-ordered records on success (a replication that still fails after
 // its retries is skipped); a quarantine record when supervision is
 // armed and the point's circuit breaker trips (any replication
@@ -99,20 +106,14 @@ func seedsOf(reps []RepRecord) []int64 {
 // transient); or an error — a fail-fast class (protocol-bug, panic),
 // every replication failed unsupervised (a point built from zero
 // samples would silently fabricate results), or ctx ended mid-point.
-func executePoint(ctx context.Context, opt Options, key string,
-	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, *Quarantine, error) {
+func executePoint(ctx context.Context, opt Options, key string, run replication) ([]RepRecord, *Quarantine, error) {
 	n := opt.Replications
 	type slot struct {
 		rec RepRecord
-		ok  bool
 		err error
 	}
 	slots := make([]slot, n)
-	workers := opt.workers()
-	if workers > n {
-		workers = n
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(opt.workers(), n))
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -120,12 +121,7 @@ func executePoint(ctx context.Context, opt Options, key string,
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rec, err := runRep(ctx, opt, key, build, int64(i+1), extract)
-			if err != nil {
-				slots[i] = slot{err: err}
-				return
-			}
-			slots[i] = slot{rec: rec, ok: true}
+			slots[i].rec, slots[i].err = runRep(ctx, opt, key, run, int64(i+1))
 		}(i)
 	}
 	wg.Wait()
@@ -139,7 +135,7 @@ func executePoint(ctx context.Context, opt Options, key string,
 	var firstErr error
 	var breaker *repFailure
 	for _, s := range slots {
-		if s.ok {
+		if s.err == nil {
 			reps = append(reps, s.rec)
 			continue
 		}
@@ -173,10 +169,10 @@ func executePoint(ctx context.Context, opt Options, key string,
 	return reps, nil, nil
 }
 
-// runRep executes one replication: the configuration built for seed,
-// re-built with perturbed seeds up to the retry budget when a run
-// fails retryably (transient or resource-exhausted classes, or a
-// watchdog abort). Retries do not fire immediately: each waits through
+// runRep executes one replication: run at seed, re-run with perturbed
+// seeds up to the retry budget when an attempt fails retryably
+// (transient or resource-exhausted classes, or a watchdog abort).
+// Retries do not fire immediately: each waits through
 // a capped exponential backoff with deterministic jitter (retryBackoff)
 // so a burst of transient failures — a loaded host, a fleet of workers
 // hammering one filesystem — spreads out instead of stampeding, and
@@ -187,14 +183,10 @@ func executePoint(ctx context.Context, opt Options, key string,
 // fails permanently is captured as a repro bundle (when ReproDir is
 // set) and returned as a *repFailure carrying its class and attempt
 // count, which executePoint's circuit breaker inspects.
-func runRep(ctx context.Context, opt Options, key string, build func(seed int64) core.Config,
-	seed int64, extract func(*core.Result) []float64) (RepRecord, error) {
-	var lastErr, lastRunErr error
-	var lastClass core.FailureClass
-	var lastCfg core.Config
-	var lastRes *core.Result
+func runRep(ctx context.Context, opt Options, key string, run replication, seed int64) (RepRecord, error) {
+	var last repFailure
+	var lastBundle func() *repro.Bundle
 	var backoffs []int64
-	attempts := 0
 	for attempt := 0; attempt <= opt.retries(); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return RepRecord{}, err
@@ -207,37 +199,30 @@ func runRep(ctx context.Context, opt Options, key string, build func(seed int64)
 			backoffs = append(backoffs, pause.Milliseconds())
 			opt.Health.noteRetry()
 		}
-		attempts++
-		hid := opt.Health.RunStarted(key, seed+int64(attempt)*retrySeedOffset)
-		cfg, r, err := runAttempt(ctx, opt, build, seed+int64(attempt)*retrySeedOffset)
-		var events uint64
-		if r != nil {
-			events = r.Events
-		}
-		ok := err == nil && !r.Aborted
-		opt.Health.RunFinished(hid, events, ok)
+		attemptSeed := seed + int64(attempt)*retrySeedOffset
+		hid := opt.Health.RunStarted(key, attemptSeed)
+		out, err := runAttempt(ctx, opt, run, attemptSeed)
+		opt.Health.RunFinished(hid, out.events, err == nil && out.abort == "")
 		class := core.Classify(err)
 		switch {
 		case class == core.ClassCanceled:
 			return RepRecord{}, err
-		case err == nil && r.Aborted:
+		case err == nil && out.abort == "":
+			return RepRecord{Seed: out.seed, Values: bitsOf(out.values), Backoffs: backoffs}, nil
+		case err == nil:
 			// Virtual-time stall killed by the watchdog: transient shape,
 			// retry under a perturbed seed.
-			lastErr = fmt.Errorf("seed %d: watchdog abort: %s", cfg.Seed, firstLine(r.AbortReason))
-			lastCfg, lastRes, lastRunErr, lastClass = cfg, r, nil, core.ClassTransient
-		case err == nil:
-			return RepRecord{Seed: cfg.Seed, Values: bitsOf(extract(r)), Backoffs: backoffs}, nil
-		case failFast(class):
-			wrapped := fmt.Errorf("seed %d: %w", cfg.Seed, err)
-			emitBundle(opt, key, seed, cfg, nil, err)
-			return RepRecord{}, &repFailure{err: wrapped, class: class, attempts: attempts}
-		default:
-			lastErr = fmt.Errorf("seed %d: %w", cfg.Seed, err)
-			lastCfg, lastRes, lastRunErr, lastClass = cfg, nil, err, class
+			err = fmt.Errorf("watchdog abort: %s", firstLine(out.abort))
+			class = core.ClassTransient
+		}
+		last = repFailure{err: fmt.Errorf("seed %d: %w", out.seed, err), class: class, attempts: attempt + 1}
+		lastBundle = out.bundle
+		if failFast(class) {
+			break
 		}
 	}
-	emitBundle(opt, key, seed, lastCfg, lastRes, lastRunErr)
-	return RepRecord{}, &repFailure{err: lastErr, class: lastClass, attempts: attempts}
+	emitBundle(opt, key, seed, lastBundle)
+	return RepRecord{}, &last
 }
 
 // Retry backoff envelope: the first retry waits at least
@@ -290,32 +275,28 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// runAttempt builds and runs one configuration under the engine's
-// resolved resource budget (see Options.runBudget). A panic in the
-// build function or anywhere under the run is recovered into a
-// *PanicError, so one pathological replication cannot take down a
-// whole campaign.
-func runAttempt(ctx context.Context, opt Options, build func(seed int64) core.Config, seed int64) (cfg core.Config, res *core.Result, err error) {
+// runAttempt runs one attempt under the engine's resolved resource
+// budget (see Options.runBudget). A panic anywhere under the replication
+// function is recovered into a *PanicError, so one pathological
+// replication cannot take down a whole campaign.
+func runAttempt(ctx context.Context, opt Options, run replication, seed int64) (out repRun, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res = nil
+			out = repRun{}
 			err = &core.PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
 		}
 	}()
-	cfg = build(seed)
-	cfg.Budget = opt.runBudget(cfg.Budget)
-	res, err = runSim(ctx, cfg)
-	return cfg, res, err
+	return run(ctx, seed, opt.runBudget)
 }
 
 // emitBundle writes a repro bundle for a permanently failed replication.
 // Bundle-write problems are reported to stderr rather than failing the
 // sweep — the replication's own error is the one worth surfacing.
-func emitBundle(opt Options, key string, rep int64, cfg core.Config, res *core.Result, runErr error) {
-	if opt.ReproDir == "" {
+func emitBundle(opt Options, key string, rep int64, capture func() *repro.Bundle) {
+	if opt.ReproDir == "" || capture == nil {
 		return
 	}
-	b := repro.Capture(cfg, res, runErr)
+	b := capture()
 	if b == nil {
 		return
 	}
@@ -341,4 +322,34 @@ func sanitizeKey(key string) string {
 			return '-'
 		}
 	}, key)
+}
+
+// runSim executes one core simulation. It is a variable so engine tests
+// can inject failures without constructing a failing scenario.
+var runSim = core.RunContext
+
+// coreReplication adapts a core.Config builder and a measurement of its
+// result — what the figure sweeps, wtcpd's run executor and the core-based
+// side studies speak — to the loop's replication contract. build receives
+// the loop's seed argument; measure may refuse a result that ran but must
+// not count (the zoo's "transfer did not complete"), which fails the
+// attempt like a run error.
+func coreReplication(build func(seed int64) core.Config, measure func(*core.Result) ([]float64, error)) replication {
+	return func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
+		cfg := build(seed)
+		cfg.Budget = budget(cfg.Budget)
+		res, err := runSim(ctx, cfg)
+		out := repRun{seed: cfg.Seed}
+		if res != nil {
+			out.events = res.Events
+			if err == nil && res.Aborted {
+				out.abort = res.AbortReason
+			}
+		}
+		if err == nil && out.abort == "" {
+			out.values, err = measure(res)
+		}
+		out.bundle = func() *repro.Bundle { return repro.Capture(cfg, res, err) }
+		return out, err
+	}
 }

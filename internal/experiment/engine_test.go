@@ -5,12 +5,19 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"wtcp/internal/bs"
 	"wtcp/internal/core"
+	"wtcp/internal/handoff"
+	"wtcp/internal/multiconn"
 	"wtcp/internal/repro"
+	"wtcp/internal/sim"
+	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
 
@@ -219,5 +226,211 @@ func TestBundleEmittedOnPermanentFailure(t *testing.T) {
 	}
 	if b.Config.Seed == 0 {
 		t.Error("bundle config missing the failing seed")
+	}
+}
+
+// enginesUnderTest is one replication function per simulator the loop
+// drives — core through the adapter, the cell engine through the CSDP
+// study, internal/handoff — at test size, all under BaseSeed 100.
+func enginesUnderTest(t *testing.T) map[string]replication {
+	t.Helper()
+	opt := Options{BaseSeed: 100, Transfer: 20 * units.KB}
+	corePoint, err := PointSpec{Sweep: SweepFig7, Scheme: "basic", Bad: time.Second, Size: 512}.point(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]replication{
+		"core":    corePoint.run,
+		"csdp":    csdpReplication(opt, CSDPOptions{Connections: 2}.withDefaults(), multiconn.RoundRobin, time.Second),
+		"handoff": handoffReplication(opt, HandoffOptions{}.withDefaults(), handoff.Plain, time.Second),
+	}
+}
+
+// TestFailurePolicyIsEngineBlind runs the loop's failure policy — retry
+// under a perturbed seed, skip, quarantine, fail fast — over every
+// simulator it drives: an attempt whose loop seed the case names fails
+// with the case's error instead of running, the others really run.
+func TestFailurePolicyIsEngineBlind(t *testing.T) {
+	transient := errors.New("synthetic failure")
+	bug := &sim.CheckError{Name: "conservation", Err: errors.New("synthetic violation")}
+	firstAttemptOfRep1 := func(seed int64) bool { return seed == 1 }
+	everyAttemptOfRep1 := func(seed int64) bool { return seed%retrySeedOffset == 1 }
+	always := func(int64) bool { return true }
+	cases := []struct {
+		name      string
+		fails     func(seed int64) bool
+		err       error
+		supervise bool
+		wantSeeds []int64 // the settled replications, by the seed they ran with
+		wantQuar  core.FailureClass
+		wantErr   string
+		wantRuns  int64 // attempts made, failed ones included
+	}{
+		{name: "a transient failure is retried under a perturbed seed", fails: firstAttemptOfRep1, err: transient,
+			wantSeeds: []int64{101 + retrySeedOffset, 102}, wantRuns: 3},
+		{name: "a replication that keeps failing is skipped and n shrinks", fails: everyAttemptOfRep1, err: transient,
+			wantSeeds: []int64{102}, wantRuns: 3},
+		{name: "every replication failing fails an unsupervised point", fails: always, err: transient,
+			wantErr: "every replication failed", wantRuns: 4},
+		{name: "every replication failing quarantines a supervised point", fails: always, err: transient, supervise: true,
+			wantQuar: core.ClassTransient, wantRuns: 4},
+		{name: "a protocol bug fails fast even under supervision", fails: firstAttemptOfRep1, err: bug, supervise: true,
+			wantErr: "protocol-bug", wantRuns: 2},
+	}
+	for engine, run := range enginesUnderTest(t) {
+		for _, tc := range cases {
+			t.Run(engine+"/"+tc.name, func(t *testing.T) {
+				var runs atomic.Int64
+				faulty := func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
+					runs.Add(1)
+					if tc.fails(seed) {
+						return repRun{seed: 100 + seed}, tc.err
+					}
+					return run(ctx, seed, budget)
+				}
+				opt := Options{Replications: 2}
+				if tc.supervise {
+					opt.Supervise = NewSupervisor()
+				}
+				reps, quar, err := executePoint(context.Background(), opt, "policy/"+engine, faulty)
+				if got := runs.Load(); got != tc.wantRuns {
+					t.Errorf("%d attempts, want %d", got, tc.wantRuns)
+				}
+				switch {
+				case tc.wantErr != "":
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, tc.err) {
+						t.Errorf("err = %v, want %q wrapping the injected error", err, tc.wantErr)
+					}
+				case tc.wantQuar != "":
+					if err != nil || quar == nil || quar.Class != string(tc.wantQuar) || quar.Attempts != 2 {
+						t.Errorf("quarantine = %+v, err = %v; want class %s after 2 attempts", quar, err, tc.wantQuar)
+					}
+				default:
+					if err != nil || quar != nil || !slices.Equal(seedsOf(reps), tc.wantSeeds) {
+						t.Errorf("seeds = %v, quarantine = %+v, err = %v; want seeds %v", seedsOf(reps), quar, err, tc.wantSeeds)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sideStudies is every side study at a test-sized grid, rendered to CSV,
+// for the properties each must inherit from the engine alike.
+var sideStudies = []struct {
+	name   string
+	points int
+	csv    func(ctx context.Context, opt Options) (string, error)
+}{
+	{"severity", 2, func(ctx context.Context, opt Options) (string, error) {
+		opt.Transfer = 20 * units.KB
+		pts, err := SeverityStudy(ctx, opt, SeverityOptions{Severities: []struct {
+			MeanBad time.Duration
+			BadBER  float64
+		}{{2 * time.Second, 1e-2}}})
+		return SeverityCSV(pts), err
+	}},
+	{"zoo", 4, func(ctx context.Context, opt Options) (string, error) {
+		opt.Transfer = 20 * units.KB
+		pts, err := ZooStudy(ctx, opt, ZooOptions{
+			Variants: []tcp.Variant{tcp.Tahoe, tcp.SACKVariant}, Schemes: []bs.Scheme{bs.Basic, bs.EBSN}})
+		return ZooCSV(pts), err
+	}},
+	{"congestion", 2, func(ctx context.Context, opt Options) (string, error) {
+		opt.Transfer = 20 * units.KB
+		pts, err := CongestionStudy(ctx, opt, CongestionOptions{Loads: []float64{0.3}})
+		return CongestionCSV(pts), err
+	}},
+	{"csdp", 3, func(ctx context.Context, opt Options) (string, error) {
+		opt.Transfer = 64 * units.KB
+		pts, err := CSDPStudy(ctx, opt, CSDPOptions{Connections: 2, BadPeriods: []time.Duration{time.Second}})
+		return CSDPCSV(pts), err
+	}},
+	{"handoff", 2, func(ctx context.Context, opt Options) (string, error) {
+		opt.Transfer = 128 * units.KB
+		pts, err := HandoffStudy(ctx, opt, HandoffOptions{Dwells: []time.Duration{time.Second}})
+		return HandoffCSV(pts), err
+	}},
+}
+
+// TestSideStudiesRunOnTheEngine: what the figure sweeps get from
+// executePoint and Ledger.settle, the side studies get too — a worker
+// pool that changes no byte, a context that stops the grid, a run budget
+// that quarantines (supervised) or fails (unsupervised) by name, and a
+// checkpoint that resumes without recomputing.
+func TestSideStudiesRunOnTheEngine(t *testing.T) {
+	for _, st := range sideStudies {
+		t.Run(st.name, func(t *testing.T) {
+			want, err := st.csv(context.Background(), Options{Replications: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Count(want, "\n") - 1; st.name != "severity" && got != st.points {
+				t.Fatalf("%d CSV rows, want %d", got, st.points)
+			}
+
+			if got, err := st.csv(context.Background(), Options{Replications: 3, Workers: 4}); err != nil || got != want {
+				t.Errorf("-workers 4 diverged from sequential (err %v):\n--- seq ---\n%s--- par ---\n%s", err, want, got)
+			}
+
+			// Killed after the first fresh point, then resumed from the
+			// checkpoint: the rest of the grid is not run by the first
+			// pass, and only the rest by the second.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fresh := 0
+			opt := Options{Replications: 3, Checkpoint: filepath.Join(t.TempDir(), "study.json"),
+				OnPoint: func(string) { fresh++; cancel() }}
+			if _, err := st.csv(ctx, opt); !errors.Is(err, context.Canceled) || fresh != 1 {
+				t.Fatalf("cancelled study: err = %v after %d fresh point(s), want context.Canceled after 1", err, fresh)
+			}
+			opt.OnPoint = func(string) { fresh++ }
+			if got, err := st.csv(context.Background(), opt); err != nil || got != want || fresh != st.points {
+				t.Errorf("resumed study: err = %v, %d fresh points in all (want %d), output:\n%s--- want ---\n%s",
+					err, fresh, st.points, got, want)
+			}
+
+			tight := Options{Replications: 1, RunBudget: sim.Budget{MaxEvents: 50}}
+			_, err = st.csv(context.Background(), tight)
+			var be *sim.BudgetError
+			if !errors.As(err, &be) || be.Kind != sim.BudgetEvents {
+				t.Errorf("unsupervised study under a 50-event budget returned %v, want an events *sim.BudgetError", err)
+			}
+			tight.Supervise = NewSupervisor()
+			got, err := st.csv(context.Background(), tight)
+			if err != nil || strings.Count(got, "\n") != 1 {
+				t.Errorf("supervised study under a 50-event budget: err = %v, want a header-only table, got:\n%s", err, got)
+			}
+			qs := tight.Supervise.Quarantined()
+			if len(qs) != st.points {
+				t.Fatalf("%d quarantines, want %d", len(qs), st.points)
+			}
+			for _, q := range qs {
+				if q.Class != string(core.ClassResourceExhausted) || !strings.HasPrefix(q.Key, st.name+"/") {
+					t.Errorf("quarantine %+v, want a resource-exhausted %s/ point", q, st.name)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointForNamesOneFilePerFingerprint pins the rule callers that
+// share one -checkpoint path among differently-fingerprinted studies
+// rely on.
+func TestCheckpointForNamesOneFilePerFingerprint(t *testing.T) {
+	primary := ckOpts()
+	same := primary
+	same.Workers, same.Checkpoint = 4, "elsewhere.json" // execution-only: same fingerprint
+	other := primary
+	other.Transfer = 30 * units.KB
+	if got := CheckpointFor("dir/ck.json", primary, same); got != "dir/ck.json" {
+		t.Errorf("same fingerprint moved to %q", got)
+	}
+	a, b := CheckpointFor("dir/ck.json", primary, other), CheckpointFor("dir/ck.json", primary, other)
+	if a != b || a == "dir/ck.json" || !strings.HasPrefix(a, "dir/ck-") || !strings.HasSuffix(a, ".json") {
+		t.Errorf("derived path = %q then %q, want one stable dir/ck-<hash>.json", a, b)
+	}
+	if got := CheckpointFor("", primary, other); got != "" {
+		t.Errorf("no checkpoint became %q", got)
 	}
 }

@@ -24,6 +24,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -200,104 +201,98 @@ type RetransPoint struct {
 	Seeds []int64
 }
 
-// Sweep-point key builders, called only from PointSpec.Key. These
-// strings are load-bearing: they key the checkpoint ledger.
-func wanKey(scheme bs.Scheme, bad time.Duration, size units.ByteSize) string {
-	return fmt.Sprintf("wan/%v/bad=%v/size=%d", scheme, bad, size)
+// point is one keyed cell of a grid: what Ledger.settle settles.
+type point struct {
+	key string
+	run replication
 }
 
-func fig9Key(scheme bs.Scheme, bad time.Duration, size units.ByteSize) string {
-	return fmt.Sprintf("fig9/%v/bad=%v/size=%d", scheme, bad, size)
-}
-
-func lanKey(scheme bs.Scheme, bad time.Duration) string {
-	return fmt.Sprintf("lan/%v/bad=%v", scheme, bad)
-}
-
-// settleSweep is the engine's dispatch loop: it settles every point of
-// one named sweep in canonical order (SweepSpecs) against the
-// configured checkpoint ledger and hands each finished point, with its
-// parsed scheme, to each. Quarantined points are skipped — they are on
-// opt.Supervise — and the first error ends the sweep. What a point is
-// and how it is settled live in PointSpec and Ledger.Settle; the figure
-// functions below keep only their own aggregation.
-func settleSweep(ctx context.Context, opt Options, sweep string,
-	each func(spec PointSpec, scheme bs.Scheme, reps []RepRecord)) error {
+// settleGrid is the engine's dispatch loop: it settles points in order
+// against the configured checkpoint ledger and returns cell(i, reps,
+// cols) of each finished one, cols being one sample per metric column
+// with the replications in seed order — so an average over the
+// replications that ran is a column's Mean, and a skipped replication
+// shrinks n. Quarantined points are left out — they are on
+// opt.Supervise — and the first error ends the grid. The figure and
+// study functions keep only their grid and their aggregation.
+func settleGrid[P any](ctx context.Context, opt Options, what string, points []point,
+	cell func(i int, reps []RepRecord, cols []stats.Sample) P) ([]P, error) {
 	opt = opt.withDefaults()
-	specs, err := SweepSpecs(opt, []string{sweep})
-	if err != nil {
-		return err
-	}
 	var led *Ledger
 	if opt.Checkpoint != "" {
+		var err error
 		if led, err = OpenLedger(opt.Checkpoint, opt); err != nil {
-			return err
+			return nil, err
 		}
 		defer led.Close()
 	}
-	for _, spec := range specs {
-		scheme, err := bs.ParseScheme(spec.Scheme)
+	var out []P
+	for i, p := range points {
+		res, err := led.settle(ctx, opt, p)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("%s: %w", what, err)
 		}
-		out, err := led.Settle(ctx, opt, spec)
-		if err != nil {
-			return fmt.Errorf("%s sweep: %w", sweep, err)
+		if res.Quarantine != nil {
+			continue
 		}
-		if out.Quarantine == nil {
-			each(spec, scheme, out.Reps)
+		cols := make([]stats.Sample, len(res.Reps[0].Values))
+		for _, rep := range res.Reps {
+			for c, bits := range rep.Values {
+				cols[c].Add(math.Float64frombits(bits))
+			}
+		}
+		out = append(out, cell(i, res.Reps, cols))
+	}
+	return out, nil
+}
+
+// settleSweep settles one named figure sweep in canonical order
+// (SweepSpecs): cell sees each finished point's spec and parsed scheme.
+func settleSweep[P any](ctx context.Context, opt Options, sweep string,
+	cell func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) P) ([]P, error) {
+	specs, err := SweepSpecs(opt, []string{sweep})
+	if err != nil {
+		return nil, err
+	}
+	points := make([]point, len(specs))
+	schemes := make([]bs.Scheme, len(specs))
+	for i, spec := range specs {
+		if schemes[i], err = bs.ParseScheme(spec.Scheme); err != nil {
+			return nil, err
+		}
+		if points[i], err = spec.point(opt); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return settleGrid(ctx, opt, sweep+" sweep", points, func(i int, reps []RepRecord, cols []stats.Sample) P {
+		return cell(specs[i], schemes[i], reps, cols)
+	})
 }
 
 // wanSweep aggregates the WAN packet-size sweep of Figure 7 or 8.
 func wanSweep(ctx context.Context, sweep string, opt Options) ([]ThroughputPoint, error) {
-	var tps []ThroughputPoint
-	err := settleSweep(ctx, opt, sweep, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord) {
-		var tput, goodput stats.Sample
-		for _, rep := range reps {
-			vs := rep.floats()
-			tput.Add(vs[0])
-			goodput.Add(vs[1])
-		}
-		tps = append(tps, ThroughputPoint{
+	return settleSweep(ctx, opt, sweep, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) ThroughputPoint {
+		return ThroughputPoint{
 			Scheme:             scheme,
 			BadPeriod:          spec.Bad,
 			PacketSize:         spec.Size,
-			ThroughputKbps:     &tput,
-			Goodput:            &goodput,
+			ThroughputKbps:     &cols[0],
+			Goodput:            &cols[1],
 			TheoreticalMaxKbps: core.WAN(scheme, spec.Size, spec.Bad).TheoreticalMaxKbps(),
 			Seeds:              seedsOf(reps),
-		})
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return tps, nil
 }
 
-// wanConfig builds one run's configuration.
-func wanConfig(scheme bs.Scheme, size units.ByteSize, bad time.Duration, opt Options, seed int64) core.Config {
-	cfg := core.WAN(scheme, size, bad)
-	if opt.Transfer > 0 {
-		cfg.TransferSize = opt.Transfer
+// configure applies the campaign's per-run options to a preset for the
+// loop's seed argument.
+func (o Options) configure(cfg core.Config, seed int64) core.Config {
+	if o.Transfer > 0 {
+		cfg.TransferSize = o.Transfer
 	}
-	cfg.Seed = opt.BaseSeed + seed
-	cfg.Checks = opt.Checks
-	cfg.Oracle = opt.Oracle
-	return cfg
-}
-
-// lanConfig builds one LAN run's configuration.
-func lanConfig(scheme bs.Scheme, bad time.Duration, opt Options, seed int64) core.Config {
-	cfg := core.LAN(scheme, bad)
-	if opt.Transfer > 0 {
-		cfg.TransferSize = opt.Transfer
-	}
-	cfg.Seed = opt.BaseSeed + seed
-	cfg.Checks = opt.Checks
-	cfg.Oracle = opt.Oracle
+	cfg.Seed = o.BaseSeed + seed
+	cfg.Checks = o.Checks
+	cfg.Oracle = o.Oracle
 	return cfg
 }
 
@@ -340,28 +335,16 @@ func Fig8(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
 // Fig9 reproduces Figure 9: retransmitted data vs packet size for basic
 // TCP and EBSN.
 func Fig9(ctx context.Context, opt Options) ([]RetransPoint, error) {
-	var out []RetransPoint
-	err := settleSweep(ctx, opt, SweepFig9, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord) {
-		var retrans stats.Sample
-		var timeouts float64
-		for _, rep := range reps {
-			vs := rep.floats()
-			retrans.Add(vs[0])
-			timeouts += vs[1]
-		}
-		out = append(out, RetransPoint{
+	return settleSweep(ctx, opt, SweepFig9, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) RetransPoint {
+		return RetransPoint{
 			Scheme:      scheme,
 			BadPeriod:   spec.Bad,
 			PacketSize:  spec.Size,
-			RetransKB:   &retrans,
-			TimeoutsAvg: timeouts / float64(len(reps)),
+			RetransKB:   &cols[0],
+			TimeoutsAvg: cols[1].Mean(),
 			Seeds:       seedsOf(reps),
-		})
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // LANPoint is one (scheme, bad period) cell of Figures 10 and 11.
@@ -379,30 +362,17 @@ type LANPoint struct {
 // LANStudy reproduces Figures 10 (throughput vs bad period) and 11
 // (retransmitted data vs bad period) in one pass over basic TCP and EBSN.
 func LANStudy(ctx context.Context, opt Options) ([]LANPoint, error) {
-	var out []LANPoint
-	err := settleSweep(ctx, opt, SweepLAN, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord) {
-		var tput, retrans stats.Sample
-		var timeouts float64
-		for _, rep := range reps {
-			vs := rep.floats()
-			tput.Add(vs[0])
-			retrans.Add(vs[1])
-			timeouts += vs[2]
-		}
-		out = append(out, LANPoint{
+	return settleSweep(ctx, opt, SweepLAN, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) LANPoint {
+		return LANPoint{
 			Scheme:             scheme,
 			BadPeriod:          spec.Bad,
-			ThroughputMbps:     &tput,
-			RetransKB:          &retrans,
-			TimeoutsAvg:        timeouts / float64(len(reps)),
+			ThroughputMbps:     &cols[0],
+			RetransKB:          &cols[1],
+			TimeoutsAvg:        cols[2].Mean(),
 			TheoreticalMaxMbps: core.LAN(scheme, spec.Bad).TheoreticalMaxKbps() / 1000,
 			Seeds:              seedsOf(reps),
-		})
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // TraceFigure reproduces one of Figures 3-5: a deterministic-channel run

@@ -1,13 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"wtcp/internal/handoff"
+	"wtcp/internal/sim"
 	"wtcp/internal/stats"
-	"wtcp/internal/units"
 )
 
 // HandoffPoint is one (scheme, dwell) cell of the mobility study
@@ -20,20 +21,20 @@ type HandoffPoint struct {
 	FastRetxAvg    float64
 }
 
-// HandoffOptions tunes the study.
+// HandoffOptions holds the study's own axes; replications and transfer
+// size come from Options. Handoff runs are fully deterministic
+// (error-free cells, fixed dwell), so one replication per point
+// suffices; Checks and Oracle have no counterpart here and are ignored.
 type HandoffOptions struct {
-	Replications int
-	Transfer     units.ByteSize
-	Latency      time.Duration
-	Dwells       []time.Duration
-	BaseSeed     int64
+	// Latency is the disconnection gap while switching cells; zero keeps
+	// handoff.Defaults'.
+	Latency time.Duration
+	Dwells  []time.Duration
 }
 
 func (o HandoffOptions) withDefaults() HandoffOptions {
-	if o.Replications <= 0 {
-		// Handoff runs are fully deterministic (error-free cells, fixed
-		// dwell), so one replication per point suffices.
-		o.Replications = 1
+	if o.Latency <= 0 {
+		o.Latency = handoff.Defaults(handoff.Plain).Latency
 	}
 	if len(o.Dwells) == 0 {
 		o.Dwells = []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
@@ -42,42 +43,45 @@ func (o HandoffOptions) withDefaults() HandoffOptions {
 }
 
 // HandoffStudy compares plain TCP against fast-retransmit-on-handoff
-// across cell dwell times.
-func HandoffStudy(opt HandoffOptions) ([]HandoffPoint, error) {
-	opt = opt.withDefaults()
-	var out []HandoffPoint
+// across cell dwell times, one engine point per (scheme, dwell) cell.
+func HandoffStudy(ctx context.Context, opt Options, axes HandoffOptions) ([]HandoffPoint, error) {
+	axes = axes.withDefaults()
+	var points []point
+	var grid []HandoffPoint
 	for _, scheme := range []handoff.Scheme{handoff.Plain, handoff.FastRetransmit} {
-		for _, dwell := range opt.Dwells {
-			var tput stats.Sample
-			var timeouts, fastRetx uint64
-			for seed := int64(1); seed <= int64(opt.Replications); seed++ {
-				cfg := handoff.Defaults(scheme)
-				cfg.Dwell = dwell
-				cfg.Seed = opt.BaseSeed + seed
-				if opt.Transfer > 0 {
-					cfg.TransferSize = opt.Transfer
-				}
-				if opt.Latency > 0 {
-					cfg.Latency = opt.Latency
-				}
-				r, err := handoff.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				tput.Add(r.ThroughputKbps)
-				timeouts += r.Timeouts
-				fastRetx += r.FastRetransmits
-			}
-			out = append(out, HandoffPoint{
-				Scheme:         scheme,
-				Dwell:          dwell,
-				ThroughputKbps: &tput,
-				TimeoutsAvg:    float64(timeouts) / float64(opt.Replications),
-				FastRetxAvg:    float64(fastRetx) / float64(opt.Replications),
+		for _, dwell := range axes.Dwells {
+			grid = append(grid, HandoffPoint{Scheme: scheme, Dwell: dwell})
+			points = append(points, point{
+				key: fmt.Sprintf("handoff/%v/dwell=%v/latency=%v", scheme, dwell, axes.Latency),
+				run: handoffReplication(opt, axes, scheme, dwell),
 			})
 		}
 	}
-	return out, nil
+	return settleGrid(ctx, opt, "handoff study", points, func(i int, _ []RepRecord, cols []stats.Sample) HandoffPoint {
+		p := grid[i]
+		p.ThroughputKbps, p.TimeoutsAvg, p.FastRetxAvg = &cols[0], cols[1].Mean(), cols[2].Mean()
+		return p
+	})
+}
+
+// handoffReplication runs one cell of the study on internal/handoff's own
+// two-cell topology. It has no watchdog and no repro-bundle format.
+func handoffReplication(opt Options, axes HandoffOptions, scheme handoff.Scheme, dwell time.Duration) replication {
+	return func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
+		cfg := handoff.Defaults(scheme)
+		cfg.Dwell = dwell
+		cfg.Latency = axes.Latency
+		cfg.Seed = opt.BaseSeed + seed
+		if opt.Transfer > 0 {
+			cfg.TransferSize = opt.Transfer
+		}
+		r, err := handoff.RunContext(ctx, cfg, budget(sim.Budget{}))
+		if err != nil {
+			return repRun{seed: cfg.Seed}, err
+		}
+		return repRun{seed: cfg.Seed, events: r.Events,
+			values: []float64{r.ThroughputKbps, float64(r.Timeouts), float64(r.FastRetransmits)}}, nil
+	}
 }
 
 // RenderHandoffTable formats the study.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +11,8 @@ import (
 )
 
 func TestHandoffStudyShape(t *testing.T) {
-	points, err := HandoffStudy(HandoffOptions{
-		Transfer: 512 * units.KB,
-		Dwells:   []time.Duration{500 * time.Millisecond, 2 * time.Second},
-	})
+	points, err := HandoffStudy(context.Background(), Options{Replications: 1, Transfer: 512 * units.KB},
+		HandoffOptions{Dwells: []time.Duration{500 * time.Millisecond, 2 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +48,8 @@ func TestHandoffStudyShape(t *testing.T) {
 }
 
 func TestHandoffRenderers(t *testing.T) {
-	points, err := HandoffStudy(HandoffOptions{
-		Transfer: 256 * units.KB,
-		Dwells:   []time.Duration{time.Second},
-	})
+	points, err := HandoffStudy(context.Background(), Options{Replications: 1, Transfer: 256 * units.KB},
+		HandoffOptions{Dwells: []time.Duration{time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // This file is the one description of a figure-sweep point: the point
 // as a value (PointSpec), the enumeration of a sweep's grid in canonical
 // order (SweepSpecs), the point's ledger key (Key), and how its runs
-// are configured and measured (buildExtract). The figure sweeps in
+// are configured and measured (point). The figure sweeps in
 // experiment.go, wtcpd's sweep and advise executors and the fleet
 // coordinator all iterate SweepSpecs and settle each spec through the
 // Ledger; fleet workers execute one in isolation with RunPointSpec and
@@ -31,7 +31,7 @@ const (
 
 // PointSpec identifies one sweep point of a named figure sweep. It is
 // pure data — JSON-serializable, comparable — and, together with the
-// campaign Options, determines the point's build/extract behaviour and
+// campaign Options, determines the point's replication function and
 // its checkpoint key.
 type PointSpec struct {
 	// Sweep is one of the Sweep* constants.
@@ -45,7 +45,8 @@ type PointSpec struct {
 	Size units.ByteSize `json:"size_bytes,omitempty"`
 }
 
-// Key returns the point's checkpoint-ledger key.
+// Key returns the point's checkpoint-ledger key. These strings are
+// load-bearing: every checkpoint file on disk is keyed by them.
 func (s PointSpec) Key() (string, error) {
 	scheme, err := bs.ParseScheme(s.Scheme)
 	if err != nil {
@@ -53,11 +54,11 @@ func (s PointSpec) Key() (string, error) {
 	}
 	switch s.Sweep {
 	case SweepFig7, SweepFig8:
-		return wanKey(scheme, s.Bad, s.Size), nil
+		return fmt.Sprintf("wan/%v/bad=%v/size=%d", scheme, s.Bad, s.Size), nil
 	case SweepFig9:
-		return fig9Key(scheme, s.Bad, s.Size), nil
+		return fmt.Sprintf("fig9/%v/bad=%v/size=%d", scheme, s.Bad, s.Size), nil
 	case SweepLAN:
-		return lanKey(scheme, s.Bad), nil
+		return fmt.Sprintf("lan/%v/bad=%v", scheme, s.Bad), nil
 	default:
 		return "", fmt.Errorf("experiment: point spec: unknown sweep %q (want %s, %s, %s, or %s)",
 			s.Sweep, SweepFig7, SweepFig8, SweepFig9, SweepLAN)
@@ -105,34 +106,35 @@ func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
 	return out, nil
 }
 
-// buildExtract resolves the spec into how one replication is configured
-// (build, from the 1-based replication seed) and which measurements of
-// its result the point records, in column order (extract). The figure
+// point resolves the spec into what the ledger settles: its key, and the
+// function executePoint runs per seed — how one replication is
+// configured (from the 1-based replication seed) and which measurements
+// of its result the point records, in column order. The figure
 // functions in experiment.go read those columns back by index.
-func (s PointSpec) buildExtract(opt Options) (func(int64) core.Config, func(*core.Result) []float64, error) {
-	scheme, err := bs.ParseScheme(s.Scheme)
+func (s PointSpec) point(opt Options) (point, error) {
+	key, err := s.Key()
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: point spec: %w", err)
+		return point{}, err
 	}
-	wan := func(seed int64) core.Config { return wanConfig(scheme, s.Size, s.Bad, opt, seed) }
+	scheme, _ := bs.ParseScheme(s.Scheme) // Key vetted it
+	preset := func(seed int64) core.Config { return opt.configure(core.WAN(scheme, s.Size, s.Bad), seed) }
+	var measure func(r *core.Result) ([]float64, error)
 	switch s.Sweep {
 	case SweepFig7, SweepFig8:
-		return wan, func(r *core.Result) []float64 {
-			return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput}
-		}, nil
+		measure = func(r *core.Result) ([]float64, error) {
+			return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput}, nil
+		}
 	case SweepFig9:
-		return wan, func(r *core.Result) []float64 {
-			return []float64{r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}
-		}, nil
+		measure = func(r *core.Result) ([]float64, error) {
+			return []float64{r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}, nil
+		}
 	case SweepLAN:
-		return func(seed int64) core.Config {
-				return lanConfig(scheme, s.Bad, opt, seed)
-			}, func(r *core.Result) []float64 {
-				return []float64{r.Summary.ThroughputMbps, r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}
-			}, nil
-	default:
-		return nil, nil, fmt.Errorf("experiment: point spec: unknown sweep %q", s.Sweep)
+		preset = func(seed int64) core.Config { return opt.configure(core.LAN(scheme, s.Bad), seed) }
+		measure = func(r *core.Result) ([]float64, error) {
+			return []float64{r.Summary.ThroughputMbps, r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}, nil
+		}
 	}
+	return point{key, coreReplication(preset, measure)}, nil
 }
 
 // PointOutcome is the result of executing one PointSpec: exactly one of
@@ -153,17 +155,13 @@ type PointOutcome struct {
 // instead.
 func RunPointSpec(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
 	opt = opt.withDefaults()
-	key, err := spec.Key()
+	p, err := spec.point(opt)
 	if err != nil {
 		return PointOutcome{}, err
 	}
-	build, extract, err := spec.buildExtract(opt)
+	reps, quar, err := executePoint(ctx, opt, p.key, p.run)
 	if err != nil {
 		return PointOutcome{}, err
 	}
-	reps, quar, err := executePoint(ctx, opt, key, build, extract)
-	if err != nil {
-		return PointOutcome{}, err
-	}
-	return PointOutcome{Key: key, Reps: reps, Quarantine: quar}, nil
+	return PointOutcome{Key: p.key, Reps: reps, Quarantine: quar}, nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,7 @@ func TestSeverityStudyImprovementGrows(t *testing.T) {
 	// The paper's conjecture: "we expect our schemes to yield even better
 	// performance if wireless links are more lossy." Compare EBSN's
 	// relative gain at a mild and a harsh severity step.
-	points, err := SeverityStudy(SeverityOptions{
-		Replications: 5,
+	points, err := SeverityStudy(context.Background(), Options{Replications: 5}, SeverityOptions{
 		Severities: []struct {
 			MeanBad time.Duration
 			BadBER  float64
@@ -46,9 +46,7 @@ func TestSeverityStudyImprovementGrows(t *testing.T) {
 }
 
 func TestSeverityRenderer(t *testing.T) {
-	points, err := SeverityStudy(SeverityOptions{
-		Replications: 1,
-		Transfer:     20 * units.KB,
+	points, err := SeverityStudy(context.Background(), Options{Replications: 1, Transfer: 20 * units.KB}, SeverityOptions{
 		Severities: []struct {
 			MeanBad time.Duration
 			BadBER  float64

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -25,13 +27,11 @@ type ZooPoint struct {
 	RetransKBAvg   float64
 }
 
-// ZooOptions tunes the protocol-zoo study.
+// ZooOptions holds the protocol-zoo study's own axes; replications,
+// seeds and transfer size come from Options.
 type ZooOptions struct {
-	Replications int
-	Transfer     units.ByteSize
-	PacketSize   units.ByteSize
-	BadPeriod    time.Duration
-	BaseSeed     int64
+	PacketSize units.ByteSize
+	BadPeriod  time.Duration
 	// Variants and Schemes default to the full zoo: every sender variant
 	// against {Basic, EBSN, Snoop, SplitConnection}.
 	Variants []tcp.Variant
@@ -39,12 +39,6 @@ type ZooOptions struct {
 }
 
 func (o ZooOptions) withDefaults() ZooOptions {
-	if o.Replications <= 0 {
-		o.Replications = 3
-	}
-	if o.Transfer <= 0 {
-		o.Transfer = 100 * units.KB
-	}
 	if o.PacketSize <= 0 {
 		o.PacketSize = 576
 	}
@@ -60,46 +54,42 @@ func (o ZooOptions) withDefaults() ZooOptions {
 	return o
 }
 
-// ZooStudy runs the variant x scheme grid on the paper's WAN channel.
-// Every cell uses the same seeds, so differences are attributable to the
-// protocols, and every run has the conformance oracle armed under the
-// cell's own variant profile — an oracle violation fails the study.
-func ZooStudy(opt ZooOptions) ([]ZooPoint, error) {
-	opt = opt.withDefaults()
-	var out []ZooPoint
-	for _, variant := range opt.Variants {
-		for _, scheme := range opt.Schemes {
-			var tput, goodput stats.Sample
-			var timeouts, retrans float64
-			for seed := int64(1); seed <= int64(opt.Replications); seed++ {
-				cfg := core.WAN(scheme, opt.PacketSize, opt.BadPeriod)
-				cfg.TransferSize = opt.Transfer
-				cfg.Variant = variant
-				cfg.Oracle = true
-				cfg.Seed = opt.BaseSeed + seed
-				r, err := core.Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("zoo %s/%s seed %d: %w", variant, scheme, cfg.Seed, err)
-				}
-				if !r.Completed {
-					return nil, fmt.Errorf("zoo %s/%s seed %d: transfer did not complete", variant, scheme, cfg.Seed)
-				}
-				tput.Add(r.Summary.ThroughputKbps)
-				goodput.Add(r.Summary.Goodput)
-				timeouts += float64(r.Summary.Timeouts)
-				retrans += r.Summary.RetransmittedKB()
-			}
-			out = append(out, ZooPoint{
-				Variant:        variant,
-				Scheme:         scheme,
-				ThroughputKbps: &tput,
-				Goodput:        &goodput,
-				TimeoutsAvg:    timeouts / float64(opt.Replications),
-				RetransKBAvg:   retrans / float64(opt.Replications),
+// ZooStudy runs the variant x scheme grid on the paper's WAN channel,
+// one engine point per cell. Every cell uses the same seeds, so
+// differences are attributable to the protocols, and every run has the
+// conformance oracle armed under the cell's own variant profile whatever
+// opt.Oracle says — a violation is a protocol bug and fails the study; a
+// transfer that does not complete fails its replication.
+func ZooStudy(ctx context.Context, opt Options, axes ZooOptions) ([]ZooPoint, error) {
+	axes = axes.withDefaults()
+	var points []point
+	var grid []ZooPoint
+	for _, variant := range axes.Variants {
+		for _, scheme := range axes.Schemes {
+			grid = append(grid, ZooPoint{Variant: variant, Scheme: scheme})
+			points = append(points, point{
+				key: fmt.Sprintf("zoo/%v/%v/bad=%v/size=%d", variant, scheme, axes.BadPeriod, axes.PacketSize),
+				run: coreReplication(func(seed int64) core.Config {
+					cfg := opt.configure(core.WAN(scheme, axes.PacketSize, axes.BadPeriod), seed)
+					cfg.Variant = variant
+					cfg.Oracle = true
+					return cfg
+				}, func(r *core.Result) ([]float64, error) {
+					if !r.Completed {
+						return nil, errors.New("transfer did not complete")
+					}
+					return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput,
+						float64(r.Summary.Timeouts), r.Summary.RetransmittedKB()}, nil
+				}),
 			})
 		}
 	}
-	return out, nil
+	return settleGrid(ctx, opt, "zoo study", points, func(i int, _ []RepRecord, cols []stats.Sample) ZooPoint {
+		p := grid[i]
+		p.ThroughputKbps, p.Goodput = &cols[0], &cols[1]
+		p.TimeoutsAvg, p.RetransKBAvg = cols[2].Mean(), cols[3].Mean()
+		return p
+	})
 }
 
 // ZooCell returns the study point for one (variant, scheme) pair, or nil.

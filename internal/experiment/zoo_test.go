@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -15,11 +16,8 @@ import (
 // conformance oracle on every run, so a profile violation surfaces as an
 // error here) and the grid must cover all sixteen combinations.
 func TestZooStudyGrid(t *testing.T) {
-	pts, err := ZooStudy(ZooOptions{
-		Replications: 1,
-		Transfer:     30 * units.KB,
-		BadPeriod:    2 * time.Second,
-	})
+	pts, err := ZooStudy(context.Background(), Options{Replications: 1, Transfer: 30 * units.KB},
+		ZooOptions{BadPeriod: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package handoff
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -128,10 +129,19 @@ type Result struct {
 	DroppedAtHandoff uint64
 	// RetransKB is the source's retransmitted volume.
 	RetransKB float64
+	// Events counts the kernel events the run fired.
+	Events uint64
 }
 
 // Run executes one handoff simulation.
 func Run(cfg Config) (*Result, error) {
+	return RunContext(context.Background(), cfg, sim.Budget{})
+}
+
+// RunContext is Run under ctx (the error unwraps to ctx.Err() once it
+// ends) and a resource budget (exhaustion is a *sim.BudgetError; the zero
+// budget imposes no ceilings).
+func RunContext(ctx context.Context, cfg Config, budget sim.Budget) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,6 +150,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	s := sim.New()
+	s.SetBudget(budget)
+	s.Bind(ctx)
 	ids := &packet.IDGen{}
 
 	st := &state{sim: s, cfg: cfg, ids: ids}
@@ -196,6 +208,9 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 	}
+	if err := s.Failure(); err != nil {
+		return nil, err
+	}
 
 	senderStats := st.sender.Stats()
 	res := &Result{
@@ -206,6 +221,7 @@ func Run(cfg Config) (*Result, error) {
 		Handoffs:         st.handoffs,
 		DroppedAtHandoff: st.dropped,
 		RetransKB:        float64(senderStats.RetransBytes) / float64(units.KB),
+		Events:           s.Fired(),
 	}
 	res.Elapsed = st.sender.FinishedAt()
 	if !res.Completed {

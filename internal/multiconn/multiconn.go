@@ -16,6 +16,7 @@
 package multiconn
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"wtcp/internal/cell"
 	"wtcp/internal/errmodel"
 	"wtcp/internal/packet"
+	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
 
@@ -166,6 +168,8 @@ type Result struct {
 	EBSNsSent uint64
 	// TotalTimeouts aggregates source timeouts across connections.
 	TotalTimeouts uint64
+	// Events counts the engine micro-events the run processed.
+	Events uint64
 }
 
 // Run executes one multi-connection simulation. Since the cell engine
@@ -175,6 +179,12 @@ type Result struct {
 // test pins the equivalence), so Results are unchanged while large runs
 // stop paying the object-graph overhead.
 func Run(cfg Config) (*Result, error) {
+	return RunContext(context.Background(), cfg, sim.Budget{})
+}
+
+// RunContext is Run with the cell engine's cooperative cancellation and
+// resource budget (see cell.RunContext).
+func RunContext(ctx context.Context, cfg Config, budget sim.Budget) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,7 +198,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.PerConnQueue = 20
 	}
 
-	cr, err := cell.Run(cell.Config{
+	cr, err := cell.RunContext(ctx, cell.Config{
 		Flows:             cfg.Connections,
 		BaseStations:      1,
 		Policy:            cell.Policy(cfg.Policy),
@@ -208,7 +218,7 @@ func Run(cfg Config) (*Result, error) {
 		PerFlowQueue:      cfg.PerConnQueue,
 		Seed:              cfg.Seed,
 		Horizon:           cfg.Horizon,
-	})
+	}, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +233,7 @@ func Run(cfg Config) (*Result, error) {
 		TotalTimeouts: cr.TotalTimeouts,
 		AggregateKbps: cr.AggregateKbps,
 		Fairness:      cr.Fairness,
+		Events:        cr.Events,
 	}
 	for _, fr := range cr.Flows {
 		res.PerConn = append(res.PerConn, ConnResult{

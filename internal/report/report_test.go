@@ -2,6 +2,10 @@ package report
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,5 +63,86 @@ func TestGenerateDefaultsApplied(t *testing.T) {
 	opt := Options{}.withDefaults()
 	if opt.Replications != 5 {
 		t.Errorf("default replications = %d", opt.Replications)
+	}
+}
+
+// TestReplicationMDMatchesGenerator: the committed REPLICATION.md is what
+// `make report` (10 replications) generates, byte for byte — a change
+// that moves any reported number must regenerate the document and show
+// the difference.
+func TestReplicationMDMatchesGenerator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity report")
+	}
+	want, err := os.ReadFile("../../REPLICATION.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Generate(context.Background(), Options{Replications: 10, Supervise: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("REPLICATION.md differs from the generator's output; regenerate with `make report` and review the diff\n%s",
+			firstDifference(string(want), got))
+	}
+}
+
+// firstDifference shows the first line two documents disagree on.
+func firstDifference(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d:\n  committed: %s\n  generated: %s", i+1, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("committed has %d lines, generated %d", len(w), len(g))
+}
+
+// TestQuickReportResumesFromOneCheckpointPath is the regression for a
+// report refused on every checkpointed run: its studies run under
+// several options fingerprints (transfer sizes, axes) and one path, so
+// each fingerprint must get its own ledger file. A quick report killed
+// in the middle of the zoo grid and rerun, and a third pass over the
+// finished ledgers, must both equal an uninterrupted report.
+func TestQuickReportResumesFromOneCheckpointPath(t *testing.T) {
+	opt := Options{Replications: 1, Quick: true, Supervise: true}
+	want, err := Generate(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opt.Checkpoint = filepath.Join(t.TempDir(), "report.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	zooDone := 0
+	_, err = generate(ctx, opt, func(key string) {
+		if strings.HasPrefix(key, "zoo/") {
+			if zooDone++; zooDone == 5 {
+				cancel()
+			}
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted report returned %v, want context.Canceled", err)
+	}
+
+	fresh := 0
+	resumed, err := generate(context.Background(), opt, func(string) { fresh++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != want {
+		t.Errorf("resumed report differs from an uninterrupted one\n%s", firstDifference(want, resumed))
+	}
+	if fresh != 16-5 {
+		t.Errorf("resume computed %d fresh points, want the zoo's remaining 11", fresh)
+	}
+	reloaded, err := generate(context.Background(), opt, func(key string) { t.Errorf("finished report recomputed %s", key) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded != want {
+		t.Errorf("reloaded report differs from an uninterrupted one\n%s", firstDifference(want, reloaded))
 	}
 }
