@@ -46,19 +46,21 @@ serve-smoke:
 # chaos loss/dup/reorder, the old-vs-new differential pin, and the pins
 # behind the cell engine's bit-identity claims — sim's lazily seeded
 # source against math/rand, the windowed fading timeline against the
-# unbounded one, the cached wheel minimum and the non-empty bitmap against
-# the scans they replace, the engine faults, the sampled conformance
+# unbounded one and its cursor against a plain search, the lane calendar
+# against a sorted bag, the cached wheel minimum and the non-empty bitmap
+# against the scans they replace, the engine faults, the sampled conformance
 # oracle (the only coverage of the path from a flow's shared-sender
 # transitions to its checker) — all under -race; and scale-pins: without
 # it, the steady-state zero-alloc pins (the race detector instruments
-# allocation, making AllocsPerRun meaningless) and the per-flow-channel 10k
-# SLO (the cell_10k configuration under a 256 MB heap ceiling; the
-# shared-channel SLOs cannot see per-channel set-up cost).
+# allocation, making AllocsPerRun meaningless), the per-flow-channel 10k
+# SLO (the cell_10k configuration under a 64 MB heap ceiling; the
+# shared-channel SLOs cannot see per-channel set-up cost) and the
+# calendar's slide-per-push reading on the same configuration.
 scale-smoke: scale-pins
-	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestWindowedMarkovEqualsUnbounded|TestWheelMinMatchesScan|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
+	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
 
 scale-pins:
-	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestSmallRunSetUpIsSmall' ./internal/cell/ ./internal/multiconn/
+	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestCalendarArrivesAlmostSorted|TestSmallRunSetUpIsSmall|TestSourceSeedsOnlyWhatItReads' ./internal/cell/ ./internal/multiconn/ ./internal/sim/
 
 # Protocol-zoo gate, under -race: the Tahoe-profile refactor regression
 # and cross-protocol metamorphic orderings, the snoop cache property
@@ -104,8 +106,11 @@ goldens:
 build:
 	$(GO) build ./...
 
+# Static analysis, and formatting: gofmt prints the files it would change,
+# and any name printed is a failure.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -216,6 +221,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=30s ./internal/chaos
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=30s ./internal/experiment
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=30s ./internal/cell
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
@@ -230,6 +236,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=10s ./internal/experiment
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=10s ./internal/cell
 
 clean:
 	$(GO) clean ./...

@@ -73,6 +73,7 @@ func runCellMode(opt cellOptions) error {
 			"events_per_sec":  float64(res.Events) / wall.Seconds(),
 			"wall_ms":         wall.Milliseconds(),
 			"arena_peak":      res.Arena.PeakLive,
+			"calendar_peak":   res.CalendarPeak,
 		})
 	}
 	fmt.Printf("cell: %d flows on %d base stations, %s scheduling, bad=%v\n",
@@ -82,7 +83,7 @@ func runCellMode(opt cellOptions) error {
 	fmt.Printf("radio        %d attempts, %d discards, %d EBSNs\n",
 		res.RadioAttempts, res.RadioDiscards, res.EBSNsSent)
 	fmt.Printf("source       %d timeouts, %d queue drops\n", res.TotalTimeouts, res.QueueDrops)
-	fmt.Printf("engine       %d events in %v wall (%.0f ev/s), peak %d packets live\n",
-		res.Events, wall.Round(time.Millisecond), float64(res.Events)/wall.Seconds(), res.Arena.PeakLive)
+	fmt.Printf("engine       %d events in %v wall (%.0f ev/s), peak %d packets live, %d events pending\n",
+		res.Events, wall.Round(time.Millisecond), float64(res.Events)/wall.Seconds(), res.Arena.PeakLive, res.CalendarPeak)
 	return nil
 }

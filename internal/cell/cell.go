@@ -266,6 +266,9 @@ type Result struct {
 	Events uint64
 	// Arena summarizes packet-slot usage; LiveAtEnd must be zero.
 	Arena ArenaStats
+	// CalendarPeak is the most one-shot events the calendar held at once:
+	// packets and acks in flight on a wire or a radio, not flows.
+	CalendarPeak int
 }
 
 // Run executes one cell simulation on a pooled kernel.

@@ -825,6 +825,7 @@ func (e *engine) finish() (*Result, error) {
 		ChaosDelays:    e.chaosDelays,
 		Events:         e.events,
 		Arena:          e.arena.stats(),
+		CalendarPeak:   e.cal.peak,
 	}
 	for b := 0; b < e.B; b++ {
 		res.RadioAttempts += e.attempts[b]

@@ -77,16 +77,17 @@ func TestCellSLO10k(t *testing.T) {
 // presets hide: 10 000 flows with a fading channel and an RNG stream
 // each, under the policy that queries them hardest. The heap ceiling is
 // the point — set-up that draws every channel's timeline out to a 30 min
-// horizon, or seeds every stream's whole register, holds 450 MB before
-// the first event and trips it at once; the engine holds about 60 MB.
-// The collection beforehand is because the probe reads the process's
-// heap, earlier tests' garbage included.
+// horizon holds 450 MB before the first event and trips it at once, and
+// one that gives every stream its 5 KB register, seeded or not, passes
+// 64 MB a few virtual seconds in; the engine holds about 14 MB, a
+// kilobyte and a half per flow. The collection beforehand is because the
+// probe reads the process's heap, earlier tests' garbage included.
 func TestCellSLO10kPerFlow(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("mid-scale SLO runs in full non-race mode only")
 	}
 	runtime.GC()
-	res := sloRunConfig(t, perFlow10k(CSDP), 20*time.Second, 256<<20)
+	res := sloRunConfig(t, perFlow10k(CSDP), 20*time.Second, 64<<20)
 	if !res.Completed {
 		t.Errorf("%d/10000 flows completed inside the 30 min horizon", res.CompletedFlows)
 	}

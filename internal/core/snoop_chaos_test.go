@@ -17,8 +17,8 @@ import (
 // retransmissions, duplicated and reordered ACKs on the uplink stress
 // dupack suppression.
 var snoopFaultPlans = []struct {
-	name  string
-	plan  *chaos.Config
+	name string
+	plan *chaos.Config
 }{
 	{"corrupt-down", &chaos.Config{Packets: []chaos.PacketFaults{
 		{Link: chaos.WirelessDown, CorruptProb: 0.1},

@@ -166,6 +166,11 @@ type Markov struct {
 	horizon  time.Duration
 	// floor is Forget's promise: no later query reaches before it.
 	floor time.Duration
+	// cur is the interval the last query landed in. A link's queries move
+	// forward a transmission at a time and intervals are thousands of
+	// transmissions long, so the next answer is almost always there or
+	// one further on; locate looks before it searches.
+	cur int
 	// err latches the first query that broke the promise far enough to
 	// land on a discarded interval.
 	err error
@@ -258,6 +263,7 @@ func (m *Markov) dropForgotten() {
 	}
 	if k > 0 {
 		m.timeline = m.timeline[:copy(m.timeline, m.timeline[k:])]
+		m.cur = max(m.cur-k, 0)
 	}
 }
 
@@ -274,8 +280,19 @@ func (m *Markov) locate(t time.Duration) int {
 		}
 		return -1
 	}
-	// Binary search for the last interval starting at or before t.
-	lo, hi := 0, len(m.timeline)-1
+	// The cursor's interval or its successor, else a binary search for
+	// the last interval starting at or before t.
+	last := len(m.timeline) - 1
+	if i := m.cur; m.timeline[i].start <= t {
+		if i == last || t < m.timeline[i+1].start {
+			return i
+		}
+		if i+1 == last || t < m.timeline[i+2].start {
+			m.cur = i + 1
+			return i + 1
+		}
+	}
+	lo, hi := 0, last
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		if m.timeline[mid].start <= t {
@@ -284,7 +301,17 @@ func (m *Markov) locate(t time.Duration) int {
 			hi = mid - 1
 		}
 	}
+	m.cur = lo
 	return lo
+}
+
+// end returns where interval i stops: the next one's start, or the
+// horizon for the newest.
+func (m *Markov) end(i int) time.Duration {
+	if i+1 < len(m.timeline) {
+		return m.timeline[i+1].start
+	}
+	return m.horizon
 }
 
 // StateAt implements Channel.
@@ -319,19 +346,18 @@ func (m *Markov) ExpectedBitErrors(start, end time.Duration, bits int64) float64
 	if first < 0 {
 		return math.NaN()
 	}
-	if end <= start {
-		// Instantaneous transmissions (degenerate configs) are attributed
-		// entirely to the state at start.
+	if end <= m.end(first) {
+		// The transmission sees one state: all but a few do, and
+		// instantaneous ones (degenerate configs, end <= start) are
+		// attributed entirely to the state at start. The loop below would
+		// add exactly this to zero, the one fraction being exactly 1.
 		return m.ber(m.timeline[first].state) * float64(bits)
 	}
 	total := float64(end - start)
 	mean := 0.0
 	for i := first; i < len(m.timeline); i++ {
 		iv := m.timeline[i]
-		ivEnd := m.horizon
-		if i+1 < len(m.timeline) {
-			ivEnd = m.timeline[i+1].start
-		}
+		ivEnd := m.end(i)
 		lo, hi := maxDur(start, iv.start), minDur(end, ivEnd)
 		if hi <= lo {
 			if iv.start >= end {

@@ -17,6 +17,15 @@ type RNG struct {
 	// src is r's source, held by value so a generator is two allocations,
 	// not three (a 10 000-flow cell builds 10 000 of them).
 	src source
+	// hit remembers 1-exp(-mean) for the last few distinct means
+	// PoissonAtLeastOne was asked about, keyed by the mean's bits, and
+	// next is the entry the next new mean replaces. A zero key is free:
+	// a zero mean never reaches the table.
+	hit [4]struct {
+		mean uint64
+		p    float64
+	}
+	next uint8
 }
 
 // NewRNG returns a deterministic generator for the given seed.
@@ -74,5 +83,24 @@ func (g *RNG) PoissonAtLeastOne(mean float64) bool {
 	if mean <= 0 {
 		return false
 	}
-	return g.r.Float64() < -math.Expm1(-mean)
+	return g.r.Float64() < g.hitProb(mean)
+}
+
+// hitProb is -expm1(-mean), which costs several draws' worth of time, and
+// which a run asks for with a handful of distinct means: one per channel
+// state and frame size, plus the odd transmission that straddles a state
+// change. The value remembered is the function's own result for the same
+// bits, so remembering it cannot change a draw.
+func (g *RNG) hitProb(mean float64) float64 {
+	key := math.Float64bits(mean)
+	for i := range g.hit {
+		if g.hit[i].mean == key {
+			return g.hit[i].p
+		}
+	}
+	p := -math.Expm1(-mean)
+	e := &g.hit[g.next%uint8(len(g.hit))]
+	e.mean, e.p = key, p
+	g.next++
+	return p
 }

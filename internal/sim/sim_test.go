@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -545,6 +546,36 @@ func TestPoissonAtLeastOne(t *testing.T) {
 	rate := float64(hits) / n
 	if rate < 0.090 || rate > 0.100 {
 		t.Errorf("P(N>=1 | mean 0.1) = %v, want ~0.0952", rate)
+	}
+}
+
+// TestPoissonAtLeastOneMemoIsExact compares the remembered probabilities
+// with the formula draw for draw: two generators on one seed, one through
+// PoissonAtLeastOne and one through Float64 and expm1, over more distinct
+// means than the memo holds (so entries are evicted and refilled), in
+// runs and in rotation, edge values included.
+func TestPoissonAtLeastOneMemoIsExact(t *testing.T) {
+	means := []float64{
+		1.2288e-2, 3.2e-4, 122.88, 3.2, 0.3, 7.77e-3, // two states x three sizes
+		math.SmallestNonzeroFloat64, 1e-300, 745.2, math.Inf(1), math.NaN(), 0, -1,
+	}
+	got, want := NewRNG(77), NewRNG(77)
+	pick := NewRNG(78)
+	for i := 0; i < 20000; i++ {
+		mean := means[i%len(means)]
+		if i%3 != 0 {
+			mean = means[pick.Intn(6)] // mostly the hot handful, as a run does
+		}
+		w := false
+		if !(mean <= 0) { // as PoissonAtLeastOne tests it: a NaN mean still consumes its draw
+			w = want.Float64() < -math.Expm1(-mean)
+		}
+		if g := got.PoissonAtLeastOne(mean); g != w {
+			t.Fatalf("query %d, mean %v: memo says %v, formula %v", i, mean, g, w)
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("streams diverged: %d vs %d", g, w)
 	}
 }
 

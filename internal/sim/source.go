@@ -4,7 +4,8 @@ import "math/rand"
 
 // source is the one rand.Source64 behind every RNG: math/rand's additive
 // lagged-Fibonacci generator (607 words, tap 273), stream for stream, with
-// the seeding moved from the constructor to first use.
+// the seeding moved from the constructor to first use and the register
+// itself moved from the constructor to the 274th draw.
 //
 // math/rand seeds the register by walking a Lehmer generator
 // (x <- 48271 x mod 2^31-1) through 1841 steps and folding three
@@ -14,16 +15,30 @@ import "math/rand"
 // computed on its own from the seed and one table of 607 powers; and the
 // generator first reads its words in a fixed order (draw n reads words
 // 334-n and 607-n), so "not yet seeded" needs no bookkeeping beyond whether
-// the feed index has wrapped. A source that draws six times seeds twelve
-// words; after 334 draws every word is seeded and the draw is math/rand's
-// two-index add.
+// the feed index has wrapped. Three things are therefore put off, each
+// until a draw needs it:
+//
+//   - Draws 1-273 need nothing stored. Both words draw n adds are seed
+//     words no draw has written, and the sum it would store at 334-n is
+//     not read again before draw n+273: the draw is a function of the
+//     seed and n, computed and returned. A source that stops here — a
+//     cell flow's channel stream draws a dozen times — is its seed and
+//     two indices.
+//   - Draw 274 is the first to read a stored sum (draw 1's). It allocates
+//     the register and fills the 546 words the first 273 draws would
+//     have left in it.
+//   - Draws 274-334 each still seed the one word they are first to read
+//     (60 down to 0); after that every word is seeded and the draw is
+//     math/rand's two-index add.
 type source struct {
 	tap, feed int
 	// lazy holds from Seed until the feed index reaches word 0: until
-	// then each draw seeds the words it reads.
+	// then a draw computes or seeds the words it reads (lazyStep). It is
+	// the one test the steady-state draw pays for all three phases.
 	lazy bool
 	x0   uint64 // the normalised seed, in [1, 2^31-2]
-	vec  [rngLen]int64
+	// vec is nil until draw 274 (see materialise).
+	vec *[rngLen]int64
 }
 
 const (
@@ -82,8 +97,9 @@ func seedTables() (pow [rngLen]uint64, cooked [rngLen]int64) {
 	return pow, cooked
 }
 
-// Seed implements rand.Source. It only records the seed; words are
-// computed when the generator first reads them.
+// Seed implements rand.Source. It only records the seed, and lets go of
+// the previous stream's register; words are computed when the generator
+// first reads them.
 func (s *source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
@@ -96,6 +112,7 @@ func (s *source) Seed(seed int64) {
 	}
 	s.x0 = uint64(seed)
 	s.lazy = true
+	s.vec = nil
 }
 
 // lehmerWord is one register word before the additive constant: the three
@@ -110,39 +127,80 @@ func lehmerWord(pow, x0 uint64) int64 {
 	return u ^ int64(x)
 }
 
+// word is register word i as Seed would have left it in math/rand.
+func (s *source) word(i int) int64 {
+	return lehmerWord(seedPow[i], s.x0) ^ rngCooked[i]
+}
+
 // Int63 implements rand.Source, and is the generator's step: math/rand's
-// two-index add, preceded while the lazy phase lasts by seeding the words
-// this draw is the first to read — the feed word, and the tap word while
-// tap is still above the feed's start. The seeding is written out here
-// rather than called (lehmerWord inlines) so that, once the lazy phase is
-// over, one well-predicted branch is all this costs over math/rand's
-// step; a call in the body measured ~10 % on the draw.
+// two-index add. Everything a young source does instead lives behind the
+// one branch, out of line, so that a source past its lazy phase pays one
+// well-predicted test over math/rand's step and nothing for the phases it
+// has left.
 func (s *source) Int63() int64 {
+	if s.lazy {
+		return s.lazyStep() & rngMask
+	}
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	vec := s.vec
+	x := vec[feed] + vec[tap]
+	vec[feed] = x
+	return x & rngMask
+}
+
+// Uint64 implements rand.Source64: the same step, returning the whole
+// word where Int63 drops the top bit. (Every distribution method RNG
+// exposes reaches Int63; this is here so the stream is math/rand's through
+// rand.Rand.Uint64 too.)
+func (s *source) Uint64() uint64 {
+	if s.lazy {
+		return uint64(s.lazyStep())
+	}
+	s.Int63()
+	return uint64(s.vec[s.feed])
+}
+
+// lazyStep is the step for draws 1-334, returning the whole word. The
+// feed index runs 333 down to 0 over them and never wraps; the tap index
+// wraps once, on draw 1.
+func (s *source) lazyStep() int64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
 	}
 	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
+	if s.tap >= rngLen-rngTap {
+		// Draws 1-273: the tap word is above the feed's start, so neither
+		// operand has been written, and nothing reads this sum before the
+		// register exists.
+		return s.word(s.feed) + s.word(s.tap)
 	}
-	if s.lazy {
-		s.vec[s.feed] = lehmerWord(seedPow[s.feed], s.x0) ^ rngCooked[s.feed]
-		if s.tap >= rngLen-rngTap {
-			s.vec[s.tap] = lehmerWord(seedPow[s.tap], s.x0) ^ rngCooked[s.tap]
-		}
-		s.lazy = s.feed != 0
+	if s.vec == nil {
+		s.materialise()
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
+	// The feed word is read for the first time; the tap word is a sum
+	// materialise (or an earlier pass through here) stored.
+	x := s.word(s.feed) + s.vec[s.tap]
 	s.vec[s.feed] = x
-	return x & rngMask
+	s.lazy = s.feed != 0
+	return x
 }
 
-// Uint64 implements rand.Source64: the same step, returning the whole
-// word it stored where Int63 drops the top bit. (Every distribution
-// method RNG exposes reaches Int63; this is here so the stream is
-// math/rand's through rand.Rand.Uint64 too.)
-func (s *source) Uint64() uint64 {
-	s.Int63()
-	return uint64(s.vec[s.feed])
+// materialise allocates the register as 273 stored draws would have left
+// it: draw n's tap word 607-n as seeded, and beside it, at 334-n, the sum
+// that draw returned. Words 60-0 stay zero until lazyStep reads them.
+func (s *source) materialise() {
+	s.vec = new([rngLen]int64)
+	for tap := rngLen - 1; tap >= rngLen-rngTap; tap-- {
+		w := s.word(tap)
+		s.vec[tap] = w
+		s.vec[tap-rngTap] = s.word(tap-rngTap) + w
+	}
 }

@@ -101,21 +101,84 @@ func TestSourceReseed(t *testing.T) {
 }
 
 // TestSourceSeedsOnlyWhatItReads pins the mechanism: a source that has
-// drawn k times (k <= 273) has filled exactly 2k words.
+// drawn 273 times or fewer holds no register, draw 274 allocates exactly
+// one, no later draw allocates, and Seed lets it go.
 func TestSourceSeedsOnlyWhatItReads(t *testing.T) {
 	s := new(source)
 	s.Seed(7)
-	const k = 6
-	for i := 0; i < k; i++ {
-		s.Uint64()
-	}
-	filled := 0
-	for _, w := range s.vec {
-		if w != 0 {
-			filled++
+	if n := testing.AllocsPerRun(1, func() {
+		s.Seed(7)
+		for i := 0; i < rngTap; i++ {
+			s.Uint64()
 		}
+	}); n != 0 || s.vec != nil {
+		t.Fatalf("%d draws: %v allocations, register %v; want none", rngTap, n, s.vec != nil)
 	}
-	if filled != 2*k {
-		t.Fatalf("%d draws filled %d words, want %d", k, filled, 2*k)
+	var first *[rngLen]int64
+	if n := testing.AllocsPerRun(1, func() {
+		s.Seed(7)
+		for i := 0; i < rngTap+1; i++ {
+			s.Uint64()
+		}
+		first = s.vec
+		for i := 0; i < 3*rngLen; i++ {
+			s.Uint64()
+		}
+	}); n != 1 || first == nil || s.vec != first {
+		t.Fatalf("draw %d on: %v allocations, register %v, kept %v; want exactly one, kept", rngTap+1, n, first != nil, s.vec == first)
+	}
+	if s.Seed(7); s.vec != nil {
+		t.Fatal("Seed kept the previous stream's register")
+	}
+}
+
+// TestSourceRegisterEdge walks the two edges of the lazy phase — draw
+// 273/274, where the register appears, and draw 334/335, where seeding
+// ends — from every side: a stream drawn to just before, onto and past
+// each edge and then continued, Int63 and Uint64 alternating across it
+// (they take different paths while the source is lazy), a reseed from each
+// depth, and a Split child (a fresh source seeded by the parent's next
+// draw) taken at each depth and itself drawn to it.
+func TestSourceRegisterEdge(t *testing.T) {
+	edges := []int{272, 273, 274, 275, 333, 334, 335}
+	for _, used := range edges {
+		for phase := 0; phase < 2; phase++ {
+			s, ref := new(source), rand.NewSource(5).(rand.Source64)
+			s.Seed(5)
+			step := func(i int) {
+				t.Helper()
+				if (i+phase)%2 == 0 {
+					if g, w := s.Int63(), ref.Int63(); g != w {
+						t.Fatalf("used=%d phase=%d: Int63 draw %d is %#x, math/rand gives %#x", used, phase, i+1, g, w)
+					}
+				} else if g, w := s.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("used=%d phase=%d: Uint64 draw %d is %#x, math/rand gives %#x", used, phase, i+1, g, w)
+				}
+			}
+			for i := 0; i < used; i++ {
+				step(i)
+			}
+			// A child split off here and drawn to the same depth.
+			got, want := NewRNG(s.Int63()), refRNG(ref.Int63())
+			g, w := drawMixed(got, used+2), drawMixed(want, used+2)
+			for i := range w {
+				if g[i] != w[i] {
+					t.Fatalf("used=%d: split child draw %d is %#x, math/rand gives %#x", used, i, g[i], w[i])
+				}
+			}
+			for i := used + 1; i < used+2*rngLen; i++ {
+				step(i)
+			}
+			// Reseed from this depth of a second stream.
+			s.Seed(5)
+			for i := 0; i < used; i++ {
+				s.Int63()
+			}
+			s.Seed(-9)
+			ref = rand.NewSource(-9).(rand.Source64)
+			for i := 0; i < 2*rngLen; i++ {
+				step(i)
+			}
+		}
 	}
 }
