@@ -106,11 +106,16 @@ goldens:
 build:
 	$(GO) build ./...
 
-# Static analysis, and formatting: gofmt prints the files it would change,
-# and any name printed is a failure.
+# Static analysis, formatting — gofmt prints the files it would change, and
+# any name printed is a failure — and the run path's determinism rule: no
+# non-test file of the packages a packet passes through declares a
+# map-typed field or ranges over a map (internal/lint/nomap; DESIGN.md
+# "Kernel data structures and the determinism contract").
+RUN_PATH = internal/bs internal/ip internal/node internal/tcp internal/link internal/queue internal/sim internal/packet
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; }
+	$(GO) run ./internal/lint/nomap $(RUN_PATH)
 
 test:
 	$(GO) test ./...
@@ -222,6 +227,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=30s ./internal/experiment
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=30s ./internal/cell
+	$(GO) test -fuzz=FuzzTable -fuzztime=30s ./internal/queue
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
@@ -237,6 +243,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=10s ./internal/experiment
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=10s ./internal/cell
+	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/queue
 
 clean:
 	$(GO) clean ./...

@@ -42,6 +42,12 @@ type jsonComponents struct {
 	SinkDuplicates   uint64 `json:"sink_duplicates"`
 	MobileLinkAcks   uint64 `json:"mobile_link_acks"`
 	MobileGapFlushes uint64 `json:"mobile_gap_flushes"`
+	// Occupancy high-water marks of the per-packet working sets.
+	BSHeldPeak         int `json:"bs_held_peak"`
+	SnoopCachePeak     int `json:"snoop_cache_peak"`
+	ReorderPeak        int `json:"mobile_reorder_peak"`
+	ReassemblyOpenPeak int `json:"mobile_reassembly_open_peak"`
+	SinkBufferedPeak   int `json:"sink_buffered_peak"`
 }
 
 // emitJSON prints the aggregated run as one JSON document.
@@ -74,6 +80,12 @@ func emitJSON(cfg core.Config, tput, goodput, retrans, timeouts *stats.Sample, l
 			SinkDuplicates:   last.Sink.DuplicateSegments,
 			MobileLinkAcks:   last.Mobile.LinkAcksSent,
 			MobileGapFlushes: last.Mobile.GapFlushes,
+
+			BSHeldPeak:         last.BS.HeldPeak,
+			SnoopCachePeak:     last.BS.SnoopCachePeak,
+			ReorderPeak:        last.Mobile.ReorderPeak,
+			ReassemblyOpenPeak: last.Mobile.ReassemblyOpenPeak,
+			SinkBufferedPeak:   last.Sink.BufferedPeak,
 		}
 	}
 	enc, err := json.MarshalIndent(out, "", "  ")

@@ -1,7 +1,6 @@
 package bs
 
 import (
-	"sort"
 	"time"
 
 	"wtcp/internal/packet"
@@ -27,23 +26,25 @@ type arqEngine struct {
 	// pendingUnits holds link units not yet transmitted, FIFO across
 	// packets (an unbounded ring: admission is bounded by QueueLimit).
 	pendingUnits *queue.DropTail
-	// outstanding maps unit ID -> in-flight attempt state.
-	outstanding map[uint64]*arqEntry
-	// held maps network-packet ID -> the packet's connection and the
+	// outstanding holds the in-flight attempt state by unit ID: at most
+	// Window entries.
+	outstanding queue.Table[uint64, *arqEntry]
+	// held records, by network-packet ID, the packet's connection and the
 	// number of its units still unacknowledged (pending, outstanding, or
 	// backing off); when that reaches zero the packet has fully crossed
-	// the wireless hop. A packet discarded after RTmax leaves every
+	// the wireless hop. At most QueueLimit entries, and link acks arrive
+	// for the oldest. A packet discarded after RTmax leaves every
 	// structure at once, its queued units included (see discardPacket):
 	// no per-packet record outlives the packet's stay at the station,
 	// and late link acks for its units simply find nothing outstanding.
-	held map[uint64]heldPacket
+	held queue.Table[uint64, heldPacket]
 	// nextLinkSeq numbers units so the mobile host can restore
 	// in-sequence delivery (retransmission backoffs reorder the air).
 	nextLinkSeq int64
 	// connUnits counts unacknowledged units per connection, so a failed
 	// attempt can notify every source whose data is held up (identical
 	// to the single-connection behaviour when only one source exists).
-	connUnits map[int]int
+	connUnits queue.Table[int, int]
 	// freeEntries recycles attempt-state records (and their pre-bound
 	// timers) so the per-unit transmit path allocates nothing once warm.
 	freeEntries []*arqEntry
@@ -79,9 +80,6 @@ func newARQEngine(b *BaseStation, cfg ARQConfig) *arqEngine {
 		bs:           b,
 		cfg:          cfg,
 		pendingUnits: queue.New(0),
-		outstanding:  make(map[uint64]*arqEntry),
-		held:         make(map[uint64]heldPacket),
-		connUnits:    make(map[int]int),
 	}
 	// Arm acknowledgment timers from the instant a unit leaves the
 	// transmitter, not when it was queued.
@@ -121,7 +119,7 @@ func (e *arqEngine) putEntry(en *arqEntry) {
 // identity check drops stale fires (the entry was recycled for another
 // unit while an old callback was in flight).
 func (e *arqEngine) timerFired(en *arqEntry) {
-	if e.outstanding[en.id] != en {
+	if e.entry(en.id) != en {
 		return
 	}
 	if en.backingOff {
@@ -139,15 +137,15 @@ func (e *arqEngine) timerFired(en *arqEntry) {
 // unit reference the engine holds is released.
 func (e *arqEngine) reset() int {
 	lost := len(e.held)
-	for _, en := range e.outstanding {
-		e.putEntry(en)
+	for _, o := range e.outstanding {
+		e.putEntry(o.Val)
 	}
 	for u := e.pendingUnits.Pop(); u != nil; u = e.pendingUnits.Pop() {
 		u.Release()
 	}
-	clear(e.outstanding)
-	clear(e.held)
-	clear(e.connUnits)
+	e.outstanding.Reset()
+	e.held.Reset()
+	e.connUnits.Reset()
 	return lost
 }
 
@@ -159,8 +157,17 @@ func (e *arqEngine) admit(p *packet.Packet) bool {
 	}
 	id, conn := p.ID, p.Conn
 	units := e.bs.units(p) // p may be gone after this
-	e.held[id] = heldPacket{conn: conn, units: len(units)}
-	e.connUnits[conn] += len(units)
+	hp := heldPacket{conn: conn, units: len(units)}
+	if i, fresh := e.held.Insert(id, hp); !fresh {
+		// A duplicated wired packet (fault injection) whose first copy is
+		// still held: the record restarts from the newcomer's units.
+		e.held[i].Val = hp
+	} else {
+		e.bs.stats.HeldPeak = max(e.bs.stats.HeldPeak, len(e.held))
+	}
+	if i, fresh := e.connUnits.Insert(conn, len(units)); !fresh {
+		e.connUnits[i].Val += len(units)
+	}
 	for _, u := range units {
 		e.nextLinkSeq++
 		u.LinkSeq = e.nextLinkSeq
@@ -200,14 +207,15 @@ func (e *arqEngine) transmit(u *packet.Packet, attempt int) {
 	en.unit = u
 	en.attempts = attempt
 	en.backingOff = false
-	if old, ok := e.outstanding[u.ID]; ok {
+	if i, fresh := e.outstanding.Insert(u.ID, en); !fresh {
 		// A duplicated wired packet (fault injection) carries a unit ID
 		// already being tracked. The newer attempt supersedes the older
 		// entry, whose timer will find itself stale; it keeps no unit.
+		old := e.outstanding[i].Val
 		old.unit.Release()
 		old.unit = nil
+		e.outstanding[i].Val = en
 	}
-	e.outstanding[u.ID] = en
 	e.bs.stats.ARQAttempts++
 	if e.bs.hooks.OnARQAttempt != nil {
 		e.bs.hooks.OnARQAttempt(u.ID, e.unitPacketID(u), attempt)
@@ -230,52 +238,62 @@ func (e *arqEngine) send(en *arqEntry) {
 // onTxDone fires when the downlink finishes serializing any packet; arm
 // the corresponding ack timer.
 func (e *arqEngine) onTxDone(p *packet.Packet) {
-	if en, ok := e.outstanding[p.ID]; ok && !en.backingOff {
+	if en := e.entry(p.ID); en != nil && !en.backingOff {
 		en.timer.Set(e.cfg.AckTimeout)
 	}
 }
 
+// entry returns the attempt state tracked for unit id, or nil.
+func (e *arqEngine) entry(id uint64) *arqEntry {
+	if i := e.outstanding.Find(id); i >= 0 {
+		return e.outstanding[i].Val
+	}
+	return nil
+}
+
 // onLinkAck handles a link-level acknowledgment for unit id.
 func (e *arqEngine) onLinkAck(id uint64) {
-	en, ok := e.outstanding[id]
-	if !ok {
+	i := e.outstanding.Find(id)
+	if i < 0 {
 		return // stale ack (unit already acked or its packet discarded)
 	}
-	delete(e.outstanding, id)
+	en := e.outstanding[i].Val
+	e.outstanding.Delete(i)
 	pid := e.unitPacketID(en.unit)
 	if e.bs.hooks.OnARQAck != nil {
 		e.bs.hooks.OnARQAck(id, pid)
 	}
 	e.putEntry(en)
-	if hp, ok := e.held[pid]; ok {
-		if hp.units <= 1 {
-			delete(e.held, pid)
-		} else {
-			hp.units--
-			e.held[pid] = hp
+	if i := e.held.Find(pid); i >= 0 {
+		hp := &e.held[i].Val
+		conn := hp.conn
+		if hp.units--; hp.units <= 0 {
+			e.held.Delete(i)
 		}
-		e.releaseConn(hp.conn, 1)
+		e.releaseConn(conn, 1)
 	}
 	e.fill()
 }
 
 // releaseConn reduces a connection's held-up unit count by n.
 func (e *arqEngine) releaseConn(conn, n int) {
-	e.connUnits[conn] -= n
-	if e.connUnits[conn] <= 0 {
-		delete(e.connUnits, conn)
+	i := e.connUnits.Find(conn)
+	if i < 0 {
+		return
+	}
+	if e.connUnits[i].Val -= n; e.connUnits[i].Val <= 0 {
+		e.connUnits.Delete(i)
 	}
 }
 
 // heldUpConns lists the connections with units still crossing the hop,
-// in ascending order (the order notifications are emitted in must not
-// depend on map iteration). The result is valid until the next call.
+// in ascending order — connUnits' own order, which fixes the order
+// notifications are emitted in. The result is valid until the next call.
 func (e *arqEngine) heldUpConns() []int {
 	e.heldUp = e.heldUp[:0]
-	for conn := range e.connUnits {
-		e.heldUp = append(e.heldUp, conn)
+	for _, c := range e.connUnits {
+		e.heldUp = append(e.heldUp, c.Key)
 	}
-	sort.Ints(e.heldUp)
 	return e.heldUp
 }
 
@@ -283,8 +301,8 @@ func (e *arqEngine) heldUpConns() []int {
 // back off and retransmit or discard the whole packet after RTmax
 // retransmissions.
 func (e *arqEngine) onAckTimeout(id uint64) {
-	en, ok := e.outstanding[id]
-	if !ok {
+	en := e.entry(id)
+	if en == nil {
 		return
 	}
 	e.bs.stats.ARQTimeouts++
@@ -311,8 +329,8 @@ func (e *arqEngine) onAckTimeout(id uint64) {
 
 // retransmit re-sends a unit after its backoff.
 func (e *arqEngine) retransmit(id uint64) {
-	en, ok := e.outstanding[id]
-	if !ok {
+	en := e.entry(id)
+	if en == nil {
 		return
 	}
 	en.backingOff = false
@@ -330,14 +348,17 @@ func (e *arqEngine) discardPacket(pid uint64) {
 	if e.bs.hooks.OnARQDiscard != nil {
 		e.bs.hooks.OnARQDiscard(pid)
 	}
-	if hp, ok := e.held[pid]; ok {
-		delete(e.held, pid)
+	if i := e.held.Find(pid); i >= 0 {
+		hp := e.held[i].Val
+		e.held.Delete(i)
 		e.releaseConn(hp.conn, hp.units)
 	}
-	for id, en := range e.outstanding {
-		if e.unitPacketID(en.unit) == pid {
-			delete(e.outstanding, id)
+	for i := 0; i < len(e.outstanding); {
+		if en := e.outstanding[i].Val; e.unitPacketID(en.unit) == pid {
+			e.outstanding.Delete(i)
 			e.putEntry(en)
+		} else {
+			i++
 		}
 	}
 	// Withdraw the packet's queued units too: one turn of the ring,

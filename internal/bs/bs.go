@@ -238,6 +238,11 @@ type Stats struct {
 	Crashes          uint64
 	CrashLostPackets uint64
 	CrashDiscards    uint64
+	// HeldPeak is the most data packets held under local recovery at once
+	// (at most QueueLimit); SnoopCachePeak the most segments in the snoop
+	// cache at once (at most SnoopConfig.MaxCached).
+	HeldPeak       int
+	SnoopCachePeak int
 }
 
 // Hooks are optional base-station observation points; any field may be

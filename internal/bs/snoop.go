@@ -2,6 +2,7 @@ package bs
 
 import (
 	"wtcp/internal/packet"
+	"wtcp/internal/queue"
 	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
@@ -21,10 +22,9 @@ type snoopAgent struct {
 	bs  *BaseStation
 	cfg SnoopConfig
 
-	// cache maps segment start seq -> the cached segment; free recycles
-	// the records of acknowledged and evicted ones.
-	cache map[int64]*cachedSeg
-	free  []*cachedSeg
+	// cache holds the cached segments by start seq: at most MaxCached
+	// entries, admitted in order and acknowledged from the bottom.
+	cache queue.Table[int64, cachedSeg]
 	// lastAck is the highest cumulative ack seen from the mobile host.
 	lastAck int64
 	// dupacks counts consecutive duplicates of lastAck.
@@ -37,7 +37,6 @@ type snoopAgent struct {
 // retransmissions are fresh packets, so the cache keeps no reference to
 // the one that passed through.
 type cachedSeg struct {
-	seq     int64
 	payload units.ByteSize
 	// locallyRetransmitted marks segments the agent has already re-sent
 	// since the last ack advance, limiting dupack-triggered re-sends.
@@ -49,11 +48,7 @@ type cachedSeg struct {
 }
 
 func newSnoopAgent(b *BaseStation, cfg SnoopConfig) *snoopAgent {
-	a := &snoopAgent{
-		bs:    b,
-		cfg:   cfg,
-		cache: make(map[int64]*cachedSeg),
-	}
+	a := &snoopAgent{bs: b, cfg: cfg}
 	a.timer = sim.NewTimer(b.sim, a.onLocalTimeout)
 	return a
 }
@@ -65,37 +60,26 @@ func newSnoopAgent(b *BaseStation, cfg SnoopConfig) *snoopAgent {
 // cumulative ack as a new one and simply re-seeds.
 func (a *snoopAgent) reset() int {
 	lost := len(a.cache)
-	for seq := range a.cache {
-		a.uncache(seq)
-	}
+	a.cache.Reset()
 	a.lastAck = 0
 	a.dupacks = 0
 	a.timer.Stop()
 	return lost
 }
 
-// uncache drops the cached segment at seq and recycles its record.
-func (a *snoopAgent) uncache(seq int64) {
-	a.free = append(a.free, a.cache[seq])
-	delete(a.cache, seq)
-}
-
 // admit caches a data segment and forwards it onto the wireless link.
 func (a *snoopAgent) admit(p *packet.Packet) {
-	seg, replacing := a.cache[p.Seq]
-	if replacing || len(a.cache) < a.cfg.MaxCached {
+	i := a.cache.Find(p.Seq)
+	if i >= 0 || len(a.cache) < a.cfg.MaxCached {
 		// A retransmission from the source replaces the cached copy,
 		// clearing the local-retransmit mark and the attempt count.
-		if !replacing {
-			if n := len(a.free); n > 0 {
-				seg = a.free[n-1]
-				a.free = a.free[:n-1]
-			} else {
-				seg = &cachedSeg{}
-			}
-			a.cache[p.Seq] = seg
+		seg := cachedSeg{payload: p.Payload}
+		if i >= 0 {
+			a.cache[i].Val = seg
+		} else {
+			a.cache.Insert(p.Seq, seg)
+			a.bs.stats.SnoopCachePeak = max(a.bs.stats.SnoopCachePeak, len(a.cache))
 		}
-		*seg = cachedSeg{seq: p.Seq, payload: p.Payload}
 		if a.bs.hooks.OnSnoopAdmit != nil {
 			a.bs.hooks.OnSnoopAdmit(p.Seq)
 		}
@@ -115,11 +99,7 @@ func (a *snoopAgent) filterAck(p *packet.Packet) bool {
 		// persistence timer.
 		a.lastAck = p.AckNo
 		a.dupacks = 0
-		for seq := range a.cache {
-			if seq < p.AckNo {
-				a.uncache(seq)
-			}
-		}
+		a.cache.PopBelow(p.AckNo)
 		if len(a.cache) == 0 {
 			a.timer.Stop()
 		} else {
@@ -128,16 +108,16 @@ func (a *snoopAgent) filterAck(p *packet.Packet) bool {
 		return false
 	case p.AckNo == a.lastAck:
 		a.dupacks++
-		seg, ok := a.cache[p.AckNo]
-		if !ok {
+		i := a.cache.Find(p.AckNo)
+		if i < 0 {
 			// We never saw the missing segment (or evicted it at the
 			// retransmission cap); the source must handle it. Forward the
 			// dupack so a genuine loss is never hidden from the sender.
 			return false
 		}
-		if !seg.locallyRetransmitted {
+		if seg := &a.cache[i].Val; !seg.locallyRetransmitted {
 			seg.locallyRetransmitted = true
-			if !a.localRetransmit(seg) {
+			if !a.localRetransmit(i) {
 				// Evicted at the cap: local repair has given up, so the
 				// dupack must reach the source.
 				return false
@@ -160,13 +140,7 @@ func (a *snoopAgent) onLocalTimeout() {
 	if len(a.cache) == 0 {
 		return
 	}
-	oldest := int64(-1)
-	for seq := range a.cache {
-		if oldest < 0 || seq < oldest {
-			oldest = seq
-		}
-	}
-	a.localRetransmit(a.cache[oldest])
+	a.localRetransmit(0)
 	if len(a.cache) > 0 {
 		a.timer.Set(a.cfg.LocalTimeout)
 	} else {
@@ -174,21 +148,22 @@ func (a *snoopAgent) onLocalTimeout() {
 	}
 }
 
-// localRetransmit re-sends a cached segment over the wireless hop. It
-// reports false when the segment has exhausted its attempt cap and was
-// evicted instead of retransmitted.
-func (a *snoopAgent) localRetransmit(seg *cachedSeg) bool {
+// localRetransmit re-sends the cached segment at index i over the wireless
+// hop. It reports false when the segment has exhausted its attempt cap and
+// was evicted instead of retransmitted.
+func (a *snoopAgent) localRetransmit(i int) bool {
+	seq, seg := a.cache[i].Key, &a.cache[i].Val
 	if seg.retx >= a.cfg.MaxLocalRetx {
-		a.evict(seg)
+		a.evict(i)
 		return false
 	}
 	seg.retx++
 	a.bs.stats.SnoopLocalRetx++
 	if a.bs.hooks.OnSnoopRetx != nil {
-		a.bs.hooks.OnSnoopRetx(seg.seq, seg.retx)
+		a.bs.hooks.OnSnoopRetx(seq, seg.retx)
 	}
 	copy := a.bs.ids.New(packet.Data)
-	copy.Seq = seg.seq
+	copy.Seq = seq
 	copy.Payload = seg.payload
 	copy.Retransmit = true
 	copy.SentAt = a.bs.sim.Now()
@@ -196,11 +171,12 @@ func (a *snoopAgent) localRetransmit(seg *cachedSeg) bool {
 	return true
 }
 
-// evict drops a cached copy that has used up its retransmission cap; the
-// fixed host's own recovery (fast retransmit or RTO) repairs the loss.
-func (a *snoopAgent) evict(seg *cachedSeg) {
-	seq := seg.seq
-	a.uncache(seq)
+// evict drops the cached copy at index i, which has used up its
+// retransmission cap; the fixed host's own recovery (fast retransmit or
+// RTO) repairs the loss.
+func (a *snoopAgent) evict(i int) {
+	seq := a.cache[i].Key
+	a.cache.Delete(i)
 	a.bs.stats.SnoopEvictions++
 	if a.bs.hooks.OnSnoopEvict != nil {
 		a.bs.hooks.OnSnoopEvict(seq)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wtcp/internal/packet"
+	"wtcp/internal/queue"
 	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
@@ -98,6 +99,8 @@ type Stats struct {
 	// Stale counts fragments that arrived after their group completed or
 	// expired.
 	Stale uint64
+	// OpenPeak is the most groups partially assembled at once.
+	OpenPeak int
 }
 
 // group tracks one in-progress reassembly. Groups are recycled through
@@ -139,18 +142,22 @@ type Reassembler struct {
 	sim     *sim.Simulator
 	timeout time.Duration
 	deliver func(*packet.Packet)
-	groups  map[uint64]*group
-	free    []*group
-	// done holds the remembered finished groups; doneLog lists them in
-	// finishing order (doneHead is the oldest still remembered) so the
-	// horizon is enforced without a kernel event.
-	done     map[uint64]struct{}
+	// groups holds the open groups by packet ID: a dozen at most, and a
+	// fragment nearly always belongs to the newest.
+	groups queue.Table[uint64, *group]
+	free   []*group
+	// doneLog lists the remembered finished groups in finishing order,
+	// from doneHead (the oldest still remembered) on, so the horizon is
+	// enforced without a kernel event; doneMax is the highest ID that
+	// ever finished, so the first fragment of a new packet — an ID above
+	// it — is known not to be remembered without a search.
 	doneLog  []finished
 	doneHead int
+	doneMax  uint64
 	stats    Stats
 }
 
-// finished records when a group's ID entered done.
+// finished records when a group's ID was remembered.
 type finished struct {
 	id uint64
 	at time.Duration
@@ -173,8 +180,6 @@ func NewReassembler(s *sim.Simulator, timeout time.Duration, deliver func(*packe
 		sim:     s,
 		timeout: timeout,
 		deliver: deliver,
-		groups:  make(map[uint64]*group),
-		done:    make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -186,7 +191,22 @@ func (r *Reassembler) Pending() int { return len(r.groups) }
 
 // Remembered reports how many finished groups are still remembered for
 // stale-fragment detection (see Reassembler).
-func (r *Reassembler) Remembered() int { return len(r.done) }
+func (r *Reassembler) Remembered() int { return len(r.doneLog) - r.doneHead }
+
+// remembered reports whether id is a finished group still inside the
+// horizon. A late fragment trails its group closely, so the search runs
+// from the newest.
+func (r *Reassembler) remembered(id uint64) bool {
+	if id > r.doneMax {
+		return false
+	}
+	for i := len(r.doneLog) - 1; i >= r.doneHead; i-- {
+		if r.doneLog[i].id == id {
+			return true
+		}
+	}
+	return false
+}
 
 // Receive accepts one fragment, taking over the caller's reference. When
 // the fragment completes its group, the original Data segment is rebuilt
@@ -197,13 +217,14 @@ func (r *Reassembler) Receive(frag *packet.Packet) {
 		r.deliver(frag)
 		return
 	}
-	g, ok := r.groups[frag.FragOf]
-	if !ok {
-		if _, done := r.done[frag.FragOf]; done {
-			r.stats.Stale++
-			frag.Release()
-			return
-		}
+	var g *group
+	if i := r.groups.Find(frag.FragOf); i >= 0 {
+		g = r.groups[i].Val
+	} else if r.remembered(frag.FragOf) {
+		r.stats.Stale++
+		frag.Release()
+		return
+	} else {
 		g = r.open(frag)
 	}
 	if frag.FragIndex < 0 || frag.FragIndex >= len(g.have) {
@@ -275,7 +296,8 @@ func (r *Reassembler) open(first *packet.Packet) *group {
 		sentAt:     first.SentAt,
 	}
 	g.timer.Set(r.timeout)
-	r.groups[g.orig.id] = g
+	r.groups.Insert(g.orig.id, g)
+	r.stats.OpenPeak = max(r.stats.OpenPeak, len(r.groups))
 	return g
 }
 
@@ -284,7 +306,6 @@ func (r *Reassembler) open(first *packet.Packet) *group {
 func (r *Reassembler) finish(g *group) {
 	now := r.sim.Now()
 	for r.doneHead < len(r.doneLog) && r.doneLog[r.doneHead].at+r.timeout < now {
-		delete(r.done, r.doneLog[r.doneHead].id)
 		r.doneHead++
 	}
 	if r.doneHead > 0 && r.doneHead*2 >= len(r.doneLog) {
@@ -295,9 +316,9 @@ func (r *Reassembler) finish(g *group) {
 		r.doneHead = 0
 	}
 	g.timer.Stop()
-	delete(r.groups, g.orig.id)
-	r.done[g.orig.id] = struct{}{}
+	r.groups.Delete(r.groups.Find(g.orig.id))
 	r.doneLog = append(r.doneLog, finished{id: g.orig.id, at: now})
+	r.doneMax = max(r.doneMax, g.orig.id)
 	r.free = append(r.free, g)
 }
 

@@ -374,6 +374,57 @@ func TestFinishedGroupsAreForgottenAfterOneTimeout(t *testing.T) {
 	}
 }
 
+// TestForgottenIDFinishesAgain walks one packet ID through every answer
+// the finished-group memory can give: open, expired and remembered (its
+// stragglers stale), forgotten once another group finishes past the
+// horizon, opened and completed a second time — now remembered out of ID
+// order, behind a higher ID — and stale again; an ID the reassembler never
+// saw, below the highest finished one, still opens.
+func TestForgottenIDFinishesAgain(t *testing.T) {
+	s := sim.New()
+	f := newFragmenter(t, 128)
+	const timeout = time.Second
+	r, got := reassemble(t, s, timeout)
+	frags := func(id uint64) []*packet.Packet {
+		return f.Fragment(&packet.Packet{ID: id, Kind: packet.Data, Payload: 200})
+	}
+	runTo := func(at time.Duration) {
+		t.Helper()
+		if err := s.Run(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, want Stats, pending, remembered, delivered int) {
+		t.Helper()
+		want.OpenPeak = r.Stats().OpenPeak
+		if r.Stats() != want || r.Pending() != pending || r.Remembered() != remembered || len(*got) != delivered {
+			t.Fatalf("%s: stats %+v pending %d remembered %d delivered %d, want %+v %d %d %d",
+				when, r.Stats(), r.Pending(), r.Remembered(), len(*got), want, pending, remembered, delivered)
+		}
+	}
+	seven := frags(7)
+	r.Receive(seven[0])
+	check("first fragment", Stats{}, 1, 0, 0)
+	runTo(1500 * time.Millisecond) // the partial group expires at 1 s
+	r.Receive(seven[1])
+	check("straggler of the expired group", Stats{Expired: 1, Stale: 1}, 0, 1, 0)
+	runTo(2500 * time.Millisecond)
+	for _, fr := range frags(9) { // finishing past 7's horizon forgets 7
+		r.Receive(fr)
+	}
+	check("a later group finished", Stats{Completed: 1, Expired: 1, Stale: 1}, 0, 1, 1)
+	again := frags(7)
+	for _, fr := range again {
+		r.Receive(fr)
+	}
+	check("the forgotten ID finished again", Stats{Completed: 2, Expired: 1, Stale: 1}, 0, 2, 2)
+	r.Receive(again[0])
+	r.Receive(frags(9)[0])
+	check("stragglers of both remembered IDs", Stats{Completed: 2, Expired: 1, Stale: 3}, 0, 2, 2)
+	r.Receive(frags(8)[0])
+	check("an unseen ID below the highest finished", Stats{Completed: 2, Expired: 1, Stale: 3}, 1, 2, 2)
+}
+
 // TestReassemblyIsAllocationFreeWhenWarm: with a pool behind the IDGen
 // and a consumer that releases what it is handed, a fragment-reassemble
 // cycle draws its fragments, its group, its timer and its rebuilt segment

@@ -111,7 +111,16 @@ type Link struct {
 	curP      *packet.Packet
 	curStart  time.Duration
 	curTx     time.Duration
+	curBits   int64
 	inflight  []*packet.Packet
+
+	// A link carries one or two packet sizes for a whole run, so the
+	// serialization time and on-air bits of the last size seen are kept
+	// instead of recomputed per transmission (same function, same input;
+	// the zero values are what size 0 computes to).
+	lastSize units.ByteSize
+	lastTx   time.Duration
+	lastBits int64
 
 	stats Stats
 }
@@ -290,9 +299,15 @@ func (l *Link) kick() {
 	l.busy = true
 	l.curP = p
 	l.curStart = l.sim.Now()
-	l.curTx = l.TxTime(p.Size())
+	size := p.Size()
+	if size != l.lastSize {
+		l.lastSize = size
+		l.lastTx = l.TxTime(size)
+		l.lastBits = int64(math.Ceil(float64(size.Bits()) * l.cfg.Overhead))
+	}
+	l.curTx, l.curBits = l.lastTx, l.lastBits
 	l.stats.Sent++
-	l.stats.BytesSent += p.Size()
+	l.stats.BytesSent += size
 	l.sim.Schedule(l.curTx, l.txDoneFn)
 }
 
@@ -300,7 +315,7 @@ func (l *Link) kick() {
 // the error channel, hand survivors to the propagation pipe, and start
 // the next transmission.
 func (l *Link) txDone() {
-	p, start, tx := l.curP, l.curStart, l.curTx
+	p, start, tx, onAirBits := l.curP, l.curStart, l.curTx, l.curBits
 	l.busy = false
 	l.curP = nil
 	if l.onTxDone != nil {
@@ -308,7 +323,6 @@ func (l *Link) txDone() {
 	}
 	corrupted := false
 	if l.cfg.Channel != nil {
-		onAirBits := int64(math.Ceil(float64(p.Size().Bits()) * l.cfg.Overhead))
 		mean := l.cfg.Channel.ExpectedBitErrors(start, start+tx, onAirBits)
 		corrupted = l.rng.PoissonAtLeastOne(mean)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"wtcp/internal/ip"
 	"wtcp/internal/packet"
+	"wtcp/internal/queue"
 	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
 )
@@ -30,6 +31,11 @@ type MobileStats struct {
 	// GapFlushes counts reorder-buffer flushes forced by the gap timer
 	// (a unit was discarded by the base station's ARQ).
 	GapFlushes uint64
+	// ReorderPeak is the most sequenced units held back at once;
+	// ReassemblyOpenPeak the most fragment groups partially assembled at
+	// once.
+	ReorderPeak        int
+	ReassemblyOpenPeak int
 }
 
 // Mobile is the mobile-host agent. Wireless deliveries go to Receive; TCP
@@ -48,10 +54,11 @@ type Mobile struct {
 	// backoffs reorder the air, and out-of-order TCP segments would
 	// provoke duplicate ACKs (and spurious fast retransmits) that the
 	// base station's recovery is supposed to prevent. Units carrying a
-	// LinkSeq are buffered until contiguous; a gap that persists past
-	// reorderTimeout (an ARQ discard) is flushed.
+	// LinkSeq are buffered, by LinkSeq, until contiguous; a gap that
+	// persists past reorderTimeout (an ARQ discard) is flushed. The buffer
+	// holds only units above nextSeq, a couple of dozen at most.
 	nextSeq        int64
-	reorderBuf     map[int64]*packet.Packet
+	reorderBuf     queue.Table[int64, *packet.Packet]
 	gapTimer       *sim.Timer
 	reorderTimeout time.Duration
 
@@ -108,7 +115,6 @@ func NewMobileDeliver(s *sim.Simulator, cfg MobileConfig, ids *packet.IDGen, del
 		deliver:        deliver,
 		linkAcks:       cfg.LinkAcks,
 		nextSeq:        1,
-		reorderBuf:     make(map[int64]*packet.Packet),
 		reorderTimeout: cfg.ReorderTimeout,
 	}
 	m.gapTimer = sim.NewTimer(s, m.flushGap)
@@ -123,7 +129,11 @@ func NewMobileDeliver(s *sim.Simulator, cfg MobileConfig, ids *packet.IDGen, del
 }
 
 // Stats returns a copy of the counters.
-func (m *Mobile) Stats() MobileStats { return m.stats }
+func (m *Mobile) Stats() MobileStats {
+	st := m.stats
+	st.ReassemblyOpenPeak = m.reasm.Stats().OpenPeak
+	return st
+}
 
 // SetSequencedHook installs an observer invoked for every ARQ-sequenced
 // unit as it is handed up in link order (before reassembly). The observer
@@ -171,13 +181,13 @@ func (m *Mobile) receiveSequenced(p *packet.Packet) {
 		// never holds nextSeq between calls.
 		m.handUp(p)
 	} else {
-		if _, held := m.reorderBuf[p.LinkSeq]; held {
+		if _, fresh := m.reorderBuf.Insert(p.LinkSeq, p); !fresh {
 			m.stats.DuplicateUnits++
 			p.Release()
 			return
 		}
-		m.reorderBuf[p.LinkSeq] = p
 		m.stats.ReorderedUnits++
+		m.stats.ReorderPeak = max(m.stats.ReorderPeak, len(m.reorderBuf))
 	}
 	m.drainReorder()
 }
@@ -194,12 +204,9 @@ func (m *Mobile) handUp(p *packet.Packet) {
 // drainReorder delivers the contiguous run at nextSeq and manages the gap
 // timer for whatever remains.
 func (m *Mobile) drainReorder() {
-	for len(m.reorderBuf) > 0 {
-		p, ok := m.reorderBuf[m.nextSeq]
-		if !ok {
-			break
-		}
-		delete(m.reorderBuf, m.nextSeq)
+	for len(m.reorderBuf) > 0 && m.reorderBuf[0].Key == m.nextSeq {
+		p := m.reorderBuf[0].Val
+		m.reorderBuf.Delete(0)
 		m.handUp(p)
 	}
 	if len(m.reorderBuf) == 0 {
@@ -216,21 +223,15 @@ func (m *Mobile) flushGap() {
 		return
 	}
 	m.stats.GapFlushes++
-	lowest := int64(-1)
-	for seq := range m.reorderBuf {
-		if lowest < 0 || seq < lowest {
-			lowest = seq
-		}
-	}
-	m.nextSeq = lowest
+	m.nextSeq = m.reorderBuf[0].Key
 	m.drainReorder()
 }
 
 // ReleaseAll gives up the units still waiting in the reorder buffer. It
 // is the end-of-run teardown; the host must not receive afterwards.
 func (m *Mobile) ReleaseAll() {
-	for seq, p := range m.reorderBuf {
-		p.Release()
-		delete(m.reorderBuf, seq)
+	for _, u := range m.reorderBuf {
+		u.Val.Release()
 	}
+	m.reorderBuf.Reset()
 }

@@ -114,6 +114,40 @@ func TestMultipleGapsFlushIteratively(t *testing.T) {
 	}
 }
 
+// TestGapFlushResumesAtTheLowestBufferedUnit: whatever order the units
+// above a dead gap arrived in, the flush resumes at the lowest of them and
+// hands the run up in link order; a unit from below the new floor that
+// shows up afterwards is a duplicate, not a delivery.
+func TestGapFlushResumesAtTheLowestBufferedUnit(t *testing.T) {
+	h := newHarnessWithReorderTimeout(t, 500*time.Millisecond)
+	var handedUp []int64
+	h.m.SetSequencedHook(func(p *packet.Packet) { handedUp = append(handedUp, p.LinkSeq) })
+	// Units 1 and 2 were discarded; 5, 3, 7, 4 arrive in that order.
+	h.m.Receive(seqUnit(55, 5, 4*536))
+	h.m.Receive(seqUnit(53, 3, 2*536))
+	h.m.Receive(seqUnit(57, 7, 6*536))
+	h.m.Receive(seqUnit(54, 4, 3*536))
+	if len(handedUp) != 0 {
+		t.Fatalf("units %v handed up across the gap", handedUp)
+	}
+	if err := h.s.Run(600 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(handedUp) != 3 || handedUp[0] != 3 || handedUp[1] != 4 || handedUp[2] != 5 {
+		t.Fatalf("first flush handed up %v, want 3 4 5 (7 waits behind the hole at 6)", handedUp)
+	}
+	h.m.Receive(seqUnit(52, 2, 536)) // the discarded unit's straggler
+	if st := h.m.Stats(); st.DuplicateUnits != 1 || st.GapFlushes != 1 || st.ReorderPeak != 4 {
+		t.Errorf("stats = %+v, want the straggler counted a duplicate, one flush, four units held at the peak", st)
+	}
+	if err := h.s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(handedUp) != 4 || handedUp[3] != 7 || h.m.Stats().GapFlushes != 2 {
+		t.Errorf("after the second flush: handed up %v, %d flushes", handedUp, h.m.Stats().GapFlushes)
+	}
+}
+
 // newHarnessWithReorderTimeout builds a link-acking mobile host with a
 // custom gap timeout.
 func newHarnessWithReorderTimeout(t *testing.T, timeout time.Duration) *harness {

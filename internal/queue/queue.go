@@ -1,6 +1,8 @@
 // Package queue provides the drop-tail FIFO used at every node's outbound
 // interface. The base station's queue occupancy additionally drives the
 // ICMP source-quench comparator, so the queue exposes occupancy counters.
+// It is also the home of Table, the small key-ordered slice that the
+// per-packet working sets of bs, ip, node and tcp.Sink are kept in.
 package queue
 
 import (

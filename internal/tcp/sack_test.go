@@ -99,6 +99,44 @@ func TestSinkSACKBlocks(t *testing.T) {
 	}
 }
 
+// TestSinkEntryStrandedBelowRcvNxt pins an odd case as it stands (ROADMAP
+// item 4 lists it as an open question): a partial-overlap accept can move
+// rcv_nxt past the start of a buffered segment without reaching its end.
+// Nothing drains that entry afterwards — drainBuffered looks only for a
+// segment starting exactly at rcv_nxt — so it stays for the rest of the
+// connection and every later ACK advertises it as the first SACK block,
+// below the cumulative ack. The ordered buffer keeps the behaviour of the
+// map it replaced, bit for bit.
+func TestSinkEntryStrandedBelowRcvNxt(t *testing.T) {
+	h := newSinkHarness(t, 64*units.KB)
+	h.sink.EnableSACK()
+	h.sink.Receive(data(1000, 500)) // out of order: buffered
+	h.sink.Receive(data(0, 800))
+	h.sink.Receive(data(500, 700)) // overlaps [500,800): accepts [800,1200)
+	if got := h.sink.RcvNxt(); got != 1200 {
+		t.Fatalf("rcv_nxt = %d after the overlap accept, want 1200", got)
+	}
+	stranded := packet.SACKBlock{Start: 1000, End: 1500}
+	if last := h.acks[len(h.acks)-1]; len(last.SACK) != 1 || last.SACK[0] != stranded {
+		t.Fatalf("SACK after the overlap accept = %v, want the stranded %v", last.SACK, stranded)
+	}
+	h.sink.Receive(data(1200, 300)) // in order, up to the stranded entry's end
+	h.sink.Receive(data(2000, 100)) // a genuine hole above
+	last := h.acks[len(h.acks)-1]
+	if last.AckNo != 1500 || len(last.SACK) != 2 || last.SACK[0] != stranded ||
+		last.SACK[1] != (packet.SACKBlock{Start: 2000, End: 2100}) {
+		t.Errorf("ack %d SACK %v, want 1500 with the stranded block first and the real one after it", last.AckNo, last.SACK)
+	}
+	h.sink.Receive(data(1500, 500)) // fills the hole: the real entry drains, the stranded one does not
+	last = h.acks[len(h.acks)-1]
+	if last.AckNo != 2100 || len(last.SACK) != 1 || last.SACK[0] != stranded {
+		t.Errorf("ack %d SACK %v, want 2100 still carrying %v", last.AckNo, last.SACK, stranded)
+	}
+	if st := h.sink.Stats(); st.BufferedSegments != 2 || st.BufferedPeak != 2 || h.sink.Delivered() != 2100 {
+		t.Errorf("stats %+v delivered %d", st, h.sink.Delivered())
+	}
+}
+
 func TestSinkNoSACKWhenDisabled(t *testing.T) {
 	h := newSinkHarness(t, 4*units.KB)
 	h.sink.Receive(data(2*536, 536)) // OOO

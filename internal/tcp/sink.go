@@ -2,10 +2,10 @@ package tcp
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"wtcp/internal/packet"
+	"wtcp/internal/queue"
 	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
@@ -22,6 +22,8 @@ type SinkStats struct {
 	// AcksSent counts all ACKs, DupAcksSent the non-advancing ones.
 	AcksSent    uint64
 	DupAcksSent uint64
+	// BufferedPeak is the most out-of-order segments held at once.
+	BufferedPeak int
 }
 
 // Sink is the receiving TCP endpoint: it delivers payload in order,
@@ -33,9 +35,11 @@ type Sink struct {
 	ids *packet.IDGen
 	out func(*packet.Packet)
 
-	rcvNxt   int64
-	window   units.ByteSize
-	buffered map[int64]units.ByteSize // seq -> payload length
+	rcvNxt int64
+	window units.ByteSize
+	// buffered holds the out-of-order segments' payload lengths by seq: at
+	// most a window's worth.
+	buffered queue.Table[int64, units.ByteSize]
 
 	delivered   units.ByteSize // cumulative in-order payload ("user data")
 	lastArrival time.Duration
@@ -77,11 +81,10 @@ func NewSink(s *sim.Simulator, window units.ByteSize, ids *packet.IDGen, out fun
 		return nil, errors.New("tcp: nil sink output callback")
 	}
 	k := &Sink{
-		sim:      s,
-		ids:      ids,
-		out:      out,
-		window:   window,
-		buffered: make(map[int64]units.ByteSize),
+		sim:    s,
+		ids:    ids,
+		out:    out,
+		window: window,
 	}
 	k.ackTimer = sim.NewTimer(s, k.onAckDelay)
 	return k, nil
@@ -102,14 +105,9 @@ func (k *Sink) sackBlocks() []packet.SACKBlock {
 	if !k.sackEnabled || len(k.buffered) == 0 {
 		return nil
 	}
-	seqs := make([]int64, 0, len(k.buffered))
-	for seq := range k.buffered {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	var blocks []packet.SACKBlock
-	for _, seq := range seqs {
-		end := seq + int64(k.buffered[seq])
+	for _, b := range k.buffered {
+		seq, end := b.Key, b.Key+int64(b.Val)
 		if n := len(blocks); n > 0 && blocks[n-1].End == seq {
 			blocks[n-1].End = end
 			continue
@@ -169,11 +167,12 @@ func (k *Sink) Receive(p *packet.Packet) {
 	case p.Seq > k.rcvNxt:
 		// Out of order: buffer if it fits the advertised window and is
 		// not already held.
-		if _, dup := k.buffered[p.Seq]; dup {
+		if k.buffered.Find(p.Seq) >= 0 {
 			k.stats.DuplicateSegments++
 		} else if p.End() <= k.rcvNxt+int64(k.window) {
-			k.buffered[p.Seq] = p.Payload
+			k.buffered.Insert(p.Seq, p.Payload)
 			k.stats.BufferedSegments++
+			k.stats.BufferedPeak = max(k.stats.BufferedPeak, len(k.buffered))
 		}
 	default:
 		if p.End() > k.rcvNxt {
@@ -204,11 +203,12 @@ func (k *Sink) accept(seq int64, payload units.ByteSize) {
 // drainBuffered consumes any buffered segments made contiguous.
 func (k *Sink) drainBuffered() {
 	for {
-		payload, ok := k.buffered[k.rcvNxt]
-		if !ok {
+		i := k.buffered.Find(k.rcvNxt)
+		if i < 0 {
 			return
 		}
-		delete(k.buffered, k.rcvNxt)
+		payload := k.buffered[i].Val
+		k.buffered.Delete(i)
 		k.accept(k.rcvNxt, payload)
 	}
 }
