@@ -228,6 +228,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=30s ./internal/cell
 	$(GO) test -fuzz=FuzzTable -fuzztime=30s ./internal/queue
+	$(GO) test -fuzz=FuzzKernelOps -fuzztime=30s ./internal/sim
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
@@ -244,6 +245,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=10s ./internal/cell
 	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/queue
+	$(GO) test -fuzz=FuzzKernelOps -fuzztime=10s ./internal/sim
 
 clean:
 	$(GO) clean ./...

@@ -15,6 +15,7 @@ package wtcp_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -542,6 +543,37 @@ func BenchmarkSimTimerReset(b *testing.B) {
 	tm.Stop()
 	if err := s.RunAll(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkSimHold is the classic hold model of event-queue benchmarks:
+// n events pending, and each op fires the earliest and schedules one
+// more at a random delay, so the queue stays at n. At 8 pending the
+// kernel keeps its sorted layout; from 64 up it runs the 4-ary heap, and
+// the 1 000 and 10 000 rows are the worst-case gate on the layout switch
+// (a sorted layout alone is quadratic here: 7.5 µs an op at 10 000).
+func BenchmarkSimHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Int63n(int64(time.Second)))
+	}
+	fn := func() {}
+	for _, n := range []int{8, 64, 1000, 10000} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			s := sim.New()
+			for i := 0; i < n; i++ {
+				s.Schedule(delays[i%len(delays)], fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ok, err := s.Step(); !ok || err != nil {
+					b.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+				}
+				s.Schedule(delays[i%len(delays)], fn)
+			}
+		})
 	}
 }
 

@@ -447,13 +447,15 @@ func (tp *topology) run(ctx context.Context, cfg Config, done func() bool) (*sim
 }
 
 // stepUntil fires events until done reports true, virtual time reaches the
-// horizon, the queue drains or a failure latches. The watchdog's abort is
-// returned as stall: a network outcome, like a horizon-capped run. Any other
-// failure is the run error: a violation is a protocol bug, a spent budget
-// or a cancellation (a *CancelError unwraps to ctx.Err()) the caller's limit.
+// horizon, the queue drains or a failure latches. An event scheduled past
+// the horizon never fires: the clock stops at the horizon instead. The
+// watchdog's abort is returned as stall: a network outcome, like a
+// horizon-capped run. Any other failure is the run error: a violation is a
+// protocol bug, a spent budget or a cancellation (a *CancelError unwraps
+// to ctx.Err()) the caller's limit.
 func stepUntil(s *sim.Simulator, horizon time.Duration, done func() bool) (stall *sim.StallError, err error) {
 	for !done() && s.Now() < horizon && s.Failure() == nil {
-		if ok, err := s.Step(); !ok || err != nil {
+		if ok, err := s.StepUntil(horizon); !ok || err != nil {
 			break
 		}
 	}

@@ -281,6 +281,30 @@ func TestHorizonStopsPathologicalRun(t *testing.T) {
 	}
 }
 
+// TestHorizonIsNotOvershot: a run whose completing event lies 1 ns past
+// the horizon does not complete, and its clock stops at the horizon — the
+// run loop used to fire whatever came next once the clock was short of
+// the horizon, however late.
+func TestHorizonIsNotOvershot(t *testing.T) {
+	cfg := WAN(bs.EBSN, 576, time.Second)
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Completed {
+		t.Fatal("reference run did not complete")
+	}
+	cfg.Horizon = full.Summary.Elapsed - time.Nanosecond
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed || r.Summary.Elapsed != cfg.Horizon {
+		t.Errorf("horizon %v: completed=%v elapsed=%v, want not completed at the horizon",
+			cfg.Horizon, r.Completed, r.Summary.Elapsed)
+	}
+}
+
 func TestLANRunCompletesAndOrdersSchemes(t *testing.T) {
 	run := func(scheme bs.Scheme) *Result {
 		cfg := LAN(scheme, 800*time.Millisecond)

@@ -176,6 +176,8 @@ func TestHeapHighWaterStaysSmall(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%d/%v: %v", scheme, size, bad, err)
 				}
+				// 32 is the event queue's sorted-layout bound (sim's
+				// sortedMax): a preset run never spills into the heap.
 				if hw := res.Kernel.HeapHighWater; hw > 32 || hw == 0 {
 					t.Errorf("%v/%d/%v: heap high-water %d, want 1..32 (%+v)", scheme, size, bad, hw, res.Kernel)
 				}

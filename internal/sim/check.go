@@ -132,26 +132,39 @@ func (s *Simulator) Fail(name string, err error) error { return s.fail(name, err
 // the simulation, or nil if none has been recorded.
 func (s *Simulator) Failure() error { return s.failure }
 
-// checkHeap verifies the pending-event heap's structural invariants: every
-// event knows its own slot, every parent orders at or before its four
-// children, nothing is scheduled in the past, and the tombstone count
-// matches the lazily-cancelled events still occupying slots. A violation
-// here is kernel corruption — timers could fire out of order or never.
+// checkHeap verifies the pending-event queue's structural invariants in
+// whichever layout it is in: every event knows its own slot, nothing is
+// scheduled in the past, the tombstone count matches the lazily-cancelled
+// events still occupying slots, and the order holds — in the sorted
+// layout each slot is strictly later than the next and there are at most
+// sortedMax of them, in the heap layout every parent orders at or before
+// its four children. A violation here is kernel corruption — timers
+// could fire out of order or never.
 func (s *Simulator) checkHeap() error {
 	dead := 0
 	a := s.queue.a
+	if !s.queue.heap && len(a) > sortedMax {
+		return fmt.Errorf("sorted layout holds %d events, above its bound %d", len(a), sortedMax)
+	}
 	for i, ev := range a {
 		if ev == nil {
-			return fmt.Errorf("nil event at heap index %d", i)
+			return fmt.Errorf("nil event at queue index %d", i)
 		}
 		if int(ev.pos) != i {
-			return fmt.Errorf("event at heap index %d records index %d", i, ev.pos)
+			return fmt.Errorf("event at queue index %d records index %d", i, ev.pos)
 		}
 		if ev.at < s.now {
-			return fmt.Errorf("event at heap index %d scheduled at %v, before now (%v)", i, ev.at, s.now)
+			return fmt.Errorf("event at queue index %d scheduled at %v, before now (%v)", i, ev.at, s.now)
 		}
 		if ev.dead {
 			dead++
+		}
+		if !s.queue.heap {
+			if i > 0 && !eventLess(ev, a[i-1]) {
+				return fmt.Errorf("sorted order violated between slot %d (t=%v seq=%d) and slot %d (t=%v seq=%d)",
+					i-1, a[i-1].at, a[i-1].seq, i, ev.at, ev.seq)
+			}
+			continue
 		}
 		for child := 4*i + 1; child <= 4*i+4 && child < len(a); child++ {
 			if eventLess(a[child], ev) {
@@ -161,7 +174,7 @@ func (s *Simulator) checkHeap() error {
 		}
 	}
 	if dead != s.dead {
-		return fmt.Errorf("tombstone count %d does not match %d dead events in the heap", s.dead, dead)
+		return fmt.Errorf("tombstone count %d does not match %d dead events in the queue", s.dead, dead)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -97,6 +98,55 @@ func TestHeapCheckCleanSimulation(t *testing.T) {
 	}
 	if err := s.CheckNow(); err != nil {
 		t.Errorf("healthy heap flagged: %v", err)
+	}
+}
+
+// TestHeapCheckSeesEitherLayout corrupts a healthy queue in each layout
+// and requires checkHeap to name the damage: slot order and recorded
+// slots, the tombstone count, the 4-ary property, and the sorted
+// layout's size bound.
+func TestHeapCheckSeesEitherLayout(t *testing.T) {
+	const sorted, heaped = sortedMax, 3 * sortedMax // events queued before the damage
+	for _, tc := range []struct {
+		name    string
+		n       int
+		corrupt func(s *Simulator)
+		want    string
+	}{
+		{"sorted order", sorted, func(s *Simulator) {
+			a := s.queue.a
+			a[3], a[4] = a[4], a[3]
+			a[3].pos, a[4].pos = 3, 4
+		}, "sorted order violated"},
+		{"sorted pos", sorted, func(s *Simulator) { s.queue.a[5].pos = 6 }, "records index 6"},
+		{"sorted tombstones", sorted, func(s *Simulator) { s.queue.a[2].dead = true }, "tombstone count"},
+		{"sorted bound", sorted, func(s *Simulator) {
+			e := &event{at: time.Hour, seq: 1 << 40, pos: sortedMax}
+			s.queue.a = append([]*event{e}, s.queue.a...)
+			for i, e := range s.queue.a {
+				e.pos = int32(i)
+			}
+		}, "above its bound"},
+		{"heap order", heaped, func(s *Simulator) { s.queue.a[0].at = time.Hour }, "heap order violated"},
+		{"heap pos", heaped, func(s *Simulator) { s.queue.a[40].pos = 41 }, "records index 41"},
+		{"heap tombstones", heaped, func(s *Simulator) { s.dead++ }, "tombstone count"},
+	} {
+		s := New()
+		for i := 0; i < tc.n; i++ {
+			s.Schedule(time.Duration(i%7)*time.Millisecond, func() {})
+		}
+		if err := s.checkHeap(); err != nil {
+			t.Fatalf("%s: healthy queue flagged: %v", tc.name, err)
+		}
+		if s.queue.heap != (tc.n > sortedMax) {
+			t.Fatalf("%s: %d events in the wrong layout (heap=%v)", tc.name, tc.n, s.queue.heap)
+		}
+		tc.corrupt(s)
+		err := s.CheckNow()
+		var ce *CheckError
+		if !errors.As(err, &ce) || ce.Name != "event-heap" || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckNow = %v, want an event-heap violation naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

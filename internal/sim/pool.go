@@ -39,7 +39,7 @@ func (s *Simulator) Reset() {
 		s.recycle(e)
 	}
 	clear(s.queue.a)
-	s.queue.a = s.queue.a[:0]
+	s.queue = eventQueue{a: s.queue.a[:0]}
 	s.dead = 0
 	s.now = 0
 	s.seq = 0

@@ -10,11 +10,12 @@
 // internal/stats.RunReplications), never inside one simulation.
 //
 // The hot path is allocation-free in steady state: event structs are
-// recycled through a per-simulator free list, the queue is a monomorphic
-// 4-ary min-heap (see heap.go), and cancellation tombstones events in
-// O(1) instead of restructuring the heap. DESIGN.md §"Kernel data
-// structures" documents the design and the determinism contract it
-// preserves.
+// recycled through a per-simulator free list, the queue is one slice
+// kept sorted latest-first while it holds at most 32 events (a pop moves
+// nothing) and a monomorphic 4-ary min-heap past that (see heap.go), and
+// cancellation tombstones events in O(1) instead of restructuring the
+// queue. DESIGN.md §"Kernel data structures" documents the design and
+// the determinism contract it preserves.
 package sim
 
 import (
@@ -61,7 +62,7 @@ type Simulator struct {
 	seq   uint64
 	queue eventQueue
 	// dead counts tombstoned (lazily cancelled) events still occupying
-	// heap slots; Pending subtracts it and compact() resets it.
+	// queue slots; Pending subtracts it and compact() resets it.
 	dead int
 	// free is the recycled-event list; see heap.go.
 	free    []*event
@@ -101,19 +102,19 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Stats are the kernel's own counters for one run: how much cancellation
-// the workload does and what it costs the heap. They read no simulation
+// the workload does and what it costs the queue. They read no simulation
 // state and never influence event order.
 type Stats struct {
 	// Fired counts events executed.
 	Fired uint64
 	// Cancelled counts pending events withdrawn by Cancel or Timer.Stop;
-	// each leaves a tombstone in the heap until it surfaces, is swept, or
+	// each leaves a tombstone in the queue until it surfaces, is swept, or
 	// its timer is armed again.
 	Cancelled uint64
 	// Compactions counts tombstone sweeps of the whole heap.
 	Compactions uint64
-	// HeapHighWater is the largest number of heap slots in use at once,
-	// tombstones included.
+	// HeapHighWater is the largest number of queue slots in use at once,
+	// in either layout (sorted or heap), tombstones included.
 	HeapHighWater int
 }
 
@@ -125,7 +126,7 @@ func (s *Simulator) Stats() Stats {
 }
 
 // Pending reports how many events are queued (cancelled events do not
-// count, even while their tombstones still occupy heap slots).
+// count, even while their tombstones still occupy queue slots).
 func (s *Simulator) Pending() int { return s.queue.len() - s.dead }
 
 // Schedule queues fn to run after delay of virtual time. A negative delay
@@ -148,9 +149,9 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) Event {
 }
 
 // rearm is Timer.Set's scheduling step: queue fn after delay, replacing
-// the deadline ev stands for. While ev's struct still occupies a heap
+// the deadline ev stands for. While ev's struct still occupies a queue
 // slot — pending, or tombstoned by an earlier Stop — it is given the
-// (at, seq) key a fresh Schedule would take and sifted to its new place,
+// (at, seq) key a fresh Schedule would take and moved to its new place,
 // so a reset leaves nothing behind. Pop order depends on the keys alone,
 // so this is indistinguishable from Cancel followed by Schedule.
 func (s *Simulator) rearm(ev Event, delay time.Duration, fn func()) Event {
@@ -184,9 +185,9 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) Event {
 // need to track timer state precisely.
 //
 // Cancellation is lazy: the event is tombstoned in place (O(1)) and its
-// heap slot is reclaimed when it surfaces at the root or when compaction
+// queue slot is reclaimed when it reaches the front or when compaction
 // sweeps the queue, so cancel-heavy workloads (every EBSN timer reset is
-// a cancel) never pay the O(log n) restructuring of an eager removal.
+// a cancel) never pay the restructuring of an eager removal.
 func (s *Simulator) Cancel(ev Event) {
 	e := ev.e
 	if e == nil || e.gen != ev.gen || e.pos < 0 || e.dead {
@@ -206,22 +207,22 @@ func (s *Simulator) Cancel(ev Event) {
 func (s *Simulator) Stop() { s.stopped = true }
 
 // peekLive returns the earliest live event without removing it, dropping
-// and recycling any tombstones that have surfaced at the root. Returns
-// nil when no live events remain.
+// and recycling any tombstones that have reached the front. Returns nil
+// when no live events remain.
 func (s *Simulator) peekLive() *event {
 	for s.queue.len() > 0 {
-		root := s.queue.a[0]
-		if !root.dead {
-			return root
+		first := s.queue.min()
+		if !first.dead {
+			return first
 		}
 		s.queue.popMin()
 		s.dead--
-		s.recycle(root)
+		s.recycle(first)
 	}
 	return nil
 }
 
-// fire pops the (live) root event, advances the clock, recycles the
+// fire pops the (live) earliest event, advances the clock, recycles the
 // struct, and runs the callback.
 func (s *Simulator) fire(next *event) {
 	s.queue.popMin()
@@ -279,7 +280,12 @@ func (s *Simulator) RunAll() error { return s.Run(0) }
 // after Stop (or a halted check/watchdog), or the recorded failure (a
 // *CheckError, *StallError, *CancelError, or *BudgetError) when one
 // exists. An empty queue is (false, nil): exhaustion is not an error.
-func (s *Simulator) Step() (bool, error) {
+func (s *Simulator) Step() (bool, error) { return s.StepUntil(0) }
+
+// StepUntil is Step bounded the way Run(until) is: when the earliest
+// pending event lies past until, it executes nothing, advances the clock
+// to until and reports (false, nil). A non-positive until is no bound.
+func (s *Simulator) StepUntil(until time.Duration) (bool, error) {
 	if s.cancelled() {
 		return false, s.failure
 	}
@@ -291,6 +297,10 @@ func (s *Simulator) Step() (bool, error) {
 	}
 	next := s.peekLive()
 	if next == nil {
+		return false, nil
+	}
+	if until > 0 && next.at > until {
+		s.now = max(s.now, until)
 		return false, nil
 	}
 	if s.budget != nil && s.exceeded(next) {

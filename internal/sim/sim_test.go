@@ -210,6 +210,31 @@ func TestStep(t *testing.T) {
 	}
 }
 
+// TestStepUntilStopsAtHorizon: StepUntil fires events up to and at its
+// bound, like Run(until), and leaves a later one queued with the clock
+// advanced to the bound — never past it, never back.
+func TestStepUntilStopsAtHorizon(t *testing.T) {
+	s := New()
+	fired := 0
+	s.Schedule(time.Second, func() { fired++ })
+	s.Schedule(2*time.Second, func() { fired++ })
+	s.Schedule(3*time.Second, func() { fired++ })
+	for i, want := range []bool{true, true, false, false} {
+		if ok, err := s.StepUntil(2500 * time.Millisecond); ok != want || err != nil {
+			t.Fatalf("StepUntil #%d = (%v, %v), want (%v, nil)", i, ok, err, want)
+		}
+	}
+	if fired != 2 || s.Now() != 2500*time.Millisecond || s.Pending() != 1 {
+		t.Errorf("fired %d, now %v, pending %d; want 2 fired, clock at the bound, 1 queued", fired, s.Now(), s.Pending())
+	}
+	if ok, _ := s.StepUntil(time.Second); ok || s.Now() != 2500*time.Millisecond {
+		t.Errorf("a bound in the past moved the clock to %v (ok=%v)", s.Now(), ok)
+	}
+	if ok, _ := s.StepUntil(3 * time.Second); !ok || fired != 3 {
+		t.Error("the event at the bound did not fire")
+	}
+}
+
 // TestStepHonorsStop verifies the parity between Step and Run: once Stop
 // halts the simulation (directly or via a failed check), Step refuses to
 // execute further events and surfaces the halt as an error, exactly like

@@ -32,7 +32,7 @@ func NewTimer(s *Simulator, fn func()) *Timer {
 }
 
 // Set arms the timer to fire after d, replacing any pending deadline.
-// Re-arming allocates nothing and leaves no tombstone: the timer's heap
+// Re-arming allocates nothing and leaves no tombstone: the timer's queue
 // entry is re-keyed in place (see Simulator.rearm) and keeps the
 // pre-bound expiry callback.
 func (t *Timer) Set(d time.Duration) {
@@ -42,7 +42,7 @@ func (t *Timer) Set(d time.Duration) {
 
 // Stop cancels any pending deadline. Stopping an idle timer is a no-op.
 // The handle is kept so that the next Set can take over the tombstone's
-// heap slot if it is still there.
+// queue slot if it is still there.
 func (t *Timer) Stop() {
 	t.sim.Cancel(t.ev)
 }
