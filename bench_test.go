@@ -24,7 +24,6 @@ import (
 	"wtcp/internal/core"
 	"wtcp/internal/errmodel"
 	"wtcp/internal/experiment"
-	"wtcp/internal/handoff"
 	"wtcp/internal/multiconn"
 	"wtcp/internal/oracle"
 	"wtcp/internal/sim"
@@ -419,15 +418,15 @@ func BenchmarkBaselineSplitConnection(b *testing.B) {
 func BenchmarkRelatedWorkHandoff(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		plain, err := handoff.Run(handoff.Defaults(handoff.Plain))
-		if err != nil {
-			b.Fatal(err)
+		run := func(dupAcks bool) float64 {
+			r, err := core.Run(experiment.HandoffConfig(time.Second, 100*time.Millisecond, dupAcks))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r.Summary.ThroughputKbps
 		}
-		fr, err := handoff.Run(handoff.Defaults(handoff.FastRetransmit))
-		if err != nil {
-			b.Fatal(err)
-		}
-		adv = 100 * (fr.ThroughputKbps - plain.ThroughputKbps) / plain.ThroughputKbps
+		plain, fr := run(false), run(true)
+		adv = 100 * (fr - plain) / plain
 	}
 	b.ReportMetric(adv, "%fastretransmit-advantage")
 }

@@ -3,7 +3,7 @@
 // the packets queued at its old base station; plain TCP then waits out a
 // retransmission timeout per crossing, while the fast-retransmit scheme
 // (three duplicate acks sent right after reconnecting) resumes within a
-// round trip.
+// round trip. A handoff is a chaos fault on the paper's topology.
 //
 //	go run ./examples/handoff
 package main
@@ -12,9 +12,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
+	"wtcp/internal/core"
 	"wtcp/internal/experiment"
-	"wtcp/internal/handoff"
 )
 
 func main() {
@@ -28,16 +29,17 @@ func main() {
 		"1MB transfers across 2 Mbps cells, 100ms handoff gap", points))
 
 	// One concrete pair, with the per-handoff cost spelled out.
-	plain, err := handoff.Run(handoff.Defaults(handoff.Plain))
-	if err != nil {
-		log.Fatal(err)
+	run := func(dupAcks bool) *core.Result {
+		r, err := core.Run(experiment.HandoffConfig(time.Second, 100*time.Millisecond, dupAcks))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
-	fr, err := handoff.Run(handoff.Defaults(handoff.FastRetransmit))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dwell 1s: plain %.1fs (%d timeouts) vs fast-retransmit %.1fs (%d fast retransmits)\n",
-		plain.Elapsed.Seconds(), plain.Timeouts, fr.Elapsed.Seconds(), fr.FastRetransmits)
+	plain, fr := run(false), run(true)
+	fmt.Printf("dwell 1s: plain %.1fs (%d timeouts, %d handoffs) vs fast-retransmit %.1fs (%d fast retransmits)\n",
+		plain.Summary.Elapsed.Seconds(), plain.Summary.Timeouts, plain.Chaos.Handoffs,
+		fr.Summary.Elapsed.Seconds(), fr.Summary.FastRetransmits)
 	fmt.Printf("improvement: %.0f%% shorter transfer\n",
-		100*(plain.Elapsed-fr.Elapsed).Seconds()/plain.Elapsed.Seconds())
+		100*(plain.Summary.Elapsed-fr.Summary.Elapsed).Seconds()/plain.Summary.Elapsed.Seconds())
 }

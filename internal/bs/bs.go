@@ -406,6 +406,17 @@ func (b *BaseStation) Crash() int {
 	}
 	b.downed = true
 	b.stats.Crashes++
+	lost := b.Flush()
+	b.stats.CrashLostPackets += uint64(lost)
+	return lost
+}
+
+// Flush drops the station's per-cell soft state — packets queued for the
+// radio, ARQ windows and retry timers, the snoop cache — and returns the
+// number of data packets whose forwarding state went with it. A crash
+// flushes, and so does a handoff that takes the mobile host out of the
+// cell; unlike a crash, a flush leaves the station running.
+func (b *BaseStation) Flush() int {
 	lost := b.down.DropQueued()
 	if b.arq != nil {
 		lost += b.arq.reset()
@@ -413,7 +424,6 @@ func (b *BaseStation) Crash() int {
 	if b.snoop != nil {
 		lost += b.snoop.reset()
 	}
-	b.stats.CrashLostPackets += uint64(lost)
 	return lost
 }
 

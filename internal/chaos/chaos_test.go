@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ const fullPlanJSON = `{
 	"blackouts": [{"link": "wireless-down", "at": "5s", "length": "3s"}],
 	"storms":    [{"link": "wired-fwd", "at": "10s", "length": "2s", "loss_prob": 0.3}],
 	"crashes":   [{"at": "20s", "downtime": "2s"}],
+	"handoff":   {"dwell": "1s", "gap": "100ms", "dup_acks": true},
 	"notify":    {"loss_prob": 0.5, "dup_prob": 0.1, "delay_prob": 0.2, "delay": "300ms"},
 	"packets":   [{"link": "wireless-up", "corrupt_prob": 0.01, "dup_prob": 0.01,
 	               "reorder_prob": 0.02, "reorder_delay": "50ms"}]
@@ -38,6 +40,9 @@ func TestParseFullPlan(t *testing.T) {
 	}
 	if len(cfg.Crashes) != 1 || cfg.Crashes[0].Downtime != 2*time.Second {
 		t.Errorf("crashes = %+v", cfg.Crashes)
+	}
+	if h := cfg.Handoff; h == nil || *h != (Handoff{Dwell: time.Second, Gap: 100 * time.Millisecond, DupAcks: true}) {
+		t.Errorf("handoff = %+v", cfg.Handoff)
 	}
 	if cfg.Notify.LossProb != 0.5 || cfg.Notify.Delay != 300*time.Millisecond {
 		t.Errorf("notify = %+v", cfg.Notify)
@@ -68,6 +73,9 @@ func TestParseRejections(t *testing.T) {
 		{"storm loss prob range", `{"storms":[{"link":"wired-fwd","at":"1s","length":"1s","loss_prob":1.5}]}`, "outside [0, 1]"},
 		{"crash negative downtime", `{"crashes":[{"at":"1s","downtime":"-2s"}]}`, "positive downtime"},
 		{"crash while down", `{"crashes":[{"at":"1s","downtime":"5s"},{"at":"2s","downtime":"1s"}]}`, "already down"},
+		{"handoff missing gap", `{"handoff":{"dwell":"1s"}}`, "gap is required"},
+		{"handoff zero dwell", `{"handoff":{"dwell":"0s","gap":"100ms"}}`, "positive dwell and gap"},
+		{"handoff negative gap", `{"handoff":{"dwell":"1s","gap":"-1ms"}}`, "positive dwell and gap"},
 		{"notify prob range", `{"notify":{"loss_prob":-0.1}}`, "outside [0, 1]"},
 		{"notify delay prob without delay", `{"notify":{"delay_prob":0.5}}`, "delay is zero"},
 		{"packet faults unknown link", `{"packets":[{"link":"tunnel","corrupt_prob":0.1}]}`, "unknown link"},
@@ -106,6 +114,9 @@ func TestEnabled(t *testing.T) {
 	}
 	if !(&Config{Notify: NotifyFaults{LossProb: 0.5}}).Enabled() {
 		t.Error("notify plan reports disabled")
+	}
+	if !(&Config{Handoff: &Handoff{Dwell: time.Second, Gap: time.Second}}).Enabled() {
+		t.Error("handoff plan reports disabled")
 	}
 }
 
@@ -330,6 +341,42 @@ func TestScheduleCrashes(t *testing.T) {
 	}
 }
 
+func (f *fakeStation) Flush() int { return 2 }
+
+// TestScheduleHandoffs: the cycle is dwell, gap, dwell, ... from time
+// zero; the station is flushed at each detach, the duplicate ACKs go out
+// at each reattach, and deliveries into the cell are lost only inside a
+// gap.
+func TestScheduleHandoffs(t *testing.T) {
+	s := sim.New()
+	var got []*packet.Packet
+	down := testLink(t, s, WirelessDown, &got)
+	cfg := &Config{Handoff: &Handoff{Dwell: time.Second, Gap: 100 * time.Millisecond, DupAcks: true}}
+	inj, err := New(s, cfg, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Attach(down)
+	var nudges []time.Duration
+	inj.ScheduleHandoffs(&fakeStation{}, func() { nudges = append(nudges, s.Now()) })
+	for i, at := range []time.Duration{500 * time.Millisecond, 1050 * time.Millisecond, 1500 * time.Millisecond} {
+		id := uint64(i + 1)
+		s.ScheduleAt(at, func() { down.Send(&packet.Packet{ID: id, Kind: packet.Data, Payload: 100}) })
+	}
+	if err := s.Run(3500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if want := []time.Duration{1100 * time.Millisecond, 2200 * time.Millisecond, 3300 * time.Millisecond}; !slices.Equal(nudges, want) {
+		t.Errorf("duplicate ACKs at %v, want %v", nudges, want)
+	}
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
+		t.Errorf("delivered %v, want packets 1 and 3 (2 arrives inside the first gap)", got)
+	}
+	if st := inj.Stats(); st.Handoffs != 3 || st.HandoffDrops != 3*2+1 {
+		t.Errorf("stats = %+v, want 3 handoffs and 7 drops (2 flushed per detach, 1 in a gap)", st)
+	}
+}
+
 func TestNewRejects(t *testing.T) {
 	if _, err := New(nil, &Config{}, nil); err == nil {
 		t.Error("nil simulator accepted")
@@ -354,6 +401,7 @@ func FuzzChaosParse(f *testing.F) {
 		`{"blackouts":[{"link":"wired-rev","at":"0s","length":"1ms"}]}`,
 		`{"crashes":[{"at":"1s","downtime":"500ms"},{"at":"5s","downtime":"1s"}]}`,
 		`{"notify":{"loss_prob":1}}`,
+		`{"handoff":{"dwell":"1s","gap":"100ms","dup_acks":true}}`,
 		`{"packets":[{"link":"wireless-down","dup_prob":0.5}]}`,
 		`{"event_storms":[{"at":"5s","count":100,"spacing":"1ms"}]}`,
 		`{"event_storms":[{"at":"1s","count":-2}]}`,

@@ -2,9 +2,9 @@
 // deterministic, seed-driven layer that composes with any scenario and
 // injects the adverse conditions the paper's error model does not
 // schedule — link blackouts and burst-loss storms, base-station
-// crash/restart with ARQ-state loss, EBSN notification loss/delay/
-// duplication, and packet corruption, duplication, and reordering at the
-// wired or wireless hop.
+// crash/restart with ARQ-state loss, periodic cell handoffs, EBSN
+// notification loss/delay/duplication, and packet corruption,
+// duplication, and reordering at the wired or wireless hop.
 //
 // All randomness flows from one sim.RNG derived from the scenario seed,
 // so a chaos run is reproducible bit-for-bit from (config, seed) alone —
@@ -78,6 +78,20 @@ type Crash struct {
 	Downtime time.Duration
 }
 
+// Handoff is the mobile host moving between cells [Caceres & Iftode 94],
+// over and over: it stays Dwell in a cell, then is detached for Gap while
+// it switches to the next one. On detach the base station loses its radio
+// queue and its ARQ and snoop state; for the gap, wired arrivals at the
+// station and downlink deliveries to the mobile host are lost, while the
+// uplink is left alone. With DupAcks the mobile host sends three duplicate
+// ACKs at rcv_nxt on reattach, turning the source's timeout into a fast
+// retransmit.
+type Handoff struct {
+	Dwell   time.Duration
+	Gap     time.Duration
+	DupAcks bool
+}
+
 // NotifyFaults degrades the EBSN/quench notification stream on the
 // reverse wired hop: each notification is independently lost with
 // LossProb, duplicated with DupProb, and (if it survives) delayed by
@@ -135,6 +149,7 @@ type Config struct {
 	Blackouts   []Blackout
 	Storms      []Storm
 	Crashes     []Crash
+	Handoff     *Handoff
 	Notify      NotifyFaults
 	Packets     []PacketFaults
 	EventStorms []EventStorm
@@ -145,7 +160,7 @@ func (c *Config) Enabled() bool {
 	if c == nil {
 		return false
 	}
-	if len(c.Blackouts) > 0 || len(c.Storms) > 0 || len(c.Crashes) > 0 ||
+	if len(c.Blackouts) > 0 || len(c.Storms) > 0 || len(c.Crashes) > 0 || c.Handoff != nil ||
 		c.Notify.enabled() || len(c.EventStorms) > 0 {
 		return true
 	}
@@ -219,6 +234,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("chaos: crash at %v scheduled while the station is already down", cr.At)
 		}
 		prev = cr
+	}
+	if h := c.Handoff; h != nil && (h.Dwell <= 0 || h.Gap <= 0) {
+		return errors.New("chaos: handoff needs a positive dwell and gap")
 	}
 	for _, name := range []struct {
 		label string
@@ -320,6 +338,7 @@ func (c *Config) OverlayChannel(link string, base errmodel.Channel) (errmodel.Ch
 //	  "blackouts": [{"link": "wireless-down", "at": "5s", "length": "3s"}],
 //	  "storms":    [{"link": "wired-fwd", "at": "10s", "length": "2s", "loss_prob": 0.3}],
 //	  "crashes":   [{"at": "20s", "downtime": "2s"}],
+//	  "handoff":   {"dwell": "1s", "gap": "100ms", "dup_acks": true},
 //	  "notify":    {"loss_prob": 0.5, "dup_prob": 0.1, "delay_prob": 0.2, "delay": "300ms"},
 //	  "packets":   [{"link": "wireless-up", "corrupt_prob": 0.01, "dup_prob": 0.01,
 //	                 "reorder_prob": 0.02, "reorder_delay": "50ms"}],
@@ -342,6 +361,12 @@ type jsonStorm struct {
 type jsonCrash struct {
 	At       string `json:"at"`
 	Downtime string `json:"downtime"`
+}
+
+type jsonHandoff struct {
+	Dwell   string `json:"dwell"`
+	Gap     string `json:"gap"`
+	DupAcks bool   `json:"dup_acks"`
 }
 
 type jsonNotify struct {
@@ -369,6 +394,7 @@ type jsonConfig struct {
 	Blackouts   []jsonBlackout     `json:"blackouts"`
 	Storms      []jsonStorm        `json:"storms"`
 	Crashes     []jsonCrash        `json:"crashes"`
+	Handoff     *jsonHandoff       `json:"handoff"`
 	Notify      *jsonNotify        `json:"notify"`
 	Packets     []jsonPacketFaults `json:"packets"`
 	EventStorms []jsonEventStorm   `json:"event_storms"`
@@ -441,6 +467,17 @@ func Parse(data []byte) (*Config, error) {
 			return nil, err
 		}
 		cfg.Crashes = append(cfg.Crashes, Crash{At: at, Downtime: down})
+	}
+	if h := jc.Handoff; h != nil {
+		dwell, err := parseDur("handoff.dwell", h.Dwell)
+		if err != nil {
+			return nil, err
+		}
+		gap, err := parseDur("handoff.gap", h.Gap)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Handoff = &Handoff{Dwell: dwell, Gap: gap, DupAcks: h.DupAcks}
 	}
 	if jc.Notify != nil {
 		delay, err := parseOptDur("notify.delay", jc.Notify.Delay)

@@ -29,6 +29,11 @@ type Stats struct {
 	// counts the forwarding state lost with them.
 	Crashes          uint64
 	CrashLostPackets uint64
+	// Handoffs counts cell switches; HandoffDrops counts the packets lost
+	// to them (the station's forwarding state at each detach, and wired
+	// arrivals and downlink deliveries during each gap).
+	Handoffs     uint64
+	HandoffDrops uint64
 	// EventStormEvents counts kernel events fired by event storms (the
 	// resource-exhaustion fault).
 	EventStormEvents uint64
@@ -41,9 +46,17 @@ type Crashable interface {
 	Restart()
 }
 
+// Flushable is the station-side contract for handoff injection. Flush
+// drops the station's per-cell state and returns the number of packets
+// whose forwarding state was lost.
+type Flushable interface {
+	Flush() int
+}
+
 // Injector executes a validated fault plan against an assembled topology.
-// Create with New, then Attach each link and ScheduleCrashes the base
-// station; everything else runs off simulation events.
+// Create with New, then Attach each link, ScheduleCrashes and
+// ScheduleHandoffs the base station; everything else runs off simulation
+// events.
 type Injector struct {
 	sim *sim.Simulator
 	rng *sim.RNG
@@ -52,6 +65,9 @@ type Injector struct {
 	// held are the packets a delay or reorder fault is keeping back, each
 	// with a reference of the injector's own until it is re-injected.
 	held []*packet.Packet
+
+	// detached marks a handoff gap: the mobile host is between cells.
+	detached bool
 
 	stats Stats
 }
@@ -103,19 +119,25 @@ func (in *Injector) notifyApplies(name string) bool {
 }
 
 // Attach installs this plan's delivery-time faults on l (storms, packet
-// corruption/duplication/reordering, and — on the reverse wired hop —
-// notification faults). Hops with no applicable faults are left
-// untouched. Blackouts are not handled here: they ride the link's error
-// channel via Config.OverlayChannel.
+// corruption/duplication/reordering, on the reverse wired hop
+// notification faults, and on the two hops into the cell a handoff gap).
+// Hops with no applicable faults are left untouched. Blackouts are not
+// handled here: they ride the link's error channel via
+// Config.OverlayChannel.
 func (in *Injector) Attach(l *link.Link) {
 	name := l.Name()
 	pf, hasPF := in.faultsFor(name)
 	storms := in.stormsFor(name)
 	notify := in.notifyApplies(name)
-	if !hasPF && len(storms) == 0 && !notify {
+	gap := in.cfg.Handoff != nil && (name == WiredFwd || name == WirelessDown)
+	if !hasPF && len(storms) == 0 && !notify && !gap {
 		return
 	}
 	l.SetInterceptor(func(p *packet.Packet) bool {
+		if gap && in.detached {
+			in.stats.HandoffDrops++
+			return false
+		}
 		now := in.sim.Now()
 		for _, s := range storms {
 			if now >= s.At && now < s.At+s.Length && in.rng.Bernoulli(s.LossProb) {
@@ -216,6 +238,32 @@ func (in *Injector) ScheduleCrashes(target Crashable) {
 	}
 }
 
+// ScheduleHandoffs arms the plan's cell switches (see Handoff): station
+// is flushed at every detach, and with DupAcks dupAcks runs at every
+// reattach. The next dwell starts at the reattach, so the cycle repeats
+// every Dwell+Gap until the run ends.
+func (in *Injector) ScheduleHandoffs(station Flushable, dupAcks func()) {
+	h := in.cfg.Handoff
+	if h == nil {
+		return
+	}
+	var detach, reattach func()
+	detach = func() {
+		in.detached = true
+		in.stats.Handoffs++
+		in.stats.HandoffDrops += uint64(station.Flush())
+		in.sim.Schedule(h.Gap, reattach)
+	}
+	reattach = func() {
+		in.detached = false
+		if h.DupAcks {
+			dupAcks()
+		}
+		in.sim.Schedule(h.Dwell, detach)
+	}
+	in.sim.Schedule(h.Dwell, detach)
+}
+
 // ScheduleEventStorms arms the plan's event storms: each floods the
 // kernel with self-rescheduling events starting at its At. The storm
 // touches no packets and draws no randomness — its entire effect is
@@ -241,8 +289,9 @@ func (in *Injector) ScheduleEventStorms() {
 
 // Horizon reports the virtual time of the last scheduled fault (the end
 // of the latest window, crash downtime, or zero when the plan only has
-// probabilistic faults). Scenario runners can use it to sanity-check that
-// the run horizon actually covers the injected faults.
+// probabilistic faults; a handoff counts with its first detach, since it
+// repeats until the run ends). Scenario runners can use it to
+// sanity-check that the run horizon actually covers the injected faults.
 func (c *Config) Horizon() time.Duration {
 	if c == nil {
 		return 0
@@ -261,6 +310,9 @@ func (c *Config) Horizon() time.Duration {
 	}
 	for _, cr := range c.Crashes {
 		bump(cr.At + cr.Downtime)
+	}
+	if c.Handoff != nil {
+		bump(c.Handoff.Dwell)
 	}
 	for _, es := range c.EventStorms {
 		end := es.At

@@ -105,10 +105,11 @@ type Config struct {
 	CrossTraffic CrossTraffic
 
 	// Chaos, when non-nil, injects the configured faults — link
-	// blackouts, loss storms, base-station crashes, notification faults,
-	// and per-packet corruption/duplication/reordering — on top of the
-	// scenario. All chaos randomness derives from Seed, so a chaos run is
-	// reproducible bit-for-bit. A nil or empty plan injects nothing.
+	// blackouts, loss storms, base-station crashes, cell handoffs,
+	// notification faults, and per-packet corruption/duplication/
+	// reordering — on top of the scenario. All chaos randomness derives
+	// from Seed, so a chaos run is reproducible bit-for-bit. A nil or
+	// empty plan injects nothing.
 	Chaos *chaos.Config
 
 	// Checks enables periodic runtime invariant checking: sender window
@@ -402,16 +403,17 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = DefaultHorizon
 	}
-	if cfg.Scheme == bs.SplitConnection {
-		return runSplit(ctx, cfg)
-	}
 
 	tp, err := newTopology(cfg, 1, false)
 	if err != nil {
 		return nil, err
 	}
 	tr, cw := tp.tap(cfg, cfg.CollectTrace)
-	stall, err := tp.run(ctx, cfg, tp.allDone)
+	done := tp.allDone
+	if tp.relay != nil {
+		done = tp.relay.sender.Done // the transfer ends when the mobile host has it
+	}
+	stall, err := tp.run(ctx, cfg, done)
 	if err != nil {
 		tp.release()
 		return nil, err
@@ -442,6 +444,9 @@ func (tp *topology) run(ctx context.Context, cfg Config, done func() bool) (*sim
 	}
 	for _, snd := range tp.senders {
 		snd.Start()
+	}
+	if tp.relay != nil {
+		tp.relay.sender.Start()
 	}
 	return stepUntil(tp.sim, cfg.Horizon, done)
 }
@@ -484,8 +489,12 @@ func (tp *topology) allDone() bool {
 	return true
 }
 
-// acked is the watchdog's progress counter: bytes acknowledged, all flows.
+// acked is the watchdog's progress counter: bytes acknowledged, all flows
+// (in split mode, over the wireless half, whose completion ends the run).
 func (tp *topology) acked() int64 {
+	if tp.relay != nil {
+		return tp.relay.sender.SndUna()
+	}
 	var n int64
 	for _, snd := range tp.senders {
 		n += snd.SndUna()
@@ -497,35 +506,34 @@ func (tp *topology) acked() int64 {
 // links, the base station, the mobile host, the fault injector.
 type holder interface{ ReleaseAll() }
 
-// teardown ends a run's use of its kernel and packet pool. Every holder
-// gives up the packets it still has, so the pool's live count audits
-// reference hygiene — what remains is a leaked reference — and the
-// recycled packets stay with the pool; then both go back to their
-// process-wide pools, warm for the next run. A lifetime fault the pool
-// latched during the run (see packet.Pool) is returned as an invariant
-// violation, which Classify files under protocol bugs.
-func teardown(s *sim.Simulator, pl *packet.Pool, holders ...holder) (packet.PoolStats, error) {
-	for _, h := range holders {
-		h.ReleaseAll()
-	}
-	st := pl.Stats()
-	var err error
-	if fault := pl.Fault(); fault != nil {
-		err = &sim.CheckError{Name: "packet-lifetime", At: s.Now(), Err: fault}
-	}
-	sim.Release(s)
-	packet.ReleasePool(pl)
-	return st, err
-}
-
-// release tears the topology down (see teardown). The topology must not
-// be used afterwards.
+// release ends a run's use of its kernel and packet pool; the topology
+// must not be used afterwards. Every holder gives up the packets it still
+// has, so the pool's live count audits reference hygiene — what remains
+// is a leaked reference — and the recycled packets stay with the pool;
+// then both go back to their process-wide pools, warm for the next run. A
+// lifetime fault the pool latched during the run (see packet.Pool) is
+// returned as an invariant violation, which Classify files under protocol
+// bugs.
 func (tp *topology) release() (packet.PoolStats, error) {
-	holders := []holder{tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp, tp.bs, tp.mobile}
+	holders := append(make([]holder, 0, 7), tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp)
+	if tp.bs != nil {
+		holders = append(holders, tp.bs)
+	}
+	holders = append(holders, tp.mobile)
 	if tp.chaos != nil {
 		holders = append(holders, tp.chaos)
 	}
-	return teardown(tp.sim, tp.pool, holders...)
+	for _, h := range holders {
+		h.ReleaseAll()
+	}
+	st := tp.pool.Stats()
+	var err error
+	if fault := tp.pool.Fault(); fault != nil {
+		err = &sim.CheckError{Name: "packet-lifetime", At: tp.sim.Now(), Err: fault}
+	}
+	sim.Release(tp.sim)
+	packet.ReleasePool(tp.pool)
+	return st, err
 }
 
 // stallWindow resolves the watchdog window: explicit wins, negative
@@ -544,9 +552,10 @@ func (c Config) stallWindow() time.Duration {
 	}
 }
 
-// topology is the assembled Figure 2 network, reused by the bulk runner
-// (Run), the application-workload runners (RunWeb, RunTelnet) and the
-// multi-flow runner (RunMultiFlow).
+// topology is the assembled Figure 2 network, the only one there is: the
+// bulk runner (Run, split mode included), the application-workload
+// runners (RunWeb, RunTelnet) and the multi-flow runner (RunMultiFlow)
+// all run on it.
 type topology struct {
 	sim  *sim.Simulator
 	pool *packet.Pool
@@ -558,8 +567,11 @@ type topology struct {
 	sinks   []*tcp.Sink
 	sender  *tcp.Sender
 	sink    *tcp.Sink
-	bs      *bs.BaseStation
-	mobile  *node.Mobile
+	// bs is the base-station agent, nil in split mode, where relay takes
+	// its place (see split.go).
+	bs     *bs.BaseStation
+	relay  *relay
+	mobile *node.Mobile
 
 	wiredFwd, wiredRev       *link.Link
 	wirelessDown, wirelessUp *link.Link
@@ -618,7 +630,21 @@ func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle
 // also needs the base station's ARQ, notification and snoop events and
 // the mobile host's sequenced deliveries, so arming it feeds those into
 // the same stream.
+//
+// In split mode each half is an independent TCP connection with its own
+// stream, so each gets its own checker under the run's variant profile,
+// at its own MSS. Neither half uses link-level recovery or notifications,
+// so those rule families stay quiet (RTmax 0, no notification
+// bookkeeping). The stored stream is the wireless half's — the
+// connection the paper's figures observe.
 func (tp *topology) tap(cfg Config, store bool) (*trace.Trace, *trace.CwndSeries) {
+	if r := tp.relay; r != nil {
+		ocfg := oracle.Config{Variant: cfg.Variant, MSS: r.mss, Window: cfg.Window}
+		_, tr, cw := tapSender(tp.sim, r.sender, store, cfg.Oracle, ocfg)
+		ocfg.MSS = cfg.MSS()
+		tapSender(tp.sim, tp.sender, false, cfg.Oracle, ocfg)
+		return tr, cw
+	}
 	src, tr, cw := tapSender(tp.sim, tp.sender, store, cfg.Oracle, oracle.Config{
 		Variant:      cfg.Variant,
 		MSS:          cfg.MSS(),
@@ -646,7 +672,6 @@ func (tp *topology) result(cfg Config) *Result {
 		Kernel:       tp.sim.Stats(),
 		Sender:       tp.sender.Stats(),
 		Sink:         tp.sink.Stats(),
-		BS:           tp.bs.Stats(),
 		Mobile:       tp.mobile.Stats(),
 		WirelessDown: tp.wirelessDown.Stats(),
 		WirelessUp:   tp.wirelessUp.Stats(),
@@ -655,6 +680,11 @@ func (tp *topology) result(cfg Config) *Result {
 		st := tp.chaos.Stats()
 		res.Chaos = &st
 	}
+	if tp.relay != nil {
+		tp.summarizeSplit(res)
+		return res
+	}
+	res.BS = tp.bs.Stats()
 	res.SnoopCacheLen = tp.bs.SnoopCacheLen()
 	elapsed := tp.sender.FinishedAt()
 	if !res.Completed {
@@ -669,7 +699,11 @@ func (tp *topology) result(cfg Config) *Result {
 // order, and so the order the run's RNG is split in, is the same for any
 // flow count, and connections draw no randomness of their own. streaming
 // opens the senders with no data (workloads grant bytes as produced).
+// The split-connection scheme puts a relay where the base-station agent
+// would be (see split.go); it carries one bulk transfer, and the
+// streaming and multi-flow runners refuse it by name.
 func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
+	split := cfg.Scheme == bs.SplitConnection
 	// Acquire from the kernel and packet pools so replication sweeps
 	// reuse the event heap slab, its free list, and the recycled packets
 	// instead of regrowing them per run. Runners release both when they
@@ -739,11 +773,14 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 		Name: "wired-fwd", Rate: cfg.WiredRate, Delay: cfg.WiredDelay, QueueLimit: 50,
 		RED: red, Channel: wiredFwdCh,
 	}, wiredRNG, func(p *packet.Packet) {
-		if p.Conn == crossConn {
+		switch {
+		case p.Conn == crossConn:
 			p.Release() // background traffic exits at the base station
-			return
+		case tp.relay != nil:
+			tp.relay.receive(p)
+		default:
+			tp.bs.FromWired(p)
 		}
-		tp.bs.FromWired(p)
 	})
 	if err != nil {
 		return nil, err
@@ -776,7 +813,13 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	tp.wirelessUp, err = link.New(s, link.Config{
 		Name: "wireless-up", Rate: cfg.WirelessRate, Delay: cfg.WirelessDelay,
 		Overhead: cfg.WirelessOverhead, Channel: upChannel,
-	}, rng.Split(), func(p *packet.Packet) { tp.bs.FromWireless(p) })
+	}, rng.Split(), func(p *packet.Packet) {
+		if tp.relay != nil {
+			tp.relay.sender.Receive(p)
+			return
+		}
+		tp.bs.FromWireless(p)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -789,18 +832,20 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	}
 	tp.arq = tp.arq.WithDefaults()
 	tp.snoop = cfg.Snoop.WithDefaults()
-	tp.bs, err = bs.New(s, bs.Config{
-		Scheme:      cfg.Scheme,
-		MTU:         cfg.MTU,
-		ARQ:         tp.arq,
-		Snoop:       tp.snoop,
-		NotifyEvery: cfg.NotifyEvery,
-		// The hold queue is shared: it scales with the flow count so the
-		// admission pressure per flow is the single-flow set-up's.
-		QueueLimit: 50 * flows,
-	}, tp.ids, rng.Split(), tp.wirelessDown, func(p *packet.Packet) { tp.wiredRev.Send(p) })
-	if err != nil {
-		return nil, err
+	if !split {
+		tp.bs, err = bs.New(s, bs.Config{
+			Scheme:      cfg.Scheme,
+			MTU:         cfg.MTU,
+			ARQ:         tp.arq,
+			Snoop:       tp.snoop,
+			NotifyEvery: cfg.NotifyEvery,
+			// The hold queue is shared: it scales with the flow count so the
+			// admission pressure per flow is the single-flow set-up's.
+			QueueLimit: 50 * flows,
+		}, tp.ids, rng.Split(), tp.wirelessDown, func(p *packet.Packet) { tp.wiredRev.Send(p) })
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Mobile host: reassembly + link acks; each flow's sink sits behind it.
@@ -814,11 +859,8 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	}
 
 	// Per flow: a sink in the mobile host, a TCP source in the fixed host.
-	for i := 0; i < flows; i++ {
-		sink, err := tcp.NewSink(s, cfg.Window, tp.ids, func(p *packet.Packet) {
-			p.Conn = i
-			tp.wirelessUp.Send(p)
-		})
+	newSink := func(out func(*packet.Packet)) (*tcp.Sink, error) {
+		sink, err := tcp.NewSink(s, cfg.Window, tp.ids, out)
 		if err != nil {
 			return nil, err
 		}
@@ -827,6 +869,16 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 		}
 		if cfg.SACK || cfg.Variant.Scoreboard() {
 			sink.EnableSACK()
+		}
+		return sink, nil
+	}
+	for i := 0; i < flows; i++ {
+		sink, err := newSink(func(p *packet.Packet) {
+			p.Conn = i
+			tp.wirelessUp.Send(p)
+		})
+		if err != nil {
+			return nil, err
 		}
 		sender, err := tcp.NewSender(s, cfg.senderConfig(cfg.MSS(), streaming), tp.ids, func(p *packet.Packet) {
 			p.Conn = i
@@ -840,6 +892,19 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	}
 	tp.sender, tp.sink = tp.senders[0], tp.sinks[0]
 
+	if split {
+		// The wired connection ends in the relay's sink; the relay's
+		// sender carries it on over the radio.
+		tp.relay = &relay{mss: cfg.splitMSS()}
+		if tp.relay.sink, err = newSink(func(p *packet.Packet) { tp.wiredRev.Send(p) }); err != nil {
+			return nil, err
+		}
+		if tp.relay.sender, err = tcp.NewSender(s, cfg.senderConfig(tp.relay.mss, true), tp.ids,
+			func(p *packet.Packet) { tp.wirelessDown.Send(p) }); err != nil {
+			return nil, err
+		}
+	}
+
 	if chaosRNG != nil {
 		tp.chaos, err = chaos.New(s, cfg.Chaos, chaosRNG)
 		if err != nil {
@@ -849,9 +914,20 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 			tp.chaos.Attach(l)
 		}
 		tp.chaos.ScheduleCrashes(tp.bs)
+		tp.chaos.ScheduleHandoffs(tp.bs, tp.dupAcks)
 		tp.chaos.ScheduleEventStorms()
 	}
 	return tp, nil
+}
+
+// dupAcks is the mobile host's nudge after a handoff: each sink sends its
+// source tcp.DupAckThreshold duplicate ACKs, enough for a fast retransmit.
+func (tp *topology) dupAcks() {
+	for _, sink := range tp.sinks {
+		for i := 0; i < tcp.DupAckThreshold; i++ {
+			sink.DupAck()
+		}
+	}
 }
 
 // senderConfig is the TCP source configuration of every connection in a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/chaos"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
@@ -284,24 +285,32 @@ func TestHorizonStopsPathologicalRun(t *testing.T) {
 // TestHorizonIsNotOvershot: a run whose completing event lies 1 ns past
 // the horizon does not complete, and its clock stops at the horizon — the
 // run loop used to fire whatever came next once the clock was short of
-// the horizon, however late.
+// the horizon, however late. The handoff plan is the mobility study's
+// scenario, whose own loop overshot the same way.
 func TestHorizonIsNotOvershot(t *testing.T) {
-	cfg := WAN(bs.EBSN, 576, time.Second)
-	full, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Completed {
-		t.Fatal("reference run did not complete")
-	}
-	cfg.Horizon = full.Summary.Elapsed - time.Nanosecond
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Completed || r.Summary.Elapsed != cfg.Horizon {
-		t.Errorf("horizon %v: completed=%v elapsed=%v, want not completed at the horizon",
-			cfg.Horizon, r.Completed, r.Summary.Elapsed)
+	handoff := LAN(bs.Basic, 800*time.Millisecond)
+	handoff.TransferSize = units.MB
+	handoff.Chaos = &chaos.Config{Handoff: &chaos.Handoff{Dwell: time.Second, Gap: 100 * time.Millisecond, DupAcks: true}}
+	for name, cfg := range map[string]Config{
+		"wan-ebsn":    WAN(bs.EBSN, 576, time.Second),
+		"lan-handoff": handoff,
+	} {
+		full, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.Completed {
+			t.Fatalf("%s: reference run did not complete", name)
+		}
+		cfg.Horizon = full.Summary.Elapsed - time.Nanosecond
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Completed || r.Summary.Elapsed != cfg.Horizon {
+			t.Errorf("%s: horizon %v: completed=%v elapsed=%v, want not completed at the horizon",
+				name, cfg.Horizon, r.Completed, r.Summary.Elapsed)
+		}
 	}
 }
 

@@ -51,7 +51,8 @@ func TestWarmRunAllocs(t *testing.T) {
 // is consumed by the injector (the link releases it), a duplicate is a
 // by-value copy no pool owns, a reordered packet is held by the injector
 // across the hop and re-injected, a duplicated notification reaches the
-// source twice.
+// source twice, a handoff flushes the station's state and cuts the cell
+// off for the gap.
 var poolFaultPlans = []struct {
 	name string
 	plan *chaos.Config
@@ -80,6 +81,7 @@ var poolFaultPlans = []struct {
 		},
 		Crashes: []chaos.Crash{{At: 8 * time.Second, Downtime: time.Second}},
 	}},
+	{"handoff", &chaos.Config{Handoff: &chaos.Handoff{Dwell: time.Second, Gap: 100 * time.Millisecond, DupAcks: true}}},
 }
 
 // TestPacketPoolUnderChaos is the reference-hygiene property test of the
@@ -112,8 +114,8 @@ func TestPacketPoolUnderChaos(t *testing.T) {
 						cfg.Checks = true
 						cfg.Horizon = 10 * time.Minute
 						if scheme != bs.SplitConnection {
-							// The split topology takes no fault plan; it still
-							// runs the grid for its own two-connection wiring.
+							// Split mode takes no fault plan; it still runs
+							// the grid for its relay's two connections.
 							cfg.Chaos = fp.plan
 						}
 						a, err := Run(cfg)
@@ -278,8 +280,8 @@ func TestMultiFlowIsReproducible(t *testing.T) {
 	}
 }
 
-// TestSplitHalvesDrainThePool covers the topology with no base-station
-// agent: both TCP halves and the relay share one pool.
+// TestSplitHalvesDrainThePool covers split mode, which has no
+// base-station agent: both TCP halves and the relay share one pool.
 func TestSplitHalvesDrainThePool(t *testing.T) {
 	for _, v := range []tcp.Variant{tcp.Tahoe, tcp.SACKVariant} {
 		cfg := LAN(bs.SplitConnection, 800*time.Millisecond)

@@ -30,7 +30,9 @@ import (
 //     retained a free one (the pool's latched fault; also checked at
 //     teardown whether or not checks are on).
 //
-// The kernel adds its own event-heap structure check alongside these.
+// In split mode the relay's sender gets the sender checks too, and the
+// mobile host's bytes are also bounded by what the relay has sent. The
+// kernel adds its own event-heap structure check alongside these.
 func (tp *topology) registerInvariants() {
 	tp.sim.AddCheck("sender-state", tp.sender.CheckInvariants)
 	tp.sim.AddCheck("snd-una-monotonic", sim.Monotonic("snd_una", tp.sender.SndUna))
@@ -39,6 +41,12 @@ func (tp *topology) registerInvariants() {
 		func() int64 { return int64(tp.sink.Delivered()) }))
 	tp.sim.AddCheck("sink-within-sent", sim.Conservation("in-order sink bytes vs highest byte sent",
 		tp.sender.SndMax, tp.sink.RcvNxt))
+	if r := tp.relay; r != nil {
+		tp.sim.AddCheck("relay-sender-state", r.sender.CheckInvariants)
+		tp.sim.AddCheck("relay-snd-una-monotonic", sim.Monotonic("relay snd_una", r.sender.SndUna))
+		tp.sim.AddCheck("sink-within-relayed", sim.Conservation("in-order sink bytes vs the relay's highest byte sent",
+			r.sender.SndMax, tp.sink.RcvNxt))
+	}
 	for _, l := range tp.links() {
 		tp.sim.AddCheck("conservation-"+l.Name(), sim.Conservation(
 			l.Name()+" deliveries vs transmissions",
@@ -60,9 +68,14 @@ func (tp *topology) snapshot() string {
 			snd.SndUna(), snd.SndNxt(), snd.SndMax(), snd.Cwnd(), snd.Done())
 		fmt.Fprintf(&b, "  sink:   rcv_nxt=%d delivered=%d\n", tp.sinks[i].RcvNxt(), tp.sinks[i].Delivered())
 	}
-	st := tp.bs.Stats()
-	fmt.Fprintf(&b, "  bs:     scheme=%v down=%v backlog=%d crashes=%d crash_lost=%d crash_discards=%d\n",
-		tp.bs.Scheme(), tp.bs.Down(), tp.bs.Backlog(), st.Crashes, st.CrashLostPackets, st.CrashDiscards)
+	if r := tp.relay; r != nil {
+		fmt.Fprintf(&b, "  relay:  rcv_nxt=%d snd_una=%d snd_max=%d cwnd=%d done=%v\n",
+			r.sink.RcvNxt(), r.sender.SndUna(), r.sender.SndMax(), r.sender.Cwnd(), r.sender.Done())
+	} else {
+		st := tp.bs.Stats()
+		fmt.Fprintf(&b, "  bs:     scheme=%v down=%v backlog=%d crashes=%d crash_lost=%d crash_discards=%d\n",
+			tp.bs.Scheme(), tp.bs.Down(), tp.bs.Backlog(), st.Crashes, st.CrashLostPackets, st.CrashDiscards)
+	}
 	for _, l := range tp.links() {
 		ls := l.Stats()
 		fmt.Fprintf(&b, "  link %-13s queue=%d busy=%v sent=%d delivered=%d corrupted=%d injected=%d drops=%d\n",
@@ -70,9 +83,9 @@ func (tp *topology) snapshot() string {
 	}
 	if tp.chaos != nil {
 		cs := tp.chaos.Stats()
-		fmt.Fprintf(&b, "  chaos:  storm_drops=%d corrupt=%d dups=%d reorders=%d notify_lost=%d notify_dup=%d notify_delayed=%d\n",
+		fmt.Fprintf(&b, "  chaos:  storm_drops=%d corrupt=%d dups=%d reorders=%d notify_lost=%d notify_dup=%d notify_delayed=%d handoffs=%d handoff_drops=%d\n",
 			cs.StormDrops, cs.CorruptDrops, cs.Duplicates, cs.Reorders,
-			cs.NotifyDropped, cs.NotifyDuplicated, cs.NotifyDelayed)
+			cs.NotifyDropped, cs.NotifyDuplicated, cs.NotifyDelayed, cs.Handoffs, cs.HandoffDrops)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/errmodel"
 	"wtcp/internal/units"
 )
 
@@ -131,5 +132,47 @@ func TestBaseStationRejectsSplitScheme(t *testing.T) {
 	cfg := WAN(bs.SplitConnection, 576, time.Second)
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("config invalid: %v", err)
+	}
+}
+
+// TestSplitHonoursSharedSettings: split mode runs on the shared builder,
+// so the settings its old private wiring silently ignored now act on it —
+// each one moves the counter it exists to move.
+func TestSplitHonoursSharedSettings(t *testing.T) {
+	base := WAN(bs.SplitConnection, 576, 2*time.Second)
+	base.TransferSize = 50 * units.KB
+	without, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+		moved func(with *Result) bool
+	}{
+		{"ECN", func(c *Config) {
+			c.ECN = true
+			c.CrossTraffic = CrossTraffic{Rate: units.BitRate(0.8 * float64(c.WiredRate))}
+		}, func(with *Result) bool { return with.Sender.ECNResponses > without.Sender.ECNResponses }},
+		{"CrossTraffic", func(c *Config) {
+			c.CrossTraffic = CrossTraffic{Rate: units.BitRate(0.8 * float64(c.WiredRate))}
+		}, func(with *Result) bool { return with.SplitWiredDone > without.SplitWiredDone }},
+		{"DelayedAcks", func(c *Config) { c.DelayedAcks = true },
+			func(with *Result) bool { return with.Sink.AcksSent < without.Sink.AcksSent }},
+		{"UplinkChannel", func(c *Config) { c.UplinkChannel = &errmodel.Config{MeanGood: time.Hour} },
+			func(with *Result) bool { return with.WirelessUp.Corrupted == 0 && without.WirelessUp.Corrupted > 0 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := base
+			tc.set(&cfg)
+			with, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !with.Completed || !tc.moved(with) {
+				t.Errorf("%s had no effect on a split run: completed=%v\n without %+v\n with    %+v",
+					tc.field, with.Completed, without, with)
+			}
+		})
 	}
 }

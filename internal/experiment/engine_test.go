@@ -13,7 +13,6 @@ import (
 
 	"wtcp/internal/bs"
 	"wtcp/internal/core"
-	"wtcp/internal/handoff"
 	"wtcp/internal/multiconn"
 	"wtcp/internal/repro"
 	"wtcp/internal/sim"
@@ -230,8 +229,11 @@ func TestBundleEmittedOnPermanentFailure(t *testing.T) {
 }
 
 // enginesUnderTest is one replication function per simulator the loop
-// drives — core through the adapter, the cell engine through the CSDP
-// study, internal/handoff — at test size, all under BaseSeed 100.
+// drives — core through the adapter (a figure point, and a handoff point
+// with its chaos plan), the cell engine through the CSDP study — at test
+// size, all under BaseSeed 100. The handoff point keeps the ledger key it
+// had before it ran on core, so an existing checkpoint resumes without a
+// re-run.
 func enginesUnderTest(t *testing.T) map[string]replication {
 	t.Helper()
 	opt := Options{BaseSeed: 100, Transfer: 20 * units.KB}
@@ -239,10 +241,14 @@ func enginesUnderTest(t *testing.T) map[string]replication {
 	if err != nil {
 		t.Fatal(err)
 	}
+	handoff := handoffPoint(opt, HandoffOptions{}.withDefaults(), handoffSchemes[0], time.Second)
+	if want := "handoff/plain/dwell=1s/latency=100ms"; handoff.key != want {
+		t.Fatalf("handoff point key %q, want %q", handoff.key, want)
+	}
 	return map[string]replication{
 		"core":    corePoint.run,
 		"csdp":    csdpReplication(opt, CSDPOptions{Connections: 2}.withDefaults(), multiconn.RoundRobin, time.Second),
-		"handoff": handoffReplication(opt, HandoffOptions{}.withDefaults(), handoff.Plain, time.Second),
+		"handoff": handoff.run,
 	}
 }
 

@@ -6,35 +6,50 @@ import (
 	"strings"
 	"time"
 
-	"wtcp/internal/handoff"
-	"wtcp/internal/sim"
+	"wtcp/internal/bs"
+	"wtcp/internal/chaos"
+	"wtcp/internal/core"
+	"wtcp/internal/errmodel"
 	"wtcp/internal/stats"
+	"wtcp/internal/units"
 )
 
 // HandoffPoint is one (scheme, dwell) cell of the mobility study
 // [Caceres & Iftode 94], the related work the paper's §2 opens with.
+// Scheme is the mobile host's behaviour on reattach: "plain" lets TCP
+// find the handoff losses by timing out, "fastretransmit" sends three
+// duplicate ACKs.
 type HandoffPoint struct {
-	Scheme         handoff.Scheme
+	Scheme         string
 	Dwell          time.Duration
 	ThroughputKbps *stats.Sample
 	TimeoutsAvg    float64
 	FastRetxAvg    float64
 }
 
-// HandoffOptions holds the study's own axes; replications and transfer
-// size come from Options. Handoff runs are fully deterministic
-// (error-free cells, fixed dwell), so one replication per point
-// suffices; Checks and Oracle have no counterpart here and are ignored.
+// handoffScheme is one row of the study: its name and whether the mobile
+// host sends duplicate ACKs on reattach.
+type handoffScheme struct {
+	name    string
+	dupAcks bool
+}
+
+var handoffSchemes = []handoffScheme{{"plain", false}, {"fastretransmit", true}}
+
+// HandoffOptions holds the study's own axes; replications, transfer size,
+// Checks and Oracle come from Options. Handoff runs are fully
+// deterministic (error-free cells, fixed dwell), so one replication per
+// point suffices.
 type HandoffOptions struct {
-	// Latency is the disconnection gap while switching cells; zero keeps
-	// handoff.Defaults'.
+	// Latency is the disconnection gap while switching cells (default
+	// 100 ms).
 	Latency time.Duration
 	Dwells  []time.Duration
 }
 
 func (o HandoffOptions) withDefaults() HandoffOptions {
 	if o.Latency <= 0 {
-		o.Latency = handoff.Defaults(handoff.Plain).Latency
+		o.Latency = 100 * time.Millisecond
 	}
 	if len(o.Dwells) == 0 {
 		o.Dwells = []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
@@ -48,13 +63,10 @@ func HandoffStudy(ctx context.Context, opt Options, axes HandoffOptions) ([]Hand
 	axes = axes.withDefaults()
 	var points []point
 	var grid []HandoffPoint
-	for _, scheme := range []handoff.Scheme{handoff.Plain, handoff.FastRetransmit} {
+	for _, scheme := range handoffSchemes {
 		for _, dwell := range axes.Dwells {
-			grid = append(grid, HandoffPoint{Scheme: scheme, Dwell: dwell})
-			points = append(points, point{
-				key: fmt.Sprintf("handoff/%v/dwell=%v/latency=%v", scheme, dwell, axes.Latency),
-				run: handoffReplication(opt, axes, scheme, dwell),
-			})
+			grid = append(grid, HandoffPoint{Scheme: scheme.name, Dwell: dwell})
+			points = append(points, handoffPoint(opt, axes, scheme, dwell))
 		}
 	}
 	return settleGrid(ctx, opt, "handoff study", points, func(i int, _ []RepRecord, cols []stats.Sample) HandoffPoint {
@@ -64,24 +76,32 @@ func HandoffStudy(ctx context.Context, opt Options, axes HandoffOptions) ([]Hand
 	})
 }
 
-// handoffReplication runs one cell of the study on internal/handoff's own
-// two-cell topology. It has no watchdog and no repro-bundle format.
-func handoffReplication(opt Options, axes HandoffOptions, scheme handoff.Scheme, dwell time.Duration) replication {
-	return func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
-		cfg := handoff.Defaults(scheme)
-		cfg.Dwell = dwell
-		cfg.Latency = axes.Latency
-		cfg.Seed = opt.BaseSeed + seed
-		if opt.Transfer > 0 {
-			cfg.TransferSize = opt.Transfer
-		}
-		r, err := handoff.RunContext(ctx, cfg, budget(sim.Budget{}))
-		if err != nil {
-			return repRun{seed: cfg.Seed}, err
-		}
-		return repRun{seed: cfg.Seed, events: r.Events,
-			values: []float64{r.ThroughputKbps, float64(r.Timeouts), float64(r.FastRetransmits)}}, nil
+// handoffPoint is one cell of the study, keyed by its scheme, dwell and
+// gap.
+func handoffPoint(opt Options, axes HandoffOptions, scheme handoffScheme, dwell time.Duration) point {
+	return point{
+		key: fmt.Sprintf("handoff/%s/dwell=%v/latency=%v", scheme.name, dwell, axes.Latency),
+		run: coreReplication(func(seed int64) core.Config {
+			return opt.configure(HandoffConfig(dwell, axes.Latency, scheme.dupAcks), seed)
+		}, func(r *core.Result) ([]float64, error) {
+			return []float64{r.Summary.ThroughputKbps, float64(r.Summary.Timeouts), float64(r.Summary.FastRetransmits)}, nil
+		}),
 	}
+}
+
+// HandoffConfig is the study's scenario on the paper's topology: the LAN
+// preset's 10 Mbps wire and 2 Mbps radio with an error-free channel,
+// basic TCP through a plain base station, 1500-byte packets and a 1 MB
+// transfer, and the mobile host switching cells every dwell, out of
+// reach for gap each time (a chaos.Handoff, with duplicate ACKs on
+// reattach when dupAcks is set).
+func HandoffConfig(dwell, gap time.Duration, dupAcks bool) core.Config {
+	cfg := core.LAN(bs.Basic, 0)
+	cfg.PacketSize = 1500
+	cfg.TransferSize = units.MB
+	cfg.Channel = errmodel.Config{MeanGood: core.DefaultHorizon}
+	cfg.Chaos = &chaos.Config{Handoff: &chaos.Handoff{Dwell: dwell, Gap: gap, DupAcks: dupAcks}}
+	return cfg
 }
 
 // RenderHandoffTable formats the study.

@@ -226,13 +226,14 @@ type ShrinkStats struct {
 const DefaultShrinkReplays = 120
 
 // Shrink greedily minimizes the bundle's scenario while preserving its
-// failure: it tries dropping each chaos fault, zeroing the notification
-// faults, halving the transfer size, and halving the horizon, replaying
-// after every candidate edit and keeping only edits whose outcome still
-// Matches the original failure. Passes repeat until a whole pass accepts
-// nothing or maxReplays simulations have run (non-positive uses
-// DefaultShrinkReplays). The returned bundle's Failure/Detail describe
-// the failure as reproduced by the minimized scenario.
+// failure: it tries dropping each chaos fault, the handoff, and the
+// notification faults, halving the transfer size, and halving the
+// horizon, replaying after every candidate edit and keeping only edits
+// whose outcome still Matches the original failure. Passes repeat until
+// a whole pass accepts nothing or maxReplays simulations have run
+// (non-positive uses DefaultShrinkReplays). The returned bundle's
+// Failure/Detail describe the failure as reproduced by the minimized
+// scenario.
 func Shrink(ctx context.Context, b *Bundle, maxReplays int) (*Bundle, ShrinkStats, error) {
 	if maxReplays <= 0 {
 		maxReplays = DefaultShrinkReplays
@@ -303,8 +304,17 @@ func Shrink(ctx context.Context, b *Bundle, maxReplays int) (*Bundle, ShrinkStat
 				}
 				improved = improved || ok
 			}
-			if cur.Config.Chaos != nil && cur.Config.Chaos.Notify != (chaos.NotifyFaults{}) {
-				ok, err := try(dropFault(cur.Config, func(c *chaos.Config) { c.Notify = chaos.NotifyFaults{} }))
+			for _, drop := range []struct {
+				present bool
+				clear   func(*chaos.Config)
+			}{
+				{cur.Config.Chaos.Handoff != nil, func(c *chaos.Config) { c.Handoff = nil }},
+				{cur.Config.Chaos.Notify != (chaos.NotifyFaults{}), func(c *chaos.Config) { c.Notify = chaos.NotifyFaults{} }},
+			} {
+				if !drop.present {
+					continue
+				}
+				ok, err := try(dropFault(cur.Config, drop.clear))
 				if err != nil {
 					return nil, stats, err
 				}
@@ -349,16 +359,18 @@ func Shrink(ctx context.Context, b *Bundle, maxReplays int) (*Bundle, ShrinkStat
 }
 
 // dropFault deep-copies the config's chaos plan and applies edit to the
-// copy, so candidate edits never alias the current scenario's slices.
+// copy, so candidate edits never alias the current scenario's slices. The
+// plan is copied whole and then its lists cloned, so a fault kind added
+// to chaos.Config is carried along without an edit here.
 func dropFault(cfg core.Config, edit func(*chaos.Config)) core.Config {
-	ch := chaos.Config{}
+	var ch chaos.Config
 	if cfg.Chaos != nil {
-		ch.Blackouts = append([]chaos.Blackout(nil), cfg.Chaos.Blackouts...)
-		ch.Storms = append([]chaos.Storm(nil), cfg.Chaos.Storms...)
-		ch.Crashes = append([]chaos.Crash(nil), cfg.Chaos.Crashes...)
-		ch.Packets = append([]chaos.PacketFaults(nil), cfg.Chaos.Packets...)
-		ch.EventStorms = append([]chaos.EventStorm(nil), cfg.Chaos.EventStorms...)
-		ch.Notify = cfg.Chaos.Notify
+		ch = *cfg.Chaos
+		ch.Blackouts = append([]chaos.Blackout(nil), ch.Blackouts...)
+		ch.Storms = append([]chaos.Storm(nil), ch.Storms...)
+		ch.Crashes = append([]chaos.Crash(nil), ch.Crashes...)
+		ch.Packets = append([]chaos.PacketFaults(nil), ch.Packets...)
+		ch.EventStorms = append([]chaos.EventStorm(nil), ch.EventStorms...)
 	}
 	edit(&ch)
 	cfg.Chaos = &ch

@@ -27,16 +27,33 @@ func wedgedConfig() core.Config {
 			{Link: chaos.WiredFwd, At: 0, Length: 4 * time.Hour},
 			{Link: chaos.WirelessUp, At: 5 * time.Second, Length: time.Second}, // decoy
 		},
-		Crashes: []chaos.Crash{{At: 40 * time.Second, Downtime: 2 * time.Second}}, // decoy
-		Notify:  chaos.NotifyFaults{LossProb: 0.25},                               // decoy
+		Crashes: []chaos.Crash{{At: 40 * time.Second, Downtime: 2 * time.Second}},         // decoy
+		Handoff: &chaos.Handoff{Dwell: 10 * time.Second, Gap: time.Second, DupAcks: true}, // decoy
+		Notify:  chaos.NotifyFaults{LossProb: 0.25},                                       // decoy
 	}
+	return cfg
+}
+
+// handoffWedgedConfig is wedged by its handoff instead: the mobile host
+// leaves its cell after a second and the gap outlasts the horizon. The
+// other faults are wedgedConfig's decoys.
+func handoffWedgedConfig() core.Config {
+	cfg := wedgedConfig()
+	cfg.Chaos.Blackouts = cfg.Chaos.Blackouts[1:]
+	cfg.Chaos.Handoff = &chaos.Handoff{Dwell: time.Second, Gap: 4 * time.Hour}
 	return cfg
 }
 
 // captureWedged runs the wedged scenario and captures its bundle.
 func captureWedged(t *testing.T) *Bundle {
 	t.Helper()
-	cfg := wedgedConfig()
+	return captureWatchdog(t, wedgedConfig())
+}
+
+// captureWatchdog runs a scenario the watchdog must abort and captures
+// its bundle.
+func captureWatchdog(t *testing.T, cfg core.Config) *Bundle {
+	t.Helper()
 	res, err := core.Run(cfg)
 	b := Capture(cfg, res, err)
 	if b == nil {
@@ -82,7 +99,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got.Config.Seed != b.Config.Seed || got.Config.TransferSize != b.Config.TransferSize {
 		t.Errorf("round trip changed config: %+v vs %+v", got.Config, b.Config)
 	}
-	if len(got.Config.Chaos.Blackouts) != 2 {
+	if len(got.Config.Chaos.Blackouts) != 2 || got.Config.Chaos.Handoff == nil ||
+		*got.Config.Chaos.Handoff != *b.Config.Chaos.Handoff {
 		t.Errorf("chaos plan lost in round trip: %+v", got.Config.Chaos)
 	}
 }
@@ -124,41 +142,58 @@ func TestReplayHonorsContext(t *testing.T) {
 	}
 }
 
+// TestShrinkRemovesDecoysAndKeepsFailure shrinks two wedged scenarios
+// with the same decoys: one wedged by a blackout, where the handoff is a
+// decoy too, and one wedged by its handoff, which must survive every edit
+// that drops another fault.
 func TestShrinkRemovesDecoysAndKeepsFailure(t *testing.T) {
-	b := captureWedged(t)
-	min, stats, err := Shrink(context.Background(), b, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Replays == 0 || stats.Accepted == 0 {
-		t.Fatalf("shrink did no work: %+v", stats)
-	}
-	// The shrunk scenario must still reproduce the watchdog failure...
-	o, err := Replay(context.Background(), min)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.Matches(b) {
-		t.Fatalf("shrunk bundle no longer fails the same way: %+v", o)
-	}
-	// ...with the decoy faults gone (only the wedging blackout can be
-	// essential) and a smaller transfer.
-	if min.Config.Chaos == nil || len(min.Config.Chaos.Blackouts) != 1 {
-		t.Errorf("decoy blackout not removed: %+v", min.Config.Chaos)
-	} else if min.Config.Chaos.Blackouts[0].Link != chaos.WiredFwd {
-		t.Errorf("wrong blackout kept: %+v", min.Config.Chaos.Blackouts[0])
-	}
-	if min.Config.Chaos != nil && len(min.Config.Chaos.Crashes) != 0 {
-		t.Errorf("decoy crash not removed: %+v", min.Config.Chaos.Crashes)
-	}
-	if min.Config.Chaos != nil && min.Config.Chaos.Notify != (chaos.NotifyFaults{}) {
-		t.Errorf("decoy notify faults not removed: %+v", min.Config.Chaos.Notify)
-	}
-	if min.Config.TransferSize >= b.Config.TransferSize {
-		t.Errorf("transfer not shrunk: %v >= %v", min.Config.TransferSize, b.Config.TransferSize)
-	}
-	if min.Config.Horizon >= b.Config.Horizon {
-		t.Errorf("horizon not shrunk: %v >= %v", min.Config.Horizon, b.Config.Horizon)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		kept func(*chaos.Config) bool // the wedging fault, and only it among blackout and handoff
+	}{
+		{"blackout", wedgedConfig(), func(c *chaos.Config) bool {
+			return len(c.Blackouts) == 1 && c.Blackouts[0].Link == chaos.WiredFwd && c.Handoff == nil
+		}},
+		{"handoff", handoffWedgedConfig(), func(c *chaos.Config) bool {
+			return len(c.Blackouts) == 0 && c.Handoff != nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := captureWatchdog(t, tc.cfg)
+			min, stats, err := Shrink(context.Background(), b, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Replays == 0 || stats.Accepted == 0 {
+				t.Fatalf("shrink did no work: %+v", stats)
+			}
+			// The shrunk scenario must still reproduce the watchdog failure...
+			o, err := Replay(context.Background(), min)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !o.Matches(b) {
+				t.Fatalf("shrunk bundle no longer fails the same way: %+v", o)
+			}
+			// ...with the decoy faults gone (only the wedging fault can be
+			// essential) and a smaller transfer.
+			if min.Config.Chaos == nil || !tc.kept(min.Config.Chaos) {
+				t.Errorf("wedging fault lost or decoy kept: %+v", min.Config.Chaos)
+			}
+			if min.Config.Chaos != nil && len(min.Config.Chaos.Crashes) != 0 {
+				t.Errorf("decoy crash not removed: %+v", min.Config.Chaos.Crashes)
+			}
+			if min.Config.Chaos != nil && min.Config.Chaos.Notify != (chaos.NotifyFaults{}) {
+				t.Errorf("decoy notify faults not removed: %+v", min.Config.Chaos.Notify)
+			}
+			if min.Config.TransferSize >= b.Config.TransferSize {
+				t.Errorf("transfer not shrunk: %v >= %v", min.Config.TransferSize, b.Config.TransferSize)
+			}
+			if min.Config.Horizon >= b.Config.Horizon {
+				t.Errorf("horizon not shrunk: %v >= %v", min.Config.Horizon, b.Config.Horizon)
+			}
+		})
 	}
 }
 

@@ -237,6 +237,11 @@ func (k *Sink) sendAck(advanced bool) {
 	k.ackTimer.Set(k.ackDelay)
 }
 
+// DupAck emits a duplicate acknowledgment for rcv_nxt at once, outside
+// the arrival-driven policy: the mobile host's nudge to the source after
+// a handoff [Caceres & Iftode 94].
+func (k *Sink) DupAck() { k.emitAck(false) }
+
 // onAckDelay fires the delayed-ACK timer.
 func (k *Sink) onAckDelay() {
 	if !k.ackPending {
