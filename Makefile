@@ -19,9 +19,11 @@ check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 # Supervision gate: a tiny sweep with one pathological (livelocking)
 # point under aggressive run budgets, with the worker pool and heartbeat
 # exercised under -race. Asserts clean quarantine, partial results,
-# checkpoint + status-file + repro-bundle plumbing.
+# checkpoint + status-file + repro-bundle plumbing; the checkpoint's
+# format tests (refusals, a torn tail, adopting a version 1 file, resume
+# after a torn append) ride along.
 budget-smoke:
-	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerAdoptsVersion1|TestCheckpointResumeByteIdentical' ./internal/experiment/
 
 # Fleet gate: a four-worker sharded campaign under -race with a
 # chaos-injected SIGKILL of a live lease holder; asserts every point

@@ -1,6 +1,6 @@
 // Package atomicfile is the repo's one write-then-rename: every file
-// that is replaced whole (checkpoint ledger, status snapshots, wtcpd's
-// journal rewrites, repro bundles) goes through Write so a reader — or a
+// that is replaced whole (a checkpoint ledger created or adopted, status
+// snapshots, wtcpd's journal rewrites, repro bundles) goes through Write so a reader — or a
 // process killed at any instant — sees either the previous complete
 // file or the new one, never a torn one. Beside it sits the one
 // single-writer guard (Lock) for state that is rewritten or appended to

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -80,6 +79,7 @@ func TestRetryBackoffRecordedAndByteIdentical(t *testing.T) {
 	var key string
 	opt.OnPoint = func(k string) { key = k }
 
+	var path string
 	run := func(name string) []byte {
 		o := opt
 		o.Checkpoint = filepath.Join(t.TempDir(), name)
@@ -90,6 +90,7 @@ func TestRetryBackoffRecordedAndByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		path = o.Checkpoint
 		return data
 	}
 	first := run("a.json")
@@ -98,10 +99,7 @@ func TestRetryBackoffRecordedAndByteIdentical(t *testing.T) {
 		t.Errorf("two runs of the same sweep wrote different checkpoint bytes; backoff metadata is not deterministic")
 	}
 
-	var f checkpointFile
-	if err := json.Unmarshal(first, &f); err != nil {
-		t.Fatal(err)
-	}
+	f := readLedger(t, path, opt)
 	if len(f.Points) != 1 || len(f.Points[0].Reps) != 2 {
 		t.Fatalf("checkpoint holds %d points, want 1 with 2 reps", len(f.Points))
 	}

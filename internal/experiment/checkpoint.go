@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,11 +15,43 @@ import (
 
 	"wtcp/internal/atomicfile"
 	"wtcp/internal/core"
+	"wtcp/internal/recordlog"
 )
 
-// checkpointVersion guards the on-disk layout; a mismatched file is
-// rejected rather than misread.
-const checkpointVersion = 1
+// The ledger file. Version 2, the only layout written, is a recordlog
+// (internal/recordlog): one header record, then one record per settled
+// point or quarantine in the order they were settled, so settling a
+// point is one append. Version 1 was one JSON object rewritten whole
+// per point; such a file is read once and rewritten as version 2. A
+// file whose version or fingerprint does not match is refused rather
+// than misread.
+const (
+	jsonVersion = 1
+	logVersion  = 2
+)
+
+// The first payload byte of a version 2 record says which kind it is;
+// the rest is the record as JSON.
+var (
+	recHeader     = []byte{'H'} // ledgerHeader; the first record, only there
+	recPoint      = []byte{'P'} // pointRecord
+	recQuarantine = []byte{'Q'} // Quarantine
+)
+
+// headerPrefix is how a version 2 header record's payload begins. No
+// version 1 file has these bytes after its first recordlog.HeaderSize:
+// in JSON an H stands only inside a string, which the quote after `H{`
+// would close, leaving `version` a bare word.
+var headerPrefix = []byte(`H{"version":`)
+
+// ledgerHeader is a version 2 file's first record. Fingerprint ties the
+// file to the Options that produced it: resuming a sweep under
+// different result-affecting options would silently merge incompatible
+// samples, so such a file is refused with instructions instead.
+type ledgerHeader struct {
+	Version     int    `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+}
 
 // pointRecord is one finished sweep point: its key and the raw
 // per-replication records, already in seed order.
@@ -26,20 +60,20 @@ type pointRecord struct {
 	Reps []RepRecord `json:"reps"`
 }
 
-// checkpointFile is the on-disk layout. Fingerprint ties the file to
-// the Options that produced it: resuming a sweep under different
-// result-affecting options would silently merge incompatible samples,
-// so such a file is rejected with instructions instead.
+// checkpointFile is the version 1 layout, one JSON object.
 type checkpointFile struct {
 	Version     int           `json:"version"`
 	Fingerprint string        `json:"fingerprint"`
 	Points      []pointRecord `json:"points"`
 	// Quarantined lists points the circuit breaker removed, in the
 	// order the sweep reached them. The field is additive (absent in
-	// older files), so the version stays at 1. A resumed sweep replays
+	// older files), so the version stayed at 1. A resumed sweep replays
 	// these instead of re-running the pathological point.
 	Quarantined []Quarantine `json:"quarantined,omitempty"`
 }
+
+// stderr receives the ledger's reports of a torn tail it cut.
+var stderr io.Writer = os.Stderr
 
 // Ledger is the store behind a checkpoint file and the one place a
 // sweep point is settled: the engine's figure sweeps, wtcpd's sweep and
@@ -52,17 +86,18 @@ type checkpointFile struct {
 // Several sweeps in one process (Fig7 then Fig8, say) may each open the
 // same path sequentially; each instance loads what the previous one
 // saved and appends its own points. While open, the ledger holds an
-// exclusive advisory lock on <path>.lock: two processes pointed at the
-// same file would silently clobber each other's persistLocked writes,
-// so the second opener fails fast instead. The lock is released by
-// Close and by the kernel if the process dies, so a SIGKILLed campaign
-// never leaves a stale lock behind.
+// exclusive advisory lock on <path>.lock: two processes appending to
+// the same file would interleave each other's records, so the second
+// opener fails fast instead. The lock is released by Close and by the
+// kernel if the process dies, so a SIGKILLed campaign never leaves a
+// stale lock behind.
 type Ledger struct {
 	path        string
 	fingerprint string
 	unlock      func()
 
 	mu        sync.Mutex
+	log       *recordlog.Log // nil until the file exists
 	order     []string
 	points    map[string][]RepRecord
 	quarOrder []string
@@ -73,8 +108,12 @@ type Ledger struct {
 // bound to the result-affecting fingerprint of opt. It takes the
 // exclusive lock first; a path already locked by a live process is
 // refused with the holder named. A file that does not parse, carries
-// another version or fingerprint, or repeats a key is refused with the
-// path named, and the lock is released.
+// another version or fingerprint, or (version 1) repeats a key is
+// refused with the path named, left as it was, and the lock is
+// released. A version 2 file that ends in a torn record is cut back to
+// its last whole one, and the cut is reported on stderr: the points
+// that record held run again. A version 1 file is rewritten as version
+// 2.
 func OpenLedger(path string, opt Options) (*Ledger, error) {
 	unlock, err := atomicfile.Lock(path + ".lock")
 	if err != nil {
@@ -85,9 +124,9 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		err = l.decode(data)
+		err = l.resume(data)
 	case errors.Is(err, os.ErrNotExist):
-		err = nil // a fresh campaign
+		err = nil // a fresh campaign; the first record creates the file
 	default:
 		err = fmt.Errorf("experiment: read checkpoint: %w", err)
 	}
@@ -96,6 +135,34 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// resume loads the file's bytes into the empty ledger and opens the
+// file for appending, adopting a version 1 file first.
+func (l *Ledger) resume(data []byte) error {
+	if err := l.load(data); err != nil {
+		return err
+	}
+	if !isLog(data) {
+		return l.rewrite()
+	}
+	return l.reopen()
+}
+
+// load loads a file's bytes, of either version, into the empty ledger.
+func (l *Ledger) load(data []byte) error {
+	if isLog(data) {
+		return l.replay(data)
+	}
+	return l.decode(data)
+}
+
+// isLog reports whether data is laid out as version 2: its first
+// record's payload starts as a header's does. The frame itself is not
+// checked, so a damaged header is refused as one instead of being read
+// as JSON.
+func isLog(data []byte) bool {
+	return bytes.HasPrefix(data[min(len(data), recordlog.HeaderSize):], headerPrefix)
 }
 
 // CheckpointFor names the ledger file a study run under opt uses when
@@ -117,19 +184,14 @@ func CheckpointFor(path string, primary, opt Options) string {
 	return fmt.Sprintf("%s-%08x%s", strings.TrimSuffix(path, ext), h.Sum32(), ext)
 }
 
-// decode loads a checkpoint file's bytes into the empty ledger.
+// decode loads a version 1 file's bytes into the empty ledger.
 func (l *Ledger) decode(data []byte) error {
 	var f checkpointFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("experiment: parse checkpoint %s: %w", l.path, err)
 	}
-	if f.Version != checkpointVersion {
-		return fmt.Errorf("experiment: checkpoint %s has version %d, want %d; delete it to start over",
-			l.path, f.Version, checkpointVersion)
-	}
-	if f.Fingerprint != l.fingerprint {
-		return fmt.Errorf("experiment: checkpoint %s was written under different options (fingerprint %q, this run %q); delete it or rerun with the original options",
-			l.path, f.Fingerprint, l.fingerprint)
+	if err := l.checkHeader(ledgerHeader{f.Version, f.Fingerprint}, jsonVersion); err != nil {
+		return err
 	}
 	for _, p := range f.Points {
 		if _, dup := l.points[p.Key]; dup {
@@ -148,8 +210,152 @@ func (l *Ledger) decode(data []byte) error {
 	return nil
 }
 
-// Close releases the exclusive lock (call it before another opener —
-// the merge pass after a fleet campaign — needs the file). Idempotent.
+// checkHeader refuses a file of another version or fingerprint.
+func (l *Ledger) checkHeader(h ledgerHeader, version int) error {
+	if h.Version != version {
+		return fmt.Errorf("experiment: checkpoint %s has version %d, want %d; delete it to start over",
+			l.path, h.Version, version)
+	}
+	if h.Fingerprint != l.fingerprint {
+		return fmt.Errorf("experiment: checkpoint %s was written under different options (fingerprint %q, this run %q); delete it or rerun with the original options",
+			l.path, h.Fingerprint, l.fingerprint)
+	}
+	return nil
+}
+
+// replay loads a version 2 file's bytes into the empty ledger: the
+// header, then each whole record in order, applied as the write that
+// appended it was — a key recorded twice holds its last record, at the
+// place of its first. It stops without error at a torn tail, which
+// reopen cuts.
+func (l *Ledger) replay(data []byte) error {
+	damaged := fmt.Errorf("experiment: checkpoint %s has a damaged header; delete it to start over", l.path)
+	header := false
+	_, err := recordlog.Scan(bytes.NewReader(data), int64(len(data)), func(off int64, payload []byte) error {
+		if off == 0 {
+			var h ledgerHeader
+			if body, ok := bytes.CutPrefix(payload, recHeader); !ok || json.Unmarshal(body, &h) != nil {
+				return damaged
+			}
+			header = true
+			return l.checkHeader(h, logVersion)
+		}
+		var p pointRecord
+		var q Quarantine
+		if body, ok := bytes.CutPrefix(payload, recPoint); ok && json.Unmarshal(body, &p) == nil {
+			l.applyPoint(p.Key, p.Reps)
+		} else if body, ok := bytes.CutPrefix(payload, recQuarantine); ok && json.Unmarshal(body, &q) == nil {
+			l.applyQuarantine(q)
+		} else {
+			return fmt.Errorf("experiment: checkpoint %s: unreadable record at offset %d", l.path, off)
+		}
+		return nil
+	})
+	if err == nil && !header {
+		err = damaged
+	}
+	return err
+}
+
+// applyPoint and applyQuarantine are what a record does to the ledger,
+// written or replayed. Caller holds l.mu (or owns an unpublished l).
+func (l *Ledger) applyPoint(key string, reps []RepRecord) {
+	if _, dup := l.points[key]; !dup {
+		l.order = append(l.order, key)
+	}
+	l.points[key] = reps
+}
+
+func (l *Ledger) applyQuarantine(q Quarantine) {
+	if _, dup := l.quars[q.Key]; !dup {
+		l.quarOrder = append(l.quarOrder, q.Key)
+	}
+	l.quars[q.Key] = q
+}
+
+// layout renders the whole ledger as a version 2 file: the header, then
+// every point and every quarantine, each in ledger order. Caller holds
+// l.mu.
+func (l *Ledger) layout() ([]byte, error) {
+	data, err := appendJSON(nil, recHeader, ledgerHeader{logVersion, l.fingerprint})
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range l.order {
+		if data, err = appendJSON(data, recPoint, pointRecord{Key: k, Reps: l.points[k]}); err != nil {
+			return nil, err
+		}
+	}
+	for _, k := range l.quarOrder {
+		if data, err = appendJSON(data, recQuarantine, l.quars[k]); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
+}
+
+// appendJSON appends one record of the given kind holding v.
+func appendJSON(dst, kind []byte, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: encode checkpoint: %w", err)
+	}
+	return recordlog.AppendRecord(dst, kind, body), nil
+}
+
+// rewrite replaces the file with the whole ledger laid out as version 2
+// — write temp, rename, so a kill leaves the old file or the new one,
+// and no file of this ledger ever starts torn — and opens it for
+// appending. It runs once per file: when a version 1 file is adopted,
+// or when the first record creates it. Caller holds l.mu (or owns an
+// unpublished l).
+func (l *Ledger) rewrite() error {
+	data, err := l.layout()
+	if err != nil {
+		return err
+	}
+	if err := atomicfile.Write(l.path, data); err != nil {
+		return fmt.Errorf("experiment: write checkpoint: %w", err)
+	}
+	return l.reopen()
+}
+
+// reopen opens the version 2 file for appending, cutting a torn tail
+// and saying so.
+func (l *Ledger) reopen() error {
+	log, dropped, err := recordlog.Open(l.path, nil)
+	if err != nil {
+		return fmt.Errorf("experiment: open checkpoint: %w", err)
+	}
+	if dropped > 0 {
+		fmt.Fprintf(stderr, "experiment: checkpoint %s: cut %d bytes of torn tail; the point it held runs again\n", l.path, dropped)
+	}
+	l.log = log
+	return nil
+}
+
+// appendLocked persists one record: a single append, after the file is
+// created on the first. Caller holds l.mu and applies the record once
+// this returns nil.
+func (l *Ledger) appendLocked(kind []byte, v any) error {
+	if l.log == nil {
+		if err := l.rewrite(); err != nil {
+			return err
+		}
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("experiment: encode checkpoint: %w", err)
+	}
+	if _, err := l.log.Append(kind, body); err != nil {
+		return fmt.Errorf("experiment: write checkpoint %s: %w", l.path, err)
+	}
+	return nil
+}
+
+// Close closes the file and releases the exclusive lock (call it before
+// another opener — the merge pass after a fleet campaign — needs the
+// file). Idempotent.
 func (l *Ledger) Close() {
 	if l == nil {
 		return
@@ -157,6 +363,9 @@ func (l *Ledger) Close() {
 	l.mu.Lock()
 	unlock := l.unlock
 	l.unlock = nil
+	if l.log != nil {
+		l.log.Close()
+	}
 	l.mu.Unlock()
 	if unlock != nil {
 		unlock()
@@ -230,8 +439,7 @@ func (l *Ledger) settle(ctx context.Context, opt Options, p point) (PointOutcome
 }
 
 // Record stores an outcome computed elsewhere (a fleet worker's post)
-// and persists the ledger atomically, unless the key is already
-// settled: the first record wins and fresh reports whether this one
+// with one append, unless the key is already settled: the first record wins and fresh reports whether this one
 // was it.
 func (l *Ledger) Record(out PointOutcome) (fresh bool, err error) {
 	if l == nil {
@@ -293,9 +501,9 @@ func (l *Ledger) Quarantined() []Quarantine {
 	return out
 }
 
-// Put records a finished point unconditionally and persists the ledger
-// atomically. Settle and Record are the callers that honour
-// first-record-wins; Put is the raw write under them.
+// Put records a finished point unconditionally: one append. Settle and
+// Record are the callers that honour first-record-wins; Put is the raw
+// write under them.
 func (l *Ledger) Put(key string, reps []RepRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -303,15 +511,15 @@ func (l *Ledger) Put(key string, reps []RepRecord) error {
 }
 
 func (l *Ledger) putLocked(key string, reps []RepRecord) error {
-	if _, dup := l.points[key]; !dup {
-		l.order = append(l.order, key)
+	if err := l.appendLocked(recPoint, pointRecord{Key: key, Reps: reps}); err != nil {
+		return err
 	}
-	l.points[key] = reps
-	return l.persistLocked()
+	l.applyPoint(key, reps)
+	return nil
 }
 
-// PutQuarantine records a breaker-tripped point unconditionally and
-// persists the ledger.
+// PutQuarantine records a breaker-tripped point unconditionally: one
+// append.
 func (l *Ledger) PutQuarantine(q Quarantine) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -319,43 +527,9 @@ func (l *Ledger) PutQuarantine(q Quarantine) error {
 }
 
 func (l *Ledger) putQuarantineLocked(q Quarantine) error {
-	if _, dup := l.quars[q.Key]; !dup {
-		l.quarOrder = append(l.quarOrder, q.Key)
-	}
-	l.quars[q.Key] = q
-	return l.persistLocked()
-}
-
-// encodeLocked renders the whole ledger in the on-disk layout. Caller
-// holds l.mu.
-func (l *Ledger) encodeLocked() ([]byte, error) {
-	f := checkpointFile{Version: checkpointVersion, Fingerprint: l.fingerprint}
-	for _, k := range l.order {
-		f.Points = append(f.Points, pointRecord{Key: k, Reps: l.points[k]})
-	}
-	for _, k := range l.quarOrder {
-		f.Quarantined = append(f.Quarantined, l.quars[k])
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("experiment: encode checkpoint: %w", err)
-	}
-	return append(data, '\n'), nil
-}
-
-// persistLocked writes the whole ledger atomically, so a kill at any
-// instant leaves either the previous complete checkpoint or the new one
-// — never a torn file. Caller holds l.mu.
-func (l *Ledger) persistLocked() error {
-	data, err := l.encodeLocked()
-	if err != nil {
+	if err := l.appendLocked(recQuarantine, q); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(l.path), 0o755); err != nil {
-		return fmt.Errorf("experiment: checkpoint dir: %w", err)
-	}
-	if err := atomicfile.Write(l.path, data); err != nil {
-		return fmt.Errorf("experiment: write checkpoint: %w", err)
-	}
+	l.applyQuarantine(q)
 	return nil
 }

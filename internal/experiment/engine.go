@@ -22,15 +22,16 @@ import (
 // of points; each point is Replications independent seeded simulations.
 // The engine:
 //
-//   - runs a point's replications on a bounded worker pool (Workers),
+//   - runs a point's replications on a bounded worker pool (Workers;
+//     in place on the caller's goroutine when the pool has one slot),
 //     then aggregates the raw per-replication records in seed order, so
 //     any worker count produces bit-identical results to the sequential
 //     runner;
 //   - records every replication's raw measurements as float64 bit
-//     patterns, checkpointing each completed point to disk with an
-//     atomic write-rename (Ledger.Settle, checkpoint.go), so a killed
-//     sweep resumes from the last finished point with byte-identical
-//     output;
+//     patterns, checkpointing each completed point to disk with one
+//     checksummed append to the ledger's record log (Ledger.Settle,
+//     checkpoint.go), so a killed sweep resumes from the last finished
+//     point with byte-identical output;
 //   - retries a failed replication with a perturbed seed (retrying a
 //     deterministic failure with the same seed can never succeed) and
 //     records the substituted seed in the point's metadata;
@@ -113,18 +114,25 @@ func executePoint(ctx context.Context, opt Options, key string, run replication)
 		err error
 	}
 	slots := make([]slot, n)
-	sem := make(chan struct{}, min(opt.workers(), n))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	if pool := min(opt.workers(), n); pool <= 1 {
+		// A one-slot pool runs in place: same order, no goroutines.
+		for i := range slots {
 			slots[i].rec, slots[i].err = runRep(ctx, opt, key, run, int64(i+1))
-		}(i)
+		}
+	} else {
+		sem := make(chan struct{}, pool)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				slots[i].rec, slots[i].err = runRep(ctx, opt, key, run, int64(i+1))
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// Cancelled mid-point: do not checkpoint a partial point — on
 		// resume it reruns whole, keeping the merged output identical.

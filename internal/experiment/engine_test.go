@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,6 +16,7 @@ import (
 	"wtcp/internal/bs"
 	"wtcp/internal/core"
 	"wtcp/internal/multiconn"
+	"wtcp/internal/recordlog"
 	"wtcp/internal/repro"
 	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
@@ -80,6 +83,42 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if got := ThroughputCSV(resumed); got != want {
 		t.Errorf("resumed output differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
+
+	// Killed mid-append: the finished sweep's checkpoint, cut inside its
+	// last point record. The resume re-runs exactly that point.
+	t.Run("torn append", func(t *testing.T) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := recordEnds(t, data)
+		if err := os.WriteFile(path, data[:ends[len(ends)-2]+recordlog.HeaderSize+3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stderr = io.Discard
+		t.Cleanup(func() { stderr = os.Stderr })
+		opt := ckOpts()
+		opt.Checkpoint = path
+		var rerun []string
+		opt.OnPoint = func(key string) { rerun = append(rerun, key) }
+		resumed, err := Fig7(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rerun) != 1 {
+			t.Errorf("resume after a torn append re-ran %v, want exactly the torn point", rerun)
+		}
+		if got := ThroughputCSV(resumed); got != want {
+			t.Errorf("resumed output differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s", want, got)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, data) {
+			t.Error("the re-run point was not recorded with the bits it had before the tear")
+		}
+	})
 }
 
 // TestCheckpointRejectsChangedOptions: resuming under different

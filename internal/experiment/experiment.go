@@ -163,11 +163,14 @@ func (o Options) workers() int {
 // sweep executes, never what a within-budget run measures, so a
 // checkpoint written with -workers 4 resumes fine under -workers 1 and
 // a governed sweep's surviving points are bit-identical to an
-// ungoverned run's.
+// ungoverned run's. The "v1" prefix is the ledger version the
+// fingerprint was introduced under; it stays 1 across ledger layouts,
+// because the fingerprint names what was measured, not how it is
+// stored, and CheckpointFor derives file names from it.
 func (o Options) fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d reps=%d seed=%d transfer=%d retries=%d checks=%v oracle=%v",
-		checkpointVersion, o.Replications, o.BaseSeed, o.Transfer, o.retries(), o.Checks, o.Oracle)
+	fmt.Fprintf(&b, "v1 reps=%d seed=%d transfer=%d retries=%d checks=%v oracle=%v",
+		o.Replications, o.BaseSeed, o.Transfer, o.retries(), o.Checks, o.Oracle)
 	fmt.Fprintf(&b, " sizes=%v wanBads=%v lanBads=%v",
 		o.packetSizes(), o.wanBadPeriods(), o.lanBadPeriods())
 	return b.String()

@@ -37,7 +37,9 @@ type Health struct {
 	retried     uint64
 	quarantined uint64
 	events      uint64
-	durations   []float64 // seconds, successful runs only, kept sorted
+	recent      []float64 // seconds of the last maxDurations successful runs, a ring
+	next        int       // the ring's oldest entry, once it is full
+	durations   []float64 // recent, kept sorted
 	stragglers  []Straggler
 }
 
@@ -60,6 +62,10 @@ const (
 	stragglerFloor      = time.Second
 	maxStragglers       = 32
 
+	// maxDurations bounds the run-duration sample the median is read
+	// from: a resident wtcpd shares one Health for its whole life.
+	maxDurations = 1024
+
 	// statusWriteInterval throttles implicit status-file rewrites; an
 	// explicit WriteStatus always writes.
 	statusWriteInterval = time.Second
@@ -78,7 +84,7 @@ type HealthSnapshot struct {
 	Quarantined     uint64      `json:"quarantined"`
 	EventsProcessed uint64      `json:"events_processed"`
 	EventsPerSec    float64     `json:"events_per_sec"`
-	MedianRunSec    float64     `json:"median_run_sec"`
+	MedianRunSec    float64     `json:"median_run_sec"` // over the last 1 024 completed runs
 	HeapBytes       uint64      `json:"heap_bytes"`
 	Stragglers      []Straggler `json:"stragglers,omitempty"`
 }
@@ -168,8 +174,7 @@ func (h *Health) RunFinished(id uint64, events uint64, ok bool) {
 				line = fmt.Sprintf("experiment: straggler: %s seed %d took %.2fs (median %.2fs over %d runs)\n",
 					ar.key, ar.seed, sec, med, n)
 			}
-			i, _ := slices.BinarySearch(h.durations, sec)
-			h.durations = slices.Insert(h.durations, i, sec)
+			h.noteDuration(sec)
 		}
 	} else {
 		h.failed++
@@ -180,6 +185,23 @@ func (h *Health) RunFinished(id uint64, events uint64, ok bool) {
 		fmt.Fprint(out, line)
 	}
 	h.maybeWriteStatus()
+}
+
+// noteDuration adds a completed run's duration to the sample, evicting
+// the oldest once it holds maxDurations. Caller holds h.mu.
+func (h *Health) noteDuration(sec float64) {
+	if len(h.recent) < maxDurations {
+		h.recent = append(h.recent, sec)
+	} else {
+		old := h.recent[h.next]
+		h.recent[h.next] = sec
+		h.next = (h.next + 1) % maxDurations
+		if i, ok := slices.BinarySearch(h.durations, old); ok {
+			h.durations = slices.Delete(h.durations, i, i+1)
+		}
+	}
+	i, _ := slices.BinarySearch(h.durations, sec)
+	h.durations = slices.Insert(h.durations, i, sec)
 }
 
 // noteRetry counts one perturbed-seed retry.
@@ -355,9 +377,9 @@ func (h *Health) SnapshotJSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// MedianRunSeconds returns the median wall-clock duration of completed
-// runs, 0 until enough have finished. wtcpd's admission controller
-// derives Retry-After hints from it.
+// MedianRunSeconds returns the median wall-clock duration of the last
+// 1 024 completed runs, 0 until one has finished. wtcpd's admission
+// controller derives Retry-After hints from it.
 func (h *Health) MedianRunSeconds() float64 {
 	if h == nil {
 		return 0

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -55,8 +54,17 @@ func exhaustRuns(t *testing.T, then func()) *atomic.Int64 {
 	return &runs
 }
 
-// onDisk decodes the checkpoint file as it stands (zero when absent).
+// onDisk reads the settleOpts checkpoint file as it stands (zero when
+// absent).
 func onDisk(t *testing.T, path string) checkpointFile {
+	t.Helper()
+	return readLedger(t, path, settleOpts())
+}
+
+// readLedger reads the checkpoint file at path through OpenLedger, into
+// the version 1 layout's shape (zero when absent). It opens a copy, so
+// the ledger at path may be open, and the file is left as it is.
+func readLedger(t *testing.T, path string, opt Options) checkpointFile {
 	t.Helper()
 	var f checkpointFile
 	data, err := os.ReadFile(path)
@@ -66,9 +74,19 @@ func onDisk(t *testing.T, path string) checkpointFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("checkpoint on disk does not parse: %v", err)
+	copied := filepath.Join(t.TempDir(), "copy.ckpt")
+	if err := os.WriteFile(copied, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	led, err := OpenLedger(copied, opt)
+	if err != nil {
+		t.Fatalf("checkpoint on disk does not load: %v", err)
+	}
+	defer led.Close()
+	for _, k := range led.order {
+		f.Points = append(f.Points, pointRecord{Key: k, Reps: led.points[k]})
+	}
+	f.Quarantined = led.Quarantined()
 	return f
 }
 

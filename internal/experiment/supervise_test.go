@@ -366,12 +366,8 @@ func TestBudgetSmoke(t *testing.T) {
 	}
 
 	// The checkpoint carries the quarantine.
-	data, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"quarantined"`) {
-		t.Error("checkpoint file has no quarantined section")
+	if f := readLedger(t, ckPath, opt); len(f.Quarantined) != 1 || f.Quarantined[0] != qs[0] {
+		t.Errorf("checkpoint holds quarantines %+v, want %+v", f.Quarantined, qs)
 	}
 
 	// The heartbeat saw both the completions and the quarantine, and the
@@ -534,5 +530,37 @@ func TestStragglerLogged(t *testing.T) {
 	}
 	if med := h.MedianRunSeconds(); med != 0.01 {
 		t.Errorf("median = %v, want 0.01 (three 10 ms samples below three slower runs)", med)
+	}
+}
+
+// TestHealthKeepsRecentDurations: a resident server shares one Health
+// for its whole life, so the duration sample the median is read from
+// holds the last maxDurations completed runs, not every run ever.
+func TestHealthKeepsRecentDurations(t *testing.T) {
+	h := NewHealth()
+	h.SetStragglerLog(nil)
+	var all []float64 // every duration recorded, in completion order
+	for i := 0; i < 5000; i++ {
+		id := h.RunStarted("lan/ebsn/bad=400ms", int64(i))
+		h.mu.Lock()
+		ar := h.active[id]
+		ar.started = ar.started.Add(-time.Duration(Splitmix64(uint64(i))%900) * time.Millisecond)
+		h.active[id] = ar
+		h.mu.Unlock()
+		h.RunFinished(id, 1, true)
+		h.mu.Lock()
+		all = append(all, h.recent[(h.next+len(h.recent)-1)%len(h.recent)])
+		h.mu.Unlock()
+	}
+	last := slices.Clone(all[len(all)-maxDurations:])
+	slices.Sort(last)
+	h.mu.Lock()
+	held := slices.Clone(h.durations)
+	h.mu.Unlock()
+	if len(held) > 1024 || !slices.Equal(held, last) {
+		t.Errorf("sample holds %d durations; want exactly the last %d, sorted", len(held), maxDurations)
+	}
+	if got, want := h.MedianRunSeconds(), MedianOf(last); got != want {
+		t.Errorf("median %v, want %v (the last %d runs)", got, want, maxDurations)
 	}
 }

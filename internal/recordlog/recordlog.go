@@ -1,6 +1,6 @@
 // Package recordlog is an append-only file of checksummed records: the
 // one on-disk primitive behind wtcpd's accepted-work journal and result
-// cache. A record is
+// cache and the experiment engine's checkpoint ledger. A record is
 //
 //	[len u32 LE][crc32c(len ‖ payload) u32 LE][payload]
 //
