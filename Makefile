@@ -73,7 +73,7 @@ zoo-smoke:
 	$(GO) test -race -run 'TestTahoeProfileRegression|TestProfilePrefixes|TestGoodputOrderingUnderRandomLoss|TestSnoopAtLeastUnassistedBaseline' ./internal/oracle/
 	$(GO) test -race -run 'TestSnoopPropertiesUnderChaos|TestSnoopChaosDeterminism|TestVariantsIdenticalWithoutLoss|TestTahoeRenoDivergeAtFastRetransmit|TestOracleOnSplitConnection|TestStreamingEqualsReplay' ./internal/core/
 	$(GO) test -race -run 'TestZooStudyGrid' ./internal/experiment/
-	$(GO) test -race -run 'TestLegacyGoldensSurviveZooRefactor' ./cmd/wtcp-conformance/
+	$(GO) test -race -run 'TestLegacyGoldensSurviveZooRefactor' ./cmd/wtcp/
 
 # Packet-lifetime gate, under -race: the pool property grid (chaos x
 # seeds x schemes x presets: no lifetime fault, zero live packets after
@@ -97,13 +97,13 @@ conformance: golden-drift
 	$(GO) test -race ./internal/oracle/... ./internal/trace/... ./internal/bs/...
 
 golden-drift:
-	$(GO) run ./cmd/wtcp-conformance -dir cmd/wtcp-conformance/testdata/goldens
+	$(GO) run ./cmd/wtcp conformance
 
 # Regenerate the committed golden traces after an intended protocol
 # change. Review the resulting diff like code — every changed line is a
 # changed protocol event.
 goldens:
-	$(GO) run ./cmd/wtcp-conformance -dir cmd/wtcp-conformance/testdata/goldens -update
+	$(GO) run ./cmd/wtcp conformance -update
 
 build:
 	$(GO) build ./...
@@ -126,7 +126,7 @@ test-race:
 	$(GO) test -race ./...
 
 # Raw `go test -bench` output of the targets below lands under one ignored
-# scratch directory, for wtcp-bench to read.
+# scratch directory, for `wtcp bench` to read.
 SCRATCH ?= .scratch
 
 # Full benchmark run.
@@ -137,12 +137,12 @@ bench:
 # Re-record the committed kernel baseline from a full benchmark run.
 # Run on a quiet machine; CI compares against this file.
 bench-baseline: bench
-	$(GO) run ./cmd/wtcp-bench -record -out BENCH_kernel.json -in $(SCRATCH)/bench.txt
+	$(GO) run ./cmd/wtcp bench record -file BENCH_kernel.json -filter '^BenchmarkSim' -in $(SCRATCH)/bench.txt
 
 # Compare a fresh full run against the committed baseline (>20% ns/op
 # slowdown or any allocs/op increase on the kernel micro-benchmarks fails).
 bench-compare: bench
-	$(GO) run ./cmd/wtcp-bench -compare BENCH_kernel.json -in $(SCRATCH)/bench.txt
+	$(GO) run ./cmd/wtcp bench compare -file BENCH_kernel.json -in $(SCRATCH)/bench.txt
 
 # CI-sized benchmark gate: short benchtime on the substrate
 # micro-benchmarks only (BenchmarkSim*). End-to-end run benchmarks are
@@ -151,7 +151,7 @@ bench-compare: bench
 bench-smoke:
 	@mkdir -p $(SCRATCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkSim' -benchmem -benchtime=0.2s -count=3 . | tee $(SCRATCH)/bench-smoke.txt
-	$(GO) run ./cmd/wtcp-bench -compare BENCH_kernel.json -threshold 0.20 -in $(SCRATCH)/bench-smoke.txt
+	$(GO) run ./cmd/wtcp bench compare -file BENCH_kernel.json -threshold 0.20 -in $(SCRATCH)/bench-smoke.txt
 
 # Cell-scale benchmarks: per-stage hot-path micro-benchmarks plus
 # end-to-end 1k/10k/50k cell runs, compared against the committed
@@ -161,13 +161,13 @@ bench-smoke:
 bench-scale:
 	@mkdir -p $(SCRATCH)
 	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee $(SCRATCH)/bench-scale.txt
-	$(GO) run ./cmd/wtcp-bench -file BENCH_scale.json -threshold 0.35 -in $(SCRATCH)/bench-scale.txt
+	$(GO) run ./cmd/wtcp bench compare -file BENCH_scale.json -threshold 0.35 -in $(SCRATCH)/bench-scale.txt
 
 # Re-record the committed cell-scale baseline. Run on a quiet machine.
 bench-scale-baseline:
 	@mkdir -p $(SCRATCH)
 	$(GO) test -run '^$$' -bench '^BenchmarkCell' -benchmem -benchtime=0.5s ./internal/cell/ | tee $(SCRATCH)/bench-scale.txt
-	$(GO) run ./cmd/wtcp-bench -record -file BENCH_scale.json -filter '^BenchmarkCell' -note 'cell-scale engine baseline; regenerate with `make bench-scale-baseline`' -in $(SCRATCH)/bench-scale.txt
+	$(GO) run ./cmd/wtcp bench record -file BENCH_scale.json -filter '^BenchmarkCell' -note 'cell-scale engine baseline; regenerate with `make bench-scale-baseline`' -in $(SCRATCH)/bench-scale.txt
 
 # Measurement-spine smoke (BENCHMARK.json, bench/): all four workloads
 # at tiny sizes. Timing is meaningless at this size; what it gates is
@@ -209,16 +209,16 @@ endif
 
 # Regenerate every paper figure at publication fidelity.
 figures:
-	$(GO) run ./cmd/wtcp-figures -fig all -reps 10
+	$(GO) run ./cmd/wtcp figures -fig all -reps 10
 
 traces:
-	$(GO) run ./cmd/wtcp-trace -scheme basic
-	$(GO) run ./cmd/wtcp-trace -scheme localrecovery
-	$(GO) run ./cmd/wtcp-trace -scheme ebsn
+	$(GO) run ./cmd/wtcp trace -scheme basic
+	$(GO) run ./cmd/wtcp trace -scheme localrecovery
+	$(GO) run ./cmd/wtcp trace -scheme ebsn
 
 # Rebuild REPLICATION.md from live runs (fails if any claim regresses).
 report:
-	$(GO) run ./cmd/wtcp-report -reps 10 > REPLICATION.md
+	$(GO) run ./cmd/wtcp report -reps 10 > REPLICATION.md
 
 fuzz:
 	$(GO) test -fuzz=FuzzReassembler -fuzztime=30s ./internal/ip

@@ -9,7 +9,7 @@
 //	go test -bench=. -benchmem
 //
 // The per-figure benchmarks use reduced sweeps (fewer replications and
-// points) so an iteration stays sub-second; cmd/wtcp-figures regenerates
+// points) so an iteration stays sub-second; `wtcp figures` regenerates
 // the full-resolution figures.
 package wtcp_test
 

@@ -14,7 +14,7 @@ import (
 // processing — so a regression names the stage it hit instead of hiding
 // in an end-to-end number. Each drives the engine's handlers directly
 // with hand-restored state; all must report 0 allocs/op in steady state
-// (wtcp-bench -compare BENCH_scale.json fails on any allocs/op growth).
+// (wtcp bench compare -file BENCH_scale.json fails on any allocs/op growth).
 
 // quietChannel never corrupts: per-stage benchmarks want deterministic
 // success paths so every iteration does identical work.

@@ -119,7 +119,7 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint %s: %w; two engines must not share one checkpoint file", path, err)
 	}
-	l := &Ledger{path: path, fingerprint: opt.withDefaults().fingerprint(), unlock: unlock,
+	l := &Ledger{path: path, fingerprint: opt.WithDefaults().fingerprint(), unlock: unlock,
 		points: map[string][]RepRecord{}, quars: map[string]Quarantine{}}
 	data, err := os.ReadFile(path)
 	switch {
@@ -375,7 +375,7 @@ func (l *Ledger) Close() {
 // Settle returns spec's settled outcome: it resolves the spec's key and
 // replication function and settles that (see settle).
 func (l *Ledger) Settle(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	p, err := spec.point(opt)
 	if err != nil {
 		return PointOutcome{}, err

@@ -168,7 +168,7 @@ func TestLedgerRefusesCorruptFiles(t *testing.T) {
 		"repeated quarantine":         rewrite(func(f *checkpointFile) { f.Quarantined = append(f.Quarantined, f.Quarantined[1]) }),
 		"not an object":               []byte(`[1, 2, 3]`),
 		"wrong field type":            []byte(`{"version": 1, "fingerprint": 7}`),
-		"version 2 wrong version":     header(ledgerHeader{logVersion + 1, settleOpts().withDefaults().fingerprint()}),
+		"version 2 wrong version":     header(ledgerHeader{logVersion + 1, settleOpts().WithDefaults().fingerprint()}),
 		"version 2 damaged header":    damaged,
 		"version 2 unreadable record": recordlog.AppendRecord(bytes.Clone(good), []byte("?what")),
 	}
@@ -326,7 +326,7 @@ func FuzzLedgerLoad(f *testing.F) {
 	}
 	f.Add(twice) // a key recorded twice: the last record wins
 	empty := func() *Ledger {
-		return &Ledger{path: "fuzz-checkpoint.json", fingerprint: settleOpts().withDefaults().fingerprint(),
+		return &Ledger{path: "fuzz-checkpoint.json", fingerprint: settleOpts().WithDefaults().fingerprint(),
 			points: map[string][]RepRecord{}, quars: map[string]Quarantine{}}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,7 +23,7 @@ import (
 // for fail-fast classes and cancellation.
 func RunCustom(ctx context.Context, opt Options, key string,
 	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, *Quarantine, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	return executePoint(ctx, opt, key, coreReplication(build,
 		func(r *core.Result) ([]float64, error) { return extract(r), nil }))
 }
@@ -34,5 +34,5 @@ func RunCustom(ctx context.Context, opt Options, key string,
 // overlapping sweep requests land in — and warm-start from — the same
 // file.
 func Fingerprint(opt Options) string {
-	return opt.withDefaults().fingerprint()
+	return opt.WithDefaults().fingerprint()
 }

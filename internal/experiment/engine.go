@@ -39,7 +39,7 @@ import (
 //     checkpointing a half-run point;
 //   - captures a repro bundle (internal/repro) for every replication
 //     that exhausts its retries, so the failure can be replayed and
-//     shrunk offline with cmd/wtcp-repro.
+//     shrunk offline with wtcp repro.
 
 // A replication runs one seeded simulation for executePoint, the only
 // loop over seeds in this package, which never learns which simulator
@@ -58,7 +58,7 @@ type repRun struct {
 	values []float64            // the point's metric vector, in column order; success only
 	events uint64               // kernel events fired, for Health
 	abort  string               // why a no-progress watchdog killed a run that returned normally
-	bundle func() *repro.Bundle // captures the attempt for wtcp-repro; nil: no bundle format
+	bundle func() *repro.Bundle // captures the attempt for wtcp repro; nil: no bundle format
 }
 
 // RepRecord is one successful replication's raw measurements. Values

@@ -18,7 +18,7 @@
 // context.Context, can spread replications over a bounded worker pool
 // without changing any result bit, checkpoint finished points to disk so
 // a killed campaign resumes where it stopped, and capture failed
-// replications as repro bundles for cmd/wtcp-repro.
+// replications as repro bundles for wtcp repro.
 package experiment
 
 import (
@@ -93,7 +93,7 @@ type Options struct {
 	// different options is refused.
 	Checkpoint string
 	// ReproDir, when non-empty, names a directory where each permanently
-	// failed replication is captured as a repro bundle for cmd/wtcp-repro.
+	// failed replication is captured as a repro bundle for wtcp repro.
 	ReproDir string
 	// OnPoint, when set, is called with each point's key after the point
 	// is freshly computed (not when reloaded from the checkpoint). Used
@@ -121,7 +121,8 @@ type Options struct {
 	Health *Health
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills in what a zero field means: 5 replications.
+func (o Options) WithDefaults() Options {
 	if o.Replications <= 0 {
 		o.Replications = 5
 	}
@@ -220,7 +221,7 @@ type point struct {
 // study functions keep only their grid and their aggregation.
 func settleGrid[P any](ctx context.Context, opt Options, what string, points []point,
 	cell func(i int, reps []RepRecord, cols []stats.Sample) P) ([]P, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	var led *Ledger
 	if opt.Checkpoint != "" {
 		var err error

@@ -137,7 +137,7 @@ func (h *Health) SetStragglerLog(w io.Writer) {
 
 // RunStarted registers an in-flight replication attempt and returns its
 // handle for RunFinished. Exported so run-capable CLIs that drive
-// core.Run directly (wtcp-sim) can feed the same heartbeat.
+// core.Run directly (wtcp sim) can feed the same heartbeat.
 func (h *Health) RunStarted(key string, seed int64) uint64 {
 	if h == nil {
 		return 0
@@ -345,10 +345,10 @@ func (h *Health) WriteStatus() error {
 // Heartbeat wires up the standard CLI heartbeat in one call: status
 // snapshots persist to statusPath (throttled on state changes, plus a
 // final write at stop), and SIGUSR1 dumps the human-readable snapshot
-// to sigDump. Every run-capable entry point (wtcp-sim, wtcp-figures,
-// wtcp-report, wtcpd) goes through here so the status-file schema and
-// signal behaviour cannot drift between them. The returned stop is
-// idempotent.
+// to sigDump. Every run-capable entry point (the shared execution flags
+// of wtcp sim, figures, report and advise, and wtcp serve) goes through
+// here so the status-file schema and signal behaviour cannot drift
+// between them. The returned stop is idempotent.
 func (h *Health) Heartbeat(statusPath string, sigDump io.Writer) (stop func()) {
 	if h == nil {
 		return func() {}

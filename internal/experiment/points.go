@@ -70,7 +70,7 @@ func (s PointSpec) Key() (string, error) {
 // (so it fixes their output order and where a quarantine lands on the
 // Supervisor) and the order coordinator logs and snapshots follow.
 func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	var out []PointSpec
 	for _, sweep := range sweeps {
 		switch sweep {
@@ -154,7 +154,7 @@ type PointOutcome struct {
 // with opt.Supervise armed, breaker trips return a Quarantine record
 // instead.
 func RunPointSpec(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	p, err := spec.point(opt)
 	if err != nil {
 		return PointOutcome{}, err

@@ -51,7 +51,7 @@ import (
 
 // Campaign is the JSON manifest describing a sharded study: which
 // figure sweeps to run and under which result-affecting options. It is
-// the fleet analogue of a wtcp-sim scenario file (and shares its budget
+// the fleet analogue of a wtcp sim scenario file (and shares its budget
 // block); workers fetch it from the coordinator at startup so one
 // document governs the whole fleet. Example:
 //
@@ -96,7 +96,7 @@ type Campaign struct {
 	// results are identical for any value).
 	Workers int `json:"workers,omitempty"`
 	// Budget layers per-replication resource ceilings (shared schema
-	// with wtcp-sim scenario files; see internal/scenario).
+	// with wtcp sim scenario files; see internal/scenario).
 	Budget *scenario.Budget `json:"budget,omitempty"`
 }
 

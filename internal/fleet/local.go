@@ -30,8 +30,8 @@ type LocalOptions struct {
 	// Kill needs subprocess workers).
 	Faults *chaos.FleetFaults
 	// WorkerCommand, when set, launches worker i as a subprocess that
-	// must connect to url and run the worker loop (wtcp-fleet self-execs
-	// `wtcp-fleet worker`; tests re-exec the test binary). When nil,
+	// must connect to url and run the worker loop (wtcp fleet run self-execs
+	// `wtcp fleet worker`; tests re-exec the test binary). When nil,
 	// workers run as in-process goroutines — same protocol, same
 	// determinism, no process isolation.
 	WorkerCommand func(i int, name, url string) *exec.Cmd

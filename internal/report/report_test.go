@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wtcp/internal/experiment"
 )
 
 func TestGenerateQuickReport(t *testing.T) {
-	md, err := Generate(context.Background(), Options{Replications: 2, Quick: true})
+	md, err := Generate(context.Background(), experiment.Options{Replications: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +59,11 @@ func TestAllReproducedDetection(t *testing.T) {
 }
 
 func TestGenerateDefaultsApplied(t *testing.T) {
-	// Zero replications default to 5; just verify the options path (the
-	// full-fidelity run itself is exercised by wtcp-report usage and the
+	// Zero replications default to 5, the engine's default, which the
+	// report header states; just verify the options path (the
+	// full-fidelity run itself is exercised by wtcp report usage and the
 	// quick path above).
-	opt := Options{}.withDefaults()
+	opt := experiment.Options{}.WithDefaults()
 	if opt.Replications != 5 {
 		t.Errorf("default replications = %d", opt.Replications)
 	}
@@ -78,7 +81,7 @@ func TestReplicationMDMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Generate(context.Background(), Options{Replications: 10, Supervise: true})
+	got, err := Generate(context.Background(), experiment.Options{Replications: 10, Supervise: experiment.NewSupervisor()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +109,21 @@ func firstDifference(want, got string) string {
 // in the middle of the zoo grid and rerun, and a third pass over the
 // finished ledgers, must both equal an uninterrupted report.
 func TestQuickReportResumesFromOneCheckpointPath(t *testing.T) {
-	opt := Options{Replications: 1, Quick: true, Supervise: true}
-	want, err := Generate(context.Background(), opt)
+	checkpoint := ""
+	generate := func(ctx context.Context, onPoint func(key string)) (string, error) {
+		return Generate(ctx, experiment.Options{Replications: 1, Checkpoint: checkpoint,
+			Supervise: experiment.NewSupervisor(), OnPoint: onPoint}, true)
+	}
+	want, err := generate(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	opt.Checkpoint = filepath.Join(t.TempDir(), "report.json")
+	checkpoint = filepath.Join(t.TempDir(), "report.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	zooDone := 0
-	_, err = generate(ctx, opt, func(key string) {
+	_, err = generate(ctx, func(key string) {
 		if strings.HasPrefix(key, "zoo/") {
 			if zooDone++; zooDone == 5 {
 				cancel()
@@ -128,7 +135,7 @@ func TestQuickReportResumesFromOneCheckpointPath(t *testing.T) {
 	}
 
 	fresh := 0
-	resumed, err := generate(context.Background(), opt, func(string) { fresh++ })
+	resumed, err := generate(context.Background(), func(string) { fresh++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +145,7 @@ func TestQuickReportResumesFromOneCheckpointPath(t *testing.T) {
 	if fresh != 16-5 {
 		t.Errorf("resume computed %d fresh points, want the zoo's remaining 11", fresh)
 	}
-	reloaded, err := generate(context.Background(), opt, func(key string) { t.Errorf("finished report recomputed %s", key) })
+	reloaded, err := generate(context.Background(), func(key string) { t.Errorf("finished report recomputed %s", key) })
 	if err != nil {
 		t.Fatal(err)
 	}

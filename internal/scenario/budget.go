@@ -1,5 +1,5 @@
 // Package scenario holds the JSON plumbing shared by scenario-shaped
-// inputs: wtcp-sim scenario files and wtcp-fleet campaign manifests
+// inputs: wtcp sim scenario files and wtcp fleet campaign manifests
 // both embed the same human-readable budget block, so its schema and
 // validation live here once instead of drifting per CLI.
 package scenario

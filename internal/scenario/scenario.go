@@ -14,7 +14,7 @@ import (
 	"wtcp/internal/units"
 )
 
-// File is the JSON scenario format accepted by wtcp-sim's -config and
+// File is the JSON scenario format accepted by wtcp sim's -config and
 // wtcpd's /v1/run requests. Durations are human-readable strings ("4s",
 // "800ms"); omitted fields keep the preset's value. Example:
 //

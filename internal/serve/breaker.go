@@ -28,7 +28,7 @@ type permFailure struct {
 	Class  string
 	Reason string
 	// ReproDir points at the directory holding the failure's captured
-	// repro bundle (cmd/wtcp-repro replays it).
+	// repro bundle (wtcp repro replays it).
 	ReproDir string
 }
 

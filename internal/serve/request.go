@@ -34,7 +34,7 @@ const MaxReplications = 64
 // RunRequest is the POST /v1/run body: one scenario, executed under
 // full engine policy (retry/backoff, classification, repro capture).
 type RunRequest struct {
-	// Scenario is a wtcp-sim scenario document (internal/scenario
+	// Scenario is a wtcp sim scenario document (internal/scenario
 	// schema, unknown fields rejected).
 	Scenario json.RawMessage `json:"scenario"`
 	// Replications runs the scenario under consecutive seeds and
@@ -76,7 +76,7 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // ParseRunRequest decodes and fully validates a /v1/run body. The
-// returned scenario file has been through the same validation wtcp-sim
+// returned scenario file has been through the same validation wtcp sim
 // applies to -config (including a complete configuration build), so an
 // accepted request is known runnable before it costs a slot.
 func ParseRunRequest(data []byte) (RunRequest, scenario.File, error) {

@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the canonical text encoding behind the golden-trace
-// harness (cmd/wtcp-conformance): every event rendered as one line with a
+// harness (wtcp conformance): every event rendered as one line with a
 // fixed field order, timestamps normalized to microsecond precision. The
 // encoding is its own normal form — Encode(Decode(g)) == g — so committed
 // goldens are byte-stable and drift diffs are line-addressable.
