@@ -65,6 +65,7 @@ var commands = []command{
 	{"conformance", "diff the canonical scenarios against the golden traces", noExec, conformanceFlags},
 	{"bench record", "store `go test -bench` output as a benchmark baseline", noExec, benchRecordFlags},
 	{"bench compare", "fail on a slowdown or allocation rise against a baseline", noExec, benchCompareFlags},
+	{"bench ab", "judge alternating base/change runs of an end-to-end workload", noExec, benchABFlags},
 	{"fleet run", "run a sharded campaign: a coordinator and N worker processes", noExec, fleetRunFlags},
 	{"fleet coordinate", "serve a campaign's coordinator for remote workers", noExec, fleetCoordinateFlags},
 	{"fleet worker", "join a coordinator and run its work units", noExec, fleetWorkerFlags},

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"wtcp/internal/atomicfile"
+	"wtcp/internal/sim"
 )
 
 // Health is the engine's real-time heartbeat: which replications are in
@@ -85,7 +85,7 @@ type HealthSnapshot struct {
 	EventsProcessed uint64      `json:"events_processed"`
 	EventsPerSec    float64     `json:"events_per_sec"`
 	MedianRunSec    float64     `json:"median_run_sec"` // over the last 1 024 completed runs
-	HeapBytes       uint64      `json:"heap_bytes"`
+	HeapBytes       uint64      `json:"heap_bytes"`     // live heap object bytes (sim.LiveHeapBytes)
 	Stragglers      []Straggler `json:"stragglers,omitempty"`
 }
 
@@ -243,8 +243,6 @@ func (h *Health) Snapshot() HealthSnapshot {
 	if h == nil {
 		return HealthSnapshot{}
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	now := time.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -257,7 +255,7 @@ func (h *Health) Snapshot() HealthSnapshot {
 		Quarantined:     h.quarantined,
 		EventsProcessed: h.events,
 		MedianRunSec:    MedianOf(h.durations),
-		HeapBytes:       ms.HeapAlloc,
+		HeapBytes:       sim.LiveHeapBytes(), // not runtime.ReadMemStats: a snapshot rides on every fleet RPC and /healthz
 		Stragglers:      append([]Straggler(nil), h.stragglers...),
 	}
 	if snap.UptimeSec > 0 {

@@ -158,7 +158,10 @@ type Coordinator struct {
 	pending   []string         // keys awaiting (re)dispatch, FIFO
 	leases    map[uint64]*lease
 	nextLease uint64
-	workers   map[string]*workerState
+	// grants holds, by the lease a result post delivered, the unit that
+	// post was granted: a duplicate or retry of the post gets it again.
+	grants  map[uint64]*workUnit
+	workers map[string]*workerState
 	// settled counts units in unitSettled, so the lease and result
 	// handlers need not walk every unit per RPC.
 	settled int
@@ -223,6 +226,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		logf:       cfg.Log,
 		units:      make(map[string]*unit, len(specs)),
 		leases:     map[uint64]*lease{},
+		grants:     map[uint64]*workUnit{},
 		workers:    map[string]*workerState{},
 		done:       make(chan struct{}),
 		stopSweep:  make(chan struct{}),
@@ -314,22 +318,40 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.noteWorkerLocked(req.Worker, req.Health)
+	writeJSON(w, c.leaseLocked(req.Worker))
+}
+
+// leaseLocked decides what worker gets next: Done when the campaign is
+// over, else a pending unit, else a stolen straggler, else a wait hint.
+func (c *Coordinator) leaseLocked(worker string) leaseReply {
 	if c.failure != "" || c.settled == len(c.order) {
-		writeJSON(w, leaseReply{Done: true})
-		return
+		return leaseReply{Done: true}
 	}
 	if u := c.nextPendingLocked(); u != nil {
-		writeJSON(w, leaseReply{Unit: c.grantLocked(u, req.Worker, false)})
-		return
+		return leaseReply{Unit: c.grantLocked(u, worker, false)}
 	}
 	if u := c.stealableLocked(); u != nil {
 		c.stolen++
 		c.logf("fleet: stealing %s from %s for %s (held %.1fs, median %.1fs)",
-			u.key, u.lastWorker, req.Worker, c.oldestHoldSecLocked(u), experiment.MedianOf(c.durations))
-		writeJSON(w, leaseReply{Unit: c.grantLocked(u, req.Worker, true)})
-		return
+			u.key, u.lastWorker, worker, c.oldestHoldSecLocked(u), experiment.MedianOf(c.durations))
+		return leaseReply{Unit: c.grantLocked(u, worker, true)}
 	}
-	writeJSON(w, leaseReply{WaitMs: idleWaitMs})
+	return leaseReply{WaitMs: idleWaitMs}
+}
+
+// nextLocked answers a result post's request for the next grant: the
+// unit already granted for the posted lease when the post is a
+// duplicate or a retry, else a fresh decision (remembered when it is a
+// unit).
+func (c *Coordinator) nextLocked(posted uint64, worker string) *leaseReply {
+	if u, ok := c.grants[posted]; ok {
+		return &leaseReply{Unit: u}
+	}
+	rep := c.leaseLocked(worker)
+	if rep.Unit != nil {
+		c.grants[posted] = rep.Unit
+	}
+	return &rep
 }
 
 // nextPendingLocked pops the next dispatchable pending unit.
@@ -435,6 +457,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if err := req.check(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	c.mu.Lock()
 	c.noteWorkerLocked(req.Worker, req.Health)
 
@@ -465,8 +491,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if liveLease {
 			c.releaseLocked(l)
 		}
+		rep := resultReply{Accepted: true, Duplicate: true}
+		if req.Next {
+			rep.Next = c.nextLocked(req.Lease, req.Worker)
+		}
 		c.mu.Unlock()
-		writeJSON(w, resultReply{Accepted: true, Duplicate: true})
+		writeJSON(w, rep)
 		return
 	}
 
@@ -498,9 +528,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if c.settled == len(c.order) {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
+	rep := resultReply{Accepted: true}
+	if req.Next {
+		rep.Next = c.nextLocked(req.Lease, req.Worker)
+	}
 	c.mu.Unlock()
 	c.writeStatus()
-	writeJSON(w, resultReply{Accepted: true})
+	writeJSON(w, rep)
 }
 
 // releaseLocked drops a lease from the tables; nil-safe.

@@ -36,6 +36,14 @@ func runTestWorker() {
 		Coordinator: os.Getenv("WTCP_FLEET_TEST_COORD"),
 		Health:      experiment.NewHealth(),
 	}
+	if plan := os.Getenv("WTCP_FLEET_TEST_FAULTS"); plan != "" {
+		faults, err := chaos.ParseFleet([]byte(plan))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "test worker:", err)
+			os.Exit(1)
+		}
+		cfg.HTTPClient = NewFaultClient(faults, int64(len(cfg.Name)))
+	}
 	if n, _ := strconv.Atoi(os.Getenv("WTCP_FLEET_TEST_KILL_BEFORE")); n > 0 {
 		count := 0
 		cfg.BeforeResult = func(string) {
@@ -95,9 +103,10 @@ func crashCampaign() Campaign {
 }
 
 // runCrashCampaign shards crashCampaign over two subprocess workers
-// with worker 0 armed to SIGKILL itself, then verifies the campaign
-// completed with results bit-identical to the sequential engine's.
-func runCrashCampaign(t *testing.T, killEnv string) Snapshot {
+// with worker 0 armed to SIGKILL itself (plus any extra worker
+// environment, applied to both), then verifies the campaign completed
+// with results bit-identical to the sequential engine's.
+func runCrashCampaign(t *testing.T, killEnv string, extra ...string) Snapshot {
 	t.Helper()
 	c := crashCampaign()
 	wantFig7, wantLAN := sequentialResults(t, c, "")
@@ -109,7 +118,8 @@ func runCrashCampaign(t *testing.T, killEnv string) Snapshot {
 		LedgerPath: ledger,
 		LeaseTTL:   100 * time.Millisecond,
 		WorkerCommand: testWorkerCommand(t, map[int][]string{
-			0: {killEnv + "=1"},
+			0: append([]string{killEnv + "=1"}, extra...),
+			1: extra,
 		}),
 		Log: t.Logf,
 	})
@@ -118,6 +128,13 @@ func runCrashCampaign(t *testing.T, killEnv string) Snapshot {
 	}
 	if snap.Settled != snap.TotalUnits || snap.TotalUnits != 4 {
 		t.Fatalf("campaign settled %d/%d after worker kill, want 4/4 (no lost points)", snap.Settled, snap.TotalUnits)
+	}
+	completed := 0
+	for _, w := range snap.Workers {
+		completed += w.Completed
+	}
+	if completed != snap.TotalUnits {
+		t.Errorf("workers are credited with %d settles of %d points, want each settled once", completed, snap.TotalUnits)
 	}
 
 	opt, err := c.Options()
@@ -186,6 +203,17 @@ func TestWorkerSIGKILLAfterPost(t *testing.T) {
 	if w0.Completed != 1 {
 		t.Errorf("killed-after-post worker completed %d units, want exactly 1", w0.Completed)
 	}
+}
+
+// TestWorkerSIGKILLUnderResultFaults kills worker 0 right after its
+// first result post — whose reply usually carried its next grant, which
+// then dies with it and lapses (TestLostGrantLapsesAtTTL pins that path
+// deterministically) — while every worker's result posts are dropped,
+// duplicated and delayed. Every point still settles exactly once,
+// bit-identical to the sequential engine.
+func TestWorkerSIGKILLUnderResultFaults(t *testing.T) {
+	plan := `{"result":{"drop_prob":0.2,"dup_prob":0.5,"delay_prob":0.3,"delay_ms":30},"seed":11}`
+	runCrashCampaign(t, "WTCP_FLEET_TEST_KILL_AFTER", "WTCP_FLEET_TEST_FAULTS="+plan)
 }
 
 // TestFleetSmoke is the CI smoke: a four-worker sharded campaign with a

@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"fmt"
+	"math"
+	"time"
+
 	"wtcp/internal/experiment"
 )
 
@@ -10,7 +14,8 @@ import (
 //	GET  /v1/campaign  -> Campaign        (workers fetch the manifest)
 //	POST /v1/lease     -> leaseReply      (request a work unit)
 //	POST /v1/renew     -> renewReply      (heartbeat a held lease)
-//	POST /v1/result    -> resultReply     (deliver a unit's outcome)
+//	POST /v1/result    -> resultReply     (deliver a unit's outcome and,
+//	                                       with next, get the next grant)
 //	GET  /v1/status    -> Snapshot        (fleet health aggregate)
 //
 // The protocol is deliberately boring — request/response, no streaming,
@@ -18,6 +23,16 @@ import (
 // the state machine, not the transport: a lease is only held while
 // renewals keep arriving, and a result is only counted if its key is
 // not yet settled in the ledger.
+//
+// A busy worker makes one RPC per point: its result post asks for the
+// next grant (Next), and the reply carries it in the leaseReply shape —
+// a unit, a wait, or done. It calls /v1/lease only to start and after a
+// wait. The grant is idempotent per posted lease: a duplicated or
+// retried post of the same lease gets the same grant back, never a
+// second one. A grant lost with its reply is a lease nobody holds; it
+// lapses at its TTL and the unit is granted again, like any silent
+// holder's. A post without Next (an older worker, or the failure report)
+// gets no grant, so nothing is stranded.
 
 // workUnit is one leased sweep point.
 type workUnit struct {
@@ -82,12 +97,55 @@ type resultRequest struct {
 	// would.
 	Failure string                     `json:"failure,omitempty"`
 	Health  *experiment.HealthSnapshot `json:"health,omitempty"`
+	// Next asks for the worker's next grant in the reply, saving the
+	// /v1/lease round trip.
+	Next bool `json:"next,omitempty"`
 }
 
 // resultReply acknowledges a result post. Both a fresh accept and a
 // duplicate drop return HTTP 200 — the worker's obligation ends either
-// way; Duplicate is telemetry.
+// way; Duplicate is telemetry. Next is the grant a post with Next asked
+// for (nil otherwise).
 type resultReply struct {
-	Accepted  bool `json:"accepted"`
-	Duplicate bool `json:"duplicate,omitempty"`
+	Accepted  bool        `json:"accepted"`
+	Duplicate bool        `json:"duplicate,omitempty"`
+	Next      *leaseReply `json:"next,omitempty"`
+}
+
+// check refuses a grant the worker cannot act on: a unit whose key is
+// not its spec's, or whose TTL gives no renewal interval.
+func (r leaseReply) check() error {
+	u := r.Unit
+	if u == nil {
+		return nil
+	}
+	if u.TTLMs <= 0 || u.TTLMs > math.MaxInt64/int64(time.Millisecond) {
+		return fmt.Errorf("fleet: grant of lease %d has ttl_ms %d, want a positive duration", u.Lease, u.TTLMs)
+	}
+	key, err := u.Spec.Key()
+	if err != nil {
+		return fmt.Errorf("fleet: grant of lease %d: %w", u.Lease, err)
+	}
+	if key != u.Key {
+		return fmt.Errorf("fleet: grant of lease %d names point %q but carries the spec of %q", u.Lease, u.Key, key)
+	}
+	return nil
+}
+
+// check refuses a result whose outcome cannot be recorded as its own
+// key's: neither replications nor a quarantine, both, or a quarantine
+// filed under another key.
+func (r resultRequest) check() error {
+	o := r.Outcome
+	switch {
+	case r.Failure != "":
+		return nil
+	case o.Quarantine == nil && len(o.Reps) == 0:
+		return fmt.Errorf("fleet: result for %q carries neither replications nor a quarantine", o.Key)
+	case o.Quarantine != nil && len(o.Reps) > 0:
+		return fmt.Errorf("fleet: result for %q carries both replications and a quarantine", o.Key)
+	case o.Quarantine != nil && o.Quarantine.Key != o.Key:
+		return fmt.Errorf("fleet: result for %q carries the quarantine of %q", o.Key, o.Quarantine.Key)
+	}
+	return nil
 }

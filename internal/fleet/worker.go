@@ -82,13 +82,25 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		opt.Supervise = experiment.NewSupervisor()
 	}
 
-	for {
+	lease := func() (leaseReply, error) {
+		var rep leaseReply
+		err := callJSON(ctx, cfg, "/v1/lease", leaseRequest{Worker: cfg.Name, Health: healthOf(cfg)}, &rep)
+		if err == nil {
+			err = rep.check()
+		}
+		if err != nil {
+			return rep, fmt.Errorf("fleet: worker %s: lease: %w", cfg.Name, err)
+		}
+		return rep, nil
+	}
+	// A busy worker leases once: each result post carries the next grant,
+	// so /v1/lease is called again only after a wait, or when a result
+	// reply carries no grant (the unit was abandoned, or the coordinator
+	// predates grants on result posts).
+	rep, err := lease()
+	for err == nil {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		var rep leaseReply
-		if err := callJSON(ctx, cfg, "/v1/lease", leaseRequest{Worker: cfg.Name, Health: healthOf(cfg)}, &rep); err != nil {
-			return fmt.Errorf("fleet: worker %s: lease: %w", cfg.Name, err)
 		}
 		switch {
 		case rep.Done:
@@ -104,16 +116,26 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				return ctx.Err()
 			case <-time.After(wait):
 			}
+			rep, err = lease()
 		default:
-			if err := runUnit(ctx, cfg, opt, rep.Unit); err != nil {
-				return err
+			next, runErr := runUnit(ctx, cfg, opt, rep.Unit)
+			if runErr != nil {
+				return runErr
+			}
+			if next != nil {
+				rep = *next
+			} else {
+				rep, err = lease()
 			}
 		}
 	}
+	return err
 }
 
-// runUnit executes one leased point and posts its outcome.
-func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *workUnit) error {
+// runUnit executes one leased point and posts its outcome, asking for
+// the next grant, which it returns (nil when the unit was abandoned or
+// the reply carries none).
+func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *workUnit) (*leaseReply, error) {
 	cfg.Log("fleet: worker %s: leased %s (lease %d, stolen=%v)", cfg.Name, u.Key, u.Lease, u.Stolen)
 	unitCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -157,12 +179,12 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 	if runErr != nil {
 		if ctx.Err() != nil {
 			// The worker itself is shutting down.
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		if abandoned.Load() {
 			// Only the unit was canceled (abandoned lease): not a campaign
 			// failure, just go lease something else.
-			return nil
+			return nil, nil
 		}
 		// Fail-fast failure (protocol bug, panic, unclassified): report it
 		// so the coordinator stops the campaign, mirroring the sequential
@@ -176,18 +198,18 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 		}
 		var rep resultReply
 		if err := callJSON(ctx, cfg, "/v1/result", req, &rep); err != nil {
-			return fmt.Errorf("fleet: worker %s: report failure of %s: %w (original failure: %v)", cfg.Name, u.Key, err, runErr)
+			return nil, fmt.Errorf("fleet: worker %s: report failure of %s: %w (original failure: %v)", cfg.Name, u.Key, err, runErr)
 		}
-		return fmt.Errorf("fleet: worker %s: %w", cfg.Name, runErr)
+		return nil, fmt.Errorf("fleet: worker %s: %w", cfg.Name, runErr)
 	}
 
 	if cfg.BeforeResult != nil {
 		cfg.BeforeResult(u.Key)
 	}
-	req := resultRequest{Worker: cfg.Name, Lease: u.Lease, Outcome: outcome, Health: healthOf(cfg)}
+	req := resultRequest{Worker: cfg.Name, Lease: u.Lease, Outcome: outcome, Health: healthOf(cfg), Next: true}
 	var rep resultReply
 	if err := callJSON(ctx, cfg, "/v1/result", req, &rep); err != nil {
-		return fmt.Errorf("fleet: worker %s: post result of %s: %w", cfg.Name, u.Key, err)
+		return nil, fmt.Errorf("fleet: worker %s: post result of %s: %w", cfg.Name, u.Key, err)
 	}
 	if rep.Duplicate {
 		cfg.Log("fleet: worker %s: %s already settled (duplicate dropped)", cfg.Name, u.Key)
@@ -197,7 +219,12 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 	if cfg.AfterResult != nil {
 		cfg.AfterResult(u.Key)
 	}
-	return nil
+	if rep.Next != nil {
+		if err := rep.Next.check(); err != nil {
+			return nil, fmt.Errorf("fleet: worker %s: result of %s: %w", cfg.Name, u.Key, err)
+		}
+	}
+	return rep.Next, nil
 }
 
 // healthOf snapshots the worker's heartbeat for piggybacking; nil when

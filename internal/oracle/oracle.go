@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"wtcp/internal/queue"
 	"wtcp/internal/tcp"
 	"wtcp/internal/trace"
 	"wtcp/internal/units"
@@ -113,11 +114,14 @@ type Checker struct {
 	// last is the most recent sender-side event (the shadow state);
 	// haveLast guards the first event of a stream. last2 is the event
 	// before it — the pre-transition baseline for ACK transitions that
-	// span two events (the Reno family's retransmit-then-ACK pairs).
-	last      trace.Event
+	// span two events (the Reno family's retransmit-then-ACK pairs). They
+	// point into slots and trade places on every sender event, so resync
+	// copies one event, not two.
+	last      *trace.Event
 	haveLast  bool
-	last2     trace.Event
+	last2     *trace.Event
 	haveLast2 bool
+	slots     [2]trace.Event
 
 	// inRecovery and recoverSeq shadow the Reno family's fast-recovery
 	// episode: entered at FastRetx (recoverSeq = snd_max at loss
@@ -135,12 +139,15 @@ type Checker struct {
 	quenchSent, quenchIn int
 	arqFailures          int
 
-	// ARQ shadow: the units in flight, and the packets withdrawn after
-	// RTmax. A discarded packet maps to the sender's snd_max at the
-	// discard: once snd_una reaches it the packet's bytes have been
-	// delivered by an end-to-end retransmission and the entry is dropped.
-	units     map[uint64]arqUnit
-	discarded map[uint64]int64
+	// ARQ shadow: the units in flight, by unit, and the packets withdrawn
+	// after RTmax, by packet. A discarded packet maps to the sender's
+	// snd_max at the discard: once snd_una reaches it the packet's bytes
+	// have been delivered by an end-to-end retransmission and the entry is
+	// dropped. Both are key-ordered tables (queue.Table): unit and packet
+	// ids are issued in increasing order, and a few dozen entries at most
+	// are held.
+	units     queue.Table[uint64, arqUnit]
+	discarded queue.Table[uint64, int64]
 
 	// lastLinkSeq enforces strictly-increasing sequenced delivery at the
 	// mobile host.
@@ -151,7 +158,7 @@ type Checker struct {
 	// traced; pruneShadows drops them once the source's own ACKs prove
 	// it happened. snoopSweepAt is the shadow size that triggers the
 	// next sweep.
-	snoopCache   map[int64]snoopSeg
+	snoopCache   queue.Table[int64, snoopSeg]
 	snoopSweepAt int
 
 	// idx and cur are the event under observation, for fail.
@@ -184,14 +191,13 @@ const snoopSweepFloor = 32
 // New returns a checker for one run.
 func New(cfg Config) *Checker {
 	cfg = cfg.withDefaults()
-	return &Checker{
+	c := &Checker{
 		cfg:          cfg,
 		profile:      profileFor(cfg.Variant),
-		units:        make(map[uint64]arqUnit),
-		discarded:    make(map[uint64]int64),
-		snoopCache:   make(map[int64]snoopSeg),
 		snoopSweepAt: snoopSweepFloor,
 	}
+	c.last, c.last2 = &c.slots[0], &c.slots[1]
+	return c
 }
 
 // First returns the first violation observed, or nil.
@@ -242,21 +248,19 @@ func (c *Checker) observe(e *trace.Event) *Violation {
 		return c.observeARQAttempt(e)
 	case trace.ARQFailure:
 		c.arqFailures++
-		if u, ok := c.units[e.Unit]; ok && e.Attempt != u.attempt {
+		if i := c.units.Find(e.Unit); i >= 0 && e.Attempt != c.units[i].Val.attempt {
 			return c.fail("arq/failure-mismatch",
-				"failure reports attempt %d, unit %d is on attempt %d", e.Attempt, e.Unit, u.attempt)
+				"failure reports attempt %d, unit %d is on attempt %d", e.Attempt, e.Unit, c.units[i].Val.attempt)
 		}
 		return nil
 	case trace.ARQAck:
-		delete(c.units, e.Unit)
+		if i := c.units.Find(e.Unit); i >= 0 {
+			c.units.Delete(i)
+		}
 		return nil
 	case trace.ARQDiscard:
-		c.discarded[e.Pkt] = c.last.SndMax
-		for unit, u := range c.units {
-			if u.pkt == e.Pkt {
-				delete(c.units, unit)
-			}
-		}
+		c.discarded.Put(e.Pkt, c.last.SndMax)
+		c.units.DeleteFunc(func(_ uint64, u arqUnit) bool { return u.pkt == e.Pkt })
 		return nil
 	case trace.EBSNSent:
 		c.ebsnSent++
@@ -280,14 +284,15 @@ func (c *Checker) observe(e *trace.Event) *Violation {
 		c.lastLinkSeq = e.Unit
 		return nil
 	case trace.SnoopAdmit:
-		c.snoopCache[e.Seq] = snoopSeg{sentTo: c.last.SndMax}
+		c.snoopCache.Put(e.Seq, snoopSeg{sentTo: c.last.SndMax})
 		return nil
 	case trace.SnoopRetx:
-		seg, cached := c.snoopCache[e.Seq]
-		if !cached {
+		i := c.snoopCache.Find(e.Seq)
+		if i < 0 {
 			return c.fail("snoop/retx-uncached",
 				"local retransmission of seq %d with no cached copy", e.Seq)
 		}
+		seg := &c.snoopCache[i].Val
 		if c.cfg.SnoopMaxRetx > 0 && e.Attempt > c.cfg.SnoopMaxRetx {
 			return c.fail("snoop/retx-cap",
 				"local retransmission attempt %d of seq %d exceeds the cap of %d",
@@ -298,7 +303,6 @@ func (c *Checker) observe(e *trace.Event) *Violation {
 				"seq %d jumped from local attempt %d to %d", e.Seq, seg.retx, e.Attempt)
 		}
 		seg.retx = e.Attempt
-		c.snoopCache[e.Seq] = seg
 		return nil
 	case trace.SnoopSuppress:
 		// Suppression may only absorb a duplicate the agent can repair
@@ -312,17 +316,18 @@ func (c *Checker) observe(e *trace.Event) *Violation {
 			return c.fail("snoop/suppress-only-dupacks",
 				"suppressed ACK %d below the sender's snd_una %d", e.Ack, c.last.SndUna)
 		}
-		if _, cached := c.snoopCache[e.Ack]; !cached {
+		if c.snoopCache.Find(e.Ack) < 0 {
 			return c.fail("snoop/suppress-needs-cache",
 				"suppressed duplicate ACK %d but the segment at it is not cached", e.Ack)
 		}
 		return nil
 	case trace.SnoopEvict:
-		if _, cached := c.snoopCache[e.Seq]; !cached {
+		i := c.snoopCache.Find(e.Seq)
+		if i < 0 {
 			return c.fail("snoop/evict-uncached",
 				"evicted seq %d with no cached copy", e.Seq)
 		}
-		delete(c.snoopCache, e.Seq)
+		c.snoopCache.Delete(i)
 		return nil
 	default:
 		return nil
@@ -336,38 +341,39 @@ func (c *Checker) observeARQAttempt(e *trace.Event) *Violation {
 		return c.fail("arq/attempt-cap",
 			"attempt %d exceeds RTmax=%d (max %d transmissions)", e.Attempt, c.cfg.RTmax, c.cfg.RTmax+1)
 	}
-	if _, gone := c.discarded[e.Pkt]; gone && e.Attempt > 1 {
-		return c.fail("arq/attempt-after-discard",
-			"unit %d retransmitted (attempt %d) for packet %d after its discard", e.Unit, e.Attempt, e.Pkt)
-	}
-	if e.Attempt == 1 {
+	if gone := c.discarded.Find(e.Pkt); gone >= 0 {
+		if e.Attempt > 1 {
+			return c.fail("arq/attempt-after-discard",
+				"unit %d retransmitted (attempt %d) for packet %d after its discard", e.Unit, e.Attempt, e.Pkt)
+		}
 		// A fresh first attempt also re-admits a previously discarded
 		// packet (the source retransmitted it end to end).
-		delete(c.discarded, e.Pkt)
+		c.discarded.Delete(gone)
 	}
-	u, tracked := c.units[e.Unit]
+	i := c.units.Find(e.Unit)
 	switch {
-	case !tracked && e.Attempt != 1:
+	case i < 0 && e.Attempt != 1:
 		return c.fail("arq/attempt-order",
 			"unit %d appears mid-sequence at attempt %d (stale recycled timer?)", e.Unit, e.Attempt)
-	case tracked && e.Attempt != u.attempt+1 && e.Attempt != 1:
+	case i >= 0 && e.Attempt != c.units[i].Val.attempt+1 && e.Attempt != 1:
 		return c.fail("arq/attempt-order",
-			"unit %d jumped from attempt %d to %d", e.Unit, u.attempt, e.Attempt)
+			"unit %d jumped from attempt %d to %d", e.Unit, c.units[i].Val.attempt, e.Attempt)
 	}
-	c.units[e.Unit] = arqUnit{attempt: e.Attempt, pkt: e.Pkt}
+	c.units.Put(e.Unit, arqUnit{attempt: e.Attempt, pkt: e.Pkt})
 	return nil
 }
 
 // resync makes sender event e the shadow state the next event is compared
 // against.
 func (c *Checker) resync(e *trace.Event) {
-	c.last2, c.haveLast2 = c.last, c.haveLast
-	c.last, c.haveLast = *e, true
+	c.last2, c.last = c.last, c.last2
+	c.haveLast2, c.haveLast = c.haveLast, true
+	*c.last = *e
 	// Transmission snapshots are taken before the sequence pointers
 	// advance; shadow the post-advance values so the next event's
 	// unchanged-state checks compare against reality. A retransmission
 	// with Seq below SndNxt (Reno's retransmit-first) moves nothing.
-	if l := &c.last; l.Kind == trace.Send || l.Kind == trace.Retransmit {
+	if l := c.last; l.Kind == trace.Send || l.Kind == trace.Retransmit {
 		if l.Seq == l.SndNxt {
 			l.SndNxt = l.Seq + l.Payload
 		}
@@ -383,18 +389,10 @@ func (c *Checker) resync(e *trace.Event) {
 // last sweep, which keeps the cost per ACK constant.
 func (c *Checker) pruneShadows(una int64) {
 	if len(c.discarded) > 0 {
-		for pkt, sentTo := range c.discarded {
-			if sentTo <= una {
-				delete(c.discarded, pkt)
-			}
-		}
+		c.discarded.DeleteFunc(func(_ uint64, sentTo int64) bool { return sentTo <= una })
 	}
 	if len(c.snoopCache) >= c.snoopSweepAt {
-		for seq, seg := range c.snoopCache {
-			if seg.sentTo < una {
-				delete(c.snoopCache, seq)
-			}
-		}
+		c.snoopCache.DeleteFunc(func(_ int64, seg snoopSeg) bool { return seg.sentTo < una })
 		c.snoopSweepAt = 2*len(c.snoopCache) + snoopSweepFloor
 	}
 }
@@ -508,13 +506,13 @@ func (c *Checker) checkNewAck(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := &c.last
+	p := c.last
 	// A Reno-family partial ACK spans two events (the hole's retransmit
 	// snapshot already shows the advanced snd_una); the advance check
 	// must compare against the event before the pair.
 	base := p
 	if c.inRecovery && p.Kind == trace.Retransmit && c.haveLast2 {
-		base = &c.last2
+		base = c.last2
 	}
 	if e.SndUna <= base.SndUna {
 		return c.fail("tcp/ack-advance",
@@ -565,7 +563,7 @@ func (c *Checker) checkDupAck(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := &c.last
+	p := c.last
 	if v := c.profile.dupAck(c, e, p); v != nil {
 		return v
 	}
@@ -581,7 +579,7 @@ func (c *Checker) checkUnchanged(rule string, e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := &c.last
+	p := c.last
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh || e.Shift != p.Shift ||
 		e.SndUna != p.SndUna || e.SndNxt != p.SndNxt || e.SndMax != p.SndMax {
 		return c.fail(rule,
@@ -617,7 +615,7 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := &c.last
+	p := c.last
 	if v := c.checkHalved("tcp/timeout-ssthresh", e, p); v != nil {
 		return v
 	}
@@ -651,7 +649,7 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 // variant's profile: Tahoe collapses and rewinds, the Reno family
 // retransmits the hole and enters fast recovery.
 func (c *Checker) checkFastRetx(e *trace.Event) *Violation {
-	return c.profile.fastRetx(c, e, &c.last)
+	return c.profile.fastRetx(c, e, c.last)
 }
 
 // checkHalved asserts e.Ssthresh == max(min(prev cwnd, window)/2, 2*MSS).
@@ -692,7 +690,7 @@ func (c *Checker) checkEBSNReset(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := &c.last
+	p := c.last
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh {
 		return c.fail("ebsn/no-congestion-response",
 			"EBSN moved cwnd/ssthresh %d/%d -> %d/%d (must be congestion-neutral)",
@@ -725,7 +723,7 @@ func (c *Checker) checkQuench(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := &c.last
+	p := c.last
 	if e.Ssthresh != p.Ssthresh || e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
 		return c.fail("quench/collapse",
 			"source quench moved ssthresh/shift/RTO (%d/%d/%v -> %d/%d/%v)",
@@ -744,7 +742,7 @@ func (c *Checker) checkECN(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	return c.checkHalved("ecn/halve", e, &c.last)
+	return c.checkHalved("ecn/halve", e, c.last)
 }
 
 // deadlineIs compares an armed deadline within the time tolerance; an

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"wtcp/internal/queue"
 	"wtcp/internal/tcp"
 	"wtcp/internal/trace"
 )
@@ -477,27 +478,27 @@ func TestSnoopShadowRules(t *testing.T) {
 func TestShadowPruning(t *testing.T) {
 	c := New(baseCfg())
 	for i := int64(1); i <= snoopSweepFloor; i++ {
-		c.snoopCache[i*mss] = snoopSeg{sentTo: (i + 1) * mss}
+		c.snoopCache.Insert(i*mss, snoopSeg{sentTo: (i + 1) * mss})
 	}
-	c.snoopCache[0] = snoopSeg{retx: 1, sentTo: 40 * mss} // re-admitted when snd_max was 40 segments
-	c.discarded[7] = 10 * mss
-	c.discarded[9] = 30 * mss
+	c.snoopCache.Insert(0, snoopSeg{retx: 1, sentTo: 40 * mss}) // re-admitted when snd_max was 40 segments
+	c.discarded.Insert(7, 10*mss)
+	c.discarded.Insert(9, 30*mss)
 
 	c.pruneShadows(20 * mss)
 
 	for i := int64(1); i <= snoopSweepFloor; i++ {
-		_, cached := c.snoopCache[i*mss]
+		_, cached := held(c.snoopCache, i*mss)
 		if want := (i+1)*mss >= 20*mss; cached != want {
 			t.Errorf("segment %d (admitted at snd_max %d): cached=%v after snd_una reached 20 segments, want %v", i, i+1, cached, want)
 		}
 	}
-	if seg, cached := c.snoopCache[0]; !cached || seg.retx != 1 {
+	if seg, cached := held(c.snoopCache, 0); !cached || seg.retx != 1 {
 		t.Errorf("copy re-admitted below snd_una was pruned (cached=%v %+v); its local retransmission would read as snoop/retx-uncached", cached, seg)
 	}
-	if _, gone := c.discarded[7]; gone {
+	if _, gone := held(c.discarded, 7); gone {
 		t.Error("packet discarded before snd_max 10 segments still remembered at snd_una 20")
 	}
-	if _, gone := c.discarded[9]; !gone {
+	if _, gone := held(c.discarded, 9); !gone {
 		t.Error("packet discarded at snd_max 30 segments forgotten at snd_una 20")
 	}
 
@@ -508,4 +509,13 @@ func TestShadowPruning(t *testing.T) {
 	if len(c.snoopCache) != before {
 		t.Errorf("snoop shadow swept at %d entries, threshold is %d", before, c.snoopSweepAt)
 	}
+}
+
+// held returns k's value in t and whether t holds k.
+func held[K interface{ ~int | ~int64 | ~uint64 }, V any](t queue.Table[K, V], k K) (V, bool) {
+	if i := t.Find(k); i >= 0 {
+		return t[i].Val, true
+	}
+	var zero V
+	return zero, false
 }

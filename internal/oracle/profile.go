@@ -226,7 +226,7 @@ func (r *renoProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
 		if !c.haveLast2 {
 			return nil
 		}
-		base := &c.last2
+		base := c.last2
 		if p.Kind != trace.Retransmit || p.Seq != e.Ack {
 			return c.fail(r.partialAckRetransmit,
 				"partial ACK %d in recovery without a retransmission of the hole at %d", e.Ack, e.Ack)

@@ -62,6 +62,13 @@ func (t *Table[K, V]) Insert(k K, v V) (i int, fresh bool) {
 	return i, true
 }
 
+// Put places v under k, replacing the value of an entry already there.
+func (t *Table[K, V]) Put(k K, v V) {
+	if i, fresh := t.Insert(k, v); !fresh {
+		(*t)[i].Val = v
+	}
+}
+
 // Delete removes the entry at index i, keeping the rest in order.
 func (t *Table[K, V]) Delete(i int) {
 	s := *t
@@ -84,6 +91,22 @@ func (t *Table[K, V]) PopBelow(k K) int {
 		*t = s[:n]
 	}
 	return below
+}
+
+// DeleteFunc removes every entry for which del reports true, in one
+// compacting pass that keeps the rest in order (a Delete per entry inside
+// a loop would move the tail once per removal).
+func (t *Table[K, V]) DeleteFunc(del func(K, V) bool) {
+	s := *t
+	n := 0
+	for i := range s {
+		if !del(s[i].Key, s[i].Val) {
+			s[n] = s[i]
+			n++
+		}
+	}
+	clear(s[n:])
+	*t = s[:n]
 }
 
 // Reset empties the table, keeping its storage.

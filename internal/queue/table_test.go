@@ -17,7 +17,7 @@ func tableOps(t *testing.T, ops []byte) {
 	ref := map[int64]int{}
 	for n := 0; n+1 < len(ops); n += 2 {
 		k := int64(ops[n+1] % 48)
-		switch ops[n] % 6 {
+		switch ops[n] % 7 {
 		case 0, 1: // insert; a held key keeps its value
 			i, fresh := tab.Insert(k, n)
 			if _, held := ref[k]; held == fresh {
@@ -29,8 +29,10 @@ func tableOps(t *testing.T, ops []byte) {
 			if tab[i].Key != k || tab[i].Val != ref[k] {
 				t.Fatalf("op %d: Insert(%d) = index %d holding %+v, want value %d", n, k, i, tab[i], ref[k])
 			}
-		case 2: // replace through the returned index
-			if i, fresh := tab.Insert(k, n); !fresh {
+		case 2: // replace, through the returned index or with Put
+			if k%2 == 0 {
+				tab.Put(k, n)
+			} else if i, fresh := tab.Insert(k, n); !fresh {
 				tab[i].Val = n
 			}
 			ref[k] = n
@@ -57,6 +59,14 @@ func tableOps(t *testing.T, ops []byte) {
 		case 5:
 			tab.Reset()
 			clear(ref)
+		case 6: // delete every entry whose value shares k's residue mod 3
+			del := func(_ int64, v int) bool { return v%3 == int(k%3) }
+			for rk, rv := range ref {
+				if del(rk, rv) {
+					delete(ref, rk)
+				}
+			}
+			tab.DeleteFunc(del)
 		}
 		if len(tab) != len(ref) {
 			t.Fatalf("op %d: table holds %d entries, reference %d", n, len(tab), len(ref))

@@ -58,6 +58,21 @@ func (a *admission) acquire(ctx context.Context, bypassQueue bool) (release func
 	}
 }
 
+// tryAcquire claims a free run slot without waiting and without a
+// queue position: a sweep borrows idle slots this way for its points.
+// A slot released while a request waits in acquire is handed to that
+// waiter by the channel itself (a receive from a full buffered channel
+// moves a blocked sender's value in), so a borrower never overtakes the
+// queue.
+func (a *admission) tryAcquire() (release func(), ok bool) {
+	select {
+	case a.slots <- struct{}{}:
+		return a.release, true
+	default:
+		return nil, false
+	}
+}
+
 func (a *admission) release() { <-a.slots }
 
 // inFlight reports how many slots are held right now.

@@ -107,7 +107,10 @@ func (s *Server) adviseQuery(bad time.Duration) query {
 
 // execAdvise settles one Figure 7 calibration point per packet size
 // (basic TCP — the advisor tunes the baseline, as §4.1 proposes) and
-// recommends the throughput-maximizing size.
+// recommends the throughput-maximizing size. The points settle on every
+// free run slot (settleSpecs): the supervisor only keeps a breaker trip
+// from failing the query, and the table and the quarantine list are
+// read from the outcomes in packet-size order.
 func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) outcome {
 	opt := s.engineOptions(ctx, s.adviseOptions())
 	opt.Supervise = experiment.NewSupervisor()
@@ -119,18 +122,18 @@ func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) o
 			failed: true,
 		}
 	}
+	specs := make([]experiment.PointSpec, len(opt.PacketSizes))
+	for i, size := range opt.PacketSizes {
+		specs[i] = experiment.PointSpec{Sweep: experiment.SweepFig7, Scheme: "basic", Bad: bad, Size: size}
+	}
+	outs, err := s.settleSpecs(ctx, led, opt, specs, s.adm.slotCount())
+	if err != nil {
+		return s.failureOutcome(ctx, fp, err)
+	}
 	resp := AdviseResponse{Fingerprint: fp, MeanBad: bad.String()}
 	best := -1
-	for _, size := range opt.PacketSizes {
-		out, err := led.Settle(ctx, opt, experiment.PointSpec{
-			Sweep:  experiment.SweepFig7,
-			Scheme: "basic",
-			Bad:    bad,
-			Size:   size,
-		})
-		if err != nil {
-			return s.failureOutcome(ctx, fp, err)
-		}
+	for i, out := range outs {
+		size := specs[i].Size
 		pr := pointResult(out)
 		if pr.Quarantine != nil {
 			resp.Quarantined = append(resp.Quarantined,

@@ -201,12 +201,12 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, 
 	return outcome{status: http.StatusOK, body: body, cacheable: true}
 }
 
-// execSweep settles a campaign point by point through the shared point
-// ledger (experiment.Ledger.Settle): already-settled points load
-// instead of re-running (warm start across overlapping sweeps,
+// execSweep settles a campaign through the shared point ledger
+// (experiment.Ledger.Settle, via settleSpecs): already-settled points
+// load instead of re-running (warm start across overlapping sweeps,
 // /v1/advise, and drain/resume), and each fresh point is recorded the
-// moment it settles, so a drain can never lose more than the point in
-// flight.
+// moment it settles, so a drain can never lose more than the points in
+// flight (at most Slots).
 func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) outcome {
 	opt, err := c.Options()
 	if err != nil {
@@ -214,8 +214,12 @@ func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) out
 		return s.failureOutcome(ctx, fp, err)
 	}
 	opt = s.engineOptions(ctx, opt)
+	width := s.adm.slotCount()
 	if c.Supervise {
+		// The breaker's record follows sweep order (DESIGN.md "Point
+		// lifecycle"): a supervised campaign settles one point at a time.
 		opt.Supervise = experiment.NewSupervisor()
+		width = 1
 	}
 	specs, err := c.Specs()
 	if err != nil {
@@ -229,22 +233,95 @@ func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) out
 			failed: true,
 		}
 	}
-	points := make([]PointResult, 0, len(specs))
-	for _, spec := range specs {
-		// An error here may be a deadline or drain mid-campaign. Every
-		// settled point above is already in the ledger; only the
-		// remainder re-runs next life.
-		out, err := led.Settle(ctx, opt, spec)
-		if err != nil {
-			return s.failureOutcome(ctx, fp, err)
-		}
-		points = append(points, pointResult(out))
+	outs, err := s.settleSpecs(ctx, led, opt, specs, width)
+	if err != nil {
+		// A deadline or drain mid-campaign: every point settled before
+		// the error is already in the ledger; only the rest re-run next
+		// life.
+		return s.failureOutcome(ctx, fp, err)
+	}
+	points := make([]PointResult, len(outs))
+	for i, out := range outs {
+		points[i] = pointResult(out)
 	}
 	body, bad, ok := marshalResponse(SweepResponse{Fingerprint: fp, Points: points})
 	if !ok {
 		return bad
 	}
 	return outcome{status: http.StatusOK, body: body, cacheable: true}
+}
+
+// settleSpecs settles specs through led, at most width at a time (see
+// onFreeSlots), and returns their outcomes in spec order. Records land
+// in the ledger in completion order; everything that reads them is
+// keyed by point.
+func (s *Server) settleSpecs(ctx context.Context, led *experiment.Ledger, opt experiment.Options, specs []experiment.PointSpec, width int) ([]experiment.PointOutcome, error) {
+	outs := make([]experiment.PointOutcome, len(specs))
+	err := s.onFreeSlots(ctx, len(specs), width, func(ctx context.Context, i int) (err error) {
+		outs[i], err = led.Settle(ctx, opt, specs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// onFreeSlots runs job(0..n-1), at most width at a time. The request's
+// own run slot carries one job; every further job runs on a slot
+// borrowed with admission.tryAcquire, which goes back the moment that
+// job returns — so a request waiting in the admission queue gets it
+// before this one can borrow it again. Jobs start in index order, and
+// the first error in index order is the answer: once a job fails, the
+// jobs after it are canceled and the ones before it run to the end, so
+// the error is the one a one-at-a-time loop would return.
+func (s *Server) onFreeSlots(ctx context.Context, n, width int, job func(ctx context.Context, i int) error) error {
+	errs := make([]error, n)
+	cancels := make([]context.CancelFunc, n)
+	done := make(chan int, width) // room for every job in flight: a finished job never waits
+	// own is the index of the job on the request's own slot, -1 when
+	// that slot is free; failed is the lowest failing index so far.
+	own, next, running, failed := -1, 0, 0, n
+	for {
+		for next < failed && running < width {
+			release := func() {}
+			if own < 0 {
+				own = next
+			} else if r, ok := s.adm.tryAcquire(); ok {
+				release = r
+			} else {
+				break
+			}
+			jctx, cancel := context.WithCancel(ctx)
+			cancels[next] = cancel
+			go func(i int) {
+				errs[i] = job(jctx, i)
+				release()
+				done <- i
+			}(next)
+			next++
+			running++
+		}
+		if running == 0 {
+			break
+		}
+		i := <-done
+		running--
+		cancels[i]()
+		if i == own {
+			own = -1
+		}
+		if errs[i] != nil && i < failed {
+			failed = i
+			for j := i + 1; j < next; j++ {
+				cancels[j]()
+			}
+		}
+	}
+	if failed < n {
+		return errs[failed]
+	}
+	return nil
 }
 
 // pointResult renders a settled point in response form.

@@ -55,6 +55,17 @@ const (
 // memory" that does not stop the world.
 const heapMetric = "/memory/classes/heap/objects:bytes"
 
+// LiveHeapBytes reads heapMetric: the quantity runtime.MemStats.HeapAlloc
+// reports, without stopping the world as runtime.ReadMemStats does.
+func LiveHeapBytes() uint64 {
+	sample := []metrics.Sample{{Name: heapMetric}}
+	metrics.Read(sample)
+	if v := sample[0].Value; v.Kind() == metrics.KindUint64 {
+		return v.Uint64()
+	}
+	return 0
+}
+
 // Budget bounds a single run's resource consumption. The zero value
 // means "no budget". Per field: 0 leaves the field unset (callers that
 // layer defaults, like the experiment engine, fill unset fields);
