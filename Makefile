@@ -54,7 +54,10 @@ serve-smoke:
 # source against math/rand, the windowed fading timeline against the
 # unbounded one and its cursor against a plain search, the lane calendar
 # against a sorted bag, the cached wheel minimum and the non-empty bitmap
-# against the scans they replace, the engine faults, the sampled conformance
+# (with CSDP's one-verdict path) against the scans they replace, the
+# pump's inline advance against one kernel event per instant (results,
+# fired counts, budget and cancel errors; and the kernel's Advance
+# against schedule-then-step), the engine faults, the sampled conformance
 # oracle (the only coverage of the path from a flow's shared-sender
 # transitions to its checker) — all under -race; and scale-pins: without
 # it, the steady-state zero-alloc pins (the race detector instruments
@@ -63,7 +66,7 @@ serve-smoke:
 # shared-channel SLOs cannot see per-channel set-up cost) and the
 # calendar's slide-per-push reading on the same configuration.
 scale-smoke: scale-pins
-	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
+	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestInlineAdvanceMatchesStepwise|TestAdvanceDifferential|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/multiconn/ ./internal/sim/ ./internal/errmodel/
 
 scale-pins:
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestCalendarArrivesAlmostSorted|TestSmallRunSetUpIsSmall|TestSourceSeedsOnlyWhatItReads' ./internal/cell/ ./internal/multiconn/ ./internal/sim/
@@ -271,6 +274,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTable -fuzztime=30s ./internal/queue
 	$(GO) test -fuzz=FuzzKernelOps -fuzztime=30s ./internal/sim
 	$(GO) test -fuzz=FuzzFleetBodies -fuzztime=30s ./internal/fleet
+	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=30s ./cmd/wtcp
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
@@ -289,6 +293,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/queue
 	$(GO) test -fuzz=FuzzKernelOps -fuzztime=10s ./internal/sim
 	$(GO) test -fuzz=FuzzFleetBodies -fuzztime=10s ./internal/fleet
+	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=10s ./cmd/wtcp
 
 clean:
 	$(GO) clean ./...

@@ -15,6 +15,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -63,11 +64,11 @@ func benchRecordFlags(fs *flag.FlagSet) body {
 		if err != nil {
 			return err
 		}
-		data, err := json.MarshalIndent(Baseline{Note: *note, Filter: *filter, Results: results}, "", "  ")
+		data, err := encodeBaseline(Baseline{Note: *note, Filter: *filter, Results: results})
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*file, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*file, data, 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "recorded %d benchmarks to %s\n", len(results), *file)
@@ -126,17 +127,62 @@ func readBench(file, in string) ([]Result, error) {
 	return results, nil
 }
 
+// encodeBaseline lays a baseline out as record writes it.
+func encodeBaseline(b Baseline) ([]byte, error) {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// The ways a baseline file is refused besides malformed JSON (an unknown
+// key among them: a misspelt field would otherwise read as zero).
+var (
+	errBaselineTrailing  = errors.New("trailing data after the baseline")
+	errBaselineUnnamed   = errors.New("a row has no name")
+	errBaselineDuplicate = errors.New("two rows share a name")
+	errBaselineNsPerOp   = errors.New("ns_per_op is not positive")
+	errBaselineNegative  = errors.New("a per-op reading is negative")
+)
+
 func loadBaseline(path string) (Baseline, map[string]Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Baseline{}, nil, err
 	}
+	return decodeBaseline(path, data)
+}
+
+// decodeBaseline decodes a baseline file's bytes and indexes its rows by
+// name, refusing anything compare could not read faithfully: every row
+// must be there once, with a positive ns/op to divide by.
+func decodeBaseline(path string, data []byte) (Baseline, map[string]Result, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
+	if err := dec.Decode(&b); err != nil {
 		return Baseline{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Baseline{}, nil, fmt.Errorf("%s: %w", path, errBaselineTrailing)
+	}
 	m := make(map[string]Result, len(b.Results))
-	for _, r := range b.Results {
+	for i, r := range b.Results {
+		var bad error
+		switch _, dup := m[r.Name]; {
+		case r.Name == "":
+			bad = errBaselineUnnamed
+		case dup:
+			bad = errBaselineDuplicate
+		case !(r.NsPerOp > 0):
+			bad = errBaselineNsPerOp
+		case r.BytesPerOp < 0 || r.AllocsPerOp < 0:
+			bad = errBaselineNegative
+		}
+		if bad != nil {
+			return Baseline{}, nil, fmt.Errorf("%s: row %d %q: %w", path, i, r.Name, bad)
+		}
 		m[r.Name] = r
 	}
 	return b, m, nil

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -143,4 +145,110 @@ func TestComparePassesWithinThreshold(t *testing.T) {
 	if err := compareResults(&strings.Builder{}, base, fresh, filter, 0.20); err != nil {
 		t.Fatalf("within-threshold comparison failed: %v", err)
 	}
+}
+
+// TestBaselineRefusals pins each way a baseline file is refused: a row
+// that compare would misread — a second row under one name (the first
+// would be dropped), a misspelt key (read as zero), a non-positive ns/op
+// (a zero baseline turns every delta into +Inf or NaN, and NaN passes
+// the threshold) — or bytes after the baseline.
+func TestBaselineRefusals(t *testing.T) {
+	row := func(name, ns string) string { return `{"name":"` + name + `","iterations":1,"ns_per_op":` + ns + `}` }
+	file := func(rows ...string) string { return `{"note":"n","results":[` + strings.Join(rows, ",") + `]}` }
+	for _, tc := range []struct {
+		name, data string
+		want       error // nil: a JSON decoding error, named by its text
+		text       string
+	}{
+		{"duplicate", file(row("BenchmarkA", "1"), row("BenchmarkA", "2")), errBaselineDuplicate, ""},
+		{"unknown key", file(`{"name":"BenchmarkA","ns_per_ops":5}`), nil, `unknown field "ns_per_ops"`},
+		{"unknown top-level key", `{"note":"n","result":[]}`, nil, `unknown field "result"`},
+		{"zero ns", file(row("BenchmarkA", "0")), errBaselineNsPerOp, ""},
+		{"negative ns", file(row("BenchmarkA", "-3")), errBaselineNsPerOp, ""},
+		{"missing ns", file(`{"name":"BenchmarkA"}`), errBaselineNsPerOp, ""},
+		{"unnamed", file(row("", "1")), errBaselineUnnamed, ""},
+		{"negative allocs", file(`{"name":"BenchmarkA","ns_per_op":1,"allocs_per_op":-1}`), errBaselineNegative, ""},
+		{"trailing value", file(row("BenchmarkA", "1")) + `{}`, errBaselineTrailing, ""},
+		{"trailing garbage", file(row("BenchmarkA", "1")) + `x`, errBaselineTrailing, ""},
+	} {
+		_, _, err := decodeBaseline("BENCH_x.json", []byte(tc.data))
+		switch {
+		case err == nil:
+			t.Errorf("%s: loaded", tc.name)
+		case !strings.HasPrefix(err.Error(), "BENCH_x.json: "):
+			t.Errorf("%s: refusal %q does not name the file", tc.name, err)
+		case tc.want != nil && !errors.Is(err, tc.want):
+			t.Errorf("%s: refused with %v, want %v", tc.name, err, tc.want)
+		case tc.want == nil && !strings.Contains(err.Error(), tc.text):
+			t.Errorf("%s: refused with %v, want %q", tc.name, err, tc.text)
+		}
+	}
+	if _, m, err := decodeBaseline("BENCH_x.json", []byte(file(row("BenchmarkA", "1"), row("BenchmarkB", "2"))+"\n")); err != nil || len(m) != 2 {
+		t.Fatalf("a well-formed baseline: %v, %d rows", err, len(m))
+	}
+}
+
+// TestCommittedBaselinesLoad: both baselines the Makefile compares
+// against pass the decoder, each row once.
+func TestCommittedBaselinesLoad(t *testing.T) {
+	for _, name := range []string{"BENCH_kernel.json", "BENCH_scale.json"} {
+		b, m, err := loadBaseline(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Results) == 0 || len(m) != len(b.Results) {
+			t.Fatalf("%s: %d rows, %d by name", name, len(b.Results), len(m))
+		}
+	}
+}
+
+// FuzzBenchBaseline feeds the baseline decoder arbitrary bytes: it must
+// refuse or load, never panic; a refusal names the file; a load keeps
+// every row under its name, and re-encodes, as record writes, to bytes
+// that load again and re-encode to themselves.
+func FuzzBenchBaseline(f *testing.F) {
+	for _, name := range []string{"BENCH_kernel.json", "BENCH_scale.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte(`{"note":"","results":[{"name":"BenchmarkA","iterations":1,"ns_per_op":1},{"name":"BenchmarkA","iterations":1,"ns_per_op":2}]}`))
+	f.Add([]byte(`{"note":"","results":[{"name":"BenchmarkA","ns_per_ops":1}]}`))
+	f.Add([]byte(`{"note":"","results":null} {}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const path = "BENCH_fuzz.json"
+		b, m, err := decodeBaseline(path, data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), path+": ") {
+				t.Errorf("refusal %q does not name the file", err)
+			}
+			return
+		}
+		if len(m) != len(b.Results) {
+			t.Fatalf("%d rows loaded as %d names", len(b.Results), len(m))
+		}
+		for _, r := range b.Results {
+			if m[r.Name] != r {
+				t.Fatalf("row %+v indexed as %+v", r, m[r.Name])
+			}
+		}
+		first, err := encodeBaseline(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := decodeBaseline(path, first)
+		if err != nil {
+			t.Fatalf("the encoding of a loaded baseline is refused: %v\n%s", err, first)
+		}
+		second, err := encodeBaseline(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding is not a fixed point:\n%s\n---\n%s", first, second)
+		}
+	})
 }

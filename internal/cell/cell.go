@@ -280,9 +280,11 @@ func Run(cfg Config) (*Result, error) {
 // the kernel polls ctx between events and halts cleanly once it ends
 // (the error unwraps to ctx.Err()), and a non-zero budget caps fired
 // events, virtual time, wall-clock time, and heap bytes, surfacing
-// exhaustion as a *sim.BudgetError. The pump yields to the kernel every
-// few thousand micro-events, so both stay live even inside a same-instant
-// admission wave. A zero budget imposes no ceilings.
+// exhaustion as a *sim.BudgetError. The pump moves between instants
+// through sim.Advance, which refuses wherever the kernel's next Step
+// would halt, and yields to the kernel every few thousand micro-events of
+// one instant, so both stay live even inside a same-instant admission
+// wave. A zero budget imposes no ceilings.
 func RunContext(ctx context.Context, cfg Config, budget sim.Budget) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

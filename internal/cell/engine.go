@@ -24,9 +24,9 @@ const (
 // re-checks its channels (matches internal/multiconn).
 const csdpPollInterval = 10 * time.Millisecond
 
-// pumpChunk bounds micro-events processed per kernel event, so budget
-// and context checks stay live through same-instant storms (a 50k-flow
-// admission wave is one instant).
+// pumpChunk bounds the micro-events the pump runs at one instant before
+// it yields to the kernel, so budget and context checks stay live through
+// same-instant storms (a 50k-flow admission wave is one instant).
 const pumpChunk = 8192
 
 // engine is the flat cell state: every per-flow and per-base-station
@@ -58,9 +58,12 @@ type engine struct {
 	adv int64
 
 	// Precomputed transmission times: the radio link-ack / TCP-ack
-	// (control size at wireless rate) and the wired reverse-pipe ack.
+	// (control size at wireless rate) and the wired reverse-pipe ack;
+	// memoized ones for data segments on the radio and the wired hop.
 	ackTxRadio time.Duration
 	revAckTx   time.Duration
+	radioTx    airtime
+	wiredTx    airtime
 
 	// ---- per-flow sender state: one tcp.State row each, plus what the
 	// engine keeps about the flow as its host ----
@@ -115,6 +118,10 @@ type engine struct {
 	nonEmpty []uint64
 	neWords  int
 	queued   []int32
+	// oneVerdict is set when a base station's flows share one channel
+	// and the CSDP predictor is never wrong, so it takes no draw: one
+	// prediction then holds for every flow there.
+	oneVerdict bool
 
 	doneCount int
 	admitted  int
@@ -131,6 +138,28 @@ type engine struct {
 	fault error
 
 	oracle *sampler
+
+	// stepwise turns the pump's inline advance off: every instant is then
+	// a kernel event of its own, the path the inline advance must match
+	// bit for bit (tests only).
+	stepwise bool
+}
+
+// airtime is a one-entry memo of units.TransmissionTime at one rate:
+// nearly every packet a cell carries has one of two sizes, so the float
+// division and rounding run when the size changes, not per packet.
+type airtime struct {
+	rate units.BitRate
+	size units.ByteSize
+	tx   time.Duration
+}
+
+// of reports the transmission time of size at a's rate.
+func (a *airtime) of(size units.ByteSize) time.Duration {
+	if size != a.size {
+		a.size, a.tx = size, units.TransmissionTime(size, a.rate)
+	}
+	return a.tx
 }
 
 // fifoRing is a growable ring of flow IDs.
@@ -187,6 +216,8 @@ func newEngine(cfg Config) (*engine, error) {
 
 		ackTxRadio: units.TransmissionTime(packet.ControlSize, cfg.WirelessRate),
 		revAckTx:   units.TransmissionTime(packet.ControlSize, cfg.WiredRate),
+		radioTx:    airtime{rate: cfg.WirelessRate},
+		wiredTx:    airtime{rate: cfg.WiredRate},
 
 		chaosOn: cfg.Chaos.enabled(),
 	}
@@ -260,6 +291,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.neWords = (int(e.nLocal[0]) + 63) / 64 // station 0 hosts the most
 	e.nonEmpty = make([]uint64, B*e.neWords)
 	e.queued = make([]int32, B)
+	e.oneVerdict = cfg.SharedChannel && cfg.PredictorAccuracy >= 1
 
 	e.arena = newArena(2 * F)
 	e.wheel = newWheel(int64(wheelTick), wheelBuckets, F+B)
@@ -415,11 +447,16 @@ func (e *engine) nextEventAt(nowNs int64) int64 {
 
 // pumpFire drains every micro-event due at the current instant — the
 // calendar before the wheel on ties, each in FIFO schedule order,
-// mirroring the kernel's same-instant discipline — then re-arms the pump
-// for the next instant. It stops early when every flow is done or the
-// horizon has passed (matching the object engine's per-event checks),
-// and yields back to the kernel every pumpChunk events so budget and
-// context enforcement see progress even inside one instant.
+// mirroring the kernel's same-instant discipline — then moves on to the
+// next instant. It moves there in place when the kernel's Advance lets
+// it (nothing else is due first, no budget, context or failure would
+// halt the kernel's next Step) and no engine fault is latched for loop to
+// report; otherwise it re-arms the pump for that instant and returns.
+// Either way the kernel counts one event per instant. It stops early when
+// every flow is done or the horizon has passed (matching the object
+// engine's per-event checks), and yields back to the kernel after
+// pumpChunk events of one instant so budget and context enforcement see
+// progress even inside a same-instant storm.
 func (e *engine) pumpFire() {
 	now := e.s.Now()
 	nowNs := int64(now)
@@ -438,8 +475,11 @@ func (e *engine) pumpFire() {
 			return
 		}
 		if next > nowNs {
-			e.pump.Set(time.Duration(next) - now)
-			return
+			if e.stepwise || e.failed() != nil || !e.s.Advance(time.Duration(next)) {
+				e.pump.Set(time.Duration(next) - now)
+				return
+			}
+			now, nowNs, n = time.Duration(next), next, 0
 		}
 		e.events++
 		if cAt >= 0 && cAt <= nowNs {
@@ -576,10 +616,21 @@ func (e *engine) pickNext(b int32) (int32, bool) {
 // nextNonEmpty serves round-robin from b's pointer: the first non-empty
 // queue after it, ring-wise, skipping predicted-bad channels when csdp is
 // set. It visits exactly the non-empty queues, in ring order — the
-// predictor draws once per visit, so the order is part of the result.
+// predictor draws once per visit, so the order is part of the result —
+// except when the predictor draws nothing and b's flows share one
+// channel (oneVerdict), where one query answers for every visit.
 func (e *engine) nextNonEmpty(b int32, csdp bool) (int32, bool) {
 	if e.queued[b] == 0 {
 		return 0, false
+	}
+	if csdp && e.oneVerdict {
+		// Every visit would reach the same verdict: ask once, and count
+		// a bad one as a skip of every non-empty queue.
+		if !e.predictGood(b) {
+			e.skippedBad[b] += uint64(e.queued[b])
+			return 0, false
+		}
+		csdp = false
 	}
 	words := e.nonEmpty[int(b)*e.neWords : int(b+1)*e.neWords]
 	n := e.nLocal[b]
@@ -646,7 +697,7 @@ func (e *engine) transmit(b, f int32) {
 	}
 	slot := e.qHeadSlot(f)
 	start := e.s.Now()
-	tx := units.TransmissionTime(e.arena.size(slot), e.cfg.WirelessRate)
+	tx := e.radioTx.of(e.arena.size(slot))
 	cycle := tx + 2*e.cfg.WirelessDelay + e.ackTxRadio
 
 	e.curFlow[b] = f
@@ -678,7 +729,7 @@ func (e *engine) radioDone(b int32) {
 
 	ch := e.channelOf(f)
 	size := e.arena.size(slot)
-	tx := units.TransmissionTime(size, e.cfg.WirelessRate)
+	tx := e.radioTx.of(size)
 	corrupted := e.lossDraw(ch, start, start+tx, size.Bits())
 	ackLost := false
 	if !corrupted {

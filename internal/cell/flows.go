@@ -94,7 +94,7 @@ func (e *engine) Transmit(seq int64, payload units.ByteSize, retransmit bool) {
 	if e.fwdBusy[f] > start {
 		start = e.fwdBusy[f]
 	}
-	e.fwdBusy[f] = start + units.TransmissionTime(size, e.cfg.WiredRate)
+	e.fwdBusy[f] = start + e.wiredTx.of(size)
 	e.cal.push(calEvent{
 		at:   int64(e.fwdBusy[f] + e.cfg.WiredDelay),
 		kind: evWiredArrive,

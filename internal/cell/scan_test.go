@@ -144,25 +144,36 @@ func linearNextNonEmpty(e *engine, b int32, csdp bool) (int32, bool) {
 // pick, same pointer and same skippedBad after every call, the bitmap and
 // count always agreeing with the queues — and, at the end, the same next
 // predictor draw, so the walk consulted the predictor exactly as often
-// and in the same order.
+// and in the same order. Shared channels under a predictor that draws
+// nothing take the one-verdict path, which must be indistinguishable
+// from the scan too.
 func TestNextNonEmptyMatchesLinearScan(t *testing.T) {
 	for _, tc := range []struct {
 		flows, stations int
 		policy          Policy
+		shared          bool
+		accuracy        float64
 	}{
-		{1, 1, RoundRobin},
-		{64, 1, CSDP},
-		{200, 1, RoundRobin},
-		{200, 1, CSDP},
-		{200, 3, RoundRobin}, // 67, 67, 66 local flows
-		{200, 3, CSDP},
-		{1000, 3, CSDP},
+		{1, 1, RoundRobin, false, 0.8},
+		{64, 1, CSDP, false, 0.8},
+		{200, 1, RoundRobin, false, 0.8},
+		{200, 1, CSDP, false, 0.8},
+		{200, 3, RoundRobin, false, 0.8}, // 67, 67, 66 local flows
+		{200, 3, CSDP, false, 0.8},
+		{1000, 3, CSDP, false, 0.8},
+		// One channel per station and a predictor that draws nothing:
+		// one verdict answers for every queue. Then each condition
+		// alone, where it must not.
+		{200, 1, CSDP, true, 1},
+		{1000, 3, CSDP, true, 1},
+		{200, 3, CSDP, true, 0.8},
+		{200, 3, CSDP, false, 1},
 	} {
 		cfg := smallConfig(tc.flows)
 		cfg.BaseStations = tc.stations
 		cfg.Policy = tc.policy
-		cfg.SharedChannel = false
-		cfg.PredictorAccuracy = 0.8
+		cfg.SharedChannel = tc.shared
+		cfg.PredictorAccuracy = tc.accuracy
 		cfg.Channel.MeanGood = 400 * time.Millisecond // states flip during the test
 		cfg.Channel.MeanBad = 300 * time.Millisecond
 		got, ref := benchEngine(t, cfg), benchEngine(t, cfg)

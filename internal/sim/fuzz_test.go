@@ -27,11 +27,13 @@ func fuzzDelay(b byte) time.Duration {
 }
 
 // FuzzKernelOps runs a byte-driven program of Schedule, Cancel,
-// Timer.Set, Timer.Stop and Step against the production kernel and the
-// container/heap reference (timers there are cancel-then-schedule), and
-// requires the same firings at the same times in the same order, the
-// same pending counts and timer states after every operation, and a
-// queue that passes checkHeap throughout. Bursts, step runs and mass
+// Timer.Set, Timer.Stop, Step and Advance against the production kernel
+// and the container/heap reference (timers there are
+// cancel-then-schedule; Advance is schedule-then-step, refused iff a
+// live event is due at or before its time), and requires the same
+// firings at the same times in the same order, the same pending counts,
+// fired counts and timer states after every operation, and a queue that
+// passes checkHeap throughout. Bursts, step runs and mass
 // cancels move the queue across sortedMax in both directions and past
 // the compaction floor.
 func FuzzKernelOps(f *testing.F) {
@@ -40,6 +42,9 @@ func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{1, 39, 3, 1, 4, 1, 3, 2, 4, 2, 3, 250, 6, 20, 3, 1, 6, 39, 3, 2, 4, 3, 6, 39, 3, 3})
 	// Three bursts, mass-cancelled: a compaction.
 	f.Add([]byte{1, 39, 1, 79, 1, 119, 3, 4, 7, 0, 4, 4, 3, 4, 6, 39, 6, 39, 0, 1})
+	// Advances refused by a tie, by an earlier event and over a
+	// tombstoned front, and accepted past them.
+	f.Add([]byte{0, 5, 8, 5, 8, 9, 2, 0, 8, 3, 0, 0, 8, 0, 5, 0, 8, 2, 3, 250, 8, 15, 1, 45, 8, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		type fired struct {
 			id int
@@ -67,14 +72,19 @@ func FuzzKernelOps(f *testing.F) {
 			real.Cancel(evReal[j])
 			ref.cancel(evRef[j])
 		}
+		var refFired uint64
 		step := func() {
 			a, err := real.Step()
-			if b := ref.step(); a != b || err != nil {
+			b := ref.step()
+			if a != b || err != nil {
 				t.Fatalf("Step = (%v, %v), reference %v", a, err, b)
+			}
+			if b {
+				refFired++
 			}
 		}
 		for pc := 0; pc+1 < len(prog); pc += 2 {
-			op, arg := prog[pc]%8, prog[pc+1]
+			op, arg := prog[pc]%9, prog[pc+1]
 			i := int(arg) % timers
 			switch op {
 			case 0:
@@ -108,9 +118,21 @@ func FuzzKernelOps(f *testing.F) {
 				for j := int(arg) % (len(evReal) + 1); j < len(evReal); j++ {
 					cancel(j)
 				}
+			case 8:
+				at := real.Now() + fuzzDelay(arg)
+				want := len(ref.h) == 0 || ref.h[0].at > at
+				if got := real.Advance(at); got != want {
+					t.Fatalf("op %d: Advance(%v) = %v, reference %v", pc/2, at, got, want)
+				}
+				if want {
+					ref.schedule(at-ref.t, func() {})
+					ref.step()
+					refFired++
+				}
 			}
-			if real.Pending() != len(ref.h) || real.Now() != ref.t {
-				t.Fatalf("op %d: pending %d at %v, reference %d at %v", pc/2, real.Pending(), real.Now(), len(ref.h), ref.t)
+			if real.Pending() != len(ref.h) || real.Now() != ref.t || real.Fired() != refFired {
+				t.Fatalf("op %d: pending %d at %v after %d fired, reference %d at %v after %d",
+					pc/2, real.Pending(), real.Now(), real.Fired(), len(ref.h), ref.t, refFired)
 			}
 			for j := range rt {
 				if want := ft[j] != nil && ft[j].idx >= 0; rt[j].Pending() != want {

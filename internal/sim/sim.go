@@ -310,6 +310,62 @@ func (s *Simulator) StepUntil(until time.Duration) (bool, error) {
 	return true, nil
 }
 
+// Advance does in place what scheduling a callback at t (ScheduleAt) and
+// then Step-ping to it would do, for a caller that is itself that
+// callback's body: the clock moves to t, the sequence and fired counters
+// each go up by one, and the context poll and budget strides see one
+// event. It refuses, reporting false, whenever that Step would not fire
+// the callback next or would halt instead:
+//
+//   - a live pending event is due at or before t (one queued at t has a
+//     smaller sequence number than the callback would get, so it fires
+//     first);
+//   - Stop was called or a failure is recorded;
+//   - the bound context has ended and this event count is a poll point;
+//   - a budget ceiling would trip (MaxEvents, MaxVirtual), or a wall or
+//     heap probe falls due — the probe is left to the next Step, which
+//     records any *BudgetError at the fired count and clock it would
+//     have seen anyway.
+//
+// A refused caller schedules its callback as usual. A refusal changes
+// nothing but this: tombstones at the front of the queue are swept, as
+// Step would sweep them. A t before Now is taken as Now, as ScheduleAt does.
+// The contract is Step's: the kernel does not know a bound given to Run
+// or StepUntil, so a caller driven by one must not advance past it.
+func (s *Simulator) Advance(t time.Duration) bool {
+	if t < s.now {
+		t = s.now
+	}
+	if s.stopped || s.failure != nil {
+		return false
+	}
+	if s.ctx != nil && s.fired%ctxPollStride == 0 && s.ctx.Err() != nil {
+		return false
+	}
+	if st := s.budget; st != nil {
+		b := &st.limits
+		if b.MaxEvents > 0 && s.fired >= uint64(b.MaxEvents) ||
+			b.MaxVirtual > 0 && t > b.MaxVirtual ||
+			b.WallClock > 0 && s.fired >= st.nextWall ||
+			b.MaxHeapBytes > 0 && s.fired >= st.nextHeap {
+			return false
+		}
+	}
+	// The scheduled callback would have occupied one more slot, measured
+	// before Step swept any tombstone.
+	slots := s.queue.len() + 1
+	if next := s.peekLive(); next != nil && next.at <= t {
+		return false
+	}
+	if slots > s.stats.HeapHighWater {
+		s.stats.HeapHighWater = slots
+	}
+	s.now = t
+	s.seq++
+	s.fired++
+	return true
+}
+
 // String summarizes the simulator state, for debugging.
 func (s *Simulator) String() string {
 	return fmt.Sprintf("sim(now=%v pending=%d fired=%d)", s.now, s.Pending(), s.fired)
