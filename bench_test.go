@@ -21,10 +21,10 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/cell"
 	"wtcp/internal/core"
 	"wtcp/internal/errmodel"
 	"wtcp/internal/experiment"
-	"wtcp/internal/multiconn"
 	"wtcp/internal/oracle"
 	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
@@ -437,10 +437,10 @@ func BenchmarkExtensionEBSNWithScheduling(b *testing.B) {
 	var plainTO, ebsnTO float64
 	for i := 0; i < b.N; i++ {
 		run := func(ebsn bool) float64 {
-			cfg := multiconn.LANDefaults(4, multiconn.FIFO, time.Second)
+			cfg := cell.LAN(4, cell.FIFO, time.Second)
 			cfg.TransferSize = 256 * units.KB
 			cfg.EBSN = ebsn
-			r, err := multiconn.Run(cfg)
+			r, err := cell.Run(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

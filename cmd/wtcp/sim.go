@@ -248,7 +248,7 @@ func runCellMode(ctx context.Context, stdout io.Writer, opt cellOptions) error {
 	cfg.Seed = opt.seed
 
 	start := time.Now()
-	res, err := core.RunCell(ctx, core.CellConfig{Config: cfg, Budget: opt.budget})
+	res, err := cell.RunContext(ctx, cfg, opt.budget)
 	if err != nil {
 		return err
 	}

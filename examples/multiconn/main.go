@@ -14,8 +14,8 @@ import (
 	"log"
 	"time"
 
+	"wtcp/internal/cell"
 	"wtcp/internal/experiment"
-	"wtcp/internal/multiconn"
 )
 
 func main() {
@@ -32,10 +32,10 @@ func main() {
 		var agg float64
 		const reps = 3
 		for seed := int64(1); seed <= reps; seed++ {
-			cfg := multiconn.LANDefaults(4, multiconn.CSDP, time.Second)
+			cfg := cell.LAN(4, cell.CSDP, time.Second)
 			cfg.PredictorAccuracy = acc
 			cfg.Seed = seed
-			r, err := multiconn.Run(cfg)
+			r, err := cell.Run(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

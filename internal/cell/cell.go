@@ -8,11 +8,11 @@
 //
 // The senders are internal/tcp's state machine itself, run in place on a
 // slab of tcp.State rows with the engine as their tcp.Host; the
-// immediate-ack sink and the multiconn shared-radio scheduler (FIFO /
-// round-robin / CSDP with EBSN) are the cell's own flat forms. Given the
-// same configuration and seed, a cell run is bit-identical to the
-// object-per-flow engine it replaces (internal/multiconn delegates here
-// and pins that equivalence with a differential test).
+// immediate-ack sink and the shared-radio scheduler of the paper's §2
+// scheduling study [Bhagwat 95] (FIFO / round-robin / CSDP with EBSN) are
+// the cell's own flat forms. Given the same configuration and seed, a
+// cell run is bit-identical to the object-per-flow engine it replaced,
+// which reference_test.go keeps as a test-only differential reference.
 package cell
 
 import (
@@ -27,8 +27,7 @@ import (
 	"wtcp/internal/units"
 )
 
-// Policy selects a base station's radio scheduling discipline. Values
-// match internal/multiconn's so delegation is a direct cast.
+// Policy selects a base station's radio scheduling discipline.
 type Policy int
 
 // Policies.
@@ -101,7 +100,7 @@ type Config struct {
 	// Channel is the Gilbert fading model. With SharedChannel every base
 	// station gets one channel its flows all ride (a fade hits the
 	// medium); otherwise every flow fades independently (the CSDP study
-	// setup, and what multiconn delegation uses).
+	// setup, and what LAN uses).
 	Channel       errmodel.Config
 	SharedChannel bool
 	// PredictorAccuracy is the probability the CSDP predictor reports
@@ -109,9 +108,9 @@ type Config struct {
 	PredictorAccuracy float64
 	// EBSN notifies sources after every unsuccessful link attempt.
 	// EBSNBroadcast extends the notification to every flow with queued
-	// data at that base station (the multiconn semantics); without it
-	// only the failing flow is notified, which is the only affordable
-	// variant at cell scale.
+	// data at that base station (the CSDP study's semantics, set by LAN);
+	// without it only the failing flow is notified, which is the only
+	// affordable variant at cell scale.
 	EBSN          bool
 	EBSNBroadcast bool
 	// RTmax bounds link-level retransmissions per packet before the base
@@ -122,8 +121,8 @@ type Config struct {
 	PerFlowQueue int
 	// AdmitBatch/AdmitEvery stagger flow admission: AdmitBatch flows
 	// start at t=0 and every AdmitEvery thereafter until all are
-	// running. Zero AdmitBatch starts every flow at t=0 (the multiconn
-	// semantics).
+	// running. Zero AdmitBatch starts every flow at t=0 (as the CSDP
+	// study does).
 	AdmitBatch int
 	AdmitEvery time.Duration
 	// OracleSample attaches the streaming Tahoe/ARQ conformance checker
@@ -222,6 +221,29 @@ func Preset(n int) Config {
 		AdmitEvery:        5 * time.Millisecond,
 		Seed:              1,
 		Horizon:           60 * time.Second,
+	}
+}
+
+// LAN returns the paper's wireless LAN environment with n flows under the
+// given policy, as the §2 scheduling study runs it: one 2 Mbps radio,
+// every mobile fading independently under PaperLAN(meanBad), and EBSN,
+// when enabled, notifying every flow with data queued behind a failed
+// attempt. RTmax, PerFlowQueue and Horizon take their defaults.
+func LAN(n int, policy Policy, meanBad time.Duration) Config {
+	return Config{
+		Flows:             n,
+		Policy:            policy,
+		TransferSize:      512 * units.KB,
+		PacketSize:        1536,
+		Window:            16 * units.KB,
+		WiredRate:         10 * units.Mbps,
+		WiredDelay:        time.Millisecond,
+		WirelessRate:      2 * units.Mbps,
+		WirelessDelay:     time.Millisecond,
+		Channel:           errmodel.PaperLAN(meanBad),
+		PredictorAccuracy: 1.0,
+		EBSNBroadcast:     true,
+		Seed:              1,
 	}
 }
 

@@ -3,6 +3,7 @@ package cell
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,29 +72,36 @@ func TestRunCompletesSmallPopulation(t *testing.T) {
 }
 
 // TestRunDeterminism pins that a seed fully determines a run, and that
-// changing the seed actually changes the outcome.
+// changing the seed actually changes the outcome: on a small population
+// with EBSN, and on the scheduling study's LAN under CSDP, whose predictor
+// draws from its own RNG split.
 func TestRunDeterminism(t *testing.T) {
-	cfg := smallConfig(8)
-	cfg.EBSN = true
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !reflect.DeepEqual(a.Flows, b.Flows) || a.Events != b.Events ||
-		a.RadioAttempts != b.RadioAttempts {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
-	}
-	cfg.Seed = 2
-	c, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if reflect.DeepEqual(a.Flows, c.Flows) {
-		t.Fatal("different seeds produced identical per-flow results")
+	ebsn := smallConfig(8)
+	ebsn.EBSN = true
+	csdp := LAN(3, CSDP, 800*time.Millisecond)
+	csdp.TransferSize = 128 * units.KB
+	for name, cfg := range map[string]Config{"ebsn": ebsn, "csdp": csdp} {
+		a, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		b, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		if !reflect.DeepEqual(a.Flows, b.Flows) || a.Events != b.Events ||
+			a.RadioAttempts != b.RadioAttempts ||
+			math.Float64bits(a.AggregateKbps) != math.Float64bits(b.AggregateKbps) {
+			t.Fatalf("%s: same seed diverged:\n%+v\n%+v", name, a, b)
+		}
+		cfg.Seed = 2
+		c, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		if reflect.DeepEqual(a.Flows, c.Flows) {
+			t.Fatalf("%s: different seeds produced identical per-flow results", name)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ const (
 )
 
 // csdpPollInterval is how often a fully-blocked CSDP base station
-// re-checks its channels (matches internal/multiconn).
+// re-checks its channels (matches the reference engine's refPollInterval).
 const csdpPollInterval = 10 * time.Millisecond
 
 // pumpChunk bounds the micro-events the pump runs at one instant before
@@ -195,9 +195,10 @@ func (r *fifoRing) pop() {
 
 // newEngine allocates every slab for cfg (already defaulted) and seeds
 // the random state. The RNG split order is a compatibility contract with
-// internal/multiconn: root -> engine draws, predictor draws, one split
-// per channel in index order; the chaos split comes last so chaos-free
-// runs draw identically to the engine this one replaced.
+// the reference engine (reference_test.go): root -> engine draws,
+// predictor draws, one split per channel in index order; the chaos split
+// comes last so chaos-free runs draw identically to the engine this one
+// replaced.
 func newEngine(cfg Config) (*engine, error) {
 	F := cfg.Flows
 	B := cfg.BaseStations

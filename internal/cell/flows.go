@@ -15,7 +15,7 @@ import (
 // The transitions are synchronous and never re-enter the engine for a
 // second flow, so one field (cur) names the flow the host methods act on.
 // The sink is the cell's own: a fixed per-flow reorder slab where tcp.Sink
-// keeps a map, specialized to the multiconn configuration (per-segment
+// keeps a map, specialized to the CSDP study's configuration (per-segment
 // ACKs, no SACK/ECN/delayed-ack).
 
 // ---- sender (tcp.State rows, hosted by the engine) ----

@@ -11,8 +11,9 @@ import (
 
 // MultiFlowConfig runs several simultaneous transfers through the single
 // FH—BS—MH path of the paper's topology (all flows share the wired link,
-// the base station, and the radio — unlike internal/multiconn, where each
-// mobile fades independently behind a scheduler).
+// the base station, and the radio — unlike the CSDP study's cell.LAN
+// configuration, where each mobile fades independently behind a
+// scheduler).
 //
 // The interesting question it answers: does EBSN still work with several
 // sources? It does, and still without per-connection state — the failing

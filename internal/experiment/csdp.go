@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"wtcp/internal/multiconn"
+	"wtcp/internal/cell"
 	"wtcp/internal/sim"
 	"wtcp/internal/stats"
 )
@@ -14,7 +14,7 @@ import (
 // CSDPPoint is one (policy, bad period) cell of the related-work
 // scheduling study (paper §2, [Bhagwat 95]).
 type CSDPPoint struct {
-	Policy        multiconn.Policy
+	Policy        cell.Policy
 	BadPeriod     time.Duration
 	AggregateKbps *stats.Sample
 	Fairness      *stats.Sample
@@ -22,8 +22,9 @@ type CSDPPoint struct {
 }
 
 // CSDPOptions holds the scheduling study's own axes; replications,
-// seeds and transfer size come from Options (its Checks and Oracle have
-// no counterpart in these runs and are ignored).
+// seeds and transfer size come from Options. Its Oracle attaches the
+// cell engine's sampled conformance checker to every flow; its Checks
+// has no counterpart in these runs and is ignored.
 type CSDPOptions struct {
 	Connections int
 	BadPeriods  []time.Duration
@@ -50,7 +51,7 @@ func CSDPStudy(ctx context.Context, opt Options, axes CSDPOptions) ([]CSDPPoint,
 	axes = axes.withDefaults()
 	var points []point
 	var grid []CSDPPoint
-	for _, policy := range []multiconn.Policy{multiconn.FIFO, multiconn.RoundRobin, multiconn.CSDP} {
+	for _, policy := range []cell.Policy{cell.FIFO, cell.RoundRobin, cell.CSDP} {
 		for _, bad := range axes.BadPeriods {
 			grid = append(grid, CSDPPoint{Policy: policy, BadPeriod: bad})
 			points = append(points, point{
@@ -66,24 +67,33 @@ func CSDPStudy(ctx context.Context, opt Options, axes CSDPOptions) ([]CSDPPoint,
 	})
 }
 
-// csdpReplication runs one cell of the study on the cell engine (through
-// multiconn), which polls ctx and enforces the budget itself. It has no
-// watchdog and no repro-bundle format.
-func csdpReplication(opt Options, axes CSDPOptions, policy multiconn.Policy, bad time.Duration) replication {
+// csdpReplication runs one point of the study on the cell engine's LAN
+// configuration; cell.RunContext polls ctx and enforces the budget itself.
+// It has no watchdog and no repro-bundle format.
+func csdpReplication(opt Options, axes CSDPOptions, policy cell.Policy, bad time.Duration) replication {
 	return func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
-		cfg := multiconn.LANDefaults(axes.Connections, policy, bad)
-		cfg.PredictorAccuracy = axes.Accuracy
-		cfg.Seed = opt.BaseSeed + seed
-		if opt.Transfer > 0 {
-			cfg.TransferSize = opt.Transfer
-		}
-		r, err := multiconn.RunContext(ctx, cfg, budget(sim.Budget{}))
+		cfg := csdpConfig(opt, axes, policy, bad, seed)
+		r, err := cell.RunContext(ctx, cfg, budget(sim.Budget{}))
 		if err != nil {
 			return repRun{seed: cfg.Seed}, err
 		}
 		return repRun{seed: cfg.Seed, events: r.Events,
 			values: []float64{r.AggregateKbps, r.Fairness, float64(r.RadioDiscards)}}, nil
 	}
+}
+
+// csdpConfig is the cell configuration of one replication of one point.
+func csdpConfig(opt Options, axes CSDPOptions, policy cell.Policy, bad time.Duration, seed int64) cell.Config {
+	cfg := cell.LAN(axes.Connections, policy, bad)
+	cfg.PredictorAccuracy = axes.Accuracy
+	cfg.Seed = opt.BaseSeed + seed
+	if opt.Transfer > 0 {
+		cfg.TransferSize = opt.Transfer
+	}
+	if opt.Oracle {
+		cfg.OracleSample = axes.Connections
+	}
+	return cfg
 }
 
 // RenderCSDPTable formats the scheduling study.

@@ -2,11 +2,12 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
-	"wtcp/internal/multiconn"
+	"wtcp/internal/cell"
 	"wtcp/internal/units"
 )
 
@@ -21,15 +22,50 @@ func TestCSDPStudyOrdering(t *testing.T) {
 	if len(points) != 3 {
 		t.Fatalf("points = %d, want one per policy", len(points))
 	}
-	byPolicy := map[multiconn.Policy]float64{}
+	byPolicy := map[cell.Policy]float64{}
 	for _, p := range points {
 		byPolicy[p.Policy] = p.AggregateKbps.Mean()
 	}
-	if !(byPolicy[multiconn.RoundRobin] > byPolicy[multiconn.FIFO]) {
-		t.Errorf("RR %.0f not above FIFO %.0f", byPolicy[multiconn.RoundRobin], byPolicy[multiconn.FIFO])
+	if !(byPolicy[cell.RoundRobin] > byPolicy[cell.FIFO]) {
+		t.Errorf("RR %.0f not above FIFO %.0f", byPolicy[cell.RoundRobin], byPolicy[cell.FIFO])
 	}
-	if !(byPolicy[multiconn.CSDP] > byPolicy[multiconn.FIFO]) {
-		t.Errorf("CSDP %.0f not above FIFO %.0f", byPolicy[multiconn.CSDP], byPolicy[multiconn.FIFO])
+	if !(byPolicy[cell.CSDP] > byPolicy[cell.FIFO]) {
+		t.Errorf("CSDP %.0f not above FIFO %.0f", byPolicy[cell.CSDP], byPolicy[cell.FIFO])
+	}
+}
+
+// TestCSDPStudyHonoursOracle pins that Options.Oracle reaches the study
+// as the cell engine's sampled checker on every flow, and that checking
+// moves no result bit.
+func TestCSDPStudyHonoursOracle(t *testing.T) {
+	axes := CSDPOptions{Connections: 3, BadPeriods: []time.Duration{time.Second}, Accuracy: 0.8}
+	if got := csdpConfig(Options{Oracle: true}, axes, cell.CSDP, time.Second, 1).OracleSample; got != axes.Connections {
+		t.Fatalf("oracle-on replication samples %d flows, want %d", got, axes.Connections)
+	}
+	if got := csdpConfig(Options{}, axes, cell.CSDP, time.Second, 1).OracleSample; got != 0 {
+		t.Fatalf("oracle-off replication samples %d flows, want 0", got)
+	}
+	study := func(oracle bool) []CSDPPoint {
+		points, err := CSDPStudy(context.Background(),
+			Options{Replications: 2, Transfer: 128 * units.KB, Oracle: oracle}, axes)
+		if err != nil {
+			t.Fatalf("oracle=%v: %v", oracle, err)
+		}
+		return points
+	}
+	off, on := study(false), study(true)
+	for i := range off {
+		a, b := off[i], on[i]
+		for _, v := range [][2]float64{
+			{a.AggregateKbps.Mean(), b.AggregateKbps.Mean()},
+			{a.AggregateKbps.StdDev(), b.AggregateKbps.StdDev()},
+			{a.Fairness.Mean(), b.Fairness.Mean()},
+			{a.DiscardsAvg, b.DiscardsAvg},
+		} {
+			if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+				t.Errorf("%v: oracle off %v, on %v", a.Policy, v[0], v[1])
+			}
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/cell"
 	"wtcp/internal/core"
-	"wtcp/internal/multiconn"
 	"wtcp/internal/recordlog"
 	"wtcp/internal/repro"
 	"wtcp/internal/sim"
@@ -286,7 +286,7 @@ func enginesUnderTest(t *testing.T) map[string]replication {
 	}
 	return map[string]replication{
 		"core":    corePoint.run,
-		"csdp":    csdpReplication(opt, CSDPOptions{Connections: 2}.withDefaults(), multiconn.RoundRobin, time.Second),
+		"csdp":    csdpReplication(opt, CSDPOptions{Connections: 2}.withDefaults(), cell.RoundRobin, time.Second),
 		"handoff": handoff.run,
 	}
 }
