@@ -84,15 +84,12 @@ zoo-smoke:
 
 # Packet-lifetime gate, under -race: the pool property grid (chaos x
 # seeds x schemes x presets: no lifetime fault, zero live packets after
-# teardown, two identical runs equal), the multi-flow determinism
-# regression and the two pins of the shared topology builder (one flow ==
-# Run on a 24-cell grid; multi-flow output as recorded before
-# RunMultiFlow moved onto it), the bounded-bookkeeping plateau and the
-# heap high-water pin; and pool-pins: the warm-run and oracle allocation
-# pins without it (the race detector instruments allocation, making
-# AllocsPerRun meaningless).
+# teardown, two identical runs equal), the pool-fault classification,
+# the bounded-bookkeeping plateau and the heap high-water pin; and
+# pool-pins: the warm-run and oracle allocation pins without it (the race
+# detector instruments allocation, making AllocsPerRun meaningless).
 pool-smoke: pool-pins
-	$(GO) test -race -run 'TestPacketPoolUnderChaos|TestPoolFaultIsAProtocolBug|TestMultiFlowIsReproducible|TestMultiFlowOneFlowEqualsRun|TestMultiFlowPinnedResults|TestPerRunSetsPlateau|TestHeapHighWaterStaysSmall' ./internal/core/
+	$(GO) test -race -run 'TestPacketPoolUnderChaos|TestPoolFaultIsAProtocolBug|TestPerRunSetsPlateau|TestHeapHighWaterStaysSmall' ./internal/core/
 
 pool-pins:
 	$(GO) test -run 'TestWarmRunAllocs|TestOracleAllocs|TestOracleRetainsNothing' ./internal/core/

@@ -486,31 +486,6 @@ func BenchmarkExtensionInteractiveWorkloads(b *testing.B) {
 	b.ReportMetric(telEBSN, "telnet-mean-s-ebsn")
 }
 
-// BenchmarkExtensionMultiFlow measures the multi-flow EBSN timeout
-// reduction through a single base station.
-func BenchmarkExtensionMultiFlow(b *testing.B) {
-	var basicTO, ebsnTO float64
-	for i := 0; i < b.N; i++ {
-		run := func(s bs.Scheme) float64 {
-			base := core.WAN(s, 576, 4*time.Second)
-			base.TransferSize = 40 * units.KB
-			r, err := core.RunMultiFlow(core.MultiFlowConfig{Base: base, Flows: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var to float64
-			for _, f := range r.PerFlow {
-				to += float64(f.Timeouts)
-			}
-			return to
-		}
-		basicTO = run(bs.Basic)
-		ebsnTO = run(bs.EBSN)
-	}
-	b.ReportMetric(basicTO, "timeouts-basic")
-	b.ReportMetric(ebsnTO, "timeouts-ebsn")
-}
-
 // --- Substrate micro-benchmarks ------------------------------------------
 
 // BenchmarkSimKernel measures raw event scheduling and dispatch.

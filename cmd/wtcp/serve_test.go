@@ -110,8 +110,9 @@ func TestDrainJournalsInFlightWorkAndRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 	base, _, codeCh := startServer(t, []string{"-data", dir, "-addr", "127.0.0.1:0", "-drain-grace", "50ms"})
 
-	// Enough replications that the run is still going when the drain hits.
-	body := []byte(`{"scenario":{"mean_bad":"4s","transfer_kb":100000,"seed":5},"replications":32}`)
+	// Enough replications that the run is still going when the drain hits
+	// (about 20 ms each), every one of which completes its transfer.
+	body := []byte(`{"scenario":{"mean_bad":"4s","transfer_kb":5000,"seed":5},"replications":32}`)
 	type reply struct {
 		status int
 		body   []byte

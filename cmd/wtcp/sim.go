@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"wtcp/internal/bs"
@@ -85,11 +86,13 @@ func simFlags(fs *flag.FlagSet) body {
 			scheme = loaded.Scheme
 		}
 
+		if *reps < 1 {
+			return fmt.Errorf("-reps %d: need at least one replication", *reps)
+		}
 		build := func(seed int64) core.Config {
 			var cfg core.Config
 			if fromFile != nil {
 				cfg = *fromFile
-				cfg.Seed = cfg.Seed + seed - fromFile.Seed // offset for replications
 			} else {
 				if *lan {
 					cfg = core.LAN(scheme, *bad)
@@ -103,22 +106,18 @@ func simFlags(fs *flag.FlagSet) body {
 					cfg.TransferSize = units.ByteSize(*transfer) * units.KB
 				}
 				cfg.Variant = sendVariant
-				cfg.Seed = seed
 			}
+			// -seed numbers the replications, a scenario file's included.
+			cfg.Seed = seed
 			if *checks {
 				cfg.Checks = true
 			}
 			if *strict {
 				cfg.Oracle = true
 			}
-			// Budget flags override the scenario file's budget field by field;
-			// whatever neither sets falls back to the engine defaults (the
-			// same-instant-livelock guard) unless -no-run-budget.
-			b := opt.RunBudget.Or(cfg.Budget)
-			if !opt.NoRunBudget {
-				b = b.Or(sim.Budget{MaxEvents: experiment.DefaultRunMaxEvents, WallClock: experiment.DefaultRunWall})
-			}
-			cfg.Budget = b
+			// Budget flags override the scenario file's budget field by
+			// field; the engine fills in whatever neither sets.
+			cfg.Budget = opt.RunBudget.Or(cfg.Budget)
 			return cfg
 		}
 
@@ -132,59 +131,34 @@ func simFlags(fs *flag.FlagSet) body {
 				cfg.Channel.MeanBad, cfg.Channel.MeanGood, cfg.TheoreticalMaxKbps())
 		}
 
-		var tput, goodput, retrans, timeouts stats.Sample
+		// One engine point: with no worker pool the engine measures the
+		// replications in seed order on this goroutine, so last is the
+		// final one that counted. sim arms no supervisor, so the point is
+		// never quarantined.
+		opt.Replications = *reps
 		var last *core.Result
-		aborted, exhausted := 0, 0
-		for i := 0; i < *reps; i++ {
-			repCfg := build(*seed + int64(i))
-			hid := opt.Health.RunStarted("wtcp sim", repCfg.Seed)
-			r, err := core.RunContext(ctx, repCfg)
-			var events uint64
-			if r != nil {
-				events = r.Events
-			}
-			opt.Health.RunFinished(hid, events, err == nil && !(r != nil && r.Aborted))
+		recs, _, err := experiment.RunCustom(ctx, opt, "wtcp sim", func(rep int64) core.Config {
+			return build(*seed + rep - 1)
+		}, func(r *core.Result) ([]float64, error) {
+			last = r
+			return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput,
+				r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}, nil
+		})
+		if err != nil {
 			var be *sim.BudgetError
 			if errors.As(err, &be) {
-				exhausted++
-				fmt.Fprintf(stderr, "rep %d: %v\n", i+1, be)
-				continue
+				return fmt.Errorf("%w; raise -max-events/-run-deadline or pass -no-run-budget if the scenario is legitimately this heavy", err)
 			}
-			if err != nil {
-				return err
-			}
-			if r.Aborted {
-				aborted++
-				fmt.Fprintf(stderr, "rep %d: %s\n", i+1, r.AbortReason)
-				last = r
-				continue
-			}
-			if !r.Completed {
-				fmt.Fprintf(stdout, "rep %d: transfer did not complete within the horizon\n", i+1)
-				continue
-			}
-			tput.Add(r.Summary.ThroughputKbps)
-			goodput.Add(r.Summary.Goodput)
-			retrans.Add(r.Summary.RetransmittedKB())
-			timeouts.Add(float64(r.Summary.Timeouts))
-			last = r
+			return err
 		}
-		if tput.N() == 0 {
-			switch {
-			case exhausted > 0 && aborted == 0:
-				return fmt.Errorf("every replication exhausted its resource budget (%d of %d); raise -max-events/-run-deadline or pass -no-run-budget if the scenario is legitimately this heavy", exhausted, *reps)
-			case aborted > 0 && exhausted == 0:
-				return fmt.Errorf("every replication was aborted by the watchdog (%d of %d); the scenario's faults leave the transfer no way to finish", aborted, *reps)
-			case aborted > 0:
-				return fmt.Errorf("every replication was halted (%d watchdog aborts, %d budget exhaustions of %d reps)", aborted, exhausted, *reps)
+		if failed := *reps - len(recs); failed > 0 {
+			fmt.Fprintf(stderr, "%d of %d replications failed; summary covers the rest\n", failed, *reps)
+		}
+		var tput, goodput, retrans, timeouts stats.Sample
+		for _, rec := range recs {
+			for c, col := range []*stats.Sample{&tput, &goodput, &retrans, &timeouts} {
+				col.Add(math.Float64frombits(rec.Values[c]))
 			}
-			return fmt.Errorf("no replication completed")
-		}
-		if aborted > 0 {
-			fmt.Fprintf(stderr, "%d of %d replications aborted by the watchdog; summary covers the rest\n", aborted, *reps)
-		}
-		if exhausted > 0 {
-			fmt.Fprintf(stderr, "%d of %d replications exhausted a resource budget; summary covers the rest\n", exhausted, *reps)
 		}
 		if *jsonOut {
 			return emitJSON(stdout, cfg, &tput, &goodput, &retrans, &timeouts, last)

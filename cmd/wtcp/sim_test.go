@@ -54,6 +54,36 @@ func TestRunReplications(t *testing.T) {
 	}
 }
 
+// TestSimOutputMatchesGoldens pins wtcp sim's success-path bytes for a
+// replicated run, its JSON document and its -v detail. The goldens under
+// testdata/sim were written by the for-seed loop sim ran before it moved
+// onto the experiment engine; regenerate one only for a deliberate change
+// to sim's output or to the simulation itself.
+func TestSimOutputMatchesGoldens(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"reps3", []string{"-scheme", "basic", "-transfer", "20", "-reps", "3"}},
+		{"reps2-json", []string{"-scheme", "ebsn", "-transfer", "40", "-bad", "4s", "-reps", "2", "-json"}},
+		{"verbose", []string{"-scheme", "localrecovery", "-transfer", "40", "-bad", "4s", "-seed", "3", "-v"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "sim", c.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, errOut, err := wtcp(append([]string{"sim"}, c.args...)...)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if out != string(want) || errOut != "" {
+				t.Errorf("wtcp sim %s:\nstdout:\n%s\nstderr:\n%s\nwant stdout:\n%s", strings.Join(c.args, " "), out, errOut, want)
+			}
+		})
+	}
+}
+
 func TestRunVerbose(t *testing.T) {
 	out, _, err := wtcp("sim", "-scheme", "localrecovery", "-transfer", "20", "-v")
 	if err != nil {
@@ -137,6 +167,36 @@ func TestRunWithConfigFileReplications(t *testing.T) {
 	}
 	if !strings.Contains(out, "sd ") {
 		t.Errorf("replicated config run shows no deviation:\n%s", out)
+	}
+}
+
+// TestSimFailureMessages pins what sim says when replications fail: a
+// spent budget keeps the hint naming the flags that raise or lift it, a
+// summary over fewer replications than asked says how many it lost, and a
+// run the horizon cuts off is a failed replication, never a throughput
+// (its Summary would divide the whole transfer by the horizon).
+func TestSimFailureMessages(t *testing.T) {
+	_, _, err := wtcp("sim", "-max-events", "3000", "-reps", "2")
+	if err == nil || !strings.Contains(err.Error(), "events budget exhausted") ||
+		!strings.Contains(err.Error(), "raise -max-events/-run-deadline or pass -no-run-budget") {
+		t.Errorf("budget-exhausted sim returned %v, want the budget error with its hint", err)
+	}
+
+	// An 18 s horizon cuts off one of these four 20 KB transfers, and its
+	// retry under a perturbed seed as well.
+	path := writeScenario(t, `{"scheme": "basic", "transfer_kb": 20, "mean_bad": "4s", "horizon": "18s"}`)
+	out, errOut, err := wtcp("sim", "-config", path, "-reps", "4")
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if errOut != "1 of 4 replications failed; summary covers the rest\n" || !strings.Contains(out, "throughput") {
+		t.Errorf("partly failed sim:\nstdout:\n%s\nstderr:\n%s", out, errOut)
+	}
+
+	path = writeScenario(t, `{"scheme": "ebsn", "mean_bad": "2s", "horizon": "10s"}`)
+	out, _, err = wtcp("sim", "-config", path, "-reps", "2")
+	if err == nil || !strings.Contains(err.Error(), "did not complete") || strings.Contains(out, "throughput") {
+		t.Errorf("horizon-capped sim returned %v with output:\n%s", err, out)
 	}
 }
 

@@ -73,8 +73,8 @@ func TestDiscardKeepsOtherPacketsQueuedInOrder(t *testing.T) {
 // TestNotificationOrderIsDeterministic: the failing connection is
 // notified first and the other held-up connections in ascending order,
 // whatever order a map would yield them in — the order fixes packet IDs
-// and the reverse queue's order, so it decides whether a multi-flow run
-// is reproducible.
+// and the reverse queue's order, so it decides whether a run with several
+// connections is reproducible.
 func TestNotificationOrderIsDeterministic(t *testing.T) {
 	ch := scriptChannel{bad: func(time.Duration) bool { return true }}
 	for round := 0; round < 30; round++ {

@@ -404,12 +404,12 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		cfg.Horizon = DefaultHorizon
 	}
 
-	tp, err := newTopology(cfg, 1, false)
+	tp, err := newTopology(cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	tr, cw := tp.tap(cfg, cfg.CollectTrace)
-	done := tp.allDone
+	done := tp.sender.Done
 	if tp.relay != nil {
 		done = tp.relay.sender.Done // the transfer ends when the mobile host has it
 	}
@@ -431,8 +431,8 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 }
 
 // run arms the supervision cfg asks for — the caller's context, the
-// periodic invariant checks, the no-progress watchdog — starts every
-// sender and steps the simulator until done reports true (see stepUntil).
+// periodic invariant checks, the no-progress watchdog — starts the
+// senders and steps the simulator until done reports true (see stepUntil).
 func (tp *topology) run(ctx context.Context, cfg Config, done func() bool) (*sim.StallError, error) {
 	tp.sim.Bind(ctx)
 	if cfg.Checks {
@@ -442,9 +442,7 @@ func (tp *topology) run(ctx context.Context, cfg Config, done func() bool) (*sim
 	if stall := cfg.stallWindow(); stall > 0 {
 		tp.sim.StartWatchdog(stall, tp.acked, tp.snapshot)
 	}
-	for _, snd := range tp.senders {
-		snd.Start()
-	}
+	tp.sender.Start()
 	if tp.relay != nil {
 		tp.relay.sender.Start()
 	}
@@ -479,27 +477,13 @@ func orStall(stall *sim.StallError, err error) error {
 	return err
 }
 
-// allDone reports whether every flow's transfer has been acknowledged.
-func (tp *topology) allDone() bool {
-	for _, snd := range tp.senders {
-		if !snd.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// acked is the watchdog's progress counter: bytes acknowledged, all flows
-// (in split mode, over the wireless half, whose completion ends the run).
+// acked is the watchdog's progress counter: bytes acknowledged (in split
+// mode, over the wireless half, whose completion ends the run).
 func (tp *topology) acked() int64 {
 	if tp.relay != nil {
 		return tp.relay.sender.SndUna()
 	}
-	var n int64
-	for _, snd := range tp.senders {
-		n += snd.SndUna()
-	}
-	return n
+	return tp.sender.SndUna()
 }
 
 // holder is a component that can be holding packets when a run stops:
@@ -553,20 +537,15 @@ func (c Config) stallWindow() time.Duration {
 }
 
 // topology is the assembled Figure 2 network, the only one there is: the
-// bulk runner (Run, split mode included), the application-workload
-// runners (RunWeb, RunTelnet) and the multi-flow runner (RunMultiFlow)
-// all run on it.
+// bulk runner (Run, split mode included) and the application-workload
+// runners (RunWeb, RunTelnet) run on it. It carries one TCP connection,
+// the paper's: sender in the fixed host, sink in the mobile host.
 type topology struct {
-	sim  *sim.Simulator
-	pool *packet.Pool
-	ids  *packet.IDGen
-	// One TCP connection per flow; flow i's packets carry Conn == i both
-	// ways. sender and sink are flow 0, the connection the
-	// single-connection runners, the tap and the invariants look at.
-	senders []*tcp.Sender
-	sinks   []*tcp.Sink
-	sender  *tcp.Sender
-	sink    *tcp.Sink
+	sim    *sim.Simulator
+	pool   *packet.Pool
+	ids    *packet.IDGen
+	sender *tcp.Sender
+	sink   *tcp.Sink
 	// bs is the base-station agent, nil in split mode, where relay takes
 	// its place (see split.go).
 	bs     *bs.BaseStation
@@ -586,8 +565,8 @@ type topology struct {
 }
 
 // tapSender wires one sender's event stream to its sinks. There are two,
-// and the two arguments — Config.CollectTrace and Config.Oracle wherever
-// a run has only one connection — fully decide which are subscribed:
+// and the two arguments — Config.CollectTrace and Config.Oracle — fully
+// decide which are subscribed:
 //
 //   - store: a Trace that retains every event, returned with the
 //     congestion-window series recorded beside it (both nil otherwise);
@@ -694,15 +673,14 @@ func (tp *topology) result(cfg Config) *Result {
 	return res
 }
 
-// newTopology wires the FH-BS-MH network once and runs flows (at least
-// one) TCP connections through it, all sharing every hop. Construction
-// order, and so the order the run's RNG is split in, is the same for any
-// flow count, and connections draw no randomness of their own. streaming
-// opens the senders with no data (workloads grant bytes as produced).
-// The split-connection scheme puts a relay where the base-station agent
-// would be (see split.go); it carries one bulk transfer, and the
-// streaming and multi-flow runners refuse it by name.
-func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
+// newTopology wires the FH-BS-MH network and its one TCP connection.
+// Construction order fixes the order the run's RNG is split in; the
+// connection draws no randomness of its own. streaming opens the sender
+// with no data (workloads grant bytes as produced). The split-connection
+// scheme puts a relay where the base-station agent would be (see
+// split.go); it carries one bulk transfer, and the streaming runners
+// refuse it by name.
+func newTopology(cfg Config, streaming bool) (*topology, error) {
 	split := cfg.Scheme == bs.SplitConnection
 	// Acquire from the kernel and packet pools so replication sweeps
 	// reuse the event heap slab, its free list, and the recycled packets
@@ -799,7 +777,7 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	tp.wiredRev, err = link.New(s, link.Config{
 		Name: "wired-rev", Rate: cfg.WiredRate, Delay: cfg.WiredDelay, QueueLimit: 50,
 		Channel: wiredRevCh,
-	}, wiredRevRNG, func(p *packet.Packet) { tp.senders[p.Conn].Receive(p) })
+	}, wiredRevRNG, func(p *packet.Packet) { tp.sender.Receive(p) })
 	if err != nil {
 		return nil, err
 	}
@@ -839,26 +817,25 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 			ARQ:         tp.arq,
 			Snoop:       tp.snoop,
 			NotifyEvery: cfg.NotifyEvery,
-			// The hold queue is shared: it scales with the flow count so the
-			// admission pressure per flow is the single-flow set-up's.
-			QueueLimit: 50 * flows,
+			QueueLimit:  50,
 		}, tp.ids, rng.Split(), tp.wirelessDown, func(p *packet.Packet) { tp.wiredRev.Send(p) })
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// Mobile host: reassembly + link acks; each flow's sink sits behind it.
+	// Mobile host: reassembly + link acks; the sink sits behind it.
 	tp.mobile, err = node.NewMobileDeliver(s, node.MobileConfig{
 		LinkAcks:       cfg.Scheme.UsesLinkAcks(),
 		ReorderTimeout: deriveReorderTimeout(tp.arq),
-	}, tp.ids, func(p *packet.Packet) { tp.sinks[p.Conn].Receive(p) },
+	}, tp.ids, func(p *packet.Packet) { tp.sink.Receive(p) },
 		func(p *packet.Packet) { tp.wirelessUp.Send(p) })
 	if err != nil {
 		return nil, err
 	}
 
-	// Per flow: a sink in the mobile host, a TCP source in the fixed host.
+	// The connection: a sink in the mobile host, a TCP source in the fixed
+	// host.
 	newSink := func(out func(*packet.Packet)) (*tcp.Sink, error) {
 		sink, err := tcp.NewSink(s, cfg.Window, tp.ids, out)
 		if err != nil {
@@ -872,25 +849,13 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 		}
 		return sink, nil
 	}
-	for i := 0; i < flows; i++ {
-		sink, err := newSink(func(p *packet.Packet) {
-			p.Conn = i
-			tp.wirelessUp.Send(p)
-		})
-		if err != nil {
-			return nil, err
-		}
-		sender, err := tcp.NewSender(s, cfg.senderConfig(cfg.MSS(), streaming), tp.ids, func(p *packet.Packet) {
-			p.Conn = i
-			tp.wiredFwd.Send(p)
-		})
-		if err != nil {
-			return nil, err
-		}
-		tp.sinks = append(tp.sinks, sink)
-		tp.senders = append(tp.senders, sender)
+	if tp.sink, err = newSink(func(p *packet.Packet) { tp.wirelessUp.Send(p) }); err != nil {
+		return nil, err
 	}
-	tp.sender, tp.sink = tp.senders[0], tp.sinks[0]
+	if tp.sender, err = tcp.NewSender(s, cfg.senderConfig(cfg.MSS(), streaming), tp.ids,
+		func(p *packet.Packet) { tp.wiredFwd.Send(p) }); err != nil {
+		return nil, err
+	}
 
 	if split {
 		// The wired connection ends in the relay's sink; the relay's
@@ -920,18 +885,17 @@ func newTopology(cfg Config, flows int, streaming bool) (*topology, error) {
 	return tp, nil
 }
 
-// dupAcks is the mobile host's nudge after a handoff: each sink sends its
+// dupAcks is the mobile host's nudge after a handoff: the sink sends its
 // source tcp.DupAckThreshold duplicate ACKs, enough for a fast retransmit.
 func (tp *topology) dupAcks() {
-	for _, sink := range tp.sinks {
-		for i := 0; i < tcp.DupAckThreshold; i++ {
-			sink.DupAck()
-		}
+	for i := 0; i < tcp.DupAckThreshold; i++ {
+		tp.sink.DupAck()
 	}
 }
 
-// senderConfig is the TCP source configuration of every connection in a
-// run; the segment size and who produces the bytes are all that differ.
+// senderConfig is the TCP source configuration of a run's connection and
+// of the split relay's; the segment size and who produces the bytes are
+// all that differ.
 func (c Config) senderConfig(mss units.ByteSize, streaming bool) tcp.Config {
 	return tcp.Config{
 		MSS:         mss,

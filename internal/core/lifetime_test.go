@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -149,7 +148,7 @@ func TestPacketPoolUnderChaos(t *testing.T) {
 func TestPoolFaultIsAProtocolBug(t *testing.T) {
 	cfg := WAN(bs.EBSN, 576, 2*time.Second)
 	cfg.TransferSize = 10 * units.KB
-	tp, err := newTopology(cfg, 1, false)
+	tp, err := newTopology(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestPerRunSetsPlateau(t *testing.T) {
 	cfg := WAN(bs.EBSN, 576, 2*time.Second)
 	cfg.TransferSize = 4 * units.MB
 	cfg.ARQ = bs.ARQConfig{RTmax: 3} // force whole-packet discards too
-	tp, err := newTopology(cfg, 1, false)
+	tp, err := newTopology(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,48 +234,6 @@ func TestPerRunSetsPlateau(t *testing.T) {
 	}
 	if stats, err := tp.release(); err != nil || stats.LiveAtEnd != 0 {
 		t.Errorf("teardown: %+v, %v", stats, err)
-	}
-}
-
-// TestMultiFlowIsReproducible is the regression test for notification
-// order: the base station used to fan EBSNs out to the held-up sources
-// in Go map-iteration order, which fixes packet IDs and the reverse
-// queue's order, so per-flow results differed between identical runs
-// (visibly by the fifth repeat of this very configuration).
-func TestMultiFlowIsReproducible(t *testing.T) {
-	cfg := MultiFlowConfig{Base: WAN(bs.EBSN, 576, 4*time.Second), Flows: 8}
-	cfg.Base.TransferSize = 400 * units.KB
-	cfg.Base.Seed = 7
-	repeats := 20
-	if testing.Short() {
-		repeats = 5
-	}
-	var first *MultiFlowResult
-	for i := 0; i < repeats; i++ {
-		r, err := RunMultiFlow(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.Completed {
-			t.Fatal("flows did not complete")
-		}
-		if first == nil {
-			first = r
-			if r.BS.EBSNsSent == 0 {
-				t.Fatal("no notifications were sent; the test exercises nothing")
-			}
-			continue
-		}
-		for f := range r.PerFlow {
-			a, b := first.PerFlow[f], r.PerFlow[f]
-			if math.Float64bits(a.ThroughputKbps) != math.Float64bits(b.ThroughputKbps) ||
-				a.Timeouts != b.Timeouts || a.EBSNResets != b.EBSNResets {
-				t.Fatalf("repeat %d, flow %d: %+v, first run had %+v", i, f, b, a)
-			}
-		}
-		if r.BS != first.BS {
-			t.Fatalf("repeat %d: base-station counters %+v, first run had %+v", i, r.BS, first.BS)
-		}
 	}
 }
 

@@ -59,15 +59,13 @@ func (tp *topology) registerInvariants() {
 
 // snapshot renders the diagnostic state dump the watchdog attaches to a
 // StallError: enough of each layer's state to tell where the transfer
-// wedged without re-running under a tracer. Connections are listed in
-// flow order.
+// wedged without re-running under a tracer.
 func (tp *topology) snapshot() string {
 	var b strings.Builder
-	for i, snd := range tp.senders {
-		fmt.Fprintf(&b, "  sender: snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d done=%v\n",
-			snd.SndUna(), snd.SndNxt(), snd.SndMax(), snd.Cwnd(), snd.Done())
-		fmt.Fprintf(&b, "  sink:   rcv_nxt=%d delivered=%d\n", tp.sinks[i].RcvNxt(), tp.sinks[i].Delivered())
-	}
+	snd := tp.sender
+	fmt.Fprintf(&b, "  sender: snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d done=%v\n",
+		snd.SndUna(), snd.SndNxt(), snd.SndMax(), snd.Cwnd(), snd.Done())
+	fmt.Fprintf(&b, "  sink:   rcv_nxt=%d delivered=%d\n", tp.sink.RcvNxt(), tp.sink.Delivered())
 	if r := tp.relay; r != nil {
 		fmt.Fprintf(&b, "  relay:  rcv_nxt=%d snd_una=%d snd_max=%d cwnd=%d done=%v\n",
 			r.sink.RcvNxt(), r.sender.SndUna(), r.sender.SndMax(), r.sender.Cwnd(), r.sender.Done())

@@ -42,7 +42,7 @@ func replayConfig(cfg Config) oracle.Config {
 func storedStreamOf(t *testing.T, cfg Config) []trace.Event {
 	t.Helper()
 	cfg.Oracle = true
-	tp, err := newTopology(cfg, 1, false)
+	tp, err := newTopology(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = DefaultHorizon
 	}
-	tp, err := newTopology(cfg, 1, true)
+	tp, err := newTopology(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func RunTelnet(cfg Config, tl TelnetWorkload) (*TelnetResult, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = DefaultHorizon
 	}
-	tp, err := newTopology(cfg, 1, true)
+	tp, err := newTopology(cfg, true)
 	if err != nil {
 		return nil, err
 	}

@@ -17,15 +17,17 @@ import (
 // exactly the sequential engine's policies (same retry seeds and
 // backoff schedule, same classification, same supervision semantics as
 // a sweep point). build receives the 1-based replication index as its
-// seed argument, like the figure-sweep builders. The outcome mirrors
+// seed argument, like the figure-sweep builders; measure may refuse a
+// result, failing its attempt (see coreReplication). With one worker the
+// replications run in seed order on the caller's goroutine, so measure
+// may keep state across them. The outcome mirrors
 // RunPointSpec: seed-ordered records on success, a Quarantine when
 // opt.Supervise is armed and the point's breaker trips, or an error
 // for fail-fast classes and cancellation.
 func RunCustom(ctx context.Context, opt Options, key string,
-	build func(seed int64) core.Config, extract func(*core.Result) []float64) ([]RepRecord, *Quarantine, error) {
+	build func(seed int64) core.Config, measure func(*core.Result) ([]float64, error)) ([]RepRecord, *Quarantine, error) {
 	opt = opt.WithDefaults()
-	return executePoint(ctx, opt, key, coreReplication(build,
-		func(r *core.Result) ([]float64, error) { return extract(r), nil }))
+	return executePoint(ctx, opt, key, coreReplication(build, measure))
 }
 
 // Fingerprint exposes the result-affecting options digest that keys

@@ -336,12 +336,18 @@ func sanitizeKey(key string) string {
 // can inject failures without constructing a failing scenario.
 var runSim = core.RunContext
 
+// errIncomplete refuses a run that ended at the horizon with its transfer
+// unfinished: its Summary divides the whole transfer by the horizon, a
+// throughput no run achieved.
+var errIncomplete = errors.New("transfer did not complete within the horizon")
+
 // coreReplication adapts a core.Config builder and a measurement of its
-// result — what the figure sweeps, wtcpd's run executor and the core-based
-// side studies speak — to the loop's replication contract. build receives
-// the loop's seed argument; measure may refuse a result that ran but must
-// not count (the zoo's "transfer did not complete"), which fails the
-// attempt like a run error.
+// result — what the figure sweeps, wtcpd's run executor, wtcp sim and the
+// core-based side studies speak — to the loop's replication contract.
+// build receives the loop's seed argument. A transfer that did not
+// complete fails the attempt like a run error (errIncomplete), so measure
+// sees only completed runs; it may refuse one that must not count, which
+// fails the attempt the same way.
 func coreReplication(build func(seed int64) core.Config, measure func(*core.Result) ([]float64, error)) replication {
 	return func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
 		cfg := build(seed)
@@ -355,7 +361,11 @@ func coreReplication(build func(seed int64) core.Config, measure func(*core.Resu
 			}
 		}
 		if err == nil && out.abort == "" {
-			out.values, err = measure(res)
+			if res.Completed {
+				out.values, err = measure(res)
+			} else {
+				err = errIncomplete
+			}
 		}
 		out.bundle = func() *repro.Bundle { return repro.Capture(cfg, res, err) }
 		return out, err

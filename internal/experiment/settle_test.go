@@ -34,7 +34,7 @@ func countRuns(t *testing.T) *atomic.Int64 {
 	var runs atomic.Int64
 	stubRunSim(t, func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		runs.Add(1)
-		return &core.Result{Summary: metrics.Summary{ThroughputKbps: float64(cfg.Seed), Goodput: 0.5}}, nil
+		return &core.Result{Completed: true, Summary: metrics.Summary{ThroughputKbps: float64(cfg.Seed), Goodput: 0.5}}, nil
 	})
 	return &runs
 }
@@ -286,7 +286,7 @@ func TestSettleConcurrentSameKey(t *testing.T) {
 		// Both executions are in flight before either can record.
 		barrier.Done()
 		barrier.Wait()
-		return &core.Result{Summary: metrics.Summary{ThroughputKbps: float64(cfg.Seed)}}, nil
+		return &core.Result{Completed: true, Summary: metrics.Summary{ThroughputKbps: float64(cfg.Seed)}}, nil
 	})
 	led, path := openSettleLedger(t)
 	opt := settleOpts()

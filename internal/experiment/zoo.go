@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -75,9 +74,6 @@ func ZooStudy(ctx context.Context, opt Options, axes ZooOptions) ([]ZooPoint, er
 					cfg.Oracle = true
 					return cfg
 				}, func(r *core.Result) ([]float64, error) {
-					if !r.Completed {
-						return nil, errors.New("transfer did not complete")
-					}
 					return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput,
 						float64(r.Summary.Timeouts), r.Summary.RetransmittedKB()}, nil
 				}),

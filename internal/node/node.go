@@ -40,8 +40,8 @@ type MobileStats struct {
 
 // Mobile is the mobile-host agent. Wireless deliveries go to Receive; TCP
 // acks and link acks leave through the uplink callback. Reassembled
-// in-order traffic is handed to a delivery callback — usually a TCP
-// sink's Receive, or a per-connection dispatcher in multi-flow setups.
+// in-order traffic is handed to a delivery callback, the TCP sink's
+// Receive.
 type Mobile struct {
 	sim      *sim.Simulator
 	ids      *packet.IDGen

@@ -175,15 +175,15 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, 
 		cfg.Seed += seed - 1
 		return cfg
 	}
-	extract := func(r *core.Result) []float64 {
+	measure := func(r *core.Result) ([]float64, error) {
 		return []float64{
 			r.Summary.ThroughputKbps,
 			r.Summary.Goodput,
 			r.Summary.RetransmittedKB(),
 			float64(r.Summary.Timeouts),
-		}
+		}, nil
 	}
-	reps, quar, err := experiment.RunCustom(ctx, opt, "run-"+fp[:16], build, extract)
+	reps, quar, err := experiment.RunCustom(ctx, opt, "run-"+fp[:16], build, measure)
 	if err != nil {
 		return s.failureOutcome(ctx, fp, err)
 	}

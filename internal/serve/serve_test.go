@@ -190,6 +190,33 @@ func TestDeadlineExpiresAs504WithoutTrippingTheClass(t *testing.T) {
 	}
 }
 
+// TestHorizonCappedRunIsQuarantined: a transfer the horizon cuts off has
+// no throughput — its Summary would divide the whole transfer by the
+// horizon — so /v1/run quarantines the request and neither the answer
+// nor the result store ever carries a number for it.
+func TestHorizonCappedRunIsQuarantined(t *testing.T) {
+	srv := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := []byte(`{"scenario":{"scheme":"ebsn","packet_size_bytes":576,"mean_bad":"2s","horizon":"10s","seed":1},"replications":2}`)
+	resp, data := post(t, ts, "/v1/run", body)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("horizon-capped run: HTTP %d: %s", resp.StatusCode, data)
+	}
+	var e errorBody
+	if err := json.Unmarshal(data, &e); err != nil || e.Fingerprint == "" ||
+		!strings.Contains(e.Error, "quarantined") || !strings.Contains(e.Error, "did not complete") {
+		t.Fatalf("horizon-capped run error body: %s (err %v)", data, err)
+	}
+	if bytes.Contains(data, []byte("replications")) {
+		t.Errorf("quarantined run answered with replication values: %s", data)
+	}
+	if resp, data := get(t, ts, "/v1/result/"+e.Fingerprint); resp.StatusCode == http.StatusOK {
+		t.Errorf("/v1/result served a quarantined run: %s", data)
+	}
+}
+
 func TestResourceExhaustionCoolsTheScenarioClass(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), nil)
 	ts := httptest.NewServer(srv.Handler())

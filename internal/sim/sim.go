@@ -6,8 +6,9 @@
 // The kernel is deliberately single-threaded: a simulation run is a
 // sequential replay of events in virtual-time order, which is what makes
 // runs reproducible bit-for-bit for a given seed. Concurrency across
-// *replications* (different seeds) is handled by callers (see
-// internal/stats.RunReplications), never inside one simulation.
+// *replications* (different seeds) is handled by callers (the
+// experiment engine's replication loop, internal/experiment), never
+// inside one simulation.
 //
 // The hot path is allocation-free in steady state: event structs are
 // recycled through a per-simulator free list, the queue is one slice

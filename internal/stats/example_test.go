@@ -6,19 +6,6 @@ import (
 	"wtcp/internal/stats"
 )
 
-// ExampleRunReplications aggregates independent seeded measurements the
-// way every experiment harness in this repository does.
-func ExampleRunReplications() {
-	sample := stats.RunReplications(5, func(seed int64) float64 {
-		// Stand-in for one simulation run keyed by its seed.
-		return float64(seed * 2)
-	})
-	fmt.Printf("n=%d mean=%.1f min=%.0f max=%.0f\n",
-		sample.N(), sample.Mean(), sample.Min(), sample.Max())
-	// Output:
-	// n=5 mean=6.0 min=2 max=10
-}
-
 // ExampleSample_RelStdDev computes the paper's reported dispersion
 // quantity ("the standard deviation for all results presented is less
 // than 4%").

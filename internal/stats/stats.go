@@ -1,5 +1,5 @@
-// Package stats provides the replication machinery the evaluation uses:
-// independent seeded runs aggregated into mean, deviation, and confidence
+// Package stats aggregates the evaluation's replicated measurements —
+// independent seeded runs — into mean, deviation, and confidence
 // intervals. The paper reports that "the standard deviation for all
 // results presented is less than 4%"; the experiment harnesses use these
 // helpers to report the same quantity.
@@ -8,7 +8,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"sync"
 )
 
 // Sample is a collection of replicated measurements.
@@ -117,25 +116,4 @@ func (s *Sample) Median() float64 {
 		return sorted[n/2]
 	}
 	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-// RunReplications executes f once per seed 1..n (each a fully independent
-// simulation) and collects the results into a Sample. Replications run
-// concurrently — simulations share no state — but the sample order is by
-// seed, so aggregation is deterministic.
-func RunReplications(n int, f func(seed int64) float64) *Sample {
-	if n <= 0 {
-		return &Sample{}
-	}
-	values := make([]float64, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			values[i] = f(int64(i + 1))
-		}(i)
-	}
-	wg.Wait()
-	return &Sample{values: values}
 }

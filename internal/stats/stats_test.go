@@ -77,26 +77,6 @@ func TestValuesReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestRunReplicationsDeterministicOrder(t *testing.T) {
-	s := RunReplications(8, func(seed int64) float64 { return float64(seed * seed) })
-	vs := s.Values()
-	if len(vs) != 8 {
-		t.Fatalf("N = %d", len(vs))
-	}
-	for i, v := range vs {
-		want := float64((i + 1) * (i + 1))
-		if v != want {
-			t.Errorf("value[%d] = %v, want %v (seed order)", i, v, want)
-		}
-	}
-}
-
-func TestRunReplicationsZeroN(t *testing.T) {
-	if RunReplications(0, func(int64) float64 { return 1 }).N() != 0 {
-		t.Error("zero replications should be empty")
-	}
-}
-
 // Property: mean is within [min, max] and stddev is non-negative.
 func TestPropertyMomentBounds(t *testing.T) {
 	f := func(raw []int16) bool {
