@@ -57,7 +57,8 @@ serve-smoke:
 # (with CSDP's one-verdict path) against the scans they replace, the
 # pump's inline advance against one kernel event per instant (results,
 # fired counts, budget and cancel errors; and the kernel's Advance
-# against schedule-then-step), the engine faults, the sampled conformance
+# against schedule-then-step), 2 000-flow runs against constants recorded
+# before the calendar's head cache, the engine faults, the sampled conformance
 # oracle (the only coverage of the path from a flow's shared-sender
 # transitions to its checker) — all under -race; and scale-pins: without
 # it, the steady-state zero-alloc pins (the race detector instruments
@@ -66,7 +67,7 @@ serve-smoke:
 # shared-channel SLOs cannot see per-channel set-up cost) and the
 # calendar's slide-per-push reading on the same configuration.
 scale-smoke: scale-pins
-	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestInlineAdvanceMatchesStepwise|TestAdvanceDifferential|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/sim/ ./internal/errmodel/
+	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestInlineAdvanceMatchesStepwise|TestManyFlowRunIsPinned|TestAdvanceDifferential|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/sim/ ./internal/errmodel/
 
 scale-pins:
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestCalendarArrivesAlmostSorted|TestSmallRunSetUpIsSmall|TestSourceSeedsOnlyWhatItReads' ./internal/cell/ ./internal/sim/

@@ -7,12 +7,14 @@ import (
 	"wtcp/internal/units"
 )
 
-// arena is the shared packet store: every data segment travelling from a
-// sender toward a sink lives in one slot here, referenced by index from
-// the base-station queues and the calendar's delivery events. Slots are
-// reference-counted because one packet can be alive in two places at once
-// (the ARQ still holds the queue head while a copy is crossing the radio
-// toward the sink; a lost link-ack leaves both references live).
+// arena is the shared packet store: a data segment lives in one slot here
+// while it is on the wired hop (its evWiredArrive event holds the slot)
+// or in its base-station queue, until the ARQ acknowledges or discards
+// it. The receiver gets a copy: the delivery event carries the segment's
+// sequence number and payload length by value and holds no slot, so the
+// engine gives a slot one holder at a time. The reference count is what
+// latches a double free or a use of a freed slot, and incref is there
+// for a second holder.
 //
 // Storage is struct-of-arrays so a 50k-flow run touches dense slabs
 // instead of pointer-chasing 100k tiny heap objects, and the free list
@@ -123,7 +125,8 @@ func (a *arena) Live() int { return a.live }
 type ArenaStats struct {
 	// Allocs counts slot claims over the whole run.
 	Allocs uint64
-	// PeakLive is the maximum simultaneously-referenced slot count.
+	// PeakLive is the maximum simultaneously-referenced slot count:
+	// segments on the wired hop or in a base-station queue.
 	PeakLive int
 	// Capacity is the final slot-slab size.
 	Capacity int

@@ -77,10 +77,11 @@ func TestArenaSize(t *testing.T) {
 // TestArenaRefcountsUnderChaos is the reference-hygiene property test:
 // across a grid of drop/duplicate/reorder fault rates and seeds, every
 // run must end with zero live arena slots and no latched refcount
-// misuse — chaos may destroy throughput, never references. Duplicated
-// deliveries take the incref path, dropped ones never acquire a
-// reference, and reordered ones outlive the radio cycle that produced
-// them, so the grid exercises every ownership hand-off the engine has.
+// misuse — chaos may destroy throughput, never references. Deliveries
+// travel by value, so a dropped, duplicated or reordered one holds no
+// slot; what the grid stresses is that the ARQ releases each head exactly
+// once while its copies are still in flight, alongside the wired hop's
+// tail drops and the discards after RTmax.
 func TestArenaRefcountsUnderChaos(t *testing.T) {
 	grids := []Chaos{
 		{DropP: 0.3},

@@ -76,8 +76,8 @@ func BenchmarkCellSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Send(&e.tcp, e)
-		ev := e.cal.pop()
-		e.arena.decref(ev.slot)
+		_, _, _, slot, _ := e.cal.pop()
+		e.arena.decref(slot)
 		e.fwdBusy[f] = 0
 		st.SndNxt, st.SndMax = 0, 0
 	}
@@ -98,8 +98,7 @@ func BenchmarkCellARQ(b *testing.B) {
 		e.transmit(station, f)
 		e.cal.pop() // evRadioDone; handlers are invoked directly
 		e.radioDone(station)
-		dv := e.cal.pop() // evSinkDeliver (success is deterministic)
-		e.arena.decref(dv.slot)
+		e.cal.pop() // evSinkDeliver (success is deterministic)
 		// Re-queue a fresh packet; the sink's rcvNxt is untouched because
 		// the delivery event was dropped above.
 		s := e.arena.alloc(f, 0, int32(e.mss))
@@ -108,15 +107,15 @@ func BenchmarkCellARQ(b *testing.B) {
 }
 
 // BenchmarkCellDelivery measures the sink side: in-order receive,
-// cumulative-ack emission, reverse-pipe fold.
+// cumulative-ack emission, reverse-pipe fold. A delivered segment
+// arrives by value, so no arena slot is involved.
 func BenchmarkCellDelivery(b *testing.B) {
 	e := benchEngine(b, benchConfig(256))
 	const f = int32(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slot := e.arena.alloc(f, e.rcvNxt[f], int32(e.mss))
-		e.sinkDeliver(f, slot)
+		e.sinkReceive(f, e.rcvNxt[f], e.mss)
 		if e.cal.len() > 0 {
 			e.cal.pop() // evAckArrive
 		}
@@ -142,8 +141,8 @@ func BenchmarkCellAck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ackArrive(f, st.SndUna+e.mss)
-		ev := e.cal.pop() // the one segment Send released
-		e.arena.decref(ev.slot)
+		_, _, _, slot, _ := e.cal.pop() // the one segment Send released
+		e.arena.decref(slot)
 		e.fwdBusy[f] = 0
 	}
 }

@@ -1,5 +1,7 @@
 package cell
 
+import "math"
+
 // calEvent is one scheduled micro-event. The calendar carries every
 // one-shot occurrence the engine schedules — wired-pipe arrivals, radio
 // cycle completions, sink deliveries, ACK and EBSN arrivals, admission
@@ -13,8 +15,11 @@ type calEvent struct {
 	kind uint8
 	flow int32
 	bs   int32
-	slot int32 // arena slot (delivery kinds) or batch size (admission)
-	a    int64 // ackNo (ack arrivals) / spare
+	// slot is the arena slot a wired arrival holds, a delivered
+	// segment's payload length (sink deliveries carry the segment by
+	// value and hold no slot), or unused.
+	slot int32
+	a    int64 // ackNo (ack arrivals) / sequence number (sink deliveries)
 }
 
 // Calendar event kinds.
@@ -33,22 +38,33 @@ const (
 // delay (a wired hop, a radio cycle, a propagation delay), so each kind
 // arrives almost sorted: push appends to the kind's ring and slides the
 // newcomer back past the few entries due later than it — usually none —
-// and pop compares at most six lane heads. seq is stamped in push order
-// and is unique, so (at, seq) is a total order and the pop sequence is a
-// function of the keys alone, whatever the structure holding them. Push
-// and pop are allocation-free once the rings have plateaued.
+// and pop picks the least of six cached lane heads. seq is stamped in
+// push order and is unique, so (at, seq) is a total order and the pop
+// sequence is a function of the keys alone, whatever the structure
+// holding them. Push and pop are allocation-free once the rings have
+// plateaued.
 type calendar struct {
 	lanes [evAdmit + 1]lane // indexed by kind; lane 0 is never used
-	seq   uint64
-	n     int
-	// top is the lane whose head is the least (at, seq), 0 when empty:
-	// pop settles it, and a push can only move it to the pushed lane.
+	// headAt and headSeq cache each lane's head key, so choosing the
+	// next lane reads these two small arrays instead of six ring slots.
+	// An empty lane reads as the largest at; the first push sets every
+	// lane so, which keeps a zero calendar usable.
+	headAt  [evAdmit + 1]int64
+	headSeq [evAdmit + 1]uint64
+	seq     uint64
+	n       int
+	// top is the lane whose head is the least (at, seq) while the
+	// calendar holds events: pop settles it, and a push can only move it
+	// to the pushed lane.
 	top uint8
 	// peak is the most events ever held at once; slides counts the
 	// entries pushes have moved past. Both are readings, not controls.
 	peak   int
 	slides uint64
 }
+
+// emptyAt is an empty lane's cached head time: later than any event.
+const emptyAt = math.MaxInt64
 
 // lane is one kind's events in (at, seq) order: a ring over a
 // power-of-two buffer.
@@ -65,12 +81,16 @@ func (c *calendar) minAt() int64 {
 	if c.n == 0 {
 		return -1
 	}
-	l := &c.lanes[c.top]
-	return l.buf[l.head].at
+	return c.headAt[c.top]
 }
 
 // push schedules e, stamping its FIFO sequence number.
 func (c *calendar) push(e calEvent) {
+	if c.seq == 0 {
+		for k := range c.headAt {
+			c.headAt[k] = emptyAt
+		}
+	}
 	c.seq++
 	e.seq = c.seq
 	l := &c.lanes[e.kind]
@@ -94,10 +114,14 @@ func (c *calendar) push(e calEvent) {
 	if c.n++; c.n > c.peak {
 		c.peak = c.n
 	}
-	// A new lane head due strictly before the calendar's minimum replaces
-	// it; on a tie the older seq, already there, stays ahead.
-	if c.n == 1 || (i == 0 && e.at < c.minAt()) {
-		c.top = e.kind
+	if i == 0 {
+		// A new lane head due strictly before the calendar's minimum
+		// takes the top; on a tie the older seq, already there, stays
+		// ahead. The lane's old head, if any, was due after e.
+		if c.n == 1 || e.at < c.headAt[c.top] {
+			c.top = e.kind
+		}
+		c.headAt[e.kind], c.headSeq[e.kind] = e.at, e.seq
 	}
 }
 
@@ -110,25 +134,30 @@ func (l *lane) grow() {
 	l.buf, l.head = buf, 0
 }
 
-// pop removes and returns the earliest event. The calendar must not be
+// pop removes the earliest event and returns its fields — as results,
+// not a calEvent, so the caller switches on them straight from registers
+// instead of copying a spilled struct back out. The calendar must not be
 // empty.
-func (c *calendar) pop() calEvent {
-	l := &c.lanes[c.top]
-	e := l.buf[l.head]
+func (c *calendar) pop() (kind uint8, flow, bs, slot int32, a int64) {
+	k := c.top
+	l := &c.lanes[k]
+	p := &l.buf[l.head]
+	kind, flow, bs, slot, a = p.kind, p.flow, p.bs, p.slot, p.a
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	c.n--
-	c.top = 0
-	var best *calEvent
-	for k := 1; k < len(c.lanes); k++ {
-		l := &c.lanes[k]
-		if l.n == 0 {
-			continue
-		}
+	if l.n > 0 {
 		h := &l.buf[l.head]
-		if best == nil || h.at < best.at || (h.at == best.at && h.seq < best.seq) {
-			best, c.top = h, uint8(k)
+		c.headAt[k], c.headSeq[k] = h.at, h.seq
+	} else {
+		c.headAt[k] = emptyAt
+	}
+	top, at, seq := uint8(1), c.headAt[1], c.headSeq[1]
+	for j := uint8(2); j <= evAdmit; j++ {
+		if h := c.headAt[j]; h < at || (h == at && c.headSeq[j] < seq) {
+			top, at, seq = j, h, c.headSeq[j]
 		}
 	}
-	return e
+	c.top = top
+	return
 }

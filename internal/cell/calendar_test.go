@@ -29,33 +29,53 @@ func runCalendarScript(t *testing.T, script []byte) {
 	var clock int64
 	var seq uint64
 	peak := 0
+	// next indexes the reference's least (at, seq) event, -1 when it is
+	// empty; check, which follows every operation, keeps it.
+	next := -1
 	check := func(op int) {
 		t.Helper()
 		if c.len() != len(ref) {
 			t.Fatalf("op %d: len %d, reference holds %d", op, c.len(), len(ref))
 		}
-		want := int64(-1)
+		best := -1
 		for i := range ref {
-			if want < 0 || ref[i].at < want {
-				want = ref[i].at
+			if best < 0 || ref[i].at < ref[best].at || (ref[i].at == ref[best].at && ref[i].seq < ref[best].seq) {
+				best = i
 			}
+		}
+		next = best
+		want := int64(-1)
+		if best >= 0 {
+			want = ref[best].at
 		}
 		if got := c.minAt(); got != want {
 			t.Fatalf("op %d: minAt %d, reference %d", op, got, want)
 		}
+		if best >= 0 && c.top != ref[best].kind {
+			t.Fatalf("op %d: top names lane %d, reference's next event is in lane %d", op, c.top, ref[best].kind)
+		}
+		// The head cache must mirror every ring exactly, from the first
+		// push on (which fills a zero calendar's cache).
+		for k := uint8(1); k <= evAdmit && c.seq > 0; k++ {
+			l := &c.lanes[k]
+			at, seq := int64(emptyAt), c.headSeq[k]
+			if l.n > 0 {
+				at, seq = l.buf[l.head].at, l.buf[l.head].seq
+			}
+			if c.headAt[k] != at || c.headSeq[k] != seq {
+				t.Fatalf("op %d: lane %d caches head (%d, %d), ring holds (%d, %d)", op, k, c.headAt[k], c.headSeq[k], at, seq)
+			}
+		}
 	}
 	pop := func(op int) {
 		t.Helper()
-		best := 0
-		for i := range ref {
-			if ref[i].at < ref[best].at || (ref[i].at == ref[best].at && ref[i].seq < ref[best].seq) {
-				best = i
-			}
-		}
-		want := ref[best]
-		ref[best] = ref[len(ref)-1]
+		want := ref[next]
+		ref[next] = ref[len(ref)-1]
 		ref = ref[:len(ref)-1]
-		if got := c.pop(); got != want {
+		// pop returns no at or seq: the check before it matched minAt to
+		// want.at, and flow (the op that pushed it) names the event.
+		kind, flow, bs, slot, a := c.pop()
+		if got := (calEvent{at: want.at, seq: want.seq, kind: kind, flow: flow, bs: bs, slot: slot, a: a}); got != want {
 			t.Fatalf("op %d: popped %+v, reference pops %+v", op, got, want)
 		}
 		if want.at > clock {
@@ -139,6 +159,12 @@ func FuzzCalendarOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 0, 7, 0})
 	f.Add([]byte{16, 0, 17, 0, 16, 0, 21, 0, 7, 0, 7, 0, 16, 0}) // ties across and within kinds
 	f.Add([]byte{24, 100, 24, 50, 24, 0, 24, 200, 7, 0, 24, 10}) // one kind, due earlier and earlier
+	// Five pushes at one instant into lanes 1, 2, 1, 3, 2: the third pop
+	// empties lane 1 while lane 3's head ties lane 2's with a lower seq.
+	f.Add([]byte{16, 0, 17, 0, 16, 0, 18, 0, 17, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0})
+	// Lane 2 holds the minimum when a push to lane 1 becomes its new
+	// head, first due before lane 1's old head, then tying lane 2's.
+	f.Add([]byte{24, 100, 25, 10, 24, 50, 24, 10, 7, 0, 7, 0, 7, 0, 7, 0})
 	g := sim.NewRNG(7)
 	for i := 0; i < 4; i++ {
 		f.Add(calendarScript(g, 200))

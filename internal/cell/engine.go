@@ -431,19 +431,20 @@ func (e *engine) lossDraw(ch *errmodel.Markov, start, end time.Duration, bits in
 // rearm sets the pump for the earliest pending micro-event, if any.
 func (e *engine) rearm() {
 	now := e.s.Now()
-	next := e.nextEventAt(int64(now))
-	if next >= 0 {
+	if next, _ := e.nextEventAt(int64(now)); next >= 0 {
 		e.pump.Set(time.Duration(next) - now)
 	}
 }
 
-// nextEventAt reports the earliest pending micro-event time, or -1.
-func (e *engine) nextEventAt(nowNs int64) int64 {
-	next := e.cal.minAt()
+// nextEventAt reports the earliest pending micro-event time, or -1, and
+// whether it is the calendar's: on a tie the calendar goes before the
+// wheel.
+func (e *engine) nextEventAt(nowNs int64) (next int64, onCalendar bool) {
+	next = e.cal.minAt()
 	if wAt := e.wheel.nextAt(nowNs); wAt >= 0 && (next < 0 || wAt < next) {
-		next = wAt
+		return wAt, false
 	}
-	return next
+	return next, next >= 0
 }
 
 // pumpFire drains every micro-event due at the current instant — the
@@ -466,12 +467,7 @@ func (e *engine) pumpFire() {
 		if e.doneCount == e.F {
 			return
 		}
-		cAt := e.cal.minAt()
-		next := cAt
-		wAt := e.wheel.nextAt(nowNs)
-		if wAt >= 0 && (next < 0 || wAt < next) {
-			next = wAt
-		}
+		next, onCalendar := e.nextEventAt(nowNs)
 		if next < 0 {
 			return
 		}
@@ -483,11 +479,24 @@ func (e *engine) pumpFire() {
 			now, nowNs, n = time.Duration(next), next, 0
 		}
 		e.events++
-		if cAt >= 0 && cAt <= nowNs {
-			ev := e.cal.pop()
-			e.dispatch(ev)
+		if onCalendar {
+			kind, f, b, slot, a := e.cal.pop()
+			switch kind {
+			case evWiredArrive:
+				e.wiredArrive(f, slot)
+			case evRadioDone:
+				e.radioDone(b)
+			case evSinkDeliver:
+				e.sinkReceive(f, a, int64(slot))
+			case evAckArrive:
+				e.ackArrive(f, a)
+			case evEBSNArrive:
+				e.flow(f).OnEBSN(&e.tcp, e)
+			case evAdmit:
+				e.admitBatch()
+			}
 		} else {
-			idx := e.wheel.popDue(wAt)
+			idx := e.wheel.popDue(next)
 			if idx < 0 {
 				return // defensive; cannot happen
 			}
@@ -502,24 +511,6 @@ func (e *engine) pumpFire() {
 			e.pump.Set(0)
 			return
 		}
-	}
-}
-
-// dispatch routes one calendar event.
-func (e *engine) dispatch(ev calEvent) {
-	switch ev.kind {
-	case evWiredArrive:
-		e.wiredArrive(ev.flow, ev.slot)
-	case evRadioDone:
-		e.radioDone(ev.bs)
-	case evSinkDeliver:
-		e.sinkDeliver(ev.flow, ev.slot)
-	case evAckArrive:
-		e.ackArrive(ev.flow, ev.a)
-	case evEBSNArrive:
-		e.flow(ev.flow).OnEBSN(&e.tcp, e)
-	case evAdmit:
-		e.admitBatch()
 	}
 }
 
@@ -748,9 +739,13 @@ func (e *engine) radioDone(b int32) {
 }
 
 // deliverToSink schedules the received copy's hand-off to the mobile
-// sink, one propagation delay away, with chaos faults applied.
+// sink, one propagation delay away, with chaos faults applied. The copy
+// travels by value — its sequence number and payload length ride the
+// event — so it holds no arena reference and the sink reads no arena
+// state.
 func (e *engine) deliverToSink(f, slot int32) {
 	delay := e.cfg.WirelessDelay
+	seq, paylen := e.arena.seq[slot], e.arena.paylen[slot]
 	if e.chaosOn {
 		if e.chaos.Bernoulli(e.cfg.Chaos.DropP) {
 			e.chaosDrops++
@@ -762,21 +757,10 @@ func (e *engine) deliverToSink(f, slot int32) {
 		}
 		if e.chaos.Bernoulli(e.cfg.Chaos.DupP) {
 			e.chaosDups++
-			e.arena.incref(slot)
-			e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, slot: slot})
+			e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, slot: paylen, a: seq})
 		}
 	}
-	e.arena.incref(slot)
-	e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, slot: slot})
-}
-
-// sinkDeliver hands one arena slot's segment to the sink and releases
-// the delivery reference.
-func (e *engine) sinkDeliver(f, slot int32) {
-	seq := e.arena.seq[slot]
-	paylen := int64(e.arena.paylen[slot])
-	e.arena.decref(slot)
-	e.sinkReceive(f, seq, paylen)
+	e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, slot: paylen, a: seq})
 }
 
 // onAttemptSucceeded pops the acknowledged head and resets its ARQ
@@ -834,10 +818,10 @@ func (e *engine) onAttemptFailed(b, f int32) {
 
 // ---- teardown ----
 
-// drain releases every outstanding packet reference (queues, in-flight
-// deliveries) so the arena's live count audits reference hygiene: after
-// drain, a non-zero live count is a leaked reference and a negative-path
-// decref would have latched a misuse error.
+// drain releases every outstanding packet reference (queues, wired
+// arrivals in flight) so the arena's live count audits reference
+// hygiene: after drain, a non-zero live count is a leaked reference and
+// a negative-path decref would have latched a misuse error.
 func (e *engine) drain() {
 	for f := 0; f < e.F; f++ {
 		for e.qCount[f] > 0 {
@@ -845,9 +829,8 @@ func (e *engine) drain() {
 		}
 	}
 	for e.cal.len() > 0 {
-		ev := e.cal.pop()
-		if ev.kind == evWiredArrive || ev.kind == evSinkDeliver {
-			e.arena.decref(ev.slot)
+		if kind, _, _, slot, _ := e.cal.pop(); kind == evWiredArrive {
+			e.arena.decref(slot)
 		}
 	}
 }

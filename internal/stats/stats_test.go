@@ -68,6 +68,41 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
+// TestT975MatchesPublishedQuantiles checks CI95's multiplier against
+// published two-sided 95% Student's t quantiles, on both sides of the
+// table's end, and that it falls with df toward the normal 1.960.
+func TestT975MatchesPublishedQuantiles(t *testing.T) {
+	for _, tc := range []struct {
+		df   int
+		want float64
+	}{
+		{1, 12.706}, {2, 4.303}, {9, 2.262}, {29, 2.045}, {30, 2.042},
+		{31, 2.040}, {40, 2.021}, {60, 2.000}, {120, 1.980},
+	} {
+		if got := t975(tc.df); math.Abs(got-tc.want) > 0.0005 {
+			t.Errorf("t975(%d) = %.4f, want %.3f", tc.df, got, tc.want)
+		}
+	}
+	for df := 2; df <= 1000; df++ {
+		if t975(df) >= t975(df-1) {
+			t.Fatalf("t975(%d) = %v is not below t975(%d) = %v", df, t975(df), df-1, t975(df-1))
+		}
+	}
+	if got := t975(1 << 30); math.Abs(got-1.96) > 0.0005 {
+		t.Errorf("t975 at large df = %v, want 1.960", got)
+	}
+}
+
+// TestCI95UsesStudentsT pins the interval at the report's 10
+// replications: t at 9 degrees of freedom times the standard error.
+func TestCI95UsesStudentsT(t *testing.T) {
+	s := sampleOf(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	want := 2.262157163 * s.StdDev() / math.Sqrt(10)
+	if got := s.CI95(); math.Abs(got-want) > 1e-9 {
+		t.Errorf("CI95 = %v, want %v", got, want)
+	}
+}
+
 func TestValuesReturnsCopy(t *testing.T) {
 	s := sampleOf(1, 2, 3)
 	vs := s.Values()
