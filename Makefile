@@ -48,17 +48,19 @@ fleet-smoke:
 serve-smoke:
 	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsAdoptedOnce|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder' ./internal/serve/
 
-# Cell-scale gate: the 1k-flow SLO, the arena refcount property under
-# chaos loss/dup/reorder, the old-vs-new differential pin, and the pins
+# Cell-scale gate: the 1k-flow SLO, segment conservation under chaos
+# loss/dup/reorder, the old-vs-new differential pin, and the pins
 # behind the cell engine's bit-identity claims — sim's lazily seeded
 # source against math/rand, the windowed fading timeline against the
-# unbounded one and its cursor against a plain search, the lane calendar
+# unbounded one and its cursor (and the cursor's interval bounds) against
+# a plain search, the lane calendar
 # against a sorted bag, the cached wheel minimum and the non-empty bitmap
 # (with CSDP's one-verdict path) against the scans they replace, the
 # pump's inline advance against one kernel event per instant (results,
 # fired counts, budget and cancel errors; and the kernel's Advance
 # against schedule-then-step), 2 000-flow runs against constants recorded
-# before the calendar's head cache, the engine faults, the sampled conformance
+# before the calendar's head cache, the engine faults (an off-grid segment
+# among them), the sampled conformance
 # oracle (the only coverage of the path from a flow's shared-sender
 # transitions to its checker) — all under -race; and scale-pins: without
 # it, the steady-state zero-alloc pins (the race detector instruments
@@ -67,7 +69,7 @@ serve-smoke:
 # shared-channel SLOs cannot see per-channel set-up cost) and the
 # calendar's slide-per-push reading on the same configuration.
 scale-smoke: scale-pins
-	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestInlineAdvanceMatchesStepwise|TestManyFlowRunIsPinned|TestAdvanceDifferential|TestEngineFaultsFailClosed|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/sim/ ./internal/errmodel/
+	$(GO) test -race -run 'TestCellSLO1k|TestArenaRefcountsUnderChaos|TestRunMatchesReferenceEngine|TestSourceMatchesMathRand|TestSourceRegisterEdge|TestWindowedMarkovEqualsUnbounded|TestCursorEqualsSearch|TestCursorBoundsEqualSearch|TestWheelMinMatchesScan|TestCalendarMatchesSortedReference|TestNextNonEmptyMatchesLinearScan|TestInlineAdvanceMatchesStepwise|TestManyFlowRunIsPinned|TestAdvanceDifferential|TestEngineFaultsFailClosed|TestOffGridTransmitFaults|TestRunNeverQueriesBelowTheWindow|TestOracleSampling|TestOracleSamplingDoesNotPerturb' ./internal/cell/ ./internal/sim/ ./internal/errmodel/
 
 scale-pins:
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestCellSLO10kPerFlow|TestCalendarArrivesAlmostSorted|TestSmallRunSetUpIsSmall|TestSourceSeedsOnlyWhatItReads' ./internal/cell/ ./internal/sim/
@@ -273,6 +275,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzKernelOps -fuzztime=30s ./internal/sim
 	$(GO) test -fuzz=FuzzFleetBodies -fuzztime=30s ./internal/fleet
 	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=30s ./cmd/wtcp
+	$(GO) test -fuzz=FuzzBenchABRuns -fuzztime=30s ./cmd/wtcp
+	$(GO) test -fuzz=FuzzMarkovQueries -fuzztime=30s ./internal/errmodel
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
@@ -292,6 +296,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzKernelOps -fuzztime=10s ./internal/sim
 	$(GO) test -fuzz=FuzzFleetBodies -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=10s ./cmd/wtcp
+	$(GO) test -fuzz=FuzzBenchABRuns -fuzztime=10s ./cmd/wtcp
+	$(GO) test -fuzz=FuzzMarkovQueries -fuzztime=10s ./internal/errmodel
 
 clean:
 	$(GO) clean ./...

@@ -13,7 +13,7 @@ package main
 // last; line i of both files is pair i.
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,14 +36,9 @@ type abMetric struct {
 	Bound  float64 `json:"bound"`
 }
 
-// abRun is the contract line of one run.
-type abRun struct {
-	Correct bool  `json:"correct"`
-	Failed  int64 `json:"failed"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
-}
+// abRun is one run's reading of each end-to-end metric, in manifest
+// order.
+type abRun []float64
 
 func benchABFlags(fs *flag.FlagSet) body {
 	var (
@@ -65,11 +60,11 @@ func benchABFlags(fs *flag.FlagSet) body {
 		if err := json.Unmarshal(data, &m); err != nil {
 			return fmt.Errorf("%s: %w", *manifest, err)
 		}
-		a, err := readRuns(*base)
+		a, err := readRuns(*base, m.EndToEnd)
 		if err != nil {
 			return err
 		}
-		b, err := readRuns(*change)
+		b, err := readRuns(*change, m.EndToEnd)
 		if err != nil {
 			return err
 		}
@@ -80,32 +75,54 @@ func benchABFlags(fs *flag.FlagSet) body {
 	}
 }
 
-// readRuns reads one contract line per run.
-func readRuns(path string) ([]abRun, error) {
-	f, err := os.Open(path)
+// readRuns reads the runs of one side from path.
+func readRuns(path string, metrics []abMetric) ([]abRun, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	return decodeRuns(path, data, metrics)
+}
+
+// decodeRuns reads one contract line per run and refuses, naming the file
+// and line, a run that is not a clean reading of every metric: one its
+// harness marked incorrect, one with failed operations, or one missing a
+// metric — which a comparison would otherwise score as a zero.
+func decodeRuns(path string, data []byte, metrics []abMetric) ([]abRun, error) {
 	var runs []abRun
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		var r abRun
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			return nil, fmt.Errorf("%s: run %d: %w", path, len(runs)+1, err)
+	for i, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+		var r struct {
+			Correct bool  `json:"correct"`
+			Failed  int64 `json:"failed"`
+			Metrics map[string]struct {
+				Value *float64 `json:"value"`
+			} `json:"metrics"`
 		}
-		runs = append(runs, r)
+		if err := json.Unmarshal(line, &r); err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", path, i+1, err)
+		}
+		if !r.Correct || r.Failed != 0 {
+			return nil, fmt.Errorf("%s:%d: run is not clean (correct %v, %d failed operations)", path, i+1, r.Correct, r.Failed)
+		}
+		run := make(abRun, len(metrics))
+		for j, m := range metrics {
+			v := r.Metrics[m.Name].Value
+			if v == nil {
+				return nil, fmt.Errorf("%s:%d: no %s reading", path, i+1, m.Name)
+			}
+			run[j] = *v
+		}
+		runs = append(runs, run)
 	}
-	return runs, sc.Err()
+	return runs, nil
 }
 
 // writeAB prints the verdict table and then every pair.
 func writeAB(w io.Writer, metrics []abMetric, a, b []abRun) error {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "metric\tbetter\tbase median [q1, q3]\tchange median [q1, q3]\tchange\tpairs won\tclaim rule\n")
-	for _, m := range metrics {
-		va, vb := values(a, m.Name), values(b, m.Name)
+	for j, m := range metrics {
+		va, vb := values(a, j), values(b, j)
 		qa, qb := quartiles(va), quartiles(vb)
 		won := 0
 		for i := range va {
@@ -133,25 +150,26 @@ func writeAB(w io.Writer, metrics []abMetric, a, b []abRun) error {
 	for _, m := range metrics {
 		fmt.Fprintf(tw, "\t%s base -> change", m.Name)
 	}
-	fmt.Fprint(tw, "\tfailed base/change\n")
+	fmt.Fprintln(tw)
 	for i := range a {
 		first := "base"
 		if i%2 == 1 {
 			first = "change"
 		}
 		fmt.Fprintf(tw, "%d\t%s", i+1, first)
-		for _, m := range metrics {
-			fmt.Fprintf(tw, "\t%.4g -> %.4g", a[i].Metrics[m.Name].Value, b[i].Metrics[m.Name].Value)
+		for j := range metrics {
+			fmt.Fprintf(tw, "\t%.4g -> %.4g", a[i][j], b[i][j])
 		}
-		fmt.Fprintf(tw, "\t%d/%d\n", a[i].Failed, b[i].Failed)
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
 
-func values(runs []abRun, name string) []float64 {
+// values returns every run's reading of metric j.
+func values(runs []abRun, j int) []float64 {
 	out := make([]float64, len(runs))
 	for i, r := range runs {
-		out[i] = r.Metrics[name].Value
+		out[i] = r[j]
 	}
 	return out
 }

@@ -24,7 +24,7 @@ type outcome struct {
 
 // disturbance is what a differential run does to the kernel besides the
 // cell: a budget, and a kernel event at some virtual time that cancels
-// the bound context or corrupts a queued packet's reference count.
+// the bound context or breaks segment conservation.
 type disturbance struct {
 	budget   sim.Budget
 	cancelAt time.Duration
@@ -50,16 +50,15 @@ func runWay(t *testing.T, cfg Config, stepwise bool, d disturbance) outcome {
 		s.Schedule(d.cancelAt, cancel)
 	}
 	if d.faultAt > 0 {
-		// One release too many on a queued packet (the first one queued
-		// from faultAt on): the engine's own release of it later,
-		// inside the pump, latches the misuse.
+		// Every live segment retired behind the engine's back (the first
+		// time from faultAt on that any is live): the engine's own
+		// retire of one of them later, inside the pump, is a double
+		// retire and latches the conservation fault.
 		var corrupt func()
 		corrupt = func() {
-			for f := int32(0); f < int32(e.F); f++ {
-				if e.qCount[f] > 0 {
-					e.arena.decref(e.qHeadSlot(f))
-					return
-				}
+			if e.segs.live > 0 {
+				retireAll(e)
+				return
 			}
 			s.Schedule(time.Millisecond, corrupt)
 		}

@@ -61,10 +61,10 @@ func BenchmarkCellAdmission(b *testing.B) {
 }
 
 // BenchmarkCellSend measures one segment through the shared send path and
-// the engine's Transmit: window check, Karn timing, wheel arm check, arena
-// claim, retransmit accounting, wired-pipe fold, calendar push. The
+// the engine's Transmit: window check, Karn timing, wheel arm check, grid
+// check, retransmit accounting, wired-pipe fold, calendar push. The
 // one-segment initial window lets exactly one segment out; the iteration
-// is unwound (calendar pop, slot release, sequence rewind) so state never
+// is unwound (calendar pop, segment retired, sequence rewind) so state never
 // drifts, and from the second on an earlier segment is being timed and
 // the timer is armed — the steady state.
 func BenchmarkCellSend(b *testing.B) {
@@ -76,8 +76,8 @@ func BenchmarkCellSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Send(&e.tcp, e)
-		_, _, _, slot, _ := e.cal.pop()
-		e.arena.decref(slot)
+		e.cal.pop()
+		e.retire(f)
 		e.fwdBusy[f] = 0
 		st.SndNxt, st.SndMax = 0, 0
 	}
@@ -90,8 +90,8 @@ func BenchmarkCellARQ(b *testing.B) {
 	e := benchEngine(b, benchConfig(256))
 	const f = int32(5)
 	station := e.bsOf(f)
-	slot := e.arena.alloc(f, 0, int32(e.mss))
-	e.qPush(f, slot)
+	e.admit()
+	e.qPush(f, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,21 +101,20 @@ func BenchmarkCellARQ(b *testing.B) {
 		e.cal.pop() // evSinkDeliver (success is deterministic)
 		// Re-queue a fresh packet; the sink's rcvNxt is untouched because
 		// the delivery event was dropped above.
-		s := e.arena.alloc(f, 0, int32(e.mss))
-		e.qPush(f, s)
+		e.admit()
+		e.qPush(f, 0)
 	}
 }
 
 // BenchmarkCellDelivery measures the sink side: in-order receive,
-// cumulative-ack emission, reverse-pipe fold. A delivered segment
-// arrives by value, so no arena slot is involved.
+// cumulative-ack emission, reverse-pipe fold.
 func BenchmarkCellDelivery(b *testing.B) {
 	e := benchEngine(b, benchConfig(256))
 	const f = int32(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.sinkReceive(f, e.rcvNxt[f], e.mss)
+		e.sinkReceive(f, e.rcvNxt[f])
 		if e.cal.len() > 0 {
 			e.cal.pop() // evAckArrive
 		}
@@ -130,19 +129,19 @@ func BenchmarkCellAck(b *testing.B) {
 	e := benchEngine(b, benchConfig(256))
 	const f = int32(9)
 	e.started[f] = true
-	e.tcp.Total = 1 << 50 // never completes within b.N acks
+	e.tcp.Total, e.total = 1<<50, 1<<50 // never completes within b.N acks
 	e.rows[f] = e.tcp.NewState()
 	st := &e.rows[f]
 	st.Cwnd = float64(e.adv) + float64(e.mss) // at cap: window() == adv
 	st.Ssthresh = float64(e.mss)              // stay in congestion avoidance
-	st.SndNxt = e.adv
-	st.SndMax = e.adv
+	st.SndNxt = e.adv - e.adv%e.mss           // a full window's worth, on the MSS grid
+	st.SndMax = st.SndNxt
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ackArrive(f, st.SndUna+e.mss)
-		_, _, _, slot, _ := e.cal.pop() // the one segment Send released
-		e.arena.decref(slot)
+		e.cal.pop() // the one segment Send released
+		e.retire(f)
 		e.fwdBusy[f] = 0
 	}
 }

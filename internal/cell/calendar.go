@@ -15,11 +15,7 @@ type calEvent struct {
 	kind uint8
 	flow int32
 	bs   int32
-	// slot is the arena slot a wired arrival holds, a delivered
-	// segment's payload length (sink deliveries carry the segment by
-	// value and hold no slot), or unused.
-	slot int32
-	a    int64 // ackNo (ack arrivals) / sequence number (sink deliveries)
+	a    int64 // ackNo (ack arrivals) / sequence number (data segments)
 }
 
 // Calendar event kinds.
@@ -109,7 +105,7 @@ func (c *calendar) push(e calEvent) {
 	// a time, and a wide copy out of that spill waits on every narrow
 	// store it straddles (3-4 % of a cell_10k run).
 	p := &l.buf[(l.head+i)&mask]
-	p.at, p.seq, p.kind, p.flow, p.bs, p.slot, p.a = e.at, e.seq, e.kind, e.flow, e.bs, e.slot, e.a
+	p.at, p.seq, p.kind, p.flow, p.bs, p.a = e.at, e.seq, e.kind, e.flow, e.bs, e.a
 	l.n++
 	if c.n++; c.n > c.peak {
 		c.peak = c.n
@@ -138,11 +134,11 @@ func (l *lane) grow() {
 // not a calEvent, so the caller switches on them straight from registers
 // instead of copying a spilled struct back out. The calendar must not be
 // empty.
-func (c *calendar) pop() (kind uint8, flow, bs, slot int32, a int64) {
+func (c *calendar) pop() (kind uint8, flow, bs int32, a int64) {
 	k := c.top
 	l := &c.lanes[k]
 	p := &l.buf[l.head]
-	kind, flow, bs, slot, a = p.kind, p.flow, p.bs, p.slot, p.a
+	kind, flow, bs, a = p.kind, p.flow, p.bs, p.a
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	c.n--

@@ -74,8 +74,8 @@ func runCalendarScript(t *testing.T, script []byte) {
 		ref = ref[:len(ref)-1]
 		// pop returns no at or seq: the check before it matched minAt to
 		// want.at, and flow (the op that pushed it) names the event.
-		kind, flow, bs, slot, a := c.pop()
-		if got := (calEvent{at: want.at, seq: want.seq, kind: kind, flow: flow, bs: bs, slot: slot, a: a}); got != want {
+		kind, flow, bs, a := c.pop()
+		if got := (calEvent{at: want.at, seq: want.seq, kind: kind, flow: flow, bs: bs, a: a}); got != want {
 			t.Fatalf("op %d: popped %+v, reference pops %+v", op, got, want)
 		}
 		if want.at > clock {
@@ -102,7 +102,7 @@ func runCalendarScript(t *testing.T, script []byte) {
 		}
 		at = max(at, 0) // minAt reserves negative times for "empty"
 		seq++
-		e := calEvent{at: at, kind: kind, flow: int32(op), bs: int32(b), slot: int32(off), a: at ^ int64(op)}
+		e := calEvent{at: at, kind: kind, flow: int32(op), bs: int32(b), a: at ^ int64(op)}
 		c.push(e)
 		e.seq = seq
 		ref = append(ref, e)

@@ -1,7 +1,7 @@
 // Package cell is the flat, index-addressed multi-flow engine: a whole
 // cell of 10k-100k concurrent TCP transfers sharing base-station radios,
 // with per-flow sender/sink state held in slabs indexed by flow ID, data
-// segments in a shared refcounted arena, one flat ARQ table per base
+// segments carried by value on the MSS grid, one flat ARQ table per base
 // station, and a single hashed timer wheel for every RTO timer in the run
 // — so the zero-alloc event kernel stays zero-alloc at 1000x the flow
 // count of the object-graph engines.
@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"wtcp/internal/errmodel"
@@ -57,7 +58,7 @@ func (p Policy) String() string {
 }
 
 // Chaos injects seeded faults at the radio-to-sink boundary, for the
-// arena leak/double-free property tests and robustness studies: each
+// segment-conservation property tests and robustness studies: each
 // successfully received segment may be dropped, duplicated, or delayed
 // (reordered) on its way to the sink. All draws come from a dedicated
 // RNG split, so enabling chaos never perturbs the protocol draw
@@ -168,6 +169,8 @@ func (c Config) Validate() error {
 		return errors.New("cell: packet size below header")
 	case c.TransferSize <= 0:
 		return errors.New("cell: nothing to transfer")
+	case int64(c.TransferSize)/int64(c.PacketSize-packet.HeaderSize) >= math.MaxInt32:
+		return errors.New("cell: transfer spans 2^31 segments or more")
 	case c.Window < c.PacketSize-packet.HeaderSize:
 		return errors.New("cell: window below one segment")
 	case c.WiredRate <= 0 || c.WirelessRate <= 0:
@@ -286,11 +289,26 @@ type Result struct {
 	// Events counts engine micro-events processed (calendar pops plus
 	// wheel fires); the scale SLOs express wall bounds per event.
 	Events uint64
-	// Arena summarizes packet-slot usage; LiveAtEnd must be zero.
+	// Arena counts the data segments the network held; LiveAtEnd must
+	// be zero.
 	Arena ArenaStats
 	// CalendarPeak is the most one-shot events the calendar held at once:
 	// packets and acks in flight on a wire or a radio, not flows.
 	CalendarPeak int
+}
+
+// ArenaStats counts the data segments a run's network held: on a wired
+// hop or in a base-station queue, from the sender's Transmit until a tail
+// drop, the ARQ's acknowledgment or discard, or the end of the run.
+// Delivered copies travel by value and are not counted.
+type ArenaStats struct {
+	// Allocs counts segments sent over the whole run.
+	Allocs uint64
+	// PeakLive is the most segments held at once.
+	PeakLive int
+	// LiveAtEnd is the count after the end-of-run drain; a non-zero
+	// value means a segment was never retired.
+	LiveAtEnd int
 }
 
 // Run executes one cell simulation on a pooled kernel.

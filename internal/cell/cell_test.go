@@ -184,6 +184,7 @@ func TestValidate(t *testing.T) {
 		"bad policy":      func(c *Config) { c.Policy = 0 },
 		"tiny packet":     func(c *Config) { c.PacketSize = 40 },
 		"no transfer":     func(c *Config) { c.TransferSize = 0 },
+		"2^31 segments":   func(c *Config) { c.PacketSize, c.TransferSize = 41, 1<<31 },
 		"window too low":  func(c *Config) { c.Window = 100 },
 		"no rate":         func(c *Config) { c.WiredRate = 0 },
 		"accuracy range":  func(c *Config) { c.PredictorAccuracy = 1.5 },

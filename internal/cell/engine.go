@@ -43,19 +43,20 @@ type engine struct {
 	chaos *sim.RNG // fault-injection draws (isolated split)
 
 	// chans holds one Markov channel per flow, or one per base station
-	// when SharedChannel is set.
-	chans []*errmodel.Markov
+	// when SharedChannel is set, in one slab.
+	chans []errmodel.Markov
 
-	arena *arena
 	wheel *wheel
 	cal   calendar
 	pump  *sim.Timer
 
 	// tcp is every flow's sender configuration (Tahoe, the tcp package's
-	// defaults); mss and adv are its segment and window sizes in bytes.
-	tcp tcp.Config
-	mss int64
-	adv int64
+	// defaults); mss, adv and total are its segment, window and
+	// transfer sizes in bytes.
+	tcp   tcp.Config
+	mss   int64
+	adv   int64
+	total int64
 
 	// Precomputed transmission times: the radio link-ack / TCP-ack
 	// (control size at wireless rate) and the wired reverse-pipe ack;
@@ -84,8 +85,8 @@ type engine struct {
 	// ---- per-flow wired pipes (collapsed to busy-until horizons) ----
 	fwdBusy, revBusy []time.Duration
 
-	// ---- per-flow base-station queue rings (arena slot indices) ----
-	qSlot         []int32 // F x qCap slab
+	// ---- per-flow base-station queue rings (segment numbers, seq/mss) ----
+	qSeg          []int32 // F x qCap slab
 	qHead, qCount []int32
 	qCap          int
 
@@ -93,14 +94,18 @@ type engine struct {
 	// per flow (stop-and-wait; the head is retried until acked or
 	// discarded).
 	tries []int32
-	// unit numbers ARQ units per flow for the conformance sampler (slot
-	// indices recycle; unit IDs must not).
+	// unit numbers ARQ units per flow for the conformance sampler
+	// (segment numbers repeat; unit IDs must not).
 	unit []uint64
+
+	// segs counts the data segments the network holds (see Transmit).
+	segs segCount
 
 	// ---- per-base-station radio state ----
 	busy       []bool
 	curFlow    []int32
-	curSlot    []int32
+	curSeq     []int64 // the segment on the radio: sequence number,
+	curLen     []int64 // payload length
 	curStart   []time.Duration
 	rr         []int32 // round-robin pointer, in local flow indices
 	nLocal     []int32 // flows hosted at this base station
@@ -134,7 +139,20 @@ type engine struct {
 	chaosDelays uint64
 	oooOverflow uint64
 
-	// fault is the run's first engine fault (see failed).
+	// fault is the run's first engine fault, or nil. A fault is a state
+	// only an engine bug can produce — never a network condition — so the
+	// rule is to fail closed: the source latches it, the run carries on
+	// to the next kernel step on answers nobody will read, and loop (or
+	// finish, for a fault raised at teardown) returns it in place of a
+	// Result. There are four sources, and the first to fault names the
+	// error: a segment off the MSS grid ("cell: off-grid segment",
+	// latched by Transmit), a segment retired when none is live
+	// ("cell: segment-conservation", latched by retire), a channel query
+	// that reached before the window transmit left that channel
+	// ("cell: channel-window", latched by the Markov and reported
+	// through channelFault), and a flow whose sender state breaks
+	// tcp.State.CheckInvariants when finish audits the population
+	// ("cell: flow-invariant").
 	fault error
 
 	oracle *sampler
@@ -212,8 +230,9 @@ func newEngine(cfg Config) (*engine, error) {
 			Window: cfg.Window,
 			Total:  cfg.TransferSize,
 		}.WithDefaults(),
-		mss: int64(cfg.PacketSize - packet.HeaderSize),
-		adv: int64(cfg.Window),
+		mss:   int64(cfg.PacketSize - packet.HeaderSize),
+		adv:   int64(cfg.Window),
+		total: int64(cfg.TransferSize),
 
 		ackTxRadio: units.TransmissionTime(packet.ControlSize, cfg.WirelessRate),
 		revAckTx:   units.TransmissionTime(packet.ControlSize, cfg.WiredRate),
@@ -230,17 +249,14 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.SharedChannel {
 		nchan = B
 	}
-	e.chans = make([]*errmodel.Markov, nchan)
-	for i := range e.chans {
-		// Timelines extend on demand and transmit keeps each one a short
-		// sliding window (errmodel.Markov.Forget), so set-up draws one
-		// holding time per channel however long the horizon is.
-		ch, err := errmodel.NewMarkov(cfg.Channel, root.Split())
-		if err != nil {
-			return nil, err
-		}
-		e.chans[i] = ch
+	// Timelines extend on demand and transmit keeps each one a short
+	// sliding window (errmodel.Markov.Forget), so set-up draws one
+	// holding time per channel however long the horizon is.
+	chans, err := errmodel.NewMarkovs(cfg.Channel, nchan, root)
+	if err != nil {
+		return nil, err
 	}
+	e.chans = chans
 	e.chaos = root.Split()
 
 	// Sender slabs.
@@ -266,7 +282,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.revBusy = make([]time.Duration, F)
 
 	e.qCap = cfg.PerFlowQueue
-	e.qSlot = make([]int32, F*e.qCap)
+	e.qSeg = make([]int32, F*e.qCap)
 	e.qHead = make([]int32, F)
 	e.qCount = make([]int32, F)
 	e.tries = make([]int32, F)
@@ -275,7 +291,8 @@ func newEngine(cfg Config) (*engine, error) {
 	// Base-station slabs.
 	e.busy = make([]bool, B)
 	e.curFlow = make([]int32, B)
-	e.curSlot = make([]int32, B)
+	e.curSeq = make([]int64, B)
+	e.curLen = make([]int64, B)
 	e.curStart = make([]time.Duration, B)
 	e.rr = make([]int32, B)
 	e.nLocal = make([]int32, B)
@@ -294,7 +311,6 @@ func newEngine(cfg Config) (*engine, error) {
 	e.queued = make([]int32, B)
 	e.oneVerdict = cfg.SharedChannel && cfg.PredictorAccuracy >= 1
 
-	e.arena = newArena(2 * F)
 	e.wheel = newWheel(int64(wheelTick), wheelBuckets, F+B)
 
 	if cfg.OracleSample > 0 {
@@ -306,9 +322,9 @@ func newEngine(cfg Config) (*engine, error) {
 // channelOf maps a flow to its fading channel.
 func (e *engine) channelOf(f int32) *errmodel.Markov {
 	if e.cfg.SharedChannel {
-		return e.chans[f%int32(e.B)]
+		return &e.chans[f%int32(e.B)]
 	}
-	return e.chans[f]
+	return &e.chans[f]
 }
 
 // bsOf maps a flow to its base station.
@@ -316,12 +332,12 @@ func (e *engine) bsOf(f int32) int32 { return f % int32(e.B) }
 
 // ---- queue rings ----
 
-func (e *engine) qPush(f, slot int32) bool {
+func (e *engine) qPush(f, seg int32) bool {
 	if int(e.qCount[f]) >= e.qCap {
 		return false
 	}
 	pos := int(f)*e.qCap + int((e.qHead[f]+e.qCount[f])%int32(e.qCap))
-	e.qSlot[pos] = slot
+	e.qSeg[pos] = seg
 	e.qCount[f]++
 	if e.qCount[f] == 1 {
 		b, l := int(f)%e.B, int(f)/e.B
@@ -331,12 +347,12 @@ func (e *engine) qPush(f, slot int32) bool {
 	return true
 }
 
-func (e *engine) qHeadSlot(f int32) int32 {
-	return e.qSlot[int(f)*e.qCap+int(e.qHead[f])]
+func (e *engine) qHeadSeg(f int32) int32 {
+	return e.qSeg[int(f)*e.qCap+int(e.qHead[f])]
 }
 
 func (e *engine) qPop(f int32) int32 {
-	s := e.qHeadSlot(f)
+	s := e.qHeadSeg(f)
 	e.qHead[f] = (e.qHead[f] + 1) % int32(e.qCap)
 	e.qCount[f]--
 	if e.qCount[f] == 0 {
@@ -379,8 +395,8 @@ func (e *engine) loop() error {
 		if err != nil {
 			return err
 		}
-		if err := e.failed(); err != nil {
-			return err
+		if e.fault != nil {
+			return e.fault
 		}
 		if !ok {
 			break
@@ -389,30 +405,10 @@ func (e *engine) loop() error {
 	return nil
 }
 
-// failed reports the run's first engine fault, or nil. A fault is a state
-// only an engine bug can produce — never a network condition — so the
-// rule is to fail closed: the source latches it, the run carries on to
-// the next kernel step on answers nobody will read, and loop (or finish,
-// for a fault raised at teardown) returns the fault in place of a Result.
-// There are three sources, and the first to fault names the error: a
-// packet reference released twice or used after release
-// ("cell: arena-misuse", latched by the arena), a channel query that
-// reached before the window transmit left that channel
-// ("cell: channel-window", latched by the Markov and reported through
-// channelFault), and a flow whose sender state breaks
-// tcp.State.CheckInvariants when finish audits the population
-// ("cell: flow-invariant").
-func (e *engine) failed() error {
-	if e.fault == nil && e.arena.misuse != nil {
-		e.fault = fmt.Errorf("cell: arena-misuse: %w", e.arena.misuse)
-	}
-	return e.fault
-}
-
 // channelFault records ch's latched window fault unless an earlier fault
 // already owns the run.
 func (e *engine) channelFault(ch *errmodel.Markov) {
-	if e.failed() == nil {
+	if e.fault == nil {
 		e.fault = fmt.Errorf("cell: channel-window: %w", ch.Err())
 	}
 }
@@ -472,7 +468,7 @@ func (e *engine) pumpFire() {
 			return
 		}
 		if next > nowNs {
-			if e.stepwise || e.failed() != nil || !e.s.Advance(time.Duration(next)) {
+			if e.stepwise || e.fault != nil || !e.s.Advance(time.Duration(next)) {
 				e.pump.Set(time.Duration(next) - now)
 				return
 			}
@@ -480,14 +476,14 @@ func (e *engine) pumpFire() {
 		}
 		e.events++
 		if onCalendar {
-			kind, f, b, slot, a := e.cal.pop()
+			kind, f, b, a := e.cal.pop()
 			switch kind {
 			case evWiredArrive:
-				e.wiredArrive(f, slot)
+				e.wiredArrive(f, a)
 			case evRadioDone:
 				e.radioDone(b)
 			case evSinkDeliver:
-				e.sinkReceive(f, a, int64(slot))
+				e.sinkReceive(f, a)
 			case evAckArrive:
 				e.ackArrive(f, a)
 			case evEBSNArrive:
@@ -542,12 +538,12 @@ func (e *engine) admitBatch() {
 
 // ---- base station ----
 
-// wiredArrive admits a data segment that finished the wired hop into its
-// flow's base-station queue.
-func (e *engine) wiredArrive(f, slot int32) {
-	if !e.qPush(f, slot) {
+// wiredArrive admits the data segment at seq, which finished the wired
+// hop, into its flow's base-station queue.
+func (e *engine) wiredArrive(f int32, seq int64) {
+	if !e.qPush(f, int32(seq/e.mss)) {
 		e.queueDrops++
-		e.arena.decref(slot)
+		e.retire(f)
 		return // tail drop; TCP recovers end to end
 	}
 	b := e.bsOf(f)
@@ -687,13 +683,14 @@ func (e *engine) transmit(b, f int32) {
 	if e.tries[f] == 1 {
 		e.unit[f]++
 	}
-	slot := e.qHeadSlot(f)
+	seq := int64(e.qHeadSeg(f)) * e.mss
+	paylen := e.segLen(seq)
 	start := e.s.Now()
-	tx := e.radioTx.of(e.arena.size(slot))
+	tx := e.radioTx.of(packet.HeaderSize + units.ByteSize(paylen))
 	cycle := tx + 2*e.cfg.WirelessDelay + e.ackTxRadio
 
 	e.curFlow[b] = f
-	e.curSlot[b] = slot
+	e.curSeq[b], e.curLen[b] = seq, paylen
 	e.curStart[b] = start
 	e.cal.push(calEvent{at: int64(start + cycle), kind: evRadioDone, bs: b})
 	// This cycle's start bounds every later query of the channel from
@@ -715,12 +712,11 @@ func (e *engine) transmit(b, f int32) {
 // only causes a duplicate later.
 func (e *engine) radioDone(b int32) {
 	f := e.curFlow[b]
-	slot := e.curSlot[b]
 	start := e.curStart[b]
 	e.busy[b] = false
 
 	ch := e.channelOf(f)
-	size := e.arena.size(slot)
+	size := packet.HeaderSize + units.ByteSize(e.curLen[b])
 	tx := e.radioTx.of(size)
 	corrupted := e.lossDraw(ch, start, start+tx, size.Bits())
 	ackLost := false
@@ -728,7 +724,7 @@ func (e *engine) radioDone(b int32) {
 		// The link ack rides the same fading channel.
 		ackStart := start + tx + e.cfg.WirelessDelay
 		ackLost = e.lossDraw(ch, ackStart, ackStart+e.ackTxRadio, packet.ControlSize.Bits())
-		e.deliverToSink(f, slot)
+		e.deliverToSink(f, e.curSeq[b])
 	}
 	if corrupted || ackLost {
 		e.onAttemptFailed(b, f)
@@ -738,14 +734,11 @@ func (e *engine) radioDone(b int32) {
 	e.kick(b)
 }
 
-// deliverToSink schedules the received copy's hand-off to the mobile
-// sink, one propagation delay away, with chaos faults applied. The copy
-// travels by value — its sequence number and payload length ride the
-// event — so it holds no arena reference and the sink reads no arena
-// state.
-func (e *engine) deliverToSink(f, slot int32) {
+// deliverToSink schedules the received copy of the segment at seq for
+// hand-off to the mobile sink, one propagation delay away, with chaos
+// faults applied.
+func (e *engine) deliverToSink(f int32, seq int64) {
 	delay := e.cfg.WirelessDelay
-	seq, paylen := e.arena.seq[slot], e.arena.paylen[slot]
 	if e.chaosOn {
 		if e.chaos.Bernoulli(e.cfg.Chaos.DropP) {
 			e.chaosDrops++
@@ -757,16 +750,17 @@ func (e *engine) deliverToSink(f, slot int32) {
 		}
 		if e.chaos.Bernoulli(e.cfg.Chaos.DupP) {
 			e.chaosDups++
-			e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, slot: paylen, a: seq})
+			e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, a: seq})
 		}
 	}
-	e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, slot: paylen, a: seq})
+	e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, a: seq})
 }
 
 // onAttemptSucceeded pops the acknowledged head and resets its ARQ
 // state.
 func (e *engine) onAttemptSucceeded(b, f int32) {
-	e.arena.decref(e.qPop(f))
+	e.qPop(f)
+	e.retire(f)
 	e.tries[f] = 0
 	if e.cfg.Policy == FIFO && e.fifo[b].count > 0 {
 		e.fifo[b].pop()
@@ -806,7 +800,8 @@ func (e *engine) onAttemptFailed(b, f int32) {
 	}
 	// Discard after RTmax retransmissions.
 	e.discards[b]++
-	e.arena.decref(e.qPop(f))
+	e.qPop(f)
+	e.retire(f)
 	e.tries[f] = 0
 	if e.cfg.Policy == FIFO && e.fifo[b].count > 0 {
 		e.fifo[b].pop()
@@ -818,34 +813,35 @@ func (e *engine) onAttemptFailed(b, f int32) {
 
 // ---- teardown ----
 
-// drain releases every outstanding packet reference (queues, wired
-// arrivals in flight) so the arena's live count audits reference
-// hygiene: after drain, a non-zero live count is a leaked reference and
-// a negative-path decref would have latched a misuse error.
+// drain retires every segment the network still holds (queues, wired
+// arrivals in flight), so the live count audits conservation: after
+// drain, a non-zero count is a segment admitted and never retired, and
+// one retired too many has latched its fault.
 func (e *engine) drain() {
-	for f := 0; f < e.F; f++ {
+	for f := int32(0); f < int32(e.F); f++ {
 		for e.qCount[f] > 0 {
-			e.arena.decref(e.qPop(int32(f)))
+			e.qPop(f)
+			e.retire(f)
 		}
 	}
 	for e.cal.len() > 0 {
-		if kind, _, _, slot, _ := e.cal.pop(); kind == evWiredArrive {
-			e.arena.decref(slot)
+		if kind, f, _, _ := e.cal.pop(); kind == evWiredArrive {
+			e.retire(f)
 		}
 	}
 }
 
-// finish drains references, audits every flow's sender state and
+// finish drains the network, audits every flow's sender state and
 // assembles the Result.
 func (e *engine) finish() (*Result, error) {
 	e.drain()
 	for f := range e.rows {
-		if err := e.rows[f].CheckInvariants(&e.tcp); err != nil && e.failed() == nil {
+		if err := e.rows[f].CheckInvariants(&e.tcp); err != nil && e.fault == nil {
 			e.fault = fmt.Errorf("cell: flow-invariant: flow %d: %w", f, err)
 		}
 	}
-	if err := e.failed(); err != nil {
-		return nil, err
+	if e.fault != nil {
+		return nil, e.fault
 	}
 
 	res := &Result{
@@ -859,7 +855,7 @@ func (e *engine) finish() (*Result, error) {
 		ChaosDups:      e.chaosDups,
 		ChaosDelays:    e.chaosDelays,
 		Events:         e.events,
-		Arena:          e.arena.stats(),
+		Arena:          e.segs.stats(),
 		CalendarPeak:   e.cal.peak,
 	}
 	for b := 0; b < e.B; b++ {

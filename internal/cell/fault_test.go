@@ -29,22 +29,20 @@ func TestEngineFaultsFailClosed(t *testing.T) {
 	cfg.Policy = CSDP
 	cfg.PredictorAccuracy = 0.9
 
-	// doubleFree releases a queued packet's only reference behind the
-	// engine's back, then once more: the arena latches the second.
-	doubleFree := func(e *engine) {
-		for f := int32(0); f < int32(e.F); f++ {
-			if e.qCount[f] > 0 {
-				e.arena.decref(e.qHeadSlot(f))
-				e.arena.decref(e.qHeadSlot(f))
-				return
-			}
+	// doubleRetire retires every live segment behind the engine's back,
+	// then one more: the conservation latch fires on the extra one.
+	doubleRetire := func(e *engine) {
+		if e.segs.live == 0 {
+			t.Fatal("no live segment to corrupt")
 		}
-		t.Fatal("no queued packet to corrupt")
+		retireAll(e)
+		e.retire(0)
 	}
 	// slideWindows moves every channel's window an hour past the clock, as
 	// a Forget with a floor that is not one would.
 	slideWindows := func(e *engine) {
-		for _, ch := range e.chans {
+		for i := range e.chans {
+			ch := &e.chans[i]
 			ch.Forget(time.Hour)
 			ch.StateAt(2 * time.Hour)
 		}
@@ -58,9 +56,9 @@ func TestEngineFaultsFailClosed(t *testing.T) {
 		t.Fatalf("uninjected run: %+v, %v", res, err)
 	}
 
-	res, err := runInjected(t, cfg, doubleFree)
-	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: arena-misuse: double free") {
-		t.Fatalf("double free: result %v, error %v", res, err)
+	res, err := runInjected(t, cfg, doubleRetire)
+	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: segment-conservation: flow 0 retired a segment with none live") {
+		t.Fatalf("double retire: result %v, error %v", res, err)
 	}
 
 	res, err = runInjected(t, cfg, slideWindows)
@@ -76,20 +74,20 @@ func TestEngineFaultsFailClosed(t *testing.T) {
 	// Two at once, in either order: the first to be latched names the
 	// error (the flow audit runs at teardown, so it never latches first).
 	res, err = runInjected(t, cfg, func(e *engine) {
-		doubleFree(e)
+		doubleRetire(e)
 		slideWindows(e)
 	})
-	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: arena-misuse: ") {
-		t.Fatalf("arena fault, then window fault: result %v, error %v", res, err)
+	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: segment-conservation: ") {
+		t.Fatalf("conservation fault, then window fault: result %v, error %v", res, err)
 	}
 	res, err = runInjected(t, cfg, func(e *engine) {
 		slideWindows(e)
 		e.predictGood(0) // the engine meets the moved window now
-		doubleFree(e)
+		doubleRetire(e)
 		overshoot(e)
 	})
 	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "cell: channel-window: ") {
-		t.Fatalf("window fault, then arena fault: result %v, error %v", res, err)
+		t.Fatalf("window fault, then conservation fault: result %v, error %v", res, err)
 	}
 }
 
@@ -118,7 +116,8 @@ func TestRunNeverQueriesBelowTheWindow(t *testing.T) {
 			}
 			now := e.s.Now()
 			retained := 0
-			for i, ch := range e.chans {
+			for i := range e.chans {
+				ch := &e.chans[i]
 				if ch.Err() != nil {
 					t.Fatalf("%v shared=%v: channel %d latched %v", pol, shared, i, ch.Err())
 				}

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"fmt"
 	"time"
 
 	"wtcp/internal/packet"
@@ -11,7 +12,7 @@ import (
 // The sender side of a flow is internal/tcp's state machine, not a copy
 // of it: each flow owns one tcp.State row, and the engine is the tcp.Host
 // the shared transitions run against — its clock is the kernel's, its
-// retransmission timer a wheel index, its wire the arena and the calendar.
+// retransmission timer a wheel index, its wire the calendar.
 // The transitions are synchronous and never re-enter the engine for a
 // second flow, so one field (cur) names the flow the host methods act on.
 // The sink is the cell's own: a fixed per-flow reorder slab where tcp.Sink
@@ -82,13 +83,25 @@ func (e *engine) Observe(ev tcp.StateSnapshot) {
 // hop (tcp.Host), collapsed into one arrival event: the pipe is per-flow
 // and serial, and sends enter it in nondecreasing time order, so
 // busy-until folding at transmit time is exact.
+//
+// A segment travels by value from here to the sink: the arrival event
+// carries its sequence number, a base-station queue holds its segment
+// number seq/mss, and everything else follows from the MSS grid every
+// Tahoe sender emits on — the payload is segLen(seq). A segment off that
+// grid would be misread downstream, so it faults the run instead.
 func (e *engine) Transmit(seq int64, payload units.ByteSize, retransmit bool) {
 	f := e.cur
+	if seq%e.mss != 0 || int64(payload) != e.segLen(seq) {
+		if e.fault == nil {
+			e.fault = fmt.Errorf("cell: off-grid segment: flow %d seq %d payload %d (mss %d, transfer %d)", f, seq, payload, e.mss, e.total)
+		}
+		return
+	}
 	size := packet.HeaderSize + payload
 	if retransmit {
 		e.fRetrans[f] += size
 	}
-	slot := e.arena.alloc(f, seq, int32(payload))
+	e.admit()
 	now := e.s.Now()
 	start := now
 	if e.fwdBusy[f] > start {
@@ -100,8 +113,46 @@ func (e *engine) Transmit(seq int64, payload units.ByteSize, retransmit bool) {
 		kind: evWiredArrive,
 		flow: f,
 		bs:   f % int32(e.B),
-		slot: slot,
+		a:    seq,
 	})
+}
+
+// segLen is the payload length of the segment at seq on the MSS grid.
+func (e *engine) segLen(seq int64) int64 { return min(e.mss, e.total-seq) }
+
+// segCount is the conservation ledger of data segments: admit counts one
+// in at Transmit, and retire counts one out at a tail drop, the ARQ's
+// acknowledgment or discard, or the teardown drain, so live is what the
+// wired hops and base-station queues hold. A segment has one holder at a
+// time — a delivered copy travels by value and is not counted — so no
+// reference count is needed, and retiring one when none is live can only
+// be an engine bug: it latches the run's "cell: segment-conservation"
+// fault.
+type segCount struct {
+	live, peak int
+	allocs     uint64
+}
+
+func (e *engine) admit() {
+	c := &e.segs
+	c.allocs++
+	if c.live++; c.live > c.peak {
+		c.peak = c.live
+	}
+}
+
+func (e *engine) retire(f int32) {
+	if e.segs.live == 0 {
+		if e.fault == nil {
+			e.fault = fmt.Errorf("cell: segment-conservation: flow %d retired a segment with none live at %v", f, e.s.Now())
+		}
+		return
+	}
+	e.segs.live--
+}
+
+func (c *segCount) stats() ArenaStats {
+	return ArenaStats{Allocs: c.allocs, PeakLive: c.peak, LiveAtEnd: c.live}
 }
 
 // ---- sink (Sink, immediate-ack mode, fixed reorder slab) ----
@@ -110,7 +161,8 @@ func (e *engine) Transmit(seq int64, payload units.ByteSize, retransmit bool) {
 // immediate cumulative ACK (Sink.Receive). The out-of-order buffer is a
 // fixed per-flow slab instead of a map: segments sit on the MSS grid
 // inside the advertised window, so at most segCap distinct starts exist.
-func (e *engine) sinkReceive(f int32, seq, paylen int64) {
+func (e *engine) sinkReceive(f int32, seq int64) {
+	paylen := e.segLen(seq)
 	end := seq + paylen
 	switch rn := e.rcvNxt[f]; {
 	case seq == rn:

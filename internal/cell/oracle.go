@@ -22,8 +22,10 @@ type sampler struct {
 	slotOf []int32 // flow -> slot in the two slices below, -1 unsampled
 	// onState and arq are each sampled flow's source, as the hooks that
 	// feed it.
-	onState []func(tcp.StateSnapshot)
+	onState []func(*tcp.StateSnapshot)
 	arq     []bs.Hooks
+	// snap is the scratch snapshot state completes and hands on.
+	snap tcp.StateSnapshot
 }
 
 // newSampler attaches checkers to k flows (clamped to the population).
@@ -34,7 +36,7 @@ func newSampler(e *engine, k int) *sampler {
 	sp := &sampler{
 		e:       e,
 		slotOf:  make([]int32, e.F),
-		onState: make([]func(tcp.StateSnapshot), k),
+		onState: make([]func(*tcp.StateSnapshot), k),
 		arq:     make([]bs.Hooks, k),
 	}
 	for f := range sp.slotOf {
@@ -69,8 +71,9 @@ func newSampler(e *engine, k int) *sampler {
 func (sp *sampler) state(f int32, ev tcp.StateSnapshot) {
 	if slot := sp.slotOf[f]; slot >= 0 {
 		e := sp.e
-		e.rows[f].Snapshot(&e.tcp, e, &ev)
-		sp.onState[slot](ev)
+		sp.snap = ev
+		e.rows[f].Snapshot(&e.tcp, e, &sp.snap)
+		sp.onState[slot](&sp.snap)
 	}
 }
 

@@ -179,14 +179,10 @@ func TestNextNonEmptyMatchesLinearScan(t *testing.T) {
 		got, ref := benchEngine(t, cfg), benchEngine(t, cfg)
 		csdp := tc.policy == CSDP
 		ops := sim.NewRNG(int64(tc.flows*10 + tc.stations))
-		push := func(e *engine, f int32) {
-			if s := e.arena.alloc(f, 0, int32(e.mss)); !e.qPush(f, s) {
-				e.arena.decref(s)
-			}
-		}
+		push := func(e *engine, f int32) { e.qPush(f, 0) }
 		pop := func(e *engine, f int32) {
 			if e.qCount[f] > 0 {
-				e.arena.decref(e.qPop(f))
+				e.qPop(f)
 			}
 		}
 		picks := 0

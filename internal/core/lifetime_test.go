@@ -84,7 +84,7 @@ var poolFaultPlans = []struct {
 }
 
 // TestPacketPoolUnderChaos is the reference-hygiene property test of the
-// per-flow path, modelled on the cell arena's: across fault plans, seeds,
+// per-flow path, modelled on the cell engine's: across fault plans, seeds,
 // schemes and both presets, every run must end with no latched lifetime
 // fault (Run would return it), zero live packets after the teardown
 // drain, and results equal to a second identical run — chaos may destroy

@@ -63,7 +63,7 @@ func (r *searchRef) expectedBitErrors(start, end time.Duration, bits int64) floa
 	}
 	tl := r.m.timeline
 	if end <= start {
-		return r.m.ber(tl[first].state) * float64(bits)
+		return r.m.berOf(tl[first].state) * float64(bits)
 	}
 	total := float64(end - start)
 	mean := 0.0
@@ -79,7 +79,7 @@ func (r *searchRef) expectedBitErrors(start, end time.Duration, bits int64) floa
 			}
 			continue
 		}
-		mean += r.m.ber(tl[i].state) * float64(bits) * (float64(hi-lo) / total)
+		mean += r.m.berOf(tl[i].state) * float64(bits) * (float64(hi-lo) / total)
 	}
 	return mean
 }

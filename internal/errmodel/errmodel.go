@@ -155,6 +155,15 @@ var ErrForgotten = errors.New("errmodel: query before the retained window")
 // from the same stream either way, so forgetting never changes an answer —
 // it can only refuse one.
 type Markov struct {
+	// lo, hi, state and ber describe the cursor's interval (see cur):
+	// [lo, hi), its state and that state's BER, all of it in the record
+	// itself, so a query inside that interval reads nothing else. hi may
+	// fall short of where the interval really ends (the newest one of an
+	// always-good channel grows), and lo == hi marks no interval at all.
+	lo, hi time.Duration
+	state  State
+	ber    float64
+
 	cfg Config
 	rng *sim.RNG
 
@@ -166,10 +175,10 @@ type Markov struct {
 	horizon  time.Duration
 	// floor is Forget's promise: no later query reaches before it.
 	floor time.Duration
-	// cur is the interval the last query landed in. A link's queries move
-	// forward a transmission at a time and intervals are thousands of
-	// transmissions long, so the next answer is almost always there or
-	// one further on; locate looks before it searches.
+	// cur is the index of the interval the last query landed in. A
+	// link's queries move forward a transmission at a time and intervals
+	// are thousands of transmissions long, so the next answer is almost
+	// always there or one further on; locate looks before it searches.
 	cur int
 	// err latches the first query that broke the promise far enough to
 	// land on a discarded interval.
@@ -181,18 +190,42 @@ var _ Channel = (*Markov)(nil)
 // NewMarkov builds a channel from cfg, drawing holding times from rng
 // (ignored when cfg.Deterministic). It returns an error if cfg is invalid.
 func NewMarkov(cfg Config, rng *sim.RNG) (*Markov, error) {
+	ms, err := newMarkovs(cfg, 1, func() *sim.RNG { return rng })
+	if err != nil {
+		return nil, err
+	}
+	return &ms[0], nil
+}
+
+// NewMarkovs builds n channels from cfg in one slab, channel i drawing
+// from the i-th of n root.Split() children: the records side by side and
+// their timelines cut from one backing array, so a population of
+// channels is two allocations, not two per channel.
+func NewMarkovs(cfg Config, n int, root *sim.RNG) ([]Markov, error) {
+	return newMarkovs(cfg, n, root.Split)
+}
+
+// windowCap is the room each timeline starts with: enough for the few
+// intervals a sliding window spans (see Forget), so a windowed channel's
+// timeline stays in its slab for its whole life.
+const windowCap = 8
+
+func newMarkovs(cfg Config, n int, rng func() *sim.RNG) ([]Markov, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Start == 0 {
 		cfg.Start = Good
 	}
-	m := &Markov{cfg: cfg, rng: rng}
-	// Room for the few intervals a sliding window spans (see Forget), so
-	// a windowed channel's timeline is one allocation for its whole life.
-	m.timeline = append(make([]interval, 0, 8), interval{start: 0, state: cfg.Start})
-	m.horizon = m.draw(cfg.Start)
-	return m, nil
+	ms := make([]Markov, n)
+	slab := make([]interval, n*windowCap)
+	for i := range ms {
+		m := &ms[i]
+		m.cfg, m.rng = cfg, rng()
+		m.timeline = append(slab[i*windowCap:i*windowCap:(i+1)*windowCap], interval{start: 0, state: cfg.Start})
+		m.horizon = m.draw(cfg.Start)
+	}
+	return ms, nil
 }
 
 // draw returns a holding time for the given state.
@@ -263,7 +296,9 @@ func (m *Markov) dropForgotten() {
 	}
 	if k > 0 {
 		m.timeline = m.timeline[:copy(m.timeline, m.timeline[k:])]
-		m.cur = max(m.cur-k, 0)
+		if m.cur -= k; m.cur < 0 {
+			m.cur, m.lo, m.hi = 0, 0, 0 // the cursor's interval is gone
+		}
 	}
 }
 
@@ -285,11 +320,10 @@ func (m *Markov) locate(t time.Duration) int {
 	last := len(m.timeline) - 1
 	if i := m.cur; m.timeline[i].start <= t {
 		if i == last || t < m.timeline[i+1].start {
-			return i
+			return m.seek(i)
 		}
 		if i+1 == last || t < m.timeline[i+2].start {
-			m.cur = i + 1
-			return i + 1
+			return m.seek(i + 1)
 		}
 	}
 	lo, hi := 0, last
@@ -301,8 +335,16 @@ func (m *Markov) locate(t time.Duration) int {
 			hi = mid - 1
 		}
 	}
-	m.cur = lo
-	return lo
+	return m.seek(lo)
+}
+
+// seek moves the cursor to interval i and returns i.
+func (m *Markov) seek(i int) int {
+	m.cur = i
+	m.lo, m.hi = m.timeline[i].start, m.end(i)
+	m.state = m.timeline[i].state
+	m.ber = m.berOf(m.state)
+	return i
 }
 
 // end returns where interval i stops: the next one's start, or the
@@ -316,6 +358,9 @@ func (m *Markov) end(i int) time.Duration {
 
 // StateAt implements Channel.
 func (m *Markov) StateAt(t time.Duration) State {
+	if m.lo <= t && t < m.hi {
+		return m.state
+	}
 	i := m.locate(t)
 	if i < 0 {
 		return 0
@@ -323,8 +368,8 @@ func (m *Markov) StateAt(t time.Duration) State {
 	return m.timeline[i].state
 }
 
-// ber returns the bit error rate in state s.
-func (m *Markov) ber(s State) float64 {
+// berOf returns the bit error rate in state s.
+func (m *Markov) berOf(s State) float64 {
 	if s == Bad {
 		return m.cfg.BadBER
 	}
@@ -341,17 +386,22 @@ func (m *Markov) ExpectedBitErrors(start, end time.Duration, bits int64) float64
 	if start < 0 {
 		start = 0
 	}
+	// The transmission sees one state: all but a few do, and
+	// instantaneous ones (degenerate configs, end <= start) are
+	// attributed entirely to the state at start. The loop below would add
+	// exactly this to zero, the one fraction being exactly 1. Inside the
+	// cursor's interval that is all there is to it; end short of hi keeps
+	// the answer from drawing a holding time the search below would.
+	if m.lo <= start && start < m.hi && end < m.hi {
+		return m.ber * float64(bits)
+	}
 	m.extendTo(end)
 	first := m.locate(start)
 	if first < 0 {
 		return math.NaN()
 	}
 	if end <= m.end(first) {
-		// The transmission sees one state: all but a few do, and
-		// instantaneous ones (degenerate configs, end <= start) are
-		// attributed entirely to the state at start. The loop below would
-		// add exactly this to zero, the one fraction being exactly 1.
-		return m.ber(m.timeline[first].state) * float64(bits)
+		return m.ber * float64(bits)
 	}
 	total := float64(end - start)
 	mean := 0.0
@@ -366,7 +416,7 @@ func (m *Markov) ExpectedBitErrors(start, end time.Duration, bits int64) float64
 			continue
 		}
 		frac := float64(hi-lo) / total
-		mean += m.ber(iv.state) * float64(bits) * frac
+		mean += m.berOf(iv.state) * float64(bits) * frac
 	}
 	return mean
 }

@@ -7,9 +7,9 @@ import (
 
 // Pool is the run-scoped packet store of the per-flow data path: a free
 // list of recycled packets plus the reference counts carried in the
-// packets themselves. It applies the discipline of the cell engine's
-// segment arena (internal/cell/arena.go: reference count, free list,
-// latched misuse) to pointer-passed packets, because a link unit is
+// packets themselves (latched misuse, like the cell engine's segment
+// conservation latch). Pointer-passed packets need the reference counts
+// the cell's by-value segments do not, because a link unit is
 // legitimately alive in two places at once — the base station's ARQ
 // keeps it for retransmission while the same pointer crosses the radio
 // or waits in the mobile host's reorder buffer.
@@ -83,7 +83,7 @@ func (pl *Pool) latch(err error) {
 func (pl *Pool) Fault() error { return pl.fault }
 
 // PoolStats summarizes a pool's activity over one run, like the cell
-// engine's ArenaStats. Every field is a function of the run alone — how
+// engine's ArenaStats segment counts. Every field is a function of the run alone — how
 // warm the pool was when the run acquired it does not show.
 type PoolStats struct {
 	// Allocs counts packets claimed over the run.

@@ -28,6 +28,8 @@ type Sender struct {
 	finishAt time.Duration
 
 	stats Stats
+	// snap is the scratch snapshot Observe completes for Hooks.OnState.
+	snap StateSnapshot
 }
 
 // NewSender wires a sender that emits packets through out (typically the
@@ -217,7 +219,8 @@ func (h *senderHost) Observe(ev StateSnapshot) {
 		h.hooks.OnCwnd(units.ByteSize(h.st.Cwnd), units.ByteSize(h.st.Ssthresh))
 	}
 	if h.hooks.OnState != nil {
-		h.st.Snapshot(&h.cfg, h, &ev)
-		h.hooks.OnState(ev)
+		h.snap = ev
+		h.st.Snapshot(&h.cfg, h, &h.snap)
+		h.hooks.OnState(&h.snap)
 	}
 }

@@ -9,7 +9,7 @@
 // their surroundings only through a Host: Sender is the host of the
 // object-per-connection engines (a sim.Timer, the packet pool, Stats and
 // Hooks), and internal/cell runs the same transitions in place on a slab
-// of States behind its timer wheel, calendar and arena.
+// of States behind its timer wheel and calendar.
 //
 // The sender also implements the paper's two control-message responses:
 //
@@ -299,8 +299,9 @@ type Hooks struct {
 	// OnState fires after every protocol transition with the sender's
 	// post-transition state — the conformance oracle's event stream. It
 	// subsumes the single-purpose hooks above but does not replace them:
-	// each fires independently.
-	OnState func(st StateSnapshot)
+	// each fires independently. The snapshot is the host's scratch copy:
+	// valid for the duration of the call only, and not to be modified.
+	OnState func(st *StateSnapshot)
 	// OnComplete fires once when the last byte is acknowledged.
 	OnComplete func(at time.Duration)
 }

@@ -74,8 +74,9 @@ func (s *Source) Hooks() tcp.Hooks {
 	return tcp.Hooks{OnState: s.onState}
 }
 
-// onState converts one sender state snapshot into an event.
-func (s *Source) onState(st tcp.StateSnapshot) {
+// onState converts one sender state snapshot into an event, filled in
+// place.
+func (s *Source) onState(st *tcp.StateSnapshot) {
 	var kind EventKind
 	switch st.Kind {
 	case tcp.StateSend:
@@ -98,22 +99,12 @@ func (s *Source) onState(st tcp.StateSnapshot) {
 	default:
 		return
 	}
-	s.ev = Event{
-		Kind:     kind,
-		Seq:      st.Seq,
-		Payload:  int64(st.Payload),
-		Ack:      st.AckNo,
-		AckClass: int(st.AckClass),
-		Cwnd:     int64(st.Cwnd),
-		Ssthresh: int64(st.Ssthresh),
-		SndUna:   st.SndUna,
-		SndNxt:   st.SndNxt,
-		SndMax:   st.SndMax,
-		RTO:      st.RTO,
-		Deadline: st.TimerDeadline,
-		Shift:    st.BackoffShift,
-		DupAcks:  st.DupAcks,
-	}
+	ev := &s.ev
+	ev.Kind, ev.Seq, ev.Payload, ev.Ack, ev.AckClass = kind, st.Seq, int64(st.Payload), st.AckNo, int(st.AckClass)
+	ev.Cwnd, ev.Ssthresh = int64(st.Cwnd), int64(st.Ssthresh)
+	ev.SndUna, ev.SndNxt, ev.SndMax = st.SndUna, st.SndNxt, st.SndMax
+	ev.RTO, ev.Deadline, ev.Shift, ev.DupAcks = st.RTO, st.TimerDeadline, st.BackoffShift, st.DupAcks
+	ev.Attempt, ev.Unit, ev.Pkt = 0, 0, 0
 	s.emit()
 }
 

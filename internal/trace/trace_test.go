@@ -39,13 +39,13 @@ func TestHooksFeedTrace(t *testing.T) {
 	src := NewSource(536, func() time.Duration { return now })
 	tr, h := src.Store(), src.Hooks()
 	now = time.Second
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536})
 	now = 2 * time.Second
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536, Retransmit: true})
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 0})
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateFastRetx, Seq: 536})
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateEBSN})
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateAck, AckNo: 536, AckClass: tcp.AckNew})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536, Retransmit: true})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 0})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateFastRetx, Seq: 536})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateEBSN})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateAck, AckNo: 536, AckClass: tcp.AckNew})
 	if tr.Count(Send) != 1 || tr.Count(Retransmit) != 1 ||
 		tr.Count(Timeout) != 1 || tr.Count(FastRetx) != 1 ||
 		tr.Count(EBSNReset) != 1 || tr.Count(AckIn) != 1 {
@@ -59,7 +59,7 @@ func TestHooksFeedTrace(t *testing.T) {
 func TestStateSnapshotFieldsReachEvent(t *testing.T) {
 	src := NewSource(536, func() time.Duration { return 5 * time.Second })
 	tr, h := src.Store(), src.Hooks()
-	h.OnState(tcp.StateSnapshot{
+	h.OnState(&tcp.StateSnapshot{
 		Kind: tcp.StateAck, AckNo: 1072, AckClass: tcp.AckNew,
 		Cwnd: 1608, Ssthresh: 4288,
 		SndUna: 1072, SndNxt: 2144, SndMax: 2144,
@@ -122,12 +122,12 @@ func TestSourceStreamsWithoutStoring(t *testing.T) {
 		got = append(got, *e)
 	})
 	h := src.Hooks()
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 536, Payload: 536})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 536, Payload: 536})
 	now = 2 * time.Second
-	h.OnState(tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 536})
+	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 536})
 	tr := src.Store()
 	src.BSHooks().OnARQDiscard(4)
-	h.OnState(tcp.StateSnapshot{Kind: 0}) // not a traced transition: no event, no index
+	h.OnState(&tcp.StateSnapshot{Kind: 0}) // not a traced transition: no event, no index
 	src.MobileHook()(&packet.Packet{Seq: 1072, LinkSeq: 1})
 
 	if len(idxs) != 4 || idxs[0] != 0 || idxs[1] != 1 || idxs[2] != 2 || idxs[3] != 3 {
