@@ -269,6 +269,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=30s ./internal/chaos
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=30s ./internal/experiment
+	$(GO) test -fuzz=FuzzReproBundleLoad -fuzztime=30s ./internal/repro
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=30s ./internal/cell
 	$(GO) test -fuzz=FuzzTable -fuzztime=30s ./internal/queue
@@ -290,6 +291,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=10s ./internal/serve
 	$(GO) test -fuzz=FuzzChaosParse -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=10s ./internal/experiment
+	$(GO) test -fuzz=FuzzReproBundleLoad -fuzztime=10s ./internal/repro
 	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=10s ./internal/cell
 	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/queue

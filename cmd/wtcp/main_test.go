@@ -61,6 +61,21 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
+// TestREADMENamesEverySubcommand: README.md is where the commands are
+// documented, so each row of the subcommand table appears there by its
+// full name.
+func TestREADMENamesEverySubcommand(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range commands {
+		if !strings.Contains(string(readme), "wtcp "+c.name) {
+			t.Errorf("README.md never names `wtcp %s`", c.name)
+		}
+	}
+}
+
 // TestExecutionFlags: each engine-backed subcommand turns the shared
 // execution flags into the same experiment.Options and run budget, and
 // its own flags leave them alone.

@@ -134,15 +134,23 @@ func firstLine(s string) string {
 // Save writes the bundle as indented JSON via temp-file-plus-rename, so
 // a crash mid-write never leaves a truncated bundle at path.
 func (b *Bundle) Save(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+	data, err := b.encode()
 	if err != nil {
-		return fmt.Errorf("repro: encode bundle: %w", err)
+		return err
 	}
-	data = append(data, '\n')
 	if err := atomicfile.Write(path, data); err != nil {
 		return fmt.Errorf("repro: save bundle: %w", err)
 	}
 	return nil
+}
+
+// encode renders the bundle file's bytes: indented JSON and a newline.
+func (b *Bundle) encode() ([]byte, error) {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("repro: encode bundle: %w", err)
+	}
+	return append(data, '\n'), nil
 }
 
 // Load reads and validates a bundle file.
@@ -151,6 +159,12 @@ func Load(path string) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: load bundle: %w", err)
 	}
+	return decode(path, data)
+}
+
+// decode parses and validates the bytes of the bundle file at path; every
+// refusal names the file.
+func decode(path string, data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("repro: parse bundle %s: %w", path, err)

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +54,7 @@ func captureWedged(t *testing.T) *Bundle {
 
 // captureWatchdog runs a scenario the watchdog must abort and captures
 // its bundle.
-func captureWatchdog(t *testing.T, cfg core.Config) *Bundle {
+func captureWatchdog(t testing.TB, cfg core.Config) *Bundle {
 	t.Helper()
 	res, err := core.Run(cfg)
 	b := Capture(cfg, res, err)
@@ -255,4 +257,49 @@ func TestCaptureBudgetRoundTripAndReplay(t *testing.T) {
 	if (Outcome{Kind: KindBudget, BudgetKind: sim.BudgetWall}).Matches(got) {
 		t.Error("wall-clock outcome matched an event-budget bundle")
 	}
+}
+
+// FuzzReproBundleLoad: a bundle file either loads or is refused with an
+// error naming the file — never a panic — and a loaded bundle's own
+// encoding (the bytes Save writes) loads again and re-encodes to the same
+// bytes.
+func FuzzReproBundleLoad(f *testing.F) {
+	for _, cfg := range []core.Config{wedgedConfig(), handoffWedgedConfig()} {
+		data, err := captureWatchdog(f, cfg).encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(bytes.Replace(data, []byte(`"version": 1`), []byte(`"version": 2`), 1))
+		f.Add(bytes.Replace(data, []byte(`"kind": "watchdog"`), []byte(`"kind": "none"`), 1))
+	}
+	f.Add([]byte(`{"version":1,"kind":"budget","budget_kind":"events","budget_limit":1,"budget_value":2,"config":null}`))
+	f.Add([]byte(`{"version":1,"kind":"panic","config":{"Chaos":{}},"Version":1}`))
+	f.Add([]byte(`null`))
+	const path = "fuzz-bundle.json"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decode(path, data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "repro: ") || !strings.Contains(err.Error(), path) {
+				t.Errorf("refusal %q does not name the file", err)
+			}
+			return
+		}
+		first, err := b.encode()
+		if err != nil {
+			t.Fatalf("a loaded bundle does not encode: %v", err)
+		}
+		again, err := decode(path, first)
+		if err != nil {
+			t.Fatalf("the encoding of a loaded bundle is refused: %v\n%s", err, first)
+		}
+		second, err := again.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("encoding is not a fixed point:\n%s\n---\n%s", first, second)
+		}
+	})
 }
