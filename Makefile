@@ -278,12 +278,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=30s ./cmd/wtcp
 	$(GO) test -fuzz=FuzzBenchABRuns -fuzztime=30s ./cmd/wtcp
 	$(GO) test -fuzz=FuzzMarkovQueries -fuzztime=30s ./internal/errmodel
+	$(GO) test -fuzz=FuzzGoldenDecode -fuzztime=30s -fuzzminimizetime=1s ./internal/trace
 
 # CI-sized fuzzing: ~10s per target, enough to catch regressions on the
 # seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
 # both wtcpd stores on every input, so its coverage is noisy and the
 # fuzzer's default 60 s of minimising per "interesting" input would eat
-# the whole budget; 1 s keeps it generating.)
+# the whole budget; 1 s keeps it generating. FuzzGoldenDecode's seeds are
+# 40-event golden heads, which the default minimisation stalls on the
+# same way.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReassembler -fuzztime=10s ./internal/ip
 	$(GO) test -fuzz=FuzzSenderAckStream -fuzztime=10s ./internal/tcp
@@ -300,6 +303,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=10s ./cmd/wtcp
 	$(GO) test -fuzz=FuzzBenchABRuns -fuzztime=10s ./cmd/wtcp
 	$(GO) test -fuzz=FuzzMarkovQueries -fuzztime=10s ./internal/errmodel
+	$(GO) test -fuzz=FuzzGoldenDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
 
 clean:
 	$(GO) clean ./...

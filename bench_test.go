@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -626,11 +627,20 @@ func BenchmarkRNGDrawMathRand(b *testing.B) {
 	}
 }
 
+// runSeeds is the seed set the run benchmarks cycle through: fixed, so
+// every row times the same runs whatever b.N the framework picks, and
+// BenchmarkLANRun and BenchmarkLANRunOracle time the same runs as each
+// other.
+const runSeeds = 16
+
+// runSeed is the seed of a run benchmark's iteration i.
+func runSeed(i int) int64 { return int64(i%runSeeds + 1) }
+
 // BenchmarkWANRun measures one full wide-area simulation (100 KB, EBSN).
 func BenchmarkWANRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.WAN(bs.EBSN, 576, 2*time.Second)
-		cfg.Seed = int64(i + 1)
+		cfg.Seed = runSeed(i)
 		r, err := core.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -645,7 +655,7 @@ func BenchmarkWANRun(b *testing.B) {
 func BenchmarkLANRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.LAN(bs.EBSN, 800*time.Millisecond)
-		cfg.Seed = int64(i + 1)
+		cfg.Seed = runSeed(i)
 		r, err := core.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -662,7 +672,7 @@ func BenchmarkLANRun(b *testing.B) {
 func BenchmarkLANRunOracle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.LAN(bs.EBSN, 800*time.Millisecond)
-		cfg.Seed = int64(i + 1)
+		cfg.Seed = runSeed(i)
 		cfg.Oracle = true
 		r, err := core.Run(cfg)
 		if err != nil {
@@ -672,6 +682,42 @@ func BenchmarkLANRunOracle(b *testing.B) {
 			b.Fatal("run did not complete")
 		}
 	}
+}
+
+// BenchmarkZooOracle runs lan_zoo's grid — the LAN preset under every
+// sender variant and base-station scheme, seed 100001 as the end-to-end
+// benchmark's seed 1 — once with the conformance oracle off and once with
+// it on in every round, alternating which goes first. on_ratio is the
+// median over rounds of the oracle-on grid's wall time over the
+// oracle-off grid's: what checking every event adds to a run, on the same
+// runs, read where neither half was disturbed more than the other.
+func BenchmarkZooOracle(b *testing.B) {
+	var grid []core.Config
+	for _, v := range []tcp.Variant{tcp.Tahoe, tcp.Reno, tcp.NewReno, tcp.SACKVariant} {
+		for _, s := range []bs.Scheme{bs.Basic, bs.EBSN, bs.Snoop, bs.SplitConnection} {
+			cfg := core.LAN(s, 800*time.Millisecond)
+			cfg.Variant, cfg.Seed = v, 100001
+			grid = append(grid, cfg)
+		}
+	}
+	ratios := make([]float64, b.N)
+	for i := range ratios {
+		var wall [2]time.Duration // oracle off, on
+		for k := 0; k < 2; k++ {
+			on := (i + k) % 2
+			t0 := time.Now()
+			for _, cfg := range grid {
+				cfg.Oracle = on == 1
+				if r, err := core.Run(cfg); err != nil || !r.Completed {
+					b.Fatalf("%v/%v oracle=%v: %v", cfg.Variant, cfg.Scheme, cfg.Oracle, err)
+				}
+			}
+			wall[on] = time.Since(t0)
+		}
+		ratios[i] = float64(wall[1]) / float64(wall[0])
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "on_ratio")
 }
 
 // BenchmarkOracleCheck replays the recorded event stream of one LAN EBSN

@@ -38,6 +38,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Metrics are the benchmark's own b.ReportMetric readings by unit
+	// (on_ratio, ns/event): recorded beside the row, never gated.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Baseline is the file format of BENCH_kernel.json / BENCH_scale.json.
@@ -192,7 +195,7 @@ func decodeBaseline(path string, data []byte) (Baseline, map[string]Result, erro
 //
 //	BenchmarkSimKernel-8   26153130   86.81 ns/op   0 B/op   0 allocs/op
 //
-// Custom metrics between ns/op and B/op are tolerated and ignored.
+// Custom metrics between ns/op and B/op are kept in Result.Metrics.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(.*)$`)
 
 func parseBench(r io.Reader) ([]Result, error) {
@@ -221,6 +224,14 @@ func parseBench(r io.Reader) ([]Result, error) {
 				res.BytesPerOp, _ = strconv.ParseFloat(strings.TrimSuffix(field, " B/op"), 64)
 			case strings.HasSuffix(field, " allocs/op"):
 				res.AllocsPerOp, _ = strconv.ParseFloat(strings.TrimSuffix(field, " allocs/op"), 64)
+			default:
+				v, unit, _ := strings.Cut(field, " ")
+				if x, err := strconv.ParseFloat(v, 64); err == nil && unit != "" {
+					if res.Metrics == nil {
+						res.Metrics = map[string]float64{}
+					}
+					res.Metrics[unit] = x
+				}
 			}
 		}
 		if _, seen := byName[res.Name]; !seen {
@@ -232,15 +243,15 @@ func parseBench(r io.Reader) ([]Result, error) {
 		return nil, err
 	}
 	// `-count=N` runs produce repeated lines; keep the minimum ns/op per
-	// name (the least-disturbed run) and the max allocs/op (pessimistic).
+	// name (the least-disturbed run) with that run's metrics, and the max
+	// allocs/op (pessimistic).
 	var out []Result
 	for _, name := range order {
 		runs := byName[name]
 		agg := runs[0]
 		for _, r := range runs[1:] {
 			if r.NsPerOp < agg.NsPerOp {
-				agg.NsPerOp = r.NsPerOp
-				agg.Iterations = r.Iterations
+				agg.NsPerOp, agg.Iterations, agg.Metrics = r.NsPerOp, r.Iterations, r.Metrics
 			}
 			if r.AllocsPerOp > agg.AllocsPerOp {
 				agg.AllocsPerOp = r.AllocsPerOp

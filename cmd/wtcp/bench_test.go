@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -36,6 +37,18 @@ func TestParseBench(t *testing.T) {
 	w := results[2]
 	if w.Name != "BenchmarkWANRun" || w.AllocsPerOp != 4053 || w.BytesPerOp != 479734 {
 		t.Fatalf("unexpected WANRun result: %+v", w)
+	}
+}
+
+func TestParseBenchKeepsMetrics(t *testing.T) {
+	lines := "BenchmarkZooOracle-2 10 150000000 ns/op\t1.400 on_ratio\n" +
+		"BenchmarkZooOracle-2 10 120000000 ns/op\t1.300 on_ratio\n"
+	results, err := parseBench(strings.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || !reflect.DeepEqual(results[0].Metrics, map[string]float64{"on_ratio": 1.3}) {
+		t.Fatalf("parsed %+v, want the fastest run's on_ratio 1.3", results)
 	}
 }
 
@@ -231,7 +244,7 @@ func FuzzBenchBaseline(f *testing.F) {
 			t.Fatalf("%d rows loaded as %d names", len(b.Results), len(m))
 		}
 		for _, r := range b.Results {
-			if m[r.Name] != r {
+			if !reflect.DeepEqual(m[r.Name], r) {
 				t.Fatalf("row %+v indexed as %+v", r, m[r.Name])
 			}
 		}

@@ -312,10 +312,6 @@ func newEngine(cfg Config) (*engine, error) {
 	e.oneVerdict = cfg.SharedChannel && cfg.PredictorAccuracy >= 1
 
 	e.wheel = newWheel(int64(wheelTick), wheelBuckets, F+B)
-
-	if cfg.OracleSample > 0 {
-		e.oracle = newSampler(e, cfg.OracleSample)
-	}
 	return e, nil
 }
 
@@ -365,10 +361,14 @@ func (e *engine) qPop(f int32) int32 {
 
 // ---- run loop ----
 
-// bind attaches the engine to a kernel and pre-binds its pump timer.
+// bind attaches the engine to a kernel, pre-binds its pump timer and
+// arms the sampled flows' checkers on the kernel's clock.
 func (e *engine) bind(s *sim.Simulator) {
 	e.s = s
 	e.pump = sim.NewTimer(s, e.pumpFire)
+	if e.cfg.OracleSample > 0 {
+		e.oracle = newSampler(e, e.cfg.OracleSample)
+	}
 }
 
 // begin admits the initial flows and arms the pump.

@@ -69,13 +69,13 @@ func (e *engine) TimerDeadline() time.Duration {
 
 // Observe counts the current flow's timeouts and, when the flow is
 // sampled, feeds the transition to its conformance checker (tcp.Host).
-func (e *engine) Observe(ev tcp.StateSnapshot) {
+func (e *engine) Observe(t tcp.Transition) {
 	f := e.cur
-	if ev.Kind == tcp.StateTimeout {
+	if t.Kind == tcp.StateTimeout {
 		e.fTimeouts[f]++
 	}
 	if e.oracle != nil {
-		e.oracle.state(f, ev)
+		e.oracle.state(f, t)
 	}
 }
 

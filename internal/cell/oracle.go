@@ -1,8 +1,6 @@
 package cell
 
 import (
-	"time"
-
 	"wtcp/internal/bs"
 	"wtcp/internal/oracle"
 	"wtcp/internal/tcp"
@@ -13,7 +11,7 @@ import (
 // checking is unaffordable at 50k flows, so OracleSample flows — spread
 // evenly across the ID space — get the repository's streaming Tahoe/ARQ
 // oracle attached. Each sampled flow has its own trace.Source with a
-// checker subscribed, fed exactly as a single-connection run feeds its
+// checker armed, fed exactly as a single-connection run feeds its
 // source: sender transitions through the state hook (engine.Observe),
 // base-station ARQ events through the base-station hooks. A violation
 // fails the kernel (it surfaces from the run loop as an error).
@@ -22,10 +20,10 @@ type sampler struct {
 	slotOf []int32 // flow -> slot in the two slices below, -1 unsampled
 	// onState and arq are each sampled flow's source, as the hooks that
 	// feed it.
-	onState []func(*tcp.StateSnapshot)
+	onState []func(*trace.Event)
 	arq     []bs.Hooks
-	// snap is the scratch snapshot state completes and hands on.
-	snap tcp.StateSnapshot
+	// ev is the scratch event a sampled flow's transition is written to.
+	ev trace.Event
 }
 
 // newSampler attaches checkers to k flows (clamped to the population).
@@ -36,7 +34,7 @@ func newSampler(e *engine, k int) *sampler {
 	sp := &sampler{
 		e:       e,
 		slotOf:  make([]int32, e.F),
-		onState: make([]func(*tcp.StateSnapshot), k),
+		onState: make([]func(*trace.Event), k),
 		arq:     make([]bs.Hooks, k),
 	}
 	for f := range sp.slotOf {
@@ -49,31 +47,24 @@ func newSampler(e *engine, k int) *sampler {
 		MaxRTO:  e.tcp.MaxRTO,
 		RTmax:   e.cfg.RTmax,
 	}
-	now := func() time.Duration { return e.s.Now() }
 	step := e.F / k
 	for i := 0; i < k; i++ {
 		sp.slotOf[i*step] = int32(i)
-		checker := oracle.New(cfg)
-		src := trace.NewSource(e.tcp.MSS, now)
-		src.Subscribe(func(idx int, ev *trace.Event) {
-			if v := checker.Observe(idx, ev); v != nil {
-				e.s.Fail("cell-oracle", v)
-			}
-		})
-		sp.onState[i] = src.Hooks().OnState
+		src := trace.NewSource(e.tcp.MSS, e.s)
+		src.Check("cell-oracle", oracle.New(cfg))
+		sp.onState[i] = src.OnState
 		sp.arq[i] = src.BSHooks()
 	}
 	return sp
 }
 
-// state feeds one of flow f's sender transitions, completed into a full
-// snapshot, to its source, if f is sampled.
-func (sp *sampler) state(f int32, ev tcp.StateSnapshot) {
+// state feeds one of flow f's sender transitions, written as an event
+// with the post-transition state, to its source, if f is sampled.
+func (sp *sampler) state(f int32, t tcp.Transition) {
 	if slot := sp.slotOf[f]; slot >= 0 {
 		e := sp.e
-		sp.snap = ev
-		e.rows[f].Snapshot(&e.tcp, e, &sp.snap)
-		sp.onState[slot](&sp.snap)
+		e.rows[f].Snapshot(&e.tcp, t, e.TimerDeadline(), &sp.ev)
+		sp.onState[slot](&sp.ev)
 	}
 }
 

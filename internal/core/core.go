@@ -142,7 +142,7 @@ type Config struct {
 	// Horizon caps virtual time as a runaway guard; zero uses a generous
 	// default.
 	Horizon time.Duration
-	// CollectTrace and Oracle each subscribe one sink to the run's event
+	// CollectTrace and Oracle each attach one consumer to the run's event
 	// stream (see tapSender); they are independent, and neither changes a
 	// result bit.
 	//
@@ -564,27 +564,30 @@ type topology struct {
 	chaos *chaos.Injector
 }
 
-// tapSender wires one sender's event stream to its sinks. There are two,
-// and the two arguments — Config.CollectTrace and Config.Oracle — fully
-// decide which are subscribed:
+// tapSender wires one sender's event stream to its consumers. There are
+// two, and the two arguments — Config.CollectTrace and Config.Oracle —
+// fully decide which are attached:
 //
 //   - store: a Trace that retains every event, returned with the
 //     congestion-window series recorded beside it (both nil otherwise);
 //   - check: a conformance checker under ocfg, which retains nothing. Its
-//     first violation halts the run through the simulator's failure
-//     channel, exactly like a periodic invariant check.
+//     first violation halts the run at that event through the
+//     simulator's failure channel, exactly like a periodic invariant
+//     check.
 //
-// Each event is built once by the source's hook adapters and numbered by
-// the source, so a violation's index is the event's position in the
-// stream whether or not the stream is stored. The source is returned for
-// the caller to feed further instrumentation into the same stream; with
-// no sink nothing is installed and it is nil.
+// Each event is written once, in place — the sender's by the sender
+// itself, the base station's and mobile host's by the source's hook
+// adapters — and numbered by the source, so a violation's index is the
+// event's position in the stream whether or not the stream is stored.
+// The source is returned for the caller to feed further instrumentation
+// into the same stream; with neither consumer nothing is installed and
+// it is nil.
 func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle.Config) (*trace.Source, *trace.Trace, *trace.CwndSeries) {
 	if !store && !check {
 		return nil, nil, nil
 	}
-	src := trace.NewSource(ocfg.MSS, s.Now)
-	hooks := src.Hooks()
+	src := trace.NewSource(ocfg.MSS, s)
+	hooks := tcp.Hooks{OnState: src.OnState}
 	var tr *trace.Trace
 	var cw *trace.CwndSeries
 	if store {
@@ -593,12 +596,7 @@ func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle
 		hooks.OnCwnd = cw.Hook(s.Now)
 	}
 	if check {
-		checker := oracle.New(ocfg)
-		src.Subscribe(func(idx int, e *trace.Event) {
-			if v := checker.Observe(idx, e); v != nil {
-				s.Fail("oracle", v)
-			}
-		})
+		src.Check("oracle", oracle.New(ocfg))
 	}
 	snd.SetHooks(hooks)
 	return src, tr, cw

@@ -8,6 +8,7 @@ import (
 	"wtcp/internal/bs"
 	"wtcp/internal/chaos"
 	"wtcp/internal/oracle"
+	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
@@ -165,6 +166,31 @@ func TestChaosNotifyDuplicationTripsOracle(t *testing.T) {
 	}
 	if v.Index < 0 {
 		t.Errorf("violation index = %d", v.Index)
+	}
+}
+
+// TestOracleHaltsAtTheViolatingEvent pins that the oracle judges each
+// event as it is emitted, deferring nothing: under the duplicated-EBSN
+// plan above the run halts at the very event that broke a rule — the
+// failure's clock reading is the violating event's timestamp — and the
+// error reads exactly as it always has.
+func TestOracleHaltsAtTheViolatingEvent(t *testing.T) {
+	cfg := WAN(bs.EBSN, 576, 4*time.Second)
+	cfg.TransferSize = 50 * units.KB
+	cfg.Oracle = true
+	cfg.Chaos = &chaos.Config{Notify: chaos.NotifyFaults{DupProb: 1}}
+	_, err := Run(cfg)
+	var ce *sim.CheckError
+	var v *oracle.Violation
+	if !errors.As(err, &ce) || !errors.As(err, &v) {
+		t.Fatalf("error %v is not an oracle violation halting the run", err)
+	}
+	if ce.At != v.Event.At {
+		t.Errorf("run halted at %v, the violating event is at %v", ce.At, v.Event.At)
+	}
+	const want = `sim: invariant "oracle" violated at 5.271s: oracle: rule ebsn/reset-without-notification violated at event 231 (5.271s ebsn): 3 timer resets but only 2 EBSNs were sent by the base station`
+	if err.Error() != want {
+		t.Errorf("error text\n%s\nwant\n%s", err, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package oracle is a streaming protocol-conformance checker for the
-// simulator's event stream. It subscribes to a trace.Source as one of its
-// sinks and validates, while a run executes, that the observed behaviour
-// obeys the paper's protocol rules:
+// simulator's event stream. Armed on a trace.Source as its
+// trace.Checker, it is called on every event and validates, while a run
+// executes, that the observed behaviour obeys the paper's protocol rules:
 //
 //   - the TCP-Tahoe sender state machine: slow-start and congestion-
 //     avoidance window growth, the loss responses (collapse to one
@@ -21,8 +21,8 @@
 // stream conforms; the shadow sets it does keep (outstanding ARQ units,
 // the snoop cache, discarded packets) are bounded by the window, not the
 // transfer. A rule breach produces a *Violation naming the rule and the
-// event index; the first violation is latched and, when wired into a run
-// via internal/core, halts the simulation through sim.Fail.
+// event index; the first violation is latched and, returned to the
+// source, halts the simulation at that event through sim.Fail.
 package oracle
 
 import (
@@ -111,17 +111,15 @@ type Checker struct {
 	// profile holds the variant's congestion rules (see profile.go).
 	profile profile
 
-	// last is the most recent sender-side event (the shadow state);
-	// haveLast guards the first event of a stream. last2 is the event
-	// before it — the pre-transition baseline for ACK transitions that
-	// span two events (the Reno family's retransmit-then-ACK pairs). They
-	// point into slots and trade places on every sender event, so resync
-	// copies one event, not two.
-	last      *trace.Event
+	// last shadows the most recent sender-side event; haveLast guards the
+	// first event of a stream. last2 is the event before it — the
+	// pre-transition baseline for ACK transitions that span two events
+	// (the Reno family's retransmit-then-ACK pairs). A shadow holds only
+	// the fields the rules read, so resync copies nine words, not events.
+	last      shadow
 	haveLast  bool
-	last2     *trace.Event
+	last2     shadow
 	haveLast2 bool
-	slots     [2]trace.Event
 
 	// inRecovery and recoverSeq shadow the Reno family's fast-recovery
 	// episode: entered at FastRetx (recoverSeq = snd_max at loss
@@ -168,6 +166,18 @@ type Checker struct {
 	first *Violation
 }
 
+// shadow is what the rules read of a past sender event: its kind and
+// segment, the congestion state, the sequence pointers (post-advance for
+// a transmission, see resync) and the timer's value and backoff.
+type shadow struct {
+	Kind                   trace.EventKind
+	Seq                    int64
+	Cwnd, Ssthresh         int64
+	SndUna, SndNxt, SndMax int64
+	RTO                    time.Duration
+	Shift                  int
+}
+
 // arqUnit shadows one link unit in flight: its attempt count and the
 // network packet that owns it.
 type arqUnit struct {
@@ -196,7 +206,6 @@ func New(cfg Config) *Checker {
 		profile:      profileFor(cfg.Variant),
 		snoopSweepAt: snoopSweepFloor,
 	}
-	c.last, c.last2 = &c.slots[0], &c.slots[1]
 	return c
 }
 
@@ -204,48 +213,61 @@ func New(cfg Config) *Checker {
 func (c *Checker) First() *Violation { return c.first }
 
 // Check replays a complete event sequence and returns the first
-// violation, or nil if the whole stream conforms.
+// violation, or nil if the whole stream conforms. It runs the rules a
+// live run's checker runs, on the same events.
 func Check(cfg Config, events []trace.Event) *Violation {
 	c := New(cfg)
 	for i := range events {
-		if v := c.Observe(i, &events[i]); v != nil {
-			return v
+		if c.Observe(i, &events[i]) != nil {
+			break
 		}
 	}
-	return nil
+	return c.first
 }
 
-// Observe feeds one event with its position in the stream (trace.Sink's
-// signature plus a result): it returns the violation this event caused,
-// or nil. The event is read during the call only and never modified. The
-// first violation is also latched for First. State keeps re-synchronizing
-// afterwards, so observing past a violation reports further independent
-// breaches rather than cascading noise.
-func (c *Checker) Observe(idx int, e *trace.Event) *Violation {
+// Observe feeds one event with its position in the stream (the
+// trace.Checker a Source calls): it returns the violation this event
+// caused, a *Violation, or nil. The event is read during the call only
+// and never modified. The first violation is also latched for First.
+// State keeps re-synchronizing afterwards, so observing past a violation
+// reports further independent breaches rather than cascading noise.
+func (c *Checker) Observe(idx int, e *trace.Event) error {
 	c.idx, c.cur = idx, e
-	v := c.observe(e)
-	if v != nil && c.first == nil {
-		c.first = v
-	}
-	return v
-}
-
-// fail builds the violation for the event under observation. Only a
-// broken rule calls it, so a conforming stream never formats a string or
-// copies an event to the heap.
-func (c *Checker) fail(rule, format string, args ...any) *Violation {
-	return &Violation{Rule: rule, Index: c.idx, Event: *c.cur, Detail: fmt.Sprintf(format, args...)}
-}
-
-func (c *Checker) observe(e *trace.Event) *Violation {
 	switch e.Kind {
-	case trace.Send, trace.Retransmit, trace.Timeout, trace.FastRetx,
-		trace.EBSNReset, trace.AckIn, trace.QuenchIn, trace.ECNEcho:
-		v := c.checkSender(e)
+	case trace.Send, trace.Retransmit, trace.AckIn, trace.Timeout, trace.FastRetx,
+		trace.EBSNReset, trace.QuenchIn, trace.ECNEcho:
+		// The TCP-side rules: sequence order first, then the
+		// transition's own.
+		var v *Violation
+		switch {
+		case e.SndUna < 0 || e.SndUna > e.SndNxt || e.SndNxt > e.SndMax:
+			v = c.fail("tcp/sequence-order",
+				"snd_una=%d snd_nxt=%d snd_max=%d out of order", e.SndUna, e.SndNxt, e.SndMax)
+		case e.Kind == trace.Send || e.Kind == trace.Retransmit:
+			v = c.checkSend(e)
+		case e.Kind == trace.AckIn:
+			v = c.checkAck(e)
+		case e.Kind == trace.Timeout:
+			v = c.checkTimeout(e)
+		case e.Kind == trace.FastRetx:
+			v = c.profile.fastRetx(c, e, &c.last)
+		case e.Kind == trace.EBSNReset:
+			v = c.checkEBSNReset(e)
+		case e.Kind == trace.QuenchIn:
+			v = c.checkQuench(e)
+		default:
+			v = c.checkECN(e)
+		}
 		c.resync(e)
-		return v
+		if v != nil {
+			return v
+		}
+		return nil
 	case trace.ARQAttempt:
-		return c.observeARQAttempt(e)
+		if v := c.observeARQAttempt(e); v != nil {
+			return v
+		}
+		return nil
 	case trace.ARQFailure:
 		c.arqFailures++
 		if i := c.units.Find(e.Unit); i >= 0 && e.Attempt != c.units[i].Val.attempt {
@@ -334,6 +356,17 @@ func (c *Checker) observe(e *trace.Event) *Violation {
 	}
 }
 
+// fail builds the violation for the event under observation and latches
+// the first for First. Only a broken rule calls it, so a conforming stream
+// never formats a string or copies an event to the heap.
+func (c *Checker) fail(rule, format string, args ...any) *Violation {
+	v := &Violation{Rule: rule, Index: c.idx, Event: *c.cur, Detail: fmt.Sprintf(format, args...)}
+	if c.first == nil {
+		c.first = v
+	}
+	return v
+}
+
 // observeARQAttempt checks the attempt-counting discipline of one link
 // transmission.
 func (c *Checker) observeARQAttempt(e *trace.Event) *Violation {
@@ -358,24 +391,28 @@ func (c *Checker) observeARQAttempt(e *trace.Event) *Violation {
 	case i >= 0 && e.Attempt != c.units[i].Val.attempt+1 && e.Attempt != 1:
 		return c.fail("arq/attempt-order",
 			"unit %d jumped from attempt %d to %d", e.Unit, c.units[i].Val.attempt, e.Attempt)
+	case i >= 0:
+		c.units[i].Val = arqUnit{attempt: e.Attempt, pkt: e.Pkt}
+	default:
+		c.units.Insert(e.Unit, arqUnit{attempt: e.Attempt, pkt: e.Pkt})
 	}
-	c.units.Put(e.Unit, arqUnit{attempt: e.Attempt, pkt: e.Pkt})
 	return nil
 }
 
 // resync makes sender event e the shadow state the next event is compared
 // against.
 func (c *Checker) resync(e *trace.Event) {
-	c.last2, c.last = c.last, c.last2
-	c.haveLast2, c.haveLast = c.haveLast, true
-	*c.last = *e
+	c.last2, c.haveLast2, c.haveLast = c.last, c.haveLast, true
+	l := &c.last
+	l.Kind, l.Seq, l.Cwnd, l.Ssthresh = e.Kind, e.Seq, e.Cwnd, e.Ssthresh
+	l.SndUna, l.SndNxt, l.SndMax, l.RTO, l.Shift = e.SndUna, e.SndNxt, e.SndMax, e.RTO, e.Shift
 	// Transmission snapshots are taken before the sequence pointers
 	// advance; shadow the post-advance values so the next event's
 	// unchanged-state checks compare against reality. A retransmission
 	// with Seq below SndNxt (Reno's retransmit-first) moves nothing.
-	if l := c.last; l.Kind == trace.Send || l.Kind == trace.Retransmit {
+	if l.Kind == trace.Send || l.Kind == trace.Retransmit {
 		if l.Seq == l.SndNxt {
-			l.SndNxt = l.Seq + l.Payload
+			l.SndNxt = l.Seq + e.Payload
 		}
 		if l.SndNxt > l.SndMax {
 			l.SndMax = l.SndNxt
@@ -388,38 +425,11 @@ func (c *Checker) resync(e *trace.Event) {
 // transfer. The snoop shadow is swept only once it has doubled since the
 // last sweep, which keeps the cost per ACK constant.
 func (c *Checker) pruneShadows(una int64) {
-	if len(c.discarded) > 0 {
-		c.discarded.DeleteFunc(func(_ uint64, sentTo int64) bool { return sentTo <= una })
-	}
+	c.discarded.DeleteFunc(func(_ uint64, sentTo int64) bool { return sentTo <= una })
 	if len(c.snoopCache) >= c.snoopSweepAt {
 		c.snoopCache.DeleteFunc(func(_ int64, seg snoopSeg) bool { return seg.sentTo < una })
 		c.snoopSweepAt = 2*len(c.snoopCache) + snoopSweepFloor
 	}
-}
-
-// checkSender dispatches the TCP-side rules.
-func (c *Checker) checkSender(e *trace.Event) *Violation {
-	if e.SndUna < 0 || e.SndUna > e.SndNxt || e.SndNxt > e.SndMax {
-		return c.fail("tcp/sequence-order",
-			"snd_una=%d snd_nxt=%d snd_max=%d out of order", e.SndUna, e.SndNxt, e.SndMax)
-	}
-	switch e.Kind {
-	case trace.Send, trace.Retransmit:
-		return c.checkSend(e)
-	case trace.AckIn:
-		return c.checkAck(e)
-	case trace.Timeout:
-		return c.checkTimeout(e)
-	case trace.FastRetx:
-		return c.checkFastRetx(e)
-	case trace.EBSNReset:
-		return c.checkEBSNReset(e)
-	case trace.QuenchIn:
-		return c.checkQuench(e)
-	case trace.ECNEcho:
-		return c.checkECN(e)
-	}
-	return nil
 }
 
 // checkSend validates one segment transmission. Send snapshots are taken
@@ -506,13 +516,13 @@ func (c *Checker) checkNewAck(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	// A Reno-family partial ACK spans two events (the hole's retransmit
 	// snapshot already shows the advanced snd_una); the advance check
 	// must compare against the event before the pair.
 	base := p
 	if c.inRecovery && p.Kind == trace.Retransmit && c.haveLast2 {
-		base = c.last2
+		base = &c.last2
 	}
 	if e.SndUna <= base.SndUna {
 		return c.fail("tcp/ack-advance",
@@ -534,7 +544,9 @@ func (c *Checker) checkNewAck(e *trace.Event) *Violation {
 			"backoff shift moved %d -> %d on an ACK (only reset-to-0 is legal)", p.Shift, e.Shift)
 	}
 	c.retx.prune(e.Ack)
-	c.pruneShadows(e.SndUna)
+	if len(c.discarded) > 0 || len(c.snoopCache) >= c.snoopSweepAt {
+		c.pruneShadows(e.SndUna)
+	}
 	if v := c.profile.newAck(c, e, p); v != nil {
 		return v
 	}
@@ -563,7 +575,7 @@ func (c *Checker) checkDupAck(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if v := c.profile.dupAck(c, e, p); v != nil {
 		return v
 	}
@@ -579,7 +591,7 @@ func (c *Checker) checkUnchanged(rule string, e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh || e.Shift != p.Shift ||
 		e.SndUna != p.SndUna || e.SndNxt != p.SndNxt || e.SndMax != p.SndMax {
 		return c.fail(rule,
@@ -615,7 +627,7 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if v := c.checkHalved("tcp/timeout-ssthresh", e, p); v != nil {
 		return v
 	}
@@ -645,15 +657,8 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 	return nil
 }
 
-// checkFastRetx delegates the third-duplicate-ACK response to the
-// variant's profile: Tahoe collapses and rewinds, the Reno family
-// retransmits the hole and enters fast recovery.
-func (c *Checker) checkFastRetx(e *trace.Event) *Violation {
-	return c.profile.fastRetx(c, e, c.last)
-}
-
 // checkHalved asserts e.Ssthresh == max(min(prev cwnd, window)/2, 2*MSS).
-func (c *Checker) checkHalved(rule string, e, p *trace.Event) *Violation {
+func (c *Checker) checkHalved(rule string, e *trace.Event, p *shadow) *Violation {
 	flight := float64(p.Cwnd)
 	if adv := float64(c.cfg.Window); adv < flight {
 		flight = adv
@@ -690,7 +695,7 @@ func (c *Checker) checkEBSNReset(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh {
 		return c.fail("ebsn/no-congestion-response",
 			"EBSN moved cwnd/ssthresh %d/%d -> %d/%d (must be congestion-neutral)",
@@ -723,7 +728,7 @@ func (c *Checker) checkQuench(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	p := c.last
+	p := &c.last
 	if e.Ssthresh != p.Ssthresh || e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
 		return c.fail("quench/collapse",
 			"source quench moved ssthresh/shift/RTO (%d/%d/%v -> %d/%d/%v)",
@@ -742,7 +747,7 @@ func (c *Checker) checkECN(e *trace.Event) *Violation {
 	if !c.haveLast {
 		return nil
 	}
-	return c.checkHalved("ecn/halve", e, c.last)
+	return c.checkHalved("ecn/halve", e, &c.last)
 }
 
 // deadlineIs compares an armed deadline within the time tolerance; an

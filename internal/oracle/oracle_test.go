@@ -410,9 +410,10 @@ func TestCheckerLatchesFirstViolation(t *testing.T) {
 	if v0 != nil {
 		t.Fatalf("first delivery flagged: %v", v0)
 	}
-	v1 := c.Observe(1, &trace.Event{Kind: trace.MHDeliver, Unit: 2})
+	err := c.Observe(1, &trace.Event{Kind: trace.MHDeliver, Unit: 2})
+	v1, _ := err.(*Violation)
 	if v1 == nil || c.First() != v1 {
-		t.Fatalf("violation not latched: %v, first=%v", v1, c.First())
+		t.Fatalf("violation not latched: %v, first=%v", err, c.First())
 	}
 	// A later, independent violation is still reported but First stays.
 	v2 := c.Observe(2, &trace.Event{Kind: trace.MHDeliver, Unit: 1})

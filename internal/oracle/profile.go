@@ -14,19 +14,19 @@ import (
 // "newreno/...", "sack/...").
 //
 // Every method receives the checker (for shared helpers and the shadow
-// recovery state), the event under observation e, and the previous
-// sender event p (only valid when c.haveLast) — both by pointer into
-// storage the caller owns, read-only.
+// recovery state), the event under observation e — by pointer into
+// storage the caller owns, read-only — and the shadow of the previous
+// sender event p (only valid when c.haveLast).
 type profile interface {
 	// prefix is the rule namespace, equal to the variant's wire name.
 	prefix() string
 	// newAck checks the congestion response to a window-advancing ACK.
-	newAck(c *Checker, e, p *trace.Event) *Violation
+	newAck(c *Checker, e *trace.Event, p *shadow) *Violation
 	// dupAck checks a duplicate ACK that did not trigger fast
 	// retransmit (below threshold, or inside fast recovery).
-	dupAck(c *Checker, e, p *trace.Event) *Violation
+	dupAck(c *Checker, e *trace.Event, p *shadow) *Violation
 	// fastRetx checks the third-duplicate-ACK response.
-	fastRetx(c *Checker, e, p *trace.Event) *Violation
+	fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation
 }
 
 // profileFor resolves the conformance profile for a sender variant:
@@ -43,19 +43,11 @@ func profileFor(v tcp.Variant) profile {
 // checkGrowth validates one window-growth step outside any recovery
 // episode: slow start below ssthresh, else congestion avoidance, capped
 // at the advertised window plus one segment. Shared by every profile.
-func (c *Checker) checkGrowth(rule string, e, p *trace.Event) *Violation {
+func (c *Checker) checkGrowth(rule string, e *trace.Event, p *shadow) *Violation {
 	mss := float64(c.cfg.MSS)
-	capTo := func(x float64) float64 {
-		if cap := float64(c.cfg.Window) + mss; x > cap {
-			return cap
-		}
-		return x
-	}
-	ss := capTo(float64(p.Cwnd) + mss)
-	ca := capTo(float64(p.Cwnd) + mss*mss/float64(p.Cwnd))
 	switch {
 	case p.Cwnd < p.Ssthresh:
-		if !within(float64(e.Cwnd), ss, c.cfg.ByteTol) {
+		if ss := c.grown(p.Cwnd, mss); !within(float64(e.Cwnd), ss, c.cfg.ByteTol) {
 			return c.fail(rule,
 				"slow start growth from cwnd=%d gives %d, want %.0f", p.Cwnd, e.Cwnd, ss)
 		}
@@ -63,18 +55,25 @@ func (c *Checker) checkGrowth(rule string, e, p *trace.Event) *Violation {
 		// Boundary: the snapshot truncates the sender's fractional
 		// ssthresh, so cwnd==ssthresh here is consistent with either
 		// phase. Accept both growth laws.
+		ss, ca := c.grown(p.Cwnd, mss), c.grown(p.Cwnd, mss*mss/float64(p.Cwnd))
 		if !within(float64(e.Cwnd), ss, c.cfg.ByteTol) && !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
 			return c.fail(rule,
 				"growth at the slow-start boundary from cwnd=%d gives %d, want %.0f or %.0f",
 				p.Cwnd, e.Cwnd, ca, ss)
 		}
 	default:
-		if !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
+		if ca := c.grown(p.Cwnd, mss*mss/float64(p.Cwnd)); !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
 			return c.fail(rule,
 				"congestion avoidance growth from cwnd=%d gives %d, want %.0f", p.Cwnd, e.Cwnd, ca)
 		}
 	}
 	return nil
+}
+
+// grown is cwnd after one growth step of inc bytes, capped at the
+// advertised window plus one segment.
+func (c *Checker) grown(cwnd int64, inc float64) float64 {
+	return min(float64(cwnd)+inc, float64(c.cfg.Window)+float64(c.cfg.MSS))
 }
 
 // tahoeProfile is the paper's TCP: any loss collapses the window to one
@@ -83,7 +82,7 @@ type tahoeProfile struct{}
 
 func (tahoeProfile) prefix() string { return "tahoe" }
 
-func (tahoeProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
+func (tahoeProfile) newAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if v := c.checkGrowth("tahoe/cwnd-growth", e, p); v != nil {
 		return v
 	}
@@ -94,7 +93,7 @@ func (tahoeProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
 	return nil
 }
 
-func (tahoeProfile) dupAck(c *Checker, e, p *trace.Event) *Violation {
+func (tahoeProfile) dupAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if e.DupAcks >= tcp.DupAckThreshold {
 		return c.fail("tahoe/missed-fast-retransmit",
 			"duplicate-ACK run reached %d without a fast retransmit", e.DupAcks)
@@ -111,7 +110,7 @@ func (tahoeProfile) dupAck(c *Checker, e, p *trace.Event) *Violation {
 // duplicate ACK: ssthresh halves, the window collapses and slow start
 // resumes from snd_una — with no timer backoff (the ACK clock is still
 // running; backing off here is the mistake Karn's rule is about).
-func (tahoeProfile) fastRetx(c *Checker, e, p *trace.Event) *Violation {
+func (tahoeProfile) fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
 		return c.fail("tahoe/fastretx-collapse",
 			"cwnd %d after fast retransmit, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
@@ -182,7 +181,7 @@ func newRenoProfile(v tcp.Variant) *renoProfile {
 
 func (r *renoProfile) prefix() string { return r.variant.String() }
 
-func (r *renoProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
+func (r *renoProfile) newAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if !c.inRecovery {
 		if v := c.checkGrowth(r.cwndGrowth, e, p); v != nil {
 			return v
@@ -226,7 +225,7 @@ func (r *renoProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
 		if !c.haveLast2 {
 			return nil
 		}
-		base := c.last2
+		base := &c.last2
 		if p.Kind != trace.Retransmit || p.Seq != e.Ack {
 			return c.fail(r.partialAckRetransmit,
 				"partial ACK %d in recovery without a retransmission of the hole at %d", e.Ack, e.Ack)
@@ -248,7 +247,7 @@ func (r *renoProfile) newAck(c *Checker, e, p *trace.Event) *Violation {
 	return nil
 }
 
-func (r *renoProfile) dupAck(c *Checker, e, p *trace.Event) *Violation {
+func (r *renoProfile) dupAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if c.inRecovery {
 		// Window inflation: every duplicate during recovery signals one
 		// more segment has left the network.
@@ -277,7 +276,7 @@ func (r *renoProfile) dupAck(c *Checker, e, p *trace.Event) *Violation {
 // fastRetx validates recovery entry: the lost segment retransmitted in
 // the same transition, ssthresh halved, cwnd inflated to ssthresh plus
 // three segments, no go-back-N rewind, and no timer backoff.
-func (r *renoProfile) fastRetx(c *Checker, e, p *trace.Event) *Violation {
+func (r *renoProfile) fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if c.inRecovery {
 		return c.fail(r.fastretxInRecovery,
 			"fast retransmit fired while already in fast recovery")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wtcp/internal/packet"
+	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -66,11 +67,11 @@ type Host interface {
 	// negative value when it is idle.
 	TimerDeadline() time.Duration
 	// Observe reports one transition, after every state mutation it made
-	// (timer re-arms included). ev carries only the transition's own
-	// operands (Kind, Seq, Payload, Retransmit, AckNo, AckClass); a host
-	// that wants the full post-transition picture completes it with
-	// State.Snapshot, so a connection nobody watches pays for none of it.
-	Observe(ev StateSnapshot)
+	// (timer re-arms included). t is small enough to travel in registers;
+	// a host that wants the full post-transition picture completes it
+	// with State.Snapshot, so a connection nobody watches pays for none
+	// of it.
+	Observe(t Transition)
 }
 
 // NewState returns the state of a connection that has sent nothing.
@@ -89,18 +90,33 @@ func (c *Config) NewState() State {
 // finished connection ignores every further input.
 func (st *State) Done(c *Config) bool { return st.SndUna >= int64(c.Total) }
 
-// Snapshot completes ev, the operands of the transition a Host is being
-// told about, with the post-transition state.
-func (st *State) Snapshot(c *Config, h Host, ev *StateSnapshot) {
-	ev.Cwnd = units.ByteSize(st.Cwnd)
-	ev.Ssthresh = units.ByteSize(st.Ssthresh)
-	ev.SndUna = st.SndUna
-	ev.SndNxt = st.SndNxt
-	ev.SndMax = st.SndMax
-	ev.RTO = st.rto(c).RTO()
-	ev.TimerDeadline = h.TimerDeadline()
-	ev.BackoffShift = int(st.rtt.shift)
-	ev.DupAcks = int(st.dupacks)
+// eventKinds maps a transition to the trace event it is recorded as; a
+// send that resends data is recorded as trace.Retransmit instead.
+var eventKinds = [...]trace.EventKind{
+	StateSend:     trace.Send,
+	StateAck:      trace.AckIn,
+	StateTimeout:  trace.Timeout,
+	StateFastRetx: trace.FastRetx,
+	StateEBSN:     trace.EBSNReset,
+	StateQuench:   trace.QuenchIn,
+	StateECN:      trace.ECNEcho,
+}
+
+// Snapshot writes transition t, which a Host is being told about, with the
+// post-transition state into e's sender fields, in place — the event a
+// trace.Source stamps and emits. deadline is the host's TimerDeadline. It
+// writes no field a sender event leaves zero, and not At. t must not be a
+// StateSACKSkip, which is not recorded.
+func (st *State) Snapshot(c *Config, t Transition, deadline time.Duration, e *trace.Event) {
+	e.Kind = eventKinds[t.Kind]
+	if t.Retransmit {
+		e.Kind = trace.Retransmit
+	}
+	e.Seq, e.Payload, e.Ack, e.AckClass = t.Seq, int64(t.Payload), t.AckNo, int(t.AckClass)
+	e.Cwnd, e.Ssthresh = int64(st.Cwnd), int64(st.Ssthresh)
+	e.SndUna, e.SndNxt, e.SndMax = st.SndUna, st.SndNxt, st.SndMax
+	e.RTO, e.Deadline = st.rto(c).RTO(), deadline
+	e.Shift, e.DupAcks = int(st.rtt.shift), int(st.dupacks)
 }
 
 // rto views the connection's RTT estimator.
@@ -183,7 +199,7 @@ func (st *State) Send(c *Config, h Host) {
 		}
 		// SACK: a rewound pass skips ranges the receiver already holds.
 		if c.SACK && st.SndNxt < st.SndMax && st.sack.covered(st.SndNxt, st.SndNxt+seglen) {
-			h.Observe(StateSnapshot{Kind: StateSACKSkip, Seq: st.SndNxt, Payload: units.ByteSize(seglen)})
+			h.Observe(Transition{Kind: StateSACKSkip, Seq: st.SndNxt, Payload: units.ByteSize(seglen)})
 			st.SndNxt += seglen
 			continue
 		}
@@ -207,13 +223,13 @@ func (st *State) emit(c *Config, h Host, seq, seglen int64) {
 	if h.TimerDeadline() < 0 {
 		h.SetTimer(st.rto(c).RTO())
 	}
-	h.Observe(StateSnapshot{Kind: StateSend, Seq: seq, Payload: units.ByteSize(seglen), Retransmit: retx})
+	h.Observe(Transition{Kind: StateSend, Seq: seq, Payload: units.ByteSize(seglen), Retransmit: retx})
 	h.Transmit(seq, units.ByteSize(seglen), retx)
 }
 
 // observeAck reports the outcome of processing one cumulative ACK.
 func observeAck(h Host, ackNo int64, class AckClass) {
-	h.Observe(StateSnapshot{Kind: StateAck, AckNo: ackNo, AckClass: class})
+	h.Observe(Transition{Kind: StateAck, AckNo: ackNo, AckClass: class})
 }
 
 // OnECNEcho is the [Floyd 94] ECN response: halve the window as a
@@ -226,7 +242,7 @@ func (st *State) OnECNEcho(c *Config, h Host) {
 	st.halveSsthresh(c)
 	st.Cwnd = st.Ssthresh
 	st.ecnGuard = st.SndNxt
-	h.Observe(StateSnapshot{Kind: StateECN})
+	h.Observe(Transition{Kind: StateECN})
 }
 
 // OnAck processes a cumulative acknowledgment and the SACK blocks it
@@ -355,7 +371,7 @@ func (st *State) onDupAck(c *Config, h Host) {
 		st.recover = st.SndMax
 		st.retransmitFirst(c, h)
 		st.Cwnd = st.Ssthresh + DupAckThreshold*mss
-		h.Observe(StateSnapshot{Kind: StateFastRetx, Seq: st.SndUna})
+		h.Observe(Transition{Kind: StateFastRetx, Seq: st.SndUna})
 		return
 	}
 	// Tahoe: collapse and slow-start from snd_una (go-back-N).
@@ -363,7 +379,7 @@ func (st *State) onDupAck(c *Config, h Host) {
 	st.SndNxt = st.SndUna
 	st.dupacks = 0
 	h.SetTimer(st.rto(c).RTO())
-	h.Observe(StateSnapshot{Kind: StateFastRetx, Seq: st.SndUna})
+	h.Observe(Transition{Kind: StateFastRetx, Seq: st.SndUna})
 	st.Send(c, h)
 }
 
@@ -427,7 +443,7 @@ func (st *State) OnTimeout(c *Config, h Host) {
 	// Go-back-N: rewind and retransmit from the oldest unacked byte.
 	st.SndNxt = st.SndUna
 	h.SetTimer(st.rto(c).RTO())
-	h.Observe(StateSnapshot{Kind: StateTimeout, Seq: st.SndUna})
+	h.Observe(Transition{Kind: StateTimeout, Seq: st.SndUna})
 	st.Send(c, h)
 }
 
@@ -441,7 +457,7 @@ func (st *State) OnEBSN(c *Config, h Host) {
 	if st.SndNxt > st.SndUna { // only while data is outstanding
 		h.SetTimer(st.rto(c).RTO())
 	}
-	h.Observe(StateSnapshot{Kind: StateEBSN})
+	h.Observe(Transition{Kind: StateEBSN})
 }
 
 // OnQuench implements RFC 1122 source-quench handling: collapse the
@@ -453,5 +469,5 @@ func (st *State) OnQuench(c *Config, h Host) {
 		return
 	}
 	st.Cwnd = float64(c.MSS)
-	h.Observe(StateSnapshot{Kind: StateQuench})
+	h.Observe(Transition{Kind: StateQuench})
 }

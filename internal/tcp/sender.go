@@ -6,6 +6,7 @@ import (
 
 	"wtcp/internal/packet"
 	"wtcp/internal/sim"
+	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -28,8 +29,8 @@ type Sender struct {
 	finishAt time.Duration
 
 	stats Stats
-	// snap is the scratch snapshot Observe completes for Hooks.OnState.
-	snap StateSnapshot
+	// ev is the scratch event Observe writes for Hooks.OnState.
+	ev trace.Event
 }
 
 // NewSender wires a sender that emits packets through out (typically the
@@ -167,10 +168,10 @@ func (h *senderHost) Transmit(seq int64, payload units.ByteSize, retransmit bool
 }
 
 // Observe keeps the counters, fires the single-purpose hooks and, for
-// whoever installed OnState, completes the snapshot. Every kind that moves
-// the window — a new ACK, a loss response, a quench, an ECN echo — does so
-// exactly once, which is when OnCwnd fires.
-func (h *senderHost) Observe(ev StateSnapshot) {
+// whoever installed OnState, writes the transition's event. Every kind
+// that moves the window — a new ACK, a loss response, a quench, an ECN
+// echo — does so exactly once, which is when OnCwnd fires.
+func (h *senderHost) Observe(ev Transition) {
 	cwndMoved := false
 	switch ev.Kind {
 	case StateSend:
@@ -219,8 +220,7 @@ func (h *senderHost) Observe(ev StateSnapshot) {
 		h.hooks.OnCwnd(units.ByteSize(h.st.Cwnd), units.ByteSize(h.st.Ssthresh))
 	}
 	if h.hooks.OnState != nil {
-		h.snap = ev
-		h.st.Snapshot(&h.cfg, h, &h.snap)
-		h.hooks.OnState(&h.snap)
+		h.st.Snapshot(&h.cfg, ev, h.timer.Deadline(), &h.ev)
+		h.hooks.OnState(&h.ev)
 	}
 }

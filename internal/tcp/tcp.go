@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"time"
 
+	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -206,10 +207,10 @@ type Stats struct {
 	DupAcksReceived uint64
 }
 
-// StateKind names the sender transition a StateSnapshot describes.
+// StateKind names a sender transition (see Transition).
 type StateKind int
 
-// State-snapshot kinds.
+// Transition kinds.
 const (
 	// StateSend is a segment emission (fresh or retransmission).
 	StateSend StateKind = iota + 1
@@ -248,37 +249,19 @@ const (
 	AckInvalid
 )
 
-// StateSnapshot captures the sender's externally-checkable state right
-// after one protocol transition. It is the conformance oracle's raw
-// material: every field is post-transition, so a checker can verify the
-// update rules of the Tahoe state machine event by event.
-type StateSnapshot struct {
+// Transition is one sender transition as the transitions report it to
+// their Host: what happened and the transition's own operands.
+type Transition struct {
 	// Kind names the transition.
 	Kind StateKind
 	// Seq and Payload describe the segment involved (sends); Retransmit
-	// marks a resend of previously transmitted data. For StateSend the
-	// sequence pointers are pre-advance (the segment is on the wire but
-	// SndNxt/SndMax have not moved yet), so a fresh send always shows
-	// Seq == SndMax.
+	// marks a resend of previously transmitted data.
 	Seq        int64
 	Payload    units.ByteSize
 	Retransmit bool
 	// AckNo and AckClass describe the inbound ACK (StateAck only).
 	AckNo    int64
 	AckClass AckClass
-	// Cwnd and Ssthresh are the post-transition congestion state in bytes
-	// (truncated from the sender's fractional accounting).
-	Cwnd, Ssthresh units.ByteSize
-	// SndUna, SndNxt, SndMax are the sequence pointers.
-	SndUna, SndNxt, SndMax int64
-	// RTO is the current retransmission timeout; TimerDeadline is the
-	// virtual time the timer will fire, or negative when idle.
-	RTO           time.Duration
-	TimerDeadline time.Duration
-	// BackoffShift is the Karn exponential-backoff exponent.
-	BackoffShift int
-	// DupAcks is the consecutive-duplicate-ACK counter.
-	DupAcks int
 }
 
 // Hooks are optional observation points; any field may be nil. They exist
@@ -296,12 +279,16 @@ type Hooks struct {
 	// OnCwnd fires whenever the congestion window or threshold changes
 	// (growth, collapse, recovery), for window-evolution traces.
 	OnCwnd func(cwnd, ssthresh units.ByteSize)
-	// OnState fires after every protocol transition with the sender's
-	// post-transition state — the conformance oracle's event stream. It
-	// subsumes the single-purpose hooks above but does not replace them:
-	// each fires independently. The snapshot is the host's scratch copy:
-	// valid for the duration of the call only, and not to be modified.
-	OnState func(st *StateSnapshot)
+	// OnState fires after every recorded protocol transition with the
+	// sender's post-transition state — the conformance oracle's raw
+	// material — written in place into the host's scratch event by
+	// State.Snapshot (every field post-transition, except that a send
+	// shows its sequence pointers before they advance, so a fresh send
+	// has Seq == SndMax). It subsumes the single-purpose hooks above but
+	// does not replace them: each fires independently. The receiver may
+	// stamp the event's At; the event is valid for the duration of the
+	// call only.
+	OnState func(e *trace.Event)
 	// OnComplete fires once when the last byte is acknowledged.
 	OnComplete func(at time.Duration)
 }

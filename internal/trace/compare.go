@@ -40,7 +40,7 @@ func panelLines(tr *Trace, width, height int, horizon time.Duration) []string {
 		grid[i] = []byte(strings.Repeat(" ", width))
 	}
 	if tr != nil {
-		for _, e := range tr.Events() {
+		for _, e := range tr.events {
 			if e.Kind != Send && e.Kind != Retransmit {
 				continue
 			}
@@ -48,7 +48,7 @@ func panelLines(tr *Trace, width, height int, horizon time.Duration) []string {
 				continue
 			}
 			x := int(float64(width-1) * float64(e.At) / float64(horizon))
-			y := int(float64(height-1) * float64(e.PacketNo%PacketModulo) / float64(PacketModulo-1))
+			y := int(float64(height-1) * float64(tr.packetNo(e.Seq)%PacketModulo) / float64(PacketModulo-1))
 			row := height - 1 - y
 			mark := byte('.')
 			if e.Kind == Retransmit {

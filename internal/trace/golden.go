@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -38,8 +39,7 @@ func EncodeEvents(mss units.ByteSize, events []Event) string {
 }
 
 // DecodeEvents parses a canonical golden back into events. Timestamps come
-// back at microsecond precision (the encoding's normal form). PacketNo is
-// rederived from the header's MSS.
+// back at microsecond precision (the encoding's normal form).
 func DecodeEvents(data string) (units.ByteSize, []Event, error) {
 	lines := strings.Split(strings.TrimRight(data, "\n"), "\n")
 	if len(lines) == 0 || lines[0] == "" {
@@ -54,7 +54,7 @@ func DecodeEvents(data string) (units.ByteSize, []Event, error) {
 	}
 	events := make([]Event, 0, len(lines)-1)
 	for i, line := range lines[1:] {
-		e, err := decodeLine(line, units.ByteSize(mss))
+		e, err := decodeLine(line)
 		if err != nil {
 			return 0, nil, fmt.Errorf("trace: golden line %d: %w", i+2, err)
 		}
@@ -67,7 +67,7 @@ func DecodeEvents(data string) (units.ByteSize, []Event, error) {
 }
 
 // decodeLine parses one event line.
-func decodeLine(line string, mss units.ByteSize) (Event, error) {
+func decodeLine(line string) (Event, error) {
 	fields := strings.Fields(line)
 	if len(fields) != 18 {
 		return Event{}, fmt.Errorf("want 18 fields, got %d in %q", len(fields), line)
@@ -136,7 +136,6 @@ func decodeLine(line string, mss units.ByteSize) (Event, error) {
 			*dst = n
 		}
 	}
-	e.PacketNo = e.Seq / int64(mss)
 	return e, nil
 }
 
@@ -178,7 +177,9 @@ func encodeDuration(d time.Duration) string {
 	return fmt.Sprintf("%d.%06d", us/1e6, us%1e6)
 }
 
-// decodeDuration parses encodeDuration's output exactly.
+// decodeDuration parses encodeDuration's output exactly. It refuses a
+// value no time.Duration holds: one that wrapped would re-encode as a
+// different, unreadable string.
 func decodeDuration(s string) (time.Duration, error) {
 	if s == "-" {
 		return -time.Microsecond, nil
@@ -187,13 +188,17 @@ func decodeDuration(s string) (time.Duration, error) {
 	if !ok || len(frac) != 6 {
 		return 0, fmt.Errorf("malformed duration %q", s)
 	}
-	secs, err := strconv.ParseInt(sec, 10, 64)
+	secs, err := strconv.ParseUint(sec, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("malformed duration %q: %w", s, err)
 	}
-	us, err := strconv.ParseInt(frac, 10, 64)
+	us, err := strconv.ParseUint(frac, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("malformed duration %q: %w", s, err)
 	}
-	return time.Duration(secs)*time.Second + time.Duration(us)*time.Microsecond, nil
+	d := time.Duration(secs)*time.Second + time.Duration(us)*time.Microsecond
+	if secs > uint64(math.MaxInt64/time.Second) || d < 0 {
+		return 0, fmt.Errorf("duration %q out of range", s)
+	}
+	return d, nil
 }

@@ -1,157 +1,119 @@
 package trace
 
 import (
-	"time"
-
 	"wtcp/internal/bs"
 	"wtcp/internal/packet"
-	"wtcp/internal/tcp"
+	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
 
-// Sink receives every event of a Source together with its position in
-// the stream. The event is the source's own scratch copy: it is valid for
-// the duration of the call only and must not be modified; a sink that
-// keeps it copies it.
-type Sink func(idx int, e *Event)
+// Checker judges a Source's events as they are emitted
+// (internal/oracle's Checker is the implementation). Observe sees each
+// event with its position in the stream; the event is a scratch event,
+// valid for the duration of the call only and not to be modified. A
+// non-nil error is the event's violation: the source halts the run with
+// it at that event.
+type Checker interface {
+	Observe(idx int, e *Event) error
+}
 
-// Source is one connection's event stream. Its hook adapters (Hooks,
-// BSHooks, MobileHook) turn sender, base-station and mobile-host
-// instrumentation into events — each built once, stamped with the clock
-// and numbered — and hand them to the subscribed sinks in subscription
-// order. The source itself retains nothing: what is kept is up to the
-// sinks (Store keeps everything, the conformance oracle keeps a shadow of
-// the last two sender events), and an event's index is its position in
-// the stream whoever is listening.
+// Source is one connection's event stream. Each sender, base-station and
+// mobile-host event is written once, in place, into a scratch event of
+// its family — the sender host's own (see OnState), or the source's (see
+// BSHooks and MobileHook) — then stamped with the clock and handed to the
+// store, if one is attached, then to the checker, if one is armed. The
+// source itself retains nothing: what is kept is up to the store (which
+// keeps everything) and the checker (which keeps a shadow of the last two
+// sender events), and an event's index is its position in the stream
+// whoever is listening.
 type Source struct {
-	mss   int64
-	now   func() time.Duration
-	sinks []Sink
+	mss   units.ByteSize
+	clock *sim.Simulator
+	store *Trace
+	check Checker
+	// name is the invariant check a violation halts the run as.
+	name string
 	// n counts the events emitted so far — the next event's index.
 	n int
-	// ev is the event being delivered. Sinks see a pointer to it, so no
-	// event is ever heap-allocated on its way through.
-	ev Event
+	// One scratch event per base-station and mobile-host family. A hook
+	// writes only the fields its family owns; every other field of its
+	// scratch stays zero, so no event is cleared on its way through and
+	// none is heap-allocated.
+	arq, notify, snoop, mobile Event
 }
 
-// NewSource returns a source for a connection with the given MSS (used to
-// convert byte offsets into packet numbers); now must report the
-// simulation clock.
-func NewSource(mss units.ByteSize, now func() time.Duration) *Source {
-	if mss <= 0 {
-		mss = 1
-	}
-	return &Source{mss: int64(mss), now: now}
+// NewSource returns a source for a connection with the given MSS (the
+// store's unit for packet numbers) whose events are stamped with clock's
+// time.
+func NewSource(mss units.ByteSize, clock *sim.Simulator) *Source {
+	return &Source{mss: mss, clock: clock}
 }
 
-// Subscribe adds a sink; it sees every event emitted from here on.
-func (s *Source) Subscribe(sink Sink) { s.sinks = append(s.sinks, sink) }
-
-// Store subscribes a new Trace that retains every event from here on, and
+// Store attaches a new Trace that retains every event from here on, and
 // returns it.
 func (s *Source) Store() *Trace {
-	tr := New(units.ByteSize(s.mss))
-	s.Subscribe(func(_ int, e *Event) { tr.events = append(tr.events, *e) })
-	return tr
+	s.store = New(s.mss)
+	return s.store
 }
 
-// emit stamps the scratch event and delivers it.
-func (s *Source) emit() {
-	s.ev.At = s.now()
-	s.ev.PacketNo = s.ev.Seq / s.mss
+// Check arms c on the stream from here on. Its first violation halts the
+// run through the clock's failure channel as the invariant check name,
+// at the violating event.
+func (s *Source) Check(name string, c Checker) { s.name, s.check = name, c }
+
+// emit stamps one scratch event and delivers it.
+func (s *Source) emit(e *Event) {
+	e.At = s.clock.Now()
 	idx := s.n
 	s.n++
-	for _, sink := range s.sinks {
-		sink(idx, &s.ev)
+	if s.store != nil {
+		s.store.events = append(s.store.events, *e)
 	}
-}
-
-// Hooks returns sender hooks that feed this source. The state-snapshot
-// hook drives everything: legacy kinds (Send/Timeout/...) are synthesized
-// from snapshots so each sender transition emits exactly one event,
-// enriched with the conformance fields.
-func (s *Source) Hooks() tcp.Hooks {
-	return tcp.Hooks{OnState: s.onState}
-}
-
-// onState converts one sender state snapshot into an event, filled in
-// place.
-func (s *Source) onState(st *tcp.StateSnapshot) {
-	var kind EventKind
-	switch st.Kind {
-	case tcp.StateSend:
-		kind = Send
-		if st.Retransmit {
-			kind = Retransmit
+	if s.check != nil {
+		if err := s.check.Observe(idx, e); err != nil {
+			s.clock.Fail(s.name, err)
 		}
-	case tcp.StateAck:
-		kind = AckIn
-	case tcp.StateTimeout:
-		kind = Timeout
-	case tcp.StateFastRetx:
-		kind = FastRetx
-	case tcp.StateEBSN:
-		kind = EBSNReset
-	case tcp.StateQuench:
-		kind = QuenchIn
-	case tcp.StateECN:
-		kind = ECNEcho
-	default:
-		return
 	}
-	ev := &s.ev
-	ev.Kind, ev.Seq, ev.Payload, ev.Ack, ev.AckClass = kind, st.Seq, int64(st.Payload), st.AckNo, int(st.AckClass)
-	ev.Cwnd, ev.Ssthresh = int64(st.Cwnd), int64(st.Ssthresh)
-	ev.SndUna, ev.SndNxt, ev.SndMax = st.SndUna, st.SndNxt, st.SndMax
-	ev.RTO, ev.Deadline, ev.Shift, ev.DupAcks = st.RTO, st.TimerDeadline, st.BackoffShift, st.DupAcks
-	ev.Attempt, ev.Unit, ev.Pkt = 0, 0, 0
-	s.emit()
+}
+
+// OnState is the sender's state hook (tcp.Hooks.OnState): e is the
+// sender host's own scratch event, written in place by tcp.State.Snapshot
+// — the sender family's scratch. The source stamps it and emits it.
+func (s *Source) OnState(e *Event) { s.emit(e) }
+
+// arqEvent writes one ARQ event (the Unit/Pkt/Attempt family).
+func (s *Source) arqEvent(kind EventKind, unit, pkt uint64, attempt int) {
+	e := &s.arq
+	e.Kind, e.Unit, e.Pkt, e.Attempt = kind, unit, pkt, attempt
+	s.emit(e)
+}
+
+// snoopEvent writes one snoop-agent event (the Seq/Attempt/Ack family).
+func (s *Source) snoopEvent(kind EventKind, seq int64, attempt int, ack int64) {
+	e := &s.snoop
+	e.Kind, e.Seq, e.Attempt, e.Ack = kind, seq, attempt, ack
+	s.emit(e)
 }
 
 // BSHooks returns base-station hooks that feed this source, interleaving
 // ARQ, notification and snoop events with the sender's in one stream.
 func (s *Source) BSHooks() bs.Hooks {
 	return bs.Hooks{
-		OnARQAttempt: func(unit, pkt uint64, attempt int) {
-			s.ev = Event{Kind: ARQAttempt, Unit: unit, Pkt: pkt, Attempt: attempt}
-			s.emit()
-		},
-		OnARQFailure: func(unit, pkt uint64, attempt int) {
-			s.ev = Event{Kind: ARQFailure, Unit: unit, Pkt: pkt, Attempt: attempt}
-			s.emit()
-		},
-		OnARQAck: func(unit, pkt uint64) {
-			s.ev = Event{Kind: ARQAck, Unit: unit, Pkt: pkt}
-			s.emit()
-		},
-		OnARQDiscard: func(pkt uint64) {
-			s.ev = Event{Kind: ARQDiscard, Pkt: pkt}
-			s.emit()
-		},
+		OnARQAttempt: func(unit, pkt uint64, attempt int) { s.arqEvent(ARQAttempt, unit, pkt, attempt) },
+		OnARQFailure: func(unit, pkt uint64, attempt int) { s.arqEvent(ARQFailure, unit, pkt, attempt) },
+		OnARQAck:     func(unit, pkt uint64) { s.arqEvent(ARQAck, unit, pkt, 0) },
+		OnARQDiscard: func(pkt uint64) { s.arqEvent(ARQDiscard, 0, pkt, 0) },
 		OnNotify: func(kind packet.Kind, conn int) {
-			k := EBSNSent
+			s.notify.Kind = EBSNSent
 			if kind == packet.SourceQuench {
-				k = QuenchSent
+				s.notify.Kind = QuenchSent
 			}
-			s.ev = Event{Kind: k}
-			s.emit()
+			s.emit(&s.notify)
 		},
-		OnSnoopAdmit: func(seq int64) {
-			s.ev = Event{Kind: SnoopAdmit, Seq: seq}
-			s.emit()
-		},
-		OnSnoopRetx: func(seq int64, attempt int) {
-			s.ev = Event{Kind: SnoopRetx, Seq: seq, Attempt: attempt}
-			s.emit()
-		},
-		OnSnoopSuppress: func(ackNo int64) {
-			s.ev = Event{Kind: SnoopSuppress, Ack: ackNo}
-			s.emit()
-		},
-		OnSnoopEvict: func(seq int64) {
-			s.ev = Event{Kind: SnoopEvict, Seq: seq}
-			s.emit()
-		},
+		OnSnoopAdmit:    func(seq int64) { s.snoopEvent(SnoopAdmit, seq, 0, 0) },
+		OnSnoopRetx:     func(seq int64, attempt int) { s.snoopEvent(SnoopRetx, seq, attempt, 0) },
+		OnSnoopSuppress: func(ackNo int64) { s.snoopEvent(SnoopSuppress, 0, 0, ackNo) },
+		OnSnoopEvict:    func(seq int64) { s.snoopEvent(SnoopEvict, seq, 0, 0) },
 	}
 }
 
@@ -160,7 +122,8 @@ func (s *Source) BSHooks() bs.Hooks {
 // sequence number.
 func (s *Source) MobileHook() func(*packet.Packet) {
 	return func(p *packet.Packet) {
-		s.ev = Event{Kind: MHDeliver, Seq: p.Seq, Unit: uint64(p.LinkSeq)}
-		s.emit()
+		e := &s.mobile
+		e.Kind, e.Seq, e.Unit = MHDeliver, p.Seq, uint64(p.LinkSeq)
+		s.emit(e)
 	}
 }

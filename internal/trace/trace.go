@@ -110,8 +110,9 @@ func ParseEventKind(name string) (EventKind, error) {
 // 90").
 const PacketModulo = 90
 
-// Event is one recorded occurrence. The first four fields are the
-// original Figure 3-5 scatter data; the rest are the conformance fields
+// Event is one recorded occurrence. The first three fields are the
+// original Figure 3-5 scatter data (the paper's packet number is Seq over
+// the MSS, which the Trace derives); the rest are the conformance fields
 // the oracle layer checks (zero where a kind does not use them).
 type Event struct {
 	At   time.Duration
@@ -119,8 +120,6 @@ type Event struct {
 	// Seq is the first byte offset of the segment involved (zero for
 	// EBSN resets).
 	Seq int64
-	// PacketNo is Seq divided by the MSS — the paper's packet number.
-	PacketNo int64
 
 	// Payload is the segment's payload bytes (sender transmissions).
 	Payload int64
@@ -166,8 +165,11 @@ func New(mss units.ByteSize) *Trace {
 
 // Record appends a bare event (the original Figure 3-5 fields only).
 func (tr *Trace) Record(at time.Duration, kind EventKind, seq int64) {
-	tr.events = append(tr.events, Event{At: at, Kind: kind, Seq: seq, PacketNo: seq / int64(tr.mss)})
+	tr.events = append(tr.events, Event{At: at, Kind: kind, Seq: seq})
 }
+
+// packetNo is the paper's packet number of byte offset seq.
+func (tr *Trace) packetNo(seq int64) int64 { return seq / int64(tr.mss) }
 
 // Events returns the recorded events in order.
 func (tr *Trace) Events() []Event {
@@ -192,7 +194,7 @@ func (tr *Trace) Count(kind EventKind) int {
 func (tr *Trace) SendsOf(packetNo int64) int {
 	n := 0
 	for _, e := range tr.events {
-		if (e.Kind == Send || e.Kind == Retransmit) && e.PacketNo == packetNo {
+		if (e.Kind == Send || e.Kind == Retransmit) && tr.packetNo(e.Seq) == packetNo {
 			n++
 		}
 	}
@@ -208,7 +210,7 @@ func (tr *Trace) CSV() string {
 		if e.Kind != Send && e.Kind != Retransmit {
 			continue
 		}
-		fmt.Fprintf(&b, "%.3f,%d,%s\n", e.At.Seconds(), e.PacketNo%PacketModulo, e.Kind)
+		fmt.Fprintf(&b, "%.3f,%d,%s\n", e.At.Seconds(), tr.packetNo(e.Seq)%PacketModulo, e.Kind)
 	}
 	return b.String()
 }
@@ -243,7 +245,7 @@ func (tr *Trace) RenderASCII(width, height int, horizon time.Duration) string {
 			continue
 		}
 		x := int(float64(width-1) * float64(e.At) / float64(horizon))
-		y := int(float64(height-1) * float64(e.PacketNo%PacketModulo) / float64(PacketModulo-1))
+		y := int(float64(height-1) * float64(tr.packetNo(e.Seq)%PacketModulo) / float64(PacketModulo-1))
 		row := height - 1 - y // origin bottom-left, like the paper
 		mark := byte('.')
 		if e.Kind == Retransmit {

@@ -1,12 +1,15 @@
 package trace
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"wtcp/internal/packet"
-	"wtcp/internal/tcp"
+	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
 
@@ -20,8 +23,8 @@ func TestRecordAndPacketNumbers(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("events = %d", len(evs))
 	}
-	if evs[1].PacketNo != 1 || evs[2].PacketNo != 1 {
-		t.Errorf("packet numbers = %d, %d, want 1, 1", evs[1].PacketNo, evs[2].PacketNo)
+	if tr.packetNo(evs[1].Seq) != 1 || tr.packetNo(evs[2].Seq) != 1 {
+		t.Errorf("packet numbers = %d, %d, want 1, 1", tr.packetNo(evs[1].Seq), tr.packetNo(evs[2].Seq))
 	}
 	if tr.Count(Send) != 2 || tr.Count(Retransmit) != 1 || tr.Count(Timeout) != 1 {
 		t.Error("counts wrong")
@@ -34,56 +37,36 @@ func TestRecordAndPacketNumbers(t *testing.T) {
 	}
 }
 
+// clockAt returns a simulator clock reading d.
+func clockAt(d time.Duration) *sim.Simulator {
+	s := sim.New()
+	s.Advance(d)
+	return s
+}
+
 func TestHooksFeedTrace(t *testing.T) {
-	now := time.Duration(0)
-	src := NewSource(536, func() time.Duration { return now })
-	tr, h := src.Store(), src.Hooks()
-	now = time.Second
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536})
-	now = 2 * time.Second
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 0, Payload: 536, Retransmit: true})
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 0})
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateFastRetx, Seq: 536})
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateEBSN})
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateAck, AckNo: 536, AckClass: tcp.AckNew})
+	clock := sim.New()
+	src := NewSource(536, clock)
+	tr := src.Store()
+	clock.Advance(time.Second)
+	src.OnState(&Event{Kind: Send, Seq: 0, Payload: 536})
+	clock.Advance(2 * time.Second)
+	for _, k := range []EventKind{Retransmit, Timeout, FastRetx, EBSNReset, AckIn} {
+		src.OnState(&Event{Kind: k})
+	}
 	if tr.Count(Send) != 1 || tr.Count(Retransmit) != 1 ||
 		tr.Count(Timeout) != 1 || tr.Count(FastRetx) != 1 ||
 		tr.Count(EBSNReset) != 1 || tr.Count(AckIn) != 1 {
 		t.Errorf("hook-fed counts wrong: %+v", tr.Events())
 	}
-	if tr.Events()[0].At != time.Second {
-		t.Error("hook did not use the clock callback")
-	}
-}
-
-func TestStateSnapshotFieldsReachEvent(t *testing.T) {
-	src := NewSource(536, func() time.Duration { return 5 * time.Second })
-	tr, h := src.Store(), src.Hooks()
-	h.OnState(&tcp.StateSnapshot{
-		Kind: tcp.StateAck, AckNo: 1072, AckClass: tcp.AckNew,
-		Cwnd: 1608, Ssthresh: 4288,
-		SndUna: 1072, SndNxt: 2144, SndMax: 2144,
-		RTO: 3 * time.Second, TimerDeadline: 8 * time.Second,
-		BackoffShift: 2, DupAcks: 1,
-	})
-	e := tr.Events()[0]
-	if e.Kind != AckIn || e.Ack != 1072 || e.AckClass != int(tcp.AckNew) {
-		t.Errorf("ack fields lost: %+v", e)
-	}
-	if e.Cwnd != 1608 || e.Ssthresh != 4288 ||
-		e.SndUna != 1072 || e.SndNxt != 2144 || e.SndMax != 2144 {
-		t.Errorf("congestion/sequence fields lost: %+v", e)
-	}
-	if e.RTO != 3*time.Second || e.Deadline != 8*time.Second || e.Shift != 2 || e.DupAcks != 1 {
-		t.Errorf("timer fields lost: %+v", e)
+	if tr.Events()[0].At != time.Second || tr.Events()[1].At != 2*time.Second {
+		t.Error("hook did not use the clock")
 	}
 }
 
 func TestBSHooksFeedTrace(t *testing.T) {
-	now := time.Duration(0)
-	src := NewSource(536, func() time.Duration { return now })
+	src := NewSource(536, clockAt(time.Second))
 	tr, h := src.Store(), src.BSHooks()
-	now = time.Second
 	h.OnARQAttempt(7, 3, 1)
 	h.OnARQFailure(7, 3, 1)
 	h.OnARQAttempt(7, 3, 2)
@@ -108,39 +91,88 @@ func TestBSHooksFeedTrace(t *testing.T) {
 	}
 }
 
-// TestSourceStreamsWithoutStoring pins the source/sink contract: a sink
-// sees every event with its position in the stream, the index counts
-// events whether or not anything stores them, and a store subscribed
-// later retains only what follows.
-func TestSourceStreamsWithoutStoring(t *testing.T) {
-	now := time.Second
-	src := NewSource(536, func() time.Duration { return now })
-	var idxs []int
-	var got []Event
-	src.Subscribe(func(idx int, e *Event) {
-		idxs = append(idxs, idx)
-		got = append(got, *e)
-	})
-	h := src.Hooks()
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateSend, Seq: 536, Payload: 536})
-	now = 2 * time.Second
-	h.OnState(&tcp.StateSnapshot{Kind: tcp.StateTimeout, Seq: 536})
-	tr := src.Store()
-	src.BSHooks().OnARQDiscard(4)
-	h.OnState(&tcp.StateSnapshot{Kind: 0}) // not a traced transition: no event, no index
-	src.MobileHook()(&packet.Packet{Seq: 1072, LinkSeq: 1})
+// recorder is a Checker that keeps what it is shown, failing on the
+// event index failAt.
+type recorder struct {
+	idxs   []int
+	got    []Event
+	failAt int
+}
 
-	if len(idxs) != 4 || idxs[0] != 0 || idxs[1] != 1 || idxs[2] != 2 || idxs[3] != 3 {
-		t.Errorf("sink indices = %v, want [0 1 2 3]", idxs)
+func (r *recorder) Observe(idx int, e *Event) error {
+	r.idxs = append(r.idxs, idx)
+	r.got = append(r.got, *e)
+	if idx == r.failAt {
+		return fmt.Errorf("event %d refused", idx)
 	}
-	if got[0].Kind != Send || got[0].At != time.Second || got[0].PacketNo != 1 ||
-		got[1].Kind != Timeout || got[1].At != 2*time.Second ||
-		got[2].Kind != ARQDiscard || got[2].Pkt != 4 || got[3].Kind != MHDeliver {
-		t.Errorf("sink events = %+v", got)
+	return nil
+}
+
+// TestSourceStreamsWithoutStoring pins the source's contract: the checker
+// sees every event with its position in the stream, the index counts
+// events whether or not anything stores them, a store attached later
+// retains only what follows, and each family's scratch carries only its
+// own fields — nothing a previous event of another family wrote.
+func TestSourceStreamsWithoutStoring(t *testing.T) {
+	clock := clockAt(time.Second)
+	src := NewSource(536, clock)
+	rec := &recorder{failAt: -1}
+	src.Check("test", rec)
+	src.OnState(&Event{Kind: Send, Seq: 536, Payload: 536, Cwnd: 536})
+	clock.Advance(2 * time.Second)
+	src.OnState(&Event{Kind: Timeout, Seq: 536})
+	tr := src.Store()
+	src.BSHooks().OnARQAttempt(7, 4, 2)
+	src.BSHooks().OnARQDiscard(4)
+	src.MobileHook()(&packet.Packet{Seq: 1072, LinkSeq: 1})
+	src.BSHooks().OnSnoopRetx(536, 1)
+	src.BSHooks().OnSnoopSuppress(1072)
+
+	if want := []int{0, 1, 2, 3, 4, 5, 6}; !slices.Equal(rec.idxs, want) {
+		t.Errorf("checker indices = %v, want %v", rec.idxs, want)
+	}
+	got := rec.got
+	want := []Event{
+		{At: time.Second, Kind: Send, Seq: 536, Payload: 536, Cwnd: 536},
+		{At: 2 * time.Second, Kind: Timeout, Seq: 536},
+		{At: 2 * time.Second, Kind: ARQAttempt, Unit: 7, Pkt: 4, Attempt: 2},
+		{At: 2 * time.Second, Kind: ARQDiscard, Pkt: 4},
+		{At: 2 * time.Second, Kind: MHDeliver, Seq: 1072, Unit: 1},
+		{At: 2 * time.Second, Kind: SnoopRetx, Seq: 536, Attempt: 1},
+		{At: 2 * time.Second, Kind: SnoopSuppress, Ack: 1072},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("checker events =\n%+v\nwant\n%+v", got, want)
 	}
 	evs := tr.Events()
-	if len(evs) != 2 || evs[0] != got[2] || evs[1] != got[3] {
-		t.Errorf("store subscribed after two events holds %+v, want the last two the sink saw", evs)
+	if !slices.Equal(evs, got[2:]) {
+		t.Errorf("store attached after two events holds %+v, want the last five the checker saw", evs)
+	}
+	if tr.packetNo(got[0].Seq) != 1 {
+		t.Errorf("packet number of seq 536 at MSS 536 = %d, want 1", tr.packetNo(got[0].Seq))
+	}
+}
+
+// TestSourceCheckHaltsAtTheEvent pins the halt: the checker's first error
+// fails the clock's run as the named check, stamped with the event's
+// time, and is stored after the event it judged.
+func TestSourceCheckHaltsAtTheEvent(t *testing.T) {
+	clock := clockAt(3 * time.Second)
+	src := NewSource(536, clock)
+	tr := src.Store()
+	src.Check("oracle", &recorder{failAt: 1})
+	src.BSHooks().OnARQAttempt(1, 1, 1)
+	if clock.Failure() != nil {
+		t.Fatalf("run failed on a conforming event: %v", clock.Failure())
+	}
+	src.BSHooks().OnARQAttempt(2, 2, 1)
+	var ce *sim.CheckError
+	if !errors.As(clock.Failure(), &ce) || ce.Name != "oracle" || ce.At != 3*time.Second ||
+		ce.Err.Error() != "event 1 refused" {
+		t.Fatalf("failure = %v, want the oracle check at 3s refusing event 1", clock.Failure())
+	}
+	if n := len(tr.Events()); n != 2 {
+		t.Errorf("store holds %d events, want both", n)
 	}
 }
 
@@ -219,7 +251,7 @@ func TestEventKindStrings(t *testing.T) {
 func TestNewClampsBadMSS(t *testing.T) {
 	tr := New(0)
 	tr.Record(0, Send, 1234)
-	if tr.Events()[0].PacketNo != 1234 {
+	if tr.packetNo(tr.Events()[0].Seq) != 1234 {
 		t.Error("zero MSS should fall back to 1")
 	}
 	_ = units.ByteSize(0)
