@@ -17,22 +17,25 @@ all: build vet test
 check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 
 # Supervision gate: a tiny sweep with one pathological (livelocking)
-# point under aggressive run budgets, with the worker pool and heartbeat
+# point under aggressive run budgets, with the scheduler and heartbeat
 # exercised under -race. Asserts clean quarantine, partial results,
 # checkpoint + status-file + repro-bundle plumbing; the checkpoint's
 # format tests (refusals, a torn tail, adopting a version 1 file, resume
-# after a torn append) ride along.
+# after a torn append) and the scheduler's contract (first error in
+# index order, width 1 in place, no unit before its slot, one answer at
+# any width) ride along.
 budget-smoke:
-	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerAdoptsVersion1|TestCheckpointResumeByteIdentical' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerAdoptsVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth' ./internal/experiment/
 
 # Fleet gate: a four-worker sharded campaign under -race with a
 # chaos-injected SIGKILL of a live lease holder; asserts every point
 # settles exactly once and the merged ledger is bit-identical to the
 # sequential engine's output — plus the next-grant pins: a SIGKILL just
 # after a result post under dropped, duplicated and delayed result
-# posts, and a lost grant lapsing at its TTL.
+# posts, a lost grant lapsing at its TTL, and a SIGKILL just after the
+# first post the coordinator counted.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetSmoke|TestWorkerSIGKILLUnderResultFaults|TestLostGrantLapsesAtTTL|TestResultPostCarriesIdempotentGrant' ./internal/fleet/
+	$(GO) test -race -run 'TestFleetSmoke|TestWorkerSIGKILLUnderResultFaults|TestWorkerSIGKILLAfterPost|TestLostGrantLapsesAtTTL|TestResultPostCarriesIdempotentGrant' ./internal/fleet/
 
 # Service gate: the wtcpd storm/drain acceptance test under -race — a
 # seeded 50-request storm with chaos-injected malformed bodies and

@@ -35,12 +35,11 @@ func serveFlags(fs *flag.FlagSet) body {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8787", "listen address")
 		dataDir    = fs.String("data", "", "state directory: result cache, journal, point ledgers, repro bundles (required)")
-		slots      = fs.Int("slots", 0, "concurrent run slots (default 2)")
+		slots      = fs.Int("slots", 0, "concurrent run slots, the simulation width: a sweep spreads its replications over the free ones (default 2)")
 		queue      = fs.Int("queue", 0, "admission wait-queue depth (default 2x slots)")
 		cacheMB    = fs.Int64("cache-mb", 0, "result-cache byte cap in MiB (default 256)")
 		deadline   = fs.Duration("deadline", 0, "default per-request execution deadline (default 2m)")
 		cooldown   = fs.Duration("cooldown", 0, "scenario-class breaker cooldown (default 30s)")
-		workers    = fs.Int("workers", 0, "replication workers per request (default 1)")
 		retries    = fs.Int("retries", 0, "per-replication retry budget (0 = engine default of 1, negative disables)")
 		drainGrace = fs.Duration("drain-grace", 30*time.Second, "how long a drain lets in-flight work finish before checkpoint-cancel")
 		statusPath = fs.String("status", "", "also persist the health heartbeat to this JSON file")
@@ -56,7 +55,6 @@ func serveFlags(fs *flag.FlagSet) body {
 			CacheBytes:      *cacheMB << 20,
 			DefaultDeadline: *deadline,
 			BreakerCooldown: *cooldown,
-			Workers:         *workers,
 			Retries:         *retries,
 		})
 		if err != nil {

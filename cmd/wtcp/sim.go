@@ -131,7 +131,7 @@ func simFlags(fs *flag.FlagSet) body {
 				cfg.Channel.MeanBad, cfg.Channel.MeanGood, cfg.TheoreticalMaxKbps())
 		}
 
-		// One engine point: with no worker pool the engine measures the
+		// One engine point: at one worker the scheduler measures the
 		// replications in seed order on this goroutine, so last is the
 		// final one that counted. sim arms no supervisor, so the point is
 		// never quarantined.

@@ -5,7 +5,7 @@
 //     killed), then rerun against its checkpoint; the resumed output is
 //     byte-identical to an uninterrupted run.
 //
-//  2. Parallel replications — the same sweep on a 4-wide worker pool
+//  2. Parallel replications — the same sweep at 4 workers
 //     produces the same bytes as the sequential one.
 //
 //  3. Repro bundles — a wedged scenario (the forward wired hop dead for

@@ -56,18 +56,6 @@ func CalibrateAdvisor(ctx context.Context, opt Options) (*Advisor, error) {
 	return a, nil
 }
 
-// NewAdvisor builds an advisor from a precomputed table (e.g. shipped with
-// a base station image).
-func NewAdvisor(entries []AdvisorEntry) (*Advisor, error) {
-	if len(entries) == 0 {
-		return nil, errors.New("experiment: advisor needs at least one entry")
-	}
-	out := make([]AdvisorEntry, len(entries))
-	copy(out, entries)
-	sort.Slice(out, func(i, j int) bool { return out[i].MeanBad < out[j].MeanBad })
-	return &Advisor{entries: out}, nil
-}
-
 // Recommend returns the calibrated packet size for the nearest known
 // error characteristic.
 func (a *Advisor) Recommend(meanBad time.Duration) units.ByteSize {

@@ -32,13 +32,10 @@ func TestCalibrateAdvisor(t *testing.T) {
 }
 
 func TestAdvisorRecommendNearest(t *testing.T) {
-	a, err := NewAdvisor([]AdvisorEntry{
-		{MeanBad: 4 * time.Second, PacketSize: 384},
+	a := &Advisor{entries: []AdvisorEntry{
 		{MeanBad: 1 * time.Second, PacketSize: 512},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		{MeanBad: 4 * time.Second, PacketSize: 384},
+	}}
 	tests := []struct {
 		bad  time.Duration
 		want units.ByteSize
@@ -57,20 +54,24 @@ func TestAdvisorRecommendNearest(t *testing.T) {
 	}
 }
 
+// TestAdvisorRejectsEmpty: a single calibration point is enough, and a
+// calibration sweep whose every point is quarantined yields no table and
+// says so.
 func TestAdvisorRejectsEmpty(t *testing.T) {
-	if _, err := NewAdvisor(nil); err == nil {
-		t.Error("empty table accepted")
-	}
 	if _, err := CalibrateAdvisor(context.Background(), Options{Replications: 1, PacketSizes: []units.ByteSize{512}, BadPeriods: []time.Duration{time.Second}, Transfer: 10 * units.KB}); err != nil {
 		t.Errorf("single-point calibration failed: %v", err)
+	}
+	exhaustRuns(t, nil)
+	opt := settleOpts()
+	opt.PacketSizes, opt.BadPeriods = []units.ByteSize{512}, []time.Duration{time.Second}
+	opt.Supervise = NewSupervisor()
+	if _, err := CalibrateAdvisor(context.Background(), opt); err == nil || !strings.Contains(err.Error(), "empty calibration sweep") {
+		t.Errorf("calibration with every point quarantined: err %v, want the empty sweep refused", err)
 	}
 }
 
 func TestAdvisorTableIsCopy(t *testing.T) {
-	a, err := NewAdvisor([]AdvisorEntry{{MeanBad: time.Second, PacketSize: 512}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &Advisor{entries: []AdvisorEntry{{MeanBad: time.Second, PacketSize: 512}}}
 	tbl := a.Table()
 	tbl[0].PacketSize = 9999
 	if a.Recommend(time.Second) != 512 {

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"wtcp/internal/atomicfile"
-	"wtcp/internal/core"
 	"wtcp/internal/recordlog"
 )
 
@@ -372,70 +371,16 @@ func (l *Ledger) Close() {
 	}
 }
 
-// Settle returns spec's settled outcome: it resolves the spec's key and
-// replication function and settles that (see settle).
-func (l *Ledger) Settle(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
+// Settle settles specs through the ledger on the scheduler (see
+// settle) and returns their outcomes in spec order. Units beyond the
+// caller's goroutine run on the slots borrow lends; nil lends none.
+func (l *Ledger) Settle(ctx context.Context, opt Options, specs []PointSpec, borrow func() (release func(), ok bool)) ([]PointOutcome, error) {
 	opt = opt.WithDefaults()
-	p, err := spec.point(opt)
+	points, err := pointsOf(opt, specs)
 	if err != nil {
-		return PointOutcome{}, err
+		return nil, err
 	}
-	return l.settle(ctx, opt, p)
-}
-
-// settle returns p's settled outcome — exactly one of Reps or
-// Quarantine — computing and recording it if nobody has yet. It is the
-// whole life of any point after dispatch (opt has its defaults applied):
-//
-//   - Already settled: load it. A recorded quarantine is replayed to
-//     opt.Supervise here, at the point's place in sweep order, which
-//     keeps a resumed sweep's output byte-identical whether the breaker
-//     tripped before or after the resume boundary. (A quarantine counts
-//     as settled only under supervision; an unsupervised caller asked
-//     for all-or-nothing and re-runs the point.)
-//   - Otherwise execute it, holding no lock: two wtcpd slots settle
-//     different keys of one shared ledger concurrently.
-//   - A resource-exhausted quarantine produced while ctx is already
-//     done was induced by the caller's deadline or drain (the derived
-//     wall-clock budget and the context expire together), not by the
-//     point: recording it would poison every later warm start, so it is
-//     the interruption's outcome, ctx.Err(), and nothing is recorded.
-//   - Otherwise record it. First record wins: when a concurrent settle
-//     of the same key got there first, its outcome is returned
-//     (replications are deterministic, so the bits are the same) and
-//     OnPoint stays silent.
-//
-// Errors are executePoint's: a fail-fast class, every replication
-// failed unsupervised, or ctx ended.
-func (l *Ledger) settle(ctx context.Context, opt Options, p point) (PointOutcome, error) {
-	if err := ctx.Err(); err != nil {
-		return PointOutcome{}, err
-	}
-	key, supervised := p.key, opt.Supervise != nil
-	out, settled := l.lookup(key, supervised)
-	if !settled {
-		reps, quar, err := executePoint(ctx, opt, key, p.run)
-		if err != nil {
-			return PointOutcome{}, err
-		}
-		if quar != nil && quar.Class == string(core.ClassResourceExhausted) && ctx.Err() != nil {
-			return PointOutcome{}, ctx.Err()
-		}
-		out = PointOutcome{Key: key, Reps: reps, Quarantine: quar}
-		fresh, err := l.Record(out)
-		if err != nil {
-			return PointOutcome{}, err
-		}
-		if !fresh {
-			out, _ = l.lookup(key, supervised)
-		} else if quar == nil && opt.OnPoint != nil {
-			opt.OnPoint(key)
-		}
-	}
-	if out.Quarantine != nil {
-		opt.noteQuarantined(*out.Quarantine)
-	}
-	return out, nil
+	return l.settle(ctx, opt, points, borrow)
 }
 
 // Record stores an outcome computed elsewhere (a fleet worker's post)
@@ -450,8 +395,12 @@ func (l *Ledger) Record(out PointOutcome) (fresh bool, err error) {
 	if _, settled := l.lookupLocked(out.Key, out.Quarantine != nil); settled {
 		return false, nil
 	}
-	if out.Quarantine != nil {
-		return true, l.putQuarantineLocked(*out.Quarantine)
+	if q := out.Quarantine; q != nil {
+		if err := l.appendLocked(recQuarantine, *q); err != nil {
+			return true, err
+		}
+		l.applyQuarantine(*q)
+		return true, nil
 	}
 	return true, l.putLocked(out.Key, out.Reps)
 }
@@ -515,21 +464,5 @@ func (l *Ledger) putLocked(key string, reps []RepRecord) error {
 		return err
 	}
 	l.applyPoint(key, reps)
-	return nil
-}
-
-// PutQuarantine records a breaker-tripped point unconditionally: one
-// append.
-func (l *Ledger) PutQuarantine(q Quarantine) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.putQuarantineLocked(q)
-}
-
-func (l *Ledger) putQuarantineLocked(q Quarantine) error {
-	if err := l.appendLocked(recQuarantine, q); err != nil {
-		return err
-	}
-	l.applyQuarantine(q)
 	return nil
 }

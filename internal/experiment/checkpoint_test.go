@@ -32,7 +32,8 @@ func goodCheckpoint(t testing.TB, path string) []byte {
 		}
 	}
 	for _, key := range goodKeys[2:] {
-		if err := led.PutQuarantine(Quarantine{Key: key, Class: "resource-exhausted", Attempts: 2, Reason: "events budget", Worker: "worker-1"}); err != nil {
+		q := Quarantine{Key: key, Class: "resource-exhausted", Attempts: 2, Reason: "events budget", Worker: "worker-1"}
+		if _, err := led.Record(PointOutcome{Key: key, Quarantine: &q}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,26 +8,23 @@ import (
 
 // This file is the engine's service face: the hooks wtcpd
 // (internal/serve) uses to execute arbitrary scenario requests with the
-// full engine policy stack — worker pool, retry/backoff schedule,
-// failure classification, repro-bundle capture, health telemetry — and
-// to name its shared point ledgers.
+// full engine policy stack and to name its shared point ledgers.
 
-// RunCustom executes one caller-defined point: Replications runs of the
-// configurations built by build, samples extracted by extract, under
-// exactly the sequential engine's policies (same retry seeds and
-// backoff schedule, same classification, same supervision semantics as
-// a sweep point). build receives the 1-based replication index as its
-// seed argument, like the figure-sweep builders; measure may refuse a
-// result, failing its attempt (see coreReplication). With one worker the
-// replications run in seed order on the caller's goroutine, so measure
-// may keep state across them. The outcome mirrors
-// RunPointSpec: seed-ordered records on success, a Quarantine when
-// opt.Supervise is armed and the point's breaker trips, or an error
-// for fail-fast classes and cancellation.
+// RunCustom executes one caller-defined point — Replications runs of
+// the configurations build makes from the 1-based replication index,
+// measured by measure, which may refuse a result (see coreReplication)
+// — with no ledger, under a sweep point's policies and on the scheduler
+// at a width of Workers. With one worker the replications run in seed
+// order on the caller's goroutine, so measure may keep state across
+// them. The outcome mirrors RunPointSpec's.
 func RunCustom(ctx context.Context, opt Options, key string,
 	build func(seed int64) core.Config, measure func(*core.Result) ([]float64, error)) ([]RepRecord, *Quarantine, error) {
 	opt = opt.WithDefaults()
-	return executePoint(ctx, opt, key, coreReplication(build, measure))
+	outs, err := (*Ledger)(nil).settle(ctx, opt, []point{{key, coreReplication(build, measure)}}, opt.slots())
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0].Reps, outs[0].Quarantine, nil
 }
 
 // Fingerprint exposes the result-affecting options digest that keys

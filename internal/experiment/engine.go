@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"wtcp/internal/core"
@@ -22,11 +21,11 @@ import (
 // of points; each point is Replications independent seeded simulations.
 // The engine:
 //
-//   - runs a point's replications on a bounded worker pool (Workers;
-//     in place on the caller's goroutine when the pool has one slot),
-//     then aggregates the raw per-replication records in seed order, so
-//     any worker count produces bit-identical results to the sequential
-//     runner;
+//   - runs a grid's (point, seed) units on one scheduler (schedule.go)
+//     over the caller's goroutine plus the slots its caller lends (in
+//     place when none), then aggregates each point's raw records in seed
+//     order, so any width produces bit-identical results to the
+//     sequential runner;
 //   - records every replication's raw measurements as float64 bit
 //     patterns, checkpointing each completed point to disk with one
 //     checksummed append to the ledger's record log (Ledger.Settle,
@@ -41,7 +40,7 @@ import (
 //     that exhausts its retries, so the failure can be replayed and
 //     shrunk offline with wtcp repro.
 
-// A replication runs one seeded simulation for executePoint, the only
+// A replication runs one seeded simulation for the scheduler, the only
 // loop over seeds in this package, which never learns which simulator
 // it drives (DESIGN.md "One replication loop"). seed is the 1-based
 // replication index, plus a multiple of retrySeedOffset on a retry; the
@@ -96,87 +95,6 @@ func seedsOf(reps []RepRecord) []int64 {
 	return out
 }
 
-// executePoint runs one point's replications on the worker pool and
-// classifies the outcome without touching any ledger or supervisor
-// state — Ledger.Settle records what it returns, and a fleet worker
-// (internal/fleet) runs it remotely. It returns exactly one of: the
-// seed-ordered records on success (a replication that still fails after
-// its retries is skipped); a quarantine record when supervision is
-// armed and the point's circuit breaker trips (any replication
-// resource-exhausted, or every replication permanently failed
-// transient); or an error — a fail-fast class (protocol-bug, panic),
-// every replication failed unsupervised (a point built from zero
-// samples would silently fabricate results), or ctx ended mid-point.
-func executePoint(ctx context.Context, opt Options, key string, run replication) ([]RepRecord, *Quarantine, error) {
-	n := opt.Replications
-	type slot struct {
-		rec RepRecord
-		err error
-	}
-	slots := make([]slot, n)
-	if pool := min(opt.workers(), n); pool <= 1 {
-		// A one-slot pool runs in place: same order, no goroutines.
-		for i := range slots {
-			slots[i].rec, slots[i].err = runRep(ctx, opt, key, run, int64(i+1))
-		}
-	} else {
-		sem := make(chan struct{}, pool)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				slots[i].rec, slots[i].err = runRep(ctx, opt, key, run, int64(i+1))
-			}(i)
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled mid-point: do not checkpoint a partial point — on
-		// resume it reruns whole, keeping the merged output identical.
-		return nil, nil, err
-	}
-
-	reps := make([]RepRecord, 0, n)
-	var firstErr error
-	var breaker *repFailure
-	for _, s := range slots {
-		if s.err == nil {
-			reps = append(reps, s.rec)
-			continue
-		}
-		if firstErr == nil {
-			firstErr = s.err
-		}
-		var rf *repFailure
-		if !errors.As(s.err, &rf) {
-			continue
-		}
-		// Fail-fast classes dominate the point's verdict; otherwise keep
-		// the first classified failure (seed order) for the record.
-		if breaker == nil || (failFast(rf.class) && !failFast(breaker.class)) {
-			breaker = rf
-		}
-	}
-	if breaker != nil && failFast(breaker.class) {
-		return nil, nil, fmt.Errorf("experiment: point %q: %s: %w", key, breaker.class, breaker.err)
-	}
-	if opt.Supervise != nil && breaker != nil &&
-		(breaker.class == core.ClassResourceExhausted || len(reps) == 0) {
-		return nil, &Quarantine{Key: key, Class: string(breaker.class), Attempts: breaker.attempts,
-			Reason: breaker.err.Error()}, nil
-	}
-	if len(reps) == 0 {
-		if firstErr == nil {
-			firstErr = errors.New("no replications configured")
-		}
-		return nil, nil, fmt.Errorf("experiment: point %q: every replication failed: %w", key, firstErr)
-	}
-	return reps, nil, nil
-}
-
 // runRep executes one replication: run at seed, re-run with perturbed
 // seeds up to the retry budget when an attempt fails retryably
 // (transient or resource-exhausted classes, or a watchdog abort).
@@ -190,7 +108,7 @@ func executePoint(ctx context.Context, opt Options, key string, run replication)
 // under a perturbed seed would only bury the bug. A replication that
 // fails permanently is captured as a repro bundle (when ReproDir is
 // set) and returned as a *repFailure carrying its class and attempt
-// count, which executePoint's circuit breaker inspects.
+// count, which the point's circuit breaker (verdict) inspects.
 func runRep(ctx context.Context, opt Options, key string, run replication, seed int64) (RepRecord, error) {
 	var last repFailure
 	var lastBundle func() *repro.Bundle

@@ -337,7 +337,12 @@ func TestFailurePolicyIsEngineBlind(t *testing.T) {
 				if tc.supervise {
 					opt.Supervise = NewSupervisor()
 				}
-				reps, quar, err := executePoint(context.Background(), opt, "policy/"+engine, faulty)
+				var reps []RepRecord
+				var quar *Quarantine
+				outs, err := (*Ledger)(nil).settle(context.Background(), opt, []point{{"policy/" + engine, faulty}}, nil)
+				if err == nil {
+					reps, quar = outs[0].Reps, outs[0].Quarantine
+				}
 				if got := runs.Load(); got != tc.wantRuns {
 					t.Errorf("%d attempts, want %d", got, tc.wantRuns)
 				}
@@ -398,9 +403,9 @@ var sideStudies = []struct {
 	}},
 }
 
-// TestSideStudiesRunOnTheEngine: what the figure sweeps get from
-// executePoint and Ledger.settle, the side studies get too — a worker
-// pool that changes no byte, a context that stops the grid, a run budget
+// TestSideStudiesRunOnTheEngine: what the figure sweeps get from the
+// scheduler and the ledger, the side studies get too — a width that
+// changes no byte, a context that stops the grid, a run budget
 // that quarantines (supervised) or fails (unsupervised) by name, and a
 // checkpoint that resumes without recomputing.
 func TestSideStudiesRunOnTheEngine(t *testing.T) {

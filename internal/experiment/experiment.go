@@ -15,10 +15,10 @@
 // theoretical maximum tput_th the paper marks on its axes.
 //
 // Sweeps run on a crash-safe engine (engine.go): they honour a
-// context.Context, can spread replications over a bounded worker pool
-// without changing any result bit, checkpoint finished points to disk so
-// a killed campaign resumes where it stopped, and capture failed
-// replications as repro bundles for wtcp repro.
+// context.Context, can spread replications over a bounded number of
+// workers without changing any result bit, checkpoint finished points
+// to disk so a killed campaign resumes where it stopped, and capture
+// failed replications as repro bundles for wtcp repro.
 package experiment
 
 import (
@@ -81,10 +81,11 @@ type Options struct {
 	// replication with the broken rule's name.
 	Oracle bool
 
-	// Workers bounds how many replications of a point run concurrently
-	// (default 1, i.e. sequential). Results are identical for any worker
-	// count: each replication is an independent single-threaded
-	// simulation, and samples are aggregated in seed order.
+	// Workers bounds how many replications run concurrently, across the
+	// points of a grid (default 1, i.e. sequential). Results are
+	// identical for any worker count: each replication is an independent
+	// single-threaded simulation, and samples are aggregated in seed
+	// order.
 	Workers int
 	// Checkpoint, when non-empty, names a file finished points are saved
 	// to (atomic write-rename) and reloaded from, so an interrupted
@@ -96,8 +97,9 @@ type Options struct {
 	// failed replication is captured as a repro bundle for wtcp repro.
 	ReproDir string
 	// OnPoint, when set, is called with each point's key after the point
-	// is freshly computed (not when reloaded from the checkpoint). Used
-	// for progress reporting and by tests to interrupt a sweep.
+	// is freshly computed (not when reloaded from the checkpoint); calls
+	// never overlap. Used for progress reporting and by tests to
+	// interrupt a sweep.
 	OnPoint func(key string)
 
 	// Supervise arms the per-point circuit breaker (see supervise.go):
@@ -150,14 +152,6 @@ func (o Options) lanBadPeriods() []time.Duration {
 	return LANBadPeriods
 }
 
-// workers resolves the worker-pool width.
-func (o Options) workers() int {
-	if o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
-}
-
 // fingerprint digests the result-affecting options. Workers, Checkpoint,
 // ReproDir, OnPoint, and the supervision knobs (Supervise, RunBudget,
 // NoRunBudget, Health) are deliberately excluded: they change how a
@@ -205,20 +199,13 @@ type RetransPoint struct {
 	Seeds []int64
 }
 
-// point is one keyed cell of a grid: what Ledger.settle settles.
-type point struct {
-	key string
-	run replication
-}
-
-// settleGrid is the engine's dispatch loop: it settles points in order
-// against the configured checkpoint ledger and returns cell(i, reps,
-// cols) of each finished one, cols being one sample per metric column
-// with the replications in seed order — so an average over the
-// replications that ran is a column's Mean, and a skipped replication
-// shrinks n. Quarantined points are left out — they are on
-// opt.Supervise — and the first error ends the grid. The figure and
-// study functions keep only their grid and their aggregation.
+// settleGrid settles points on the scheduler, on Workers slots and
+// against the configured checkpoint ledger, and returns cell(i, reps,
+// cols) of each finished point, cols being one sample per metric column
+// in seed order (an average is a column's Mean; a skipped replication
+// shrinks n). Quarantined points are left out — they are on
+// opt.Supervise. The figure and study functions keep only their grid
+// and their aggregation.
 func settleGrid[P any](ctx context.Context, opt Options, what string, points []point,
 	cell func(i int, reps []RepRecord, cols []stats.Sample) P) ([]P, error) {
 	opt = opt.WithDefaults()
@@ -230,24 +217,29 @@ func settleGrid[P any](ctx context.Context, opt Options, what string, points []p
 		}
 		defer led.Close()
 	}
+	outs, err := led.settle(ctx, opt, points, opt.slots())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
 	var out []P
-	for i, p := range points {
-		res, err := led.settle(ctx, opt, p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
+	for i, res := range outs {
+		if res.Quarantine == nil {
+			out = append(out, cell(i, res.Reps, columns(res.Reps)))
 		}
-		if res.Quarantine != nil {
-			continue
-		}
-		cols := make([]stats.Sample, len(res.Reps[0].Values))
-		for _, rep := range res.Reps {
-			for c, bits := range rep.Values {
-				cols[c].Add(math.Float64frombits(bits))
-			}
-		}
-		out = append(out, cell(i, res.Reps, cols))
 	}
 	return out, nil
+}
+
+// columns is one sample per metric column of a finished point's
+// records, the replications in seed order.
+func columns(reps []RepRecord) []stats.Sample {
+	cols := make([]stats.Sample, len(reps[0].Values))
+	for _, rep := range reps {
+		for c, bits := range rep.Values {
+			cols[c].Add(math.Float64frombits(bits))
+		}
+	}
+	return cols
 }
 
 // settleSweep settles one named figure sweep in canonical order
@@ -258,34 +250,46 @@ func settleSweep[P any](ctx context.Context, opt Options, sweep string,
 	if err != nil {
 		return nil, err
 	}
-	points := make([]point, len(specs))
-	schemes := make([]bs.Scheme, len(specs))
-	for i, spec := range specs {
-		if schemes[i], err = bs.ParseScheme(spec.Scheme); err != nil {
-			return nil, err
-		}
-		if points[i], err = spec.point(opt); err != nil {
-			return nil, err
-		}
+	points, err := pointsOf(opt, specs)
+	if err != nil {
+		return nil, err
 	}
 	return settleGrid(ctx, opt, sweep+" sweep", points, func(i int, reps []RepRecord, cols []stats.Sample) P {
-		return cell(specs[i], schemes[i], reps, cols)
+		scheme, _ := bs.ParseScheme(specs[i].Scheme) // Key vetted it
+		return cell(specs[i], scheme, reps, cols)
 	})
 }
 
 // wanSweep aggregates the WAN packet-size sweep of Figure 7 or 8.
 func wanSweep(ctx context.Context, sweep string, opt Options) ([]ThroughputPoint, error) {
-	return settleSweep(ctx, opt, sweep, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) ThroughputPoint {
-		return ThroughputPoint{
-			Scheme:             scheme,
-			BadPeriod:          spec.Bad,
-			PacketSize:         spec.Size,
-			ThroughputKbps:     &cols[0],
-			Goodput:            &cols[1],
-			TheoreticalMaxKbps: core.WAN(scheme, spec.Size, spec.Bad).TheoreticalMaxKbps(),
-			Seeds:              seedsOf(reps),
+	return settleSweep(ctx, opt, sweep, throughputPoint)
+}
+
+// throughputPoint is the Figure 7/8 cell of one finished point.
+func throughputPoint(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) ThroughputPoint {
+	return ThroughputPoint{
+		Scheme:             scheme,
+		BadPeriod:          spec.Bad,
+		PacketSize:         spec.Size,
+		ThroughputKbps:     &cols[0],
+		Goodput:            &cols[1],
+		TheoreticalMaxKbps: core.WAN(scheme, spec.Size, spec.Bad).TheoreticalMaxKbps(),
+		Seeds:              seedsOf(reps),
+	}
+}
+
+// ThroughputPoints aggregates settled Figure 7/8 points — specs[i]
+// settled as outs[i] — as Fig7 and Fig8 do, leaving quarantined ones
+// out.
+func ThroughputPoints(specs []PointSpec, outs []PointOutcome) []ThroughputPoint {
+	var points []ThroughputPoint
+	for i, out := range outs {
+		if out.Quarantine == nil {
+			scheme, _ := bs.ParseScheme(specs[i].Scheme) // settled, so Key vetted it
+			points = append(points, throughputPoint(specs[i], scheme, out.Reps, columns(out.Reps)))
 		}
-	})
+	}
+	return points
 }
 
 // configure applies the campaign's per-run options to a preset for the

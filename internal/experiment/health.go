@@ -22,7 +22,7 @@ import (
 // memory, and a straggler log of runs that took far longer than the
 // median of their peers. All methods are safe on a nil receiver (the
 // engine calls them unconditionally) and safe for concurrent use by the
-// worker pool.
+// scheduler.
 type Health struct {
 	mu           sync.Mutex
 	start        time.Time
@@ -385,30 +385,4 @@ func (h *Health) MedianRunSeconds() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return MedianOf(h.durations)
-}
-
-// StartPolling rewrites the status file every interval until the
-// returned stop function is called. Useful for long sweeps where state
-// changes (and therefore implicit writes) are minutes apart.
-func (h *Health) StartPolling(interval time.Duration) (stop func()) {
-	if h == nil || interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := h.WriteStatus(); err != nil {
-					fmt.Fprintf(os.Stderr, "experiment: write status: %v\n", err)
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -107,7 +107,7 @@ func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
 }
 
 // point resolves the spec into what the ledger settles: its key, and the
-// function executePoint runs per seed — how one replication is
+// function the scheduler runs per seed — how one replication is
 // configured (from the 1-based replication seed) and which measurements
 // of its result the point records, in column order. The figure
 // functions in experiment.go read those columns back by index.
@@ -146,22 +146,28 @@ type PointOutcome struct {
 	Quarantine *Quarantine `json:"quarantine,omitempty"`
 }
 
-// RunPointSpec executes one sweep point exactly as Ledger.Settle
-// would — same seeds, same retry/backoff schedule, same classification
-// policy — but with no ledger involved: the caller (a fleet worker)
-// owns delivering the outcome to the coordinator's Ledger.Record. Fail-fast
-// failures (protocol-bug, panic) and cancellation return an error;
-// with opt.Supervise armed, breaker trips return a Quarantine record
-// instead.
+// pointsOf resolves specs into points.
+func pointsOf(opt Options, specs []PointSpec) ([]point, error) {
+	points := make([]point, len(specs))
+	for i, spec := range specs {
+		var err error
+		if points[i], err = spec.point(opt); err != nil {
+			return nil, err
+		}
+	}
+	return points, nil
+}
+
+// RunPointSpec executes one sweep point as Ledger.Settle would, on
+// Workers slots, but with no ledger: the caller (a fleet worker) owns
+// delivering the outcome to the coordinator's Ledger.Record. It returns
+// the seed-ordered records, a Quarantine when opt.Supervise is armed and
+// the breaker trips, or an error (fail-fast classes, cancellation).
 func RunPointSpec(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
 	opt = opt.WithDefaults()
-	p, err := spec.point(opt)
+	outs, err := (*Ledger)(nil).Settle(ctx, opt, []PointSpec{spec}, opt.slots())
 	if err != nil {
 		return PointOutcome{}, err
 	}
-	reps, quar, err := executePoint(ctx, opt, p.key, p.run)
-	if err != nil {
-		return PointOutcome{}, err
-	}
-	return PointOutcome{Key: p.key, Reps: reps, Quarantine: quar}, nil
+	return outs[0], nil
 }

@@ -1,8 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 func RenderThroughputTable(title string, points []ThroughputPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	bads := sortedBadPeriods(points)
-	sizes := sortedSizes(points)
+	bads := ascending(points, func(p ThroughputPoint) time.Duration { return p.BadPeriod })
+	sizes := ascending(points, func(p ThroughputPoint) units.ByteSize { return p.PacketSize })
 
 	fmt.Fprintf(&b, "%-12s", "pkt size")
 	for _, bad := range bads {
@@ -65,8 +66,7 @@ func ThroughputCSV(points []ThroughputPoint) string {
 func RenderRetransTable(title string, points []RetransPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	schemes := sortedSchemes(points)
-	for _, scheme := range schemes {
+	for _, scheme := range distinct(points, func(p RetransPoint) bs.Scheme { return p.Scheme }) {
 		fmt.Fprintf(&b, "[%s]\n", scheme)
 		var sub []RetransPoint
 		for _, p := range points {
@@ -74,8 +74,8 @@ func RenderRetransTable(title string, points []RetransPoint) string {
 				sub = append(sub, p)
 			}
 		}
-		bads := retransBadPeriods(sub)
-		sizes := retransSizes(sub)
+		bads := ascending(sub, func(p RetransPoint) time.Duration { return p.BadPeriod })
+		sizes := ascending(sub, func(p RetransPoint) units.ByteSize { return p.PacketSize })
 		fmt.Fprintf(&b, "%-12s", "pkt size")
 		for _, bad := range bads {
 			fmt.Fprintf(&b, "  bad=%-7s", bad)
@@ -143,67 +143,24 @@ func LANCSV(points []LANPoint) string {
 	return b.String()
 }
 
-func sortedBadPeriods(points []ThroughputPoint) []time.Duration {
-	seen := map[time.Duration]bool{}
-	var out []time.Duration
+// distinct lists the distinct values of key over points, first seen
+// first.
+func distinct[P any, K comparable](points []P, key func(P) K) []K {
+	seen := map[K]bool{}
+	var out []K
 	for _, p := range points {
-		if !seen[p.BadPeriod] {
-			seen[p.BadPeriod] = true
-			out = append(out, p.BadPeriod)
+		if k := key(p); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func sortedSizes(points []ThroughputPoint) []units.ByteSize {
-	seen := map[units.ByteSize]bool{}
-	var out []units.ByteSize
-	for _, p := range points {
-		if !seen[p.PacketSize] {
-			seen[p.PacketSize] = true
-			out = append(out, p.PacketSize)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func retransBadPeriods(points []RetransPoint) []time.Duration {
-	seen := map[time.Duration]bool{}
-	var out []time.Duration
-	for _, p := range points {
-		if !seen[p.BadPeriod] {
-			seen[p.BadPeriod] = true
-			out = append(out, p.BadPeriod)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func retransSizes(points []RetransPoint) []units.ByteSize {
-	seen := map[units.ByteSize]bool{}
-	var out []units.ByteSize
-	for _, p := range points {
-		if !seen[p.PacketSize] {
-			seen[p.PacketSize] = true
-			out = append(out, p.PacketSize)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedSchemes(points []RetransPoint) []bs.Scheme {
-	seen := map[bs.Scheme]bool{}
-	var out []bs.Scheme
-	for _, p := range points {
-		if !seen[p.Scheme] {
-			seen[p.Scheme] = true
-			out = append(out, p.Scheme)
-		}
-	}
+// ascending is distinct, sorted.
+func ascending[P any, K cmp.Ordered](points []P, key func(P) K) []K {
+	out := distinct(points, key)
+	slices.Sort(out)
 	return out
 }
 

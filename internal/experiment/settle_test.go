@@ -90,6 +90,15 @@ func readLedger(t *testing.T, path string, opt Options) checkpointFile {
 	return f
 }
 
+// settleOne settles settleSpec alone through led, in place.
+func settleOne(ctx context.Context, led *Ledger, opt Options) (PointOutcome, error) {
+	outs, err := led.Settle(ctx, opt, []PointSpec{settleSpec}, nil)
+	if err != nil {
+		return PointOutcome{}, err
+	}
+	return outs[0], nil
+}
+
 func openSettleLedger(t *testing.T) (*Ledger, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ledger.json")
@@ -102,10 +111,10 @@ func openSettleLedger(t *testing.T) (*Ledger, string) {
 }
 
 // lateCtx reports itself canceled from the second Err call after arm:
-// the first is executePoint's own was-I-cancelled check, so the
-// cancellation lands exactly in the window Settle's
-// deadline-vs-quarantine rule exists for — after the point was
-// classified, before it is recorded.
+// the first is the scheduler's own was-I-cancelled check when the
+// point's last unit lands, so the cancellation lands exactly in the
+// window the deadline-vs-quarantine rule exists for — after the point
+// was classified, before it is recorded.
 type lateCtx struct {
 	context.Context
 	armed atomic.Bool
@@ -134,7 +143,7 @@ func TestSettle(t *testing.T) {
 		}
 		opt := settleOpts()
 		opt.OnPoint = func(string) { t.Error("OnPoint fired for a reloaded point") }
-		out, err := led.Settle(ctx, opt, settleSpec)
+		out, err := settleOne(ctx, led, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,12 +158,12 @@ func TestSettle(t *testing.T) {
 	t.Run("recorded quarantine replays to the supervisor", func(t *testing.T) {
 		runs := countRuns(t)
 		led, _ := openSettleLedger(t)
-		if err := led.PutQuarantine(quar); err != nil {
+		if _, err := led.Record(PointOutcome{Key: settleKey, Quarantine: &quar}); err != nil {
 			t.Fatal(err)
 		}
 		opt := settleOpts()
 		opt.Supervise = NewSupervisor()
-		out, err := led.Settle(ctx, opt, settleSpec)
+		out, err := settleOne(ctx, led, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +179,7 @@ func TestSettle(t *testing.T) {
 
 		// Unsupervised means all-or-nothing: the quarantine is not an
 		// answer, the point runs.
-		out, err = led.Settle(ctx, settleOpts(), settleSpec)
+		out, err = settleOne(ctx, led, settleOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +199,7 @@ func TestSettle(t *testing.T) {
 				t.Errorf("OnPoint(%s) fired before the point was on disk: %+v", key, f.Points)
 			}
 		}
-		out, err := led.Settle(ctx, opt, settleSpec)
+		out, err := settleOne(ctx, led, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +212,7 @@ func TestSettle(t *testing.T) {
 		if f := onDisk(t, path); !reflect.DeepEqual(f.Points[0].Reps, out.Reps) || len(f.Quarantined) != 0 {
 			t.Errorf("disk holds %+v, want the returned replications", f)
 		}
-		again, err := led.Settle(ctx, opt, settleSpec)
+		again, err := settleOne(ctx, led, opt)
 		if err != nil || runs.Load() != 2 || !reflect.DeepEqual(again, out) || len(reported) != 1 {
 			t.Errorf("second settle: err %v, %d runs, %d reports, outcome %+v; want a silent reload", err, runs.Load(), len(reported), again)
 		}
@@ -215,7 +224,7 @@ func TestSettle(t *testing.T) {
 		opt := settleOpts()
 		opt.Supervise = NewSupervisor()
 		opt.OnPoint = func(string) { t.Error("OnPoint fired for a quarantined point") }
-		out, err := led.Settle(ctx, opt, settleSpec)
+		out, err := settleOne(ctx, led, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +250,7 @@ func TestSettle(t *testing.T) {
 		opt := settleOpts()
 		opt.Replications = 1
 		opt.Supervise = NewSupervisor()
-		out, err := led.Settle(late, opt, settleSpec)
+		out, err := settleOne(late, led, opt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v (outcome %+v), want context.Canceled", err, out)
 		}
@@ -263,7 +272,7 @@ func TestSettle(t *testing.T) {
 		reports := 0
 		opt.OnPoint = func(string) { reports++ }
 		for i := 1; i <= 2; i++ {
-			out, err := led.Settle(ctx, opt, settleSpec)
+			out, err := settleOne(ctx, led, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +310,7 @@ func TestSettleConcurrentSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = led.Settle(context.Background(), opt, settleSpec)
+			outs[i], errs[i] = settleOne(context.Background(), led, opt)
 		}(i)
 	}
 	wg.Wait()

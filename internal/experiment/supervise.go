@@ -112,13 +112,6 @@ func (o Options) runBudget(b sim.Budget) sim.Budget {
 	return b.Or(sim.Budget{MaxEvents: DefaultRunMaxEvents, WallClock: DefaultRunWall})
 }
 
-// noteQuarantined records a quarantine with the supervisor and the
-// health telemetry.
-func (o Options) noteQuarantined(q Quarantine) {
-	o.Supervise.note(q)
-	o.Health.noteQuarantine()
-}
-
 // failFast reports whether the class must abort the sweep immediately.
 func failFast(class core.FailureClass) bool {
 	return class == core.ClassProtocolBug || class == core.ClassPanic

@@ -53,8 +53,14 @@ func runTestWorker() {
 		}
 	}
 	if n, _ := strconv.Atoi(os.Getenv("WTCP_FLEET_TEST_KILL_AFTER")); n > 0 {
+		// Count only posts the coordinator counted: one it dropped as a
+		// duplicate (its unit was stolen and settled by the thief) leaves
+		// the worker with nothing settled yet.
 		count := 0
-		cfg.AfterResult = func(string) {
+		cfg.AfterResult = func(_ string, duplicate bool) {
+			if duplicate {
+				return
+			}
 			if count++; count == n {
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			}
@@ -186,8 +192,9 @@ func TestWorkerSIGKILLBeforePost(t *testing.T) {
 }
 
 // TestWorkerSIGKILLAfterPost kills worker 0 immediately after its first
-// result is acknowledged. The settled point must stay counted exactly
-// once; only leases the dead worker still held (usually none at that
+// result the coordinator counted (a post dropped as a duplicate, its
+// unit stolen and settled first by worker 1, does not arm the kill). The
+// settled point must stay counted exactly once; only leases the dead worker still held (usually none at that
 // boundary) may be reassigned.
 func TestWorkerSIGKILLAfterPost(t *testing.T) {
 	snap := runCrashCampaign(t, "WTCP_FLEET_TEST_KILL_AFTER")

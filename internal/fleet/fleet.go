@@ -93,7 +93,8 @@ type Campaign struct {
 	Supervise bool `json:"supervise,omitempty"`
 	// Workers bounds how many replications of one point a single
 	// fleet worker runs concurrently (experiment.Options.Workers;
-	// results are identical for any value).
+	// results are identical for any value). wtcpd ignores it: its run
+	// slots are the width.
 	Workers int `json:"workers,omitempty"`
 	// Budget layers per-replication resource ceilings (shared schema
 	// with wtcp sim scenario files; see internal/scenario).

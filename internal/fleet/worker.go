@@ -41,15 +41,17 @@ type WorkerConfig struct {
 	Log func(format string, args ...any)
 	// BeforeResult and AfterResult are test seams invoked around the
 	// result post for a key (crash-injection hooks; see the SIGKILL
-	// acceptance tests). Nil is ignored.
+	// acceptance tests); AfterResult learns whether the coordinator
+	// dropped the post as a duplicate (another holder settled the key
+	// first) rather than counting it. Nil is ignored.
 	BeforeResult func(key string)
-	AfterResult  func(key string)
+	AfterResult  func(key string, duplicate bool)
 }
 
 // RunWorker joins the fleet at cfg.Coordinator and processes work units
 // until the coordinator reports the campaign done or ctx is canceled.
-// Each unit runs through experiment.RunPointSpec — the exact sequential
-// engine path, same seeds, same retry schedule — while a background
+// Each unit runs through experiment.RunPointSpec — the engine's one
+// scheduler, same seeds, same retry schedule — while a background
 // goroutine renews the lease. If a renewal comes back rejected (the
 // lease expired or the point settled first), the unit's context is
 // canceled and the worker abandons it without posting: its work either
@@ -217,7 +219,7 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 		cfg.Log("fleet: worker %s: settled %s", cfg.Name, u.Key)
 	}
 	if cfg.AfterResult != nil {
-		cfg.AfterResult(u.Key)
+		cfg.AfterResult(u.Key, rep.Duplicate)
 	}
 	if rep.Next != nil {
 		if err := rep.Next.check(); err != nil {

@@ -106,53 +106,31 @@ func (s *Server) adviseQuery(bad time.Duration) query {
 }
 
 // execAdvise settles one Figure 7 calibration point per packet size
-// (basic TCP — the advisor tunes the baseline, as §4.1 proposes) and
-// recommends the throughput-maximizing size. The points settle on every
-// free run slot (settleSpecs): the supervisor only keeps a breaker trip
-// from failing the query, and the table and the quarantine list are
-// read from the outcomes in packet-size order.
+// (basic TCP — the advisor tunes the baseline, as §4.1 proposes) like
+// a sweep's (settlePoints), and recommends the size
+// experiment.OptimalPacketSize picks, the rule the offline advisor
+// uses. The supervisor only keeps a breaker trip from failing the
+// query; the table and the quarantine list follow packet-size order.
 func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) outcome {
-	opt := s.engineOptions(ctx, s.adviseOptions())
+	opt := s.adviseOptions()
 	opt.Supervise = experiment.NewSupervisor()
-	led, err := s.pointLedger(opt)
-	if err != nil {
-		return outcome{
-			status: http.StatusInternalServerError,
-			body:   marshalError(errorBody{Error: err.Error(), Fingerprint: fp}),
-			failed: true,
-		}
-	}
 	specs := make([]experiment.PointSpec, len(opt.PacketSizes))
 	for i, size := range opt.PacketSizes {
 		specs[i] = experiment.PointSpec{Sweep: experiment.SweepFig7, Scheme: "basic", Bad: bad, Size: size}
 	}
-	outs, err := s.settleSpecs(ctx, led, opt, specs, s.adm.slotCount())
-	if err != nil {
-		return s.failureOutcome(ctx, fp, err)
+	outs, failed, ok := s.settlePoints(ctx, opt, specs, fp)
+	if !ok {
+		return failed
 	}
 	resp := AdviseResponse{Fingerprint: fp, MeanBad: bad.String()}
-	best := -1
 	for i, out := range outs {
-		size := specs[i].Size
-		pr := pointResult(out)
-		if pr.Quarantine != nil {
+		if q := out.Quarantine; q != nil {
 			resp.Quarantined = append(resp.Quarantined,
-				fmt.Sprintf("%d bytes: %s (%s)", int(size), pr.Quarantine.Class, pr.Quarantine.Reason))
-			continue
-		}
-		// Fig7 extract column 0 is ThroughputKbps; average the
-		// replications like the figure generator does.
-		var mean float64
-		for _, rep := range pr.Replications {
-			mean += rep.Values[0]
-		}
-		mean /= float64(len(pr.Replications))
-		resp.Table = append(resp.Table, AdviseEntry{PacketSizeBytes: int(size), ThroughputKbps: mean})
-		if best < 0 || mean > resp.Table[best].ThroughputKbps {
-			best = len(resp.Table) - 1
+				fmt.Sprintf("%d bytes: %s (%s)", int(specs[i].Size), q.Class, q.Reason))
 		}
 	}
-	if best < 0 {
+	points := experiment.ThroughputPoints(specs, outs)
+	if len(points) == 0 {
 		return outcome{
 			status: http.StatusUnprocessableEntity,
 			body: marshalError(errorBody{
@@ -162,8 +140,11 @@ func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) o
 			failed: true,
 		}
 	}
-	resp.RecommendedPacketSizeBytes = resp.Table[best].PacketSizeBytes
-	resp.ThroughputKbps = resp.Table[best].ThroughputKbps
+	for _, p := range points {
+		resp.Table = append(resp.Table, AdviseEntry{PacketSizeBytes: int(p.PacketSize), ThroughputKbps: p.ThroughputKbps.Mean()})
+	}
+	size, tput := experiment.OptimalPacketSize(points, bad)
+	resp.RecommendedPacketSizeBytes, resp.ThroughputKbps = int(size), tput
 	body, bad2, ok := marshalResponse(resp)
 	if !ok {
 		return bad2

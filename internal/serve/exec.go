@@ -139,16 +139,13 @@ func (s *Server) sweepQuery(req SweepRequest, c fleet.Campaign, body []byte) que
 }
 
 // engineOptions layers the server's execution policy over a request's
-// result-affecting options: health telemetry, repro capture, worker
-// width and retry budget defaults, and the request deadline folded
-// into the per-run wall-clock ceiling (so a hung replication dies at
-// the simulator's own budget check, not only at the context).
+// result-affecting options: health telemetry, repro capture, the retry
+// budget default, and the request deadline folded into the per-run
+// wall-clock ceiling (so a hung replication dies at the simulator's own
+// budget check, not only at the context).
 func (s *Server) engineOptions(ctx context.Context, opt experiment.Options) experiment.Options {
 	opt.Health = s.health
 	opt.ReproDir = s.reproDir()
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.Workers
-	}
 	if opt.Retries == 0 {
 		opt.Retries = s.cfg.Retries
 	}
@@ -201,44 +198,24 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, 
 	return outcome{status: http.StatusOK, body: body, cacheable: true}
 }
 
-// execSweep settles a campaign through the shared point ledger
-// (experiment.Ledger.Settle, via settleSpecs): already-settled points
-// load instead of re-running (warm start across overlapping sweeps,
-// /v1/advise, and drain/resume), and each fresh point is recorded the
-// moment it settles, so a drain can never lose more than the points in
-// flight (at most Slots).
+// execSweep settles a campaign's points (settlePoints) and answers them
+// in the campaign's canonical order.
 func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) outcome {
 	opt, err := c.Options()
 	if err != nil {
 		// ParseSweepRequest validated the campaign; unreachable.
 		return s.failureOutcome(ctx, fp, err)
 	}
-	opt = s.engineOptions(ctx, opt)
-	width := s.adm.slotCount()
 	if c.Supervise {
-		// The breaker's record follows sweep order (DESIGN.md "Point
-		// lifecycle"): a supervised campaign settles one point at a time.
 		opt.Supervise = experiment.NewSupervisor()
-		width = 1
 	}
 	specs, err := c.Specs()
 	if err != nil {
 		return s.failureOutcome(ctx, fp, err)
 	}
-	led, err := s.pointLedger(opt)
-	if err != nil {
-		return outcome{
-			status: http.StatusInternalServerError,
-			body:   marshalError(errorBody{Error: err.Error(), Fingerprint: fp}),
-			failed: true,
-		}
-	}
-	outs, err := s.settleSpecs(ctx, led, opt, specs, width)
-	if err != nil {
-		// A deadline or drain mid-campaign: every point settled before
-		// the error is already in the ledger; only the rest re-run next
-		// life.
-		return s.failureOutcome(ctx, fp, err)
+	outs, failed, ok := s.settlePoints(ctx, opt, specs, fp)
+	if !ok {
+		return failed
 	}
 	points := make([]PointResult, len(outs))
 	for i, out := range outs {
@@ -251,77 +228,29 @@ func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) out
 	return outcome{status: http.StatusOK, body: body, cacheable: true}
 }
 
-// settleSpecs settles specs through led, at most width at a time (see
-// onFreeSlots), and returns their outcomes in spec order. Records land
-// in the ledger in completion order; everything that reads them is
-// keyed by point.
-func (s *Server) settleSpecs(ctx context.Context, led *experiment.Ledger, opt experiment.Options, specs []experiment.PointSpec, width int) ([]experiment.PointOutcome, error) {
-	outs := make([]experiment.PointOutcome, len(specs))
-	err := s.onFreeSlots(ctx, len(specs), width, func(ctx context.Context, i int) (err error) {
-		outs[i], err = led.Settle(ctx, opt, specs[i])
-		return err
-	})
+// settlePoints settles specs through the shared point ledger of opt's
+// class on the request's own run slot plus every slot
+// admission.tryAcquire lends, one (point, seed) unit per borrowed slot,
+// handed back as its unit lands so a queued request gets it first. The
+// slots are the width; a campaign's workers field is not. Settled
+// points load instead of re-running (warm starts, drain/resume), and a
+// fresh point is recorded as it settles, so a deadline or drain loses
+// at most the points in flight. On failure it returns the answer.
+func (s *Server) settlePoints(ctx context.Context, opt experiment.Options, specs []experiment.PointSpec, fp string) ([]experiment.PointOutcome, outcome, bool) {
+	opt = s.engineOptions(ctx, opt)
+	led, err := s.pointLedger(opt)
 	if err != nil {
-		return nil, err
+		return nil, outcome{
+			status: http.StatusInternalServerError,
+			body:   marshalError(errorBody{Error: err.Error(), Fingerprint: fp}),
+			failed: true,
+		}, false
 	}
-	return outs, nil
-}
-
-// onFreeSlots runs job(0..n-1), at most width at a time. The request's
-// own run slot carries one job; every further job runs on a slot
-// borrowed with admission.tryAcquire, which goes back the moment that
-// job returns — so a request waiting in the admission queue gets it
-// before this one can borrow it again. Jobs start in index order, and
-// the first error in index order is the answer: once a job fails, the
-// jobs after it are canceled and the ones before it run to the end, so
-// the error is the one a one-at-a-time loop would return.
-func (s *Server) onFreeSlots(ctx context.Context, n, width int, job func(ctx context.Context, i int) error) error {
-	errs := make([]error, n)
-	cancels := make([]context.CancelFunc, n)
-	done := make(chan int, width) // room for every job in flight: a finished job never waits
-	// own is the index of the job on the request's own slot, -1 when
-	// that slot is free; failed is the lowest failing index so far.
-	own, next, running, failed := -1, 0, 0, n
-	for {
-		for next < failed && running < width {
-			release := func() {}
-			if own < 0 {
-				own = next
-			} else if r, ok := s.adm.tryAcquire(); ok {
-				release = r
-			} else {
-				break
-			}
-			jctx, cancel := context.WithCancel(ctx)
-			cancels[next] = cancel
-			go func(i int) {
-				errs[i] = job(jctx, i)
-				release()
-				done <- i
-			}(next)
-			next++
-			running++
-		}
-		if running == 0 {
-			break
-		}
-		i := <-done
-		running--
-		cancels[i]()
-		if i == own {
-			own = -1
-		}
-		if errs[i] != nil && i < failed {
-			failed = i
-			for j := i + 1; j < next; j++ {
-				cancels[j]()
-			}
-		}
+	outs, err := led.Settle(ctx, opt, specs, s.adm.tryAcquire)
+	if err != nil {
+		return nil, s.failureOutcome(ctx, fp, err), false
 	}
-	if failed < n {
-		return errs[failed]
-	}
-	return nil
+	return outs, outcome{}, true
 }
 
 // pointResult renders a settled point in response form.

@@ -26,9 +26,10 @@ import (
 // three orders of magnitude past any legitimate scenario.
 const maxRequestBody = 1 << 20
 
-// MaxReplications bounds the per-request replication count so a single
-// request cannot monopolize the server for minutes by inflating the
-// multiplier rather than the scenario.
+// MaxReplications bounds the per-request replication count — a run's,
+// and a sweep campaign's per point — so a single request cannot
+// monopolize the server for minutes by inflating the multiplier rather
+// than the scenario.
 const MaxReplications = 64
 
 // RunRequest is the POST /v1/run body: one scenario, executed under
@@ -47,8 +48,8 @@ type RunRequest struct {
 }
 
 // SweepRequest is the POST /v1/sweep body: a fleet campaign manifest
-// executed locally, point by point, with every finished point
-// checkpointed before the next starts.
+// executed locally on free run slots, each finished point checkpointed
+// as it settles.
 type SweepRequest struct {
 	// Campaign is a fleet campaign manifest (internal/fleet schema).
 	Campaign json.RawMessage `json:"campaign"`
@@ -124,6 +125,9 @@ func ParseSweepRequest(data []byte) (SweepRequest, fleet.Campaign, error) {
 	c, err := fleet.ParseCampaign(req.Campaign)
 	if err != nil {
 		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: %w", err)
+	}
+	if c.Replications > MaxReplications {
+		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: campaign replications %d exceeds the per-request cap of %d; split the request", c.Replications, MaxReplications)
 	}
 	return req, c, nil
 }

@@ -64,7 +64,9 @@ type Config struct {
 	// (results/), the accepted-work journal (pending/), point ledgers
 	// (points-*.ckpt), and repro bundles (repro/). Required.
 	DataDir string
-	// Slots bounds concurrently executing requests (default 2).
+	// Slots bounds concurrently executing requests and is the simulation
+	// width: a sweep or advise request runs its replications on its own
+	// slot plus every free one it can borrow (default 2).
 	Slots int
 	// QueueDepth bounds requests waiting for a slot (default 2*Slots).
 	QueueDepth int
@@ -77,9 +79,6 @@ type Config struct {
 	// BreakerCooldown is how long a resource-exhausted scenario class
 	// is rejected at admission (default 30s).
 	BreakerCooldown time.Duration
-	// Workers bounds per-point replication concurrency inside one
-	// request (experiment.Options.Workers; default 1).
-	Workers int
 	// Retries is the engine per-replication retry budget (engine
 	// semantics: 0 means the default of 1, negative disables).
 	Retries int

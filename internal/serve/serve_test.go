@@ -42,6 +42,21 @@ func newTestServer(t *testing.T, dir string, mut func(*Config)) *Server {
 }
 
 // runBody builds a small, fast /v1/run body. transferKB tunes how long
+// TestSweepReplicationsCapped: a sweep campaign's replications are
+// bounded like a run's, at the parse: 64 is accepted, 65 refused by
+// field name. Parsing starts no runs.
+func TestSweepReplicationsCapped(t *testing.T) {
+	body := func(n int) []byte {
+		return []byte(fmt.Sprintf(`{"campaign":{"sweeps":["fig7"],"replications":%d}}`, n))
+	}
+	if _, c, err := ParseSweepRequest(body(MaxReplications)); err != nil || c.Replications != MaxReplications {
+		t.Errorf("replications %d: campaign %+v, err %v; want it accepted", MaxReplications, c, err)
+	}
+	if _, _, err := ParseSweepRequest(body(MaxReplications + 1)); err == nil || !strings.Contains(err.Error(), "replications") {
+		t.Errorf("replications %d: err %v, want a refusal naming replications", MaxReplications+1, err)
+	}
+}
+
 // the execution holds a slot (~10ms per MB on this simulator).
 func runBody(seed int64, transferKB int64) []byte {
 	return []byte(fmt.Sprintf(
