@@ -119,15 +119,19 @@ build:
 	$(GO) build ./...
 
 # Static analysis, formatting — gofmt prints the files it would change, and
-# any name printed is a failure — and the run path's determinism rule: no
-# non-test file of the packages a packet passes through declares a
-# map-typed field or ranges over a map (internal/lint/nomap; DESIGN.md
-# "Kernel data structures and the determinism contract").
+# any name printed is a failure — and two lints on one loader
+# (internal/lint/load): the run path's determinism rule, no non-test file
+# of the packages a packet passes through declares a map-typed field or
+# ranges over a map (internal/lint/nomap; DESIGN.md "Kernel data
+# structures and the determinism contract"); and reachability, every
+# declaration under internal/ is reached from some main or init
+# (internal/lint/deadcode).
 RUN_PATH = internal/bs internal/ip internal/node internal/tcp internal/link internal/queue internal/sim internal/packet internal/oracle
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; }
 	$(GO) run ./internal/lint/nomap $(RUN_PATH)
+	$(GO) run ./internal/lint/deadcode
 
 test:
 	$(GO) test ./...
@@ -265,48 +269,43 @@ traces:
 report:
 	$(GO) run ./cmd/wtcp report -reps 10 > REPLICATION.md
 
-fuzz:
-	$(GO) test -fuzz=FuzzReassembler -fuzztime=30s ./internal/ip
-	$(GO) test -fuzz=FuzzSenderAckStream -fuzztime=30s ./internal/tcp
-	$(GO) test -fuzz=FuzzScenario -fuzztime=30s ./internal/scenario
-	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s ./internal/serve
-	$(GO) test -fuzz=FuzzChaosParse -fuzztime=30s ./internal/chaos
-	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=30s ./internal/experiment
-	$(GO) test -fuzz=FuzzReproBundleLoad -fuzztime=30s ./internal/repro
-	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
-	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=30s ./internal/cell
-	$(GO) test -fuzz=FuzzTable -fuzztime=30s ./internal/queue
-	$(GO) test -fuzz=FuzzKernelOps -fuzztime=30s ./internal/sim
-	$(GO) test -fuzz=FuzzFleetBodies -fuzztime=30s ./internal/fleet
-	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=30s ./cmd/wtcp
-	$(GO) test -fuzz=FuzzBenchABRuns -fuzztime=30s ./cmd/wtcp
-	$(GO) test -fuzz=FuzzMarkovQueries -fuzztime=30s ./internal/errmodel
-	$(GO) test -fuzz=FuzzGoldenDecode -fuzztime=30s -fuzzminimizetime=1s ./internal/trace
-
-# CI-sized fuzzing: ~10s per target, enough to catch regressions on the
-# seeded corpora without stalling the pipeline. (FuzzRecordLogScan opens
-# both wtcpd stores on every input, so its coverage is noisy and the
+# Every fuzz target in the tree, as PACKAGE:FUNC (TestMakefilePinsNameLiveTests
+# fails on an entry that names no fuzz function in its package, and on a
+# fuzz function left out). `make fuzz` gives each FUZZTIME (30s);
+# `make fuzz-smoke` is the CI-sized run, 10s each, enough to catch
+# regressions on the seeded corpora without stalling the pipeline. The
+# targets in FUZZ_MINIMIZE get -fuzzminimizetime=1s: FuzzRecordLogScan
+# opens both wtcpd stores on every input, so its coverage is noisy and the
 # fuzzer's default 60 s of minimising per "interesting" input would eat
-# the whole budget; 1 s keeps it generating. FuzzGoldenDecode's seeds are
-# 40-event golden heads, which the default minimisation stalls on the
-# same way.)
-fuzz-smoke:
-	$(GO) test -fuzz=FuzzReassembler -fuzztime=10s ./internal/ip
-	$(GO) test -fuzz=FuzzSenderAckStream -fuzztime=10s ./internal/tcp
-	$(GO) test -fuzz=FuzzScenario -fuzztime=10s ./internal/scenario
-	$(GO) test -fuzz=FuzzRunRequest -fuzztime=10s ./internal/serve
-	$(GO) test -fuzz=FuzzChaosParse -fuzztime=10s ./internal/chaos
-	$(GO) test -fuzz=FuzzLedgerLoad -fuzztime=10s ./internal/experiment
-	$(GO) test -fuzz=FuzzReproBundleLoad -fuzztime=10s ./internal/repro
-	$(GO) test -fuzz=FuzzRecordLogScan -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
-	$(GO) test -fuzz=FuzzCalendarOrder -fuzztime=10s ./internal/cell
-	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/queue
-	$(GO) test -fuzz=FuzzKernelOps -fuzztime=10s ./internal/sim
-	$(GO) test -fuzz=FuzzFleetBodies -fuzztime=10s ./internal/fleet
-	$(GO) test -fuzz=FuzzBenchBaseline -fuzztime=10s ./cmd/wtcp
-	$(GO) test -fuzz=FuzzBenchABRuns -fuzztime=10s ./cmd/wtcp
-	$(GO) test -fuzz=FuzzMarkovQueries -fuzztime=10s ./internal/errmodel
-	$(GO) test -fuzz=FuzzGoldenDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/trace
+# the whole budget, and FuzzGoldenDecode's seeds are 40-event golden
+# heads, which the default minimisation stalls on the same way.
+FUZZ_TARGETS = \
+	./internal/ip:FuzzReassembler \
+	./internal/tcp:FuzzSenderAckStream \
+	./internal/scenario:FuzzScenario \
+	./internal/serve:FuzzRunRequest \
+	./internal/chaos:FuzzChaosParse \
+	./internal/experiment:FuzzLedgerLoad \
+	./internal/repro:FuzzReproBundleLoad \
+	./internal/serve:FuzzRecordLogScan \
+	./internal/cell:FuzzCalendarOrder \
+	./internal/queue:FuzzTable \
+	./internal/sim:FuzzKernelOps \
+	./internal/fleet:FuzzFleetBodies \
+	./cmd/wtcp:FuzzBenchBaseline \
+	./cmd/wtcp:FuzzBenchABRuns \
+	./internal/errmodel:FuzzMarkovQueries \
+	./internal/trace:FuzzGoldenDecode
+FUZZ_MINIMIZE = FuzzRecordLogScan FuzzGoldenDecode
+FUZZTIME ?= 30s
+fuzz-smoke: FUZZTIME = 10s
+fuzz fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*} name=$${t#*:} min=; \
+		case " $(FUZZ_MINIMIZE) " in *" $$name "*) min=" -fuzzminimizetime=1s";; esac; \
+		echo "$(GO) test -fuzz=$$name -fuzztime=$(FUZZTIME)$$min $$pkg"; \
+		$(GO) test -fuzz=$$name -fuzztime=$(FUZZTIME)$$min $$pkg || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -53,11 +53,8 @@ func traceFigure(name string, scheme bs.Scheme) figure {
 		if err != nil {
 			return "", "", err
 		}
-		head := fmt.Sprintf("=== Figure %s: packet trace, %s, deterministic channel (good 10s / bad 4s) ===\n", name, scheme)
-		return head + r.Trace.CSV(),
-			head + r.Trace.RenderASCII(100, 30, 60*time.Second) + fmt.Sprintf(
-				"source timeouts: %d, source retransmissions: %d, EBSN resets: %d\n",
-				r.Summary.Timeouts, r.Sender.RetransSegments, r.Summary.EBSNResets), nil
+		title := fmt.Sprintf("=== Figure %s: packet trace, %s, deterministic channel (good 10s / bad 4s) ===", name, scheme)
+		return title + "\n" + r.Trace.CSV(), renderTrace(title, r, 100, 30, 60*time.Second), nil
 	}}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/trace"
 )
@@ -68,10 +69,18 @@ func traceFlags(fs *flag.FlagSet) body {
 			fmt.Fprint(stdout, r.Trace.CSV())
 			return nil
 		}
-		fmt.Fprintf(stdout, "packet trace: %s, deterministic channel good=10s bad=4s, 576B packets, 4KB window\n", scheme)
-		fmt.Fprint(stdout, r.Trace.RenderASCII(*width, *height, *horizon))
-		fmt.Fprintf(stdout, "source timeouts %d | source retransmissions %d | fast retransmits %d | EBSN resets %d\n",
-			r.Summary.Timeouts, r.Sender.RetransSegments, r.Summary.FastRetransmits, r.Summary.EBSNResets)
+		title := fmt.Sprintf("packet trace: %s, deterministic channel good=10s bad=4s, 576B packets, 4KB window", scheme)
+		fmt.Fprint(stdout, renderTrace(title, r, *width, *height, *horizon))
 		return nil
 	}
+}
+
+// renderTrace is the one text rendering of a packet-trace run (Figures
+// 3-5), which wtcp trace and wtcp figures -fig 3|4|5 both print: the
+// title line, the scatter of packet number against send time, and the
+// sender's recovery counts.
+func renderTrace(title string, r *core.Result, width, height int, horizon time.Duration) string {
+	return title + "\n" + r.Trace.RenderASCII(width, height, horizon) + fmt.Sprintf(
+		"source timeouts %d | source retransmissions %d | fast retransmits %d | EBSN resets %d\n",
+		r.Summary.Timeouts, r.Sender.RetransSegments, r.Summary.FastRetransmits, r.Summary.EBSNResets)
 }

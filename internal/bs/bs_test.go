@@ -44,11 +44,17 @@ type bench struct {
 	ackBack bool // mobile host sends link acks
 }
 
+// wirelessWAN is the paper's wide-area wireless link: 19.2 kbps raw with
+// 1.5x framing/FEC overhead.
+func wirelessWAN(delay time.Duration, ch errmodel.Channel) link.Config {
+	return link.Config{Name: "wireless", Rate: link.BitRateWirelessWAN, Delay: delay, Overhead: 1.5, Channel: ch}
+}
+
 func newBench(t *testing.T, cfg Config, ch errmodel.Channel) *bench {
 	t.Helper()
 	b := &bench{t: t, s: sim.New(), ids: &packet.IDGen{}, ackBack: cfg.Scheme.UsesLinkAcks()}
 
-	up, err := link.New(b.s, link.WirelessWAN(5*time.Millisecond, nil), sim.NewRNG(2), func(p *packet.Packet) {
+	up, err := link.New(b.s, wirelessWAN(5*time.Millisecond, nil), sim.NewRNG(2), func(p *packet.Packet) {
 		b.bs.FromWireless(p)
 	})
 	if err != nil {
@@ -56,7 +62,7 @@ func newBench(t *testing.T, cfg Config, ch errmodel.Channel) *bench {
 	}
 	b.up = up
 
-	down, err := link.New(b.s, link.WirelessWAN(5*time.Millisecond, ch), sim.NewRNG(3), func(p *packet.Packet) {
+	down, err := link.New(b.s, wirelessWAN(5*time.Millisecond, ch), sim.NewRNG(3), func(p *packet.Packet) {
 		b.mhGot = append(b.mhGot, p)
 		if b.ackBack {
 			b.up.Send(&packet.Packet{
@@ -115,7 +121,7 @@ func TestUsesLinkAcks(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	s := sim.New()
 	ids := &packet.IDGen{}
-	down, err := link.New(s, link.WirelessWAN(0, nil), sim.NewRNG(1), func(*packet.Packet) {})
+	down, err := link.New(s, wirelessWAN(0, nil), sim.NewRNG(1), func(*packet.Packet) {})
 	if err != nil {
 		t.Fatal(err)
 	}

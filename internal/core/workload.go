@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
-	"wtcp/internal/distrib"
-	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
 
@@ -32,13 +30,8 @@ import (
 type WebWorkload struct {
 	// Pages is the number of page downloads.
 	Pages int
-	// PageSize is the per-page payload when PageSizes is nil.
+	// PageSize is the payload of every page.
 	PageSize units.ByteSize
-	// PageSizes, when non-nil, draws each page's size from a
-	// distribution (web object sizes are classically heavy-tailed
-	// Pareto); samples are clamped to at least one byte. The draw uses
-	// the run's seed, so a configuration is fully reproducible.
-	PageSizes distrib.Distribution
 	// ThinkTime is the fixed reading pause between a page's completion
 	// and the next request.
 	ThinkTime time.Duration
@@ -58,33 +51,13 @@ type WebResult struct {
 // RunWeb executes a web-browsing workload over the configured topology.
 // cfg.TransferSize is ignored (derived from the workload).
 func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
-	if web.Pages <= 0 || (web.PageSize <= 0 && web.PageSizes == nil) {
-		return nil, errors.New("core: web workload needs pages and a page size (or size distribution)")
+	if web.Pages <= 0 || web.PageSize <= 0 {
+		return nil, errors.New("core: web workload needs pages and a page size")
 	}
 	if cfg.Scheme == bs.SplitConnection || cfg.Scheme == bs.Snoop {
 		return nil, errors.New("core: workload runners support the in-path schemes only")
 	}
-	// Pre-draw the page sizes so the transfer total is known up front
-	// (and the sequence depends only on the seed).
-	sizes := make([]units.ByteSize, web.Pages)
-	var total units.ByteSize
-	if web.PageSizes != nil {
-		rng := sim.NewRNG(cfg.Seed ^ 0x5eb)
-		for i := range sizes {
-			v := units.ByteSize(web.PageSizes.Sample(rng))
-			if v < 1 {
-				v = 1
-			}
-			sizes[i] = v
-			total += v
-		}
-	} else {
-		for i := range sizes {
-			sizes[i] = web.PageSize
-		}
-		total = units.ByteSize(web.Pages) * web.PageSize
-	}
-	cfg.TransferSize = total
+	cfg.TransferSize = units.ByteSize(web.Pages) * web.PageSize
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -100,13 +73,11 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	res := &WebResult{}
 	var pageStart time.Duration
 	var nextBoundary units.ByteSize
-	page := 0
 
 	startPage := func() {
 		pageStart = tp.sim.Now()
-		nextBoundary += sizes[page]
-		tp.sender.MakeAvailable(sizes[page])
-		page++
+		nextBoundary += web.PageSize
+		tp.sender.MakeAvailable(web.PageSize)
 	}
 	tp.sink.SetDeliveredHook(func(total units.ByteSize) {
 		if total < nextBoundary {

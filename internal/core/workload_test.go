@@ -1,12 +1,10 @@
 package core
 
 import (
-	"sort"
 	"testing"
 	"time"
 
 	"wtcp/internal/bs"
-	"wtcp/internal/distrib"
 	"wtcp/internal/units"
 )
 
@@ -149,57 +147,5 @@ func TestWorkloadCleanChannelFast(t *testing.T) {
 	}
 	if r.Timeouts != 0 {
 		t.Errorf("clean-channel timeouts = %d", r.Timeouts)
-	}
-}
-
-func TestWebHeavyTailedPages(t *testing.T) {
-	pareto, err := distrib.ParetoWithMean(1.3, float64(8*units.KB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := WAN(bs.EBSN, 576, 2*time.Second)
-	r, err := RunWeb(cfg, WebWorkload{
-		Pages:     12,
-		PageSizes: pareto,
-		ThinkTime: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Completed {
-		t.Fatalf("heavy-tailed web run incomplete: %d pages", len(r.PageLoadSec))
-	}
-	// Heavy-tailed sizes make page loads far more dispersed than fixed
-	// sizes: the max should dwarf the median.
-	sorted := append([]float64(nil), r.PageLoadSec...)
-	sort.Float64s(sorted)
-	if sorted[len(sorted)-1] < 2*sorted[len(sorted)/2] {
-		t.Logf("note: tail not pronounced in this draw (max %.2f vs median %.2f)",
-			sorted[len(sorted)-1], sorted[len(sorted)/2])
-	}
-	// Reproducibility: the same seed draws the same page sequence.
-	r2, err := RunWeb(cfg, WebWorkload{Pages: 12, PageSizes: pareto, ThinkTime: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.PageLoadSec) != len(r.PageLoadSec) {
-		t.Fatal("replay length differs")
-	}
-	for i := range r.PageLoadSec {
-		if r.PageLoadSec[i] != r2.PageLoadSec[i] {
-			t.Fatalf("page %d load differs across identical runs", i)
-		}
-	}
-}
-
-func TestWebDistributionValidation(t *testing.T) {
-	cfg := WAN(bs.Basic, 576, time.Second)
-	// A distribution alone (no fixed size) is acceptable.
-	if _, err := RunWeb(cfg, WebWorkload{Pages: 2, PageSizes: distrib.Constant(4096), ThinkTime: time.Second}); err != nil {
-		t.Errorf("distribution-only workload rejected: %v", err)
-	}
-	// Degenerate draws clamp to one byte rather than breaking the run.
-	if _, err := RunWeb(cfg, WebWorkload{Pages: 2, PageSizes: distrib.Constant(0.2), ThinkTime: time.Second}); err != nil {
-		t.Errorf("sub-byte draws broke the run: %v", err)
 	}
 }

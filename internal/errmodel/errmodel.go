@@ -445,17 +445,6 @@ func (m *Markov) Intervals(t time.Duration) []struct {
 	return out
 }
 
-// Perfect is an error-free channel, used for theoretical-maximum runs.
-type Perfect struct{}
-
-var _ Channel = Perfect{}
-
-// StateAt implements Channel: always Good.
-func (Perfect) StateAt(time.Duration) State { return Good }
-
-// ExpectedBitErrors implements Channel: never any errors.
-func (Perfect) ExpectedBitErrors(time.Duration, time.Duration, int64) float64 { return 0 }
-
 func maxDur(a, b time.Duration) time.Duration {
 	if a > b {
 		return a

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wtcp/internal/sim"
-	"wtcp/internal/stats"
 )
 
 func mustMarkov(t *testing.T, cfg Config, seed int64) *Markov {
@@ -238,11 +237,11 @@ func TestHoldingTimesAreExponentialKS(t *testing.T) {
 		if len(sample) < 100 {
 			t.Fatalf("%s: only %d holding times", name, len(sample))
 		}
-		d, err := stats.KSStatistic(sample, stats.ExponentialCDF(mean))
+		d, err := ksStatistic(sample, exponentialCDF(mean))
 		if err != nil {
 			t.Fatal(err)
 		}
-		crit, err := stats.KSCriticalValue(len(sample), 0.01)
+		crit, err := ksCriticalValue(len(sample), 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,16 +314,6 @@ func TestZeroBadPeriodNeverBad(t *testing.T) {
 		if m.StateAt(ts) != Good {
 			t.Fatalf("channel with zero bad period entered bad state at %v", ts)
 		}
-	}
-}
-
-func TestPerfectChannel(t *testing.T) {
-	var c Channel = Perfect{}
-	if c.StateAt(time.Hour) != Good {
-		t.Error("Perfect channel not always good")
-	}
-	if c.ExpectedBitErrors(0, time.Hour, 1<<40) != 0 {
-		t.Error("Perfect channel reported errors")
 	}
 }
 

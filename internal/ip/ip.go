@@ -38,9 +38,6 @@ func NewFragmenter(mtu units.ByteSize, ids *packet.IDGen) (*Fragmenter, error) {
 	return &Fragmenter{mtu: mtu, ids: ids}, nil
 }
 
-// MTU reports the configured maximum fragment size.
-func (f *Fragmenter) MTU() units.ByteSize { return f.mtu }
-
 // Fragment slices p (a Data segment) into fragments of at most MTU bytes.
 // A packet that already fits in the MTU still yields a single fragment so
 // the ARQ path is uniform. Fragments carry the original segment's ID in

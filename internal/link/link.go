@@ -202,10 +202,6 @@ func (l *Link) TxTime(size units.ByteSize) time.Duration {
 	return units.TransmissionTime(onAir, l.cfg.Rate)
 }
 
-// RTT reports the round-trip fixed cost of this link and a paired reverse
-// link with the same delay: two propagation delays (serialization excluded).
-func (l *Link) RTT() time.Duration { return 2 * l.cfg.Delay }
-
 // Delay reports the one-way propagation delay.
 func (l *Link) Delay() time.Duration { return l.cfg.Delay }
 
@@ -214,10 +210,6 @@ func (l *Link) Busy() bool { return l.busy }
 
 // QueueLen reports the outbound queue occupancy.
 func (l *Link) QueueLen() int { return l.q.Len() }
-
-// Queue exposes the outbound queue for occupancy-based policies (source
-// quench). Callers must not pop from it.
-func (l *Link) Queue() *queue.DropTail { return l.q }
 
 // DropQueued discards everything waiting in the outbound queue (used when
 // the receiver detaches, e.g. a handoff) and reports how many packets
@@ -352,24 +344,6 @@ func (l *Link) deliverNext() {
 }
 
 // Paper link presets.
-
-// WiredWAN returns the paper's 56 kbps wired WAN link configuration.
-func WiredWAN(delay time.Duration) Config {
-	return Config{Name: "wired", Rate: 56 * units.Kbps, Delay: delay, QueueLimit: 50}
-}
-
-// WirelessWAN returns the paper's wide-area wireless link: 19.2 kbps raw,
-// 1.5x framing/FEC overhead (12.8 kbps effective), with the given error
-// channel.
-func WirelessWAN(delay time.Duration, ch errmodel.Channel) Config {
-	return Config{
-		Name:     "wireless",
-		Rate:     BitRateWirelessWAN,
-		Delay:    delay,
-		Overhead: 1.5,
-		Channel:  ch,
-	}
-}
 
 // WiredLAN returns the paper's 10 Mbps wired LAN link configuration.
 func WiredLAN(delay time.Duration) Config {

@@ -34,7 +34,7 @@ func TestTxDoneHookFiresEvenWhenCorrupted(t *testing.T) {
 	ch := scriptAlwaysBad{}
 	fired := 0
 	delivered := 0
-	l, err := New(s, WirelessWAN(0, ch), sim.NewRNG(1), func(*packet.Packet) { delivered++ })
+	l, err := New(s, wirelessWAN(0, ch), sim.NewRNG(1), func(*packet.Packet) { delivered++ })
 	if err != nil {
 		t.Fatal(err)
 	}

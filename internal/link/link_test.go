@@ -10,6 +10,24 @@ import (
 	"wtcp/internal/units"
 )
 
+// wiredWAN is the paper's 56 kbps wired WAN link.
+func wiredWAN(delay time.Duration) Config {
+	return Config{Name: "wired", Rate: 56 * units.Kbps, Delay: delay, QueueLimit: 50}
+}
+
+// wirelessWAN is the paper's wide-area wireless link: 19.2 kbps raw, 1.5x
+// framing/FEC overhead (12.8 kbps effective), with the given channel.
+func wirelessWAN(delay time.Duration, ch errmodel.Channel) Config {
+	return Config{Name: "wireless", Rate: BitRateWirelessWAN, Delay: delay, Overhead: 1.5, Channel: ch}
+}
+
+// perfect is an error-free channel.
+type perfect struct{}
+
+func (perfect) StateAt(time.Duration) errmodel.State { return errmodel.Good }
+
+func (perfect) ExpectedBitErrors(time.Duration, time.Duration, int64) float64 { return 0 }
+
 func mkData(id uint64, payload units.ByteSize) *packet.Packet {
 	return &packet.Packet{ID: id, Kind: packet.Data, Payload: payload}
 }
@@ -24,13 +42,13 @@ func TestConfigValidation(t *testing.T) {
 		deliver func(*packet.Packet)
 		wantErr bool
 	}{
-		{"valid wired", WiredWAN(50 * time.Millisecond), nil, deliver, false},
+		{"valid wired", wiredWAN(50 * time.Millisecond), nil, deliver, false},
 		{"zero rate", Config{}, nil, deliver, true},
 		{"negative delay", Config{Rate: units.Kbps, Delay: -1}, nil, deliver, true},
 		{"negative overhead", Config{Rate: units.Kbps, Overhead: -1}, nil, deliver, true},
-		{"nil deliver", WiredWAN(0), nil, nil, true},
-		{"channel without rng", WirelessWAN(0, errmodel.Perfect{}), nil, deliver, true},
-		{"channel with rng", WirelessWAN(0, errmodel.Perfect{}), sim.NewRNG(1), deliver, false},
+		{"nil deliver", wiredWAN(0), nil, nil, true},
+		{"channel without rng", wirelessWAN(0, perfect{}), nil, deliver, true},
+		{"channel with rng", wirelessWAN(0, perfect{}), sim.NewRNG(1), deliver, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -99,7 +117,7 @@ func TestSerializationFIFO(t *testing.T) {
 
 func TestOverheadStretchesTxTime(t *testing.T) {
 	s := sim.New()
-	cfg := WirelessWAN(0, errmodel.Perfect{})
+	cfg := wirelessWAN(0, perfect{})
 	l, err := New(s, cfg, sim.NewRNG(1), func(*packet.Packet) {})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +135,7 @@ func TestEffectiveWANRateIs12_8Kbps(t *testing.T) {
 	// effective. Send 100 KB worth of 128-byte units and check elapsed.
 	s := sim.New()
 	var last time.Duration
-	cfg := WirelessWAN(0, errmodel.Perfect{})
+	cfg := wirelessWAN(0, perfect{})
 	l, err := New(s, cfg, sim.NewRNG(1), func(*packet.Packet) { last = s.Now() })
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +188,7 @@ func TestCorruptionInBadState(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	l, err := New(s, WirelessWAN(0, ch), sim.NewRNG(3), func(*packet.Packet) { delivered++ })
+	l, err := New(s, wirelessWAN(0, ch), sim.NewRNG(3), func(*packet.Packet) { delivered++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +220,7 @@ func TestMostlyCleanInGoodState(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	l, err := New(s, WirelessWAN(0, ch), sim.NewRNG(3), func(*packet.Packet) { delivered++ })
+	l, err := New(s, wirelessWAN(0, ch), sim.NewRNG(3), func(*packet.Packet) { delivered++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,15 +281,6 @@ func TestBusyAndQueueLen(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	if WiredWAN(0).Rate != 56*units.Kbps {
-		t.Error("WiredWAN rate")
-	}
-	if WirelessWAN(0, nil).Rate != 19200 {
-		t.Error("WirelessWAN rate")
-	}
-	if WirelessWAN(0, nil).Overhead != 1.5 {
-		t.Error("WirelessWAN overhead")
-	}
 	if WiredLAN(0).Rate != 10*units.Mbps {
 		t.Error("WiredLAN rate")
 	}
@@ -294,8 +303,5 @@ func TestNameAndDelayAccessors(t *testing.T) {
 	}
 	if l.Delay() != 7*time.Millisecond {
 		t.Error("Delay")
-	}
-	if l.RTT() != 14*time.Millisecond {
-		t.Error("RTT")
 	}
 }

@@ -1,0 +1,248 @@
+// Command deadcode reports every declaration under internal/ that no
+// program of the module runs: code only a test needs belongs in a
+// _test.go file, and code nothing needs is deleted. `make vet` runs it:
+//
+//	go run ./internal/lint/deadcode [ROOT]
+//
+// ROOT (default ".") holds go.mod. On the files the host platform builds
+// (internal/lint/load), the roots are func main of every main package and
+// the init funcs and untyped blank vars (`var _ = f()`, run for their
+// effect) of the packages the mains link. A reached declaration reaches
+// every package-level declaration its source names, and a reached type
+// all of its methods, so a method called only through an interface is
+// reached with its type. A typed blank var (`var _ I = T{}`) is a
+// compile-time assertion and reaches nothing. Test files are not loaded,
+// so a declaration only a test names is reported.
+package main
+
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"os"
+	"sort"
+	"strings"
+
+	"wtcp/internal/lint/load"
+)
+
+// allowed exempts a package directory, or a declaration ("dir.Name" or
+// "dir.Type.Method"), and what it reaches, with the reason it stays.
+var allowed = map[string]string{
+	"internal/analytic":           "the paper's closed-form model; ROADMAP items 3 (control variate) and 6(a) (tput_th) decide what of it stays",
+	"internal/scenario.FuzzSeeds": "the seed corpus two packages' fuzzers share (scenario and serve tests)",
+}
+
+func main() {
+	root := "."
+	if len(os.Args) > 1 {
+		root = os.Args[1]
+	}
+	m, err := load.Load(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "deadcode: %v\n", err)
+		os.Exit(2)
+	}
+	findings := check(m, allowed)
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintln(os.Stderr, "deadcode: no main and no init reaches these: delete them, move them into a _test.go file, or allow them with a reason")
+		os.Exit(1)
+	}
+}
+
+// finding is one unreached declaration, or an allow entry that exempts
+// nothing (kind "entry": it has outlived its reason).
+type finding struct {
+	pos        token.Position
+	kind, name string // name is pkg.Name or pkg.Type.Method
+	lines      int
+}
+
+func (f finding) String() string {
+	if f.kind == "entry" {
+		return fmt.Sprintf("allowed entry %s exempts nothing; delete it", f.name)
+	}
+	return fmt.Sprintf("%s: %s %s is unreachable (%d lines)", f.pos, f.kind, f.name, f.lines)
+}
+
+// decl is one package-level declaration.
+type decl struct {
+	pkg   *load.Package
+	kind  string
+	refs  []types.Object // the package-level objects its source names
+	lines int
+}
+
+// check returns the unreached declarations under internal/ that allow
+// does not exempt, in file order, and the entries of allow that exempt
+// nothing.
+func check(m *load.Module, allow map[string]string) []finding {
+	decls := map[types.Object]*decl{}
+	methods := map[*types.TypeName][]types.Object{}
+	linked := linkedPackages(m)
+	var roots []types.Object
+	add := func(pkg *load.Package, obj types.Object, kind string, at, src ast.Node) *decl {
+		d := &decl{pkg: pkg, kind: kind, lines: m.Fset.Position(at.End()).Line - m.Fset.Position(at.Pos()).Line + 1}
+		ast.Inspect(src, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] != nil {
+				obj := pkg.Info.Uses[id]
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+				}
+				d.refs = append(d.refs, obj)
+			}
+			return true
+		})
+		decls[obj] = d
+		return d
+	}
+	for _, pkg := range m.Packages {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := pkg.Info.Defs[d.Name]
+					if tn := receiver(obj); tn != nil {
+						methods[tn] = append(methods[tn], obj)
+						add(pkg, obj, "method", d, d)
+						continue
+					}
+					add(pkg, obj, "func", d, d)
+					if linked[pkg] && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") {
+						roots = append(roots, obj)
+					}
+				case *ast.GenDecl:
+					// A lone spec occupies its whole declaration's lines.
+					var at ast.Node = d
+					for _, spec := range d.Specs {
+						if len(d.Specs) > 1 {
+							at = spec
+						}
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(pkg, pkg.Info.Defs[s.Name], "type", at, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if id.Name != "_" {
+									dc := add(pkg, pkg.Info.Defs[id], strings.ToLower(d.Tok.String()), at, s)
+									// A const spec without values repeats the type above.
+									if named, ok := pkg.Info.Defs[id].Type().(*types.Named); ok {
+										dc.refs = append(dc.refs, named.Obj())
+									}
+								} else if s.Type == nil && linked[pkg] {
+									blank := types.NewVar(id.Pos(), pkg.Types, "_", nil)
+									add(pkg, blank, "var", at, s)
+									roots = append(roots, blank)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	walk := func(queue []types.Object) {
+		for len(queue) > 0 {
+			obj := queue[0]
+			queue = queue[1:]
+			if reached[obj] {
+				continue
+			}
+			reached[obj] = true
+			if d := decls[obj]; d != nil {
+				queue = append(queue, d.refs...)
+			}
+			if tn, ok := obj.(*types.TypeName); ok {
+				queue = append(queue, methods[tn]...)
+			}
+		}
+	}
+	walk(roots)
+	var kept []types.Object
+	used := map[string]bool{}
+	for obj, d := range decls {
+		for _, key := range []string{d.pkg.Dir, d.pkg.Dir + "." + qualified(obj)} {
+			if allow[key] != "" && !reached[obj] {
+				used[key] = true
+				kept = append(kept, obj)
+			}
+		}
+	}
+	walk(kept)
+
+	var out []finding
+	for key := range allow {
+		if !used[key] {
+			out = append(out, finding{kind: "entry", name: key})
+		}
+	}
+	for obj, d := range decls {
+		if !reached[obj] && strings.HasPrefix(d.pkg.Dir, "internal/") {
+			out = append(out, finding{m.Fset.Position(obj.Pos()), d.kind, d.pkg.Types.Name() + "." + qualified(obj), d.lines})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].pos, out[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Offset < b.Offset || a.Offset == b.Offset && out[i].name < out[j].name
+	})
+	return out
+}
+
+// qualified names a declaration within its package: Name or Type.Method.
+func qualified(obj types.Object) string {
+	if tn := receiver(obj); tn != nil {
+		return tn.Name() + "." + obj.Name()
+	}
+	return obj.Name()
+}
+
+// receiver returns the named type a method is declared on, or nil.
+func receiver(obj types.Object) *types.TypeName {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return nil
+	}
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
+}
+
+// linkedPackages returns the packages some main package imports, directly
+// or not, and the mains: the packages whose inits run.
+func linkedPackages(m *load.Module) map[*load.Package]bool {
+	byPath := map[string]*load.Package{}
+	for _, pkg := range m.Packages {
+		byPath[pkg.Path] = pkg
+	}
+	linked := map[*load.Package]bool{}
+	var visit func(pkg *load.Package)
+	visit = func(pkg *load.Package) {
+		if pkg == nil || linked[pkg] {
+			return
+		}
+		linked[pkg] = true
+		for _, imp := range pkg.Types.Imports() {
+			visit(byPath[imp.Path()])
+		}
+	}
+	for _, pkg := range m.Packages {
+		if pkg.Types.Name() == "main" {
+			visit(pkg)
+		}
+	}
+	return linked
+}

@@ -7,6 +7,9 @@
 //
 //	go run ./internal/lint/nomap DIR...
 //
+// DIRs are package directories of the module whose go.mod is in the
+// working directory; the module is loaded once (internal/lint/load).
+//
 // Test files are exempt (a map is the obvious reference model). A
 // package-level map that is only indexed — the Kind and Scheme name tables —
 // is neither a field nor a range; the one that is searched by value is
@@ -16,13 +19,10 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
 	"os"
-	"sort"
-	"strings"
+
+	"wtcp/internal/lint/load"
 )
 
 // allowed names the package-level lookup tables that may be ranged over
@@ -34,18 +34,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: nomap DIR...")
 		os.Exit(2)
 	}
-	// One importer for every package: it type-checks each dependency from
-	// source once and remembers it.
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	var findings []string
-	for _, dir := range os.Args[1:] {
-		f, err := check(fset, imp, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nomap: %s: %v\n", dir, err)
-			os.Exit(2)
-		}
-		findings = append(findings, f...)
+	m, err := load.Load(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nomap: %v\n", err)
+		os.Exit(2)
+	}
+	findings, err := check(m, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nomap: %v\n", err)
+		os.Exit(2)
 	}
 	for _, f := range findings {
 		fmt.Println(f)
@@ -56,46 +53,34 @@ func main() {
 	}
 }
 
-// check type-checks the non-test files of the package in dir and reports
-// every map-typed struct field and every range over a map.
-func check(fset *token.FileSet, imp types.Importer, dir string) ([]string, error) {
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		return nil, err
+// check reports every map-typed struct field and every range over a map
+// in the packages of m in dirs (relative to the module root).
+func check(m *load.Module, dirs []string) ([]string, error) {
+	byDir := map[string]*load.Package{}
+	for _, pkg := range m.Packages {
+		byDir[pkg.Dir] = pkg
 	}
 	var findings []string
-	for _, pkg := range pkgs {
-		names := make([]string, 0, len(pkg.Files))
-		for name := range pkg.Files {
-			names = append(names, name)
-		}
-		sort.Strings(names) // findings in file, then source, order
-		var files []*ast.File
-		for _, name := range names {
-			files = append(files, pkg.Files[name])
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(dir, fset, files, info); err != nil {
-			return nil, err
+	for _, dir := range dirs {
+		pkg := byDir[dir]
+		if pkg == nil {
+			return nil, fmt.Errorf("%s: no package of the module", dir)
 		}
 		isMap := func(e ast.Expr) bool {
-			t := info.TypeOf(e)
+			t := pkg.Info.TypeOf(e)
 			if t == nil {
 				return false
 			}
 			_, ok := t.Underlying().(*types.Map)
 			return ok
 		}
-		for _, f := range files {
+		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.StructType:
 					for _, field := range n.Fields.List {
 						if isMap(field.Type) {
-							findings = append(findings, fmt.Sprintf("%s: map-typed field", fset.Position(field.Pos())))
+							findings = append(findings, fmt.Sprintf("%s: map-typed field", m.Fset.Position(field.Pos())))
 						}
 					}
 				case *ast.RangeStmt:
@@ -103,7 +88,7 @@ func check(fset *token.FileSet, imp types.Importer, dir string) ([]string, error
 						break
 					}
 					if isMap(n.X) {
-						findings = append(findings, fmt.Sprintf("%s: range over a map", fset.Position(n.Pos())))
+						findings = append(findings, fmt.Sprintf("%s: range over a map", m.Fset.Position(n.Pos())))
 					}
 				}
 				return true

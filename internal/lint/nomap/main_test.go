@@ -1,15 +1,18 @@
 package main
 
 import (
-	"go/importer"
-	"go/token"
 	"strings"
 	"testing"
+
+	"wtcp/internal/lint/load"
 )
 
 func TestCheckReportsFieldsAndRanges(t *testing.T) {
-	fset := token.NewFileSet()
-	got, err := check(fset, importer.ForCompiler(fset, "source", nil), "testdata/bad")
+	m, err := load.Load("testdata/bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := check(m, []string{"."})
 	if err != nil {
 		t.Fatal(err)
 	}

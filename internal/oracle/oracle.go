@@ -209,9 +209,6 @@ func New(cfg Config) *Checker {
 	return c
 }
 
-// First returns the first violation observed, or nil.
-func (c *Checker) First() *Violation { return c.first }
-
 // Check replays a complete event sequence and returns the first
 // violation, or nil if the whole stream conforms. It runs the rules a
 // live run's checker runs, on the same events.

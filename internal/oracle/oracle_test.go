@@ -412,13 +412,13 @@ func TestCheckerLatchesFirstViolation(t *testing.T) {
 	}
 	err := c.Observe(1, &trace.Event{Kind: trace.MHDeliver, Unit: 2})
 	v1, _ := err.(*Violation)
-	if v1 == nil || c.First() != v1 {
-		t.Fatalf("violation not latched: %v, first=%v", err, c.First())
+	if v1 == nil || c.first != v1 {
+		t.Fatalf("violation not latched: %v, first=%v", err, c.first)
 	}
 	// A later, independent violation is still reported but First stays.
 	v2 := c.Observe(2, &trace.Event{Kind: trace.MHDeliver, Unit: 1})
-	if v2 == nil || c.First() != v1 {
-		t.Errorf("latch moved: %v", c.First())
+	if v2 == nil || c.first != v1 {
+		t.Errorf("latch moved: %v", c.first)
 	}
 	if v1.Error() == "" || v1.Index != 1 {
 		t.Errorf("violation error text/index: %v", v1)

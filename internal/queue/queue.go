@@ -14,7 +14,7 @@ import (
 // full queue are dropped (tail drop), matching the router model in ns.
 // The zero value is unusable; construct with New.
 //
-// Storage is a power-of-two ring buffer: Push/Pop/PushFront are O(1) and
+// Storage is a power-of-two ring buffer: Push/Pop are O(1) and
 // allocation-free once the ring has grown to the working occupancy, which
 // matters because every packet on every link passes through one of these.
 type DropTail struct {
@@ -90,22 +90,6 @@ func (q *DropTail) Peek() *packet.Packet {
 		return nil
 	}
 	return q.ring[q.head]
-}
-
-// PushFront reinserts p at the head (used by ARQ when a transmission must
-// be retried ahead of queued traffic). PushFront never drops: requeueing a
-// packet that was already admitted must not lose it.
-func (q *DropTail) PushFront(p *packet.Packet) {
-	if q.count == len(q.ring) {
-		q.grow()
-	}
-	q.head = (q.head - 1) & (len(q.ring) - 1)
-	q.ring[q.head] = p
-	q.count++
-	q.bytes += p.Size()
-	if q.count > q.peak {
-		q.peak = q.count
-	}
 }
 
 // Len reports the number of queued packets.

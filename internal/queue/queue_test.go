@@ -94,23 +94,6 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	}
 }
 
-func TestPushFront(t *testing.T) {
-	q := New(2)
-	q.Push(mkData(1, 10))
-	q.Push(mkData(2, 10))
-	p := q.Pop()
-	q.PushFront(p) // requeue at head even though queue is at limit
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-	if got := q.Pop(); got.ID != 1 {
-		t.Errorf("head = %d, want 1", got.ID)
-	}
-	if got := q.Pop(); got.ID != 2 {
-		t.Errorf("second = %d, want 2", got.ID)
-	}
-}
-
 func TestPeak(t *testing.T) {
 	q := New(10)
 	for i := uint64(0); i < 7; i++ {

@@ -57,9 +57,6 @@ func NewRED(cfg REDConfig) (*RED, error) {
 	return &RED{cfg: cfg, count: -1}, nil
 }
 
-// AvgQueue reports the smoothed queue length.
-func (r *RED) AvgQueue() float64 { return r.avg }
-
 // ShouldMark updates the average with the instantaneous queue length and
 // reports whether this arrival should be marked (or dropped, for a
 // non-ECN deployment).

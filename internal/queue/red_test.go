@@ -62,8 +62,8 @@ func TestREDAlwaysMarksAboveMax(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r.ShouldMark(40, rng)
 	}
-	if r.AvgQueue() < 15 {
-		t.Fatalf("average %v did not reach max threshold", r.AvgQueue())
+	if r.avg < 15 {
+		t.Fatalf("average %v did not reach max threshold", r.avg)
 	}
 	for i := 0; i < 100; i++ {
 		if !r.ShouldMark(40, rng) {
@@ -103,13 +103,13 @@ func TestREDAverageTracksQueue(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.ShouldMark(10, rng)
 	}
-	if avg := r.AvgQueue(); avg < 9.5 || avg > 10.5 {
+	if avg := r.avg; avg < 9.5 || avg > 10.5 {
 		t.Errorf("EWMA = %v after steady queue of 10", avg)
 	}
 	for i := 0; i < 100; i++ {
 		r.ShouldMark(0, rng)
 	}
-	if avg := r.AvgQueue(); avg > 0.5 {
+	if avg := r.avg; avg > 0.5 {
 		t.Errorf("EWMA = %v after steady empty queue", avg)
 	}
 }

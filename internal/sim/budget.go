@@ -175,15 +175,6 @@ func (s *Simulator) SetBudget(b Budget) {
 	s.budget = st
 }
 
-// Budget reports the installed budget (the zero Budget when none is
-// installed).
-func (s *Simulator) Budget() Budget {
-	if s.budget == nil {
-		return Budget{}
-	}
-	return s.budget.limits
-}
-
 // exceeded enforces the installed budget against the next live event;
 // Run and Step call it before firing (s.budget is known non-nil). On
 // exhaustion it records a *BudgetError (first failure wins), stops the

@@ -160,8 +160,8 @@ func TestStepSurfacesBudgetError(t *testing.T) {
 
 func TestBudgetDisabledAndReset(t *testing.T) {
 	s := New()
-	if s.Budget() != (Budget{}) {
-		t.Fatalf("fresh simulator reports budget %+v", s.Budget())
+	if s.budget != nil {
+		t.Fatalf("fresh simulator has budget %+v", s.budget.limits)
 	}
 	s.SetBudget(Budget{})
 	if s.budget != nil {
@@ -174,8 +174,8 @@ func TestBudgetDisabledAndReset(t *testing.T) {
 	}
 
 	s.SetBudget(Budget{MaxEvents: 10})
-	if s.Budget().MaxEvents != 10 {
-		t.Fatalf("Budget() = %+v, want MaxEvents 10", s.Budget())
+	if s.budget == nil || s.budget.limits.MaxEvents != 10 {
+		t.Fatalf("budget = %+v, want MaxEvents 10", s.budget)
 	}
 	s.Reset()
 	if s.budget != nil {

@@ -61,9 +61,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Norm returns a standard-normal draw.
-func (g *RNG) Norm() float64 { return g.r.NormFloat64() }
-
 // Bernoulli reports true with probability p (clamped to [0, 1]).
 func (g *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {

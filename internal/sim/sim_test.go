@@ -406,8 +406,8 @@ func TestTimerSetReplacesDeadline(t *testing.T) {
 	if s.Now() != time.Second {
 		t.Errorf("fired at %v, want 1s", s.Now())
 	}
-	if tm.Sets() != 2 {
-		t.Errorf("Sets = %d, want 2", tm.Sets())
+	if tm.sets != 2 {
+		t.Errorf("sets = %d, want 2", tm.sets)
 	}
 }
 

@@ -23,7 +23,7 @@ func drawMixed(g *RNG, n int) []uint64 {
 		case 2:
 			out[i] = math.Float64bits(g.Exp(4e9))
 		case 3:
-			out[i] = math.Float64bits(g.Norm())
+			out[i] = math.Float64bits(g.r.NormFloat64())
 		case 4:
 			out[i] = uint64(g.Intn(i + 1))
 		case 5:

@@ -58,6 +58,3 @@ func (t *Timer) Deadline() time.Duration {
 	}
 	return t.ev.At()
 }
-
-// Sets reports how many times the timer has been armed since creation.
-func (t *Timer) Sets() uint64 { return t.sets }

@@ -7,7 +7,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Sample is a collection of replicated measurements.
@@ -105,46 +104,4 @@ func t975(df int) float64 {
 	g3 := z * (((3*z2+19)*z2+17)*z2 - 15) / 384
 	g4 := z * ((((79*z2+776)*z2+1482)*z2-1920)*z2 - 945) / 92160
 	return z + (g1+(g2+(g3+g4/v)/v)/v)/v
-}
-
-// Min reports the smallest measurement (zero for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max reports the largest measurement (zero for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Median reports the middle measurement (zero for an empty sample).
-func (s *Sample) Median() float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }

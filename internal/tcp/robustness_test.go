@@ -76,7 +76,7 @@ func TestCongestionAvoidanceGrowth(t *testing.T) {
 	if err := l.s.Run(4 * time.Second); err != nil { // past the recovery
 		t.Fatal(err)
 	}
-	ss := l.snd.Ssthresh()
+	ss := units.ByteSize(l.snd.st.Ssthresh)
 	if l.snd.Cwnd() < ss {
 		// Wait until slow start has reached ssthresh again.
 		if err := l.s.Run(8 * time.Second); err != nil {
@@ -133,10 +133,7 @@ func TestSenderAccessors(t *testing.T) {
 	if l.snd.Cwnd() != 536 {
 		t.Errorf("initial cwnd = %d, want one MSS", l.snd.Cwnd())
 	}
-	if l.snd.Ssthresh() != 4*units.KB {
-		t.Errorf("initial ssthresh = %d, want the window", l.snd.Ssthresh())
-	}
-	if l.snd.RTOEstimator() == nil {
-		t.Error("nil estimator accessor")
+	if units.ByteSize(l.snd.st.Ssthresh) != 4*units.KB {
+		t.Errorf("initial ssthresh = %d, want the window", units.ByteSize(l.snd.st.Ssthresh))
 	}
 }

@@ -43,13 +43,6 @@ const (
 	DefaultMaxRTO      = 64 * time.Second
 )
 
-// NewRTOEstimator returns a free-standing estimator with the given clock
-// granularity. Non-positive arguments fall back to the defaults above.
-func NewRTOEstimator(granularity, initialRTO, maxRTO time.Duration) *RTOEstimator {
-	c := Config{Granularity: granularity, InitialRTO: initialRTO, MaxRTO: maxRTO}.WithDefaults()
-	return &RTOEstimator{c: &c, st: new(rtt)}
-}
-
 // Granularity reports the TCP clock tick length.
 func (e RTOEstimator) Granularity() time.Duration { return e.c.Granularity }
 

@@ -5,8 +5,15 @@ import (
 	"time"
 )
 
+// newRTOEstimator returns a free-standing estimator with the given clock
+// granularity. Non-positive arguments fall back to the defaults (rto.go).
+func newRTOEstimator(granularity, initialRTO, maxRTO time.Duration) *RTOEstimator {
+	c := Config{Granularity: granularity, InitialRTO: initialRTO, MaxRTO: maxRTO}.WithDefaults()
+	return &RTOEstimator{c: &c, st: new(rtt)}
+}
+
 func TestRTOBeforeAnySample(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
 	if got := e.RTO(); got != 3*time.Second {
 		t.Errorf("initial RTO = %v, want 3s", got)
 	}
@@ -16,7 +23,7 @@ func TestRTOBeforeAnySample(t *testing.T) {
 }
 
 func TestFirstSampleInitializesEstimators(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
 	e.Sample(10) // 1s RTT
 	if got := e.SRTT(); got != time.Second {
 		t.Errorf("SRTT = %v, want 1s", got)
@@ -34,7 +41,7 @@ func TestFirstSampleInitializesEstimators(t *testing.T) {
 }
 
 func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
 	for i := 0; i < 100; i++ {
 		e.Sample(8)
 	}
@@ -49,7 +56,7 @@ func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
 }
 
 func TestRTOFloorTwoTicks(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
 	for i := 0; i < 50; i++ {
 		e.Sample(0) // sub-tick RTTs measure as zero on a coarse clock
 	}
@@ -59,7 +66,7 @@ func TestRTOFloorTwoTicks(t *testing.T) {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
 	e.Sample(10) // base RTO = 3s
 	base := e.RTO()
 	e.Backoff()
@@ -79,7 +86,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestSampleResetsBackoff(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
 	e.Sample(10)
 	e.Backoff()
 	e.Backoff()
@@ -93,8 +100,8 @@ func TestSampleResetsBackoff(t *testing.T) {
 }
 
 func TestVarianceTracksJitter(t *testing.T) {
-	steady := NewRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
-	jittery := NewRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	steady := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	jittery := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
 	for i := 0; i < 200; i++ {
 		steady.Sample(10)
 		if i%2 == 0 {
@@ -112,7 +119,7 @@ func TestVarianceTracksJitter(t *testing.T) {
 }
 
 func TestTicksTruncate(t *testing.T) {
-	e := NewRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
 	tests := []struct {
 		d    time.Duration
 		want int
@@ -133,7 +140,7 @@ func TestTicksTruncate(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	e := NewRTOEstimator(0, 0, 0)
+	e := newRTOEstimator(0, 0, 0)
 	if e.Granularity() != DefaultGranularity {
 		t.Errorf("granularity = %v", e.Granularity())
 	}
@@ -145,7 +152,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestCoarseClockQuantization(t *testing.T) {
 	// A 100ms-clock TCP measures a 340ms RTT as either 3 ticks: the
 	// estimator must work on ticks, not raw durations.
-	e := NewRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
 	e.Sample(e.Ticks(340 * time.Millisecond))
 	if got := e.SRTT(); got != 300*time.Millisecond {
 		t.Errorf("SRTT = %v, want 300ms (3 ticks)", got)

@@ -76,9 +76,3 @@ func (sb *scoreboard) covered(start, end int64) bool {
 	}
 	return false
 }
-
-// len reports how many disjoint ranges are held.
-func (sb *scoreboard) len() int { return len(sb.blocks) }
-
-// reset clears the board.
-func (sb *scoreboard) reset() { sb.blocks = sb.blocks[:0] }

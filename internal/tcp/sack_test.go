@@ -14,8 +14,8 @@ func TestScoreboardMergeAndCover(t *testing.T) {
 	sb.record([]packet.SACKBlock{{Start: 1000, End: 2000}})
 	sb.record([]packet.SACKBlock{{Start: 3000, End: 4000}})
 	sb.record([]packet.SACKBlock{{Start: 2000, End: 3000}}) // bridges the gap
-	if sb.len() != 1 {
-		t.Fatalf("blocks = %d, want merged into 1", sb.len())
+	if len(sb.blocks) != 1 {
+		t.Fatalf("blocks = %d, want merged into 1", len(sb.blocks))
 	}
 	if !sb.covered(1500, 2500) {
 		t.Error("merged range not covered")
@@ -39,18 +39,18 @@ func TestScoreboardAdvance(t *testing.T) {
 		t.Error("trimmed block lost its tail")
 	}
 	sb.advance(5000)
-	if sb.len() != 0 {
-		t.Errorf("blocks after full advance = %d", sb.len())
+	if len(sb.blocks) != 0 {
+		t.Errorf("blocks after full advance = %d", len(sb.blocks))
 	}
 }
 
 func TestScoreboardIgnoresDegenerateBlocks(t *testing.T) {
 	var sb scoreboard
 	sb.record([]packet.SACKBlock{{Start: 10, End: 10}, {Start: 20, End: 5}})
-	if sb.len() != 0 {
-		t.Errorf("degenerate blocks stored: %d", sb.len())
+	if len(sb.blocks) != 0 {
+		t.Errorf("degenerate blocks stored: %d", len(sb.blocks))
 	}
-	sb.reset()
+	sb.blocks = sb.blocks[:0]
 }
 
 func TestScoreboardBounded(t *testing.T) {
@@ -58,8 +58,8 @@ func TestScoreboardBounded(t *testing.T) {
 	for i := int64(0); i < 1000; i++ {
 		sb.record([]packet.SACKBlock{{Start: i * 10, End: i*10 + 5}})
 	}
-	if sb.len() > maxScoreboardBlocks {
-		t.Errorf("scoreboard grew to %d blocks", sb.len())
+	if len(sb.blocks) > maxScoreboardBlocks {
+		t.Errorf("scoreboard grew to %d blocks", len(sb.blocks))
 	}
 }
 

@@ -74,15 +74,6 @@ func (s *Sender) Stats() Stats { return s.stats }
 // Cwnd reports the congestion window in bytes.
 func (s *Sender) Cwnd() units.ByteSize { return units.ByteSize(s.st.Cwnd) }
 
-// Ssthresh reports the slow-start threshold in bytes.
-func (s *Sender) Ssthresh() units.ByteSize { return units.ByteSize(s.st.Ssthresh) }
-
-// RTOEstimator exposes the timeout machinery (read-only use).
-func (s *Sender) RTOEstimator() *RTOEstimator {
-	rto := s.st.rto(&s.cfg)
-	return &rto
-}
-
 // SndUna reports the oldest unacknowledged byte offset.
 func (s *Sender) SndUna() int64 { return s.st.SndUna }
 
@@ -111,9 +102,6 @@ func (s *Sender) MakeAvailable(n units.ByteSize) {
 		s.st.Send(&s.cfg, s.host())
 	}
 }
-
-// Available reports how many application bytes the sender may transmit.
-func (s *Sender) Available() units.ByteSize { return units.ByteSize(s.st.avail) }
 
 // Receive accepts an inbound packet from the network — TCP ACKs and the
 // two control messages; other kinds are ignored — and releases it: the

@@ -196,7 +196,7 @@ func TestFastRetransmitHalvesSsthresh(t *testing.T) {
 		return false
 	}
 	l.snd.SetHooks(Hooks{OnFastRetransmit: func(int64) {
-		ssthreshAfter = l.snd.Ssthresh()
+		ssthreshAfter = units.ByteSize(l.snd.st.Ssthresh)
 	}})
 	l.snd.Start()
 	if err := l.s.Run(10 * time.Minute); err != nil {
@@ -302,7 +302,7 @@ func TestKarnNoSampleFromRetransmission(t *testing.T) {
 	}
 	// The ACK of the retransmitted segment 0 must not have produced an
 	// RTT sample; only segment 1 (fresh, sent after recovery began) may.
-	if got := l.snd.RTOEstimator().Samples(); got > 1 {
+	if got := l.snd.st.rto(&l.snd.cfg).Samples(); got > 1 {
 		t.Errorf("Samples = %d; a retransmitted segment was sampled", got)
 	}
 }
@@ -353,10 +353,10 @@ func TestEBSNDoesNotTouchEstimatesOrCwnd(t *testing.T) {
 	if err := l.s.Run(2 * time.Second); err != nil { // a few RTTs
 		t.Fatal(err)
 	}
-	srtt := l.snd.RTOEstimator().SRTT()
+	srtt := l.snd.st.rto(&l.snd.cfg).SRTT()
 	cwnd := l.snd.Cwnd()
 	l.snd.Receive(&packet.Packet{Kind: packet.EBSN})
-	if l.snd.RTOEstimator().SRTT() != srtt {
+	if l.snd.st.rto(&l.snd.cfg).SRTT() != srtt {
 		t.Error("EBSN changed SRTT")
 	}
 	if l.snd.Cwnd() != cwnd {

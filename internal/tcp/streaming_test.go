@@ -107,18 +107,18 @@ func TestMakeAvailableClampsAndIgnoresJunk(t *testing.T) {
 	cfg.Streaming = true
 	l := newLoop(t, cfg, 10*time.Millisecond)
 	l.snd.MakeAvailable(-5)
-	if l.snd.Available() != 0 {
+	if units.ByteSize(l.snd.st.avail) != 0 {
 		t.Error("negative grant changed availability")
 	}
 	l.snd.MakeAvailable(cfg.Total * 10)
-	if l.snd.Available() != cfg.Total {
-		t.Errorf("Available = %d, want clamp to Total %d", l.snd.Available(), cfg.Total)
+	if units.ByteSize(l.snd.st.avail) != cfg.Total {
+		t.Errorf("Available = %d, want clamp to Total %d", units.ByteSize(l.snd.st.avail), cfg.Total)
 	}
 }
 
 func TestNonStreamingFullyAvailable(t *testing.T) {
 	l := newLoop(t, wanConfig(), 10*time.Millisecond)
-	if l.snd.Available() != wanConfig().Total {
+	if units.ByteSize(l.snd.st.avail) != wanConfig().Total {
 		t.Error("non-streaming sender should start fully available")
 	}
 }

@@ -236,9 +236,10 @@ const (
 // AckClass classifies an inbound cumulative ACK.
 type AckClass int
 
-// ACK classes.
+// ACK classes. Zero is no class (an event that carries no ACK); the
+// values are written into golden traces, so they never move.
 const (
-	AckNone AckClass = iota
+	_ AckClass = iota
 	// AckNew advances snd_una.
 	AckNew
 	// AckDup equals snd_una with data outstanding (a duplicate).

@@ -8,11 +8,11 @@ import (
 
 func TestRenderComparison(t *testing.T) {
 	left := New(100)
-	left.Record(time.Second, Send, 0)
-	left.Record(5*time.Second, Retransmit, 0)
+	left.events = append(left.events, Event{At: time.Second, Kind: Send, Seq: 0})
+	left.events = append(left.events, Event{At: 5 * time.Second, Kind: Retransmit, Seq: 0})
 	right := New(100)
-	right.Record(time.Second, Send, 0)
-	right.Record(30*time.Second, Send, 100*50)
+	right.events = append(right.events, Event{At: time.Second, Kind: Send, Seq: 0})
+	right.events = append(right.events, Event{At: 30 * time.Second, Kind: Send, Seq: 100 * 50})
 
 	out := RenderComparison("basic", left, "ebsn", right, 40, 12, 60*time.Second)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

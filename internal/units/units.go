@@ -7,7 +7,6 @@
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"time"
@@ -19,9 +18,8 @@ type ByteSize int64
 // Common sizes. KB here follows the paper's usage (1 Kbyte = 1024 bytes for
 // windows and transfer sizes, as in BSD TCP).
 const (
-	Byte ByteSize = 1
-	KB   ByteSize = 1024
-	MB   ByteSize = 1024 * KB
+	KB ByteSize = 1024
+	MB ByteSize = 1024 * KB
 )
 
 // Bits reports the size in bits.
@@ -83,17 +81,9 @@ func TransmissionTime(size ByteSize, r BitRate) time.Duration {
 	return time.Duration(math.Round(sec * float64(time.Second)))
 }
 
-// Throughput reports the rate achieved moving size in elapsed time. A
-// non-positive elapsed time yields zero.
-func Throughput(size ByteSize, elapsed time.Duration) BitRate {
-	if elapsed <= 0 || size <= 0 {
-		return 0
-	}
-	return BitRate(math.Round(float64(size.Bits()) / elapsed.Seconds()))
-}
-
-// ThroughputKbps is Throughput expressed as a float in kilobits/second,
-// the unit of the paper's WAN figures.
+// ThroughputKbps reports the rate achieved moving size in elapsed time,
+// in kilobits/second, the unit of the paper's WAN figures. A non-positive
+// elapsed time or size yields zero.
 func ThroughputKbps(size ByteSize, elapsed time.Duration) float64 {
 	if elapsed <= 0 || size <= 0 {
 		return 0
@@ -101,14 +91,8 @@ func ThroughputKbps(size ByteSize, elapsed time.Duration) float64 {
 	return float64(size.Bits()) / elapsed.Seconds() / 1000
 }
 
-// ThroughputMbps is Throughput expressed as a float in megabits/second,
+// ThroughputMbps is ThroughputKbps in megabits/second,
 // the unit of the paper's LAN figures.
 func ThroughputMbps(size ByteSize, elapsed time.Duration) float64 {
 	return ThroughputKbps(size, elapsed) / 1000
 }
-
-// FormatKbps renders a kbps value the way the figures label them.
-func FormatKbps(v float64) string { return fmt.Sprintf("%.2f Kbps", v) }
-
-// FormatMbps renders an Mbps value the way the figures label them.
-func FormatMbps(v float64) string { return fmt.Sprintf("%.3f Mbps", v) }

@@ -92,9 +92,9 @@ func TestThroughputInvertsTransmissionTime(t *testing.T) {
 		size := ByteSize(sizeKB%1024+1) * KB
 		rate := BitRate(rateKbps%10000+1) * Kbps
 		d := TransmissionTime(size, rate)
-		got := Throughput(size, d)
-		// Rounding in both directions: allow 0.1% slack.
-		diff := float64(got-rate) / float64(rate)
+		want := float64(rate) / 1000
+		// Rounding of the transmission time: allow 0.1% slack.
+		diff := (ThroughputKbps(size, d) - want) / want
 		return diff < 0.001 && diff > -0.001
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -103,14 +103,11 @@ func TestThroughputInvertsTransmissionTime(t *testing.T) {
 }
 
 func TestThroughputEdges(t *testing.T) {
-	if Throughput(KB, 0) != 0 {
+	if ThroughputKbps(KB, 0) != 0 {
 		t.Error("zero elapsed should yield 0")
 	}
-	if Throughput(0, time.Second) != 0 {
+	if ThroughputKbps(0, time.Second) != 0 {
 		t.Error("zero size should yield 0")
-	}
-	if ThroughputKbps(KB, 0) != 0 {
-		t.Error("ThroughputKbps zero elapsed should yield 0")
 	}
 }
 
@@ -128,14 +125,5 @@ func TestThroughputMbps(t *testing.T) {
 	got := ThroughputMbps(4*MB, elapsed)
 	if got < 1.99 || got > 2.01 {
 		t.Errorf("ThroughputMbps = %v, want 2", got)
-	}
-}
-
-func TestFormatters(t *testing.T) {
-	if got := FormatKbps(12.8); got != "12.80 Kbps" {
-		t.Errorf("FormatKbps = %q", got)
-	}
-	if got := FormatMbps(1.5); got != "1.500 Mbps" {
-		t.Errorf("FormatMbps = %q", got)
 	}
 }

@@ -12,13 +12,17 @@ import (
 // TestMakefilePinsNameLiveTests: every name in a Makefile `-run '…'`
 // list must be a test function that exists. `go test -run` treats a name
 // that matches nothing as a pass, so a pin naming a deleted or renamed
-// test would silently stop gating anything.
+// test would silently stop gating anything. The same holds for fuzzing:
+// `go test -fuzz=FuzzNoSuch` warns "no fuzz tests to fuzz" and exits 0,
+// so every FUZZ_TARGETS entry must name a fuzz function of its package,
+// and every fuzz function in the tree must be listed.
 func TestMakefilePinsNameLiveTests(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defined := map[string]bool{}
+	fuzzers := map[string]bool{} // "./dir:FuzzName"
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example|Fuzz)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -36,6 +40,9 @@ func TestMakefilePinsNameLiveTests(t *testing.T) {
 		}
 		for _, m := range funcRE.FindAllSubmatch(src, -1) {
 			defined[string(m[1])] = true
+			if name := string(m[1]); strings.HasPrefix(name, "Fuzz") && !strings.Contains(path, "testdata") {
+				fuzzers["./"+filepath.ToSlash(filepath.Dir(path))+":"+name] = true
+			}
 		}
 		return nil
 	})
@@ -56,6 +63,23 @@ func TestMakefilePinsNameLiveTests(t *testing.T) {
 			if name != "" && !defined[name] {
 				t.Errorf("Makefile pins -run %q, but no _test.go file defines func %s", m[1], name)
 			}
+		}
+	}
+
+	block := regexp.MustCompile(`(?m)^FUZZ_TARGETS =((?:.*\\\n)*.*)$`).FindSubmatch(mk)
+	if block == nil {
+		t.Fatal("no FUZZ_TARGETS list found in the Makefile")
+	}
+	listed := map[string]bool{}
+	for _, entry := range strings.Fields(strings.ReplaceAll(string(block[1]), "\\", " ")) {
+		listed[entry] = true
+		if !fuzzers[entry] {
+			t.Errorf("Makefile FUZZ_TARGETS lists %s, but no _test.go file in that package defines that fuzz function", entry)
+		}
+	}
+	for entry := range fuzzers {
+		if !listed[entry] {
+			t.Errorf("%s is not in the Makefile's FUZZ_TARGETS", entry)
 		}
 	}
 }
