@@ -20,12 +20,12 @@ check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 # point under aggressive run budgets, with the scheduler and heartbeat
 # exercised under -race. Asserts clean quarantine, partial results,
 # checkpoint + status-file + repro-bundle plumbing; the checkpoint's
-# format tests (refusals, a torn tail, adopting a version 1 file, resume
+# format tests (refusals, a torn tail, refusing a version 1 file, resume
 # after a torn append) and the scheduler's contract (first error in
 # index order, width 1 in place, no unit before its slot, one answer at
 # any width) ride along.
 budget-smoke:
-	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerAdoptsVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth' ./internal/experiment/
 
 # Fleet gate: a four-worker sharded campaign under -race with a
 # chaos-injected SIGKILL of a live lease holder; asserts every point
@@ -44,12 +44,12 @@ fleet-smoke:
 # Retry-After on rejects, byte-identical cache hits — plus the
 # single-flight dedup test and the pins of the two on-disk stores: LRU
 # order and the space rule against the slice model across many small
-# segments, order and cap after a reopen, legacy-layout adoption, gets
+# segments, order and cap after a reopen, legacy-layout refusal, gets
 # racing evictions and compaction, and the data-directory lock — and the
 # sweep's borrowed slots: queued requests first, the same bytes at one
 # and two slots, the first error in spec order.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsAdoptedOnce|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder' ./internal/serve/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos
 # loss/dup/reorder, the old-vs-new differential pin, and the pins

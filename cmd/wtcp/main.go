@@ -35,6 +35,7 @@ import (
 
 	"wtcp/internal/experiment"
 	"wtcp/internal/prof"
+	"wtcp/internal/sim"
 )
 
 // command is one row of the subcommand table. flags declares the
@@ -191,10 +192,14 @@ func executionFlags(fs *flag.FlagSet, scope execScope) func(stderr io.Writer) (e
 	fs.DurationVar(&opt.RunBudget.MaxVirtual, "max-vtime", 0, "per-run virtual-time budget (0 = none)")
 	fs.DurationVar(&opt.RunBudget.WallClock, "run-deadline", 0, "per-run wall-clock deadline (0 = engine default, negative = unlimited)")
 	fs.Int64Var(&opt.RunBudget.MaxHeapBytes, "max-heap", 0, "per-run heap ceiling in bytes (0 = none)")
-	fs.BoolVar(&opt.NoRunBudget, "no-run-budget", false, "disable the default per-run event and wall-clock ceilings")
+	noBudget := fs.Bool("no-run-budget", false, "disable the default per-run event and wall-clock ceilings")
 	status := fs.String("status", "", "write a health heartbeat JSON to this file while running (poll it, or send SIGUSR1 for a stderr dump)")
 	return func(stderr io.Writer) (experiment.Options, func()) {
 		opt := opt
+		if *noBudget {
+			// Unlimited, not unset: the engine fills an unset field in.
+			opt.RunBudget = opt.RunBudget.Or(sim.Budget{MaxEvents: -1, WallClock: -1})
+		}
 		if supervise {
 			opt.Supervise = experiment.NewSupervisor()
 		}

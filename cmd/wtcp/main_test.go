@@ -107,13 +107,19 @@ func TestExecutionFlags(t *testing.T) {
 		case noExec:
 			continue
 		case budgetExec:
-			want := experiment.Options{RunBudget: wantBudget, NoRunBudget: true}
+			want := experiment.Options{RunBudget: wantBudget}
 			if got := parse(c, budget); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: options %+v, want %+v", c.name, got, want)
 			}
+			// Alone, -no-run-budget makes the two defaulted ceilings
+			// unlimited and leaves the others unset.
+			unlimited := sim.Budget{MaxEvents: -1, WallClock: -1}
+			if got := parse(c, []string{"-no-run-budget"}); got.RunBudget != unlimited {
+				t.Errorf("%s -no-run-budget: run budget %+v, want %+v", c.name, got.RunBudget, unlimited)
+			}
 		case fullExec:
 			want := experiment.Options{Replications: 3, BaseSeed: 7, Checkpoint: "ck.json", Workers: 2,
-				ReproDir: "bundles", RunBudget: wantBudget, NoRunBudget: true}
+				ReproDir: "bundles", RunBudget: wantBudget}
 			if got := parse(c, append(full, budget...)); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: options %+v, want %+v", c.name, got, want)
 			}

@@ -1,13 +1,13 @@
 // Package analytic provides the closed-form, first-order performance
 // models the simulation is validated against:
 //
-//   - the paper's theoretical maximum tput_th = effective rate x
-//     good-time fraction (§5);
 //   - the header-efficiency ceiling that shapes the left edge of
 //     Figure 7 (a 128-byte packet spends 31% of the wire on headers);
-//   - a renewal-cycle estimate of basic TCP's throughput under
-//     alternating good/bad periods, which captures the Figure 7 gap
-//     between basic TCP and tput_th to first order.
+//   - the payload-counted ceiling an ideal EBSN run approaches;
+//   - the chance that a transmission is hit by the start of a fade.
+//
+// The paper's tput_th (§5) is core.Config.TheoreticalMaxKbps, and the
+// good-time fraction it scales by is errmodel.Config.GoodFraction.
 //
 // None of these replace simulation — they bound it. The test suite keeps
 // the simulator honest by requiring agreement within coarse bands.
@@ -17,19 +17,10 @@ import (
 	"math"
 	"time"
 
+	"wtcp/internal/errmodel"
 	"wtcp/internal/packet"
 	"wtcp/internal/units"
 )
-
-// GoodFraction is the long-run fraction of time a two-state channel with
-// the given mean holding times spends in the good state.
-func GoodFraction(meanGood, meanBad time.Duration) float64 {
-	total := meanGood + meanBad
-	if total <= 0 {
-		return 1
-	}
-	return float64(meanGood) / float64(total)
-}
 
 // HeaderEfficiency is the payload fraction of a packet: (size-40)/size.
 func HeaderEfficiency(packetSize units.ByteSize) float64 {
@@ -46,19 +37,11 @@ func PayloadCeilingKbps(effectiveRate units.BitRate, packetSize units.ByteSize) 
 	return float64(effectiveRate) / 1000 * HeaderEfficiency(packetSize)
 }
 
-// TputThKbps is the paper's theoretical maximum: the effective link rate
-// scaled by the good-time fraction. The paper counts header bytes toward
-// tput_th (it marks 11.64-ish values against payload-only curves); this
-// helper reproduces that definition.
-func TputThKbps(effectiveRate units.BitRate, meanGood, meanBad time.Duration) float64 {
-	return float64(effectiveRate) / 1000 * GoodFraction(meanGood, meanBad)
-}
-
 // EBSNCeilingKbps is the payload-counted ceiling an ideal EBSN run
-// approaches: the payload ceiling scaled by the good fraction (local
-// recovery hides fades; the only loss is the fade time itself).
-func EBSNCeilingKbps(effectiveRate units.BitRate, packetSize units.ByteSize, meanGood, meanBad time.Duration) float64 {
-	return PayloadCeilingKbps(effectiveRate, packetSize) * GoodFraction(meanGood, meanBad)
+// approaches: the payload ceiling scaled by the channel's good fraction
+// (local recovery hides fades; the only loss is the fade time itself).
+func EBSNCeilingKbps(effectiveRate units.BitRate, packetSize units.ByteSize, channel errmodel.Config) float64 {
+	return PayloadCeilingKbps(effectiveRate, packetSize) * channel.GoodFraction()
 }
 
 // FadeHitProbability is the chance that a transmission occupying the
@@ -69,44 +52,4 @@ func FadeHitProbability(airTime, meanGood time.Duration) float64 {
 		return 1
 	}
 	return -math.Expm1(-float64(airTime) / float64(meanGood))
-}
-
-// BasicTCPParams parameterizes the renewal estimate.
-type BasicTCPParams struct {
-	EffectiveRate units.BitRate
-	PacketSize    units.ByteSize
-	MeanGood      time.Duration
-	MeanBad       time.Duration
-	// DeadTime is the post-fade recovery penalty: the residual
-	// retransmission timeout after the channel heals plus the slow-start
-	// ramp back to the window. EstimateDeadTime provides a default.
-	DeadTime time.Duration
-}
-
-// EstimateDeadTime gives a first-order recovery penalty: half the typical
-// backed-off RTO (the timer rarely expires exactly at fade end) plus a
-// few round trips of slow-start ramp.
-func EstimateDeadTime(rto, rtt time.Duration) time.Duration {
-	return rto/2 + 4*rtt
-}
-
-// BasicTCPEstimateKbps is a renewal-cycle model of basic TCP under
-// alternating fades: each good+bad cycle delivers payload for
-// (good - dead) of its (good + bad) length at the payload ceiling.
-//
-// The model ignores good-state corruption and window dynamics, so it is
-// an upper-leaning first-order estimate; the simulator lands below it
-// when fades also destroy whole windows (large packets) and above it
-// when fast retransmit shortens recovery.
-func BasicTCPEstimateKbps(p BasicTCPParams) float64 {
-	ceiling := PayloadCeilingKbps(p.EffectiveRate, p.PacketSize)
-	cycle := p.MeanGood + p.MeanBad
-	if cycle <= 0 {
-		return ceiling
-	}
-	useful := p.MeanGood - p.DeadTime
-	if useful < 0 {
-		useful = 0
-	}
-	return ceiling * float64(useful) / float64(cycle)
 }

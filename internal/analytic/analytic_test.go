@@ -7,25 +7,9 @@ import (
 
 	"wtcp/internal/bs"
 	"wtcp/internal/core"
+	"wtcp/internal/errmodel"
 	"wtcp/internal/units"
 )
-
-func TestGoodFraction(t *testing.T) {
-	tests := []struct {
-		good, bad time.Duration
-		want      float64
-	}{
-		{10 * time.Second, time.Second, 10.0 / 11},
-		{10 * time.Second, 4 * time.Second, 10.0 / 14},
-		{time.Second, 0, 1},
-		{0, 0, 1},
-	}
-	for _, tt := range tests {
-		if got := GoodFraction(tt.good, tt.bad); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("GoodFraction(%v,%v) = %v", tt.good, tt.bad, got)
-		}
-	}
-}
 
 func TestHeaderEfficiency(t *testing.T) {
 	tests := []struct {
@@ -41,17 +25,6 @@ func TestHeaderEfficiency(t *testing.T) {
 	for _, tt := range tests {
 		if got := HeaderEfficiency(tt.size); math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("HeaderEfficiency(%d) = %v, want %v", tt.size, got, tt.want)
-		}
-	}
-}
-
-func TestTputThMatchesCore(t *testing.T) {
-	for _, bad := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second} {
-		cfg := core.WAN(bs.Basic, 576, bad)
-		want := cfg.TheoreticalMaxKbps()
-		got := TputThKbps(cfg.EffectiveWirelessRate(), cfg.Channel.MeanGood, cfg.Channel.MeanBad)
-		if math.Abs(got-want) > 0.001 {
-			t.Errorf("bad=%v: analytic %v vs core %v", bad, got, want)
 		}
 	}
 }
@@ -87,53 +60,11 @@ func TestEBSNSimulationApproachesAnalyticCeiling(t *testing.T) {
 				}
 				mean += r.Summary.ThroughputKbps / reps
 			}
-			ceiling := EBSNCeilingKbps(12800, size, 10*time.Second, bad)
+			ceiling := EBSNCeilingKbps(12800, size, errmodel.PaperWAN(bad))
 			if mean < 0.75*ceiling || mean > 1.15*ceiling {
 				t.Errorf("bad=%v size=%d: simulated %.2f vs analytic ceiling %.2f",
 					bad, size, mean, ceiling)
 			}
 		}
-	}
-}
-
-// TestBasicTCPRenewalModelBrackets checks the renewal estimate brackets
-// the simulated basic-TCP throughput within a factor-of-two band — a
-// coarse model, but it captures the trend across bad periods.
-func TestBasicTCPRenewalModelBrackets(t *testing.T) {
-	for _, bad := range []time.Duration{time.Second, 4 * time.Second} {
-		var mean float64
-		const reps = 4
-		for seed := int64(1); seed <= reps; seed++ {
-			cfg := core.WAN(bs.Basic, 576, bad)
-			cfg.Seed = seed
-			r, err := core.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mean += r.Summary.ThroughputKbps / reps
-		}
-		est := BasicTCPEstimateKbps(BasicTCPParams{
-			EffectiveRate: 12800,
-			PacketSize:    576,
-			MeanGood:      10 * time.Second,
-			MeanBad:       bad,
-			DeadTime:      EstimateDeadTime(2*time.Second, 700*time.Millisecond),
-		})
-		if mean < est/2 || mean > est*2 {
-			t.Errorf("bad=%v: simulated %.2f outside [%.2f, %.2f]", bad, mean, est/2, est*2)
-		}
-	}
-}
-
-func TestBasicTCPEstimateEdges(t *testing.T) {
-	p := BasicTCPParams{EffectiveRate: 12800, PacketSize: 576}
-	if got := BasicTCPEstimateKbps(p); math.Abs(got-PayloadCeilingKbps(12800, 576)) > 1e-9 {
-		t.Errorf("no-fade estimate = %v, want ceiling", got)
-	}
-	p.MeanGood = time.Second
-	p.MeanBad = time.Second
-	p.DeadTime = 10 * time.Second // dead time exceeding the good period clamps
-	if got := BasicTCPEstimateKbps(p); got != 0 {
-		t.Errorf("over-dead estimate = %v, want 0", got)
 	}
 }

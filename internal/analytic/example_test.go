@@ -5,22 +5,19 @@ import (
 	"time"
 
 	"wtcp/internal/analytic"
+	"wtcp/internal/errmodel"
 )
 
-// Example computes the paper's theoretical ceilings for the wide-area
-// setup: the raw tput_th the figures mark, and the payload-only ceiling
-// an ideal EBSN run approaches at a given packet size.
+// Example computes the payload-only ceiling an ideal EBSN run approaches
+// on the wide-area setup at a given packet size, and the header
+// efficiency that shapes the left edge of Figure 7.
 func Example() {
 	const effectiveRate = 12800 // 19.2 kbps radio, 1.5x overhead
-	good, bad := 10*time.Second, 4*time.Second
-	fmt.Printf("tput_th:           %.2f Kbps\n",
-		analytic.TputThKbps(effectiveRate, good, bad))
 	fmt.Printf("EBSN ceiling @1536: %.2f Kbps\n",
-		analytic.EBSNCeilingKbps(effectiveRate, 1536, good, bad))
+		analytic.EBSNCeilingKbps(effectiveRate, 1536, errmodel.PaperWAN(4*time.Second)))
 	fmt.Printf("header efficiency @128: %.3f\n",
 		analytic.HeaderEfficiency(128))
 	// Output:
-	// tput_th:           9.14 Kbps
 	// EBSN ceiling @1536: 8.90 Kbps
 	// header efficiency @128: 0.688
 }

@@ -1,5 +1,5 @@
 // Package atomicfile is the repo's one write-then-rename: every file
-// that is replaced whole (a checkpoint ledger created or adopted, status
+// that is written whole (a checkpoint ledger's header record, status
 // snapshots, wtcpd's journal rewrites, repro bundles) goes through Write so a reader — or a
 // process killed at any instant — sees either the previous complete
 // file or the new one, never a torn one. Beside it sits the one

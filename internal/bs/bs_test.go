@@ -379,7 +379,6 @@ func TestDuplicateDeliveryWhenLinkAckLost(t *testing.T) {
 	inner := b.up
 	_ = inner
 	b.ackBack = false
-	b.down.SetDropHook(nil)
 	// Re-wire MH delivery manually.
 	// Note: newBench's downlink deliver closure already appended to
 	// mhGot; we emulate the ack path with one dropped ack.

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func runCalendarScript(t *testing.T, script []byte) {
 // calendarScript draws a script of n operations: phases that mostly push
 // (the rings grow and wrap) alternate with phases that mostly pop (they
 // drain to empty), in one of the interpreter's modes or a mix.
-func calendarScript(g *sim.RNG, n int) []byte {
+func calendarScript(g *rand.Rand, n int) []byte {
 	script := make([]byte, 0, 2*n)
 	mode := g.Intn(5) // 4 mixes the modes
 	for len(script) < 2*n {
@@ -147,7 +148,7 @@ func calendarScript(g *sim.RNG, n int) []byte {
 // property: whatever is pushed, in whatever order, comes back least
 // (at, seq) first, event for event.
 func TestCalendarMatchesSortedReference(t *testing.T) {
-	g := sim.NewRNG(20261003)
+	g := rand.New(rand.NewSource(20261003))
 	for i := 0; i < 300; i++ {
 		runCalendarScript(t, calendarScript(g, 50+g.Intn(3000)))
 	}
@@ -165,7 +166,7 @@ func FuzzCalendarOrder(f *testing.F) {
 	// Lane 2 holds the minimum when a push to lane 1 becomes its new
 	// head, first due before lane 1's old head, then tying lane 2's.
 	f.Add([]byte{24, 100, 25, 10, 24, 50, 24, 10, 7, 0, 7, 0, 7, 0, 7, 0})
-	g := sim.NewRNG(7)
+	g := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
 		f.Add(calendarScript(g, 200))
 	}

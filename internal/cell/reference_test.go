@@ -15,17 +15,49 @@ import (
 	"wtcp/internal/errmodel"
 	"wtcp/internal/link"
 	"wtcp/internal/packet"
-	"wtcp/internal/queue"
 	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
 
+// refQueue is a connection's drop-tail FIFO at the base station; a
+// non-positive limit means unbounded.
+type refQueue struct {
+	limit int
+	pkts  []*packet.Packet
+}
+
+func (q *refQueue) Push(p *packet.Packet) bool {
+	if q.limit > 0 && len(q.pkts) >= q.limit {
+		return false
+	}
+	q.pkts = append(q.pkts, p)
+	return true
+}
+
+// Peek returns the head without removing it, or nil.
+func (q *refQueue) Peek() *packet.Packet {
+	if len(q.pkts) == 0 {
+		return nil
+	}
+	return q.pkts[0]
+}
+
+func (q *refQueue) Pop() *packet.Packet {
+	p := q.Peek()
+	if p != nil {
+		q.pkts = q.pkts[1:]
+	}
+	return p
+}
+
+func (q *refQueue) Len() int { return len(q.pkts) }
+
 // refConn bundles one TCP transfer's endpoints and channel.
 type refConn struct {
 	index    int
 	channel  *errmodel.Markov
-	queue    *queue.DropTail
+	queue    *refQueue
 	sender   *tcp.Sender
 	sink     *tcp.Sink
 	wiredFwd *link.Link
@@ -319,7 +351,7 @@ func refRun(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		conn := &refConn{index: i, channel: ch, queue: queue.New(cfg.PerFlowQueue)}
+		conn := &refConn{index: i, channel: ch, queue: &refQueue{limit: cfg.PerFlowQueue}}
 		e.conns = append(e.conns, conn)
 
 		conn.wiredFwd, err = link.New(s, link.Config{

@@ -2,10 +2,9 @@ package cell
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
-
-	"wtcp/internal/sim"
 )
 
 // Differential pins for the two scans the engine no longer repeats per
@@ -39,7 +38,7 @@ func wheelTrueMin(w *wheel) (min int64, n int) {
 func TestWheelMinMatchesScan(t *testing.T) {
 	const nidx = 300
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := sim.NewRNG(seed)
+		rng := rand.New(rand.NewSource(seed))
 		// A small wheel makes laps and bucket sharing frequent; the
 		// engine's geometry gets the same treatment on even seeds.
 		w := newWheel(int64(time.Millisecond), 64, nidx)
@@ -178,7 +177,7 @@ func TestNextNonEmptyMatchesLinearScan(t *testing.T) {
 		cfg.Channel.MeanBad = 300 * time.Millisecond
 		got, ref := benchEngine(t, cfg), benchEngine(t, cfg)
 		csdp := tc.policy == CSDP
-		ops := sim.NewRNG(int64(tc.flows*10 + tc.stations))
+		ops := rand.New(rand.NewSource(int64(tc.flows*10 + tc.stations)))
 		push := func(e *engine, f int32) { e.qPush(f, 0) }
 		pop := func(e *engine, f int32) {
 			if e.qCount[f] > 0 {

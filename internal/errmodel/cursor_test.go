@@ -3,10 +3,9 @@ package errmodel
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
-
-	"wtcp/internal/sim"
 )
 
 // searchRef answers channel queries the way Markov did before it kept a
@@ -111,19 +110,19 @@ func TestCursorEqualsSearch(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				m := mustMarkov(t, cfg, seed)
 				ref := &searchRef{m: mustMarkov(t, cfg, seed)}
-				pick := sim.NewRNG(seed*104729 + int64(ci))
+				pick := rand.New(rand.NewSource(seed*104729 + int64(ci)))
 				slides, faultAt := 0, -1
 				now, qs, qe := time.Duration(0), time.Duration(0), time.Duration(0)
 				for i := 0; i < 12000; i++ {
 					switch k := pick.Intn(16); {
 					case k < 8: // forward, one transmission on
-						now += time.Duration(pick.Exp(1.5 * float64(tx)))
+						now += time.Duration(pick.ExpFloat64() * (1.5 * float64(tx)))
 						qs, qe = now, now+time.Duration(pick.Intn(int(tx)))
 					case k < 10: // the same query again
 					case k < 12: // backward, at times below the window
-						back := time.Duration(pick.Exp(float64(cfg.MeanGood / 80)))
+						back := time.Duration(pick.ExpFloat64() * float64(cfg.MeanGood/80))
 						if k == 11 {
-							back = time.Duration(pick.Exp(5 * float64(cfg.MeanGood)))
+							back = time.Duration(pick.ExpFloat64() * (5 * float64(cfg.MeanGood)))
 						}
 						qs = max(now-back, 0)
 						qe = qs + time.Duration(pick.Intn(int(25*tx)))
@@ -147,10 +146,10 @@ func TestCursorEqualsSearch(t *testing.T) {
 							qs-- // one nanosecond of the previous one
 						}
 					case k < 15: // straddling: a query longer than most holding times
-						now += time.Duration(pick.Exp(float64(tx)))
-						qs, qe = now, now+time.Duration(pick.Exp(float64(cfg.MeanGood)))
+						now += time.Duration(pick.ExpFloat64() * float64(tx))
+						qs, qe = now, now+time.Duration(pick.ExpFloat64()*float64(cfg.MeanGood))
 					default: // an idle stretch of several holding times
-						now += time.Duration(pick.Exp(5 * float64(cfg.MeanGood)))
+						now += time.Duration(pick.ExpFloat64() * (5 * float64(cfg.MeanGood)))
 						qs, qe = now, now+tx
 					}
 					if forget {

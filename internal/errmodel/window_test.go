@@ -3,10 +3,9 @@ package errmodel
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
-
-	"wtcp/internal/sim"
 )
 
 // TestWindowedMarkovEqualsUnbounded drives one Markov the way the cell
@@ -25,18 +24,18 @@ func TestWindowedMarkovEqualsUnbounded(t *testing.T) {
 	} {
 		for seed := int64(1); seed <= 8; seed++ {
 			win, full := mustMarkov(t, cfg, seed), mustMarkov(t, cfg, seed)
-			pick := sim.NewRNG(seed * 7919)
+			pick := rand.New(rand.NewSource(seed * 7919))
 			now := time.Duration(0)
 			maxCap := 0
 			for i := 0; i < 20000; i++ {
 				// Mostly sub-interval steps, sometimes a jump of several
 				// holding times (an idle flow's next packet).
-				step := time.Duration(pick.Exp(float64(20 * time.Millisecond)))
-				if pick.Bernoulli(0.01) {
-					step = time.Duration(pick.Exp(float64(30 * time.Second)))
+				step := time.Duration(pick.ExpFloat64() * float64(20*time.Millisecond))
+				if pick.Float64() < 0.01 {
+					step = time.Duration(pick.ExpFloat64() * float64(30*time.Second))
 				}
 				now += step
-				back := time.Duration(pick.Exp(float64(2 * time.Millisecond)))
+				back := time.Duration(pick.ExpFloat64() * float64(2*time.Millisecond))
 				if back > now {
 					back = now
 				}

@@ -17,17 +17,13 @@ import (
 	"wtcp/internal/recordlog"
 )
 
-// The ledger file. Version 2, the only layout written, is a recordlog
-// (internal/recordlog): one header record, then one record per settled
-// point or quarantine in the order they were settled, so settling a
-// point is one append. Version 1 was one JSON object rewritten whole
-// per point; such a file is read once and rewritten as version 2. A
-// file whose version or fingerprint does not match is refused rather
-// than misread.
-const (
-	jsonVersion = 1
-	logVersion  = 2
-)
+// The ledger file, version 2, is a recordlog (internal/recordlog): one
+// header record, then one record per settled point or quarantine in the
+// order they were settled, so settling a point is one append. A file
+// whose version or fingerprint does not match is refused rather than
+// misread, and so is a version 1 file (one JSON object), which no build
+// has written since the record log replaced it.
+const logVersion = 2
 
 // The first payload byte of a version 2 record says which kind it is;
 // the rest is the record as JSON.
@@ -36,12 +32,6 @@ var (
 	recPoint      = []byte{'P'} // pointRecord
 	recQuarantine = []byte{'Q'} // Quarantine
 )
-
-// headerPrefix is how a version 2 header record's payload begins. No
-// version 1 file has these bytes after its first recordlog.HeaderSize:
-// in JSON an H stands only inside a string, which the quote after `H{`
-// would close, leaving `version` a bare word.
-var headerPrefix = []byte(`H{"version":`)
 
 // ledgerHeader is a version 2 file's first record. Fingerprint ties the
 // file to the Options that produced it: resuming a sweep under
@@ -57,18 +47,6 @@ type ledgerHeader struct {
 type pointRecord struct {
 	Key  string      `json:"key"`
 	Reps []RepRecord `json:"reps"`
-}
-
-// checkpointFile is the version 1 layout, one JSON object.
-type checkpointFile struct {
-	Version     int           `json:"version"`
-	Fingerprint string        `json:"fingerprint"`
-	Points      []pointRecord `json:"points"`
-	// Quarantined lists points the circuit breaker removed, in the
-	// order the sweep reached them. The field is additive (absent in
-	// older files), so the version stayed at 1. A resumed sweep replays
-	// these instead of re-running the pathological point.
-	Quarantined []Quarantine `json:"quarantined,omitempty"`
 }
 
 // stderr receives the ledger's reports of a torn tail it cut.
@@ -106,13 +84,11 @@ type Ledger struct {
 // OpenLedger loads path if it exists, or prepares an empty ledger,
 // bound to the result-affecting fingerprint of opt. It takes the
 // exclusive lock first; a path already locked by a live process is
-// refused with the holder named. A file that does not parse, carries
-// another version or fingerprint, or (version 1) repeats a key is
-// refused with the path named, left as it was, and the lock is
-// released. A version 2 file that ends in a torn record is cut back to
-// its last whole one, and the cut is reported on stderr: the points
-// that record held run again. A version 1 file is rewritten as version
-// 2.
+// refused with the holder named. A file that does not parse or carries
+// another version or fingerprint is refused with the path named, left
+// as it was, and the lock is released. A file that ends in a torn
+// record is cut back to its last whole one, and the cut is reported on
+// stderr: the points that record held run again.
 func OpenLedger(path string, opt Options) (*Ledger, error) {
 	unlock, err := atomicfile.Lock(path + ".lock")
 	if err != nil {
@@ -123,7 +99,9 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		err = l.resume(data)
+		if err = l.replay(data); err == nil {
+			err = l.reopen()
+		}
 	case errors.Is(err, os.ErrNotExist):
 		err = nil // a fresh campaign; the first record creates the file
 	default:
@@ -134,34 +112,6 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 		return nil, err
 	}
 	return l, nil
-}
-
-// resume loads the file's bytes into the empty ledger and opens the
-// file for appending, adopting a version 1 file first.
-func (l *Ledger) resume(data []byte) error {
-	if err := l.load(data); err != nil {
-		return err
-	}
-	if !isLog(data) {
-		return l.rewrite()
-	}
-	return l.reopen()
-}
-
-// load loads a file's bytes, of either version, into the empty ledger.
-func (l *Ledger) load(data []byte) error {
-	if isLog(data) {
-		return l.replay(data)
-	}
-	return l.decode(data)
-}
-
-// isLog reports whether data is laid out as version 2: its first
-// record's payload starts as a header's does. The frame itself is not
-// checked, so a damaged header is refused as one instead of being read
-// as JSON.
-func isLog(data []byte) bool {
-	return bytes.HasPrefix(data[min(len(data), recordlog.HeaderSize):], headerPrefix)
 }
 
 // CheckpointFor names the ledger file a study run under opt uses when
@@ -183,37 +133,11 @@ func CheckpointFor(path string, primary, opt Options) string {
 	return fmt.Sprintf("%s-%08x%s", strings.TrimSuffix(path, ext), h.Sum32(), ext)
 }
 
-// decode loads a version 1 file's bytes into the empty ledger.
-func (l *Ledger) decode(data []byte) error {
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("experiment: parse checkpoint %s: %w", l.path, err)
-	}
-	if err := l.checkHeader(ledgerHeader{f.Version, f.Fingerprint}, jsonVersion); err != nil {
-		return err
-	}
-	for _, p := range f.Points {
-		if _, dup := l.points[p.Key]; dup {
-			return fmt.Errorf("experiment: checkpoint %s repeats point %q", l.path, p.Key)
-		}
-		l.points[p.Key] = p.Reps
-		l.order = append(l.order, p.Key)
-	}
-	for _, q := range f.Quarantined {
-		if _, dup := l.quars[q.Key]; dup {
-			return fmt.Errorf("experiment: checkpoint %s repeats quarantined point %q", l.path, q.Key)
-		}
-		l.quars[q.Key] = q
-		l.quarOrder = append(l.quarOrder, q.Key)
-	}
-	return nil
-}
-
 // checkHeader refuses a file of another version or fingerprint.
-func (l *Ledger) checkHeader(h ledgerHeader, version int) error {
-	if h.Version != version {
+func (l *Ledger) checkHeader(h ledgerHeader) error {
+	if h.Version != logVersion {
 		return fmt.Errorf("experiment: checkpoint %s has version %d, want %d; delete it to start over",
-			l.path, h.Version, version)
+			l.path, h.Version, logVersion)
 	}
 	if h.Fingerprint != l.fingerprint {
 		return fmt.Errorf("experiment: checkpoint %s was written under different options (fingerprint %q, this run %q); delete it or rerun with the original options",
@@ -222,12 +146,15 @@ func (l *Ledger) checkHeader(h ledgerHeader, version int) error {
 	return nil
 }
 
-// replay loads a version 2 file's bytes into the empty ledger: the
-// header, then each whole record in order, applied as the write that
-// appended it was — a key recorded twice holds its last record, at the
-// place of its first. It stops without error at a torn tail, which
-// reopen cuts.
+// replay loads a file's bytes into the empty ledger: the header, then
+// each whole record in order, applied as the write that appended it was
+// — a key recorded twice holds its last record, at the place of its
+// first. It stops without error at a torn tail, which reopen cuts. A
+// version 1 file, one JSON object, is refused as such.
 func (l *Ledger) replay(data []byte) error {
+	if json.Valid(data) {
+		return fmt.Errorf("experiment: checkpoint %s is a version 1 file (one JSON object), which this build does not read; delete it to start over", l.path)
+	}
 	damaged := fmt.Errorf("experiment: checkpoint %s has a damaged header; delete it to start over", l.path)
 	header := false
 	_, err := recordlog.Scan(bytes.NewReader(data), int64(len(data)), func(off int64, payload []byte) error {
@@ -237,7 +164,7 @@ func (l *Ledger) replay(data []byte) error {
 				return damaged
 			}
 			header = true
-			return l.checkHeader(h, logVersion)
+			return l.checkHeader(h)
 		}
 		var p pointRecord
 		var q Quarantine
@@ -272,48 +199,16 @@ func (l *Ledger) applyQuarantine(q Quarantine) {
 	l.quars[q.Key] = q
 }
 
-// layout renders the whole ledger as a version 2 file: the header, then
-// every point and every quarantine, each in ledger order. Caller holds
+// create writes the file's header record — write temp, rename, so no
+// file of this ledger ever starts torn — and opens the file for
+// appending. The first record of a fresh ledger runs it. Caller holds
 // l.mu.
-func (l *Ledger) layout() ([]byte, error) {
-	data, err := appendJSON(nil, recHeader, ledgerHeader{logVersion, l.fingerprint})
+func (l *Ledger) create() error {
+	body, err := json.Marshal(ledgerHeader{logVersion, l.fingerprint})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("experiment: encode checkpoint: %w", err)
 	}
-	for _, k := range l.order {
-		if data, err = appendJSON(data, recPoint, pointRecord{Key: k, Reps: l.points[k]}); err != nil {
-			return nil, err
-		}
-	}
-	for _, k := range l.quarOrder {
-		if data, err = appendJSON(data, recQuarantine, l.quars[k]); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
-// appendJSON appends one record of the given kind holding v.
-func appendJSON(dst, kind []byte, v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: encode checkpoint: %w", err)
-	}
-	return recordlog.AppendRecord(dst, kind, body), nil
-}
-
-// rewrite replaces the file with the whole ledger laid out as version 2
-// — write temp, rename, so a kill leaves the old file or the new one,
-// and no file of this ledger ever starts torn — and opens it for
-// appending. It runs once per file: when a version 1 file is adopted,
-// or when the first record creates it. Caller holds l.mu (or owns an
-// unpublished l).
-func (l *Ledger) rewrite() error {
-	data, err := l.layout()
-	if err != nil {
-		return err
-	}
-	if err := atomicfile.Write(l.path, data); err != nil {
+	if err := atomicfile.Write(l.path, recordlog.AppendRecord(nil, recHeader, body)); err != nil {
 		return fmt.Errorf("experiment: write checkpoint: %w", err)
 	}
 	return l.reopen()
@@ -338,7 +233,7 @@ func (l *Ledger) reopen() error {
 // this returns nil.
 func (l *Ledger) appendLocked(kind []byte, v any) error {
 	if l.log == nil {
-		if err := l.rewrite(); err != nil {
+		if err := l.create(); err != nil {
 			return err
 		}
 	}

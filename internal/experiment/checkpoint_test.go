@@ -45,8 +45,38 @@ func goodCheckpoint(t testing.TB, path string) []byte {
 	return data
 }
 
-// v1Checkpoint returns goodCheckpoint's ledger in the version 1 layout,
-// as the last tree that wrote it left it.
+// layout renders the whole ledger as a file: the header, then every
+// point and every quarantine, each in ledger order — the bytes the same
+// writes append.
+func layout(l *Ledger) ([]byte, error) {
+	data, err := appendJSON(nil, recHeader, ledgerHeader{logVersion, l.fingerprint})
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range l.order {
+		if data, err = appendJSON(data, recPoint, pointRecord{Key: k, Reps: l.points[k]}); err != nil {
+			return nil, err
+		}
+	}
+	for _, k := range l.quarOrder {
+		if data, err = appendJSON(data, recQuarantine, l.quars[k]); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
+}
+
+// appendJSON appends one record of the given kind holding v.
+func appendJSON(dst, kind []byte, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return recordlog.AppendRecord(dst, kind, body), nil
+}
+
+// v1Checkpoint returns goodCheckpoint's ledger in the version 1 layout
+// (one JSON object), as the last build that wrote it left it.
 func v1Checkpoint(t testing.TB) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "ledger-v1.json"))
@@ -105,42 +135,36 @@ func refusedThenReleased(t *testing.T, path string, opt Options, good []byte) {
 	}
 }
 
-// TestLedgerRefusesCorruptFiles: a checkpoint of either version that
-// was cut short (version 1) or lost its header (version 2), was written
-// by another version or under other options, or repeats a key (version
-// 1) is refused with a named error and left as it was — never a panic,
-// never a silently missing point, never a leaked lock. A version 2 file
-// cut anywhere past its header loads what it holds whole.
+// TestLedgerRefusesCorruptFiles: a checkpoint that is empty or lost its
+// header, was written by another version (version 1 among them, whatever
+// it holds) or under other options, or holds a record no version wrote
+// is refused with a named error and left as it was — never a panic,
+// never a silently missing point, never a leaked lock. A file cut
+// anywhere past its header loads what it holds whole.
 func TestLedgerRefusesCorruptFiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.json")
 	good := goodCheckpoint(t, path)
-	v1 := v1Checkpoint(t)
-	rewrite := func(edit func(*checkpointFile)) []byte {
-		var f checkpointFile
-		if err := json.Unmarshal(v1, &f); err != nil {
+	// v1 edits the version 1 file's object: it is refused whatever it
+	// holds.
+	v1 := func(edit func(f map[string]any)) []byte {
+		var f map[string]any
+		if err := json.Unmarshal(v1Checkpoint(t), &f); err != nil {
 			t.Fatal(err)
 		}
-		edit(&f)
+		edit(f)
 		data, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-
-	// Every strict prefix of a version 1 file. Its final newline is not
-	// content — the object is complete without it — so prefixes are
-	// taken of the object itself.
-	object := bytes.TrimRight(v1, "\n")
-	for n := 0; n < len(object); n++ {
-		if err := os.WriteFile(path, object[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		refusedThenReleased(t, path, settleOpts(), good)
-		if t.Failed() {
-			t.Fatalf("at version 1 prefix length %d of %d", n, len(object))
+	repeat := func(field string, i int) func(map[string]any) {
+		return func(f map[string]any) {
+			list := f[field].([]any)
+			f[field] = append(list, list[i])
 		}
 	}
+
 	// Every cut inside a version 2 header.
 	ends := recordEnds(t, good)
 	for n := int64(1); n < ends[0]; n++ {
@@ -164,9 +188,10 @@ func TestLedgerRefusesCorruptFiles(t *testing.T) {
 	damaged := bytes.Clone(good)
 	damaged[ends[0]-2] ^= 0x20
 	cases := map[string][]byte{
-		"wrong version":               rewrite(func(f *checkpointFile) { f.Version = jsonVersion + 1 }),
-		"repeated point":              rewrite(func(f *checkpointFile) { f.Points = append(f.Points, f.Points[0]) }),
-		"repeated quarantine":         rewrite(func(f *checkpointFile) { f.Quarantined = append(f.Quarantined, f.Quarantined[1]) }),
+		"empty":                       nil,
+		"wrong version":               v1(func(f map[string]any) { f["version"] = 2 }),
+		"repeated point":              v1(repeat("points", 0)),
+		"repeated quarantine":         v1(repeat("quarantined", 1)),
 		"not an object":               []byte(`[1, 2, 3]`),
 		"wrong field type":            []byte(`{"version": 1, "fingerprint": 7}`),
 		"version 2 wrong version":     header(ledgerHeader{logVersion + 1, settleOpts().WithDefaults().fingerprint()}),
@@ -184,12 +209,10 @@ func TestLedgerRefusesCorruptFiles(t *testing.T) {
 	t.Run("foreign fingerprint", func(t *testing.T) {
 		foreign := settleOpts()
 		foreign.Replications++
-		for _, data := range [][]byte{v1, good} {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			refusedThenReleased(t, path, foreign, good)
+		if err := os.WriteFile(path, good, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		refusedThenReleased(t, path, foreign, good)
 	})
 
 	// A version 2 file replays as its writes ran: Put overwrites, so the
@@ -258,56 +281,28 @@ func TestLedgerRefusesCorruptFiles(t *testing.T) {
 	})
 }
 
-// TestLedgerAdoptsVersion1: a file the version 1 layout wrote opens with
-// every point, quarantine and order it held, is rewritten once as the
-// version 2 file the same writes produce today, and is not rewritten
-// again by the next open.
-func TestLedgerAdoptsVersion1(t *testing.T) {
-	want := goodCheckpoint(t, filepath.Join(t.TempDir(), "v2.json"))
+// TestLedgerRefusesVersion1: a file the version 1 layout wrote (one
+// JSON object, before the record log) is refused by path as a version 1
+// file and left byte for byte as it was — never adopted, never read as
+// an empty ledger.
+func TestLedgerRefusesVersion1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.json")
+	good := goodCheckpoint(t, path)
 	if err := os.WriteFile(path, v1Checkpoint(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var written os.FileInfo
-	for pass := 1; pass <= 2; pass++ {
-		led, err := OpenLedger(path, settleOpts())
-		if err != nil {
-			t.Fatalf("open %d: %v", pass, err)
-		}
-		if got := append(append([]string(nil), led.order...), led.quarOrder...); !reflect.DeepEqual(got, goodKeys) {
-			t.Errorf("open %d: order %v, want %v", pass, got, goodKeys)
-		}
-		reps, ok := led.Reps(goodKeys[1])
-		if wantReps := []RepRecord{{Seed: 2, Values: []uint64{1 << 62, 3}}, {Seed: 3, Values: []uint64{5, 7}, Backoffs: []int64{61}}}; !ok || !reflect.DeepEqual(reps, wantReps) {
-			t.Errorf("open %d: reps %+v, want %+v", pass, reps, wantReps)
-		}
-		if qs := led.Quarantined(); len(qs) != 2 || qs[1] != (Quarantine{Key: goodKeys[3], Class: "resource-exhausted", Attempts: 2, Reason: "events budget", Worker: "worker-1"}) {
-			t.Errorf("open %d: quarantines %+v", pass, qs)
-		}
+	if led, err := OpenLedger(path, settleOpts()); err == nil || !strings.Contains(err.Error(), "version 1") {
 		led.Close()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, want) {
-			t.Errorf("open %d: file is not the version 2 layout of the same ledger", pass)
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pass == 2 && !os.SameFile(written, info) {
-			t.Error("the second open rewrote an adopted file")
-		}
-		written = info
+		t.Fatalf("open of a version 1 file: %v, want a refusal naming version 1", err)
 	}
+	refusedThenReleased(t, path, settleOpts(), good)
 }
 
 // FuzzLedgerLoad feeds the checkpoint loader arbitrary file contents:
 // it must refuse or load, never panic; a refusal names the path; a load
-// lays out as a version 2 file that loads again holding every key, and
-// lays out to the same bytes (the layout is a fixed point of the
-// ledger's own writes). It runs on the bytes, not through the file
+// lays out as a file that loads again holding every key, and lays out
+// to the same bytes (the layout is a fixed point of the ledger's own
+// writes). The version 1 seeds are refused. It runs on the bytes, not through the file
 // system, so a ten-second smoke makes thousands of executions;
 // TestLedgerRefusesCorruptFiles covers the lock and the torn tail around
 // it.
@@ -332,7 +327,7 @@ func FuzzLedgerLoad(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		led := empty()
-		if err := led.load(data); err != nil {
+		if err := led.replay(data); err != nil {
 			if !strings.Contains(err.Error(), led.path) {
 				t.Errorf("refusal %q does not name the file", err)
 			}
@@ -341,15 +336,12 @@ func FuzzLedgerLoad(f *testing.F) {
 		if len(led.order) != len(led.points) || len(led.quarOrder) != len(led.quars) {
 			t.Errorf("a key is listed twice: order %q, quarantine order %q", led.order, led.quarOrder)
 		}
-		first, err := led.layout()
+		first, err := layout(led)
 		if err != nil {
 			t.Fatal(err)
 		}
 		again := empty()
-		if !isLog(first) {
-			t.Fatal("the layout of a loaded ledger is not version 2")
-		}
-		if err := again.load(first); err != nil {
+		if err := again.replay(first); err != nil {
 			t.Fatalf("the ledger's own layout of a loaded file is refused: %v", err)
 		}
 		for _, k := range led.order {
@@ -360,7 +352,7 @@ func FuzzLedgerLoad(f *testing.F) {
 		if got, held := len(again.Quarantined()), len(led.quarOrder); got != held {
 			t.Errorf("%d quarantines after a layout, file held %d", got, held)
 		}
-		second, err := again.layout()
+		second, err := layout(again)
 		if err != nil {
 			t.Fatal(err)
 		}

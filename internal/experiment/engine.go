@@ -126,9 +126,9 @@ func runRep(ctx context.Context, opt Options, key string, run replication, seed 
 			opt.Health.noteRetry()
 		}
 		attemptSeed := seed + int64(attempt)*retrySeedOffset
-		hid := opt.Health.RunStarted(key, attemptSeed)
+		hid := opt.Health.runStarted(key, attemptSeed)
 		out, err := runAttempt(ctx, opt, run, attemptSeed)
-		opt.Health.RunFinished(hid, out.events, err == nil && out.abort == "")
+		opt.Health.runFinished(hid, out.events, err == nil && out.abort == "")
 		class := core.Classify(err)
 		switch {
 		case class == core.ClassCanceled:

@@ -87,11 +87,11 @@ type Options struct {
 	// single-threaded simulation, and samples are aggregated in seed
 	// order.
 	Workers int
-	// Checkpoint, when non-empty, names a file finished points are saved
-	// to (atomic write-rename) and reloaded from, so an interrupted
-	// sweep resumes from the last completed point. The file embeds a
-	// fingerprint of the result-affecting options; resuming under
-	// different options is refused.
+	// Checkpoint, when non-empty, names the ledger file finished points
+	// are appended to (one record per settled point) and reloaded from,
+	// so an interrupted sweep resumes from the last completed point. The
+	// file embeds a fingerprint of the result-affecting options; resuming
+	// under different options is refused.
 	Checkpoint string
 	// ReproDir, when non-empty, names a directory where each permanently
 	// failed replication is captured as a repro bundle for wtcp repro.
@@ -112,11 +112,9 @@ type Options struct {
 	// RunBudget layers extra per-replication resource ceilings between
 	// each run's own Config.Budget and the engine defaults
 	// (DefaultRunWall, DefaultRunMaxEvents). Zero fields inherit;
-	// negative fields mean explicitly unlimited.
+	// negative fields mean explicitly unlimited, which is how a caller
+	// turns the defaults off.
 	RunBudget sim.Budget
-	// NoRunBudget disables the engine's default per-run wall-clock and
-	// event ceilings (RunBudget and per-run Config.Budget still apply).
-	NoRunBudget bool
 	// Health, when set, receives real-time run telemetry: active
 	// replications, events/sec, completed/retried/quarantined counts,
 	// and the straggler log. See Health.SetStatusPath / NotifyOnSignal.
@@ -154,11 +152,10 @@ func (o Options) lanBadPeriods() []time.Duration {
 
 // fingerprint digests the result-affecting options. Workers, Checkpoint,
 // ReproDir, OnPoint, and the supervision knobs (Supervise, RunBudget,
-// NoRunBudget, Health) are deliberately excluded: they change how a
-// sweep executes, never what a within-budget run measures, so a
-// checkpoint written with -workers 4 resumes fine under -workers 1 and
-// a governed sweep's surviving points are bit-identical to an
-// ungoverned run's. The "v1" prefix is the ledger version the
+// Health) are deliberately excluded: they change how a sweep executes,
+// never what a within-budget run measures, so a checkpoint written with
+// -workers 4 resumes fine under -workers 1 and a governed sweep's
+// surviving points are bit-identical to an ungoverned run's. The "v1" prefix is the ledger version the
 // fingerprint was introduced under; it stays 1 across ledger layouts,
 // because the fingerprint names what was measured, not how it is
 // stored, and CheckpointFor derives file names from it.

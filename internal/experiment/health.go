@@ -135,10 +135,9 @@ func (h *Health) SetStragglerLog(w io.Writer) {
 	h.stragglerOut = w
 }
 
-// RunStarted registers an in-flight replication attempt and returns its
-// handle for RunFinished. Exported so run-capable CLIs that drive
-// core.Run directly (wtcp sim) can feed the same heartbeat.
-func (h *Health) RunStarted(key string, seed int64) uint64 {
+// runStarted registers an in-flight replication attempt and returns its
+// handle for runFinished.
+func (h *Health) runStarted(key string, seed int64) uint64 {
 	if h == nil {
 		return 0
 	}
@@ -150,10 +149,10 @@ func (h *Health) RunStarted(key string, seed int64) uint64 {
 	return id
 }
 
-// RunFinished retires an attempt: events feeds the throughput gauge, ok
+// runFinished retires an attempt: events feeds the throughput gauge, ok
 // distinguishes a completed run from a failed/aborted attempt. Runs far
 // beyond the completed-run median are appended to the straggler log.
-func (h *Health) RunFinished(id uint64, events uint64, ok bool) {
+func (h *Health) runFinished(id uint64, events uint64, ok bool) {
 	if h == nil {
 		return
 	}

@@ -54,19 +54,25 @@ func exhaustRuns(t *testing.T, then func()) *atomic.Int64 {
 	return &runs
 }
 
+// ledgerContents is what a ledger file holds, in ledger order.
+type ledgerContents struct {
+	Points      []pointRecord
+	Quarantined []Quarantine
+}
+
 // onDisk reads the settleOpts checkpoint file as it stands (zero when
 // absent).
-func onDisk(t *testing.T, path string) checkpointFile {
+func onDisk(t *testing.T, path string) ledgerContents {
 	t.Helper()
 	return readLedger(t, path, settleOpts())
 }
 
-// readLedger reads the checkpoint file at path through OpenLedger, into
-// the version 1 layout's shape (zero when absent). It opens a copy, so
-// the ledger at path may be open, and the file is left as it is.
-func readLedger(t *testing.T, path string, opt Options) checkpointFile {
+// readLedger reads the checkpoint file at path through OpenLedger (zero
+// when absent). It opens a copy, so the ledger at path may be open, and
+// the file is left as it is.
+func readLedger(t *testing.T, path string, opt Options) ledgerContents {
 	t.Helper()
-	var f checkpointFile
+	var f ledgerContents
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return f

@@ -102,14 +102,10 @@ func (sv *Supervisor) note(q Quarantine) {
 
 // runBudget resolves the budget one replication attempt runs under:
 // the run's own Config.Budget wins field by field, then Options.RunBudget,
-// then the engine defaults (unless NoRunBudget). A negative field at any
-// layer means "explicitly unlimited" and survives the layering.
+// then the engine defaults. A negative field at any layer means
+// "explicitly unlimited" and survives the layering.
 func (o Options) runBudget(b sim.Budget) sim.Budget {
-	b = b.Or(o.RunBudget)
-	if o.NoRunBudget {
-		return b
-	}
-	return b.Or(sim.Budget{MaxEvents: DefaultRunMaxEvents, WallClock: DefaultRunWall})
+	return b.Or(o.RunBudget).Or(sim.Budget{MaxEvents: DefaultRunMaxEvents, WallClock: DefaultRunWall})
 }
 
 // failFast reports whether the class must abort the sweep immediately.

@@ -180,13 +180,14 @@ func TestDefaultRunBudgetApplied(t *testing.T) {
 		t.Errorf("RunBudget override not honoured: %+v", got)
 	}
 
-	opt.RunBudget = sim.Budget{}
-	opt.NoRunBudget = true
+	// wtcp's -no-run-budget: unlimited, not unset, so the defaults stay
+	// out.
+	opt.RunBudget = sim.Budget{MaxEvents: -1, WallClock: -1}
 	if _, err := Fig7(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
-	if got != (sim.Budget{}) {
-		t.Errorf("NoRunBudget still imposed %+v", got)
+	if got != opt.RunBudget {
+		t.Errorf("an unlimited RunBudget still imposed %+v", got)
 	}
 }
 
@@ -419,13 +420,13 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "status.json")
 	h.SetStatusPath(path)
 
-	id := h.RunStarted("wan/basic/bad=1s/size=512", 101)
+	id := h.runStarted("wan/basic/bad=1s/size=512", 101)
 	snap := h.Snapshot()
 	if len(snap.ActiveRuns) != 1 || snap.ActiveRuns[0].Key != "wan/basic/bad=1s/size=512" ||
 		snap.ActiveRuns[0].Seed != 101 {
 		t.Fatalf("active run not visible: %+v", snap.ActiveRuns)
 	}
-	h.RunFinished(id, 12345, true)
+	h.runFinished(id, 12345, true)
 	h.noteRetry()
 	h.noteQuarantine()
 
@@ -459,7 +460,7 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 
 	// Nil receiver: every hook must be a safe no-op.
 	var nh *Health
-	nh.RunFinished(nh.RunStarted("x", 1), 1, true)
+	nh.runFinished(nh.runStarted("x", 1), 1, true)
 	nh.noteRetry()
 	nh.noteQuarantine()
 	if err := nh.WriteStatus(); err != nil {
@@ -478,13 +479,13 @@ func TestStragglerLogged(t *testing.T) {
 	h.durations = []float64{0.01, 0.01, 0.01} // median 10ms over 3 samples
 	h.mu.Unlock()
 
-	id := h.RunStarted("lan/ebsn/bad=400ms", 7)
+	id := h.runStarted("lan/ebsn/bad=400ms", 7)
 	h.mu.Lock()
 	ar := h.active[id]
 	ar.started = ar.started.Add(-2 * time.Second) // pretend it ran ~2s, 200x median
 	h.active[id] = ar
 	h.mu.Unlock()
-	h.RunFinished(id, 10, true)
+	h.runFinished(id, 10, true)
 
 	snap := h.Snapshot()
 	if len(snap.Stragglers) != 1 {
@@ -499,8 +500,8 @@ func TestStragglerLogged(t *testing.T) {
 	}
 
 	// A run near the median must not be flagged.
-	id = h.RunStarted("lan/ebsn/bad=400ms", 8)
-	h.RunFinished(id, 10, true)
+	id = h.runStarted("lan/ebsn/bad=400ms", 8)
+	h.runFinished(id, 10, true)
 	if n := len(h.Snapshot().Stragglers); n != 1 {
 		t.Errorf("normal run flagged as straggler (%d records)", n)
 	}
@@ -508,13 +509,13 @@ func TestStragglerLogged(t *testing.T) {
 	// Neither must one that is many times the median yet under the
 	// absolute floor: among millisecond runs that is scheduler noise.
 	buf.Reset()
-	id = h.RunStarted("lan/ebsn/bad=400ms", 9)
+	id = h.runStarted("lan/ebsn/bad=400ms", 9)
 	h.mu.Lock()
 	ar = h.active[id]
 	ar.started = ar.started.Add(-stragglerFloor / 2) // 50x median, half the floor
 	h.active[id] = ar
 	h.mu.Unlock()
-	h.RunFinished(id, 10, true)
+	h.runFinished(id, 10, true)
 	if n := len(h.Snapshot().Stragglers); n != 1 || buf.Len() != 0 {
 		t.Errorf("sub-floor run flagged as straggler (%d records, log %q)", n, buf.String())
 	}
@@ -541,13 +542,13 @@ func TestHealthKeepsRecentDurations(t *testing.T) {
 	h.SetStragglerLog(nil)
 	var all []float64 // every duration recorded, in completion order
 	for i := 0; i < 5000; i++ {
-		id := h.RunStarted("lan/ebsn/bad=400ms", int64(i))
+		id := h.runStarted("lan/ebsn/bad=400ms", int64(i))
 		h.mu.Lock()
 		ar := h.active[id]
 		ar.started = ar.started.Add(-time.Duration(Splitmix64(uint64(i))%900) * time.Millisecond)
 		h.active[id] = ar
 		h.mu.Unlock()
-		h.RunFinished(id, 1, true)
+		h.runFinished(id, 1, true)
 		h.mu.Lock()
 		all = append(all, h.recent[(h.next+len(h.recent)-1)%len(h.recent)])
 		h.mu.Unlock()

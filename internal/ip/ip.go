@@ -183,13 +183,6 @@ func NewReassembler(s *sim.Simulator, timeout time.Duration, deliver func(*packe
 // Stats returns a copy of the counters.
 func (r *Reassembler) Stats() Stats { return r.stats }
 
-// Pending reports how many groups are partially assembled.
-func (r *Reassembler) Pending() int { return len(r.groups) }
-
-// Remembered reports how many finished groups are still remembered for
-// stale-fragment detection (see Reassembler).
-func (r *Reassembler) Remembered() int { return len(r.doneLog) - r.doneHead }
-
 // remembered reports whether id is a finished group still inside the
 // horizon. A late fragment trails its group closely, so the search runs
 // from the newest.

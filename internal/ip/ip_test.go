@@ -102,6 +102,13 @@ func TestFragmentIDsUnique(t *testing.T) {
 	}
 }
 
+// Pending reports how many groups are partially assembled.
+func (r *Reassembler) Pending() int { return len(r.groups) }
+
+// Remembered reports how many finished groups are still remembered for
+// stale-fragment detection (see Reassembler).
+func (r *Reassembler) Remembered() int { return len(r.doneLog) - r.doneHead }
+
 func reassemble(t *testing.T, s *sim.Simulator, timeout time.Duration) (*Reassembler, *[]*packet.Packet) {
 	t.Helper()
 	var got []*packet.Packet

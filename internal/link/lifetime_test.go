@@ -34,13 +34,11 @@ func TestLinkReleasesEveryPacketItDoesNotDeliver(t *testing.T) {
 
 	s := sim.New()
 	var got []*packet.Packet
-	var dropped []uint64
 	l, err := New(s, Config{Name: "t", Rate: units.Mbps, Delay: time.Millisecond, QueueLimit: 2, Channel: fade{}},
 		sim.NewRNG(1), func(p *packet.Packet) { got = append(got, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetDropHook(func(p *packet.Packet) { dropped = append(dropped, p.ID) })
 
 	// One on the wire, two queued, the fourth refused.
 	for i := 0; i < 3; i++ {
@@ -51,11 +49,10 @@ func TestLinkReleasesEveryPacketItDoesNotDeliver(t *testing.T) {
 	if l.Send(data()) {
 		t.Fatal("fourth packet admitted past the queue limit")
 	}
-	if live() != 3 || len(dropped) != 1 || dropped[0] != 4 {
-		t.Fatalf("after a tail drop: %d live, drop hook saw %v", live(), dropped)
+	if live() != 3 || l.Stats().QueueDrops != 1 {
+		t.Fatalf("after a tail drop: %d live, stats %+v", live(), l.Stats())
 	}
-	// DropQueued discards the two waiting (the hook still sees them
-	// intact, before the release).
+	// DropQueued discards the two waiting.
 	if n := l.DropQueued(); n != 2 || live() != 1 {
 		t.Fatalf("DropQueued = %d, %d live", n, live())
 	}
@@ -63,13 +60,8 @@ func TestLinkReleasesEveryPacketItDoesNotDeliver(t *testing.T) {
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if live() != 0 || len(got) != 0 || len(dropped) != 4 {
-		t.Fatalf("after corruption: %d live, %d delivered, hook saw %v", live(), len(got), dropped)
-	}
-	for _, id := range dropped {
-		if id == 0 {
-			t.Error("drop hook ran on a packet already zeroed")
-		}
+	if live() != 0 || len(got) != 0 || l.Stats().Corrupted != 1 {
+		t.Fatalf("after corruption: %d live, %d delivered, stats %+v", live(), len(got), l.Stats())
 	}
 
 	// A clean link: the interceptor consumes one delivery, the receiver

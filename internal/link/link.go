@@ -94,7 +94,6 @@ type Link struct {
 	red       *queue.RED
 	busy      bool
 	deliver   func(*packet.Packet)
-	onDrop    func(*packet.Packet)
 	onTxDone  func(*packet.Packet)
 	intercept func(*packet.Packet) bool
 
@@ -162,10 +161,6 @@ func New(s *sim.Simulator, cfg Config, rng *sim.RNG, deliver func(*packet.Packet
 	return l, nil
 }
 
-// SetDropHook installs a callback invoked when a transmission is corrupted
-// or tail-dropped, for tracing. May be nil.
-func (l *Link) SetDropHook(fn func(*packet.Packet)) { l.onDrop = fn }
-
 // SetTxDoneHook installs a callback invoked the instant a transmission
 // finishes serializing, whether or not the error channel corrupted it. ARQ
 // implementations use it to start their acknowledgment timers at the
@@ -217,17 +212,9 @@ func (l *Link) QueueLen() int { return l.q.Len() }
 func (l *Link) DropQueued() int {
 	n := l.q.Len()
 	for p := l.q.Pop(); p != nil; p = l.q.Pop() {
-		l.drop(p)
+		p.Release()
 	}
 	return n
-}
-
-// drop reports p to the drop hook and gives up the link's reference.
-func (l *Link) drop(p *packet.Packet) {
-	if l.onDrop != nil {
-		l.onDrop(p)
-	}
-	p.Release()
 }
 
 // ReleaseAll gives up every packet reference the link holds — queued, on
@@ -272,7 +259,7 @@ func (l *Link) Send(p *packet.Packet) bool {
 		}
 	}
 	if !l.q.Push(p) {
-		l.drop(p)
+		p.Release()
 		return false
 	}
 	l.kick()
@@ -320,7 +307,7 @@ func (l *Link) txDone() {
 	}
 	if corrupted {
 		l.stats.Corrupted++
-		l.drop(p)
+		p.Release()
 	} else {
 		l.inflight = append(l.inflight, p)
 		l.sim.Schedule(l.cfg.Delay, l.deliverFn)

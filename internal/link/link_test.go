@@ -1,6 +1,7 @@
 package link
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -156,12 +157,11 @@ func TestEffectiveWANRateIs12_8Kbps(t *testing.T) {
 func TestQueueDropTail(t *testing.T) {
 	s := sim.New()
 	cfg := Config{Rate: units.Kbps, QueueLimit: 2}
-	var dropped []uint64
-	l, err := New(s, cfg, nil, func(*packet.Packet) {})
+	var delivered []uint64
+	l, err := New(s, cfg, nil, func(p *packet.Packet) { delivered = append(delivered, p.ID) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetDropHook(func(p *packet.Packet) { dropped = append(dropped, p.ID) })
 	// First send goes straight to the transmitter; next two queue; the
 	// fourth and fifth are tail-dropped.
 	for i := uint64(1); i <= 5; i++ {
@@ -170,8 +170,11 @@ func TestQueueDropTail(t *testing.T) {
 	if got := l.Stats().QueueDrops; got != 2 {
 		t.Errorf("QueueDrops = %d, want 2", got)
 	}
-	if len(dropped) != 2 || dropped[0] != 4 || dropped[1] != 5 {
-		t.Errorf("dropped IDs = %v, want [4 5]", dropped)
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(delivered, []uint64{1, 2, 3}) {
+		t.Errorf("delivered IDs = %v, want [1 2 3]: the tail is dropped", delivered)
 	}
 }
 

@@ -8,11 +8,14 @@
 // (internal/lint/load), the roots are func main of every main package and
 // the init funcs and untyped blank vars (`var _ = f()`, run for their
 // effect) of the packages the mains link. A reached declaration reaches
-// every package-level declaration its source names, and a reached type
-// all of its methods, so a method called only through an interface is
-// reached with its type. A typed blank var (`var _ I = T{}`) is a
-// compile-time assertion and reaches nothing. Test files are not loaded,
-// so a declaration only a test names is reported.
+// every package-level declaration and method its source names (a call, a
+// method value, a promoted selector). A reached type also reaches each of
+// its methods whose name is a method of some interface the module or its
+// imports declare, since a call through an interface names only the
+// interface's method; Unwrap, Is and As count too, because errors looks
+// for them through interfaces it does not name. A typed blank var
+// (`var _ I = T{}`) is a compile-time assertion and reaches nothing. Test
+// files are not loaded, so a declaration only a test names is reported.
 package main
 
 import (
@@ -30,8 +33,10 @@ import (
 // allowed exempts a package directory, or a declaration ("dir.Name" or
 // "dir.Type.Method"), and what it reaches, with the reason it stays.
 var allowed = map[string]string{
-	"internal/analytic":           "the paper's closed-form model; ROADMAP items 3 (control variate) and 6(a) (tput_th) decide what of it stays",
-	"internal/scenario.FuzzSeeds": "the seed corpus two packages' fuzzers share (scenario and serve tests)",
+	"internal/analytic":                  "the paper's closed-form ceilings; ROADMAP item 3's control variate and item 6(a)'s fade-hit claim are their first callers",
+	"internal/scenario.FuzzSeeds":        "the seed corpus two packages' fuzzers share (scenario and serve tests)",
+	"internal/stats.Sample.CI95":         "the interval column of every Fig 7-11 row (ROADMAP item 1A)",
+	"internal/errmodel.Markov.Intervals": "item 1A's pin that a channel's state intervals do not depend on scheme or packet size, and item 3's control variate",
 }
 
 func main() {
@@ -84,6 +89,7 @@ func check(m *load.Module, allow map[string]string) []finding {
 	decls := map[types.Object]*decl{}
 	methods := map[*types.TypeName][]types.Object{}
 	linked := linkedPackages(m)
+	viaInterface := interfaceMethodNames(m)
 	var roots []types.Object
 	add := func(pkg *load.Package, obj types.Object, kind string, at, src ast.Node) *decl {
 		d := &decl{pkg: pkg, kind: kind, lines: m.Fset.Position(at.End()).Line - m.Fset.Position(at.Pos()).Line + 1}
@@ -159,7 +165,11 @@ func check(m *load.Module, allow map[string]string) []finding {
 				queue = append(queue, d.refs...)
 			}
 			if tn, ok := obj.(*types.TypeName); ok {
-				queue = append(queue, methods[tn]...)
+				for _, meth := range methods[tn] {
+					if viaInterface[meth.Name()] {
+						queue = append(queue, meth)
+					}
+				}
 			}
 		}
 	}
@@ -219,6 +229,50 @@ func receiver(obj types.Object) *types.TypeName {
 		return named.Origin().Obj()
 	}
 	return nil
+}
+
+// interfaceMethodNames returns the names of the methods of every
+// interface the module declares (named or literal) or its imports
+// declare by name, of error, and the Unwrap, Is and As that errors finds
+// through interface literals of its own.
+func interfaceMethodNames(m *load.Module) map[string]bool {
+	names := map[string]bool{"Unwrap": true, "Is": true, "As": true}
+	addIface := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				names[iface.Method(i).Name()] = true
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range m.Packages {
+		visit(pkg.Types)
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.InterfaceType); ok && pkg.Info.Types[lit].Type != nil {
+					addIface(pkg.Info.Types[lit].Type)
+				}
+				return true
+			})
+		}
+	}
+	return names
 }
 
 // linkedPackages returns the packages some main package imports, directly

@@ -32,14 +32,16 @@ func same(a, b []string) bool {
 }
 
 // TestCheckReportsUnreached: an unreachable func (and the helper only it
-// calls), an unreachable type with its methods, and a const only a test
-// uses; an allow entry exempts its declaration and what that reaches,
-// and one that exempts nothing is reported.
+// calls), an unreachable type with its methods, a const only a test
+// uses, and a method of a reached type that only a test calls; an allow
+// entry exempts its declaration and what that reaches, and one that
+// exempts nothing is reported.
 func TestCheckReportsUnreached(t *testing.T) {
 	want := []string{
 		"func a.Unreached", "func a.helper",
 		"type a.Dead", "method a.Dead.Get", "method a.Dead.Set",
 		"const a.OnlyTest",
+		"method a.Counter.Reset",
 	}
 	if got := findings(t, "testdata/pos", nil); !same(got, want) {
 		t.Errorf("findings = %q, want %q", got, want)
@@ -52,8 +54,9 @@ func TestCheckReportsUnreached(t *testing.T) {
 }
 
 // TestCheckLetsReachedThrough: a method called only through an
-// interface, a declaration reached only from init, and a declaration in
-// a file build tags exclude are not reported.
+// interface of the module, a String called only by fmt, an Unwrap
+// called only by errors.Is, a declaration reached only from init, and a
+// declaration in a file build tags exclude are not reported.
 func TestCheckLetsReachedThrough(t *testing.T) {
 	if got := findings(t, "testdata/neg", nil); len(got) != 0 {
 		t.Errorf("findings = %q, want none", got)

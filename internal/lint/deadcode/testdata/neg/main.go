@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 
 	"neg/internal/b"
@@ -8,5 +9,6 @@ import (
 
 func main() {
 	var s b.Shape = b.NewSquare(2)
-	fmt.Println(s.Area())
+	fmt.Println(s.Area(), b.Celsius(21))
+	fmt.Println(errors.Is(b.Wrap(b.ErrBase), b.ErrBase))
 }

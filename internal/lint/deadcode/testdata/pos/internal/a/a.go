@@ -21,3 +21,11 @@ func (d *Dead) Set(n int) { d.n = n }
 // OnlyTest is named only by a_test.go, which the lint does not load
 // (reported).
 const OnlyTest = 3
+
+// Counter is reached from main, and so is Add, which main calls; Reset
+// is named only by a_test.go and by no interface (reported).
+type Counter struct{ n int }
+
+func (c *Counter) Add() { c.n++ }
+
+func (c *Counter) Reset() { c.n = 0 }

@@ -2,4 +2,8 @@ package main
 
 import "pos/internal/a"
 
-func main() { a.Used() }
+func main() {
+	a.Used()
+	var c a.Counter
+	c.Add()
+}

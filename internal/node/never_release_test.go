@@ -98,7 +98,7 @@ func TestCallersThatNeverReleaseStayCorrect(t *testing.T) {
 					}
 				}
 			}
-			if st := m.Reassembler().Stats(); st.Completed != packets || st.Duplicates+st.Stale+st.Expired != 0 {
+			if st := m.reasm.Stats(); st.Completed != packets || st.Duplicates+st.Stale+st.Expired != 0 {
 				t.Errorf("reassembly stats %+v", st)
 			}
 			if tc.pool == nil {

@@ -140,9 +140,6 @@ func (m *Mobile) Stats() MobileStats {
 // must not mutate the packet or the host; nil clears it.
 func (m *Mobile) SetSequencedHook(fn func(*packet.Packet)) { m.onSequenced = fn }
 
-// Reassembler exposes reassembly statistics.
-func (m *Mobile) Reassembler() *ip.Reassembler { return m.reasm }
-
 // Receive accepts a packet delivered by the wireless downlink, taking
 // over the caller's reference.
 func (m *Mobile) Receive(p *packet.Packet) {

@@ -169,12 +169,6 @@ func (p *Packet) Size() units.ByteSize {
 // End reports the sequence number one past the last payload byte.
 func (p *Packet) End() int64 { return p.Seq + int64(p.Payload) }
 
-// IsControl reports whether the packet is a control message (no TCP
-// payload and no TCP ack semantics at the transport layer).
-func (p *Packet) IsControl() bool {
-	return p.Kind == LinkAck || p.Kind == EBSN || p.Kind == SourceQuench
-}
-
 // IsNotification reports whether the packet is a bad-state notification
 // travelling toward the source (an EBSN or an ICMP source quench).
 func (p *Packet) IsNotification() bool {

@@ -39,19 +39,6 @@ func TestEnd(t *testing.T) {
 	}
 }
 
-func TestIsControl(t *testing.T) {
-	control := map[Kind]bool{
-		Data: false, Ack: false, Fragment: false,
-		LinkAck: true, EBSN: true, SourceQuench: true,
-	}
-	for k, want := range control {
-		p := Packet{Kind: k}
-		if got := p.IsControl(); got != want {
-			t.Errorf("IsControl(%v) = %v, want %v", k, got, want)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	tests := []struct {
 		k    Kind

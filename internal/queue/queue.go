@@ -1,14 +1,9 @@
 // Package queue provides the drop-tail FIFO used at every node's outbound
-// interface. The base station's queue occupancy additionally drives the
-// ICMP source-quench comparator, so the queue exposes occupancy counters.
-// It is also the home of Table, the small key-ordered slice that the
+// interface. It is also the home of Table, the small key-ordered slice that the
 // per-packet working sets of bs, ip, node and tcp.Sink are kept in.
 package queue
 
-import (
-	"wtcp/internal/packet"
-	"wtcp/internal/units"
-)
+import "wtcp/internal/packet"
 
 // DropTail is a FIFO with a packet-count capacity; packets arriving to a
 // full queue are dropped (tail drop), matching the router model in ns.
@@ -21,14 +16,10 @@ type DropTail struct {
 	limit int
 	// ring holds the queued packets at indices head..head+count-1, modulo
 	// len(ring); len(ring) is always a power of two (or zero).
-	ring  []*packet.Packet
-	head  int
-	count int
-	bytes units.ByteSize
-
-	enqueued uint64
-	dropped  uint64
-	peak     int
+	ring    []*packet.Packet
+	head    int
+	count   int
+	dropped uint64
 }
 
 // New returns a queue holding at most limit packets. A non-positive limit
@@ -63,11 +54,6 @@ func (q *DropTail) Push(p *packet.Packet) bool {
 	}
 	q.ring[(q.head+q.count)&(len(q.ring)-1)] = p
 	q.count++
-	q.bytes += p.Size()
-	q.enqueued++
-	if q.count > q.peak {
-		q.peak = q.count
-	}
 	return true
 }
 
@@ -80,49 +66,11 @@ func (q *DropTail) Pop() *packet.Packet {
 	q.ring[q.head] = nil
 	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.count--
-	q.bytes -= p.Size()
 	return p
-}
-
-// Peek returns the head without removing it, or nil if empty.
-func (q *DropTail) Peek() *packet.Packet {
-	if q.count == 0 {
-		return nil
-	}
-	return q.ring[q.head]
 }
 
 // Len reports the number of queued packets.
 func (q *DropTail) Len() int { return q.count }
 
-// Bytes reports the total queued size.
-func (q *DropTail) Bytes() units.ByteSize { return q.bytes }
-
-// Limit reports the configured capacity (0 = unbounded).
-func (q *DropTail) Limit() int { return q.limit }
-
 // Dropped reports how many pushes were refused.
 func (q *DropTail) Dropped() uint64 { return q.dropped }
-
-// Enqueued reports how many pushes were admitted.
-func (q *DropTail) Enqueued() uint64 { return q.enqueued }
-
-// Peak reports the maximum occupancy seen.
-func (q *DropTail) Peak() int { return q.peak }
-
-// Drain empties the queue and returns the packets in order.
-func (q *DropTail) Drain() []*packet.Packet {
-	if q.count == 0 {
-		return nil
-	}
-	out := make([]*packet.Packet, q.count)
-	for i := 0; i < q.count; i++ {
-		idx := (q.head + i) & (len(q.ring) - 1)
-		out[i] = q.ring[idx]
-		q.ring[idx] = nil
-	}
-	q.head = 0
-	q.count = 0
-	q.bytes = 0
-	return out
-}

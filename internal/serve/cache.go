@@ -117,8 +117,7 @@ func parseFP(fp string) (key fpKey, ok bool) {
 // An entry evicted in an earlier life whose segment survived is indexed
 // again at its append position — it is the same immutable content, so
 // that is a capacity matter only. A torn or corrupt segment tail is cut
-// and reported; one-file-per-fingerprint entries from the layout before
-// segments are capacity only and are removed.
+// and reported. Files that are not segments are not the cache's.
 func openDiskCache(dir string, capBytes, segBytes int64) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
@@ -130,20 +129,10 @@ func openDiskCache(dir string, capBytes, segBytes int64) (*diskCache, error) {
 	c := &diskCache{dir: dir, cap: capBytes, segBytes: segBytes,
 		slots: make([]cacheSlot, 1), index: map[uint64]int32{}}
 	var ids []uint32
-	legacy := 0
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if validFingerprint(e.Name()) {
-			os.Remove(filepath.Join(dir, e.Name()))
-			legacy++
-		} else if id, ok := segmentID(e.Name()); ok {
+		if id, ok := segmentID(e.Name()); ok && !e.IsDir() {
 			ids = append(ids, id)
 		}
-	}
-	if legacy > 0 {
-		fmt.Fprintf(os.Stderr, "wtcpd: cache %s: dropped %d legacy per-fingerprint file(s); they will be recomputed on demand\n", dir, legacy)
 	}
 	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
 	for _, id := range ids {

@@ -68,11 +68,21 @@ type journal struct {
 }
 
 // openJournal replays dir's log (cutting a torn or corrupt tail and
-// saying so), adopts any one-file-per-request entries an older server
-// left behind, and rewrites the log from the live set.
+// saying so) and rewrites it from the live set. A <fp>.json file, one
+// accepted request in the layout before the log, is a promise this
+// build cannot keep: it is refused by name and left where it is.
 func openJournal(dir string) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: journal dir: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: journal dir: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".json") {
+			return nil, fmt.Errorf("serve: journal: %s is a pending request in the layout before %s, which this build does not read; resubmit it and delete the file", filepath.Join(dir, e.Name()), journalFile)
+		}
 	}
 	j := &journal{path: filepath.Join(dir, journalFile), live: map[string]pendingRequest{}}
 	skipped := 0
@@ -89,21 +99,15 @@ func openJournal(dir string) (*journal, error) {
 	if dropped > 0 || skipped > 0 {
 		fmt.Fprintf(os.Stderr, "wtcpd: journal %s: cut %d bytes of torn or corrupt tail, skipped %d unreadable record(s)\n", j.path, dropped, skipped)
 	}
-	legacy := j.adoptLegacy(dir)
 	if err := j.rewriteLocked(); err != nil {
 		j.log.Close()
 		return nil, err
 	}
-	// Only now are the adopted requests in the log; a crash before this
-	// line adopts them again, which replays to the same live set.
-	for _, name := range legacy {
-		os.Remove(filepath.Join(dir, name))
-	}
 	return j, nil
 }
 
-// decodePending parses a journaled request, in a put record or in a
-// legacy file; one without a well-formed fingerprint is not a request.
+// decodePending parses a journaled request; one without a well-formed
+// fingerprint is not a request.
 func decodePending(data []byte) (p pendingRequest, ok bool) {
 	ok = json.Unmarshal(data, &p) == nil && validFingerprint(p.Fingerprint)
 	return p, ok
@@ -127,40 +131,6 @@ func (j *journal) replay(payload []byte) bool {
 		return true
 	}
 	return false
-}
-
-// adoptLegacy folds <fp>.json files — the layout before the log — into
-// the live set and returns their names for removal. Accepted work is a
-// promise, so these are resumed like any other entry; a file that does
-// not parse could never be re-executed and is only removed.
-func (j *journal) adoptLegacy(dir string) (names []string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	adopted := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		names = append(names, e.Name())
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		p, ok := decodePending(data)
-		if !ok {
-			continue
-		}
-		if _, ok := j.live[p.Fingerprint]; !ok {
-			j.live[p.Fingerprint] = p
-		}
-		adopted++
-	}
-	if len(names) > 0 {
-		fmt.Fprintf(os.Stderr, "wtcpd: journal: adopted %d of %d legacy per-request file(s) into %s\n", adopted, len(names), j.path)
-	}
-	return names
 }
 
 // rewriteLocked replaces the log with one put per live request (write

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,57 +256,55 @@ func TestJournalRewritesItselfPastTheSizeLimit(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutIsAdoptedOnce: a data directory written by a server
-// from before the logs. Its pending/<fp>.json is accepted work and is
-// resumed — once; its results/<fp> files are capacity and are dropped.
-func TestLegacyLayoutIsAdoptedOnce(t *testing.T) {
+// TestLegacyLayoutIsRefused: a data directory written by a server from
+// before the logs. Its pending/<fp>.json is accepted work this build
+// cannot read, so New refuses the directory by that file's path and
+// leaves the file as it was (and the directory unlocked); once it is
+// gone the server starts. A results/<fp> file is not the cache's: it
+// is left alone and never served.
+func TestLegacyLayoutIsRefused(t *testing.T) {
 	dir := t.TempDir()
 	p := pendingRun(t, 7)
 	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	legacy := filepath.Join(dir, "pending", p.Fingerprint+".json")
 	legacyResult := fmt.Sprintf("%064x", 99)
 	for path, content := range map[string][]byte{
-		filepath.Join("pending", p.Fingerprint+".json"): data,
-		filepath.Join("pending", "hand-edited.json"):    []byte("{not json"),
-		filepath.Join("results", legacyResult):          []byte(`{"stale":"layout"}`),
+		legacy: data,
+		filepath.Join(dir, "results", legacyResult): []byte(`{"stale":"layout"}`),
 	} {
-		full := filepath.Join(dir, path)
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(full, content, 0o644); err != nil {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv := newTestServer(t, dir, nil)
+	srv, err := New(Config{DataDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("a data directory holding a legacy pending request was opened")
+	}
+	if !strings.Contains(err.Error(), legacy) {
+		t.Errorf("refusal %q does not name %s", err, legacy)
+	}
+	if after, err := os.ReadFile(legacy); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("the refused file changed or went away (err %v)", err)
+	}
+	if err := os.Remove(legacy); err != nil {
+		t.Fatal(err)
+	}
+	srv = newTestServer(t, dir, nil)
+	if n := srv.Resume(); n != 0 {
+		t.Errorf("resumed %d requests from a directory with none journaled", n)
+	}
 	if _, ok := srv.cache.get(legacyResult); ok {
-		t.Error("a legacy result file was adopted; it is capacity only")
+		t.Error("a legacy result file was served")
 	}
-	if n := srv.Resume(); n != 1 {
-		t.Fatalf("Resume picked up %d requests, want the 1 legacy entry", n)
-	}
-	waitJournalEmpty(t, srv)
-	if _, ok := srv.cache.get(p.Fingerprint); !ok {
-		t.Error("the adopted request left no cached result")
-	}
-	for _, sub := range []string{"pending", "results"} {
-		entries, err := os.ReadDir(filepath.Join(dir, sub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 1 {
-			t.Errorf("%s/ holds %d files after adoption, want one log", sub, len(entries))
-		}
-	}
-	srv.Close()
-	srv2 := newTestServer(t, dir, nil)
-	if n := srv2.Resume(); n != 0 {
-		t.Errorf("second life resumed %d requests; the legacy entry was adopted twice", n)
-	}
-	if _, ok := srv2.cache.get(p.Fingerprint); !ok {
-		t.Error("the result did not survive the restart")
+	if _, err := os.Stat(filepath.Join(dir, "results", legacyResult)); err != nil {
+		t.Errorf("the legacy result file was touched: %v", err)
 	}
 }
 

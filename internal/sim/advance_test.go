@@ -198,7 +198,7 @@ func runPacer(inline bool, b Budget, failAt, stopAt int, cancelAt time.Duration)
 	rng := NewRNG(7)
 	at := time.Duration(0)
 	for i := 0; i < 6000; i++ {
-		at += time.Duration(rng.Intn(3)) * time.Millisecond // ties and repeats
+		at += time.Duration(rng.r.Intn(3)) * time.Millisecond // ties and repeats
 		p.at = append(p.at, at)
 	}
 	var bg func()
@@ -206,7 +206,7 @@ func runPacer(inline bool, b Budget, failAt, stopAt int, cancelAt time.Duration)
 	bg = func() {
 		p.visits = append(p.visits, visit{n, s.Now(), s.Fired()})
 		if n++; n < 1500 {
-			s.Schedule(time.Duration(rng.Intn(8))*time.Millisecond, bg)
+			s.Schedule(time.Duration(rng.r.Intn(8))*time.Millisecond, bg)
 		}
 	}
 	s.Schedule(0, bg)

@@ -46,9 +46,6 @@ func (g *RNG) Split() *RNG {
 // Float64 returns a uniform draw in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Intn returns a uniform draw in [0, n). n must be positive.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
 // Int63 returns a uniform non-negative int64.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 

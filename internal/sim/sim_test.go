@@ -589,7 +589,7 @@ func TestPoissonAtLeastOneMemoIsExact(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		mean := means[i%len(means)]
 		if i%3 != 0 {
-			mean = means[pick.Intn(6)] // mostly the hot handful, as a run does
+			mean = means[pick.r.Intn(6)] // mostly the hot handful, as a run does
 		}
 		w := false
 		if !(mean <= 0) { // as PoissonAtLeastOne tests it: a NaN mean still consumes its draw

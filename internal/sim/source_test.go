@@ -25,7 +25,7 @@ func drawMixed(g *RNG, n int) []uint64 {
 		case 3:
 			out[i] = math.Float64bits(g.r.NormFloat64())
 		case 4:
-			out[i] = uint64(g.Intn(i + 1))
+			out[i] = uint64(g.r.Intn(i + 1))
 		case 5:
 			out[i] = uint64(g.r.Uint64())
 		default:

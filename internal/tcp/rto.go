@@ -43,9 +43,6 @@ const (
 	DefaultMaxRTO      = 64 * time.Second
 )
 
-// Granularity reports the TCP clock tick length.
-func (e RTOEstimator) Granularity() time.Duration { return e.c.Granularity }
-
 // Ticks converts a duration to whole clock ticks (truncating), which is
 // how a coarse-clock TCP perceives elapsed time.
 func (e RTOEstimator) Ticks(d time.Duration) int {
@@ -107,19 +104,3 @@ func (e RTOEstimator) Backoff() {
 		e.st.shift++
 	}
 }
-
-// BackoffShift reports the current backoff exponent (0 = no backoff).
-func (e RTOEstimator) BackoffShift() int { return int(e.st.shift) }
-
-// SRTT reports the smoothed round-trip time (zero before any sample).
-func (e RTOEstimator) SRTT() time.Duration {
-	return time.Duration(e.st.srtt * float64(e.c.Granularity))
-}
-
-// RTTVar reports the smoothed mean deviation.
-func (e RTOEstimator) RTTVar() time.Duration {
-	return time.Duration(e.st.rttvar * float64(e.c.Granularity))
-}
-
-// Samples reports how many RTT measurements have been taken.
-func (e RTOEstimator) Samples() uint64 { return uint64(e.st.samples) }

@@ -5,6 +5,27 @@ import (
 	"time"
 )
 
+// The estimator's read accessors: only tests look inside it.
+
+// Granularity reports the TCP clock tick length.
+func (e RTOEstimator) Granularity() time.Duration { return e.c.Granularity }
+
+// BackoffShift reports the current backoff exponent (0 = no backoff).
+func (e RTOEstimator) BackoffShift() int { return int(e.st.shift) }
+
+// SRTT reports the smoothed round-trip time (zero before any sample).
+func (e RTOEstimator) SRTT() time.Duration {
+	return time.Duration(e.st.srtt * float64(e.c.Granularity))
+}
+
+// RTTVar reports the smoothed mean deviation.
+func (e RTOEstimator) RTTVar() time.Duration {
+	return time.Duration(e.st.rttvar * float64(e.c.Granularity))
+}
+
+// Samples reports how many RTT measurements have been taken.
+func (e RTOEstimator) Samples() uint64 { return uint64(e.st.samples) }
+
 // newRTOEstimator returns a free-standing estimator with the given clock
 // granularity. Non-positive arguments fall back to the defaults (rto.go).
 func newRTOEstimator(granularity, initialRTO, maxRTO time.Duration) *RTOEstimator {

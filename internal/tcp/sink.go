@@ -41,8 +41,7 @@ type Sink struct {
 	// most a window's worth.
 	buffered queue.Table[int64, units.ByteSize]
 
-	delivered   units.ByteSize // cumulative in-order payload ("user data")
-	lastArrival time.Duration
+	delivered units.ByteSize // cumulative in-order payload ("user data")
 
 	// Delayed-ACK state (RFC 1122 §4.2.3.2): when enabled, an in-order
 	// arrival is acknowledged either by the next arrival (ack every
@@ -137,9 +136,6 @@ func (k *Sink) Delivered() units.ByteSize { return k.delivered }
 // RcvNxt reports the next expected byte offset.
 func (k *Sink) RcvNxt() int64 { return k.rcvNxt }
 
-// LastArrival reports when the most recent in-order payload arrived.
-func (k *Sink) LastArrival() time.Duration { return k.lastArrival }
-
 // Stats returns a copy of the counters.
 func (k *Sink) Stats() SinkStats { return k.stats }
 
@@ -197,7 +193,6 @@ func (k *Sink) accept(seq int64, payload units.ByteSize) {
 	_ = seq // always == rcvNxt here
 	k.rcvNxt += int64(payload)
 	k.delivered += payload
-	k.lastArrival = k.sim.Now()
 }
 
 // drainBuffered consumes any buffered segments made contiguous.

@@ -135,14 +135,3 @@ func TestSinkIgnoresNonData(t *testing.T) {
 		t.Error("non-data counted as segments")
 	}
 }
-
-func TestSinkLastArrivalTimestamp(t *testing.T) {
-	h := newSinkHarness(t, 4*units.KB)
-	h.s.Schedule(5, func() { h.sink.Receive(data(0, 536)) })
-	if err := h.s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.sink.LastArrival(); got != 5 {
-		t.Errorf("LastArrival = %v, want 5ns", got)
-	}
-}

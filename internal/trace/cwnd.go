@@ -36,13 +36,6 @@ func (c *CwndSeries) Hook(now func() time.Duration) func(cwnd, ssthresh units.By
 	return func(cwnd, ssthresh units.ByteSize) { c.Record(now(), cwnd, ssthresh) }
 }
 
-// Points returns a copy of the series.
-func (c *CwndSeries) Points() []CwndPoint {
-	out := make([]CwndPoint, len(c.points))
-	copy(out, c.points)
-	return out
-}
-
 // Collapses counts window resets to at most one segment of the given MSS.
 func (c *CwndSeries) Collapses(mss units.ByteSize) int {
 	n := 0

@@ -12,7 +12,7 @@ func TestCwndSeriesRecordAndAccessors(t *testing.T) {
 	c.Record(2*time.Second, 1072, 4096)
 	c.Record(3*time.Second, 536, 2048) // collapse
 	c.Record(4*time.Second, 1072, 2048)
-	pts := c.Points()
+	pts := c.points
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -32,8 +32,8 @@ func TestCwndHookBindsClock(t *testing.T) {
 	now := 5 * time.Second
 	hook := c.Hook(func() time.Duration { return now })
 	hook(536, 4096)
-	if pts := c.Points(); len(pts) != 1 || pts[0].At != 5*time.Second {
-		t.Errorf("hook recorded %+v", c.Points())
+	if pts := c.points; len(pts) != 1 || pts[0].At != 5*time.Second {
+		t.Errorf("hook recorded %+v", c.points)
 	}
 }
 
@@ -60,15 +60,5 @@ func TestCwndRenderASCII(t *testing.T) {
 	// Degenerate cases stay safe.
 	if NewCwndSeries().RenderASCII(0, 0, 0) == "" {
 		t.Error("empty series render failed")
-	}
-}
-
-func TestCwndPointsIsCopy(t *testing.T) {
-	c := NewCwndSeries()
-	c.Record(time.Second, 536, 4096)
-	pts := c.Points()
-	pts[0].Cwnd = 9999
-	if c.Points()[0].Cwnd != 536 {
-		t.Error("Points exposed internal storage")
 	}
 }
