@@ -454,11 +454,10 @@ func BenchmarkExtensionEBSNWithScheduling(b *testing.B) {
 	b.ReportMetric(ebsnTO, "timeouts-ebsn")
 }
 
-// BenchmarkExtensionInteractiveWorkloads measures EBSN's effect on the
-// paper's motivating-but-unevaluated applications: web page loads and
-// telnet keystroke latencies.
+// BenchmarkExtensionInteractiveWorkloads measures EBSN's effect on web
+// page loads, one of the paper's motivating-but-unevaluated applications.
 func BenchmarkExtensionInteractiveWorkloads(b *testing.B) {
-	var webBasic, webEBSN, telBasic, telEBSN float64
+	var webBasic, webEBSN float64
 	for i := 0; i < b.N; i++ {
 		web := func(s bs.Scheme) float64 {
 			r, err := core.RunWeb(core.WAN(s, 576, 4*time.Second), core.WebWorkload{
@@ -469,22 +468,10 @@ func BenchmarkExtensionInteractiveWorkloads(b *testing.B) {
 			}
 			return r.MeanLoadSec
 		}
-		tel := func(s bs.Scheme) float64 {
-			r, err := core.RunTelnet(core.WAN(s, 576, 4*time.Second), core.TelnetWorkload{
-				Keystrokes: 80, Interval: 500 * time.Millisecond, WriteSize: 4,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r.MeanLatency
-		}
 		webBasic, webEBSN = web(bs.Basic), web(bs.EBSN)
-		telBasic, telEBSN = tel(bs.Basic), tel(bs.EBSN)
 	}
 	b.ReportMetric(webBasic, "web-mean-s-basic")
 	b.ReportMetric(webEBSN, "web-mean-s-ebsn")
-	b.ReportMetric(telBasic, "telnet-mean-s-basic")
-	b.ReportMetric(telEBSN, "telnet-mean-s-ebsn")
 }
 
 // --- Substrate micro-benchmarks ------------------------------------------

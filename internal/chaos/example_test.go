@@ -1,17 +1,7 @@
-// Chaos: compose faults beyond the paper's error model — a wireless
-// blackout, a base-station crash that loses all ARQ state, and 50% EBSN
-// notification loss — onto one EBSN transfer, with runtime invariant
-// checking and the no-progress watchdog armed. Run it twice with one
-// seed to show the whole fault schedule is deterministic, then wedge a
-// transfer completely to show the watchdog aborting it with a
-// diagnostic snapshot.
-//
-//	go run ./examples/chaos
-package main
+package chaos_test
 
 import (
 	"fmt"
-	"log"
 	"time"
 
 	"wtcp/internal/bs"
@@ -33,18 +23,27 @@ func chaosConfig() core.Config {
 	return cfg
 }
 
-func main() {
+// Example_chaos composes faults beyond the paper's error model — a
+// wireless blackout, a base-station crash that loses all ARQ state, and
+// 50% EBSN notification loss — onto one EBSN transfer, with runtime
+// invariant checking and the no-progress watchdog armed. It runs twice
+// with one seed to show the whole fault schedule is deterministic, then
+// wedges a transfer completely to show the watchdog aborting it with a
+// diagnostic snapshot.
+func Example_chaos() {
 	fmt.Println("30KB EBSN transfer under injected faults: 3s wireless blackout at 10s,")
 	fmt.Println("base-station crash at 25s (2s downtime, ARQ state lost), 50% EBSN loss.")
 	fmt.Println()
 
 	first, err := core.Run(chaosConfig())
 	if err != nil {
-		log.Fatal(err) // an error here would be an invariant violation
+		fmt.Println("error:", err) // an invariant violation
+		return
 	}
 	second, err := core.Run(chaosConfig())
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println("error:", err)
+		return
 	}
 
 	report := func(name string, r *core.Result) {
@@ -57,9 +56,6 @@ func main() {
 	report("run 2:", second)
 	identical := first.Summary == second.Summary && *first.Chaos == *second.Chaos
 	fmt.Printf("\nbit-identical across runs (same seed): %v\n", identical)
-	if !identical {
-		log.Fatal("determinism broken: two runs with one seed diverged")
-	}
 
 	// Now leave the transfer no way to finish: a blackout covering the
 	// whole horizon on the forward wired hop. The watchdog aborts the run
@@ -73,9 +69,32 @@ func main() {
 	}
 	r, err := core.Run(wedged)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println("error:", err)
+		return
 	}
 	fmt.Printf("\nwedged run (forward wire dead for the whole horizon):\n")
 	fmt.Printf("aborted=%v at virtual time %v; watchdog snapshot:\n%s\n",
 		r.Aborted, r.Summary.Elapsed, r.AbortReason)
+	// Output:
+	// 30KB EBSN transfer under injected faults: 3s wireless blackout at 10s,
+	// base-station crash at 25s (2s downtime, ARQ state lost), 50% EBSN loss.
+	//
+	// run 1:       completed=true  throughput=5.86 Kbps  timeouts=1
+	//              faults: crashes=1 arq_state_lost=3 notify_lost=69
+	// run 2:       completed=true  throughput=5.86 Kbps  timeouts=1
+	//              faults: crashes=1 arq_state_lost=3 notify_lost=69
+	//
+	// bit-identical across runs (same seed): true
+	//
+	// wedged run (forward wire dead for the whole horizon):
+	// aborted=true at virtual time 2m0s; watchdog snapshot:
+	// sim: watchdog: no progress since 0s (aborted at 2m0s, progress=0)
+	//   sender: snd_una=0 snd_nxt=536 snd_max=536 cwnd=536 done=false
+	//   sink:   rcv_nxt=0 delivered=0
+	//   bs:     scheme=basic down=false backlog=0 crashes=0 crash_lost=0 crash_discards=0
+	//   link wired-fwd     queue=0 busy=false sent=6 delivered=0 corrupted=6 injected=0 drops=0
+	//   link wired-rev     queue=0 busy=false sent=0 delivered=0 corrupted=0 injected=0 drops=0
+	//   link wireless-down queue=0 busy=false sent=0 delivered=0 corrupted=0 injected=0 drops=0
+	//   link wireless-up   queue=0 busy=false sent=0 delivered=0 corrupted=0 injected=0 drops=0
+	//   chaos:  storm_drops=0 corrupt=0 dups=0 reorders=0 notify_lost=0 notify_dup=0 notify_delayed=0 handoffs=0 handoff_drops=0
 }

@@ -61,25 +61,18 @@ type Config struct {
 	MTU units.ByteSize
 
 	// Channel is the burst-error model for the wireless hop. Both
-	// directions share one channel process by default (a fade hits the
-	// medium); see UplinkChannel for asymmetry.
+	// directions share one channel process (a fade hits the medium).
 	Channel errmodel.Config
-	// UplinkChannel, when non-nil, gives the MH->BS direction its own
-	// independent error process — the paper notes wireless errors are
-	// "highly sensitive to direction of propagation". Nil shares the
-	// downlink's process.
-	UplinkChannel *errmodel.Config
 
-	// ARQ and Snoop tune the base station. Zero values use defaults; the
-	// ARQ acknowledgment timeout, if unset, is derived from the link
-	// parameters.
-	ARQ   bs.ARQConfig
-	Snoop bs.SnoopConfig
+	// ARQ tunes the base station's link-level retransmission. Zero
+	// values use defaults; the acknowledgment timeout, if unset, is
+	// derived from the link parameters. The snoop agent runs with
+	// bs.SnoopConfig's defaults.
+	ARQ bs.ARQConfig
 
 	// TCP tuning. Zero values use the paper's defaults (100 ms clock,
 	// 3 s initial RTO, Tahoe, per-segment ACKs).
 	Granularity time.Duration
-	InitialRTO  time.Duration
 	Variant     tcp.Variant
 	// DelayedAcks enables RFC 1122 delayed acknowledgments at the sink
 	// (an ablation; the paper's ns sink acks every segment).
@@ -116,10 +109,8 @@ type Config struct {
 	// and sequence consistency, sequence-number monotonicity, packet
 	// conservation on every hop, and the event-heap's own structure. A
 	// violation aborts the run with an error — it means a protocol bug,
-	// not a network condition. CheckInterval tunes the virtual-time period
-	// (default 1 s).
-	Checks        bool
-	CheckInterval time.Duration
+	// not a network condition. Checks run every virtual second.
+	Checks bool
 	// Stall configures the no-progress watchdog: if no payload byte is
 	// newly acknowledged for this much virtual time, the run is aborted
 	// with a diagnostic snapshot instead of burning events until the
@@ -173,27 +164,21 @@ const DefaultHorizon = 4 * time.Hour
 const DefaultStall = 5 * time.Minute
 
 // CrossTraffic describes Poisson background load sharing the wired
-// forward link's queue with the connection under study. The packets are
-// routed elsewhere (they consume wired bandwidth and queue slots, then
-// leave at the base station), so their only effect is congestion: added
-// queueing delay and drop pressure on the studied connection.
+// forward link's queue with the connection under study. The packets
+// (crossPacketSize bytes) are routed elsewhere (they consume wired
+// bandwidth and queue slots, then leave at the base station), so their
+// only effect is congestion: added queueing delay and drop pressure on
+// the studied connection.
 type CrossTraffic struct {
 	// Rate is the average offered load.
 	Rate units.BitRate
-	// PacketSize is the cross-traffic packet size (default 576 bytes).
-	PacketSize units.ByteSize
 }
 
 // enabled reports whether any load is configured.
 func (c CrossTraffic) enabled() bool { return c.Rate > 0 }
 
-// withDefaults fills the packet size.
-func (c CrossTraffic) withDefaults() CrossTraffic {
-	if c.PacketSize <= 0 {
-		c.PacketSize = 576
-	}
-	return c
-}
+// crossPacketSize is the size of every cross-traffic packet.
+const crossPacketSize units.ByteSize = 576
 
 // crossConn marks cross-traffic packets; the base-station side discards
 // them after they have crossed (and congested) the wired link.
@@ -437,7 +422,7 @@ func (tp *topology) run(ctx context.Context, cfg Config, done func() bool) (*sim
 	tp.sim.Bind(ctx)
 	if cfg.Checks {
 		tp.registerInvariants()
-		tp.sim.EnableChecks(cfg.CheckInterval)
+		tp.sim.EnableChecks()
 	}
 	if stall := cfg.stallWindow(); stall > 0 {
 		tp.sim.StartWatchdog(stall, tp.acked, tp.snapshot)
@@ -537,8 +522,8 @@ func (c Config) stallWindow() time.Duration {
 }
 
 // topology is the assembled Figure 2 network, the only one there is: the
-// bulk runner (Run, split mode included) and the application-workload
-// runners (RunWeb, RunTelnet) run on it. It carries one TCP connection,
+// bulk runner (Run, split mode included) and the page-fetch runner
+// (RunWeb) run on it. It carries one TCP connection,
 // the paper's: sender in the fixed host, sink in the mobile host.
 type topology struct {
 	sim    *sim.Simulator
@@ -704,13 +689,6 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		return nil, err
 	}
 	var upChannel errmodel.Channel = channel
-	if cfg.UplinkChannel != nil {
-		up, err := errmodel.NewMarkov(*cfg.UplinkChannel, rng.Split())
-		if err != nil {
-			return nil, err
-		}
-		upChannel = up
-	}
 	// Blackout windows ride the links' error channels as forced-BER
 	// overlays; outside the windows the overlay adds no randomness draws,
 	// so in-run behaviour away from the faults is unperturbed.
@@ -762,7 +740,7 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		return nil, err
 	}
 	if cfg.CrossTraffic.enabled() {
-		startCrossTraffic(s, cfg.CrossTraffic.withDefaults(), tp.ids, rng.Split(), tp.wiredFwd, cfg.Horizon)
+		startCrossTraffic(s, cfg.CrossTraffic, tp.ids, rng.Split(), tp.wiredFwd, cfg.Horizon)
 	}
 	var wiredRevCh errmodel.Channel
 	var wiredRevRNG *sim.RNG
@@ -807,7 +785,7 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		tp.arq.AckTimeout = deriveAckTimeout(tp.wirelessDown, tp.wirelessUp)
 	}
 	tp.arq = tp.arq.WithDefaults()
-	tp.snoop = cfg.Snoop.WithDefaults()
+	tp.snoop = bs.SnoopConfig{}.WithDefaults()
 	if !split {
 		tp.bs, err = bs.New(s, bs.Config{
 			Scheme:      cfg.Scheme,
@@ -900,7 +878,6 @@ func (c Config) senderConfig(mss units.ByteSize, streaming bool) tcp.Config {
 		Window:      c.Window,
 		Total:       c.TransferSize,
 		Granularity: c.Granularity,
-		InitialRTO:  c.InitialRTO,
 		Variant:     c.Variant,
 		SACK:        c.SACK,
 		Streaming:   streaming,
@@ -925,7 +902,7 @@ func deriveAckTimeout(down, up *link.Link) time.Duration {
 // forward link until the horizon. Tail drops of cross-traffic packets are
 // part of the model (a congested queue drops whoever arrives late).
 func startCrossTraffic(s *sim.Simulator, ct CrossTraffic, ids *packet.IDGen, rng *sim.RNG, l *link.Link, horizon time.Duration) {
-	meanGap := float64(units.TransmissionTime(ct.PacketSize, ct.Rate))
+	meanGap := float64(units.TransmissionTime(crossPacketSize, ct.Rate))
 	var next func()
 	next = func() {
 		if s.Now() >= horizon {
@@ -933,7 +910,7 @@ func startCrossTraffic(s *sim.Simulator, ct CrossTraffic, ids *packet.IDGen, rng
 		}
 		p := ids.New(packet.Data)
 		p.Conn = crossConn
-		p.Payload = ct.PacketSize - packet.HeaderSize
+		p.Payload = crossPacketSize - packet.HeaderSize
 		p.SentAt = s.Now()
 		l.Send(p)
 		s.Schedule(time.Duration(rng.Exp(meanGap)), next)

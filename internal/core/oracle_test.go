@@ -113,16 +113,6 @@ func TestOracleCleanOnWorkloads(t *testing.T) {
 	if !web.Completed {
 		t.Error("web workload did not complete")
 	}
-
-	cfg = WAN(bs.EBSN, 576, 2*time.Second)
-	cfg.Oracle = true
-	tl, err := RunTelnet(cfg, TelnetWorkload{Keystrokes: 40, Interval: 300 * time.Millisecond, WriteSize: 4})
-	if err != nil {
-		t.Fatalf("telnet: %v", err)
-	}
-	if !tl.Completed {
-		t.Error("telnet workload did not complete")
-	}
 }
 
 // TestOracleOnSplitConnection checks that split-connection runs carry a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/chaos"
 	"wtcp/internal/errmodel"
 	"wtcp/internal/units"
 )
@@ -61,21 +62,23 @@ func TestPropertyRunInvariants(t *testing.T) {
 }
 
 func TestAsymmetricChannelUplinkOnlyFades(t *testing.T) {
-	// Downlink clean, uplink bursty: every data unit crosses, but the
-	// link-level acks die in batches. The base station cannot
-	// distinguish "data lost" from "ack lost", so uplink fading still
-	// registers as unsuccessful attempts — EBSNs keep flowing (the
+	// Downlink clean, uplink blacked out in windows: every data unit
+	// crosses, but the link-level acks die in batches. The base station
+	// cannot distinguish "data lost" from "ack lost", so uplink fading
+	// still registers as unsuccessful attempts — EBSNs keep flowing (the
 	// mechanism covers ack-path fading too) and the retransmissions of
 	// already-delivered units surface as duplicates at the mobile host.
 	clean := errmodel.Config{GoodBER: 0, BadBER: 0, MeanGood: time.Hour, MeanBad: 0}
-	uplink := errmodel.PaperWAN(4 * time.Second)
-	uplink.MeanGood = 3 * time.Second // fade often
+	var fades []chaos.Blackout
+	for at := 3 * time.Second; at < time.Minute; at += 6 * time.Second {
+		fades = append(fades, chaos.Blackout{Link: chaos.WirelessUp, At: at, Length: 2 * time.Second})
+	}
 
 	var timeouts, ebsns, duplicates uint64
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := WAN(bs.EBSN, 576, 4*time.Second)
 		cfg.Channel = clean
-		cfg.UplinkChannel = &uplink
+		cfg.Chaos = &chaos.Config{Blackouts: fades}
 		cfg.TransferSize = 40 * units.KB
 		cfg.Seed = seed
 		r, err := Run(cfg)
@@ -84,6 +87,9 @@ func TestAsymmetricChannelUplinkOnlyFades(t *testing.T) {
 		}
 		if !r.Completed {
 			t.Fatal("did not complete")
+		}
+		if r.WirelessDown.Corrupted != 0 {
+			t.Fatalf("seed %d: the clean downlink corrupted %d units", seed, r.WirelessDown.Corrupted)
 		}
 		timeouts += r.Summary.Timeouts
 		ebsns += r.BS.EBSNsSent

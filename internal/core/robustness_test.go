@@ -281,12 +281,12 @@ func TestWorkloadRunnersArmSupervision(t *testing.T) {
 		t.Errorf("web, think time past the stall window: result %+v, error %v", r, err)
 	}
 
-	// An explicit window shorter than the typing interval trips between
-	// keystrokes.
+	// An explicit window shorter than the think time trips between
+	// pages, with checks off.
 	cfg = WAN(bs.EBSN, 576, 2*time.Second)
-	cfg.Stall = 100 * time.Millisecond
+	cfg.Stall = time.Second
 	stall = nil
-	if r, err := RunTelnet(cfg, telnetWL()); !errors.As(err, &stall) {
-		t.Errorf("telnet, 100 ms stall window: result %+v, error %v", r, err)
+	if r, err := RunWeb(cfg, webWL()); !errors.As(err, &stall) {
+		t.Errorf("web, 1 s stall window: result %+v, error %v", r, err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wtcp/internal/bs"
-	"wtcp/internal/errmodel"
 	"wtcp/internal/units"
 )
 
@@ -159,8 +158,6 @@ func TestSplitHonoursSharedSettings(t *testing.T) {
 		}, func(with *Result) bool { return with.SplitWiredDone > without.SplitWiredDone }},
 		{"DelayedAcks", func(c *Config) { c.DelayedAcks = true },
 			func(with *Result) bool { return with.Sink.AcksSent < without.Sink.AcksSent }},
-		{"UplinkChannel", func(c *Config) { c.UplinkChannel = &errmodel.Config{MeanGood: time.Hour} },
-			func(with *Result) bool { return with.WirelessUp.Corrupted == 0 && without.WirelessUp.Corrupted > 0 }},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := base

@@ -30,7 +30,7 @@ func replayConfig(cfg Config) oracle.Config {
 	return oracle.Config{
 		Variant: cfg.Variant, MSS: cfg.MSS(), Window: cfg.Window,
 		RTmax:              cfg.ARQ.WithDefaults().RTmax,
-		SnoopMaxRetx:       cfg.Snoop.WithDefaults().MaxLocalRetx,
+		SnoopMaxRetx:       bs.SnoopConfig{}.WithDefaults().MaxLocalRetx,
 		TrackNotifications: true,
 	}
 }

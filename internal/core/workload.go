@@ -11,18 +11,12 @@ import (
 )
 
 // The paper motivates the study with "popular applications like ftp,
-// telnet, www-access" but evaluates only bulk transfer (ftp). The
-// workload runners below put the other two application shapes on the same
-// FH-BS-MH topology:
+// telnet, www-access" but evaluates only bulk transfer (ftp). RunWeb puts
+// www-access on the same FH-BS-MH topology: request/response pages — a
+// burst of page bytes, a pause until the mobile host has the whole page,
+// a think time, repeat. The metric is page-load latency.
 //
-//   - RunWeb: request/response pages — a burst of page bytes, a pause
-//     until the mobile host has the whole page, a think time, repeat. The
-//     metric is page-load latency.
-//   - RunTelnet: an interactive echo stream — small writes at typing
-//     intervals, each measured from production at the fixed host to
-//     delivery at the mobile host. The metric is keystroke latency.
-//
-// Both use the streaming sender: bytes become sendable when the
+// It uses the streaming sender: bytes become sendable when the
 // application produces them. Supervision is armed as for a bulk run, so an
 // application pause as long as an armed stall window is a *sim.StallError.
 
@@ -100,90 +94,6 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	res.Timeouts = tp.sender.Stats().Timeouts
 	res.EBSNResets = tp.sender.Stats().EBSNResets
 	res.MeanLoadSec, res.P95LoadSec = meanP95(res.PageLoadSec)
-	if _, err := tp.release(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// TelnetWorkload describes an interactive typing stream.
-type TelnetWorkload struct {
-	// Keystrokes is the number of writes.
-	Keystrokes int
-	// Interval is the fixed time between writes (a steady typist).
-	Interval time.Duration
-	// WriteSize is the payload per write (1 for raw characters; a few
-	// bytes for line-buffered input).
-	WriteSize units.ByteSize
-}
-
-// TelnetResult carries the per-keystroke latencies.
-type TelnetResult struct {
-	Completed   bool
-	LatencySec  []float64
-	MeanLatency float64
-	P95Latency  float64
-	Timeouts    uint64
-}
-
-// RunTelnet executes an interactive workload: writes are produced on
-// schedule regardless of delivery progress (a typist does not wait for
-// echoes), and each write's latency is measured to its in-order delivery
-// at the mobile host.
-func RunTelnet(cfg Config, tl TelnetWorkload) (*TelnetResult, error) {
-	if tl.Keystrokes <= 0 || tl.WriteSize <= 0 || tl.Interval <= 0 {
-		return nil, errors.New("core: telnet workload needs keystrokes, a write size, and an interval")
-	}
-	if cfg.Scheme == bs.SplitConnection || cfg.Scheme == bs.Snoop {
-		return nil, errors.New("core: workload runners support the in-path schemes only")
-	}
-	cfg.TransferSize = units.ByteSize(tl.Keystrokes) * tl.WriteSize
-	// Interactive segments are tiny; make the MSS match the write so each
-	// keystroke is one segment (character-at-a-time telnet).
-	cfg.PacketSize = tl.WriteSize + PaperHeader
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = DefaultHorizon
-	}
-	tp, err := newTopology(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	tp.tap(cfg, false)
-
-	res := &TelnetResult{}
-	produced := make([]time.Duration, 0, tl.Keystrokes)
-	delivered := 0
-
-	tp.sink.SetDeliveredHook(func(total units.ByteSize) {
-		for delivered < len(produced) &&
-			units.ByteSize(delivered+1)*tl.WriteSize <= total {
-			res.LatencySec = append(res.LatencySec,
-				(tp.sim.Now() - produced[delivered]).Seconds())
-			delivered++
-		}
-	})
-
-	var produce func()
-	produce = func() {
-		produced = append(produced, tp.sim.Now())
-		tp.sender.MakeAvailable(tl.WriteSize)
-		if len(produced) < tl.Keystrokes {
-			tp.sim.Schedule(tl.Interval, produce)
-		}
-	}
-	tp.sender.Start() // ahead of run's own: the first write's segments are scheduled before the next write
-	produce()
-	done := func() bool { return delivered >= tl.Keystrokes }
-	if err := orStall(tp.run(context.TODO(), cfg, done)); err != nil {
-		tp.release()
-		return nil, err
-	}
-	res.Completed = delivered == tl.Keystrokes
-	res.Timeouts = tp.sender.Stats().Timeouts
-	res.MeanLatency, res.P95Latency = meanP95(res.LatencySec)
 	if _, err := tp.release(); err != nil {
 		return nil, err
 	}

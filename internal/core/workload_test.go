@@ -12,25 +12,15 @@ func webWL() WebWorkload {
 	return WebWorkload{Pages: 8, PageSize: 8 * units.KB, ThinkTime: 2 * time.Second}
 }
 
-func telnetWL() TelnetWorkload {
-	return TelnetWorkload{Keystrokes: 100, Interval: 500 * time.Millisecond, WriteSize: 4}
-}
-
 func TestWorkloadValidation(t *testing.T) {
 	cfg := WAN(bs.Basic, 576, time.Second)
 	if _, err := RunWeb(cfg, WebWorkload{}); err == nil {
 		t.Error("empty web workload accepted")
 	}
-	if _, err := RunTelnet(cfg, TelnetWorkload{}); err == nil {
-		t.Error("empty telnet workload accepted")
-	}
 	for _, scheme := range []bs.Scheme{bs.Snoop, bs.SplitConnection} {
 		cfg := WAN(scheme, 576, time.Second)
 		if _, err := RunWeb(cfg, webWL()); err == nil {
 			t.Errorf("web accepted %v", scheme)
-		}
-		if _, err := RunTelnet(cfg, telnetWL()); err == nil {
-			t.Errorf("telnet accepted %v", scheme)
 		}
 	}
 }
@@ -86,64 +76,22 @@ func TestWebEBSNImprovesPageLoads(t *testing.T) {
 	}
 }
 
-func TestTelnetWorkloadCompletes(t *testing.T) {
-	r, err := RunTelnet(WAN(bs.EBSN, 576, 4*time.Second), telnetWL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Completed {
-		t.Fatalf("delivered %d keystroke latencies", len(r.LatencySec))
-	}
-	if len(r.LatencySec) != 100 {
-		t.Fatalf("latency samples = %d", len(r.LatencySec))
-	}
-	// Baseline latency on a clean path is a few hundred ms (wired
-	// 50 ms prop + serialization); even the mean under fades stays
-	// bounded.
-	if r.MeanLatency <= 0 || r.MeanLatency > 60 {
-		t.Errorf("mean latency = %.3fs", r.MeanLatency)
-	}
-}
-
-func TestTelnetEBSNImprovesLatency(t *testing.T) {
-	mean := func(scheme bs.Scheme) float64 {
-		var sum float64
-		const n = 3
-		for seed := int64(1); seed <= n; seed++ {
-			cfg := WAN(scheme, 576, 4*time.Second)
-			cfg.Seed = seed
-			r, err := RunTelnet(cfg, telnetWL())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r.Completed {
-				t.Fatalf("%v seed %d incomplete", scheme, seed)
-			}
-			sum += r.MeanLatency / n
-		}
-		return sum
-	}
-	basic := mean(bs.Basic)
-	ebsn := mean(bs.EBSN)
-	if ebsn >= basic {
-		t.Errorf("EBSN keystroke latency %.3fs not below basic %.3fs", ebsn, basic)
-	}
-}
-
 func TestWorkloadCleanChannelFast(t *testing.T) {
 	cfg := WAN(bs.Basic, 576, time.Second)
 	cfg.Channel.GoodBER = 0
 	cfg.Channel.BadBER = 0
-	r, err := RunTelnet(cfg, telnetWL())
+	r, err := RunWeb(cfg, webWL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Completed {
-		t.Fatal("clean telnet incomplete")
+		t.Fatal("clean web run incomplete")
 	}
-	// ~50ms wired prop + ~30ms serialization + 5ms radio: well under 1s.
-	if r.P95Latency > 1.0 {
-		t.Errorf("clean-channel p95 keystroke latency = %.3fs", r.P95Latency)
+	// A page is 8 832 bytes in 576-byte packets across the 12.8 kbps
+	// effective radio, about 5.5 s of air time; with the wired hop and
+	// slow start, a clean load stays under 8 s.
+	if r.P95LoadSec > 8 {
+		t.Errorf("clean-channel p95 page load = %.2fs", r.P95LoadSec)
 	}
 	if r.Timeouts != 0 {
 		t.Errorf("clean-channel timeouts = %d", r.Timeouts)

@@ -26,18 +26,17 @@ type CongestionPoint struct {
 // CongestionOptions holds the study's own axes; replications, seeds and
 // transfer size come from Options.
 type CongestionOptions struct {
-	BadPeriod time.Duration
 	// Loads are cross-traffic rates as fractions of the wired capacity.
 	Loads []float64
 }
 
-// congestionPacketSize is the wired packet size every cell runs at.
-const congestionPacketSize units.ByteSize = 576
+// Every cell runs at one wired packet size and one mean bad period.
+const (
+	congestionPacketSize units.ByteSize = 576
+	congestionBadPeriod                 = 2 * time.Second
+)
 
 func (o CongestionOptions) withDefaults() CongestionOptions {
-	if o.BadPeriod <= 0 {
-		o.BadPeriod = 2 * time.Second
-	}
 	if len(o.Loads) == 0 {
 		o.Loads = []float64{0, 0.3, 0.6}
 	}
@@ -54,9 +53,9 @@ func CongestionStudy(ctx context.Context, opt Options, axes CongestionOptions) (
 		for _, load := range axes.Loads {
 			grid = append(grid, CongestionPoint{Scheme: scheme, LoadFraction: load})
 			points = append(points, point{
-				key: fmt.Sprintf("congestion/%v/load=%g/bad=%v/size=%d", scheme, load, axes.BadPeriod, congestionPacketSize),
+				key: fmt.Sprintf("congestion/%v/load=%g/bad=%v/size=%d", scheme, load, congestionBadPeriod, congestionPacketSize),
 				run: coreReplication(func(seed int64) core.Config {
-					cfg := opt.configure(core.WAN(scheme, congestionPacketSize, axes.BadPeriod), seed)
+					cfg := opt.configure(core.WAN(scheme, congestionPacketSize, congestionBadPeriod), seed)
 					cfg.CrossTraffic = core.CrossTraffic{
 						Rate: units.BitRate(load * float64(cfg.WiredRate)),
 					}

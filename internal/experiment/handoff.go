@@ -41,16 +41,13 @@ var handoffSchemes = []handoffScheme{{"plain", false}, {"fastretransmit", true}}
 // deterministic (error-free cells, fixed dwell), so one replication per
 // point suffices.
 type HandoffOptions struct {
-	// Latency is the disconnection gap while switching cells (default
-	// 100 ms).
-	Latency time.Duration
-	Dwells  []time.Duration
+	Dwells []time.Duration
 }
 
+// handoffLatency is the disconnection gap while switching cells.
+const handoffLatency = 100 * time.Millisecond
+
 func (o HandoffOptions) withDefaults() HandoffOptions {
-	if o.Latency <= 0 {
-		o.Latency = 100 * time.Millisecond
-	}
 	if len(o.Dwells) == 0 {
 		o.Dwells = []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
 	}
@@ -80,9 +77,9 @@ func HandoffStudy(ctx context.Context, opt Options, axes HandoffOptions) ([]Hand
 // gap.
 func handoffPoint(opt Options, axes HandoffOptions, scheme handoffScheme, dwell time.Duration) point {
 	return point{
-		key: fmt.Sprintf("handoff/%s/dwell=%v/latency=%v", scheme.name, dwell, axes.Latency),
+		key: fmt.Sprintf("handoff/%s/dwell=%v/latency=%v", scheme.name, dwell, handoffLatency),
 		run: coreReplication(func(seed int64) core.Config {
-			return opt.configure(HandoffConfig(dwell, axes.Latency, scheme.dupAcks), seed)
+			return opt.configure(HandoffConfig(dwell, handoffLatency, scheme.dupAcks), seed)
 		}, func(r *core.Result) ([]float64, error) {
 			return []float64{r.Summary.ThroughputKbps, float64(r.Summary.Timeouts), float64(r.Summary.FastRetransmits)}, nil
 		}),

@@ -36,16 +36,15 @@ type SeverityStep = struct {
 // SeverityOptions holds the study's own axes; replications, seeds and
 // transfer size come from Options.
 type SeverityOptions struct {
-	PacketSize units.ByteSize
 	// Severities lists the (mean bad period, bad-state BER) steps, mild
 	// to harsh. Nil uses a default ladder.
 	Severities []SeverityStep
 }
 
+// severityPacketSize is the wired packet size every step runs at.
+const severityPacketSize units.ByteSize = 1536
+
 func (o SeverityOptions) withDefaults() SeverityOptions {
-	if o.PacketSize <= 0 {
-		o.PacketSize = 1536
-	}
 	if len(o.Severities) == 0 {
 		o.Severities = []SeverityStep{
 			{1 * time.Second, 1e-2},
@@ -66,9 +65,9 @@ func SeverityStudy(ctx context.Context, opt Options, axes SeverityOptions) ([]Se
 	for _, sev := range axes.Severities {
 		for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
 			points = append(points, point{
-				key: fmt.Sprintf("severity/%v/bad=%v/ber=%g/size=%d", scheme, sev.MeanBad, sev.BadBER, axes.PacketSize),
+				key: fmt.Sprintf("severity/%v/bad=%v/ber=%g/size=%d", scheme, sev.MeanBad, sev.BadBER, severityPacketSize),
 				run: coreReplication(func(seed int64) core.Config {
-					cfg := opt.configure(core.WAN(scheme, axes.PacketSize, sev.MeanBad), seed)
+					cfg := opt.configure(core.WAN(scheme, severityPacketSize, sev.MeanBad), seed)
 					cfg.Channel.BadBER = sev.BadBER
 					return cfg
 				}, func(r *core.Result) ([]float64, error) { return []float64{r.Summary.ThroughputKbps}, nil }),

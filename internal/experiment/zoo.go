@@ -29,18 +29,17 @@ type ZooPoint struct {
 // ZooOptions holds the protocol-zoo study's own axes; replications,
 // seeds and transfer size come from Options.
 type ZooOptions struct {
-	PacketSize units.ByteSize
-	BadPeriod  time.Duration
+	BadPeriod time.Duration
 	// Variants and Schemes default to the full zoo: every sender variant
 	// against {Basic, EBSN, Snoop, SplitConnection}.
 	Variants []tcp.Variant
 	Schemes  []bs.Scheme
 }
 
+// zooPacketSize is the wired packet size every cell runs at.
+const zooPacketSize units.ByteSize = 576
+
 func (o ZooOptions) withDefaults() ZooOptions {
-	if o.PacketSize <= 0 {
-		o.PacketSize = 576
-	}
 	if o.BadPeriod <= 0 {
 		o.BadPeriod = 2 * time.Second
 	}
@@ -67,9 +66,9 @@ func ZooStudy(ctx context.Context, opt Options, axes ZooOptions) ([]ZooPoint, er
 		for _, scheme := range axes.Schemes {
 			grid = append(grid, ZooPoint{Variant: variant, Scheme: scheme})
 			points = append(points, point{
-				key: fmt.Sprintf("zoo/%v/%v/bad=%v/size=%d", variant, scheme, axes.BadPeriod, axes.PacketSize),
+				key: fmt.Sprintf("zoo/%v/%v/bad=%v/size=%d", variant, scheme, axes.BadPeriod, zooPacketSize),
 				run: coreReplication(func(seed int64) core.Config {
-					cfg := opt.configure(core.WAN(scheme, axes.PacketSize, axes.BadPeriod), seed)
+					cfg := opt.configure(core.WAN(scheme, zooPacketSize, axes.BadPeriod), seed)
 					cfg.Variant = variant
 					cfg.Oracle = true
 					return cfg

@@ -62,13 +62,10 @@ type Config struct {
 	Overhead float64
 	// Channel is the error process; nil means error-free.
 	Channel errmodel.Channel
-	// ECNThreshold enables simple explicit congestion notification: a
-	// Data packet admitted while the queue already holds at least this
-	// many packets gets its CE bit set instead of the queue having to
-	// drop to signal congestion [Floyd 94]. Zero disables marking.
-	ECNThreshold int
-	// RED, when non-nil, replaces the deterministic threshold with
-	// Random Early Detection marking. Requires an RNG.
+	// RED, when non-nil, enables explicit congestion notification: a
+	// Data packet that Random Early Detection picks at admission gets its
+	// CE bit set instead of the queue having to drop to signal
+	// congestion [Floyd 94]. Requires an RNG.
 	RED *queue.REDConfig
 }
 
@@ -246,17 +243,9 @@ func (l *Link) Stats() Stats {
 // Send queues p for transmission, taking over the caller's reference. It
 // reports false if the queue refused the packet (which is then released).
 func (l *Link) Send(p *packet.Packet) bool {
-	if p.Kind == packet.Data {
-		switch {
-		case l.red != nil:
-			if l.red.ShouldMark(l.q.Len(), l.rng) {
-				p.CongestionMarked = true
-				l.stats.ECNMarked++
-			}
-		case l.cfg.ECNThreshold > 0 && l.q.Len() >= l.cfg.ECNThreshold:
-			p.CongestionMarked = true
-			l.stats.ECNMarked++
-		}
+	if p.Kind == packet.Data && l.red != nil && l.red.ShouldMark(l.q.Len(), l.rng) {
+		p.CongestionMarked = true
+		l.stats.ECNMarked++
 	}
 	if !l.q.Push(p) {
 		p.Release()

@@ -86,42 +86,34 @@ func TestDropQueued(t *testing.T) {
 	}
 }
 
-func TestECNThresholdMarking(t *testing.T) {
-	s := sim.New()
-	l, err := New(s, Config{Rate: units.Kbps, ECNThreshold: 2}, nil, func(*packet.Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sent []*packet.Packet
-	for i := uint64(1); i <= 5; i++ {
-		p := mkData(i, 10)
-		sent = append(sent, p)
-		l.Send(p)
-	}
-	// Packet 1 transmits immediately (queue empty), 2 and 3 enqueue at
-	// lengths 0 and 1; packets 4 and 5 see length >= 2 and get marked.
-	for i, p := range sent {
-		wantMark := i >= 3
-		if p.CongestionMarked != wantMark {
-			t.Errorf("packet %d marked=%v, want %v", i+1, p.CongestionMarked, wantMark)
-		}
-	}
-	if got := l.Stats().ECNMarked; got != 2 {
-		t.Errorf("ECNMarked = %d, want 2", got)
-	}
-}
-
+// TestECNDoesNotMarkControlPackets: RED marks a Data packet admitted to
+// a non-empty queue and never an ACK, whatever the queue holds.
 func TestECNDoesNotMarkControlPackets(t *testing.T) {
 	s := sim.New()
-	l, err := New(s, Config{Rate: units.Kbps, ECNThreshold: 1}, nil, func(*packet.Packet) {})
+	// Weight 1 makes the average the instantaneous length, so every
+	// arrival at a non-empty queue is past MaxThreshold.
+	red := &queue.REDConfig{MinThreshold: 0, MaxThreshold: 0.5, MaxP: 1, Weight: 1}
+	l, err := New(s, Config{Rate: units.Kbps, RED: red}, sim.NewRNG(1), func(*packet.Packet) {})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var acks []*packet.Packet
 	for i := 0; i < 5; i++ {
-		l.Send(&packet.Packet{Kind: packet.Ack})
+		acks = append(acks, &packet.Packet{Kind: packet.Ack})
+		l.Send(acks[i])
 	}
-	if got := l.Stats().ECNMarked; got != 0 {
-		t.Errorf("control packets marked: %d", got)
+	data := mkData(1, 10)
+	l.Send(data)
+	for i, p := range acks {
+		if p.CongestionMarked {
+			t.Errorf("ack %d marked", i+1)
+		}
+	}
+	if !data.CongestionMarked {
+		t.Error("data packet behind four queued acks not marked")
+	}
+	if got := l.Stats().ECNMarked; got != 1 {
+		t.Errorf("ECNMarked = %d, want 1", got)
 	}
 }
 

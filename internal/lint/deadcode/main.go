@@ -16,6 +16,11 @@
 // for them through interfaces it does not name. A typed blank var
 // (`var _ I = T{}`) is a compile-time assertion and reaches nothing. Test
 // files are not loaded, so a declaration only a test names is reported.
+//
+// So is an exported field of an exported struct under internal/ that
+// reached code reads and none writes: assigns or ++es (as x.F, x.F.G or
+// x.F[i]), addresses or sets in a literal. A json-tagged field counts as
+// written: a decode sets it.
 package main
 
 import (
@@ -24,19 +29,27 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 
 	"wtcp/internal/lint/load"
 )
 
-// allowed exempts a package directory, or a declaration ("dir.Name" or
-// "dir.Type.Method"), and what it reaches, with the reason it stays.
+// allowed exempts a package directory, a declaration ("dir.Name" or
+// "dir.Type.Method") and what it reaches, or a field ("dir.Type.Field"),
+// with the reason it stays.
 var allowed = map[string]string{
-	"internal/analytic":                  "the paper's closed-form ceilings; ROADMAP item 3's control variate and item 6(a)'s fade-hit claim are their first callers",
-	"internal/scenario.FuzzSeeds":        "the seed corpus two packages' fuzzers share (scenario and serve tests)",
-	"internal/stats.Sample.CI95":         "the interval column of every Fig 7-11 row (ROADMAP item 1A)",
-	"internal/errmodel.Markov.Intervals": "item 1A's pin that a channel's state intervals do not depend on scheme or packet size, and item 3's control variate",
+	"internal/analytic":                        "the paper's closed-form ceilings; ROADMAP item 3's control variate and item 6(a)'s fade-hit claim are their first callers",
+	"internal/scenario.FuzzSeeds":              "the seed corpus two packages' fuzzers share (scenario and serve tests)",
+	"internal/stats.Sample.CI95":               "the interval column of every Fig 7-11 row (ROADMAP item 1A)",
+	"internal/errmodel.Markov.Intervals":       "item 1A's pin that a channel's state intervals do not depend on scheme or packet size, and item 3's control variate",
+	"internal/core.Config.Granularity":         "EXPERIMENTS.md's clock-granularity ablation (BenchmarkAblationClockGranularity) sets it; ROADMAP item 16 decides that benchmark's fate",
+	"internal/fleet.WorkerConfig.BeforeResult": "the crash-boundary seam TestWorkerSIGKILLBeforePost (crash_test.go) kills the worker at",
+	"internal/fleet.WorkerConfig.AfterResult":  "the crash-boundary seam TestWorkerSIGKILLAfterPost (crash_test.go) kills the worker at",
+	"internal/cell.Chaos.DropP":                "the cell engine's fault injector, which the conservation (TestArenaRefcountsUnderChaos) and pin (TestManyFlowRunIsPinned) tests drive",
+	"internal/cell.Chaos.DupP":                 "the cell engine's fault injector, which the conservation (TestArenaRefcountsUnderChaos) and pin (TestManyFlowRunIsPinned) tests drive",
+	"internal/cell.Chaos.ReorderP":             "the cell engine's fault injector, which the conservation (TestArenaRefcountsUnderChaos) and pin (TestManyFlowRunIsPinned) tests drive",
 }
 
 func main() {
@@ -54,37 +67,41 @@ func main() {
 		fmt.Println(f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintln(os.Stderr, "deadcode: no main and no init reaches these: delete them, move them into a _test.go file, or allow them with a reason")
+		fmt.Fprintln(os.Stderr, "deadcode: no main and no init reaches these, or writes these fields: delete them (a field with the branches that read it), move them into a _test.go file, or allow them with a reason")
 		os.Exit(1)
 	}
 }
 
-// finding is one unreached declaration, or an allow entry that exempts
-// nothing (kind "entry": it has outlived its reason).
+// finding is one unreached declaration, an unwritten field, or an allow
+// entry that exempts nothing (kind "entry": it has outlived its reason).
 type finding struct {
 	pos        token.Position
-	kind, name string // name is pkg.Name or pkg.Type.Method
+	kind, name string // name is pkg.Name, pkg.Type.Method or pkg.Type.Field
 	lines      int
 }
 
 func (f finding) String() string {
-	if f.kind == "entry" {
+	switch f.kind {
+	case "entry":
 		return fmt.Sprintf("allowed entry %s exempts nothing; delete it", f.name)
+	case "field":
+		return fmt.Sprintf("%s: field %s is read and never written", f.pos, f.name)
 	}
 	return fmt.Sprintf("%s: %s %s is unreachable (%d lines)", f.pos, f.kind, f.name, f.lines)
 }
 
 // decl is one package-level declaration.
 type decl struct {
-	pkg   *load.Package
-	kind  string
-	refs  []types.Object // the package-level objects its source names
-	lines int
+	pkg    *load.Package
+	kind   string
+	refs   []types.Object // the package-level objects its source names
+	lines  int
+	writes []types.Object // the fields its source writes
 }
 
-// check returns the unreached declarations under internal/ that allow
-// does not exempt, in file order, and the entries of allow that exempt
-// nothing.
+// check returns the unreached declarations and unwritten fields under
+// internal/ that allow does not exempt, in file order, and the entries of
+// allow that exempt nothing.
 func check(m *load.Module, allow map[string]string) []finding {
 	decls := map[types.Object]*decl{}
 	methods := map[*types.TypeName][]types.Object{}
@@ -101,6 +118,7 @@ func check(m *load.Module, allow map[string]string) []finding {
 				}
 				d.refs = append(d.refs, obj)
 			}
+			d.writes = append(d.writes, writes(pkg.Info, n)...)
 			return true
 		})
 		decls[obj] = d
@@ -152,7 +170,7 @@ func check(m *load.Module, allow map[string]string) []finding {
 		}
 	}
 
-	reached := map[types.Object]bool{}
+	reached, written := map[types.Object]bool{}, map[types.Object]bool{}
 	walk := func(queue []types.Object) {
 		for len(queue) > 0 {
 			obj := queue[0]
@@ -163,6 +181,9 @@ func check(m *load.Module, allow map[string]string) []finding {
 			reached[obj] = true
 			if d := decls[obj]; d != nil {
 				queue = append(queue, d.refs...)
+				for _, w := range d.writes {
+					written[w] = true
+				}
 			}
 			if tn, ok := obj.(*types.TypeName); ok {
 				for _, meth := range methods[tn] {
@@ -187,14 +208,29 @@ func check(m *load.Module, allow map[string]string) []finding {
 	walk(kept)
 
 	var out []finding
+	for obj, d := range decls {
+		tn, isType := obj.(*types.TypeName)
+		switch {
+		case !strings.HasPrefix(d.pkg.Dir, "internal/"):
+		case !reached[obj]:
+			out = append(out, finding{m.Fset.Position(obj.Pos()), d.kind, d.pkg.Types.Name() + "." + qualified(obj), d.lines})
+		case isType && tn.Exported():
+			st, _ := tn.Type().Underlying().(*types.Struct)
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				v, name := st.Field(i), tn.Name()+"."+st.Field(i).Name()
+				switch {
+				case !v.Exported() || !reached[v] || written[v] || reflect.StructTag(st.Tag(i)).Get("json") != "":
+				case allow[d.pkg.Dir+"."+name] != "":
+					used[d.pkg.Dir+"."+name] = true
+				default:
+					out = append(out, finding{m.Fset.Position(v.Pos()), "field", d.pkg.Types.Name() + "." + name, 1})
+				}
+			}
+		}
+	}
 	for key := range allow {
 		if !used[key] {
 			out = append(out, finding{kind: "entry", name: key})
-		}
-	}
-	for obj, d := range decls {
-		if !reached[obj] && strings.HasPrefix(d.pkg.Dir, "internal/") {
-			out = append(out, finding{m.Fset.Position(obj.Pos()), d.kind, d.pkg.Types.Name() + "." + qualified(obj), d.lines})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -299,4 +335,50 @@ func linkedPackages(m *load.Module) map[*load.Package]bool {
 		}
 	}
 	return linked
+}
+
+// writes returns the fields node n writes (a generic type's fields are
+// not tracked).
+func writes(info *types.Info, n ast.Node) (fields []types.Object) {
+	var lhs []ast.Expr
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		lhs = n.Lhs
+	case *ast.IncDecStmt:
+		lhs = []ast.Expr{n.X}
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			lhs = []ast.Expr{n.X}
+		}
+	case *ast.CompositeLit:
+		t := info.Types[n].Type.Underlying()
+		if p, ok := t.(*types.Pointer); ok { // an elided &T, as in []*T{{...}}
+			t = p.Elem().Underlying()
+		}
+		st, _ := t.(*types.Struct)
+		for i, e := range n.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					fields = append(fields, info.Uses[key])
+				}
+			} else if st != nil {
+				fields = append(fields, st.Field(i))
+			}
+		}
+	}
+	for _, e := range lhs {
+		for e != nil { // x.F.G, x.F[i] and *x.F write every field they name
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				fields, e = append(fields, info.Uses[x.Sel]), x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				e = nil
+			}
+		}
+	}
+	return fields
 }

@@ -33,21 +33,28 @@ func same(a, b []string) bool {
 
 // TestCheckReportsUnreached: an unreachable func (and the helper only it
 // calls), an unreachable type with its methods, a const only a test
-// uses, and a method of a reached type that only a test calls; an allow
-// entry exempts its declaration and what that reaches, and one that
-// exempts nothing is reported.
+// uses, a method of a reached type that only a test calls, and a field
+// main reads that only a test writes; an allow entry exempts its
+// declaration and what that reaches, or its field, and one that exempts
+// nothing is reported, a field entry too.
 func TestCheckReportsUnreached(t *testing.T) {
 	want := []string{
 		"func a.Unreached", "func a.helper",
 		"type a.Dead", "method a.Dead.Get", "method a.Dead.Set",
 		"const a.OnlyTest",
 		"method a.Counter.Reset",
+		"field a.Knobs.Limit",
 	}
 	if got := findings(t, "testdata/pos", nil); !same(got, want) {
 		t.Errorf("findings = %q, want %q", got, want)
 	}
-	allow := map[string]string{"internal/a.Unreached": "kept", "internal/nosuch": "stale"}
-	want = append([]string{"entry internal/nosuch"}, want[2:]...)
+	allow := map[string]string{
+		"internal/a.Unreached":   "kept",
+		"internal/nosuch":        "stale",
+		"internal/a.Knobs.Limit": "kept",
+		"internal/a.Knobs.Depth": "stale",
+	}
+	want = append([]string{"entry internal/a.Knobs.Depth", "entry internal/nosuch"}, want[2:len(want)-1]...)
 	if got := findings(t, "testdata/pos", allow); !same(got, want) {
 		t.Errorf("with allow entries: findings = %q, want %q", got, want)
 	}
@@ -55,8 +62,10 @@ func TestCheckReportsUnreached(t *testing.T) {
 
 // TestCheckLetsReachedThrough: a method called only through an
 // interface of the module, a String called only by fmt, an Unwrap
-// called only by errors.Is, a declaration reached only from init, and a
-// declaration in a file build tags exclude are not reported.
+// called only by errors.Is, a declaration reached only from init, a
+// declaration in a file build tags exclude, and fields written only
+// through &x.F, x.F.G = ..., a positional literal, an elided &T in a
+// keyed or positional literal, or a json tag are not reported.
 func TestCheckLetsReachedThrough(t *testing.T) {
 	if got := findings(t, "testdata/neg", nil); len(got) != 0 {
 		t.Errorf("findings = %q, want none", got)

@@ -47,3 +47,39 @@ func init() { register("square") }
 
 // register is reached only from init.
 func register(name string) { registry = append(registry, name) }
+
+// Settings' fields are each written once, one way the lint counts.
+type Settings struct {
+	Addr  int   // &s.Addr
+	Inner Inner // s.Inner.N = 2, which writes N too
+	Pair  Pair  // a positional literal writes A and B
+}
+
+type (
+	Inner struct{ N int }
+	Pair  struct{ A, B int }
+)
+
+func Configure() Settings {
+	s := Settings{Pair: Pair{1, 2}}
+	set(&s.Addr)
+	s.Inner.N = 2
+	return s
+}
+
+func set(p *int) { *p = 1 }
+
+// Item's K is written only through an elided &Item in a keyed element,
+// and Point's X and Y only through one in a positional element.
+type (
+	Item  struct{ K int }
+	Point struct{ X, Y int }
+)
+
+func Items() ([]*Item, []*Point) { return []*Item{{K: 1}}, []*Point{{1, 2}} }
+
+// Wire's Name is written by no code, but a json-tagged field counts as
+// written: a decode sets it.
+type Wire struct {
+	Name string `json:"name"`
+}

@@ -11,4 +11,8 @@ func main() {
 	var s b.Shape = b.NewSquare(2)
 	fmt.Println(s.Area(), b.Celsius(21))
 	fmt.Println(errors.Is(b.Wrap(b.ErrBase), b.ErrBase))
+	cfg := b.Configure()
+	items, points := b.Items()
+	var w b.Wire
+	fmt.Println(cfg.Addr, cfg.Inner.N, cfg.Pair.A, cfg.Pair.B, items[0].K, points[0].X, points[0].Y, w.Name)
 }

@@ -29,3 +29,7 @@ type Counter struct{ n int }
 func (c *Counter) Add() { c.n++ }
 
 func (c *Counter) Reset() { c.n = 0 }
+
+// Knobs is reached from main, which reads Limit; only a_test.go sets it,
+// so every run sees zero (reported).
+type Knobs struct{ Limit int }

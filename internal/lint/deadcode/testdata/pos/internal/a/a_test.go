@@ -12,4 +12,7 @@ func TestOnlyTest(t *testing.T) {
 	if c.n != 0 {
 		t.Fatal(c.n)
 	}
+	if k := (Knobs{Limit: 3}); k.Limit != 3 {
+		t.Fatal(k)
+	}
 }

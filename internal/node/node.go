@@ -79,9 +79,6 @@ type MobileConfig struct {
 	// LinkAcks enables link-level acknowledgment of every received unit
 	// (required by the base station's local-recovery schemes).
 	LinkAcks bool
-	// ReassemblyTimeout bounds how long a partial fragment group is held;
-	// zero uses the ip package default.
-	ReassemblyTimeout time.Duration
 	// ReorderTimeout bounds how long a sequenced-unit gap is waited out;
 	// zero uses DefaultReorderTimeout.
 	ReorderTimeout time.Duration
@@ -118,7 +115,7 @@ func NewMobileDeliver(s *sim.Simulator, cfg MobileConfig, ids *packet.IDGen, del
 		reorderTimeout: cfg.ReorderTimeout,
 	}
 	m.gapTimer = sim.NewTimer(s, m.flushGap)
-	reasm, err := ip.NewReassembler(s, cfg.ReassemblyTimeout, func(p *packet.Packet) {
+	reasm, err := ip.NewReassembler(s, 0, func(p *packet.Packet) {
 		m.deliver(p)
 	})
 	if err != nil {

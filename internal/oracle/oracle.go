@@ -62,13 +62,15 @@ type Config struct {
 	// wire needs a prior link-level failure). Valid only for
 	// single-connection runs with base-station hooks attached.
 	TrackNotifications bool
-	// ByteTol absorbs the int64 truncation of the float congestion
-	// window in trace events; zero defaults to 8 bytes.
-	ByteTol int64
-	// TimeTol absorbs timestamp normalization (e.g. microsecond-rounded
-	// golden traces); zero defaults to 2µs.
-	TimeTol time.Duration
 }
+
+// byteTol absorbs the int64 truncation of the float congestion window in
+// trace events; timeTol absorbs timestamp normalization (e.g.
+// microsecond-rounded golden traces).
+const (
+	byteTol = 8
+	timeTol = 2 * time.Microsecond
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -77,12 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = tcp.DefaultMaxRTO
-	}
-	if c.ByteTol == 0 {
-		c.ByteTol = 8
-	}
-	if c.TimeTol == 0 {
-		c.TimeTol = 2 * time.Microsecond
 	}
 	return c
 }
@@ -446,7 +442,7 @@ func (c *Checker) checkSend(e *trace.Event) *Violation {
 		c.retx.add(e.Seq, e.Seq+e.Payload)
 	}
 	limit := e.SndUna + c.usableWindow(e.Cwnd)
-	if e.Seq+e.Payload > limit+c.cfg.ByteTol {
+	if e.Seq+e.Payload > limit+byteTol {
 		return c.fail("tcp/window-overrun",
 			"segment [%d,%d) exceeds window limit %d (snd_una=%d cwnd=%d adv=%d)",
 			e.Seq, e.Seq+e.Payload, limit, e.SndUna, e.Cwnd, int64(c.cfg.Window))
@@ -605,7 +601,7 @@ func (c *Checker) checkUnchanged(rule string, e *trace.Event) *Violation {
 func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 	// A timeout abandons any fast-recovery episode in every variant.
 	c.inRecovery = false
-	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
+	if !within(float64(e.Cwnd), float64(c.cfg.MSS), byteTol) {
 		return c.fail("tcp/timeout-collapse",
 			"cwnd %d after timeout, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
 	}
@@ -646,7 +642,7 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 		return c.fail("tcp/rto-backoff",
 			"backoff shift %d after timeout, want %d", e.Shift, wantShift)
 	}
-	if !durWithin(e.RTO, wantRTO, 2*c.cfg.TimeTol) {
+	if !durWithin(e.RTO, wantRTO, 2*timeTol) {
 		return c.fail("tcp/rto-backoff",
 			"RTO %v after timeout, want %v (doubled from %v, capped at %v)",
 			e.RTO, wantRTO, p.RTO, c.cfg.MaxRTO)
@@ -664,7 +660,7 @@ func (c *Checker) checkHalved(rule string, e *trace.Event, p *shadow) *Violation
 	if min := 2 * float64(c.cfg.MSS); exp < min {
 		exp = min
 	}
-	if !within(float64(e.Ssthresh), exp, c.cfg.ByteTol) {
+	if !within(float64(e.Ssthresh), exp, byteTol) {
 		return c.fail(rule,
 			"ssthresh %d, want %.0f (half of min(cwnd=%d, window=%d), floored at 2 segments)",
 			e.Ssthresh, exp, p.Cwnd, int64(c.cfg.Window))
@@ -698,7 +694,7 @@ func (c *Checker) checkEBSNReset(e *trace.Event) *Violation {
 			"EBSN moved cwnd/ssthresh %d/%d -> %d/%d (must be congestion-neutral)",
 			p.Cwnd, p.Ssthresh, e.Cwnd, e.Ssthresh)
 	}
-	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
+	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, timeTol) {
 		return c.fail("ebsn/timer-restart-not-extend",
 			"EBSN changed the timeout value (shift %d->%d, RTO %v->%v); it may only re-arm",
 			p.Shift, e.Shift, p.RTO, e.RTO)
@@ -718,7 +714,7 @@ func (c *Checker) checkQuench(e *trace.Event) *Violation {
 				"%d quench responses but only %d quenches were sent", c.quenchIn, c.quenchSent)
 		}
 	}
-	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
+	if !within(float64(e.Cwnd), float64(c.cfg.MSS), byteTol) {
 		return c.fail("quench/collapse",
 			"cwnd %d after source quench, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
 	}
@@ -726,7 +722,7 @@ func (c *Checker) checkQuench(e *trace.Event) *Violation {
 		return nil
 	}
 	p := &c.last
-	if e.Ssthresh != p.Ssthresh || e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
+	if e.Ssthresh != p.Ssthresh || e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, timeTol) {
 		return c.fail("quench/collapse",
 			"source quench moved ssthresh/shift/RTO (%d/%d/%v -> %d/%d/%v)",
 			p.Ssthresh, p.Shift, p.RTO, e.Ssthresh, e.Shift, e.RTO)
@@ -737,7 +733,7 @@ func (c *Checker) checkQuench(e *trace.Event) *Violation {
 // checkECN validates the [Floyd 94] ECN response: one halving per flight,
 // with cwnd dropped to the new ssthresh.
 func (c *Checker) checkECN(e *trace.Event) *Violation {
-	if !within(float64(e.Cwnd), float64(e.Ssthresh), c.cfg.ByteTol) {
+	if !within(float64(e.Cwnd), float64(e.Ssthresh), byteTol) {
 		return c.fail("ecn/halve",
 			"cwnd %d after ECN echo, want the new ssthresh %d", e.Cwnd, e.Ssthresh)
 	}
@@ -753,7 +749,7 @@ func (c *Checker) deadlineIs(e *trace.Event, want time.Duration) bool {
 	if e.Deadline < 0 {
 		return false
 	}
-	return durWithin(e.Deadline, want, 2*c.cfg.TimeTol)
+	return durWithin(e.Deadline, want, 2*timeTol)
 }
 
 // within compares byte quantities under the truncation tolerance.

@@ -47,7 +47,7 @@ func (c *Checker) checkGrowth(rule string, e *trace.Event, p *shadow) *Violation
 	mss := float64(c.cfg.MSS)
 	switch {
 	case p.Cwnd < p.Ssthresh:
-		if ss := c.grown(p.Cwnd, mss); !within(float64(e.Cwnd), ss, c.cfg.ByteTol) {
+		if ss := c.grown(p.Cwnd, mss); !within(float64(e.Cwnd), ss, byteTol) {
 			return c.fail(rule,
 				"slow start growth from cwnd=%d gives %d, want %.0f", p.Cwnd, e.Cwnd, ss)
 		}
@@ -56,13 +56,13 @@ func (c *Checker) checkGrowth(rule string, e *trace.Event, p *shadow) *Violation
 		// ssthresh, so cwnd==ssthresh here is consistent with either
 		// phase. Accept both growth laws.
 		ss, ca := c.grown(p.Cwnd, mss), c.grown(p.Cwnd, mss*mss/float64(p.Cwnd))
-		if !within(float64(e.Cwnd), ss, c.cfg.ByteTol) && !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
+		if !within(float64(e.Cwnd), ss, byteTol) && !within(float64(e.Cwnd), ca, byteTol) {
 			return c.fail(rule,
 				"growth at the slow-start boundary from cwnd=%d gives %d, want %.0f or %.0f",
 				p.Cwnd, e.Cwnd, ca, ss)
 		}
 	default:
-		if ca := c.grown(p.Cwnd, mss*mss/float64(p.Cwnd)); !within(float64(e.Cwnd), ca, c.cfg.ByteTol) {
+		if ca := c.grown(p.Cwnd, mss*mss/float64(p.Cwnd)); !within(float64(e.Cwnd), ca, byteTol) {
 			return c.fail(rule,
 				"congestion avoidance growth from cwnd=%d gives %d, want %.0f", p.Cwnd, e.Cwnd, ca)
 		}
@@ -111,7 +111,7 @@ func (tahoeProfile) dupAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 // resumes from snd_una — with no timer backoff (the ACK clock is still
 // running; backing off here is the mistake Karn's rule is about).
 func (tahoeProfile) fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation {
-	if !within(float64(e.Cwnd), float64(c.cfg.MSS), c.cfg.ByteTol) {
+	if !within(float64(e.Cwnd), float64(c.cfg.MSS), byteTol) {
 		return c.fail("tahoe/fastretx-collapse",
 			"cwnd %d after fast retransmit, want one segment (%d)", e.Cwnd, int64(c.cfg.MSS))
 	}
@@ -133,7 +133,7 @@ func (tahoeProfile) fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if v := c.checkHalved("tahoe/fastretx-ssthresh", e, p); v != nil {
 		return v
 	}
-	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
+	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, timeTol) {
 		return c.fail("tahoe/fastretx-no-backoff",
 			"fast retransmit changed the timeout (shift %d->%d, RTO %v->%v)",
 			p.Shift, e.Shift, p.RTO, e.RTO)
@@ -197,7 +197,7 @@ func (r *renoProfile) newAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 		// Full recovery: the ACK covers everything outstanding at loss
 		// detection; the window deflates to ssthresh and recovery ends.
 		c.inRecovery = false
-		if !within(float64(e.Cwnd), float64(e.Ssthresh), c.cfg.ByteTol) {
+		if !within(float64(e.Cwnd), float64(e.Ssthresh), byteTol) {
 			return c.fail(r.recoveryExit,
 				"cwnd %d leaving recovery, want deflation to ssthresh %d", e.Cwnd, e.Ssthresh)
 		}
@@ -208,7 +208,7 @@ func (r *renoProfile) newAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 	case !r.variant.PartialAckRetransmit():
 		// Plain Reno leaves recovery on any new ACK, full or not.
 		c.inRecovery = false
-		if !within(float64(e.Cwnd), float64(e.Ssthresh), c.cfg.ByteTol) {
+		if !within(float64(e.Cwnd), float64(e.Ssthresh), byteTol) {
 			return c.fail(r.recoveryExit,
 				"cwnd %d leaving recovery on a partial ACK, want ssthresh %d", e.Cwnd, e.Ssthresh)
 		}
@@ -234,7 +234,7 @@ func (r *renoProfile) newAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 		if mss := float64(c.cfg.MSS); exp < mss {
 			exp = mss
 		}
-		if !within(float64(e.Cwnd), exp, c.cfg.ByteTol) {
+		if !within(float64(e.Cwnd), exp, byteTol) {
 			return c.fail(r.partialAckDeflate,
 				"cwnd %d after partial ACK %d, want %.0f (deflated by the %d acked bytes)",
 				e.Cwnd, e.Ack, exp, e.Ack-base.SndUna)
@@ -251,7 +251,7 @@ func (r *renoProfile) dupAck(c *Checker, e *trace.Event, p *shadow) *Violation {
 	if c.inRecovery {
 		// Window inflation: every duplicate during recovery signals one
 		// more segment has left the network.
-		if !within(float64(e.Cwnd), float64(p.Cwnd)+float64(c.cfg.MSS), c.cfg.ByteTol) {
+		if !within(float64(e.Cwnd), float64(p.Cwnd)+float64(c.cfg.MSS), byteTol) {
 			return c.fail(r.recoveryInflation,
 				"duplicate ACK in recovery moved cwnd %d -> %d, want inflation by one segment", p.Cwnd, e.Cwnd)
 		}
@@ -299,7 +299,7 @@ func (r *renoProfile) fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation
 			"recovery entered without a retransmission of the hole at snd_una %d", e.SndUna)
 	}
 	inflated := float64(e.Ssthresh) + float64(tcp.DupAckThreshold)*float64(c.cfg.MSS)
-	if !within(float64(e.Cwnd), inflated, c.cfg.ByteTol) {
+	if !within(float64(e.Cwnd), inflated, byteTol) {
 		return c.fail(r.fastretxInflate,
 			"cwnd %d entering recovery, want ssthresh %d + %d segments (%.0f)",
 			e.Cwnd, e.Ssthresh, tcp.DupAckThreshold, inflated)
@@ -312,7 +312,7 @@ func (r *renoProfile) fastRetx(c *Checker, e *trace.Event, p *shadow) *Violation
 	if v := c.checkHalved(r.fastretxSsthresh, e, p); v != nil {
 		return v
 	}
-	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, c.cfg.TimeTol) {
+	if e.Shift != p.Shift || !durWithin(e.RTO, p.RTO, timeTol) {
 		return c.fail(r.fastretxNoBackoff,
 			"fast retransmit changed the timeout (shift %d->%d, RTO %v->%v)",
 			p.Shift, e.Shift, p.RTO, e.RTO)

@@ -73,18 +73,17 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, s.adviseQuery(bad))
 }
 
-// adviseOptions is the option class advise calibration runs under.
-func (s *Server) adviseOptions() experiment.Options {
-	opt := s.cfg.Advise
-	if len(opt.PacketSizes) == 0 {
-		opt.PacketSizes = experiment.PacketSizes
-	}
-	return opt
+// adviseOptions is the option class advise calibration runs under: the
+// engine's defaults over every Figure 7 packet size. A sweep campaign in
+// the same class shares its point ledger, which is what lets the
+// advisor refine incrementally from cached sweep points.
+func adviseOptions() experiment.Options {
+	return experiment.Options{PacketSizes: experiment.PacketSizes}
 }
 
 // adviseQuery binds a parsed advise query into the serveQuery pipeline.
 func (s *Server) adviseQuery(bad time.Duration) query {
-	opt := s.adviseOptions()
+	opt := adviseOptions()
 	opt.BadPeriods = []time.Duration{bad}
 	fp := fingerprintOf(struct {
 		Kind    string `json:"kind"`
@@ -112,7 +111,7 @@ func (s *Server) adviseQuery(bad time.Duration) query {
 // uses. The supervisor only keeps a breaker trip from failing the
 // query; the table and the quarantine list follow packet-size order.
 func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) outcome {
-	opt := s.adviseOptions()
+	opt := adviseOptions()
 	opt.Supervise = experiment.NewSupervisor()
 	specs := make([]experiment.PointSpec, len(opt.PacketSizes))
 	for i, size := range opt.PacketSizes {

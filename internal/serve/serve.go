@@ -82,12 +82,6 @@ type Config struct {
 	// Retries is the engine per-replication retry budget (engine
 	// semantics: 0 means the default of 1, negative disables).
 	Retries int
-	// Advise is the option class /v1/advise computes its packet-size
-	// table under: Replications, BaseSeed, Transfer, PacketSizes, and
-	// Retries/Checks/Oracle are honoured. A sweep campaign with the
-	// same option class shares its point ledger, which is what lets
-	// the advisor refine incrementally from cached sweep points.
-	Advise experiment.Options
 	// Health receives run telemetry and backs /healthz; a fresh
 	// collector is created when nil.
 	Health *experiment.Health

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"wtcp/internal/experiment"
-	"wtcp/internal/units"
 )
 
 // newTestServer opens a Server over dir with test-friendly defaults,
@@ -391,18 +390,13 @@ func TestSweepDrainResumeWarmStart(t *testing.T) {
 // already measured the sizes makes the advise query free, and its
 // table equals the sweep's numbers.
 func TestAdviseRefinesFromSweepPoints(t *testing.T) {
-	srv := newTestServer(t, t.TempDir(), func(cfg *Config) {
-		cfg.Advise = experiment.Options{
-			Replications: 1,
-			Transfer:     100 * units.KB,
-			PacketSizes:  []units.ByteSize{256, 1024},
-		}
-	})
+	srv := newTestServer(t, t.TempDir(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A sweep over the same option class settles both calibration points.
-	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"replications":1,"transfer_kb":100,"packet_sizes":[256,1024],"bad_periods":["4s"]}}`)
+	// A Figure 7 sweep at the engine's defaults is advise's option
+	// class: it settles every calibration point.
+	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"bad_periods":["4s"]}}`)
 	if resp, data := post(t, ts, "/v1/sweep", campaign); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep: HTTP %d: %s", resp.StatusCode, data)
 	}
@@ -416,11 +410,8 @@ func TestAdviseRefinesFromSweepPoints(t *testing.T) {
 	if err := json.Unmarshal(data, &adv); err != nil {
 		t.Fatal(err)
 	}
-	if len(adv.Table) != 2 {
-		t.Fatalf("advise table has %d entries, want 2: %s", len(adv.Table), data)
-	}
-	if adv.RecommendedPacketSizeBytes != 256 && adv.RecommendedPacketSizeBytes != 1024 {
-		t.Errorf("recommended size %d not in the calibration set", adv.RecommendedPacketSizeBytes)
+	if len(adv.Table) != len(experiment.PacketSizes) {
+		t.Fatalf("advise table has %d entries, want %d: %s", len(adv.Table), len(experiment.PacketSizes), data)
 	}
 	best := adv.Table[0]
 	for _, e := range adv.Table[1:] {
@@ -436,8 +427,8 @@ func TestAdviseRefinesFromSweepPoints(t *testing.T) {
 	if got := srv.met.executed.Load(); got != executedBefore+1 {
 		t.Errorf("advise after sweep executed %d new requests, want 1 (warm points)", got-executedBefore)
 	}
-	if snap := srv.health.Snapshot(); snap.Completed != 2 {
-		t.Errorf("engine ran %d replications total, want 2 (advise must not re-run sweep points)", snap.Completed)
+	if snap, want := srv.health.Snapshot(), 5*len(experiment.PacketSizes); snap.Completed != uint64(want) {
+		t.Errorf("engine ran %d replications total, want %d (advise must not re-run sweep points)", snap.Completed, want)
 	}
 
 	// ?ber= is an accepted alias and hits the same cache entry.

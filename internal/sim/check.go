@@ -71,17 +71,14 @@ func (s *Simulator) AddCheck(name string, fn func() error) {
 }
 
 // EnableChecks starts periodic execution of every registered check (plus
-// the kernel's own event-heap consistency check) every interval of virtual
-// time. A non-positive interval defaults to one second. On the first
-// violation the simulator records a *CheckError (see Failure) and stops.
+// the kernel's own event-heap consistency check) every second of virtual
+// time. On the first violation the simulator records a *CheckError (see
+// Failure) and stops.
 //
 // The recurring check event keeps the queue non-empty, so a run driven by
 // RunAll will not drain; drive checked simulations with Run(horizon) or a
 // Step loop with an exit condition.
-func (s *Simulator) EnableChecks(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
+func (s *Simulator) EnableChecks() {
 	if s.checksOn {
 		return
 	}
@@ -94,9 +91,9 @@ func (s *Simulator) EnableChecks(interval time.Duration) {
 		if err := s.CheckNow(); err != nil {
 			return
 		}
-		s.Schedule(interval, tick)
+		s.Schedule(time.Second, tick)
 	}
-	s.Schedule(interval, tick)
+	s.Schedule(time.Second, tick)
 }
 
 // CheckNow runs the kernel heap check and every registered check

@@ -56,7 +56,7 @@ func TestEnableChecksHaltsRun(t *testing.T) {
 	s := New()
 	v := int64(0)
 	s.AddCheck("mono", Monotonic("v", func() int64 { return v }))
-	s.EnableChecks(time.Second)
+	s.EnableChecks()
 	// Advance the value, then break monotonicity between check ticks.
 	s.Schedule(1500*time.Millisecond, func() { v = 10 })
 	s.Schedule(2500*time.Millisecond, func() { v = 2 })
@@ -81,8 +81,8 @@ func TestEnableChecksIdempotent(t *testing.T) {
 	s := New()
 	calls := 0
 	s.AddCheck("count", func() error { calls++; return nil })
-	s.EnableChecks(time.Second)
-	s.EnableChecks(time.Second) // second call must not double the runner
+	s.EnableChecks()
+	s.EnableChecks() // second call must not double the runner
 	if err := s.Run(3500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestWatchdogDisabled(t *testing.T) {
 func TestStepSurfacesRegisteredFailure(t *testing.T) {
 	s := New()
 	s.AddCheck("always-bad", func() error { return errors.New("boom") })
-	s.EnableChecks(time.Second)
+	s.EnableChecks()
 	s.Schedule(10*time.Second, func() {})
 	// Drive by Step, as core's run loops do: the loop must terminate with
 	// the failure surfaced through Step's error, not silently via !ok.

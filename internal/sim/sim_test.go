@@ -279,7 +279,7 @@ func TestStepSurfacesCheckFailure(t *testing.T) {
 		}
 		return nil
 	})
-	s.EnableChecks(time.Second)
+	s.EnableChecks()
 	fired := 0
 	s.Schedule(500*time.Millisecond, func() { fired++; bad = true })
 	s.Schedule(1500*time.Millisecond, func() { fired++ })

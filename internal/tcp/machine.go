@@ -77,7 +77,7 @@ type Host interface {
 // NewState returns the state of a connection that has sent nothing.
 func (c *Config) NewState() State {
 	st := State{
-		Cwnd:     float64(c.InitialCwnd) * float64(c.MSS),
+		Cwnd:     float64(c.MSS),
 		Ssthresh: float64(c.Window),
 	}
 	if !c.Streaming {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -57,48 +58,60 @@ func TestOldAckIgnored(t *testing.T) {
 }
 
 func TestCongestionAvoidanceGrowth(t *testing.T) {
-	// Force congestion avoidance by setting a low ssthresh via an early
-	// loss, then verify sub-linear (per-ack) growth: after one full
-	// window of acks, cwnd grows by about one MSS.
+	// The pipes have no serialization delay, so a window leaves in
+	// one burst. Losing every first transmission of the first burst past
+	// 300 ms (a whole flight) times out once: ssthresh halves, and slow
+	// start climbs back to it without a duplicate ACK. From the first
+	// ACK at cwnd >= ssthresh each new ACK adds MSS²/cwnd: a full window
+	// of ACKs grows cwnd by about one MSS, where slow start would add
+	// one MSS per ACK.
+	const mss = 536
 	cfg := wanConfig()
 	cfg.Total = 200 * units.KB
 	cfg.Window = 16 * units.KB
 	l := newLoop(t, cfg, 30*time.Millisecond)
-	dropped := false
+	lostAt := time.Duration(-1)
 	l.dropData = func(p *packet.Packet) bool {
-		if !dropped && p.Seq == 8*536 && !p.Retransmit {
-			dropped = true
-			return true
+		if lostAt < 0 && l.s.Now() >= 300*time.Millisecond {
+			lostAt = l.s.Now()
 		}
-		return false
+		return !p.Retransmit && l.s.Now() == lostAt
 	}
+	type sample struct{ cwnd, ssthresh units.ByteSize }
+	var samples []sample
+	l.snd.SetHooks(Hooks{OnCwnd: func(cwnd, ssthresh units.ByteSize) {
+		samples = append(samples, sample{cwnd, ssthresh})
+	}})
 	l.snd.Start()
-	if err := l.s.Run(4 * time.Second); err != nil { // past the recovery
+	if err := l.s.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	ss := units.ByteSize(l.snd.st.Ssthresh)
-	if l.snd.Cwnd() < ss {
-		// Wait until slow start has reached ssthresh again.
-		if err := l.s.Run(8 * time.Second); err != nil {
-			t.Fatal(err)
+	if !l.snd.Done() || l.snd.Stats().Timeouts != 1 || l.snd.Stats().FastRetransmits != 0 {
+		t.Fatalf("want one timeout, no fast retransmit and a finished transfer: done=%v stats=%+v", l.snd.Done(), l.snd.Stats())
+	}
+	start := slices.IndexFunc(samples, func(s sample) bool { return s.ssthresh < cfg.Window })
+	if start < 0 {
+		t.Fatal("the loss never lowered ssthresh")
+	}
+	ca := slices.IndexFunc(samples[start:], func(s sample) bool { return s.cwnd >= s.ssthresh })
+	if ca < 0 {
+		t.Fatal("slow start never reached ssthresh again")
+	}
+	from := samples[start+ca]
+	acks := int(from.cwnd+mss-1) / mss // one full window of ACKs
+	if start+ca+acks >= len(samples) {
+		t.Fatalf("only %d ACKs after cwnd reached ssthresh, want %d", len(samples)-start-ca-1, acks)
+	}
+	window := samples[start+ca+1 : start+ca+acks+1]
+	for _, s := range window {
+		if s.ssthresh != from.ssthresh || s.cwnd < from.cwnd {
+			t.Fatalf("window fell during the measured window of ACKs: %+v after %+v", s, from)
 		}
 	}
-	start := l.snd.Cwnd()
-	if start < ss {
-		t.Skipf("cwnd %d below ssthresh %d; recovery slower than expected", start, ss)
-	}
-	// One RTT is ~60ms; run a few RTTs and verify growth is ~1 MSS/RTT,
-	// not 1 MSS/ack.
-	if err := l.s.Run(8*time.Second + 300*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	growth := l.snd.Cwnd() - start
-	if growth <= 0 {
-		t.Skip("no acks in window (transfer may have finished)")
-	}
-	// ~5 RTTs: linear growth is ~5 MSS; slow start would give ~2^5x.
-	if growth > 10*536 {
-		t.Errorf("growth %d bytes over ~5 RTTs looks exponential", growth)
+	growth := float64(window[len(window)-1].cwnd - from.cwnd)
+	if growth < 0.75*mss || growth > 1.25*mss {
+		t.Errorf("cwnd %d -> %d over %d ACKs at ssthresh %d: growth %.0f bytes, want one MSS (%d) within 25%%",
+			from.cwnd, window[len(window)-1].cwnd, acks, from.ssthresh, growth, mss)
 	}
 }
 

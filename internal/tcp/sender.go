@@ -116,9 +116,6 @@ func (s *Sender) Receive(p *packet.Packet) {
 		if !s.done && s.st.Done(&s.cfg) {
 			s.done = true
 			s.finishAt = s.sim.Now()
-			if s.hooks.OnComplete != nil {
-				s.hooks.OnComplete(s.finishAt)
-			}
 		}
 	case packet.EBSN:
 		s.st.OnEBSN(&s.cfg, s.host())
@@ -155,17 +152,13 @@ func (h *senderHost) Transmit(seq int64, payload units.ByteSize, retransmit bool
 	h.out(p)
 }
 
-// Observe keeps the counters, fires the single-purpose hooks and, for
-// whoever installed OnState, writes the transition's event. Every kind
-// that moves the window — a new ACK, a loss response, a quench, an ECN
-// echo — does so exactly once, which is when OnCwnd fires.
+// Observe keeps the counters and, for whoever installed OnState, writes
+// the transition's event. Every kind that moves the window — a new ACK,
+// a loss response, a quench, an ECN echo — does so exactly once, which
+// is when OnCwnd fires.
 func (h *senderHost) Observe(ev Transition) {
 	cwndMoved := false
 	switch ev.Kind {
-	case StateSend:
-		if h.hooks.OnSend != nil {
-			h.hooks.OnSend(ev.Seq, ev.Payload, ev.Retransmit)
-		}
 	case StateAck:
 		if ev.AckClass != AckInvalid {
 			h.stats.AcksReceived++
@@ -179,21 +172,12 @@ func (h *senderHost) Observe(ev Transition) {
 		h.stats.AcksReceived++
 		h.stats.DupAcksReceived++
 		h.stats.FastRetransmits++
-		if h.hooks.OnFastRetransmit != nil {
-			h.hooks.OnFastRetransmit(ev.Seq)
-		}
 		cwndMoved = true
 	case StateTimeout:
 		h.stats.Timeouts++
-		if h.hooks.OnTimeout != nil {
-			h.hooks.OnTimeout(ev.Seq)
-		}
 		cwndMoved = true
 	case StateEBSN:
 		h.stats.EBSNResets++
-		if h.hooks.OnEBSN != nil {
-			h.hooks.OnEBSN()
-		}
 	case StateQuench:
 		h.stats.Quenches++
 		cwndMoved = true

@@ -7,6 +7,7 @@ import (
 
 	"wtcp/internal/packet"
 	"wtcp/internal/sim"
+	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -128,8 +129,10 @@ func TestSlowStartDoubling(t *testing.T) {
 	cfg.Total = 64 * units.KB
 	l := newLoop(t, cfg, 100*time.Millisecond)
 	var sends []time.Duration
-	l.snd.SetHooks(Hooks{OnSend: func(int64, units.ByteSize, bool) {
-		sends = append(sends, l.s.Now())
+	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+		if e.Kind == trace.Send || e.Kind == trace.Retransmit {
+			sends = append(sends, l.s.Now())
+		}
 	}})
 	l.snd.Start()
 	if err := l.s.Run(10 * time.Minute); err != nil {
@@ -195,8 +198,10 @@ func TestFastRetransmitHalvesSsthresh(t *testing.T) {
 		}
 		return false
 	}
-	l.snd.SetHooks(Hooks{OnFastRetransmit: func(int64) {
-		ssthreshAfter = units.ByteSize(l.snd.st.Ssthresh)
+	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+		if e.Kind == trace.FastRetx {
+			ssthreshAfter = units.ByteSize(e.Ssthresh)
+		}
 	}})
 	l.snd.Start()
 	if err := l.s.Run(10 * time.Minute); err != nil {
@@ -222,7 +227,10 @@ func TestTimeoutAndBackoff(t *testing.T) {
 	blackout := true
 	l.dropData = func(*packet.Packet) bool { return blackout }
 	var timeoutTimes []time.Duration
-	l.snd.SetHooks(Hooks{OnTimeout: func(int64) {
+	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+		if e.Kind != trace.Timeout {
+			return
+		}
 		timeoutTimes = append(timeoutTimes, l.s.Now())
 		if len(timeoutTimes) == 3 {
 			blackout = false // heal the path after the third timeout
@@ -258,13 +266,14 @@ func TestTimeoutCollapsesCwndToOneSegment(t *testing.T) {
 	l.dropData = func(*packet.Packet) bool { return drop }
 	fired := false
 	var cwndAfter units.ByteSize
-	l.snd.SetHooks(Hooks{OnSend: func(_ int64, _ units.ByteSize, retx bool) {
-		if retx && cwndAfter == 0 {
+	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+		switch {
+		case e.Kind == trace.Retransmit && cwndAfter == 0:
 			cwndAfter = l.snd.Cwnd() // observed right as the timeout retransmits
+		case e.Kind == trace.Timeout:
+			fired = true
+			drop = false
 		}
-	}, OnTimeout: func(int64) {
-		fired = true
-		drop = false
 	}})
 	l.snd.Start()
 	if err := l.s.Run(2 * time.Second); err != nil {
@@ -292,7 +301,11 @@ func TestKarnNoSampleFromRetransmission(t *testing.T) {
 		}
 		return false
 	}
-	l.snd.SetHooks(Hooks{OnTimeout: func(int64) { first = false }})
+	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+		if e.Kind == trace.Timeout {
+			first = false
+		}
+	}})
 	l.snd.Start()
 	if err := l.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -456,8 +469,10 @@ func TestFinalPartialSegment(t *testing.T) {
 	cfg.Total = 5*536 + 123 // last segment is 123 bytes
 	l := newLoop(t, cfg, 20*time.Millisecond)
 	var lastPayload units.ByteSize
-	l.snd.SetHooks(Hooks{OnSend: func(_ int64, payload units.ByteSize, _ bool) {
-		lastPayload = payload
+	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+		if e.Kind == trace.Send || e.Kind == trace.Retransmit {
+			lastPayload = units.ByteSize(e.Payload)
+		}
 	}})
 	l.snd.Start()
 	if err := l.s.Run(time.Minute); err != nil {

@@ -124,9 +124,6 @@ type Config struct {
 	MaxRTO time.Duration
 	// Variant selects Tahoe (default), Reno, NewReno or SACKVariant.
 	Variant Variant
-	// InitialCwnd is the starting congestion window in segments
-	// (default 1).
-	InitialCwnd int
 	// Streaming makes the sender start with no data available; a relay
 	// (e.g. the split-connection base station) grants bytes with
 	// MakeAvailable as they arrive from upstream. When false the whole
@@ -169,9 +166,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Variant.Scoreboard() {
 		c.SACK = true
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 1
 	}
 	return c
 }
@@ -265,31 +259,19 @@ type Transition struct {
 	AckClass AckClass
 }
 
-// Hooks are optional observation points; any field may be nil. They exist
+// Hooks are optional observation points; either may be nil. They exist
 // for the tracer and for tests, and must not mutate sender state.
 type Hooks struct {
-	// OnSend fires for every segment handed to the network.
-	OnSend func(seq int64, payload units.ByteSize, retransmit bool)
-	// OnTimeout fires when the retransmission timer expires, with the
-	// about-to-be-retransmitted sequence number.
-	OnTimeout func(seq int64)
-	// OnFastRetransmit fires on the third duplicate ACK.
-	OnFastRetransmit func(seq int64)
-	// OnEBSN fires when an EBSN re-arms the timer.
-	OnEBSN func()
 	// OnCwnd fires whenever the congestion window or threshold changes
 	// (growth, collapse, recovery), for window-evolution traces.
 	OnCwnd func(cwnd, ssthresh units.ByteSize)
-	// OnState fires after every recorded protocol transition with the
-	// sender's post-transition state — the conformance oracle's raw
-	// material — written in place into the host's scratch event by
-	// State.Snapshot (every field post-transition, except that a send
-	// shows its sequence pointers before they advance, so a fresh send
-	// has Seq == SndMax). It subsumes the single-purpose hooks above but
-	// does not replace them: each fires independently. The receiver may
-	// stamp the event's At; the event is valid for the duration of the
-	// call only.
+	// OnState fires after every recorded protocol transition — a send or
+	// retransmission, an ACK, a timeout, a fast retransmit, an EBSN
+	// reset — with the sender's post-transition state: the conformance
+	// oracle's raw material, written in place into the host's scratch
+	// event by State.Snapshot (every field post-transition, except that
+	// a send shows its sequence pointers before they advance, so a fresh
+	// send has Seq == SndMax). The receiver may stamp the event's At; the
+	// event is valid for the duration of the call only.
 	OnState func(e *trace.Event)
-	// OnComplete fires once when the last byte is acknowledged.
-	OnComplete func(at time.Duration)
 }
