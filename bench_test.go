@@ -300,24 +300,24 @@ func BenchmarkRelatedWorkCSDP(b *testing.B) {
 	b.ReportMetric(csdpAdv, "%csdp-over-fifo")
 }
 
-// BenchmarkFutureWorkCongestion measures EBSN's advantage over basic TCP
-// while the wired link carries 60% cross-traffic load (the paper's §6
-// future-work scenario).
+// BenchmarkFutureWorkCongestion runs the congested-wire study and reports
+// EBSN's advantage over basic TCP while the wired link carries 60%
+// cross-traffic load (the paper's §6 future-work scenario).
 func BenchmarkFutureWorkCongestion(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
 		points, err := experiment.CongestionStudy(context.Background(),
-			experiment.Options{Replications: 2, Transfer: 40 * units.KB},
-			experiment.CongestionOptions{Loads: []float64{0.6}})
+			experiment.Options{Replications: 2, Transfer: 40 * units.KB})
 		if err != nil {
 			b.Fatal(err)
 		}
 		var basicT, ebsnT float64
 		for _, p := range points {
-			switch p.Scheme {
-			case bs.Basic:
+			switch {
+			case p.LoadFraction != 0.6:
+			case p.Scheme == bs.Basic:
 				basicT = p.ThroughputKbps.Mean()
-			case bs.EBSN:
+			case p.Scheme == bs.EBSN:
 				ebsnT = p.ThroughputKbps.Mean()
 			}
 		}

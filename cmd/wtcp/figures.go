@@ -87,7 +87,7 @@ var figures = []figure{
 		defaultAxes(experiment.SeverityStudy), experiment.SeverityCSV, experiment.RenderSeverityTable),
 	sweep([]string{"congestion"}, "congestion.csv",
 		"=== Future work (paper §6): EBSN vs basic TCP under wired cross-traffic, bad=2s ===",
-		defaultAxes(experiment.CongestionStudy), experiment.CongestionCSV, experiment.RenderCongestionTable),
+		experiment.CongestionStudy, experiment.CongestionCSV, experiment.RenderCongestionTable),
 	sweep([]string{"zoo"}, "zoo.csv",
 		"=== Protocol zoo: sender variant x base-station scheme on one seeded WAN channel, bad=2s, oracle armed ===",
 		defaultAxes(experiment.ZooStudy), experiment.ZooCSV, experiment.RenderZooTable),

@@ -22,6 +22,8 @@ import (
 type arqEngine struct {
 	bs  *BaseStation
 	cfg ARQConfig
+	// ackDeadline is AckDeadline of the station's downlink.
+	ackDeadline time.Duration
 
 	// pendingUnits holds link units not yet transmitted, FIFO across
 	// packets (an unbounded ring: admission is bounded by QueueLimit).
@@ -79,6 +81,7 @@ func newARQEngine(b *BaseStation, cfg ARQConfig) *arqEngine {
 	e := &arqEngine{
 		bs:           b,
 		cfg:          cfg,
+		ackDeadline:  AckDeadline(b.down),
 		pendingUnits: queue.New(0),
 	}
 	// Arm acknowledgment timers from the instant a unit leaves the
@@ -239,7 +242,7 @@ func (e *arqEngine) send(en *arqEntry) {
 // the corresponding ack timer.
 func (e *arqEngine) onTxDone(p *packet.Packet) {
 	if en := e.entry(p.ID); en != nil && !en.backingOff {
-		en.timer.Set(e.cfg.AckTimeout)
+		en.timer.Set(e.ackDeadline)
 	}
 }
 

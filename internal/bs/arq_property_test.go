@@ -112,7 +112,6 @@ func TestARQRecycledEntryNeverFiresStaleTimer(t *testing.T) {
 					RTmax:      3,
 					Window:     2,
 					BackoffMax: 50 * time.Millisecond,
-					AckTimeout: 150 * time.Millisecond,
 				},
 			}
 			b := newBench(t, cfg, ch)

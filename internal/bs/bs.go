@@ -110,21 +110,16 @@ type ARQConfig struct {
 	// outstanding at once; pipelining keeps the radio busy so local
 	// recovery does not itself cost throughput.
 	Window int
-	// AckTimeout is how long after a unit finishes transmitting the base
-	// station waits for its link-level ack before declaring the attempt
-	// unsuccessful.
-	AckTimeout time.Duration
 	// BackoffMax bounds the uniform random retransmission backoff drawn
 	// after each unsuccessful attempt.
 	BackoffMax time.Duration
 }
 
-// Default ARQ values; AckTimeout and BackoffMax defaults suit the WAN
-// radio (fragment ~80 ms on air, link ack ~25 ms).
+// Default ARQ values; the BackoffMax default suits the WAN radio
+// (fragment ~80 ms on air, link ack ~25 ms).
 const (
 	DefaultRTmax      = 13
 	DefaultARQWindow  = 4
-	DefaultAckTimeout = 250 * time.Millisecond
 	DefaultBackoffMax = 300 * time.Millisecond
 )
 
@@ -136,49 +131,35 @@ func (c ARQConfig) WithDefaults() ARQConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultARQWindow
 	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = DefaultAckTimeout
-	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = DefaultBackoffMax
 	}
 	return c
 }
 
-// SnoopConfig parameterizes the snoop baseline.
-type SnoopConfig struct {
-	// LocalTimeout is the persistence timer for the oldest cached,
-	// unacknowledged packet.
-	LocalTimeout time.Duration
-	// MaxCached bounds the cache in packets.
-	MaxCached int
-	// MaxLocalRetx is the ARQ-style attempt cap: once a cached copy has
-	// been locally retransmitted this many times it is evicted and the
-	// fixed host's own recovery takes over (dupacks for it are forwarded
-	// again). A fresh copy from the source restarts the count.
-	MaxLocalRetx int
+// AckDeadline is how long after a unit finishes transmitting the base
+// station waits for its link-level ack before declaring the attempt
+// unsuccessful, derived from the radio's timing: both propagation delays
+// and the ack's serialization, plus slack of four more ack times and
+// 20 ms for an ack-path queue (a TCP ack ahead of the link ack on the
+// uplink). The radio is symmetric: the downlink stands for the uplink.
+func AckDeadline(radio *link.Link) time.Duration {
+	return 2*radio.Delay() + 5*radio.TxTime(packet.ControlSize) + 20*time.Millisecond
 }
 
-// Default snoop values. The retransmission cap mirrors the ARQ RTmax so
-// the two local-recovery schemes give up after comparable persistence.
+// The snoop baseline's parameters. SnoopTimeout is the persistence timer
+// for the oldest cached, unacknowledged segment; SnoopMaxCached bounds
+// the cache in segments. SnoopMaxRetx is the ARQ-style attempt cap: once
+// a cached copy has been locally retransmitted this many times it is
+// evicted and the fixed host's own recovery takes over (dupacks for it
+// are forwarded again); a fresh copy from the source restarts the count.
+// The cap mirrors the ARQ RTmax so the two local-recovery schemes give up
+// after comparable persistence.
 const (
-	DefaultSnoopTimeout   = 800 * time.Millisecond
-	DefaultSnoopMaxCached = 64
-	DefaultSnoopMaxRetx   = DefaultRTmax
+	SnoopTimeout   = 800 * time.Millisecond
+	SnoopMaxCached = 64
+	SnoopMaxRetx   = DefaultRTmax
 )
-
-func (c SnoopConfig) WithDefaults() SnoopConfig {
-	if c.LocalTimeout <= 0 {
-		c.LocalTimeout = DefaultSnoopTimeout
-	}
-	if c.MaxCached <= 0 {
-		c.MaxCached = DefaultSnoopMaxCached
-	}
-	if c.MaxLocalRetx <= 0 {
-		c.MaxLocalRetx = DefaultSnoopMaxRetx
-	}
-	return c
-}
 
 // Config parameterizes a base station.
 type Config struct {
@@ -193,8 +174,6 @@ type Config struct {
 	// ARQ configures local recovery (used by LocalRecovery, EBSN,
 	// SourceQuench).
 	ARQ ARQConfig
-	// Snoop configures the snoop baseline.
-	Snoop SnoopConfig
 	// NotifyEvery sends the EBSN/quench control message only on every
 	// Nth unsuccessful attempt (default 1 = the paper's "after every
 	// unsuccessful attempt"). An ablation knob: sparser notifications
@@ -240,7 +219,7 @@ type Stats struct {
 	CrashDiscards    uint64
 	// HeldPeak is the most data packets held under local recovery at once
 	// (at most QueueLimit); SnoopCachePeak the most segments in the snoop
-	// cache at once (at most SnoopConfig.MaxCached).
+	// cache at once (at most SnoopMaxCached).
 	HeldPeak       int
 	SnoopCachePeak int
 }
@@ -354,7 +333,7 @@ func New(s *sim.Simulator, cfg Config, ids *packet.IDGen, rng *sim.RNG, down *li
 		}
 		b.arq = newARQEngine(b, cfg.ARQ.WithDefaults())
 	case Snoop:
-		b.snoop = newSnoopAgent(b, cfg.Snoop.WithDefaults())
+		b.snoop = newSnoopAgent(b)
 	case SplitConnection:
 		return nil, errors.New("bs: split connection is a topology change; use the core scenario wiring")
 	}

@@ -464,7 +464,7 @@ func TestSnoopDupAckForUncachedSegmentForwarded(t *testing.T) {
 }
 
 func TestSnoopPersistenceTimer(t *testing.T) {
-	cfg := Config{Scheme: Snoop, MTU: 128, Snoop: SnoopConfig{LocalTimeout: 500 * time.Millisecond}}
+	cfg := Config{Scheme: Snoop, MTU: 128}
 	b := newBench(t, cfg, nil)
 	b.bs.FromWired(b.dataPacket(0))
 	if err := b.s.Run(300 * time.Millisecond); err != nil { // initial tx done

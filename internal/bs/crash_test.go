@@ -11,7 +11,7 @@ import (
 // loses the radio queue and the ARQ window; the loss is reported to the
 // caller and counted.
 func TestCrashDropsARQState(t *testing.T) {
-	b := newBench(t, Config{Scheme: LocalRecovery, MTU: 128, ARQ: ARQConfig{AckTimeout: 100 * time.Millisecond}}, nil)
+	b := newBench(t, Config{Scheme: LocalRecovery, MTU: 128}, nil)
 	b.ackBack = false // no link acks, so ARQ state accumulates
 	for i := 0; i < 3; i++ {
 		b.bs.FromWired(b.dataPacket(int64(i) * 536))

@@ -19,10 +19,9 @@ import (
 // DESIGN.md): a single connection, no wireless-RTT estimator (a fixed
 // local timeout), and at most one local retransmission per dupack burst.
 type snoopAgent struct {
-	bs  *BaseStation
-	cfg SnoopConfig
+	bs *BaseStation
 
-	// cache holds the cached segments by start seq: at most MaxCached
+	// cache holds the cached segments by start seq: at most SnoopMaxCached
 	// entries, admitted in order and acknowledged from the bottom.
 	cache queue.Table[int64, cachedSeg]
 	// lastAck is the highest cumulative ack seen from the mobile host.
@@ -42,13 +41,13 @@ type cachedSeg struct {
 	// since the last ack advance, limiting dupack-triggered re-sends.
 	locallyRetransmitted bool
 	// retx counts local retransmissions of this cached copy; at
-	// SnoopConfig.MaxLocalRetx the copy is evicted. A replacement copy
-	// from the source restarts the count.
+	// SnoopMaxRetx the copy is evicted. A replacement copy from the
+	// source restarts the count.
 	retx int
 }
 
-func newSnoopAgent(b *BaseStation, cfg SnoopConfig) *snoopAgent {
-	a := &snoopAgent{bs: b, cfg: cfg}
+func newSnoopAgent(b *BaseStation) *snoopAgent {
+	a := &snoopAgent{bs: b}
 	a.timer = sim.NewTimer(b.sim, a.onLocalTimeout)
 	return a
 }
@@ -70,7 +69,7 @@ func (a *snoopAgent) reset() int {
 // admit caches a data segment and forwards it onto the wireless link.
 func (a *snoopAgent) admit(p *packet.Packet) {
 	i := a.cache.Find(p.Seq)
-	if i >= 0 || len(a.cache) < a.cfg.MaxCached {
+	if i >= 0 || len(a.cache) < SnoopMaxCached {
 		// A retransmission from the source replaces the cached copy,
 		// clearing the local-retransmit mark and the attempt count.
 		seg := cachedSeg{payload: p.Payload}
@@ -86,7 +85,7 @@ func (a *snoopAgent) admit(p *packet.Packet) {
 	}
 	a.bs.forwardBasic(p)
 	if !a.timer.Pending() {
-		a.timer.Set(a.cfg.LocalTimeout)
+		a.timer.Set(SnoopTimeout)
 	}
 }
 
@@ -103,7 +102,7 @@ func (a *snoopAgent) filterAck(p *packet.Packet) bool {
 		if len(a.cache) == 0 {
 			a.timer.Stop()
 		} else {
-			a.timer.Set(a.cfg.LocalTimeout)
+			a.timer.Set(SnoopTimeout)
 		}
 		return false
 	case p.AckNo == a.lastAck:
@@ -142,7 +141,7 @@ func (a *snoopAgent) onLocalTimeout() {
 	}
 	a.localRetransmit(0)
 	if len(a.cache) > 0 {
-		a.timer.Set(a.cfg.LocalTimeout)
+		a.timer.Set(SnoopTimeout)
 	} else {
 		a.timer.Stop()
 	}
@@ -153,7 +152,7 @@ func (a *snoopAgent) onLocalTimeout() {
 // was evicted instead of retransmitted.
 func (a *snoopAgent) localRetransmit(i int) bool {
 	seq, seg := a.cache[i].Key, &a.cache[i].Val
-	if seg.retx >= a.cfg.MaxLocalRetx {
+	if seg.retx >= SnoopMaxRetx {
 		a.evict(i)
 		return false
 	}

@@ -119,15 +119,15 @@ func TestDiscardWithdrawsUnitsInEveryState(t *testing.T) {
 	}
 }
 
-// snoopBench is a Snoop station with a short retransmission cap, and the
-// observations the cases below assert on.
+// snoopBench is a Snoop station and the observations the cases below
+// assert on.
 type snoopBench struct {
 	*bench
 	retx, evicted []int64
 }
 
 func newSnoopBench(t *testing.T) *snoopBench {
-	sb := &snoopBench{bench: newBench(t, Config{Scheme: Snoop, Snoop: SnoopConfig{MaxLocalRetx: 1}}, nil)}
+	sb := &snoopBench{bench: newBench(t, Config{Scheme: Snoop}, nil)}
 	sb.bs.SetHooks(Hooks{
 		OnSnoopRetx:  func(seq int64, _ int) { sb.retx = append(sb.retx, seq) },
 		OnSnoopEvict: func(seq int64) { sb.evicted = append(sb.evicted, seq) },
@@ -157,7 +157,7 @@ func TestSnoopEvictsAtTheCapFromMidCache(t *testing.T) {
 	sb.bs.FromWired(sb.dataPacket(1072))
 	sb.bs.FromWired(sb.dataPacket(1608))
 	sb.ack(1072) // a new ack: nothing below it to free
-	if err := sb.s.Run(DefaultSnoopTimeout + time.Millisecond); err != nil {
+	if err := sb.s.Run(SnoopTimeout + time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(sb.retx, []int64{1072}) {
@@ -167,6 +167,8 @@ func TestSnoopEvictsAtTheCapFromMidCache(t *testing.T) {
 	if got := sb.cached(); !slices.Equal(got, []int64{536, 1072, 1608}) {
 		t.Fatalf("cache = %v, want it in sequence order", got)
 	}
+	// Spend 1072's remaining local retransmissions.
+	sb.bs.snoop.cache[sb.bs.snoop.cache.Find(1072)].Val.retx = SnoopMaxRetx
 	forwarded := len(sb.toFH)
 	sb.ack(1072) // a dupack for a copy already at its cap
 	if !slices.Equal(sb.evicted, []int64{1072}) || !slices.Equal(sb.cached(), []int64{536, 1608}) {
@@ -175,7 +177,7 @@ func TestSnoopEvictsAtTheCapFromMidCache(t *testing.T) {
 	if len(sb.toFH) != forwarded+1 {
 		t.Errorf("the dupack for an evicted copy was not forwarded to the source")
 	}
-	if err := sb.s.Run(sb.s.Now() + DefaultSnoopTimeout + time.Millisecond); err != nil {
+	if err := sb.s.Run(sb.s.Now() + SnoopTimeout + time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(sb.retx, []int64{1072, 536}) {

@@ -126,7 +126,7 @@ func TestInlineAdvanceMatchesStepwise(t *testing.T) {
 				}
 				if chaos {
 					cfg.EBSNBroadcast = true
-					cfg.Chaos = Chaos{DropP: 0.02, DupP: 0.02, ReorderP: 0.05, ReorderDelay: time.Millisecond}
+					cfg.faults = faults{dropP: 0.02, dupP: 0.02, reorderP: 0.05}
 				}
 				name := fmt.Sprintf("%v shared=%v chaos=%v", pol, shared, chaos)
 

@@ -121,7 +121,7 @@ func TestSteadyStateZeroAllocsFIFO(t *testing.T) {
 	}
 	cfg := steadyConfig()
 	cfg.Policy = FIFO
-	cfg.Chaos = Chaos{DropP: 0.05, DupP: 0.05, ReorderP: 0.05}
+	cfg.faults = faults{dropP: 0.05, dupP: 0.05, reorderP: 0.05}
 	e := warmEngine(t, cfg, 50000)
 	w := newWindow(e)
 	start := e.events

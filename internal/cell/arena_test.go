@@ -130,12 +130,12 @@ func TestOffGridTransmitFaults(t *testing.T) {
 // copies are still in flight, alongside the wired hop's tail drops and
 // the discards after RTmax.
 func TestArenaRefcountsUnderChaos(t *testing.T) {
-	grids := []Chaos{
-		{DropP: 0.3},
-		{DupP: 0.3},
-		{ReorderP: 0.3},
-		{DropP: 0.15, DupP: 0.15, ReorderP: 0.15},
-		{DropP: 0.5, DupP: 0.5, ReorderP: 0.5, ReorderDelay: 20 * time.Millisecond},
+	grids := []faults{
+		{dropP: 0.3},
+		{dupP: 0.3},
+		{reorderP: 0.3},
+		{dropP: 0.15, dupP: 0.15, reorderP: 0.15},
+		{dropP: 0.5, dupP: 0.5, reorderP: 0.5},
 	}
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -149,7 +149,7 @@ func TestArenaRefcountsUnderChaos(t *testing.T) {
 				t.Parallel()
 				cfg := smallConfig(8)
 				cfg.TransferSize = 32 * units.KB
-				cfg.Chaos = chaos
+				cfg.faults = chaos
 				cfg.Seed = seed
 				cfg.EBSN = true
 				// Heavy chaos may legitimately keep flows from finishing;
@@ -163,13 +163,13 @@ func TestArenaRefcountsUnderChaos(t *testing.T) {
 				if res.Arena.LiveAtEnd != 0 {
 					t.Errorf("%d segments never retired (chaos %+v)", res.Arena.LiveAtEnd, chaos)
 				}
-				if chaos.DropP > 0 && res.ChaosDrops == 0 {
+				if chaos.dropP > 0 && res.ChaosDrops == 0 {
 					t.Error("drop chaos configured but no drops recorded")
 				}
-				if chaos.DupP > 0 && res.ChaosDups == 0 {
+				if chaos.dupP > 0 && res.ChaosDups == 0 {
 					t.Error("dup chaos configured but no dups recorded")
 				}
-				if chaos.ReorderP > 0 && res.ChaosDelays == 0 {
+				if chaos.reorderP > 0 && res.ChaosDelays == 0 {
 					t.Error("reorder chaos configured but no delays recorded")
 				}
 			})

@@ -3,7 +3,6 @@ package cell
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"wtcp/internal/sim"
 )
@@ -21,7 +20,7 @@ var calendarDelays = [evAdmit + 1]int64{0, 130, 6, 5, 132, 128, 5000}
 // Modes: the kind's usual delay after the clock (the engine's traffic),
 // exactly the clock (ties at one instant, across kinds and within one),
 // and an offset either side of the clock scaled up (same-kind pushes due
-// earlier than ones already held, as a ReorderDelay or a busy wired pipe
+// earlier than ones already held, as a reorderDelay or a busy wired pipe
 // produces; the calendar does not care that some fall before the clock).
 func runCalendarScript(t *testing.T, script []byte) {
 	t.Helper()
@@ -180,15 +179,15 @@ func FuzzCalendarOrder(f *testing.F) {
 // slides past less than one entry on average (measured: 0.001), and the
 // calendar holds hundreds of events, not thousands, however many flows
 // the cell has. The last case breaks the premise on purpose — a fifth of
-// the sink deliveries held back 2 ms, so every prompt one passes the ~25
-// held — and bounds what that costs: a few entries per push over all
-// kinds (measured: 2.8).
+// the sink deliveries held back reorderDelay (5 ms), so every prompt one
+// passes the ~60 held — and bounds what that costs: a few entries per
+// push over all kinds (measured: 6.9).
 func TestCalendarArrivesAlmostSorted(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("mid-scale runs in full non-race mode only")
 	}
 	reorder := perFlow10k(RoundRobin)
-	reorder.Chaos = Chaos{ReorderP: 0.2, ReorderDelay: 2 * time.Millisecond}
+	reorder.faults = faults{reorderP: 0.2}
 	for _, tc := range []struct {
 		name  string
 		cfg   Config

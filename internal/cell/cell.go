@@ -57,24 +57,26 @@ func (p Policy) String() string {
 	}
 }
 
-// Chaos injects seeded faults at the radio-to-sink boundary, for the
-// segment-conservation property tests and robustness studies: each
-// successfully received segment may be dropped, duplicated, or delayed
-// (reordered) on its way to the sink. All draws come from a dedicated
-// RNG split, so enabling chaos never perturbs the protocol draw
-// sequence of a chaos-free run.
-type Chaos struct {
-	// DropP loses the delivery entirely (TCP recovers end to end).
-	DropP float64
-	// DupP delivers the segment twice.
-	DupP float64
-	// ReorderP delays the delivery by ReorderDelay (default 5 ms),
-	// letting later segments overtake it.
-	ReorderP     float64
-	ReorderDelay time.Duration
+// faults injects seeded faults at the radio-to-sink boundary, for the
+// package's segment-conservation and pin tests, which set
+// Config.faults: each successfully received segment may be dropped,
+// duplicated, or delayed (reordered) on its way to the sink. All draws
+// come from a dedicated RNG split, so enabling faults never perturbs the
+// protocol draw sequence of a fault-free run.
+type faults struct {
+	// dropP loses the delivery entirely (TCP recovers end to end).
+	dropP float64
+	// dupP delivers the segment twice.
+	dupP float64
+	// reorderP delays the delivery by reorderDelay, letting later
+	// segments overtake it.
+	reorderP float64
 }
 
-func (c Chaos) enabled() bool { return c.DropP > 0 || c.DupP > 0 || c.ReorderP > 0 }
+// reorderDelay is how long a reordered delivery is held back.
+const reorderDelay = 5 * time.Millisecond
+
+func (c faults) enabled() bool { return c.dropP > 0 || c.dupP > 0 || c.reorderP > 0 }
 
 // Config parameterizes a cell run.
 type Config struct {
@@ -131,8 +133,9 @@ type Config struct {
 	// checks nothing (full-population checking is unaffordable at 50k
 	// flows; sampling keeps correctness coverage at scale).
 	OracleSample int
-	// Chaos injects radio-delivery faults (see Chaos).
-	Chaos Chaos
+	// faults injects radio-delivery faults; only this package's tests
+	// set it.
+	faults faults
 	// Seed drives all randomness; Horizon caps the run (default 4 h).
 	Seed    int64
 	Horizon time.Duration
@@ -151,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerFlowQueue <= 0 {
 		c.PerFlowQueue = 20
-	}
-	if c.Chaos.ReorderDelay <= 0 {
-		c.Chaos.ReorderDelay = 5 * time.Millisecond
 	}
 	return c
 }
@@ -179,9 +179,9 @@ func (c Config) Validate() error {
 		return errors.New("cell: predictor accuracy outside [0,1]")
 	case c.BaseStations < 0 || (c.BaseStations > c.Flows && c.Flows > 0):
 		return errors.New("cell: more base stations than flows")
-	case c.Chaos.DropP < 0 || c.Chaos.DropP > 1 ||
-		c.Chaos.DupP < 0 || c.Chaos.DupP > 1 ||
-		c.Chaos.ReorderP < 0 || c.Chaos.ReorderP > 1:
+	case c.faults.dropP < 0 || c.faults.dropP > 1 ||
+		c.faults.dupP < 0 || c.faults.dupP > 1 ||
+		c.faults.reorderP < 0 || c.faults.reorderP > 1:
 		return errors.New("cell: chaos probabilities outside [0,1]")
 	default:
 		return c.Channel.Validate()

@@ -160,20 +160,32 @@ func TestOracleSampling(t *testing.T) {
 }
 
 // TestOracleSamplingDoesNotPerturb pins that attaching the sampler
-// changes no simulation outcome: observation must be pure.
+// changes no simulation outcome: observation must be pure. The cases are
+// a small round-robin cell, and the §2 scheduling study's LAN under CSDP
+// with an imperfect predictor (accuracy 0.8), whose predictor draws.
 func TestOracleSamplingDoesNotPerturb(t *testing.T) {
-	cfg := smallConfig(6)
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	configs := []Config{smallConfig(6)}
+	for seed := int64(1); seed <= 2; seed++ {
+		cfg := LAN(3, CSDP, time.Second)
+		cfg.PredictorAccuracy = 0.8
+		cfg.TransferSize = 128 * units.KB
+		cfg.Seed = seed
+		configs = append(configs, cfg)
 	}
-	cfg.OracleSample = 6
-	sampled, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("sampled Run: %v", err)
-	}
-	if !reflect.DeepEqual(plain.Flows, sampled.Flows) || plain.Events != sampled.Events {
-		t.Fatal("oracle sampling perturbed the simulation")
+	for _, cfg := range configs {
+		plain, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		cfg.OracleSample = cfg.Flows
+		sampled, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("sampled Run: %v", err)
+		}
+		if !reflect.DeepEqual(plain.Flows, sampled.Flows) || plain.Events != sampled.Events ||
+			plain.RadioAttempts != sampled.RadioAttempts || plain.RadioDiscards != sampled.RadioDiscards || plain.SkippedBad != sampled.SkippedBad {
+			t.Fatalf("%v seed %d: oracle sampling perturbed the simulation", cfg.Policy, cfg.Seed)
+		}
 	}
 }
 
@@ -189,7 +201,7 @@ func TestValidate(t *testing.T) {
 		"no rate":         func(c *Config) { c.WiredRate = 0 },
 		"accuracy range":  func(c *Config) { c.PredictorAccuracy = 1.5 },
 		"bs over flows":   func(c *Config) { c.BaseStations = 9 },
-		"chaos p range":   func(c *Config) { c.Chaos.DropP = 2 },
+		"chaos p range":   func(c *Config) { c.faults.dropP = 2 },
 		"channel invalid": func(c *Config) { c.Channel = errmodel.Config{} },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -239,7 +239,7 @@ func newEngine(cfg Config) (*engine, error) {
 		radioTx:    airtime{rate: cfg.WirelessRate},
 		wiredTx:    airtime{rate: cfg.WiredRate},
 
-		chaosOn: cfg.Chaos.enabled(),
+		chaosOn: cfg.faults.enabled(),
 	}
 
 	root := sim.NewRNG(cfg.Seed)
@@ -740,15 +740,15 @@ func (e *engine) radioDone(b int32) {
 func (e *engine) deliverToSink(f int32, seq int64) {
 	delay := e.cfg.WirelessDelay
 	if e.chaosOn {
-		if e.chaos.Bernoulli(e.cfg.Chaos.DropP) {
+		if e.chaos.Bernoulli(e.cfg.faults.dropP) {
 			e.chaosDrops++
 			return
 		}
-		if e.chaos.Bernoulli(e.cfg.Chaos.ReorderP) {
+		if e.chaos.Bernoulli(e.cfg.faults.reorderP) {
 			e.chaosDelays++
-			delay += e.cfg.Chaos.ReorderDelay
+			delay += reorderDelay
 		}
-		if e.chaos.Bernoulli(e.cfg.Chaos.DupP) {
+		if e.chaos.Bernoulli(e.cfg.faults.dupP) {
 			e.chaosDups++
 			e.cal.push(calEvent{at: int64(e.s.Now() + delay), kind: evSinkDeliver, flow: f, a: seq})
 		}

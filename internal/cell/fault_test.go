@@ -109,7 +109,7 @@ func TestRunNeverQueriesBelowTheWindow(t *testing.T) {
 			cfg.TransferSize *= 16
 			cfg.Channel.MeanGood = 50 * time.Millisecond
 			cfg.Channel.MeanBad = 20 * time.Millisecond
-			cfg.Chaos = Chaos{DropP: 0.02, DupP: 0.02, ReorderP: 0.05}
+			cfg.faults = faults{dropP: 0.02, dupP: 0.02, reorderP: 0.05}
 			e := warmEngine(t, cfg, 1)
 			if err := e.loop(); err != nil {
 				t.Fatalf("%v shared=%v: %v", pol, shared, err)

@@ -44,7 +44,6 @@ func newSampler(e *engine, k int) *sampler {
 		Variant: e.tcp.Variant,
 		MSS:     e.tcp.MSS,
 		Window:  e.tcp.Window,
-		MaxRTO:  e.tcp.MaxRTO,
 		RTmax:   e.cfg.RTmax,
 	}
 	step := e.F / k

@@ -25,7 +25,7 @@ func perFlow2k(pol Policy) Config {
 // scale.
 func TestManyFlowRunIsPinned(t *testing.T) {
 	chaos := perFlow2k(FIFO)
-	chaos.Chaos = Chaos{ReorderP: 0.2, DupP: 0.05, DropP: 0.01}
+	chaos.faults = faults{reorderP: 0.2, dupP: 0.05, dropP: 0.01}
 	for _, tc := range []struct {
 		name string
 		cfg  Config

@@ -326,7 +326,7 @@ func refRun(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.BaseStations > 1 || cfg.SharedChannel || !cfg.EBSNBroadcast ||
-		cfg.AdmitBatch > 0 || cfg.OracleSample > 0 || cfg.Chaos.enabled() {
+		cfg.AdmitBatch > 0 || cfg.OracleSample > 0 || cfg.faults.enabled() {
 		return nil, fmt.Errorf("reference engine: configuration outside its model")
 	}
 	cfg = cfg.withDefaults()

@@ -65,9 +65,8 @@ type Config struct {
 	Channel errmodel.Config
 
 	// ARQ tunes the base station's link-level retransmission. Zero
-	// values use defaults; the acknowledgment timeout, if unset, is
-	// derived from the link parameters. The snoop agent runs with
-	// bs.SnoopConfig's defaults.
+	// values use defaults; the link-ack deadline is derived from the
+	// radio (bs.AckDeadline).
 	ARQ bs.ARQConfig
 
 	// TCP tuning. Zero values use the paper's defaults (100 ms clock,
@@ -540,11 +539,9 @@ type topology struct {
 	wiredFwd, wiredRev       *link.Link
 	wirelessDown, wirelessUp *link.Link
 
-	// arq and snoop are the resolved base-station configurations
-	// (defaults applied), kept so the conformance oracle can mirror the
-	// station's attempt caps.
-	arq   bs.ARQConfig
-	snoop bs.SnoopConfig
+	// arq is the resolved ARQ configuration (defaults applied), kept so
+	// the conformance oracle can mirror the station's attempt cap.
+	arq bs.ARQConfig
 
 	chaos *chaos.Injector
 }
@@ -612,7 +609,7 @@ func (tp *topology) tap(cfg Config, store bool) (*trace.Trace, *trace.CwndSeries
 		MSS:          cfg.MSS(),
 		Window:       cfg.Window,
 		RTmax:        tp.arq.RTmax,
-		SnoopMaxRetx: tp.snoop.MaxLocalRetx,
+		SnoopMaxRetx: bs.SnoopMaxRetx,
 		// The run has a single connection, so notification counting is
 		// exact: every EBSN reset at the source must be backed by an
 		// emitted notification, and every notification by a link failure.
@@ -780,18 +777,12 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 
 	// Base station. ARQ defaults are resolved here so the mobile host's
 	// reorder timer can be sized from the same values.
-	tp.arq = cfg.ARQ
-	if tp.arq.AckTimeout <= 0 {
-		tp.arq.AckTimeout = deriveAckTimeout(tp.wirelessDown, tp.wirelessUp)
-	}
-	tp.arq = tp.arq.WithDefaults()
-	tp.snoop = bs.SnoopConfig{}.WithDefaults()
+	tp.arq = cfg.ARQ.WithDefaults()
 	if !split {
 		tp.bs, err = bs.New(s, bs.Config{
 			Scheme:      cfg.Scheme,
 			MTU:         cfg.MTU,
 			ARQ:         tp.arq,
-			Snoop:       tp.snoop,
 			NotifyEvery: cfg.NotifyEvery,
 			QueueLimit:  50,
 		}, tp.ids, rng.Split(), tp.wirelessDown, func(p *packet.Packet) { tp.wiredRev.Send(p) })
@@ -803,7 +794,7 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 	// Mobile host: reassembly + link acks; the sink sits behind it.
 	tp.mobile, err = node.NewMobileDeliver(s, node.MobileConfig{
 		LinkAcks:       cfg.Scheme.UsesLinkAcks(),
-		ReorderTimeout: deriveReorderTimeout(tp.arq),
+		ReorderTimeout: deriveReorderTimeout(bs.AckDeadline(tp.wirelessDown) + tp.arq.BackoffMax),
 	}, tp.ids, func(p *packet.Packet) { tp.sink.Receive(p) },
 		func(p *packet.Packet) { tp.wirelessUp.Send(p) })
 	if err != nil {
@@ -889,15 +880,6 @@ func (tp *topology) links() [4]*link.Link {
 	return [4]*link.Link{tp.wiredFwd, tp.wiredRev, tp.wirelessDown, tp.wirelessUp}
 }
 
-// deriveAckTimeout computes a link-ack deadline from the radio timing: the
-// ack's serialization plus both propagation delays, with slack for an
-// ack-path queue (a TCP ack ahead of the link ack on the uplink).
-func deriveAckTimeout(down, up *link.Link) time.Duration {
-	ackTx := up.TxTime(packet.ControlSize)
-	slack := 4*ackTx + 20*time.Millisecond
-	return down.Delay() + up.Delay() + ackTx + slack
-}
-
 // startCrossTraffic schedules a Poisson packet stream into the wired
 // forward link until the horizon. Tail drops of cross-traffic packets are
 // part of the model (a congested queue drops whoever arrives late).
@@ -918,21 +900,10 @@ func startCrossTraffic(s *sim.Simulator, ct CrossTraffic, ids *packet.IDGen, rng
 	s.Schedule(time.Duration(rng.Exp(meanGap)), next)
 }
 
-// deriveReorderTimeout sizes the mobile host's gap-flush timer to a couple
-// of full ARQ retry cycles: shorter would flush gaps the ARQ is about to
-// fill; much longer only delays recovery of a discarded packet.
-func deriveReorderTimeout(arq bs.ARQConfig) time.Duration {
-	cycle := arq.AckTimeout + arq.BackoffMax
-	if cycle <= 0 {
-		return 0 // let the node default apply
-	}
-	d := 3 * cycle
-	const lo, hi = 500 * time.Millisecond, 3 * time.Second
-	if d < lo {
-		d = lo
-	}
-	if d > hi {
-		d = hi
-	}
-	return d
+// deriveReorderTimeout sizes the mobile host's gap-flush timer to three
+// full ARQ retry cycles (link-ack deadline plus maximum backoff), within
+// [500 ms, 3 s]: shorter would flush gaps the ARQ is about to fill; much
+// longer only delays recovery of a discarded packet.
+func deriveReorderTimeout(cycle time.Duration) time.Duration {
+	return min(max(3*cycle, 500*time.Millisecond), 3*time.Second)
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"wtcp/internal/bs"
 	"wtcp/internal/errmodel"
+	"wtcp/internal/packet"
 	"wtcp/internal/units"
 )
 
@@ -149,12 +151,59 @@ func TestReorderTimeoutOverride(t *testing.T) {
 	cfg := WAN(bs.EBSN, 576, 4*time.Second)
 	cfg.TransferSize = 30 * units.KB
 	cfg.ARQ.BackoffMax = 400 * time.Millisecond
-	cfg.ARQ.AckTimeout = 300 * time.Millisecond
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Completed {
 		t.Fatal("did not complete with custom ARQ timing")
+	}
+}
+
+// TestARQAckDeadlineFollowsRadio pins the link-ack deadline the WAN and
+// LAN presets run with to their two radio links: the link ack's
+// serialization on the uplink, both propagation delays, and slack of
+// four more ack times plus 20 ms. Every delivery on the downlink is lost,
+// so every attempt fails, and each failure must land exactly that long
+// after its unit left the transmitter.
+func TestARQAckDeadlineFollowsRadio(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"wan": WAN(bs.LocalRecovery, 576, 4*time.Second),
+		"lan": LAN(bs.EBSN, 800*time.Millisecond),
+	} {
+		cfg.Horizon = 20 * time.Second
+		tp, err := newTopology(cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		down, up := tp.wirelessDown, tp.wirelessUp
+		ackTx := up.TxTime(packet.ControlSize)
+		want := down.Delay() + up.Delay() + ackTx + 4*ackTx + 20*time.Millisecond
+		if got := bs.AckDeadline(down); got != want {
+			t.Errorf("%s: bs.AckDeadline = %v, want %v", name, got, want)
+		}
+		left := map[uint64]time.Duration{} // unit ID -> when it left the transmitter
+		down.SetInterceptor(func(p *packet.Packet) bool {
+			left[p.ID] = tp.sim.Now() - down.Delay()
+			return false
+		})
+		failures := 0
+		tp.bs.SetHooks(bs.Hooks{OnARQFailure: func(unit, _ uint64, attempt int) {
+			at, ok := left[unit]
+			if !ok {
+				return // the attempt was corrupted on the air, so never delivered
+			}
+			delete(left, unit)
+			failures++
+			if got := tp.sim.Now() - at; got != want {
+				t.Errorf("%s: unit %d attempt %d failed %v after leaving the transmitter, want %v", name, unit, attempt, got, want)
+			}
+		}})
+		if _, err := tp.run(context.Background(), cfg, func() bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+		if failures < 10 {
+			t.Errorf("%s: %d timed attempts, want the lost downlink to fail many", name, failures)
+		}
 	}
 }

@@ -52,7 +52,7 @@ var snoopFaultPlans = []struct {
 //
 // Run under -race via `make zoo-smoke`.
 func TestSnoopPropertiesUnderChaos(t *testing.T) {
-	cap := bs.SnoopConfig{}.WithDefaults().MaxLocalRetx
+	cap := bs.SnoopMaxRetx
 	for _, fp := range snoopFaultPlans {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", fp.name, seed), func(t *testing.T) {

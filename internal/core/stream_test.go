@@ -30,7 +30,7 @@ func replayConfig(cfg Config) oracle.Config {
 	return oracle.Config{
 		Variant: cfg.Variant, MSS: cfg.MSS(), Window: cfg.Window,
 		RTmax:              cfg.ARQ.WithDefaults().RTmax,
-		SnoopMaxRetx:       bs.SnoopConfig{}.WithDefaults().MaxLocalRetx,
+		SnoopMaxRetx:       bs.SnoopMaxRetx,
 		TrackNotifications: true,
 	}
 }

@@ -23,34 +23,26 @@ type CongestionPoint struct {
 	TimeoutsAvg    float64
 }
 
-// CongestionOptions holds the study's own axes; replications, seeds and
-// transfer size come from Options.
-type CongestionOptions struct {
-	// Loads are cross-traffic rates as fractions of the wired capacity.
-	Loads []float64
-}
-
 // Every cell runs at one wired packet size and one mean bad period.
 const (
 	congestionPacketSize units.ByteSize = 576
 	congestionBadPeriod                 = 2 * time.Second
 )
 
-func (o CongestionOptions) withDefaults() CongestionOptions {
-	if len(o.Loads) == 0 {
-		o.Loads = []float64{0, 0.3, 0.6}
-	}
-	return o
+// CongestionStudy sweeps wired cross-traffic load (0, 30 and 60 % of the
+// wired capacity) for basic TCP and EBSN, one engine point per (scheme,
+// load) cell; replications, seeds and transfer size come from opt.
+func CongestionStudy(ctx context.Context, opt Options) ([]CongestionPoint, error) {
+	return congestionStudy(ctx, opt, []float64{0, 0.3, 0.6})
 }
 
-// CongestionStudy sweeps wired cross-traffic load for basic TCP and
-// EBSN, one engine point per (scheme, load) cell.
-func CongestionStudy(ctx context.Context, opt Options, axes CongestionOptions) ([]CongestionPoint, error) {
-	axes = axes.withDefaults()
+// congestionStudy runs the study over the given loads, fractions of the
+// wired capacity.
+func congestionStudy(ctx context.Context, opt Options, loads []float64) ([]CongestionPoint, error) {
 	var points []point
 	var grid []CongestionPoint
 	for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
-		for _, load := range axes.Loads {
+		for _, load := range loads {
 			grid = append(grid, CongestionPoint{Scheme: scheme, LoadFraction: load})
 			points = append(points, point{
 				key: fmt.Sprintf("congestion/%v/load=%g/bad=%v/size=%d", scheme, load, congestionBadPeriod, congestionPacketSize),

@@ -24,12 +24,11 @@ type CSDPPoint struct {
 // CSDPOptions holds the scheduling study's own axes; replications,
 // seeds and transfer size come from Options. Its Oracle attaches the
 // cell engine's sampled conformance checker to every flow; its Checks
-// has no counterpart in these runs and is ignored.
+// has no counterpart in these runs and is ignored. CSDP runs with
+// cell.LAN's perfect channel-state predictor.
 type CSDPOptions struct {
 	Connections int
 	BadPeriods  []time.Duration
-	// Accuracy is the CSDP predictor accuracy (1.0 = oracle).
-	Accuracy float64
 }
 
 func (o CSDPOptions) withDefaults() CSDPOptions {
@@ -38,9 +37,6 @@ func (o CSDPOptions) withDefaults() CSDPOptions {
 	}
 	if len(o.BadPeriods) == 0 {
 		o.BadPeriods = []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
-	}
-	if o.Accuracy <= 0 {
-		o.Accuracy = 1.0
 	}
 	return o
 }
@@ -55,7 +51,8 @@ func CSDPStudy(ctx context.Context, opt Options, axes CSDPOptions) ([]CSDPPoint,
 		for _, bad := range axes.BadPeriods {
 			grid = append(grid, CSDPPoint{Policy: policy, BadPeriod: bad})
 			points = append(points, point{
-				key: fmt.Sprintf("csdp/%v/bad=%v/conns=%d/acc=%g", policy, bad, axes.Connections, axes.Accuracy),
+				// acc=1 names the predictor's accuracy in every ledger key.
+				key: fmt.Sprintf("csdp/%v/bad=%v/conns=%d/acc=1", policy, bad, axes.Connections),
 				run: csdpReplication(opt, axes, policy, bad),
 			})
 		}
@@ -85,7 +82,6 @@ func csdpReplication(opt Options, axes CSDPOptions, policy cell.Policy, bad time
 // csdpConfig is the cell configuration of one replication of one point.
 func csdpConfig(opt Options, axes CSDPOptions, policy cell.Policy, bad time.Duration, seed int64) cell.Config {
 	cfg := cell.LAN(axes.Connections, policy, bad)
-	cfg.PredictorAccuracy = axes.Accuracy
 	cfg.Seed = opt.BaseSeed + seed
 	if opt.Transfer > 0 {
 		cfg.TransferSize = opt.Transfer

@@ -36,9 +36,10 @@ func TestCSDPStudyOrdering(t *testing.T) {
 
 // TestCSDPStudyHonoursOracle pins that Options.Oracle reaches the study
 // as the cell engine's sampled checker on every flow, and that checking
-// moves no result bit.
+// moves no result bit. (With an imperfect predictor, which draws, the
+// same holds: internal/cell's TestOracleSamplingDoesNotPerturb.)
 func TestCSDPStudyHonoursOracle(t *testing.T) {
-	axes := CSDPOptions{Connections: 3, BadPeriods: []time.Duration{time.Second}, Accuracy: 0.8}
+	axes := CSDPOptions{Connections: 3, BadPeriods: []time.Duration{time.Second}}
 	if got := csdpConfig(Options{Oracle: true}, axes, cell.CSDP, time.Second, 1).OracleSample; got != axes.Connections {
 		t.Fatalf("oracle-on replication samples %d flows, want %d", got, axes.Connections)
 	}
@@ -88,8 +89,8 @@ func TestCSDPRenderers(t *testing.T) {
 }
 
 func TestCongestionStudyShape(t *testing.T) {
-	points, err := CongestionStudy(context.Background(), Options{Replications: 2, Transfer: 40 * units.KB},
-		CongestionOptions{Loads: []float64{0, 0.6}})
+	points, err := congestionStudy(context.Background(), Options{Replications: 2, Transfer: 40 * units.KB},
+		[]float64{0, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +132,8 @@ func TestCrossTrafficHeavyLoadStillCompletes(t *testing.T) {
 	// Saturating cross traffic (95% of the wire) plus the TCP transfer:
 	// the run must still complete (TCP backs off) and the wired queue
 	// must actually drop something.
-	points, err := CongestionStudy(context.Background(), Options{Replications: 1, Transfer: 20 * units.KB},
-		CongestionOptions{Loads: []float64{0.95}})
+	points, err := congestionStudy(context.Background(), Options{Replications: 1, Transfer: 20 * units.KB},
+		[]float64{0.95})
 	if err != nil {
 		t.Fatal(err)
 	}

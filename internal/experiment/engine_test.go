@@ -382,13 +382,13 @@ var sideStudies = []struct {
 	}},
 	{"zoo", 4, func(ctx context.Context, opt Options) (string, error) {
 		opt.Transfer = 20 * units.KB
-		pts, err := ZooStudy(ctx, opt, ZooOptions{
-			Variants: []tcp.Variant{tcp.Tahoe, tcp.SACKVariant}, Schemes: []bs.Scheme{bs.Basic, bs.EBSN}})
+		pts, err := zooStudy(ctx, opt, ZooOptions{},
+			[]tcp.Variant{tcp.Tahoe, tcp.SACKVariant}, []bs.Scheme{bs.Basic, bs.EBSN})
 		return ZooCSV(pts), err
 	}},
 	{"congestion", 2, func(ctx context.Context, opt Options) (string, error) {
 		opt.Transfer = 20 * units.KB
-		pts, err := CongestionStudy(ctx, opt, CongestionOptions{Loads: []float64{0.3}})
+		pts, err := congestionStudy(ctx, opt, []float64{0.3})
 		return CongestionCSV(pts), err
 	}},
 	{"csdp", 3, func(ctx context.Context, opt Options) (string, error) {

@@ -45,8 +45,8 @@ func TestWorkingSetsStaySmall(t *testing.T) {
 		switch {
 		case r.BS.HeldPeak > holdQueue:
 			t.Errorf("%v: %d packets held, hold queue is %d", cfg.Scheme, r.BS.HeldPeak, holdQueue)
-		case r.BS.SnoopCachePeak > bs.DefaultSnoopMaxCached:
-			t.Errorf("%v: %d segments cached, cap is %d", cfg.Scheme, r.BS.SnoopCachePeak, bs.DefaultSnoopMaxCached)
+		case r.BS.SnoopCachePeak > bs.SnoopMaxCached:
+			t.Errorf("%v: %d segments cached, cap is %d", cfg.Scheme, r.BS.SnoopCachePeak, bs.SnoopMaxCached)
 		case r.Sink.BufferedPeak > window:
 			t.Errorf("%v/%v: sink buffered %d segments, the advertised window holds %d", cfg.Scheme, cfg.PacketSize, r.Sink.BufferedPeak, window)
 		case r.Mobile.ReorderPeak > fewDozen || r.Mobile.ReassemblyOpenPeak > fewDozen:

@@ -26,14 +26,10 @@ type ZooPoint struct {
 	RetransKBAvg   float64
 }
 
-// ZooOptions holds the protocol-zoo study's own axes; replications,
+// ZooOptions holds the protocol-zoo study's own axis; replications,
 // seeds and transfer size come from Options.
 type ZooOptions struct {
 	BadPeriod time.Duration
-	// Variants and Schemes default to the full zoo: every sender variant
-	// against {Basic, EBSN, Snoop, SplitConnection}.
-	Variants []tcp.Variant
-	Schemes  []bs.Scheme
 }
 
 // zooPacketSize is the wired packet size every cell runs at.
@@ -43,27 +39,29 @@ func (o ZooOptions) withDefaults() ZooOptions {
 	if o.BadPeriod <= 0 {
 		o.BadPeriod = 2 * time.Second
 	}
-	if len(o.Variants) == 0 {
-		o.Variants = []tcp.Variant{tcp.Tahoe, tcp.Reno, tcp.NewReno, tcp.SACKVariant}
-	}
-	if len(o.Schemes) == 0 {
-		o.Schemes = []bs.Scheme{bs.Basic, bs.EBSN, bs.Snoop, bs.SplitConnection}
-	}
 	return o
 }
 
-// ZooStudy runs the variant x scheme grid on the paper's WAN channel,
-// one engine point per cell. Every cell uses the same seeds, so
-// differences are attributable to the protocols, and every run has the
-// conformance oracle armed under the cell's own variant profile whatever
-// opt.Oracle says — a violation is a protocol bug and fails the study; a
-// transfer that does not complete fails its replication.
+// ZooStudy runs the full zoo on the paper's WAN channel — every sender
+// variant against {Basic, EBSN, Snoop, SplitConnection} — one engine
+// point per cell. Every cell uses the same seeds, so differences are
+// attributable to the protocols, and every run has the conformance
+// oracle armed under the cell's own variant profile whatever opt.Oracle
+// says — a violation is a protocol bug and fails the study; a transfer
+// that does not complete fails its replication.
 func ZooStudy(ctx context.Context, opt Options, axes ZooOptions) ([]ZooPoint, error) {
+	return zooStudy(ctx, opt, axes,
+		[]tcp.Variant{tcp.Tahoe, tcp.Reno, tcp.NewReno, tcp.SACKVariant},
+		[]bs.Scheme{bs.Basic, bs.EBSN, bs.Snoop, bs.SplitConnection})
+}
+
+// zooStudy runs the study over the given variants and schemes.
+func zooStudy(ctx context.Context, opt Options, axes ZooOptions, variants []tcp.Variant, schemes []bs.Scheme) ([]ZooPoint, error) {
 	axes = axes.withDefaults()
 	var points []point
 	var grid []ZooPoint
-	for _, variant := range axes.Variants {
-		for _, scheme := range axes.Schemes {
+	for _, variant := range variants {
+		for _, scheme := range schemes {
 			grid = append(grid, ZooPoint{Variant: variant, Scheme: scheme})
 			points = append(points, point{
 				key: fmt.Sprintf("zoo/%v/%v/bad=%v/size=%d", variant, scheme, axes.BadPeriod, zooPacketSize),

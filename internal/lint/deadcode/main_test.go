@@ -33,8 +33,9 @@ func same(a, b []string) bool {
 
 // TestCheckReportsUnreached: an unreachable func (and the helper only it
 // calls), an unreachable type with its methods, a const only a test
-// uses, a method of a reached type that only a test calls, and a field
-// main reads that only a test writes; an allow entry exempts its
+// uses, a method of a reached type that only a test calls, a field main
+// reads that only a test writes, and fields only their own defaults
+// write (under `<= 0` and `len(x.F) == 0`); an allow entry exempts its
 // declaration and what that reaches, or its field, and one that exempts
 // nothing is reported, a field entry too.
 func TestCheckReportsUnreached(t *testing.T) {
@@ -43,7 +44,7 @@ func TestCheckReportsUnreached(t *testing.T) {
 		"type a.Dead", "method a.Dead.Get", "method a.Dead.Set",
 		"const a.OnlyTest",
 		"method a.Counter.Reset",
-		"field a.Knobs.Limit",
+		"field a.Knobs.Limit", "field a.Knobs.Depth", "field a.Knobs.Names",
 	}
 	if got := findings(t, "testdata/pos", nil); !same(got, want) {
 		t.Errorf("findings = %q, want %q", got, want)
@@ -52,9 +53,15 @@ func TestCheckReportsUnreached(t *testing.T) {
 		"internal/a.Unreached":   "kept",
 		"internal/nosuch":        "stale",
 		"internal/a.Knobs.Limit": "kept",
-		"internal/a.Knobs.Depth": "stale",
+		"internal/a.Knobs.Width": "stale",
 	}
-	want = append([]string{"entry internal/a.Knobs.Depth", "entry internal/nosuch"}, want[2:len(want)-1]...)
+	want = []string{
+		"entry internal/a.Knobs.Width", "entry internal/nosuch",
+		"type a.Dead", "method a.Dead.Get", "method a.Dead.Set",
+		"const a.OnlyTest",
+		"method a.Counter.Reset",
+		"field a.Knobs.Depth", "field a.Knobs.Names",
+	}
 	if got := findings(t, "testdata/pos", allow); !same(got, want) {
 		t.Errorf("with allow entries: findings = %q, want %q", got, want)
 	}
@@ -65,7 +72,9 @@ func TestCheckReportsUnreached(t *testing.T) {
 // called only by errors.Is, a declaration reached only from init, a
 // declaration in a file build tags exclude, and fields written only
 // through &x.F, x.F.G = ..., a positional literal, an elided &T in a
-// keyed or positional literal, or a json tag are not reported.
+// keyed or positional literal, a json tag, a max-tracking compare
+// (`if n > x.F { x.F = n }`), or a literal beside the field's own
+// default are not reported.
 func TestCheckLetsReachedThrough(t *testing.T) {
 	if got := findings(t, "testdata/neg", nil); len(got) != 0 {
 		t.Errorf("findings = %q, want none", got)

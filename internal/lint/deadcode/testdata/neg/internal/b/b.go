@@ -83,3 +83,19 @@ func Items() ([]*Item, []*Point) { return []*Item{{K: 1}}, []*Point{{1, 2}} }
 type Wire struct {
 	Name string `json:"name"`
 }
+
+// Gauge's High is written only under a compare that is not a zero test
+// (max tracking), and Size by its default and by a literal in NewGauge:
+// both count as written.
+type Gauge struct{ High, Size int }
+
+func NewGauge() *Gauge { return &Gauge{Size: 8} }
+
+func (g *Gauge) Observe(n int) {
+	if g.Size <= 0 {
+		g.Size = 8
+	}
+	if n > g.High {
+		g.High = n
+	}
+}

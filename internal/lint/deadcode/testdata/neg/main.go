@@ -14,5 +14,7 @@ func main() {
 	cfg := b.Configure()
 	items, points := b.Items()
 	var w b.Wire
-	fmt.Println(cfg.Addr, cfg.Inner.N, cfg.Pair.A, cfg.Pair.B, items[0].K, points[0].X, points[0].Y, w.Name)
+	g := b.NewGauge()
+	g.Observe(3)
+	fmt.Println(cfg.Addr, cfg.Inner.N, cfg.Pair.A, cfg.Pair.B, items[0].K, points[0].X, points[0].Y, w.Name, g.High, g.Size)
 }

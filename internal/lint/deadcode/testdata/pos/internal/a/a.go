@@ -31,5 +31,21 @@ func (c *Counter) Add() { c.n++ }
 func (c *Counter) Reset() { c.n = 0 }
 
 // Knobs is reached from main, which reads Limit; only a_test.go sets it,
-// so every run sees zero (reported).
-type Knobs struct{ Limit int }
+// so every run sees zero (reported). Depth and Names are written only by
+// their own defaults, so every run sees the default (both reported).
+type Knobs struct {
+	Limit int
+	Depth int
+	Names []string
+}
+
+// WithDefaults fills in the unset knobs.
+func (k Knobs) WithDefaults() Knobs {
+	if k.Depth <= 0 {
+		k.Depth = 4
+	}
+	if len(k.Names) == 0 {
+		k.Names = []string{"a"}
+	}
+	return k
+}

@@ -6,8 +6,8 @@ func main() {
 	a.Used()
 	var c a.Counter
 	c.Add()
-	var k a.Knobs
-	if k.Limit > 0 {
+	k := a.Knobs{}.WithDefaults()
+	if k.Limit > 0 || k.Depth > len(k.Names) {
 		a.Used()
 	}
 }

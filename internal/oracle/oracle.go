@@ -47,9 +47,6 @@ type Config struct {
 	// MSS and Window are the sender's segment size and advertised window.
 	MSS    units.ByteSize
 	Window units.ByteSize
-	// MaxRTO caps the exponential timer backoff; zero defaults to
-	// tcp.DefaultMaxRTO.
-	MaxRTO time.Duration
 	// RTmax is the ARQ retransmission cap (attempts allowed = RTmax+1);
 	// zero disables the attempt-cap rule.
 	RTmax int
@@ -76,9 +73,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Variant == 0 {
 		c.Variant = tcp.Tahoe
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = tcp.DefaultMaxRTO
 	}
 	return c
 }
@@ -625,7 +619,7 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 		return v
 	}
 	// Karn backoff: the shift increments (capped at 6) and the timeout
-	// doubles (capped at MaxRTO). The RTO base cannot have changed since
+	// doubles (capped at tcp.MaxRTO). The RTO base cannot have changed since
 	// the previous event — samples are only taken on new ACKs, which
 	// snapshot too.
 	const maxShift = 6
@@ -635,8 +629,8 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 		wantShift = maxShift
 		wantRTO = p.RTO
 	}
-	if wantRTO > c.cfg.MaxRTO {
-		wantRTO = c.cfg.MaxRTO
+	if wantRTO > tcp.MaxRTO {
+		wantRTO = tcp.MaxRTO
 	}
 	if e.Shift != wantShift {
 		return c.fail("tcp/rto-backoff",
@@ -645,7 +639,7 @@ func (c *Checker) checkTimeout(e *trace.Event) *Violation {
 	if !durWithin(e.RTO, wantRTO, 2*timeTol) {
 		return c.fail("tcp/rto-backoff",
 			"RTO %v after timeout, want %v (doubled from %v, capped at %v)",
-			e.RTO, wantRTO, p.RTO, c.cfg.MaxRTO)
+			e.RTO, wantRTO, p.RTO, tcp.MaxRTO)
 	}
 	return nil
 }

@@ -151,20 +151,20 @@ func TestTimeoutRules(t *testing.T) {
 
 func TestRTOBackoffCaps(t *testing.T) {
 	cfg := baseCfg()
-	cfg.MaxRTO = 8 * time.Second
-	// Previous RTO 6s, shift 1: doubling would give 12s but must clamp.
+	// Previous RTO 48s, shift 1: doubling would give 96s but must clamp
+	// to tcp.MaxRTO (64s).
 	events := []trace.Event{
 		{At: 0, Kind: trace.Send, Seq: 0, Payload: mss,
-			Cwnd: mss, Ssthresh: win, RTO: 6 * sec, Deadline: 6 * sec, Shift: 1},
-		{At: 6 * sec, Kind: trace.Timeout,
+			Cwnd: mss, Ssthresh: win, RTO: 48 * sec, Deadline: 48 * sec, Shift: 1},
+		{At: 48 * sec, Kind: trace.Timeout,
 			SndUna: 0, SndNxt: 0, SndMax: mss,
-			Cwnd: mss, Ssthresh: 2 * mss, RTO: 8 * sec, Deadline: 14 * sec, Shift: 2},
+			Cwnd: mss, Ssthresh: 2 * mss, RTO: tcp.MaxRTO, Deadline: 48*sec + tcp.MaxRTO, Shift: 2},
 	}
 	if v := Check(cfg, events); v != nil {
 		t.Fatalf("clamped backoff rejected: %v", v)
 	}
-	events[1].RTO = 12 * sec // ignored the ceiling
-	events[1].Deadline = 18 * sec
+	events[1].RTO = 96 * sec // ignored the ceiling
+	events[1].Deadline = 144 * sec
 	wantViolation(t, Check(cfg, events), "tcp/rto-backoff", 1)
 }
 

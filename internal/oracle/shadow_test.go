@@ -57,7 +57,7 @@ func TestShadowSetsPlateau(t *testing.T) {
 			c := oracle.New(oracle.Config{
 				Variant: cfg.Variant, MSS: cfg.MSS(), Window: cfg.Window,
 				RTmax:              cfg.ARQ.WithDefaults().RTmax,
-				SnoopMaxRetx:       bs.SnoopConfig{}.WithDefaults().MaxLocalRetx,
+				SnoopMaxRetx:       bs.SnoopMaxRetx,
 				TrackNotifications: true,
 			})
 			grown, peak := 0, 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -72,7 +73,8 @@ func TestGenerateDefaultsApplied(t *testing.T) {
 // TestReplicationMDMatchesGenerator: the committed REPLICATION.md is what
 // `make report` (10 replications) generates, byte for byte — a change
 // that moves any reported number must regenerate the document and show
-// the difference.
+// the difference. The output does not depend on the width, so the
+// generator runs on every core.
 func TestReplicationMDMatchesGenerator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity report")
@@ -81,7 +83,7 @@ func TestReplicationMDMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Generate(context.Background(), experiment.Options{Replications: 10, Supervise: experiment.NewSupervisor()}, false)
+	got, err := Generate(context.Background(), experiment.Options{Replications: 10, Workers: runtime.GOMAXPROCS(0), Supervise: experiment.NewSupervisor()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

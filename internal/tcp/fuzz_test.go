@@ -24,11 +24,10 @@ func FuzzSenderAckStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, variant byte, ackBytes, kinds []byte) {
 		cfg := Config{
-			MSS:        536,
-			Window:     4 * units.KB,
-			Total:      10 * units.KB,
-			InitialRTO: 500 * time.Millisecond,
-			Variant:    Tahoe + Variant(variant%4),
+			MSS:     536,
+			Window:  4 * units.KB,
+			Total:   10 * units.KB,
+			Variant: Tahoe + Variant(variant%4),
 		}
 		l := newLoop(t, cfg, 10*time.Millisecond)
 		if cfg.Variant.Scoreboard() {

@@ -45,7 +45,7 @@ func TestEBSNArmsTimerOnlyWithDataOutstanding(t *testing.T) {
 	rto.Sample(4)
 	rto.Backoff()
 	want := rto.RTO()
-	if want == c.InitialRTO {
+	if want == InitialRTO {
 		t.Fatalf("current RTO %v equals the initial one; the test cannot tell them apart", want)
 	}
 	h = &recHost{}

@@ -12,7 +12,7 @@ import "time"
 // estimate lives in the connection's State, so the value itself is two
 // pointers and is made wherever the estimator is needed.
 type RTOEstimator struct {
-	c  *Config // Granularity, InitialRTO and MaxRTO are read
+	c  *Config // Granularity is read
 	st *rtt
 }
 
@@ -36,11 +36,13 @@ const (
 	minRTOTicks = 2
 )
 
-// Defaults matching the paper's setup and common BSD values.
+// The paper's 100 ms clock (the default of Config.Granularity) and the
+// BSD timeout bounds: InitialRTO is the timeout before any RTT sample
+// exists, MaxRTO caps the backed-off timeout.
 const (
 	DefaultGranularity = 100 * time.Millisecond
-	DefaultInitialRTO  = 3 * time.Second
-	DefaultMaxRTO      = 64 * time.Second
+	InitialRTO         = 3 * time.Second
+	MaxRTO             = 64 * time.Second
 )
 
 // Ticks converts a duration to whole clock ticks (truncating), which is
@@ -78,7 +80,7 @@ func (e RTOEstimator) Sample(ticks int) {
 // base returns the un-backed-off timeout.
 func (e RTOEstimator) base() time.Duration {
 	if !e.st.hasSample {
-		return e.c.InitialRTO
+		return InitialRTO
 	}
 	ticks := e.st.srtt + 4*e.st.rttvar
 	if ticks < minRTOTicks {
@@ -91,8 +93,8 @@ func (e RTOEstimator) base() time.Duration {
 // times the Karn backoff, clamped to the ceiling.
 func (e RTOEstimator) RTO() time.Duration {
 	rto := e.base() << uint(e.st.shift)
-	if rto > e.c.MaxRTO {
-		rto = e.c.MaxRTO
+	if rto > MaxRTO {
+		rto = MaxRTO
 	}
 	return rto
 }

@@ -27,14 +27,14 @@ func (e RTOEstimator) RTTVar() time.Duration {
 func (e RTOEstimator) Samples() uint64 { return uint64(e.st.samples) }
 
 // newRTOEstimator returns a free-standing estimator with the given clock
-// granularity. Non-positive arguments fall back to the defaults (rto.go).
-func newRTOEstimator(granularity, initialRTO, maxRTO time.Duration) *RTOEstimator {
-	c := Config{Granularity: granularity, InitialRTO: initialRTO, MaxRTO: maxRTO}.WithDefaults()
+// granularity. A non-positive one falls back to the default (rto.go).
+func newRTOEstimator(granularity time.Duration) *RTOEstimator {
+	c := Config{Granularity: granularity}.WithDefaults()
 	return &RTOEstimator{c: &c, st: new(rtt)}
 }
 
 func TestRTOBeforeAnySample(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	if got := e.RTO(); got != 3*time.Second {
 		t.Errorf("initial RTO = %v, want 3s", got)
 	}
@@ -44,7 +44,7 @@ func TestRTOBeforeAnySample(t *testing.T) {
 }
 
 func TestFirstSampleInitializesEstimators(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	e.Sample(10) // 1s RTT
 	if got := e.SRTT(); got != time.Second {
 		t.Errorf("SRTT = %v, want 1s", got)
@@ -62,7 +62,7 @@ func TestFirstSampleInitializesEstimators(t *testing.T) {
 }
 
 func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	for i := 0; i < 100; i++ {
 		e.Sample(8)
 	}
@@ -77,7 +77,7 @@ func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
 }
 
 func TestRTOFloorTwoTicks(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, 3*time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	for i := 0; i < 50; i++ {
 		e.Sample(0) // sub-tick RTTs measure as zero on a coarse clock
 	}
@@ -87,7 +87,7 @@ func TestRTOFloorTwoTicks(t *testing.T) {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	e.Sample(10) // base RTO = 3s
 	base := e.RTO()
 	e.Backoff()
@@ -107,7 +107,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestSampleResetsBackoff(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	e.Sample(10)
 	e.Backoff()
 	e.Backoff()
@@ -121,8 +121,8 @@ func TestSampleResetsBackoff(t *testing.T) {
 }
 
 func TestVarianceTracksJitter(t *testing.T) {
-	steady := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
-	jittery := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	steady := newRTOEstimator(100 * time.Millisecond)
+	jittery := newRTOEstimator(100 * time.Millisecond)
 	for i := 0; i < 200; i++ {
 		steady.Sample(10)
 		if i%2 == 0 {
@@ -140,7 +140,7 @@ func TestVarianceTracksJitter(t *testing.T) {
 }
 
 func TestTicksTruncate(t *testing.T) {
-	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	tests := []struct {
 		d    time.Duration
 		want int
@@ -161,11 +161,11 @@ func TestTicksTruncate(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	e := newRTOEstimator(0, 0, 0)
+	e := newRTOEstimator(0)
 	if e.Granularity() != DefaultGranularity {
 		t.Errorf("granularity = %v", e.Granularity())
 	}
-	if e.RTO() != DefaultInitialRTO {
+	if e.RTO() != InitialRTO {
 		t.Errorf("initial RTO = %v", e.RTO())
 	}
 }
@@ -173,7 +173,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestCoarseClockQuantization(t *testing.T) {
 	// A 100ms-clock TCP measures a 340ms RTT as either 3 ticks: the
 	// estimator must work on ticks, not raw durations.
-	e := newRTOEstimator(100*time.Millisecond, time.Second, 64*time.Second)
+	e := newRTOEstimator(100 * time.Millisecond)
 	e.Sample(e.Ticks(340 * time.Millisecond))
 	if got := e.SRTT(); got != 300*time.Millisecond {
 		t.Errorf("SRTT = %v, want 300ms (3 ticks)", got)

@@ -206,11 +206,10 @@ func TestSACKUnderRandomLossStillCorrect(t *testing.T) {
 	// exactly (no byte skipped that the receiver did not have).
 	rng := sim.NewRNG(11)
 	cfg := Config{
-		MSS:        536,
-		Window:     8 * units.KB,
-		Total:      40 * units.KB,
-		InitialRTO: 500 * time.Millisecond,
-		SACK:       true,
+		MSS:    536,
+		Window: 8 * units.KB,
+		Total:  40 * units.KB,
+		SACK:   true,
 	}
 	l := newLoop(t, cfg, 20*time.Millisecond)
 	l.sink.EnableSACK()

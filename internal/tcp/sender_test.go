@@ -222,7 +222,6 @@ func TestFastRetransmitHalvesSsthresh(t *testing.T) {
 
 func TestTimeoutAndBackoff(t *testing.T) {
 	cfg := wanConfig()
-	cfg.InitialRTO = 1 * time.Second
 	l := newLoop(t, cfg, 50*time.Millisecond)
 	blackout := true
 	l.dropData = func(*packet.Packet) bool { return blackout }
@@ -260,7 +259,6 @@ func TestTimeoutAndBackoff(t *testing.T) {
 
 func TestTimeoutCollapsesCwndToOneSegment(t *testing.T) {
 	cfg := wanConfig()
-	cfg.InitialRTO = 1 * time.Second
 	l := newLoop(t, cfg, 50*time.Millisecond)
 	drop := true
 	l.dropData = func(*packet.Packet) bool { return drop }
@@ -276,7 +274,7 @@ func TestTimeoutCollapsesCwndToOneSegment(t *testing.T) {
 		}
 	}})
 	l.snd.Start()
-	if err := l.s.Run(2 * time.Second); err != nil {
+	if err := l.s.Run(InitialRTO + time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
@@ -290,7 +288,6 @@ func TestTimeoutCollapsesCwndToOneSegment(t *testing.T) {
 func TestKarnNoSampleFromRetransmission(t *testing.T) {
 	cfg := wanConfig()
 	cfg.Total = 2 * 536 // two segments
-	cfg.InitialRTO = 1 * time.Second
 	l := newLoop(t, cfg, 200*time.Millisecond)
 	first := true
 	l.dropData = func(p *packet.Packet) bool {
@@ -322,11 +319,10 @@ func TestKarnNoSampleFromRetransmission(t *testing.T) {
 
 func TestEBSNPreventsTimeout(t *testing.T) {
 	cfg := wanConfig()
-	cfg.InitialRTO = 1 * time.Second
 	l := newLoop(t, cfg, 50*time.Millisecond)
 	l.dropData = func(*packet.Packet) bool { return true } // permanent blackout
 	l.snd.Start()
-	// Deliver an EBSN every 800ms (before each 1s timeout would fire).
+	// Deliver an EBSN every 800ms (before each 3s timeout would fire).
 	var pump func()
 	ebsnCount := 0
 	pump = func() {
@@ -347,10 +343,10 @@ func TestEBSNPreventsTimeout(t *testing.T) {
 	if st.EBSNResets != 10 {
 		t.Errorf("EBSNResets = %d, want 10", st.EBSNResets)
 	}
-	// After the pump stops (last EBSN at 8.0s, timer re-armed to 9.0s),
+	// After the pump stops (last EBSN at 8.0s, timer re-armed to 11.0s),
 	// the timer finally fires once; its backed-off successor lands beyond
 	// the horizon.
-	if err := l.s.Run(10 * time.Second); err != nil {
+	if err := l.s.Run(12 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.snd.Stats().Timeouts; got != 1 {
@@ -507,10 +503,9 @@ func TestPropertyLossyTransferInvariants(t *testing.T) {
 		dropPct := float64(dropPctRaw%60) / 100 // up to 59% loss
 		rng := sim.NewRNG(seed)
 		cfg := Config{
-			MSS:        536,
-			Window:     4 * units.KB,
-			Total:      10 * units.KB,
-			InitialRTO: 500 * time.Millisecond,
+			MSS:    536,
+			Window: 4 * units.KB,
+			Total:  10 * units.KB,
 		}
 		l := newLoop(t, cfg, 20*time.Millisecond)
 		l.dropData = func(*packet.Packet) bool { return rng.Bernoulli(dropPct) }

@@ -238,7 +238,6 @@ func TestIdleConnectionTimerStops(t *testing.T) {
 	cfg := wanConfig()
 	cfg.Streaming = true
 	cfg.Total = 10 * 536
-	cfg.InitialRTO = 500 * time.Millisecond
 	l := newLoop(t, cfg, 20*time.Millisecond)
 	l.snd.Start()
 	l.snd.MakeAvailable(536)

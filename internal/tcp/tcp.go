@@ -118,10 +118,6 @@ type Config struct {
 	Total units.ByteSize
 	// Granularity is the TCP clock tick (100 ms in the paper).
 	Granularity time.Duration
-	// InitialRTO is the timeout before any RTT sample exists.
-	InitialRTO time.Duration
-	// MaxRTO caps the backed-off timeout.
-	MaxRTO time.Duration
 	// Variant selects Tahoe (default), Reno, NewReno or SACKVariant.
 	Variant Variant
 	// Streaming makes the sender start with no data available; a relay
@@ -154,12 +150,6 @@ func (c Config) Validate() error {
 func (c Config) WithDefaults() Config {
 	if c.Granularity <= 0 {
 		c.Granularity = DefaultGranularity
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = DefaultInitialRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = DefaultMaxRTO
 	}
 	if c.Variant == 0 {
 		c.Variant = Tahoe
