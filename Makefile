@@ -256,9 +256,10 @@ bench-ab:
 	done
 	$(GO) run ./cmd/wtcp bench ab -manifest BENCHMARK.json -base $(AB)/base.jsonl -change $(AB)/change.jsonl
 
-# Regenerate every paper figure at publication fidelity.
+# Regenerate every paper figure at publication fidelity, rewriting the
+# committed CSV artifacts under figures/ (TestCommittedFigures pins them).
 figures:
-	$(GO) run ./cmd/wtcp figures -fig all -reps 10
+	$(GO) run ./cmd/wtcp figures -fig all -reps 10 -out figures
 
 traces:
 	$(GO) run ./cmd/wtcp trace -scheme basic

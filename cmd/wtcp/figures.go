@@ -24,16 +24,15 @@ type figure struct {
 	run   func(ctx context.Context, opt experiment.Options) (csv, table string, err error)
 }
 
-// sweep is the row of a replicated study: run it, render both forms.
+// sweep is the row of a replicated study: run it, render its table.
 func sweep[P any](names []string, file, title string,
-	run func(context.Context, experiment.Options) ([]P, error),
-	csv func([]P) string, table func(string, []P) string) figure {
+	run func(context.Context, experiment.Options) ([]P, error), table experiment.Table[P]) figure {
 	return figure{names: names, file: file, run: func(ctx context.Context, opt experiment.Options) (string, string, error) {
 		points, err := run(ctx, opt)
 		if err != nil {
 			return "", "", err
 		}
-		return csv(points), table(title, points), nil
+		return table.CSV(points), title + "\n\n" + table.Markdown(points), nil
 	}}
 }
 
@@ -66,31 +65,31 @@ var figures = []figure{
 	traceFigure("5", bs.EBSN),
 	sweep([]string{"7"}, "fig7.csv",
 		"=== Figure 7: Basic TCP (wide-area) — throughput (Kbps) vs packet size, mean good period 10s ===",
-		experiment.Fig7, experiment.ThroughputCSV, experiment.RenderThroughputTable),
+		experiment.Fig7, experiment.ThroughputTable),
 	sweep([]string{"8"}, "fig8.csv",
 		"=== Figure 8: EBSN (wide-area) — throughput (Kbps) vs packet size, mean good period 10s ===",
-		experiment.Fig8, experiment.ThroughputCSV, experiment.RenderThroughputTable),
+		experiment.Fig8, experiment.ThroughputTable),
 	sweep([]string{"9"}, "fig9.csv",
 		"=== Figure 9: Basic TCP vs EBSN (wide-area) — data retransmitted, 100KB file ===",
-		experiment.Fig9, experiment.RetransCSV, experiment.RenderRetransTable),
+		experiment.Fig9, experiment.RetransTable),
 	sweep([]string{"10", "11"}, "fig10_11.csv",
 		"=== Figures 10 & 11: Basic TCP vs EBSN (local-area) — throughput and data retransmitted vs mean bad period, 4MB file, mean good period 4s ===",
-		experiment.LANStudy, experiment.LANCSV, experiment.RenderLANTable),
+		experiment.LANStudy, experiment.LANTable),
 	sweep([]string{"csdp"}, "csdp.csv",
 		"=== Related work [Bhagwat 95]: FIFO vs round-robin vs CSDP, 4 connections sharing the radio ===",
-		defaultAxes(experiment.CSDPStudy), experiment.CSDPCSV, experiment.RenderCSDPTable),
+		defaultAxes(experiment.CSDPStudy), experiment.CSDPTable),
 	sweep([]string{"handoff"}, "handoff.csv",
 		"=== Related work [Caceres & Iftode 94]: plain TCP vs fast-retransmit-on-handoff ===",
-		defaultAxes(experiment.HandoffStudy), experiment.HandoffCSV, experiment.RenderHandoffTable),
+		defaultAxes(experiment.HandoffStudy), experiment.HandoffTable),
 	sweep([]string{"severity"}, "severity.csv",
 		"=== Paper conjecture (§1/§6): EBSN improvement grows as the link gets lossier ===",
-		defaultAxes(experiment.SeverityStudy), experiment.SeverityCSV, experiment.RenderSeverityTable),
+		defaultAxes(experiment.SeverityStudy), experiment.SeverityTable),
 	sweep([]string{"congestion"}, "congestion.csv",
 		"=== Future work (paper §6): EBSN vs basic TCP under wired cross-traffic, bad=2s ===",
-		experiment.CongestionStudy, experiment.CongestionCSV, experiment.RenderCongestionTable),
+		experiment.CongestionStudy, experiment.CongestionTable),
 	sweep([]string{"zoo"}, "zoo.csv",
 		"=== Protocol zoo: sender variant x base-station scheme on one seeded WAN channel, bad=2s, oracle armed ===",
-		defaultAxes(experiment.ZooStudy), experiment.ZooCSV, experiment.RenderZooTable),
+		defaultAxes(experiment.ZooStudy), experiment.ZooTable),
 }
 
 // figureNames lists what -fig accepts, for the usage text and the
@@ -104,7 +103,7 @@ func figureNames() string {
 }
 
 // figuresFlags declares wtcp figures, which regenerates the paper's
-// evaluation figures as terminal tables or CSV:
+// evaluation figures as markdown tables or CSV:
 //
 //	wtcp figures -fig 7           # basic TCP throughput vs packet size
 //	wtcp figures -fig 8 -csv      # EBSN sweep, CSV to stdout

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -109,5 +111,44 @@ func TestFigureOutDirectory(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "scheme,bad_period_sec") {
 		t.Errorf("fig7.csv malformed:\n%.200s", body)
+	}
+}
+
+// TestCommittedFigures pins the committed CSV artifacts: `make figures`
+// (-fig all -reps 10 -out figures) rewrites every file under figures/
+// byte for byte, and writes no file that is not committed there.
+func TestCommittedFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every figure at 10 replications")
+	}
+	dir := t.TempDir()
+	workers := strconv.Itoa(runtime.GOMAXPROCS(0))
+	if _, _, err := wtcp("figures", "-fig", "all", "-reps", "10", "-workers", workers, "-out", dir); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	written, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := filepath.Glob(filepath.Join("..", "..", "figures", "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != len(committed) {
+		t.Errorf("wrote %d files, figures/ commits %d", len(written), len(committed))
+	}
+	for _, f := range written {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "figures", f.Name()))
+		if err != nil {
+			t.Errorf("%s is written but not committed under figures/: %v", f.Name(), err)
+			continue
+		}
+		if string(got) != string(want) {
+			t.Errorf("figures/%s differs from what -fig all -reps 10 writes; regenerate with make figures", f.Name())
+		}
 	}
 }

@@ -90,7 +90,7 @@ func TestSplitModeLedgerReloadsThroughFig7(t *testing.T) {
 	}
 	if len(got) != 4 || !reflect.DeepEqual(want, got) {
 		t.Errorf("fig7 from the split-mode ledger differs from the sequential run:\nwant %s\ngot  %s",
-			experiment.ThroughputCSV(want), experiment.ThroughputCSV(got))
+			experiment.ThroughputTable.CSV(want), experiment.ThroughputTable.CSV(got))
 	}
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"wtcp/internal/bs"
@@ -58,35 +57,26 @@ func congestionStudy(ctx context.Context, opt Options, loads []float64) ([]Conge
 			})
 		}
 	}
-	return settleGrid(ctx, opt, "congestion study", points, func(i int, _ []RepRecord, cols []stats.Sample) CongestionPoint {
+	return settleGrid(ctx, opt, "congestion study", points, func(i int, cols []stats.Sample) CongestionPoint {
 		p := grid[i]
 		p.ThroughputKbps, p.TimeoutsAvg = &cols[0], cols[1].Mean()
 		return p
 	})
 }
 
-// CongestionCSV emits the study as CSV.
-func CongestionCSV(points []CongestionPoint) string {
-	var b strings.Builder
-	b.WriteString("scheme,load_fraction,throughput_kbps_mean,throughput_kbps_stddev,timeouts_avg\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%.2f,%.3f,%.3f,%.1f\n",
-			p.Scheme, p.LoadFraction,
-			p.ThroughputKbps.Mean(), p.ThroughputKbps.StdDev(), p.TimeoutsAvg)
-	}
-	return b.String()
+// CongestionTable is the congested-wire study's column list.
+var CongestionTable = Table[CongestionPoint]{
+	Keys: []Column[CongestionPoint]{
+		{Head: "scheme", CSV: "scheme", Value: func(p CongestionPoint) any { return p.Scheme }},
+		{Head: "wired load", CSV: "load_fraction", CSVFormat: "%.2f", Value: func(p CongestionPoint) any { return loadShare(p.LoadFraction) }},
+	},
+	Values: []Column[CongestionPoint]{
+		{Head: "throughput (Kbps)", CSV: "throughput_kbps", MD: "%.2f", CSVFormat: "%.3f", Sample: func(p CongestionPoint) *stats.Sample { return p.ThroughputKbps }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p CongestionPoint) any { return p.TimeoutsAvg }},
+	},
 }
 
-// RenderCongestionTable formats the study.
-func RenderCongestionTable(title string, points []CongestionPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-10s  %-12s  %-18s  %-10s\n", "scheme", "wired load", "throughput(Kbps)", "timeouts")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-10s  %-12s  %-18s  %-10.1f\n",
-			p.Scheme, fmt.Sprintf("%.0f%%", 100*p.LoadFraction),
-			fmt.Sprintf("%.2f±%.0f%%", p.ThroughputKbps.Mean(), 100*p.ThroughputKbps.RelStdDev()),
-			p.TimeoutsAvg)
-	}
-	return b.String()
-}
+// loadShare is a wired load: its String, a percentage, in markdown.
+type loadShare float64
+
+func (l loadShare) String() string { return fmt.Sprintf("%.0f%%", 100*float64(l)) }

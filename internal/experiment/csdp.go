@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"wtcp/internal/cell"
@@ -57,7 +56,7 @@ func CSDPStudy(ctx context.Context, opt Options, axes CSDPOptions) ([]CSDPPoint,
 			})
 		}
 	}
-	return settleGrid(ctx, opt, "csdp study", points, func(i int, _ []RepRecord, cols []stats.Sample) CSDPPoint {
+	return settleGrid(ctx, opt, "csdp study", points, func(i int, cols []stats.Sample) CSDPPoint {
 		p := grid[i]
 		p.AggregateKbps, p.Fairness, p.DiscardsAvg = &cols[0], &cols[1], cols[2].Mean()
 		return p
@@ -92,31 +91,15 @@ func csdpConfig(opt Options, axes CSDPOptions, policy cell.Policy, bad time.Dura
 	return cfg
 }
 
-// RenderCSDPTable formats the scheduling study.
-func RenderCSDPTable(title string, points []CSDPPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-12s  %-10s  %-20s  %-10s  %-10s\n",
-		"policy", "bad", "aggregate(Kbps)", "fairness", "discards")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-12s  %-10s  %-20s  %-10s  %-10.1f\n",
-			p.Policy, p.BadPeriod,
-			fmt.Sprintf("%.0f±%.0f%%", p.AggregateKbps.Mean(), 100*p.AggregateKbps.RelStdDev()),
-			fmt.Sprintf("%.3f", p.Fairness.Mean()),
-			p.DiscardsAvg)
-	}
-	return b.String()
-}
-
-// CSDPCSV emits the study as CSV.
-func CSDPCSV(points []CSDPPoint) string {
-	var b strings.Builder
-	b.WriteString("policy,bad_period_sec,aggregate_kbps_mean,aggregate_kbps_stddev,fairness_mean,discards_avg\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%.1f,%.2f,%.2f,%.4f,%.1f\n",
-			p.Policy, p.BadPeriod.Seconds(),
-			p.AggregateKbps.Mean(), p.AggregateKbps.StdDev(),
-			p.Fairness.Mean(), p.DiscardsAvg)
-	}
-	return b.String()
+// CSDPTable is the scheduling study's column list.
+var CSDPTable = Table[CSDPPoint]{
+	Keys: []Column[CSDPPoint]{
+		{Head: "policy", CSV: "policy", Value: func(p CSDPPoint) any { return p.Policy }},
+		{Head: "bad", CSV: "bad_period_sec", CSVFormat: "%.1f", Value: func(p CSDPPoint) any { return p.BadPeriod }},
+	},
+	Values: []Column[CSDPPoint]{
+		{Head: "aggregate (Kbps)", CSV: "aggregate_kbps", MD: "%.0f", CSVFormat: "%.2f", Sample: func(p CSDPPoint) *stats.Sample { return p.AggregateKbps }},
+		{Head: "fairness", CSV: "fairness_mean", MD: "%.3f", CSVFormat: "%.4f", Value: func(p CSDPPoint) any { return mean(p.Fairness) }},
+		{Head: "discards", CSV: "discards_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p CSDPPoint) any { return p.DiscardsAvg }},
+	},
 }

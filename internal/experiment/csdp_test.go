@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -70,24 +69,6 @@ func TestCSDPStudyHonoursOracle(t *testing.T) {
 	}
 }
 
-func TestCSDPRenderers(t *testing.T) {
-	points, err := CSDPStudy(context.Background(), Options{Replications: 1, Transfer: 128 * units.KB}, CSDPOptions{
-		Connections: 2,
-		BadPeriods:  []time.Duration{time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := RenderCSDPTable("study", points)
-	if !strings.Contains(table, "fifo") || !strings.Contains(table, "csdp") {
-		t.Errorf("table malformed:\n%s", table)
-	}
-	csv := CSDPCSV(points)
-	if !strings.Contains(csv, "roundrobin,1.0,") {
-		t.Errorf("csv malformed:\n%s", csv)
-	}
-}
-
 func TestCongestionStudyShape(t *testing.T) {
 	points, err := congestionStudy(context.Background(), Options{Replications: 2, Transfer: 40 * units.KB},
 		[]float64{0, 0.6})
@@ -121,10 +102,6 @@ func TestCongestionStudyShape(t *testing.T) {
 	if e6.ThroughputKbps.Mean() > e0.ThroughputKbps.Mean()*1.05 {
 		t.Errorf("EBSN throughput rose under congestion: %.2f -> %.2f",
 			e0.ThroughputKbps.Mean(), e6.ThroughputKbps.Mean())
-	}
-	table := RenderCongestionTable("congestion", points)
-	if !strings.Contains(table, "60%") {
-		t.Errorf("table malformed:\n%s", table)
 	}
 }
 

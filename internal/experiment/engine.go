@@ -86,15 +86,6 @@ func bitsOf(vs []float64) []uint64 {
 	return out
 }
 
-// seedsOf collects the per-replication seeds for a point's metadata.
-func seedsOf(reps []RepRecord) []int64 {
-	out := make([]int64, len(reps))
-	for i, r := range reps {
-		out[i] = r.Seed
-	}
-	return out
-}
-
 // runRep executes one replication: run at seed, re-run with perturbed
 // seeds up to the retry budget when an attempt fails retryably
 // (transient or resource-exhausted classes, or a watchdog abort).

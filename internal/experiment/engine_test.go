@@ -43,7 +43,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ThroughputCSV(baseline)
+	want := ThroughputTable.CSV(baseline)
 
 	// First run: cancel after two finished points, like a Ctrl-C mid-sweep.
 	path := filepath.Join(t.TempDir(), "sweep.json")
@@ -80,7 +80,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if fresh != 2 {
 		t.Errorf("resumed run computed %d fresh points, want 2 (2 reloaded)", fresh)
 	}
-	if got := ThroughputCSV(resumed); got != want {
+	if got := ThroughputTable.CSV(resumed); got != want {
 		t.Errorf("resumed output differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 
@@ -108,7 +108,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		if len(rerun) != 1 {
 			t.Errorf("resume after a torn append re-ran %v, want exactly the torn point", rerun)
 		}
-		if got := ThroughputCSV(resumed); got != want {
+		if got := ThroughputTable.CSV(resumed); got != want {
 			t.Errorf("resumed output differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s", want, got)
 		}
 		after, err := os.ReadFile(path)
@@ -164,19 +164,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := ThroughputCSV(sp), ThroughputCSV(pp); a != b {
+	if a, b := ThroughputTable.CSV(sp), ThroughputTable.CSV(pp); a != b {
 		t.Errorf("parallel output diverged from sequential:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
-	for i := range sp {
-		if len(sp[i].Seeds) != len(pp[i].Seeds) {
-			t.Fatalf("seed metadata length differs at point %d", i)
-		}
-		for j := range sp[i].Seeds {
-			if sp[i].Seeds[j] != pp[i].Seeds[j] {
-				t.Errorf("seed order differs at point %d rep %d: %d vs %d",
-					i, j, sp[i].Seeds[j], pp[i].Seeds[j])
-			}
-		}
 	}
 }
 
@@ -191,7 +180,7 @@ func stubRunSim(t *testing.T, fn func(ctx context.Context, cfg core.Config) (*co
 
 // TestRetryPerturbsAndRecordsSeed: a failed replication must be retried
 // with a perturbed seed, and the substituted seed must appear in the
-// point's metadata instead of the original.
+// point's records instead of the original.
 func TestRetryPerturbsAndRecordsSeed(t *testing.T) {
 	const baseSeed = 100
 	failing := int64(baseSeed + 1) // replication 1's first-attempt seed
@@ -219,8 +208,12 @@ func TestRetryPerturbsAndRecordsSeed(t *testing.T) {
 		t.Fatalf("points = %d, want 1", len(points))
 	}
 	wantSeeds := []int64{failing + retrySeedOffset, baseSeed + 2}
-	if got := points[0].Seeds; len(got) != 2 || got[0] != wantSeeds[0] || got[1] != wantSeeds[1] {
-		t.Errorf("Seeds = %v, want %v (retried rep shows its substituted seed)", got, wantSeeds)
+	out, err := RunPointSpec(context.Background(), opt, PointSpec{Sweep: SweepFig7, Scheme: "basic", Bad: time.Second, Size: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seedsOf(out.Reps); !slices.Equal(got, wantSeeds) {
+		t.Errorf("seeds = %v, want %v (retried rep shows its substituted seed)", got, wantSeeds)
 	}
 	// The sample really came from the perturbed run, not the failed one.
 	if m := points[0].ThroughputKbps.Mean(); m != float64(wantSeeds[0]+wantSeeds[1])/2 {
@@ -378,28 +371,28 @@ var sideStudies = []struct {
 			MeanBad time.Duration
 			BadBER  float64
 		}{{2 * time.Second, 1e-2}}})
-		return SeverityCSV(pts), err
+		return SeverityTable.CSV(pts), err
 	}},
 	{"zoo", 4, func(ctx context.Context, opt Options) (string, error) {
 		opt.Transfer = 20 * units.KB
 		pts, err := zooStudy(ctx, opt, ZooOptions{},
 			[]tcp.Variant{tcp.Tahoe, tcp.SACKVariant}, []bs.Scheme{bs.Basic, bs.EBSN})
-		return ZooCSV(pts), err
+		return ZooTable.CSV(pts), err
 	}},
 	{"congestion", 2, func(ctx context.Context, opt Options) (string, error) {
 		opt.Transfer = 20 * units.KB
 		pts, err := congestionStudy(ctx, opt, []float64{0.3})
-		return CongestionCSV(pts), err
+		return CongestionTable.CSV(pts), err
 	}},
 	{"csdp", 3, func(ctx context.Context, opt Options) (string, error) {
 		opt.Transfer = 64 * units.KB
 		pts, err := CSDPStudy(ctx, opt, CSDPOptions{Connections: 2, BadPeriods: []time.Duration{time.Second}})
-		return CSDPCSV(pts), err
+		return CSDPTable.CSV(pts), err
 	}},
 	{"handoff", 2, func(ctx context.Context, opt Options) (string, error) {
 		opt.Transfer = 128 * units.KB
 		pts, err := HandoffStudy(ctx, opt, HandoffOptions{Dwells: []time.Duration{time.Second}})
-		return HandoffCSV(pts), err
+		return HandoffTable.CSV(pts), err
 	}},
 }
 
@@ -483,4 +476,13 @@ func TestCheckpointForNamesOneFilePerFingerprint(t *testing.T) {
 	if got := CheckpointFor("", primary, other); got != "" {
 		t.Errorf("no checkpoint became %q", got)
 	}
+}
+
+// seedsOf collects the per-replication seeds of a point's records.
+func seedsOf(reps []RepRecord) []int64 {
+	out := make([]int64, len(reps))
+	for i, r := range reps {
+		out[i] = r.Seed
+	}
+	return out
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"wtcp/internal/bs"
@@ -75,15 +74,6 @@ func ExampleTraceFigure() {
 	// timeouts: 0
 }
 
-// printTable prints a rendered table, and the blank line after it,
-// without the padding its last column leaves (an Output comment holds
-// no trailing spaces).
-func printTable(table string) {
-	for _, line := range strings.Split(table, "\n") {
-		fmt.Println(strings.TrimRight(line, " "))
-	}
-}
-
 // Example_handoff studies the mobility problem the paper's related-work
 // section opens with [Caceres & Iftode 94]. A mobile host crossing cells
 // loses the packets queued at its old base station; plain TCP then waits
@@ -99,8 +89,8 @@ func Example_handoff() {
 		fmt.Println("error:", err)
 		return
 	}
-	printTable(experiment.RenderHandoffTable(
-		"1MB transfers across 2 Mbps cells, 100ms handoff gap", points))
+	fmt.Println("1MB transfers across 2 Mbps cells, 100ms handoff gap")
+	fmt.Println(experiment.HandoffTable.Markdown(points))
 
 	// One concrete pair, with the per-handoff cost spelled out.
 	var runs [2]*core.Result // plain, then fast retransmit
@@ -118,13 +108,14 @@ func Example_handoff() {
 		100*(plain.Summary.Elapsed-fr.Summary.Elapsed).Seconds()/plain.Summary.Elapsed.Seconds())
 	// Output:
 	// 1MB transfers across 2 Mbps cells, 100ms handoff gap
-	// scheme            dwell       throughput(Kbps)    timeouts    fastretx
-	// plain             500ms       1051                13.0        0.0
-	// plain             1s          1368                5.0         0.0
-	// plain             2s          1557                2.0         0.0
-	// fastretransmit    500ms       1603                0.0         8.0
-	// fastretransmit    1s          1755                0.0         4.0
-	// fastretransmit    2s          1843                0.0         2.0
+	// | scheme | dwell | throughput (Kbps) | timeouts | fast retransmits |
+	// | --- | --- | --- | --- | --- |
+	// | plain | 500ms | 1051±0% | 13.0 | 0.0 |
+	// | plain | 1s | 1368±0% | 5.0 | 0.0 |
+	// | plain | 2s | 1557±0% | 2.0 | 0.0 |
+	// | fastretransmit | 500ms | 1603±0% | 0.0 | 8.0 |
+	// | fastretransmit | 1s | 1755±0% | 0.0 | 4.0 |
+	// | fastretransmit | 2s | 1843±0% | 0.0 | 2.0 |
 	//
 	// dwell 1s: plain 6.1s (5 timeouts, 5 handoffs) vs fast-retransmit 4.8s (4 fast retransmits)
 	// improvement: 22% shorter transfer
@@ -143,8 +134,8 @@ func Example_multiconn() {
 		fmt.Println("error:", err)
 		return
 	}
-	printTable(experiment.RenderCSDPTable(
-		"4 TCP connections sharing a 2 Mbps radio, independent per-user fading", points))
+	fmt.Println("4 TCP connections sharing a 2 Mbps radio, independent per-user fading")
+	fmt.Println(experiment.CSDPTable.Markdown(points))
 
 	fmt.Println("predictor-accuracy sensitivity (bad period 1s):")
 	for _, acc := range []float64{1.0, 0.9, 0.75, 0.5} {
@@ -165,16 +156,17 @@ func Example_multiconn() {
 	}
 	// Output:
 	// 4 TCP connections sharing a 2 Mbps radio, independent per-user fading
-	// policy        bad         aggregate(Kbps)       fairness    discards
-	// fifo          500ms       863±27%               1.000       7.3
-	// fifo          1s          621±24%               1.000       19.7
-	// fifo          2s          394±13%               0.949       46.0
-	// roundrobin    500ms       1314±1%               0.996       0.3
-	// roundrobin    1s          1243±2%               0.989       3.0
-	// roundrobin    2s          1135±3%               0.976       7.0
-	// csdp          500ms       1457±3%               0.993       0.0
-	// csdp          1s          1450±2%               0.984       0.0
-	// csdp          2s          1568±8%               0.962       0.0
+	// | policy | bad | aggregate (Kbps) | fairness | discards |
+	// | --- | --- | --- | --- | --- |
+	// | fifo | 500ms | 863±27% | 1.000 | 7.3 |
+	// | fifo | 1s | 621±24% | 1.000 | 19.7 |
+	// | fifo | 2s | 394±13% | 0.949 | 46.0 |
+	// | roundrobin | 500ms | 1314±1% | 0.996 | 0.3 |
+	// | roundrobin | 1s | 1243±2% | 0.989 | 3.0 |
+	// | roundrobin | 2s | 1135±3% | 0.976 | 7.0 |
+	// | csdp | 500ms | 1457±3% | 0.993 | 0.0 |
+	// | csdp | 1s | 1450±2% | 0.984 | 0.0 |
+	// | csdp | 2s | 1568±8% | 0.962 | 0.0 |
 	//
 	// predictor-accuracy sensitivity (bad period 1s):
 	//   accuracy 1.00:    1450 Kbps aggregate
@@ -201,7 +193,7 @@ func Example_packetsize() {
 	}
 
 	fmt.Println("Basic TCP over the wide-area preset: throughput (Kbps) by packet size")
-	printTable(experiment.RenderThroughputTable("", points))
+	fmt.Println(experiment.ThroughputTable.Markdown(points))
 
 	fmt.Println("optimal packet size per error condition (mean bad period):")
 	for _, bad := range []time.Duration{1 * time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second} {
@@ -217,17 +209,17 @@ func Example_packetsize() {
 	}
 	// Output:
 	// Basic TCP over the wide-area preset: throughput (Kbps) by packet size
-	//
-	// pkt size      bad=1s       bad=2s       bad=3s       bad=4s
-	// tput_th       11.64        10.67        9.85         9.14
-	// 128B          6.53±7%      6.11±9%      4.41±13%     4.12±15%
-	// 256B          8.40±14%     6.65±34%     6.18±21%     4.58±50%
-	// 384B          8.40±11%     7.10±14%     5.11±46%     4.76±47%
-	// 512B          8.25±18%     6.53±31%     5.19±45%     4.81±47%
-	// 768B          8.83±11%     7.36±35%     6.69±46%     5.95±50%
-	// 1KB           8.22±21%     5.82±49%     6.84±39%     3.95±48%
-	// 1280B         8.89±23%     4.66±49%     6.63±47%     5.76±39%
-	// 1536B         8.77±8%      6.47±42%     5.71±24%     4.87±65%
+	// | pkt size | bad=1s | bad=2s | bad=3s | bad=4s |
+	// | --- | --- | --- | --- | --- |
+	// | tput_th | 11.64 | 10.67 | 9.85 | 9.14 |
+	// | 128B | 6.53±7% | 6.11±9% | 4.41±13% | 4.12±15% |
+	// | 256B | 8.40±14% | 6.65±34% | 6.18±21% | 4.58±50% |
+	// | 384B | 8.40±11% | 7.10±14% | 5.11±46% | 4.76±47% |
+	// | 512B | 8.25±18% | 6.53±31% | 5.19±45% | 4.81±47% |
+	// | 768B | 8.83±11% | 7.36±35% | 6.69±46% | 5.95±50% |
+	// | 1KB | 8.22±21% | 5.82±49% | 6.84±39% | 3.95±48% |
+	// | 1280B | 8.89±23% | 4.66±49% | 6.63±47% | 5.76±39% |
+	// | 1536B | 8.77±8% | 6.47±42% | 5.71±24% | 4.87±65% |
 	//
 	// optimal packet size per error condition (mean bad period):
 	//   bad=1s: best 1280B at 8.89 Kbps (1% over 1536B packets)
@@ -265,7 +257,7 @@ func Example_resume() {
 		fmt.Println("error:", err)
 		return
 	}
-	want := experiment.ThroughputCSV(baseline)
+	want := experiment.ThroughputTable.CSV(baseline)
 	fmt.Println("baseline sweep: 4 points, no checkpoint")
 
 	// Kill the sweep after two points, then resume.
@@ -299,7 +291,7 @@ func Example_resume() {
 	}
 	fmt.Printf("resumed sweep: %d points reloaded from checkpoint, %d computed fresh\n",
 		len(resumed)-fresh, fresh)
-	fmt.Println("resumed output byte-identical to baseline:", experiment.ThroughputCSV(resumed) == want)
+	fmt.Println("resumed output byte-identical to baseline:", experiment.ThroughputTable.CSV(resumed) == want)
 
 	// Parallel pool, identical bytes.
 	par := sweepOpts()
@@ -310,7 +302,7 @@ func Example_resume() {
 		return
 	}
 	fmt.Println("4-worker output byte-identical to sequential:",
-		experiment.ThroughputCSV(parallel) == want)
+		experiment.ThroughputTable.CSV(parallel) == want)
 
 	// Capture a failure as a bundle and shrink it.
 	cfg := core.WAN(bs.Basic, 576, 2*time.Second)

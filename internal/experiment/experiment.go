@@ -129,21 +129,23 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-func (o Options) packetSizes() []units.ByteSize {
+// SizeAxis, WANBadAxis and LANBadAxis are the axes the options sweep:
+// PacketSizes and BadPeriods, or the paper's where those are nil.
+func (o Options) SizeAxis() []units.ByteSize {
 	if len(o.PacketSizes) > 0 {
 		return o.PacketSizes
 	}
 	return PacketSizes
 }
 
-func (o Options) wanBadPeriods() []time.Duration {
+func (o Options) WANBadAxis() []time.Duration {
 	if len(o.BadPeriods) > 0 {
 		return o.BadPeriods
 	}
 	return WANBadPeriods
 }
 
-func (o Options) lanBadPeriods() []time.Duration {
+func (o Options) LANBadAxis() []time.Duration {
 	if len(o.BadPeriods) > 0 {
 		return o.BadPeriods
 	}
@@ -164,7 +166,7 @@ func (o Options) fingerprint() string {
 	fmt.Fprintf(&b, "v1 reps=%d seed=%d transfer=%d retries=%d checks=%v oracle=%v",
 		o.Replications, o.BaseSeed, o.Transfer, o.retries(), o.Checks, o.Oracle)
 	fmt.Fprintf(&b, " sizes=%v wanBads=%v lanBads=%v",
-		o.packetSizes(), o.wanBadPeriods(), o.lanBadPeriods())
+		o.SizeAxis(), o.WANBadAxis(), o.LANBadAxis())
 	return b.String()
 }
 
@@ -179,9 +181,23 @@ type ThroughputPoint struct {
 	Goodput *stats.Sample
 	// TheoreticalMaxKbps is the paper's tput_th for this bad period.
 	TheoreticalMaxKbps float64
-	// Seeds records, in replication order, the seed each contributing run
-	// actually used — a retried replication shows its substituted seed.
-	Seeds []int64
+}
+
+// ThroughputTable is the column list of Figures 7 and 8, pivoted in
+// markdown as the paper plots them: packet size down, bad period across,
+// the tput_th ceiling on top.
+var ThroughputTable = Table[ThroughputPoint]{
+	Keys: []Column[ThroughputPoint]{
+		{Head: "scheme", CSV: "scheme", Value: func(p ThroughputPoint) any { return p.Scheme }},
+		{Head: "bad", CSV: "bad_period_sec", CSVFormat: "%.1f", Value: func(p ThroughputPoint) any { return p.BadPeriod }},
+		{Head: "pkt size", CSV: "packet_size_bytes", CSVFormat: "%d", Value: func(p ThroughputPoint) any { return p.PacketSize }},
+	},
+	Values: []Column[ThroughputPoint]{
+		{Head: "throughput (Kbps)", CSV: "throughput_kbps", MD: "%.2f", CSVFormat: "%.3f", Sample: func(p ThroughputPoint) *stats.Sample { return p.ThroughputKbps }},
+		{Head: "goodput", CSV: "goodput_mean", MD: "%.3f", CSVFormat: "%.4f", Value: func(p ThroughputPoint) any { return mean(p.Goodput) }},
+		{Head: "tput_th", CSV: "tput_th_kbps", MD: "%.2f", CSVFormat: "%.3f", Value: func(p ThroughputPoint) any { return p.TheoreticalMaxKbps }},
+	},
+	Pivot: &Pivot{Down: []string{"pkt size"}, Across: "bad", Cell: "throughput (Kbps)", Top: []string{"tput_th"}},
 }
 
 // RetransPoint is one cell of Figure 9 (and the per-scheme halves of
@@ -192,19 +208,32 @@ type RetransPoint struct {
 	PacketSize  units.ByteSize
 	RetransKB   *stats.Sample
 	TimeoutsAvg float64
-	// Seeds records the seed each contributing replication actually used.
-	Seeds []int64
+}
+
+// RetransTable is the column list of Figure 9, pivoted in markdown like
+// Figures 7 and 8, one block of rows per scheme.
+var RetransTable = Table[RetransPoint]{
+	Keys: []Column[RetransPoint]{
+		{Head: "scheme", CSV: "scheme", Value: func(p RetransPoint) any { return p.Scheme }},
+		{Head: "bad", CSV: "bad_period_sec", CSVFormat: "%.1f", Value: func(p RetransPoint) any { return p.BadPeriod }},
+		{Head: "pkt size", CSV: "packet_size_bytes", CSVFormat: "%d", Value: func(p RetransPoint) any { return p.PacketSize }},
+	},
+	Values: []Column[RetransPoint]{
+		{Head: "retransmitted (KB)", CSV: "retrans_kb", MD: "%.1f", CSVFormat: "%.3f", Sample: func(p RetransPoint) *stats.Sample { return p.RetransKB }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.2f", Value: func(p RetransPoint) any { return p.TimeoutsAvg }},
+	},
+	Pivot: &Pivot{Down: []string{"scheme", "pkt size"}, Across: "bad", Cell: "retransmitted (KB)"},
 }
 
 // settleGrid settles points on the scheduler, on Workers slots and
-// against the configured checkpoint ledger, and returns cell(i, reps,
-// cols) of each finished point, cols being one sample per metric column
-// in seed order (an average is a column's Mean; a skipped replication
+// against the configured checkpoint ledger, and returns cell(i, cols) of
+// each finished point, cols being one sample per metric column in seed
+// order (an average is a column's Mean; a skipped replication
 // shrinks n). Quarantined points are left out — they are on
 // opt.Supervise. The figure and study functions keep only their grid
 // and their aggregation.
 func settleGrid[P any](ctx context.Context, opt Options, what string, points []point,
-	cell func(i int, reps []RepRecord, cols []stats.Sample) P) ([]P, error) {
+	cell func(i int, cols []stats.Sample) P) ([]P, error) {
 	opt = opt.WithDefaults()
 	var led *Ledger
 	if opt.Checkpoint != "" {
@@ -221,7 +250,7 @@ func settleGrid[P any](ctx context.Context, opt Options, what string, points []p
 	var out []P
 	for i, res := range outs {
 		if res.Quarantine == nil {
-			out = append(out, cell(i, res.Reps, columns(res.Reps)))
+			out = append(out, cell(i, columns(res.Reps)))
 		}
 	}
 	return out, nil
@@ -242,7 +271,7 @@ func columns(reps []RepRecord) []stats.Sample {
 // settleSweep settles one named figure sweep in canonical order
 // (SweepSpecs): cell sees each finished point's spec and parsed scheme.
 func settleSweep[P any](ctx context.Context, opt Options, sweep string,
-	cell func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) P) ([]P, error) {
+	cell func(spec PointSpec, scheme bs.Scheme, cols []stats.Sample) P) ([]P, error) {
 	specs, err := SweepSpecs(opt, []string{sweep})
 	if err != nil {
 		return nil, err
@@ -251,19 +280,14 @@ func settleSweep[P any](ctx context.Context, opt Options, sweep string,
 	if err != nil {
 		return nil, err
 	}
-	return settleGrid(ctx, opt, sweep+" sweep", points, func(i int, reps []RepRecord, cols []stats.Sample) P {
+	return settleGrid(ctx, opt, sweep+" sweep", points, func(i int, cols []stats.Sample) P {
 		scheme, _ := bs.ParseScheme(specs[i].Scheme) // Key vetted it
-		return cell(specs[i], scheme, reps, cols)
+		return cell(specs[i], scheme, cols)
 	})
 }
 
-// wanSweep aggregates the WAN packet-size sweep of Figure 7 or 8.
-func wanSweep(ctx context.Context, sweep string, opt Options) ([]ThroughputPoint, error) {
-	return settleSweep(ctx, opt, sweep, throughputPoint)
-}
-
 // throughputPoint is the Figure 7/8 cell of one finished point.
-func throughputPoint(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) ThroughputPoint {
+func throughputPoint(spec PointSpec, scheme bs.Scheme, cols []stats.Sample) ThroughputPoint {
 	return ThroughputPoint{
 		Scheme:             scheme,
 		BadPeriod:          spec.Bad,
@@ -271,7 +295,6 @@ func throughputPoint(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []
 		ThroughputKbps:     &cols[0],
 		Goodput:            &cols[1],
 		TheoreticalMaxKbps: core.WAN(scheme, spec.Size, spec.Bad).TheoreticalMaxKbps(),
-		Seeds:              seedsOf(reps),
 	}
 }
 
@@ -283,7 +306,7 @@ func ThroughputPoints(specs []PointSpec, outs []PointOutcome) []ThroughputPoint 
 	for i, out := range outs {
 		if out.Quarantine == nil {
 			scheme, _ := bs.ParseScheme(specs[i].Scheme) // settled, so Key vetted it
-			points = append(points, throughputPoint(specs[i], scheme, out.Reps, columns(out.Reps)))
+			points = append(points, throughputPoint(specs[i], scheme, columns(out.Reps)))
 		}
 	}
 	return points
@@ -329,25 +352,24 @@ func firstLine(s string) string {
 
 // Fig7 reproduces Figure 7: basic-TCP throughput vs packet size.
 func Fig7(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
-	return wanSweep(ctx, SweepFig7, opt)
+	return settleSweep(ctx, opt, SweepFig7, throughputPoint)
 }
 
 // Fig8 reproduces Figure 8: EBSN throughput vs packet size.
 func Fig8(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
-	return wanSweep(ctx, SweepFig8, opt)
+	return settleSweep(ctx, opt, SweepFig8, throughputPoint)
 }
 
 // Fig9 reproduces Figure 9: retransmitted data vs packet size for basic
 // TCP and EBSN.
 func Fig9(ctx context.Context, opt Options) ([]RetransPoint, error) {
-	return settleSweep(ctx, opt, SweepFig9, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) RetransPoint {
+	return settleSweep(ctx, opt, SweepFig9, func(spec PointSpec, scheme bs.Scheme, cols []stats.Sample) RetransPoint {
 		return RetransPoint{
 			Scheme:      scheme,
 			BadPeriod:   spec.Bad,
 			PacketSize:  spec.Size,
 			RetransKB:   &cols[0],
 			TimeoutsAvg: cols[1].Mean(),
-			Seeds:       seedsOf(reps),
 		}
 	})
 }
@@ -360,14 +382,26 @@ type LANPoint struct {
 	RetransKB          *stats.Sample
 	TimeoutsAvg        float64
 	TheoreticalMaxMbps float64
-	// Seeds records the seed each contributing replication actually used.
-	Seeds []int64
+}
+
+// LANTable is the column list of Figures 10 and 11.
+var LANTable = Table[LANPoint]{
+	Keys: []Column[LANPoint]{
+		{Head: "scheme", CSV: "scheme", Value: func(p LANPoint) any { return p.Scheme }},
+		{Head: "bad", CSV: "bad_period_sec", CSVFormat: "%.1f", Value: func(p LANPoint) any { return p.BadPeriod }},
+	},
+	Values: []Column[LANPoint]{
+		{Head: "throughput (Mbps)", CSV: "throughput_mbps", MD: "%.3f", CSVFormat: "%.4f", Sample: func(p LANPoint) *stats.Sample { return p.ThroughputMbps }},
+		{Head: "retransmitted (KB)", CSV: "retrans_kb_mean", MD: "%.1f", CSVFormat: "%.2f", Value: func(p LANPoint) any { return mean(p.RetransKB) }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.2f", Value: func(p LANPoint) any { return p.TimeoutsAvg }},
+		{Head: "tput_th (Mbps)", CSV: "tput_th_mbps", MD: "%.3f", CSVFormat: "%.4f", Value: func(p LANPoint) any { return p.TheoreticalMaxMbps }},
+	},
 }
 
 // LANStudy reproduces Figures 10 (throughput vs bad period) and 11
 // (retransmitted data vs bad period) in one pass over basic TCP and EBSN.
 func LANStudy(ctx context.Context, opt Options) ([]LANPoint, error) {
-	return settleSweep(ctx, opt, SweepLAN, func(spec PointSpec, scheme bs.Scheme, reps []RepRecord, cols []stats.Sample) LANPoint {
+	return settleSweep(ctx, opt, SweepLAN, func(spec PointSpec, scheme bs.Scheme, cols []stats.Sample) LANPoint {
 		return LANPoint{
 			Scheme:             scheme,
 			BadPeriod:          spec.Bad,
@@ -375,7 +409,6 @@ func LANStudy(ctx context.Context, opt Options) ([]LANPoint, error) {
 			RetransKB:          &cols[1],
 			TimeoutsAvg:        cols[2].Mean(),
 			TheoreticalMaxMbps: core.LAN(scheme, spec.Bad).TheoreticalMaxKbps() / 1000,
-			Seeds:              seedsOf(reps),
 		}
 	})
 }

@@ -25,6 +25,16 @@ func quickOpts() Options {
 	}
 }
 
+// pointAt is the Figure 7/8 point at (bad, size).
+func pointAt(points []ThroughputPoint, bad time.Duration, size units.ByteSize) (ThroughputPoint, bool) {
+	for _, p := range points {
+		if p.BadPeriod == bad && p.PacketSize == size {
+			return p, true
+		}
+	}
+	return ThroughputPoint{}, false
+}
+
 func TestFig7ShapeBasicTCP(t *testing.T) {
 	points, err := Fig7(context.Background(), quickOpts())
 	if err != nil {
@@ -238,53 +248,6 @@ func TestOptimalPacketSize(t *testing.T) {
 	}
 }
 
-func TestRenderersProduceTablesAndCSV(t *testing.T) {
-	opt := Options{
-		Replications: 2,
-		Transfer:     20 * units.KB,
-		PacketSizes:  []units.ByteSize{512},
-		BadPeriods:   []time.Duration{time.Second},
-	}
-	tp, err := Fig7(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := RenderThroughputTable("Fig 7", tp)
-	if !strings.Contains(table, "Fig 7") || !strings.Contains(table, "512B") || !strings.Contains(table, "tput_th") {
-		t.Errorf("throughput table malformed:\n%s", table)
-	}
-	csv := ThroughputCSV(tp)
-	if !strings.Contains(csv, "basic,1.0,512,") {
-		t.Errorf("throughput CSV malformed:\n%s", csv)
-	}
-
-	rp, err := Fig9(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtable := RenderRetransTable("Fig 9", rp)
-	if !strings.Contains(rtable, "[basic]") || !strings.Contains(rtable, "[ebsn]") {
-		t.Errorf("retrans table malformed:\n%s", rtable)
-	}
-	rcsv := RetransCSV(rp)
-	if !strings.Contains(rcsv, "ebsn,1.0,512,") {
-		t.Errorf("retrans CSV malformed:\n%s", rcsv)
-	}
-
-	lp, err := LANStudy(context.Background(), Options{Replications: 2, Transfer: 256 * units.KB, BadPeriods: []time.Duration{800 * time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ltable := RenderLANTable("Fig 10/11", lp)
-	if !strings.Contains(ltable, "800ms") || !strings.Contains(ltable, "ebsn") {
-		t.Errorf("LAN table malformed:\n%s", ltable)
-	}
-	lcsv := LANCSV(lp)
-	if !strings.Contains(lcsv, "basic,0.8,") {
-		t.Errorf("LAN CSV malformed:\n%s", lcsv)
-	}
-}
-
 func TestFig8GoodputNearOne(t *testing.T) {
 	// The paper's second metric: EBSN goodput approaches 1.0 while basic
 	// TCP's sits visibly lower under long fades.
@@ -313,7 +276,7 @@ func TestFig8GoodputNearOne(t *testing.T) {
 		t.Errorf("EBSN goodput %.3f not above basic %.3f",
 			ebsn.Goodput.Mean(), basic.Goodput.Mean())
 	}
-	if !strings.Contains(ThroughputCSV([]ThroughputPoint{ebsn}), "goodput_mean") {
+	if !strings.Contains(ThroughputTable.CSV([]ThroughputPoint{ebsn}), "goodput_mean") {
 		t.Error("CSV header missing goodput column")
 	}
 }

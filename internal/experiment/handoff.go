@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"wtcp/internal/bs"
@@ -66,7 +65,7 @@ func HandoffStudy(ctx context.Context, opt Options, axes HandoffOptions) ([]Hand
 			points = append(points, handoffPoint(opt, axes, scheme, dwell))
 		}
 	}
-	return settleGrid(ctx, opt, "handoff study", points, func(i int, _ []RepRecord, cols []stats.Sample) HandoffPoint {
+	return settleGrid(ctx, opt, "handoff study", points, func(i int, cols []stats.Sample) HandoffPoint {
 		p := grid[i]
 		p.ThroughputKbps, p.TimeoutsAvg, p.FastRetxAvg = &cols[0], cols[1].Mean(), cols[2].Mean()
 		return p
@@ -101,30 +100,15 @@ func HandoffConfig(dwell, gap time.Duration, dupAcks bool) core.Config {
 	return cfg
 }
 
-// RenderHandoffTable formats the study.
-func RenderHandoffTable(title string, points []HandoffPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-16s  %-10s  %-18s  %-10s  %-10s\n",
-		"scheme", "dwell", "throughput(Kbps)", "timeouts", "fastretx")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-16s  %-10s  %-18s  %-10.1f  %-10.1f\n",
-			p.Scheme, p.Dwell,
-			fmt.Sprintf("%.0f", p.ThroughputKbps.Mean()),
-			p.TimeoutsAvg, p.FastRetxAvg)
-	}
-	return b.String()
-}
-
-// HandoffCSV emits the study as CSV.
-func HandoffCSV(points []HandoffPoint) string {
-	var b strings.Builder
-	b.WriteString("scheme,dwell_sec,throughput_kbps_mean,throughput_kbps_stddev,timeouts_avg,fastretx_avg\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%.1f,%.2f,%.2f,%.1f,%.1f\n",
-			p.Scheme, p.Dwell.Seconds(),
-			p.ThroughputKbps.Mean(), p.ThroughputKbps.StdDev(),
-			p.TimeoutsAvg, p.FastRetxAvg)
-	}
-	return b.String()
+// HandoffTable is the mobility study's column list.
+var HandoffTable = Table[HandoffPoint]{
+	Keys: []Column[HandoffPoint]{
+		{Head: "scheme", CSV: "scheme", Value: func(p HandoffPoint) any { return p.Scheme }},
+		{Head: "dwell", CSV: "dwell_sec", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return p.Dwell }},
+	},
+	Values: []Column[HandoffPoint]{
+		{Head: "throughput (Kbps)", CSV: "throughput_kbps", MD: "%.0f", CSVFormat: "%.2f", Sample: func(p HandoffPoint) *stats.Sample { return p.ThroughputKbps }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return p.TimeoutsAvg }},
+		{Head: "fast retransmits", CSV: "fastretx_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return p.FastRetxAvg }},
+	},
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -61,24 +60,8 @@ func TestHandoffStudyUnderOracleAndChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := HandoffCSV(armed), HandoffCSV(bare); got != want {
+	if got, want := HandoffTable.CSV(armed), HandoffTable.CSV(bare); got != want {
 		t.Errorf("oracle and checks moved the study:\n%s--- bare ---\n%s", got, want)
-	}
-}
-
-func TestHandoffRenderers(t *testing.T) {
-	points, err := HandoffStudy(context.Background(), Options{Replications: 1, Transfer: 256 * units.KB},
-		HandoffOptions{Dwells: []time.Duration{time.Second}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := RenderHandoffTable("handoff", points)
-	if !strings.Contains(table, "plain") || !strings.Contains(table, "fastretransmit") {
-		t.Errorf("table malformed:\n%s", table)
-	}
-	csv := HandoffCSV(points)
-	if !strings.Contains(csv, "plain,1.0,") {
-		t.Errorf("csv malformed:\n%s", csv)
 	}
 }
 

@@ -79,22 +79,22 @@ func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
 			if sweep == SweepFig8 {
 				scheme = bs.EBSN
 			}
-			for _, bad := range opt.wanBadPeriods() {
-				for _, size := range opt.packetSizes() {
+			for _, bad := range opt.WANBadAxis() {
+				for _, size := range opt.SizeAxis() {
 					out = append(out, PointSpec{Sweep: sweep, Scheme: scheme.String(), Bad: bad, Size: size})
 				}
 			}
 		case SweepFig9:
 			for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
-				for _, bad := range opt.wanBadPeriods() {
-					for _, size := range opt.packetSizes() {
+				for _, bad := range opt.WANBadAxis() {
+					for _, size := range opt.SizeAxis() {
 						out = append(out, PointSpec{Sweep: sweep, Scheme: scheme.String(), Bad: bad, Size: size})
 					}
 				}
 			}
 		case SweepLAN:
 			for _, scheme := range []bs.Scheme{bs.Basic, bs.EBSN} {
-				for _, bad := range opt.lanBadPeriods() {
+				for _, bad := range opt.LANBadAxis() {
 					out = append(out, PointSpec{Sweep: sweep, Scheme: scheme.String(), Bad: bad})
 				}
 			}

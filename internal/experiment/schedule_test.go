@@ -218,7 +218,7 @@ func TestSupervisedSweepSameAtAnyWidth(t *testing.T) {
 		for _, p := range f.Points {
 			led[p.Key] = p.Reps
 		}
-		return result{ThroughputCSV(points), sup.Quarantined(), led, f.Quarantined}
+		return result{ThroughputTable.CSV(points), sup.Quarantined(), led, f.Quarantined}
 	}
 	want := run(1)
 	if len(want.quars) != 1 || want.quars[0].Key != "wan/basic/bad=1s/size=512" {

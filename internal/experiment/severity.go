@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"wtcp/internal/bs"
@@ -20,10 +19,12 @@ type SeverityPoint struct {
 	// MeanBad and BadBER describe the severity step.
 	MeanBad time.Duration
 	BadBER  float64
-	// BasicKbps and EBSNKbps are the per-scheme throughput samples.
+	// BasicKbps and EBSNKbps are the per-scheme throughput samples, nil
+	// where the scheme's point was quarantined.
 	BasicKbps *stats.Sample
 	EBSNKbps  *stats.Sample
-	// ImprovementPct is EBSN's mean relative gain.
+	// ImprovementPct is EBSN's mean relative gain, zero unless both
+	// samples are present.
 	ImprovementPct float64
 }
 
@@ -57,8 +58,9 @@ func (o SeverityOptions) withDefaults() SeverityOptions {
 }
 
 // SeverityStudy measures basic TCP and EBSN across a severity ladder.
-// Each (step, scheme) pair is one engine point; a step with a
-// quarantined half is left out of the result (it is on opt.Supervise).
+// Each (step, scheme) pair is one engine point; every step is in the
+// result, with a nil sample where its point was quarantined (it is on
+// opt.Supervise).
 func SeverityStudy(ctx context.Context, opt Options, axes SeverityOptions) ([]SeverityPoint, error) {
 	axes = axes.withDefaults()
 	var points []point
@@ -75,53 +77,38 @@ func SeverityStudy(ctx context.Context, opt Options, axes SeverityOptions) ([]Se
 		}
 	}
 	tput := make([]*stats.Sample, len(points)) // nil where the point was quarantined
-	if _, err := settleGrid(ctx, opt, "severity study", points, func(i int, _ []RepRecord, cols []stats.Sample) *stats.Sample {
+	if _, err := settleGrid(ctx, opt, "severity study", points, func(i int, cols []stats.Sample) *stats.Sample {
 		tput[i] = &cols[0]
 		return tput[i]
 	}); err != nil {
 		return nil, err
 	}
-	var out []SeverityPoint
+	out := make([]SeverityPoint, len(axes.Severities))
 	for i, sev := range axes.Severities {
 		basic, ebsn := tput[2*i], tput[2*i+1]
-		if basic == nil || ebsn == nil {
-			continue
+		out[i] = SeverityPoint{MeanBad: sev.MeanBad, BadBER: sev.BadBER, BasicKbps: basic, EBSNKbps: ebsn}
+		if basic != nil && ebsn != nil && basic.Mean() > 0 {
+			out[i].ImprovementPct = 100 * (ebsn.Mean() - basic.Mean()) / basic.Mean()
 		}
-		imp := 0.0
-		if basic.Mean() > 0 {
-			imp = 100 * (ebsn.Mean() - basic.Mean()) / basic.Mean()
-		}
-		out = append(out, SeverityPoint{
-			MeanBad:        sev.MeanBad,
-			BadBER:         sev.BadBER,
-			BasicKbps:      basic,
-			EBSNKbps:       ebsn,
-			ImprovementPct: imp,
-		})
 	}
 	return out, nil
 }
 
-// RenderSeverityTable formats the study.
-func RenderSeverityTable(title string, points []SeverityPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-10s  %-10s  %-12s  %-12s  %-12s\n",
-		"bad", "bad BER", "basic(Kbps)", "ebsn(Kbps)", "improvement")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-10s  %-10.0e  %-12.2f  %-12.2f  %+.0f%%\n",
-			p.MeanBad, p.BadBER, p.BasicKbps.Mean(), p.EBSNKbps.Mean(), p.ImprovementPct)
-	}
-	return b.String()
-}
-
-// SeverityCSV emits the study as CSV.
-func SeverityCSV(points []SeverityPoint) string {
-	var b strings.Builder
-	b.WriteString("bad_period_sec,bad_ber,basic_kbps,ebsn_kbps,improvement_pct\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%.1f,%g,%.3f,%.3f,%.1f\n",
-			p.MeanBad.Seconds(), p.BadBER, p.BasicKbps.Mean(), p.EBSNKbps.Mean(), p.ImprovementPct)
-	}
-	return b.String()
+// SeverityTable is the severity study's column list; the improvement is
+// missing wherever either scheme's throughput is.
+var SeverityTable = Table[SeverityPoint]{
+	Keys: []Column[SeverityPoint]{
+		{Head: "bad", CSV: "bad_period_sec", CSVFormat: "%.1f", Value: func(p SeverityPoint) any { return p.MeanBad }},
+		{Head: "bad BER", CSV: "bad_ber", MD: "%.0e", CSVFormat: "%g", Value: func(p SeverityPoint) any { return p.BadBER }},
+	},
+	Values: []Column[SeverityPoint]{
+		{Head: "basic (Kbps)", CSV: "basic_kbps", MD: "%.2f", CSVFormat: "%.3f", Value: func(p SeverityPoint) any { return mean(p.BasicKbps) }},
+		{Head: "ebsn (Kbps)", CSV: "ebsn_kbps", MD: "%.2f", CSVFormat: "%.3f", Value: func(p SeverityPoint) any { return mean(p.EBSNKbps) }},
+		{Head: "improvement", CSV: "improvement_pct", MD: "%+.0f%%", CSVFormat: "%.1f", Value: func(p SeverityPoint) any {
+			if p.BasicKbps == nil || p.EBSNKbps == nil {
+				return nil
+			}
+			return p.ImprovementPct
+		}},
+	},
 }

@@ -2,11 +2,8 @@ package experiment
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
-
-	"wtcp/internal/units"
 )
 
 func TestSeverityStudyImprovementGrows(t *testing.T) {
@@ -42,21 +39,5 @@ func TestSeverityStudyImprovementGrows(t *testing.T) {
 	}
 	if harsh.EBSNKbps.Mean() >= mild.EBSNKbps.Mean() {
 		t.Error("EBSN did not degrade with severity")
-	}
-}
-
-func TestSeverityRenderer(t *testing.T) {
-	points, err := SeverityStudy(context.Background(), Options{Replications: 1, Transfer: 20 * units.KB}, SeverityOptions{
-		Severities: []struct {
-			MeanBad time.Duration
-			BadBER  float64
-		}{{2 * time.Second, 1e-2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := RenderSeverityTable("severity", points)
-	if !strings.Contains(table, "improvement") || !strings.Contains(table, "%") {
-		t.Errorf("table malformed:\n%s", table)
 	}
 }

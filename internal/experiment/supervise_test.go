@@ -75,7 +75,7 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ThroughputCSV(withoutPoint(baseline, badPeriod, size))
+	want := ThroughputTable.CSV(withoutPoint(baseline, badPeriod, size))
 
 	stormRunSim(t, badPeriod, size)
 	sup := NewSupervisor()
@@ -108,7 +108,7 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	if len(got) != len(baseline)-1 {
 		t.Fatalf("governed sweep kept %d points, want %d", len(got), len(baseline)-1)
 	}
-	if csv := ThroughputCSV(got); csv != want {
+	if csv := ThroughputTable.CSV(got); csv != want {
 		t.Errorf("surviving points differ from ungoverned run:\n--- want ---\n%s--- got ---\n%s", want, csv)
 	}
 
@@ -303,7 +303,7 @@ func TestResumeAcrossQuarantineByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCSV := ThroughputCSV(uninterrupted)
+	wantCSV := ThroughputTable.CSV(uninterrupted)
 	wantQuar := fmt.Sprintf("%+v", sup.Quarantined())
 
 	for name, cancelAfter := range map[string]int{
@@ -313,7 +313,7 @@ func TestResumeAcrossQuarantineByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sweep.json")
 			points, quars, pathoRuns := resumeGoverned(t, path, cancelAfter, bad, size)
-			if got := ThroughputCSV(points); got != wantCSV {
+			if got := ThroughputTable.CSV(points); got != wantCSV {
 				t.Errorf("resumed output differs from uninterrupted governed run:\n--- want ---\n%s--- got ---\n%s", wantCSV, got)
 			}
 			if got := fmt.Sprintf("%+v", quars); got != wantQuar {

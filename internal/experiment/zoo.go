@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"wtcp/internal/bs"
@@ -77,7 +76,7 @@ func zooStudy(ctx context.Context, opt Options, axes ZooOptions, variants []tcp.
 			})
 		}
 	}
-	return settleGrid(ctx, opt, "zoo study", points, func(i int, _ []RepRecord, cols []stats.Sample) ZooPoint {
+	return settleGrid(ctx, opt, "zoo study", points, func(i int, cols []stats.Sample) ZooPoint {
 		p := grid[i]
 		p.ThroughputKbps, p.Goodput = &cols[0], &cols[1]
 		p.TimeoutsAvg, p.RetransKBAvg = cols[2].Mean(), cols[3].Mean()
@@ -85,42 +84,16 @@ func zooStudy(ctx context.Context, opt Options, axes ZooOptions, variants []tcp.
 	})
 }
 
-// ZooCell returns the study point for one (variant, scheme) pair, or nil.
-func ZooCell(points []ZooPoint, v tcp.Variant, s bs.Scheme) *ZooPoint {
-	for i := range points {
-		if points[i].Variant == v && points[i].Scheme == s {
-			return &points[i]
-		}
-	}
-	return nil
-}
-
-// RenderZooTable formats the head-to-head study, one row per variant and
-// one column group per scheme.
-func RenderZooTable(title string, points []ZooPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-8s  %-8s  %-16s  %-10s  %-9s  %-10s\n",
-		"variant", "scheme", "tput(Kbps)", "goodput", "timeouts", "retrans(KB)")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-8s  %-8s  %-16s  %-10s  %-9.1f  %-10.1f\n",
-			p.Variant, p.Scheme,
-			fmt.Sprintf("%.2f±%.0f%%", p.ThroughputKbps.Mean(), 100*p.ThroughputKbps.RelStdDev()),
-			fmt.Sprintf("%.3f", p.Goodput.Mean()),
-			p.TimeoutsAvg, p.RetransKBAvg)
-	}
-	return b.String()
-}
-
-// ZooCSV emits the study as CSV.
-func ZooCSV(points []ZooPoint) string {
-	var b strings.Builder
-	b.WriteString("variant,scheme,tput_kbps_mean,tput_kbps_stddev,goodput_mean,timeouts_avg,retrans_kb_avg\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%s,%.2f,%.2f,%.4f,%.1f,%.1f\n",
-			p.Variant, p.Scheme,
-			p.ThroughputKbps.Mean(), p.ThroughputKbps.StdDev(),
-			p.Goodput.Mean(), p.TimeoutsAvg, p.RetransKBAvg)
-	}
-	return b.String()
+// ZooTable is the head-to-head study's column list.
+var ZooTable = Table[ZooPoint]{
+	Keys: []Column[ZooPoint]{
+		{Head: "variant", CSV: "variant", Value: func(p ZooPoint) any { return p.Variant }},
+		{Head: "scheme", CSV: "scheme", Value: func(p ZooPoint) any { return p.Scheme }},
+	},
+	Values: []Column[ZooPoint]{
+		{Head: "throughput (Kbps)", CSV: "tput_kbps", MD: "%.2f", CSVFormat: "%.2f", Sample: func(p ZooPoint) *stats.Sample { return p.ThroughputKbps }},
+		{Head: "goodput", CSV: "goodput_mean", MD: "%.3f", CSVFormat: "%.4f", Value: func(p ZooPoint) any { return mean(p.Goodput) }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p ZooPoint) any { return p.TimeoutsAvg }},
+		{Head: "retransmitted (KB)", CSV: "retrans_kb_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p ZooPoint) any { return p.RetransKBAvg }},
+	},
 }

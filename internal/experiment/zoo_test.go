@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -26,26 +25,17 @@ func TestZooStudyGrid(t *testing.T) {
 	}
 	for _, v := range []tcp.Variant{tcp.Tahoe, tcp.Reno, tcp.NewReno, tcp.SACKVariant} {
 		for _, s := range []bs.Scheme{bs.Basic, bs.EBSN, bs.Snoop, bs.SplitConnection} {
-			p := ZooCell(pts, v, s)
-			if p == nil {
+			tput, ok := ZooTable.Cell(pts, "throughput (Kbps)", v, s)
+			g, _ := ZooTable.Cell(pts, "goodput", v, s)
+			if !ok {
 				t.Fatalf("missing cell %s/%s", v, s)
 			}
-			if p.ThroughputKbps.Mean() <= 0 {
+			if tput <= 0 {
 				t.Errorf("%s/%s: non-positive throughput", v, s)
 			}
-			if g := p.Goodput.Mean(); g <= 0 || g > 1 {
+			if g <= 0 || g > 1 {
 				t.Errorf("%s/%s: goodput %.3f outside (0, 1]", v, s, g)
 			}
 		}
-	}
-	table := RenderZooTable("zoo", pts)
-	for _, want := range []string{"tahoe", "reno", "newreno", "sack", "basic", "ebsn", "snoop", "split"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, table)
-		}
-	}
-	csv := ZooCSV(pts)
-	if got := strings.Count(csv, "\n"); got != 17 {
-		t.Errorf("CSV has %d lines, want 17 (header + 16 cells)", got)
 	}
 }

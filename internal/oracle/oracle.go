@@ -105,7 +105,7 @@ type Checker struct {
 	// first event of a stream. last2 is the event before it — the
 	// pre-transition baseline for ACK transitions that span two events
 	// (the Reno family's retransmit-then-ACK pairs). A shadow holds only
-	// the fields the rules read, so resync copies nine words, not events.
+	// the fields the rules read, so resync copies ten words, not events.
 	last      shadow
 	haveLast  bool
 	last2     shadow
@@ -164,7 +164,7 @@ type shadow struct {
 	Seq                    int64
 	Cwnd, Ssthresh         int64
 	SndUna, SndNxt, SndMax int64
-	RTO                    time.Duration
+	RTO, Deadline          time.Duration
 	Shift                  int
 }
 
@@ -393,6 +393,7 @@ func (c *Checker) resync(e *trace.Event) {
 	l := &c.last
 	l.Kind, l.Seq, l.Cwnd, l.Ssthresh = e.Kind, e.Seq, e.Cwnd, e.Ssthresh
 	l.SndUna, l.SndNxt, l.SndMax, l.RTO, l.Shift = e.SndUna, e.SndNxt, e.SndMax, e.RTO, e.Shift
+	l.Deadline = e.Deadline
 	// Transmission snapshots are taken before the sequence pointers
 	// advance; shadow the post-advance values so the next event's
 	// unchanged-state checks compare against reality. A retransmission
@@ -683,6 +684,11 @@ func (c *Checker) checkEBSNReset(e *trace.Event) *Violation {
 		return nil
 	}
 	p := &c.last
+	if e.SndNxt == e.SndUna && e.Deadline != p.Deadline {
+		return c.fail("ebsn/restart-without-data",
+			"timer deadline %v after EBSN with no data outstanding, want it untouched at %v",
+			e.Deadline, p.Deadline)
+	}
 	if e.Cwnd != p.Cwnd || e.Ssthresh != p.Ssthresh {
 		return c.fail("ebsn/no-congestion-response",
 			"EBSN moved cwnd/ssthresh %d/%d -> %d/%d (must be congestion-neutral)",

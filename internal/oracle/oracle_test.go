@@ -277,6 +277,23 @@ func TestEBSNRestartsNotExtends(t *testing.T) {
 	wantViolation(t, Check(baseCfg(), events), "ebsn/no-congestion-response", len(prefix))
 }
 
+// TestEBSNRestartWithoutData: with nothing outstanding an EBSN leaves the
+// retransmission timer as the previous sender event left it; re-arming
+// an idle timer is a violation.
+func TestEBSNRestartWithoutData(t *testing.T) {
+	idle := slowStartPrefix()[:2] // the first segment sent and acknowledged: timer stopped
+	ebsn := trace.Event{At: sec + sec/2, Kind: trace.EBSNReset,
+		SndUna: mss, SndNxt: mss, SndMax: mss,
+		Cwnd: 2 * mss, Ssthresh: win, RTO: rto0, Deadline: -1}
+	if v := Check(baseCfg(), append(append([]trace.Event{}, idle...), ebsn)); v != nil {
+		t.Fatalf("EBSN leaving an idle timer idle rejected: %v", v)
+	}
+
+	rearmed := ebsn
+	rearmed.Deadline = ebsn.At + rto0
+	wantViolation(t, Check(baseCfg(), append(append([]trace.Event{}, idle...), rearmed)), "ebsn/restart-without-data", len(idle))
+}
+
 func TestEBSNNotificationCounting(t *testing.T) {
 	cfg := baseCfg()
 	cfg.TrackNotifications = true

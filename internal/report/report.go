@@ -8,6 +8,7 @@
 package report
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -30,6 +31,55 @@ type claim struct {
 	note string
 }
 
+// verdicts is the report's claims, in the order they are checked.
+type verdicts []claim
+
+func (v *verdicts) add(text string, ok bool, noteFormat string, args ...any) {
+	*v = append(*v, claim{text: text, ok: ok, note: fmt.Sprintf(noteFormat, args...)})
+}
+
+// addOn adds a claim read off table cells: when a quarantine left one of
+// them out (cells is false), the claim is not reproduced rather than
+// judged against a zero.
+func (v *verdicts) addOn(cells bool, text string, ok bool, noteFormat string, args ...any) {
+	if !cells {
+		ok, noteFormat, args = false, "point quarantined", nil
+	}
+	v.add(text, ok, noteFormat, args...)
+}
+
+// wan checks the Figure 7 and 8 claims at bad, the longest bad period,
+// between the smallest and the largest packet size.
+func (v *verdicts) wan(fig7, fig8 []experiment.ThroughputPoint, bad time.Duration, small, large units.ByteSize, quick bool) {
+	const kbps = "throughput (Kbps)"
+	b1536, okB1536 := experiment.ThroughputTable.Cell(fig7, kbps, bs.Basic, bad, large)
+	e128, okE128 := experiment.ThroughputTable.Cell(fig8, kbps, bs.EBSN, bad, small)
+	e1536, okE1536 := experiment.ThroughputTable.Cell(fig8, kbps, bs.EBSN, bad, large)
+	th, _ := experiment.ThroughputTable.Cell(fig8, "tput_th", bs.EBSN, bad, large)
+
+	// Single-point comparisons are statistically fragile at quick scale
+	// (small transfers, few replications); they are only adjudicated at
+	// full fidelity, where the paper's sweeps run.
+	if !quick {
+		optSize, _ := experiment.OptimalPacketSize(fig7, bad)
+		v.add("Fig 7: basic TCP's optimal packet size is interior (not the largest size)",
+			optSize != large, "optimum at %v", optSize)
+		v.addOn(okB1536 && okE1536, "Figs 7 vs 8: EBSN beats basic TCP at the largest packet size",
+			e1536 > b1536, "%.2f vs %.2f (+%.0f%%)", e1536, b1536, 100*(e1536-b1536)/b1536)
+	}
+	// Robust aggregate claims, checked at every fidelity.
+	tput := func(p experiment.ThroughputPoint) float64 { return p.ThroughputKbps.Mean() }
+	tputTh := func(p experiment.ThroughputPoint) float64 { return p.TheoreticalMaxKbps }
+	v.addOn(len(fig7) > 0, "Fig 7: basic TCP sits well below the theoretical maximum",
+		average(fig7, tput) < 0.9*average(fig7, tputTh), "mean %.2f vs mean tput_th %.2f", average(fig7, tput), average(fig7, tputTh))
+	v.addOn(okE128 && okE1536, "Fig 8: EBSN throughput rises with packet size",
+		e1536 > e128, "%.2f (small) -> %.2f (large) at bad=%v", e128, e1536, bad)
+	v.addOn(okE1536, "Fig 8: EBSN approaches tput_th for large packets (>= 80%)",
+		e1536 >= 0.8*th, "%.2f of %.2f", e1536, th)
+	v.addOn(len(fig7) > 0 && len(fig8) > 0, "Figs 7 vs 8: EBSN beats basic TCP on average across the sweep",
+		average(fig8, tput) > average(fig7, tput), "%.2f vs %.2f", average(fig8, tput), average(fig7, tput))
+}
+
 // Generate runs the suite under opt and returns the markdown report.
 // Every run is oracle-gated whatever opt says; quick shrinks the sweeps
 // (fewer packet sizes and bad periods, smaller transfers) for fast
@@ -43,10 +93,7 @@ type claim struct {
 func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, error) {
 	opt = opt.WithDefaults()
 	var b strings.Builder
-	var claims []claim
-	add := func(text string, ok bool, noteFormat string, args ...any) {
-		claims = append(claims, claim{text: text, ok: ok, note: fmt.Sprintf(noteFormat, args...)})
-	}
+	var claims verdicts
 
 	// opt is what every figure and study below runs under; each derives
 	// its own transfer size and axes from it. Every reported number comes
@@ -94,13 +141,13 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 			scheme, r.Summary.Timeouts, r.Sender.RetransSegments, r.Summary.EBSNResets)
 	}
 	b.WriteString("\n")
-	add("Fig 3: basic TCP suffers timeouts and source retransmissions during fades",
+	claims.add("Fig 3: basic TCP suffers timeouts and source retransmissions during fades",
 		traces[bs.Basic].to > 0 && traces[bs.Basic].retx > 0,
 		"%d timeouts, %d retransmissions", traces[bs.Basic].to, traces[bs.Basic].retx)
-	add("Fig 4: local recovery masks fades (fewer source retransmissions than basic)",
+	claims.add("Fig 4: local recovery masks fades (fewer source retransmissions than basic)",
 		traces[bs.LocalRecovery].retx < traces[bs.Basic].retx,
 		"%d vs %d", traces[bs.LocalRecovery].retx, traces[bs.Basic].retx)
-	add("Fig 5: EBSN eliminates source timeouts entirely",
+	claims.add("Fig 5: EBSN eliminates source timeouts entirely",
 		traces[bs.EBSN].to == 0 && traces[bs.EBSN].ebsn > 0,
 		"%d timeouts, %d resets", traces[bs.EBSN].to, traces[bs.EBSN].ebsn)
 
@@ -114,45 +161,12 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	if err != nil {
 		return "", err
 	}
-	b.WriteString(markdownThroughput("Basic TCP (Fig 7)", fig7))
-	b.WriteString(markdownThroughput("EBSN (Fig 8)", fig8))
+	b.WriteString("### Basic TCP (Fig 7)\n\n" + experiment.ThroughputTable.Markdown(fig7) + "\n")
+	b.WriteString("### EBSN (Fig 8)\n\n" + experiment.ThroughputTable.Markdown(fig8) + "\n")
 
-	longestBad := wanOpt.BadPeriods
-	if len(longestBad) == 0 {
-		longestBad = experiment.WANBadPeriods
-	}
-	bad := longestBad[len(longestBad)-1]
-	sizes := wanOpt.PacketSizes
-	if len(sizes) == 0 {
-		sizes = experiment.PacketSizes
-	}
-	small, large := sizes[0], sizes[len(sizes)-1]
-
-	// Single-point comparisons are statistically fragile at quick scale
-	// (small transfers, few replications); they are only adjudicated at
-	// full fidelity, where the paper's sweeps run.
-	if !quick {
-		optSize, _ := experiment.OptimalPacketSize(fig7, bad)
-		add("Fig 7: basic TCP's optimal packet size is interior (not the largest size)",
-			optSize != large, "optimum at %v", optSize)
-		b1536 := pointMean(fig7, bad, large)
-		e1536 := pointMean(fig8, bad, large)
-		add("Figs 7 vs 8: EBSN beats basic TCP at the largest packet size",
-			e1536 > b1536, "%.2f vs %.2f (+%.0f%%)", e1536, b1536, 100*(e1536-b1536)/b1536)
-	}
-	// Robust aggregate claims, checked at every fidelity.
-	bgap := meanOf(fig7)
-	th := theoreticalOf(fig7, bad)
-	add("Fig 7: basic TCP sits well below the theoretical maximum",
-		bgap < 0.9*meanTheoretical(fig7), "mean %.2f vs mean tput_th %.2f", bgap, meanTheoretical(fig7))
-	e128 := pointMean(fig8, bad, small)
-	e1536 := pointMean(fig8, bad, large)
-	add("Fig 8: EBSN throughput rises with packet size",
-		e1536 > e128, "%.2f (small) -> %.2f (large) at bad=%v", e128, e1536, bad)
-	add("Fig 8: EBSN approaches tput_th for large packets (>= 80%)",
-		e1536 >= 0.8*th, "%.2f of %.2f", e1536, th)
-	add("Figs 7 vs 8: EBSN beats basic TCP on average across the sweep",
-		meanOf(fig8) > meanOf(fig7), "%.2f vs %.2f", meanOf(fig8), meanOf(fig7))
+	bads, sizes := wanOpt.WANBadAxis(), wanOpt.SizeAxis()
+	bad, small, large := bads[len(bads)-1], sizes[0], sizes[len(sizes)-1]
+	claims.wan(fig7, fig8, bad, small, large, quick)
 
 	// --- Figure 9 -----------------------------------------------------------
 	b.WriteString("## Figure 9 — WAN retransmitted data (KB)\n\n")
@@ -160,22 +174,10 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	if err != nil {
 		return "", err
 	}
-	b.WriteString("| scheme | bad | retransmitted at largest packet size |\n| --- | --- | --- |\n")
-	var basicRetx, ebsnRetx float64
-	for _, p := range fig9 {
-		if p.PacketSize != large || p.BadPeriod != bad {
-			continue
-		}
-		fmt.Fprintf(&b, "| %s | %v | %.1f KB |\n", p.Scheme, p.BadPeriod, p.RetransKB.Mean())
-		switch p.Scheme {
-		case bs.Basic:
-			basicRetx = p.RetransKB.Mean()
-		case bs.EBSN:
-			ebsnRetx = p.RetransKB.Mean()
-		}
-	}
-	b.WriteString("\n")
-	add("Fig 9: EBSN retransmits far less than basic TCP",
+	b.WriteString(experiment.RetransTable.Markdown(fig9) + "\n")
+	basicRetx, okBasic := experiment.RetransTable.Cell(fig9, "retransmitted (KB)", bs.Basic, bad, large)
+	ebsnRetx, okEBSN := experiment.RetransTable.Cell(fig9, "retransmitted (KB)", bs.EBSN, bad, large)
+	claims.addOn(okBasic && okEBSN, "Fig 9: EBSN retransmits far less than basic TCP",
 		ebsnRetx < basicRetx/2, "%.1f KB vs %.1f KB", ebsnRetx, basicRetx)
 
 	// --- Figures 10-11 ------------------------------------------------------
@@ -184,34 +186,18 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	if err != nil {
 		return "", err
 	}
-	b.WriteString("| bad | scheme | throughput (Mbps) | tput_th | retransmitted |\n")
-	b.WriteString("| --- | --- | --- | --- | --- |\n")
-	var lanOK, lanGoodput bool
-	lanOK, lanGoodput = true, true
-	byKey := map[string]experiment.LANPoint{}
-	for _, p := range lanPoints {
-		fmt.Fprintf(&b, "| %v | %s | %.3f | %.3f | %.1f KB |\n",
-			p.BadPeriod, p.Scheme, p.ThroughputMbps.Mean(), p.TheoreticalMaxMbps, p.RetransKB.Mean())
-		byKey[fmt.Sprintf("%s/%v", p.Scheme, p.BadPeriod)] = p
+	b.WriteString(experiment.LANTable.Markdown(lanPoints) + "\n")
+	lanCells, lanOK, lanGoodput := true, true, true
+	for _, bad := range lanOpt.LANBadAxis() {
+		basic, okBasic := experiment.LANTable.Cell(lanPoints, "throughput (Mbps)", bs.Basic, bad)
+		ebsn, okEBSN := experiment.LANTable.Cell(lanPoints, "throughput (Mbps)", bs.EBSN, bad)
+		th, _ := experiment.LANTable.Cell(lanPoints, "tput_th (Mbps)", bs.EBSN, bad)
+		lanCells = lanCells && okBasic && okEBSN
+		lanOK = lanOK && ebsn > basic
+		lanGoodput = lanGoodput && ebsn >= 0.85*th
 	}
-	b.WriteString("\n")
-	for _, p := range lanPoints {
-		if p.Scheme != bs.EBSN {
-			continue
-		}
-		basicP, ok := byKey[fmt.Sprintf("%s/%v", bs.Basic, p.BadPeriod)]
-		if !ok {
-			continue
-		}
-		if p.ThroughputMbps.Mean() <= basicP.ThroughputMbps.Mean() {
-			lanOK = false
-		}
-		if p.ThroughputMbps.Mean() < 0.85*p.TheoreticalMaxMbps {
-			lanGoodput = false
-		}
-	}
-	add("Fig 10: EBSN beats basic TCP at every LAN bad period", lanOK, "pointwise")
-	add("Fig 10: EBSN stays near tput_th (>= 85%)", lanGoodput, "pointwise")
+	claims.addOn(lanCells, "Fig 10: EBSN beats basic TCP at every LAN bad period", lanOK, "pointwise")
+	claims.addOn(lanCells, "Fig 10: EBSN stays near tput_th (>= 85%)", lanGoodput, "pointwise")
 
 	// --- Related work & extensions -----------------------------------------
 	b.WriteString("## Related work and extensions\n\n")
@@ -223,19 +209,15 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	if err != nil {
 		return "", err
 	}
-	b.WriteString("| scheduling policy | aggregate (Kbps) |\n| --- | --- |\n")
-	csdpAgg := map[string]float64{}
-	for _, p := range csdpPoints {
-		csdpAgg[p.Policy.String()] = p.AggregateKbps.Mean()
-		fmt.Fprintf(&b, "| %s | %.0f |\n", p.Policy, p.AggregateKbps.Mean())
-	}
-	b.WriteString("\n")
-	add("[Bhagwat 95]: round-robin beats FIFO under independent per-user fading",
-		csdpAgg["roundrobin"] > csdpAgg["fifo"],
-		"%.0f vs %.0f kbps", csdpAgg["roundrobin"], csdpAgg["fifo"])
-	add("[Bhagwat 95]: oracle CSDP at least matches round-robin",
-		csdpAgg["csdp"] >= 0.95*csdpAgg["roundrobin"],
-		"%.0f vs %.0f kbps", csdpAgg["csdp"], csdpAgg["roundrobin"])
+	b.WriteString(experiment.CSDPTable.Markdown(csdpPoints) + "\n")
+	const agg = "aggregate (Kbps)"
+	fifo, okFIFO := experiment.CSDPTable.Cell(csdpPoints, agg, cell.FIFO, time.Second)
+	rr, okRR := experiment.CSDPTable.Cell(csdpPoints, agg, cell.RoundRobin, time.Second)
+	csdp, okCSDP := experiment.CSDPTable.Cell(csdpPoints, agg, cell.CSDP, time.Second)
+	claims.addOn(okRR && okFIFO, "[Bhagwat 95]: round-robin beats FIFO under independent per-user fading",
+		rr > fifo, "%.0f vs %.0f kbps", rr, fifo)
+	claims.addOn(okCSDP && okRR, "[Bhagwat 95]: oracle CSDP at least matches round-robin",
+		csdp >= 0.95*rr, "%.0f vs %.0f kbps", csdp, rr)
 
 	handoffPoints, err := experiment.HandoffStudy(ctx, study(0), experiment.HandoffOptions{
 		Dwells: []time.Duration{time.Second},
@@ -243,19 +225,13 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	if err != nil {
 		return "", err
 	}
-	var hoPlain, hoFR float64
-	var hoFRTimeouts float64
-	for _, p := range handoffPoints {
-		switch p.Scheme {
-		case "plain":
-			hoPlain = p.ThroughputKbps.Mean()
-		case "fastretransmit":
-			hoFR = p.ThroughputKbps.Mean()
-			hoFRTimeouts = p.TimeoutsAvg
-		}
+	hoPlain, okPlain := experiment.HandoffTable.Cell(handoffPoints, "throughput (Kbps)", "plain", time.Second)
+	hoFR, okFR := experiment.HandoffTable.Cell(handoffPoints, "throughput (Kbps)", "fastretransmit", time.Second)
+	hoFRTimeouts, _ := experiment.HandoffTable.Cell(handoffPoints, "timeouts", "fastretransmit", time.Second)
+	if okPlain && okFR {
+		fmt.Fprintf(&b, "Handoffs at 1 s dwell: plain %.0f kbps vs fast-retransmit %.0f kbps.\n\n", hoPlain, hoFR)
 	}
-	fmt.Fprintf(&b, "Handoffs at 1 s dwell: plain %.0f kbps vs fast-retransmit %.0f kbps.\n\n", hoPlain, hoFR)
-	add("[Caceres & Iftode 94]: fast retransmit on handoff beats plain TCP",
+	claims.addOn(okPlain && okFR, "[Caceres & Iftode 94]: fast retransmit on handoff beats plain TCP",
 		hoFR > hoPlain && hoFRTimeouts == 0,
 		"%.0f vs %.0f kbps, %d residual timeouts", hoFR, hoPlain, int(hoFRTimeouts))
 
@@ -273,7 +249,7 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	}
 	fmt.Fprintf(&b, "Interactive extension — web page loads (8x8 KB): basic %.1f s mean / %.1f s p95, EBSN %.1f s / %.1f s.\n\n",
 		webBasic.MeanLoadSec, webBasic.P95LoadSec, webEBSN.MeanLoadSec, webEBSN.P95LoadSec)
-	add("Extension: EBSN shortens interactive page loads",
+	claims.add("Extension: EBSN shortens interactive page loads",
 		webEBSN.MeanLoadSec < webBasic.MeanLoadSec,
 		"%.1f s vs %.1f s mean", webEBSN.MeanLoadSec, webBasic.MeanLoadSec)
 
@@ -287,15 +263,13 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 		if err != nil {
 			return "", err
 		}
-		const sevClaim = "§1/§6 conjecture: EBSN's improvement grows as the link gets lossier"
-		if len(sevPoints) == 2 {
-			fmt.Fprintf(&b, "Severity conjecture: EBSN improvement %.0f%% at bad=1s vs %.0f%% at bad=4s.\n\n",
-				sevPoints[0].ImprovementPct, sevPoints[1].ImprovementPct)
-			add(sevClaim, sevPoints[1].ImprovementPct > sevPoints[0].ImprovementPct,
-				"%.0f%% -> %.0f%%", sevPoints[0].ImprovementPct, sevPoints[1].ImprovementPct)
-		} else {
-			add(sevClaim, false, "a severity step was quarantined")
+		mild, okMild := experiment.SeverityTable.Cell(sevPoints, "improvement", time.Second, 1e-2)
+		harsh, okHarsh := experiment.SeverityTable.Cell(sevPoints, "improvement", 4*time.Second, 1e-2)
+		if okMild && okHarsh {
+			fmt.Fprintf(&b, "Severity conjecture: EBSN improvement %.0f%% at bad=1s vs %.0f%% at bad=4s.\n\n", mild, harsh)
 		}
+		claims.addOn(okMild && okHarsh, "§1/§6 conjecture: EBSN's improvement grows as the link gets lossier",
+			harsh > mild, "%.0f%% -> %.0f%%", mild, harsh)
 	}
 
 	// --- Protocol zoo -------------------------------------------------------
@@ -308,33 +282,21 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	if err != nil {
 		return "", err
 	}
-	b.WriteString("| variant | scheme | throughput (Kbps) | goodput | timeouts |\n| --- | --- | --- | --- | --- |\n")
-	for _, p := range zooPoints {
-		fmt.Fprintf(&b, "| %s | %s | %.2f | %.3f | %.1f |\n",
-			p.Variant, p.Scheme, p.ThroughputKbps.Mean(), p.Goodput.Mean(), p.TimeoutsAvg)
-	}
-	b.WriteString("\n")
-	zooSnoopOK, zooSplitOK := true, true
+	b.WriteString(experiment.ZooTable.Markdown(zooPoints) + "\n")
+	zooCells, zooSnoopOK, zooSplitOK := true, true, true
 	for _, v := range []tcp.Variant{tcp.Tahoe, tcp.Reno, tcp.NewReno, tcp.SACKVariant} {
-		basic := experiment.ZooCell(zooPoints, v, bs.Basic)
-		snoop := experiment.ZooCell(zooPoints, v, bs.Snoop)
-		split := experiment.ZooCell(zooPoints, v, bs.SplitConnection)
-		if basic == nil || snoop == nil || split == nil {
-			zooSnoopOK, zooSplitOK = false, false
-			break
-		}
-		if snoop.ThroughputKbps.Mean() < 0.95*basic.ThroughputKbps.Mean() {
-			zooSnoopOK = false
-		}
-		if split.ThroughputKbps.Mean() <= 0 {
-			zooSplitOK = false
-		}
+		basic, okBasic := experiment.ZooTable.Cell(zooPoints, "throughput (Kbps)", v, bs.Basic)
+		snoop, okSnoop := experiment.ZooTable.Cell(zooPoints, "throughput (Kbps)", v, bs.Snoop)
+		split, okSplit := experiment.ZooTable.Cell(zooPoints, "throughput (Kbps)", v, bs.SplitConnection)
+		zooCells = zooCells && okBasic && okSnoop && okSplit
+		zooSnoopOK = zooSnoopOK && snoop >= 0.95*basic
+		zooSplitOK = zooSplitOK && split > 0
 	}
-	add("Protocol zoo: every variant x scheme cell ran oracle-clean under its own conformance profile",
+	claims.add("Protocol zoo: every variant x scheme cell ran oracle-clean under its own conformance profile",
 		true, "%d cells; a profile violation would have failed the report", len(zooPoints))
-	add("[Balakrishnan 95]: Snoop local recovery at least matches the unassisted baseline for every sender variant",
+	claims.addOn(zooCells, "[Balakrishnan 95]: Snoop local recovery at least matches the unassisted baseline for every sender variant",
 		zooSnoopOK, "pointwise at bad=4s, tolerance 5%%")
-	add("[Bakre & Badrinath 94]: split-connection completes for every variant (at the cost of per-connection BS state)",
+	claims.addOn(zooCells, "[Bakre & Badrinath 94]: split-connection completes for every variant (at the cost of per-connection BS state)",
 		zooSplitOK, "all four variants completed over the split topology")
 
 	// --- Cell-scale simulation ----------------------------------------------
@@ -366,13 +328,13 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	fmt.Fprintf(&b, "| %d | %d | %.0f | %.3f | %d | %d | %d | %d | %d |\n\n",
 		cellCfg.Flows, cellRes.CompletedFlows, cellRes.AggregateKbps, cellRes.Fairness,
 		cellRes.RadioAttempts, cellRes.EBSNsSent, cellRes.Events, cellRes.Arena.PeakLive, cellRes.CalendarPeak)
-	add("Cell scale: 1000 concurrent flows all complete inside the 60 s virtual horizon",
+	claims.add("Cell scale: 1000 concurrent flows all complete inside the 60 s virtual horizon",
 		cellRes.Completed, "%d of %d flows", cellRes.CompletedFlows, cellCfg.Flows)
-	add("Cell scale: every data segment the network held is retired by the end of the run",
+	claims.add("Cell scale: every data segment the network held is retired by the end of the run",
 		cellRes.Arena.LiveAtEnd == 0, "%d live at end", cellRes.Arena.LiveAtEnd)
-	add("Cell scale: sampled Tahoe/ARQ conformance checkers observed no violation",
+	claims.add("Cell scale: sampled Tahoe/ARQ conformance checkers observed no violation",
 		true, "%d flows sampled; a violation would have failed the run", cellCfg.OracleSample)
-	add("Cell scale: a cell run is bit-identical for a fixed seed",
+	claims.add("Cell scale: a cell run is bit-identical for a fixed seed",
 		cellRes.Events == cellRes2.Events && cellRes.AggregateKbps == cellRes2.AggregateKbps &&
 			cellRes.RadioAttempts == cellRes2.RadioAttempts,
 		"two runs, one seed: %d events, %.3f Kbps", cellRes.Events, cellRes.AggregateKbps)
@@ -409,14 +371,14 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 	fmt.Fprintf(&b, "| %s | %.2f Kbps | %d | %d | %d |\n\n",
 		outcome, chaosA.Summary.ThroughputKbps, chaosA.Summary.Timeouts,
 		chaosA.Chaos.Crashes, chaosA.Chaos.NotifyDropped)
-	add("Robustness: crash + EBSN loss + blackout neither panics nor violates an invariant",
+	claims.add("Robustness: crash + EBSN loss + blackout neither panics nor violates an invariant",
 		chaosA.Completed || chaosA.Aborted, "%s", outcome)
-	add("Robustness: a chaos run is bit-identical for a fixed seed",
+	claims.add("Robustness: a chaos run is bit-identical for a fixed seed",
 		chaosA.Summary == chaosB.Summary && *chaosA.Chaos == *chaosB.Chaos,
 		"two runs, one seed, identical metrics and fault counters")
 
 	// Reaching this point means no oracle fired: every run above was armed.
-	add("Conformance: every sweep above ran with the protocol oracles armed and no rule fired",
+	claims.add("Conformance: every sweep above ran with the protocol oracles armed and no rule fired",
 		true, "oracle-gated runs; a violation would have failed the report")
 
 	// --- Quarantined points ------------------------------------------------
@@ -427,20 +389,10 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 			b.WriteString("No points were quarantined in this run.\n\n")
 		} else {
 			fmt.Fprintf(&b, "The circuit breaker removed %d point(s) from this run's sweeps; every\n", len(qs))
-			b.WriteString("other point is bit-identical to an ungoverned run. Tables above simply\n")
-			b.WriteString("omit the quarantined cells — nothing was silently truncated.\n\n")
-			b.WriteString("| point | class | attempts | worker | reason |\n| --- | --- | --- | --- | --- |\n")
-			for _, q := range qs {
-				// Worker names which fleet worker hit the quarantine; a
-				// sequential (single-process) run has no worker to blame.
-				worker := q.Worker
-				if worker == "" {
-					worker = "(local)"
-				}
-				fmt.Fprintf(&b, "| `%s` | %s | %d | %s | %s |\n", q.Key, q.Class, q.Attempts, worker, firstLineOf(q.Reason))
-			}
-			b.WriteString("\n")
-			add("Supervision: no sweep point was quarantined", false,
+			b.WriteString("other point is bit-identical to an ungoverned run. Tables above print\n")
+			b.WriteString("a quarantined cell as `-`, and a claim that reads one is not reproduced.\n\n")
+			b.WriteString(quarantineTable.Markdown(qs) + "\n")
+			claims.add("Supervision: no sweep point was quarantined", false,
 				"%d point(s) quarantined — inspect the table above", len(qs))
 		}
 	}
@@ -492,110 +444,36 @@ checker per TCP half. The table below is therefore a comparison of
 
 `
 
-// firstLineOf trims a multi-line reason to its summary line for table
-// cells.
-func firstLineOf(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // AllReproduced reports whether a generated report ends with the
 // all-clear marker (a convenience for tests and CI).
 func AllReproduced(report string) bool {
 	return strings.Contains(report, "**All checked claims reproduced.**")
 }
 
-// markdownThroughput renders Fig 7/8 points as a markdown table.
-func markdownThroughput(title string, points []experiment.ThroughputPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", title)
-	bads := uniqueBads(points)
-	b.WriteString("| pkt size |")
-	for _, bad := range bads {
-		fmt.Fprintf(&b, " bad=%v |", bad)
-	}
-	b.WriteString("\n| --- |")
-	for range bads {
-		b.WriteString(" --- |")
-	}
-	b.WriteString("\n| tput_th |")
-	for _, bad := range bads {
-		fmt.Fprintf(&b, " %.2f |", theoreticalOf(points, bad))
-	}
-	b.WriteString("\n")
-	for _, size := range uniqueSizes(points) {
-		fmt.Fprintf(&b, "| %v |", size)
-		for _, bad := range bads {
-			fmt.Fprintf(&b, " %.2f |", pointMean(points, bad, size))
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("\n")
-	return b.String()
+// quarantineTable lists the points the circuit breaker removed, one row
+// per point, each reason by its first line.
+var quarantineTable = experiment.Table[experiment.Quarantine]{
+	Keys: []experiment.Column[experiment.Quarantine]{
+		{Head: "point", Value: func(q experiment.Quarantine) any { return "`" + q.Key + "`" }},
+	},
+	Values: []experiment.Column[experiment.Quarantine]{
+		{Head: "class", Value: func(q experiment.Quarantine) any { return q.Class }},
+		{Head: "attempts", Value: func(q experiment.Quarantine) any { return q.Attempts }},
+		// Worker names which fleet worker hit the quarantine; a
+		// sequential (single-process) run has no worker to blame.
+		{Head: "worker", Value: func(q experiment.Quarantine) any { return cmp.Or(q.Worker, "(local)") }},
+		{Head: "reason", Value: func(q experiment.Quarantine) any { return q.Reason }},
+	},
 }
 
-func uniqueBads(points []experiment.ThroughputPoint) []time.Duration {
-	seen := map[time.Duration]bool{}
-	var out []time.Duration
-	for _, p := range points {
-		if !seen[p.BadPeriod] {
-			seen[p.BadPeriod] = true
-			out = append(out, p.BadPeriod)
-		}
-	}
-	return out
-}
-
-func uniqueSizes(points []experiment.ThroughputPoint) []units.ByteSize {
-	seen := map[units.ByteSize]bool{}
-	var out []units.ByteSize
-	for _, p := range points {
-		if !seen[p.PacketSize] {
-			seen[p.PacketSize] = true
-			out = append(out, p.PacketSize)
-		}
-	}
-	return out
-}
-
-func pointMean(points []experiment.ThroughputPoint, bad time.Duration, size units.ByteSize) float64 {
-	for _, p := range points {
-		if p.BadPeriod == bad && p.PacketSize == size {
-			return p.ThroughputKbps.Mean()
-		}
-	}
-	return 0
-}
-
-func meanOf(points []experiment.ThroughputPoint) float64 {
+// average is value's mean over points.
+func average[P any](points []P, value func(P) float64) float64 {
 	if len(points) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, p := range points {
-		sum += p.ThroughputKbps.Mean()
+		sum += value(p)
 	}
 	return sum / float64(len(points))
-}
-
-func meanTheoretical(points []experiment.ThroughputPoint) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range points {
-		sum += p.TheoreticalMaxKbps
-	}
-	return sum / float64(len(points))
-}
-
-func theoreticalOf(points []experiment.ThroughputPoint, bad time.Duration) float64 {
-	for _, p := range points {
-		if p.BadPeriod == bad {
-			return p.TheoreticalMaxKbps
-		}
-	}
-	return 0
 }

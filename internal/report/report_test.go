@@ -9,8 +9,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"wtcp/internal/bs"
 	"wtcp/internal/experiment"
+	"wtcp/internal/stats"
+	"wtcp/internal/units"
 )
 
 func TestGenerateQuickReport(t *testing.T) {
@@ -153,5 +157,49 @@ func TestQuickReportResumesFromOneCheckpointPath(t *testing.T) {
 	}
 	if reloaded != want {
 		t.Errorf("reloaded report differs from an uninterrupted one\n%s", firstDifference(want, reloaded))
+	}
+}
+
+// TestMissingCellIsNotReproduced: a claim whose input cell a quarantine
+// left out reads "NOT reproduced", never a comparison against zero.
+func TestMissingCellIsNotReproduced(t *testing.T) {
+	const bad = 4 * time.Second
+	const small, large units.ByteSize = 128, 1536
+	point := func(scheme bs.Scheme, size units.ByteSize, kbps float64) experiment.ThroughputPoint {
+		var s stats.Sample
+		s.Add(kbps)
+		return experiment.ThroughputPoint{Scheme: scheme, BadPeriod: bad, PacketSize: size, ThroughputKbps: &s, TheoreticalMaxKbps: 9.14}
+	}
+	fig7 := []experiment.ThroughputPoint{point(bs.Basic, small, 4), point(bs.Basic, large, 5)}
+	fig8 := []experiment.ThroughputPoint{point(bs.EBSN, small, 6), point(bs.EBSN, large, 8.5)}
+	verdict := func(fig7, fig8 []experiment.ThroughputPoint, text string) claim {
+		var v verdicts
+		v.wan(fig7, fig8, bad, small, large, false)
+		for _, c := range v {
+			if c.text == text {
+				return c
+			}
+		}
+		t.Fatalf("no claim %q", text)
+		return claim{}
+	}
+	const beats = "Figs 7 vs 8: EBSN beats basic TCP at the largest packet size"
+	const ceiling = "Fig 8: EBSN approaches tput_th for large packets (>= 80%)"
+
+	if c := verdict(fig7, fig8, beats); !c.ok || c.note != "8.50 vs 5.00 (+70%)" {
+		t.Errorf("full grid: %+v", c)
+	}
+	// Basic TCP's largest-size cell quarantined: nothing to beat.
+	if c := verdict(fig7[:1], fig8, beats); c.ok || c.note != "point quarantined" {
+		t.Errorf("basic's %v cell removed: %+v, want NOT reproduced, point quarantined", large, c)
+	}
+	// Every Figure 7 point at the longest bad period quarantined: the
+	// ceiling claim reads EBSN's own cell and its tput_th, not a zero.
+	if c := verdict(nil, fig8, ceiling); !c.ok || c.note != "8.50 of 9.14" {
+		t.Errorf("fig7 at bad=%v removed: %+v, want 8.50 of 9.14", bad, c)
+	}
+	// EBSN's own cell quarantined: the ceiling claim has no input.
+	if c := verdict(fig7, fig8[:1], ceiling); c.ok || c.note != "point quarantined" {
+		t.Errorf("EBSN's %v cell removed: %+v, want NOT reproduced, point quarantined", large, c)
 	}
 }
