@@ -44,13 +44,10 @@ func adviseFlags(fs *flag.FlagSet) body {
 			return err
 		}
 		if *csv {
-			fmt.Fprintln(stdout, "mean_bad_sec,packet_size_bytes,throughput_kbps")
-			for _, e := range advisor.Table() {
-				fmt.Fprintf(stdout, "%.1f,%d,%.2f\n", e.MeanBad.Seconds(), e.PacketSize, e.ThroughputKbps)
-			}
+			fmt.Fprint(stdout, experiment.AdvisorTable.CSV(advisor.Table()))
 		} else {
 			fmt.Fprintln(stdout, "packet-size advisory table (basic TCP, wide-area preset):")
-			fmt.Fprint(stdout, advisor.String())
+			fmt.Fprint(stdout, experiment.AdvisorTable.Markdown(advisor.Table()))
 		}
 		if *query > 0 {
 			size := advisor.Recommend(*query)

@@ -10,7 +10,7 @@ func TestAdvisorTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out, "mean bad period -> good packet size") {
+	if !strings.Contains(out, "| mean bad period | good packet size | throughput (Kbps) |") {
 		t.Errorf("table missing:\n%s", out)
 	}
 }

@@ -251,11 +251,13 @@ func TestEBSNComposesWithScheduling(t *testing.T) {
 	}
 }
 
+// TestEBSNFIFOTimeoutReduction: FIFO + fades stall every flow for seconds
+// at a time; EBSN must remove a large share of the resulting timeouts.
+// It logs the mean timeouts per run with and without EBSN (-v).
 func TestEBSNFIFOTimeoutReduction(t *testing.T) {
-	// FIFO + fades stall every flow for seconds at a time; EBSN must
-	// remove a large share of the resulting timeouts.
+	const reps = 3
 	var plain, withEBSN uint64
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= reps; seed++ {
 		cfg := LAN(4, FIFO, 1500*time.Millisecond)
 		cfg.TransferSize = 256 * units.KB
 		cfg.Seed = seed
@@ -271,8 +273,10 @@ func TestEBSNFIFOTimeoutReduction(t *testing.T) {
 		}
 		withEBSN += re.TotalTimeouts
 	}
+	t.Logf("4 flows, FIFO, 256KB each, mean bad 1.5s, %d seeds: %.1f source timeouts per run without EBSN, %.1f with",
+		reps, float64(plain)/reps, float64(withEBSN)/reps)
 	if plain == 0 {
-		t.Skip("no baseline timeouts with these seeds")
+		t.Fatal("no baseline timeouts on these fixed seeds: the premise is lost")
 	}
 	if withEBSN*2 > plain {
 		t.Errorf("EBSN removed too few timeouts: %d -> %d", plain, withEBSN)

@@ -62,7 +62,7 @@ func newSampler(e *engine, k int) *sampler {
 func (sp *sampler) state(f int32, t tcp.Transition) {
 	if slot := sp.slotOf[f]; slot >= 0 {
 		e := sp.e
-		e.rows[f].Snapshot(&e.tcp, t, e.TimerDeadline(), &sp.ev)
+		e.rows[f].Snapshot(t, e.TimerDeadline(), &sp.ev)
 		sp.onState[slot](&sp.ev)
 	}
 }

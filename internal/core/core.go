@@ -69,10 +69,10 @@ type Config struct {
 	// radio (bs.AckDeadline).
 	ARQ bs.ARQConfig
 
-	// TCP tuning. Zero values use the paper's defaults (100 ms clock,
-	// 3 s initial RTO, Tahoe, per-segment ACKs).
-	Granularity time.Duration
-	Variant     tcp.Variant
+	// TCP tuning. Zero values use the paper's defaults (Tahoe,
+	// per-segment ACKs); the 100 ms clock and 3 s initial RTO are fixed
+	// (tcp.Granularity, tcp.InitialRTO).
+	Variant tcp.Variant
 	// DelayedAcks enables RFC 1122 delayed acknowledgments at the sink
 	// (an ablation; the paper's ns sink acks every segment).
 	DelayedAcks bool
@@ -865,13 +865,12 @@ func (tp *topology) dupAcks() {
 // all that differ.
 func (c Config) senderConfig(mss units.ByteSize, streaming bool) tcp.Config {
 	return tcp.Config{
-		MSS:         mss,
-		Window:      c.Window,
-		Total:       c.TransferSize,
-		Granularity: c.Granularity,
-		Variant:     c.Variant,
-		SACK:        c.SACK,
-		Streaming:   streaming,
+		MSS:       mss,
+		Window:    c.Window,
+		Total:     c.TransferSize,
+		Variant:   c.Variant,
+		SACK:      c.SACK,
+		Streaming: streaming,
 	}
 }
 

@@ -275,7 +275,7 @@ func TestHorizonStopsPathologicalRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Completed {
-		t.Skip("transfer unexpectedly completed; horizon untestable with this seed")
+		t.Fatal("transfer completed within the horizon on this fixed seed: the premise is lost")
 	}
 	if r.Summary.Elapsed < 30*time.Second {
 		t.Errorf("elapsed = %v, want horizon reached", r.Summary.Elapsed)

@@ -262,3 +262,37 @@ removes exactly that term.`)
 	// — it adds a full backed-off RTO to whatever the user is waiting for. EBSN
 	// removes exactly that term.
 }
+
+// Example_arqWindow is the ARQ pipelining ablation: the base station's
+// link-level recovery with one link unit outstanding (stop-and-wait)
+// against the default window of four, under EBSN on the wide-area
+// preset, averaged over ten seeds. A 576 B packet crosses the radio as
+// several 128 B fragments, and stop-and-wait pays a link round trip for
+// each.
+func Example_arqWindow() {
+	const reps = 10
+	mean := func(window int) float64 {
+		var tput stats.Sample
+		for seed := int64(1); seed <= reps; seed++ {
+			cfg := core.WAN(bs.EBSN, 576, 2*time.Second)
+			cfg.ARQ.Window = window
+			cfg.Seed = seed
+			r, err := core.Run(cfg)
+			if err != nil || !r.Completed {
+				panic(fmt.Sprintf("window %d seed %d did not complete: %v", window, seed, err))
+			}
+			tput.Add(r.Summary.ThroughputKbps)
+		}
+		return tput.Mean()
+	}
+	stopAndWait, pipelined := mean(1), mean(bs.DefaultARQWindow)
+	fmt.Printf("100KB, EBSN, 576B packets, mean bad 2s, %d replications\n", reps)
+	fmt.Printf("ARQ window 1: %.2f Kbps\n", stopAndWait)
+	fmt.Printf("ARQ window %d: %.2f Kbps\n", bs.DefaultARQWindow, pipelined)
+	fmt.Printf("stop-and-wait penalty: %.0f%%\n", 100*(pipelined-stopAndWait)/pipelined)
+	// Output:
+	// 100KB, EBSN, 576B packets, mean bad 2s, 10 replications
+	// ARQ window 1: 6.49 Kbps
+	// ARQ window 4: 9.99 Kbps
+	// stop-and-wait penalty: 35%
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"wtcp/internal/units"
@@ -76,15 +75,16 @@ func (a *Advisor) Table() []AdvisorEntry {
 	return out
 }
 
-// String renders the table the way a base station operator would inspect
-// it.
-func (a *Advisor) String() string {
-	var b strings.Builder
-	b.WriteString("mean bad period -> good packet size\n")
-	for _, e := range a.entries {
-		fmt.Fprintf(&b, "  %-8s -> %-6s (%.2f Kbps)\n", e.MeanBad, e.PacketSize, e.ThroughputKbps)
-	}
-	return b.String()
+// AdvisorTable is the advisory table's column list: wtcp advise prints
+// it as markdown, or as CSV with -csv.
+var AdvisorTable = Table[AdvisorEntry]{
+	Keys: []Column[AdvisorEntry]{
+		{Head: "mean bad period", CSV: "mean_bad_sec", CSVFormat: "%.1f", Value: func(e AdvisorEntry) any { return e.MeanBad }},
+	},
+	Values: []Column[AdvisorEntry]{
+		{Head: "good packet size", CSV: "packet_size_bytes", CSVFormat: "%d", Value: func(e AdvisorEntry) any { return e.PacketSize }},
+		{Head: "throughput (Kbps)", CSV: "throughput_kbps", MD: "%.2f", CSVFormat: "%.2f", Value: func(e AdvisorEntry) any { return e.ThroughputKbps }},
+	},
 }
 
 func absDur(d time.Duration) time.Duration {

@@ -26,8 +26,21 @@ func TestCalibrateAdvisor(t *testing.T) {
 			t.Errorf("degenerate entry %+v", e)
 		}
 	}
-	if s := a.String(); !strings.Contains(s, "->") {
-		t.Errorf("String() = %q", s)
+}
+
+// TestAdvisorTableRenders pins both renderings of the advisory table: the
+// CSV bytes wtcp advise -csv has always printed, and the markdown rows.
+func TestAdvisorTableRenders(t *testing.T) {
+	entries := []AdvisorEntry{
+		{MeanBad: time.Second, PacketSize: 1280, ThroughputKbps: 8.886},
+		{MeanBad: 4 * time.Second, PacketSize: 768, ThroughputKbps: 5.951},
+	}
+	if got, want := AdvisorTable.CSV(entries), "mean_bad_sec,packet_size_bytes,throughput_kbps\n1.0,1280,8.89\n4.0,768,5.95\n"; got != want {
+		t.Errorf("CSV:\n%s\nwant:\n%s", got, want)
+	}
+	want := "| mean bad period | good packet size | throughput (Kbps) |\n| --- | --- | --- |\n| 1s | 1280B | 8.89 |\n| 4s | 768B | 5.95 |\n"
+	if got := AdvisorTable.Markdown(entries); got != want {
+		t.Errorf("Markdown:\n%s\nwant:\n%s", got, want)
 	}
 }
 

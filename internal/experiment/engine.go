@@ -129,7 +129,8 @@ func runRep(ctx context.Context, opt Options, key string, run replication, seed 
 		case err == nil:
 			// Virtual-time stall killed by the watchdog: transient shape,
 			// retry under a perturbed seed.
-			err = fmt.Errorf("watchdog abort: %s", firstLine(out.abort))
+			summary, _, _ := strings.Cut(out.abort, "\n")
+			err = fmt.Errorf("watchdog abort: %s", summary)
 			class = core.ClassTransient
 		}
 		last = repFailure{err: fmt.Errorf("seed %d: %w", out.seed, err), class: class, attempts: attempt + 1}

@@ -341,15 +341,6 @@ func (o Options) retries() int {
 // instead of replaying the failure.
 const retrySeedOffset = int64(1) << 20
 
-// firstLine trims a multi-line diagnostic (a watchdog snapshot) to its
-// summary line for inline error messages.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // Fig7 reproduces Figure 7: basic-TCP throughput vs packet size.
 func Fig7(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
 	return settleSweep(ctx, opt, SweepFig7, throughputPoint)

@@ -204,7 +204,8 @@ func (c Column[P]) markdown(v any) string {
 	case *stats.Sample:
 		return fmt.Sprintf(cmp.Or(c.MD, "%v")+"±%.0f%%", v.Mean(), 100*v.RelStdDev())
 	case string:
-		return firstLine(v)
+		line, _, _ := strings.Cut(v, "\n")
+		return line
 	}
 	return fmt.Sprintf(cmp.Or(c.MD, "%v"), v)
 }

@@ -49,10 +49,9 @@ var allowed = map[string]string{
 	"internal/scenario.FuzzSeeds":              "the seed corpus two packages' fuzzers share (scenario and serve tests)",
 	"internal/stats.Sample.CI95":               "the interval column of every Fig 7-11 row (ROADMAP item 1A)",
 	"internal/errmodel.Markov.Intervals":       "item 1A's pin that a channel's state intervals do not depend on scheme or packet size, and item 3's control variate",
-	"internal/core.Config.Granularity":         "EXPERIMENTS.md's clock-granularity ablation (BenchmarkAblationClockGranularity) sets it; ROADMAP item 16 decides that benchmark's fate",
 	"internal/fleet.WorkerConfig.BeforeResult": "the crash-boundary seam TestWorkerSIGKILLBeforePost (crash_test.go) kills the worker at",
 	"internal/fleet.WorkerConfig.AfterResult":  "the crash-boundary seam TestWorkerSIGKILLAfterPost (crash_test.go) kills the worker at",
-	"internal/bs.ARQConfig.Window":             "EXPERIMENTS.md's ARQ pipelining ablation (BenchmarkAblationARQWindow: stop-and-wait costs ~40% of EBSN's WAN throughput) sets it",
+	"internal/bs.ARQConfig.Window":             "EXPERIMENTS.md's ARQ pipelining ablation (Example_arqWindow in internal/core: stop-and-wait costs 35% against the default window of 4) sets it",
 }
 
 func main() {

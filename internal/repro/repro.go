@@ -96,39 +96,31 @@ func Capture(cfg core.Config, res *core.Result, runErr error) *Bundle {
 	case errors.As(runErr, &checkErr):
 		b.Kind = KindInvariant
 		b.Check = checkErr.Name
-		b.Failure = firstLine(checkErr.Error())
+		b.Failure, _, _ = strings.Cut(checkErr.Error(), "\n")
 		b.Detail = checkErr.Error()
 	case errors.As(runErr, &panicErr):
 		b.Kind = KindPanic
-		b.Failure = firstLine(panicErr.Value)
+		b.Failure, _, _ = strings.Cut(panicErr.Value, "\n")
 		b.Detail = panicErr.Value + "\n" + panicErr.Stack
 	case errors.As(runErr, &budgetErr):
 		b.Kind = KindBudget
 		b.BudgetKind = budgetErr.Kind
 		b.BudgetLimit = budgetErr.Limit
 		b.BudgetValue = budgetErr.Value
-		b.Failure = firstLine(budgetErr.Error())
+		b.Failure, _, _ = strings.Cut(budgetErr.Error(), "\n")
 		b.Detail = runErr.Error()
 	case runErr != nil:
 		b.Kind = KindError
-		b.Failure = firstLine(runErr.Error())
+		b.Failure, _, _ = strings.Cut(runErr.Error(), "\n")
 		b.Detail = runErr.Error()
 	case res != nil && res.Aborted:
 		b.Kind = KindWatchdog
-		b.Failure = firstLine(res.AbortReason)
+		b.Failure, _, _ = strings.Cut(res.AbortReason, "\n")
 		b.Detail = res.AbortReason
 	default:
 		return nil
 	}
 	return b
-}
-
-// firstLine trims a multi-line diagnostic to its summary line.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // Save writes the bundle as indented JSON via temp-file-plus-rename, so

@@ -41,7 +41,7 @@ func TestEBSNArmsTimerOnlyWithDataOutstanding(t *testing.T) {
 	}
 
 	st.SndNxt, st.SndMax = 4*536, 4*536
-	rto := st.rto(&c)
+	rto := st.rto()
 	rto.Sample(4)
 	rto.Backoff()
 	want := rto.RTO()

@@ -8,11 +8,10 @@ import "time"
 // to the nearest 100 msec"), smoothed with the SIGCOMM'88 estimator, and
 // backed off exponentially on consecutive losses per Karn's algorithm.
 //
-// It is a view: the clock parameters are a connection's Config and the
-// estimate lives in the connection's State, so the value itself is two
-// pointers and is made wherever the estimator is needed.
+// It is a view: the estimate lives in the connection's State, so the
+// value itself is one pointer and is made wherever the estimator is
+// needed.
 type RTOEstimator struct {
-	c  *Config // Granularity is read
 	st *rtt
 }
 
@@ -36,13 +35,13 @@ const (
 	minRTOTicks = 2
 )
 
-// The paper's 100 ms clock (the default of Config.Granularity) and the
+// The paper's 100 ms clock, the tick every RTT is measured in, and the
 // BSD timeout bounds: InitialRTO is the timeout before any RTT sample
 // exists, MaxRTO caps the backed-off timeout.
 const (
-	DefaultGranularity = 100 * time.Millisecond
-	InitialRTO         = 3 * time.Second
-	MaxRTO             = 64 * time.Second
+	Granularity = 100 * time.Millisecond
+	InitialRTO  = 3 * time.Second
+	MaxRTO      = 64 * time.Second
 )
 
 // Ticks converts a duration to whole clock ticks (truncating), which is
@@ -51,7 +50,7 @@ func (e RTOEstimator) Ticks(d time.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	return int(d / e.c.Granularity)
+	return int(d / Granularity)
 }
 
 // Sample feeds one round-trip measurement, in ticks, into the smoothed
@@ -86,7 +85,7 @@ func (e RTOEstimator) base() time.Duration {
 	if ticks < minRTOTicks {
 		ticks = minRTOTicks
 	}
-	return time.Duration(ticks * float64(e.c.Granularity))
+	return time.Duration(ticks * float64(Granularity))
 }
 
 // RTO reports the current retransmission timeout: the smoothed base value

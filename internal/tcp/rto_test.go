@@ -7,34 +7,27 @@ import (
 
 // The estimator's read accessors: only tests look inside it.
 
-// Granularity reports the TCP clock tick length.
-func (e RTOEstimator) Granularity() time.Duration { return e.c.Granularity }
-
 // BackoffShift reports the current backoff exponent (0 = no backoff).
 func (e RTOEstimator) BackoffShift() int { return int(e.st.shift) }
 
 // SRTT reports the smoothed round-trip time (zero before any sample).
 func (e RTOEstimator) SRTT() time.Duration {
-	return time.Duration(e.st.srtt * float64(e.c.Granularity))
+	return time.Duration(e.st.srtt * float64(Granularity))
 }
 
 // RTTVar reports the smoothed mean deviation.
 func (e RTOEstimator) RTTVar() time.Duration {
-	return time.Duration(e.st.rttvar * float64(e.c.Granularity))
+	return time.Duration(e.st.rttvar * float64(Granularity))
 }
 
 // Samples reports how many RTT measurements have been taken.
 func (e RTOEstimator) Samples() uint64 { return uint64(e.st.samples) }
 
-// newRTOEstimator returns a free-standing estimator with the given clock
-// granularity. A non-positive one falls back to the default (rto.go).
-func newRTOEstimator(granularity time.Duration) *RTOEstimator {
-	c := Config{Granularity: granularity}.WithDefaults()
-	return &RTOEstimator{c: &c, st: new(rtt)}
-}
+// newRTOEstimator returns a free-standing estimator.
+func newRTOEstimator() *RTOEstimator { return &RTOEstimator{st: new(rtt)} }
 
 func TestRTOBeforeAnySample(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	if got := e.RTO(); got != 3*time.Second {
 		t.Errorf("initial RTO = %v, want 3s", got)
 	}
@@ -44,7 +37,7 @@ func TestRTOBeforeAnySample(t *testing.T) {
 }
 
 func TestFirstSampleInitializesEstimators(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	e.Sample(10) // 1s RTT
 	if got := e.SRTT(); got != time.Second {
 		t.Errorf("SRTT = %v, want 1s", got)
@@ -62,7 +55,7 @@ func TestFirstSampleInitializesEstimators(t *testing.T) {
 }
 
 func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	for i := 0; i < 100; i++ {
 		e.Sample(8)
 	}
@@ -77,7 +70,7 @@ func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
 }
 
 func TestRTOFloorTwoTicks(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	for i := 0; i < 50; i++ {
 		e.Sample(0) // sub-tick RTTs measure as zero on a coarse clock
 	}
@@ -87,7 +80,7 @@ func TestRTOFloorTwoTicks(t *testing.T) {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	e.Sample(10) // base RTO = 3s
 	base := e.RTO()
 	e.Backoff()
@@ -107,7 +100,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestSampleResetsBackoff(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	e.Sample(10)
 	e.Backoff()
 	e.Backoff()
@@ -121,8 +114,8 @@ func TestSampleResetsBackoff(t *testing.T) {
 }
 
 func TestVarianceTracksJitter(t *testing.T) {
-	steady := newRTOEstimator(100 * time.Millisecond)
-	jittery := newRTOEstimator(100 * time.Millisecond)
+	steady := newRTOEstimator()
+	jittery := newRTOEstimator()
 	for i := 0; i < 200; i++ {
 		steady.Sample(10)
 		if i%2 == 0 {
@@ -140,7 +133,7 @@ func TestVarianceTracksJitter(t *testing.T) {
 }
 
 func TestTicksTruncate(t *testing.T) {
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	tests := []struct {
 		d    time.Duration
 		want int
@@ -160,20 +153,10 @@ func TestTicksTruncate(t *testing.T) {
 	}
 }
 
-func TestDefaultsApplied(t *testing.T) {
-	e := newRTOEstimator(0)
-	if e.Granularity() != DefaultGranularity {
-		t.Errorf("granularity = %v", e.Granularity())
-	}
-	if e.RTO() != InitialRTO {
-		t.Errorf("initial RTO = %v", e.RTO())
-	}
-}
-
 func TestCoarseClockQuantization(t *testing.T) {
 	// A 100ms-clock TCP measures a 340ms RTT as either 3 ticks: the
 	// estimator must work on ticks, not raw durations.
-	e := newRTOEstimator(100 * time.Millisecond)
+	e := newRTOEstimator()
 	e.Sample(e.Ticks(340 * time.Millisecond))
 	if got := e.SRTT(); got != 300*time.Millisecond {
 		t.Errorf("SRTT = %v, want 300ms (3 ticks)", got)

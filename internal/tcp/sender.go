@@ -192,7 +192,7 @@ func (h *senderHost) Observe(ev Transition) {
 		h.hooks.OnCwnd(units.ByteSize(h.st.Cwnd), units.ByteSize(h.st.Ssthresh))
 	}
 	if h.hooks.OnState != nil {
-		h.st.Snapshot(&h.cfg, ev, h.timer.Deadline(), &h.ev)
+		h.st.Snapshot(ev, h.timer.Deadline(), &h.ev)
 		h.hooks.OnState(&h.ev)
 	}
 }

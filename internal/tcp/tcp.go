@@ -29,7 +29,6 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"wtcp/internal/trace"
 	"wtcp/internal/units"
@@ -116,8 +115,6 @@ type Config struct {
 	// Total is the number of payload bytes to transfer (100 KB WAN, 4 MB
 	// LAN).
 	Total units.ByteSize
-	// Granularity is the TCP clock tick (100 ms in the paper).
-	Granularity time.Duration
 	// Variant selects Tahoe (default), Reno, NewReno or SACKVariant.
 	Variant Variant
 	// Streaming makes the sender start with no data available; a relay
@@ -148,9 +145,6 @@ func (c Config) Validate() error {
 
 // WithDefaults fills unset optional fields: the form the transitions read.
 func (c Config) WithDefaults() Config {
-	if c.Granularity <= 0 {
-		c.Granularity = DefaultGranularity
-	}
 	if c.Variant == 0 {
 		c.Variant = Tahoe
 	}
