@@ -1,9 +1,46 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestTraceOutputMatchesGoldens pins every byte wtcp trace prints in each
+// of its modes: the scatter, its CSV, the window plot and its CSV for one
+// scheme that times out and one that does not, and the side-by-side
+// comparison.
+func TestTraceOutputMatchesGoldens(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"basic", []string{"-scheme", "basic", "-width", "40", "-height", "10"}},
+		{"basic-csv", []string{"-scheme", "basic", "-csv"}},
+		{"basic-cwnd", []string{"-scheme", "basic", "-cwnd", "-width", "40", "-height", "8"}},
+		{"basic-cwnd-csv", []string{"-scheme", "basic", "-cwnd", "-csv"}},
+		{"ebsn", []string{"-scheme", "ebsn", "-width", "40", "-height", "10"}},
+		{"ebsn-csv", []string{"-scheme", "ebsn", "-csv"}},
+		{"ebsn-cwnd", []string{"-scheme", "ebsn", "-cwnd", "-width", "40", "-height", "8"}},
+		{"ebsn-cwnd-csv", []string{"-scheme", "ebsn", "-cwnd", "-csv"}},
+		{"compare", []string{"-compare", "-width", "80", "-height", "10"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "trace", c.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, errOut, err := wtcp(append([]string{"trace"}, c.args...)...)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if out != string(want) || errOut != "" {
+				t.Errorf("wtcp trace %s:\nstdout:\n%s\nstderr:\n%s\nwant stdout:\n%s", strings.Join(c.args, " "), out, errOut, want)
+			}
+		})
+	}
+}
 
 func TestTraceASCII(t *testing.T) {
 	out, _, err := wtcp("trace", "-scheme", "basic", "-width", "60", "-height", "15")
