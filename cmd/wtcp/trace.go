@@ -56,13 +56,14 @@ func traceFlags(fs *flag.FlagSet) body {
 			return err
 		}
 		if *cwnd {
+			cw := r.Trace.Cwnd()
 			if *csv {
-				fmt.Fprint(stdout, r.Cwnd.CSV())
+				fmt.Fprint(stdout, cw.CSV())
 				return nil
 			}
 			fmt.Fprintf(stdout, "congestion window evolution: %s, deterministic channel good=10s bad=4s\n", scheme)
-			fmt.Fprint(stdout, r.Cwnd.RenderASCII(*width, *height, *horizon))
-			fmt.Fprintf(stdout, "window collapses to one segment: %d\n", r.Cwnd.Collapses(536))
+			fmt.Fprint(stdout, cw.RenderASCII(*width, *height, *horizon))
+			fmt.Fprintf(stdout, "window collapses to one segment: %d\n", cw.Collapses(536))
 			return nil
 		}
 		if *csv {

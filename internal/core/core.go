@@ -137,7 +137,8 @@ type Config struct {
 	// result bit.
 	//
 	// CollectTrace stores the stream: Result.Trace (the Figure 3-5 packet
-	// trace) and Result.Cwnd are non-nil exactly when it is set.
+	// trace, and through Trace.Cwnd the window series) is non-nil exactly
+	// when it is set.
 	CollectTrace bool
 	// Oracle checks the stream: every event is validated against the
 	// variant's sender state machine, the link-layer ARQ contract, the
@@ -305,11 +306,10 @@ type Result struct {
 	Mobile       node.MobileStats
 	WirelessDown link.Stats
 	WirelessUp   link.Stats
-	// Trace and Cwnd are non-nil when Config.CollectTrace was set: the
-	// packet trace of Figures 3-5 and the congestion-window evolution
-	// series.
+	// Trace is non-nil when Config.CollectTrace was set: the stored
+	// event stream, the packet trace of Figures 3-5 (Trace.Cwnd reads
+	// the congestion-window series off it).
 	Trace *trace.Trace
-	Cwnd  *trace.CwndSeries
 
 	// Events counts the kernel events the run fired — the engine's
 	// health telemetry aggregates it into an events/sec rate.
@@ -392,7 +392,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, cw := tp.tap(cfg, cfg.CollectTrace)
+	tr := tp.tap(cfg, cfg.CollectTrace)
 	done := tp.sender.Done
 	if tp.relay != nil {
 		done = tp.relay.sender.Done // the transfer ends when the mobile host has it
@@ -407,7 +407,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		res.Aborted = true
 		res.AbortReason = stall.Error()
 	}
-	res.Trace, res.Cwnd = tr, cw
+	res.Trace = tr
 	if res.Packets, err = tp.release(); err != nil {
 		return nil, err
 	}
@@ -550,8 +550,7 @@ type topology struct {
 // two, and the two arguments — Config.CollectTrace and Config.Oracle —
 // fully decide which are attached:
 //
-//   - store: a Trace that retains every event, returned with the
-//     congestion-window series recorded beside it (both nil otherwise);
+//   - store: a Trace that retains every event, returned (nil otherwise);
 //   - check: a conformance checker under ocfg, which retains nothing. Its
 //     first violation halts the run at that event through the
 //     simulator's failure channel, exactly like a periodic invariant
@@ -564,24 +563,20 @@ type topology struct {
 // The source is returned for the caller to feed further instrumentation
 // into the same stream; with neither consumer nothing is installed and
 // it is nil.
-func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle.Config) (*trace.Source, *trace.Trace, *trace.CwndSeries) {
+func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle.Config) (*trace.Source, *trace.Trace) {
 	if !store && !check {
-		return nil, nil, nil
+		return nil, nil
 	}
 	src := trace.NewSource(ocfg.MSS, s)
-	hooks := tcp.Hooks{OnState: src.OnState}
 	var tr *trace.Trace
-	var cw *trace.CwndSeries
 	if store {
 		tr = src.Store()
-		cw = trace.NewCwndSeries()
-		hooks.OnCwnd = cw.Hook(s.Now)
 	}
 	if check {
 		src.Check("oracle", oracle.New(ocfg))
 	}
-	snd.SetHooks(hooks)
-	return src, tr, cw
+	snd.SetStateHook(src.OnState)
+	return src, tr
 }
 
 // tap wires the topology's event stream (see tapSender): the stream is
@@ -596,15 +591,15 @@ func tapSender(s *sim.Simulator, snd *tcp.Sender, store, check bool, ocfg oracle
 // so those rule families stay quiet (RTmax 0, no notification
 // bookkeeping). The stored stream is the wireless half's — the
 // connection the paper's figures observe.
-func (tp *topology) tap(cfg Config, store bool) (*trace.Trace, *trace.CwndSeries) {
+func (tp *topology) tap(cfg Config, store bool) *trace.Trace {
 	if r := tp.relay; r != nil {
 		ocfg := oracle.Config{Variant: cfg.Variant, MSS: r.mss, Window: cfg.Window}
-		_, tr, cw := tapSender(tp.sim, r.sender, store, cfg.Oracle, ocfg)
+		_, tr := tapSender(tp.sim, r.sender, store, cfg.Oracle, ocfg)
 		ocfg.MSS = cfg.MSS()
 		tapSender(tp.sim, tp.sender, false, cfg.Oracle, ocfg)
-		return tr, cw
+		return tr
 	}
-	src, tr, cw := tapSender(tp.sim, tp.sender, store, cfg.Oracle, oracle.Config{
+	src, tr := tapSender(tp.sim, tp.sender, store, cfg.Oracle, oracle.Config{
 		Variant:      cfg.Variant,
 		MSS:          cfg.MSS(),
 		Window:       cfg.Window,
@@ -619,7 +614,7 @@ func (tp *topology) tap(cfg Config, store bool) (*trace.Trace, *trace.CwndSeries
 		tp.bs.SetHooks(src.BSHooks())
 		tp.mobile.SetSequencedHook(src.MobileHook())
 	}
-	return tr, cw
+	return tr
 }
 
 // result assembles the standard measurement record.

@@ -8,6 +8,7 @@ import (
 	"wtcp/internal/bs"
 	"wtcp/internal/chaos"
 	"wtcp/internal/tcp"
+	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -240,7 +241,7 @@ func TestCwndEvolutionBasicVsEBSN(t *testing.T) {
 	// The window-evolution view of Figures 3 vs 5: under the
 	// deterministic fade schedule, basic TCP's congestion window
 	// collapses to one segment repeatedly, while EBSN's never does.
-	run := func(scheme bs.Scheme) *Result {
+	run := func(scheme bs.Scheme) trace.CwndSeries {
 		cfg := WAN(scheme, 576, 4*time.Second)
 		cfg.Channel.Deterministic = true
 		cfg.CollectTrace = true
@@ -248,21 +249,22 @@ func TestCwndEvolutionBasicVsEBSN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Cwnd == nil {
+		cw := r.Trace.Cwnd()
+		if len(cw) == 0 {
 			t.Fatal("no cwnd series collected")
 		}
-		return r
+		return cw
 	}
 	basic := run(bs.Basic)
 	ebsn := run(bs.EBSN)
-	if got := basic.Cwnd.Collapses(536); got < 3 {
+	if got := basic.Collapses(536); got < 3 {
 		t.Errorf("basic TCP cwnd collapses = %d, want several (one per fade)", got)
 	}
-	if got := ebsn.Cwnd.Collapses(536); got != 0 {
+	if got := ebsn.Collapses(536); got != 0 {
 		t.Errorf("EBSN cwnd collapses = %d, want 0", got)
 	}
-	if ebsn.Cwnd.Max() < basic.Cwnd.Max() {
-		t.Errorf("EBSN max window %d below basic %d", ebsn.Cwnd.Max(), basic.Cwnd.Max())
+	if ebsn.Max() < basic.Max() {
+		t.Errorf("EBSN max window %d below basic %d", ebsn.Max(), basic.Max())
 	}
 }
 

@@ -33,7 +33,7 @@ func TestOracleCleanAcrossSchemes(t *testing.T) {
 			if !res.Completed {
 				t.Errorf("%v seed %d: transfer did not complete", scheme, seed)
 			}
-			if res.Trace != nil || res.Cwnd != nil {
+			if res.Trace != nil {
 				t.Errorf("%v seed %d: oracle-only run retained a trace", scheme, seed)
 			}
 		}
@@ -95,7 +95,7 @@ func TestOracleCleanWithCollectTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if res.Trace == nil || res.Cwnd == nil {
+	if res.Trace == nil {
 		t.Fatal("CollectTrace run lost its trace")
 	}
 	if res.Trace.Count(1) == 0 { // trace.Send

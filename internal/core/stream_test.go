@@ -46,7 +46,7 @@ func storedStreamOf(t *testing.T, cfg Config) []trace.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := tp.tap(cfg, true)
+	tr := tp.tap(cfg, true)
 	tp.sender.Start()
 	for !tp.sender.Done() && tp.sim.Failure() == nil {
 		if ok, err := tp.sim.Step(); !ok || err != nil {
@@ -145,9 +145,9 @@ func TestStreamingEqualsReplay(t *testing.T) {
 				}
 				return
 			}
-			if r1.Trace != nil || r1.Cwnd != nil || r2.Trace == nil || r2.Cwnd == nil {
-				t.Errorf("Trace/Cwnd must be non-nil exactly when CollectTrace is set: oracle-only %v/%v, with store %v/%v",
-					r1.Trace != nil, r1.Cwnd != nil, r2.Trace != nil, r2.Cwnd != nil)
+			if r1.Trace != nil || r2.Trace == nil {
+				t.Errorf("Trace must be non-nil exactly when CollectTrace is set: oracle-only %v, with store %v",
+					r1.Trace != nil, r2.Trace != nil)
 			}
 			if len(events) == 0 {
 				t.Error("store is empty")
@@ -175,7 +175,7 @@ func TestOracleRetainsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if res.Trace != nil || res.Cwnd != nil {
+		if res.Trace != nil {
 			t.Errorf("%v: oracle-only run returned a trace", s)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wtcp/internal/packet"
+	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -77,11 +78,9 @@ func TestCongestionAvoidanceGrowth(t *testing.T) {
 		}
 		return !p.Retransmit && l.s.Now() == lostAt
 	}
-	type sample struct{ cwnd, ssthresh units.ByteSize }
-	var samples []sample
-	l.snd.SetHooks(Hooks{OnCwnd: func(cwnd, ssthresh units.ByteSize) {
-		samples = append(samples, sample{cwnd, ssthresh})
-	}})
+	src := trace.NewSource(mss, l.s)
+	tr := src.Store()
+	l.snd.SetStateHook(src.OnState)
 	l.snd.Start()
 	if err := l.s.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -89,29 +88,30 @@ func TestCongestionAvoidanceGrowth(t *testing.T) {
 	if !l.snd.Done() || l.snd.Stats().Timeouts != 1 || l.snd.Stats().FastRetransmits != 0 {
 		t.Fatalf("want one timeout, no fast retransmit and a finished transfer: done=%v stats=%+v", l.snd.Done(), l.snd.Stats())
 	}
-	start := slices.IndexFunc(samples, func(s sample) bool { return s.ssthresh < cfg.Window })
+	samples := tr.Cwnd()
+	start := slices.IndexFunc(samples, func(s trace.CwndPoint) bool { return s.Ssthresh < cfg.Window })
 	if start < 0 {
 		t.Fatal("the loss never lowered ssthresh")
 	}
-	ca := slices.IndexFunc(samples[start:], func(s sample) bool { return s.cwnd >= s.ssthresh })
+	ca := slices.IndexFunc(samples[start:], func(s trace.CwndPoint) bool { return s.Cwnd >= s.Ssthresh })
 	if ca < 0 {
 		t.Fatal("slow start never reached ssthresh again")
 	}
 	from := samples[start+ca]
-	acks := int(from.cwnd+mss-1) / mss // one full window of ACKs
+	acks := int(from.Cwnd+mss-1) / mss // one full window of ACKs
 	if start+ca+acks >= len(samples) {
 		t.Fatalf("only %d ACKs after cwnd reached ssthresh, want %d", len(samples)-start-ca-1, acks)
 	}
 	window := samples[start+ca+1 : start+ca+acks+1]
 	for _, s := range window {
-		if s.ssthresh != from.ssthresh || s.cwnd < from.cwnd {
+		if s.Ssthresh != from.Ssthresh || s.Cwnd < from.Cwnd {
 			t.Fatalf("window fell during the measured window of ACKs: %+v after %+v", s, from)
 		}
 	}
-	growth := float64(window[len(window)-1].cwnd - from.cwnd)
+	growth := float64(window[len(window)-1].Cwnd - from.Cwnd)
 	if growth < 0.75*mss || growth > 1.25*mss {
 		t.Errorf("cwnd %d -> %d over %d ACKs at ssthresh %d: growth %.0f bytes, want one MSS (%d) within 25%%",
-			from.cwnd, window[len(window)-1].cwnd, acks, from.ssthresh, growth, mss)
+			from.Cwnd, window[len(window)-1].Cwnd, acks, from.Ssthresh, growth, mss)
 	}
 }
 

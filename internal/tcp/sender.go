@@ -11,15 +11,16 @@ import (
 )
 
 // Sender is a bulk-transfer TCP source: one State driven by the shared
-// transitions, hosted on a sim.Timer, the packet pool, Stats and Hooks.
+// transitions, hosted on a sim.Timer, the packet pool, Stats and a state
+// hook.
 // Create with NewSender, then call Start; deliver inbound packets (ACKs,
 // EBSNs, quenches) via Receive.
 type Sender struct {
-	sim   *sim.Simulator
-	cfg   Config
-	ids   *packet.IDGen
-	out   func(*packet.Packet)
-	hooks Hooks
+	sim     *sim.Simulator
+	cfg     Config
+	ids     *packet.IDGen
+	out     func(*packet.Packet)
+	onState func(*trace.Event)
 
 	st    State
 	timer *sim.Timer
@@ -29,7 +30,7 @@ type Sender struct {
 	finishAt time.Duration
 
 	stats Stats
-	// ev is the scratch event Observe writes for Hooks.OnState.
+	// ev is the scratch event Observe writes for onState.
 	ev trace.Event
 }
 
@@ -49,8 +50,17 @@ func NewSender(s *sim.Simulator, cfg Config, ids *packet.IDGen, out func(*packet
 	return snd, nil
 }
 
-// SetHooks installs observation callbacks. Must be called before Start.
-func (s *Sender) SetHooks(h Hooks) { s.hooks = h }
+// SetStateHook installs f to observe the sender; it must be called
+// before Start, and f must not mutate sender state. f fires after every
+// recorded protocol transition — a send or retransmission, an ACK, a
+// timeout, a fast retransmit, an EBSN reset, a quench, an ECN echo — with
+// the sender's post-transition state: the conformance oracle's and the
+// stored trace's raw material, written in place into the sender's
+// scratch event by State.Snapshot (every field post-transition, except
+// that a send shows its sequence pointers before they advance, so a
+// fresh send has Seq == SndMax). The receiver may stamp the event's At;
+// the event is valid for the duration of the call only.
+func (s *Sender) SetStateHook(f func(e *trace.Event)) { s.onState = f }
 
 // Start opens the transfer (sends the first window).
 func (s *Sender) Start() {
@@ -152,12 +162,9 @@ func (h *senderHost) Transmit(seq int64, payload units.ByteSize, retransmit bool
 	h.out(p)
 }
 
-// Observe keeps the counters and, for whoever installed OnState, writes
-// the transition's event. Every kind that moves the window — a new ACK,
-// a loss response, a quench, an ECN echo — does so exactly once, which
-// is when OnCwnd fires.
+// Observe keeps the counters and, for whoever installed the state hook,
+// writes the transition's event.
 func (h *senderHost) Observe(ev Transition) {
-	cwndMoved := false
 	switch ev.Kind {
 	case StateAck:
 		if ev.AckClass != AckInvalid {
@@ -166,33 +173,25 @@ func (h *senderHost) Observe(ev Transition) {
 		if ev.AckClass == AckDup {
 			h.stats.DupAcksReceived++
 		}
-		cwndMoved = ev.AckClass == AckNew
 	case StateFastRetx:
 		// The third duplicate ACK is reported as the retransmit it caused.
 		h.stats.AcksReceived++
 		h.stats.DupAcksReceived++
 		h.stats.FastRetransmits++
-		cwndMoved = true
 	case StateTimeout:
 		h.stats.Timeouts++
-		cwndMoved = true
 	case StateEBSN:
 		h.stats.EBSNResets++
 	case StateQuench:
 		h.stats.Quenches++
-		cwndMoved = true
 	case StateECN:
 		h.stats.ECNResponses++
-		cwndMoved = true
 	case StateSACKSkip:
 		h.stats.SACKSkippedSegments++
 		return
 	}
-	if cwndMoved && h.hooks.OnCwnd != nil {
-		h.hooks.OnCwnd(units.ByteSize(h.st.Cwnd), units.ByteSize(h.st.Ssthresh))
-	}
-	if h.hooks.OnState != nil {
+	if h.onState != nil {
 		h.st.Snapshot(ev, h.timer.Deadline(), &h.ev)
-		h.hooks.OnState(&h.ev)
+		h.onState(&h.ev)
 	}
 }

@@ -129,11 +129,11 @@ func TestSlowStartDoubling(t *testing.T) {
 	cfg.Total = 64 * units.KB
 	l := newLoop(t, cfg, 100*time.Millisecond)
 	var sends []time.Duration
-	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+	l.snd.SetStateHook(func(e *trace.Event) {
 		if e.Kind == trace.Send || e.Kind == trace.Retransmit {
 			sends = append(sends, l.s.Now())
 		}
-	}})
+	})
 	l.snd.Start()
 	if err := l.s.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -198,11 +198,11 @@ func TestFastRetransmitHalvesSsthresh(t *testing.T) {
 		}
 		return false
 	}
-	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+	l.snd.SetStateHook(func(e *trace.Event) {
 		if e.Kind == trace.FastRetx {
 			ssthreshAfter = units.ByteSize(e.Ssthresh)
 		}
-	}})
+	})
 	l.snd.Start()
 	if err := l.s.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestTimeoutAndBackoff(t *testing.T) {
 	blackout := true
 	l.dropData = func(*packet.Packet) bool { return blackout }
 	var timeoutTimes []time.Duration
-	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+	l.snd.SetStateHook(func(e *trace.Event) {
 		if e.Kind != trace.Timeout {
 			return
 		}
@@ -234,7 +234,7 @@ func TestTimeoutAndBackoff(t *testing.T) {
 		if len(timeoutTimes) == 3 {
 			blackout = false // heal the path after the third timeout
 		}
-	}})
+	})
 	l.snd.Start()
 	if err := l.s.Run(30 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestTimeoutCollapsesCwndToOneSegment(t *testing.T) {
 	l.dropData = func(*packet.Packet) bool { return drop }
 	fired := false
 	var cwndAfter units.ByteSize
-	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+	l.snd.SetStateHook(func(e *trace.Event) {
 		switch {
 		case e.Kind == trace.Retransmit && cwndAfter == 0:
 			cwndAfter = l.snd.Cwnd() // observed right as the timeout retransmits
@@ -272,7 +272,7 @@ func TestTimeoutCollapsesCwndToOneSegment(t *testing.T) {
 			fired = true
 			drop = false
 		}
-	}})
+	})
 	l.snd.Start()
 	if err := l.s.Run(InitialRTO + time.Second); err != nil {
 		t.Fatal(err)
@@ -298,11 +298,11 @@ func TestKarnNoSampleFromRetransmission(t *testing.T) {
 		}
 		return false
 	}
-	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+	l.snd.SetStateHook(func(e *trace.Event) {
 		if e.Kind == trace.Timeout {
 			first = false
 		}
-	}})
+	})
 	l.snd.Start()
 	if err := l.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -465,11 +465,11 @@ func TestFinalPartialSegment(t *testing.T) {
 	cfg.Total = 5*536 + 123 // last segment is 123 bytes
 	l := newLoop(t, cfg, 20*time.Millisecond)
 	var lastPayload units.ByteSize
-	l.snd.SetHooks(Hooks{OnState: func(e *trace.Event) {
+	l.snd.SetStateHook(func(e *trace.Event) {
 		if e.Kind == trace.Send || e.Kind == trace.Retransmit {
 			lastPayload = units.ByteSize(e.Payload)
 		}
-	}})
+	})
 	l.snd.Start()
 	if err := l.s.Run(time.Minute); err != nil {
 		t.Fatal(err)

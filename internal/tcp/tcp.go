@@ -8,7 +8,7 @@
 // (machine.go) run on a State value against a read-only Config and reach
 // their surroundings only through a Host: Sender is the host of the
 // object-per-connection engines (a sim.Timer, the packet pool, Stats and
-// Hooks), and internal/cell runs the same transitions in place on a slab
+// a state hook), and internal/cell runs the same transitions in place on a slab
 // of States behind its timer wheel and calendar.
 //
 // The sender also implements the paper's two control-message responses:
@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 
-	"wtcp/internal/trace"
 	"wtcp/internal/units"
 )
 
@@ -206,7 +205,7 @@ const (
 	StateECN
 	// StateSACKSkip is a rewound pass stepping over a segment the
 	// scoreboard shows delivered: a retransmission avoided, told to the
-	// Host for its counters and to nobody else (Hooks.OnState never sees
+	// Host for its counters and to nobody else (the state hook never sees
 	// it).
 	StateSACKSkip
 )
@@ -241,21 +240,4 @@ type Transition struct {
 	// AckNo and AckClass describe the inbound ACK (StateAck only).
 	AckNo    int64
 	AckClass AckClass
-}
-
-// Hooks are optional observation points; either may be nil. They exist
-// for the tracer and for tests, and must not mutate sender state.
-type Hooks struct {
-	// OnCwnd fires whenever the congestion window or threshold changes
-	// (growth, collapse, recovery), for window-evolution traces.
-	OnCwnd func(cwnd, ssthresh units.ByteSize)
-	// OnState fires after every recorded protocol transition — a send or
-	// retransmission, an ACK, a timeout, a fast retransmit, an EBSN
-	// reset — with the sender's post-transition state: the conformance
-	// oracle's raw material, written in place into the host's scratch
-	// event by State.Snapshot (every field post-transition, except that
-	// a send shows its sequence pointers before they advance, so a fresh
-	// send has Seq == SndMax). The receiver may stamp the event's At; the
-	// event is valid for the duration of the call only.
-	OnState func(e *trace.Event)
 }

@@ -9,61 +9,81 @@ import (
 // RenderComparison draws two traces side by side on a shared time axis —
 // the visual argument of Figures 3 vs 5: the left panel's stalls and
 // retransmission marks against the right panel's uninterrupted staircase.
+// A horizon of zero covers the longer trace.
 func RenderComparison(leftTitle string, left *Trace, rightTitle string, right *Trace,
 	panelWidth, height int, horizon time.Duration) string {
-	if panelWidth < 20 {
-		panelWidth = 20
+	panelWidth, height = max(panelWidth, 20), max(height, 10)
+	if horizon <= 0 {
+		horizon = max(left.span(), right.span())
 	}
-	if height < 10 {
-		height = 10
-	}
-	lp := panelLines(left, panelWidth, height, horizon)
-	rp := panelLines(right, panelWidth, height, horizon)
+	l, r := newScatter(panelWidth, height, horizon), newScatter(panelWidth, height, horizon)
+	left.plot(l)
+	right.plot(r)
+	lp, rp := l.rows(), r.rows()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-*s   %s\n", panelWidth+1, clip(leftTitle, panelWidth), clip(rightTitle, panelWidth))
 	for i := range lp {
 		fmt.Fprintf(&b, "%s   %s\n", lp[i], rp[i])
 	}
-	axis := "+" + strings.Repeat("-", panelWidth)
+	axis, label := l.axis()
 	fmt.Fprintf(&b, "%s   %s\n", axis, axis)
-	label := fmt.Sprintf(" 0%*s", panelWidth-1, fmt.Sprintf("%.0fs", horizon.Seconds()))
 	fmt.Fprintf(&b, "%s   %s\n", label, label)
 	b.WriteString("'.' send   'o' source retransmission   (packet number mod 90, bottom-up)\n")
 	return b.String()
 }
 
-// panelLines renders one trace's scatter rows (no axes).
-func panelLines(tr *Trace, width, height int, horizon time.Duration) []string {
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
+// scatter is the one plotter behind the package's terminal renderings: a
+// width x height character grid over [0, horizon] seconds, its origin
+// bottom-left like the paper's plots, framed by '|' rows, a '+---' time
+// axis and a seconds label.
+type scatter struct {
+	grid    [][]byte
+	horizon time.Duration
+}
+
+func newScatter(width, height int, horizon time.Duration) *scatter {
+	s := &scatter{grid: make([][]byte, height), horizon: horizon}
+	for i := range s.grid {
+		s.grid[i] = []byte(strings.Repeat(" ", width))
 	}
-	if tr != nil {
-		for _, e := range tr.events {
-			if e.Kind != Send && e.Kind != Retransmit {
-				continue
-			}
-			if horizon > 0 && e.At > horizon {
-				continue
-			}
-			x := int(float64(width-1) * float64(e.At) / float64(horizon))
-			y := int(float64(height-1) * float64(tr.packetNo(e.Seq)%PacketModulo) / float64(PacketModulo-1))
-			row := height - 1 - y
-			mark := byte('.')
-			if e.Kind == Retransmit {
-				mark = 'o'
-			}
-			if grid[row][x] == ' ' || mark == 'o' {
-				grid[row][x] = mark
-			}
-		}
+	return s
+}
+
+// plot marks the point at time at and height v on a vertical axis from 0
+// to top. Points past the horizon are left out, and a '.' never covers
+// another mark.
+func (s *scatter) plot(at time.Duration, v, top float64, mark byte) {
+	if at > s.horizon {
+		return
 	}
-	out := make([]string, height)
-	for i, row := range grid {
+	width, height := len(s.grid[0]), len(s.grid)
+	x := int(float64(width-1) * float64(at) / float64(s.horizon))
+	row := height - 1 - int(float64(height-1)*v/top)
+	if s.grid[row][x] == ' ' || mark != '.' {
+		s.grid[row][x] = mark
+	}
+}
+
+// rows returns the grid's rows, each behind its '|' edge.
+func (s *scatter) rows() []string {
+	out := make([]string, len(s.grid))
+	for i, row := range s.grid {
 		out[i] = "|" + string(row)
 	}
 	return out
+}
+
+// axis returns the time axis under the grid and its seconds label.
+func (s *scatter) axis() (line, label string) {
+	width := len(s.grid[0])
+	return "+" + strings.Repeat("-", width), fmt.Sprintf(" 0%*s", width-1, fmt.Sprintf("%.0fs", s.horizon.Seconds()))
+}
+
+// frame renders the grid under a header line, with its axis and label.
+func (s *scatter) frame(header string) string {
+	axis, label := s.axis()
+	return header + "\n" + strings.Join(s.rows(), "\n") + "\n" + axis + "\n" + label + "\n"
 }
 
 // clip truncates a title to the panel width.

@@ -35,6 +35,10 @@ func TestRenderComparison(t *testing.T) {
 	if !strings.Contains(out, "60s") {
 		t.Error("time axis labels missing")
 	}
+	// A zero horizon covers the longer trace on both panels.
+	if out := RenderComparison("basic", left, "ebsn", right, 40, 12, 0); strings.Count(out, "30s") != 2 {
+		t.Errorf("zero horizon did not scale both axes to the longer trace:\n%s", out)
+	}
 }
 
 func TestRenderComparisonDegenerate(t *testing.T) {

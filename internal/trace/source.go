@@ -76,7 +76,7 @@ func (s *Source) emit(e *Event) {
 	}
 }
 
-// OnState is the sender's state hook (tcp.Hooks.OnState): e is the
+// OnState is the sender's state hook (tcp.Sender.SetStateHook): e is the
 // sender host's own scratch event, written in place by tcp.State.Snapshot
 // — the sender family's scratch. The source stamps it and emits it.
 func (s *Source) OnState(e *Event) { s.emit(e) }

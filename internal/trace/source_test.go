@@ -25,7 +25,7 @@ func TestStateSnapshotFieldsReachEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snd.SetHooks(tcp.Hooks{OnState: src.OnState})
+	snd.SetStateHook(src.OnState)
 	snd.Start()
 	s.Schedule(time.Second, func() { snd.Receive(&packet.Packet{Kind: packet.Ack, AckNo: 536}) })
 	s.Schedule(2*time.Second, func() { snd.Receive(&packet.Packet{Kind: packet.EBSN}) })

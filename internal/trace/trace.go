@@ -200,54 +200,42 @@ func (tr *Trace) CSV() string {
 
 // RenderASCII draws the scatter on a width x height character grid
 // covering [0, horizon] seconds by [0, 90) packet numbers. Original sends
-// draw '.', retransmissions 'o', and the x-axis is labeled in seconds.
+// draw '.', retransmissions 'o', and the x-axis is labeled in seconds; a
+// horizon of zero covers the whole trace.
 func (tr *Trace) RenderASCII(width, height int, horizon time.Duration) string {
-	if width < 20 {
-		width = 20
-	}
-	if height < 10 {
-		height = 10
-	}
 	if horizon <= 0 {
-		horizon = time.Second
+		horizon = tr.span()
+	}
+	s := newScatter(max(width, 20), max(height, 10), horizon)
+	tr.plot(s)
+	return s.frame(fmt.Sprintf("packet number mod %d (top=%d)  '.' send  'o' source retransmission",
+		PacketModulo, PacketModulo-1))
+}
+
+// span is the default horizon: the last event's time, at least a second
+// (a nil trace has no events).
+func (tr *Trace) span() time.Duration {
+	horizon := time.Second
+	if tr != nil {
 		for _, e := range tr.events {
-			if e.At > horizon {
-				horizon = e.At
-			}
+			horizon = max(horizon, e.At)
 		}
 	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
+	return horizon
+}
+
+// plot marks each transmission on s at its packet number mod 90: '.' for
+// an original send, 'o' for a retransmission. A nil trace plots nothing.
+func (tr *Trace) plot(s *scatter) {
+	if tr == nil {
+		return
 	}
 	for _, e := range tr.events {
-		if e.Kind != Send && e.Kind != Retransmit {
-			continue
-		}
-		if e.At > horizon {
-			continue
-		}
-		x := int(float64(width-1) * float64(e.At) / float64(horizon))
-		y := int(float64(height-1) * float64(tr.packetNo(e.Seq)%PacketModulo) / float64(PacketModulo-1))
-		row := height - 1 - y // origin bottom-left, like the paper
-		mark := byte('.')
-		if e.Kind == Retransmit {
-			mark = 'o'
-		}
-		// Retransmission marks win over plain sends at the same cell.
-		if grid[row][x] == ' ' || mark == 'o' {
-			grid[row][x] = mark
+		switch e.Kind {
+		case Send:
+			s.plot(e.At, float64(tr.packetNo(e.Seq)%PacketModulo), PacketModulo-1, '.')
+		case Retransmit:
+			s.plot(e.At, float64(tr.packetNo(e.Seq)%PacketModulo), PacketModulo-1, 'o')
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "packet number mod %d (top=%d)  '.' send  'o' source retransmission\n",
-		PacketModulo, PacketModulo-1)
-	for _, row := range grid {
-		b.WriteString("|")
-		b.Write(row)
-		b.WriteString("\n")
-	}
-	b.WriteString("+" + strings.Repeat("-", width) + "\n")
-	fmt.Fprintf(&b, " 0%*s\n", width-1, fmt.Sprintf("%.0fs", horizon.Seconds()))
-	return b.String()
 }
