@@ -115,12 +115,9 @@ func (st *State) Snapshot(t Transition, deadline time.Duration, e *trace.Event) 
 	e.Seq, e.Payload, e.Ack, e.AckClass = t.Seq, int64(t.Payload), t.AckNo, int(t.AckClass)
 	e.Cwnd, e.Ssthresh = int64(st.Cwnd), int64(st.Ssthresh)
 	e.SndUna, e.SndNxt, e.SndMax = st.SndUna, st.SndNxt, st.SndMax
-	e.RTO, e.Deadline = st.rto().RTO(), deadline
+	e.RTO, e.Deadline = st.rtt.RTO(), deadline
 	e.Shift, e.DupAcks = int(st.rtt.shift), int(st.dupacks)
 }
-
-// rto views the connection's RTT estimator.
-func (st *State) rto() RTOEstimator { return RTOEstimator{st: &st.rtt} }
 
 // cwndCeiling bounds the congestion window: Reno inflation can push cwnd
 // past the advertised window by up to a flight of dupacks; anything beyond
@@ -218,10 +215,10 @@ func (st *State) emit(c *Config, h Host, seq, seglen int64) {
 	if !st.timing && !retx {
 		st.timing = true
 		st.timedSeq = seq
-		st.timedAtTick = int32(st.rto().Ticks(h.Now()))
+		st.timedAtTick = int32(ticks(h.Now()))
 	}
 	if h.TimerDeadline() < 0 {
-		h.SetTimer(st.rto().RTO())
+		h.SetTimer(st.rtt.RTO())
 	}
 	h.Observe(Transition{Kind: StateSend, Seq: seq, Payload: units.ByteSize(seglen), Retransmit: retx})
 	h.Transmit(seq, units.ByteSize(seglen), retx)
@@ -273,8 +270,7 @@ func (st *State) onNewAck(c *Config, h Host, ackNo int64) {
 	// RTT sample if the timed segment is covered and was never
 	// retransmitted (timing is cancelled on retransmission).
 	if st.timing && ackNo > st.timedSeq {
-		rto := st.rto()
-		rto.Sample(rto.Ticks(h.Now()) - int(st.timedAtTick))
+		st.rtt.Sample(ticks(h.Now()) - int(st.timedAtTick))
 		st.timing = false
 	}
 
@@ -323,7 +319,7 @@ func (st *State) onNewAck(c *Config, h Host, ackNo int64) {
 	// in flight the timer must stop (an idle connection has nothing to
 	// retransmit — a spurious expiry would collapse the window).
 	if st.SndNxt > st.SndUna {
-		h.SetTimer(st.rto().RTO())
+		h.SetTimer(st.rtt.RTO())
 	} else {
 		h.StopTimer()
 	}
@@ -378,7 +374,7 @@ func (st *State) onDupAck(c *Config, h Host) {
 	st.Cwnd = mss
 	st.SndNxt = st.SndUna
 	st.dupacks = 0
-	h.SetTimer(st.rto().RTO())
+	h.SetTimer(st.rtt.RTO())
 	h.Observe(Transition{Kind: StateFastRetx, Seq: st.SndUna})
 	st.Send(c, h)
 }
@@ -419,7 +415,7 @@ func (st *State) retransmitFirst(c *Config, h Host) {
 	if st.SndNxt < st.SndUna+seglen {
 		st.SndNxt = st.SndUna + seglen
 	}
-	h.SetTimer(st.rto().RTO())
+	h.SetTimer(st.rtt.RTO())
 }
 
 // OnTimeout is the retransmission-timer expiry: Tahoe congestion response
@@ -436,13 +432,13 @@ func (st *State) OnTimeout(c *Config, h Host) {
 	}
 	st.halveSsthresh(c)
 	st.Cwnd = float64(c.MSS)
-	st.rto().Backoff()
+	st.rtt.Backoff()
 	st.timing = false
 	st.dupacks = 0
 	st.inRecovery = false
 	// Go-back-N: rewind and retransmit from the oldest unacked byte.
 	st.SndNxt = st.SndUna
-	h.SetTimer(st.rto().RTO())
+	h.SetTimer(st.rtt.RTO())
 	h.Observe(Transition{Kind: StateTimeout, Seq: st.SndUna})
 	st.Send(c, h)
 }
@@ -455,7 +451,7 @@ func (st *State) OnEBSN(c *Config, h Host) {
 		return
 	}
 	if st.SndNxt > st.SndUna { // only while data is outstanding
-		h.SetTimer(st.rto().RTO())
+		h.SetTimer(st.rtt.RTO())
 	}
 	h.Observe(Transition{Kind: StateEBSN})
 }

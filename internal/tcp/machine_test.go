@@ -41,10 +41,9 @@ func TestEBSNArmsTimerOnlyWithDataOutstanding(t *testing.T) {
 	}
 
 	st.SndNxt, st.SndMax = 4*536, 4*536
-	rto := st.rto()
-	rto.Sample(4)
-	rto.Backoff()
-	want := rto.RTO()
+	st.rtt.Sample(4)
+	st.rtt.Backoff()
+	want := st.rtt.RTO()
 	if want == InitialRTO {
 		t.Fatalf("current RTO %v equals the initial one; the test cannot tell them apart", want)
 	}

@@ -2,20 +2,11 @@ package tcp
 
 import "time"
 
-// RTOEstimator implements the BSD/Jacobson-Karels retransmission-timeout
-// machinery on a coarse-grained TCP clock. Round-trip times are measured
+// rtt is the connection's BSD/Jacobson-Karels retransmission-timeout
+// estimator on a coarse-grained TCP clock. Round-trip times are measured
 // in clock ticks (the paper uses a 100 ms granularity, so RTTs are "known
 // to the nearest 100 msec"), smoothed with the SIGCOMM'88 estimator, and
 // backed off exponentially on consecutive losses per Karn's algorithm.
-//
-// It is a view: the estimate lives in the connection's State, so the
-// value itself is one pointer and is made wherever the estimator is
-// needed.
-type RTOEstimator struct {
-	st *rtt
-}
-
-// rtt is the estimator's per-connection state.
 type rtt struct {
 	srtt   float64 // smoothed RTT, in ticks
 	rttvar float64 // mean deviation, in ticks
@@ -44,9 +35,9 @@ const (
 	MaxRTO      = 64 * time.Second
 )
 
-// Ticks converts a duration to whole clock ticks (truncating), which is
+// ticks converts a duration to whole clock ticks (truncating), which is
 // how a coarse-clock TCP perceives elapsed time.
-func (e RTOEstimator) Ticks(d time.Duration) int {
+func ticks(d time.Duration) int {
 	if d <= 0 {
 		return 0
 	}
@@ -57,8 +48,7 @@ func (e RTOEstimator) Ticks(d time.Duration) int {
 // estimator (Jacobson/Karels: gain 1/8 on srtt, 1/4 on rttvar). Sampling
 // also resets the Karn backoff: the measurement proves a fresh,
 // non-retransmitted segment was acknowledged.
-func (e RTOEstimator) Sample(ticks int) {
-	r := e.st
+func (r *rtt) Sample(ticks int) {
 	m := float64(ticks)
 	if !r.hasSample {
 		r.srtt = m
@@ -77,11 +67,11 @@ func (e RTOEstimator) Sample(ticks int) {
 }
 
 // base returns the un-backed-off timeout.
-func (e RTOEstimator) base() time.Duration {
-	if !e.st.hasSample {
+func (r *rtt) base() time.Duration {
+	if !r.hasSample {
 		return InitialRTO
 	}
-	ticks := e.st.srtt + 4*e.st.rttvar
+	ticks := r.srtt + 4*r.rttvar
 	if ticks < minRTOTicks {
 		ticks = minRTOTicks
 	}
@@ -90,8 +80,8 @@ func (e RTOEstimator) base() time.Duration {
 
 // RTO reports the current retransmission timeout: the smoothed base value
 // times the Karn backoff, clamped to the ceiling.
-func (e RTOEstimator) RTO() time.Duration {
-	rto := e.base() << uint(e.st.shift)
+func (r *rtt) RTO() time.Duration {
+	rto := r.base() << uint(r.shift)
 	if rto > MaxRTO {
 		rto = MaxRTO
 	}
@@ -100,8 +90,8 @@ func (e RTOEstimator) RTO() time.Duration {
 
 // Backoff doubles the timeout for the next retransmission (up to the 64x
 // cap), as TCP does on each consecutive loss of the same segment.
-func (e RTOEstimator) Backoff() {
-	if e.st.shift < maxBackoffShift {
-		e.st.shift++
+func (r *rtt) Backoff() {
+	if r.shift < maxBackoffShift {
+		r.shift++
 	}
 }

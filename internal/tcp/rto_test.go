@@ -8,26 +8,23 @@ import (
 // The estimator's read accessors: only tests look inside it.
 
 // BackoffShift reports the current backoff exponent (0 = no backoff).
-func (e RTOEstimator) BackoffShift() int { return int(e.st.shift) }
+func (r *rtt) BackoffShift() int { return int(r.shift) }
 
 // SRTT reports the smoothed round-trip time (zero before any sample).
-func (e RTOEstimator) SRTT() time.Duration {
-	return time.Duration(e.st.srtt * float64(Granularity))
+func (r *rtt) SRTT() time.Duration {
+	return time.Duration(r.srtt * float64(Granularity))
 }
 
 // RTTVar reports the smoothed mean deviation.
-func (e RTOEstimator) RTTVar() time.Duration {
-	return time.Duration(e.st.rttvar * float64(Granularity))
+func (r *rtt) RTTVar() time.Duration {
+	return time.Duration(r.rttvar * float64(Granularity))
 }
 
 // Samples reports how many RTT measurements have been taken.
-func (e RTOEstimator) Samples() uint64 { return uint64(e.st.samples) }
-
-// newRTOEstimator returns a free-standing estimator.
-func newRTOEstimator() *RTOEstimator { return &RTOEstimator{st: new(rtt)} }
+func (r *rtt) Samples() uint64 { return uint64(r.samples) }
 
 func TestRTOBeforeAnySample(t *testing.T) {
-	e := newRTOEstimator()
+	e := new(rtt)
 	if got := e.RTO(); got != 3*time.Second {
 		t.Errorf("initial RTO = %v, want 3s", got)
 	}
@@ -37,7 +34,7 @@ func TestRTOBeforeAnySample(t *testing.T) {
 }
 
 func TestFirstSampleInitializesEstimators(t *testing.T) {
-	e := newRTOEstimator()
+	e := new(rtt)
 	e.Sample(10) // 1s RTT
 	if got := e.SRTT(); got != time.Second {
 		t.Errorf("SRTT = %v, want 1s", got)
@@ -55,7 +52,7 @@ func TestFirstSampleInitializesEstimators(t *testing.T) {
 }
 
 func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
-	e := newRTOEstimator()
+	e := new(rtt)
 	for i := 0; i < 100; i++ {
 		e.Sample(8)
 	}
@@ -70,7 +67,7 @@ func TestEstimatorConvergesOnSteadyRTT(t *testing.T) {
 }
 
 func TestRTOFloorTwoTicks(t *testing.T) {
-	e := newRTOEstimator()
+	e := new(rtt)
 	for i := 0; i < 50; i++ {
 		e.Sample(0) // sub-tick RTTs measure as zero on a coarse clock
 	}
@@ -80,7 +77,7 @@ func TestRTOFloorTwoTicks(t *testing.T) {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	e := newRTOEstimator()
+	e := new(rtt)
 	e.Sample(10) // base RTO = 3s
 	base := e.RTO()
 	e.Backoff()
@@ -100,7 +97,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestSampleResetsBackoff(t *testing.T) {
-	e := newRTOEstimator()
+	e := new(rtt)
 	e.Sample(10)
 	e.Backoff()
 	e.Backoff()
@@ -114,8 +111,8 @@ func TestSampleResetsBackoff(t *testing.T) {
 }
 
 func TestVarianceTracksJitter(t *testing.T) {
-	steady := newRTOEstimator()
-	jittery := newRTOEstimator()
+	steady := new(rtt)
+	jittery := new(rtt)
 	for i := 0; i < 200; i++ {
 		steady.Sample(10)
 		if i%2 == 0 {
@@ -133,7 +130,6 @@ func TestVarianceTracksJitter(t *testing.T) {
 }
 
 func TestTicksTruncate(t *testing.T) {
-	e := newRTOEstimator()
 	tests := []struct {
 		d    time.Duration
 		want int
@@ -147,7 +143,7 @@ func TestTicksTruncate(t *testing.T) {
 		{1050 * time.Millisecond, 10},
 	}
 	for _, tt := range tests {
-		if got := e.Ticks(tt.d); got != tt.want {
+		if got := ticks(tt.d); got != tt.want {
 			t.Errorf("Ticks(%v) = %d, want %d", tt.d, got, tt.want)
 		}
 	}
@@ -156,8 +152,8 @@ func TestTicksTruncate(t *testing.T) {
 func TestCoarseClockQuantization(t *testing.T) {
 	// A 100ms-clock TCP measures a 340ms RTT as either 3 ticks: the
 	// estimator must work on ticks, not raw durations.
-	e := newRTOEstimator()
-	e.Sample(e.Ticks(340 * time.Millisecond))
+	e := new(rtt)
+	e.Sample(ticks(340 * time.Millisecond))
 	if got := e.SRTT(); got != 300*time.Millisecond {
 		t.Errorf("SRTT = %v, want 300ms (3 ticks)", got)
 	}

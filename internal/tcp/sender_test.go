@@ -312,7 +312,7 @@ func TestKarnNoSampleFromRetransmission(t *testing.T) {
 	}
 	// The ACK of the retransmitted segment 0 must not have produced an
 	// RTT sample; only segment 1 (fresh, sent after recovery began) may.
-	if got := l.snd.st.rto().Samples(); got > 1 {
+	if got := l.snd.st.rtt.Samples(); got > 1 {
 		t.Errorf("Samples = %d; a retransmitted segment was sampled", got)
 	}
 }
@@ -362,10 +362,10 @@ func TestEBSNDoesNotTouchEstimatesOrCwnd(t *testing.T) {
 	if err := l.s.Run(2 * time.Second); err != nil { // a few RTTs
 		t.Fatal(err)
 	}
-	srtt := l.snd.st.rto().SRTT()
+	srtt := l.snd.st.rtt.SRTT()
 	cwnd := l.snd.Cwnd()
 	l.snd.Receive(&packet.Packet{Kind: packet.EBSN})
-	if l.snd.st.rto().SRTT() != srtt {
+	if l.snd.st.rtt.SRTT() != srtt {
 		t.Error("EBSN changed SRTT")
 	}
 	if l.snd.Cwnd() != cwnd {
