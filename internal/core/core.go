@@ -538,6 +538,9 @@ type topology struct {
 
 	wiredFwd, wiredRev       *link.Link
 	wirelessDown, wirelessUp *link.Link
+	// channel is the wireless links' Markov channel, beneath any fault
+	// overlay.
+	channel *errmodel.Markov
 
 	// arq is the resolved ARQ configuration (defaults applied), kept so
 	// the conformance oracle can mirror the station's attempt cap.
@@ -675,12 +678,11 @@ func newTopology(cfg Config, streaming bool) (*topology, error) {
 		chaosRNG = rng.Split()
 	}
 
-	var channel errmodel.Channel
-	channel, err := errmodel.NewMarkov(cfg.Channel, rng.Split())
-	if err != nil {
+	var err error
+	if tp.channel, err = errmodel.NewMarkov(cfg.Channel, rng.Split()); err != nil {
 		return nil, err
 	}
-	var upChannel errmodel.Channel = channel
+	var channel, upChannel errmodel.Channel = tp.channel, tp.channel
 	// Blackout windows ride the links' error channels as forced-BER
 	// overlays; outside the windows the overlay adds no randomness draws,
 	// so in-run behaviour away from the faults is unperturbed.

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"wtcp/internal/bs"
 	"wtcp/internal/chaos"
+	"wtcp/internal/errmodel"
+	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
 	"wtcp/internal/trace"
 	"wtcp/internal/units"
@@ -265,6 +270,53 @@ func TestCwndEvolutionBasicVsEBSN(t *testing.T) {
 	}
 	if ebsn.Max() < basic.Max() {
 		t.Errorf("EBSN max window %d below basic %d", ebsn.Max(), basic.Max())
+	}
+}
+
+// TestRunsShareTheChannel pins the premise of every paired comparison of
+// schemes or packet sizes: at a fixed (bad, seed) with no fault plan, the
+// Markov channel a run wires to its wireless links is the rebuild
+// errmodel.NewMarkov(cfg.Channel, sim.NewRNG(seed).Split()), with the same
+// state intervals after the run has queried it, whatever the scheme or
+// packet size.
+func TestRunsShareTheChannel(t *testing.T) {
+	const (
+		bad  = 2 * time.Second
+		seed = 7
+		span = 600 * time.Second
+	)
+	runs := map[string]Config{}
+	for _, s := range bs.Schemes() {
+		for _, size := range []units.ByteSize{128, 576, 1536} {
+			runs[fmt.Sprintf("WAN %v %v", s, size)] = WAN(s, size, bad)
+		}
+		runs[fmt.Sprintf("LAN %v", s)] = LAN(s, bad)
+	}
+	for name, cfg := range runs {
+		cfg.Seed, cfg.Horizon = seed, DefaultHorizon
+		tp, err := newTopology(cfg, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		done := tp.sender.Done
+		if tp.relay != nil {
+			done = tp.relay.sender.Done
+		}
+		if _, err := tp.run(context.Background(), cfg, done); err != nil || !done() {
+			t.Fatalf("%s: run did not finish: %v", name, err)
+		}
+		rebuilt, err := errmodel.NewMarkov(cfg.Channel, sim.NewRNG(seed).Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := tp.channel.Intervals(span), rebuilt.Intervals(span)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the run's channel has %d intervals over %v, the rebuild %d; first %v vs %v",
+				name, len(got), span, len(want), got[:min(3, len(got))], want[:min(3, len(want))])
+		}
+		if _, err := tp.release(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ var allowed = map[string]string{
 	"internal/analytic":                        "the paper's closed-form ceilings; ROADMAP item 3's control variate and item 6(a)'s fade-hit claim are their first callers",
 	"internal/scenario.FuzzSeeds":              "the seed corpus two packages' fuzzers share (scenario and serve tests)",
 	"internal/stats.Sample.CI95":               "the interval column of every Fig 7-11 row (ROADMAP item 1A)",
-	"internal/errmodel.Markov.Intervals":       "item 1A's pin that a channel's state intervals do not depend on scheme or packet size, and item 3's control variate",
+	"internal/errmodel.Markov.Intervals":       "TestRunsShareTheChannel (internal/core) compares a run's channel with its rebuild, the rebuild ROADMAP item 3's control variate will use",
 	"internal/fleet.WorkerConfig.BeforeResult": "the crash-boundary seam TestWorkerSIGKILLBeforePost (crash_test.go) kills the worker at",
 	"internal/fleet.WorkerConfig.AfterResult":  "the crash-boundary seam TestWorkerSIGKILLAfterPost (crash_test.go) kills the worker at",
 	"internal/bs.ARQConfig.Window":             "EXPERIMENTS.md's ARQ pipelining ablation (Example_arqWindow in internal/core: stop-and-wait costs 35% against the default window of 4) sets it",
