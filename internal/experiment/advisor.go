@@ -29,18 +29,22 @@ type Advisor struct {
 }
 
 // CalibrateAdvisor runs the Figure 7 sweep (basic TCP) for the options'
-// bad periods and packet sizes and records each condition's winner.
+// bad periods and packet sizes and records each condition's winner among
+// its measured sizes; a condition whose every point was quarantined has
+// no entry.
 func CalibrateAdvisor(ctx context.Context, opt Options) (*Advisor, error) {
 	points, err := Fig7(ctx, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: calibration sweep: %w", err)
 	}
-	if len(points) == 0 {
-		return nil, errors.New("experiment: empty calibration sweep")
-	}
 	byBad := map[time.Duration]bool{}
 	for _, p := range points {
-		byBad[p.BadPeriod] = true
+		if p.ThroughputKbps != nil {
+			byBad[p.BadPeriod] = true
+		}
+	}
+	if len(byBad) == 0 {
+		return nil, errors.New("experiment: empty calibration sweep")
 	}
 	a := &Advisor{}
 	for bad := range byBad {

@@ -19,7 +19,7 @@ type CongestionPoint struct {
 	Scheme         bs.Scheme
 	LoadFraction   float64 // cross traffic / wired capacity
 	ThroughputKbps *stats.Sample
-	TimeoutsAvg    float64
+	Timeouts       *stats.Sample
 }
 
 // Every cell runs at one wired packet size and one mean bad period.
@@ -59,7 +59,7 @@ func congestionStudy(ctx context.Context, opt Options, loads []float64) ([]Conge
 	}
 	return settleGrid(ctx, opt, "congestion study", points, func(i int, cols []stats.Sample) CongestionPoint {
 		p := grid[i]
-		p.ThroughputKbps, p.TimeoutsAvg = &cols[0], cols[1].Mean()
+		p.ThroughputKbps, p.Timeouts = sample(cols, 0), sample(cols, 1)
 		return p
 	})
 }
@@ -72,7 +72,7 @@ var CongestionTable = Table[CongestionPoint]{
 	},
 	Values: []Column[CongestionPoint]{
 		{Head: "throughput (Kbps)", CSV: "throughput_kbps", MD: "%.2f", CSVFormat: "%.3f", Sample: func(p CongestionPoint) *stats.Sample { return p.ThroughputKbps }},
-		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p CongestionPoint) any { return p.TimeoutsAvg }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p CongestionPoint) any { return mean(p.Timeouts) }},
 	},
 }
 

@@ -17,7 +17,7 @@ type CSDPPoint struct {
 	BadPeriod     time.Duration
 	AggregateKbps *stats.Sample
 	Fairness      *stats.Sample
-	DiscardsAvg   float64
+	Discards      *stats.Sample
 }
 
 // CSDPOptions holds the scheduling study's own axes; replications,
@@ -58,7 +58,7 @@ func CSDPStudy(ctx context.Context, opt Options, axes CSDPOptions) ([]CSDPPoint,
 	}
 	return settleGrid(ctx, opt, "csdp study", points, func(i int, cols []stats.Sample) CSDPPoint {
 		p := grid[i]
-		p.AggregateKbps, p.Fairness, p.DiscardsAvg = &cols[0], &cols[1], cols[2].Mean()
+		p.AggregateKbps, p.Fairness, p.Discards = sample(cols, 0), sample(cols, 1), sample(cols, 2)
 		return p
 	})
 }
@@ -100,6 +100,6 @@ var CSDPTable = Table[CSDPPoint]{
 	Values: []Column[CSDPPoint]{
 		{Head: "aggregate (Kbps)", CSV: "aggregate_kbps", MD: "%.0f", CSVFormat: "%.2f", Sample: func(p CSDPPoint) *stats.Sample { return p.AggregateKbps }},
 		{Head: "fairness", CSV: "fairness_mean", MD: "%.3f", CSVFormat: "%.4f", Value: func(p CSDPPoint) any { return mean(p.Fairness) }},
-		{Head: "discards", CSV: "discards_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p CSDPPoint) any { return p.DiscardsAvg }},
+		{Head: "discards", CSV: "discards_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p CSDPPoint) any { return mean(p.Discards) }},
 	},
 }

@@ -60,7 +60,7 @@ func TestCSDPStudyHonoursOracle(t *testing.T) {
 			{a.AggregateKbps.Mean(), b.AggregateKbps.Mean()},
 			{a.AggregateKbps.StdDev(), b.AggregateKbps.StdDev()},
 			{a.Fairness.Mean(), b.Fairness.Mean()},
-			{a.DiscardsAvg, b.DiscardsAvg},
+			{a.Discards.Mean(), b.Discards.Mean()},
 		} {
 			if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
 				t.Errorf("%v: oracle off %v, on %v", a.Policy, v[0], v[1])

@@ -203,11 +203,11 @@ var ThroughputTable = Table[ThroughputPoint]{
 // RetransPoint is one cell of Figure 9 (and the per-scheme halves of
 // Figure 11): source-retransmitted data in KB.
 type RetransPoint struct {
-	Scheme      bs.Scheme
-	BadPeriod   time.Duration
-	PacketSize  units.ByteSize
-	RetransKB   *stats.Sample
-	TimeoutsAvg float64
+	Scheme     bs.Scheme
+	BadPeriod  time.Duration
+	PacketSize units.ByteSize
+	RetransKB  *stats.Sample
+	Timeouts   *stats.Sample
 }
 
 // RetransTable is the column list of Figure 9, pivoted in markdown like
@@ -220,18 +220,19 @@ var RetransTable = Table[RetransPoint]{
 	},
 	Values: []Column[RetransPoint]{
 		{Head: "retransmitted (KB)", CSV: "retrans_kb", MD: "%.1f", CSVFormat: "%.3f", Sample: func(p RetransPoint) *stats.Sample { return p.RetransKB }},
-		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.2f", Value: func(p RetransPoint) any { return p.TimeoutsAvg }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.2f", Value: func(p RetransPoint) any { return mean(p.Timeouts) }},
 	},
 	Pivot: &Pivot{Down: []string{"scheme", "pkt size"}, Across: "bad", Cell: "retransmitted (KB)"},
 }
 
 // settleGrid settles points on the scheduler, on Workers slots and
 // against the configured checkpoint ledger, and returns cell(i, cols) of
-// each finished point, cols being one sample per metric column in seed
-// order (an average is a column's Mean; a skipped replication
-// shrinks n). Quarantined points are left out — they are on
-// opt.Supervise. The figure and study functions keep only their grid
-// and their aggregation.
+// every point, cols being one sample per metric column in seed order (a
+// skipped replication shrinks n), nil where the point was quarantined
+// (it is on opt.Supervise). So a study's result keeps every point of its
+// grid, a quarantined one with only its keys, and each table keeps its
+// rows. The figure and study functions keep only their grid and their
+// aggregation.
 func settleGrid[P any](ctx context.Context, opt Options, what string, points []point,
 	cell func(i int, cols []stats.Sample) P) ([]P, error) {
 	opt = opt.WithDefaults()
@@ -247,13 +248,23 @@ func settleGrid[P any](ctx context.Context, opt Options, what string, points []p
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", what, err)
 	}
-	var out []P
+	out := make([]P, len(outs))
 	for i, res := range outs {
+		var cols []stats.Sample
 		if res.Quarantine == nil {
-			out = append(out, cell(i, columns(res.Reps)))
+			cols = columns(res.Reps)
 		}
+		out[i] = cell(i, cols)
 	}
 	return out, nil
+}
+
+// sample is column k of a point's samples, nil for a quarantined point.
+func sample(cols []stats.Sample, k int) *stats.Sample {
+	if cols == nil {
+		return nil
+	}
+	return &cols[k]
 }
 
 // columns is one sample per metric column of a finished point's
@@ -292,14 +303,14 @@ func throughputPoint(spec PointSpec, scheme bs.Scheme, cols []stats.Sample) Thro
 		Scheme:             scheme,
 		BadPeriod:          spec.Bad,
 		PacketSize:         spec.Size,
-		ThroughputKbps:     &cols[0],
-		Goodput:            &cols[1],
+		ThroughputKbps:     sample(cols, 0),
+		Goodput:            sample(cols, 1),
 		TheoreticalMaxKbps: core.WAN(scheme, spec.Size, spec.Bad).TheoreticalMaxKbps(),
 	}
 }
 
 // ThroughputPoints aggregates settled Figure 7/8 points — specs[i]
-// settled as outs[i] — as Fig7 and Fig8 do, leaving quarantined ones
+// settled as outs[i] — like Fig7 and Fig8, but leaves quarantined ones
 // out.
 func ThroughputPoints(specs []PointSpec, outs []PointOutcome) []ThroughputPoint {
 	var points []ThroughputPoint
@@ -356,11 +367,11 @@ func Fig8(ctx context.Context, opt Options) ([]ThroughputPoint, error) {
 func Fig9(ctx context.Context, opt Options) ([]RetransPoint, error) {
 	return settleSweep(ctx, opt, SweepFig9, func(spec PointSpec, scheme bs.Scheme, cols []stats.Sample) RetransPoint {
 		return RetransPoint{
-			Scheme:      scheme,
-			BadPeriod:   spec.Bad,
-			PacketSize:  spec.Size,
-			RetransKB:   &cols[0],
-			TimeoutsAvg: cols[1].Mean(),
+			Scheme:     scheme,
+			BadPeriod:  spec.Bad,
+			PacketSize: spec.Size,
+			RetransKB:  sample(cols, 0),
+			Timeouts:   sample(cols, 1),
 		}
 	})
 }
@@ -371,7 +382,7 @@ type LANPoint struct {
 	BadPeriod          time.Duration
 	ThroughputMbps     *stats.Sample
 	RetransKB          *stats.Sample
-	TimeoutsAvg        float64
+	Timeouts           *stats.Sample
 	TheoreticalMaxMbps float64
 }
 
@@ -384,7 +395,7 @@ var LANTable = Table[LANPoint]{
 	Values: []Column[LANPoint]{
 		{Head: "throughput (Mbps)", CSV: "throughput_mbps", MD: "%.3f", CSVFormat: "%.4f", Sample: func(p LANPoint) *stats.Sample { return p.ThroughputMbps }},
 		{Head: "retransmitted (KB)", CSV: "retrans_kb_mean", MD: "%.1f", CSVFormat: "%.2f", Value: func(p LANPoint) any { return mean(p.RetransKB) }},
-		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.2f", Value: func(p LANPoint) any { return p.TimeoutsAvg }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.2f", Value: func(p LANPoint) any { return mean(p.Timeouts) }},
 		{Head: "tput_th (Mbps)", CSV: "tput_th_mbps", MD: "%.3f", CSVFormat: "%.4f", Value: func(p LANPoint) any { return p.TheoreticalMaxMbps }},
 	},
 }
@@ -396,9 +407,9 @@ func LANStudy(ctx context.Context, opt Options) ([]LANPoint, error) {
 		return LANPoint{
 			Scheme:             scheme,
 			BadPeriod:          spec.Bad,
-			ThroughputMbps:     &cols[0],
-			RetransKB:          &cols[1],
-			TimeoutsAvg:        cols[2].Mean(),
+			ThroughputMbps:     sample(cols, 0),
+			RetransKB:          sample(cols, 1),
+			Timeouts:           sample(cols, 2),
 			TheoreticalMaxMbps: core.LAN(scheme, spec.Bad).TheoreticalMaxKbps() / 1000,
 		}
 	})
@@ -421,12 +432,12 @@ func TraceFigure(scheme bs.Scheme, horizon time.Duration) (*core.Result, error) 
 
 // OptimalPacketSize reports the packet size with the highest mean
 // throughput among the given points for one bad period, with the winning
-// mean.
+// mean; a quarantined point is never the winner.
 func OptimalPacketSize(points []ThroughputPoint, bad time.Duration) (units.ByteSize, float64) {
 	var bestSize units.ByteSize
 	best := -1.0
 	for _, p := range points {
-		if p.BadPeriod != bad {
+		if p.BadPeriod != bad || p.ThroughputKbps == nil {
 			continue
 		}
 		if m := p.ThroughputKbps.Mean(); m > best {

@@ -181,9 +181,9 @@ func TestLANStudyShape(t *testing.T) {
 			t.Errorf("bad=%v: EBSN retrans %.1f not below basic %.1f",
 				bad, ebsn.RetransKB.Mean(), basic.RetransKB.Mean())
 		}
-		if ebsn.TimeoutsAvg > basic.TimeoutsAvg {
+		if ebsn.Timeouts.Mean() > basic.Timeouts.Mean() {
 			t.Errorf("bad=%v: EBSN timeouts %.1f above basic %.1f",
-				bad, ebsn.TimeoutsAvg, basic.TimeoutsAvg)
+				bad, ebsn.Timeouts.Mean(), basic.Timeouts.Mean())
 		}
 	}
 }

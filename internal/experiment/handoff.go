@@ -22,8 +22,8 @@ type HandoffPoint struct {
 	Scheme         string
 	Dwell          time.Duration
 	ThroughputKbps *stats.Sample
-	TimeoutsAvg    float64
-	FastRetxAvg    float64
+	Timeouts       *stats.Sample
+	FastRetx       *stats.Sample
 }
 
 // handoffScheme is one row of the study: its name and whether the mobile
@@ -67,7 +67,7 @@ func HandoffStudy(ctx context.Context, opt Options, axes HandoffOptions) ([]Hand
 	}
 	return settleGrid(ctx, opt, "handoff study", points, func(i int, cols []stats.Sample) HandoffPoint {
 		p := grid[i]
-		p.ThroughputKbps, p.TimeoutsAvg, p.FastRetxAvg = &cols[0], cols[1].Mean(), cols[2].Mean()
+		p.ThroughputKbps, p.Timeouts, p.FastRetx = sample(cols, 0), sample(cols, 1), sample(cols, 2)
 		return p
 	})
 }
@@ -108,7 +108,7 @@ var HandoffTable = Table[HandoffPoint]{
 	},
 	Values: []Column[HandoffPoint]{
 		{Head: "throughput (Kbps)", CSV: "throughput_kbps", MD: "%.0f", CSVFormat: "%.2f", Sample: func(p HandoffPoint) *stats.Sample { return p.ThroughputKbps }},
-		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return p.TimeoutsAvg }},
-		{Head: "fast retransmits", CSV: "fastretx_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return p.FastRetxAvg }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return mean(p.Timeouts) }},
+		{Head: "fast retransmits", CSV: "fastretx_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p HandoffPoint) any { return mean(p.FastRetx) }},
 	},
 }

@@ -35,9 +35,9 @@ func TestHandoffStudyShape(t *testing.T) {
 			t.Errorf("dwell %v: fast retransmit %.0f not above plain %.0f",
 				dwell, fr.ThroughputKbps.Mean(), plain.ThroughputKbps.Mean())
 		}
-		if fr.TimeoutsAvg >= plain.TimeoutsAvg {
+		if fr.Timeouts.Mean() >= plain.Timeouts.Mean() {
 			t.Errorf("dwell %v: fast retransmit timeouts %.1f not below plain %.1f",
-				dwell, fr.TimeoutsAvg, plain.TimeoutsAvg)
+				dwell, fr.Timeouts.Mean(), plain.Timeouts.Mean())
 		}
 	}
 	// More frequent handoffs hurt plain TCP more.

@@ -76,11 +76,10 @@ func SeverityStudy(ctx context.Context, opt Options, axes SeverityOptions) ([]Se
 			})
 		}
 	}
-	tput := make([]*stats.Sample, len(points)) // nil where the point was quarantined
-	if _, err := settleGrid(ctx, opt, "severity study", points, func(i int, cols []stats.Sample) *stats.Sample {
-		tput[i] = &cols[0]
-		return tput[i]
-	}); err != nil {
+	tput, err := settleGrid(ctx, opt, "severity study", points, func(i int, cols []stats.Sample) *stats.Sample {
+		return sample(cols, 0)
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]SeverityPoint, len(axes.Severities))

@@ -49,15 +49,26 @@ func governedOpts(sup *Supervisor) Options {
 	return opt
 }
 
-// withoutPoint filters a throughput sweep down to the points that are
-// not (bad, size).
-func withoutPoint(points []ThroughputPoint, bad time.Duration, size units.ByteSize) []ThroughputPoint {
+// keyOnly copies a throughput sweep with the (bad, size) point's
+// measurements dropped, as a quarantine leaves it.
+func keyOnly(points []ThroughputPoint, bad time.Duration, size units.ByteSize) []ThroughputPoint {
+	out := slices.Clone(points)
+	for i, p := range out {
+		if p.BadPeriod == bad && p.PacketSize == size {
+			out[i].ThroughputKbps, out[i].Goodput = nil, nil
+		}
+	}
+	return out
+}
+
+// measured filters a throughput sweep down to the points a quarantine
+// did not leave key-only.
+func measured(points []ThroughputPoint) []ThroughputPoint {
 	var out []ThroughputPoint
 	for _, p := range points {
-		if p.BadPeriod == bad && p.PacketSize == size {
-			continue
+		if p.ThroughputKbps != nil {
+			out = append(out, p)
 		}
-		out = append(out, p)
 	}
 	return out
 }
@@ -75,7 +86,7 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ThroughputTable.CSV(withoutPoint(baseline, badPeriod, size))
+	want := ThroughputTable.CSV(keyOnly(baseline, badPeriod, size))
 
 	stormRunSim(t, badPeriod, size)
 	sup := NewSupervisor()
@@ -105,8 +116,8 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 		t.Errorf("reason %q does not name the exhausted budget", q.Reason)
 	}
 
-	if len(got) != len(baseline)-1 {
-		t.Fatalf("governed sweep kept %d points, want %d", len(got), len(baseline)-1)
+	if len(got) != len(baseline) || len(measured(got)) != len(baseline)-1 {
+		t.Fatalf("governed sweep kept %d points, %d measured, want %d, %d measured", len(got), len(measured(got)), len(baseline), len(baseline)-1)
 	}
 	if csv := ThroughputTable.CSV(got); csv != want {
 		t.Errorf("surviving points differ from ungoverned run:\n--- want ---\n%s--- got ---\n%s", want, csv)
@@ -211,8 +222,8 @@ func TestAllTransientFailuresQuarantineUnderSupervision(t *testing.T) {
 	if err != nil {
 		t.Fatalf("supervised all-failing sweep errored: %v", err)
 	}
-	if len(points) != 0 {
-		t.Errorf("all-failing sweep produced %d points", len(points))
+	if len(points) != 1 || len(measured(points)) != 0 {
+		t.Errorf("all-failing sweep produced %d points, %d measured; want its one point key-only", len(points), len(measured(points)))
 	}
 	qs := sup.Quarantined()
 	if len(qs) != 1 || qs[0].Class != string(core.ClassTransient) {
@@ -358,8 +369,8 @@ func TestBudgetSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("budget smoke sweep failed: %v", err)
 	}
-	if len(points) != 1 {
-		t.Fatalf("partial results: got %d points, want 1 surviving", len(points))
+	if len(points) != 2 || len(measured(points)) != 1 {
+		t.Fatalf("partial results: got %d points, %d measured; want 2, 1 surviving", len(points), len(measured(points)))
 	}
 	qs := sup.Quarantined()
 	if len(qs) != 1 || qs[0].Class != string(core.ClassResourceExhausted) {

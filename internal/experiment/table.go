@@ -28,9 +28,11 @@ type Column[P any] struct {
 // -csv and -out) and Markdown (wtcp figures and wtcp report) render:
 // Keys name a row and Values are what was measured there. Its rows are
 // the grid the keys span, every combination of the values each key takes
-// over the points, first seen first, so a point a quarantine left out
-// keeps its row: markdown prints its cells as "-", and CSV, which carries
-// only complete rows, leaves it out.
+// over the points, first seen first. A study's result keeps a quarantined
+// point with its keys and nil samples, so the point keeps its row even
+// when every point of one key value was quarantined: markdown prints its
+// missing cells as "-", and CSV, which carries only complete rows, leaves
+// it out.
 type Table[P any] struct {
 	Keys, Values []Column[P]
 	Pivot        *Pivot

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"wtcp/internal/bs"
 	"wtcp/internal/cell"
+	"wtcp/internal/core"
+	"wtcp/internal/sim"
 	"wtcp/internal/stats"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
@@ -69,7 +72,7 @@ func TestStudyTables(t *testing.T) {
 						ThroughputKbps: sampleOf(5, 7), Goodput: sampleOf(0.9), TheoreticalMaxKbps: 9.14})
 				}
 				retx = append(retx, RetransPoint{Scheme: scheme, BadPeriod: bad, PacketSize: size,
-					RetransKB: sampleOf(10, 20), TimeoutsAvg: 2})
+					RetransKB: sampleOf(10, 20), Timeouts: sampleOf(2)})
 			}
 		}
 	}
@@ -78,22 +81,22 @@ func TestStudyTables(t *testing.T) {
 	for _, scheme := range schemes {
 		for _, bad := range bads {
 			lan = append(lan, LANPoint{Scheme: scheme, BadPeriod: bad, ThroughputMbps: sampleOf(1.5, 1.7),
-				RetransKB: sampleOf(3), TheoreticalMaxMbps: 1.6})
+				RetransKB: sampleOf(3), Timeouts: sampleOf(0), TheoreticalMaxMbps: 1.6})
 		}
 		for _, load := range []float64{0, 0.3, 0.6} {
-			congestion = append(congestion, CongestionPoint{Scheme: scheme, LoadFraction: load, ThroughputKbps: sampleOf(6, 8)})
+			congestion = append(congestion, CongestionPoint{Scheme: scheme, LoadFraction: load, ThroughputKbps: sampleOf(6, 8), Timeouts: sampleOf(1)})
 		}
 	}
 	var csdp []CSDPPoint
 	for _, policy := range []cell.Policy{cell.FIFO, cell.RoundRobin, cell.CSDP} {
 		for _, bad := range bads {
-			csdp = append(csdp, CSDPPoint{Policy: policy, BadPeriod: bad, AggregateKbps: sampleOf(800, 900), Fairness: sampleOf(0.99)})
+			csdp = append(csdp, CSDPPoint{Policy: policy, BadPeriod: bad, AggregateKbps: sampleOf(800, 900), Fairness: sampleOf(0.99), Discards: sampleOf(4)})
 		}
 	}
 	var handoff []HandoffPoint
 	for _, scheme := range handoffSchemes {
 		for _, dwell := range bads {
-			handoff = append(handoff, HandoffPoint{Scheme: scheme.name, Dwell: dwell, ThroughputKbps: sampleOf(1368)})
+			handoff = append(handoff, HandoffPoint{Scheme: scheme.name, Dwell: dwell, ThroughputKbps: sampleOf(1368), Timeouts: sampleOf(0), FastRetx: sampleOf(1)})
 		}
 	}
 	var severity []SeverityPoint
@@ -103,7 +106,8 @@ func TestStudyTables(t *testing.T) {
 	var zoo []ZooPoint
 	for _, variant := range []tcp.Variant{tcp.Tahoe, tcp.SACKVariant} {
 		for _, scheme := range []bs.Scheme{bs.Basic, bs.Snoop} {
-			zoo = append(zoo, ZooPoint{Variant: variant, Scheme: scheme, ThroughputKbps: sampleOf(6), Goodput: sampleOf(0.9)})
+			zoo = append(zoo, ZooPoint{Variant: variant, Scheme: scheme, ThroughputKbps: sampleOf(6), Goodput: sampleOf(0.9),
+				Timeouts: sampleOf(2), RetransKB: sampleOf(5)})
 		}
 	}
 
@@ -158,5 +162,37 @@ func TestStudyTables(t *testing.T) {
 				t.Errorf("a removed point does not print as -:\n%s", md)
 			}
 		})
+	}
+}
+
+// TestQuarantinedKeyKeepsItsRow: when every point of one packet size is
+// quarantined, Figure 7 still returns those points, with only their keys;
+// the markdown keeps the size's row with "-" in each cell, the CSV
+// carries no row of that size, and the optimum is picked among the
+// measured sizes.
+func TestQuarantinedKeyKeepsItsRow(t *testing.T) {
+	stubRunSim(t, func(ctx context.Context, cfg core.Config) (*core.Result, error) {
+		if cfg.PacketSize == 512 {
+			return nil, &sim.BudgetError{Kind: sim.BudgetWall, Limit: 1, Value: 2}
+		}
+		return core.RunContext(ctx, cfg)
+	})
+	opt := ckOpts() // 512 and 1536 B at bad = 1 s and 4 s
+	opt.Supervise = NewSupervisor()
+	points, err := Fig7(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs := opt.Supervise.Quarantined(); len(qs) != 2 || len(points) != 4 {
+		t.Fatalf("%d quarantines and %d points, want 2 of 4 points quarantined", len(qs), len(points))
+	}
+	if md := ThroughputTable.Markdown(points); !strings.Contains(md, "\n| 512B | - | - |\n") {
+		t.Errorf("the quarantined size lost its row of -:\n%s", md)
+	}
+	if csv := ThroughputTable.CSV(points); strings.Count(csv, "\n") != 3 || strings.Contains(csv, ",512,") {
+		t.Errorf("CSV should hold the two 1536 B rows only:\n%s", csv)
+	}
+	if size, _ := OptimalPacketSize(points, time.Second); size != 1536 {
+		t.Errorf("optimum %v, want the one measured size", size)
 	}
 }

@@ -21,8 +21,8 @@ type ZooPoint struct {
 	Scheme         bs.Scheme
 	ThroughputKbps *stats.Sample
 	Goodput        *stats.Sample
-	TimeoutsAvg    float64
-	RetransKBAvg   float64
+	Timeouts       *stats.Sample
+	RetransKB      *stats.Sample
 }
 
 // ZooOptions holds the protocol-zoo study's own axis; replications,
@@ -78,8 +78,8 @@ func zooStudy(ctx context.Context, opt Options, axes ZooOptions, variants []tcp.
 	}
 	return settleGrid(ctx, opt, "zoo study", points, func(i int, cols []stats.Sample) ZooPoint {
 		p := grid[i]
-		p.ThroughputKbps, p.Goodput = &cols[0], &cols[1]
-		p.TimeoutsAvg, p.RetransKBAvg = cols[2].Mean(), cols[3].Mean()
+		p.ThroughputKbps, p.Goodput = sample(cols, 0), sample(cols, 1)
+		p.Timeouts, p.RetransKB = sample(cols, 2), sample(cols, 3)
 		return p
 	})
 }
@@ -93,7 +93,7 @@ var ZooTable = Table[ZooPoint]{
 	Values: []Column[ZooPoint]{
 		{Head: "throughput (Kbps)", CSV: "tput_kbps", MD: "%.2f", CSVFormat: "%.2f", Sample: func(p ZooPoint) *stats.Sample { return p.ThroughputKbps }},
 		{Head: "goodput", CSV: "goodput_mean", MD: "%.3f", CSVFormat: "%.4f", Value: func(p ZooPoint) any { return mean(p.Goodput) }},
-		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p ZooPoint) any { return p.TimeoutsAvg }},
-		{Head: "retransmitted (KB)", CSV: "retrans_kb_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p ZooPoint) any { return p.RetransKBAvg }},
+		{Head: "timeouts", CSV: "timeouts_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p ZooPoint) any { return mean(p.Timeouts) }},
+		{Head: "retransmitted (KB)", CSV: "retrans_kb_avg", MD: "%.1f", CSVFormat: "%.1f", Value: func(p ZooPoint) any { return mean(p.RetransKB) }},
 	},
 }
