@@ -59,6 +59,9 @@ func TestDispatch(t *testing.T) {
 	if !strings.Contains(md.String(), "NOT reproduced") {
 		t.Errorf("report printed no failed claim:\n%s", md.String())
 	}
+	if !strings.Contains(md.String(), "under its own conformance profile | NOT reproduced | 0 cells;") {
+		t.Errorf("the zoo claim held with no cell run:\n%s", md.String())
+	}
 }
 
 // TestREADMENamesEverySubcommand: README.md is where the commands are

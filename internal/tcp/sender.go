@@ -12,9 +12,8 @@ import (
 
 // Sender is a bulk-transfer TCP source: one State driven by the shared
 // transitions, hosted on a sim.Timer, the packet pool, Stats and a state
-// hook.
-// Create with NewSender, then call Start; deliver inbound packets (ACKs,
-// EBSNs, quenches) via Receive.
+// hook. Create with NewSender, then call Start; deliver inbound packets
+// (ACKs, EBSNs, quenches) via Receive.
 type Sender struct {
 	sim     *sim.Simulator
 	cfg     Config

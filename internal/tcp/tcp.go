@@ -8,8 +8,8 @@
 // (machine.go) run on a State value against a read-only Config and reach
 // their surroundings only through a Host: Sender is the host of the
 // object-per-connection engines (a sim.Timer, the packet pool, Stats and
-// a state hook), and internal/cell runs the same transitions in place on a slab
-// of States behind its timer wheel and calendar.
+// a state hook), and internal/cell runs the same transitions in place on
+// a slab of States behind its timer wheel and calendar.
 //
 // The sender also implements the paper's two control-message responses:
 //
