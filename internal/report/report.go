@@ -62,7 +62,7 @@ func (v *verdicts) wan(fig7, fig8 []experiment.ThroughputPoint, bad time.Duratio
 	// full fidelity, where the paper's sweeps run.
 	if !quick {
 		optSize, _ := experiment.OptimalPacketSize(fig7, bad)
-		v.add("Fig 7: basic TCP's optimal packet size is interior (not the largest size)",
+		v.addOn(okB1536, "Fig 7: basic TCP's optimal packet size is interior (not the largest size)",
 			optSize != large, "optimum at %v", optSize)
 		v.addOn(okB1536 && okE1536, "Figs 7 vs 8: EBSN beats basic TCP at the largest packet size",
 			e1536 > b1536, "%.2f vs %.2f (+%.0f%%)", e1536, b1536, 100*(e1536-b1536)/b1536)

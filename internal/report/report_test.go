@@ -202,4 +202,20 @@ func TestMissingCellIsNotReproduced(t *testing.T) {
 	if c := verdict(fig7, fig8[:1], ceiling); c.ok || c.note != "point quarantined" {
 		t.Errorf("EBSN's %v cell removed: %+v, want NOT reproduced, point quarantined", large, c)
 	}
+	// Basic's largest-size point kept with its keys only, as a sweep
+	// returns a quarantined point: the optimum is not judged without it,
+	// and the sweep average skips it.
+	const interior = "Fig 7: basic TCP's optimal packet size is interior (not the largest size)"
+	const belowMax = "Fig 7: basic TCP sits well below the theoretical maximum"
+	keyOnly := []experiment.ThroughputPoint{fig7[0], fig7[1]}
+	keyOnly[1].ThroughputKbps = nil
+	if c := verdict(fig7, fig8, interior); c.ok || c.note != "optimum at 1536B" {
+		t.Errorf("full grid: %+v, want NOT reproduced, optimum at 1536B", c)
+	}
+	if c := verdict(keyOnly, fig8, interior); c.ok || c.note != "point quarantined" {
+		t.Errorf("basic's %v point key-only: %+v, want NOT reproduced, point quarantined", large, c)
+	}
+	if c := verdict(keyOnly, fig8, belowMax); !c.ok || c.note != "mean 4.00 vs mean tput_th 9.14" {
+		t.Errorf("basic's %v point key-only: %+v, want the mean of the measured point", large, c)
+	}
 }
