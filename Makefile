@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race check conformance golden-drift budget-smoke fleet-smoke serve-smoke scale-smoke scale-pins zoo-smoke pool-smoke pool-pins goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e bench-ab figures traces report fuzz fuzz-smoke clean
+.PHONY: all build vet test test-race check conformance golden-drift budget-smoke serve-smoke scale-smoke scale-pins zoo-smoke pool-smoke pool-pins goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e bench-ab figures traces report fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -13,7 +13,11 @@ all: build vet test
 # output checks. Every test runs once: the named smoke targets below
 # re-select tests `go test -race ./...` has just run, so `check` depends
 # only on their parts that add something. CI runs each smoke target whole,
-# in its own job.
+# in its own job. The fleet's protocol pins (internal/fleet: lease expiry,
+# stealing, the duplicate rule, TestLostGrantLapsesAtTTL,
+# TestResultPostCarriesIdempotentGrant) have no smoke target: the fleet
+# has no command, only the measurement spine's fleet rung runs it, and
+# `test-race` runs them.
 check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 
 # Supervision gate: a tiny sweep with one pathological (livelocking)
@@ -27,16 +31,6 @@ check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 budget-smoke:
 	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth' ./internal/experiment/
 
-# Fleet gate: a four-worker sharded campaign under -race with a
-# chaos-injected SIGKILL of a live lease holder; asserts every point
-# settles exactly once and the merged ledger is bit-identical to the
-# sequential engine's output — plus the next-grant pins: a SIGKILL just
-# after a result post under dropped, duplicated and delayed result
-# posts, a lost grant lapsing at its TTL, and a SIGKILL just after the
-# first post the coordinator counted.
-fleet-smoke:
-	$(GO) test -race -run 'TestFleetSmoke|TestWorkerSIGKILLUnderResultFaults|TestWorkerSIGKILLAfterPost|TestLostGrantLapsesAtTTL|TestResultPostCarriesIdempotentGrant' ./internal/fleet/
-
 # Service gate: the wtcpd storm/drain acceptance test under -race — a
 # seeded 50-request storm with chaos-injected malformed bodies and
 # client disconnects against a 2-slot server, SIGTERM drain mid-storm,
@@ -47,9 +41,10 @@ fleet-smoke:
 # segments, order and cap after a reopen, legacy-layout refusal, gets
 # racing evictions and compaction, and the data-directory lock — and the
 # sweep's borrowed slots: queued requests first, the same bytes at one
-# and two slots, the first error in spec order.
+# and two slots, the first error in spec order — and a campaign's answer
+# bit-identical to the sequential engine's Fig 7 + 8 at one worker.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder|TestSweepMatchesSequentialEngine' ./internal/serve/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos
 # loss/dup/reorder, the old-vs-new differential pin, and the pins
@@ -293,6 +288,7 @@ FUZZ_TARGETS = \
 	./internal/queue:FuzzTable \
 	./internal/sim:FuzzKernelOps \
 	./internal/fleet:FuzzFleetBodies \
+	./internal/serve:FuzzSweepRequest \
 	./cmd/wtcp:FuzzBenchBaseline \
 	./cmd/wtcp:FuzzBenchABRuns \
 	./internal/errmodel:FuzzMarkovQueries \

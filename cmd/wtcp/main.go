@@ -6,8 +6,7 @@
 //	wtcp trace -scheme ebsn                              # Figures 3-5
 //	wtcp report -reps 10 > REPLICATION.md                # every claim, checked
 //	wtcp advise -query 2.5s                              # the §4.1 packet-size table
-//	wtcp fleet run -campaign c.json -ledger sweep.json   # a sharded campaign
-//	wtcp serve -data /var/lib/wtcpd                      # the resident service
+//	wtcp serve -data /var/lib/wtcpd                      # the resident service (campaigns: POST /v1/sweep)
 //
 // `wtcp -h` lists them all, `wtcp <subcommand> -h` lists its flags. The
 // engine-backed subcommands (sim, figures, report, advise) share one set
@@ -67,9 +66,6 @@ var commands = []command{
 	{"bench record", "store `go test -bench` output as a benchmark baseline", noExec, benchRecordFlags},
 	{"bench compare", "fail on a slowdown or allocation rise against a baseline", noExec, benchCompareFlags},
 	{"bench ab", "judge alternating base/change runs of an end-to-end workload", noExec, benchABFlags},
-	{"fleet run", "run a sharded campaign: a coordinator and N worker processes", noExec, fleetRunFlags},
-	{"fleet coordinate", "serve a campaign's coordinator for remote workers", noExec, fleetCoordinateFlags},
-	{"fleet worker", "join a coordinator and run its work units", noExec, fleetWorkerFlags},
 	{"serve", "serve the simulator over HTTP (the wtcpd service)", noExec, serveFlags},
 }
 

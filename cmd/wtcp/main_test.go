@@ -25,9 +25,31 @@ func wtcp(args ...string) (stdout, stderr string, err error) {
 	return out.String(), errOut.String(), err
 }
 
+// TestCommandLineErrors: what an operator sees for each way of holding
+// a two-word subcommand wrong.
+func TestCommandLineErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"no subcommand", nil, `unknown subcommand "bench"`},
+		{"unknown subcommand", []string{"shard"}, `unknown subcommand "bench shard"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := wtcp(append([]string{"bench"}, tc.args...)...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("wtcp bench %q = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestDispatch pins the front end itself: the usage lists every
-// subcommand, an unknown one is refused by name, and a verdict that does
-// not reproduce exits 2 from both report and repro.
+// subcommand and no fleet (a campaign runs on wtcp serve's /v1/sweep),
+// an unknown one is refused by name, and a verdict that does not
+// reproduce exits 2 from both report and repro.
 func TestDispatch(t *testing.T) {
 	var usage strings.Builder
 	if code := run([]string{"-h"}, &usage, io.Discard); code != 0 {
@@ -38,8 +60,11 @@ func TestDispatch(t *testing.T) {
 			t.Errorf("usage does not list %q:\n%s", c.name, usage.String())
 		}
 	}
+	if strings.Contains(usage.String(), "fleet") {
+		t.Errorf("usage lists a fleet subcommand:\n%s", usage.String())
+	}
 
-	for _, args := range [][]string{{"bogus"}, {"fleet", "shard"}} {
+	for _, args := range [][]string{{"bogus"}, {"fleet"}} {
 		var stderr strings.Builder
 		name := strings.Join(args, " ")
 		if code := run(args, io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), `unknown subcommand "`+name+`"`) {

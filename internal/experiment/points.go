@@ -65,12 +65,36 @@ func (s PointSpec) Key() (string, error) {
 	}
 }
 
+// maxSweepPoints bounds the grid SweepSpecs enumerates. The paper's
+// whole grid, all four sweeps on the default axes, is under 250 points;
+// a campaign manifest small enough to pass the request body limit can
+// name billions, which enumerating would exhaust memory on.
+const maxSweepPoints = 1 << 14
+
 // SweepSpecs enumerates the full point grid of the named sweeps under
 // opt in canonical order: the order the figure functions aggregate in
 // (so it fixes their output order and where a quarantine lands on the
-// Supervisor) and the order coordinator logs and snapshots follow.
+// Supervisor) and the order coordinator logs and snapshots follow. A
+// grid of more than maxSweepPoints points is refused before it is
+// enumerated.
 func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
 	opt = opt.WithDefaults()
+	wan, lan := len(opt.WANBadAxis())*len(opt.SizeAxis()), len(opt.LANBadAxis())
+	n := 0
+	for _, sweep := range sweeps {
+		switch sweep {
+		case SweepFig7, SweepFig8:
+			n += wan
+		case SweepFig9:
+			n += 2 * wan
+		case SweepLAN:
+			n += 2 * lan
+		}
+		if n > maxSweepPoints {
+			return nil, fmt.Errorf("experiment: the sweeps name over %d points (from %d sweeps, %d packet sizes and %d bad periods); split them",
+				maxSweepPoints, len(sweeps), len(opt.SizeAxis()), len(opt.WANBadAxis()))
+		}
+	}
 	var out []PointSpec
 	for _, sweep := range sweeps {
 		switch sweep {

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"wtcp/internal/atomicfile"
 	"wtcp/internal/experiment"
 )
 
@@ -21,10 +18,10 @@ import (
 // same signal that logs a slow replication inside one process triggers
 // re-dispatch across processes.
 const (
-	// DefaultLeaseTTL is how long a lease lives without renewal. Workers
-	// renew at TTL/3, so a healthy worker is never near expiry; only a
-	// dead or partitioned one lapses.
-	DefaultLeaseTTL = 10 * time.Second
+	// leaseTTL is how long a lease lives without renewal. Workers renew
+	// at TTL/3, so a healthy worker is never near expiry; only a dead or
+	// partitioned one lapses.
+	leaseTTL = 10 * time.Second
 
 	// stealFactor and stealMinSamples gate work stealing: a unit leased
 	// for more than stealFactor times the median settle time (measured
@@ -58,12 +55,6 @@ type unit struct {
 	status unitStatus
 	// holders maps live lease IDs to their grant records.
 	holders map[uint64]*lease
-	// dispatches counts every grant (first lease, reassignment, steal).
-	dispatches int
-	// lastWorker is the worker most recently involved with the unit —
-	// the settler once settled, otherwise the most recent holder — for
-	// quarantine/reassignment attribution.
-	lastWorker string
 }
 
 // lease is one live grant of a unit to a worker.
@@ -78,7 +69,6 @@ type lease struct {
 
 // workerState is what the coordinator knows about one worker.
 type workerState struct {
-	name      string
 	lastSeen  time.Time
 	health    *experiment.HealthSnapshot
 	completed int // units settled by this worker
@@ -106,8 +96,7 @@ type WorkerHealth struct {
 
 // Snapshot is the fleet-wide health aggregate: campaign progress, the
 // lease ledger's counters, and every worker's own engine heartbeat
-// (the PR-5 per-process snapshot) rolled up into one document. Written
-// atomically to the status path and served at /v1/status.
+// (the PR-5 per-process snapshot) rolled up into one document.
 type Snapshot struct {
 	Timestamp time.Time `json:"timestamp"`
 	// Campaign progress.
@@ -140,17 +129,9 @@ type Snapshot struct {
 // the ledger write that settles a point, which must be atomic with the
 // settled-state flip.
 type Coordinator struct {
-	campaign   Campaign
-	ledger     *experiment.Ledger
-	leaseTTL   time.Duration
-	statusPath string
-	logf       func(format string, args ...any)
-
-	// statusMu serializes status-file writes; statusClosed, set by Close
-	// after the final snapshot, stops a handler still in flight from
-	// writing into a directory the caller may already be removing.
-	statusMu     sync.Mutex
-	statusClosed bool
+	campaign Campaign
+	ledger   *experiment.Ledger
+	leaseTTL time.Duration
 
 	mu        sync.Mutex
 	units     map[string]*unit // by key
@@ -186,13 +167,9 @@ type CoordinatorConfig struct {
 	Campaign Campaign
 	// LedgerPath is the checkpoint file results merge into.
 	LedgerPath string
-	// StatusPath, when set, receives the fleet Snapshot (atomic
-	// write-rename) on every settle and on a poll tick.
-	StatusPath string
-	// LeaseTTL overrides DefaultLeaseTTL (tests shorten it).
-	LeaseTTL time.Duration
-	// Log receives progress lines; nil discards them.
-	Log func(format string, args ...any)
+	// leaseTTL, when positive, overrides the lease TTL (tests shorten
+	// it).
+	leaseTTL time.Duration
 }
 
 // NewCoordinator opens the ledger, enumerates the campaign's point
@@ -219,23 +196,18 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		campaign:   cfg.Campaign,
-		ledger:     ledger,
-		leaseTTL:   cfg.LeaseTTL,
-		statusPath: cfg.StatusPath,
-		logf:       cfg.Log,
-		units:      make(map[string]*unit, len(specs)),
-		leases:     map[uint64]*lease{},
-		grants:     map[uint64]*workUnit{},
-		workers:    map[string]*workerState{},
-		done:       make(chan struct{}),
-		stopSweep:  make(chan struct{}),
+		campaign:  cfg.Campaign,
+		ledger:    ledger,
+		leaseTTL:  cfg.leaseTTL,
+		units:     make(map[string]*unit, len(specs)),
+		leases:    map[uint64]*lease{},
+		grants:    map[uint64]*workUnit{},
+		workers:   map[string]*workerState{},
+		done:      make(chan struct{}),
+		stopSweep: make(chan struct{}),
 	}
 	if c.leaseTTL <= 0 {
-		c.leaseTTL = DefaultLeaseTTL
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
+		c.leaseTTL = leaseTTL
 	}
 	for _, spec := range specs {
 		key, err := spec.Key()
@@ -273,7 +245,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/lease", c.handleLease)
 	mux.HandleFunc("/v1/renew", c.handleRenew)
 	mux.HandleFunc("/v1/result", c.handleResult)
-	mux.HandleFunc("/v1/status", c.handleStatus)
 	return mux
 }
 
@@ -291,14 +262,10 @@ func (c *Coordinator) Err() error {
 	return nil
 }
 
-// Close stops the expiry sweeper, writes a final snapshot, and releases
-// the ledger lock (so the merge pass can reopen the file).
+// Close stops the expiry sweeper and releases the ledger lock (so the
+// merge pass can reopen the file).
 func (c *Coordinator) Close() {
 	c.sweepOnce.Do(func() { close(c.stopSweep) })
-	c.writeStatus()
-	c.statusMu.Lock()
-	c.statusClosed = true
-	c.statusMu.Unlock()
 	c.ledger.Close()
 }
 
@@ -332,8 +299,6 @@ func (c *Coordinator) leaseLocked(worker string) leaseReply {
 	}
 	if u := c.stealableLocked(); u != nil {
 		c.stolen++
-		c.logf("fleet: stealing %s from %s for %s (held %.1fs, median %.1fs)",
-			u.key, u.lastWorker, worker, c.oldestHoldSecLocked(u), experiment.MedianOf(c.durations))
 		return leaseReply{Unit: c.grantLocked(u, worker, true)}
 	}
 	return leaseReply{WaitMs: idleWaitMs}
@@ -411,8 +376,6 @@ func (c *Coordinator) grantLocked(u *unit, worker string, stolen bool) *workUnit
 	l := &lease{id: c.nextLease, unit: u, worker: worker, granted: now, renewed: now, stolen: stolen}
 	u.holders[l.id] = l
 	u.status = unitLeased
-	u.dispatches++
-	u.lastWorker = worker
 	c.leases[l.id] = l
 	if ws := c.workers[worker]; ws != nil {
 		ws.leases++
@@ -467,7 +430,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if req.Failure != "" {
 		if c.failure == "" {
 			c.failure = fmt.Sprintf("worker %s on %s: %s", req.Worker, req.Outcome.Key, req.Failure)
-			c.logf("fleet: fail-fast from %s: %s", req.Worker, c.failure)
 			c.doneOnce.Do(func() { close(c.done) })
 		}
 		c.mu.Unlock()
@@ -512,7 +474,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	u.status = unitSettled
 	c.settled++
-	u.lastWorker = req.Worker
 	if liveLease && l.unit == u {
 		sec := time.Since(l.granted).Seconds()
 		i, _ := slices.BinarySearch(c.durations, sec)
@@ -524,7 +485,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if ws := c.workers[req.Worker]; ws != nil {
 		ws.completed++
 	}
-	c.logf("fleet: settled %s by %s (%d/%d)", key, req.Worker, c.settled, len(c.order))
 	if c.settled == len(c.order) {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
@@ -533,7 +493,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		rep.Next = c.nextLocked(req.Lease, req.Worker)
 	}
 	c.mu.Unlock()
-	c.writeStatus()
 	writeJSON(w, rep)
 }
 
@@ -549,11 +508,6 @@ func (c *Coordinator) releaseLocked(l *lease) {
 	}
 }
 
-// handleStatus serves the fleet snapshot.
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.Snapshot())
-}
-
 // noteWorkerLocked refreshes a worker's liveness and heartbeat.
 func (c *Coordinator) noteWorkerLocked(name string, h *experiment.HealthSnapshot) {
 	if name == "" {
@@ -561,9 +515,8 @@ func (c *Coordinator) noteWorkerLocked(name string, h *experiment.HealthSnapshot
 	}
 	ws := c.workers[name]
 	if ws == nil {
-		ws = &workerState{name: name}
+		ws = &workerState{}
 		c.workers[name] = ws
-		c.logf("fleet: worker %s joined", name)
 	}
 	ws.lastSeen = time.Now()
 	if h != nil {
@@ -573,7 +526,7 @@ func (c *Coordinator) noteWorkerLocked(name string, h *experiment.HealthSnapshot
 
 // sweepExpiry retires lapsed leases every TTL/2. A unit whose last
 // lease lapsed goes back to the pending queue — this is the path that
-// recovers a SIGKILLed worker's points.
+// recovers a killed worker's points.
 func (c *Coordinator) sweepExpiry() {
 	t := time.NewTicker(c.leaseTTL / 2)
 	defer t.Stop()
@@ -591,7 +544,7 @@ func (c *Coordinator) sweepExpiry() {
 // re-queues units left holderless.
 func (c *Coordinator) expireLeases() {
 	c.mu.Lock()
-	var lines []string
+	defer c.mu.Unlock()
 	now := time.Now()
 	for _, l := range c.leases {
 		if now.Sub(l.renewed) <= c.leaseTTL {
@@ -604,17 +557,7 @@ func (c *Coordinator) expireLeases() {
 			u.status = unitPending
 			c.pending = append(c.pending, u.key)
 			c.reassigned = append(c.reassigned, Reassignment{Key: u.key, Worker: l.worker, Stolen: l.stolen})
-			lines = append(lines, fmt.Sprintf("fleet: lease on %s by %s expired; reassigning", u.key, l.worker))
-		} else {
-			lines = append(lines, fmt.Sprintf("fleet: stale lease on %s by %s expired (unit %v)", u.key, l.worker, u.status))
 		}
-	}
-	c.mu.Unlock()
-	for _, line := range lines {
-		c.logf("%s", line)
-	}
-	if len(lines) > 0 {
-		c.writeStatus()
 	}
 }
 
@@ -668,31 +611,6 @@ func (c *Coordinator) Snapshot() Snapshot {
 		snap.Workers = append(snap.Workers, wh)
 	}
 	return snap
-}
-
-// writeStatus persists the fleet snapshot to the status path by atomic
-// write-rename. No-op without a status path.
-func (c *Coordinator) writeStatus() {
-	if c.statusPath == "" {
-		return
-	}
-	c.statusMu.Lock()
-	defer c.statusMu.Unlock()
-	if c.statusClosed {
-		return
-	}
-	data, err := json.MarshalIndent(c.Snapshot(), "", "  ")
-	if err != nil {
-		c.logf("fleet: encode status: %v", err)
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(c.statusPath), 0o755); err != nil {
-		c.logf("fleet: status dir: %v", err)
-		return
-	}
-	if err := atomicfile.Write(c.statusPath, append(data, '\n')); err != nil {
-		c.logf("fleet: write status: %v", err)
-	}
 }
 
 // writeJSON encodes v as the response body.

@@ -1,6 +1,12 @@
 // Package fleet distributes a sweep campaign across workers without
 // giving up any guarantee the single-process engine provides.
 //
+// A user runs a campaign by POSTing its manifest (Campaign, the one
+// manifest type) to wtcpd's /v1/sweep (internal/serve). The
+// coordinator/worker pair here has no command of its own: it is the
+// remote executor the measurement spine's wan_ladder fleet rung times
+// (bench/wan.go), through RunLocal, NewCoordinator and RunWorker.
+//
 // The shape is coordinator/worker over plain HTTP+JSON: the coordinator
 // enumerates a campaign's point grid (experiment.SweepSpecs), shards it
 // into work units, and leases units to workers; each worker executes
@@ -14,7 +20,7 @@
 // The robustness machinery is the point of the package:
 //
 //   - Leases expire. A worker holds a unit only while its heartbeat
-//     (lease renewal) keeps arriving; a SIGKILLed, hung, or partitioned
+//     (lease renewal) keeps arriving; a killed, hung, or partitioned
 //     worker stops renewing, the lease lapses, and the unit returns to
 //     the queue for reassignment. Nothing is lost.
 //   - The ledger is the exactly-once boundary. Dispatch is at-least-once
@@ -33,9 +39,6 @@
 //     pathological points quarantine through the same per-point circuit
 //     breaker as the sequential engine, with the holding worker recorded
 //     for the report's attribution table.
-//   - Chaos is injectable. chaos.FleetFaults drops, duplicates, and
-//     delays renewals and result posts, and kills a live worker, to
-//     prove the above under fault rather than by argument.
 package fleet
 
 import (

@@ -5,26 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"wtcp/internal/experiment"
 )
-
-// TestMain doubles as the subprocess-worker entry point: when the
-// harness env var is set, the test binary runs a fleet worker instead
-// of the test suite (the crash tests re-exec the binary this way so a
-// SIGKILL hits a real process, not a goroutine). runTestWorker lives in
-// crash_test.go (unix-only).
-func TestMain(m *testing.M) {
-	if os.Getenv("WTCP_FLEET_TEST_WORKER") == "1" {
-		runTestWorker()
-		return
-	}
-	os.Exit(m.Run())
-}
 
 // quickCampaign is a four-point campaign small enough for unit tests.
 func quickCampaign() Campaign {
@@ -49,6 +36,10 @@ func TestCampaignValidation(t *testing.T) {
 		{"tiny packet", `{"sweeps": ["fig7"], "packet_sizes": [8]}`, "40-byte"},
 		{"bad duration", `{"sweeps": ["fig7"], "bad_periods": ["soon"]}`, "bad_periods[0]"},
 		{"negative reps", `{"sweeps": ["fig7"], "replications": -1}`, "negative"},
+		// 200 sizes x 200 bad periods x 2 schemes: refused before the
+		// grid is enumerated, as a body of billions of points would be.
+		{"oversize grid", `{"sweeps": ["fig9"], "packet_sizes": [` + strings.Repeat("41,", 199) + `41], "bad_periods": ["1s"` +
+			strings.Repeat(`, "1s"`, 199) + `]}`, "over 16384 points"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,8 +74,7 @@ func testCoordinator(t *testing.T, c Campaign, ttl time.Duration) (*Coordinator,
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Campaign:   c,
 		LedgerPath: filepath.Join(t.TempDir(), "ledger.json"),
-		LeaseTTL:   ttl,
-		Log:        t.Logf,
+		leaseTTL:   ttl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,7 +394,7 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 	c := quickCampaign()
 
 	// First campaign: settle two of four units, then stop.
-	coord1, err := NewCoordinator(CoordinatorConfig{Campaign: c, LedgerPath: ledger, Log: t.Logf})
+	coord1, err := NewCoordinator(CoordinatorConfig{Campaign: c, LedgerPath: ledger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +450,7 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 // testCoordinatorAt is testCoordinator with an explicit ledger path.
 func testCoordinatorAt(t *testing.T, c Campaign, ledger string) (*Coordinator, func(path string, req, out any)) {
 	t.Helper()
-	coord, err := NewCoordinator(CoordinatorConfig{Campaign: c, LedgerPath: ledger, Log: t.Logf})
+	coord, err := NewCoordinator(CoordinatorConfig{Campaign: c, LedgerPath: ledger})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func FuzzFleetBodies(f *testing.F) {
 		coord, err := NewCoordinator(CoordinatorConfig{
 			Campaign:   quickCampaign(),
 			LedgerPath: filepath.Join(t.TempDir(), "ledger.ckpt"),
-			LeaseTTL:   time.Minute,
+			leaseTTL:   time.Minute,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,13 +2,19 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"wtcp/internal/chaos"
 	"wtcp/internal/experiment"
 )
 
@@ -61,7 +67,6 @@ func TestShardedMatchesSequential(t *testing.T) {
 		Campaign:   c,
 		Workers:    3,
 		LedgerPath: ledger,
-		Log:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +116,42 @@ func renderTput(ps []experiment.ThroughputPoint) string {
 	return out
 }
 
+// faultyRPCs is a worker's transport under boundary chaos: it delivers
+// every result post twice, returning the second reply (a client that
+// retried after losing the first), and drops renewals with probability
+// dropRenew before delivery. Its draws come from a seeded RNG.
+type faultyRPCs struct {
+	dropRenew float64
+	mu        sync.Mutex
+	rng       *rand.Rand
+}
+
+func (f *faultyRPCs) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch {
+	case strings.HasSuffix(req.URL.Path, "/v1/renew"):
+		f.mu.Lock()
+		drop := f.rng.Float64() < f.dropRenew
+		f.mu.Unlock()
+		if drop {
+			return nil, errors.New("dropped renewal")
+		}
+	case strings.HasSuffix(req.URL.Path, "/v1/result"):
+		// The worker's request bodies are byte readers, which
+		// http.NewRequest makes replayable through GetBody.
+		dup := req.Clone(req.Context())
+		var err error
+		if dup.Body, err = req.GetBody(); err != nil {
+			return nil, err
+		}
+		first, err := http.DefaultTransport.RoundTrip(dup)
+		if err != nil {
+			return nil, err
+		}
+		first.Body.Close()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestChaoticBoundaryStillExact injects heavy RPC faults — every result
 // post duplicated, renewals dropped half the time — and asserts the
 // campaign still completes with every point counted exactly once and
@@ -120,26 +161,42 @@ func TestChaoticBoundaryStillExact(t *testing.T) {
 	wantFig7, wantLAN := sequentialResults(t, c, "")
 
 	ledger := filepath.Join(t.TempDir(), "ledger.json")
-	snap, err := RunLocal(context.Background(), LocalOptions{
-		Campaign:   c,
-		Workers:    3,
-		LedgerPath: ledger,
-		LeaseTTL:   time.Second,
-		Faults: &chaos.FleetFaults{
-			Renew:  chaos.RPCFaults{DropProb: 0.5},
-			Result: chaos.RPCFaults{DupProb: 1.0},
-			Seed:   7,
-		},
-		Log: t.Logf,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Campaign: c, LedgerPath: ledger, leaseTTL: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			client := &http.Client{Transport: &faultyRPCs{dropRenew: 0.5, rng: rand.New(rand.NewSource(int64(7 + i)))}}
+			if err := RunWorker(ctx, WorkerConfig{Name: fmt.Sprintf("worker-%d", i), Coordinator: ts.URL, HTTPClient: client}); err != nil && ctx.Err() == nil {
+				t.Errorf("worker-%d: %v", i, err)
+			}
+		}(i)
+	}
+	select {
+	case <-coord.Done():
+	case <-time.After(2 * time.Minute):
+		t.Fatal("campaign never finished under chaos")
+	}
+	cancel()
+	wg.Wait()
+	if err := coord.Err(); err != nil {
+		t.Fatal(err)
+	}
+	snap := coord.Snapshot()
+	coord.Close()
 	if snap.Settled != 4 {
 		t.Fatalf("campaign settled %d/4 under chaos", snap.Settled)
 	}
 	if snap.Duplicates == 0 {
-		t.Error("dup_prob=1 on result posts produced no coordinator-side duplicate drops")
+		t.Error("duplicated result posts produced no coordinator-side duplicate drops")
 	}
 
 	opt, err := c.Options()
@@ -160,17 +217,14 @@ func TestChaoticBoundaryStillExact(t *testing.T) {
 	}
 }
 
-// TestFleetStatusSnapshot checks the fleet health file aggregates the
-// workers' engine heartbeats.
+// TestFleetStatusSnapshot checks the fleet snapshot RunLocal returns
+// aggregates the heartbeats the workers piggyback on their RPCs.
 func TestFleetStatusSnapshot(t *testing.T) {
 	c := integrationCampaign()
-	dir := t.TempDir()
 	snap, err := RunLocal(context.Background(), LocalOptions{
 		Campaign:   c,
 		Workers:    2,
-		LedgerPath: filepath.Join(dir, "ledger.json"),
-		StatusPath: filepath.Join(dir, "fleet-status.json"),
-		Log:        t.Logf,
+		LedgerPath: filepath.Join(t.TempDir(), "ledger.json"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 	"wtcp/internal/experiment"
 )
 
-// Wire protocol between coordinator and workers: five JSON-over-HTTP
+// Wire protocol between coordinator and workers: four JSON-over-HTTP
 // endpoints rooted at the coordinator's base URL.
 //
 //	GET  /v1/campaign  -> Campaign        (workers fetch the manifest)
@@ -16,7 +16,6 @@ import (
 //	POST /v1/renew     -> renewReply      (heartbeat a held lease)
 //	POST /v1/result    -> resultReply     (deliver a unit's outcome and,
 //	                                       with next, get the next grant)
-//	GET  /v1/status    -> Snapshot        (fleet health aggregate)
 //
 // The protocol is deliberately boring — request/response, no streaming,
 // no worker-side server — because every robustness property lives in

@@ -34,18 +34,9 @@ type WorkerConfig struct {
 	// piggyback on every RPC so the coordinator's fleet snapshot stays
 	// current. RunWorker threads it into the engine via Options.Health.
 	Health *experiment.Health
-	// HTTPClient overrides the transport (the local runner injects the
-	// chaos RoundTripper here); nil uses a plain client.
+	// HTTPClient overrides the transport (a caller can wrap the RPCs in
+	// its own RoundTripper); nil uses a plain client.
 	HTTPClient *http.Client
-	// Log receives progress lines; nil discards them.
-	Log func(format string, args ...any)
-	// BeforeResult and AfterResult are test seams invoked around the
-	// result post for a key (crash-injection hooks; see the SIGKILL
-	// acceptance tests); AfterResult learns whether the coordinator
-	// dropped the post as a duplicate (another holder settled the key
-	// first) rather than counting it. Nil is ignored.
-	BeforeResult func(key string)
-	AfterResult  func(key string, duplicate bool)
 }
 
 // RunWorker joins the fleet at cfg.Coordinator and processes work units
@@ -66,9 +57,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{}
-	}
-	if cfg.Log == nil {
-		cfg.Log = func(string, ...any) {}
 	}
 
 	campaign, err := fetchCampaign(ctx, cfg)
@@ -106,7 +94,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 		switch {
 		case rep.Done:
-			cfg.Log("fleet: worker %s: campaign done", cfg.Name)
 			return nil
 		case rep.Unit == nil:
 			wait := time.Duration(rep.WaitMs) * time.Millisecond
@@ -138,7 +125,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // the next grant, which it returns (nil when the unit was abandoned or
 // the reply carries none).
 func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *workUnit) (*leaseReply, error) {
-	cfg.Log("fleet: worker %s: leased %s (lease %d, stolen=%v)", cfg.Name, u.Key, u.Lease, u.Stolen)
 	unitCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -162,7 +148,6 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 					// Lease gone: abandon the unit. cancel() below makes
 					// the engine return ctx.Canceled and runUnit skips the
 					// post.
-					cfg.Log("fleet: worker %s: lease %d on %s rejected; abandoning", cfg.Name, u.Lease, u.Key)
 					abandoned.Store(true)
 					cancel()
 					return
@@ -205,21 +190,10 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 		return nil, fmt.Errorf("fleet: worker %s: %w", cfg.Name, runErr)
 	}
 
-	if cfg.BeforeResult != nil {
-		cfg.BeforeResult(u.Key)
-	}
 	req := resultRequest{Worker: cfg.Name, Lease: u.Lease, Outcome: outcome, Health: healthOf(cfg), Next: true}
 	var rep resultReply
 	if err := callJSON(ctx, cfg, "/v1/result", req, &rep); err != nil {
 		return nil, fmt.Errorf("fleet: worker %s: post result of %s: %w", cfg.Name, u.Key, err)
-	}
-	if rep.Duplicate {
-		cfg.Log("fleet: worker %s: %s already settled (duplicate dropped)", cfg.Name, u.Key)
-	} else {
-		cfg.Log("fleet: worker %s: settled %s", cfg.Name, u.Key)
-	}
-	if cfg.AfterResult != nil {
-		cfg.AfterResult(u.Key, rep.Duplicate)
 	}
 	if rep.Next != nil {
 		if err := rep.Next.check(); err != nil {
@@ -240,7 +214,7 @@ func healthOf(cfg WorkerConfig) *experiment.HealthSnapshot {
 }
 
 // fetchCampaign retrieves the manifest from the coordinator, retrying
-// through startup races (worker process up before the listener).
+// through startup races (a remote worker up before the listener).
 func fetchCampaign(ctx context.Context, cfg WorkerConfig) (Campaign, error) {
 	var lastErr error
 	for attempt := 0; attempt < rpcMaxAttempts; attempt++ {

@@ -1,7 +1,8 @@
 // Package scenario holds the JSON plumbing shared by scenario-shaped
-// inputs: wtcp sim scenario files and wtcp fleet campaign manifests
-// both embed the same human-readable budget block, so its schema and
-// validation live here once instead of drifting per CLI.
+// inputs: wtcp sim scenario files and the campaign manifests wtcpd's
+// /v1/sweep takes both embed the same human-readable budget block, so
+// its schema and validation live here once instead of drifting per
+// input.
 package scenario
 
 import (

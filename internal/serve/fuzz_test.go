@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"wtcp/internal/fleet"
 	"wtcp/internal/recordlog"
 	"wtcp/internal/scenario"
 )
@@ -56,6 +58,80 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if again := RunFingerprint(sf, req.Replications); again != fp {
 			t.Fatalf("fingerprint unstable: %s vs %s", fp, again)
+		}
+	})
+}
+
+// FuzzSweepRequest fuzzes the one campaign entry point, the /v1/sweep
+// decoder, end to end (ParseSweepRequest -> fleet.ParseCampaign ->
+// Validate and Specs), under the contract FuzzLedgerLoad holds: refuse
+// with a named error or load, never panic. An accepted campaign names a
+// non-empty grid within the request caps, and it re-encodes to a byte
+// fixed point that parses back to the same SweepFingerprint. The seeds
+// are the README's manifest, the measurement spine's wan_ladder campaign
+// (full and smoke) and known refusals.
+func FuzzSweepRequest(f *testing.F) {
+	for _, c := range []string{
+		`{"sweeps": ["fig7", "lan"], "replications": 10, "transfer_kb": 1000, "bad_periods": ["1s", "4s"]}`,
+		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000}`,
+		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000,"packet_sizes":[256,1024],"bad_periods":["1s","4s"]}`,
+		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"supervise":true,"workers":3,` +
+			`"budget":{"max_events":3000,"wall_clock":"off"}}`,
+		`{"sweeps":[]}`,
+		`{"sweeps":["fig99"]}`,
+		`{"sweeps":["fig7"],"replications":65}`,
+		`{"sweeps":["fig7"],"packet_sizes":[40]}`,
+		`{"sweeps":["fig7"],"bad_periods":["-1s"]}`,
+		`{"sweeps":["fig7"],"budget":{"wall_clock":"soon"}}`,
+		`{"sweeps":["fig7"],"replicatoins":3}`,
+		`null`,
+	} {
+		f.Add([]byte(`{"campaign":` + c + `}`))
+		f.Add([]byte(`{"campaign":` + c + `,"deadline_ms":500}`))
+	}
+	f.Add([]byte(`{"campaign":{"sweeps":["fig7"]},"deadline_ms":-1}`))
+	f.Add([]byte(`{"campaign":{"sweeps":["fig7"]}} trailing`))
+	f.Add([]byte(`{"scenario":{"preset":"wan"}}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+	// A grid far past the point cap: refused before it is enumerated.
+	f.Add([]byte(`{"campaign":{"sweeps":["fig9"],"packet_sizes":[` + strings.Repeat("41,", 199) + `41],` +
+		`"bad_periods":["1s"` + strings.Repeat(`,"1s"`, 199) + `]}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, c, err := ParseSweepRequest(data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "serve: ") {
+				t.Fatalf("refusal %q does not name its source", err)
+			}
+			return
+		}
+		if req.DeadlineMS < 0 || c.Replications < 0 || c.Replications > MaxReplications {
+			t.Fatalf("accepted deadline_ms %d, replications %d", req.DeadlineMS, c.Replications)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted a campaign Validate refuses: %v", err)
+		}
+		if specs, err := c.Specs(); err != nil || len(specs) == 0 {
+			t.Fatalf("accepted a campaign with %d specs (%v)", len(specs), err)
+		}
+		fp := SweepFingerprint(c)
+		if !validFingerprint(fp) {
+			t.Fatalf("fingerprint %q is not a sha256 hex digest", fp)
+		}
+		enc, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := fleet.ParseCampaign(enc)
+		if err != nil {
+			t.Fatalf("re-encoded campaign %s is refused: %v", enc, err)
+		}
+		if fp2 := SweepFingerprint(again); fp2 != fp {
+			t.Fatalf("fingerprint moved on re-encoding %s: %s vs %s", enc, fp, fp2)
+		}
+		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", enc, enc2)
 		}
 	})
 }

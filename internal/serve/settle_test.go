@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"wtcp/internal/experiment"
+	"wtcp/internal/fleet"
 )
 
 // TestQueuedRequestBeatsBorrower pins the admission rule a sweep's
@@ -140,6 +146,72 @@ func TestSweepSameBytesOnOneAndTwoSlots(t *testing.T) {
 	}
 	if len(resp.Points) != 96 {
 		t.Errorf("Fig 7 + 8 sweep answered %d points, want 96", len(resp.Points))
+	}
+}
+
+// TestSweepMatchesSequentialEngine: a campaign sent to /v1/sweep carries,
+// point by point, the replication values the sequential engine computes
+// for the same figures at one worker, bit for bit, on a one-slot and a
+// two-slot server alike. The reference is experiment.Fig7 and Fig8 at
+// Workers 1, read back from the checkpoint they write.
+func TestSweepMatchesSequentialEngine(t *testing.T) {
+	manifest := `{"sweeps":["fig7","fig8"],"replications":2,"base_seed":5,"transfer_kb":40,"packet_sizes":[256,1024],"bad_periods":["1s","4s"]}`
+	c, err := fleet.ParseCampaign([]byte(manifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := c.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Workers = 1
+	opt.Checkpoint = filepath.Join(t.TempDir(), "sequential.ckpt")
+	if _, err := experiment.Fig7(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiment.Fig8(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	led, err := experiment.OpenLedger(opt.Checkpoint, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	specs, err := c.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, slots := range []int{1, 2} {
+		code, body, _ := settleOnSlots(t, slots, http.MethodPost, "/v1/sweep", []byte(`{"campaign":`+manifest+`}`))
+		if code != http.StatusOK {
+			t.Fatalf("%d slots: HTTP %d: %s", slots, code, body)
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Points) != len(specs) || len(specs) != 8 {
+			t.Fatalf("%d slots: %d points for %d specs, want 8", slots, len(resp.Points), len(specs))
+		}
+		for i, p := range resp.Points {
+			key, _ := specs[i].Key()
+			want, ok := led.Reps(key)
+			if p.Key != key || !ok || len(p.Replications) != len(want) {
+				t.Fatalf("%d slots: point %d is %s with %d reps; the engine has %s with %d (found %v)",
+					slots, i, p.Key, len(p.Replications), key, len(want), ok)
+			}
+			for r, rep := range p.Replications {
+				got := make([]uint64, len(rep.Values))
+				for k, v := range rep.Values {
+					got[k] = math.Float64bits(v)
+				}
+				if rep.Seed != want[r].Seed || !slices.Equal(got, want[r].Values) {
+					t.Errorf("%d slots: %s rep %d is seed %d %x; the engine's is seed %d %x",
+						slots, key, r, rep.Seed, got, want[r].Seed, want[r].Values)
+				}
+			}
+		}
 	}
 }
 
