@@ -42,9 +42,13 @@ budget-smoke:
 # racing evictions and compaction, and the data-directory lock — and the
 # sweep's borrowed slots: queued requests first, the same bytes at one
 # and two slots, the first error in spec order — and a campaign's answer
-# bit-identical to the sequential engine's Fig 7 + 8 at one worker.
+# bit-identical to the sequential engine's Fig 7 + 8 at one worker — and
+# the content addresses: run and sweep identity under re-spelling, a
+# campaign refused for a repeated value, and the seed corpora of the
+# campaign decoder and journal replay fuzzers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder|TestSweepMatchesSequentialEngine' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
+	$(GO) test -race -run 'TestCampaignRefusesRepeats' ./internal/experiment/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos
 # loss/dup/reorder, the old-vs-new differential pin, and the pins
@@ -76,12 +80,12 @@ scale-pins:
 # and cross-protocol metamorphic orderings, the snoop cache property
 # grid and Tahoe/Reno differential pin, the streaming-oracle == replay
 # differential over the zoo, the full variant x scheme study grid, and
-# the split-connection oracle run.
+# the split-connection oracle run. The goldens themselves are
+# TestCommittedGoldensMatch's, in the full suite.
 zoo-smoke:
 	$(GO) test -race -run 'TestTahoeProfileRegression|TestProfilePrefixes|TestGoodputOrderingUnderRandomLoss|TestSnoopAtLeastUnassistedBaseline' ./internal/oracle/
 	$(GO) test -race -run 'TestSnoopPropertiesUnderChaos|TestSnoopChaosDeterminism|TestVariantsIdenticalWithoutLoss|TestTahoeRenoDivergeAtFastRetransmit|TestOracleOnSplitConnection|TestStreamingEqualsReplay' ./internal/core/
 	$(GO) test -race -run 'TestZooStudyGrid' ./internal/experiment/
-	$(GO) test -race -run 'TestLegacyGoldensSurviveZooRefactor' ./cmd/wtcp/
 
 # Packet-lifetime gate, under -race: the pool property grid (chaos x
 # seeds x schemes x presets: no lifetime fault, zero live packets after
@@ -289,11 +293,12 @@ FUZZ_TARGETS = \
 	./internal/sim:FuzzKernelOps \
 	./internal/fleet:FuzzFleetBodies \
 	./internal/serve:FuzzSweepRequest \
+	./internal/serve:FuzzJournalReplay \
 	./cmd/wtcp:FuzzBenchBaseline \
 	./cmd/wtcp:FuzzBenchABRuns \
 	./internal/errmodel:FuzzMarkovQueries \
 	./internal/trace:FuzzGoldenDecode
-FUZZ_MINIMIZE = FuzzRecordLogScan FuzzGoldenDecode
+FUZZ_MINIMIZE = FuzzRecordLogScan FuzzGoldenDecode FuzzJournalReplay
 FUZZTIME ?= 30s
 fuzz-smoke: FUZZTIME = 10s
 fuzz fuzz-smoke:

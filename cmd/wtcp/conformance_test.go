@@ -102,44 +102,6 @@ func TestCompareDetectsTampering(t *testing.T) {
 	}
 }
 
-// TestLegacyGoldensSurviveZooRefactor pins the four goldens that predate
-// the protocol zoo (Tahoe sender, ARQ/EBSN base station) byte-for-byte:
-// the zoo's variant plumbing, the oracle's profile split, and the Snoop
-// hooks must leave every pre-existing scenario's trace untouched. A
-// failure here means the refactor changed committed protocol behaviour,
-// not just added to it.
-func TestLegacyGoldensSurviveZooRefactor(t *testing.T) {
-	legacy := map[string]bool{
-		"wan-basic": true, "wan-ebsn": true, "lan-local": true, "lan-ebsn": true,
-	}
-	seen := 0
-	for _, g := range goldens {
-		if !legacy[g.name] {
-			continue
-		}
-		seen++
-		t.Run(g.name, func(t *testing.T) {
-			cfg := g.build()
-			cfg.CollectTrace = true
-			cfg.Oracle = true
-			res, err := core.Run(cfg)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "goldens", g.name+".golden"))
-			if err != nil {
-				t.Fatalf("missing golden: %v", err)
-			}
-			if res.Trace.Encode() != string(want) {
-				t.Fatalf("legacy golden %s drifted: the zoo refactor changed pre-existing protocol behaviour", g.name)
-			}
-		})
-	}
-	if seen != len(legacy) {
-		t.Fatalf("found %d of %d legacy scenarios in the scenario list", seen, len(legacy))
-	}
-}
-
 // TestMissingGoldenIsAnError keeps the gate honest on fresh checkouts: a
 // missing golden must fail, not silently pass.
 func TestMissingGoldenIsAnError(t *testing.T) {

@@ -67,64 +67,36 @@ type lease struct {
 	stolen  bool
 }
 
-// workerState is what the coordinator knows about one worker.
-type workerState struct {
-	lastSeen  time.Time
-	health    *experiment.HealthSnapshot
-	completed int // units settled by this worker
-	leases    int // live leases held
-}
-
 // Reassignment records one lease that expired and sent its unit back to
 // the queue — the audit trail for "which worker lost which point".
 type Reassignment struct {
-	Key    string `json:"key"`
-	Worker string `json:"worker"`
+	Key    string
+	Worker string
 	// Stolen distinguishes a straggler steal (original holder was still
 	// renewing) from an expiry (holder went silent).
-	Stolen bool `json:"stolen,omitempty"`
+	Stolen bool
 }
 
-// WorkerHealth is one worker's slice of the fleet snapshot.
-type WorkerHealth struct {
-	Name        string                     `json:"name"`
-	LastSeenSec float64                    `json:"last_seen_sec"`
-	Completed   int                        `json:"completed"`
-	Leases      int                        `json:"leases"`
-	Health      *experiment.HealthSnapshot `json:"health,omitempty"`
+// WorkerProgress is one worker's share of the settled units.
+type WorkerProgress struct {
+	Name      string
+	Completed int
 }
 
-// Snapshot is the fleet-wide health aggregate: campaign progress, the
-// lease ledger's counters, and every worker's own engine heartbeat
-// (the PR-5 per-process snapshot) rolled up into one document.
+// Snapshot is the fleet's progress: the campaign's units, the lease
+// ledger's robustness counters, and each worker's settled units.
 type Snapshot struct {
-	Timestamp time.Time `json:"timestamp"`
-	// Campaign progress.
-	TotalUnits  int `json:"total_units"`
-	Settled     int `json:"settled"`
-	Pending     int `json:"pending"`
-	Leased      int `json:"leased"`
-	Quarantined int `json:"quarantined"`
-	// Robustness counters.
-	Expired     int            `json:"expired"`
-	Stolen      int            `json:"stolen"`
-	Duplicates  int            `json:"duplicates"`
-	LateResults int            `json:"late_results"`
-	Reassigned  []Reassignment `json:"reassigned,omitempty"`
-	// Aggregates over worker heartbeats.
-	Completed       uint64         `json:"completed"`
-	Failed          uint64         `json:"failed"`
-	Retried         uint64         `json:"retried"`
-	EventsProcessed uint64         `json:"events_processed"`
-	EventsPerSec    float64        `json:"events_per_sec"`
-	Workers         []WorkerHealth `json:"workers,omitempty"`
+	TotalUnits, Settled, Leased, Quarantined int
+	Expired, Stolen, Duplicates, LateResults int
+	Reassigned                               []Reassignment
+	Workers                                  []WorkerProgress
 	// Failure is the fail-fast error that ended the campaign, if any.
-	Failure string `json:"failure,omitempty"`
+	Failure string
 }
 
 // Coordinator shards a campaign across workers. It owns the ledger (the
 // exactly-once record), the lease table (the at-least-once dispatcher),
-// and the fleet health snapshot. All HTTP handlers and the expiry
+// and the fleet's progress snapshot. All HTTP handlers and the expiry
 // sweeper serialize on mu; handlers do no I/O while holding it except
 // the ledger write that settles a point, which must be atomic with the
 // settled-state flip.
@@ -141,8 +113,9 @@ type Coordinator struct {
 	nextLease uint64
 	// grants holds, by the lease a result post delivered, the unit that
 	// post was granted: a duplicate or retry of the post gets it again.
-	grants  map[uint64]*workUnit
-	workers map[string]*workerState
+	grants map[uint64]*workUnit
+	// completed counts, by every worker seen, the units it settled.
+	completed map[string]int
 	// settled counts units in unitSettled, so the lease and result
 	// handlers need not walk every unit per RPC.
 	settled int
@@ -202,7 +175,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		units:     make(map[string]*unit, len(specs)),
 		leases:    map[uint64]*lease{},
 		grants:    map[uint64]*workUnit{},
-		workers:   map[string]*workerState{},
+		completed: map[string]int{},
 		done:      make(chan struct{}),
 		stopSweep: make(chan struct{}),
 	}
@@ -284,7 +257,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.noteWorkerLocked(req.Worker, req.Health)
+	c.noteWorkerLocked(req.Worker)
 	writeJSON(w, c.leaseLocked(req.Worker))
 }
 
@@ -377,9 +350,6 @@ func (c *Coordinator) grantLocked(u *unit, worker string, stolen bool) *workUnit
 	u.holders[l.id] = l
 	u.status = unitLeased
 	c.leases[l.id] = l
-	if ws := c.workers[worker]; ws != nil {
-		ws.leases++
-	}
 	return &workUnit{
 		Lease:  l.id,
 		Key:    u.key,
@@ -400,7 +370,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.noteWorkerLocked(req.Worker, req.Health)
+	c.noteWorkerLocked(req.Worker)
 	l, ok := c.leases[req.Lease]
 	if !ok || l.unit.status == unitSettled {
 		writeJSON(w, renewReply{OK: false})
@@ -425,7 +395,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	c.noteWorkerLocked(req.Worker, req.Health)
+	c.noteWorkerLocked(req.Worker)
 
 	if req.Failure != "" {
 		if c.failure == "" {
@@ -482,8 +452,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	for id := range u.holders {
 		c.releaseLocked(c.leases[id])
 	}
-	if ws := c.workers[req.Worker]; ws != nil {
-		ws.completed++
+	if req.Worker != "" {
+		c.completed[req.Worker]++
 	}
 	if c.settled == len(c.order) {
 		c.doneOnce.Do(func() { close(c.done) })
@@ -503,24 +473,12 @@ func (c *Coordinator) releaseLocked(l *lease) {
 	}
 	delete(c.leases, l.id)
 	delete(l.unit.holders, l.id)
-	if ws := c.workers[l.worker]; ws != nil && ws.leases > 0 {
-		ws.leases--
-	}
 }
 
-// noteWorkerLocked refreshes a worker's liveness and heartbeat.
-func (c *Coordinator) noteWorkerLocked(name string, h *experiment.HealthSnapshot) {
-	if name == "" {
-		return
-	}
-	ws := c.workers[name]
-	if ws == nil {
-		ws = &workerState{}
-		c.workers[name] = ws
-	}
-	ws.lastSeen = time.Now()
-	if h != nil {
-		ws.health = h
+// noteWorkerLocked registers a worker the first time it calls.
+func (c *Coordinator) noteWorkerLocked(name string) {
+	if _, seen := c.completed[name]; !seen && name != "" {
+		c.completed[name] = 0
 	}
 }
 
@@ -561,14 +519,12 @@ func (c *Coordinator) expireLeases() {
 	}
 }
 
-// Snapshot aggregates campaign progress, robustness counters, and every
-// worker's engine heartbeat into the fleet health document.
+// Snapshot reports campaign progress, robustness counters, and every
+// worker's settled units, workers by name.
 func (c *Coordinator) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
 	snap := Snapshot{
-		Timestamp:   now,
 		TotalUnits:  len(c.order),
 		Settled:     c.settled,
 		Quarantined: len(c.ledger.Quarantined()),
@@ -580,36 +536,14 @@ func (c *Coordinator) Snapshot() Snapshot {
 		Failure:     c.failure,
 	}
 	for _, u := range c.units {
-		switch u.status {
-		case unitPending:
-			snap.Pending++
-		case unitLeased:
+		if u.status == unitLeased {
 			snap.Leased++
 		}
 	}
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
+	for name, n := range c.completed {
+		snap.Workers = append(snap.Workers, WorkerProgress{Name: name, Completed: n})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws := c.workers[name]
-		wh := WorkerHealth{
-			Name:        name,
-			LastSeenSec: now.Sub(ws.lastSeen).Seconds(),
-			Completed:   ws.completed,
-			Leases:      ws.leases,
-			Health:      ws.health,
-		}
-		if h := ws.health; h != nil {
-			snap.Completed += h.Completed
-			snap.Failed += h.Failed
-			snap.Retried += h.Retried
-			snap.EventsProcessed += h.EventsProcessed
-			snap.EventsPerSec += h.EventsPerSec
-		}
-		snap.Workers = append(snap.Workers, wh)
-	}
+	sort.Slice(snap.Workers, func(i, k int) bool { return snap.Workers[i].Name < snap.Workers[k].Name })
 	return snap
 }
 

@@ -43,9 +43,9 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseCampaign([]byte(tc.json))
+			_, err := experiment.ParseCampaign([]byte(tc.json))
 			if err == nil {
-				t.Fatalf("ParseCampaign(%s) accepted", tc.json)
+				t.Fatalf("experiment.ParseCampaign(%s) accepted", tc.json)
 			}
 			if !bytes.Contains([]byte(err.Error()), []byte(tc.want)) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
@@ -53,7 +53,7 @@ func TestCampaignValidation(t *testing.T) {
 		})
 	}
 
-	c, err := ParseCampaign([]byte(`{"sweeps": ["fig7", "lan"], "replications": 3, "transfer_kb": 20, "bad_periods": ["1s"]}`))
+	c, err := experiment.ParseCampaign([]byte(`{"sweeps": ["fig7", "lan"], "replications": 3, "transfer_kb": 20, "bad_periods": ["1s"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

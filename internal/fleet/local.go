@@ -6,8 +6,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-
-	"wtcp/internal/experiment"
 )
 
 // LocalOptions configures RunLocal.
@@ -60,7 +58,6 @@ func RunLocal(ctx context.Context, lo LocalOptions) (Snapshot, error) {
 			RunWorker(workerCtx, WorkerConfig{
 				Name:        fmt.Sprintf("worker-%d", i),
 				Coordinator: url,
-				Health:      experiment.NewHealth(),
 			})
 		}(i)
 	}

@@ -49,12 +49,9 @@ type workUnit struct {
 	Stolen bool `json:"stolen,omitempty"`
 }
 
-// leaseRequest asks for work. Health piggybacks the worker's engine
-// heartbeat so the coordinator's fleet snapshot stays current without a
-// separate telemetry channel.
+// leaseRequest asks for work.
 type leaseRequest struct {
-	Worker string                     `json:"worker"`
-	Health *experiment.HealthSnapshot `json:"health,omitempty"`
+	Worker string `json:"worker"`
 }
 
 // leaseReply grants a unit, asks the worker to wait, or ends the
@@ -73,9 +70,8 @@ type leaseReply struct {
 
 // renewRequest heartbeats a held lease.
 type renewRequest struct {
-	Worker string                     `json:"worker"`
-	Lease  uint64                     `json:"lease"`
-	Health *experiment.HealthSnapshot `json:"health,omitempty"`
+	Worker string `json:"worker"`
+	Lease  uint64 `json:"lease"`
 }
 
 // renewReply extends the lease or tells the worker to abandon the unit
@@ -94,8 +90,7 @@ type resultRequest struct {
 	// Failure carries a fail-fast error (protocol bug, panic): the
 	// campaign must stop, not retry, exactly as the sequential engine
 	// would.
-	Failure string                     `json:"failure,omitempty"`
-	Health  *experiment.HealthSnapshot `json:"health,omitempty"`
+	Failure string `json:"failure,omitempty"`
 	// Next asks for the worker's next grant in the reply, saving the
 	// /v1/lease round trip.
 	Next bool `json:"next,omitempty"`

@@ -30,9 +30,8 @@ type WorkerConfig struct {
 	Name string
 	// Coordinator is the coordinator's base URL ("http://127.0.0.1:7070").
 	Coordinator string
-	// Health, when set, is the worker's engine heartbeat; snapshots
-	// piggyback on every RPC so the coordinator's fleet snapshot stays
-	// current. RunWorker threads it into the engine via Options.Health.
+	// Health, when set, collects the worker's engine telemetry;
+	// RunWorker threads it into the engine via Options.Health.
 	Health *experiment.Health
 	// HTTPClient overrides the transport (a caller can wrap the RPCs in
 	// its own RoundTripper); nil uses a plain client.
@@ -74,7 +73,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 
 	lease := func() (leaseReply, error) {
 		var rep leaseReply
-		err := callJSON(ctx, cfg, "/v1/lease", leaseRequest{Worker: cfg.Name, Health: healthOf(cfg)}, &rep)
+		err := callJSON(ctx, cfg, "/v1/lease", leaseRequest{Worker: cfg.Name}, &rep)
 		if err == nil {
 			err = rep.check()
 		}
@@ -143,7 +142,7 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 				return
 			case <-t.C:
 				var rep renewReply
-				err := callJSON(unitCtx, cfg, "/v1/renew", renewRequest{Worker: cfg.Name, Lease: u.Lease, Health: healthOf(cfg)}, &rep)
+				err := callJSON(unitCtx, cfg, "/v1/renew", renewRequest{Worker: cfg.Name, Lease: u.Lease}, &rep)
 				if err == nil && !rep.OK {
 					// Lease gone: abandon the unit. cancel() below makes
 					// the engine return ctx.Canceled and runUnit skips the
@@ -181,7 +180,6 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 			Lease:   u.Lease,
 			Outcome: experiment.PointOutcome{Key: u.Key},
 			Failure: runErr.Error(),
-			Health:  healthOf(cfg),
 		}
 		var rep resultReply
 		if err := callJSON(ctx, cfg, "/v1/result", req, &rep); err != nil {
@@ -190,7 +188,7 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 		return nil, fmt.Errorf("fleet: worker %s: %w", cfg.Name, runErr)
 	}
 
-	req := resultRequest{Worker: cfg.Name, Lease: u.Lease, Outcome: outcome, Health: healthOf(cfg), Next: true}
+	req := resultRequest{Worker: cfg.Name, Lease: u.Lease, Outcome: outcome, Next: true}
 	var rep resultReply
 	if err := callJSON(ctx, cfg, "/v1/result", req, &rep); err != nil {
 		return nil, fmt.Errorf("fleet: worker %s: post result of %s: %w", cfg.Name, u.Key, err)
@@ -201,16 +199,6 @@ func runUnit(ctx context.Context, cfg WorkerConfig, opt experiment.Options, u *w
 		}
 	}
 	return rep.Next, nil
-}
-
-// healthOf snapshots the worker's heartbeat for piggybacking; nil when
-// no collector is configured.
-func healthOf(cfg WorkerConfig) *experiment.HealthSnapshot {
-	if cfg.Health == nil {
-		return nil
-	}
-	snap := cfg.Health.Snapshot()
-	return &snap
 }
 
 // fetchCampaign retrieves the manifest from the coordinator, retrying

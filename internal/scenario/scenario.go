@@ -133,6 +133,47 @@ func (sf File) validate() error {
 	return nil
 }
 
+// defaultMeanBad is the mean bad period of a file that names none.
+const defaultMeanBad = 2 * time.Second
+
+// Canonical spells the file the one way every equivalent spelling
+// shares: the preset, scheme, variant and mean_bad defaults written
+// out, and every duration re-rendered by time.Duration.String ("4000ms"
+// becomes "4s"; stall "off" stays as written). Both spellings run the
+// same simulation: an unnamed variant is Tahoe wherever it is read.
+func (sf File) Canonical() File {
+	if sf.Preset == "" {
+		sf.Preset = "wan"
+	}
+	if sf.Scheme == "" {
+		sf.Scheme = bs.Basic.String()
+	}
+	if sf.Variant == "" {
+		sf.Variant = tcp.Tahoe.String()
+	}
+	if sf.MeanBad == "" {
+		sf.MeanBad = defaultMeanBad.String()
+	}
+	sf.MeanGood = canonicalDur(sf.MeanGood)
+	sf.MeanBad = canonicalDur(sf.MeanBad)
+	sf.Horizon = canonicalDur(sf.Horizon)
+	sf.Stall = canonicalDur(sf.Stall)
+	return sf
+}
+
+// canonicalDur re-renders a duration by time.Duration.String and
+// leaves anything else as written. An empty or "off" value is returned
+// before the parse, whose error would allocate.
+func canonicalDur(v string) string {
+	if v == "" || v == "off" {
+		return v
+	}
+	if d, err := time.ParseDuration(v); err == nil {
+		return d.String()
+	}
+	return v
+}
+
 // Build converts the file into a core.Config.
 func (sf File) Build() (core.Config, error) {
 	if err := sf.validate(); err != nil {
@@ -146,7 +187,7 @@ func (sf File) Build() (core.Config, error) {
 		}
 		scheme = s
 	}
-	meanBad := 2 * time.Second
+	meanBad := defaultMeanBad
 	if d, err := ParsePositiveDur("mean_bad", sf.MeanBad); err != nil {
 		return core.Config{}, err
 	} else if d > 0 {

@@ -85,20 +85,19 @@ func adviseOptions() experiment.Options {
 func (s *Server) adviseQuery(bad time.Duration) query {
 	opt := adviseOptions()
 	opt.BadPeriods = []time.Duration{bad}
-	fp := fingerprintOf(struct {
-		Kind    string `json:"kind"`
-		Options string `json:"options"`
-	}{"advise/v1", experiment.Fingerprint(opt)})
 	body, err := json.Marshal(adviseBody{Bad: bad.String()})
 	if err != nil {
 		panic(fmt.Sprintf("serve: encode advise journal: %v", err))
 	}
 	return query{
-		kind:        "advise",
-		fp:          fp,
+		kind: "advise",
+		fp: fingerprintOf(struct {
+			Kind    string `json:"kind"`
+			Options string `json:"options"`
+		}{"advise/v1", experiment.Fingerprint(opt)}),
 		class:       "advise",
 		journalBody: body,
-		exec: func(ctx context.Context) outcome {
+		exec: func(ctx context.Context, fp string) outcome {
 			return s.execAdvise(ctx, bad, fp)
 		},
 	}

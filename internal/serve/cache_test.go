@@ -27,6 +27,9 @@ func TestRunFingerprintIdentity(t *testing.T) {
 		`{ "scenario" : {"preset":"wan", "mean_bad":"4s", "seed":1} }`,
 		`{"scenario":{"mean_bad":"4s","seed":1,"preset":"wan"}}`,
 		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1},"replications":1}`,
+		`{"scenario":{"preset":"wan","mean_bad":"4000ms","seed":1}}`,
+		`{"scenario":{"mean_bad":"4s","seed":1}}`,
+		`{"scenario":{"preset":"wan","scheme":"basic","variant":"tahoe","mean_bad":"4s","seed":1}}`,
 	}
 	for _, body := range same {
 		if got := fp(body); got != base {
@@ -39,6 +42,7 @@ func TestRunFingerprintIdentity(t *testing.T) {
 	excluded := []string{
 		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1,"budget":{"max_events":999999999}}}`,
 		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1},"deadline_ms":5000}`,
+		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1,"collect_trace":true}}`,
 	}
 	for _, body := range excluded {
 		if got := fp(body); got != base {
@@ -53,6 +57,8 @@ func TestRunFingerprintIdentity(t *testing.T) {
 		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1,"sack":true}}`,
 		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1},"replications":2}`,
 		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1,"chaos":{"notify":{"loss_prob":0.5}}}}`,
+		`{"scenario":{"preset":"lan","mean_bad":"4s","seed":1}}`,
+		`{"scenario":{"preset":"wan","mean_bad":"4s","seed":1,"stall":"off"}}`,
 	}
 	seen := map[string]string{base: "base"}
 	for _, body := range distinct {
@@ -61,6 +67,12 @@ func TestRunFingerprintIdentity(t *testing.T) {
 			t.Errorf("fingerprint collision between %s and %s", prev, body)
 		}
 		seen[got] = body
+	}
+
+	// Every duration compares by value.
+	if a, b := fp(`{"scenario":{"mean_bad":"4s","mean_good":"10s","horizon":"1h","stall":"5m","seed":1}}`),
+		fp(`{"scenario":{"mean_bad":"4s","mean_good":"10000ms","horizon":"60m","stall":"300s","seed":1}}`); a != b {
+		t.Error("fingerprint split by duration spelling")
 	}
 }
 
@@ -74,6 +86,19 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 		return SweepFingerprint(c)
 	}
 	base := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"]}}`)
+	// A sweep is addressed by the grid it resolves to, not its spelling.
+	for _, body := range []string{
+		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4000ms"]}}`,
+		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"retries":1}}`,
+		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"packet_sizes":[128,256,384,512,640,768,896,1024,1152,1280,1408,1536]}}`,
+	} {
+		if got := fp(body); got != base {
+			t.Errorf("sweep identity split by spelling: %s", body)
+		}
+	}
+	if a, b := fp(`{"campaign":{"sweeps":["fig7"]}}`), fp(`{"campaign":{"sweeps":["fig7"],"replications":5}}`); a != b {
+		t.Error("sweep identity split by spelling the default replication count")
+	}
 	// Worker width and budget are pure execution knobs.
 	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"workers":8,"budget":{"wall_clock":"5m"}}}`); got != base {
 		t.Error("workers/budget leaked into sweep identity")
@@ -82,8 +107,21 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"supervise":true}}`); got == base {
 		t.Error("supervise does not split sweep identity but changes the answer")
 	}
-	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":3,"bad_periods":["4s"]}}`); got == base {
-		t.Error("replications does not split sweep identity")
+	seen := map[string]string{base: "base"}
+	for _, body := range []string{
+		`{"campaign":{"sweeps":["fig7"],"replications":3,"bad_periods":["4s"]}}`,
+		`{"campaign":{"sweeps":["fig8"],"replications":2,"bad_periods":["4s"]}}`,
+		`{"campaign":{"sweeps":["fig7","fig8"],"replications":2,"bad_periods":["4s"]}}`,
+		`{"campaign":{"sweeps":["fig8","fig7"],"replications":2,"bad_periods":["4s"]}}`,
+		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s","1s"]}}`,
+		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["1s","4s"]}}`,
+		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"oracle":true}}`,
+	} {
+		got := fp(body)
+		if prev, dup := seen[got]; dup {
+			t.Errorf("sweep fingerprint collision between %s and %s", prev, body)
+		}
+		seen[got] = body
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
-	"wtcp/internal/fleet"
 	"wtcp/internal/scenario"
 )
 
@@ -95,14 +94,13 @@ func marshalResponse(v any) ([]byte, outcome, bool) {
 
 // runQuery binds a validated run request into the serveQuery pipeline.
 func (s *Server) runQuery(req RunRequest, sf scenario.File, body []byte) query {
-	fp := RunFingerprint(sf, req.Replications)
 	return query{
 		kind:        "run",
-		fp:          fp,
+		fp:          RunFingerprint(sf, req.Replications),
 		class:       runClass(sf),
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
-		exec: func(ctx context.Context) outcome {
+		exec: func(ctx context.Context, fp string) outcome {
 			return s.execRun(ctx, req, sf, fp)
 		},
 	}
@@ -113,26 +111,24 @@ func (s *Server) runQuery(req RunRequest, sf scenario.File, body []byte) query {
 // scenario that exhausts its budget predicts the same fate for its
 // near-identical neighbours.
 func runClass(sf scenario.File) string {
-	preset, scheme := sf.Preset, sf.Scheme
-	if preset == "" {
-		preset = "wan"
-	}
-	if scheme == "" {
-		scheme = "basic"
-	}
-	return "run/" + preset + "/" + scheme
+	c := sf.Canonical()
+	return "run/" + c.Preset + "/" + c.Scheme
 }
 
-// sweepQuery binds a validated sweep request into the pipeline.
-func (s *Server) sweepQuery(req SweepRequest, c fleet.Campaign, body []byte) query {
-	fp := SweepFingerprint(c)
+// sweepQuery binds a validated sweep request into the pipeline. A
+// campaign that leaves retries at 0 runs, and is addressed, at the
+// server's retry budget, as its point ledger is.
+func (s *Server) sweepQuery(req SweepRequest, c experiment.Campaign, body []byte) query {
+	if c.Retries == 0 {
+		c.Retries = s.cfg.Retries
+	}
 	return query{
 		kind:        "sweep",
-		fp:          fp,
+		fp:          SweepFingerprint(c),
 		class:       "sweep/" + strings.Join(c.Sweeps, "+"),
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
-		exec: func(ctx context.Context) outcome {
+		exec: func(ctx context.Context, fp string) outcome {
 			return s.execSweep(ctx, c, fp)
 		},
 	}
@@ -200,7 +196,7 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, 
 
 // execSweep settles a campaign's points (settlePoints) and answers them
 // in the campaign's canonical order.
-func (s *Server) execSweep(ctx context.Context, c fleet.Campaign, fp string) outcome {
+func (s *Server) execSweep(ctx context.Context, c experiment.Campaign, fp string) outcome {
 	opt, err := c.Options()
 	if err != nil {
 		// ParseSweepRequest validated the campaign; unreachable.

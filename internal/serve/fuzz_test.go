@@ -5,13 +5,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
-	"wtcp/internal/fleet"
+	"wtcp/internal/experiment"
 	"wtcp/internal/recordlog"
 	"wtcp/internal/scenario"
 )
@@ -63,13 +65,14 @@ func FuzzRunRequest(f *testing.F) {
 }
 
 // FuzzSweepRequest fuzzes the one campaign entry point, the /v1/sweep
-// decoder, end to end (ParseSweepRequest -> fleet.ParseCampaign ->
-// Validate and Specs), under the contract FuzzLedgerLoad holds: refuse
-// with a named error or load, never panic. An accepted campaign names a
-// non-empty grid within the request caps, and it re-encodes to a byte
-// fixed point that parses back to the same SweepFingerprint. The seeds
-// are the README's manifest, the measurement spine's wan_ladder campaign
-// (full and smoke) and known refusals.
+// decoder, end to end (ParseSweepRequest -> experiment.ParseCampaign
+// -> Validate and Specs), under the contract FuzzLedgerLoad holds:
+// refuse with a named error or load, never panic. An accepted campaign
+// names a non-empty grid within the request caps, and it re-encodes to
+// a byte fixed point that parses back to the same SweepFingerprint, as
+// does its bad-period axis re-spelled by time.Duration.String. The
+// seeds are the README's manifest, the measurement spine's wan_ladder
+// campaign (full and smoke) and known refusals.
 func FuzzSweepRequest(f *testing.F) {
 	for _, c := range []string{
 		`{"sweeps": ["fig7", "lan"], "replications": 10, "transfer_kb": 1000, "bad_periods": ["1s", "4s"]}`,
@@ -84,6 +87,9 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"sweeps":["fig7"],"bad_periods":["-1s"]}`,
 		`{"sweeps":["fig7"],"budget":{"wall_clock":"soon"}}`,
 		`{"sweeps":["fig7"],"replicatoins":3}`,
+		`{"sweeps":["fig7","fig7"]}`,
+		`{"sweeps":["fig7"],"packet_sizes":[512,512]}`,
+		`{"sweeps":["fig7"],"bad_periods":["1s","1000ms"]}`,
 		`null`,
 	} {
 		f.Add([]byte(`{"campaign":` + c + `}`))
@@ -123,7 +129,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := fleet.ParseCampaign(enc)
+		again, err := experiment.ParseCampaign(enc)
 		if err != nil {
 			t.Fatalf("re-encoded campaign %s is refused: %v", enc, err)
 		}
@@ -132,6 +138,18 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", enc, enc2)
+		}
+		respelled := again
+		respelled.BadPeriods = nil
+		for _, v := range again.BadPeriods {
+			d, err := time.ParseDuration(v)
+			if err != nil {
+				t.Fatalf("accepted bad period %q: %v", v, err)
+			}
+			respelled.BadPeriods = append(respelled.BadPeriods, d.String())
+		}
+		if fp2 := SweepFingerprint(respelled); fp2 != fp {
+			t.Fatalf("fingerprint moved when %v was spelled %v", again.BadPeriods, respelled.BadPeriods)
 		}
 	})
 }
@@ -279,4 +297,102 @@ func FuzzRecordLogScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzJournalReplay feeds arbitrary journal records — put and tombstone
+// payloads, NUL-separated — through journal.replay, then list, then
+// queryFromPending, the path a restarted server's Resume takes.
+// Whatever the payloads: nothing panics; a record replay does not
+// understand is counted and leaves the live set as it was; the live
+// set is what the understood records say (a fingerprint is live if its
+// last record is a put); and a journal opened on a log of the same
+// records lists the same requests, byte for byte, after its own
+// rewrite and a reopen. The seeds are a put of each kind, a tombstone
+// and malformed records.
+func FuzzJournalReplay(f *testing.F) {
+	put := func(kind string, body string) string {
+		return fmt.Sprintf(`P{"kind":%q,"fingerprint":"%064x","body":%s}`, kind, len(kind), body)
+	}
+	run := put("run", string(runBody(1, 20)))
+	sweep := put("sweep", `{"campaign":{"sweeps":["fig7"],"replications":1,"packet_sizes":[512],"bad_periods":["1s"]}}`)
+	advise := put("advise", `{"bad":"4s"}`)
+	for _, recs := range [][]string{
+		{run, sweep, advise},
+		{run, fmt.Sprintf("T%064x", 3), sweep},
+		{run, run, fmt.Sprintf("T%064x", 3), run},
+		{put("run", `{"scenario":{"preset":"mars"}}`), put("sweep", `{"campaign":{"sweeps":["fig7","fig7"]}}`), put("advise", `{"bad":"-1s"}`)},
+		{put("nap", `{}`), `P{"kind":"run","fingerprint":"short","body":{}}`, `P{`, "X", "", "T"},
+	} {
+		f.Add([]byte(strings.Join(recs, "\x00")))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records := bytes.Split(data, []byte{0})
+		j := &journal{live: map[string]pendingRequest{}}
+		want := map[string]pendingRequest{}
+		skipped, wantSkipped := 0, 0
+		for _, r := range records {
+			before := maps.Clone(j.live)
+			if !j.replay(r) {
+				skipped++
+				if !maps.EqualFunc(before, j.live, samePending) {
+					t.Fatalf("unreadable record %q changed the live set", r)
+				}
+			}
+			var p pendingRequest
+			switch {
+			case len(r) > 0 && r[0] == journalPut[0] && json.Unmarshal(r[1:], &p) == nil && validFingerprint(p.Fingerprint):
+				want[p.Fingerprint] = p
+			case len(r) > 0 && r[0] == journalTombstone[0]:
+				delete(want, string(r[1:]))
+			default:
+				wantSkipped++
+			}
+		}
+		if skipped != wantSkipped {
+			t.Fatalf("replay skipped %d records, %d are unreadable", skipped, wantSkipped)
+		}
+		listed := j.list()
+		if len(listed) != len(want) {
+			t.Fatalf("journal lists %d requests, the records leave %d live", len(listed), len(want))
+		}
+		for _, p := range listed {
+			if w, ok := want[p.Fingerprint]; !ok || !samePending(p, w) {
+				t.Fatalf("journal lists %+v, the records leave %+v", p, w)
+			}
+		}
+		s := &Server{}
+		for _, p := range listed {
+			if q, err := s.queryFromPending(p); err == nil && (q.exec == nil || !validFingerprint(q.fp)) {
+				t.Fatalf("%s entry %s rebuilt an unrunnable query", p.Kind, p.Fingerprint)
+			}
+		}
+
+		dir := t.TempDir()
+		var log []byte
+		for _, r := range records {
+			log = recordlog.AppendRecord(log, r)
+		}
+		if err := os.WriteFile(filepath.Join(dir, journalFile), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for life := 0; life < 2; life++ {
+			j, err := openJournal(dir)
+			if err != nil {
+				t.Fatalf("life %d: openJournal: %v", life, err)
+			}
+			again := j.list()
+			j.close()
+			if !slices.EqualFunc(again, listed, samePending) {
+				t.Fatalf("life %d lists %v, replay listed %v", life, fingerprints(again), fingerprints(listed))
+			}
+		}
+	})
+}
+
+// samePending compares two journal entries as the journal writes them.
+func samePending(a, b pendingRequest) bool {
+	ea, errA := json.Marshal(a)
+	eb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ea, eb)
 }

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 
-	"wtcp/internal/fleet"
+	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
 )
 
@@ -47,18 +47,18 @@ type RunRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// SweepRequest is the POST /v1/sweep body: a fleet campaign manifest
+// SweepRequest is the POST /v1/sweep body: a campaign manifest
 // executed locally on free run slots, each finished point checkpointed
 // as it settles.
 type SweepRequest struct {
-	// Campaign is a fleet campaign manifest (internal/fleet schema).
+	// Campaign is a campaign manifest (experiment.Campaign schema).
 	Campaign json.RawMessage `json:"campaign"`
 	// DeadlineMS bounds the whole request's execution wall clock.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
 // decodeStrict decodes one JSON value into v, rejecting unknown
-// fields and trailing garbage. The fleet/scenario parsers reject
+// fields and trailing garbage. The campaign/scenario parsers reject
 // unknown fields themselves but tolerate trailing bytes; at the HTTP
 // boundary a half-corrupted body must never half-succeed.
 func decodeStrict(data []byte, v any) error {
@@ -111,32 +111,36 @@ func ParseRunRequest(data []byte) (RunRequest, scenario.File, error) {
 }
 
 // ParseSweepRequest decodes and fully validates a /v1/sweep body.
-func ParseSweepRequest(data []byte) (SweepRequest, fleet.Campaign, error) {
+func ParseSweepRequest(data []byte) (SweepRequest, experiment.Campaign, error) {
 	var req SweepRequest
 	if err := decodeStrict(data, &req); err != nil {
-		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: parse sweep request: %w", err)
+		return SweepRequest{}, experiment.Campaign{}, fmt.Errorf("serve: parse sweep request: %w", err)
 	}
 	if len(bytes.TrimSpace(req.Campaign)) == 0 || string(bytes.TrimSpace(req.Campaign)) == "null" {
-		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: sweep request names no campaign")
+		return SweepRequest{}, experiment.Campaign{}, fmt.Errorf("serve: sweep request names no campaign")
 	}
 	if req.DeadlineMS < 0 {
-		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: deadline_ms %d is negative", req.DeadlineMS)
+		return SweepRequest{}, experiment.Campaign{}, fmt.Errorf("serve: deadline_ms %d is negative", req.DeadlineMS)
 	}
-	c, err := fleet.ParseCampaign(req.Campaign)
+	c, err := experiment.ParseCampaign(req.Campaign)
 	if err != nil {
-		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: %w", err)
+		return SweepRequest{}, experiment.Campaign{}, fmt.Errorf("serve: %w", err)
 	}
 	if c.Replications > MaxReplications {
-		return SweepRequest{}, fleet.Campaign{}, fmt.Errorf("serve: campaign replications %d exceeds the per-request cap of %d; split the request", c.Replications, MaxReplications)
+		return SweepRequest{}, experiment.Campaign{}, fmt.Errorf("serve: campaign replications %d exceeds the per-request cap of %d; split the request", c.Replications, MaxReplications)
 	}
 	return req, c, nil
 }
 
-// RunFingerprint content-addresses a run request: the normalized
-// scenario (budget cleared, chaos plan compacted) plus the replication
-// count, hashed under a versioned kind tag.
+// RunFingerprint content-addresses a run request: the scenario in its
+// canonical spelling (scenario.File.Canonical) with what no response
+// byte depends on cleared — the budget and collect_trace — and the
+// chaos plan compacted, plus the replication count, hashed under a
+// versioned kind tag.
 func RunFingerprint(sf scenario.File, replications int) string {
+	sf = sf.Canonical()
 	sf.Budget = nil
+	sf.CollectTrace = false
 	sf.Chaos = compactJSON(sf.Chaos)
 	return fingerprintOf(struct {
 		Kind         string        `json:"kind"`
@@ -145,17 +149,24 @@ func RunFingerprint(sf scenario.File, replications int) string {
 	}{"run/v1", sf, replications})
 }
 
-// SweepFingerprint content-addresses a sweep request: the campaign
-// with its execution-only knobs (budget, worker width) cleared.
-// Supervise stays: it changes the response shape (quarantines versus a
-// failed request).
-func SweepFingerprint(c fleet.Campaign) string {
-	c.Budget = nil
-	c.Workers = 0
+// SweepFingerprint content-addresses a sweep request by the grid it
+// resolves to: experiment.Fingerprint of the campaign's options — the
+// identity its point ledger and the advise endpoint use, so "1s" and
+// "1000ms" name one grid — plus the ordered sweep list and Supervise,
+// which changes the response shape (quarantines versus a failed
+// request). Budget and worker width are execution knobs and stay out.
+func SweepFingerprint(c experiment.Campaign) string {
+	opt, err := c.Options()
+	if err != nil {
+		// ParseSweepRequest validated the campaign.
+		panic(fmt.Sprintf("serve: fingerprint of an unvalidated campaign: %v", err))
+	}
 	return fingerprintOf(struct {
-		Kind     string         `json:"kind"`
-		Campaign fleet.Campaign `json:"campaign"`
-	}{"sweep/v1", c})
+		Kind      string   `json:"kind"`
+		Options   string   `json:"options"`
+		Sweeps    []string `json:"sweeps"`
+		Supervise bool     `json:"supervise"`
+	}{"sweep/v2", experiment.Fingerprint(opt), c.Sweeps, c.Supervise})
 }
 
 // fingerprintOf hashes the canonical JSON encoding of an identity

@@ -3,7 +3,7 @@
 // instead of falling over.
 //
 //	POST /v1/run          execute one scenario (internal/scenario schema)
-//	POST /v1/sweep        execute a campaign (internal/fleet manifest)
+//	POST /v1/sweep        execute a campaign (experiment.Campaign manifest)
 //	GET  /v1/advise       §4.1 packet-size recommendation for an error climate
 //	GET  /v1/result/{fp}  fetch a previously computed result by fingerprint
 //	GET  /healthz         engine heartbeat (experiment.HealthSnapshot schema)
@@ -225,14 +225,14 @@ func (f *flight) write(w http.ResponseWriter) {
 }
 
 // query is a parsed, validated, fingerprinted request ready to
-// execute.
+// execute. exec answers under the address it is handed, which is fp.
 type query struct {
 	kind        string
 	fp          string
 	class       string
 	journalBody []byte
 	deadline    time.Duration
-	exec        func(ctx context.Context) outcome
+	exec        func(ctx context.Context, fp string) outcome
 }
 
 // outcome is a terminal execution result plus its policy consequences.
@@ -386,7 +386,7 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 		d = maxDeadline
 	}
 	ctx, cancel := context.WithTimeout(s.runCtx, d)
-	out := q.exec(ctx)
+	out := q.exec(ctx, q.fp)
 	cancel()
 
 	// Cache before retiring the journal entry: a process killed between
@@ -493,6 +493,10 @@ func (s *Server) Resume() int {
 			s.jour.remove(p.Fingerprint)
 			continue
 		}
+		// The request answers, and retires its entry, under the address
+		// it was accepted under — the one its client polls — even where
+		// this build would address its body differently.
+		q.fp = p.Fingerprint
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()

@@ -444,3 +444,62 @@ func TestAdviseRefinesFromSweepPoints(t *testing.T) {
 		t.Errorf("advise with junk duration: HTTP %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSweepAddressedByResolvedGrid: one server answers a campaign and
+// its re-spelling ("1000ms" for "1s") under one fingerprint from one
+// cache entry, refuses a repeated axis value or sweep with a 400 that
+// names it, and addresses a campaign that leaves retries at 0 at the
+// server's retry budget, which is what its point ledger runs.
+func TestSweepAddressedByResolvedGrid(t *testing.T) {
+	srv := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	campaign := func(fields string) []byte {
+		return []byte(`{"campaign":{"replications":1,"transfer_kb":20,` + fields + `}}`)
+	}
+	var fps []string
+	for i, bad := range []string{`"1s"`, `"1000ms"`} {
+		resp, body := post(t, ts, "/v1/sweep", campaign(`"sweeps":["fig7"],"packet_sizes":[512],"bad_periods":[`+bad+`]`))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bad_periods [%s]: HTTP %d: %s", bad, resp.StatusCode, body)
+		}
+		if want := []string{"miss", "hit"}[i]; resp.Header.Get("X-Wtcpd-Cache") != want {
+			t.Errorf("bad_periods [%s]: cache %q, want %s", bad, resp.Header.Get("X-Wtcpd-Cache"), want)
+		}
+		var sr SweepResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, sr.Fingerprint)
+	}
+	if fps[0] != fps[1] {
+		t.Errorf("\"1s\" and \"1000ms\" answered under %s and %s", fps[0][:12], fps[1][:12])
+	}
+	if entries, _, _ := srv.cache.stats(); entries != 1 {
+		t.Errorf("cache holds %d entries, want 1", entries)
+	}
+
+	for _, tc := range []struct{ fields, names string }{
+		{`"sweeps":["fig7"],"packet_sizes":[512,512]`, "repeats 512"},
+		{`"sweeps":["fig7","fig7"],"packet_sizes":[512]`, "repeats fig7"},
+		{`"sweeps":["fig7"],"bad_periods":["1s","1000ms"]`, "repeats 1s"},
+	} {
+		resp, body := post(t, ts, "/v1/sweep", campaign(tc.fields))
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.names)) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming %q", tc.fields, resp.StatusCode, body, tc.names)
+		}
+	}
+
+	budget := &Server{cfg: Config{Retries: 3}}
+	fp := func(retries int) string {
+		req, c, err := ParseSweepRequest(campaign(fmt.Sprintf(`"sweeps":["fig7"],"retries":%d`, retries)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return budget.sweepQuery(req, c, nil).fp
+	}
+	if fp(0) != fp(3) || fp(0) == fp(1) {
+		t.Error("a campaign's address does not follow the server's retry budget")
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"wtcp/internal/experiment"
-	"wtcp/internal/fleet"
 )
 
 // TestQueuedRequestBeatsBorrower pins the admission rule a sweep's
@@ -156,7 +155,7 @@ func TestSweepSameBytesOnOneAndTwoSlots(t *testing.T) {
 // Workers 1, read back from the checkpoint they write.
 func TestSweepMatchesSequentialEngine(t *testing.T) {
 	manifest := `{"sweeps":["fig7","fig8"],"replications":2,"base_seed":5,"transfer_kb":40,"packet_sizes":[256,1024],"bad_periods":["1s","4s"]}`
-	c, err := fleet.ParseCampaign([]byte(manifest))
+	c, err := experiment.ParseCampaign([]byte(manifest))
 	if err != nil {
 		t.Fatal(err)
 	}

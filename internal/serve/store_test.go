@@ -76,6 +76,8 @@ func TestJournalReplayListsEachPendingRequestOnce(t *testing.T) {
 	}
 	putA, putB := putRecord(t, a), putRecord(t, b)
 	tombA := tombstoneRecord(a.Fingerprint)
+	// a's body under the address an older build gave it.
+	older := pendingRequest{Kind: a.Kind, Fingerprint: strings.Repeat("ab", 32), Body: a.Body}
 	cases := []struct {
 		name    string
 		records [][]byte
@@ -91,6 +93,7 @@ func TestJournalReplayListsEachPendingRequestOnce(t *testing.T) {
 		{"torn put", [][]byte{putA, putB[:len(putB)/2]}, []string{a.Fingerprint}},
 		{"record of an unknown kind is skipped, not fatal", [][]byte{recordlog.AppendRecord(nil, []byte("?what")), putA}, []string{a.Fingerprint}},
 		{"put that is not a request is skipped", [][]byte{recordlog.AppendRecord(nil, journalPut, []byte(`{"fingerprint":"short"}`)), putB}, []string{b.Fingerprint}},
+		{"put under an older address answers and retires under it", [][]byte{putRecord(t, older)}, []string{older.Fingerprint}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
