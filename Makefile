@@ -47,7 +47,7 @@ budget-smoke:
 # campaign refused for a repeated value, and the seed corpora of the
 # campaign decoder and journal replay fuzzers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
 	$(GO) test -race -run 'TestCampaignRefusesRepeats' ./internal/experiment/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos
@@ -296,6 +296,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzJournalReplay \
 	./cmd/wtcp:FuzzBenchBaseline \
 	./cmd/wtcp:FuzzBenchABRuns \
+	./cmd/wtcp:FuzzAdviseReply \
 	./internal/errmodel:FuzzMarkovQueries \
 	./internal/trace:FuzzGoldenDecode
 FUZZ_MINIMIZE = FuzzRecordLogScan FuzzGoldenDecode FuzzJournalReplay

@@ -85,18 +85,9 @@ func adviseRemote(ctx context.Context, stdout io.Writer, base string, query time
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return fmt.Errorf("wtcpd: %s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("wtcpd: HTTP %d", resp.StatusCode)
-	}
-	var adv serve.AdviseResponse
-	if err := json.Unmarshal(body, &adv); err != nil {
-		return fmt.Errorf("decode wtcpd response: %w", err)
+	adv, err := adviseReply(resp.StatusCode, body)
+	if err != nil {
+		return err
 	}
 
 	if csv {
@@ -117,4 +108,28 @@ func adviseRemote(ctx context.Context, stdout io.Writer, base string, query time
 	fmt.Fprintf(stdout, "recommended packet size for %s fades: %d bytes (%.2f Kbps)\n",
 		adv.MeanBad, adv.RecommendedPacketSizeBytes, adv.ThroughputKbps)
 	return nil
+}
+
+// adviseReply reads a /v1/advise reply: a non-200 status is an error
+// naming it (and the server's message, when the body carries one), and
+// a 200 body decodes into a recommendation or is refused. A success
+// always carries its calibration table, so one without is refused too.
+func adviseReply(status int, body []byte) (serve.AdviseResponse, error) {
+	if status != http.StatusOK {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(body, &e) == nil && e.Error != "" {
+			return serve.AdviseResponse{}, fmt.Errorf("wtcpd: %s (HTTP %d)", e.Error, status)
+		}
+		return serve.AdviseResponse{}, fmt.Errorf("wtcpd: HTTP %d", status)
+	}
+	var adv serve.AdviseResponse
+	if err := json.Unmarshal(body, &adv); err != nil {
+		return serve.AdviseResponse{}, fmt.Errorf("decode wtcpd response: %w", err)
+	}
+	if len(adv.Table) == 0 {
+		return serve.AdviseResponse{}, fmt.Errorf("decode wtcpd response: no calibration table")
+	}
+	return adv, nil
 }

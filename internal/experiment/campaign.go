@@ -50,11 +50,6 @@ type Campaign struct {
 	// Supervise arms the per-point circuit breaker: pathological points
 	// quarantine instead of failing the campaign.
 	Supervise bool `json:"supervise,omitempty"`
-	// Workers bounds how many replications of one point a single
-	// executor runs concurrently (Options.Workers; results are
-	// identical for any value). wtcpd ignores it: its run slots are the
-	// width.
-	Workers int `json:"workers,omitempty"`
 	// Budget layers per-replication resource ceilings (shared schema
 	// with wtcp sim scenario files; see internal/scenario).
 	Budget *scenario.Budget `json:"budget,omitempty"`
@@ -157,7 +152,6 @@ func (c Campaign) Options() (Options, error) {
 		Retries:      c.Retries,
 		Checks:       c.Checks,
 		Oracle:       c.Oracle,
-		Workers:      c.Workers,
 	}
 	for _, s := range c.PacketSizes {
 		opt.PacketSizes = append(opt.PacketSizes, units.ByteSize(s))

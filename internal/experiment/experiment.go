@@ -117,7 +117,7 @@ type Options struct {
 	RunBudget sim.Budget
 	// Health, when set, receives real-time run telemetry: active
 	// replications, events/sec, completed/retried/quarantined counts,
-	// and the straggler log. See Health.SetStatusPath / NotifyOnSignal.
+	// and the straggler log. Health.Heartbeat persists and dumps it.
 	Health *Health
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,13 +21,13 @@ import (
 // memory, and a straggler log of runs that took far longer than the
 // median of their peers. All methods are safe on a nil receiver (the
 // engine calls them unconditionally) and safe for concurrent use by the
-// scheduler.
+// scheduler. The engine's hooks only count, under one lock each; the
+// status file and the SIGUSR1 dump belong to Heartbeat.
 type Health struct {
 	mu           sync.Mutex
 	start        time.Time
-	statusPath   string
 	stragglerOut io.Writer
-	lastWrite    time.Time
+	changes      uint64 // bumped by every hook, so Heartbeat skips an unchanged file
 
 	nextID      uint64
 	active      map[uint64]activeRun
@@ -66,14 +65,15 @@ const (
 	// from: a resident wtcpd shares one Health for its whole life.
 	maxDurations = 1024
 
-	// statusWriteInterval throttles implicit status-file rewrites; an
-	// explicit WriteStatus always writes.
+	// statusWriteInterval is how often Heartbeat rewrites a changed
+	// status file; it writes once more at stop.
 	statusWriteInterval = time.Second
 )
 
-// HealthSnapshot is the status-JSON schema (written atomically to the
-// configured status path, printed on SIGUSR1). Field names are part of
-// the external interface; tests validate them.
+// HealthSnapshot is the one status model, rendered two ways: as JSON by
+// SnapshotJSON (the -status file, /healthz and the SIGUSR1 dump) and as
+// Prometheus text by wtcpd's /metrics. Field names are part of the
+// external interface; tests validate them.
 type HealthSnapshot struct {
 	Timestamp       time.Time   `json:"timestamp"`
 	UptimeSec       float64     `json:"uptime_sec"`
@@ -114,17 +114,6 @@ func NewHealth() *Health {
 	}
 }
 
-// SetStatusPath makes every state change (throttled) and every explicit
-// WriteStatus persist a snapshot to path via atomic write-rename.
-func (h *Health) SetStatusPath(path string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.statusPath = path
-}
-
 // SetStragglerLog redirects straggler log lines (nil silences them).
 func (h *Health) SetStragglerLog(w io.Writer) {
 	if h == nil {
@@ -144,6 +133,7 @@ func (h *Health) runStarted(key string, seed int64) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.nextID++
+	h.changes++
 	id := h.nextID
 	h.active[id] = activeRun{key: key, seed: seed, started: time.Now()}
 	return id
@@ -157,6 +147,7 @@ func (h *Health) runFinished(id uint64, events uint64, ok bool) {
 		return
 	}
 	h.mu.Lock()
+	h.changes++
 	ar, tracked := h.active[id]
 	delete(h.active, id)
 	h.events += events
@@ -183,7 +174,6 @@ func (h *Health) runFinished(id uint64, events uint64, ok bool) {
 	if line != "" && out != nil {
 		fmt.Fprint(out, line)
 	}
-	h.maybeWriteStatus()
 }
 
 // noteDuration adds a completed run's duration to the sample, evicting
@@ -210,6 +200,7 @@ func (h *Health) noteRetry() {
 	}
 	h.mu.Lock()
 	h.retried++
+	h.changes++
 	h.mu.Unlock()
 }
 
@@ -220,8 +211,8 @@ func (h *Health) noteQuarantine() {
 	}
 	h.mu.Lock()
 	h.quarantined++
+	h.changes++
 	h.mu.Unlock()
-	h.maybeWriteStatus()
 }
 
 // MedianOf returns the median of the sorted slice s (0 when empty). The
@@ -239,8 +230,15 @@ func MedianOf(s []float64) float64 {
 
 // Snapshot captures the current heartbeat.
 func (h *Health) Snapshot() HealthSnapshot {
+	snap, _ := h.snapshot()
+	return snap
+}
+
+// snapshot captures the current heartbeat and the change count it
+// reflects.
+func (h *Health) snapshot() (HealthSnapshot, uint64) {
 	if h == nil {
-		return HealthSnapshot{}
+		return HealthSnapshot{}, 0
 	}
 	now := time.Now()
 	h.mu.Lock()
@@ -254,7 +252,7 @@ func (h *Health) Snapshot() HealthSnapshot {
 		Quarantined:     h.quarantined,
 		EventsProcessed: h.events,
 		MedianRunSec:    MedianOf(h.durations),
-		HeapBytes:       sim.LiveHeapBytes(), // not runtime.ReadMemStats: a snapshot rides on every fleet RPC and /healthz
+		HeapBytes:       sim.LiveHeapBytes(), // not runtime.ReadMemStats: every /healthz and /metrics scrape takes a snapshot
 		Stragglers:      append([]Straggler(nil), h.stragglers...),
 	}
 	if snap.UptimeSec > 0 {
@@ -272,102 +270,91 @@ func (h *Health) Snapshot() HealthSnapshot {
 		}
 		return a.Seed < b.Seed
 	})
-	return snap
+	return snap, h.changes
 }
 
-// String renders the snapshot for humans (the SIGUSR1 dump).
-func (h *Health) String() string {
-	snap := h.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine health @ %s (up %.1fs)\n", snap.Timestamp.Format(time.RFC3339), snap.UptimeSec)
-	fmt.Fprintf(&b, "  runs: %d completed, %d failed, %d retried, %d quarantined, %d active\n",
-		snap.Completed, snap.Failed, snap.Retried, snap.Quarantined, len(snap.ActiveRuns))
-	fmt.Fprintf(&b, "  events: %d total, %.0f/s; median run %.2fs; heap %d MiB\n",
-		snap.EventsProcessed, snap.EventsPerSec, snap.MedianRunSec, snap.HeapBytes>>20)
-	for _, ar := range snap.ActiveRuns {
-		fmt.Fprintf(&b, "  active: %s seed %d (%.1fs)\n", ar.Key, ar.Seed, ar.RunningSec)
-	}
-	for _, s := range snap.Stragglers {
-		fmt.Fprintf(&b, "  straggler: %s seed %d took %.2fs (median %.2fs)\n", s.Key, s.Seed, s.Sec, s.MedianSec)
-	}
-	return b.String()
-}
-
-// maybeWriteStatus persists a snapshot when a status path is configured,
-// throttled so a fast sweep doesn't rewrite the file per replication.
-func (h *Health) maybeWriteStatus() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	path := h.statusPath
-	due := path != "" && time.Since(h.lastWrite) >= statusWriteInterval
-	if due {
-		h.lastWrite = time.Now()
-	}
-	h.mu.Unlock()
-	if due {
-		if err := h.WriteStatus(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment: write status: %v\n", err)
-		}
-	}
-}
-
-// WriteStatus writes the current snapshot to the configured status path
-// by atomic write-rename, so a poller never reads a torn file. No-op
-// without a status path.
-func (h *Health) WriteStatus() error {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	path := h.statusPath
-	h.mu.Unlock()
-	if path == "" {
-		return nil
-	}
-	data, err := h.SnapshotJSON()
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("experiment: status dir: %w", err)
-	}
-	if err := atomicfile.Write(path, data); err != nil {
-		return fmt.Errorf("experiment: write status: %w", err)
-	}
-	return nil
-}
-
-// Heartbeat wires up the standard CLI heartbeat in one call: status
-// snapshots persist to statusPath (throttled on state changes, plus a
-// final write at stop), and SIGUSR1 dumps the human-readable snapshot
-// to sigDump. Every run-capable entry point (the shared execution flags
-// of wtcp sim, figures, report and advise, and wtcp serve) goes through
-// here so the status-file schema and signal behaviour cannot drift
-// between them. The returned stop is idempotent.
+// Heartbeat attaches the collector's two outputs in one call: while it
+// runs, the status snapshot is rewritten atomically to statusPath (when
+// set) at most once per statusWriteInterval and only after a change,
+// and once more at stop, and SIGUSR1 dumps the same JSON to sigDump
+// (stderr when nil). One goroutine does both, so the engine's hooks
+// never touch a file. Every run-capable entry point (the shared
+// execution flags of wtcp sim, figures, report and advise, and wtcp
+// serve) goes through here so the status-file schema and signal
+// behaviour cannot drift between them. The returned stop is idempotent.
 func (h *Health) Heartbeat(statusPath string, sigDump io.Writer) (stop func()) {
 	if h == nil {
 		return func() {}
 	}
-	h.SetStatusPath(statusPath)
-	stopSig := h.NotifyOnSignal(sigDump)
+	if sigDump == nil {
+		sigDump = os.Stderr
+	}
+	sig, stopSig := dumpSignal()
+	var ticker *time.Ticker
+	var tick <-chan time.Time
+	if statusPath != "" {
+		ticker = time.NewTicker(statusWriteInterval)
+		tick = ticker.C
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		var written uint64 // the change count the file shows
+		for {
+			select {
+			case <-done:
+				return
+			case <-sig:
+				if data, err := h.SnapshotJSON(); err == nil {
+					sigDump.Write(data)
+				}
+			case <-tick:
+				if snap, n := h.snapshot(); n != written {
+					written = n
+					writeStatus(statusPath, snap)
+				}
+			}
+		}
+	}()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			stopSig()
-			if err := h.WriteStatus(); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment: write status: %v\n", err)
+			close(done)
+			<-exited
+			if ticker != nil {
+				ticker.Stop()
+				writeStatus(statusPath, h.Snapshot())
 			}
 		})
 	}
 }
 
+// writeStatus persists snap to path by atomic write-rename, so a poller
+// never reads a torn file. A failure is reported on stderr: the sweep
+// it describes goes on.
+func writeStatus(path string, snap HealthSnapshot) {
+	data, err := encodeSnapshot(snap)
+	if err == nil {
+		if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+			err = atomicfile.Write(path, data)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiment: write status: %v\n", err)
+	}
+}
+
 // SnapshotJSON renders the current snapshot in the status-file schema
-// (trailing newline included) — the same bytes WriteStatus persists.
-// wtcpd serves this from /healthz.
+// (trailing newline included): the bytes Heartbeat writes to the status
+// file and to SIGUSR1's dump, and wtcpd serves from /healthz.
 func (h *Health) SnapshotJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(h.Snapshot(), "", "  ")
+	return encodeSnapshot(h.Snapshot())
+}
+
+// encodeSnapshot is the one JSON rendering of a snapshot.
+func encodeSnapshot(snap HealthSnapshot) ([]byte, error) {
+	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("experiment: encode status: %w", err)
 	}

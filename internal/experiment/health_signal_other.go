@@ -2,10 +2,10 @@
 
 package experiment
 
-import "io"
+import "os"
 
-// NotifyOnSignal is a no-op on platforms without SIGUSR1; -status
-// polling remains available everywhere.
-func (h *Health) NotifyOnSignal(w io.Writer) (stop func()) {
-	return func() {}
+// dumpSignal subscribes to nothing on platforms without SIGUSR1; the
+// -status file is written everywhere.
+func dumpSignal() (<-chan os.Signal, func()) {
+	return nil, func() {}
 }

@@ -3,40 +3,16 @@
 package experiment
 
 import (
-	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
 )
 
-// NotifyOnSignal prints the health heartbeat to w every time the
-// process receives SIGUSR1, until the returned stop function is called.
-// This is the "what is the engine doing right now" hook for the CLIs:
-// kill -USR1 <pid> dumps active runs, throughput, and quarantine counts
+// dumpSignal subscribes to SIGUSR1, the "what is the engine doing right
+// now" hook: kill -USR1 <pid> makes Heartbeat dump the status JSON
 // without interrupting the sweep.
-func (h *Health) NotifyOnSignal(w io.Writer) (stop func()) {
-	if h == nil {
-		return func() {}
-	}
-	if w == nil {
-		w = os.Stderr
-	}
+func dumpSignal() (<-chan os.Signal, func()) {
 	c := make(chan os.Signal, 1)
 	signal.Notify(c, syscall.SIGUSR1)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-c:
-				fmt.Fprint(w, h.String())
-			}
-		}
-	}()
-	return func() {
-		signal.Stop(c)
-		close(done)
-	}
+	return c, func() { signal.Stop(c) }
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -351,7 +352,8 @@ func TestBudgetSmoke(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "smoke.json")
 	statusPath := filepath.Join(dir, "status.json")
-	health.SetStatusPath(statusPath)
+	stopBeat := health.Heartbeat(statusPath, io.Discard)
+	defer stopBeat()
 
 	opt := Options{
 		Replications: 2,
@@ -383,10 +385,8 @@ func TestBudgetSmoke(t *testing.T) {
 	}
 
 	// The heartbeat saw both the completions and the quarantine, and the
-	// status file is valid JSON with the documented schema.
-	if err := health.WriteStatus(); err != nil {
-		t.Fatal(err)
-	}
+	// status file its stop writes is valid JSON with the documented schema.
+	stopBeat()
 	snap := health.Snapshot()
 	if snap.Quarantined != 1 {
 		t.Errorf("health quarantined = %d, want 1", snap.Quarantined)
@@ -423,13 +423,15 @@ func TestBudgetSmoke(t *testing.T) {
 }
 
 // TestHealthStatusJSONAndSignalDump exercises the heartbeat directly:
-// active runs appear in the snapshot while in flight, the status file is
-// written atomically and parses, and the human dump names the counters.
+// active runs appear in the snapshot while in flight, the status file
+// the heartbeat writes at stop parses and holds the counters, and the
+// hooks are safe on a nil collector. (The SIGUSR1 dump is pinned on
+// unix by TestSignalDumpIsSnapshotJSON.)
 func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 	h := NewHealth()
 	h.SetStragglerLog(nil)
 	path := filepath.Join(t.TempDir(), "status.json")
-	h.SetStatusPath(path)
+	stop := h.Heartbeat(path, io.Discard)
 
 	id := h.runStarted("wan/basic/bad=1s/size=512", 101)
 	snap := h.Snapshot()
@@ -447,9 +449,8 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 		t.Errorf("counters wrong: %+v", snap)
 	}
 
-	if err := h.WriteStatus(); err != nil {
-		t.Fatal(err)
-	}
+	stop()
+	stop() // idempotent
 	var onDisk HealthSnapshot
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -458,15 +459,8 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 	if err := json.Unmarshal(raw, &onDisk); err != nil {
 		t.Fatal(err)
 	}
-	if onDisk.Completed != 1 || onDisk.Quarantined != 1 || onDisk.EventsProcessed != 12345 {
+	if onDisk.Completed != 1 || onDisk.Retried != 1 || onDisk.Quarantined != 1 || onDisk.EventsProcessed != 12345 {
 		t.Errorf("status file counters wrong: %+v", onDisk)
-	}
-
-	dump := h.String()
-	for _, want := range []string{"1 completed", "1 retried", "1 quarantined", "events: 12345"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("human dump missing %q:\n%s", want, dump)
-		}
 	}
 
 	// Nil receiver: every hook must be a safe no-op.
@@ -474,9 +468,7 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 	nh.runFinished(nh.runStarted("x", 1), 1, true)
 	nh.noteRetry()
 	nh.noteQuarantine()
-	if err := nh.WriteStatus(); err != nil {
-		t.Errorf("nil health WriteStatus: %v", err)
-	}
+	nh.Heartbeat(path, io.Discard)()
 	_ = nh.Snapshot()
 }
 

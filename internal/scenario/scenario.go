@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -137,27 +138,36 @@ func (sf File) validate() error {
 const defaultMeanBad = 2 * time.Second
 
 // Canonical spells the file the one way every equivalent spelling
-// shares: the preset, scheme, variant and mean_bad defaults written
-// out, and every duration re-rendered by time.Duration.String ("4000ms"
-// becomes "4s"; stall "off" stays as written). Both spellings run the
-// same simulation: an unnamed variant is Tahoe wherever it is read.
+// shares. The preset Build starts from (core.WAN or core.LAN) supplies
+// every default: the preset, scheme, variant, packet size, transfer,
+// window, MTU (a disabled one as -1), link rates, mean_good, mean_bad
+// and seed are written out, and every duration is re-rendered by
+// time.Duration.String ("4000ms" becomes "4s"; stall "off" stays as
+// written). Canonical().Build() equals Build(). A file whose preset
+// does not build keeps its fields as written.
 func (sf File) Canonical() File {
-	if sf.Preset == "" {
-		sf.Preset = "wan"
-	}
-	if sf.Scheme == "" {
-		sf.Scheme = bs.Basic.String()
-	}
-	if sf.Variant == "" {
-		sf.Variant = tcp.Tahoe.String()
-	}
-	if sf.MeanBad == "" {
-		sf.MeanBad = defaultMeanBad.String()
-	}
 	sf.MeanGood = canonicalDur(sf.MeanGood)
-	sf.MeanBad = canonicalDur(sf.MeanBad)
 	sf.Horizon = canonicalDur(sf.Horizon)
 	sf.Stall = canonicalDur(sf.Stall)
+	cfg, err := sf.preset()
+	if err != nil {
+		sf.MeanBad = canonicalDur(sf.MeanBad)
+		return sf
+	}
+	sf.Preset = cmp.Or(sf.Preset, "wan")
+	sf.Scheme = cfg.Scheme.String()
+	sf.Variant = cmp.Or(sf.Variant, tcp.Tahoe.String()) // what the sender reads an unset variant as
+	sf.PacketSizeBytes = int(cfg.PacketSize)
+	sf.TransferKB = cmp.Or(sf.TransferKB, int64(cfg.TransferSize/units.KB))
+	sf.WindowKB = cmp.Or(sf.WindowKB, int(cfg.Window/units.KB))
+	sf.MTUBytes = cmp.Or(sf.MTUBytes, int(cfg.MTU), -1)
+	sf.WiredKbps = cmp.Or(sf.WiredKbps, float64(cfg.WiredRate)/float64(units.Kbps))
+	sf.WirelessKbps = cmp.Or(sf.WirelessKbps, float64(cfg.WirelessRate)/float64(units.Kbps))
+	if sf.MeanGood == "" {
+		sf.MeanGood = cfg.Channel.MeanGood.String()
+	}
+	sf.MeanBad = cfg.Channel.MeanBad.String()
+	sf.Seed = cmp.Or(sf.Seed, cfg.Seed)
 	return sf
 }
 
@@ -174,11 +184,9 @@ func canonicalDur(v string) string {
 	return v
 }
 
-// Build converts the file into a core.Config.
-func (sf File) Build() (core.Config, error) {
-	if err := sf.validate(); err != nil {
-		return core.Config{}, err
-	}
+// preset returns the configuration Build starts from: the named preset
+// at the file's scheme, mean bad period and packet size.
+func (sf File) preset() (core.Config, error) {
 	scheme := bs.Basic
 	if sf.Scheme != "" {
 		s, err := bs.ParseScheme(sf.Scheme)
@@ -193,22 +201,29 @@ func (sf File) Build() (core.Config, error) {
 	} else if d > 0 {
 		meanBad = d
 	}
-
 	var cfg core.Config
 	switch sf.Preset {
 	case "", "wan":
-		size := units.ByteSize(576)
-		if sf.PacketSizeBytes > 0 {
-			size = units.ByteSize(sf.PacketSizeBytes)
-		}
-		cfg = core.WAN(scheme, size, meanBad)
+		cfg = core.WAN(scheme, core.PaperWANPacketDefault, meanBad)
 	case "lan":
 		cfg = core.LAN(scheme, meanBad)
-		if sf.PacketSizeBytes > 0 {
-			cfg.PacketSize = units.ByteSize(sf.PacketSizeBytes)
-		}
 	default:
 		return core.Config{}, fmt.Errorf("unknown preset %q (want wan or lan)", sf.Preset)
+	}
+	if sf.PacketSizeBytes > 0 {
+		cfg.PacketSize = units.ByteSize(sf.PacketSizeBytes)
+	}
+	return cfg, nil
+}
+
+// Build converts the file into a core.Config.
+func (sf File) Build() (core.Config, error) {
+	if err := sf.validate(); err != nil {
+		return core.Config{}, err
+	}
+	cfg, err := sf.preset()
+	if err != nil {
+		return core.Config{}, err
 	}
 
 	if d, err := ParsePositiveDur("mean_good", sf.MeanGood); err != nil {
@@ -236,6 +251,7 @@ func (sf File) Build() (core.Config, error) {
 	if sf.WirelessKbps > 0 {
 		cfg.WirelessRate = units.BitRate(sf.WirelessKbps * 1000)
 	}
+	cfg.Variant = tcp.Tahoe
 	if sf.Variant != "" {
 		v, err := tcp.ParseVariant(sf.Variant)
 		if err != nil {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -151,5 +152,27 @@ func TestLoadScenarioStallOff(t *testing.T) {
 	}
 	if cfg.Stall >= 0 {
 		t.Errorf("stall \"off\" did not disable the watchdog: %v", cfg.Stall)
+	}
+}
+
+// TestCanonicalBuildsTheSameConfig: for every scenario of the shared
+// fuzz corpus, the canonical spelling builds the configuration the file
+// builds (or fails as the file does), so writing a preset's defaults
+// out never changes what runs.
+func TestCanonicalBuildsTheSameConfig(t *testing.T) {
+	for _, doc := range FuzzSeeds() {
+		sf, err := ParseFile([]byte(doc))
+		if err != nil {
+			continue
+		}
+		want, wantErr := sf.Build()
+		got, gotErr := sf.Canonical().Build()
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Errorf("%s: Build error %v, canonical Build error %v", doc, wantErr, gotErr)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: canonical spelling %+v builds\n%+v\nwant\n%+v", doc, sf.Canonical(), got, want)
+		}
 	}
 }

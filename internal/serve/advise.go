@@ -50,11 +50,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(1)
 	v := r.URL.Query().Get("bad")
 	if v == "" {
-		// ?ber= is accepted as an alias: operators observing a bit-error
-		// rate express it as the mean bad-period it induces.
-		v = r.URL.Query().Get("ber")
-	}
-	if v == "" {
 		s.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, 0, errorBody{
 			Error: "advise needs ?bad= (the observed mean bad-period, e.g. ?bad=4s)",

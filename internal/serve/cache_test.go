@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -69,6 +70,24 @@ func TestRunFingerprintIdentity(t *testing.T) {
 		seen[got] = body
 	}
 
+	// A preset's numeric defaults, written out or left out, name one
+	// run: the packet size, seed, transfer, window, MTU, rates and
+	// mean_good the preset supplies.
+	defaults := fp(`{"scenario":{"mean_bad":"4s","transfer_kb":20,"seed":1}}`)
+	for _, body := range []string{
+		`{"scenario":{"mean_bad":"4s","transfer_kb":20}}`,
+		`{"scenario":{"mean_bad":"4s","transfer_kb":20,"seed":1,"packet_size_bytes":576}}`,
+		`{"scenario":{"mean_bad":"4s","transfer_kb":20,"window_kb":4,"mtu_bytes":128,"wired_kbps":56,"wireless_kbps":19.2,"mean_good":"10s"}}`,
+	} {
+		if got := fp(body); got != defaults {
+			t.Errorf("fingerprint split by a preset default: %s", body)
+		}
+	}
+	if a, b := fp(`{"scenario":{"preset":"lan","mean_bad":"800ms"}}`),
+		fp(`{"scenario":{"preset":"lan","mean_bad":"800ms","packet_size_bytes":1536,"transfer_kb":4096,"window_kb":64,"mtu_bytes":-1,"wired_kbps":10000,"wireless_kbps":2000,"mean_good":"4s","seed":1}}`); a != b {
+		t.Error("fingerprint split by the LAN preset's defaults written out")
+	}
+
 	// Every duration compares by value.
 	if a, b := fp(`{"scenario":{"mean_bad":"4s","mean_good":"10s","horizon":"1h","stall":"5m","seed":1}}`),
 		fp(`{"scenario":{"mean_bad":"4s","mean_good":"10000ms","horizon":"60m","stall":"300s","seed":1}}`); a != b {
@@ -99,9 +118,15 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 	if a, b := fp(`{"campaign":{"sweeps":["fig7"]}}`), fp(`{"campaign":{"sweeps":["fig7"],"replications":5}}`); a != b {
 		t.Error("sweep identity split by spelling the default replication count")
 	}
-	// Worker width and budget are pure execution knobs.
-	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"workers":8,"budget":{"wall_clock":"5m"}}}`); got != base {
-		t.Error("workers/budget leaked into sweep identity")
+	// The budget is a pure execution knob.
+	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":{"wall_clock":"5m"}}}`); got != base {
+		t.Error("budget leaked into sweep identity")
+	}
+	// A manifest has no worker width (wtcpd's slots are the width): it
+	// is refused as an unknown field.
+	if _, _, err := ParseSweepRequest([]byte(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"workers":8}}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "workers"`) {
+		t.Errorf("a manifest naming workers: err %v, want an unknown-field refusal", err)
 	}
 	// Supervise changes the response shape (quarantines vs failure).
 	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"supervise":true}}`); got == base {

@@ -93,26 +93,21 @@ func marshalResponse(v any) ([]byte, outcome, bool) {
 }
 
 // runQuery binds a validated run request into the serveQuery pipeline.
+// Its breaker class is the scenario's shape (preset and scheme), not its
+// exact parameters: a WAN/ebsn scenario that exhausts its budget
+// predicts the same fate for its near-identical neighbours.
 func (s *Server) runQuery(req RunRequest, sf scenario.File, body []byte) query {
+	c := sf.Canonical()
 	return query{
 		kind:        "run",
-		fp:          RunFingerprint(sf, req.Replications),
-		class:       runClass(sf),
+		fp:          runFingerprint(c, req.Replications),
+		class:       "run/" + c.Preset + "/" + c.Scheme,
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
 		exec: func(ctx context.Context, fp string) outcome {
 			return s.execRun(ctx, req, sf, fp)
 		},
 	}
-}
-
-// runClass is the breaker cooldown granularity for runs: the scenario's
-// shape (preset and scheme), not its exact parameters — a WAN/ebsn
-// scenario that exhausts its budget predicts the same fate for its
-// near-identical neighbours.
-func runClass(sf scenario.File) string {
-	c := sf.Canonical()
-	return "run/" + c.Preset + "/" + c.Scheme
 }
 
 // sweepQuery binds a validated sweep request into the pipeline. A

@@ -78,7 +78,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"sweeps": ["fig7", "lan"], "replications": 10, "transfer_kb": 1000, "bad_periods": ["1s", "4s"]}`,
 		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000}`,
 		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000,"packet_sizes":[256,1024],"bad_periods":["1s","4s"]}`,
-		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"supervise":true,"workers":3,` +
+		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"supervise":true,` +
 			`"budget":{"max_events":3000,"wall_clock":"off"}}`,
 		`{"sweeps":[]}`,
 		`{"sweeps":["fig99"]}`,
@@ -87,6 +87,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"sweeps":["fig7"],"bad_periods":["-1s"]}`,
 		`{"sweeps":["fig7"],"budget":{"wall_clock":"soon"}}`,
 		`{"sweeps":["fig7"],"replicatoins":3}`,
+		`{"sweeps":["fig9"],"replications":2,"workers":3}`,
 		`{"sweeps":["fig7","fig7"]}`,
 		`{"sweeps":["fig7"],"packet_sizes":[512,512]}`,
 		`{"sweeps":["fig7"],"bad_periods":["1s","1000ms"]}`,

@@ -8,7 +8,10 @@ import (
 
 // metrics is the server's counter set, rendered in the Prometheus text
 // exposition format by /metrics. Counters only ever increase; gauges
-// (in-flight, queued, cache occupancy) are sampled at render time.
+// (in-flight, queued, cache occupancy) are sampled at render time. The
+// wtcpd_engine_* rows render the engine's experiment.HealthSnapshot,
+// one row per numeric field named after its JSON field, from one
+// snapshot per scrape.
 type metrics struct {
 	requests         atomic.Uint64
 	badRequests      atomic.Uint64
@@ -28,12 +31,11 @@ type metrics struct {
 // render emits the exposition text. The server passes live gauges in.
 func (m *metrics) render(s *Server) string {
 	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP wtcpd_%s %s\n# TYPE wtcpd_%s counter\nwtcpd_%s %d\n", name, help, name, name, v)
+	row := func(kind, name, help string, v any) {
+		fmt.Fprintf(&b, "# HELP wtcpd_%s %s\n# TYPE wtcpd_%s %s\nwtcpd_%s %v\n", name, help, name, kind, name, v)
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP wtcpd_%s %s\n# TYPE wtcpd_%s gauge\nwtcpd_%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { row("counter", name, help, v) }
+	gauge := func(name, help string, v any) { row("gauge", name, help, v) }
 	counter("requests_total", "Query requests received (run, sweep, advise).", m.requests.Load())
 	counter("bad_requests_total", "Requests rejected as malformed (400).", m.badRequests.Load())
 	counter("accepted_total", "Requests that won a run slot and were journaled.", m.accepted.Load())
@@ -64,5 +66,15 @@ func (m *metrics) render(s *Server) string {
 	perm, cooling := s.brk.counts()
 	gauge("breaker_permanent", "Fingerprints permanently failed (protocol-bug/panic).", int64(perm))
 	gauge("breaker_cooling", "Scenario classes currently cooling down.", int64(cooling))
+
+	snap := s.health.Snapshot()
+	counter("engine_completed_total", "Replications the engine completed.", snap.Completed)
+	counter("engine_failed_total", "Replication attempts that failed or aborted.", snap.Failed)
+	counter("engine_retried_total", "Perturbed-seed retries.", snap.Retried)
+	counter("engine_quarantined_total", "Points quarantined by the circuit breaker.", snap.Quarantined)
+	counter("engine_events_processed_total", "Kernel events fired across all replications.", snap.EventsProcessed)
+	gauge("engine_active_runs", "Replications in flight.", int64(len(snap.ActiveRuns)))
+	gauge("engine_median_run_sec", "Median wall-clock seconds of the last 1024 completed replications.", snap.MedianRunSec)
+	gauge("engine_heap_bytes", "Live heap object bytes.", snap.HeapBytes)
 	return b.String()
 }

@@ -138,15 +138,20 @@ func ParseSweepRequest(data []byte) (SweepRequest, experiment.Campaign, error) {
 // chaos plan compacted, plus the replication count, hashed under a
 // versioned kind tag.
 func RunFingerprint(sf scenario.File, replications int) string {
-	sf = sf.Canonical()
-	sf.Budget = nil
-	sf.CollectTrace = false
-	sf.Chaos = compactJSON(sf.Chaos)
+	return runFingerprint(sf.Canonical(), replications)
+}
+
+// runFingerprint is RunFingerprint of a file already in its canonical
+// spelling.
+func runFingerprint(c scenario.File, replications int) string {
+	c.Budget = nil
+	c.CollectTrace = false
+	c.Chaos = compactJSON(c.Chaos)
 	return fingerprintOf(struct {
 		Kind         string        `json:"kind"`
 		Scenario     scenario.File `json:"scenario"`
 		Replications int           `json:"replications"`
-	}{"run/v1", sf, replications})
+	}{"run/v2", c, replications})
 }
 
 // SweepFingerprint content-addresses a sweep request by the grid it

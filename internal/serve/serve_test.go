@@ -305,6 +305,67 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsEngineRowsMatchHealthz: /metrics renders the engine's
+// HealthSnapshot, one wtcpd_engine_* row per numeric field named after
+// its JSON field, so after three /v1/run misses and no run in between
+// each row equals /healthz's field. heap_bytes is sampled live on each
+// scrape, so it is only checked present and positive.
+func TestMetricsEngineRowsMatchHealthz(t *testing.T) {
+	srv := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for seed := int64(1); seed <= 3; seed++ {
+		if resp, data := post(t, ts, "/v1/run", runBody(seed, 20)); resp.StatusCode != http.StatusOK ||
+			resp.Header.Get("X-Wtcpd-Cache") != "miss" {
+			t.Fatalf("run seed %d: HTTP %d cache %q: %s", seed, resp.StatusCode, resp.Header.Get("X-Wtcpd-Cache"), data)
+		}
+	}
+	_, data := get(t, ts, "/healthz")
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatalf("/healthz: %v\n%s", err, data)
+	}
+	if fields["completed"] != 3.0 {
+		t.Fatalf("/healthz completed = %v, want 3", fields["completed"])
+	}
+	_, data = get(t, ts, "/metrics")
+	rows := map[string]float64{}
+	for _, line := range strings.Split(string(data), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if field, engine := strings.CutPrefix(name, "wtcpd_engine_"); ok && engine {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("/metrics row %q: %v", line, err)
+			}
+			rows[strings.TrimSuffix(field, "_total")] = v
+		}
+	}
+	want := []string{"completed", "failed", "retried", "quarantined", "events_processed", "active_runs", "median_run_sec", "heap_bytes"}
+	if len(rows) != len(want) {
+		t.Errorf("/metrics has engine rows %v, want one per field of %v", rows, want)
+	}
+	for _, field := range want {
+		got, ok := rows[field]
+		switch {
+		case !ok:
+			t.Errorf("/metrics has no engine row for %q", field)
+		case field == "heap_bytes":
+			if got <= 0 {
+				t.Errorf("wtcpd_engine_heap_bytes = %v, want positive", got)
+			}
+		case field == "active_runs":
+			if runs, _ := fields[field].([]any); got != float64(len(runs)) {
+				t.Errorf("wtcpd_engine_active_runs = %v, /healthz lists %d", got, len(runs))
+			}
+		case got != fields[field]:
+			t.Errorf("wtcpd_engine_%s = %v, /healthz %s = %v", field, got, field, fields[field])
+		}
+	}
+	if rows["events_processed"] == 0 || rows["median_run_sec"] == 0 {
+		t.Errorf("engine rows read zero after three runs: %v", rows)
+	}
+}
+
 func mustRunFP(t *testing.T, body []byte) string {
 	t.Helper()
 	req, sf, err := ParseRunRequest(body)
@@ -431,10 +492,10 @@ func TestAdviseRefinesFromSweepPoints(t *testing.T) {
 		t.Errorf("engine ran %d replications total, want %d (advise must not re-run sweep points)", snap.Completed, want)
 	}
 
-	// ?ber= is an accepted alias and hits the same cache entry.
-	resp, data2 := get(t, ts, "/v1/advise?ber=4s")
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Wtcpd-Cache") != "hit" || !bytes.Equal(data, data2) {
-		t.Errorf("?ber alias: HTTP %d cache=%q identical=%v", resp.StatusCode, resp.Header.Get("X-Wtcpd-Cache"), bytes.Equal(data, data2))
+	// ?bad= is the one spelling: a ?ber= query is a request without it.
+	if resp, data := get(t, ts, "/v1/advise?ber=4s"); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(data), "?bad=") || strings.Contains(string(data), "?ber") {
+		t.Errorf("advise with ?ber=: HTTP %d %s, want a 400 naming only ?bad=", resp.StatusCode, data)
 	}
 
 	if resp, _ := get(t, ts, "/v1/advise"); resp.StatusCode != http.StatusBadRequest {
