@@ -229,7 +229,9 @@ endif
 #
 # BASE's tree is exported under $(SCRATCH)/bench-ab/base (git archive:
 # no worktree left registered in .git), ./bench is built from both trees,
-# each run is made in its own tree with `-seconds 20 -trace 0`, odd pairs
+# each run is made in its own tree with `-seconds 20 -trace 0` and its
+# own report directory ($(SCRATCH)/bench-ab/out-<side>/<pair>, so every
+# run's per-layer readings, setup_s_raw included, survive), odd pairs
 # run the base first and even pairs the change, and `wtcp bench ab`
 # prints each end-to-end metric's medians, quartiles, pairs won and the
 # rule, then every pair. Under a minute a run for wan_ladder.
@@ -247,7 +249,7 @@ bench-ab:
 		order="base change"; [ $$((i % 2)) -eq 1 ] || order="change base"; \
 		for side in $$order; do \
 			tree=$(CURDIR); [ $$side = change ] || tree=$(AB)/base; \
-			(cd $$tree && $(AB)/$$side-bench -workload $(WORKLOAD) -seed $(SEED) -seconds 20 -trace 0 -out $(AB)/out-$$side) > $(AB)/run.txt \
+			(cd $$tree && $(AB)/$$side-bench -workload $(WORKLOAD) -seed $(SEED) -seconds 20 -trace 0 -out $(AB)/out-$$side/$$i) > $(AB)/run.txt \
 				|| { cat $(AB)/run.txt; exit 1; }; \
 			tail -n 1 $(AB)/run.txt >> $(AB)/$$side.jsonl; \
 			echo "pair $$i $$side: $$(tail -n 1 $(AB)/run.txt)"; \

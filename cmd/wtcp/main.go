@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -180,7 +181,7 @@ func executionFlags(fs *flag.FlagSet, scope execScope) func(stderr io.Writer) (e
 		fs.IntVar(&opt.Replications, "reps", 5, "replications per data point")
 		fs.Int64Var(&opt.BaseSeed, "seed", 0, "base seed offset")
 		fs.StringVar(&opt.Checkpoint, "checkpoint", "", "checkpoint file: finished points are saved here and an interrupted run resumes from them")
-		fs.IntVar(&opt.Workers, "workers", 1, "replications run concurrently (across points)")
+		fs.IntVar(&opt.Workers, "workers", runtime.GOMAXPROCS(0), "replications run concurrently (across points)")
 		fs.StringVar(&opt.ReproDir, "repro", "", "directory to capture failed replications as bundles for wtcp repro")
 		fs.BoolVar(&supervise, "supervise", true, "quarantine pathological points (listed on stderr) instead of failing the whole run")
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -151,8 +152,8 @@ func TestExecutionFlags(t *testing.T) {
 			if got := parse(c, append(full, budget...)); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: options %+v, want %+v", c.name, got, want)
 			}
-			if def := parse(c, nil); def.Replications != 5 || def.BaseSeed != 0 || def.Workers != 1 || def.Supervise == nil {
-				t.Errorf("%s: default options %+v, want 5 replications, seed 0, 1 worker, supervised", c.name, def)
+			if def := parse(c, nil); def.Replications != 5 || def.BaseSeed != 0 || def.Workers != runtime.GOMAXPROCS(0) || def.Supervise == nil {
+				t.Errorf("%s: default options %+v, want 5 replications, seed 0, GOMAXPROCS workers, supervised", c.name, def)
 			}
 		}
 		engineBacked++

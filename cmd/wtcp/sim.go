@@ -8,17 +8,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"time"
 
-	"wtcp/internal/bs"
 	"wtcp/internal/cell"
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
 	"wtcp/internal/sim"
 	"wtcp/internal/stats"
-	"wtcp/internal/tcp"
-	"wtcp/internal/units"
 )
 
 // simFlags declares wtcp sim, which runs one simulated bulk transfer over
@@ -29,21 +27,12 @@ import (
 //	wtcp sim -lan -scheme ebsn -bad 800ms
 //	wtcp sim -cell 10000                 # the flat cell-scale engine
 func simFlags(fs *flag.FlagSet) body {
+	var sc simScenario
+	sc.declare(fs)
 	var (
-		schemeName = fs.String("scheme", "basic", "base-station scheme: basic|localrecovery|ebsn|sourcequench|snoop|split")
-		variant    = fs.String("variant", "tahoe", "TCP sender variant: tahoe|reno|newreno|sack")
-		packet     = fs.Int("packet", 576, "wired packet size in bytes (including 40-byte header)")
-		bad        = fs.Duration("bad", 2*time.Second, "mean bad-period length")
-		good       = fs.Duration("good", 0, "mean good-period length (0 = paper preset)")
-		transfer   = fs.Int64("transfer", 0, "transfer size in KB (0 = paper preset)")
-		lan        = fs.Bool("lan", false, "use the local-area preset instead of wide-area")
-		seed       = fs.Int64("seed", 1, "base random seed")
-		reps       = fs.Int("reps", 1, "independent replications")
-		verbose    = fs.Bool("v", false, "print per-component counters")
-		configPath = fs.String("config", "", "JSON scenario file (overrides the scenario flags)")
-		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON results")
-		checks     = fs.Bool("checks", false, "enable runtime invariant checking (also arms the no-progress watchdog)")
-		strict     = fs.Bool("strict", false, "arm the protocol-conformance oracle: abort the run on the first Tahoe/ARQ/EBSN rule violation, naming the rule and event")
+		reps    = fs.Int("reps", 1, "independent replications")
+		verbose = fs.Bool("v", false, "print per-component counters")
+		jsonOut = fs.Bool("json", false, "emit machine-readable JSON results")
 
 		cellFlows   = fs.Int("cell", 0, "cell-scale mode: simulate this many concurrent flows on the flat engine (try 1000, 10000, 50000)")
 		cellPolicy  = fs.String("cell-policy", "roundrobin", "cell radio scheduling: fifo|roundrobin|csdp")
@@ -62,88 +51,34 @@ func simFlags(fs *flag.FlagSet) body {
 				bad:     *cellBad,
 				horizon: *cellHorizon,
 				oracle:  *cellOracle,
-				seed:    *seed,
+				seed:    sc.seed,
 				jsonOut: *jsonOut,
 				budget:  opt.RunBudget,
 			})
 		}
-		scheme, err := bs.ParseScheme(*schemeName)
-		if err != nil {
-			return err
-		}
-		sendVariant, err := tcp.ParseVariant(*variant)
-		if err != nil {
-			return err
-		}
-
-		var fromFile *core.Config
-		if *configPath != "" {
-			loaded, err := scenario.Load(*configPath)
-			if err != nil {
-				return err
-			}
-			fromFile = &loaded
-			scheme = loaded.Scheme
-		}
-
 		if *reps < 1 {
 			return fmt.Errorf("-reps %d: need at least one replication", *reps)
 		}
-		build := func(seed int64) core.Config {
-			var cfg core.Config
-			if fromFile != nil {
-				cfg = *fromFile
-			} else {
-				if *lan {
-					cfg = core.LAN(scheme, *bad)
-				} else {
-					cfg = core.WAN(scheme, units.ByteSize(*packet), *bad)
-				}
-				if *good > 0 {
-					cfg.Channel.MeanGood = *good
-				}
-				if *transfer > 0 {
-					cfg.TransferSize = units.ByteSize(*transfer) * units.KB
-				}
-				cfg.Variant = sendVariant
-			}
-			// -seed numbers the replications, a scenario file's included.
-			cfg.Seed = seed
-			if *checks {
-				cfg.Checks = true
-			}
-			if *strict {
-				cfg.Oracle = true
-			}
-			// Budget flags override the scenario file's budget field by
-			// field; the engine fills in whatever neither sets.
-			cfg.Budget = opt.RunBudget.Or(cfg.Budget)
-			return cfg
-		}
-
-		cfg := build(*seed)
-		if err := cfg.Validate(); err != nil {
+		cfg, err := sc.config()
+		if err != nil {
 			return err
 		}
+		// Budget flags override the scenario file's budget field by
+		// field; the engine fills in whatever neither sets.
+		cfg.Budget = opt.RunBudget.Or(cfg.Budget)
 		if !*jsonOut {
 			fmt.Fprintf(stdout, "scheme=%s packet=%dB transfer=%s window=%s bad=%v good=%v tput_th=%.2fKbps\n",
-				scheme, cfg.PacketSize, cfg.TransferSize, cfg.Window,
+				cfg.Scheme, cfg.PacketSize, cfg.TransferSize, cfg.Window,
 				cfg.Channel.MeanBad, cfg.Channel.MeanGood, cfg.TheoreticalMaxKbps())
 		}
 
-		// One engine point: at one worker the scheduler measures the
+		// One scenario run: at one worker the scheduler measures the
 		// replications in seed order on this goroutine, so last is the
 		// final one that counted. sim arms no supervisor, so the point is
 		// never quarantined.
 		opt.Replications = *reps
 		var last *core.Result
-		recs, _, err := experiment.RunCustom(ctx, opt, "wtcp sim", func(rep int64) core.Config {
-			return build(*seed + rep - 1)
-		}, func(r *core.Result) ([]float64, error) {
-			last = r
-			return []float64{r.Summary.ThroughputKbps, r.Summary.Goodput,
-				r.Summary.RetransmittedKB(), float64(r.Summary.Timeouts)}, nil
-		})
+		recs, _, err := experiment.RunScenario(ctx, opt, "wtcp sim", cfg, func(r *core.Result) { last = r })
 		if err != nil {
 			var be *sim.BudgetError
 			if errors.As(err, &be) {
@@ -182,6 +117,71 @@ func simFlags(fs *flag.FlagSet) body {
 		}
 		return nil
 	}
+}
+
+// simScenario holds wtcp sim's scenario flags. -scheme, -variant, -lan,
+// -packet, -bad, -good and -transfer are scenario.File fields, 0 or
+// unset keeping the preset's value as in a scenario file; -config reads
+// the whole File from JSON instead; -seed, -checks and -strict apply to
+// the configuration it builds.
+type simScenario struct {
+	file       scenario.File
+	bad, good  time.Duration
+	lan        bool
+	configPath string
+	seed       int64
+	checks     bool
+	strict     bool
+}
+
+// declare declares the scenario flags on fs.
+func (sc *simScenario) declare(fs *flag.FlagSet) {
+	fs.StringVar(&sc.file.Scheme, "scheme", "basic", "base-station scheme: basic|localrecovery|ebsn|sourcequench|snoop|split")
+	fs.StringVar(&sc.file.Variant, "variant", "tahoe", "TCP sender variant: tahoe|reno|newreno|sack")
+	fs.IntVar(&sc.file.PacketSizeBytes, "packet", 0, "wired packet size in bytes, 40-byte header included (0 = paper preset: 576 wide-area, 1536 local-area)")
+	fs.DurationVar(&sc.bad, "bad", 2*time.Second, "mean bad-period length")
+	fs.DurationVar(&sc.good, "good", 0, "mean good-period length (0 = paper preset)")
+	fs.Int64Var(&sc.file.TransferKB, "transfer", 0, "transfer size in KB (0 = paper preset)")
+	fs.BoolVar(&sc.lan, "lan", false, "use the local-area preset instead of wide-area")
+	fs.StringVar(&sc.configPath, "config", "", "JSON scenario file (overrides the scenario flags)")
+	fs.Int64Var(&sc.seed, "seed", 1, "base random seed")
+	fs.BoolVar(&sc.checks, "checks", false, "enable runtime invariant checking (also arms the no-progress watchdog)")
+	fs.BoolVar(&sc.strict, "strict", false, "arm the protocol-conformance oracle: abort the run on the first Tahoe/ARQ/EBSN rule violation, naming the rule and event")
+}
+
+// config builds the configuration the parsed flags name: the scenario
+// File (-config's, or the one the flags fill) through File.Build, then
+// -seed, which numbers the replications (a scenario file's seed
+// included), and -checks and -strict, which switch checking on.
+func (sc *simScenario) config() (core.Config, error) {
+	sf := sc.file
+	sf.MeanBad = sc.bad.String()
+	if sc.good != 0 {
+		sf.MeanGood = sc.good.String()
+	}
+	if sc.lan {
+		sf.Preset = "lan"
+	}
+	if sc.configPath != "" {
+		raw, err := os.ReadFile(sc.configPath)
+		if err != nil {
+			return core.Config{}, fmt.Errorf("read scenario: %w", err)
+		}
+		if sf, err = scenario.ParseFile(raw); err != nil {
+			return core.Config{}, fmt.Errorf("scenario %s: %w", sc.configPath, err)
+		}
+	}
+	cfg, err := sf.Build()
+	if err != nil && sc.configPath != "" {
+		err = fmt.Errorf("scenario %s: %w", sc.configPath, err)
+	}
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg.Seed = sc.seed
+	cfg.Checks = cfg.Checks || sc.checks
+	cfg.Oracle = sc.strict
+	return cfg, nil
 }
 
 // cellOptions carries the -cell* flags into the cell-scale runner.

@@ -6,10 +6,18 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"wtcp/internal/bs"
+	"wtcp/internal/core"
+	"wtcp/internal/tcp"
+	"wtcp/internal/units"
 )
 
 func TestRunBasicScenario(t *testing.T) {
@@ -204,5 +212,71 @@ func TestRunWithBadConfigFile(t *testing.T) {
 	path := writeScenario(t, `{"bogus": 1}`)
 	if _, _, err := wtcp("sim", "-config", path); err == nil {
 		t.Error("run accepted a scenario with an unknown field")
+	}
+	if _, _, err := wtcp("sim", "-config", filepath.Join(t.TempDir(), "missing.json")); err == nil ||
+		!strings.HasPrefix(err.Error(), "read scenario: ") {
+		t.Errorf("missing scenario file: err %v, want a read error", err)
+	}
+}
+
+// TestSimConfigParity pins the configuration wtcp sim builds for a flag
+// set: the preset the flags name, with each given flag written over it
+// as a scenario file's field would be — the sim goldens' flag sets
+// (-reps, -json and -v do not reach the configuration) and each other
+// scenario flag. -lan -packet N runs N-byte packets, as a local-area
+// scenario file's packet_size_bytes does; -config takes the whole
+// scenario from the file and -seed still numbers its replications.
+func TestSimConfigParity(t *testing.T) {
+	path := writeScenario(t, `{"preset":"lan","scheme":"snoop","mean_bad":"1s","sack":true,"seed":5}`)
+	wan := func(s bs.Scheme, bad time.Duration, edit func(*core.Config)) core.Config {
+		cfg := core.WAN(s, core.PaperWANPacketDefault, bad)
+		cfg.Variant = tcp.Tahoe
+		if edit != nil {
+			edit(&cfg)
+		}
+		return cfg
+	}
+	lan := func(s bs.Scheme, bad time.Duration, edit func(*core.Config)) core.Config {
+		cfg := core.LAN(s, bad)
+		cfg.Variant = tcp.Tahoe
+		if edit != nil {
+			edit(&cfg)
+		}
+		return cfg
+	}
+	for _, c := range []struct {
+		args []string
+		want core.Config
+	}{
+		{nil, wan(bs.Basic, 2*time.Second, nil)},
+		{[]string{"-scheme", "basic", "-transfer", "20"}, wan(bs.Basic, 2*time.Second, func(c *core.Config) { c.TransferSize = 20 * units.KB })},
+		{[]string{"-scheme", "ebsn", "-transfer", "40", "-bad", "4s"}, wan(bs.EBSN, 4*time.Second, func(c *core.Config) { c.TransferSize = 40 * units.KB })},
+		{[]string{"-scheme", "localrecovery", "-transfer", "40", "-bad", "4s", "-seed", "3"}, wan(bs.LocalRecovery, 4*time.Second, func(c *core.Config) {
+			c.TransferSize, c.Seed = 40*units.KB, 3
+		})},
+		{[]string{"-scheme", "ebsn", "-packet", "1536", "-bad", "4s"}, wan(bs.EBSN, 4*time.Second, func(c *core.Config) { c.PacketSize = 1536 })},
+		{[]string{"-lan", "-scheme", "ebsn", "-bad", "800ms"}, lan(bs.EBSN, 800*time.Millisecond, nil)},
+		{[]string{"-lan", "-packet", "576"}, lan(bs.Basic, 2*time.Second, func(c *core.Config) { c.PacketSize = 576 })},
+		{[]string{"-lan", "-good", "3s", "-transfer", "512", "-variant", "sack"}, lan(bs.Basic, 2*time.Second, func(c *core.Config) {
+			c.Channel.MeanGood, c.TransferSize, c.Variant = 3*time.Second, 512*units.KB, tcp.SACKVariant
+		})},
+		{[]string{"-good", "20s", "-variant", "newreno", "-checks", "-strict"}, wan(bs.Basic, 2*time.Second, func(c *core.Config) {
+			c.Channel.MeanGood, c.Variant, c.Checks, c.Oracle = 20*time.Second, tcp.NewReno, true, true
+		})},
+		{[]string{"-config", path, "-seed", "9"}, lan(bs.Snoop, time.Second, func(c *core.Config) { c.SACK, c.Seed = true, 9 })},
+		{[]string{"-config", path}, lan(bs.Snoop, time.Second, func(c *core.Config) { c.SACK = true })},
+	} {
+		var sc simScenario
+		fs := flag.NewFlagSet("sim", flag.ContinueOnError)
+		sc.declare(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sc.config()
+		if err != nil {
+			t.Errorf("%q: %v", c.args, err)
+		} else if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%q builds\n%+v\nwant\n%+v", c.args, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -52,6 +53,27 @@ func TestParseFullPlan(t *testing.T) {
 	}
 	if got, want := cfg.Horizon(), 22*time.Second; got != want {
 		t.Errorf("Horizon() = %v, want %v (crash at 20s + 2s downtime)", got, want)
+	}
+}
+
+// TestPlanJSONRoundTrips: JSON renders a plan in the form Parse reads
+// back to the same plan, and two spellings of one plan render alike.
+func TestPlanJSONRoundTrips(t *testing.T) {
+	full := strings.Replace(fullPlanJSON, `"packets"`, `"event_storms": [{"at": "5s", "count": 100, "spacing": "0s"}], "packets"`, 1)
+	for _, doc := range []string{full, `{}`, `{"notify": {"delay": "1s"}}`} {
+		cfg, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(cfg.JSON())
+		if err != nil || !reflect.DeepEqual(back, cfg) {
+			t.Errorf("%s renders %s, which parses to %+v (%v), want %+v", doc, cfg.JSON(), back, err, cfg)
+		}
+	}
+	a, _ := Parse([]byte(`{"crashes": [{"at": "20s", "downtime": "2000ms"}]}`))
+	b, _ := Parse([]byte(`{"crashes": [{"downtime": "2s", "at": "20000ms"}]}`))
+	if want := `{"crashes":[{"at":"20s","downtime":"2s"}]}`; string(a.JSON()) != want || string(b.JSON()) != want {
+		t.Errorf("crash plans render %s and %s", a.JSON(), b.JSON())
 	}
 }
 

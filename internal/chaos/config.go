@@ -391,37 +391,37 @@ type jsonEventStorm struct {
 }
 
 type jsonConfig struct {
-	Blackouts   []jsonBlackout     `json:"blackouts"`
-	Storms      []jsonStorm        `json:"storms"`
-	Crashes     []jsonCrash        `json:"crashes"`
-	Handoff     *jsonHandoff       `json:"handoff"`
-	Notify      *jsonNotify        `json:"notify"`
-	Packets     []jsonPacketFaults `json:"packets"`
-	EventStorms []jsonEventStorm   `json:"event_storms"`
+	Blackouts   []jsonBlackout     `json:"blackouts,omitempty"`
+	Storms      []jsonStorm        `json:"storms,omitempty"`
+	Crashes     []jsonCrash        `json:"crashes,omitempty"`
+	Handoff     *jsonHandoff       `json:"handoff,omitempty"`
+	Notify      *jsonNotify        `json:"notify,omitempty"`
+	Packets     []jsonPacketFaults `json:"packets,omitempty"`
+	EventStorms []jsonEventStorm   `json:"event_storms,omitempty"`
 }
 
-// parseDur parses a required duration field.
-func parseDur(field, v string) (time.Duration, error) {
-	if v == "" {
-		return 0, fmt.Errorf("chaos: %s is required (a duration like \"3s\" or \"500ms\")", field)
+// durations parses the duration fields of the JSON form in order,
+// keeping the first error.
+type durations struct{ err error }
+
+// req parses a required duration field.
+func (p *durations) req(field, v string) time.Duration {
+	if v == "" && p.err == nil {
+		p.err = fmt.Errorf("chaos: %s is required (a duration like \"3s\" or \"500ms\")", field)
+	}
+	return p.opt(field, v)
+}
+
+// opt parses an optional duration field (empty = zero).
+func (p *durations) opt(field, v string) time.Duration {
+	if v == "" || p.err != nil {
+		return 0
 	}
 	d, err := time.ParseDuration(v)
 	if err != nil {
-		return 0, fmt.Errorf("chaos: %s: %w", field, err)
+		p.err = fmt.Errorf("chaos: %s: %w", field, err)
 	}
-	return d, nil
-}
-
-// parseOptDur parses an optional duration field (empty = zero).
-func parseOptDur(field, v string) (time.Duration, error) {
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("chaos: %s: %w", field, err)
-	}
-	return d, nil
+	return d
 }
 
 // Parse decodes the JSON fault plan and validates it. Unknown fields are
@@ -435,88 +435,68 @@ func Parse(data []byte) (*Config, error) {
 		return nil, fmt.Errorf("chaos: parse config: %w", err)
 	}
 	cfg := &Config{}
+	var p durations
 	for i, b := range jc.Blackouts {
-		at, err := parseDur(fmt.Sprintf("blackouts[%d].at", i), b.At)
-		if err != nil {
-			return nil, err
-		}
-		length, err := parseDur(fmt.Sprintf("blackouts[%d].length", i), b.Length)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Blackouts = append(cfg.Blackouts, Blackout{Link: b.Link, At: at, Length: length})
+		cfg.Blackouts = append(cfg.Blackouts, Blackout{Link: b.Link,
+			At: p.req(fmt.Sprintf("blackouts[%d].at", i), b.At), Length: p.req(fmt.Sprintf("blackouts[%d].length", i), b.Length)})
 	}
 	for i, s := range jc.Storms {
-		at, err := parseDur(fmt.Sprintf("storms[%d].at", i), s.At)
-		if err != nil {
-			return nil, err
-		}
-		length, err := parseDur(fmt.Sprintf("storms[%d].length", i), s.Length)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Storms = append(cfg.Storms, Storm{Link: s.Link, At: at, Length: length, LossProb: s.LossProb})
+		cfg.Storms = append(cfg.Storms, Storm{Link: s.Link, At: p.req(fmt.Sprintf("storms[%d].at", i), s.At),
+			Length: p.req(fmt.Sprintf("storms[%d].length", i), s.Length), LossProb: s.LossProb})
 	}
 	for i, cr := range jc.Crashes {
-		at, err := parseDur(fmt.Sprintf("crashes[%d].at", i), cr.At)
-		if err != nil {
-			return nil, err
-		}
-		down, err := parseDur(fmt.Sprintf("crashes[%d].downtime", i), cr.Downtime)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Crashes = append(cfg.Crashes, Crash{At: at, Downtime: down})
+		cfg.Crashes = append(cfg.Crashes, Crash{At: p.req(fmt.Sprintf("crashes[%d].at", i), cr.At),
+			Downtime: p.req(fmt.Sprintf("crashes[%d].downtime", i), cr.Downtime)})
 	}
 	if h := jc.Handoff; h != nil {
-		dwell, err := parseDur("handoff.dwell", h.Dwell)
-		if err != nil {
-			return nil, err
-		}
-		gap, err := parseDur("handoff.gap", h.Gap)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Handoff = &Handoff{Dwell: dwell, Gap: gap, DupAcks: h.DupAcks}
+		cfg.Handoff = &Handoff{Dwell: p.req("handoff.dwell", h.Dwell), Gap: p.req("handoff.gap", h.Gap), DupAcks: h.DupAcks}
 	}
-	if jc.Notify != nil {
-		delay, err := parseOptDur("notify.delay", jc.Notify.Delay)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Notify = NotifyFaults{
-			LossProb:  jc.Notify.LossProb,
-			DupProb:   jc.Notify.DupProb,
-			DelayProb: jc.Notify.DelayProb,
-			Delay:     delay,
-		}
+	if n := jc.Notify; n != nil {
+		cfg.Notify = NotifyFaults{LossProb: n.LossProb, DupProb: n.DupProb, DelayProb: n.DelayProb, Delay: p.opt("notify.delay", n.Delay)}
 	}
 	for i, es := range jc.EventStorms {
-		at, err := parseDur(fmt.Sprintf("event_storms[%d].at", i), es.At)
-		if err != nil {
-			return nil, err
-		}
-		spacing, err := parseOptDur(fmt.Sprintf("event_storms[%d].spacing", i), es.Spacing)
-		if err != nil {
-			return nil, err
-		}
-		cfg.EventStorms = append(cfg.EventStorms, EventStorm{At: at, Count: es.Count, Spacing: spacing})
+		cfg.EventStorms = append(cfg.EventStorms, EventStorm{At: p.req(fmt.Sprintf("event_storms[%d].at", i), es.At),
+			Count: es.Count, Spacing: p.opt(fmt.Sprintf("event_storms[%d].spacing", i), es.Spacing)})
 	}
-	for i, p := range jc.Packets {
-		rd, err := parseOptDur(fmt.Sprintf("packets[%d].reorder_delay", i), p.ReorderDelay)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Packets = append(cfg.Packets, PacketFaults{
-			Link:         p.Link,
-			CorruptProb:  p.CorruptProb,
-			DupProb:      p.DupProb,
-			ReorderProb:  p.ReorderProb,
-			ReorderDelay: rd,
-		})
+	for i, pf := range jc.Packets {
+		cfg.Packets = append(cfg.Packets, PacketFaults{Link: pf.Link, CorruptProb: pf.CorruptProb, DupProb: pf.DupProb,
+			ReorderProb: pf.ReorderProb, ReorderDelay: p.opt(fmt.Sprintf("packets[%d].reorder_delay", i), pf.ReorderDelay)})
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return cfg, nil
+}
+
+// JSON renders the plan in the form Parse reads, every duration by
+// time.Duration.String, so Parse(c.JSON()) equals c and two spellings
+// of one plan render alike.
+func (c *Config) JSON() json.RawMessage {
+	var jc jsonConfig
+	for _, b := range c.Blackouts {
+		jc.Blackouts = append(jc.Blackouts, jsonBlackout{b.Link, b.At.String(), b.Length.String()})
+	}
+	for _, s := range c.Storms {
+		jc.Storms = append(jc.Storms, jsonStorm{s.Link, s.At.String(), s.Length.String(), s.LossProb})
+	}
+	for _, cr := range c.Crashes {
+		jc.Crashes = append(jc.Crashes, jsonCrash{cr.At.String(), cr.Downtime.String()})
+	}
+	if h := c.Handoff; h != nil {
+		jc.Handoff = &jsonHandoff{h.Dwell.String(), h.Gap.String(), h.DupAcks}
+	}
+	if n := c.Notify; n != (NotifyFaults{}) {
+		jc.Notify = &jsonNotify{n.LossProb, n.DupProb, n.DelayProb, n.Delay.String()}
+	}
+	for _, p := range c.Packets {
+		jc.Packets = append(jc.Packets, jsonPacketFaults{p.Link, p.CorruptProb, p.DupProb, p.ReorderProb, p.ReorderDelay.String()})
+	}
+	for _, es := range c.EventStorms {
+		jc.EventStorms = append(jc.EventStorms, jsonEventStorm{es.At.String(), es.Count, es.Spacing.String()})
+	}
+	data, _ := json.Marshal(jc) // strings, finite numbers and bools only
+	return data
 }

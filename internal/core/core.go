@@ -81,7 +81,7 @@ type Config struct {
 	// the source — the §6 future-work interaction study with EBSN.
 	ECN bool
 	// NotifyEvery thins the EBSN/quench stream to every Nth failed
-	// attempt (0/1 = the paper's every-attempt behaviour).
+	// attempt (the presets' 1 is the paper's every-attempt behaviour).
 	NotifyEvery int
 	// SACK enables selective acknowledgments at both endpoints (an
 	// ablation; the paper's TCP predates RFC 2018). It mitigates the
@@ -129,8 +129,8 @@ type Config struct {
 	// Seed drives all randomness in the run (channel, corruption draws,
 	// ARQ backoff).
 	Seed int64
-	// Horizon caps virtual time as a runaway guard; zero uses a generous
-	// default.
+	// Horizon caps virtual time as a runaway guard; the presets set
+	// DefaultHorizon.
 	Horizon time.Duration
 	// CollectTrace and Oracle each attach one consumer to the run's event
 	// stream (see tapSender); they are independent, and neither changes a
@@ -208,7 +208,9 @@ func WAN(scheme bs.Scheme, packetSize units.ByteSize, meanBad time.Duration) Con
 		WirelessOverhead: 1.5,
 		MTU:              128,
 		Channel:          errmodel.PaperWAN(meanBad),
+		NotifyEvery:      1,
 		Seed:             1,
+		Horizon:          DefaultHorizon,
 	}
 }
 
@@ -239,7 +241,9 @@ func LAN(scheme bs.Scheme, meanBad time.Duration) Config {
 			RTmax:      64,
 			BackoffMax: 100 * time.Millisecond,
 		},
-		Seed: 1,
+		NotifyEvery: 1,
+		Seed:        1,
+		Horizon:     DefaultHorizon,
 	}
 }
 
@@ -258,6 +262,8 @@ func (c Config) Validate() error {
 		return errors.New("core: negative wireless overhead")
 	case c.MTU < 0:
 		return errors.New("core: negative MTU")
+	case c.Horizon <= 0:
+		return fmt.Errorf("core: horizon %v is not positive (the presets set %v)", c.Horizon, DefaultHorizon)
 	}
 	if err := c.Chaos.Validate(); err != nil {
 		return err
@@ -384,10 +390,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = DefaultHorizon
-	}
-
 	tp, err := newTopology(cfg, false)
 	if err != nil {
 		return nil, err

@@ -55,9 +55,6 @@ func RunWeb(cfg Config, web WebWorkload) (*WebResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = DefaultHorizon
-	}
 	tp, err := newTopology(cfg, true)
 	if err != nil {
 		return nil, err

@@ -339,12 +339,8 @@ func Shrink(ctx context.Context, b *Bundle, maxReplays int) (*Bundle, ShrinkStat
 			improved = improved || ok
 		}
 
-		// Halve the horizon (zero means the default; floor: one second).
-		horizon := cur.Config.Horizon
-		if horizon <= 0 {
-			horizon = core.DefaultHorizon
-		}
-		if half := horizon / 2; half >= time.Second {
+		// Halve the horizon (floor: one second).
+		if half := cur.Config.Horizon / 2; half >= time.Second {
 			cand := cur.Config
 			cand.Horizon = half
 			ok, err := try(cand)

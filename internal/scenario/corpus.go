@@ -22,6 +22,17 @@ func FuzzSeeds() []string {
 		`{"packet_size_bytes":10}`,
 		`{"chaos":{"blackouts":[{"link":"nope","at":"1s","length":"1s"}]}}`,
 		`{"chaos":null}`,
+		// One run in five spellings: a preset default written out and a
+		// chaos plan that injects nothing, as an object, null or empty
+		// lists.
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1}`,
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1,"horizon":"4h"}`,
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1,"chaos":{}}`,
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1,"chaos":null}`,
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1,"chaos":{"blackouts":[],"crashes":[]}}`,
+		// One blackout in two spellings.
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1,"chaos":{"blackouts":[{"link":"wireless-down","at":"5s","length":"3s"}]}}`,
+		`{"mean_bad":"4s","transfer_kb":20,"seed":1,"chaos":{"blackouts":[{"link":"wireless-down","at":"5000ms","length":"3s"}]}}`,
 		`{"bogus":1}`,
 		`{`,
 	}

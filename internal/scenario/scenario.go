@@ -5,19 +5,22 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"os"
+	"math"
 	"time"
 
 	"wtcp/internal/bs"
 	"wtcp/internal/chaos"
 	"wtcp/internal/core"
+	"wtcp/internal/sim"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
 
-// File is the JSON scenario format accepted by wtcp sim's -config and
-// wtcpd's /v1/run requests. Durations are human-readable strings ("4s",
-// "800ms"); omitted fields keep the preset's value. Example:
+// File is the one spelling of a scenario: wtcp sim fills one from the
+// flags it is given or decodes its -config file into one, and a wtcpd
+// /v1/run request carries one; Build turns it into the run's
+// configuration. Durations are human-readable strings ("4s", "800ms");
+// omitted fields keep the preset's value. Example:
 //
 //	{
 //	  "preset": "wan",
@@ -61,7 +64,7 @@ type File struct {
 	// internal/chaos for the schema), Checks enables runtime invariant
 	// checking, and Stall tunes the no-progress watchdog window ("5m";
 	// "off" disables it). Budget bounds the run's resource consumption
-	// (schema shared with fleet campaign manifests); exhausting any
+	// (schema shared with /v1/sweep campaign manifests); exhausting any
 	// ceiling halts the run with a budget error.
 	Chaos  json.RawMessage `json:"chaos,omitempty"`
 	Checks bool            `json:"checks,omitempty"`
@@ -69,34 +72,9 @@ type File struct {
 	Budget *Budget         `json:"budget,omitempty"`
 }
 
-// Load reads and validates a JSON scenario file into a runnable
-// configuration.
-func Load(path string) (core.Config, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return core.Config{}, fmt.Errorf("read scenario: %w", err)
-	}
-	cfg, err := Parse(raw)
-	if err != nil {
-		return core.Config{}, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	return cfg, nil
-}
-
-// Parse decodes and validates scenario JSON. Unknown fields are
-// rejected so a typoed knob fails loudly instead of being ignored.
-func Parse(raw []byte) (core.Config, error) {
-	sf, err := ParseFile(raw)
-	if err != nil {
-		return core.Config{}, err
-	}
-	return sf.Build()
-}
-
-// ParseFile decodes scenario JSON into its file form without building
-// the configuration. Callers that need the declarative shape — wtcpd's
-// request fingerprinting canonicalizes a File with its budget cleared —
-// follow up with Build, which performs full validation.
+// ParseFile decodes scenario JSON into its file form. Unknown fields
+// are rejected so a typoed knob fails loudly instead of being ignored;
+// Build performs full validation.
 func ParseFile(raw []byte) (File, error) {
 	var sf File
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -137,56 +115,98 @@ func (sf File) validate() error {
 // defaultMeanBad is the mean bad period of a file that names none.
 const defaultMeanBad = 2 * time.Second
 
-// Canonical spells the file the one way every equivalent spelling
-// shares. The preset Build starts from (core.WAN or core.LAN) supplies
-// every default: the preset, scheme, variant, packet size, transfer,
-// window, MTU (a disabled one as -1), link rates, mean_good, mean_bad
-// and seed are written out, and every duration is re-rendered by
-// time.Duration.String ("4000ms" becomes "4s"; stall "off" stays as
-// written). Canonical().Build() equals Build(). A file whose preset
-// does not build keeps its fields as written.
+// Canonical is the file's canonical spelling (see BuildCanonical), or
+// the file as written when it does not build.
 func (sf File) Canonical() File {
-	sf.MeanGood = canonicalDur(sf.MeanGood)
-	sf.Horizon = canonicalDur(sf.Horizon)
-	sf.Stall = canonicalDur(sf.Stall)
-	cfg, err := sf.preset()
+	_, c, err := sf.BuildCanonical()
 	if err != nil {
-		sf.MeanBad = canonicalDur(sf.MeanBad)
 		return sf
 	}
-	sf.Preset = cmp.Or(sf.Preset, "wan")
-	sf.Scheme = cfg.Scheme.String()
-	sf.Variant = cmp.Or(sf.Variant, tcp.Tahoe.String()) // what the sender reads an unset variant as
-	sf.PacketSizeBytes = int(cfg.PacketSize)
-	sf.TransferKB = cmp.Or(sf.TransferKB, int64(cfg.TransferSize/units.KB))
-	sf.WindowKB = cmp.Or(sf.WindowKB, int(cfg.Window/units.KB))
-	sf.MTUBytes = cmp.Or(sf.MTUBytes, int(cfg.MTU), -1)
-	sf.WiredKbps = cmp.Or(sf.WiredKbps, float64(cfg.WiredRate)/float64(units.Kbps))
-	sf.WirelessKbps = cmp.Or(sf.WirelessKbps, float64(cfg.WirelessRate)/float64(units.Kbps))
-	if sf.MeanGood == "" {
-		sf.MeanGood = cfg.Channel.MeanGood.String()
-	}
-	sf.MeanBad = cfg.Channel.MeanBad.String()
-	sf.Seed = cmp.Or(sf.Seed, cfg.Seed)
-	return sf
+	return c
 }
 
-// canonicalDur re-renders a duration by time.Duration.String and
-// leaves anything else as written. An empty or "off" value is returned
-// before the parse, whose error would allocate.
-func canonicalDur(v string) string {
-	if v == "" || v == "off" {
-		return v
+// BuildCanonical builds the file and spells it the one way every
+// equivalent spelling shares: each field is read back from the
+// configuration built, so a preset's defaults are written out (the
+// preset, scheme, variant, sizes, rates, periods, seed, notify_every
+// and the 4h horizon), every duration is rendered by
+// time.Duration.String ("4000ms" becomes "4s"), a disabled MTU, stall
+// or budget ceiling reads -1 or "off", and the chaos plan is rendered
+// from its parsed form (chaos.Config.JSON), or left out when it injects
+// nothing. Only the preset's name ("wan" when unnamed) and
+// cross_traffic_pct, a share of the wired rate, are taken from the
+// file. The spelling builds the same configuration again and is its
+// own canonical spelling.
+func (sf File) BuildCanonical() (core.Config, File, error) {
+	cfg, err := sf.Build()
+	if err != nil {
+		return core.Config{}, File{}, err
 	}
-	if d, err := time.ParseDuration(v); err == nil {
-		return d.String()
+	c := File{
+		Preset:          cmp.Or(sf.Preset, "wan"),
+		Scheme:          cfg.Scheme.String(),
+		PacketSizeBytes: int(cfg.PacketSize),
+		TransferKB:      int64(cfg.TransferSize / units.KB),
+		WindowKB:        int(cfg.Window / units.KB),
+		MTUBytes:        cmp.Or(int(cfg.MTU), -1),
+		WiredKbps:       kbps(cfg.WiredRate),
+		WirelessKbps:    kbps(cfg.WirelessRate),
+		MeanGood:        cfg.Channel.MeanGood.String(),
+		MeanBad:         cfg.Channel.MeanBad.String(),
+		Deterministic:   cfg.Channel.Deterministic,
+		Variant:         cfg.Variant.String(),
+		DelayedAcks:     cfg.DelayedAcks,
+		SACK:            cfg.SACK,
+		ECN:             cfg.ECN,
+		NotifyEvery:     cfg.NotifyEvery,
+		CrossTrafficPct: sf.CrossTrafficPct,
+		Seed:            cfg.Seed,
+		CollectTrace:    cfg.CollectTrace,
+		Horizon:         cfg.Horizon.String(),
+		Checks:          cfg.Checks,
+		Stall:           spellDur(cfg.Stall),
 	}
-	return v
+	if cfg.Chaos != nil {
+		c.Chaos = cfg.Chaos.JSON()
+	}
+	if b := cfg.Budget; b != (sim.Budget{}) {
+		c.Budget = &Budget{MaxEvents: b.MaxEvents, MaxVirtual: spellDur(b.MaxVirtual),
+			WallClock: spellDur(b.WallClock), MaxHeapBytes: b.MaxHeapBytes}
+	}
+	return cfg, c, nil
 }
 
-// preset returns the configuration Build starts from: the named preset
-// at the file's scheme, mean bad period and packet size.
-func (sf File) preset() (core.Config, error) {
+// kbps spells a link rate as a Kbps value Build turns back into it.
+func kbps(r units.BitRate) float64 {
+	k := float64(r) / float64(units.Kbps)
+	for math.Trunc(k*1000) > float64(r) {
+		k = math.Nextafter(k, 0)
+	}
+	for math.Trunc(k*1000) < float64(r) {
+		k = math.Nextafter(k, math.Inf(1))
+	}
+	return k
+}
+
+// spellDur spells an optional duration as Build reads it back: zero as
+// unset and a negative (disabled) one as "off".
+func spellDur(d time.Duration) string {
+	switch {
+	case d == 0:
+		return ""
+	case d < 0:
+		return "off"
+	}
+	return d.String()
+}
+
+// Build converts the file into a core.Config: the named preset at the
+// file's scheme and mean bad period, with every field the file sets
+// written over it.
+func (sf File) Build() (core.Config, error) {
+	if err := sf.validate(); err != nil {
+		return core.Config{}, err
+	}
 	scheme := bs.Basic
 	if sf.Scheme != "" {
 		s, err := bs.ParseScheme(sf.Scheme)
@@ -212,18 +232,6 @@ func (sf File) preset() (core.Config, error) {
 	}
 	if sf.PacketSizeBytes > 0 {
 		cfg.PacketSize = units.ByteSize(sf.PacketSizeBytes)
-	}
-	return cfg, nil
-}
-
-// Build converts the file into a core.Config.
-func (sf File) Build() (core.Config, error) {
-	if err := sf.validate(); err != nil {
-		return core.Config{}, err
-	}
-	cfg, err := sf.preset()
-	if err != nil {
-		return core.Config{}, err
 	}
 
 	if d, err := ParsePositiveDur("mean_good", sf.MeanGood); err != nil {
@@ -262,7 +270,9 @@ func (sf File) Build() (core.Config, error) {
 	cfg.DelayedAcks = sf.DelayedAcks
 	cfg.SACK = sf.SACK
 	cfg.ECN = sf.ECN
-	cfg.NotifyEvery = sf.NotifyEvery
+	if sf.NotifyEvery > 0 {
+		cfg.NotifyEvery = sf.NotifyEvery
+	}
 	if sf.CrossTrafficPct > 0 {
 		cfg.CrossTraffic = core.CrossTraffic{
 			Rate: units.BitRate(float64(sf.CrossTrafficPct) / 100 * float64(cfg.WiredRate)),
@@ -278,14 +288,16 @@ func (sf File) Build() (core.Config, error) {
 		cfg.Horizon = d
 	}
 
-	if len(sf.Chaos) > 0 && string(sf.Chaos) != "null" {
+	if len(sf.Chaos) > 0 {
 		plan, err := chaos.Parse(sf.Chaos)
 		if err != nil {
 			return core.Config{}, err
 		}
-		cfg.Chaos = plan
-		if h := plan.Horizon(); cfg.Horizon > 0 && h > cfg.Horizon {
+		if h := plan.Horizon(); h > cfg.Horizon {
 			return core.Config{}, fmt.Errorf("chaos plan schedules faults until %v but the horizon ends at %v; raise horizon or move the faults earlier", h, cfg.Horizon)
+		}
+		if plan.Enabled() { // a plan that injects nothing runs as none
+			cfg.Chaos = plan
 		}
 	}
 	cfg.Checks = sf.Checks

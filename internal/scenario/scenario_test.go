@@ -1,28 +1,28 @@
 package scenario
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"wtcp/internal/bs"
+	"wtcp/internal/core"
 	"wtcp/internal/tcp"
 	"wtcp/internal/units"
 )
 
-func writeScenario(t *testing.T, body string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "scenario.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
+// build is ParseFile followed by Build, the path every scenario takes.
+func build(body string) (core.Config, error) {
+	sf, err := ParseFile([]byte(body))
+	if err != nil {
+		return core.Config{}, err
 	}
-	return path
+	return sf.Build()
 }
 
 func TestLoadScenarioFull(t *testing.T) {
-	path := writeScenario(t, `{
+	cfg, err := build(`{
 		"preset": "wan",
 		"scheme": "ebsn",
 		"packet_size_bytes": 1536,
@@ -40,7 +40,6 @@ func TestLoadScenarioFull(t *testing.T) {
 		"seed": 42,
 		"collect_trace": true
 	}`)
-	cfg, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +64,7 @@ func TestLoadScenarioFull(t *testing.T) {
 }
 
 func TestLoadScenarioLANDefaults(t *testing.T) {
-	path := writeScenario(t, `{"preset": "lan", "scheme": "basic", "mean_bad": "800ms"}`)
-	cfg, err := Load(path)
+	cfg, err := build(`{"preset": "lan", "scheme": "basic", "mean_bad": "800ms"}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,22 +100,20 @@ func TestLoadScenarioRejections(t *testing.T) {
 		{"bad chaos json", `{"chaos": {"blackouts": "all of them"}}`},
 		{"chaos unknown link", `{"chaos": {"blackouts": [{"link": "nope", "at": "1s", "length": "1s"}]}}`},
 		{"chaos past horizon", `{"horizon": "10s", "chaos": {"crashes": [{"at": "20s", "downtime": "2s"}]}}`},
+		// The presets' 4h horizon is as explicit as a written one.
+		{"chaos past preset horizon", `{"chaos": {"crashes": [{"at": "5h", "downtime": "2s"}]}}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			path := writeScenario(t, tt.body)
-			if _, err := Load(path); err == nil {
+			if _, err := build(tt.body); err == nil {
 				t.Error("invalid scenario accepted")
 			}
 		})
 	}
-	if _, err := Load("/nonexistent/path.json"); err == nil {
-		t.Error("missing file accepted")
-	}
 }
 
 func TestLoadScenarioChaos(t *testing.T) {
-	path := writeScenario(t, `{
+	cfg, err := build(`{
 		"scheme": "ebsn",
 		"transfer_kb": 20,
 		"horizon": "5m",
@@ -129,7 +125,6 @@ func TestLoadScenarioChaos(t *testing.T) {
 			"notify":    {"loss_prob": 0.5}
 		}
 	}`)
-	cfg, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +140,7 @@ func TestLoadScenarioChaos(t *testing.T) {
 }
 
 func TestLoadScenarioStallOff(t *testing.T) {
-	path := writeScenario(t, `{"stall": "off"}`)
-	cfg, err := Load(path)
+	cfg, err := build(`{"stall": "off"}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,22 +151,53 @@ func TestLoadScenarioStallOff(t *testing.T) {
 
 // TestCanonicalBuildsTheSameConfig: for every scenario of the shared
 // fuzz corpus, the canonical spelling builds the configuration the file
-// builds (or fails as the file does), so writing a preset's defaults
-// out never changes what runs.
+// builds (or the file keeps its spelling when it fails to build), so
+// writing a preset's defaults out never changes what runs, and
+// Canonical is idempotent. The corpus' spellings of one run share one
+// canonical spelling.
 func TestCanonicalBuildsTheSameConfig(t *testing.T) {
 	for _, doc := range FuzzSeeds() {
 		sf, err := ParseFile([]byte(doc))
 		if err != nil {
 			continue
 		}
+		c := sf.Canonical()
 		want, wantErr := sf.Build()
-		got, gotErr := sf.Canonical().Build()
+		got, gotErr := c.Build()
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Errorf("%s: Build error %v, canonical Build error %v", doc, wantErr, gotErr)
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: canonical spelling %+v builds\n%+v\nwant\n%+v", doc, sf.Canonical(), got, want)
+			t.Errorf("%s: canonical spelling %+v builds\n%+v\nwant\n%+v", doc, c, got, want)
 		}
+		if again := c.Canonical(); !reflect.DeepEqual(again, c) {
+			t.Errorf("%s: Canonical is not idempotent:\n%+v\nthen\n%+v", doc, c, again)
+		}
+	}
+	spell := func(doc string) File {
+		sf, err := ParseFile([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sf.Canonical()
+	}
+	base := spell(`{"mean_bad":"4s","transfer_kb":20,"seed":1}`)
+	if base.Horizon != "4h0m0s" || base.NotifyEvery != 1 || base.Chaos != nil {
+		t.Errorf("canonical base run %+v: want the 4h horizon, notify_every 1 and no chaos plan written", base)
+	}
+	for _, doc := range []string{
+		`{"mean_bad":"4000ms","transfer_kb":20,"horizon":"240m","notify_every":1}`,
+		`{"mean_bad":"4s","transfer_kb":20,"chaos":{"blackouts":[],"crashes":[]}}`,
+		`{"mean_bad":"4s","transfer_kb":20,"chaos":{"packets":[{"link":"wireless-up","reorder_delay":"50ms"}]}}`,
+	} {
+		if got := spell(doc); !reflect.DeepEqual(got, base) {
+			t.Errorf("%s spells\n%+v\nwant the base run's\n%+v", doc, got, base)
+		}
+	}
+	blackout := `{"mean_bad":"4s","chaos":{"blackouts":[{"link":"wireless-down","at":"%s","length":"3s"}]}}`
+	if a, b := spell(fmt.Sprintf(blackout, "5s")), spell(fmt.Sprintf(blackout, "5000ms")); !reflect.DeepEqual(a, b) ||
+		string(a.Chaos) != `{"blackouts":[{"link":"wireless-down","at":"5s","length":"3s"}]}` {
+		t.Errorf("one blackout spells %s and %s", a.Chaos, b.Chaos)
 	}
 }

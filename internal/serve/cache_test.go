@@ -93,6 +93,49 @@ func TestRunFingerprintIdentity(t *testing.T) {
 		fp(`{"scenario":{"mean_bad":"4s","mean_good":"10000ms","horizon":"60m","stall":"300s","seed":1}}`); a != b {
 		t.Error("fingerprint split by duration spelling")
 	}
+
+	// The equivalence table: each group is one run, so one address. The
+	// preset's horizon and notify_every written out, and a chaos plan
+	// that injects nothing in any spelling, address the base run; a
+	// blackout is addressed by its parsed form.
+	const run = `{"mean_bad":"4s","transfer_kb":20,"seed":1%s}`
+	wrap := func(extra string) string { return `{"scenario":` + fmt.Sprintf(run, extra) + `}` }
+	blackout := `,"chaos":{"blackouts":[{"link":"wireless-down","at":"%s","length":"3s"}]}`
+	groups := [][]string{
+		{"", `,"horizon":"4h"`, `,"chaos":{}`, `,"chaos":null`, `,"chaos":{"blackouts":[],"crashes":[]}`,
+			`,"notify_every":1`, `,"notify_every":0`, `,"chaos":{"notify":{"delay":"1s"}}`},
+		{fmt.Sprintf(blackout, "5s"), fmt.Sprintf(blackout, "5000ms")},
+	}
+	seen = map[string]string{}
+	for _, group := range groups {
+		addr := fp(wrap(group[0]))
+		for _, extra := range group[1:] {
+			if got := fp(wrap(extra)); got != addr {
+				t.Errorf("%s is addressed apart from %s", wrap(extra), wrap(group[0]))
+			}
+		}
+		seen[addr] = wrap(group[0])
+	}
+	if len(seen) != len(groups) {
+		t.Errorf("the equivalence groups share an address: %v", seen)
+	}
+
+	// The distinct table: each row changes what runs or what the
+	// response holds, so each keeps its own address.
+	for _, body := range []string{
+		`{"scenario":{"mean_bad":"4s","transfer_kb":20,"seed":2}}`,
+		wrap(`,"horizon":"1h"`),
+		wrap(`,"stall":"5m"`), // arms the watchdog, which the base run leaves off
+		wrap(`,"chaos":{"blackouts":[{"link":"wireless-down","at":"6s","length":"3s"}]}`),
+		wrap(`,"notify_every":2`),
+		`{"scenario":` + fmt.Sprintf(run, "") + `,"replications":2}`,
+	} {
+		got := fp(body)
+		if prev, dup := seen[got]; dup {
+			t.Errorf("fingerprint collision between %s and %s", prev, body)
+		}
+		seen[got] = body
+	}
 }
 
 func TestSweepFingerprintIdentity(t *testing.T) {

@@ -36,9 +36,6 @@ type RunResponse struct {
 	Replications []RepResult `json:"replications"`
 }
 
-// runMetrics names the columns runExtract produces.
-var runMetrics = []string{"throughput_kbps", "goodput", "retransmitted_kb", "timeouts"}
-
 // QuarantineInfo describes a point whose circuit breaker tripped.
 type QuarantineInfo struct {
 	Class    string `json:"class"`
@@ -92,12 +89,12 @@ func marshalResponse(v any) ([]byte, outcome, bool) {
 	return data, outcome{}, true
 }
 
-// runQuery binds a validated run request into the serveQuery pipeline.
-// Its breaker class is the scenario's shape (preset and scheme), not its
+// runQuery binds a validated run request — its canonical scenario c and
+// the configuration cfg it builds — into the serveQuery pipeline. Its
+// breaker class is the scenario's shape (preset and scheme), not its
 // exact parameters: a WAN/ebsn scenario that exhausts its budget
 // predicts the same fate for its near-identical neighbours.
-func (s *Server) runQuery(req RunRequest, sf scenario.File, body []byte) query {
-	c := sf.Canonical()
+func (s *Server) runQuery(req RunRequest, c scenario.File, cfg core.Config, body []byte) query {
 	return query{
 		kind:        "run",
 		fp:          runFingerprint(c, req.Replications),
@@ -105,7 +102,7 @@ func (s *Server) runQuery(req RunRequest, sf scenario.File, body []byte) query {
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
 		exec: func(ctx context.Context, fp string) outcome {
-			return s.execRun(ctx, req, sf, fp)
+			return s.execRun(ctx, req.Replications, cfg, fp)
 		},
 	}
 }
@@ -144,34 +141,13 @@ func (s *Server) engineOptions(ctx context.Context, opt experiment.Options) expe
 	return opt
 }
 
-// execRun runs one scenario for Replications consecutive seeds.
-func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, fp string) outcome {
+// execRun runs one scenario for its replications (experiment.RunScenario).
+func (s *Server) execRun(ctx context.Context, replications int, cfg core.Config, fp string) outcome {
 	opt := s.engineOptions(ctx, experiment.Options{
-		Replications: req.Replications,
+		Replications: replications,
 		Supervise:    experiment.NewSupervisor(),
 	})
-	build := func(seed int64) core.Config {
-		cfg, err := sf.Build()
-		if err != nil {
-			// ParseRunRequest already built this file once; a failure here
-			// is impossible by construction.
-			panic(fmt.Sprintf("serve: rebuild validated scenario: %v", err))
-		}
-		// The engine hands the 1-based replication index as the seed;
-		// offset from the scenario's own seed so replication 1 is exactly
-		// the scenario as written.
-		cfg.Seed += seed - 1
-		return cfg
-	}
-	measure := func(r *core.Result) ([]float64, error) {
-		return []float64{
-			r.Summary.ThroughputKbps,
-			r.Summary.Goodput,
-			r.Summary.RetransmittedKB(),
-			float64(r.Summary.Timeouts),
-		}, nil
-	}
-	reps, quar, err := experiment.RunCustom(ctx, opt, "run-"+fp[:16], build, measure)
+	reps, quar, err := experiment.RunScenario(ctx, opt, "run-"+fp[:16], cfg, nil)
 	if err != nil {
 		return s.failureOutcome(ctx, fp, err)
 	}
@@ -180,7 +156,7 @@ func (s *Server) execRun(ctx context.Context, req RunRequest, sf scenario.File, 
 	}
 	body, bad, ok := marshalResponse(RunResponse{
 		Fingerprint:  fp,
-		Metrics:      runMetrics,
+		Metrics:      experiment.ScenarioMetrics,
 		Replications: repResults(reps),
 	})
 	if !ok {

@@ -22,10 +22,13 @@ import (
 // bytes, ParseRunRequest must never panic, and when it accepts, the
 // request must be well-formed (buildable scenario, bounded
 // replications) and its fingerprint stable — the properties the
-// admission path relies on. The seed corpus wraps the scenario
-// parser's shared seeds (internal/scenario.FuzzSeeds) in request
-// envelopes, plus envelope-level malformations, so both decode layers
-// are exercised on the same documents.
+// admission path relies on — and a fixed point: the request re-wrapped
+// around its canonical scenario parses back to the same address. The
+// seed corpus wraps the scenario parser's shared seeds
+// (internal/scenario.FuzzSeeds, whose equivalent spellings of one run
+// are among them) in request envelopes, plus envelope-level
+// malformations, so both decode layers are exercised on the same
+// documents.
 func FuzzRunRequest(f *testing.F) {
 	for _, s := range scenario.FuzzSeeds() {
 		f.Add([]byte(fmt.Sprintf(`{"scenario":%s}`, s)))
@@ -61,7 +64,27 @@ func FuzzRunRequest(f *testing.F) {
 		if again := RunFingerprint(sf, req.Replications); again != fp {
 			t.Fatalf("fingerprint unstable: %s vs %s", fp, again)
 		}
+		canonical, err := json.Marshal(RunRequest{Scenario: mustJSON(t, sf), Replications: req.Replications})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req2, sf2, err := ParseRunRequest(canonical)
+		if err != nil {
+			t.Fatalf("canonical request %s refused: %v", canonical, err)
+		}
+		if again := RunFingerprint(sf2, req2.Replications); again != fp {
+			t.Fatalf("canonical request %s is addressed %s, the original %s", canonical, again, fp)
+		}
 	})
+}
+
+func mustJSON(t *testing.T, v any) json.RawMessage {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // FuzzSweepRequest fuzzes the one campaign entry point, the /v1/sweep

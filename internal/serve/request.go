@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 
+	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
 )
@@ -77,37 +78,49 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // ParseRunRequest decodes and fully validates a /v1/run body. The
-// returned scenario file has been through the same validation wtcp sim
-// applies to -config (including a complete configuration build), so an
-// accepted request is known runnable before it costs a slot.
+// scenario has been through the validation wtcp sim applies to its
+// flags and -config (a complete configuration build), so an accepted
+// request is known runnable before it costs a slot, and the file
+// returned is its canonical spelling (scenario.File.Canonical).
 func ParseRunRequest(data []byte) (RunRequest, scenario.File, error) {
+	req, c, _, err := parseRunRequest(data)
+	return req, c, err
+}
+
+// parseRunRequest is ParseRunRequest that also returns the
+// configuration the scenario builds, the one its run executes.
+func parseRunRequest(data []byte) (RunRequest, scenario.File, core.Config, error) {
 	var req RunRequest
+	fail := func(format string, args ...any) (RunRequest, scenario.File, core.Config, error) {
+		return RunRequest{}, scenario.File{}, core.Config{}, fmt.Errorf("serve: "+format, args...)
+	}
 	if err := decodeStrict(data, &req); err != nil {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: parse run request: %w", err)
+		return fail("parse run request: %w", err)
 	}
 	if len(bytes.TrimSpace(req.Scenario)) == 0 || string(bytes.TrimSpace(req.Scenario)) == "null" {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: run request names no scenario")
+		return fail("run request names no scenario")
 	}
 	if req.Replications < 0 {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: replications %d is negative", req.Replications)
+		return fail("replications %d is negative", req.Replications)
 	}
 	if req.Replications > MaxReplications {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: replications %d exceeds the per-request cap of %d; split the request", req.Replications, MaxReplications)
+		return fail("replications %d exceeds the per-request cap of %d; split the request", req.Replications, MaxReplications)
 	}
 	if req.Replications == 0 {
 		req.Replications = 1
 	}
 	if req.DeadlineMS < 0 {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: deadline_ms %d is negative", req.DeadlineMS)
+		return fail("deadline_ms %d is negative", req.DeadlineMS)
 	}
 	sf, err := scenario.ParseFile(req.Scenario)
 	if err != nil {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: %w", err)
+		return fail("%w", err)
 	}
-	if _, err := sf.Build(); err != nil {
-		return RunRequest{}, scenario.File{}, fmt.Errorf("serve: %w", err)
+	cfg, c, err := sf.BuildCanonical()
+	if err != nil {
+		return fail("%w", err)
 	}
-	return req, sf, nil
+	return req, c, cfg, nil
 }
 
 // ParseSweepRequest decodes and fully validates a /v1/sweep body.
@@ -133,10 +146,11 @@ func ParseSweepRequest(data []byte) (SweepRequest, experiment.Campaign, error) {
 }
 
 // RunFingerprint content-addresses a run request: the scenario in its
-// canonical spelling (scenario.File.Canonical) with what no response
-// byte depends on cleared — the budget and collect_trace — and the
-// chaos plan compacted, plus the replication count, hashed under a
-// versioned kind tag.
+// canonical spelling (scenario.File.Canonical: a preset default written
+// out or left out, a duration in any spelling and a chaos plan in any
+// spelling — or one that injects nothing — name one run) with what no
+// response byte depends on cleared — the budget and collect_trace —
+// plus the replication count, hashed under a versioned kind tag.
 func RunFingerprint(sf scenario.File, replications int) string {
 	return runFingerprint(sf.Canonical(), replications)
 }
@@ -146,12 +160,11 @@ func RunFingerprint(sf scenario.File, replications int) string {
 func runFingerprint(c scenario.File, replications int) string {
 	c.Budget = nil
 	c.CollectTrace = false
-	c.Chaos = compactJSON(c.Chaos)
 	return fingerprintOf(struct {
 		Kind         string        `json:"kind"`
 		Scenario     scenario.File `json:"scenario"`
 		Replications int           `json:"replications"`
-	}{"run/v2", c, replications})
+	}{"run/v3", c, replications})
 }
 
 // SweepFingerprint content-addresses a sweep request by the grid it
@@ -185,19 +198,6 @@ func fingerprintOf(v any) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// compactJSON normalizes an embedded raw message so whitespace in the
-// client's chaos block cannot split the cache.
-func compactJSON(raw json.RawMessage) json.RawMessage {
-	if len(raw) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return raw
-	}
-	return json.RawMessage(buf.Bytes())
 }
 
 // validFingerprint gates /v1/result path parameters: exactly a sha256

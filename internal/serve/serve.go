@@ -520,11 +520,11 @@ func (s *Server) Resume() int {
 func (s *Server) queryFromPending(p pendingRequest) (query, error) {
 	switch p.Kind {
 	case "run":
-		req, sf, err := ParseRunRequest(p.Body)
+		req, c, cfg, err := parseRunRequest(p.Body)
 		if err != nil {
 			return query{}, err
 		}
-		return s.runQuery(req, sf, p.Body), nil
+		return s.runQuery(req, c, cfg, p.Body), nil
 	case "sweep":
 		req, c, err := ParseSweepRequest(p.Body)
 		if err != nil {
@@ -607,13 +607,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
 		return
 	}
-	req, sf, err := ParseRunRequest(body)
+	req, c, cfg, err := parseRunRequest(body)
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
 		return
 	}
-	s.serveQuery(w, r, s.runQuery(req, sf, body))
+	s.serveQuery(w, r, s.runQuery(req, c, cfg, body))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
