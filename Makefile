@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race check conformance golden-drift budget-smoke serve-smoke scale-smoke scale-pins zoo-smoke pool-smoke pool-pins goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e bench-ab figures traces report fuzz fuzz-smoke clean
+.PHONY: all build vet vet-386 test test-race check conformance golden-drift budget-smoke serve-smoke scale-smoke scale-pins zoo-smoke pool-smoke pool-pins goldens bench bench-baseline bench-compare bench-smoke bench-scale bench-scale-baseline bench-e2e-smoke bench-e2e bench-ab figures traces report fuzz fuzz-smoke clean
 
 all: build vet test
 
-# Pre-PR gate: static analysis, the full suite under the race detector
-# (the simulator is single-threaded by design; -race proves it), and what
-# that run cannot cover: the golden-trace drift check, the allocation and
+# Pre-PR gate: static analysis (on the host and on 32-bit 386), the full
+# suite under the race detector (the simulator is single-threaded by
+# design; -race proves it), and what that run cannot cover: the golden-trace drift check, the allocation and
 # heap pins that skip themselves under -race, and the measurement spine's
 # output checks. Every test runs once: the named smoke targets below
 # re-select tests `go test -race ./...` has just run, so `check` depends
@@ -18,7 +18,7 @@ all: build vet test
 # TestResultPostCarriesIdempotentGrant) have no smoke target: the fleet
 # has no command, only the measurement spine's fleet rung runs it, and
 # `test-race` runs them.
-check: vet test-race golden-drift scale-pins pool-pins bench-e2e-smoke
+check: vet vet-386 test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 
 # Supervision gate: a tiny sweep with one pathological (livelocking)
 # point under aggressive run budgets, with the scheduler and heartbeat
@@ -41,13 +41,14 @@ budget-smoke:
 # segments, order and cap after a reopen, legacy-layout refusal, gets
 # racing evictions and compaction, and the data-directory lock — and the
 # sweep's borrowed slots: queued requests first, the same bytes at one
-# and two slots, the first error in spec order — and a campaign's answer
-# bit-identical to the sequential engine's Fig 7 + 8 at one worker — and
+# and two slots, a budget-exhausted point quarantined in its place — and
+# a campaign's answer bit-identical to the sequential engine's Fig 7 + 8
+# at one worker — and
 # the content addresses: run and sweep identity under re-spelling, a
 # campaign refused for a repeated value, and the seed corpora of the
 # campaign decoder and journal replay fuzzers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepFirstErrorInSpecOrder|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
 	$(GO) test -race -run 'TestCampaignRefusesRepeats' ./internal/experiment/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos
@@ -131,6 +132,13 @@ vet:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; }
 	$(GO) run ./internal/lint/nomap $(RUN_PATH)
 	$(GO) run ./internal/lint/deadcode
+
+# The tree builds and vets where an int is 32 bits, so a constant or a
+# conversion that only fits 64 bits fails here rather than on a user's
+# machine.
+vet-386:
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./...
 
 test:
 	$(GO) test ./...

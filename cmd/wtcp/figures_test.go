@@ -1,15 +1,12 @@
 package main
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
-
-	"wtcp/internal/sim"
 )
 
 func TestFigureTrace(t *testing.T) {
@@ -68,25 +65,24 @@ func TestFigureUnknown(t *testing.T) {
 
 // TestFigureStudyHonoursRunBudget: the execution flags reach the side
 // studies. A 1000-event budget cannot fit a congestion run, so the study
-// is a named resource-exhausted quarantine per point under supervision
-// and a budget error without it.
+// is a named resource-exhausted quarantine per point, the one failure
+// policy: there is no flag to fail the run instead.
 func TestFigureStudyHonoursRunBudget(t *testing.T) {
 	args := []string{"figures", "-fig", "congestion", "-reps", "1", "-max-events", "1000", "-csv"}
 	table, stderr, err := wtcp(args...)
 	if err != nil {
-		t.Fatalf("supervised run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if strings.Count(table, "\n") != 1 {
 		t.Errorf("every point should be quarantined, leaving the CSV header alone:\n%s", table)
 	}
-	if got := strings.Count(stderr, "quarantined: congestion/"); got != 6 || !strings.Contains(stderr, "resource-exhausted") {
-		t.Errorf("stderr names %d quarantined congestion points, want 6 resource-exhausted:\n%s", got, stderr)
+	if got := strings.Count(stderr, "quarantined: congestion/"); got != 6 || !strings.Contains(stderr, "resource-exhausted") ||
+		!strings.Contains(stderr, "events budget") {
+		t.Errorf("stderr names %d quarantined congestion points, want 6 events-budget resource-exhausted:\n%s", got, stderr)
 	}
 
-	_, _, err = wtcp(append(args, "-supervise=false")...)
-	var be *sim.BudgetError
-	if !errors.As(err, &be) || be.Kind != sim.BudgetEvents {
-		t.Errorf("unsupervised run returned %v, want an events *sim.BudgetError", err)
+	if _, _, err = wtcp(append(args, "-supervise=false")...); err == nil || !strings.Contains(err.Error(), "-supervise") {
+		t.Errorf("-supervise=false returned %v, want the flag refused as undefined", err)
 	}
 }
 

@@ -162,28 +162,28 @@ type execScope int
 const (
 	noExec     execScope = iota
 	budgetExec           // the per-run budget and the heartbeat: -max-events … -status
-	fullExec             // all twelve: also -reps -seed -checkpoint -workers -repro -supervise
+	fullExec             // all eleven: also -reps -seed -checkpoint -workers -repro
 )
 
 // executionFlags declares the execution flags scope selects on fs — the
 // one declaration of each — and returns the function that, once fs is
 // parsed, turns them into the experiment.Options an engine-backed
-// subcommand runs under (its Supervisor included) and starts the
-// heartbeat. The stop it returns ends the heartbeat and lists on stderr
-// the points supervision quarantined.
+// subcommand runs under (its Health included) and starts the
+// heartbeat. The stop it returns ends the heartbeat and, for a grid
+// (fullExec), lists on stderr the points the circuit breaker
+// quarantined; wtcp sim turns its one quarantined scenario into its
+// error instead.
 func executionFlags(fs *flag.FlagSet, scope execScope) func(stderr io.Writer) (experiment.Options, func()) {
 	if scope == noExec {
 		return func(io.Writer) (experiment.Options, func()) { return experiment.Options{}, func() {} }
 	}
 	var opt experiment.Options
-	supervise := false
 	if scope == fullExec {
 		fs.IntVar(&opt.Replications, "reps", 5, "replications per data point")
 		fs.Int64Var(&opt.BaseSeed, "seed", 0, "base seed offset")
 		fs.StringVar(&opt.Checkpoint, "checkpoint", "", "checkpoint file: finished points are saved here and an interrupted run resumes from them")
 		fs.IntVar(&opt.Workers, "workers", runtime.GOMAXPROCS(0), "replications run concurrently (across points)")
 		fs.StringVar(&opt.ReproDir, "repro", "", "directory to capture failed replications as bundles for wtcp repro")
-		fs.BoolVar(&supervise, "supervise", true, "quarantine pathological points (listed on stderr) instead of failing the whole run")
 	}
 	fs.Int64Var(&opt.RunBudget.MaxEvents, "max-events", 0, "per-run fired-event budget (0 = engine default, negative = unlimited)")
 	fs.DurationVar(&opt.RunBudget.MaxVirtual, "max-vtime", 0, "per-run virtual-time budget (0 = none)")
@@ -197,15 +197,19 @@ func executionFlags(fs *flag.FlagSet, scope execScope) func(stderr io.Writer) (e
 			// Unlimited, not unset: the engine fills an unset field in.
 			opt.RunBudget = opt.RunBudget.Or(sim.Budget{MaxEvents: -1, WallClock: -1})
 		}
-		if supervise {
-			opt.Supervise = experiment.NewSupervisor()
-		}
 		opt.Health = experiment.NewHealth()
 		stopBeat := opt.Health.Heartbeat(*status, stderr)
 		return opt, func() {
 			stopBeat()
-			for _, q := range opt.Supervise.Quarantined() {
+			if scope != fullExec {
+				return
+			}
+			qs, n := opt.Health.Quarantined()
+			for _, q := range qs {
 				fmt.Fprintf(stderr, "quarantined: %s [%s after %d attempt(s)]: %s\n", q.Key, q.Class, q.Attempts, q.Reason)
+			}
+			if more := n - uint64(len(qs)); more > 0 {
+				fmt.Fprintf(stderr, "quarantined: %d more point(s) not listed\n", more)
 			}
 		}
 	}

@@ -110,7 +110,7 @@ func TestREADMENamesEverySubcommand(t *testing.T) {
 // its own flags leave them alone.
 func TestExecutionFlags(t *testing.T) {
 	budget := []string{"-max-events", "5000", "-max-vtime", "3m", "-run-deadline", "1m", "-max-heap", "1048576", "-no-run-budget"}
-	full := []string{"-reps", "3", "-seed", "7", "-checkpoint", "ck.json", "-workers", "2", "-repro", "bundles", "-supervise=false"}
+	full := []string{"-reps", "3", "-seed", "7", "-checkpoint", "ck.json", "-workers", "2", "-repro", "bundles"}
 	wantBudget := sim.Budget{MaxEvents: 5000, MaxVirtual: 3 * time.Minute, WallClock: time.Minute, MaxHeapBytes: 1 << 20}
 	parse := func(c command, args []string) experiment.Options {
 		t.Helper()
@@ -152,8 +152,8 @@ func TestExecutionFlags(t *testing.T) {
 			if got := parse(c, append(full, budget...)); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: options %+v, want %+v", c.name, got, want)
 			}
-			if def := parse(c, nil); def.Replications != 5 || def.BaseSeed != 0 || def.Workers != runtime.GOMAXPROCS(0) || def.Supervise == nil {
-				t.Errorf("%s: default options %+v, want 5 replications, seed 0, GOMAXPROCS workers, supervised", c.name, def)
+			if def := parse(c, nil); def.Replications != 5 || def.BaseSeed != 0 || def.Workers != runtime.GOMAXPROCS(0) {
+				t.Errorf("%s: default options %+v, want 5 replications, seed 0, GOMAXPROCS workers", c.name, def)
 			}
 		}
 		engineBacked++

@@ -3,12 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"wtcp/internal/cell"
@@ -51,7 +52,7 @@ func simFlags(fs *flag.FlagSet) body {
 				bad:     *cellBad,
 				horizon: *cellHorizon,
 				oracle:  *cellOracle,
-				seed:    sc.seed,
+				seed:    sc.file.Seed,
 				jsonOut: *jsonOut,
 				budget:  opt.RunBudget,
 			})
@@ -74,14 +75,16 @@ func simFlags(fs *flag.FlagSet) body {
 
 		// One scenario run: at one worker the scheduler measures the
 		// replications in seed order on this goroutine, so last is the
-		// final one that counted. sim arms no supervisor, so the point is
-		// never quarantined.
+		// final one that counted. A quarantined scenario is the error.
 		opt.Replications = *reps
 		var last *core.Result
-		recs, _, err := experiment.RunScenario(ctx, opt, "wtcp sim", cfg, func(r *core.Result) { last = r })
+		recs, quar, err := experiment.RunScenario(ctx, opt, "wtcp sim", cfg, func(r *core.Result) { last = r })
 		if err != nil {
-			var be *sim.BudgetError
-			if errors.As(err, &be) {
+			return err
+		}
+		if quar != nil {
+			err := fmt.Errorf("experiment: point %q: %s: %s", quar.Key, quar.Class, quar.Reason)
+			if quar.Class == string(core.ClassResourceExhausted) {
 				return fmt.Errorf("%w; raise -max-events/-run-deadline or pass -no-run-budget if the scenario is legitimately this heavy", err)
 			}
 			return err
@@ -120,22 +123,27 @@ func simFlags(fs *flag.FlagSet) body {
 }
 
 // simScenario holds wtcp sim's scenario flags. -scheme, -variant, -lan,
-// -packet, -bad, -good and -transfer are scenario.File fields, 0 or
-// unset keeping the preset's value as in a scenario file; -config reads
-// the whole File from JSON instead; -seed, -checks and -strict apply to
-// the configuration it builds.
+// -packet, -bad, -good, -transfer and -seed are scenario.File fields, 0
+// or unset keeping the preset's value as in a scenario file; -config
+// reads the whole File from JSON instead, and refuses those flags
+// beside it; -checks and -strict apply to the configuration either
+// builds.
 type simScenario struct {
+	fs         *flag.FlagSet
 	file       scenario.File
 	bad, good  time.Duration
 	lan        bool
 	configPath string
-	seed       int64
 	checks     bool
 	strict     bool
 }
 
+// scenarioFlags are the flags -config's file replaces.
+var scenarioFlags = []string{"scheme", "variant", "packet", "bad", "good", "transfer", "lan", "seed"}
+
 // declare declares the scenario flags on fs.
 func (sc *simScenario) declare(fs *flag.FlagSet) {
+	sc.fs = fs
 	fs.StringVar(&sc.file.Scheme, "scheme", "basic", "base-station scheme: basic|localrecovery|ebsn|sourcequench|snoop|split")
 	fs.StringVar(&sc.file.Variant, "variant", "tahoe", "TCP sender variant: tahoe|reno|newreno|sack")
 	fs.IntVar(&sc.file.PacketSizeBytes, "packet", 0, "wired packet size in bytes, 40-byte header included (0 = paper preset: 576 wide-area, 1536 local-area)")
@@ -144,15 +152,14 @@ func (sc *simScenario) declare(fs *flag.FlagSet) {
 	fs.Int64Var(&sc.file.TransferKB, "transfer", 0, "transfer size in KB (0 = paper preset)")
 	fs.BoolVar(&sc.lan, "lan", false, "use the local-area preset instead of wide-area")
 	fs.StringVar(&sc.configPath, "config", "", "JSON scenario file (overrides the scenario flags)")
-	fs.Int64Var(&sc.seed, "seed", 1, "base random seed")
+	fs.Int64Var(&sc.file.Seed, "seed", 1, "base random seed")
 	fs.BoolVar(&sc.checks, "checks", false, "enable runtime invariant checking (also arms the no-progress watchdog)")
 	fs.BoolVar(&sc.strict, "strict", false, "arm the protocol-conformance oracle: abort the run on the first Tahoe/ARQ/EBSN rule violation, naming the rule and event")
 }
 
 // config builds the configuration the parsed flags name: the scenario
 // File (-config's, or the one the flags fill) through File.Build, then
-// -seed, which numbers the replications (a scenario file's seed
-// included), and -checks and -strict, which switch checking on.
+// -checks and -strict, which switch checking on.
 func (sc *simScenario) config() (core.Config, error) {
 	sf := sc.file
 	sf.MeanBad = sc.bad.String()
@@ -163,6 +170,16 @@ func (sc *simScenario) config() (core.Config, error) {
 		sf.Preset = "lan"
 	}
 	if sc.configPath != "" {
+		var set []string
+		sc.fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(scenarioFlags, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return core.Config{}, fmt.Errorf("-config takes the whole scenario from %s; drop %s or set it in the file",
+				sc.configPath, strings.Join(set, " "))
+		}
 		raw, err := os.ReadFile(sc.configPath)
 		if err != nil {
 			return core.Config{}, fmt.Errorf("read scenario: %w", err)
@@ -178,7 +195,6 @@ func (sc *simScenario) config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg.Seed = sc.seed
 	cfg.Checks = cfg.Checks || sc.checks
 	cfg.Oracle = sc.strict
 	return cfg, nil

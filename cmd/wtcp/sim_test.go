@@ -225,7 +225,9 @@ func TestRunWithBadConfigFile(t *testing.T) {
 // (-reps, -json and -v do not reach the configuration) and each other
 // scenario flag. -lan -packet N runs N-byte packets, as a local-area
 // scenario file's packet_size_bytes does; -config takes the whole
-// scenario from the file and -seed still numbers its replications.
+// scenario from the file, its seed included, and -checks and -strict
+// still switch checking on (TestSimConfigRefusesScenarioFlags pins the
+// flags it refuses).
 func TestSimConfigParity(t *testing.T) {
 	path := writeScenario(t, `{"preset":"lan","scheme":"snoop","mean_bad":"1s","sack":true,"seed":5}`)
 	wan := func(s bs.Scheme, bad time.Duration, edit func(*core.Config)) core.Config {
@@ -263,8 +265,10 @@ func TestSimConfigParity(t *testing.T) {
 		{[]string{"-good", "20s", "-variant", "newreno", "-checks", "-strict"}, wan(bs.Basic, 2*time.Second, func(c *core.Config) {
 			c.Channel.MeanGood, c.Variant, c.Checks, c.Oracle = 20*time.Second, tcp.NewReno, true, true
 		})},
-		{[]string{"-config", path, "-seed", "9"}, lan(bs.Snoop, time.Second, func(c *core.Config) { c.SACK, c.Seed = true, 9 })},
-		{[]string{"-config", path}, lan(bs.Snoop, time.Second, func(c *core.Config) { c.SACK = true })},
+		{[]string{"-config", path, "-checks", "-strict"}, lan(bs.Snoop, time.Second, func(c *core.Config) {
+			c.SACK, c.Seed, c.Checks, c.Oracle = true, 5, true, true
+		})},
+		{[]string{"-config", path}, lan(bs.Snoop, time.Second, func(c *core.Config) { c.SACK, c.Seed = true, 5 })},
 	} {
 		var sc simScenario
 		fs := flag.NewFlagSet("sim", flag.ContinueOnError)
@@ -278,5 +282,30 @@ func TestSimConfigParity(t *testing.T) {
 		} else if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%q builds\n%+v\nwant\n%+v", c.args, got, c.want)
 		}
+	}
+}
+
+// TestSimConfigRefusesScenarioFlags: -config takes the whole scenario
+// from its file, so a scenario flag set beside it is refused, all of
+// them named in one error, while the replication, output, checking and
+// budget flags run the file's scenario.
+func TestSimConfigRefusesScenarioFlags(t *testing.T) {
+	path := writeScenario(t, `{"scheme": "ebsn", "transfer_kb": 20, "mean_bad": "1s", "seed": 5}`)
+	_, _, err := wtcp("sim", "-config", path, "-seed", "9", "-lan", "-scheme", "basic", "-variant", "reno",
+		"-packet", "576", "-bad", "4s", "-good", "3s", "-transfer", "40", "-reps", "2")
+	if err == nil || !strings.Contains(err.Error(), "drop -bad -good -lan -packet -scheme -seed -transfer -variant or set it in the file") {
+		t.Errorf("-config beside every scenario flag returned %v, want one refusal naming all eight", err)
+	}
+	if _, _, err := wtcp("sim", "-config", path, "-bad", "2s"); err == nil || !strings.Contains(err.Error(), "drop -bad or") {
+		t.Errorf("-config beside a default-valued -bad returned %v, want it refused", err)
+	}
+	out, _, err := wtcp("sim", "-config", path, "-reps", "2", "-json", "-v", "-checks", "-strict",
+		"-max-events", "100000000", "-run-deadline", "1m")
+	if err != nil {
+		t.Fatalf("-config with the replication, output, checking and budget flags: %v", err)
+	}
+	var res jsonResult
+	if err := json.Unmarshal([]byte(out), &res); err != nil || res.Replications != 2 || res.Scheme != "ebsn" || res.TransferBytes != 20*1024 {
+		t.Errorf("-config run printed %+v (%v), want 2 replications of the file's 20 KB EBSN transfer:\n%s", res, err, out)
 	}
 }

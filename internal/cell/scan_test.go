@@ -102,7 +102,7 @@ func TestWheelMinMatchesScan(t *testing.T) {
 					check(fmt.Sprintf("popDue(%d) -> %d", at, e))
 					if rng.Intn(4) == 0 {
 						// A timeout re-arms its own timer (onTimeout).
-						w.arm(e, now+int64(rng.Intn(int(span/2))), now)
+						w.arm(e, now+rng.Int63n(int64(span/2)), now)
 						check("re-arm from fire")
 					}
 				}

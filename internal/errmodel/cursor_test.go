@@ -135,7 +135,7 @@ func TestCursorEqualsSearch(t *testing.T) {
 						}
 						switch pick.Intn(6) {
 						case 0:
-							qs += time.Duration(pick.Intn(int(qe - qs))) // only end on an edge
+							qs += time.Duration(pick.Int63n(int64(qe - qs))) // only end on an edge
 						case 1:
 							qe = qs // instantaneous, on a start
 						case 2:

@@ -77,7 +77,7 @@ func TestAdvisorRejectsEmpty(t *testing.T) {
 	exhaustRuns(t, nil)
 	opt := settleOpts()
 	opt.PacketSizes, opt.BadPeriods = []units.ByteSize{512}, []time.Duration{time.Second}
-	opt.Supervise = NewSupervisor()
+	opt.Health = NewHealth()
 	if _, err := CalibrateAdvisor(context.Background(), opt); err == nil || !strings.Contains(err.Error(), "empty calibration sweep") {
 		t.Errorf("calibration with every point quarantined: err %v, want the empty sweep refused", err)
 	}

@@ -22,7 +22,6 @@ import (
 //	  "packet_sizes": [128, 512, 1536],
 //	  "bad_periods": ["1s", "4s"],
 //	  "oracle": true,
-//	  "supervise": true,
 //	  "budget": {"max_events": 200000000, "wall_clock": "5m"}
 //	}
 type Campaign struct {
@@ -47,9 +46,6 @@ type Campaign struct {
 	// conformance oracle inside every replication.
 	Checks bool `json:"checks,omitempty"`
 	Oracle bool `json:"oracle,omitempty"`
-	// Supervise arms the per-point circuit breaker: pathological points
-	// quarantine instead of failing the campaign.
-	Supervise bool `json:"supervise,omitempty"`
 	// Budget layers per-replication resource ceilings (shared schema
 	// with wtcp sim scenario files; see internal/scenario).
 	Budget *scenario.Budget `json:"budget,omitempty"`

@@ -287,7 +287,7 @@ func (l *Ledger) Record(out PointOutcome) (fresh bool, err error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, settled := l.lookupLocked(out.Key, out.Quarantine != nil); settled {
+	if _, settled := l.lookupLocked(out.Key); settled {
 		return false, nil
 	}
 	if q := out.Quarantine; q != nil {
@@ -300,22 +300,21 @@ func (l *Ledger) Record(out PointOutcome) (fresh bool, err error) {
 	return true, l.putLocked(out.Key, out.Reps)
 }
 
-// lookup returns key's recorded outcome. Finished replications always
-// count; a quarantine counts when withQuarantine is set.
-func (l *Ledger) lookup(key string, withQuarantine bool) (PointOutcome, bool) {
+// lookup returns key's recorded outcome, finished or quarantined.
+func (l *Ledger) lookup(key string) (PointOutcome, bool) {
 	if l == nil {
 		return PointOutcome{}, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lookupLocked(key, withQuarantine)
+	return l.lookupLocked(key)
 }
 
-func (l *Ledger) lookupLocked(key string, withQuarantine bool) (PointOutcome, bool) {
+func (l *Ledger) lookupLocked(key string) (PointOutcome, bool) {
 	if reps, ok := l.points[key]; ok {
 		return PointOutcome{Key: key, Reps: reps}, true
 	}
-	if q, ok := l.quars[key]; ok && withQuarantine {
+	if q, ok := l.quars[key]; ok {
 		return PointOutcome{Key: key, Quarantine: &q}, true
 	}
 	return PointOutcome{}, false
@@ -324,14 +323,14 @@ func (l *Ledger) lookupLocked(key string, withQuarantine bool) (PointOutcome, bo
 // Has reports whether key is settled — finished or quarantined. The
 // coordinator queues only the keys that are not.
 func (l *Ledger) Has(key string) bool {
-	_, ok := l.lookup(key, true)
+	_, ok := l.lookup(key)
 	return ok
 }
 
 // Reps returns the recorded replications for a finished key.
 func (l *Ledger) Reps(key string) ([]RepRecord, bool) {
-	out, ok := l.lookup(key, false)
-	return out.Reps, ok
+	out, ok := l.lookup(key)
+	return out.Reps, ok && out.Quarantine == nil
 }
 
 // Quarantined returns the recorded quarantines in ledger order.

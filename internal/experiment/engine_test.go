@@ -235,8 +235,8 @@ func TestBundleEmittedOnPermanentFailure(t *testing.T) {
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},
 	}
-	if _, err := Fig7(context.Background(), opt); err == nil {
-		t.Fatal("all-failing sweep succeeded")
+	if points, err := Fig7(context.Background(), opt); err != nil || len(points) != 1 || points[0].ThroughputKbps != nil {
+		t.Fatalf("all-failing sweep: err %v, points %+v; want its one point quarantined", err, points)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -298,7 +298,6 @@ func TestFailurePolicyIsEngineBlind(t *testing.T) {
 		name      string
 		fails     func(seed int64) bool
 		err       error
-		supervise bool
 		wantSeeds []int64 // the settled replications, by the seed they ran with
 		wantQuar  core.FailureClass
 		wantErr   string
@@ -308,11 +307,9 @@ func TestFailurePolicyIsEngineBlind(t *testing.T) {
 			wantSeeds: []int64{101 + retrySeedOffset, 102}, wantRuns: 3},
 		{name: "a replication that keeps failing is skipped and n shrinks", fails: everyAttemptOfRep1, err: transient,
 			wantSeeds: []int64{102}, wantRuns: 3},
-		{name: "every replication failing fails an unsupervised point", fails: always, err: transient,
-			wantErr: "every replication failed", wantRuns: 4},
-		{name: "every replication failing quarantines a supervised point", fails: always, err: transient, supervise: true,
+		{name: "every replication failing quarantines a supervised point", fails: always, err: transient,
 			wantQuar: core.ClassTransient, wantRuns: 4},
-		{name: "a protocol bug fails fast even under supervision", fails: firstAttemptOfRep1, err: bug, supervise: true,
+		{name: "a protocol bug fails fast even under supervision", fails: firstAttemptOfRep1, err: bug,
 			wantErr: "protocol-bug", wantRuns: 2},
 	}
 	for engine, run := range enginesUnderTest(t) {
@@ -327,9 +324,6 @@ func TestFailurePolicyIsEngineBlind(t *testing.T) {
 					return run(ctx, seed, budget)
 				}
 				opt := Options{Replications: 2}
-				if tc.supervise {
-					opt.Supervise = NewSupervisor()
-				}
 				var reps []RepRecord
 				var quar *Quarantine
 				outs, err := (*Ledger)(nil).settle(context.Background(), opt, []point{{"policy/" + engine, faulty}}, nil)
@@ -399,7 +393,7 @@ var sideStudies = []struct {
 // TestSideStudiesRunOnTheEngine: what the figure sweeps get from the
 // scheduler and the ledger, the side studies get too — a width that
 // changes no byte, a context that stops the grid, a run budget
-// that quarantines (supervised) or fails (unsupervised) by name, and a
+// that quarantines every point by name, and a
 // checkpoint that resumes without recomputing.
 func TestSideStudiesRunOnTheEngine(t *testing.T) {
 	for _, st := range sideStudies {
@@ -433,24 +427,19 @@ func TestSideStudiesRunOnTheEngine(t *testing.T) {
 					err, fresh, st.points, got, want)
 			}
 
-			tight := Options{Replications: 1, RunBudget: sim.Budget{MaxEvents: 50}}
-			_, err = st.csv(context.Background(), tight)
-			var be *sim.BudgetError
-			if !errors.As(err, &be) || be.Kind != sim.BudgetEvents {
-				t.Errorf("unsupervised study under a 50-event budget returned %v, want an events *sim.BudgetError", err)
-			}
-			tight.Supervise = NewSupervisor()
+			tight := Options{Replications: 1, RunBudget: sim.Budget{MaxEvents: 50}, Health: NewHealth()}
 			got, err := st.csv(context.Background(), tight)
 			if err != nil || strings.Count(got, "\n") != 1 {
-				t.Errorf("supervised study under a 50-event budget: err = %v, want a header-only table, got:\n%s", err, got)
+				t.Errorf("study under a 50-event budget: err = %v, want a header-only table, got:\n%s", err, got)
 			}
-			qs := tight.Supervise.Quarantined()
+			qs := quarantined(tight.Health)
 			if len(qs) != st.points {
 				t.Fatalf("%d quarantines, want %d", len(qs), st.points)
 			}
 			for _, q := range qs {
-				if q.Class != string(core.ClassResourceExhausted) || !strings.HasPrefix(q.Key, st.name+"/") {
-					t.Errorf("quarantine %+v, want a resource-exhausted %s/ point", q, st.name)
+				if q.Class != string(core.ClassResourceExhausted) || !strings.HasPrefix(q.Key, st.name+"/") ||
+					!strings.Contains(q.Reason, "events budget") {
+					t.Errorf("quarantine %+v, want an events-budget-exhausted %s/ point", q, st.name)
 				}
 			}
 		})

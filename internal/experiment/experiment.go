@@ -102,13 +102,6 @@ type Options struct {
 	// interrupt a sweep.
 	OnPoint func(key string)
 
-	// Supervise arms the per-point circuit breaker (see supervise.go):
-	// a point whose replications exhaust the engine's patience —
-	// resource-exhausted, or every replication permanently failed — is
-	// quarantined and recorded on the Supervisor (and in the
-	// checkpoint), and the sweep continues degraded instead of failing.
-	// Nil keeps the historical all-or-nothing behaviour.
-	Supervise *Supervisor
 	// RunBudget layers extra per-replication resource ceilings between
 	// each run's own Config.Budget and the engine defaults
 	// (DefaultRunWall, DefaultRunMaxEvents). Zero fields inherit;
@@ -117,7 +110,8 @@ type Options struct {
 	RunBudget sim.Budget
 	// Health, when set, receives real-time run telemetry: active
 	// replications, events/sec, completed/retried/quarantined counts,
-	// and the straggler log. Health.Heartbeat persists and dumps it.
+	// the quarantine records and the straggler log. Health.Heartbeat
+	// persists and dumps it.
 	Health *Health
 }
 
@@ -153,14 +147,14 @@ func (o Options) LANBadAxis() []time.Duration {
 }
 
 // fingerprint digests the result-affecting options. Workers, Checkpoint,
-// ReproDir, OnPoint, and the supervision knobs (Supervise, RunBudget,
-// Health) are deliberately excluded: they change how a sweep executes,
-// never what a within-budget run measures, so a checkpoint written with
-// -workers 4 resumes fine under -workers 1 and a governed sweep's
-// surviving points are bit-identical to an ungoverned run's. The "v1" prefix is the ledger version the
-// fingerprint was introduced under; it stays 1 across ledger layouts,
-// because the fingerprint names what was measured, not how it is
-// stored, and CheckpointFor derives file names from it.
+// ReproDir, OnPoint, RunBudget and Health are deliberately excluded:
+// they change how a sweep executes, never what a within-budget run
+// measures, so a checkpoint written with -workers 4 resumes fine under
+// -workers 1 and the points a tighter budget leaves unquarantined are
+// bit-identical to an unbudgeted run's. The "v1" prefix is the ledger
+// version the fingerprint was introduced under; it stays 1 across ledger
+// layouts, because the fingerprint names what was measured, not how it
+// is stored, and CheckpointFor derives file names from it.
 func (o Options) fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v1 reps=%d seed=%d transfer=%d retries=%d checks=%v oracle=%v",
@@ -229,7 +223,7 @@ var RetransTable = Table[RetransPoint]{
 // against the configured checkpoint ledger, and returns cell(i, cols) of
 // every point, cols being one sample per metric column in seed order (a
 // skipped replication shrinks n), nil where the point was quarantined
-// (it is on opt.Supervise). So a study's result keeps every point of its
+// (it is on opt.Health). So a study's result keeps every point of its
 // grid, a quarantined one with only its keys, and each table keeps its
 // rows. The figure and study functions keep only their grid and their
 // aggregation.

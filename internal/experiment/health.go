@@ -35,6 +35,7 @@ type Health struct {
 	failed      uint64
 	retried     uint64
 	quarantined uint64
+	quarantines []Quarantine // the first maxQuarantines noted
 	events      uint64
 	recent      []float64 // seconds of the last maxDurations successful runs, a ring
 	next        int       // the ring's oldest entry, once it is full
@@ -64,6 +65,10 @@ const (
 	// maxDurations bounds the run-duration sample the median is read
 	// from: a resident wtcpd shares one Health for its whole life.
 	maxDurations = 1024
+
+	// maxQuarantines bounds the quarantine records kept, for the same
+	// reason; the quarantined count goes on past it.
+	maxQuarantines = 1024
 
 	// statusWriteInterval is how often Heartbeat rewrites a changed
 	// status file; it writes once more at stop.
@@ -204,15 +209,32 @@ func (h *Health) noteRetry() {
 	h.mu.Unlock()
 }
 
-// noteQuarantine counts one point removed by the circuit breaker.
-func (h *Health) noteQuarantine() {
+// noteQuarantine counts and keeps one point removed by the circuit
+// breaker. The scheduler notes a sweep's quarantines in index order.
+func (h *Health) noteQuarantine(q Quarantine) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
 	h.quarantined++
+	if len(h.quarantines) < maxQuarantines {
+		h.quarantines = append(h.quarantines, q)
+	}
 	h.changes++
 	h.mu.Unlock()
+}
+
+// Quarantined returns the quarantine records noted so far, each sweep's
+// in the order its points were (or, on resume, would have been)
+// reached, and how many were noted in all: a collector keeps the first
+// maxQuarantines records.
+func (h *Health) Quarantined() ([]Quarantine, uint64) {
+	if h == nil {
+		return nil, 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.quarantines), h.quarantined
 }
 
 // MedianOf returns the median of the sorted slice s (0 when empty). The

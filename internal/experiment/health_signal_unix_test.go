@@ -24,7 +24,7 @@ func TestSignalDumpIsSnapshotJSON(t *testing.T) {
 	h := NewHealth()
 	h.SetStragglerLog(nil)
 	h.runFinished(h.runStarted("wan/basic/bad=1s/size=512", 3), 777, true)
-	h.noteQuarantine()
+	h.noteQuarantine(Quarantine{Key: "wan/basic/bad=1s/size=512"})
 	path := filepath.Join(t.TempDir(), "status.json")
 	pr, pw := io.Pipe()
 	defer pr.Close() // unblocks the dump should the test fail before reading it

@@ -73,8 +73,8 @@ const maxSweepPoints = 1 << 14
 
 // SweepSpecs enumerates the full point grid of the named sweeps under
 // opt in canonical order: the order the figure functions aggregate in
-// (so it fixes their output order and where a quarantine lands on the
-// Supervisor) and the order coordinator logs and snapshots follow. A
+// (so it fixes their output order and where a quarantine lands in
+// Health's list) and the order coordinator logs and snapshots follow. A
 // grid of more than maxSweepPoints points is refused before it is
 // enumerated.
 func SweepSpecs(opt Options, sweeps []string) ([]PointSpec, error) {
@@ -163,7 +163,7 @@ func (s PointSpec) point(opt Options) (point, error) {
 
 // PointOutcome is the result of executing one PointSpec: exactly one of
 // Reps (the seed-ordered replication records) or Quarantine (the point
-// tripped its circuit breaker under supervision) is set.
+// tripped its circuit breaker) is set.
 type PointOutcome struct {
 	Key        string      `json:"key"`
 	Reps       []RepRecord `json:"reps,omitempty"`
@@ -185,8 +185,8 @@ func pointsOf(opt Options, specs []PointSpec) ([]point, error) {
 // RunPointSpec executes one sweep point as Ledger.Settle would, on
 // Workers slots, but with no ledger: the caller (a fleet worker) owns
 // delivering the outcome to the coordinator's Ledger.Record. It returns
-// the seed-ordered records, a Quarantine when opt.Supervise is armed and
-// the breaker trips, or an error (fail-fast classes, cancellation).
+// the seed-ordered records, a Quarantine when the breaker trips, or an
+// error (fail-fast classes, cancellation).
 func RunPointSpec(ctx context.Context, opt Options, spec PointSpec) (PointOutcome, error) {
 	opt = opt.WithDefaults()
 	outs, err := (*Ledger)(nil).Settle(ctx, opt, []PointSpec{spec}, opt.slots())

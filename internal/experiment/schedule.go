@@ -58,18 +58,17 @@ type scheduler struct {
 // Units start in index order, point-major and seed-minor, on the
 // caller's goroutine and on each slot borrow lends (nil lends none, so
 // every unit runs in place); a slot goes back as soon as its unit
-// lands. A point already in the ledger loads when its turn comes (a
-// recorded quarantine only for a supervised caller). When a point's
-// last unit lands, its seed-ordered records get the breaker's verdict;
-// a resource-exhausted quarantine met with ctx done was induced by the
-// caller's deadline or drain, so it is ctx.Err() and is not recorded;
-// otherwise the first record of the key wins, and OnPoint (never two
-// calls at once) reports a fresh finished point. Quarantines are noted
-// to the Supervisor and Health in index order.
+// lands. A point already in the ledger, finished or quarantined, loads
+// when its turn comes. When a point's last unit lands, its seed-ordered
+// records get the breaker's verdict; a resource-exhausted quarantine met
+// with ctx done was induced by the caller's deadline or drain, so it is
+// ctx.Err() and is not recorded; otherwise the first record of the key
+// wins, and OnPoint (never two calls at once) reports a fresh finished
+// point. Quarantines are noted to Health in index order.
 //
-// The error is the first point error in index order: a fail-fast class,
-// every replication failed unsupervised, or ctx ended. It cancels the
-// points after it; the ones before it run to the end and are recorded.
+// The error is the first point error in index order: a fail-fast class
+// or ctx ended. It cancels the points after it; the ones before it run
+// to the end and are recorded.
 func (l *Ledger) settle(ctx context.Context, opt Options, points []point, borrow func() (func(), bool)) ([]PointOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -102,7 +101,7 @@ func (s *scheduler) take() (unit, bool) {
 	for s.next < s.failed {
 		p := &s.points[s.next]
 		if s.seed == 0 {
-			if out, ok := s.led.lookup(p.key, s.opt.Supervise != nil); ok {
+			if out, ok := s.led.lookup(p.key); ok {
 				p.out, p.done = out, true
 				s.next++
 				s.noteSettled()
@@ -173,7 +172,7 @@ func (s *scheduler) run(u unit) {
 	fresh := false
 	if err == nil {
 		if fresh, err = s.led.Record(out); err == nil && !fresh {
-			out, _ = s.led.lookup(p.key, s.opt.Supervise != nil)
+			out, _ = s.led.lookup(p.key)
 		}
 	}
 	p.cancel()
@@ -197,11 +196,10 @@ func (s *scheduler) run(u unit) {
 }
 
 // verdict classifies a point from its records: the seed-ordered records
-// of the replications that succeeded; a quarantine when supervised and
-// the breaker trips (any replication resource-exhausted, or every one
-// failed); or an error — a fail-fast class, every replication failed
-// unsupervised, or the point's context ended (a partial point reruns
-// whole, keeping a resumed sweep identical).
+// of the replications that succeeded; a quarantine when the breaker
+// trips (any replication resource-exhausted, or every one failed); or an
+// error — a fail-fast class, or the point's context ended (a partial
+// point reruns whole, keeping a resumed sweep identical).
 func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 	if err := s.ctx.Err(); err != nil {
 		return PointOutcome{}, err
@@ -227,18 +225,17 @@ func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 			breaker = rf
 		}
 	}
-	if breaker != nil && failFast(breaker.class) {
-		return PointOutcome{}, fmt.Errorf("experiment: point %q: %s: %w", p.key, breaker.class, breaker.err)
-	}
 	exhausted := breaker != nil && breaker.class == core.ClassResourceExhausted
-	if s.opt.Supervise != nil && breaker != nil && (exhausted || len(reps) == 0) {
-		if exhausted && s.ctx.Err() != nil {
-			return PointOutcome{}, s.ctx.Err()
-		}
+	switch {
+	case breaker != nil && failFast(breaker.class):
+		return PointOutcome{}, fmt.Errorf("experiment: point %q: %s: %w", p.key, breaker.class, breaker.err)
+	case exhausted && s.ctx.Err() != nil:
+		return PointOutcome{}, s.ctx.Err() // the caller's deadline or drain starved it
+	case exhausted || (breaker != nil && len(reps) == 0):
 		return PointOutcome{Key: p.key, Quarantine: &Quarantine{Key: p.key, Class: string(breaker.class),
 			Attempts: breaker.attempts, Reason: breaker.err.Error()}}, nil
-	}
-	if len(reps) == 0 {
+	case len(reps) == 0:
+		// Every replication was canceled, none classified.
 		return PointOutcome{}, fmt.Errorf("experiment: point %q: every replication failed: %w", p.key, firstErr)
 	}
 	return PointOutcome{Key: p.key, Reps: reps}, nil
@@ -249,8 +246,7 @@ func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 func (s *scheduler) noteSettled() {
 	for ; s.noted < s.failed && s.points[s.noted].done; s.noted++ {
 		if q := s.points[s.noted].out.Quarantine; q != nil {
-			s.opt.Supervise.note(*q)
-			s.opt.Health.noteQuarantine()
+			s.opt.Health.noteQuarantine(*q)
 		}
 	}
 }

@@ -54,7 +54,10 @@ func jobPoints(n int, job func(ctx context.Context, i int) error) []point {
 // finish — one of which may fail and become the answer — and no unit
 // past the failure starts.
 func TestScheduleFirstErrorInIndexOrder(t *testing.T) {
-	errEarly, errLate := errors.New("early"), errors.New("late")
+	// Protocol bugs: a class that fails the point rather than
+	// quarantining it.
+	errEarly := &sim.CheckError{Name: "early", Err: errors.New("early")}
+	var errLate error = &sim.CheckError{Name: "late", Err: errors.New("late")}
 	for _, tc := range []struct {
 		name  string
 		early error // what point 0 returns once point 1 has failed
@@ -193,9 +196,9 @@ func TestNoUnitStartsBeforeASlotIsFree(t *testing.T) {
 	}
 }
 
-// TestSupervisedSweepSameAtAnyWidth: a supervised Fig 7 with one
-// quarantined point gives the same points, the same Supervisor record
-// and the same ledger contents at 1, 2 and 4 workers.
+// TestSupervisedSweepSameAtAnyWidth: a Fig 7 with one quarantined point
+// gives the same points, the same Health record and the same ledger
+// contents at 1, 2 and 4 workers.
 func TestSupervisedSweepSameAtAnyWidth(t *testing.T) {
 	stormRunSim(t, time.Second, units.ByteSize(512))
 	type result struct {
@@ -205,8 +208,8 @@ func TestSupervisedSweepSameAtAnyWidth(t *testing.T) {
 		ledgQ  []Quarantine
 	}
 	run := func(workers int) result {
-		sup := NewSupervisor()
-		opt := governedOpts(sup)
+		health := NewHealth()
+		opt := governedOpts(health)
 		opt.Workers = workers
 		opt.Checkpoint = filepath.Join(t.TempDir(), "ledger.json")
 		points, err := Fig7(context.Background(), opt)
@@ -218,7 +221,7 @@ func TestSupervisedSweepSameAtAnyWidth(t *testing.T) {
 		for _, p := range f.Points {
 			led[p.Key] = p.Reps
 		}
-		return result{ThroughputTable.CSV(points), sup.Quarantined(), led, f.Quarantined}
+		return result{ThroughputTable.CSV(points), quarantined(health), led, f.Quarantined}
 	}
 	want := run(1)
 	if len(want.quars) != 1 || want.quars[0].Key != "wan/basic/bad=1s/size=512" {

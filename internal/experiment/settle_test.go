@@ -168,7 +168,7 @@ func TestSettle(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := settleOpts()
-		opt.Supervise = NewSupervisor()
+		opt.Health = NewHealth()
 		out, err := settleOne(ctx, led, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -179,18 +179,8 @@ func TestSettle(t *testing.T) {
 		if out.Quarantine == nil || *out.Quarantine != quar || out.Reps != nil {
 			t.Errorf("outcome = %+v, want the recorded quarantine", out)
 		}
-		if qs := opt.Supervise.Quarantined(); len(qs) != 1 || qs[0] != quar {
-			t.Errorf("supervisor holds %+v, want the replayed quarantine", qs)
-		}
-
-		// Unsupervised means all-or-nothing: the quarantine is not an
-		// answer, the point runs.
-		out, err = settleOne(ctx, led, settleOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if runs.Load() != 2 || len(out.Reps) != 2 {
-			t.Errorf("unsupervised settle over a quarantine: %d runs, outcome %+v; want 2 fresh replications", runs.Load(), out)
+		if qs := quarantined(opt.Health); len(qs) != 1 || qs[0] != quar {
+			t.Errorf("health holds %+v, want the replayed quarantine", qs)
 		}
 	})
 
@@ -228,7 +218,7 @@ func TestSettle(t *testing.T) {
 		runs := exhaustRuns(t, nil)
 		led, path := openSettleLedger(t)
 		opt := settleOpts()
-		opt.Supervise = NewSupervisor()
+		opt.Health = NewHealth()
 		opt.OnPoint = func(string) { t.Error("OnPoint fired for a quarantined point") }
 		out, err := settleOne(ctx, led, opt)
 		if err != nil {
@@ -244,8 +234,8 @@ func TestSettle(t *testing.T) {
 		if len(f.Points) != 0 || len(f.Quarantined) != 1 || f.Quarantined[0] != *out.Quarantine {
 			t.Errorf("disk holds %+v, want exactly the returned quarantine", f)
 		}
-		if qs := opt.Supervise.Quarantined(); len(qs) != 1 || qs[0] != *out.Quarantine {
-			t.Errorf("supervisor holds %+v, want the fresh quarantine", qs)
+		if qs := quarantined(opt.Health); len(qs) != 1 || qs[0] != *out.Quarantine {
+			t.Errorf("health holds %+v, want the fresh quarantine", qs)
 		}
 	})
 
@@ -255,7 +245,7 @@ func TestSettle(t *testing.T) {
 		led, path := openSettleLedger(t)
 		opt := settleOpts()
 		opt.Replications = 1
-		opt.Supervise = NewSupervisor()
+		opt.Health = NewHealth()
 		out, err := settleOne(late, led, opt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v (outcome %+v), want context.Canceled", err, out)
@@ -263,8 +253,8 @@ func TestSettle(t *testing.T) {
 		if f := onDisk(t, path); len(f.Points)+len(f.Quarantined) != 0 {
 			t.Errorf("an interruption was recorded: %+v", f)
 		}
-		if qs := opt.Supervise.Quarantined(); len(qs) != 0 {
-			t.Errorf("an interruption reached the supervisor: %+v", qs)
+		if qs := quarantined(opt.Health); len(qs) != 0 {
+			t.Errorf("an interruption reached health: %+v", qs)
 		}
 		if led.Has(settleKey) {
 			t.Error("the key counts as settled after an interruption")

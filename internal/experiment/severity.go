@@ -60,7 +60,7 @@ func (o SeverityOptions) withDefaults() SeverityOptions {
 // SeverityStudy measures basic TCP and EBSN across a severity ladder.
 // Each (step, scheme) pair is one engine point; every step is in the
 // result, with a nil sample where its point was quarantined (it is on
-// opt.Supervise).
+// opt.Health).
 func SeverityStudy(ctx context.Context, opt Options, axes SeverityOptions) ([]SeverityPoint, error) {
 	axes = axes.withDefaults()
 	var points []point

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"sync"
 	"time"
 
 	"wtcp/internal/core"
@@ -11,29 +10,31 @@ import (
 // This file is the engine half of the run-supervision layer: the
 // default per-run resource budget, and the per-point circuit breaker
 // that turns classified failures into explicit quarantine records
-// instead of a hung worker or a dead sweep.
+// instead of a hung worker or a dead sweep. Every engine run, whoever
+// calls it, settles its points under this one policy.
 //
 // Policy, by failure class (core.Classify):
 //
-//	transient           retry with a perturbed seed (the pre-existing
-//	                    behaviour), skip the replication when retries
-//	                    are exhausted
+//	transient           retry with a perturbed seed, skip the
+//	                    replication when retries are exhausted; the
+//	                    breaker trips when every replication of the
+//	                    point is skipped
 //	protocol-bug, panic fail fast: no retries, emit a repro bundle,
 //	                    fail the sweep — the implementation is wrong
 //	resource-exhausted  the circuit breaker trips after the point's
-//	                    attempts are spent: the point is quarantined
-//	                    (recorded in the checkpoint and the sweep
-//	                    result), a repro bundle is emitted, and the
-//	                    sweep continues degraded
+//	                    attempts are spent
 //	canceled            propagate; the caller asked the sweep to stop
 //
-// Quarantine is never silent: a governed sweep's output always carries
-// the explicit Quarantined list, and a resumed sweep replays recorded
-// quarantines in sweep order so its result is byte-identical whether
-// the quarantine happened before or after the resume boundary.
+// A tripped breaker quarantines the point: it is recorded in the
+// checkpoint, in the sweep result (the point keeps its keys and loses
+// its measurements) and on Options.Health, a repro bundle is emitted,
+// and the sweep continues degraded. Quarantine is never silent, and a
+// resumed sweep replays recorded quarantines in sweep order, so its
+// result is byte-identical whether the quarantine happened before or
+// after the resume boundary.
 
-// Default per-run ceilings the engine applies when supervision has not
-// been configured otherwise. They exist to close a real gap: the sim
+// Default per-run ceilings the engine applies when neither the run nor
+// Options.RunBudget sets them. They exist to close a real gap: the sim
 // watchdog only sees virtual-time stalls, so a same-instant event
 // livelock used to hang an engine worker forever. The values are far
 // above any legitimate paper scenario (the heaviest LAN replication
@@ -48,7 +49,7 @@ const (
 )
 
 // Quarantine records one sweep point the circuit breaker removed from a
-// governed sweep, and why.
+// sweep, and why.
 type Quarantine struct {
 	// Key is the sweep point's checkpoint key.
 	Key string `json:"key"`
@@ -65,39 +66,6 @@ type Quarantine struct {
 	// distributed campaigns stay auditable in the report's quarantine
 	// table.
 	Worker string `json:"worker,omitempty"`
-}
-
-// Supervisor arms the per-point circuit breaker for a sweep and
-// collects its quarantine records. A nil Supervisor in Options keeps
-// the engine's historical all-or-nothing behaviour (any point whose
-// every replication fails, fails the sweep). Safe for concurrent use;
-// one Supervisor may span several sweeps (a whole report run).
-type Supervisor struct {
-	mu          sync.Mutex
-	quarantined []Quarantine
-}
-
-// NewSupervisor returns an empty supervisor.
-func NewSupervisor() *Supervisor { return &Supervisor{} }
-
-// Quarantined returns the quarantine records in the order the points
-// were (or, on resume, would have been) reached by the sweep.
-func (sv *Supervisor) Quarantined() []Quarantine {
-	if sv == nil {
-		return nil
-	}
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	out := make([]Quarantine, len(sv.quarantined))
-	copy(out, sv.quarantined)
-	return out
-}
-
-// note appends one quarantine record.
-func (sv *Supervisor) note(q Quarantine) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	sv.quarantined = append(sv.quarantined, q)
 }
 
 // runBudget resolves the budget one replication attempt runs under:

@@ -40,14 +40,20 @@ func stormRunSim(t *testing.T, bad time.Duration, size units.ByteSize) *atomic.I
 	return &pathological
 }
 
-// governedOpts is ckOpts plus supervision: breaker armed and an
-// aggressive event budget so the injected livelock trips in
+// governedOpts is ckOpts plus a Health that collects the quarantines
+// and an aggressive event budget, so the injected livelock trips in
 // milliseconds instead of at the 2^31-event default.
-func governedOpts(sup *Supervisor) Options {
+func governedOpts(h *Health) Options {
 	opt := ckOpts()
-	opt.Supervise = sup
+	opt.Health = h
 	opt.RunBudget = sim.Budget{MaxEvents: 200_000}
 	return opt
+}
+
+// quarantined is the quarantine records h has kept.
+func quarantined(h *Health) []Quarantine {
+	qs, _ := h.Quarantined()
+	return qs
 }
 
 // keyOnly copies a throughput sweep with the (bad, size) point's
@@ -76,9 +82,10 @@ func measured(points []ThroughputPoint) []ThroughputPoint {
 
 // TestGovernedSweepQuarantinesPathologicalPoint is the acceptance
 // scenario: a sweep with one pathological point (event-storm livelock)
-// completes under supervision with that point quarantined and listed,
-// every other point bit-identical to an ungoverned run, and a repro
-// bundle emitted for the budget abort.
+// completes with that point quarantined and listed, every other point
+// bit-identical to an unbudgeted run, and a repro bundle emitted for the
+// budget abort. Before run budgets, that livelock hung a worker forever
+// (the virtual-time watchdog never fires when the clock is frozen).
 func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	const badPeriod = time.Second
 	const size = units.ByteSize(512)
@@ -90,16 +97,16 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	want := ThroughputTable.CSV(keyOnly(baseline, badPeriod, size))
 
 	stormRunSim(t, badPeriod, size)
-	sup := NewSupervisor()
+	health := NewHealth()
 	dir := t.TempDir()
-	opt := governedOpts(sup)
+	opt := governedOpts(health)
 	opt.ReproDir = dir
 	got, err := Fig7(context.Background(), opt)
 	if err != nil {
-		t.Fatalf("governed sweep failed instead of quarantining: %v", err)
+		t.Fatalf("budgeted sweep failed instead of quarantining: %v", err)
 	}
 
-	qs := sup.Quarantined()
+	qs := quarantined(health)
 	if len(qs) != 1 {
 		t.Fatalf("quarantined %d points, want 1: %+v", len(qs), qs)
 	}
@@ -121,7 +128,7 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 		t.Fatalf("governed sweep kept %d points, %d measured, want %d, %d measured", len(got), len(measured(got)), len(baseline), len(baseline)-1)
 	}
 	if csv := ThroughputTable.CSV(got); csv != want {
-		t.Errorf("surviving points differ from ungoverned run:\n--- want ---\n%s--- got ---\n%s", want, csv)
+		t.Errorf("surviving points differ from the unbudgeted run:\n--- want ---\n%s--- got ---\n%s", want, csv)
 	}
 
 	entries, err := os.ReadDir(dir)
@@ -137,30 +144,6 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	}
 	if b.Kind != repro.KindBudget || b.BudgetKind != sim.BudgetEvents {
 		t.Errorf("bundle kind = %s/%s, want %s/%s", b.Kind, b.BudgetKind, repro.KindBudget, sim.BudgetEvents)
-	}
-}
-
-// TestUnsupervisedSweepFailsInsteadOfHanging is the regression for the
-// engine's livelock gap: before run budgets, a same-instant event storm
-// hung a worker forever (the virtual-time watchdog never fires when the
-// clock is frozen). Without a Supervisor the sweep must now fail with a
-// typed, classified budget error — promptly, not after 2^31 events.
-func TestUnsupervisedSweepFailsInsteadOfHanging(t *testing.T) {
-	stormRunSim(t, time.Second, 512)
-	opt := ckOpts()
-	opt.PacketSizes = []units.ByteSize{512}
-	opt.BadPeriods = []time.Duration{time.Second}
-	opt.RunBudget = sim.Budget{MaxEvents: 200_000}
-	_, err := Fig7(context.Background(), opt)
-	var be *sim.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("unsupervised livelock sweep returned %v, want *sim.BudgetError", err)
-	}
-	if be.Kind != sim.BudgetEvents {
-		t.Errorf("budget kind = %s, want %s", be.Kind, sim.BudgetEvents)
-	}
-	if core.Classify(err) != core.ClassResourceExhausted {
-		t.Errorf("sweep error classifies as %s, want %s", core.Classify(err), core.ClassResourceExhausted)
 	}
 }
 
@@ -204,36 +187,35 @@ func TestDefaultRunBudgetApplied(t *testing.T) {
 }
 
 // TestAllTransientFailuresQuarantineUnderSupervision: when every
-// replication of a point fails with a retryable class and a Supervisor
-// is armed, the point is quarantined (class recorded) instead of
-// failing the sweep.
+// replication of a point fails with a retryable class, the point is
+// quarantined (class recorded) instead of failing the sweep.
 func TestAllTransientFailuresQuarantineUnderSupervision(t *testing.T) {
 	stubRunSim(t, func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		return nil, errors.New("synthetic permanent failure")
 	})
-	sup := NewSupervisor()
+	health := NewHealth()
 	opt := Options{
 		Replications: 2,
 		Retries:      -1,
-		Supervise:    sup,
+		Health:       health,
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},
 	}
 	points, err := Fig7(context.Background(), opt)
 	if err != nil {
-		t.Fatalf("supervised all-failing sweep errored: %v", err)
+		t.Fatalf("all-failing sweep errored: %v", err)
 	}
 	if len(points) != 1 || len(measured(points)) != 0 {
 		t.Errorf("all-failing sweep produced %d points, %d measured; want its one point key-only", len(points), len(measured(points)))
 	}
-	qs := sup.Quarantined()
+	qs := quarantined(health)
 	if len(qs) != 1 || qs[0].Class != string(core.ClassTransient) {
 		t.Fatalf("quarantine records = %+v, want one transient record", qs)
 	}
 }
 
 // TestProtocolBugFailsFastUnderSupervision: a protocol bug (invariant
-// violation) must fail the sweep even with the breaker armed — a wrong
+// violation) must fail the sweep, breaker or no breaker — a wrong
 // implementation must never be "quarantined" into a passing run — and
 // must not be retried.
 func TestProtocolBugFailsFastUnderSupervision(t *testing.T) {
@@ -242,11 +224,11 @@ func TestProtocolBugFailsFastUnderSupervision(t *testing.T) {
 		runs.Add(1)
 		return nil, &sim.CheckError{Name: "conservation", Err: errors.New("synthetic violation")}
 	})
-	sup := NewSupervisor()
+	health := NewHealth()
 	opt := Options{
 		Replications: 1,
 		Retries:      3,
-		Supervise:    sup,
+		Health:       health,
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},
 	}
@@ -258,14 +240,14 @@ func TestProtocolBugFailsFastUnderSupervision(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Errorf("protocol bug was retried (%d runs), fail-fast means exactly 1", n)
 	}
-	if len(sup.Quarantined()) != 0 {
-		t.Errorf("protocol bug was quarantined: %+v", sup.Quarantined())
+	if len(quarantined(health)) != 0 {
+		t.Errorf("protocol bug was quarantined: %+v", quarantined(health))
 	}
 }
 
 // resumeGoverned runs the governed sweep with a checkpoint, cancelling
 // after cancelAfter fresh points, then resumes it to completion with a
-// fresh supervisor. It returns the final points, the resumed run's
+// fresh Health. It returns the final points, the resumed run's
 // quarantine records, and how many pathological configs the resume
 // executed.
 func resumeGoverned(t *testing.T, path string, cancelAfter int,
@@ -275,7 +257,7 @@ func resumeGoverned(t *testing.T, path string, cancelAfter int,
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := governedOpts(NewSupervisor())
+	opt := governedOpts(NewHealth())
 	opt.Checkpoint = path
 	finished := 0
 	opt.OnPoint = func(string) {
@@ -288,14 +270,14 @@ func resumeGoverned(t *testing.T, path string, cancelAfter int,
 	}
 
 	patho.Store(0)
-	sup := NewSupervisor()
-	opt = governedOpts(sup)
+	health := NewHealth()
+	opt = governedOpts(health)
 	opt.Checkpoint = path
 	points, err := Fig7(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return points, sup.Quarantined(), patho.Load()
+	return points, quarantined(health), patho.Load()
 }
 
 // TestResumeAcrossQuarantineByteIdentical: the sweep result — surviving
@@ -310,13 +292,13 @@ func TestResumeAcrossQuarantineByteIdentical(t *testing.T) {
 	const size = units.ByteSize(1536)
 
 	stormRunSim(t, bad, size)
-	sup := NewSupervisor()
-	uninterrupted, err := Fig7(context.Background(), governedOpts(sup))
+	health := NewHealth()
+	uninterrupted, err := Fig7(context.Background(), governedOpts(health))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCSV := ThroughputTable.CSV(uninterrupted)
-	wantQuar := fmt.Sprintf("%+v", sup.Quarantined())
+	wantQuar := fmt.Sprintf("%+v", quarantined(health))
 
 	for name, cancelAfter := range map[string]int{
 		"quarantine-after-boundary":  1, // interrupted before the pathological point
@@ -340,13 +322,12 @@ func TestResumeAcrossQuarantineByteIdentical(t *testing.T) {
 
 // TestBudgetSmoke is the `make budget-smoke` gate: a tiny governed sweep
 // with aggressive budgets and one pathological point must finish clean
-// — quarantine recorded everywhere it should be (supervisor, health,
-// checkpoint, stderr-free), partial results present, bundle emitted.
+// — quarantine recorded everywhere it should be (health, checkpoint,
+// stderr-free), partial results present, bundle emitted.
 // Run it with -race; the worker pool and health heartbeat are shared
 // state.
 func TestBudgetSmoke(t *testing.T) {
 	stormRunSim(t, time.Second, 1536)
-	sup := NewSupervisor()
 	health := NewHealth()
 	health.SetStragglerLog(nil)
 	dir := t.TempDir()
@@ -361,7 +342,6 @@ func TestBudgetSmoke(t *testing.T) {
 		PacketSizes:  []units.ByteSize{512, 1536},
 		BadPeriods:   []time.Duration{time.Second},
 		Workers:      2,
-		Supervise:    sup,
 		RunBudget:    sim.Budget{MaxEvents: 200_000},
 		Checkpoint:   ckPath,
 		ReproDir:     filepath.Join(dir, "repro"),
@@ -374,7 +354,7 @@ func TestBudgetSmoke(t *testing.T) {
 	if len(points) != 2 || len(measured(points)) != 1 {
 		t.Fatalf("partial results: got %d points, %d measured; want 2, 1 surviving", len(points), len(measured(points)))
 	}
-	qs := sup.Quarantined()
+	qs := quarantined(health)
 	if len(qs) != 1 || qs[0].Class != string(core.ClassResourceExhausted) {
 		t.Fatalf("quarantine records = %+v, want one resource-exhausted record", qs)
 	}
@@ -441,7 +421,7 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 	}
 	h.runFinished(id, 12345, true)
 	h.noteRetry()
-	h.noteQuarantine()
+	h.noteQuarantine(Quarantine{Key: "wan/basic/bad=1s/size=512"})
 
 	snap = h.Snapshot()
 	if snap.Completed != 1 || snap.Retried != 1 || snap.Quarantined != 1 ||
@@ -467,7 +447,10 @@ func TestHealthStatusJSONAndSignalDump(t *testing.T) {
 	var nh *Health
 	nh.runFinished(nh.runStarted("x", 1), 1, true)
 	nh.noteRetry()
-	nh.noteQuarantine()
+	nh.noteQuarantine(Quarantine{})
+	if qs, n := nh.Quarantined(); qs != nil || n != 0 {
+		t.Errorf("nil collector kept quarantines: %v, %d", qs, n)
+	}
 	nh.Heartbeat(path, io.Discard)()
 	_ = nh.Snapshot()
 }

@@ -178,12 +178,12 @@ func TestQuarantinedKeyKeepsItsRow(t *testing.T) {
 		return core.RunContext(ctx, cfg)
 	})
 	opt := ckOpts() // 512 and 1536 B at bad = 1 s and 4 s
-	opt.Supervise = NewSupervisor()
+	opt.Health = NewHealth()
 	points, err := Fig7(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs := opt.Supervise.Quarantined(); len(qs) != 2 || len(points) != 4 {
+	if qs := quarantined(opt.Health); len(qs) != 2 || len(points) != 4 {
 		t.Fatalf("%d quarantines and %d points, want 2 of 4 points quarantined", len(qs), len(points))
 	}
 	if md := ThroughputTable.Markdown(points); !strings.Contains(md, "\n| 512B | - | - |\n") {

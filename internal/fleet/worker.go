@@ -67,9 +67,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		return err
 	}
 	opt.Health = cfg.Health
-	if campaign.Supervise {
-		opt.Supervise = experiment.NewSupervisor()
-	}
 
 	lease := func() (leaseReply, error) {
 		var rep leaseReply

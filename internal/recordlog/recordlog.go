@@ -147,8 +147,8 @@ func (l *Log) Append(parts ...[]byte) (off int64, err error) {
 	for _, p := range parts {
 		n += len(p)
 	}
-	if n > MaxPayload {
-		return 0, fmt.Errorf("recordlog: %d-byte payload exceeds the %d-byte frame limit", n, MaxPayload)
+	if int64(n) > MaxPayload {
+		return 0, fmt.Errorf("recordlog: %d-byte payload exceeds the %d-byte frame limit", n, int64(MaxPayload))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -85,8 +85,9 @@ func (v *verdicts) wan(fig7, fig8 []experiment.ThroughputPoint, bad time.Duratio
 // Generate runs the suite under opt and returns the markdown report.
 // Every run is oracle-gated whatever opt says; quick shrinks the sweeps
 // (fewer packet sizes and bad periods, smaller transfers) for fast
-// CI-style runs, and opt.Supervise, when set, quarantines pathological
-// points into their own report section instead of failing the report.
+// CI-style runs. A pathological point is quarantined into its own report
+// section, read from opt.Health (a fresh one when nil), instead of
+// failing the report.
 // ctx cancels the underlying simulations cleanly at their next event
 // boundary; with opt.Checkpoint set, rerunning after a cancellation
 // resumes from the finished sweep points. The WAN sweeps use that path as
@@ -94,6 +95,9 @@ func (v *verdicts) wan(fig7, fig8 []experiment.ThroughputPoint, bad time.Duratio
 // a sibling file named by experiment.CheckpointFor.
 func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, error) {
 	opt = opt.WithDefaults()
+	if opt.Health == nil {
+		opt.Health = experiment.NewHealth()
+	}
 	var b strings.Builder
 	var claims verdicts
 
@@ -389,19 +393,16 @@ func Generate(ctx context.Context, opt experiment.Options, quick bool) (string, 
 		true, "oracle-gated runs; a violation would have failed the report")
 
 	// --- Quarantined points ------------------------------------------------
-	if opt.Supervise != nil {
-		b.WriteString("## Quarantined points\n\n")
-		qs := opt.Supervise.Quarantined()
-		if len(qs) == 0 {
-			b.WriteString("No points were quarantined in this run.\n\n")
-		} else {
-			fmt.Fprintf(&b, "The circuit breaker removed %d point(s) from this run's sweeps; every\n", len(qs))
-			b.WriteString("other point is bit-identical to an ungoverned run. Tables above print\n")
-			b.WriteString("a quarantined cell as `-`, and a claim that reads one is not reproduced.\n\n")
-			b.WriteString(quarantineTable.Markdown(qs) + "\n")
-			claims.add("Supervision: no sweep point was quarantined", false,
-				"%d point(s) quarantined — inspect the table above", len(qs))
-		}
+	b.WriteString("## Quarantined points\n\n")
+	if qs, n := opt.Health.Quarantined(); n == 0 {
+		b.WriteString("No points were quarantined in this run.\n\n")
+	} else {
+		fmt.Fprintf(&b, "The circuit breaker removed %d point(s) from this run's sweeps; every\n", n)
+		b.WriteString("other point is measured as usual. Tables above print a quarantined\n")
+		b.WriteString("cell as `-`, and a claim that reads one is not reproduced.\n\n")
+		b.WriteString(quarantineTable.Markdown(qs) + "\n")
+		claims.add("Supervision: no sweep point was quarantined", false,
+			"%d point(s) quarantined — inspect the table above", n)
 	}
 
 	// --- Verdicts -----------------------------------------------------------

@@ -13,6 +13,7 @@ import (
 
 	"wtcp/internal/bs"
 	"wtcp/internal/experiment"
+	"wtcp/internal/sim"
 	"wtcp/internal/stats"
 	"wtcp/internal/units"
 )
@@ -54,6 +55,27 @@ func TestGenerateQuickReport(t *testing.T) {
 	}
 }
 
+// TestQuickReportListsQuarantines: a budget too small for the smallest
+// packets quarantines those points for the whole suite, and the report,
+// given no Health of its own, lists every one in its "Quarantined
+// points" table and fails the claim that none was.
+func TestQuickReportListsQuarantines(t *testing.T) {
+	md, err := Generate(context.Background(), experiment.Options{Replications: 1, RunBudget: sim.Budget{MaxEvents: 2000}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(md, "## Quarantined points\n\n")
+	section, _, _ = strings.Cut(section, "## Claim-by-claim verdicts")
+	rows := strings.Count(section, "| resource-exhausted | 2 | (local) | ")
+	if rows == 0 || !strings.Contains(section, fmt.Sprintf("The circuit breaker removed %d point(s)", rows)) ||
+		!strings.Contains(section, "| `wan/basic/bad=1s/size=128` |") {
+		t.Errorf("quarantine section lists %d resource-exhausted rows:\n%s", rows, section)
+	}
+	if AllReproduced(md) || !strings.Contains(md, fmt.Sprintf("| Supervision: no sweep point was quarantined | NOT reproduced | %d point(s)", rows)) {
+		t.Error("a report with quarantines claims every point reproduced")
+	}
+}
+
 func TestAllReproducedDetection(t *testing.T) {
 	if !AllReproduced("text **All checked claims reproduced.** more") {
 		t.Error("positive marker not detected")
@@ -87,7 +109,7 @@ func TestReplicationMDMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Generate(context.Background(), experiment.Options{Replications: 10, Workers: runtime.GOMAXPROCS(0), Supervise: experiment.NewSupervisor()}, false)
+	got, err := Generate(context.Background(), experiment.Options{Replications: 10, Workers: runtime.GOMAXPROCS(0)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +139,7 @@ func firstDifference(want, got string) string {
 func TestQuickReportResumesFromOneCheckpointPath(t *testing.T) {
 	checkpoint := ""
 	generate := func(ctx context.Context, onPoint func(key string)) (string, error) {
-		return Generate(ctx, experiment.Options{Replications: 1, Checkpoint: checkpoint,
-			Supervise: experiment.NewSupervisor(), OnPoint: onPoint}, true)
+		return Generate(ctx, experiment.Options{Replications: 1, Checkpoint: checkpoint, OnPoint: onPoint}, true)
 	}
 	want, err := generate(context.Background(), nil)
 	if err != nil {

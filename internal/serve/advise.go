@@ -102,11 +102,10 @@ func (s *Server) adviseQuery(bad time.Duration) query {
 // (basic TCP — the advisor tunes the baseline, as §4.1 proposes) like
 // a sweep's (settlePoints), and recommends the size
 // experiment.OptimalPacketSize picks, the rule the offline advisor
-// uses. The supervisor only keeps a breaker trip from failing the
-// query; the table and the quarantine list follow packet-size order.
+// uses. A quarantined point leaves the table, not the query; the table
+// and the quarantine list follow packet-size order.
 func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) outcome {
 	opt := adviseOptions()
-	opt.Supervise = experiment.NewSupervisor()
 	specs := make([]experiment.PointSpec, len(opt.PacketSizes))
 	for i, size := range opt.PacketSizes {
 		specs[i] = experiment.PointSpec{Sweep: experiment.SweepFig7, Scheme: "basic", Bad: bad, Size: size}

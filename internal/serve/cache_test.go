@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"wtcp/internal/experiment"
 )
 
 // Fingerprint identity: what must split the cache and what must not.
@@ -148,6 +150,15 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 		return SweepFingerprint(c)
 	}
 	base := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"]}}`)
+	// The address is the sweep/v3 identity: the options fingerprint and
+	// the ordered sweep list, nothing else.
+	opt, err := experiment.Campaign{Sweeps: []string{"fig7"}, Replications: 2, BadPeriods: []string{"4s"}}.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fingerprintOf(map[string]any{"kind": "sweep/v3", "options": experiment.Fingerprint(opt), "sweeps": []string{"fig7"}}); base != want {
+		t.Errorf("sweep address %s, want the sweep/v3 identity %s", base, want)
+	}
 	// A sweep is addressed by the grid it resolves to, not its spelling.
 	for _, body := range []string{
 		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4000ms"]}}`,
@@ -171,9 +182,11 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 		!strings.Contains(err.Error(), `unknown field "workers"`) {
 		t.Errorf("a manifest naming workers: err %v, want an unknown-field refusal", err)
 	}
-	// Supervise changes the response shape (quarantines vs failure).
-	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"supervise":true}}`); got == base {
-		t.Error("supervise does not split sweep identity but changes the answer")
+	// Nor a failure policy (every sweep quarantines a pathological
+	// point): supervise is refused the same way.
+	if _, _, err := ParseSweepRequest([]byte(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"supervise":true}}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "supervise"`) {
+		t.Errorf("a manifest naming supervise: err %v, want an unknown-field refusal", err)
 	}
 	seen := map[string]string{base: "base"}
 	for _, body := range []string{

@@ -143,10 +143,7 @@ func (s *Server) engineOptions(ctx context.Context, opt experiment.Options) expe
 
 // execRun runs one scenario for its replications (experiment.RunScenario).
 func (s *Server) execRun(ctx context.Context, replications int, cfg core.Config, fp string) outcome {
-	opt := s.engineOptions(ctx, experiment.Options{
-		Replications: replications,
-		Supervise:    experiment.NewSupervisor(),
-	})
+	opt := s.engineOptions(ctx, experiment.Options{Replications: replications})
 	reps, quar, err := experiment.RunScenario(ctx, opt, "run-"+fp[:16], cfg, nil)
 	if err != nil {
 		return s.failureOutcome(ctx, fp, err)
@@ -172,9 +169,6 @@ func (s *Server) execSweep(ctx context.Context, c experiment.Campaign, fp string
 	if err != nil {
 		// ParseSweepRequest validated the campaign; unreachable.
 		return s.failureOutcome(ctx, fp, err)
-	}
-	if c.Supervise {
-		opt.Supervise = experiment.NewSupervisor()
 	}
 	specs, err := c.Specs()
 	if err != nil {
@@ -332,7 +326,7 @@ func (s *Server) deadlineOutcome(fp string, err error) outcome {
 	}
 }
 
-// quarantineOutcome maps a supervised breaker trip onto HTTP: the
+// quarantineOutcome maps a run's breaker trip onto HTTP: the
 // request fails with the quarantine record, and resource exhaustion
 // additionally cools its scenario class down. The same context guards
 // as failureOutcome apply — a quarantine whose budget exhaustion was

@@ -95,14 +95,15 @@ func mustJSON(t *testing.T, v any) json.RawMessage {
 // a byte fixed point that parses back to the same SweepFingerprint, as
 // does its bad-period axis re-spelled by time.Duration.String. The
 // seeds are the README's manifest, the measurement spine's wan_ladder
-// campaign (full and smoke) and known refusals.
+// campaign (full and smoke), a budgeted fig9 campaign and known
+// refusals, a manifest naming supervise among them.
 func FuzzSweepRequest(f *testing.F) {
 	for _, c := range []string{
 		`{"sweeps": ["fig7", "lan"], "replications": 10, "transfer_kb": 1000, "bad_periods": ["1s", "4s"]}`,
 		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000}`,
 		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000,"packet_sizes":[256,1024],"bad_periods":["1s","4s"]}`,
 		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"supervise":true,` +
-			`"budget":{"max_events":3000,"wall_clock":"off"}}`,
+			`"budget":{"max_events":3000,"wall_clock":"off"}}`, // refused: supervise is no field
 		`{"sweeps":[]}`,
 		`{"sweeps":["fig99"]}`,
 		`{"sweeps":["fig7"],"replications":65}`,
@@ -115,6 +116,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"sweeps":["fig7"],"packet_sizes":[512,512]}`,
 		`{"sweeps":["fig7"],"bad_periods":["1s","1000ms"]}`,
 		`null`,
+		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"budget":{"max_events":3000,"wall_clock":"off"}}`,
 	} {
 		f.Add([]byte(`{"campaign":` + c + `}`))
 		f.Add([]byte(`{"campaign":` + c + `,"deadline_ms":500}`))

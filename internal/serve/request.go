@@ -170,9 +170,8 @@ func runFingerprint(c scenario.File, replications int) string {
 // SweepFingerprint content-addresses a sweep request by the grid it
 // resolves to: experiment.Fingerprint of the campaign's options — the
 // identity its point ledger and the advise endpoint use, so "1s" and
-// "1000ms" name one grid — plus the ordered sweep list and Supervise,
-// which changes the response shape (quarantines versus a failed
-// request). Budget and worker width are execution knobs and stay out.
+// "1000ms" name one grid — plus the ordered sweep list. Budget and
+// worker width are execution knobs and stay out.
 func SweepFingerprint(c experiment.Campaign) string {
 	opt, err := c.Options()
 	if err != nil {
@@ -180,11 +179,10 @@ func SweepFingerprint(c experiment.Campaign) string {
 		panic(fmt.Sprintf("serve: fingerprint of an unvalidated campaign: %v", err))
 	}
 	return fingerprintOf(struct {
-		Kind      string   `json:"kind"`
-		Options   string   `json:"options"`
-		Sweeps    []string `json:"sweeps"`
-		Supervise bool     `json:"supervise"`
-	}{"sweep/v2", experiment.Fingerprint(opt), c.Sweeps, c.Supervise})
+		Kind    string   `json:"kind"`
+		Options string   `json:"options"`
+		Sweeps  []string `json:"sweeps"`
+	}{"sweep/v3", experiment.Fingerprint(opt), c.Sweeps})
 }
 
 // fingerprintOf hashes the canonical JSON encoding of an identity

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 )
 
@@ -105,16 +106,16 @@ func settleOnSlots(t *testing.T, slots int, method, path string, body []byte) (i
 
 // TestSweepSameBytesOnOneAndTwoSlots: settling a campaign's units on
 // every free slot changes when they run, not what the answer is. The
-// paper's Fig 7 + 8 grid, an advise query and a supervised sweep with a
+// paper's Fig 7 + 8 grid, an advise query and a sweep with a
 // quarantined point answer byte-identically on a one-slot and a
 // two-slot server.
 func TestSweepSameBytesOnOneAndTwoSlots(t *testing.T) {
 	campaign := []byte(`{"campaign":{"sweeps":["fig7","fig8"],"replications":1,"base_seed":3}}`)
 	// The 128-byte point needs over 4 000 events at any seed, the others
-	// under 2 000 (see TestSweepFirstErrorInSpecOrder): supervised, it is
+	// under 2 000 (see TestSweepQuarantinesExhaustedPoint): it is
 	// quarantined between the others.
-	supervised := []byte(`{"campaign":{"sweeps":["fig7"],"replications":2,"transfer_kb":50,"retries":-1,` +
-		`"packet_sizes":[1536,128,1024,768],"bad_periods":["1s"],"budget":{"max_events":3000},"supervise":true}}`)
+	quarantining := []byte(`{"campaign":{"sweeps":["fig7"],"replications":2,"transfer_kb":50,"retries":-1,` +
+		`"packet_sizes":[1536,128,1024,768],"bad_periods":["1s"],"budget":{"max_events":3000}}}`)
 	for _, tc := range []struct {
 		name, method, path string
 		body               []byte
@@ -122,7 +123,7 @@ func TestSweepSameBytesOnOneAndTwoSlots(t *testing.T) {
 	}{
 		{"sweep", http.MethodPost, "/v1/sweep", campaign, `"key"`},
 		{"advise", http.MethodGet, "/v1/advise?bad=2s", nil, `"recommended_packet_size_bytes"`},
-		{"supervised sweep", http.MethodPost, "/v1/sweep", supervised, `size=128","quarantine"`},
+		{"supervised sweep", http.MethodPost, "/v1/sweep", quarantining, `size=128","quarantine"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code1, one, _ := settleOnSlots(t, 1, tc.method, tc.path, tc.body)
@@ -214,19 +215,25 @@ func TestSweepMatchesSequentialEngine(t *testing.T) {
 	}
 }
 
-// TestSweepFirstErrorInSpecOrder: when points fail, the answer is the
-// failure a one-at-a-time loop would hit first, and every point before
-// it is in the ledger. The smallest packet size needs the most events,
-// so a ceiling of 3 000 events fails it (it needs over 4 000 at any
-// seed) and spares the larger ones (under 2 000); the sizes are listed
-// largest first, so the failure is the last point.
-func TestSweepFirstErrorInSpecOrder(t *testing.T) {
+// TestSweepQuarantinesExhaustedPoint: a manifest names no failure
+// policy, and a sweep whose grid holds a budget-exhausted point answers
+// 200 with that point's quarantine and every other point's
+// replications, at one slot and at two, every point in the ledger. The
+// smallest packet size needs the most events, so a ceiling of 3 000
+// events exhausts it (it needs over 4 000 at any seed) and spares the
+// larger ones (under 2 000); the sizes are listed largest first, so the
+// quarantine is the last point.
+func TestSweepQuarantinesExhaustedPoint(t *testing.T) {
 	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,` +
 		`"packet_sizes":[1536,1024,768,128],"bad_periods":["1s"],"budget":{"max_events":3000}}}`)
 	code1, one, _ := settleOnSlots(t, 1, http.MethodPost, "/v1/sweep", campaign)
 	code2, two, srv := settleOnSlots(t, 2, http.MethodPost, "/v1/sweep", campaign)
-	if code1 != http.StatusUnprocessableEntity || !bytes.Equal(one, two) {
-		t.Fatalf("one slot: HTTP %d %s\ntwo slots: HTTP %d %s\nwant the same 422", code1, one, code2, two)
+	if code1 != http.StatusOK || !bytes.Equal(one, two) {
+		t.Fatalf("one slot: HTTP %d %s\ntwo slots: HTTP %d %s\nwant the same 200", code1, one, code2, two)
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(one, &resp); err != nil {
+		t.Fatal(err)
 	}
 	_, c, err := ParseSweepRequest(campaign)
 	if err != nil {
@@ -236,17 +243,22 @@ func TestSweepFirstErrorInSpecOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	for _, s := range specs {
-		k, err := s.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, k)
+	if len(resp.Points) != len(specs) {
+		t.Fatalf("%d points answered, want %d", len(resp.Points), len(specs))
 	}
-	last := len(keys) - 1
-	if !strings.Contains(string(two), keys[last]) {
-		t.Fatalf("error does not name %s, the last point in spec order: %s", keys[last], two)
+	last := len(specs) - 1
+	for i, p := range resp.Points {
+		if k, _ := specs[i].Key(); p.Key != k {
+			t.Errorf("point %d is %s, want %s", i, p.Key, k)
+		}
+		q := p.Quarantine
+		if i == last {
+			if q == nil || q.Class != string(core.ClassResourceExhausted) || !strings.Contains(q.Reason, "events budget") || p.Replications != nil {
+				t.Errorf("last point %+v, want an events-budget quarantine", p)
+			}
+		} else if q != nil || len(p.Replications) != 1 {
+			t.Errorf("point %d %+v, want its one replication", i, p)
+		}
 	}
 	srv.Close()
 	opt, err := c.Options()
@@ -257,9 +269,12 @@ func TestSweepFirstErrorInSpecOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range keys {
-		if got, want := led.Has(k), i < last; got != want {
-			t.Errorf("point %d (%s) in the ledger: %v, want %v", i, k, got, want)
+	for _, p := range resp.Points {
+		if !led.Has(p.Key) {
+			t.Errorf("point %s is not in the ledger", p.Key)
 		}
+	}
+	if qs := led.Quarantined(); len(qs) != 1 || qs[0].Key != resp.Points[last].Key {
+		t.Errorf("ledger quarantines %+v, want the last point's alone", qs)
 	}
 }
