@@ -168,11 +168,9 @@ const (
 // executionFlags declares the execution flags scope selects on fs — the
 // one declaration of each — and returns the function that, once fs is
 // parsed, turns them into the experiment.Options an engine-backed
-// subcommand runs under (its Health included) and starts the
-// heartbeat. The stop it returns ends the heartbeat and, for a grid
-// (fullExec), lists on stderr the points the circuit breaker
-// quarantined; wtcp sim turns its one quarantined scenario into its
-// error instead.
+// subcommand runs under (its Health included) and starts the heartbeat.
+// The stop it returns ends the heartbeat and, for a grid (fullExec),
+// lists the quarantined points on stderr (sim returns its one as error).
 func executionFlags(fs *flag.FlagSet, scope execScope) func(stderr io.Writer) (experiment.Options, func()) {
 	if scope == noExec {
 		return func(io.Writer) (experiment.Options, func()) { return experiment.Options{}, func() {} }

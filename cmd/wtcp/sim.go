@@ -60,7 +60,7 @@ func simFlags(fs *flag.FlagSet) body {
 		if *reps < 1 {
 			return fmt.Errorf("-reps %d: need at least one replication", *reps)
 		}
-		cfg, err := sc.config()
+		cfg, err := sc.config(fs)
 		if err != nil {
 			return err
 		}
@@ -83,11 +83,10 @@ func simFlags(fs *flag.FlagSet) body {
 			return err
 		}
 		if quar != nil {
-			err := fmt.Errorf("experiment: point %q: %s: %s", quar.Key, quar.Class, quar.Reason)
 			if quar.Class == string(core.ClassResourceExhausted) {
-				return fmt.Errorf("%w; raise -max-events/-run-deadline or pass -no-run-budget if the scenario is legitimately this heavy", err)
+				return fmt.Errorf("%w; raise -max-events/-run-deadline or pass -no-run-budget if the scenario is legitimately this heavy", quar.Err())
 			}
-			return err
+			return quar.Err()
 		}
 		if failed := *reps - len(recs); failed > 0 {
 			fmt.Fprintf(stderr, "%d of %d replications failed; summary covers the rest\n", failed, *reps)
@@ -129,7 +128,6 @@ func simFlags(fs *flag.FlagSet) body {
 // beside it; -checks and -strict apply to the configuration either
 // builds.
 type simScenario struct {
-	fs         *flag.FlagSet
 	file       scenario.File
 	bad, good  time.Duration
 	lan        bool
@@ -138,12 +136,8 @@ type simScenario struct {
 	strict     bool
 }
 
-// scenarioFlags are the flags -config's file replaces.
-var scenarioFlags = []string{"scheme", "variant", "packet", "bad", "good", "transfer", "lan", "seed"}
-
 // declare declares the scenario flags on fs.
 func (sc *simScenario) declare(fs *flag.FlagSet) {
-	sc.fs = fs
 	fs.StringVar(&sc.file.Scheme, "scheme", "basic", "base-station scheme: basic|localrecovery|ebsn|sourcequench|snoop|split")
 	fs.StringVar(&sc.file.Variant, "variant", "tahoe", "TCP sender variant: tahoe|reno|newreno|sack")
 	fs.IntVar(&sc.file.PacketSizeBytes, "packet", 0, "wired packet size in bytes, 40-byte header included (0 = paper preset: 576 wide-area, 1536 local-area)")
@@ -157,10 +151,10 @@ func (sc *simScenario) declare(fs *flag.FlagSet) {
 	fs.BoolVar(&sc.strict, "strict", false, "arm the protocol-conformance oracle: abort the run on the first Tahoe/ARQ/EBSN rule violation, naming the rule and event")
 }
 
-// config builds the configuration the parsed flags name: the scenario
-// File (-config's, or the one the flags fill) through File.Build, then
-// -checks and -strict, which switch checking on.
-func (sc *simScenario) config() (core.Config, error) {
+// config builds the configuration the flags parsed on fs name: the
+// scenario File (-config's, or the one the flags fill) through
+// File.Build, then -checks and -strict, which switch checking on.
+func (sc *simScenario) config(fs *flag.FlagSet) (core.Config, error) {
 	sf := sc.file
 	sf.MeanBad = sc.bad.String()
 	if sc.good != 0 {
@@ -171,8 +165,8 @@ func (sc *simScenario) config() (core.Config, error) {
 	}
 	if sc.configPath != "" {
 		var set []string
-		sc.fs.Visit(func(f *flag.Flag) {
-			if slices.Contains(scenarioFlags, f.Name) {
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains([]string{"scheme", "variant", "packet", "bad", "good", "transfer", "lan", "seed"}, f.Name) {
 				set = append(set, "-"+f.Name)
 			}
 		})
@@ -194,6 +188,9 @@ func (sc *simScenario) config() (core.Config, error) {
 	}
 	if err != nil {
 		return core.Config{}, err
+	}
+	if sc.configPath == "" {
+		cfg.Seed = sf.Seed // -seed 0 runs seed 0, where a file's 0 keeps the preset's
 	}
 	cfg.Checks = cfg.Checks || sc.checks
 	cfg.Oracle = sc.strict

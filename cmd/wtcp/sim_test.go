@@ -256,6 +256,7 @@ func TestSimConfigParity(t *testing.T) {
 		{[]string{"-scheme", "localrecovery", "-transfer", "40", "-bad", "4s", "-seed", "3"}, wan(bs.LocalRecovery, 4*time.Second, func(c *core.Config) {
 			c.TransferSize, c.Seed = 40*units.KB, 3
 		})},
+		{[]string{"-seed", "0"}, wan(bs.Basic, 2*time.Second, func(c *core.Config) { c.Seed = 0 })},
 		{[]string{"-scheme", "ebsn", "-packet", "1536", "-bad", "4s"}, wan(bs.EBSN, 4*time.Second, func(c *core.Config) { c.PacketSize = 1536 })},
 		{[]string{"-lan", "-scheme", "ebsn", "-bad", "800ms"}, lan(bs.EBSN, 800*time.Millisecond, nil)},
 		{[]string{"-lan", "-packet", "576"}, lan(bs.Basic, 2*time.Second, func(c *core.Config) { c.PacketSize = 576 })},
@@ -276,7 +277,7 @@ func TestSimConfigParity(t *testing.T) {
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
-		got, err := sc.config()
+		got, err := sc.config(fs)
 		if err != nil {
 			t.Errorf("%q: %v", c.args, err)
 		} else if !reflect.DeepEqual(got, c.want) {

@@ -35,9 +35,9 @@ type Health struct {
 	failed      uint64
 	retried     uint64
 	quarantined uint64
-	quarantines []Quarantine // the first maxQuarantines noted
+	quarantines []Quarantine // the first maxKept noted
 	events      uint64
-	recent      []float64 // seconds of the last maxDurations successful runs, a ring
+	recent      []float64 // seconds of the last maxKept successful runs, a ring
 	next        int       // the ring's oldest entry, once it is full
 	durations   []float64 // recent, kept sorted
 	stragglers  []Straggler
@@ -62,13 +62,11 @@ const (
 	stragglerFloor      = time.Second
 	maxStragglers       = 32
 
-	// maxDurations bounds the run-duration sample the median is read
-	// from: a resident wtcpd shares one Health for its whole life.
-	maxDurations = 1024
-
-	// maxQuarantines bounds the quarantine records kept, for the same
-	// reason; the quarantined count goes on past it.
-	maxQuarantines = 1024
+	// maxKept bounds the run-duration sample the median is read from and
+	// the quarantine records kept (the quarantined count goes on): a
+	// resident wtcpd, which reads no record, shares one Health for its
+	// whole life, while a CLI run's lives for one command.
+	maxKept = 1024
 
 	// statusWriteInterval is how often Heartbeat rewrites a changed
 	// status file; it writes once more at stop.
@@ -182,14 +180,14 @@ func (h *Health) runFinished(id uint64, events uint64, ok bool) {
 }
 
 // noteDuration adds a completed run's duration to the sample, evicting
-// the oldest once it holds maxDurations. Caller holds h.mu.
+// the oldest once it holds maxKept. Caller holds h.mu.
 func (h *Health) noteDuration(sec float64) {
-	if len(h.recent) < maxDurations {
+	if len(h.recent) < maxKept {
 		h.recent = append(h.recent, sec)
 	} else {
 		old := h.recent[h.next]
 		h.recent[h.next] = sec
-		h.next = (h.next + 1) % maxDurations
+		h.next = (h.next + 1) % maxKept
 		if i, ok := slices.BinarySearch(h.durations, old); ok {
 			h.durations = slices.Delete(h.durations, i, i+1)
 		}
@@ -217,17 +215,16 @@ func (h *Health) noteQuarantine(q Quarantine) {
 	}
 	h.mu.Lock()
 	h.quarantined++
-	if len(h.quarantines) < maxQuarantines {
+	if len(h.quarantines) < maxKept {
 		h.quarantines = append(h.quarantines, q)
 	}
 	h.changes++
 	h.mu.Unlock()
 }
 
-// Quarantined returns the quarantine records noted so far, each sweep's
-// in the order its points were (or, on resume, would have been)
-// reached, and how many were noted in all: a collector keeps the first
-// maxQuarantines records.
+// Quarantined returns the first maxKept quarantine records noted, each
+// sweep's in the order its points were (or, on resume, would have been)
+// reached, and how many were noted in all.
 func (h *Health) Quarantined() ([]Quarantine, uint64) {
 	if h == nil {
 		return nil, 0

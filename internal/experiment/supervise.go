@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"wtcp/internal/core"
@@ -66,6 +67,12 @@ type Quarantine struct {
 	// distributed campaigns stay auditable in the report's quarantine
 	// table.
 	Worker string `json:"worker,omitempty"`
+}
+
+// Err is the quarantine as the error a caller that runs one point
+// (wtcp sim) returns for it, in the text of a fail-fast verdict.
+func (q Quarantine) Err() error {
+	return fmt.Errorf("experiment: point %q: %s: %s", q.Key, q.Class, q.Reason)
 }
 
 // runBudget resolves the budget one replication attempt runs under:

@@ -522,7 +522,7 @@ func TestStragglerLogged(t *testing.T) {
 
 // TestHealthKeepsRecentDurations: a resident server shares one Health
 // for its whole life, so the duration sample the median is read from
-// holds the last maxDurations completed runs, not every run ever.
+// holds the last maxKept completed runs, not every run ever.
 func TestHealthKeepsRecentDurations(t *testing.T) {
 	h := NewHealth()
 	h.SetStragglerLog(nil)
@@ -539,15 +539,15 @@ func TestHealthKeepsRecentDurations(t *testing.T) {
 		all = append(all, h.recent[(h.next+len(h.recent)-1)%len(h.recent)])
 		h.mu.Unlock()
 	}
-	last := slices.Clone(all[len(all)-maxDurations:])
+	last := slices.Clone(all[len(all)-maxKept:])
 	slices.Sort(last)
 	h.mu.Lock()
 	held := slices.Clone(h.durations)
 	h.mu.Unlock()
 	if len(held) > 1024 || !slices.Equal(held, last) {
-		t.Errorf("sample holds %d durations; want exactly the last %d, sorted", len(held), maxDurations)
+		t.Errorf("sample holds %d durations; want exactly the last %d, sorted", len(held), maxKept)
 	}
 	if got, want := h.MedianRunSeconds(), MedianOf(last); got != want {
-		t.Errorf("median %v, want %v (the last %d runs)", got, want, maxDurations)
+		t.Errorf("median %v, want %v (the last %d runs)", got, want, maxKept)
 	}
 }

@@ -172,9 +172,13 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 	if a, b := fp(`{"campaign":{"sweeps":["fig7"]}}`), fp(`{"campaign":{"sweeps":["fig7"],"replications":5}}`); a != b {
 		t.Error("sweep identity split by spelling the default replication count")
 	}
-	// The budget is a pure execution knob.
-	if got := fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":{"wall_clock":"5m"}}}`); got != base {
-		t.Error("budget leaked into sweep identity")
+	// An empty budget block sets no budget, but any budget splits the
+	// identity: a point it starves is answered with its quarantine.
+	if fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":{}}}`) != base {
+		t.Error("an empty budget block split the sweep identity")
+	}
+	if fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":{"wall_clock":"5m"}}}`) == base {
+		t.Error("a campaign budget left the sweep identity")
 	}
 	// A manifest has no worker width (wtcpd's slots are the width): it
 	// is refused as an unknown field.

@@ -198,8 +198,9 @@ func (s *Server) execSweep(ctx context.Context, c experiment.Campaign, fp string
 // fresh point is recorded as it settles, so a deadline or drain loses
 // at most the points in flight. On failure it returns the answer.
 func (s *Server) settlePoints(ctx context.Context, opt experiment.Options, specs []experiment.PointSpec, fp string) ([]experiment.PointOutcome, outcome, bool) {
+	// The ledger's class has the request's budget, not its deadline.
+	led, err := s.pointLedger(s.engineOptions(context.Background(), opt))
 	opt = s.engineOptions(ctx, opt)
-	led, err := s.pointLedger(opt)
 	if err != nil {
 		return nil, outcome{
 			status: http.StatusInternalServerError,

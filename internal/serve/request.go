@@ -11,6 +11,7 @@ import (
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
+	"wtcp/internal/sim"
 )
 
 // Request envelopes and their content addresses. A request's
@@ -18,10 +19,10 @@ import (
 // that affect what the engine would measure, normalized through the
 // typed request structs so formatting, key order, and documentation
 // noise never split the cache. Seeds are part of the identity (a
-// different seed is a different experiment); budgets and deadlines are
-// not (they bound how long we are willing to compute the answer, never
-// what a within-budget run measures — the same exclusion the
-// checkpoint fingerprint makes).
+// different seed is a different experiment); deadlines and a run's
+// budget are not (they bound how long we are willing to compute the
+// answer, never what a within-budget run measures — the same exclusion
+// the checkpoint fingerprint makes), but a sweep's is (budgetKey).
 
 // maxRequestBody bounds request decoding; a body this size is already
 // three orders of magnitude past any legitimate scenario.
@@ -170,8 +171,8 @@ func runFingerprint(c scenario.File, replications int) string {
 // SweepFingerprint content-addresses a sweep request by the grid it
 // resolves to: experiment.Fingerprint of the campaign's options — the
 // identity its point ledger and the advise endpoint use, so "1s" and
-// "1000ms" name one grid — plus the ordered sweep list. Budget and
-// worker width are execution knobs and stay out.
+// "1000ms" name one grid — plus the ordered sweep list and, unlike a
+// run's, the budget (budgetKey). Worker width stays out.
 func SweepFingerprint(c experiment.Campaign) string {
 	opt, err := c.Options()
 	if err != nil {
@@ -179,10 +180,21 @@ func SweepFingerprint(c experiment.Campaign) string {
 		panic(fmt.Sprintf("serve: fingerprint of an unvalidated campaign: %v", err))
 	}
 	return fingerprintOf(struct {
-		Kind    string   `json:"kind"`
-		Options string   `json:"options"`
-		Sweeps  []string `json:"sweeps"`
-	}{"sweep/v3", experiment.Fingerprint(opt), c.Sweeps})
+		Kind    string      `json:"kind"`
+		Options string      `json:"options"`
+		Sweeps  []string    `json:"sweeps"`
+		Budget  *sim.Budget `json:"budget,omitempty"`
+	}{"sweep/v3", experiment.Fingerprint(opt), c.Sweeps, budgetKey(opt)})
+}
+
+// budgetKey is a campaign's run budget in its identity, nil when it sets
+// none: a sweep answers a point its budget starved as quarantined, which
+// must neither answer nor settle that point under another budget.
+func budgetKey(opt experiment.Options) *sim.Budget {
+	if opt.RunBudget == (sim.Budget{}) {
+		return nil
+	}
+	return &opt.RunBudget
 }
 
 // fingerprintOf hashes the canonical JSON encoding of an identity

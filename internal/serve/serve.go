@@ -16,10 +16,11 @@
 //     finite Retry-After derived from the live median run time. Load
 //     never queues unboundedly.
 //   - Content-addressed results. A request's fingerprint hashes exactly
-//     its result-affecting content (seeds in; budgets and deadlines
-//     out), the cache stores the precise response bytes, and concurrent
-//     identical requests coalesce into one execution (single-flight).
-//     A repeat answer is byte-identical to the fresh one.
+//     its result-affecting content (seeds and a sweep's budget in,
+//     deadlines and a run's budget out), the cache stores the precise
+//     response bytes, and concurrent identical requests coalesce into
+//     one execution (single-flight). A repeat answer is byte-identical
+//     to the fresh one.
 //   - Deadline propagation. The client's deadline bounds the request
 //     context and flows into each run's sim.Budget wall ceiling, so a
 //     hung or pathological point cannot pin a slot.
@@ -451,6 +452,7 @@ func (s *Server) reproDir() string { return filepath.Join(s.cfg.DataDir, "repro"
 // self-describing (scheme, bad period, packet size), so any sweep or
 // advise request whose result-affecting options match lands in the
 // same file and warm-starts from every point anyone already computed.
+// A campaign's budget is kept in the class (budgetKey).
 func (s *Server) pointLedger(opt experiment.Options) (*experiment.Ledger, error) {
 	lopt := experiment.Options{
 		Replications: opt.Replications,
@@ -461,9 +463,10 @@ func (s *Server) pointLedger(opt experiment.Options) (*experiment.Ledger, error)
 		Oracle:       opt.Oracle,
 	}
 	name := fingerprintOf(struct {
-		Kind    string `json:"kind"`
-		Options string `json:"options"`
-	}{"points/v1", experiment.Fingerprint(lopt)})[:16]
+		Kind    string      `json:"kind"`
+		Options string      `json:"options"`
+		Budget  *sim.Budget `json:"budget,omitempty"`
+	}{"points/v1", experiment.Fingerprint(lopt), budgetKey(opt)})[:16]
 	path := filepath.Join(s.cfg.DataDir, "points-"+name+".ckpt")
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -278,3 +278,56 @@ func TestSweepQuarantinesExhaustedPoint(t *testing.T) {
 		t.Errorf("ledger quarantines %+v, want the last point's alone", qs)
 	}
 }
+
+// TestBudgetedQuarantineAnswersOnlyItsBudget: a quarantine a sweep's
+// own budget forced holds only under that budget. After a budgeted
+// sweep quarantines its 128-byte point, the same grid with no budget on
+// the same server is a cache miss that measures the point, and the
+// unbudgeted point ledger holds no quarantine; the budgeted request
+// still answers its quarantine, from the cache.
+func TestBudgetedQuarantineAnswersOnlyItsBudget(t *testing.T) {
+	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,"packet_sizes":[1536,128],"bad_periods":["1s"]`
+	budgeted := []byte(`{"campaign":{` + grid + `,"budget":{"max_events":3000}}}`)
+	plain := []byte(`{"campaign":{` + grid + `}}`)
+	srv := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	answer := func(body []byte, wantCache string) SweepResponse {
+		t.Helper()
+		resp, data := post(t, ts, "/v1/sweep", body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Wtcpd-Cache") != wantCache {
+			t.Fatalf("HTTP %d, cache %q, want 200 %s: %s", resp.StatusCode, resp.Header.Get("X-Wtcpd-Cache"), wantCache, data)
+		}
+		var out SweepResponse
+		if err := json.Unmarshal(data, &out); err != nil || len(out.Points) != 2 {
+			t.Fatalf("%v: %s", err, data)
+		}
+		return out
+	}
+	if q := answer(budgeted, "miss").Points[1].Quarantine; q == nil || q.Class != string(core.ClassResourceExhausted) {
+		t.Fatalf("the budgeted sweep's 128-byte point carries %+v, want its events-budget quarantine", q)
+	}
+	for i, p := range answer(plain, "miss").Points {
+		if p.Quarantine != nil || len(p.Replications) != 1 {
+			t.Errorf("unbudgeted point %d %+v, want its one measured replication", i, p)
+		}
+	}
+	if q := answer(budgeted, "hit").Points[1].Quarantine; q == nil {
+		t.Error("the budgeted sweep's repeat lost its quarantine")
+	}
+	_, c, err := ParseSweepRequest(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := c.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := srv.pointLedger(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs := led.Quarantined(); len(qs) != 0 {
+		t.Errorf("the unbudgeted ledger holds quarantines %+v", qs)
+	}
+}
