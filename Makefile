@@ -25,11 +25,15 @@ check: vet vet-386 test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 # exercised under -race. Asserts clean quarantine, partial results,
 # checkpoint + status-file + repro-bundle plumbing; the checkpoint's
 # format tests (refusals, a torn tail, refusing a version 1 file, resume
-# after a torn append) and the scheduler's contract (first error in
+# after a torn append), the scheduler's contract (first error in
 # index order, width 1 in place, no unit before its slot, one answer at
-# any width) ride along.
+# any width) and the budget rule (a quarantine reloads only under a
+# budget no larger than the one it exhausted, in the ledger and through
+# a `wtcp figures` checkpoint; retries and earlier builds' ledgers)
+# ride along.
 budget-smoke:
-	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth|TestQuarantineAnswersOnlyNoLargerBudgets|TestCeilinglessQuarantineRunsOnce|TestExhaustedReplicationTripsTheBreaker|TestRetriedSweepWritesIdenticalLedger|TestParentBackoffRecordLoads' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetedCheckpointAnswersOnlyItsBudget' ./cmd/wtcp/
 
 # Service gate: the wtcpd storm/drain acceptance test under -race — a
 # seeded 50-request storm with chaos-injected malformed bodies and
@@ -43,12 +47,12 @@ budget-smoke:
 # sweep's borrowed slots: queued requests first, the same bytes at one
 # and two slots, a budget-exhausted point quarantined in its place — and
 # a campaign's answer bit-identical to the sequential engine's Fig 7 + 8
-# at one worker — and
+# at one worker — and the POST path's 400s and deadline 504s — and
 # the content addresses: run and sweep identity under re-spelling, a
 # campaign refused for a repeated value, and the seed corpora of the
 # campaign decoder and journal replay fuzzers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestBudgetedQuarantineAnswersOnlyItsBudget|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestBudgetedQuarantineAnswersOnlyItsBudget|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|TestDeadlineExpiresAs504WithoutTrippingTheClass|TestMalformedRequestsAnswer400AndNeverAdmit|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
 	$(GO) test -race -run 'TestCampaignRefusesRepeats' ./internal/experiment/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos

@@ -148,3 +148,39 @@ func TestCommittedFigures(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetedCheckpointAnswersOnlyItsBudget: the points a -max-events
+// run quarantined reload from its checkpoint, without a run, under that
+// budget or a smaller one (a run under -max-events 2000 would report
+// limit 2000; the reloaded records say 3000), while the same command
+// without the budget measures them: no quarantined line, and the table
+// a checkpoint-less run prints.
+func TestBudgetedCheckpointAnswersOnlyItsBudget(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	fig := func(args ...string) (table, quarantined string) {
+		t.Helper()
+		out, errOut, err := wtcp(append([]string{"figures", "-fig", "7", "-reps", "1"}, args...)...)
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		for _, line := range strings.SplitAfter(errOut, "\n") {
+			if strings.HasPrefix(line, "quarantined: ") {
+				quarantined += line
+			}
+		}
+		return out, quarantined
+	}
+	_, first := fig("-max-events", "3000", "-checkpoint", ck)
+	if !strings.Contains(first, "events budget exhausted") {
+		t.Fatalf("-max-events 3000 quarantined no point:\n%s", first)
+	}
+	for _, limit := range []string{"3000", "2000"} {
+		if _, again := fig("-max-events", limit, "-checkpoint", ck); again != first {
+			t.Errorf("rerun under -max-events %s printed\n%s\nwant the recorded quarantines\n%s", limit, again, first)
+		}
+	}
+	fresh, _ := fig()
+	if table, quarantined := fig("-checkpoint", ck); quarantined != "" || table != fresh {
+		t.Errorf("unbudgeted resume printed quarantines\n%s\nand a table equal to a fresh run's: %v", quarantined, table == fresh)
+	}
+}

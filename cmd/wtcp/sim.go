@@ -46,6 +46,9 @@ func simFlags(fs *flag.FlagSet) body {
 			return fmt.Errorf("-cell %d: flow count must be positive", *cellFlows)
 		}
 		if *cellFlows > 0 {
+			if set := setFlags(fs, "config", "scheme", "variant", "packet", "bad", "good", "transfer", "lan", "reps", "checks", "strict", "v"); len(set) > 0 {
+				return fmt.Errorf("-cell runs the flat cell engine, which does not read %s; drop them", strings.Join(set, " "))
+			}
 			return runCellMode(ctx, stdout, cellOptions{
 				flows:   *cellFlows,
 				policy:  *cellPolicy,
@@ -164,13 +167,7 @@ func (sc *simScenario) config(fs *flag.FlagSet) (core.Config, error) {
 		sf.Preset = "lan"
 	}
 	if sc.configPath != "" {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if slices.Contains([]string{"scheme", "variant", "packet", "bad", "good", "transfer", "lan", "seed"}, f.Name) {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
+		if set := setFlags(fs, "scheme", "variant", "packet", "bad", "good", "transfer", "lan", "seed"); len(set) > 0 {
 			return core.Config{}, fmt.Errorf("-config takes the whole scenario from %s; drop %s or set it in the file",
 				sc.configPath, strings.Join(set, " "))
 		}
@@ -195,6 +192,18 @@ func (sc *simScenario) config(fs *flag.FlagSet) (core.Config, error) {
 	cfg.Checks = cfg.Checks || sc.checks
 	cfg.Oracle = sc.strict
 	return cfg, nil
+}
+
+// setFlags returns, as "-name" in the flag set's order, those of names
+// given on fs's command line.
+func setFlags(fs *flag.FlagSet, names ...string) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // cellOptions carries the -cell* flags into the cell-scale runner.

@@ -289,10 +289,19 @@ func TestSimConfigParity(t *testing.T) {
 // TestSimConfigRefusesScenarioFlags: -config takes the whole scenario
 // from its file, so a scenario flag set beside it is refused, all of
 // them named in one error, while the replication, output, checking and
-// budget flags run the file's scenario.
+// budget flags run the file's scenario. -cell refuses the same way
+// every flag the cell engine does not read.
 func TestSimConfigRefusesScenarioFlags(t *testing.T) {
+	_, _, err := wtcp("sim", "-cell", "50", "-config", "/nonexistent.json", "-scheme", "bogus", "-variant", "reno", "-packet", "576",
+		"-bad", "4s", "-good", "3s", "-transfer", "40", "-lan", "-reps", "3", "-checks", "-strict", "-v")
+	if err == nil || !strings.Contains(err.Error(), "does not read -bad -checks -config -good -lan -packet -reps -scheme -strict -transfer -v -variant; drop them") {
+		t.Errorf("-cell beside every flag it ignores returned %v, want one refusal naming all twelve", err)
+	}
+	if out, _, err := wtcp("sim", "-cell", "50", "-cell-policy", "fifo", "-seed", "3", "-json", "-max-events", "100000000"); err != nil || !strings.Contains(out, `"completed_flows":50`) {
+		t.Errorf("-cell with the flags it reads: %v\n%s", err, out)
+	}
 	path := writeScenario(t, `{"scheme": "ebsn", "transfer_kb": 20, "mean_bad": "1s", "seed": 5}`)
-	_, _, err := wtcp("sim", "-config", path, "-seed", "9", "-lan", "-scheme", "basic", "-variant", "reno",
+	_, _, err = wtcp("sim", "-config", path, "-seed", "9", "-lan", "-scheme", "basic", "-variant", "reno",
 		"-packet", "576", "-bad", "4s", "-good", "3s", "-transfer", "40", "-reps", "2")
 	if err == nil || !strings.Contains(err.Error(), "drop -bad -good -lan -packet -scheme -seed -transfer -variant or set it in the file") {
 		t.Errorf("-config beside every scenario flag returned %v, want one refusal naming all eight", err)

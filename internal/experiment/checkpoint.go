@@ -10,11 +10,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
 	"wtcp/internal/atomicfile"
 	"wtcp/internal/recordlog"
+	"wtcp/internal/sim"
 )
 
 // The ledger file, version 2, is a recordlog (internal/recordlog): one
@@ -57,8 +59,10 @@ var stderr io.Writer = os.Stderr
 // advise executors (Settle) and the fleet coordinator (Record, its
 // workers execute remotely) all keep their points here, which is why a
 // campaign finished by any of them reloads byte-identically through any
-// other. A nil *Ledger means no persistence: every method is safe on it,
-// Settle just executes.
+// other. Whom a record settles its point for is decided once
+// (lookupLocked), so one file serves callers of any budget: Settle asks
+// under its caller's options, Has and Record under the opener's. A nil
+// *Ledger means no persistence: Settle just executes.
 //
 // Several sweeps in one process (Fig7 then Fig8, say) may each open the
 // same path sequentially; each instance loads what the previous one
@@ -71,6 +75,7 @@ var stderr io.Writer = os.Stderr
 type Ledger struct {
 	path        string
 	fingerprint string
+	budget      sim.Budget // the opener's, resolved: what Has and Record settle a key under
 	unlock      func()
 
 	mu        sync.Mutex
@@ -82,9 +87,9 @@ type Ledger struct {
 }
 
 // OpenLedger loads path if it exists, or prepares an empty ledger,
-// bound to the result-affecting fingerprint of opt. It takes the
-// exclusive lock first; a path already locked by a live process is
-// refused with the holder named. A file that does not parse or carries
+// bound to the result-affecting fingerprint of opt and, for Has and
+// Record, to its run budget. It takes the exclusive lock first; a path
+// already locked by a live process is refused with the holder named. A file that does not parse or carries
 // another version or fingerprint is refused with the path named, left
 // as it was, and the lock is released. A file that ends in a torn
 // record is cut back to its last whole one, and the cut is reported on
@@ -94,8 +99,8 @@ func OpenLedger(path string, opt Options) (*Ledger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint %s: %w; two engines must not share one checkpoint file", path, err)
 	}
-	l := &Ledger{path: path, fingerprint: opt.WithDefaults().fingerprint(), unlock: unlock,
-		points: map[string][]RepRecord{}, quars: map[string]Quarantine{}}
+	l := &Ledger{path: path, fingerprint: opt.WithDefaults().fingerprint(), budget: opt.runBudget(sim.Budget{}),
+		unlock: unlock, points: map[string][]RepRecord{}, quars: map[string]Quarantine{}}
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
@@ -184,12 +189,17 @@ func (l *Ledger) replay(data []byte) error {
 }
 
 // applyPoint and applyQuarantine are what a record does to the ledger,
-// written or replayed. Caller holds l.mu (or owns an unpublished l).
+// written or replayed; a point supersedes its key's quarantine. Caller
+// holds l.mu (or owns an unpublished l).
 func (l *Ledger) applyPoint(key string, reps []RepRecord) {
 	if _, dup := l.points[key]; !dup {
 		l.order = append(l.order, key)
 	}
 	l.points[key] = reps
+	if _, ok := l.quars[key]; ok {
+		delete(l.quars, key)
+		l.quarOrder = slices.DeleteFunc(l.quarOrder, func(k string) bool { return k == key })
+	}
 }
 
 func (l *Ledger) applyQuarantine(q Quarantine) {
@@ -279,15 +289,22 @@ func (l *Ledger) Settle(ctx context.Context, opt Options, specs []PointSpec, bor
 }
 
 // Record stores an outcome computed elsewhere (a fleet worker's post)
-// with one append, unless the key is already settled: the first record wins and fresh reports whether this one
-// was it.
+// with one append, unless the key is already settled (Has): the first
+// record that settles it wins, and fresh reports whether this one was
+// it.
 func (l *Ledger) Record(out PointOutcome) (fresh bool, err error) {
+	return l.record(l.budget, out)
+}
+
+// record is Record for a caller whose runs resolve to budget b; a nil
+// ledger records nothing.
+func (l *Ledger) record(b sim.Budget, out PointOutcome) (fresh bool, err error) {
 	if l == nil {
 		return true, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, settled := l.lookupLocked(out.Key); settled {
+	if _, settled := l.lookupLocked(b, out.Key); settled {
 		return false, nil
 	}
 	if q := out.Quarantine; q != nil {
@@ -300,36 +317,41 @@ func (l *Ledger) Record(out PointOutcome) (fresh bool, err error) {
 	return true, l.putLocked(out.Key, out.Reps)
 }
 
-// lookup returns key's recorded outcome, finished or quarantined.
-func (l *Ledger) lookup(key string) (PointOutcome, bool) {
+// lookup returns the record that settles key for a caller whose runs
+// resolve to budget b.
+func (l *Ledger) lookup(b sim.Budget, key string) (PointOutcome, bool) {
 	if l == nil {
 		return PointOutcome{}, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lookupLocked(key)
+	return l.lookupLocked(b, key)
 }
 
-func (l *Ledger) lookupLocked(key string) (PointOutcome, bool) {
+// lookupLocked is the one rule for what a record settles: a finished
+// point settles its key for every caller (it supersedes a quarantine,
+// applyPoint), a quarantine for those it answers (Quarantine.answers).
+func (l *Ledger) lookupLocked(b sim.Budget, key string) (PointOutcome, bool) {
 	if reps, ok := l.points[key]; ok {
 		return PointOutcome{Key: key, Reps: reps}, true
 	}
-	if q, ok := l.quars[key]; ok {
+	if q, ok := l.quars[key]; ok && q.answers(b) {
 		return PointOutcome{Key: key, Quarantine: &q}, true
 	}
 	return PointOutcome{}, false
 }
 
-// Has reports whether key is settled — finished or quarantined. The
-// coordinator queues only the keys that are not.
+// Has reports whether key is settled under the options the ledger was
+// opened with — finished, or quarantined in a way that answers their
+// budget. The coordinator queues only the keys that are not.
 func (l *Ledger) Has(key string) bool {
-	_, ok := l.lookup(key)
+	_, ok := l.lookup(l.budget, key)
 	return ok
 }
 
 // Reps returns the recorded replications for a finished key.
 func (l *Ledger) Reps(key string) ([]RepRecord, bool) {
-	out, ok := l.lookup(key)
+	out, ok := l.lookup(sim.Budget{}, key)
 	return out.Reps, ok && out.Quarantine == nil
 }
 

@@ -26,7 +26,7 @@ func goodCheckpoint(t testing.TB, path string) []byte {
 		t.Fatal(err)
 	}
 	for i, key := range goodKeys[:2] {
-		reps := []RepRecord{{Seed: int64(i + 1), Values: []uint64{1 << 62, 3}}, {Seed: int64(i + 2), Values: []uint64{5, 7}, Backoffs: []int64{61}}}
+		reps := []RepRecord{{Seed: int64(i + 1), Values: []uint64{1 << 62, 3}}, {Seed: int64(i + 2), Values: []uint64{5, 7}}}
 		if err := led.Put(key, reps); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -33,7 +32,8 @@ import (
 //     point with byte-identical output;
 //   - retries a failed replication with a perturbed seed (retrying a
 //     deterministic failure with the same seed can never succeed) and
-//     records the substituted seed in the point's metadata;
+//     records the substituted seed in the point's metadata — except one
+//     a resource budget stopped, which retries under its own seed;
 //   - stops cleanly between simulations when ctx ends, without
 //     checkpointing a half-run point;
 //   - captures a repro bundle (internal/repro) for every replication
@@ -65,16 +65,12 @@ type repRun struct {
 // metric order: unlike decimal JSON floats, bit patterns reload exactly,
 // which is what makes a resumed sweep byte-identical to an uninterrupted
 // one. Seed is the core.Config seed the replication actually ran with —
-// for a retried replication, the perturbed substitute. Backoffs records
-// the retry backoff delays (milliseconds) the replication waited through
-// before succeeding; the delays are seed-derived, so a resumed or
-// re-run sweep writes an identical record. Exported so the fleet layer
-// (internal/fleet) can carry records between workers and the
+// for a retried replication, the perturbed substitute. Exported so the
+// fleet layer (internal/fleet) can carry records between workers and the
 // coordinator's ledger.
 type RepRecord struct {
-	Seed     int64    `json:"seed"`
-	Values   []uint64 `json:"values"`
-	Backoffs []int64  `json:"backoff_ms,omitempty"`
+	Seed   int64    `json:"seed"`
+	Values []uint64 `json:"values"`
 }
 
 // bitsOf encodes measurements for storage.
@@ -86,15 +82,14 @@ func bitsOf(vs []float64) []uint64 {
 	return out
 }
 
-// runRep executes one replication: run at seed, re-run with perturbed
-// seeds up to the retry budget when an attempt fails retryably
-// (transient or resource-exhausted classes, or a watchdog abort).
-// Retries do not fire immediately: each waits through
-// a capped exponential backoff with deterministic jitter (retryBackoff)
-// so a burst of transient failures — a loaded host, a fleet of workers
-// hammering one filesystem — spreads out instead of stampeding, and
-// the delays actually waited are recorded in the replication's
-// metadata. Fail-fast classes — protocol-bug and panic — skip the
+// runRep executes one replication: run at seed, then re-run at once (a
+// pause would only hold the slot idle) up to the retry budget when an
+// attempt fails retryably (transient or resource-exhausted classes, or
+// a watchdog abort). A retry runs under a perturbed seed, except after a
+// budget stopped the attempt: a perturbed seed would measure another
+// experiment than an unbudgeted run, while the same seed can only finish
+// where the ceiling was the host's (wall clock, heap).
+// Fail-fast classes — protocol-bug and panic — skip the
 // retry loop entirely: a deterministic correctness failure retried
 // under a perturbed seed would only bury the bug. A replication that
 // fails permanently is captured as a repro bundle (when ReproDir is
@@ -103,20 +98,14 @@ func bitsOf(vs []float64) []uint64 {
 func runRep(ctx context.Context, opt Options, key string, run replication, seed int64) (RepRecord, error) {
 	var last repFailure
 	var lastBundle func() *repro.Bundle
-	var backoffs []int64
+	attemptSeed := seed
 	for attempt := 0; attempt <= opt.retries(); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return RepRecord{}, err
 		}
 		if attempt > 0 {
-			pause := retryBackoff(key, seed, attempt)
-			if err := SleepCtx(ctx, pause); err != nil {
-				return RepRecord{}, err
-			}
-			backoffs = append(backoffs, pause.Milliseconds())
 			opt.Health.noteRetry()
 		}
-		attemptSeed := seed + int64(attempt)*retrySeedOffset
 		hid := opt.Health.runStarted(key, attemptSeed)
 		out, err := runAttempt(ctx, opt, run, attemptSeed)
 		opt.Health.runFinished(hid, out.events, err == nil && out.abort == "")
@@ -125,7 +114,7 @@ func runRep(ctx context.Context, opt Options, key string, run replication, seed 
 		case class == core.ClassCanceled:
 			return RepRecord{}, err
 		case err == nil && out.abort == "":
-			return RepRecord{Seed: out.seed, Values: bitsOf(out.values), Backoffs: backoffs}, nil
+			return RepRecord{Seed: out.seed, Values: bitsOf(out.values)}, nil
 		case err == nil:
 			// Virtual-time stall killed by the watchdog: transient shape,
 			// retry under a perturbed seed.
@@ -138,39 +127,16 @@ func runRep(ctx context.Context, opt Options, key string, run replication, seed 
 		if failFast(class) {
 			break
 		}
+		if class != core.ClassResourceExhausted {
+			attemptSeed = seed + int64(attempt+1)*retrySeedOffset
+		}
 	}
 	emitBundle(opt, key, seed, lastBundle)
 	return RepRecord{}, &last
 }
 
-// Retry backoff envelope: the first retry waits at least
-// retryBackoffBase, each further retry doubles it, and no retry waits
-// longer than retryBackoffCap plus its jitter share.
-const (
-	retryBackoffBase = 50 * time.Millisecond
-	retryBackoffCap  = 2 * time.Second
-)
-
-// retryBackoff computes the pause before retry `attempt` (1-based) of
-// the replication identified by (key, seed): exponential growth from
-// retryBackoffBase capped at retryBackoffCap, plus jitter in [0, half
-// the uncapped delay] derived purely from the replication's identity.
-// Seeded jitter rather than rand/time keeps the whole retry schedule —
-// and therefore the Backoffs metadata persisted in the checkpoint —
-// reproducible, so a resumed sweep rewrites a byte-identical record.
-func retryBackoff(key string, seed int64, attempt int) time.Duration {
-	d := retryBackoffBase << (attempt - 1)
-	if d <= 0 || d > retryBackoffCap {
-		d = retryBackoffCap
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := Splitmix64(h.Sum64() ^ uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(attempt)<<48)
-	return d + time.Duration(x%uint64(d/2+1))
-}
-
 // Splitmix64 is the standard 64-bit finalizer used to turn an identity
-// into well-mixed jitter bits (the fleet workers' RPC backoff shares it).
+// into well-mixed jitter bits (the fleet workers' RPC backoff).
 func Splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -151,7 +151,9 @@ func (o Options) LANBadAxis() []time.Duration {
 // they change how a sweep executes, never what a within-budget run
 // measures, so a checkpoint written with -workers 4 resumes fine under
 // -workers 1 and the points a tighter budget leaves unquarantined are
-// bit-identical to an unbudgeted run's. The "v1" prefix is the ledger
+// bit-identical to an unbudgeted run's; a quarantine the budget forced
+// records the ceiling it hit and answers only budgets no larger
+// (Quarantine.answers). The "v1" prefix is the ledger
 // version the fingerprint was introduced under; it stays 1 across ledger
 // layouts, because the fingerprint names what was measured, not how it
 // is stored, and CheckpointFor derives file names from it.

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"wtcp/internal/core"
+	"wtcp/internal/sim"
 )
 
 // This file is the one scheduler every in-process executor settles
@@ -39,6 +40,7 @@ type pointState struct {
 type scheduler struct {
 	ctx    context.Context
 	opt    Options
+	budget sim.Budget // opt's, resolved: what the ledger settles a point under
 	led    *Ledger
 	borrow func() (release func(), ok bool)
 	wg     sync.WaitGroup
@@ -58,13 +60,14 @@ type scheduler struct {
 // Units start in index order, point-major and seed-minor, on the
 // caller's goroutine and on each slot borrow lends (nil lends none, so
 // every unit runs in place); a slot goes back as soon as its unit
-// lands. A point already in the ledger, finished or quarantined, loads
-// when its turn comes. When a point's last unit lands, its seed-ordered
-// records get the breaker's verdict; a resource-exhausted quarantine met
-// with ctx done was induced by the caller's deadline or drain, so it is
-// ctx.Err() and is not recorded; otherwise the first record of the key
-// wins, and OnPoint (never two calls at once) reports a fresh finished
-// point. Quarantines are noted to Health in index order.
+// lands. A point the ledger settles under opt's budget (lookupLocked)
+// loads when its turn comes. When a point's last unit lands, its
+// seed-ordered records get the breaker's verdict; a resource-exhausted
+// quarantine met with ctx done was induced by the caller's deadline or
+// drain, so it is ctx.Err() and is not recorded; otherwise the first
+// record that settles the key for opt wins, and OnPoint (never two calls
+// at once) reports a fresh finished point. Quarantines are noted to
+// Health in index order.
 //
 // The error is the first point error in index order: a fail-fast class
 // or ctx ended. It cancels the points after it; the ones before it run
@@ -73,7 +76,7 @@ func (l *Ledger) settle(ctx context.Context, opt Options, points []point, borrow
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := &scheduler{ctx: ctx, opt: opt, led: l, borrow: borrow,
+	s := &scheduler{ctx: ctx, opt: opt, budget: opt.runBudget(sim.Budget{}), led: l, borrow: borrow,
 		points: make([]pointState, len(points)), failed: len(points)}
 	for i, p := range points {
 		s.points[i].point = p
@@ -101,7 +104,7 @@ func (s *scheduler) take() (unit, bool) {
 	for s.next < s.failed {
 		p := &s.points[s.next]
 		if s.seed == 0 {
-			if out, ok := s.led.lookup(p.key); ok {
+			if out, ok := s.led.lookup(s.budget, p.key); ok {
 				p.out, p.done = out, true
 				s.next++
 				s.noteSettled()
@@ -171,8 +174,8 @@ func (s *scheduler) run(u unit) {
 	out, err := s.verdict(p)
 	fresh := false
 	if err == nil {
-		if fresh, err = s.led.Record(out); err == nil && !fresh {
-			out, _ = s.led.lookup(p.key)
+		if fresh, err = s.led.record(s.budget, out); err == nil && !fresh {
+			out, _ = s.led.lookup(s.budget, p.key)
 		}
 	}
 	p.cancel()
@@ -218,10 +221,11 @@ func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 		if firstErr == nil {
 			firstErr = err
 		}
-		// Fail-fast classes dominate the point's verdict; otherwise keep
-		// the first classified failure (seed order) for the record.
+		// Fail-fast classes dominate the point's verdict, then resource
+		// exhaustion, whose ceiling the quarantine must carry; otherwise
+		// keep the first classified failure (seed order) for the record.
 		var rf *repFailure
-		if errors.As(err, &rf) && (breaker == nil || (failFast(rf.class) && !failFast(breaker.class))) {
+		if errors.As(err, &rf) && (breaker == nil || severity(rf.class) > severity(breaker.class)) {
 			breaker = rf
 		}
 	}
@@ -232,13 +236,28 @@ func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 	case exhausted && s.ctx.Err() != nil:
 		return PointOutcome{}, s.ctx.Err() // the caller's deadline or drain starved it
 	case exhausted || (breaker != nil && len(reps) == 0):
-		return PointOutcome{Key: p.key, Quarantine: &Quarantine{Key: p.key, Class: string(breaker.class),
-			Attempts: breaker.attempts, Reason: breaker.err.Error()}}, nil
+		q := &Quarantine{Key: p.key, Class: string(breaker.class), Attempts: breaker.attempts, Reason: breaker.err.Error()}
+		var be *sim.BudgetError
+		if exhausted && errors.As(breaker.err, &be) {
+			q.Ceiling, q.Limit = be.Kind, be.Limit
+		}
+		return PointOutcome{Key: p.key, Quarantine: q}, nil
 	case len(reps) == 0:
 		// Every replication was canceled, none classified.
 		return PointOutcome{}, fmt.Errorf("experiment: point %q: every replication failed: %w", p.key, firstErr)
 	}
 	return PointOutcome{Key: p.key, Reps: reps}, nil
+}
+
+// severity ranks the classes verdict lets trip the breaker.
+func severity(c core.FailureClass) int {
+	switch {
+	case failFast(c):
+		return 2
+	case c == core.ClassResourceExhausted:
+		return 1
+	}
+	return 0
 }
 
 // noteSettled notes the quarantines of the points settled so far, up to

@@ -139,7 +139,9 @@ func (c *lateCtx) Err() error {
 func TestSettle(t *testing.T) {
 	ctx := context.Background()
 	recorded := []RepRecord{{Seed: 7, Values: []uint64{1, 2}}, {Seed: 8, Values: []uint64{3, 4}}}
-	quar := Quarantine{Key: settleKey, Class: string(core.ClassResourceExhausted), Attempts: 2, Reason: "earlier life"}
+	// Exhausted under the default wall clock, so it answers settleOpts.
+	quar := Quarantine{Key: settleKey, Class: string(core.ClassResourceExhausted), Attempts: 2, Reason: "earlier life",
+		Ceiling: sim.BudgetWall, Limit: int64(DefaultRunWall)}
 
 	t.Run("settled key loads without running", func(t *testing.T) {
 		runs := countRuns(t)

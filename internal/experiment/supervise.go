@@ -22,8 +22,10 @@ import (
 //	                    point is skipped
 //	protocol-bug, panic fail fast: no retries, emit a repro bundle,
 //	                    fail the sweep — the implementation is wrong
-//	resource-exhausted  the circuit breaker trips after the point's
-//	                    attempts are spent
+//	resource-exhausted  retry under the same seed (a perturbed one
+//	                    would measure another experiment than an
+//	                    unbudgeted run); the circuit breaker trips
+//	                    after the point's attempts are spent
 //	canceled            propagate; the caller asked the sweep to stop
 //
 // A tripped breaker quarantines the point: it is recorded in the
@@ -32,7 +34,9 @@ import (
 // and the sweep continues degraded. Quarantine is never silent, and a
 // resumed sweep replays recorded quarantines in sweep order, so its
 // result is byte-identical whether the quarantine happened before or
-// after the resume boundary.
+// after the resume boundary. A resource-exhausted quarantine replays
+// only under a budget no larger than the one it exhausted
+// (Quarantine.answers); a larger one measures the point.
 
 // Default per-run ceilings the engine applies when neither the run nor
 // Options.RunBudget sets them. They exist to close a real gap: the sim
@@ -62,6 +66,11 @@ type Quarantine struct {
 	Attempts int `json:"attempts"`
 	// Reason is the final attempt's error.
 	Reason string `json:"reason"`
+	// Ceiling and Limit name the budget a resource-exhausted point ran
+	// out of: a sim.Budget* kind and its configured limit, in that
+	// kind's unit (see answers).
+	Ceiling string `json:"ceiling,omitempty"`
+	Limit   int64  `json:"limit,omitempty"`
 	// Worker names the fleet worker that last held the point when the
 	// breaker tripped (empty for single-process sweeps), so degraded
 	// distributed campaigns stay auditable in the report's quarantine
@@ -73,6 +82,20 @@ type Quarantine struct {
 // (wtcp sim) returns for it, in the text of a fail-fast verdict.
 func (q Quarantine) Err() error {
 	return fmt.Errorf("experiment: point %q: %s: %s", q.Key, q.Class, q.Reason)
+}
+
+// answers reports whether q settles its point for a caller whose runs
+// resolve to budget b (Options.runBudget). A resource-exhausted point
+// would exhaust again only under a set limit of its Ceiling's kind no
+// larger than Limit, so only such a caller gets it; one with no Ceiling
+// (an earlier build's) answers none. Other classes answer every caller.
+func (q Quarantine) answers(b sim.Budget) bool {
+	if q.Class != string(core.ClassResourceExhausted) {
+		return true
+	}
+	limit := map[string]int64{sim.BudgetEvents: b.MaxEvents, sim.BudgetVirtual: int64(b.MaxVirtual),
+		sim.BudgetWall: int64(b.WallClock), sim.BudgetHeap: b.MaxHeapBytes}[q.Ceiling]
+	return limit > 0 && limit <= q.Limit
 }
 
 // runBudget resolves the budget one replication attempt runs under:

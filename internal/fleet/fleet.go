@@ -12,7 +12,7 @@
 // enumerates a campaign's point grid (experiment.SweepSpecs), shards it
 // into work units, and leases units to workers; each worker executes
 // its point exactly as the sequential engine would (same seeds, same
-// retry/backoff schedule — experiment.RunPointSpec) and posts the raw
+// retries — experiment.RunPointSpec) and posts the raw
 // replication records back. The coordinator merges results into the
 // engine's own checkpoint file (experiment.Ledger), so running the
 // ordinary figure sweeps against the merged file reloads every point

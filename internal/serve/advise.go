@@ -141,5 +141,5 @@ func (s *Server) execAdvise(ctx context.Context, bad time.Duration, fp string) o
 	if !ok {
 		return bad2
 	}
-	return outcome{status: http.StatusOK, body: body, cacheable: true}
+	return outcome{status: http.StatusOK, body: body, cacheable: cacheable(outs)}
 }

@@ -172,13 +172,12 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 	if a, b := fp(`{"campaign":{"sweeps":["fig7"]}}`), fp(`{"campaign":{"sweeps":["fig7"],"replications":5}}`); a != b {
 		t.Error("sweep identity split by spelling the default replication count")
 	}
-	// An empty budget block sets no budget, but any budget splits the
-	// identity: a point it starves is answered with its quarantine.
-	if fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":{}}}`) != base {
-		t.Error("an empty budget block split the sweep identity")
-	}
-	if fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":{"wall_clock":"5m"}}}`) == base {
-		t.Error("a campaign budget left the sweep identity")
+	// A budget is execution policy, not identity: an answer it starved
+	// is not cached (TestBudgetedQuarantineAnswersOnlyItsBudget).
+	for _, budget := range []string{`{}`, `{"wall_clock":"5m"}`, `{"max_events":3000}`} {
+		if fp(`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"budget":`+budget+`}}`) != base {
+			t.Errorf("the budget %s split the sweep identity", budget)
+		}
 	}
 	// A manifest has no worker width (wtcpd's slots are the width): it
 	// is refused as an unknown field.

@@ -19,13 +19,10 @@ import (
 // journal, breakers).
 
 // RepResult is one replication's record in a response: the seed it ran
-// under and the extracted measurements, with any retry backoff
-// schedule it consumed (non-empty only when transient failures forced
-// retries).
+// under and the extracted measurements.
 type RepResult struct {
-	Seed      int64     `json:"seed"`
-	Values    []float64 `json:"values"`
-	BackoffMs []int64   `json:"backoff_ms,omitempty"`
+	Seed   int64     `json:"seed"`
+	Values []float64 `json:"values"`
 }
 
 // RunResponse is the POST /v1/run success body.
@@ -127,29 +124,26 @@ func (s *Server) sweepQuery(req SweepRequest, c experiment.Campaign, body []byte
 }
 
 // engineOptions layers the server's execution policy over a request's
-// result-affecting options: health telemetry, repro capture, the retry
-// budget default, and the request deadline folded into the per-run
-// wall-clock ceiling (so a hung replication dies at the simulator's own
-// budget check, not only at the context).
-func (s *Server) engineOptions(ctx context.Context, opt experiment.Options) experiment.Options {
+// result-affecting options: health telemetry, repro capture and the
+// retry budget default. The request deadline is the run context's.
+func (s *Server) engineOptions(opt experiment.Options) experiment.Options {
 	opt.Health = s.health
 	opt.ReproDir = s.reproDir()
 	if opt.Retries == 0 {
 		opt.Retries = s.cfg.Retries
 	}
-	opt.RunBudget = opt.RunBudget.Or(deadlineBudget(ctx))
 	return opt
 }
 
 // execRun runs one scenario for its replications (experiment.RunScenario).
 func (s *Server) execRun(ctx context.Context, replications int, cfg core.Config, fp string) outcome {
-	opt := s.engineOptions(ctx, experiment.Options{Replications: replications})
+	opt := s.engineOptions(experiment.Options{Replications: replications})
 	reps, quar, err := experiment.RunScenario(ctx, opt, "run-"+fp[:16], cfg, nil)
 	if err != nil {
 		return s.failureOutcome(ctx, fp, err)
 	}
 	if quar != nil {
-		return s.quarantineOutcome(ctx, fp, *quar)
+		return s.quarantineOutcome(fp, *quar)
 	}
 	body, bad, ok := marshalResponse(RunResponse{
 		Fingerprint:  fp,
@@ -186,7 +180,7 @@ func (s *Server) execSweep(ctx context.Context, c experiment.Campaign, fp string
 	if !ok {
 		return bad
 	}
-	return outcome{status: http.StatusOK, body: body, cacheable: true}
+	return outcome{status: http.StatusOK, body: body, cacheable: cacheable(outs)}
 }
 
 // settlePoints settles specs through the shared point ledger of opt's
@@ -198,9 +192,8 @@ func (s *Server) execSweep(ctx context.Context, c experiment.Campaign, fp string
 // fresh point is recorded as it settles, so a deadline or drain loses
 // at most the points in flight. On failure it returns the answer.
 func (s *Server) settlePoints(ctx context.Context, opt experiment.Options, specs []experiment.PointSpec, fp string) ([]experiment.PointOutcome, outcome, bool) {
-	// The ledger's class has the request's budget, not its deadline.
-	led, err := s.pointLedger(s.engineOptions(context.Background(), opt))
-	opt = s.engineOptions(ctx, opt)
+	opt = s.engineOptions(opt)
+	led, err := s.pointLedger(opt)
 	if err != nil {
 		return nil, outcome{
 			status: http.StatusInternalServerError,
@@ -213,6 +206,19 @@ func (s *Server) settlePoints(ctx context.Context, opt experiment.Options, specs
 		return nil, s.failureOutcome(ctx, fp, err), false
 	}
 	return outs, outcome{}, true
+}
+
+// cacheable reports whether an answer built from outs may be cached
+// under its budget-free address: not when it carries a resource-
+// exhausted quarantine, which holds only under budgets no larger than
+// the one it exhausted.
+func cacheable(outs []experiment.PointOutcome) bool {
+	for _, out := range outs {
+		if q := out.Quarantine; q != nil && q.Class == string(core.ClassResourceExhausted) {
+			return false
+		}
+	}
+	return true
 }
 
 // pointResult renders a settled point in response form.
@@ -233,21 +239,18 @@ func repResults(reps []experiment.RepRecord) []RepResult {
 		for k, bits := range r.Values {
 			values[k] = math.Float64frombits(bits)
 		}
-		out[i] = RepResult{Seed: r.Seed, Values: values, BackoffMs: r.Backoffs}
+		out[i] = RepResult{Seed: r.Seed, Values: values}
 	}
 	return out
 }
 
 // failureOutcome maps an execution error onto HTTP and policy via the
-// failure taxonomy. The context state is consulted before the class:
-// the deadline-derived wall-clock budget and the context expire
-// together, so the same client deadline can surface as canceled or as
-// resource-exhausted depending on which check fired first — and a
-// class cooldown must never trip (nor a 504 turn into a 503) because
-// of that race.
+// failure taxonomy: a deterministic failure fails its fingerprint for
+// good, work the drain or the request deadline canceled is theirs, and
+// anything else is a 500. (A budget the request exhausted is a
+// quarantine: quarantineOutcome.)
 func (s *Server) failureOutcome(ctx context.Context, fp string, err error) outcome {
 	class := core.Classify(err)
-	interrupted := class == core.ClassCanceled || class == core.ClassResourceExhausted
 	switch {
 	case class == core.ClassProtocolBug || class == core.ClassPanic:
 		// Deterministic failure: same request, same bug, every time.
@@ -264,24 +267,10 @@ func (s *Server) failureOutcome(ctx context.Context, fp string, err error) outco
 			permClass:  class,
 			permReason: err.Error(),
 		}
-	case interrupted && s.runCtx.Err() != nil:
+	case class == core.ClassCanceled && s.runCtx.Err() != nil:
 		return s.drainedOutcome(fp)
-	case interrupted && ctx.Err() != nil:
+	case class == core.ClassCanceled && ctx.Err() != nil:
 		return s.deadlineOutcome(fp, err)
-	case class == core.ClassResourceExhausted:
-		// The request's own budget (scenario or campaign block) exhausted
-		// within the deadline: fail the request and cool the whole
-		// scenario class down at admission.
-		return outcome{
-			status: http.StatusUnprocessableEntity,
-			body: marshalError(errorBody{
-				Error:       err.Error(),
-				Class:       string(class),
-				Fingerprint: fp,
-			}),
-			failed:    true,
-			tripClass: true,
-		}
 	default:
 		return outcome{
 			status: http.StatusInternalServerError,
@@ -329,18 +318,12 @@ func (s *Server) deadlineOutcome(fp string, err error) outcome {
 
 // quarantineOutcome maps a run's breaker trip onto HTTP: the
 // request fails with the quarantine record, and resource exhaustion
-// additionally cools its scenario class down. The same context guards
-// as failureOutcome apply — a quarantine whose budget exhaustion was
-// induced by the request deadline (or a drain) is the deadline's
-// outcome, not the scenario's.
-func (s *Server) quarantineOutcome(ctx context.Context, fp string, quar experiment.Quarantine) outcome {
+// additionally cools its scenario class down. A quarantine is only
+// ever a verdict reached with the request context alive (a deadline or
+// drain that starved a point is the context's error instead), so it is
+// the scenario's outcome.
+func (s *Server) quarantineOutcome(fp string, quar experiment.Quarantine) outcome {
 	exhausted := quar.Class == string(core.ClassResourceExhausted)
-	if exhausted && s.runCtx.Err() != nil {
-		return s.drainedOutcome(fp)
-	}
-	if exhausted && ctx.Err() != nil {
-		return s.deadlineOutcome(fp, fmt.Errorf("%s", quar.Reason))
-	}
 	return outcome{
 		status: http.StatusUnprocessableEntity,
 		body: marshalError(errorBody{

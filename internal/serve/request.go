@@ -11,7 +11,6 @@ import (
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
-	"wtcp/internal/sim"
 )
 
 // Request envelopes and their content addresses. A request's
@@ -19,10 +18,10 @@ import (
 // that affect what the engine would measure, normalized through the
 // typed request structs so formatting, key order, and documentation
 // noise never split the cache. Seeds are part of the identity (a
-// different seed is a different experiment); deadlines and a run's
-// budget are not (they bound how long we are willing to compute the
-// answer, never what a within-budget run measures — the same exclusion
-// the checkpoint fingerprint makes), but a sweep's is (budgetKey).
+// different seed is a different experiment); deadlines and budgets are
+// not (they bound how long we are willing to compute the answer, never
+// what a within-budget run measures — the same exclusion the
+// checkpoint fingerprint makes).
 
 // maxRequestBody bounds request decoding; a body this size is already
 // three orders of magnitude past any legitimate scenario.
@@ -35,7 +34,7 @@ const maxRequestBody = 1 << 20
 const MaxReplications = 64
 
 // RunRequest is the POST /v1/run body: one scenario, executed under
-// full engine policy (retry/backoff, classification, repro capture).
+// full engine policy (retry, classification, repro capture).
 type RunRequest struct {
 	// Scenario is a wtcp sim scenario document (internal/scenario
 	// schema, unknown fields rejected).
@@ -43,9 +42,8 @@ type RunRequest struct {
 	// Replications runs the scenario under consecutive seeds and
 	// returns every record (default 1, max MaxReplications).
 	Replications int `json:"replications,omitempty"`
-	// DeadlineMS bounds the whole request's execution wall clock; the
-	// deadline propagates into each run's sim.Budget. Zero uses the
-	// server default.
+	// DeadlineMS bounds the whole request's execution wall clock. Zero
+	// uses the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -171,8 +169,8 @@ func runFingerprint(c scenario.File, replications int) string {
 // SweepFingerprint content-addresses a sweep request by the grid it
 // resolves to: experiment.Fingerprint of the campaign's options — the
 // identity its point ledger and the advise endpoint use, so "1s" and
-// "1000ms" name one grid — plus the ordered sweep list and, unlike a
-// run's, the budget (budgetKey). Worker width stays out.
+// "1000ms" name one grid — plus the ordered sweep list. The budget
+// stays out, as a run's does: an answer it starved is not cached.
 func SweepFingerprint(c experiment.Campaign) string {
 	opt, err := c.Options()
 	if err != nil {
@@ -180,21 +178,10 @@ func SweepFingerprint(c experiment.Campaign) string {
 		panic(fmt.Sprintf("serve: fingerprint of an unvalidated campaign: %v", err))
 	}
 	return fingerprintOf(struct {
-		Kind    string      `json:"kind"`
-		Options string      `json:"options"`
-		Sweeps  []string    `json:"sweeps"`
-		Budget  *sim.Budget `json:"budget,omitempty"`
-	}{"sweep/v3", experiment.Fingerprint(opt), c.Sweeps, budgetKey(opt)})
-}
-
-// budgetKey is a campaign's run budget in its identity, nil when it sets
-// none: a sweep answers a point its budget starved as quarantined, which
-// must neither answer nor settle that point under another budget.
-func budgetKey(opt experiment.Options) *sim.Budget {
-	if opt.RunBudget == (sim.Budget{}) {
-		return nil
-	}
-	return &opt.RunBudget
+		Kind    string   `json:"kind"`
+		Options string   `json:"options"`
+		Sweeps  []string `json:"sweeps"`
+	}{"sweep/v3", experiment.Fingerprint(opt), c.Sweeps})
 }
 
 // fingerprintOf hashes the canonical JSON encoding of an identity

@@ -16,14 +16,16 @@
 //     finite Retry-After derived from the live median run time. Load
 //     never queues unboundedly.
 //   - Content-addressed results. A request's fingerprint hashes exactly
-//     its result-affecting content (seeds and a sweep's budget in,
-//     deadlines and a run's budget out), the cache stores the precise
-//     response bytes, and concurrent identical requests coalesce into
-//     one execution (single-flight). A repeat answer is byte-identical
-//     to the fresh one.
+//     its result-affecting content (seeds in, deadlines and budgets
+//     out), the cache stores the precise response bytes, and concurrent
+//     identical requests coalesce into one execution (single-flight). A
+//     repeat answer is byte-identical to the fresh one. An answer that
+//     carries a resource-exhausted quarantine holds only under budgets
+//     no larger than the one it exhausted (experiment.Ledger), so it is
+//     not cached.
 //   - Deadline propagation. The client's deadline bounds the request
-//     context and flows into each run's sim.Budget wall ceiling, so a
-//     hung or pathological point cannot pin a slot.
+//     context, which each run's kernel polls between events, so a hung
+//     or pathological point cannot pin a slot.
 //   - Taxonomy-driven shedding. Deterministic failures (protocol-bug,
 //     panic) permanently fail their fingerprint with a repro-bundle
 //     pointer; resource exhaustion cools down the whole scenario class
@@ -52,7 +54,6 @@ import (
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
-	"wtcp/internal/sim"
 )
 
 // maxDeadline caps client-requested deadlines so one request cannot
@@ -185,8 +186,8 @@ func (s *Server) Health() *experiment.Health { return s.health }
 // Handler returns the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/run", s.handlePost("run"))
+	mux.HandleFunc("POST /v1/sweep", s.handlePost("sweep"))
 	mux.HandleFunc("GET /v1/advise", s.handleAdvise)
 	mux.HandleFunc("GET /v1/result/{fp}", s.handleResult)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -241,7 +242,8 @@ type outcome struct {
 	status     int
 	body       []byte
 	retryAfter int
-	// cacheable marks a complete, deterministic answer worth storing.
+	// cacheable marks an answer worth storing under its address: a
+	// complete, deterministic one that holds under any budget.
 	cacheable bool
 	failed    bool
 	// deadlineExpired marks a 504 (request deadline, not drain).
@@ -397,7 +399,10 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 		if err := s.cache.put(q.fp, out.body); err != nil {
 			fmt.Fprintf(os.Stderr, "wtcpd: %v\n", err)
 		}
+	}
+	if out.status == http.StatusOK {
 		s.met.completed.Add(1)
+		f.cacheState = "miss"
 	}
 	if out.keepJournal {
 		s.met.drained.Add(1)
@@ -422,9 +427,6 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 		s.brk.tripClass(q.class)
 	}
 	f.status, f.body, f.retryAfter = out.status, out.body, out.retryAfter
-	if out.cacheable {
-		f.cacheState = "miss"
-	}
 }
 
 // retryAfterSec derives the back-pressure hint from live telemetry:
@@ -452,7 +454,9 @@ func (s *Server) reproDir() string { return filepath.Join(s.cfg.DataDir, "repro"
 // self-describing (scheme, bad period, packet size), so any sweep or
 // advise request whose result-affecting options match lands in the
 // same file and warm-starts from every point anyone already computed.
-// A campaign's budget is kept in the class (budgetKey).
+// The budget names no class either (Fingerprint leaves it out): Settle
+// settles each request's points under its own, and the opener's is
+// only what the ledger's Has answers for.
 func (s *Server) pointLedger(opt experiment.Options) (*experiment.Ledger, error) {
 	lopt := experiment.Options{
 		Replications: opt.Replications,
@@ -461,12 +465,12 @@ func (s *Server) pointLedger(opt experiment.Options) (*experiment.Ledger, error)
 		Retries:      opt.Retries,
 		Checks:       opt.Checks,
 		Oracle:       opt.Oracle,
+		RunBudget:    opt.RunBudget,
 	}
 	name := fingerprintOf(struct {
-		Kind    string      `json:"kind"`
-		Options string      `json:"options"`
-		Budget  *sim.Budget `json:"budget,omitempty"`
-	}{"points/v1", experiment.Fingerprint(lopt), budgetKey(opt)})[:16]
+		Kind    string `json:"kind"`
+		Options string `json:"options"`
+	}{"points/v1", experiment.Fingerprint(lopt)})[:16]
 	path := filepath.Join(s.cfg.DataDir, "points-"+name+".ckpt")
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -519,33 +523,41 @@ func (s *Server) Resume() int {
 	return n
 }
 
-// queryFromPending rebuilds an executable query from a journal entry.
+// queryFromPending rebuilds an executable query from a journal entry,
+// a POST through the parse that admitted it (postQuery).
 func (s *Server) queryFromPending(p pendingRequest) (query, error) {
-	switch p.Kind {
+	if p.Kind != "advise" {
+		return s.postQuery(p.Kind, p.Body)
+	}
+	var body adviseBody
+	if err := decodeStrict(p.Body, &body); err != nil {
+		return query{}, err
+	}
+	bad, err := scenario.ParsePositiveDur("bad", body.Bad)
+	if err != nil || bad <= 0 {
+		return query{}, fmt.Errorf("serve: journaled advise query has no valid bad period")
+	}
+	return s.adviseQuery(bad), nil
+}
+
+// postQuery parses and validates a POST body of kind "run" or "sweep"
+// into its query: what handlePost admits and Resume rebuilds.
+func (s *Server) postQuery(kind string, body []byte) (query, error) {
+	switch kind {
 	case "run":
-		req, c, cfg, err := parseRunRequest(p.Body)
+		req, c, cfg, err := parseRunRequest(body)
 		if err != nil {
 			return query{}, err
 		}
-		return s.runQuery(req, c, cfg, p.Body), nil
+		return s.runQuery(req, c, cfg, body), nil
 	case "sweep":
-		req, c, err := ParseSweepRequest(p.Body)
+		req, c, err := ParseSweepRequest(body)
 		if err != nil {
 			return query{}, err
 		}
-		return s.sweepQuery(req, c, p.Body), nil
-	case "advise":
-		var body adviseBody
-		if err := decodeStrict(p.Body, &body); err != nil {
-			return query{}, err
-		}
-		bad, err := scenario.ParsePositiveDur("bad", body.Bad)
-		if err != nil || bad <= 0 {
-			return query{}, fmt.Errorf("serve: journaled advise query has no valid bad period")
-		}
-		return s.adviseQuery(bad), nil
+		return s.sweepQuery(req, c, body), nil
 	default:
-		return query{}, fmt.Errorf("serve: unknown journaled request kind %q", p.Kind)
+		return query{}, fmt.Errorf("serve: unknown journaled request kind %q", kind)
 	}
 }
 
@@ -602,38 +614,23 @@ func (s *Server) Close() {
 
 // ---- HTTP plumbing ----
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.met.requests.Add(1)
-	body, err := readBody(r)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
-		return
+// handlePost answers a POST of kind (postQuery): a body that does not
+// read or parse is a 400, anything else takes the serveQuery pipeline.
+func (s *Server) handlePost(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.met.requests.Add(1)
+		body, err := readBody(r)
+		var q query
+		if err == nil {
+			q, err = s.postQuery(kind, body)
+		}
+		if err != nil {
+			s.met.badRequests.Add(1)
+			writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
+			return
+		}
+		s.serveQuery(w, r, q)
 	}
-	req, c, cfg, err := parseRunRequest(body)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
-		return
-	}
-	s.serveQuery(w, r, s.runQuery(req, c, cfg, body))
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.requests.Add(1)
-	body, err := readBody(r)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
-		return
-	}
-	req, c, err := ParseSweepRequest(body)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, 0, errorBody{Error: err.Error()})
-		return
-	}
-	s.serveQuery(w, r, s.sweepQuery(req, c, body))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -710,16 +707,4 @@ func writeError(w http.ResponseWriter, status, retryAfter int, e errorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(marshalError(e))
-}
-
-// deadlineBudget layers the request deadline into the per-run resource
-// budget, so a single hung replication is killed by the simulator's
-// own wall-clock ceiling even before the context does.
-func deadlineBudget(ctx context.Context) sim.Budget {
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d > 0 {
-			return sim.Budget{WallClock: d}
-		}
-	}
-	return sim.Budget{}
 }

@@ -281,17 +281,18 @@ func TestSweepQuarantinesExhaustedPoint(t *testing.T) {
 
 // TestBudgetedQuarantineAnswersOnlyItsBudget: a quarantine a sweep's
 // own budget forced holds only under that budget. After a budgeted
-// sweep quarantines its 128-byte point, the same grid with no budget on
-// the same server is a cache miss that measures the point, and the
-// unbudgeted point ledger holds no quarantine; the budgeted request
-// still answers its quarantine, from the cache.
+// sweep quarantines its 128-byte point, the shared point ledger settles
+// the point for the budgeted caller, not the unbudgeted one, and the
+// answer is not cached; the same grid with no budget is a miss that
+// measures the point, and the budgeted repeat then gets that
+// measurement, as a CLI resume does.
 func TestBudgetedQuarantineAnswersOnlyItsBudget(t *testing.T) {
 	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,"packet_sizes":[1536,128],"bad_periods":["1s"]`
 	budgeted := []byte(`{"campaign":{` + grid + `,"budget":{"max_events":3000}}}`)
 	plain := []byte(`{"campaign":{` + grid + `}}`)
-	srv := newTestServer(t, t.TempDir(), nil)
+	dir := t.TempDir()
+	srv := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 	answer := func(body []byte, wantCache string) SweepResponse {
 		t.Helper()
 		resp, data := post(t, ts, "/v1/sweep", body)
@@ -304,30 +305,45 @@ func TestBudgetedQuarantineAnswersOnlyItsBudget(t *testing.T) {
 		}
 		return out
 	}
-	if q := answer(budgeted, "miss").Points[1].Quarantine; q == nil || q.Class != string(core.ClassResourceExhausted) {
+	first := answer(budgeted, "miss")
+	if q := first.Points[1].Quarantine; q == nil || q.Class != string(core.ClassResourceExhausted) {
 		t.Fatalf("the budgeted sweep's 128-byte point carries %+v, want its events-budget quarantine", q)
 	}
+	ts.Close()
+	srv.Close()
+	// Each fresh server opens the class's ledger under the caller's
+	// options, which are what its Has answers for.
+	for _, c := range []struct {
+		body    []byte
+		settled bool
+	}{{budgeted, true}, {plain, false}} {
+		_, camp, err := ParseSweepRequest(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := camp.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := newTestServer(t, dir, nil)
+		led, err := probe.pointLedger(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := led.Has(first.Points[1].Key); got != c.settled {
+			t.Errorf("budget %+v: the quarantine settles the point: %v, want %v", opt.RunBudget, got, c.settled)
+		}
+		probe.Close()
+	}
+	srv = newTestServer(t, dir, nil)
+	ts = httptest.NewServer(srv.Handler())
+	defer ts.Close()
 	for i, p := range answer(plain, "miss").Points {
 		if p.Quarantine != nil || len(p.Replications) != 1 {
 			t.Errorf("unbudgeted point %d %+v, want its one measured replication", i, p)
 		}
 	}
-	if q := answer(budgeted, "hit").Points[1].Quarantine; q == nil {
-		t.Error("the budgeted sweep's repeat lost its quarantine")
-	}
-	_, c, err := ParseSweepRequest(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	led, err := srv.pointLedger(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs := led.Quarantined(); len(qs) != 0 {
-		t.Errorf("the unbudgeted ledger holds quarantines %+v", qs)
+	if p := answer(budgeted, "hit").Points[1]; p.Quarantine != nil || len(p.Replications) != 1 {
+		t.Errorf("the budgeted repeat answered %+v, want the measured point", p)
 	}
 }
