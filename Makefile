@@ -45,14 +45,15 @@ budget-smoke:
 # segments, order and cap after a reopen, legacy-layout refusal, gets
 # racing evictions and compaction, and the data-directory lock — and the
 # sweep's borrowed slots: queued requests first, the same bytes at one
-# and two slots, a budget-exhausted point quarantined in its place — and
+# and two slots, a budget-exhausted point quarantined in its place and
+# shared with no request of another budget — and
 # a campaign's answer bit-identical to the sequential engine's Fig 7 + 8
 # at one worker — and the POST path's 400s and deadline 504s — and
 # the content addresses: run and sweep identity under re-spelling, a
 # campaign refused for a repeated value, and the seed corpora of the
 # campaign decoder and journal replay fuzzers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestBudgetedQuarantineAnswersOnlyItsBudget|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|TestDeadlineExpiresAs504WithoutTrippingTheClass|TestMalformedRequestsAnswer400AndNeverAdmit|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestBudgetedQuarantineAnswersOnlyItsBudget|TestCoalescedSweepAnswersOnlyItsBudget|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|TestDeadlineExpiresAs504WithoutTrippingTheClass|TestMalformedRequestsAnswer400AndNeverAdmit|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
 	$(GO) test -race -run 'TestCampaignRefusesRepeats' ./internal/experiment/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos

@@ -84,13 +84,19 @@ func (q Quarantine) Err() error {
 	return fmt.Errorf("experiment: point %q: %s: %s", q.Key, q.Class, q.Reason)
 }
 
+// BudgetBound reports whether q holds only under some run budgets (a
+// resource-exhausted one, see answers); others hold under any budget.
+func (q Quarantine) BudgetBound() bool {
+	return q.Class == string(core.ClassResourceExhausted)
+}
+
 // answers reports whether q settles its point for a caller whose runs
-// resolve to budget b (Options.runBudget). A resource-exhausted point
-// would exhaust again only under a set limit of its Ceiling's kind no
-// larger than Limit, so only such a caller gets it; one with no Ceiling
-// (an earlier build's) answers none. Other classes answer every caller.
+// resolve to budget b (Options.runBudget). A budget-bound point would
+// exhaust again only under a set limit of its Ceiling's kind no larger
+// than Limit, so only such a caller gets it; one with no Ceiling (an
+// earlier build's) answers none. Other quarantines answer every caller.
 func (q Quarantine) answers(b sim.Budget) bool {
-	if q.Class != string(core.ClassResourceExhausted) {
+	if !q.BudgetBound() {
 		return true
 	}
 	limit := map[string]int64{sim.BudgetEvents: b.MaxEvents, sim.BudgetVirtual: int64(b.MaxVirtual),

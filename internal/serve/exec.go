@@ -98,6 +98,7 @@ func (s *Server) runQuery(req RunRequest, c scenario.File, cfg core.Config, body
 		class:       "run/" + c.Preset + "/" + c.Scheme,
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
+		budget:      cfg.Budget,
 		exec: func(ctx context.Context, fp string) outcome {
 			return s.execRun(ctx, req.Replications, cfg, fp)
 		},
@@ -111,12 +112,14 @@ func (s *Server) sweepQuery(req SweepRequest, c experiment.Campaign, body []byte
 	if c.Retries == 0 {
 		c.Retries = s.cfg.Retries
 	}
+	opt, _ := c.Options() // ParseSweepRequest validated the campaign
 	return query{
 		kind:        "sweep",
 		fp:          SweepFingerprint(c),
 		class:       "sweep/" + strings.Join(c.Sweeps, "+"),
 		journalBody: body,
 		deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
+		budget:      opt.RunBudget,
 		exec: func(ctx context.Context, fp string) outcome {
 			return s.execSweep(ctx, c, fp)
 		},
@@ -209,12 +212,11 @@ func (s *Server) settlePoints(ctx context.Context, opt experiment.Options, specs
 }
 
 // cacheable reports whether an answer built from outs may be cached
-// under its budget-free address: not when it carries a resource-
-// exhausted quarantine, which holds only under budgets no larger than
-// the one it exhausted.
+// under its budget-free address: not when it carries a budget-bound
+// quarantine (experiment.Quarantine.BudgetBound).
 func cacheable(outs []experiment.PointOutcome) bool {
 	for _, out := range outs {
-		if q := out.Quarantine; q != nil && q.Class == string(core.ClassResourceExhausted) {
+		if q := out.Quarantine; q != nil && q.BudgetBound() {
 			return false
 		}
 	}
@@ -323,7 +325,6 @@ func (s *Server) deadlineOutcome(fp string, err error) outcome {
 // drain that starved a point is the context's error instead), so it is
 // the scenario's outcome.
 func (s *Server) quarantineOutcome(fp string, quar experiment.Quarantine) outcome {
-	exhausted := quar.Class == string(core.ClassResourceExhausted)
 	return outcome{
 		status: http.StatusUnprocessableEntity,
 		body: marshalError(errorBody{
@@ -332,6 +333,6 @@ func (s *Server) quarantineOutcome(fp string, quar experiment.Quarantine) outcom
 			Fingerprint: fp,
 		}),
 		failed:    true,
-		tripClass: exhausted,
+		tripClass: quar.Class == string(core.ClassResourceExhausted),
 	}
 }

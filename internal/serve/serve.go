@@ -21,8 +21,8 @@
 //     identical requests coalesce into one execution (single-flight). A
 //     repeat answer is byte-identical to the fresh one. An answer that
 //     carries a resource-exhausted quarantine holds only under budgets
-//     no larger than the one it exhausted (experiment.Ledger), so it is
-//     not cached.
+//     no larger than the one it exhausted (experiment.Ledger): it is
+//     neither cached nor shared with a request of another budget.
 //   - Deadline propagation. The client's deadline bounds the request
 //     context, which each run's kernel polls between events, so a hung
 //     or pathological point cannot pin a slot.
@@ -54,6 +54,7 @@ import (
 	"wtcp/internal/core"
 	"wtcp/internal/experiment"
 	"wtcp/internal/scenario"
+	"wtcp/internal/sim"
 )
 
 // maxDeadline caps client-requested deadlines so one request cannot
@@ -201,25 +202,33 @@ func (s *Server) Handler() http.Handler {
 // disconnected client does not kill accepted work, it just isn't there
 // to read the answer (which is cached for /v1/result anyway).
 type flight struct {
-	fp   string
+	q    query
 	done chan struct{}
 
 	status     int
 	body       []byte
 	retryAfter int
-	cacheState string
+	cacheable  bool
 }
 
-func newFlight(fp string) *flight {
-	return &flight{fp: fp, done: make(chan struct{})}
+// startFlightLocked registers and starts q's flight. It is called with
+// s.mu held and releases it.
+func (s *Server) startFlightLocked(q query, resumed bool) *flight {
+	f := &flight{q: q, done: make(chan struct{})}
+	s.flights[q.fp] = f
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go s.runFlight(f, resumed)
+	return f
 }
 
 func (f *flight) write(w http.ResponseWriter) {
 	if f.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(f.retryAfter))
 	}
-	if f.cacheState != "" {
-		w.Header().Set("X-Wtcpd-Cache", f.cacheState)
+	if f.status == http.StatusOK {
+		// A flight's success is always a fresh computation.
+		w.Header().Set("X-Wtcpd-Cache", "miss")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(f.status)
@@ -234,7 +243,9 @@ type query struct {
 	class       string
 	journalBody []byte
 	deadline    time.Duration
-	exec        func(ctx context.Context, fp string) outcome
+	// budget is the run budget asked for, which fp leaves out.
+	budget sim.Budget
+	exec   func(ctx context.Context, fp string) outcome
 }
 
 // outcome is a terminal execution result plus its policy consequences.
@@ -280,10 +291,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q query) {
 	}
 	if remaining, cooling := s.brk.rejected(q.class); cooling {
 		s.met.rejectedBreaker.Add(1)
-		sec := int(math.Ceil(remaining.Seconds()))
-		if sec < 1 {
-			sec = 1
-		}
+		sec := max(1, int(math.Ceil(remaining.Seconds())))
 		writeError(w, http.StatusServiceUnavailable, sec, errorBody{
 			Error:         fmt.Sprintf("scenario class %q is cooling down after resource exhaustion", q.class),
 			Class:         string(core.ClassResourceExhausted),
@@ -305,37 +313,40 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q query) {
 	}
 	if f, ok := s.flights[q.fp]; ok {
 		s.mu.Unlock()
-		s.awaitFlight(w, r, f)
+		s.awaitFlight(w, r, f, q)
 		return
 	}
-	f := newFlight(q.fp)
-	s.flights[q.fp] = f
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go s.runFlight(f, q, false)
-	s.awaitFlight(w, r, f)
+	s.awaitFlight(w, r, s.startFlightLocked(q, false), q)
 }
 
 // awaitFlight blocks until the flight settles or the client leaves.
 // The flight is deliberately not tied to the client context: accepted
 // work completes and caches even if nobody is left to read the answer.
-func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, f *flight) {
+// An answer that is not cacheable may hold a quarantine the flight's
+// budget forced, so q, if of another budget, is served afresh.
+func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, f *flight, q query) {
 	select {
 	case <-f.done:
-		f.write(w)
 	case <-r.Context().Done():
+		return
 	}
+	if !f.cacheable && f.q.budget != q.budget {
+		s.serveQuery(w, r, q)
+		return
+	}
+	f.write(w)
 }
 
 // runFlight takes the flight through admission, journaling, execution,
 // and policy bookkeeping. resumed marks journaled work from a previous
 // server life (already accepted once — bypasses the queue bound and is
 // never bounced with 429).
-func (s *Server) runFlight(f *flight, q query, resumed bool) {
+func (s *Server) runFlight(f *flight, resumed bool) {
+	q := f.q
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
-		delete(s.flights, f.fp)
+		delete(s.flights, q.fp)
 		s.mu.Unlock()
 		close(f.done)
 	}()
@@ -385,10 +396,7 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 	if d <= 0 {
 		d = s.cfg.DefaultDeadline
 	}
-	if d > maxDeadline {
-		d = maxDeadline
-	}
-	ctx, cancel := context.WithTimeout(s.runCtx, d)
+	ctx, cancel := context.WithTimeout(s.runCtx, min(d, maxDeadline))
 	out := q.exec(ctx, q.fp)
 	cancel()
 
@@ -402,7 +410,6 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 	}
 	if out.status == http.StatusOK {
 		s.met.completed.Add(1)
-		f.cacheState = "miss"
 	}
 	if out.keepJournal {
 		s.met.drained.Add(1)
@@ -414,7 +421,7 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 		if resumed {
 			// Resumed work has no client waiting on the flight; a terminal
 			// failure must at least reach the operator's log.
-			fmt.Fprintf(os.Stderr, "wtcpd: resumed %s failed (HTTP %d): %s\n", f.fp[:12], out.status, out.body)
+			fmt.Fprintf(os.Stderr, "wtcpd: resumed %s failed (HTTP %d): %s\n", q.fp[:12], out.status, out.body)
 		}
 	}
 	if out.deadlineExpired {
@@ -426,7 +433,7 @@ func (s *Server) runFlight(f *flight, q query, resumed bool) {
 	if out.tripClass {
 		s.brk.tripClass(q.class)
 	}
-	f.status, f.body, f.retryAfter = out.status, out.body, out.retryAfter
+	f.status, f.body, f.retryAfter, f.cacheable = out.status, out.body, out.retryAfter, out.cacheable
 }
 
 // retryAfterSec derives the back-pressure hint from live telemetry:
@@ -437,14 +444,7 @@ func (s *Server) retryAfterSec() int {
 	if med <= 0 {
 		med = 1
 	}
-	sec := int(math.Ceil(med * float64(s.adm.queued()+1) / float64(s.adm.slotCount())))
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 3600 {
-		sec = 3600
-	}
-	return sec
+	return min(max(int(math.Ceil(med*float64(s.adm.queued()+1)/float64(s.adm.slotCount()))), 1), 3600)
 }
 
 func (s *Server) reproDir() string { return filepath.Join(s.cfg.DataDir, "repro") }
@@ -513,11 +513,7 @@ func (s *Server) Resume() int {
 			s.mu.Unlock()
 			continue
 		}
-		f := newFlight(q.fp)
-		s.flights[q.fp] = f
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.runFlight(f, q, true)
+		s.startFlightLocked(q, true)
 		n++
 	}
 	return n

@@ -47,7 +47,7 @@ func TestQueuedRequestBeatsBorrower(t *testing.T) {
 		}
 		admitted <- release
 	}()
-	waitBlockedInAcquire(t)
+	waitParked(t, "(*admission).acquire", 1)
 
 	borrowed()
 	if _, ok := a.tryAcquire(); ok {
@@ -68,20 +68,24 @@ func TestQueuedRequestBeatsBorrower(t *testing.T) {
 	}
 }
 
-// waitBlockedInAcquire returns once some goroutine is parked in
-// admission.acquire's wait for a slot, so the release that follows
-// happens while it is a blocked channel sender.
-func waitBlockedInAcquire(t *testing.T) {
+// waitParked returns once n goroutines are parked in a select in the
+// function frame names (admission.acquire's wait for a slot, say), so
+// what the test does next happens while they wait.
+func waitParked(t *testing.T, frame string, n int) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		parked := 0
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "[select]") && strings.Contains(g, "(*admission).acquire") {
-				return
+			if strings.Contains(g, "[select]") && strings.Contains(g, frame) {
+				parked++
 			}
 		}
+		if parked >= n {
+			return
+		}
 	}
-	t.Fatal("the queued request never blocked in acquire")
+	t.Fatalf("%d goroutine(s) never parked in %s", n, frame)
 }
 
 // settleOnSlots answers one request on a fresh server with the given
@@ -345,5 +349,57 @@ func TestBudgetedQuarantineAnswersOnlyItsBudget(t *testing.T) {
 	}
 	if p := answer(budgeted, "hit").Points[1]; p.Quarantine != nil || len(p.Replications) != 1 {
 		t.Errorf("the budgeted repeat answered %+v, want the measured point", p)
+	}
+}
+
+// TestCoalescedSweepAnswersOnlyItsBudget: a request that arrives while
+// the same grid runs under another budget joins that flight, but takes
+// its answer only if the answer holds under any budget. A budgeted
+// sweep is held in the queue behind the one run slot, the same grid
+// arrives with no budget and waits on that flight; once the slot frees,
+// the budgeted answer carries the 128-byte point's quarantine and the
+// unbudgeted one measures it, on a second execution.
+func TestCoalescedSweepAnswersOnlyItsBudget(t *testing.T) {
+	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,"packet_sizes":[1536,128],"bad_periods":["1s"]`
+	budgeted := []byte(`{"campaign":{` + grid + `,"budget":{"max_events":3000}}}`)
+	plain := []byte(`{"campaign":{` + grid + `}}`)
+	srv := newTestServer(t, t.TempDir(), func(cfg *Config) { cfg.Slots = 1 })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	hold, err := srv.adm.acquire(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := make([]chan SweepResponse, 2)
+	for i, body := range [][]byte{budgeted, plain} {
+		answers[i] = make(chan SweepResponse, 1)
+		go func() {
+			var out SweepResponse
+			defer func() { answers[i] <- out }()
+			resp, data := post(t, ts, "/v1/sweep", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("HTTP %d, want 200: %s", resp.StatusCode, data)
+			} else if err := json.Unmarshal(data, &out); err != nil || len(out.Points) != 2 {
+				t.Errorf("%v: %s", err, data)
+			}
+		}()
+		if i == 0 {
+			waitParked(t, "(*admission).acquire", 1)
+		}
+	}
+	waitParked(t, "(*Server).awaitFlight", 2)
+	hold()
+	if first := <-answers[0]; len(first.Points) == 2 {
+		if q := first.Points[1].Quarantine; q == nil || q.Class != string(core.ClassResourceExhausted) {
+			t.Errorf("the budgeted sweep's 128-byte point carries %+v, want its events-budget quarantine", q)
+		}
+	}
+	for i, p := range (<-answers[1]).Points {
+		if p.Quarantine != nil || len(p.Replications) != 1 {
+			t.Errorf("unbudgeted point %d %+v, want its one measured replication", i, p)
+		}
+	}
+	if got := srv.met.executed.Load(); got != 2 {
+		t.Errorf("the two budgets executed %d times, want 2", got)
 	}
 }
