@@ -29,10 +29,11 @@ check: vet vet-386 test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 # index order, width 1 in place, no unit before its slot, one answer at
 # any width) and the budget rule (a quarantine reloads only under a
 # budget no larger than the one it exhausted, in the ledger and through
-# a `wtcp figures` checkpoint; retries and earlier builds' ledgers)
-# ride along.
+# a `wtcp figures` checkpoint), the failure policy over every engine
+# (each replication runs its own seed; only a host ceiling re-runs it,
+# once) and earlier builds' ledgers ride along.
 budget-smoke:
-	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth|TestQuarantineAnswersOnlyNoLargerBudgets|TestCeilinglessQuarantineRunsOnce|TestExhaustedReplicationTripsTheBreaker|TestRetriedSweepWritesIdenticalLedger|TestParentBackoffRecordLoads' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth|TestQuarantineAnswersOnlyNoLargerBudgets|TestCeilinglessQuarantineRunsOnce|TestExhaustedReplicationTripsTheBreaker|TestHostCeilingRetryRunsItsOwnSeed|TestFailurePolicyIsEngineBlind|TestParentBackoffRecordLoads' ./internal/experiment/
 	$(GO) test -race -run 'TestBudgetedCheckpointAnswersOnlyItsBudget' ./cmd/wtcp/
 
 # Service gate: the wtcpd storm/drain acceptance test under -race — a
@@ -53,7 +54,7 @@ budget-smoke:
 # campaign refused for a repeated value, and the seed corpora of the
 # campaign decoder and journal replay fuzzers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestBudgetedQuarantineAnswersOnlyItsBudget|TestCoalescedSweepAnswersOnlyItsBudget|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|TestDeadlineExpiresAs504WithoutTrippingTheClass|TestMalformedRequestsAnswer400AndNeverAdmit|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
+	$(GO) test -race -run 'TestServeStormDrainResume|TestSingleFlightDeduplicatesConcurrentRequests|TestDiskCacheInterleavedOrder|TestDiskCacheReopenOrderAndCap|TestLegacyLayoutIsRefused|TestDiskCacheGetsRaceMovesAndEvictions|TestTwoServersOnOneDirectoryFailByName|TestQueuedRequestBeatsBorrower|TestSweepSameBytesOnOneAndTwoSlots|TestSweepQuarantinesExhaustedPoint|TestBudgetedQuarantineAnswersOnlyItsBudget|TestCoalescedSweepAnswersOnlyItsBudget|TestSweepMatchesSequentialEngine|TestRunFingerprintIdentity|TestSweepFingerprintIdentity|TestSweepAddressedByResolvedGrid|TestMetricsEngineRowsMatchHealthz|TestDeadlineExpiresAs504WithoutTrippingTheClass|TestMalformedRequestsAnswer400AndNeverAdmit|TestJournaledSweepWithRetryBudgetIsRetired|FuzzSweepRequest|FuzzJournalReplay' ./internal/serve/
 	$(GO) test -race -run 'TestCampaignRefusesRepeats' ./internal/experiment/
 
 # Cell-scale gate: the 1k-flow SLO, segment conservation under chaos

@@ -40,7 +40,6 @@ func serveFlags(fs *flag.FlagSet) body {
 		cacheMB    = fs.Int64("cache-mb", 0, "result-cache byte cap in MiB (default 256)")
 		deadline   = fs.Duration("deadline", 0, "default per-request execution deadline (default 2m)")
 		cooldown   = fs.Duration("cooldown", 0, "scenario-class breaker cooldown (default 30s)")
-		retries    = fs.Int("retries", 0, "per-replication retry budget (0 = engine default of 1, negative disables)")
 		drainGrace = fs.Duration("drain-grace", 30*time.Second, "how long a drain lets in-flight work finish before checkpoint-cancel")
 		statusPath = fs.String("status", "", "also persist the health heartbeat to this JSON file")
 	)
@@ -55,7 +54,6 @@ func serveFlags(fs *flag.FlagSet) body {
 			CacheBytes:      *cacheMB << 20,
 			DefaultDeadline: *deadline,
 			BreakerCooldown: *cooldown,
-			Retries:         *retries,
 		})
 		if err != nil {
 			return err

@@ -60,6 +60,9 @@ func simFlags(fs *flag.FlagSet) body {
 				budget:  opt.RunBudget,
 			})
 		}
+		if set := setFlags(fs, "cell-policy", "cell-bad", "cell-horizon", "cell-oracle"); len(set) > 0 {
+			return fmt.Errorf("only -cell mode reads %s; add -cell N or drop them", strings.Join(set, " "))
+		}
 		if *reps < 1 {
 			return fmt.Errorf("-reps %d: need at least one replication", *reps)
 		}
@@ -78,7 +81,7 @@ func simFlags(fs *flag.FlagSet) body {
 
 		// One scenario run: at one worker the scheduler measures the
 		// replications in seed order on this goroutine, so last is the
-		// final one that counted. A quarantined scenario is the error.
+		// final one. A quarantined scenario is the error.
 		opt.Replications = *reps
 		var last *core.Result
 		recs, quar, err := experiment.RunScenario(ctx, opt, "wtcp sim", cfg, func(r *core.Result) { last = r })
@@ -90,9 +93,6 @@ func simFlags(fs *flag.FlagSet) body {
 				return fmt.Errorf("%w; raise -max-events/-run-deadline or pass -no-run-budget if the scenario is legitimately this heavy", quar.Err())
 			}
 			return quar.Err()
-		}
-		if failed := *reps - len(recs); failed > 0 {
-			fmt.Fprintf(stderr, "%d of %d replications failed; summary covers the rest\n", failed, *reps)
 		}
 		var tput, goodput, retrans, timeouts stats.Sample
 		for _, rec := range recs {

@@ -179,10 +179,11 @@ func TestRunWithConfigFileReplications(t *testing.T) {
 }
 
 // TestSimFailureMessages pins what sim says when replications fail: a
-// spent budget keeps the hint naming the flags that raise or lift it, a
-// summary over fewer replications than asked says how many it lost, and a
-// run the horizon cuts off is a failed replication, never a throughput
-// (its Summary would divide the whole transfer by the horizon).
+// spent budget keeps the hint naming the flags that raise or lift it, one
+// failed replication of several fails the command (no summary covers
+// fewer replications than asked), and a run the horizon cuts off is a
+// failed replication, never a throughput (its Summary would divide the
+// whole transfer by the horizon).
 func TestSimFailureMessages(t *testing.T) {
 	_, _, err := wtcp("sim", "-max-events", "3000", "-reps", "2")
 	if err == nil || !strings.Contains(err.Error(), "events budget exhausted") ||
@@ -190,15 +191,11 @@ func TestSimFailureMessages(t *testing.T) {
 		t.Errorf("budget-exhausted sim returned %v, want the budget error with its hint", err)
 	}
 
-	// An 18 s horizon cuts off one of these four 20 KB transfers, and its
-	// retry under a perturbed seed as well.
+	// An 18 s horizon cuts off one of these four 20 KB transfers.
 	path := writeScenario(t, `{"scheme": "basic", "transfer_kb": 20, "mean_bad": "4s", "horizon": "18s"}`)
 	out, errOut, err := wtcp("sim", "-config", path, "-reps", "4")
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if errOut != "1 of 4 replications failed; summary covers the rest\n" || !strings.Contains(out, "throughput") {
-		t.Errorf("partly failed sim:\nstdout:\n%s\nstderr:\n%s", out, errOut)
+	if err == nil || !strings.Contains(err.Error(), "transient: seed 3: transfer did not complete") || strings.Contains(out, "throughput") || errOut != "" {
+		t.Errorf("partly failed sim returned %v\nstdout:\n%s\nstderr:\n%s\nwant the failed seed's quarantine and no summary", err, out, errOut)
 	}
 
 	path = writeScenario(t, `{"scheme": "ebsn", "mean_bad": "2s", "horizon": "10s"}`)
@@ -299,6 +296,13 @@ func TestSimConfigRefusesScenarioFlags(t *testing.T) {
 	}
 	if out, _, err := wtcp("sim", "-cell", "50", "-cell-policy", "fifo", "-seed", "3", "-json", "-max-events", "100000000"); err != nil || !strings.Contains(out, `"completed_flows":50`) {
 		t.Errorf("-cell with the flags it reads: %v\n%s", err, out)
+	}
+	_, _, err = wtcp("sim", "-cell-policy", "bogus", "-cell-oracle", "5", "-cell-bad", "1s", "-cell-horizon", "10s", "-transfer", "20", "-bad", "1s")
+	if err == nil || !strings.Contains(err.Error(), "only -cell mode reads -cell-bad -cell-horizon -cell-oracle -cell-policy; add -cell N") {
+		t.Errorf("every cell flag without -cell returned %v, want one refusal naming all four", err)
+	}
+	if _, _, err := wtcp("sim", "-cell-oracle", "0", "-transfer", "20"); err == nil || !strings.Contains(err.Error(), "reads -cell-oracle;") {
+		t.Errorf("a default-valued -cell-oracle without -cell returned %v, want it refused", err)
 	}
 	path := writeScenario(t, `{"scheme": "ebsn", "transfer_kb": 20, "mean_bad": "1s", "seed": 5}`)
 	_, _, err = wtcp("sim", "-config", path, "-seed", "9", "-lan", "-scheme", "basic", "-variant", "reno",

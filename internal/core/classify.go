@@ -9,10 +9,10 @@ import (
 
 // This file is the supervision layer's failure taxonomy: every error a
 // run can produce maps to one class, and the class — not the concrete
-// error type — drives the experiment engine's policy. Transient
-// failures are retried with a perturbed seed, protocol bugs fail fast
-// and emit a repro bundle, resource exhaustion trips the per-point
-// circuit breaker and quarantines the point, and cancellation
+// error type — drives the experiment engine's policy. Protocol bugs
+// and panics fail fast and emit a repro bundle, transient failures and
+// resource exhaustion quarantine the point (a host ceiling — wall
+// clock, heap — after one re-run under the same seed), and cancellation
 // propagates untouched. Keeping the mapping here, next to the error
 // types' producers, means a new failure mode cannot silently land in
 // the wrong policy: it must be placed in the table below.
@@ -28,10 +28,10 @@ const (
 	// the implementation is wrong, not unlucky. Fail fast, keep the
 	// repro bundle.
 	ClassProtocolBug FailureClass = "protocol-bug"
-	// ClassTransient marks a failure that a different seed may avoid —
-	// a watchdog stall (the scenario's faults wedged this particular
-	// sample path) or an unrecognized error. Retried with a perturbed
-	// seed.
+	// ClassTransient marks a failure of this sample path that is not a
+	// bug — a watchdog stall (the scenario's faults wedged it) or an
+	// unrecognized error. The seed is the sample, so it is not re-run
+	// under another: the point is quarantined.
 	ClassTransient FailureClass = "transient"
 	// ClassResourceExhausted marks a run halted by a resource budget
 	// (events, virtual time, wall clock, or heap). Feeds the per-point
@@ -74,9 +74,8 @@ func Classify(err error) FailureClass {
 	case errors.As(err, &stallErr):
 		return ClassTransient
 	default:
-		// Unrecognized errors get the benefit of the doubt: a perturbed
-		// seed costs one retry, and a deterministic failure still ends
-		// up quarantined (never dropped) once retries are exhausted.
+		// Unrecognized errors get the benefit of the doubt: the point
+		// is quarantined (never dropped) rather than failing the sweep.
 		return ClassTransient
 	}
 }

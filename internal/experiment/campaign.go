@@ -39,9 +39,6 @@ type Campaign struct {
 	PacketSizes []int `json:"packet_sizes,omitempty"`
 	// BadPeriods overrides the swept bad-period axis ("1s", "800ms").
 	BadPeriods []string `json:"bad_periods,omitempty"`
-	// Retries bounds per-replication retries (engine semantics:
-	// 0 = default of 1, negative disables).
-	Retries int `json:"retries,omitempty"`
 	// Checks and Oracle arm runtime invariant checking and the
 	// conformance oracle inside every replication.
 	Checks bool `json:"checks,omitempty"`
@@ -145,7 +142,6 @@ func (c Campaign) Options() (Options, error) {
 		BaseSeed:     c.BaseSeed,
 		Transfer:     units.ByteSize(c.TransferKB) * units.KB,
 		BadPeriods:   bads,
-		Retries:      c.Retries,
 		Checks:       c.Checks,
 		Oracle:       c.Oracle,
 	}

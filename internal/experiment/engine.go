@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	"wtcp/internal/core"
 	"wtcp/internal/repro"
@@ -30,24 +29,24 @@ import (
 //     checksummed append to the ledger's record log (Ledger.Settle,
 //     checkpoint.go), so a killed sweep resumes from the last finished
 //     point with byte-identical output;
-//   - retries a failed replication with a perturbed seed (retrying a
-//     deterministic failure with the same seed can never succeed) and
-//     records the substituted seed in the point's metadata — except one
-//     a resource budget stopped, which retries under its own seed;
+//   - runs replication k under seed BaseSeed+k and no other: a failed
+//     replication settles its point (a quarantine or a failed sweep)
+//     rather than being replaced or dropped, so a measured point holds
+//     every one of its seeds;
 //   - stops cleanly between simulations when ctx ends, without
 //     checkpointing a half-run point;
 //   - captures a repro bundle (internal/repro) for every replication
-//     that exhausts its retries, so the failure can be replayed and
-//     shrunk offline with wtcp repro.
+//     that fails, so the failure can be replayed and shrunk offline
+//     with wtcp repro.
 
 // A replication runs one seeded simulation for the scheduler, the only
 // loop over seeds in this package, which never learns which simulator
 // it drives (DESIGN.md "One replication loop"). seed is the 1-based
-// replication index, plus a multiple of retrySeedOffset on a retry; the
-// function adds the campaign's BaseSeed itself. budget layers the
-// engine's ceilings under whatever budget the run carries
-// (Options.runBudget); the function runs under what it returns. A panic
-// under it is recovered into a *core.PanicError with a zero repRun.
+// replication index; the function adds the campaign's BaseSeed itself.
+// budget layers the engine's ceilings under whatever budget the run
+// carries (Options.runBudget); the function runs under what it returns.
+// A panic under it is recovered into a *core.PanicError with a zero
+// repRun.
 type replication func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error)
 
 // repRun is what one attempt reports. seed, events and bundle are
@@ -64,8 +63,8 @@ type repRun struct {
 // holds float64 bit patterns (math.Float64bits) in the sweep-defined
 // metric order: unlike decimal JSON floats, bit patterns reload exactly,
 // which is what makes a resumed sweep byte-identical to an uninterrupted
-// one. Seed is the core.Config seed the replication actually ran with —
-// for a retried replication, the perturbed substitute. Exported so the
+// one. Seed is the core.Config seed the replication ran with, its own
+// (BaseSeed plus its 1-based index). Exported so the
 // fleet layer (internal/fleet) can carry records between workers and the
 // coordinator's ledger.
 type RepRecord struct {
@@ -82,32 +81,25 @@ func bitsOf(vs []float64) []uint64 {
 	return out
 }
 
-// runRep executes one replication: run at seed, then re-run at once (a
-// pause would only hold the slot idle) up to the retry budget when an
-// attempt fails retryably (transient or resource-exhausted classes, or
-// a watchdog abort). A retry runs under a perturbed seed, except after a
-// budget stopped the attempt: a perturbed seed would measure another
-// experiment than an unbudgeted run, while the same seed can only finish
-// where the ceiling was the host's (wall clock, heap).
-// Fail-fast classes — protocol-bug and panic — skip the
-// retry loop entirely: a deterministic correctness failure retried
-// under a perturbed seed would only bury the bug. A replication that
-// fails permanently is captured as a repro bundle (when ReproDir is
-// set) and returned as a *repFailure carrying its class and attempt
-// count, which the point's circuit breaker (verdict) inspects.
+// runRep executes one replication under its own seed, never another:
+// the seed is the sample. The one re-run is at once (a pause would only
+// hold the slot idle), once, under the same seed, after a host ceiling
+// (wall clock, heap) stopped the attempt, the only failure that seed can
+// finish past; a watchdog stall, an incomplete transfer and an events or
+// virtual-time ceiling recur under it. A failed replication is captured
+// as a repro bundle (when ReproDir is set) and returned as a *repFailure
+// carrying its class and attempt count, from which the point's verdict
+// fails the sweep (protocol-bug, panic) or quarantines the point.
 func runRep(ctx context.Context, opt Options, key string, run replication, seed int64) (RepRecord, error) {
-	var last repFailure
-	var lastBundle func() *repro.Bundle
-	attemptSeed := seed
-	for attempt := 0; attempt <= opt.retries(); attempt++ {
+	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return RepRecord{}, err
 		}
-		if attempt > 0 {
+		if attempt > 1 {
 			opt.Health.noteRetry()
 		}
-		hid := opt.Health.runStarted(key, attemptSeed)
-		out, err := runAttempt(ctx, opt, run, attemptSeed)
+		hid := opt.Health.runStarted(key, seed)
+		out, err := runAttempt(ctx, opt, run, seed)
 		opt.Health.runFinished(hid, out.events, err == nil && out.abort == "")
 		class := core.Classify(err)
 		switch {
@@ -116,23 +108,18 @@ func runRep(ctx context.Context, opt Options, key string, run replication, seed 
 		case err == nil && out.abort == "":
 			return RepRecord{Seed: out.seed, Values: bitsOf(out.values)}, nil
 		case err == nil:
-			// Virtual-time stall killed by the watchdog: transient shape,
-			// retry under a perturbed seed.
+			// Virtual-time stall killed by the watchdog.
 			summary, _, _ := strings.Cut(out.abort, "\n")
 			err = fmt.Errorf("watchdog abort: %s", summary)
 			class = core.ClassTransient
 		}
-		last = repFailure{err: fmt.Errorf("seed %d: %w", out.seed, err), class: class, attempts: attempt + 1}
-		lastBundle = out.bundle
-		if failFast(class) {
-			break
+		var be *sim.BudgetError
+		if attempt == 1 && errors.As(err, &be) && (be.Kind == sim.BudgetWall || be.Kind == sim.BudgetHeap) {
+			continue
 		}
-		if class != core.ClassResourceExhausted {
-			attemptSeed = seed + int64(attempt+1)*retrySeedOffset
-		}
+		emitBundle(opt, key, seed, out.bundle)
+		return RepRecord{}, &repFailure{err: fmt.Errorf("seed %d: %w", out.seed, err), class: class, attempts: attempt}
 	}
-	emitBundle(opt, key, seed, lastBundle)
-	return RepRecord{}, &last
 }
 
 // Splitmix64 is the standard 64-bit finalizer used to turn an identity
@@ -142,21 +129,6 @@ func Splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// SleepCtx waits d or until ctx ends, whichever comes first.
-func SleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // runAttempt runs one attempt under the engine's resolved resource

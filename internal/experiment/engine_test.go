@@ -2,14 +2,16 @@ package experiment
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,51 +180,8 @@ func stubRunSim(t *testing.T, fn func(ctx context.Context, cfg core.Config) (*co
 	t.Cleanup(func() { runSim = orig })
 }
 
-// TestRetryPerturbsAndRecordsSeed: a failed replication must be retried
-// with a perturbed seed, and the substituted seed must appear in the
-// point's records instead of the original.
-func TestRetryPerturbsAndRecordsSeed(t *testing.T) {
-	const baseSeed = 100
-	failing := int64(baseSeed + 1) // replication 1's first-attempt seed
-	stubRunSim(t, func(ctx context.Context, cfg core.Config) (*core.Result, error) {
-		if cfg.Seed == failing {
-			return nil, errors.New("synthetic deterministic failure")
-		}
-		r := &core.Result{Completed: true}
-		r.Summary.ThroughputKbps = float64(cfg.Seed) // distinguishable payload
-		r.Summary.Goodput = 1
-		return r, nil
-	})
-	opt := Options{
-		Replications: 2,
-		BaseSeed:     baseSeed,
-		Retries:      1,
-		PacketSizes:  []units.ByteSize{512},
-		BadPeriods:   []time.Duration{time.Second},
-	}
-	points, err := Fig7(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 1 {
-		t.Fatalf("points = %d, want 1", len(points))
-	}
-	wantSeeds := []int64{failing + retrySeedOffset, baseSeed + 2}
-	out, err := RunPointSpec(context.Background(), opt, PointSpec{Sweep: SweepFig7, Scheme: "basic", Bad: time.Second, Size: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := seedsOf(out.Reps); !slices.Equal(got, wantSeeds) {
-		t.Errorf("seeds = %v, want %v (retried rep shows its substituted seed)", got, wantSeeds)
-	}
-	// The sample really came from the perturbed run, not the failed one.
-	if m := points[0].ThroughputKbps.Mean(); m != float64(wantSeeds[0]+wantSeeds[1])/2 {
-		t.Errorf("sample mean %v does not match the substituted-seed runs", m)
-	}
-}
-
-// TestBundleEmittedOnPermanentFailure: a replication that exhausts its
-// retries must leave a replayable bundle in ReproDir.
+// TestBundleEmittedOnPermanentFailure: a failed replication must leave
+// a replayable bundle in ReproDir.
 func TestBundleEmittedOnPermanentFailure(t *testing.T) {
 	stubRunSim(t, func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		return nil, errors.New("synthetic permanent failure")
@@ -230,7 +189,6 @@ func TestBundleEmittedOnPermanentFailure(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{
 		Replications: 1,
-		Retries:      -1,
 		ReproDir:     dir,
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},
@@ -284,67 +242,100 @@ func enginesUnderTest(t *testing.T) map[string]replication {
 	}
 }
 
-// TestFailurePolicyIsEngineBlind runs the loop's failure policy — retry
-// under a perturbed seed, skip, quarantine, fail fast — over every
-// simulator it drives: an attempt whose loop seed the case names fails
-// with the case's error instead of running, the others really run.
+// TestFailurePolicyIsEngineBlind runs the loop's failure policy over
+// every simulator it drives: each failure shape a replication can meet,
+// injected into one replication (the case's failing seed, on every
+// attempt unless once is set), while the others really run. Every
+// attempt runs its replication's own seed; only a host ceiling (wall
+// clock, heap) earns a second attempt; and a point is measured whole or
+// not at all — quarantined, or failing the sweep for a bug.
 func TestFailurePolicyIsEngineBlind(t *testing.T) {
-	transient := errors.New("synthetic failure")
-	bug := &sim.CheckError{Name: "conservation", Err: errors.New("synthetic violation")}
-	firstAttemptOfRep1 := func(seed int64) bool { return seed == 1 }
-	everyAttemptOfRep1 := func(seed int64) bool { return seed%retrySeedOffset == 1 }
-	always := func(int64) bool { return true }
+	budget := func(kind string) error { return &sim.BudgetError{Kind: kind, Limit: 3000, Value: 3001} }
 	cases := []struct {
-		name      string
-		fails     func(seed int64) bool
-		err       error
-		wantSeeds []int64 // the settled replications, by the seed they ran with
-		wantQuar  core.FailureClass
-		wantErr   string
-		wantRuns  int64 // attempts made, failed ones included
+		name     string
+		reps     int   // replications of the point (default 2)
+		failing  int64 // the loop seed of the replication that fails (default 1)
+		once     bool  // the failure clears on the replication's second attempt
+		err      error // returned by the failing attempt; nil: see abort and panic
+		abort    string
+		panic    bool
+		attempts int               // the failing replication's attempts
+		wantQuar core.FailureClass // "" and no wantErr: measured
+		ceiling  string
+		wantErr  string
 	}{
-		{name: "a transient failure is retried under a perturbed seed", fails: firstAttemptOfRep1, err: transient,
-			wantSeeds: []int64{101 + retrySeedOffset, 102}, wantRuns: 3},
-		{name: "a replication that keeps failing is skipped and n shrinks", fails: everyAttemptOfRep1, err: transient,
-			wantSeeds: []int64{102}, wantRuns: 3},
-		{name: "every replication failing quarantines a supervised point", fails: always, err: transient,
-			wantQuar: core.ClassTransient, wantRuns: 4},
-		{name: "a protocol bug fails fast even under supervision", fails: firstAttemptOfRep1, err: bug,
-			wantErr: "protocol-bug", wantRuns: 2},
+		{name: "a transient failure quarantines the point", err: errors.New("synthetic failure"),
+			attempts: 1, wantQuar: core.ClassTransient},
+		{name: "a watchdog abort quarantines the point", abort: "no progress for 2m0s\nsnapshot",
+			attempts: 1, wantQuar: core.ClassTransient},
+		{name: "an incomplete transfer quarantines the point", err: errIncomplete,
+			attempts: 1, wantQuar: core.ClassTransient},
+		{name: "an events ceiling quarantines at once", err: budget(sim.BudgetEvents),
+			attempts: 1, wantQuar: core.ClassResourceExhausted, ceiling: sim.BudgetEvents},
+		{name: "a virtual-time ceiling quarantines at once", err: budget(sim.BudgetVirtual),
+			attempts: 1, wantQuar: core.ClassResourceExhausted, ceiling: sim.BudgetVirtual},
+		{name: "a wall-clock ceiling hit twice quarantines", err: budget(sim.BudgetWall),
+			attempts: 2, wantQuar: core.ClassResourceExhausted, ceiling: sim.BudgetWall},
+		{name: "a heap ceiling hit twice quarantines", err: budget(sim.BudgetHeap),
+			attempts: 2, wantQuar: core.ClassResourceExhausted, ceiling: sim.BudgetHeap},
+		{name: "a wall-clock ceiling its re-run clears is measured", err: budget(sim.BudgetWall), once: true,
+			attempts: 2},
+		{name: "a protocol bug fails fast even under supervision",
+			err:      &sim.CheckError{Name: "conservation", Err: errors.New("synthetic violation")},
+			attempts: 1, wantErr: "protocol-bug"},
+		{name: "a panic fails fast", panic: true, attempts: 1, wantErr: "panic"},
+		{name: "every replication failing quarantines a supervised point", failing: -1, err: errors.New("synthetic failure"),
+			attempts: 1, wantQuar: core.ClassTransient},
+		{name: "one failed replication of five quarantines, never averages four", reps: 5, failing: 3, err: errors.New("synthetic failure"),
+			attempts: 1, wantQuar: core.ClassTransient},
 	}
 	for engine, run := range enginesUnderTest(t) {
 		for _, tc := range cases {
 			t.Run(engine+"/"+tc.name, func(t *testing.T) {
-				var runs atomic.Int64
+				reps, failing := cmp.Or(tc.reps, 2), cmp.Or(tc.failing, 1)
+				var mu sync.Mutex
+				tries := map[int64]int{} // attempts by loop seed
 				faulty := func(ctx context.Context, seed int64, budget func(sim.Budget) sim.Budget) (repRun, error) {
-					runs.Add(1)
-					if tc.fails(seed) {
-						return repRun{seed: 100 + seed}, tc.err
+					mu.Lock()
+					tries[seed]++
+					n := tries[seed]
+					mu.Unlock()
+					if (seed != failing && failing != -1) || (tc.once && n > 1) {
+						return run(ctx, seed, budget)
 					}
-					return run(ctx, seed, budget)
+					if tc.panic {
+						panic("synthetic panic")
+					}
+					return repRun{seed: 100 + seed, abort: tc.abort}, tc.err
 				}
-				opt := Options{Replications: 2}
-				var reps []RepRecord
-				var quar *Quarantine
-				outs, err := (*Ledger)(nil).settle(context.Background(), opt, []point{{"policy/" + engine, faulty}}, nil)
-				if err == nil {
-					reps, quar = outs[0].Reps, outs[0].Quarantine
+				outs, err := (*Ledger)(nil).settle(context.Background(), Options{Replications: reps}, []point{{"policy/" + engine, faulty}}, nil)
+
+				want := map[int64]int{}
+				for k := int64(1); k <= int64(reps); k++ {
+					want[k] = 1
+					if k == failing || failing == -1 {
+						want[k] = tc.attempts
+					}
 				}
-				if got := runs.Load(); got != tc.wantRuns {
-					t.Errorf("%d attempts, want %d", got, tc.wantRuns)
+				if !maps.Equal(tries, want) {
+					t.Errorf("attempts by loop seed %v, want %v: each replication its own seed, a second attempt only after a host ceiling", tries, want)
 				}
 				switch {
 				case tc.wantErr != "":
-					if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, tc.err) {
-						t.Errorf("err = %v, want %q wrapping the injected error", err, tc.wantErr)
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Errorf("err = %v, want a %s failure", err, tc.wantErr)
 					}
+				case err != nil:
+					t.Fatalf("settle: %v", err)
 				case tc.wantQuar != "":
-					if err != nil || quar == nil || quar.Class != string(tc.wantQuar) || quar.Attempts != 2 {
-						t.Errorf("quarantine = %+v, err = %v; want class %s after 2 attempts", quar, err, tc.wantQuar)
+					q := outs[0].Quarantine
+					if q == nil || len(outs[0].Reps) != 0 || q.Class != string(tc.wantQuar) || q.Attempts != tc.attempts || q.Ceiling != tc.ceiling {
+						t.Errorf("outcome %+v, quarantine %+v; want class %s after %d attempt(s), ceiling %q, and no replications",
+							outs[0], q, tc.wantQuar, tc.attempts, tc.ceiling)
 					}
 				default:
-					if err != nil || quar != nil || !slices.Equal(seedsOf(reps), tc.wantSeeds) {
-						t.Errorf("seeds = %v, quarantine = %+v, err = %v; want seeds %v", seedsOf(reps), quar, err, tc.wantSeeds)
+					if got := seedsOf(outs[0].Reps); outs[0].Quarantine != nil || !slices.Equal(got, []int64{101, 102}) {
+						t.Errorf("measured seeds %v, quarantine %+v; want seeds [101 102]", got, outs[0].Quarantine)
 					}
 				}
 			})

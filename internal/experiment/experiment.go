@@ -68,10 +68,6 @@ type Options struct {
 	// paper's.
 	PacketSizes []units.ByteSize
 	BadPeriods  []time.Duration
-	// Retries bounds how many times a failed or watchdog-aborted
-	// replication is re-run with fresh randomness before being skipped
-	// (default 1; negative disables retrying).
-	Retries int
 	// Checks enables runtime invariant checking inside every run (see
 	// core.Config.Checks). A violation fails the replication.
 	Checks bool
@@ -159,8 +155,8 @@ func (o Options) LANBadAxis() []time.Duration {
 // is stored, and CheckpointFor derives file names from it.
 func (o Options) fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v1 reps=%d seed=%d transfer=%d retries=%d checks=%v oracle=%v",
-		o.Replications, o.BaseSeed, o.Transfer, o.retries(), o.Checks, o.Oracle)
+	fmt.Fprintf(&b, "v1 reps=%d seed=%d transfer=%d checks=%v oracle=%v",
+		o.Replications, o.BaseSeed, o.Transfer, o.Checks, o.Oracle)
 	fmt.Fprintf(&b, " sizes=%v wanBads=%v lanBads=%v",
 		o.SizeAxis(), o.WANBadAxis(), o.LANBadAxis())
 	return b.String()
@@ -330,23 +326,6 @@ func (o Options) configure(cfg core.Config, seed int64) core.Config {
 	cfg.Oracle = o.Oracle
 	return cfg
 }
-
-// retries resolves the per-replication retry budget.
-func (o Options) retries() int {
-	switch {
-	case o.Retries > 0:
-		return o.Retries
-	case o.Retries < 0:
-		return 0
-	default:
-		return 1
-	}
-}
-
-// retrySeedOffset pushes a retried replication's seed far outside the
-// normal per-point seed range, so retries draw fresh, disjoint randomness
-// instead of replaying the failure.
-const retrySeedOffset = int64(1) << 20
 
 // Fig7 reproduces Figure 7: basic-TCP throughput vs packet size.
 func Fig7(ctx context.Context, opt Options) ([]ThroughputPoint, error) {

@@ -196,7 +196,7 @@ func (h *Health) noteDuration(sec float64) {
 	h.durations = slices.Insert(h.durations, i, sec)
 }
 
-// noteRetry counts one perturbed-seed retry.
+// noteRetry counts one re-run after a host ceiling (wall clock, heap).
 func (h *Health) noteRetry() {
 	if h == nil {
 		return

@@ -3,47 +3,58 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wtcp/internal/core"
 	"wtcp/internal/recordlog"
+	"wtcp/internal/sim"
 	"wtcp/internal/units"
 )
 
-// TestRetriedSweepWritesIdenticalLedger: a retry runs at once, under
-// its perturbed seed, and leaves nothing clock-derived in its record,
-// so two runs of a sweep with a retried replication write identical
-// ledger bytes.
-func TestRetriedSweepWritesIdenticalLedger(t *testing.T) {
+// TestHostCeilingRetryRunsItsOwnSeed: a replication a wall-clock
+// ceiling stopped re-runs at once under its own seed, the point records
+// the seeds its replications ran, the sample comes from the re-run, and
+// nothing clock-derived lands in the record, so two runs of the sweep
+// write identical ledger bytes.
+func TestHostCeilingRetryRunsItsOwnSeed(t *testing.T) {
 	const baseSeed = 300
-	failing := int64(baseSeed + 1) // replication 1's first-attempt seed
+	failing := int64(baseSeed + 1) // replication 1's seed
+	var runs, failingRuns atomic.Int64
 	stubRunSim(t, func(ctx context.Context, cfg core.Config) (*core.Result, error) {
-		if cfg.Seed == failing {
-			return nil, errors.New("synthetic transient failure")
+		runs.Add(1)
+		// Replication 1's first attempt in each sweep hits the wall clock.
+		if cfg.Seed == failing && failingRuns.Add(1)%2 == 1 {
+			return nil, &sim.BudgetError{Kind: sim.BudgetWall, Limit: int64(time.Minute), Value: int64(time.Minute)}
 		}
 		r := &core.Result{Completed: true}
 		r.Summary.ThroughputKbps = float64(cfg.Seed)
 		r.Summary.Goodput = 1
 		return r, nil
 	})
+	health := NewHealth()
 	opt := Options{
 		Replications: 2,
 		BaseSeed:     baseSeed,
-		Retries:      1,
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},
+		Health:       health,
 	}
 	var path string
 	run := func(name string) []byte {
 		o := opt
 		o.Checkpoint = filepath.Join(t.TempDir(), name)
-		if _, err := Fig7(context.Background(), o); err != nil {
+		points, err := Fig7(context.Background(), o)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if m := points[0].ThroughputKbps.Mean(); m != float64(failing+failing+1)/2 {
+			t.Errorf("sample mean %v, want the mean of seeds %d and %d", m, failing, failing+1)
 		}
 		data, err := os.ReadFile(o.Checkpoint)
 		if err != nil {
@@ -55,12 +66,12 @@ func TestRetriedSweepWritesIdenticalLedger(t *testing.T) {
 	if first, second := run("a.json"), run("b.json"); !bytes.Equal(first, second) {
 		t.Error("two runs of the same sweep wrote different checkpoint bytes")
 	}
-	f := readLedger(t, path, opt)
-	if len(f.Points) != 1 || len(f.Points[0].Reps) != 2 {
-		t.Fatalf("checkpoint holds %+v, want 1 point with 2 reps", f.Points)
+	if n, snap := runs.Load(), health.Snapshot(); n != 6 || snap.Retried != 2 {
+		t.Errorf("%d runs and %d retries over two sweeps, want 6 and 2 (one same-seed re-run each)", n, snap.Retried)
 	}
-	if seed := f.Points[0].Reps[0].Seed; seed != failing+retrySeedOffset {
-		t.Errorf("retried rep ran seed %d, want perturbed %d", seed, failing+retrySeedOffset)
+	f := readLedger(t, path, opt)
+	if len(f.Points) != 1 || !slices.Equal(seedsOf(f.Points[0].Reps), []int64{failing, failing + 1}) {
+		t.Fatalf("checkpoint holds %+v, want 1 point with the seeds %d and %d", f.Points, failing, failing+1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -198,11 +199,14 @@ func (s *scheduler) run(u unit) {
 	s.noteSettled()
 }
 
-// verdict classifies a point from its records: the seed-ordered records
-// of the replications that succeeded; a quarantine when the breaker
-// trips (any replication resource-exhausted, or every one failed); or an
-// error — a fail-fast class, or the point's context ended (a partial
-// point reruns whole, keeping a resumed sweep identical).
+// verdict settles a point from its records. Each replication ran only
+// its own seed, so the point is measured only when every one succeeded:
+// a fail-fast class fails the sweep, any other classified failure
+// quarantines the point, and an unclassified one (the point's context
+// ended) fails the point, which reruns whole, keeping a resumed sweep
+// identical. The quarantine carries the most severe failure — a
+// resource exhaustion's, whose ceiling it must name — else the first in
+// seed order.
 func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 	if err := s.ctx.Err(); err != nil {
 		return PointOutcome{}, err
@@ -210,22 +214,15 @@ func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 	if err := p.ctx.Err(); err != nil {
 		return PointOutcome{}, err // an earlier point failed; its error is the answer
 	}
-	reps := make([]RepRecord, 0, len(p.reps))
-	var firstErr error
 	var breaker *repFailure
-	for k, err := range p.errs {
-		if err == nil {
-			reps = append(reps, p.reps[k])
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// Fail-fast classes dominate the point's verdict, then resource
-		// exhaustion, whose ceiling the quarantine must carry; otherwise
-		// keep the first classified failure (seed order) for the record.
+	var unclassified error
+	for _, err := range p.errs {
 		var rf *repFailure
-		if errors.As(err, &rf) && (breaker == nil || severity(rf.class) > severity(breaker.class)) {
+		switch {
+		case err == nil:
+		case !errors.As(err, &rf):
+			unclassified = cmp.Or(unclassified, err)
+		case breaker == nil || severity(rf.class) > severity(breaker.class):
 			breaker = rf
 		}
 	}
@@ -233,20 +230,19 @@ func (s *scheduler) verdict(p *pointState) (PointOutcome, error) {
 	switch {
 	case breaker != nil && failFast(breaker.class):
 		return PointOutcome{}, fmt.Errorf("experiment: point %q: %s: %w", p.key, breaker.class, breaker.err)
+	case unclassified != nil:
+		return PointOutcome{}, fmt.Errorf("experiment: point %q: %w", p.key, unclassified)
 	case exhausted && s.ctx.Err() != nil:
 		return PointOutcome{}, s.ctx.Err() // the caller's deadline or drain starved it
-	case exhausted || (breaker != nil && len(reps) == 0):
+	case breaker != nil:
 		q := &Quarantine{Key: p.key, Class: string(breaker.class), Attempts: breaker.attempts, Reason: breaker.err.Error()}
 		var be *sim.BudgetError
 		if exhausted && errors.As(breaker.err, &be) {
 			q.Ceiling, q.Limit = be.Kind, be.Limit
 		}
 		return PointOutcome{Key: p.key, Quarantine: q}, nil
-	case len(reps) == 0:
-		// Every replication was canceled, none classified.
-		return PointOutcome{}, fmt.Errorf("experiment: point %q: every replication failed: %w", p.key, firstErr)
 	}
-	return PointOutcome{Key: p.key, Reps: reps}, nil
+	return PointOutcome{Key: p.key, Reps: p.reps}, nil
 }
 
 // severity ranks the classes verdict lets trip the breaker.

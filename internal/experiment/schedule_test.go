@@ -95,7 +95,7 @@ func TestScheduleFirstErrorInIndexOrder(t *testing.T) {
 				}
 				return nil
 			})
-			_, err := (*Ledger)(nil).settle(context.Background(), Options{Replications: 1, Retries: -1}, points, borrow)
+			_, err := (*Ledger)(nil).settle(context.Background(), Options{Replications: 1}, points, borrow)
 			want := errLate
 			if tc.early != nil {
 				want = tc.early

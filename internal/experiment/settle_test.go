@@ -21,10 +21,10 @@ var settleSpec = PointSpec{Sweep: SweepFig7, Scheme: "basic", Bad: time.Second, 
 
 const settleKey = "wan/basic/bad=1s/size=512"
 
-// settleOpts: two replications, no retries, so a run count is exactly
-// a replication count.
+// settleOpts: two replications; only a wall-clock or heap ceiling
+// re-runs one, so otherwise a run count is exactly a replication count.
 func settleOpts() Options {
-	return Options{Replications: 2, Retries: -1}
+	return Options{Replications: 2}
 }
 
 // countRuns stubs the simulator with one whose measurements are a
@@ -229,8 +229,8 @@ func TestSettle(t *testing.T) {
 		if out.Quarantine == nil || out.Quarantine.Class != string(core.ClassResourceExhausted) || out.Reps != nil {
 			t.Fatalf("outcome = %+v, want a resource-exhausted quarantine", out)
 		}
-		if runs.Load() != 2 {
-			t.Errorf("%d runs, want 2", runs.Load())
+		if runs.Load() != 4 {
+			t.Errorf("%d runs, want 4 (each replication's wall-clock ceiling re-runs once)", runs.Load())
 		}
 		f := onDisk(t, path)
 		if len(f.Points) != 0 || len(f.Quarantined) != 1 || f.Quarantined[0] != *out.Quarantine {

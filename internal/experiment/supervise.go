@@ -14,18 +14,19 @@ import (
 // instead of a hung worker or a dead sweep. Every engine run, whoever
 // calls it, settles its points under this one policy.
 //
-// Policy, by failure class (core.Classify):
+// Policy, by failure class (core.Classify). Replication k runs seed
+// BaseSeed+k and no other, so one failed replication settles its point:
 //
-//	transient           retry with a perturbed seed, skip the
-//	                    replication when retries are exhausted; the
-//	                    breaker trips when every replication of the
-//	                    point is skipped
-//	protocol-bug, panic fail fast: no retries, emit a repro bundle,
-//	                    fail the sweep — the implementation is wrong
-//	resource-exhausted  retry under the same seed (a perturbed one
-//	                    would measure another experiment than an
-//	                    unbudgeted run); the circuit breaker trips
-//	                    after the point's attempts are spent
+//	transient           quarantine the point: a watchdog stall, an
+//	                    incomplete transfer or any unrecognized error
+//	                    recurs under the same seed
+//	protocol-bug, panic fail fast: emit a repro bundle, fail the
+//	                    sweep — the implementation is wrong
+//	resource-exhausted  re-run once under the same seed when the
+//	                    ceiling was the host's (wall clock, heap), the
+//	                    one that seed can finish past; quarantine the
+//	                    point on an events or virtual-time ceiling, or
+//	                    on a host ceiling hit twice
 //	canceled            propagate; the caller asked the sweep to stop
 //
 // A tripped breaker quarantines the point: it is recorded in the
@@ -61,8 +62,8 @@ type Quarantine struct {
 	// Class is the failure class that tripped the breaker
 	// (a core.FailureClass string).
 	Class string `json:"class"`
-	// Attempts is how many replication attempts were spent before the
-	// breaker tripped.
+	// Attempts is how many attempts the failed replication made: 2 after
+	// a host ceiling's re-run, else 1.
 	Attempts int `json:"attempts"`
 	// Reason is the final attempt's error.
 	Reason string `json:"reason"`

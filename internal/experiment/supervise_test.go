@@ -117,8 +117,8 @@ func TestGovernedSweepQuarantinesPathologicalPoint(t *testing.T) {
 	if q.Class != string(core.ClassResourceExhausted) {
 		t.Errorf("quarantine class = %s, want %s", q.Class, core.ClassResourceExhausted)
 	}
-	if q.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (initial + one perturbed retry)", q.Attempts)
+	if q.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1 (an events ceiling recurs under the same seed)", q.Attempts)
 	}
 	if !strings.Contains(q.Reason, "events budget") {
 		t.Errorf("reason %q does not name the exhausted budget", q.Reason)
@@ -196,7 +196,6 @@ func TestAllTransientFailuresQuarantineUnderSupervision(t *testing.T) {
 	health := NewHealth()
 	opt := Options{
 		Replications: 2,
-		Retries:      -1,
 		Health:       health,
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},
@@ -227,7 +226,6 @@ func TestProtocolBugFailsFastUnderSupervision(t *testing.T) {
 	health := NewHealth()
 	opt := Options{
 		Replications: 1,
-		Retries:      3,
 		Health:       health,
 		PacketSizes:  []units.ByteSize{512},
 		BadPeriods:   []time.Duration{time.Second},

@@ -204,7 +204,7 @@ func fetchCampaign(ctx context.Context, cfg WorkerConfig) (Campaign, error) {
 	var lastErr error
 	for attempt := 0; attempt < rpcMaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := experiment.SleepCtx(ctx, rpcBackoff(cfg.Name, attempt)); err != nil {
+			if err := sleepCtx(ctx, rpcBackoff(cfg.Name, attempt)); err != nil {
 				return Campaign{}, err
 			}
 		}
@@ -248,7 +248,7 @@ func callJSON(ctx context.Context, cfg WorkerConfig, path string, reqBody, reply
 	var lastErr error
 	for attempt := 0; attempt < rpcMaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := experiment.SleepCtx(ctx, rpcBackoff(cfg.Name+path, attempt)); err != nil {
+			if err := sleepCtx(ctx, rpcBackoff(cfg.Name+path, attempt)); err != nil {
 				return err
 			}
 		}
@@ -295,4 +295,16 @@ func rpcBackoff(salt string, attempt int) time.Duration {
 	h.Write([]byte(salt))
 	x := experiment.Splitmix64(h.Sum64() ^ uint64(attempt)<<40)
 	return d + time.Duration(x%uint64(d/2+1))
+}
+
+// sleepCtx waits d or until ctx ends, whichever comes first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }

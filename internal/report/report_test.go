@@ -66,7 +66,7 @@ func TestQuickReportListsQuarantines(t *testing.T) {
 	}
 	_, section, _ := strings.Cut(md, "## Quarantined points\n\n")
 	section, _, _ = strings.Cut(section, "## Claim-by-claim verdicts")
-	rows := strings.Count(section, "| resource-exhausted | 2 | (local) | ")
+	rows := strings.Count(section, "| resource-exhausted | 1 | (local) | ")
 	if rows == 0 || !strings.Contains(section, fmt.Sprintf("The circuit breaker removed %d point(s)", rows)) ||
 		!strings.Contains(section, "| `wan/basic/bad=1s/size=128` |") {
 		t.Errorf("quarantine section lists %d resource-exhausted rows:\n%s", rows, section)

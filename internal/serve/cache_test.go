@@ -162,7 +162,6 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 	// A sweep is addressed by the grid it resolves to, not its spelling.
 	for _, body := range []string{
 		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4000ms"]}}`,
-		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"retries":1}}`,
 		`{"campaign":{"sweeps":["fig7"],"replications":2,"bad_periods":["4s"],"packet_sizes":[128,256,384,512,640,768,896,1024,1152,1280,1408,1536]}}`,
 	} {
 		if got := fp(body); got != base {

@@ -105,13 +105,8 @@ func (s *Server) runQuery(req RunRequest, c scenario.File, cfg core.Config, body
 	}
 }
 
-// sweepQuery binds a validated sweep request into the pipeline. A
-// campaign that leaves retries at 0 runs, and is addressed, at the
-// server's retry budget, as its point ledger is.
+// sweepQuery binds a validated sweep request into the pipeline.
 func (s *Server) sweepQuery(req SweepRequest, c experiment.Campaign, body []byte) query {
-	if c.Retries == 0 {
-		c.Retries = s.cfg.Retries
-	}
 	opt, _ := c.Options() // ParseSweepRequest validated the campaign
 	return query{
 		kind:        "sweep",
@@ -127,14 +122,11 @@ func (s *Server) sweepQuery(req SweepRequest, c experiment.Campaign, body []byte
 }
 
 // engineOptions layers the server's execution policy over a request's
-// result-affecting options: health telemetry, repro capture and the
-// retry budget default. The request deadline is the run context's.
+// result-affecting options: health telemetry and repro capture. The
+// request deadline is the run context's.
 func (s *Server) engineOptions(opt experiment.Options) experiment.Options {
 	opt.Health = s.health
 	opt.ReproDir = s.reproDir()
-	if opt.Retries == 0 {
-		opt.Retries = s.cfg.Retries
-	}
 	return opt
 }
 

@@ -96,14 +96,15 @@ func mustJSON(t *testing.T, v any) json.RawMessage {
 // does its bad-period axis re-spelled by time.Duration.String. The
 // seeds are the README's manifest, the measurement spine's wan_ladder
 // campaign (full and smoke), a budgeted fig9 campaign and known
-// refusals, a manifest naming supervise among them.
+// refusals, manifests naming supervise and retries among them.
 func FuzzSweepRequest(f *testing.F) {
 	for _, c := range []string{
 		`{"sweeps": ["fig7", "lan"], "replications": 10, "transfer_kb": 1000, "bad_periods": ["1s", "4s"]}`,
 		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000}`,
 		`{"sweeps":["fig7","fig8"],"replications":1,"base_seed":100000,"packet_sizes":[256,1024],"bad_periods":["1s","4s"]}`,
-		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"supervise":true,` +
+		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"supervise":true,` +
 			`"budget":{"max_events":3000,"wall_clock":"off"}}`, // refused: supervise is no field
+		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":1}`, // refused: retries is no field
 		`{"sweeps":[]}`,
 		`{"sweeps":["fig99"]}`,
 		`{"sweeps":["fig7"],"replications":65}`,
@@ -116,7 +117,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"sweeps":["fig7"],"packet_sizes":[512,512]}`,
 		`{"sweeps":["fig7"],"bad_periods":["1s","1000ms"]}`,
 		`null`,
-		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"retries":-1,"budget":{"max_events":3000,"wall_clock":"off"}}`,
+		`{"sweeps":["fig9"],"replications":2,"transfer_kb":50,"budget":{"max_events":3000,"wall_clock":"off"}}`,
 	} {
 		f.Add([]byte(`{"campaign":` + c + `}`))
 		f.Add([]byte(`{"campaign":` + c + `,"deadline_ms":500}`))
@@ -348,6 +349,8 @@ func FuzzJournalReplay(f *testing.F) {
 		{run, run, fmt.Sprintf("T%064x", 3), run},
 		{put("run", `{"scenario":{"preset":"mars"}}`), put("sweep", `{"campaign":{"sweeps":["fig7","fig7"]}}`), put("advise", `{"bad":"-1s"}`)},
 		{put("nap", `{}`), `P{"kind":"run","fingerprint":"short","body":{}}`, `P{`, "X", "", "T"},
+		// A sweep an earlier build journaled with its retry budget.
+		{put("sweep", `{"campaign":{"sweeps":["fig7"],"replications":1,"packet_sizes":[512],"bad_periods":["1s"],"retries":1}}`), run},
 	} {
 		f.Add([]byte(strings.Join(recs, "\x00")))
 	}

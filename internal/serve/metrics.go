@@ -70,7 +70,7 @@ func (m *metrics) render(s *Server) string {
 	snap := s.health.Snapshot()
 	counter("engine_completed_total", "Replications the engine completed.", snap.Completed)
 	counter("engine_failed_total", "Replication attempts that failed or aborted.", snap.Failed)
-	counter("engine_retried_total", "Perturbed-seed retries.", snap.Retried)
+	counter("engine_retried_total", "Same-seed re-runs after a wall-clock or heap ceiling.", snap.Retried)
 	counter("engine_quarantined_total", "Points quarantined by the circuit breaker.", snap.Quarantined)
 	counter("engine_events_processed_total", "Kernel events fired across all replications.", snap.EventsProcessed)
 	gauge("engine_active_runs", "Replications in flight.", int64(len(snap.ActiveRuns)))

@@ -82,9 +82,6 @@ type Config struct {
 	// BreakerCooldown is how long a resource-exhausted scenario class
 	// is rejected at admission (default 30s).
 	BreakerCooldown time.Duration
-	// Retries is the engine per-replication retry budget (engine
-	// semantics: 0 means the default of 1, negative disables).
-	Retries int
 	// Health receives run telemetry and backs /healthz; a fresh
 	// collector is created when nil.
 	Health *experiment.Health
@@ -462,7 +459,6 @@ func (s *Server) pointLedger(opt experiment.Options) (*experiment.Ledger, error)
 		Replications: opt.Replications,
 		BaseSeed:     opt.BaseSeed,
 		Transfer:     opt.Transfer,
-		Retries:      opt.Retries,
 		Checks:       opt.Checks,
 		Oracle:       opt.Oracle,
 		RunBudget:    opt.RunBudget,

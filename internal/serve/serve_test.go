@@ -163,8 +163,15 @@ func TestMalformedRequestsAnswer400AndNeverAdmit(t *testing.T) {
 			t.Errorf("body %.60q: HTTP %d (%s), want 400", body, resp.StatusCode, data)
 		}
 	}
-	if resp, _ := post(t, ts, "/v1/sweep", []byte(`{"campaign":{"sweeps":["fig99"]}}`)); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown sweep: HTTP %d, want 400", resp.StatusCode)
+	for _, tc := range []struct{ body, names string }{
+		{`{"campaign":{"sweeps":["fig99"]}}`, "fig99"},
+		// The engine runs each replication under its own seed only; a
+		// campaign that still names a retry budget is refused by field.
+		{`{"campaign":{"sweeps":["fig7"],"retries":1}}`, `unknown field \"retries\"`},
+	} {
+		if resp, data := post(t, ts, "/v1/sweep", []byte(tc.body)); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming %s", tc.body, resp.StatusCode, data, tc.names)
+		}
 	}
 	if got := srv.met.accepted.Load(); got != 0 {
 		t.Errorf("malformed requests admitted %d times", got)
@@ -508,9 +515,8 @@ func TestAdviseRefinesFromSweepPoints(t *testing.T) {
 
 // TestSweepAddressedByResolvedGrid: one server answers a campaign and
 // its re-spelling ("1000ms" for "1s") under one fingerprint from one
-// cache entry, refuses a repeated axis value or sweep with a 400 that
-// names it, and addresses a campaign that leaves retries at 0 at the
-// server's retry budget, which is what its point ledger runs.
+// cache entry, and refuses a repeated axis value or sweep with a 400
+// that names it.
 func TestSweepAddressedByResolvedGrid(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), nil)
 	ts := httptest.NewServer(srv.Handler())
@@ -550,17 +556,5 @@ func TestSweepAddressedByResolvedGrid(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.names)) {
 			t.Errorf("%s: HTTP %d %s, want 400 naming %q", tc.fields, resp.StatusCode, body, tc.names)
 		}
-	}
-
-	budget := &Server{cfg: Config{Retries: 3}}
-	fp := func(retries int) string {
-		req, c, err := ParseSweepRequest(campaign(fmt.Sprintf(`"sweeps":["fig7"],"retries":%d`, retries)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return budget.sweepQuery(req, c, nil).fp
-	}
-	if fp(0) != fp(3) || fp(0) == fp(1) {
-		t.Error("a campaign's address does not follow the server's retry budget")
 	}
 }

@@ -118,7 +118,7 @@ func TestSweepSameBytesOnOneAndTwoSlots(t *testing.T) {
 	// The 128-byte point needs over 4 000 events at any seed, the others
 	// under 2 000 (see TestSweepQuarantinesExhaustedPoint): it is
 	// quarantined between the others.
-	quarantining := []byte(`{"campaign":{"sweeps":["fig7"],"replications":2,"transfer_kb":50,"retries":-1,` +
+	quarantining := []byte(`{"campaign":{"sweeps":["fig7"],"replications":2,"transfer_kb":50,` +
 		`"packet_sizes":[1536,128,1024,768],"bad_periods":["1s"],"budget":{"max_events":3000}}}`)
 	for _, tc := range []struct {
 		name, method, path string
@@ -228,7 +228,7 @@ func TestSweepMatchesSequentialEngine(t *testing.T) {
 // larger ones (under 2 000); the sizes are listed largest first, so the
 // quarantine is the last point.
 func TestSweepQuarantinesExhaustedPoint(t *testing.T) {
-	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,` +
+	campaign := []byte(`{"campaign":{"sweeps":["fig7"],"replications":1,"transfer_kb":50,` +
 		`"packet_sizes":[1536,1024,768,128],"bad_periods":["1s"],"budget":{"max_events":3000}}}`)
 	code1, one, _ := settleOnSlots(t, 1, http.MethodPost, "/v1/sweep", campaign)
 	code2, two, srv := settleOnSlots(t, 2, http.MethodPost, "/v1/sweep", campaign)
@@ -291,7 +291,7 @@ func TestSweepQuarantinesExhaustedPoint(t *testing.T) {
 // measures the point, and the budgeted repeat then gets that
 // measurement, as a CLI resume does.
 func TestBudgetedQuarantineAnswersOnlyItsBudget(t *testing.T) {
-	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,"packet_sizes":[1536,128],"bad_periods":["1s"]`
+	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"packet_sizes":[1536,128],"bad_periods":["1s"]`
 	budgeted := []byte(`{"campaign":{` + grid + `,"budget":{"max_events":3000}}}`)
 	plain := []byte(`{"campaign":{` + grid + `}}`)
 	dir := t.TempDir()
@@ -360,7 +360,7 @@ func TestBudgetedQuarantineAnswersOnlyItsBudget(t *testing.T) {
 // the budgeted answer carries the 128-byte point's quarantine and the
 // unbudgeted one measures it, on a second execution.
 func TestCoalescedSweepAnswersOnlyItsBudget(t *testing.T) {
-	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"retries":-1,"packet_sizes":[1536,128],"bad_periods":["1s"]`
+	grid := `"sweeps":["fig7"],"replications":1,"transfer_kb":50,"packet_sizes":[1536,128],"bad_periods":["1s"]`
 	budgeted := []byte(`{"campaign":{` + grid + `,"budget":{"max_events":3000}}}`)
 	plain := []byte(`{"campaign":{` + grid + `}}`)
 	srv := newTestServer(t, t.TempDir(), func(cfg *Config) { cfg.Slots = 1 })

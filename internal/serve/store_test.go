@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -126,6 +127,40 @@ func TestJournalReplayListsEachPendingRequestOnce(t *testing.T) {
 				t.Errorf("second restart resumed %d requests, want 0", n)
 			}
 		})
+	}
+}
+
+// TestJournaledSweepWithRetryBudgetIsRetired: a sweep an earlier build
+// journaled with a "retries" field — a knob the engine no longer has,
+// since each replication runs its own seed only — cannot re-execute:
+// Resume retires its entry with the schema-change line naming the
+// field, and runs nothing.
+func TestJournaledSweepWithRetryBudgetIsRetired(t *testing.T) {
+	p := pendingRequest{Kind: "sweep", Fingerprint: strings.Repeat("cd", 32),
+		Body: json.RawMessage(`{"campaign":{"sweeps":["fig7"],"replications":1,"transfer_kb":20,"packet_sizes":[512],"bad_periods":["1s"],"retries":1}}`)}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "pending"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "pending", journalFile), putRecord(t, p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, dir, nil)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	n := srv.Resume()
+	os.Stderr = stderr
+	w.Close()
+	line, _ := io.ReadAll(r)
+	if n != 0 || srv.jour.entries() != 0 || srv.met.executed.Load() != 0 {
+		t.Errorf("resumed %d, %d journal entries left, %d executed; want the entry retired unrun", n, srv.jour.entries(), srv.met.executed.Load())
+	}
+	if want := "wtcpd: resume " + p.Fingerprint + ": "; !strings.HasPrefix(string(line), want) || !strings.Contains(string(line), `unknown field "retries"`) {
+		t.Errorf("stderr %q, want %q naming the retries field", line, want)
 	}
 }
 
