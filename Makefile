@@ -33,7 +33,7 @@ check: vet vet-386 test-race golden-drift scale-pins pool-pins bench-e2e-smoke
 # (each replication runs its own seed; only a host ceiling re-runs it,
 # once) and earlier builds' ledgers ride along.
 budget-smoke:
-	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth|TestQuarantineAnswersOnlyNoLargerBudgets|TestCeilinglessQuarantineRunsOnce|TestExhaustedReplicationTripsTheBreaker|TestHostCeilingRetryRunsItsOwnSeed|TestFailurePolicyIsEngineBlind|TestParentBackoffRecordLoads' ./internal/experiment/
+	$(GO) test -race -run 'TestBudgetSmoke|TestGovernedSweepQuarantinesPathologicalPoint|TestLedgerRefusesCorruptFiles|TestLedgerRefusesVersion1|TestCheckpointResumeByteIdentical|TestScheduleFirstErrorInIndexOrder|TestScheduleWidthOne|TestNoUnitStartsBeforeASlotIsFree|TestSupervisedSweepSameAtAnyWidth|TestQuarantineAnswersOnlyNoLargerBudgets|TestCeilinglessQuarantineRunsOnce|TestExhaustedReplicationTripsTheBreaker|TestHostCeilingRetryRunsItsOwnSeed|TestRetriedSweepWritesIdenticalLedger|TestFailurePolicyIsEngineBlind|TestParentBackoffRecordLoads' ./internal/experiment/
 	$(GO) test -race -run 'TestBudgetedCheckpointAnswersOnlyItsBudget' ./cmd/wtcp/
 
 # Service gate: the wtcpd storm/drain acceptance test under -race — a
